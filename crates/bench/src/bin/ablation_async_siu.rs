@@ -1,4 +1,4 @@
-//! Ablation: asynchronous SIU (DESIGN.md §4.3).
+//! Ablation: asynchronous SIU.
 //!
 //! §5.4: "we can perform asynchronous PSIU with one PSIU servicing more
 //! than one PSIL" — the checking fingerprint file keeps correctness while

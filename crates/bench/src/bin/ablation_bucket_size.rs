@@ -1,4 +1,4 @@
-//! Ablation: disk-index bucket size (DESIGN.md §4.1).
+//! Ablation: disk-index bucket size.
 //!
 //! The paper selects 8 KB buckets from the Table 1/Table 2 analysis. This
 //! ablation sweeps bucket sizes and shows the trade-off both analyses

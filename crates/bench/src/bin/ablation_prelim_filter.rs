@@ -1,4 +1,4 @@
-//! Ablation: the preliminary filter (DESIGN.md §4.2).
+//! Ablation: the preliminary filter.
 //!
 //! Runs the HUSt month twice — with the job-chain preliminary filter and
 //! with it disabled — and compares network transfer, dedup-1 throughput and

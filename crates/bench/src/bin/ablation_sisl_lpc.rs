@@ -1,4 +1,4 @@
-//! Ablation: SISL container layout × LPC read cache (DESIGN.md §4.4).
+//! Ablation: SISL container layout × LPC read cache.
 //!
 //! SISL "creates so much spatial locality for chunk and fingerprint
 //! accesses" that one container fetch serves the next ~1000 stream-local

@@ -6,7 +6,7 @@
 //! Sizes are nominal (paper-scale); structures are built at 1/1024 of them
 //! and virtual times reported at the nominal scale (multiply measured sweep
 //! times by the denominator — the fingerprints/second rates are
-//! scale-invariant; see DESIGN.md).
+//! scale-invariant; see the scale rule in `debar_simio::scale`).
 //!
 //! Run: `cargo run --release -p debar-bench --bin fig10_11 [denom]`
 

@@ -2,9 +2,10 @@
 //! each holding one part of a 0.5-8 TB global disk index and a 1 GB
 //! in-memory index cache.
 //!
-//! Each server sweeps its own index part on a real OS thread; the parallel
-//! speed is the aggregate batch over the slowest server's virtual time
-//! (fingerprints/second rates are scale-invariant; see DESIGN.md).
+//! Each server sweeps its own index part on its own simulated disk; the
+//! parallel speed is the aggregate batch over the slowest server's virtual
+//! time (fingerprints/second rates are scale-invariant; see the scale rule
+//! in `debar_simio::scale`).
 //!
 //! Run: `cargo run --release -p debar-bench --bin fig13 [denom]`
 
@@ -50,49 +51,33 @@ fn main() {
 
         // PSIL: every server looks up a full cache of fingerprints.
         let batch = IndexCache::with_memory(cache_bytes).capacity();
-        let psil_walls: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter_mut()
-                .enumerate()
-                .map(|(s, idx)| {
-                    scope.spawn(move || {
-                        let mut cache = IndexCache::with_memory(cache_bytes);
-                        let base = 0xABC0_0000_0000 + ((s as u64) << 32);
-                        for i in 0..batch {
-                            cache.insert(Fingerprint::of_counter(base + i as u64), 0);
-                        }
-                        idx.sequential_lookup(&mut cache).cost
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("PSIL worker"))
-                .collect()
-        });
+        let psil_walls: Vec<f64> = parts
+            .iter_mut()
+            .enumerate()
+            .map(|(s, idx)| {
+                let mut cache = IndexCache::with_memory(cache_bytes);
+                let base = 0xABC0_0000_0000 + ((s as u64) << 32);
+                for i in 0..batch {
+                    cache.insert(Fingerprint::of_counter(base + i as u64), 0);
+                }
+                idx.sequential_lookup(&mut cache).cost
+            })
+            .collect();
         let psil_wall = barrier_max(&psil_walls);
         let psil = (SERVERS * batch) as f64 / psil_wall / 1e3;
 
         // PSIU: every server merges a full cache of new fingerprints.
-        let psiu_walls: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter_mut()
-                .enumerate()
-                .map(|(s, idx)| {
-                    scope.spawn(move || {
-                        let base = 0xDEF0_0000_0000 + ((s as u64) << 32);
-                        let updates: Vec<(Fingerprint, ContainerId)> = (0..batch as u64)
-                            .map(|i| (Fingerprint::of_counter(base + i), ContainerId::new(1)))
-                            .collect();
-                        idx.sequential_update(&updates).cost
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("PSIU worker"))
-                .collect()
-        });
+        let psiu_walls: Vec<f64> = parts
+            .iter_mut()
+            .enumerate()
+            .map(|(s, idx)| {
+                let base = 0xDEF0_0000_0000 + ((s as u64) << 32);
+                let updates: Vec<(Fingerprint, ContainerId)> = (0..batch as u64)
+                    .map(|i| (Fingerprint::of_counter(base + i), ContainerId::new(1)))
+                    .collect();
+                idx.sequential_update(&updates).cost
+            })
+            .collect();
         let psiu_wall = barrier_max(&psiu_walls);
         let psiu = (SERVERS * batch) as f64 / psiu_wall / 1e3;
 

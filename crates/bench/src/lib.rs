@@ -1,9 +1,8 @@
 //! # debar-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! DEBAR paper's evaluation (§4.2, §6). One binary per experiment — see
-//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
-//! paper-vs-measured results:
+//! DEBAR paper's evaluation (§4.2, §6). One binary per experiment; each
+//! prints the paper's reference points beside its measured table:
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -17,7 +16,7 @@
 //! | `fig14` | Fig. 14 (16-server aggregate write/read throughput) |
 //! | `fig15` | Fig. 15 (throughput/capacity vs number of servers) |
 //! | `fig_multipart` | §5.2 multi-part index analysis (sweep time & throughput vs parts, emits `BENCH_multipart.json`) |
-//! | `ablation_*`, `metadata_store` | design-choice ablations (DESIGN.md §4) |
+//! | `ablation_*`, `metadata_store` | design-choice ablations |
 //!
 //! Everything runs at a configurable scale denominator (default 1024; see
 //! the `ScaleModel` docs for why MB/s-shaped results are scale-invariant).

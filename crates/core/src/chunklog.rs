@@ -33,19 +33,16 @@
 //! # Fault model
 //!
 //! The log disk carries an armable [`debar_simio::FaultPlan`] like every
-//! other simulated device, and the fault-checked entry points
-//! ([`ChunkLog::try_append`], [`ChunkLog::try_drain`],
-//! [`ChunkLog::try_drain_striped`]) surface injected faults as
+//! other simulated device, and the log's only I/O entry points
+//! ([`ChunkLog::try_append`], [`ChunkLog::try_drain_striped`]) are
+//! fault-checked: they surface injected faults as
 //! [`DebarError::DiskFault`] — extending the typed failure story to
 //! de-duplication phase I. Log appends are synchronous (the backup run
 //! stalls on them), so *every* fault kind — outright failure, torn
 //! write, bit flip — is detected at the faulted operation itself: a
 //! failed append persists nothing and the record is **not** logged; a
 //! failed drain — whether the volume or a single worker disk faulted —
-//! leaves every record in place for the retry. A fault fired through the
-//! unchecked legacy paths stays pending and manifests at the next
-//! checked operation (the "next checked boundary" rule of
-//! `debar_simio::fault`).
+//! leaves every record in place for the retry.
 
 use crate::dataset::StreamChunk;
 use crate::error::DebarError;
@@ -121,7 +118,7 @@ impl ChunkLog {
 
     /// Arm a deterministic fault schedule on the log disk (replaces any
     /// previous plan); [`ChunkLog::try_append`] and
-    /// [`ChunkLog::try_drain`] check it.
+    /// [`ChunkLog::try_drain_striped`] check it.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.disk.set_fault_plan(plan);
     }
@@ -157,16 +154,9 @@ impl ChunkLog {
         self.worker_disks.ops(worker)
     }
 
-    /// Append one record (sequential write); returns the cost.
-    pub fn append(&mut self, rec: LogRecord) -> Secs {
-        let b = rec.record_bytes();
-        self.bytes += b;
-        self.records.push(rec);
-        self.disk.seq_write(b)
-    }
-
-    /// Fault-checked [`ChunkLog::append`]: an injected fault on the
-    /// append op surfaces as [`DebarError::DiskFault`] and the record is
+    /// Append one record (sequential write); returns the cost. An
+    /// injected fault on the append op surfaces as
+    /// [`DebarError::DiskFault`] and the record is
     /// **not** logged (a failed synchronous append persists nothing) —
     /// the caller aborts its backup run and may retry it whole.
     pub fn try_append(&mut self, rec: LogRecord) -> Result<Secs, DebarError> {
@@ -180,34 +170,20 @@ impl ChunkLog {
         Ok(cost)
     }
 
-    /// Drain the log sequentially (one large sequential read).
-    pub fn drain(&mut self) -> Timed<Vec<LogRecord>> {
-        let cost = self.disk.seq_read(self.bytes);
-        self.bytes = 0;
-        Timed::new(std::mem::take(&mut self.records), cost)
-    }
-
-    /// Fault-checked [`ChunkLog::drain`] (the phase-II replay): an
-    /// injected fault on the drain op surfaces as
-    /// [`DebarError::DiskFault`] and **every record stays in the log** —
-    /// the read pointer never advanced, so the resumed round's drain
-    /// replays the identical sequence.
-    pub fn try_drain(&mut self) -> Result<Timed<Vec<LogRecord>>, DebarError> {
-        self.try_drain_striped(1)
-    }
-
-    /// Fault-checked drain striped across `workers` store workers: each
-    /// worker disk reads its own (even) byte share of the log concurrently
-    /// and the drain completes at the slowest worker — exactly `1/W` of
-    /// the single-worker drain for the even split, while the returned
-    /// record sequence is byte-identical at any worker count.
+    /// Drain the log (the phase-II replay) striped across `workers` store
+    /// workers: each worker disk reads its own (even) byte share of the log
+    /// concurrently and the drain completes at the slowest worker —
+    /// exactly `1/W` of the single-worker drain for the even split (one
+    /// large sequential read at `workers = 1`), while the returned record
+    /// sequence is byte-identical at any worker count.
     ///
     /// Charging mirrors the striped index volume: the volume-level disk
     /// ticks once (op counting for volume fault plans, whole-log
     /// statistics, the retained even-split oracle), then each worker disk
     /// is charged its share. A fault on the volume *or* on any single
-    /// worker disk surfaces as [`DebarError::DiskFault`] with every
-    /// record left in the log for an identical replay.
+    /// worker disk surfaces as [`DebarError::DiskFault`] with **every
+    /// record left in the log** — the read pointer never advanced, so the
+    /// resumed round's drain replays the identical sequence.
     pub fn try_drain_striped(
         &mut self,
         workers: usize,
@@ -271,12 +247,12 @@ mod tests {
     fn append_accumulates_and_drain_clears() {
         let mut log = ChunkLog::new();
         assert!(log.is_empty());
-        let c1 = log.append(rec(1, 1000));
-        let c2 = log.append(rec(2, 2000));
+        let c1 = log.try_append(rec(1, 1000)).expect("append");
+        let c2 = log.try_append(rec(2, 2000)).expect("append");
         assert!(c1 > 0.0 && c2 > c1);
         assert_eq!(log.len(), 2);
         assert_eq!(log.bytes(), 25 + 1000 + 25 + 2000);
-        let t = log.drain();
+        let t = log.try_drain_striped(1).expect("drain");
         assert_eq!(t.value.len(), 2);
         assert!(t.cost > 0.0);
         assert!(log.is_empty());
@@ -287,9 +263,9 @@ mod tests {
     fn drain_preserves_append_order() {
         let mut log = ChunkLog::new();
         for i in 0..10u64 {
-            log.append(rec(i, 100));
+            log.try_append(rec(i, 100)).expect("append");
         }
-        let recs = log.drain().value;
+        let recs = log.try_drain_striped(1).expect("drain").value;
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r.fp, Fingerprint::of_counter(i as u64));
         }
@@ -298,7 +274,7 @@ mod tests {
     #[test]
     fn sequential_rates_used() {
         let mut log = ChunkLog::new();
-        log.append(rec(1, 1 << 20));
+        log.try_append(rec(1, 1 << 20)).expect("append");
         let stats = log.disk_stats();
         assert_eq!(stats.rand_writes, 0, "log writes must be sequential");
         assert!(stats.seq_write_bytes > 1 << 20);
@@ -320,7 +296,7 @@ mod tests {
         // Retry succeeds and the drained sequence is exactly the durable
         // appends.
         log.try_append(rec(2, 200)).expect("retry");
-        let recs = log.try_drain().expect("drain").value;
+        let recs = log.try_drain_striped(1).expect("drain").value;
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].fp, Fingerprint::of_counter(2));
     }
@@ -343,14 +319,14 @@ mod tests {
     fn drain_fault_keeps_records_for_identical_replay() {
         let mut log = ChunkLog::new();
         for i in 0..5u64 {
-            log.append(rec(i, 100));
+            log.try_append(rec(i, 100)).expect("append");
         }
         log.set_fault_plan(FaultPlan::fail_at(log.disk_ops()));
-        let err = log.try_drain().expect_err("drain fault");
+        let err = log.try_drain_striped(1).expect_err("drain fault");
         assert!(matches!(err, DebarError::DiskFault { .. }), "{err}");
         assert_eq!(log.len(), 5, "read pointer never advanced");
         assert_eq!(log.bytes(), 5 * 125);
-        let recs = log.try_drain().expect("retry drains").value;
+        let recs = log.try_drain_striped(1).expect("retry drains").value;
         assert_eq!(recs.len(), 5);
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r.fp, Fingerprint::of_counter(i as u64), "order kept");
@@ -363,12 +339,12 @@ mod tests {
         let build = || {
             let mut log = ChunkLog::new();
             for i in 0..16u64 {
-                log.append(rec(i, 1000));
+                log.try_append(rec(i, 1000)).expect("append");
             }
             log
         };
         let mut scalar = build();
-        let t1 = scalar.try_drain().expect("drain");
+        let t1 = scalar.try_drain_striped(1).expect("drain");
         for workers in [2usize, 4, 8] {
             let mut striped = build();
             let tw = striped.try_drain_striped(workers).expect("striped drain");
@@ -390,7 +366,7 @@ mod tests {
     fn single_worker_drain_fault_keeps_records_for_identical_replay() {
         let mut log = ChunkLog::new();
         for i in 0..6u64 {
-            log.append(rec(i, 100));
+            log.try_append(rec(i, 100)).expect("append");
         }
         // Arm exactly one worker disk of a 3-way drain stripe.
         log.set_worker_fault_plan(1, FaultPlan::fail_at(log.worker_disk_ops(1)));
@@ -408,18 +384,5 @@ mod tests {
             assert_eq!(r.fp, Fingerprint::of_counter(i as u64), "order kept");
         }
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn unchecked_fault_surfaces_at_next_checked_boundary() {
-        let mut log = ChunkLog::new();
-        log.set_fault_plan(FaultPlan::fail_at(log.disk_ops()));
-        // The legacy unchecked append fires the fault silently...
-        log.append(rec(1, 100));
-        // ...and the next checked op reports it without consuming its own.
-        let err = log.try_append(rec(2, 100)).expect_err("pending fault");
-        assert!(matches!(err, DebarError::DiskFault { .. }), "{err}");
-        log.try_append(rec(2, 100)).expect("clean after collection");
-        assert_eq!(log.len(), 2);
     }
 }

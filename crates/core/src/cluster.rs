@@ -2,29 +2,36 @@
 //! (paper §2, §5).
 //!
 //! Dedup-2 follows the paper's Fig. 5 phases, but the phases are a
-//! **pipeline**, not a lockstep of barriers. What overlaps, and what
-//! barriers remain:
+//! **pipeline**, not a lockstep of barriers. The cluster's parallelism is
+//! **charged, not executed**: every [`BackupServer`] owns its
+//! [`debar_simio::VirtualClock`], so a phase is a plain loop over the
+//! servers in ID order — each advances only its own clock, and a barrier
+//! is `max` over the clocks. No OS thread is spawned anywhere. What
+//! overlaps in virtual time, and what barriers remain:
 //!
 //! | phase | §, what happens | sync model |
 //! |---|---|---|
 //! | exchange | §5.2: undetermined fingerprints partitioned by first `w` bits and exchanged | barrier **after** (all-to-all: every owner needs every origin's batch) |
-//! | PSIL | each server sweeps its index part on its own OS thread; verdicts routed back to origins | no exit barrier — each server's clock runs ahead on its own |
-//! | chunk storing | §5.3: each origin **packs** its chunk log into containers in parallel (one OS thread per server, `store_workers` worker disks striping each drain), then a serial canonical-order **commit** assigns container IDs | overlapped: server *i*'s pack starts at its own post-PSIL clock, while straggler servers are still sweeping — the saved window is reported as `Dedup2Report::store_overlap_saved` |
+//! | PSIL | each server sweeps its index part on its own clock; verdicts routed back to origins | no exit barrier — each server's clock runs ahead on its own |
+//! | chunk storing | §5.3: each origin **packs** its chunk log into containers on its own clock (`store_workers` worker disks striping each drain), then a canonical-order **commit** assigns container IDs | overlapped: server *i*'s pack starts at its own post-PSIL clock, while straggler servers are still sweeping — the saved window is reported as `Dedup2Report::store_overlap_saved` |
 //! | update routing | unregistered `(fp, container)` pairs exchanged to owner parts | barrier after (PSIU needs every origin's updates) |
-//! | PSIU | §5.4: owners merge updates on real threads; may be deferred (asynchronous SIU) | barrier after (round commit) |
+//! | PSIU | §5.4: owners merge updates on their own clocks; may be deferred (asynchronous SIU) | barrier after (round commit) |
 //!
-//! Two invariants make the pipelined phase safe:
+//! Two rules keep a round a pure function of its inputs and the armed
+//! fault plans:
 //!
-//! 1. **Packing is pure.** The parallel pack stage
-//!    ([`BackupServer::pack_chunks`]) touches only the server's own chunk
-//!    log and container manager — no repository, no container IDs — so
-//!    thread interleaving cannot influence results.
-//! 2. **Commit order is canonical.** The serial commit
-//!    ([`BackupServer::commit_packed`]) walks servers in ID order and
-//!    containers in seal order, so the repository sees exactly the
-//!    operation sequence of the old bulk-synchronous model: container
-//!    IDs, placement, fault-plan op indices and all results are
-//!    **byte-identical** — only the clocks move differently.
+//! 1. **Canonical order is the schedule.** The per-server loops and the
+//!    commit ([`BackupServer::commit_packed`]) walk servers in ID order and
+//!    containers in seal order, and PSIL, pack
+//!    ([`BackupServer::pack_chunks`]: no repository, no container IDs) and
+//!    PSIU touch only the server's own state — so container IDs, placement,
+//!    fault-plan op indices and all results are **byte-identical** from run
+//!    to run.
+//! 2. **A fault does not stop the siblings.** Every server finishes PSIL,
+//!    pack or PSIU before any result is inspected; only then is the first
+//!    error (lowest server ID) surfaced and the round rolled back. Sibling
+//!    op counters and clocks advance as in an unfaulted round, so a redo
+//!    replays from the same device state whichever server faulted.
 //!
 //! The remaining barriers are genuine data dependencies (all-to-all
 //! exchanges and the round commit), not implementation convenience.
@@ -679,24 +686,14 @@ impl DebarCluster {
         let submitted_fps: u64 = batches.iter().map(|b| b.len() as u64).sum();
         let t1 = self.barrier();
 
-        // ---- Phase 2: PSIL on real threads, one per server. ----
-        let results: Vec<Result<SilPartOutput, DebarError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .servers
-                .iter_mut()
-                .zip(&batches)
-                .map(|(srv, batch)| scope.spawn(move || srv.sil_on_part(batch, s)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("PSIL worker panicked"))
-                .collect()
-        });
-        if let Some((sid, cause)) = results
-            .iter()
-            .enumerate()
-            .find_map(|(i, r)| r.as_ref().err().map(|e| (i as ServerId, e.clone())))
-        {
+        // ---- Phase 2: PSIL, every server on its own clock. ----
+        let results: Vec<Result<SilPartOutput, DebarError>> = self
+            .servers
+            .iter_mut()
+            .zip(&batches)
+            .map(|(srv, batch)| srv.sil_on_part(batch, s))
+            .collect();
+        if let Some((sid, cause)) = first_fault(&results) {
             // Crash rollback: give every origin its fingerprints back in
             // original order; no checking entry was committed.
             for (srv, fps) in self.servers.iter_mut().zip(taken) {
@@ -710,10 +707,7 @@ impl DebarCluster {
                 cause: Box::new(cause),
             });
         }
-        let outputs: Vec<SilPartOutput> = results
-            .into_iter()
-            .map(|r| r.expect("errors handled above"))
-            .collect();
+        let outputs: Vec<SilPartOutput> = results.into_iter().flatten().collect();
         // Every PSIL pass succeeded: commit the staged checking entries.
         for (srv, out) in self.servers.iter_mut().zip(&outputs) {
             srv.commit_checking(&out.newly_checking);
@@ -771,63 +765,32 @@ impl DebarCluster {
         // Start from the durable prefix of an interrupted attempt of this
         // round, so the (re)run's report covers the whole round.
         let mut store_total = std::mem::take(&mut self.carryover_store);
-        // Stage 1 — parallel pack: every server drains its chunk log
-        // (striped over `store_workers` worker disks) and packs SISL
-        // containers concurrently, one OS thread per server. Packing is
-        // pure (no repository access), so interleaving cannot influence
-        // results.
+        // Stage 1 — pack: every server drains its chunk log (striped
+        // over `store_workers` worker disks) and packs SISL containers,
+        // starting at its own post-PSIL clock. Packing touches only the
+        // server's own state (no repository access).
         let sil_done: Vec<Secs> = self.servers.iter().map(|srv| srv.clock.now()).collect();
-        let packs: Vec<Result<crate::server::PackOutput, DebarError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .servers
-                    .iter_mut()
-                    .zip(&decisions)
-                    .map(|(srv, dec)| scope.spawn(move || srv.pack_chunks(dec)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pack worker panicked"))
-                    .collect()
-            });
-        if packs.iter().any(Result::is_err) {
-            // A drain fault interrupts the phase before any container
-            // commits. Faulted servers already kept their logs intact and
-            // stashed their decisions; sibling packs roll back so their
-            // logs too look untouched, and the resumed round replays the
-            // identical sequence everywhere.
-            let mut first: Option<(ServerId, DebarError)> = None;
-            for (i, pack) in packs.into_iter().enumerate() {
-                match pack {
-                    Ok(p) => self.servers[i].abort_pack(p),
-                    Err(e) => {
-                        if first.is_none() {
-                            first = Some((i as ServerId, e));
-                        }
-                    }
-                }
-            }
-            let (sid, cause) = first.expect("checked above");
-            self.carryover_store = store_total;
-            let _ = self.barrier();
-            return Err(DebarError::InterruptedDedup2 {
-                round,
-                phase: Dedup2Phase::ChunkStoring,
-                server: sid,
-                cause: Box::new(cause),
-            });
-        }
-        // Stage 2 — serial commit in canonical server order: container
-        // IDs are assigned here, so the repository sees exactly the
-        // operation sequence of the bulk-synchronous model and results
-        // stay byte-identical.
+        let packs: Vec<Result<crate::server::PackOutput, DebarError>> = self
+            .servers
+            .iter_mut()
+            .zip(&decisions)
+            .map(|(srv, dec)| srv.pack_chunks(dec))
+            .collect();
+        // A drain fault interrupts the phase before any container commits:
+        // the faulted server already kept its log intact and stashed its
+        // decisions, and the walk below rolls every sibling pack back, so
+        // the resumed round replays the identical sequence everywhere.
+        let mut store_fault = first_fault(&packs);
+        // Stage 2 — commit in canonical server order: container IDs are
+        // assigned here, so the repository sees exactly the operation
+        // sequence of the bulk-synchronous model and results stay
+        // byte-identical.
         let mut routed_updates: Vec<Vec<(Fingerprint, ContainerId)>> = vec![Vec::new(); s];
         let mut tx3 = vec![0u64; s];
-        let mut store_fault: Option<(ServerId, DebarError)> = None;
         for (i, pack) in packs.into_iter().enumerate() {
-            let pack = pack.expect("pack faults handled above");
+            let Ok(pack) = pack else { continue };
             if store_fault.is_some() {
-                // An earlier server's commit faulted mid-phase: roll this
+                // An earlier fault interrupted the phase: roll this
                 // server's pack back whole (its log must look as if the
                 // drain never ran) and carry its decisions over.
                 self.servers[i].abort_pack(pack);
@@ -906,37 +869,10 @@ impl DebarCluster {
         cap.wall = t3b - t3;
 
         // ---- Phase 4: PSIU (possibly deferred: asynchronous SIU). ----
+        // A faulted server keeps its pending updates; the round stays
+        // uncommitted and a re-run retries the SIU.
         let (siu_reports, siu_updates) = if run_siu {
-            let results: Vec<Result<(SiuReport, u64), DebarError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .servers
-                    .iter_mut()
-                    .map(|srv| scope.spawn(move || srv.run_siu()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("PSIU worker panicked"))
-                    .collect()
-            });
-            let mut reports = Vec::with_capacity(s);
-            let mut updates = 0u64;
-            let mut fault: Option<DebarError> = None;
-            for r in results {
-                match r {
-                    Ok((rep, u)) => {
-                        reports.push(rep);
-                        updates += u;
-                    }
-                    Err(e) => fault = fault.or(Some(e)),
-                }
-            }
-            if let Some(e) = fault {
-                // The faulted server kept its pending updates; the round
-                // stays uncommitted and a re-run retries the SIU.
-                let _ = self.barrier();
-                return Err(e);
-            }
-            (reports, updates)
+            self.psiu()?
         } else {
             (Vec::new(), 0)
         };
@@ -980,23 +916,25 @@ impl DebarCluster {
     /// idempotently (see [`BackupServer::run_siu`]).
     pub fn force_siu(&mut self) -> DebarResult<(Vec<SiuReport>, Secs)> {
         let t0 = self.barrier();
-        let results: Vec<Result<(SiuReport, u64), DebarError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .servers
-                .iter_mut()
-                .map(|srv| scope.spawn(move || srv.run_siu()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("PSIU worker panicked"))
-                .collect()
-        });
-        let t1 = self.barrier();
+        let (reports, _) = self.psiu()?;
+        Ok((reports, self.now() - t0))
+    }
+
+    /// PSIU: every server merges its pending updates on its own clock,
+    /// then the clocks align. Every part runs its SIU before any result is
+    /// inspected; returns the per-server reports and the update count, or
+    /// the first fault (lowest server ID).
+    fn psiu(&mut self) -> DebarResult<(Vec<SiuReport>, u64)> {
+        let results: Vec<_> = self.servers.iter_mut().map(BackupServer::run_siu).collect();
+        let _ = self.barrier();
         let mut reports = Vec::with_capacity(results.len());
+        let mut updates = 0;
         for r in results {
-            reports.push(r?.0);
+            let (report, n) = r?;
+            reports.push(report);
+            updates += n;
         }
-        Ok((reports, t1 - t0))
+        Ok((reports, updates))
     }
 
     /// Resolve a fingerprint to its container via the owning index part
@@ -1213,17 +1151,10 @@ impl DebarCluster {
     /// server's rebuild.
     pub fn scale_up_indexes(&mut self) -> Secs {
         let t0 = self.barrier();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .servers
-                .iter_mut()
-                .map(|srv| scope.spawn(move || srv.scale_up_index()))
-                .collect();
-            for h in handles {
-                h.join().expect("scale-up worker panicked");
-            }
-        });
-        self.cfg.index_part_bytes *= 2;
+        for srv in &mut self.servers {
+            let t = srv.index_mut().scale_up();
+            srv.clock.advance(t.cost);
+        }
         let t1 = self.barrier();
         t1 - t0
     }
@@ -1247,7 +1178,16 @@ impl DebarCluster {
         let t0 = self.barrier();
         let mut new_cfg = self.cfg;
         new_cfg.w_bits += 1;
-        new_cfg.index_part_bytes /= 2;
+        // The index owns its geometry — SIU grows a full part in place —
+        // so the halves are sized from the live parts (the smallest, when
+        // they have diverged: it is the one `sweep_parts` must fit).
+        let live_part = self
+            .servers
+            .iter()
+            .map(|srv| srv.index().params().total_bytes())
+            .min()
+            .expect("a cluster has at least one server");
+        new_cfg.index_part_bytes = live_part / 2;
         // Halving each part can leave a striped deployment with more sweep
         // partitions than buckets; apply the documented clamp rule. The
         // replication clamp rides along for the same reason (geometry must
@@ -1283,9 +1223,13 @@ impl DebarCluster {
     /// recovery path, not silently rebuilt into the index). A failed
     /// rebuild leaves the part reset-and-partial; re-running
     /// `recover_index` after repairing the container starts from a fresh
-    /// reset and converges.
+    /// reset and converges. A `server` outside the cluster is the typed
+    /// [`DebarError::UnknownServer`], returned before anything is reset.
     pub fn recover_index(&mut self, server: ServerId) -> DebarResult<Secs> {
         let sid = server as usize;
+        if sid >= self.servers.len() {
+            return Err(DebarError::UnknownServer { server });
+        }
         let w = self.cfg.w_bits;
         self.servers[sid].index_mut().reset_empty();
         let mut entries: Vec<(Fingerprint, ContainerId)> = Vec::new();
@@ -1343,6 +1287,15 @@ impl DebarCluster {
         let sum: f64 = self.servers.iter().map(|s| s.index().utilization()).sum();
         sum / self.servers.len() as f64
     }
+}
+
+/// The first fault (lowest server ID) of a per-server phase every server
+/// has finished.
+fn first_fault<T>(results: &[DebarResult<T>]) -> Option<(ServerId, DebarError)> {
+    results
+        .iter()
+        .enumerate()
+        .find_map(|(i, r)| r.as_ref().err().map(|e| (i as ServerId, e.clone())))
 }
 
 /// Verify a restored payload against its fingerprint: real bytes must hash
@@ -1955,6 +1908,57 @@ mod tests {
         assert!(c.repair_repo_node(nodes).is_err());
         assert!(c.repo_node_ops(nodes).is_err());
         assert!(c.set_repo_fault_plan(nodes, FaultPlan::fail_at(0)).is_err());
+        // The server-addressed twin: one server, so server 7 is unknown.
+        assert_eq!(
+            c.recover_index(7),
+            Err(DebarError::UnknownServer { server: 7 })
+        );
+    }
+
+    #[test]
+    fn scale_out_after_siu_auto_scaling_sizes_parts_from_the_live_index() {
+        // SIU grows a full part in place (`place_counted -> scale_up`), so
+        // the deployed `index_part_bytes` goes stale; scale-out must halve
+        // the *live* geometry, not the deployed number.
+        let mut c = cluster(0);
+        let job = c.define_job("j", ClientId(0));
+        let deployed = c.config().index_part_bytes;
+        let mut versions = 0u32;
+        loop {
+            let base = 3000 * versions as u64;
+            c.backup(job, &Dataset::from_records("s", records(base..base + 3000)))
+                .expect("backup");
+            versions += 1;
+            let d2 = c.run_dedup2().expect("dedup2");
+            if d2.siu_reports.iter().any(|r| r.scale_events > 0) {
+                break;
+            }
+            assert!(
+                versions < 8,
+                "5120-entry part must fill within a few rounds"
+            );
+        }
+        c.force_siu().expect("siu");
+        assert!(c.server(0).index().params().total_bytes() > deployed);
+        let runs: Vec<RunId> = (0..versions)
+            .map(|version| RunId { job, version })
+            .collect();
+        let before: Vec<RestoreReport> = runs
+            .iter()
+            .map(|&run| c.restore_run(run).expect("restore"))
+            .collect();
+        c.scale_out().expect("scale-out");
+        for sid in 0..c.server_count() as ServerId {
+            assert_eq!(
+                c.config().index_part_bytes,
+                c.server(sid).index().params().total_bytes(),
+                "server {sid}: configured part size must equal the live index"
+            );
+        }
+        for (&run, b) in runs.iter().zip(&before) {
+            let a = c.restore_run(run).expect("restore after scale-out");
+            assert_eq!((a.bytes, a.chunks, a.failures), (b.bytes, b.chunks, 0));
+        }
     }
 
     #[test]
@@ -2509,19 +2513,202 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
+        // 2 servers x 4 sweep parts: every virtual-time field of both
+        // reports must repeat bit-for-bit on a fresh cluster.
         let run = || {
-            let mut c = cluster(2);
+            let mut c = DebarCluster::new(DebarConfig::tiny_test(1).with_sweep_parts(4));
             let job = c.define_job("j", ClientId(0));
             c.backup(job, &Dataset::from_records("s", records(0..2500)))
                 .expect("backup");
             let d = c.run_dedup2().expect("dedup2");
-            (
-                d.store.stored_chunks,
-                d.total_wall(),
-                c.now(),
-                c.index_entries(),
-            )
+            let r = c.restore_run(RunId { job, version: 0 }).expect("restore");
+            (d, r, c.now(), c.index_entries())
         };
         assert_eq!(run(), run());
+    }
+
+    // ------------------------------------------------------------------
+    // Sibling servers on a faulted round (module docs, rule 2): a fault on
+    // server 0 must not stop server 1's share of the phase — its device op
+    // counters and clock are part of what a redo replays from.
+    // ------------------------------------------------------------------
+
+    /// 2 servers x 4 sweep parts x 2 store workers, one job logged on each
+    /// server, dedup-2 not yet run. Three fingerprints in four belong to
+    /// index part 1, so server 1 is the PSIU straggler: the cluster clock
+    /// after an unfaulted PSIU *is* server 1's clock, bit for bit.
+    fn two_striped_servers(siu_interval: u32) -> DebarCluster {
+        let mut c = DebarCluster::new(DebarConfig {
+            siu_interval,
+            ..DebarConfig::tiny_test(1)
+                .with_sweep_parts(4)
+                .with_store_workers(2)
+        });
+        for (i, base) in [0u64, 50_000].into_iter().enumerate() {
+            let job = c.define_job(format!("j{i}"), ClientId(i as u32));
+            let mut owned = [0usize; 2];
+            let recs: Vec<ChunkRecord> = records(base..base + 10_000)
+                .into_iter()
+                .filter(|r| {
+                    let owner = r.fp.server_number(1) as usize;
+                    owned[owner] += 1;
+                    owned[owner] <= [500, 1500][owner]
+                })
+                .collect();
+            assert_eq!(recs.len(), 2000);
+            c.backup(job, &Dataset::from_records("s", recs))
+                .expect("backup");
+        }
+        assert!(c.server(1).log_bytes() > 0, "server 1 needs chunks to pack");
+        c
+    }
+
+    /// Op counters and busy-time statistics of one server's index devices
+    /// (volume disk, part-disks, probe CPU): every second a sweep charges
+    /// to the server's clock is the max of a disk and a CPU time in here.
+    fn index_devices(c: &DebarCluster, sid: ServerId) -> impl PartialEq + std::fmt::Debug {
+        let srv = c.server(sid);
+        let parts: Vec<_> = (0..4)
+            .map(|p| (srv.index_part_disk_ops(p), srv.index().part_disk_stats(p)))
+            .collect();
+        (
+            srv.index_disk_ops(),
+            srv.index().disk_stats(),
+            srv.index().cpu_stats(),
+            parts,
+        )
+    }
+
+    /// Op counters of one server's chunk-log disks.
+    fn log_devices(c: &DebarCluster, sid: ServerId) -> (u64, Vec<u64>) {
+        let srv = c.server(sid);
+        (
+            srv.log_disk_ops(),
+            (0..2).map(|w| srv.log_worker_disk_ops(w)).collect(),
+        )
+    }
+
+    fn index_digests(c: &DebarCluster) -> Vec<[u8; 20]> {
+        (0..c.server_count() as ServerId)
+            .map(|sid| Sha1::digest(c.server(sid).index().raw_data()))
+            .collect()
+    }
+
+    /// Finish the round after a fault and require the clean outcome.
+    fn assert_redo_converges(mut faulted: DebarCluster, clean: &DebarCluster) {
+        faulted.clear_fault_plans();
+        faulted.run_dedup2().expect("redo");
+        faulted.force_siu().expect("siu");
+        assert_eq!(index_digests(&faulted), index_digests(clean));
+        assert_eq!(
+            faulted.repository().stats().containers,
+            clean.repository().stats().containers
+        );
+        for job in [JobId(0), JobId(1)] {
+            let r = faulted
+                .restore_run(RunId { job, version: 0 })
+                .expect("restore");
+            assert_eq!((r.chunks, r.failures), (2000, 0));
+        }
+    }
+
+    #[test]
+    fn psil_fault_on_one_server_lets_its_sibling_finish_the_phase() {
+        use debar_simio::FaultPlan;
+        // Round 1 defers SIU, so a clean round touches the index disks in
+        // PSIL only.
+        let mut clean = two_striped_servers(2);
+        clean.run_dedup2().expect("dedup2");
+        let arm = |c: &mut DebarCluster, sid: ServerId| {
+            c.set_index_part_fault_plan(sid, 2, FaultPlan::fail_at(c.index_part_disk_ops(sid, 2)))
+        };
+        let mut c = two_striped_servers(2);
+        arm(&mut c, 0);
+        let err = c.run_dedup2().expect_err("PSIL fault on server 0");
+        assert!(
+            matches!(
+                err,
+                DebarError::InterruptedDedup2 {
+                    phase: Dedup2Phase::Sil,
+                    server: 0,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(index_devices(&c, 1), index_devices(&clean, 1));
+        // ...and the sweep is on the clock: later than when nobody swept.
+        let mut nobody_swept = two_striped_servers(2);
+        arm(&mut nobody_swept, 0);
+        arm(&mut nobody_swept, 1);
+        nobody_swept.run_dedup2().expect_err("both sweeps fault");
+        assert!(c.now() > nobody_swept.now());
+        clean.force_siu().expect("siu");
+        assert_redo_converges(c, &clean);
+    }
+
+    #[test]
+    fn drain_fault_on_one_server_lets_its_sibling_finish_the_pack() {
+        use debar_simio::FaultPlan;
+        let mut clean = two_striped_servers(2);
+        clean.run_dedup2().expect("dedup2");
+        let arm = |c: &mut DebarCluster, sid: ServerId| {
+            c.set_log_fault_plan(sid, FaultPlan::fail_at(c.log_disk_ops(sid)))
+        };
+        let mut c = two_striped_servers(2);
+        let logged = c.server(1).log_bytes();
+        arm(&mut c, 0);
+        let err = c.run_dedup2().expect_err("drain fault on server 0");
+        assert!(
+            matches!(
+                err,
+                DebarError::InterruptedDedup2 {
+                    phase: Dedup2Phase::ChunkStoring,
+                    server: 0,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        // Server 1 drained (one op on the volume and on each worker disk,
+        // as in the clean round) and was charged for it, then rolled back.
+        assert_eq!(log_devices(&c, 1), log_devices(&clean, 1));
+        assert_eq!(c.server(1).log_bytes(), logged, "pack rolled back whole");
+        let mut nobody_packed = two_striped_servers(2);
+        arm(&mut nobody_packed, 0);
+        arm(&mut nobody_packed, 1);
+        nobody_packed.run_dedup2().expect_err("both drains fault");
+        assert!(c.now() > nobody_packed.now());
+        clean.force_siu().expect("siu");
+        assert_redo_converges(c, &clean);
+    }
+
+    #[test]
+    fn psiu_fault_on_one_server_lets_its_sibling_finish_the_update() {
+        use debar_simio::FaultPlan;
+        let mut clean = two_striped_servers(1);
+        let d2 = clean.run_dedup2().expect("dedup2");
+        assert_eq!(d2.sil_sweeps, 2, "one PSIL sweep per server");
+        let mut c = two_striped_servers(1);
+        // Part-disk 2's next op is the PSIL sweep; the one after is the
+        // SIU read sweep.
+        c.set_index_part_fault_plan(0, 2, FaultPlan::fail_at(c.index_part_disk_ops(0, 2) + 1));
+        let err = c.run_dedup2().expect_err("PSIU fault on server 0");
+        assert!(
+            matches!(
+                err,
+                DebarError::PartialSiu {
+                    server: 0,
+                    part: Some(2),
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(index_devices(&c, 1), index_devices(&clean, 1));
+        assert_eq!(c.server(1).pending_updates_len(), 0, "server 1 registered");
+        assert_eq!(index_digests(&c)[1], index_digests(&clean)[1]);
+        assert_eq!(c.now(), clean.now());
+        assert_redo_converges(c, &clean);
     }
 }

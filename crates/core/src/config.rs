@@ -146,13 +146,15 @@ impl DedupMode {
 ///
 /// Sizes are *actual* in-memory sizes; use the `*_scaled` constructors to
 /// derive them from the paper's nominal sizes via a [`ScaleModel`]
-/// denominator (see DESIGN.md).
+/// denominator (the scale rule is the `debar_simio::scale` module doc).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DebarConfig {
     /// `2^w_bits` backup servers; the first `w` fingerprint bits route to a
     /// server's index part (paper §5.2).
     pub w_bits: u32,
-    /// Disk-index part size per server, in bytes.
+    /// Disk-index part size per server, in bytes, as deployed. The live
+    /// size belongs to each part's `DiskIndex` (capacity scaling doubles it
+    /// in place); `DebarCluster::scale_out` re-reads it from there.
     pub index_part_bytes: u64,
     /// Disk-index bucket size (the paper selects 8 KB; small test
     /// geometries use 512 B).

@@ -138,6 +138,11 @@ pub enum DebarError {
         /// The unknown job.
         job: JobId,
     },
+    /// The backup server is outside the cluster (`server >= 2^w`).
+    UnknownServer {
+        /// The unknown server.
+        server: ServerId,
+    },
     /// A deployment configuration's index geometry is inconsistent.
     IndexGeometry {
         /// What the validation found.
@@ -260,6 +265,7 @@ impl fmt::Display for DebarError {
                 write!(f, "run {run} holds no file at path {path:?}")
             }
             DebarError::UnknownJob { job } => write!(f, "unknown job {job:?}"),
+            DebarError::UnknownServer { server } => write!(f, "unknown backup server {server}"),
             DebarError::IndexGeometry { reason } => {
                 write!(f, "inconsistent index geometry: {reason}")
             }

@@ -14,8 +14,9 @@
 //!   pool (§3.4);
 //! * the **cluster** ([`cluster`]) — the two-phase de-duplication scheme
 //!   (TPDS) orchestrated across `2^w` backup servers with parallel
-//!   sequential index lookups/updates (PSIL/PSIU, §5.2/§5.4) on real OS
-//!   threads in bulk-synchronous phases, plus the restore path with LPC.
+//!   sequential index lookups/updates (PSIL/PSIU, §5.2/§5.4) — parallel in
+//!   virtual time: each server advances its own clock, no OS threads —
+//!   plus the restore path with LPC.
 //!
 //! [`system::DebarSystem`] is the single-facade entry point used by the
 //! examples: define jobs, back up datasets, run dedup-2, restore and

@@ -60,7 +60,7 @@ impl Dedup1Report {
 }
 
 /// Per-server chunk-storing outcome within dedup-2 (§5.3).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StoreReport {
     /// Log records processed.
     pub log_records: u64,
@@ -77,7 +77,7 @@ pub struct StoreReport {
 }
 
 /// Outcome of one dedup-2 round (§5.2-§5.4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dedup2Report {
     /// Round number (1-based).
     pub round: u32,
@@ -177,7 +177,7 @@ impl Dedup2Report {
 }
 
 /// Outcome of restoring one run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RestoreReport {
     /// The run restored.
     pub run: RunId,

@@ -6,13 +6,14 @@
 //! the job chain, append survivors to the on-disk chunk log and accumulate
 //! their fingerprints as *undetermined*.
 //!
-//! Dedup-2 pieces (driven bulk-synchronously by
+//! Dedup-2 pieces (driven phase by phase, in server-ID order, by
 //! [`crate::cluster::DebarCluster`]):
 //! [`BackupServer::sil_on_part`] (SIL over this server's index part with
 //! checking-fingerprint-file semantics for asynchronous SIU, §5.4),
-//! [`BackupServer::store_chunks`] (drain the log, write new chunks to
-//! containers per the SIL verdicts, §5.3) and [`BackupServer::run_siu`]
-//! (merge the unregistered fingerprints into the index part).
+//! [`BackupServer::pack_chunks`] + [`BackupServer::commit_packed`] (drain
+//! the log, write new chunks to containers per the SIL verdicts, §5.3)
+//! and [`BackupServer::run_siu`] (merge the unregistered fingerprints into
+//! the index part). Each advances only this server's own clock.
 
 use crate::chunklog::{ChunkLog, LogRecord};
 use crate::config::DebarConfig;
@@ -85,10 +86,10 @@ pub struct StoreOutcome {
     pub fault: Option<DebarError>,
 }
 
-/// One container packed by the parallel pack stage
+/// One container packed by the pack stage
 /// ([`BackupServer::pack_chunks`]), carrying the drain-position metadata
-/// the serial commit needs to reproduce the sequential model's crash
-/// rollback exactly if its repository write faults.
+/// the commit needs to reproduce the sequential model's crash rollback
+/// exactly if its repository write faults.
 struct PackedContainer {
     container: Container,
     /// Drain index the log tail re-queues from if *this* container's
@@ -104,10 +105,10 @@ struct PackedContainer {
 
 /// Output of one server's pack stage: the drained log, the packed
 /// container sequence and the merged storage decisions — everything the
-/// serial commit ([`BackupServer::commit_packed`]) or a crash rollback
+/// commit ([`BackupServer::commit_packed`]) or a crash rollback
 /// ([`BackupServer::abort_pack`]) needs. Packing touches no shared state
 /// (the repository is not involved), which is what lets every server's
-/// pack run concurrently under `std::thread::scope`.
+/// pack start at its own post-PSIL clock instead of a cluster barrier.
 pub struct PackOutput {
     /// The full drained record sequence, in log order.
     records: Vec<LogRecord>,
@@ -146,7 +147,7 @@ pub struct BackupServer {
     pending_updates: Vec<(Fingerprint, ContainerId)>,
     /// Storage decisions carried over from an interrupted chunk-storing
     /// phase: the chunk log still holds the matching records (re-queued at
-    /// crash rollback), and the resumed round's [`BackupServer::store_chunks`]
+    /// crash rollback), and the resumed round's [`BackupServer::pack_chunks`]
     /// merges these ahead of the new round's verdicts. Inline/hybrid
     /// backups stage their resolved-new `Store` decisions here too — the
     /// chunk-storing pass consumes both through the same merge.
@@ -599,35 +600,14 @@ impl BackupServer {
         self.undetermined = fps;
     }
 
-    /// Chunk storing (§5.3), one-call form: pack this server's chunk log
-    /// into containers ([`BackupServer::pack_chunks`]) and commit them to
-    /// the repository ([`BackupServer::commit_packed`]). The pipelined
-    /// cluster phase calls the two halves separately — packs in parallel
-    /// across servers, commits serially for deterministic container IDs —
-    /// with results byte-identical to this sequential composition.
-    pub fn store_chunks(
-        &mut self,
-        decisions: &HashMap<Fingerprint, Decision>,
-        repo: &mut ChunkRepository,
-    ) -> StoreOutcome {
-        match self.pack_chunks(decisions) {
-            Ok(pack) => self.commit_packed(pack, repo),
-            Err(e) => StoreOutcome {
-                report: StoreReport::default(),
-                assigned: Vec::new(),
-                fault: Some(e),
-            },
-        }
-    }
-
-    /// The parallel pack stage of chunk storing: drain the chunk log
+    /// The pack stage of chunk storing (§5.3): drain the chunk log
     /// (striped across [`DebarConfig::store_workers`] worker disks, wall
     /// time the max over even shares) and pack the chunks this server was
     /// designated to store into SISL containers on the write-behind flush
     /// queue. The repository is **not** touched — no container IDs are
-    /// assigned and no shared state is read — so every server's pack can
-    /// run concurrently on its own OS thread while stragglers are still
-    /// sweeping PSIL.
+    /// assigned and no shared state is read — so the pack is charged to
+    /// this server's clock alone and, in virtual time, overlaps stragglers
+    /// still sweeping PSIL.
     ///
     /// A drain fault (volume or single worker disk) leaves every record
     /// in the log, carries the merged storage decisions over and
@@ -717,7 +697,7 @@ impl BackupServer {
         })
     }
 
-    /// The serial commit stage of chunk storing: flush the packed
+    /// The commit stage of chunk storing: flush the packed
     /// container batch to the repository in seal order. Container IDs are
     /// assigned here, in canonical server order across the cluster, which
     /// is what keeps the pipelined phase byte-identical to the sequential
@@ -831,7 +811,7 @@ impl BackupServer {
     /// preserved — the log's content is exactly what it was before the
     /// drain) and carry the merged storage decisions over. The cluster
     /// uses this when a *sibling* server's pass faulted in the same
-    /// bulk-synchronous phase: this server's log state must look as if
+    /// phase: this server's log state must look as if
     /// its drain never ran, so the resumed round replays identically.
     pub fn abort_pack(&mut self, pack: PackOutput) {
         self.chunk_log.requeue_front(pack.records);
@@ -913,24 +893,6 @@ impl BackupServer {
         }
     }
 
-    /// Whether this server still has fingerprints awaiting SIU.
-    pub fn has_pending_registration(&self) -> bool {
-        !self.pending_updates.is_empty() || !self.checking.is_empty()
-    }
-
-    /// Verify internal dedup-2 invariants (test support): the checking file
-    /// only holds fingerprints with a pending update or an unsealed store.
-    pub fn checking_len(&self) -> usize {
-        self.checking.len()
-    }
-
-    /// Elapsed-time helper: run `f`, return its result and the clock delta.
-    pub fn timed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, Secs) {
-        let start = self.clock.now();
-        let r = f(self);
-        (r, self.clock.since(start))
-    }
-
     /// Whether the server is quiescent (no staged dedup-2 work) — the
     /// precondition for online scaling.
     pub fn is_quiesced(&self) -> bool {
@@ -939,13 +901,6 @@ impl BackupServer {
             && self.pending_updates.is_empty()
             && self.checking.is_empty()
             && self.carryover.is_empty()
-    }
-
-    /// Capacity scaling (§4.1): double this server's index part in place.
-    pub(crate) fn scale_up_index(&mut self) {
-        let t = self.index.scale_up();
-        self.clock.advance(t.cost);
-        self.cfg.index_part_bytes *= 2;
     }
 
     /// Performance scaling (§4.1): split this server into two servers with

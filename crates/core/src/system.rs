@@ -23,7 +23,8 @@ impl DebarSystem {
     }
 
     /// The paper's single-server deployment scaled down by `denom`
-    /// (32 GB/denom index, 1 GB/denom cache; see DESIGN.md).
+    /// (32 GB/denom index, 1 GB/denom cache; the scale rule is the
+    /// `debar_simio::scale` module doc).
     pub fn single_server(denom: u64) -> Self {
         Self::new(DebarConfig::single_server_scaled(denom))
     }

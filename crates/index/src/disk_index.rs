@@ -114,14 +114,6 @@ impl DiskIndex {
         self.skip_bits
     }
 
-    /// The bucket a fingerprint belongs to: bits
-    /// `[skip_bits, skip_bits + n)` of the fingerprint.
-    #[inline]
-    pub fn bucket_of(&self, fp: &Fingerprint) -> u64 {
-        fp.route(self.skip_bits, self.skip_bits + self.params.n_bits)
-            .1
-    }
-
     /// Live entry count.
     pub fn entry_count(&self) -> u64 {
         self.entries
@@ -335,36 +327,15 @@ impl DiskIndex {
         &mut self.cpu
     }
 
-    fn bucket_range(&self, k: u64) -> std::ops::Range<usize> {
-        let start = k as usize * self.params.bucket_bytes;
-        start..start + self.params.bucket_bytes
-    }
-
-    /// Immutable view of bucket `k`.
-    pub(crate) fn bucket(&self, k: u64) -> &[u8] {
-        &self.data[self.bucket_range(k)]
-    }
-
     fn bucket_mut(&mut self, k: u64) -> &mut [u8] {
-        let r = self.bucket_range(k);
-        &mut self.data[r]
-    }
-
-    /// Neighbours of bucket `k`, wrapping at the ends (the paper leaves edge
-    /// behaviour unspecified; wrapping keeps the adjacency uniform).
-    fn neighbours(&self, k: u64) -> (u64, u64) {
-        let n = self.params.buckets();
-        ((k + n - 1) % n, (k + 1) % n)
-    }
-
-    /// Whether bucket `k` is at capacity.
-    pub fn bucket_is_full(&self, k: u64) -> bool {
-        self.bucket(k).chunks_exact(BLOCK_BYTES).all(block_full)
+        let start = k as usize * self.params.bucket_bytes;
+        &mut self.data[start..start + self.params.bucket_bytes]
     }
 
     /// Number of entries in bucket `k`.
     pub fn bucket_len(&self, k: u64) -> usize {
-        self.bucket(k)
+        self.view()
+            .bucket(k)
             .chunks_exact(BLOCK_BYTES)
             .map(crate::entry::block_len)
             .sum()
@@ -382,26 +353,20 @@ impl DiskIndex {
         ok
     }
 
-    fn find_in_bucket(&self, k: u64, fp: &Fingerprint) -> Option<ContainerId> {
-        self.bucket(k)
-            .chunks_exact(BLOCK_BYTES)
-            .find_map(|blk| block_find(blk, fp))
-    }
-
     /// Place an entry using home-then-adjacent overflow, without I/O
     /// charges (used by sweeps and scaling, which charge sequentially).
     ///
     /// The overflow direction is pseudo-random but *derived from the
     /// fingerprint* (uniform thanks to SHA-1) rather than drawn from
     /// mutable RNG state: placement therefore depends only on the index
-    /// contents and the entry itself, which is what lets the sharded
-    /// parallel SIU reproduce the scalar path byte-for-byte.
+    /// contents and the entry itself, which is what keeps SIU byte-identical
+    /// at any partition count.
     pub(crate) fn place(&mut self, e: &IndexEntry) -> InsertOutcome {
-        let home = self.bucket_of(&e.fp);
+        let home = self.view().bucket_of(&e.fp);
         if self.push_to_bucket(home, e) {
             return InsertOutcome::Home;
         }
-        let (left, right) = self.neighbours(home);
+        let (left, right) = self.view().neighbours(home);
         let (first, second) = if e.fp.as_bytes()[19] & 1 == 0 {
             (left, right)
         } else {
@@ -442,55 +407,47 @@ impl DiskIndex {
     /// fingerprint, two when the home bucket has overflowed, §4.2).
     pub fn lookup_random(&mut self, fp: &Fingerprint) -> Timed<Option<ContainerId>> {
         let bucket_bytes = self.params.bucket_bytes as u64;
-        let home = self.bucket_of(fp);
+        let view = self.view();
+        let (found, buckets_read) = view.resolve(view.bucket_of(fp), fp, &mut None);
         let mut cost = self.disk.rand_read(bucket_bytes);
         cost += self.cpu.probe_fps(1);
-        if let Some(cid) = self.find_in_bucket(home, fp) {
-            return Timed::new(Some(cid), cost);
+        for _ in 1..buckets_read {
+            cost += self.disk.rand_read(bucket_bytes);
         }
-        // Only a full home bucket can have overflowed into a neighbour.
-        if self.bucket_is_full(home) {
-            let (left, right) = self.neighbours(home);
-            for nb in [left, right] {
-                cost += self.disk.rand_read(bucket_bytes);
-                if let Some(cid) = self.find_in_bucket(nb, fp) {
-                    return Timed::new(Some(cid), cost);
-                }
-            }
-        }
-        Timed::new(None, cost)
+        Timed::new(found, cost)
     }
 
     /// In-memory lookup without I/O charges (test/verification helper).
+    /// Scans the home bucket and both neighbours unconditionally — it does
+    /// not lean on the overflow invariant, so equivalence tests that
+    /// compare against it would expose a violation.
     pub fn lookup_uncharged(&self, fp: &Fingerprint) -> Option<ContainerId> {
-        let home = self.bucket_of(fp);
-        if let Some(cid) = self.find_in_bucket(home, fp) {
-            return Some(cid);
-        }
-        let (left, right) = self.neighbours(home);
-        self.find_in_bucket(left, fp)
-            .or_else(|| self.find_in_bucket(right, fp))
+        let view = self.view();
+        let home = view.bucket_of(fp);
+        let (left, right) = view.neighbours(home);
+        [home, left, right]
+            .into_iter()
+            .find_map(|k| view.find_in_bucket(k, fp))
     }
 
     /// Overwrite an existing mapping in place (no structural change).
     /// Used by SIU's in-place update path and by GC compaction to repoint
-    /// moved live chunks at their fresh container.
+    /// moved live chunks at their fresh container. Probes the home bucket,
+    /// then the neighbours only when home is full (the overflow invariant:
+    /// an entry can live in a neighbour only if its home bucket is full).
     pub fn set_cid_uncharged(&mut self, fp: &Fingerprint, cid: ContainerId) -> bool {
-        let home = self.bucket_of(fp);
-        let (left, right) = self.neighbours(home);
-        for k in [home, left, right] {
-            let r = self.bucket_range(k);
-            for blk in self.data[r].chunks_exact_mut(BLOCK_BYTES) {
-                if block_set_cid(blk, fp, cid) {
-                    return true;
-                }
-            }
-        }
-        false
+        let view = self.view();
+        let home = view.bucket_of(fp);
+        let (left, right) = view.neighbours(home);
+        let reach = if view.bucket_is_full(home) { 3 } else { 1 };
+        [home, left, right][..reach].iter().any(|&k| {
+            self.bucket_mut(k)
+                .chunks_exact_mut(BLOCK_BYTES)
+                .any(|blk| block_set_cid(blk, fp, cid))
+        })
     }
 
-    /// Read-only snapshot view for (possibly concurrent) probing; see
-    /// [`BucketView`].
+    /// Read-only view of the bucket array; see [`BucketView`].
     pub(crate) fn view(&self) -> BucketView<'_> {
         BucketView {
             data: &self.data,
@@ -505,39 +462,12 @@ impl DiskIndex {
         &self.data
     }
 
-    /// Overwrite an existing mapping using the overflow invariant (an entry
-    /// can live in a neighbour only if its home bucket is full): probes the
-    /// home bucket, then the neighbours only when home is full. Same result
-    /// as [`DiskIndex::set_cid_uncharged`], fewer bucket scans.
-    pub(crate) fn set_cid_sweep(&mut self, fp: &Fingerprint, cid: ContainerId) -> bool {
-        let home = self.bucket_of(fp);
-        let full = self.bucket_is_full(home);
-        let r = self.bucket_range(home);
-        for blk in self.data[r].chunks_exact_mut(BLOCK_BYTES) {
-            if block_set_cid(blk, fp, cid) {
-                return true;
-            }
-        }
-        if !full {
-            return false;
-        }
-        let (left, right) = self.neighbours(home);
-        for k in [left, right] {
-            let r = self.bucket_range(k);
-            for blk in self.data[r].chunks_exact_mut(BLOCK_BYTES) {
-                if block_set_cid(blk, fp, cid) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
     /// Iterate every entry, in bucket order (no I/O charges; sweeps charge
     /// separately).
     pub fn iter_entries(&self) -> impl Iterator<Item = IndexEntry> + '_ {
+        let view = self.view();
         (0..self.params.buckets()).flat_map(move |k| {
-            self.bucket(k)
+            view.bucket(k)
                 .chunks_exact(BLOCK_BYTES)
                 .flat_map(block_entries)
                 .collect::<Vec<_>>()
@@ -747,62 +677,76 @@ impl DiskIndex {
 }
 
 /// A borrowed, read-only view of the index's bucket array, independent of
-/// the simulated devices. `Copy + Sync`, so sharded sweeps can hand one to
-/// each worker thread: probing is pure reads over `&[u8]`.
-#[derive(Clone, Copy)]
+/// the simulated devices: the one implementation of bucket addressing and
+/// scanning that random lookups, in-place updates and the SIL/SIU sweeps
+/// all read through.
 pub(crate) struct BucketView<'a> {
     data: &'a [u8],
     params: IndexParams,
     skip_bits: u32,
 }
 
-impl BucketView<'_> {
-    /// The bucket a fingerprint belongs to.
+impl<'a> BucketView<'a> {
+    /// The bucket a fingerprint belongs to: bits
+    /// `[skip_bits, skip_bits + n)` of the fingerprint.
     #[inline]
     pub(crate) fn bucket_of(&self, fp: &Fingerprint) -> u64 {
         fp.route(self.skip_bits, self.skip_bits + self.params.n_bits)
             .1
     }
 
+    /// The bytes of bucket `k`.
     #[inline]
-    fn bucket(&self, k: u64) -> &[u8] {
+    pub(crate) fn bucket(&self, k: u64) -> &'a [u8] {
         let start = k as usize * self.params.bucket_bytes;
         &self.data[start..start + self.params.bucket_bytes]
     }
 
+    /// Neighbours of bucket `k`, wrapping at the ends (the paper leaves edge
+    /// behaviour unspecified; wrapping keeps the adjacency uniform).
     #[inline]
-    fn neighbours(&self, k: u64) -> (u64, u64) {
+    pub(crate) fn neighbours(&self, k: u64) -> (u64, u64) {
         let n = self.params.buckets();
         ((k + n - 1) % n, (k + 1) % n)
     }
 
+    /// Whether bucket `k` is at capacity.
     #[inline]
-    fn bucket_is_full(&self, k: u64) -> bool {
+    pub(crate) fn bucket_is_full(&self, k: u64) -> bool {
         self.bucket(k).chunks_exact(BLOCK_BYTES).all(block_full)
     }
 
-    /// Scan bucket `k` for `fp`, comparing 8-byte fingerprint prefixes as
-    /// native `u64`s first and verifying the remaining 12 bytes only on a
-    /// prefix match — one integer compare per entry instead of a 20-byte
-    /// memcmp (SHA-1 uniformity makes prefix collisions vanishingly rare).
+    /// Scan bucket `k` for `fp`.
     #[inline]
-    fn find_in_bucket_fast(&self, k: u64, fp: &Fingerprint) -> Option<ContainerId> {
-        use crate::entry::{block_len, ENTRY_BYTES, HEADER_BYTES};
-        let bytes = fp.as_bytes();
-        let target = u64::from_ne_bytes(bytes[..8].try_into().expect("8 bytes"));
-        for blk in self.bucket(k).chunks_exact(BLOCK_BYTES) {
-            let len = block_len(blk);
-            let entries = &blk[HEADER_BYTES..HEADER_BYTES + len * ENTRY_BYTES];
-            for s in entries.chunks_exact(ENTRY_BYTES) {
-                let prefix = u64::from_ne_bytes(s[..8].try_into().expect("8 bytes"));
-                if prefix == target && s[8..20] == bytes[8..] {
-                    let mut cid = [0u8; 5];
-                    cid.copy_from_slice(&s[20..25]);
-                    return Some(ContainerId::from_bytes(cid));
-                }
-            }
+    fn find_in_bucket(&self, k: u64, fp: &Fingerprint) -> Option<ContainerId> {
+        self.bucket(k)
+            .chunks_exact(BLOCK_BYTES)
+            .find_map(|blk| block_find(blk, fp))
+    }
+
+    /// Resolve `fp`, homed at bucket `home`: scan the home bucket, then —
+    /// only when home is full, the overflow invariant — the left and right
+    /// neighbours. Returns the resolution and the number of buckets read
+    /// (what the random path pays one I/O each for). `home_full` caches the
+    /// fullness check so a sweep asks at most once per batch group.
+    #[inline]
+    pub(crate) fn resolve(
+        &self,
+        home: u64,
+        fp: &Fingerprint,
+        home_full: &mut Option<bool>,
+    ) -> (Option<ContainerId>, u32) {
+        if let Some(cid) = self.find_in_bucket(home, fp) {
+            return (Some(cid), 1);
         }
-        None
+        if !*home_full.get_or_insert_with(|| self.bucket_is_full(home)) {
+            return (None, 1);
+        }
+        let (left, right) = self.neighbours(home);
+        match self.find_in_bucket(left, fp) {
+            Some(cid) => (Some(cid), 2),
+            None => (self.find_in_bucket(right, fp), 3),
+        }
     }
 
     /// Merge-join probe of a fingerprint batch **sorted ascending**: walks
@@ -829,39 +773,12 @@ impl BucketView<'_> {
             while j < fps.len() && self.bucket_of(&fps[j]) == home {
                 j += 1;
             }
-            // Fullness (and thus neighbour eligibility) is shared by the
-            // whole group; compute it lazily on the first home miss.
-            let mut full: Option<(bool, u64, u64)> = None;
+            let mut home_full = None;
             for (g, fp) in fps[i..j].iter().enumerate() {
-                let mut r = self.find_in_bucket_fast(home, fp);
-                if r.is_none() {
-                    let (is_full, left, right) = *full.get_or_insert_with(|| {
-                        let (l, rt) = self.neighbours(home);
-                        (self.bucket_is_full(home), l, rt)
-                    });
-                    if is_full {
-                        r = self
-                            .find_in_bucket_fast(left, fp)
-                            .or_else(|| self.find_in_bucket_fast(right, fp));
-                    }
-                }
-                emit(i + g, r);
+                emit(i + g, self.resolve(home, fp, &mut home_full).0);
             }
             i = j;
         }
-    }
-
-    /// Merge-join probe collecting `(fingerprint, container)` hits.
-    pub(crate) fn probe_sorted_into(
-        &self,
-        fps: &[Fingerprint],
-        hits: &mut Vec<(Fingerprint, ContainerId)>,
-    ) {
-        self.probe_sorted_map(fps, |i, r| {
-            if let Some(cid) = r {
-                hits.push((fps[i], cid));
-            }
-        });
     }
 }
 
@@ -925,7 +842,7 @@ mod tests {
                 InsertOutcome::Home => {}
                 InsertOutcome::Adjacent(k) => {
                     adjacent += 1;
-                    let (l, r) = idx.neighbours(target_bucket);
+                    let (l, r) = idx.view().neighbours(target_bucket);
                     assert!(k == l || k == r, "overflowed to non-adjacent bucket");
                 }
                 InsertOutcome::NeedsScaling => panic!("premature scaling"),
@@ -942,7 +859,7 @@ mod tests {
     fn needs_scaling_when_three_adjacent_full() {
         let mut idx = small_index(4);
         let target = fp(0).bucket_number(6);
-        let (l, r) = idx.neighbours(target);
+        let (l, r) = idx.view().neighbours(target);
         // Fill home and both neighbours to the brim (20 each = 60 entries).
         let mut picked = 0;
         for i in 0..400_000u64 {
@@ -988,9 +905,10 @@ mod tests {
             assert_eq!(idx.lookup_uncharged(&f), Some(cid));
             // Entry now lives in (or adjacent to) its 7-bit home.
             let home = f.bucket_number(7);
-            let (l, r) = idx.neighbours(home);
+            let (l, r) = idx.view().neighbours(home);
             let found = [home, l, r].iter().any(|&k| {
-                idx.bucket(k)
+                idx.view()
+                    .bucket(k)
                     .chunks_exact(BLOCK_BYTES)
                     .any(|blk| block_find(blk, &f).is_some())
             });

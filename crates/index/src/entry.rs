@@ -15,7 +15,7 @@ pub const BLOCK_BYTES: usize = 512;
 /// Entries per block.
 pub const ENTRIES_PER_BLOCK: usize = 20;
 /// Byte offset of the first entry within a block (after the count header).
-pub(crate) const HEADER_BYTES: usize = 2;
+const HEADER_BYTES: usize = 2;
 
 /// A fingerprint → container mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,32 +88,44 @@ pub fn block_push(block: &mut [u8], entry: &IndexEntry) -> bool {
     true
 }
 
-/// Linear-scan a block for a fingerprint.
+/// Slot of `fp` within a block — the one entry scan every reader and
+/// in-place writer of the index goes through. Each entry's leading 8
+/// fingerprint bytes are compared as a native `u64` and the remaining 12
+/// bytes only on a prefix match: one integer compare per entry instead of a
+/// 20-byte memcmp (SHA-1 uniformity makes prefix collisions vanishingly
+/// rare).
+#[inline]
+fn block_position(block: &[u8], fp: &Fingerprint) -> Option<usize> {
+    let bytes = fp.as_bytes();
+    let target = u64::from_ne_bytes(bytes[..8].try_into().expect("8 bytes"));
+    block[HEADER_BYTES..HEADER_BYTES + block_len(block) * ENTRY_BYTES]
+        .chunks_exact(ENTRY_BYTES)
+        .position(|s| {
+            u64::from_ne_bytes(s[..8].try_into().expect("8 bytes")) == target
+                && s[8..20] == bytes[8..]
+        })
+}
+
+/// Scan a block for a fingerprint.
+#[inline]
 pub fn block_find(block: &[u8], fp: &Fingerprint) -> Option<ContainerId> {
-    let len = block_len(block);
-    for i in 0..len {
-        let s = &block[slot(i)];
-        if &s[..20] == fp.as_bytes() {
-            let mut cid = [0u8; 5];
-            cid.copy_from_slice(&s[20..25]);
-            return Some(ContainerId::from_bytes(cid));
-        }
-    }
-    None
+    block_position(block, fp).map(|i| {
+        let mut cid = [0u8; 5];
+        cid.copy_from_slice(&block[slot(i)][20..25]);
+        ContainerId::from_bytes(cid)
+    })
 }
 
 /// Overwrite the container ID of an existing entry; returns `false` when the
 /// fingerprint is not present.
 pub fn block_set_cid(block: &mut [u8], fp: &Fingerprint, cid: ContainerId) -> bool {
-    let len = block_len(block);
-    for i in 0..len {
-        let r = slot(i);
-        if &block[r.clone()][..20] == fp.as_bytes() {
-            block[r][20..25].copy_from_slice(&cid.to_bytes());
-            return true;
+    match block_position(block, fp) {
+        Some(i) => {
+            block[slot(i)][20..25].copy_from_slice(&cid.to_bytes());
+            true
         }
+        None => false,
     }
-    false
 }
 
 /// Remove a fingerprint's entry, compacting the remaining entries left and
@@ -121,20 +133,15 @@ pub fn block_set_cid(block: &mut [u8], fp: &Fingerprint, cid: ContainerId) -> bo
 /// the surviving entry sequence — byte-identical convergence depends on
 /// that). Returns `false` when the fingerprint is not present.
 pub fn block_remove(block: &mut [u8], fp: &Fingerprint) -> bool {
+    let Some(i) = block_position(block, fp) else {
+        return false;
+    };
     let len = block_len(block);
-    for i in 0..len {
-        if &block[slot(i)][..20] == fp.as_bytes() {
-            // Shift later entries down one slot.
-            for j in i..len - 1 {
-                let next = slot(j + 1);
-                block.copy_within(next, HEADER_BYTES + j * ENTRY_BYTES);
-            }
-            block[slot(len - 1)].fill(0);
-            set_block_len(block, len - 1);
-            return true;
-        }
-    }
-    false
+    // Shift later entries down one slot.
+    block.copy_within(slot(i + 1).start..slot(len).start, slot(i).start);
+    block[slot(len - 1)].fill(0);
+    set_block_len(block, len - 1);
+    true
 }
 
 /// Iterate the entries of a block.

@@ -28,20 +28,23 @@
 //! strictly ascending order — the access pattern the hardware prefetcher
 //! is built for. Overflow is resolved with the *overflow invariant*: an
 //! entry can live in an adjacent bucket only if its home bucket is full
-//! (entries are never removed), so the two neighbour scans of the old
-//! hash-probe path are skipped for every non-full home bucket. The
-//! pre-merge-join path is preserved as
+//! (entries are never removed), so the two neighbour scans are skipped for
+//! every non-full home bucket. The pre-merge-join path — one ungrouped
+//! three-bucket probe per fingerprint — is preserved as
 //! [`DiskIndex::sequential_lookup_hashed`] /
 //! [`DiskIndex::sequential_update_scalar`] for benchmarking and
 //! equivalence testing.
 //!
-//! # Sharded parallel sweeps
+//! # Striped sweeps
 //!
 //! [`DiskIndex::sequential_lookup_sharded`] and
-//! [`DiskIndex::sequential_update_sharded`] split the bucket range into
-//! `P` contiguous partitions swept concurrently under
-//! `std::thread::scope`, modelling the multi-part index of §5.2 (each part
-//! on its own spindle set).
+//! [`DiskIndex::sequential_update_sharded`] model the multi-part index of
+//! §5.2: the bucket range is split into `P` contiguous partitions, each on
+//! its own spindle set. The parallelism is **charged, not executed** — the
+//! partition count decides what each part-disk and the probe CPU are
+//! charged (below), while the in-memory work is the same single merge-join
+//! pass over the whole sorted batch at any `P`. Results, hit order and
+//! index bytes therefore cannot depend on `P`, and no OS thread is spawned.
 //!
 //! # Physical part-disks
 //!
@@ -72,33 +75,28 @@
 //!   fallible entry points surface them as an [`IndexError`] whose `part`
 //!   names the failing part-disk.
 //!
-//! * SIL shards trivially: probing is read-only, each worker walks its own
-//!   slice of the sorted batch against a shared bucket view, and the
-//!   per-partition hit lists concatenate in fingerprint order.
-//! * Scalar SIU is simply the one-partition instance of the sharded
-//!   kernel: it classifies the whole canonical batch with the grouped
-//!   [`probe_sorted_map`](crate::disk_index) cursor (one bucket location
-//!   and one fullness check per batch *group*, ascending memory order)
-//!   and then applies serially — no per-entry hash probing anywhere on
-//!   the optimised path.
-//! * Sharded SIU separates **classification** (does this fingerprint already
-//!   exist? — the probe-heavy part, read-only against the pre-batch state,
-//!   done in parallel) from **application** (append/overwrite entries —
-//!   cheap writes, done serially in canonical order). Existence is stable
-//!   under the batch's own inserts except for *repeats of the same
-//!   fingerprint*, which sorting makes adjacent, so the serial apply pass
-//!   recovers exact scalar semantics with one previous-fingerprint
-//!   comparison. The result is **byte-identical** to the scalar merge-join
-//!   path in all cases, including mid-batch capacity scaling (which the
-//!   serial apply pass performs exactly where the scalar path would).
+//! # One kernel per sweep
 //!
-//! Both SIU paths canonicalise the batch by a stable sort on fingerprint
+//! * SIL probes the sorted batch against the bucket view in one pass;
+//!   hits come out in fingerprint order.
+//! * SIU separates **classification** (does this fingerprint already
+//!   exist? — the probe-heavy part, one grouped
+//!   [`probe_sorted_map`](crate::disk_index) pass, read-only against the
+//!   pre-batch state) from **application** (append/overwrite entries, in
+//!   canonical order). Existence is stable under the batch's own inserts
+//!   except for *repeats of the same fingerprint*, which sorting makes
+//!   adjacent, so the apply pass recovers exact per-entry semantics with
+//!   one previous-fingerprint comparison — including mid-batch capacity
+//!   scaling, which it performs exactly where a per-entry insert loop
+//!   would.
+//!
+//! Every SIU path canonicalises the batch by a stable sort on fingerprint
 //! first — the paper's SIU input arrives through the index cache, which
 //! already orders fingerprints by number, so canonical order *is* the
 //! paper's order.
 
 use crate::cache::{CacheNode, IndexCache};
-use crate::disk_index::{BucketView, DiskIndex, InsertOutcome};
+use crate::disk_index::{DiskIndex, InsertOutcome};
 use crate::entry::IndexEntry;
 use crate::error::IndexError;
 use debar_hash::{ContainerId, Fingerprint};
@@ -130,7 +128,7 @@ impl SilReport {
 }
 
 /// Outcome of one SIU sweep.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SiuReport {
     /// Entries newly inserted.
     pub inserted: u64,
@@ -161,27 +159,6 @@ pub struct SiuReport {
 /// the even-split maximum (`SimDisk::seq_read_striped`).
 pub(crate) fn clamp_parts(parts: usize, buckets: u64) -> u32 {
     (parts.max(1) as u64).min(buckets).min(u32::MAX as u64) as u32
-}
-
-/// Split a fingerprint batch **sorted so `bucket_of` is non-decreasing**
-/// into per-partition sub-slices aligned to the partition bucket ranges
-/// given as cumulative end-bucket `bounds` (`partition_point` requires
-/// that monotonicity).
-fn split_sorted<'a, T>(
-    sorted: &'a [T],
-    fp_of: impl Fn(&T) -> &Fingerprint,
-    view: &BucketView<'_>,
-    bounds: &[u64],
-) -> Vec<&'a [T]> {
-    let mut out = Vec::with_capacity(bounds.len());
-    let mut lo = 0usize;
-    for &end_bucket in bounds {
-        let hi = lo + sorted[lo..].partition_point(|t| view.bucket_of(fp_of(t)) < end_bucket);
-        out.push(&sorted[lo..hi]);
-        lo = hi;
-    }
-    debug_assert_eq!(lo, sorted.len());
-    out
 }
 
 impl DiskIndex {
@@ -217,11 +194,11 @@ impl DiskIndex {
         self.sequential_lookup_sharded(cache, 1)
     }
 
-    /// Sharded sequential index lookup: the bucket range is split into
-    /// `parts` contiguous partitions swept concurrently (one worker thread
-    /// each), modelling the multi-part index of §5.2. Results are
-    /// identical to [`DiskIndex::sequential_lookup`]; virtual sweep and
-    /// probe time are charged as the maximum over the even partitions.
+    /// Striped sequential index lookup: the bucket range is split into
+    /// `parts` contiguous partitions, each on its own part-disk (the
+    /// multi-part index of §5.2). Results are identical to
+    /// [`DiskIndex::sequential_lookup`]; virtual sweep time is the slowest
+    /// part-disk's, probe time the even `1/parts` share.
     pub fn sequential_lookup_sharded(
         &mut self,
         cache: &mut IndexCache,
@@ -242,51 +219,23 @@ impl DiskIndex {
         // cheaper than 20-byte lexicographic compares, and leading with
         // the bucket number keeps the order monotone in `bucket_of` even
         // on an index *part* whose bucket bits start at `skip_bits > 0`
-        // (multi-server routing) — which grouping and shard partitioning
-        // rely on.
+        // (multi-server routing) — which the grouped probe relies on.
         fps.sort_unstable_by_key(|fp| (view.bucket_of(fp), fp.prefix64()));
-        let hits: Vec<(Fingerprint, ContainerId)> = if parts == 1 {
-            let mut hits = Vec::new();
-            view.probe_sorted_into(&fps, &mut hits);
-            hits
-        } else {
-            let slices = split_sorted(&fps, |fp| fp, &view, bounds);
-            let mut lists: Vec<Vec<(Fingerprint, ContainerId)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = slices
-                    .into_iter()
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            let mut hits = Vec::new();
-                            view.probe_sorted_into(slice, &mut hits);
-                            hits
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("SIL shard worker panicked"))
-                    .collect()
-            });
-            let mut hits = lists.remove(0);
-            for list in lists {
-                hits.extend(list);
+        let mut duplicates = Vec::new();
+        view.probe_sorted_map(&fps, |i, r| {
+            if let Some(cid) = r {
+                let mut node = cache
+                    .remove(&fps[i])
+                    .expect("hit fingerprints come from the cache");
+                node.cid = cid;
+                duplicates.push(node);
             }
-            hits
-        };
-
-        let mut duplicates = Vec::with_capacity(hits.len());
-        for (fp, cid) in hits {
-            let mut node = cache
-                .remove(&fp)
-                .expect("hit fingerprints come from the cache");
-            node.cid = cid;
-            duplicates.push(node);
-        }
+        });
 
         // Physical stripe: each part-disk reads its own bucket-range byte
         // share; the sweep completes at the slowest part. CPU probing
         // keeps the even-split pipelined model (probe work is in-memory
-        // and balances across workers, not across bucket ranges).
+        // and balances across the parts' CPUs, not across bucket ranges).
         let sweep = self.charge_sweep_read(bounds);
         let probe = self.cpu_mut().probe_fps_striped(submitted as u64, parts);
         Timed::new(
@@ -343,7 +292,7 @@ impl DiskIndex {
     /// classified in one pass of the grouped merge-join cursor
     /// (`probe_sorted_map`: each home bucket located and fullness-checked
     /// once per batch group, ascending memory, `u64`-prefix compares), and
-    /// applied serially in canonical order — the one-partition instance of
+    /// applied in canonical order — the one-partition charging of
     /// [`DiskIndex::sequential_update_sharded`].
     pub fn sequential_update(
         &mut self,
@@ -352,11 +301,10 @@ impl DiskIndex {
         self.sequential_update_sharded(updates, 1)
     }
 
-    /// Sharded sequential index update: existence **classification** (the
-    /// probe-heavy half) runs in parallel over bucket-range partitions
-    /// against the pre-batch index state; **application** (appends and
-    /// in-place overwrites, including any capacity scaling) then runs
-    /// serially in canonical order. Byte-identical to
+    /// Striped sequential index update: the read and write sweeps are
+    /// charged across `parts` part-disks (each its own bucket-range byte
+    /// share, completing at the slowest) and the merge CPU at the even
+    /// `1/parts` share. Byte-identical to
     /// [`DiskIndex::sequential_update`] on the same batch.
     pub fn sequential_update_sharded(
         &mut self,
@@ -382,35 +330,14 @@ impl DiskIndex {
         apply_limit: usize,
     ) -> Timed<SiuReport> {
         let parts = bounds.len() as u32;
-        // ---- Parallel classify against the pre-batch state (grouped
-        //      merge-join probing, one shard per bucket partition). ----
+        // ---- Classify against the pre-batch state (grouped merge-join
+        //      probing). ----
         let fps: Vec<Fingerprint> = sorted.iter().map(|(fp, _)| *fp).collect();
-        let exists: Vec<bool> = {
-            let view = self.view();
-            let classify = |slice: &[Fingerprint]| {
-                let mut out = vec![false; slice.len()];
-                view.probe_sorted_map(slice, |i, r| out[i] = r.is_some());
-                out
-            };
-            if parts == 1 {
-                classify(&fps)
-            } else {
-                let slices = split_sorted(&fps, |fp| fp, &view, bounds);
-                let lists: Vec<Vec<bool>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = slices
-                        .into_iter()
-                        .map(|slice| scope.spawn(move || classify(slice)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("SIU shard worker panicked"))
-                        .collect()
-                });
-                lists.into_iter().flatten().collect()
-            }
-        };
+        let mut exists = vec![false; fps.len()];
+        self.view()
+            .probe_sorted_map(&fps, |i, r| exists[i] = r.is_some());
 
-        // ---- Serial apply in canonical order. ----
+        // ---- Apply in canonical order. ----
         let mut cost = self.charge_sweep_read(bounds);
         let mut report = SiuReport {
             parts,
@@ -428,7 +355,7 @@ impl DiskIndex {
                 .take_while(|(f, _)| f.prefix64() == prefix)
                 .any(|(f, _)| *f == fp);
             if exists[k] || repeat {
-                let ok = self.set_cid_sweep(&fp, cid);
+                let ok = self.set_cid_uncharged(&fp, cid);
                 debug_assert!(ok, "classified-existing fingerprint not found");
                 report.updated += 1;
             } else {
@@ -446,8 +373,8 @@ impl DiskIndex {
     }
 
     /// The pre-merge-join SIU reference: per-entry hash probing
-    /// ([`DiskIndex::lookup_uncharged`] + in-place overwrite scanning three
-    /// buckets) over the canonically sorted batch. Kept for benchmarking
+    /// ([`DiskIndex::lookup_uncharged`] + in-place overwrite) over the
+    /// canonically sorted batch. Kept for benchmarking
     /// and equivalence tests; byte-identical to
     /// [`DiskIndex::sequential_update`].
     pub fn sequential_update_scalar(

@@ -14,7 +14,7 @@
 //! measurements (200+ MB/s sequential RAID transfer, ~522 random fingerprint
 //! lookups/s, 2.749 M in-memory fingerprint compares/s, 210 MB/s sustained
 //! NIC, 224 MB/s chunk-log read). [`ScaleModel`] implements the 1/1024
-//! size-scaling rule described in `DESIGN.md`: all byte *quantities* shrink,
+//! size-scaling rule described in the [`scale`] module docs: all byte *quantities* shrink,
 //! all *rates* stay at paper values, so MB/s-shaped results are
 //! scale-invariant.
 

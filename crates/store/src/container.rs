@@ -109,7 +109,8 @@ pub enum Payload {
     /// Real chunk bytes.
     Real(Bytes),
     /// A synthetic zero-filled chunk of the given length (fingerprint-level
-    /// workloads; see DESIGN.md).
+    /// workloads, whose fingerprints are counter-derived rather than hashed
+    /// from these bytes).
     Zero(u32),
 }
 

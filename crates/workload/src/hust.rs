@@ -19,8 +19,8 @@
 //! eliminated all the duplicate data").
 //!
 //! All sizes are *nominal* (paper-scale) and divided by
-//! [`ScaleModel::denom`]; see DESIGN.md for why MB/s-shaped results are
-//! scale-invariant.
+//! [`ScaleModel::denom`]; see the `debar_simio::scale` module docs for why
+//! MB/s-shaped results are scale-invariant.
 
 use crate::record::ChunkRecord;
 use debar_hash::SplitMix64;
