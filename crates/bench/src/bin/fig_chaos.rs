@@ -31,7 +31,7 @@
 //! without burning minutes.
 
 use debar_bench::table::{f, TablePrinter};
-use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
+use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, Device, RunId};
 use debar_simio::throughput::mibps;
 use debar_simio::{FaultPlan, RetryPolicy};
 use debar_store::Damage;
@@ -67,8 +67,9 @@ fn arm_transients(c: &mut DebarCluster, round: u64) {
             ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (node as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
         let fails_for = 1 + (chaos_step(&mut rng) % (MAX_ATTEMPTS as u64 - 1)) as u32;
-        let at = c.repo_node_ops(node).expect("node in range") + chaos_step(&mut rng) % 3;
-        c.set_repo_fault_plan(node, FaultPlan::transient_at(at, fails_for))
+        let device = Device::RepoNode(node);
+        let at = c.device_ops(device).expect("node in range") + chaos_step(&mut rng) % 3;
+        c.arm(device, FaultPlan::transient_at(at, fails_for))
             .expect("node in range");
     }
 }

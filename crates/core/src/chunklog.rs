@@ -20,34 +20,35 @@
 //! The pipelined chunk-storing phase can drain the log with several store
 //! workers, each reading its own contiguous share of the log stripe from
 //! its own spindle set. The model mirrors the striped index volume
-//! (`debar_index::DiskIndex` over `debar_simio::PartDiskSet`): the
-//! volume-level disk still ticks once per drain (op counting, whole-log
-//! statistics, the retained even-split oracle), each **worker disk**
-//! reads its own byte share, and the drain completes at the max over
-//! per-worker completion times — exactly `1/W` for the even split. The
-//! record *sequence* is unaffected: workers stripe the bytes, the merge
+//! (`debar_index::DiskIndex`): the log's only device bank is a
+//! `debar_simio::PartDiskSet` of **worker disks**, each reads its own
+//! byte share, and the drain completes at the max over per-worker
+//! completion times — exactly `1/W` for the even split. The record
+//! *sequence* is unaffected: workers stripe the bytes, the merge
 //! preserves append order, so chunk storing stays byte-identical at any
-//! worker count. Appends charge the volume (the stripe's aggregate write
-//! path) unchanged.
+//! worker count. **Worker disk 0 is the volume**: appends (the stripe's
+//! aggregate write path) are charged to it, so at one store worker the
+//! bank is the paper's single log disk.
 //!
 //! # Fault model
 //!
-//! The log disk carries an armable [`debar_simio::FaultPlan`] like every
-//! other simulated device, and the log's only I/O entry points
+//! Every worker disk carries an armable [`debar_simio::FaultPlan`] like
+//! every other simulated device, and the log's only I/O entry points
 //! ([`ChunkLog::try_append`], [`ChunkLog::try_drain_striped`]) are
 //! fault-checked: they surface injected faults as
-//! [`DebarError::DiskFault`] — extending the typed failure story to
-//! de-duplication phase I. Log appends are synchronous (the backup run
-//! stalls on them), so *every* fault kind — outright failure, torn
-//! write, bit flip — is detected at the faulted operation itself: a
-//! failed append persists nothing and the record is **not** logged; a
-//! failed drain — whether the volume or a single worker disk faulted —
-//! leaves every record in place for the retry.
+//! [`DebarError::DeviceFault`] naming the [`Device::LogWorker`] that
+//! faulted — extending the typed failure story to de-duplication phase
+//! I. Log appends are synchronous (the backup run stalls on them), so
+//! *every* fault kind — outright failure, torn write, bit flip — is
+//! detected at the faulted operation itself: a failed append persists
+//! nothing and the record is **not** logged; a failed drain leaves every
+//! record in place for the retry.
 
 use crate::dataset::StreamChunk;
 use crate::error::DebarError;
+use crate::ids::{Device, ServerId};
 use debar_hash::Fingerprint;
-use debar_simio::{FaultPlan, PartDiskSet, Secs, SimDisk, Timed};
+use debar_simio::{FaultPlan, InjectedFault, PartDiskSet, Secs, Timed};
 use debar_store::Payload;
 
 /// One `<F, D(F)>` group.
@@ -75,27 +76,26 @@ impl From<&StreamChunk> for LogRecord {
     }
 }
 
-/// A sequential chunk log on its own disk, drainable as a stripe across
+/// A sequential chunk log on its own disks, drainable as a stripe across
 /// per-worker disks (see the module docs).
 #[derive(Debug)]
 pub struct ChunkLog {
-    disk: SimDisk,
-    /// The physical drain stripe: one disk per store worker, engaged only
-    /// by [`ChunkLog::try_drain_striped`] with `workers > 1`-capable
-    /// shares; the volume disk above stays the op-counting and statistics
-    /// surface for the whole log.
+    /// The owning backup server (names this log's devices in errors).
+    server: ServerId,
+    /// The log's only devices: one disk per store worker, sized by
+    /// [`ChunkLog::try_drain_striped`]; worker 0 doubles as the volume
+    /// appends are charged to.
     worker_disks: PartDiskSet,
     records: Vec<LogRecord>,
     bytes: u64,
 }
 
 impl ChunkLog {
-    /// Create an empty log with the paper's log-disk model.
-    pub fn new() -> Self {
-        let model = debar_simio::models::paper::log_disk();
+    /// Create `server`'s empty log with the paper's log-disk model.
+    pub fn new(server: ServerId) -> Self {
         ChunkLog {
-            disk: SimDisk::new(model),
-            worker_disks: PartDiskSet::new(model),
+            server,
+            worker_disks: PartDiskSet::new(debar_simio::models::paper::log_disk()),
             records: Vec::new(),
             bytes: 0,
         }
@@ -116,55 +116,53 @@ impl ChunkLog {
         self.bytes
     }
 
-    /// Arm a deterministic fault schedule on the log disk (replaces any
-    /// previous plan); [`ChunkLog::try_append`] and
-    /// [`ChunkLog::try_drain_striped`] check it.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.disk.set_fault_plan(plan);
-    }
-
-    /// Arm a deterministic fault schedule on **one worker disk** of the
-    /// drain stripe (materializing it if no striped drain has engaged it
-    /// yet): the fault fires only when a striped drain charges that
-    /// worker's share, modelling the loss of a single store worker's
-    /// spindle set mid-pipeline. The stripe resizes to the drain's worker
+    /// Arm a deterministic fault schedule on **one worker disk**
+    /// (materializing it if no striped drain has engaged it yet; replaces
+    /// any previous plan). A fault on worker `w > 0` fires only when a
+    /// striped drain charges that worker's share, modelling the loss of a
+    /// single store worker's spindle set mid-pipeline; worker 0 also
+    /// carries every append. The stripe resizes to the drain's worker
     /// count, so a plan armed on a worker the next drain does not engage
-    /// is dropped by the resize — callers that know the configured count
-    /// (the backup server does) validate against it.
+    /// is dropped by the resize — [`crate::DebarCluster::arm`] validates
+    /// against the configured count.
     pub fn set_worker_fault_plan(&mut self, worker: usize, plan: FaultPlan) {
         self.worker_disks.set_fault_plan(worker, plan);
     }
 
-    /// Disarm all log-disk faults (volume and worker disks, armed and
-    /// fired-but-uncollected).
+    /// Disarm all worker-disk faults (armed and fired-but-uncollected).
     pub fn clear_fault_plan(&mut self) {
-        self.disk.clear_fault_plan();
         self.worker_disks.clear_fault_plans();
     }
 
-    /// The log disk's operation counter (for arming `FaultPlan`s relative
-    /// to "the next op"; every append and every drain is one op).
-    pub fn disk_ops(&self) -> u64 {
-        self.disk.ops()
-    }
-
-    /// One worker disk's operation counter (every striped drain that
-    /// engages the worker is one op on its disk).
+    /// One worker disk's operation counter, for arming `FaultPlan`s
+    /// relative to "the next op" (every drain that engages the worker is
+    /// one op on its disk; on worker 0 every append is one too).
     pub fn worker_disk_ops(&self, worker: usize) -> u64 {
         self.worker_disks.ops(worker)
     }
 
-    /// Append one record (sequential write); returns the cost. An
-    /// injected fault on the append op surfaces as
-    /// [`DebarError::DiskFault`] and the record is
+    fn fault(&self, worker: u32, fault: InjectedFault) -> DebarError {
+        DebarError::DeviceFault {
+            device: Device::LogWorker {
+                server: self.server,
+                worker,
+            },
+            fault,
+        }
+    }
+
+    /// Append one record (sequential write on worker disk 0); returns the
+    /// cost. An injected fault on the append op surfaces as
+    /// [`DebarError::DeviceFault`] and the record is
     /// **not** logged (a failed synchronous append persists nothing) —
     /// the caller aborts its backup run and may retry it whole.
     pub fn try_append(&mut self, rec: LogRecord) -> Result<Secs, DebarError> {
         let b = rec.record_bytes();
         let cost = self
-            .disk
+            .worker_disks
+            .volume_mut()
             .checked_op(|d| d.seq_write(b))
-            .map_err(|fault| DebarError::DiskFault { fault })?;
+            .map_err(|fault| self.fault(0, fault))?;
         self.bytes += b;
         self.records.push(rec);
         Ok(cost)
@@ -177,33 +175,27 @@ impl ChunkLog {
     /// large sequential read at `workers = 1`), while the returned record
     /// sequence is byte-identical at any worker count.
     ///
-    /// Charging mirrors the striped index volume: the volume-level disk
-    /// ticks once (op counting for volume fault plans, whole-log
-    /// statistics, the retained even-split oracle), then each worker disk
-    /// is charged its share. A fault on the volume *or* on any single
-    /// worker disk surfaces as [`DebarError::DiskFault`] with **every
-    /// record left in the log** — the read pointer never advanced, so the
-    /// resumed round's drain replays the identical sequence.
+    /// Each worker disk is charged its share (one op per engaged worker).
+    /// A fault on any single worker disk surfaces as
+    /// [`DebarError::DeviceFault`] naming it (lowest worker first; a
+    /// sibling armed in the same window surfaces at the next drain) with
+    /// **every record left in the log** — the read pointer never
+    /// advanced, so the resumed round's drain replays the identical
+    /// sequence.
     pub fn try_drain_striped(
         &mut self,
         workers: usize,
     ) -> Result<Timed<Vec<LogRecord>>, DebarError> {
         let w = workers.max(1);
         let b = self.bytes;
-        let _ = self
-            .disk
-            .checked_op(|d| d.seq_read_striped(b, w as u32))
-            .map_err(|fault| DebarError::DiskFault { fault })?;
         let shares: Vec<u64> = (0..w as u64)
             .map(|i| b * (i + 1) / w as u64 - b * i / w as u64)
             .collect();
         let cost = self.worker_disks.seq_read_split(&shares);
         if let Some((worker, fault)) = self.worker_disks.take_fault() {
             // The faulted worker's share never merged: the whole drain
-            // aborts with the read pointer unadvanced, and the typed
-            // error names the failing worker disk (the same attribution
-            // convention as the index's `PartDiskFault`).
-            return Err(DebarError::LogWorkerFault { worker, fault });
+            // aborts with the read pointer unadvanced.
+            return Err(self.fault(worker, fault));
         }
         self.bytes = 0;
         Ok(Timed::new(std::mem::take(&mut self.records), cost))
@@ -220,21 +212,22 @@ impl ChunkLog {
         self.records = records;
     }
 
-    /// Disk statistics.
+    /// Disk statistics, merged over the worker disks (`busy_s` in
+    /// device-seconds).
     pub fn disk_stats(&self) -> debar_simio::DiskStats {
-        self.disk.stats()
-    }
-}
-
-impl Default for ChunkLog {
-    fn default() -> Self {
-        Self::new()
+        self.worker_disks.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The test log belongs to server 3.
+    const WORKER_0: Device = Device::LogWorker {
+        server: 3,
+        worker: 0,
+    };
 
     fn rec(n: u64, len: u32) -> LogRecord {
         LogRecord {
@@ -245,7 +238,7 @@ mod tests {
 
     #[test]
     fn append_accumulates_and_drain_clears() {
-        let mut log = ChunkLog::new();
+        let mut log = ChunkLog::new(3);
         assert!(log.is_empty());
         let c1 = log.try_append(rec(1, 1000)).expect("append");
         let c2 = log.try_append(rec(2, 2000)).expect("append");
@@ -261,7 +254,7 @@ mod tests {
 
     #[test]
     fn drain_preserves_append_order() {
-        let mut log = ChunkLog::new();
+        let mut log = ChunkLog::new(3);
         for i in 0..10u64 {
             log.try_append(rec(i, 100)).expect("append");
         }
@@ -273,7 +266,7 @@ mod tests {
 
     #[test]
     fn sequential_rates_used() {
-        let mut log = ChunkLog::new();
+        let mut log = ChunkLog::new(3);
         log.try_append(rec(1, 1 << 20)).expect("append");
         let stats = log.disk_stats();
         assert_eq!(stats.rand_writes, 0, "log writes must be sequential");
@@ -283,12 +276,16 @@ mod tests {
     #[test]
     fn append_fault_is_typed_and_record_not_logged() {
         use debar_simio::FaultKind;
-        let mut log = ChunkLog::new();
+        let mut log = ChunkLog::new(3);
         log.try_append(rec(1, 100)).expect("clean append");
-        log.set_fault_plan(FaultPlan::fail_at(log.disk_ops()));
+        log.set_worker_fault_plan(0, FaultPlan::fail_at(log.worker_disk_ops(0)));
         let err = log.try_append(rec(2, 200)).expect_err("armed fault fires");
-        let DebarError::DiskFault { fault } = err else {
-            panic!("expected DiskFault, got {err:?}");
+        let DebarError::DeviceFault {
+            device: WORKER_0,
+            fault,
+        } = err
+        else {
+            panic!("expected DeviceFault on worker 0, got {err:?}");
         };
         assert_eq!(fault.kind, FaultKind::Fail);
         assert_eq!(log.len(), 1, "failed append persists nothing");
@@ -307,23 +304,41 @@ mod tests {
         // still detected at the faulted op (no checksummed re-read to
         // defer to).
         for plan in [FaultPlan::torn_write_at(0), FaultPlan::bit_flip_at(0)] {
-            let mut log = ChunkLog::new();
-            log.set_fault_plan(plan);
+            let mut log = ChunkLog::new(3);
+            log.set_worker_fault_plan(0, plan);
             let err = log.try_append(rec(7, 50)).expect_err("fault fires");
-            assert!(matches!(err, DebarError::DiskFault { .. }), "{err}");
+            assert!(
+                matches!(
+                    err,
+                    DebarError::DeviceFault {
+                        device: WORKER_0,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
             assert!(log.is_empty());
         }
     }
 
     #[test]
     fn drain_fault_keeps_records_for_identical_replay() {
-        let mut log = ChunkLog::new();
+        let mut log = ChunkLog::new(3);
         for i in 0..5u64 {
             log.try_append(rec(i, 100)).expect("append");
         }
-        log.set_fault_plan(FaultPlan::fail_at(log.disk_ops()));
+        log.set_worker_fault_plan(0, FaultPlan::fail_at(log.worker_disk_ops(0)));
         let err = log.try_drain_striped(1).expect_err("drain fault");
-        assert!(matches!(err, DebarError::DiskFault { .. }), "{err}");
+        assert!(
+            matches!(
+                err,
+                DebarError::DeviceFault {
+                    device: WORKER_0,
+                    ..
+                }
+            ),
+            "{err}"
+        );
         assert_eq!(log.len(), 5, "read pointer never advanced");
         assert_eq!(log.bytes(), 5 * 125);
         let recs = log.try_drain_striped(1).expect("retry drains").value;
@@ -337,7 +352,7 @@ mod tests {
     #[test]
     fn striped_drain_divides_time_and_keeps_record_sequence() {
         let build = || {
-            let mut log = ChunkLog::new();
+            let mut log = ChunkLog::new(3);
             for i in 0..16u64 {
                 log.try_append(rec(i, 1000)).expect("append");
             }
@@ -364,7 +379,7 @@ mod tests {
 
     #[test]
     fn single_worker_drain_fault_keeps_records_for_identical_replay() {
-        let mut log = ChunkLog::new();
+        let mut log = ChunkLog::new(3);
         for i in 0..6u64 {
             log.try_append(rec(i, 100)).expect("append");
         }
@@ -372,7 +387,16 @@ mod tests {
         log.set_worker_fault_plan(1, FaultPlan::fail_at(log.worker_disk_ops(1)));
         let err = log.try_drain_striped(3).expect_err("worker fault fires");
         assert!(
-            matches!(err, DebarError::LogWorkerFault { worker: 1, .. }),
+            matches!(
+                err,
+                DebarError::DeviceFault {
+                    device: Device::LogWorker {
+                        server: 3,
+                        worker: 1
+                    },
+                    ..
+                }
+            ),
             "typed error must name the failing worker: {err}"
         );
         assert!(err.to_string().contains("worker disk 1"), "{err}");

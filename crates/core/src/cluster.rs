@@ -42,7 +42,7 @@ use crate::config::DebarConfig;
 use crate::dataset::{ChunkedFile, Dataset};
 use crate::director::Director;
 use crate::error::{DebarError, DebarResult, Dedup2Phase};
-use crate::ids::{ClientId, JobId, RunId, ServerId};
+use crate::ids::{ClientId, Device, JobId, RunId, ServerId};
 use crate::job::{JobSpec, Schedule};
 use crate::metadata::{FileIndexEntry, RunRecord};
 use crate::report::{Dedup1Report, Dedup2Report, RestoreReport, StoreReport};
@@ -149,16 +149,83 @@ impl DebarCluster {
     // Fault injection (deterministic; see `debar_simio::fault`)
     // ------------------------------------------------------------------
 
-    /// Arm a deterministic fault schedule on one repository node's disk.
-    /// An out-of-range node is a typed error at arm time (same validation
-    /// rule as [`DebarCluster::set_log_worker_fault_plan`]), never a panic.
-    pub fn set_repo_fault_plan(&mut self, node: usize, plan: FaultPlan) -> DebarResult<()> {
-        Ok(self.repo.set_node_fault_plan(node, plan)?)
+    /// Arm a deterministic fault schedule on one simulated device
+    /// (replacing its previous plan). A fired fault reports this same
+    /// `device`, in [`DebarError::DeviceFault`] (the cause inside
+    /// [`DebarError::InterruptedDedup2`] when it interrupts a round) or
+    /// [`DebarError::PartialSiu`]. An address outside the deployment is a
+    /// typed error at arm time — never a panic or a plan that silently
+    /// cannot fire: [`DebarError::UnknownServer`], or
+    /// [`DebarError::IndexGeometry`] for a node past the repository, an
+    /// index part past the stripe (`sweep_parts` clamped to the live
+    /// bucket count) or a log worker past `store_workers`.
+    pub fn arm(&mut self, device: Device, plan: FaultPlan) -> DebarResult<()> {
+        self.check_device(device)?;
+        match device {
+            Device::RepoNode(node) => self.repo.set_node_fault_plan(node, plan)?,
+            Device::IndexPart { server, part } => self.servers[server as usize]
+                .index_mut()
+                .set_part_fault_plan(part as usize, plan),
+            Device::LogWorker { server, worker } => self.servers[server as usize]
+                .chunk_log
+                .set_worker_fault_plan(worker as usize, plan),
+        }
+        Ok(())
     }
 
-    /// A repository node disk's op counter (for arming fault plans).
-    pub fn repo_node_ops(&self, node: usize) -> DebarResult<u64> {
-        Ok(self.repo.node_disk_ops(node)?)
+    /// A device's operation counter — the index its next op gets, for
+    /// `arm(d, FaultPlan::fail_at(device_ops(d)? + k))`. Validates the
+    /// address like [`DebarCluster::arm`].
+    pub fn device_ops(&self, device: Device) -> DebarResult<u64> {
+        self.check_device(device)?;
+        Ok(match device {
+            Device::RepoNode(node) => self.repo.node_disk_ops(node)?,
+            Device::IndexPart { server, part } => self.servers[server as usize]
+                .index()
+                .part_disk_ops(part as usize),
+            Device::LogWorker { server, worker } => self.servers[server as usize]
+                .chunk_log
+                .worker_disk_ops(worker as usize),
+        })
+    }
+
+    /// Reject a server-side device address outside the deployment
+    /// (repository nodes are validated by the repository itself).
+    fn check_device(&self, device: Device) -> DebarResult<()> {
+        let (server, unit) = match device {
+            Device::RepoNode(_) => return Ok(()),
+            Device::IndexPart { server, part } => (server, part),
+            Device::LogWorker { server, worker } => (server, worker),
+        };
+        let srv = self
+            .servers
+            .get(server as usize)
+            .ok_or(DebarError::UnknownServer { server })?;
+        let width = match device {
+            Device::IndexPart { .. } => {
+                (self.cfg.sweep_parts as u64).min(srv.index().params().buckets())
+            }
+            _ => self.cfg.store_workers as u64,
+        };
+        if u64::from(unit) < width {
+            Ok(())
+        } else {
+            Err(DebarError::IndexGeometry {
+                reason: format!(
+                    "{device} is outside the {width}-way stripe: a plan armed there would never fire"
+                ),
+            })
+        }
+    }
+
+    /// Disarm every device in the deployment (armed and
+    /// fired-but-uncollected faults).
+    pub fn clear_fault_plans(&mut self) {
+        self.repo.clear_fault_plans();
+        for s in &mut self.servers {
+            s.index_mut().clear_fault_plan();
+            s.chunk_log.clear_fault_plan();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -217,67 +284,6 @@ impl DebarCluster {
             });
         }
         Ok(self.repo.scrub_all())
-    }
-
-    /// Arm a deterministic fault schedule on one server's index disk
-    /// (volume level: the fault takes out the whole striped sweep).
-    pub fn set_index_fault_plan(&mut self, server: ServerId, plan: FaultPlan) {
-        self.servers[server as usize].set_index_fault_plan(plan);
-    }
-
-    /// Arm a deterministic fault schedule on **one part-disk** of one
-    /// server's striped index volume: the physical multi-part model lets
-    /// a fault take out exactly one partition of a striped sweep, which
-    /// then surfaces as [`DebarError::PartDiskFault`] naming the part.
-    pub fn set_index_part_fault_plan(&mut self, server: ServerId, part: usize, plan: FaultPlan) {
-        self.servers[server as usize].set_index_part_fault_plan(part, plan);
-    }
-
-    /// Arm a deterministic fault schedule on one server's chunk-log disk
-    /// (dedup-1 appends and the phase-II drain check it).
-    pub fn set_log_fault_plan(&mut self, server: ServerId, plan: FaultPlan) {
-        self.servers[server as usize].set_log_fault_plan(plan);
-    }
-
-    /// Arm a deterministic fault schedule on **one worker disk** of one
-    /// server's chunk-log drain stripe: the pipelined chunk-storing
-    /// phase's striped drain lets a fault take out a single store
-    /// worker's spindle set, which surfaces as [`DebarError::DiskFault`]
-    /// with the whole log left intact for the redo.
-    pub fn set_log_worker_fault_plan(&mut self, server: ServerId, worker: usize, plan: FaultPlan) {
-        self.servers[server as usize].set_log_worker_fault_plan(worker, plan);
-    }
-
-    /// A server's index-disk op counter (for arming fault plans).
-    pub fn index_disk_ops(&self, server: ServerId) -> u64 {
-        self.servers[server as usize].index_disk_ops()
-    }
-
-    /// One index part-disk's op counter on one server (for arming
-    /// single-part fault plans).
-    pub fn index_part_disk_ops(&self, server: ServerId, part: usize) -> u64 {
-        self.servers[server as usize].index_part_disk_ops(part)
-    }
-
-    /// A server's chunk-log-disk op counter (for arming fault plans).
-    pub fn log_disk_ops(&self, server: ServerId) -> u64 {
-        self.servers[server as usize].log_disk_ops()
-    }
-
-    /// One chunk-log worker disk's op counter on one server (for arming
-    /// single-worker drain fault plans).
-    pub fn log_worker_disk_ops(&self, server: ServerId, worker: usize) -> u64 {
-        self.servers[server as usize].log_worker_disk_ops(worker)
-    }
-
-    /// Disarm every fault plan in the deployment (repository nodes, index
-    /// volume disks, index part-disks and chunk-log disks).
-    pub fn clear_fault_plans(&mut self) {
-        self.repo.clear_fault_plans();
-        for s in &mut self.servers {
-            s.clear_index_fault_plan();
-            s.clear_log_fault_plan();
-        }
     }
 
     /// Inject damage against a stored container (torn write / bit rot);
@@ -1254,7 +1260,7 @@ impl DebarCluster {
         let t = self.servers[sid]
             .index_mut()
             .try_bulk_load_striped(entries, parts)
-            .map_err(DebarError::from)?;
+            .map_err(|e| DebarError::index_fault(server, e))?;
         self.servers[sid].clock.advance(scan_cost + t.cost);
         Ok(scan_cost + t.cost)
     }
@@ -1319,6 +1325,30 @@ mod tests {
 
     fn cluster(w: u32) -> DebarCluster {
         DebarCluster::new(DebarConfig::tiny_test(w))
+    }
+
+    /// Server 0's index volume / chunk-log volume (part / worker 0).
+    const INDEX0: Device = Device::IndexPart { server: 0, part: 0 };
+    const LOG0: Device = Device::LogWorker {
+        server: 0,
+        worker: 0,
+    };
+
+    /// Arm `device` with `plan(next op + k)`.
+    fn arm_in(c: &mut DebarCluster, device: Device, k: u64, plan: fn(u64) -> FaultPlan) {
+        let at = c.device_ops(device).expect("device in range") + k;
+        c.arm(device, plan(at)).expect("device in range");
+    }
+
+    /// The device a round-interrupting error names.
+    fn interrupting_device(err: &DebarError) -> Option<Device> {
+        match err {
+            DebarError::InterruptedDedup2 { cause, .. } => interrupting_device(cause),
+            DebarError::DeviceFault { device, .. } | DebarError::PartialSiu { device, .. } => {
+                Some(*device)
+            }
+            _ => None,
+        }
     }
 
     #[test]
@@ -1797,9 +1827,7 @@ mod tests {
         let job = c.define_job("j", ClientId(0));
         // Tear whichever node takes the first container write.
         for n in 0..c.repository().node_count() {
-            let ops = c.repo_node_ops(n).expect("node in range");
-            c.set_repo_fault_plan(n, FaultPlan::torn_write_at(ops))
-                .expect("node in range");
+            arm_in(&mut c, Device::RepoNode(n), 0, FaultPlan::torn_write_at);
         }
         c.backup(job, &Dataset::from_records("s", records(0..1500)))
             .expect("backup");
@@ -1906,8 +1934,10 @@ mod tests {
         assert!(c.set_repo_node_down(nodes).is_err());
         assert!(c.revive_repo_node(nodes).is_err());
         assert!(c.repair_repo_node(nodes).is_err());
-        assert!(c.repo_node_ops(nodes).is_err());
-        assert!(c.set_repo_fault_plan(nodes, FaultPlan::fail_at(0)).is_err());
+        assert!(c.device_ops(Device::RepoNode(nodes)).is_err());
+        assert!(c
+            .arm(Device::RepoNode(nodes), FaultPlan::fail_at(0))
+            .is_err());
         // The server-addressed twin: one server, so server 7 is unknown.
         assert_eq!(
             c.recover_index(7),
@@ -1972,9 +2002,7 @@ mod tests {
             if fault {
                 // Fail whichever node takes the first container write.
                 for n in 0..c.repository().node_count() {
-                    let ops = c.repo_node_ops(n).expect("node in range");
-                    c.set_repo_fault_plan(n, FaultPlan::fail_at(ops))
-                        .expect("node in range");
+                    arm_in(&mut c, Device::RepoNode(n), 0, FaultPlan::fail_at);
                 }
                 let err = c.run_dedup2().expect_err("store fault interrupts");
                 assert!(
@@ -2030,9 +2058,7 @@ mod tests {
             let mut stored_chunks = 0u64;
             let mut containers = 0u64;
             if fault {
-                let ops = c.repo_node_ops(0).expect("node in range");
-                c.set_repo_fault_plan(0, FaultPlan::fail_at(ops + 1))
-                    .expect("node in range");
+                arm_in(&mut c, Device::RepoNode(0), 1, FaultPlan::fail_at);
                 let err = c.run_dedup2().expect_err("second write faults");
                 assert!(matches!(
                     err,
@@ -2041,6 +2067,7 @@ mod tests {
                         ..
                     }
                 ));
+                assert_eq!(interrupting_device(&err), Some(Device::RepoNode(0)));
                 c.clear_fault_plans();
             }
             let d2 = c.run_dedup2().expect("(re)run");
@@ -2077,8 +2104,7 @@ mod tests {
             c.backup(job, &Dataset::from_records("s", records(0..2000)))
                 .expect("backup");
             if fault {
-                let ops = c.index_disk_ops(0);
-                c.set_index_fault_plan(0, FaultPlan::fail_at(ops));
+                arm_in(&mut c, INDEX0, 0, FaultPlan::fail_at);
                 let before = c.undetermined_counts();
                 let err = c.run_dedup2().expect_err("SIL fault interrupts");
                 assert!(
@@ -2091,6 +2117,7 @@ mod tests {
                     ),
                     "{err}"
                 );
+                assert_eq!(interrupting_device(&err), Some(INDEX0));
                 assert_eq!(
                     c.undetermined_counts(),
                     before,
@@ -2127,17 +2154,16 @@ mod tests {
             let d1 = c.run_dedup2().expect("dedup2");
             assert!(!d1.siu_ran);
             if fault {
-                let ops = c.index_disk_ops(0);
-                c.set_index_fault_plan(0, FaultPlan::torn_write_at(ops + 1));
+                arm_in(&mut c, INDEX0, 1, FaultPlan::torn_write_at);
                 let err = c.force_siu().expect_err("torn SIU");
                 let DebarError::PartialSiu {
-                    server: 0,
+                    device: INDEX0,
                     applied,
                     total,
                     ..
                 } = err
                 else {
-                    panic!("expected PartialSiu, got {err:?}");
+                    panic!("expected PartialSiu on server 0's part 0, got {err:?}");
                 };
                 assert_eq!(total, 2000);
                 assert_eq!(applied, 1000, "half the canonical batch durable");
@@ -2173,9 +2199,12 @@ mod tests {
             if fault {
                 // Fail the run's 5th log append: a few records are already
                 // durable in the log when the run aborts.
-                c.set_log_fault_plan(0, FaultPlan::fail_at(c.log_disk_ops(0) + 4));
+                arm_in(&mut c, LOG0, 4, FaultPlan::fail_at);
                 let err = c.backup(job, &ds).expect_err("log fault aborts dedup-1");
-                assert!(matches!(err, DebarError::DiskFault { .. }), "{err}");
+                assert!(
+                    matches!(err, DebarError::DeviceFault { device: LOG0, .. }),
+                    "{err}"
+                );
                 assert_eq!(
                     c.undetermined_counts(),
                     vec![0],
@@ -2221,7 +2250,7 @@ mod tests {
             if fault {
                 // Fault the phase-II drain op (the next log-disk op after
                 // the backup's appends).
-                c.set_log_fault_plan(0, FaultPlan::fail_at(c.log_disk_ops(0)));
+                arm_in(&mut c, LOG0, 0, FaultPlan::fail_at);
                 let err = c.run_dedup2().expect_err("drain fault interrupts");
                 assert!(
                     matches!(
@@ -2233,6 +2262,7 @@ mod tests {
                     ),
                     "{err}"
                 );
+                assert_eq!(interrupting_device(&err), Some(LOG0));
                 assert!(
                     c.server(0).log_bytes() > 0,
                     "drain fault must leave the log intact for the replay"
@@ -2273,19 +2303,16 @@ mod tests {
         let d1 = c.run_dedup2().expect("dedup2");
         assert!(!d1.siu_ran);
         // Fail part-disk 1's SIU write op (its next op is the read sweep).
-        let ops = c.index_part_disk_ops(0, 1);
-        c.set_index_part_fault_plan(0, 1, FaultPlan::fail_at(ops + 1));
+        let part1 = Device::IndexPart { server: 0, part: 1 };
+        arm_in(&mut c, part1, 1, FaultPlan::fail_at);
         let err = c.force_siu().expect_err("part fault interrupts SIU");
         let DebarError::PartialSiu {
-            server: 0,
-            part,
-            applied,
-            ..
+            device, applied, ..
         } = err
         else {
             panic!("expected PartialSiu, got {err:?}");
         };
-        assert_eq!(part, Some(1), "PartialSiu must name the failing part");
+        assert_eq!(device, part1, "PartialSiu must name the failing part");
         assert_eq!(applied, 0, "outright write failure applies nothing");
         assert!(err.to_string().contains("part-disk 1"), "{err}");
         c.clear_fault_plans();
@@ -2304,8 +2331,8 @@ mod tests {
                 .expect("backup");
             if fault {
                 // Arm exactly one part-disk of the striped PSIL sweep.
-                let ops = c.index_part_disk_ops(0, 2);
-                c.set_index_part_fault_plan(0, 2, FaultPlan::fail_at(ops));
+                let part2 = Device::IndexPart { server: 0, part: 2 };
+                arm_in(&mut c, part2, 0, FaultPlan::fail_at);
                 let err = c.run_dedup2().expect_err("part fault interrupts PSIL");
                 let DebarError::InterruptedDedup2 {
                     phase: Dedup2Phase::Sil,
@@ -2317,7 +2344,7 @@ mod tests {
                     panic!("expected InterruptedDedup2(Sil), got {err}");
                 };
                 assert!(
-                    matches!(*cause, DebarError::PartDiskFault { part: 2, .. }),
+                    matches!(*cause, DebarError::DeviceFault { device, .. } if device == part2),
                     "cause must name part-disk 2, got {cause}"
                 );
                 c.clear_fault_plans();
@@ -2380,8 +2407,11 @@ mod tests {
                 .expect("backup");
             if fault {
                 // Arm exactly one worker disk of the 2-way drain stripe.
-                let ops = c.log_worker_disk_ops(0, 1);
-                c.set_log_worker_fault_plan(0, 1, FaultPlan::fail_at(ops));
+                let worker1 = Device::LogWorker {
+                    server: 0,
+                    worker: 1,
+                };
+                arm_in(&mut c, worker1, 0, FaultPlan::fail_at);
                 let err = c.run_dedup2().expect_err("worker fault interrupts");
                 let DebarError::InterruptedDedup2 {
                     phase: Dedup2Phase::ChunkStoring,
@@ -2392,7 +2422,7 @@ mod tests {
                     panic!("expected InterruptedDedup2(ChunkStoring), got {err}");
                 };
                 assert!(
-                    matches!(**cause, DebarError::LogWorkerFault { worker: 1, .. }),
+                    matches!(**cause, DebarError::DeviceFault { device, .. } if device == worker1),
                     "cause must name worker disk 1, got {cause}"
                 );
                 assert!(
@@ -2425,15 +2455,74 @@ mod tests {
         assert_eq!(r.chunks, 2000);
     }
 
+    /// `arm` and `device_ops` must both refuse `device` with an error
+    /// matching `expected`.
+    fn assert_rejected(
+        c: &mut DebarCluster,
+        device: Device,
+        expected: impl Fn(&DebarError) -> bool,
+    ) {
+        let arm = c
+            .arm(device, FaultPlan::fail_at(0))
+            .expect_err("arm must reject");
+        let ops = c.device_ops(device).expect_err("device_ops must reject");
+        assert!(expected(&arm), "{device}: arm -> {arm}");
+        assert_eq!(arm, ops, "{device}: one validation rule for both");
+    }
+
     #[test]
-    #[should_panic(expected = "outside the 2-way drain stripe")]
     fn log_worker_fault_plan_outside_stripe_rejected() {
-        use debar_simio::FaultPlan;
         // The drain stripe resizes to store_workers at every drain, so a
-        // plan armed past it would be silently dropped — reject it loudly
+        // plan armed past it would be silently dropped — reject it typed
         // instead of letting a fault-injection test go green untested.
         let mut c = DebarCluster::new(DebarConfig::tiny_test(0).with_store_workers(2));
-        c.set_log_worker_fault_plan(0, 2, FaultPlan::fail_at(0));
+        let outside = Device::LogWorker {
+            server: 0,
+            worker: 2,
+        };
+        assert_rejected(&mut c, outside, |e| {
+            matches!(e, DebarError::IndexGeometry { reason }
+                if reason.contains("outside the 2-way stripe"))
+        });
+        let inside = Device::LogWorker {
+            server: 0,
+            worker: 1,
+        };
+        assert_eq!(c.device_ops(inside), Ok(0));
+    }
+
+    #[test]
+    fn index_part_fault_plan_outside_stripe_rejected() {
+        // Same rule for the index stripe: sweeps resize the part-disk bank
+        // to the clamped `sweep_parts`, dropping any plan armed past it.
+        let mut c = DebarCluster::new(DebarConfig::tiny_test(0).with_sweep_parts(4));
+        let outside = Device::IndexPart { server: 0, part: 4 };
+        assert_rejected(&mut c, outside, |e| {
+            matches!(e, DebarError::IndexGeometry { reason }
+                if reason.contains("outside the 4-way stripe"))
+        });
+        assert_eq!(
+            c.device_ops(Device::IndexPart { server: 0, part: 3 }),
+            Ok(0)
+        );
+    }
+
+    #[test]
+    fn device_on_unknown_server_rejected() {
+        // One server: server 1's devices do not exist — a typed error, not
+        // an index-out-of-bounds panic.
+        let mut c = cluster(0);
+        for device in [
+            Device::IndexPart { server: 1, part: 0 },
+            Device::LogWorker {
+                server: 1,
+                worker: 0,
+            },
+        ] {
+            assert_rejected(&mut c, device, |e| {
+                *e == DebarError::UnknownServer { server: 1 }
+            });
+        }
     }
 
     #[test]
@@ -2564,28 +2653,26 @@ mod tests {
     }
 
     /// Op counters and busy-time statistics of one server's index devices
-    /// (volume disk, part-disks, probe CPU): every second a sweep charges
-    /// to the server's clock is the max of a disk and a CPU time in here.
-    fn index_devices(c: &DebarCluster, sid: ServerId) -> impl PartialEq + std::fmt::Debug {
-        let srv = c.server(sid);
+    /// (part-disks, probe CPU): every second a sweep charges to the
+    /// server's clock is the max of a disk and a CPU time in here.
+    fn index_devices(c: &DebarCluster, server: ServerId) -> impl PartialEq + std::fmt::Debug {
+        let index = c.server(server).index();
         let parts: Vec<_> = (0..4)
-            .map(|p| (srv.index_part_disk_ops(p), srv.index().part_disk_stats(p)))
+            .map(|part| {
+                (
+                    c.device_ops(Device::IndexPart { server, part }),
+                    index.part_disk_stats(part as usize),
+                )
+            })
             .collect();
-        (
-            srv.index_disk_ops(),
-            srv.index().disk_stats(),
-            srv.index().cpu_stats(),
-            parts,
-        )
+        (index.cpu_stats(), parts)
     }
 
-    /// Op counters of one server's chunk-log disks.
-    fn log_devices(c: &DebarCluster, sid: ServerId) -> (u64, Vec<u64>) {
-        let srv = c.server(sid);
-        (
-            srv.log_disk_ops(),
-            (0..2).map(|w| srv.log_worker_disk_ops(w)).collect(),
-        )
+    /// Op counters of one server's chunk-log worker disks.
+    fn log_devices(c: &DebarCluster, server: ServerId) -> Vec<DebarResult<u64>> {
+        (0..2)
+            .map(|worker| c.device_ops(Device::LogWorker { server, worker }))
+            .collect()
     }
 
     fn index_digests(c: &DebarCluster) -> Vec<[u8; 20]> {
@@ -2613,14 +2700,48 @@ mod tests {
     }
 
     #[test]
+    fn armed_device_is_the_device_the_error_names_and_redo_converges() {
+        // One device of each kind: arm it on its next op, run the round
+        // that reaches it, and the surfaced fault must carry the very
+        // address it was armed with; disarm + redo converges.
+        let mut clean = two_striped_servers(1);
+        clean.run_dedup2().expect("dedup2");
+        for device in [
+            Device::RepoNode(0),
+            Device::IndexPart { server: 1, part: 3 },
+            Device::LogWorker {
+                server: 1,
+                worker: 1,
+            },
+        ] {
+            let mut c = two_striped_servers(1);
+            arm_in(&mut c, device, 0, FaultPlan::fail_at);
+            let err = c
+                .run_dedup2()
+                .expect_err("armed device must fault the round");
+            assert!(
+                matches!(err, DebarError::InterruptedDedup2 { .. }),
+                "{device}: {err}"
+            );
+            assert_eq!(interrupting_device(&err), Some(device), "{err}");
+            assert_redo_converges(c, &clean);
+        }
+    }
+
+    #[test]
     fn psil_fault_on_one_server_lets_its_sibling_finish_the_phase() {
         use debar_simio::FaultPlan;
         // Round 1 defers SIU, so a clean round touches the index disks in
         // PSIL only.
         let mut clean = two_striped_servers(2);
         clean.run_dedup2().expect("dedup2");
-        let arm = |c: &mut DebarCluster, sid: ServerId| {
-            c.set_index_part_fault_plan(sid, 2, FaultPlan::fail_at(c.index_part_disk_ops(sid, 2)))
+        let arm = |c: &mut DebarCluster, server: ServerId| {
+            arm_in(
+                c,
+                Device::IndexPart { server, part: 2 },
+                0,
+                FaultPlan::fail_at,
+            )
         };
         let mut c = two_striped_servers(2);
         arm(&mut c, 0);
@@ -2635,6 +2756,10 @@ mod tests {
                 }
             ),
             "{err}"
+        );
+        assert_eq!(
+            interrupting_device(&err),
+            Some(Device::IndexPart { server: 0, part: 2 })
         );
         assert_eq!(index_devices(&c, 1), index_devices(&clean, 1));
         // ...and the sweep is on the clock: later than when nobody swept.
@@ -2652,8 +2777,13 @@ mod tests {
         use debar_simio::FaultPlan;
         let mut clean = two_striped_servers(2);
         clean.run_dedup2().expect("dedup2");
-        let arm = |c: &mut DebarCluster, sid: ServerId| {
-            c.set_log_fault_plan(sid, FaultPlan::fail_at(c.log_disk_ops(sid)))
+        let arm = |c: &mut DebarCluster, server: ServerId| {
+            arm_in(
+                c,
+                Device::LogWorker { server, worker: 0 },
+                0,
+                FaultPlan::fail_at,
+            )
         };
         let mut c = two_striped_servers(2);
         let logged = c.server(1).log_bytes();
@@ -2670,8 +2800,9 @@ mod tests {
             ),
             "{err}"
         );
-        // Server 1 drained (one op on the volume and on each worker disk,
-        // as in the clean round) and was charged for it, then rolled back.
+        assert_eq!(interrupting_device(&err), Some(LOG0));
+        // Server 1 drained (one op on each worker disk, as in the clean
+        // round) and was charged for it, then rolled back.
         assert_eq!(log_devices(&c, 1), log_devices(&clean, 1));
         assert_eq!(c.server(1).log_bytes(), logged, "pack rolled back whole");
         let mut nobody_packed = two_striped_servers(2);
@@ -2692,17 +2823,11 @@ mod tests {
         let mut c = two_striped_servers(1);
         // Part-disk 2's next op is the PSIL sweep; the one after is the
         // SIU read sweep.
-        c.set_index_part_fault_plan(0, 2, FaultPlan::fail_at(c.index_part_disk_ops(0, 2) + 1));
+        let part2 = Device::IndexPart { server: 0, part: 2 };
+        arm_in(&mut c, part2, 1, FaultPlan::fail_at);
         let err = c.run_dedup2().expect_err("PSIU fault on server 0");
         assert!(
-            matches!(
-                err,
-                DebarError::PartialSiu {
-                    server: 0,
-                    part: Some(2),
-                    ..
-                }
-            ),
+            matches!(err, DebarError::PartialSiu { device, .. } if device == part2),
             "{err}"
         );
         assert_eq!(index_devices(&c, 1), index_devices(&clean, 1));

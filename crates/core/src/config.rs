@@ -26,14 +26,16 @@
 //!   so sweeps re-clamp to `min(parts, buckets)` at run time, and
 //!   cluster scale-out normalises the configuration with
 //!   [`DebarConfig::clamp_sweep_parts`].
-//! * The part-disks are **physical**: each server's index owns one
-//!   simulated disk per sweep partition (`debar_simio::PartDiskSet`),
-//!   re-split to the clamped partition count at every sweep per the same
-//!   rules. A sweep charges each part-disk the bytes its bucket range
-//!   covers and completes at the slowest part (exactly `1/parts` for the
-//!   even split), and a fault plan armed on a single part-disk
-//!   (`DebarCluster::set_index_part_fault_plan`) surfaces as
-//!   [`crate::DebarError::PartDiskFault`] naming that part.
+//! * The part-disks are **physical** and the index's only devices: each
+//!   server's index owns one simulated disk per sweep partition
+//!   (`debar_simio::PartDiskSet`), re-split to the clamped partition
+//!   count at every sweep per the same rules; part-disk 0 is also the
+//!   volume un-striped index I/O is charged to. A sweep charges each
+//!   part-disk the bytes its bucket range covers and completes at the
+//!   slowest part (exactly `1/parts` for the even split), and a fault
+//!   plan armed on a single part-disk (`DebarCluster::arm` with
+//!   [`crate::Device::IndexPart`]) surfaces as
+//!   [`crate::DebarError::DeviceFault`] naming that part.
 
 use debar_index::IndexParams;
 use debar_simio::{RetryPolicy, ScaleModel};
@@ -186,19 +188,21 @@ pub struct DebarConfig {
     pub dedup2_trigger_fps: usize,
     /// Partitions per SIL/SIU sweep on each server's index part (the
     /// multi-part index of §5.2 within one server): the bucket range is
-    /// split into this many contiguous shards swept concurrently, and
-    /// virtual sweep time is charged as the max over the even shards
-    /// (≈ 1/parts). `1` reproduces the paper's single index volume per
-    /// server and is the default everywhere.
+    /// split into this many contiguous shards, each on its own part-disk
+    /// ([`crate::Device::IndexPart`]) and swept concurrently; virtual
+    /// sweep time is the max over the shards (≈ 1/parts). `1` — a
+    /// one-part bank, part-disk 0 alone — is the paper's single index
+    /// volume per server and the default everywhere.
     pub sweep_parts: usize,
     /// Store workers per backup server for the pipelined chunk-storing
     /// phase (§5.3): the chunk-log drain is striped across this many
-    /// worker disks (each reading its even byte share concurrently, wall
-    /// time the max over workers ≈ 1/workers), feeding the container
-    /// packer and the write-behind flush queue. Chunk-storing *results*
-    /// are byte-identical at any worker count — only the virtual drain
-    /// time divides. `1` reproduces the paper's single log volume per
-    /// server and is the default everywhere.
+    /// worker disks ([`crate::Device::LogWorker`], each reading its even
+    /// byte share concurrently, wall time the max over workers ≈
+    /// 1/workers), feeding the container packer and the write-behind
+    /// flush queue. Chunk-storing *results* are byte-identical at any
+    /// worker count — only the virtual drain time divides. `1` — worker
+    /// disk 0 alone, which also takes every append — is the paper's
+    /// single log volume per server and the default everywhere.
     pub store_workers: usize,
     /// Retention window, in run versions per job: `expire_runs` retires
     /// every run except the newest `retention` versions of each job, and
@@ -450,7 +454,7 @@ impl DebarConfig {
     }
 
     /// Validate invariants, returning the typed
-    /// [`DebarError::IndexGeometry`] on inconsistency.
+    /// [`crate::DebarError::IndexGeometry`] on inconsistency.
     pub fn try_validate(&self) -> Result<(), crate::error::DebarError> {
         let geometry = |reason: String| crate::error::DebarError::IndexGeometry { reason };
         if self.w_bits > 8 {

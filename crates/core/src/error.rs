@@ -5,12 +5,12 @@
 //! ([`debar_store::StoreError`], [`debar_index::IndexError`]) and convert
 //! into [`DebarError`] at the cluster boundary, so a fault injected on a
 //! simulated disk three crates down surfaces to the caller as one typed,
-//! matchable value — never a panic. See the crate-level "Failure model &
-//! error taxonomy" section for the full contract, including which errors
-//! are *resumable* (re-running the failed operation converges to the
-//! uninterrupted result).
+//! matchable value naming the failed [`Device`] — never a panic. See the
+//! crate-level "Failure model & error taxonomy" section for the full
+//! contract, including which errors are *resumable* (re-running the
+//! failed operation converges to the uninterrupted result).
 
-use crate::ids::{JobId, RunId, ServerId};
+use crate::ids::{Device, JobId, RunId, ServerId};
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::IndexError;
 use debar_simio::InjectedFault;
@@ -54,19 +54,16 @@ pub enum DebarError {
         /// What the validation found.
         reason: CorruptKind,
     },
-    /// A simulated disk operation failed outright.
-    DiskFault {
-        /// The injected fault that fired.
-        fault: InjectedFault,
-    },
-    /// A single **repository node** disk failed: the replicated physical
-    /// repository puts every storage node on its own device, so a fault
-    /// can take out exactly one node's read or write — this error names
-    /// it. Reads fail over to surviving replicas; a store fault persists
-    /// nothing anywhere and re-running the round converges.
-    RepoNodeFault {
-        /// The failing repository node.
-        node: usize,
+    /// An injected fault fired on one simulated device. Every component
+    /// puts each partition on its own device, so a fault takes out exactly
+    /// one repository node, index part-disk or chunk-log worker disk, and
+    /// `device` is the address it was armed with
+    /// ([`crate::DebarCluster::arm`]). Repository reads fail over to
+    /// surviving replicas; every other faulted operation persists nothing
+    /// and re-running it after the fault clears converges.
+    DeviceFault {
+        /// The device the fault fired on.
+        device: Device,
         /// The injected fault that fired.
         fault: InjectedFault,
     },
@@ -85,29 +82,6 @@ pub enum DebarError {
         container: ContainerId,
         /// The repository node whose loss made it unrecoverable.
         node: usize,
-    },
-    /// A single **part-disk** of a striped index sweep failed: the
-    /// physical multi-part model puts every sweep partition on its own
-    /// device, so a fault can take out exactly one partition — this error
-    /// names it. The stripe's other part-disks are unaffected; re-running
-    /// the interrupted operation after the fault clears converges.
-    PartDiskFault {
-        /// The failing part-disk (partition index within the stripe).
-        part: u32,
-        /// The injected fault that fired.
-        fault: InjectedFault,
-    },
-    /// A single **worker disk** of a striped chunk-log drain failed: the
-    /// pipelined chunk-storing phase stripes each server's drain across
-    /// `store_workers` devices, so a fault can take out exactly one
-    /// worker's share — this error names it. The whole log stays intact
-    /// (the read pointer never advanced on any worker); re-running the
-    /// interrupted round after the fault clears replays identically.
-    LogWorkerFault {
-        /// The failing worker disk (index within the drain stripe).
-        worker: u32,
-        /// The injected fault that fired.
-        fault: InjectedFault,
     },
     /// A chunk referenced by a file index could not be resolved or read.
     MissingChunk {
@@ -170,17 +144,15 @@ pub enum DebarError {
     /// (`force_siu` or the next dedup-2 round) re-applies the whole batch
     /// idempotently and converges byte-for-byte.
     PartialSiu {
-        /// The server whose index-part update was interrupted.
-        server: ServerId,
+        /// The index part-disk whose fault interrupted the update (always
+        /// a [`Device::IndexPart`]; its `server` owns the index part).
+        device: Device,
         /// Updates durable before the interruption (canonical order).
         applied: u64,
         /// Updates in the interrupted batch.
         total: u64,
         /// The injected fault that fired.
         fault: InjectedFault,
-        /// The striped part-disk the fault fired on (`None` when the
-        /// volume-level index disk faulted).
-        part: Option<u32>,
     },
     /// Online scaling was requested while a server still holds staged
     /// dedup-2 state (run dedup-2 and `force_siu` first).
@@ -234,10 +206,7 @@ impl fmt::Display for DebarError {
             DebarError::CorruptContainer { container, reason } => {
                 write!(f, "container {container:?} is corrupt: {reason}")
             }
-            DebarError::DiskFault { fault } => write!(f, "disk fault: {fault}"),
-            DebarError::RepoNodeFault { node, fault } => {
-                write!(f, "repository node {node} fault: {fault}")
-            }
+            DebarError::DeviceFault { device, fault } => write!(f, "{device} fault: {fault}"),
             DebarError::NodeDown { node } => {
                 write!(f, "repository node {node} is down")
             }
@@ -246,12 +215,6 @@ impl fmt::Display for DebarError {
                     f,
                     "container {container:?} unrecoverable: every replica lost with node {node}"
                 )
-            }
-            DebarError::PartDiskFault { part, fault } => {
-                write!(f, "index part-disk {part} fault: {fault}")
-            }
-            DebarError::LogWorkerFault { worker, fault } => {
-                write!(f, "chunk-log worker disk {worker} fault: {fault}")
             }
             DebarError::MissingChunk { fp, container } => match container {
                 Some(cid) => write!(f, "chunk {fp:?} missing from container {cid:?}"),
@@ -280,22 +243,15 @@ impl fmt::Display for DebarError {
                  (re-run dedup-2 to resume)"
             ),
             DebarError::PartialSiu {
-                server,
+                device,
                 applied,
                 total,
                 fault,
-                part,
-            } => {
-                let on_part = match part {
-                    Some(p) => format!(" on part-disk {p}"),
-                    None => String::new(),
-                };
-                write!(
-                    f,
-                    "SIU on server {server} interrupted after {applied}/{total} updates\
-                     {on_part}: {fault} (re-run SIU to resume)"
-                )
-            }
+            } => write!(
+                f,
+                "SIU interrupted on {device} after {applied}/{total} updates: {fault} \
+                 (re-run SIU to resume)"
+            ),
             DebarError::NotQuiesced { server } => write!(
                 f,
                 "server {server} holds staged dedup-2 state; run dedup-2 + force_siu before scaling"
@@ -337,7 +293,10 @@ impl From<StoreError> for DebarError {
             StoreError::CorruptContainer { container, reason } => {
                 DebarError::CorruptContainer { container, reason }
             }
-            StoreError::DiskFault { node, fault } => DebarError::RepoNodeFault { node, fault },
+            StoreError::DiskFault { node, fault } => DebarError::DeviceFault {
+                device: Device::RepoNode(node),
+                fault,
+            },
             StoreError::MissingContainer { container } => {
                 DebarError::MissingContainer { container }
             }
@@ -352,26 +311,26 @@ impl From<StoreError> for DebarError {
                 DebarError::RetriesExhausted { node, attempts }
             }
             StoreError::NodeQuarantined { node } => DebarError::NodeQuarantined { node },
-            // StoreError is non_exhaustive; future kinds surface as faults
-            // at op 0 rather than panicking.
-            _ => DebarError::DiskFault {
-                fault: InjectedFault {
-                    op: 0,
-                    kind: debar_simio::FaultKind::Fail,
-                },
+            // StoreError is non_exhaustive: a future kind surfaces with its
+            // own text rather than panicking or posing as a device fault.
+            other => DebarError::IndexGeometry {
+                reason: other.to_string(),
             },
         }
     }
 }
 
-impl From<IndexError> for DebarError {
-    fn from(e: IndexError) -> Self {
-        match e.part() {
-            Some(part) => DebarError::PartDiskFault {
-                part,
-                fault: e.fault(),
+impl DebarError {
+    /// An index sweep fault on `server`'s index part. The index layer
+    /// cannot know which server owns it, so the conversion happens where
+    /// the server is known.
+    pub(crate) fn index_fault(server: ServerId, e: IndexError) -> Self {
+        DebarError::DeviceFault {
+            device: Device::IndexPart {
+                server,
+                part: e.part(),
             },
-            None => DebarError::DiskFault { fault: e.fault() },
+            fault: e.fault(),
         }
     }
 }
@@ -429,7 +388,14 @@ mod tests {
             kind: debar_simio::FaultKind::Fail,
         };
         let e: DebarError = StoreError::DiskFault { node: 3, fault }.into();
-        assert_eq!(e, DebarError::RepoNodeFault { node: 3, fault });
+        assert_eq!(
+            e,
+            DebarError::DeviceFault {
+                device: Device::RepoNode(3),
+                fault
+            }
+        );
+        assert_eq!(e.to_string(), format!("repository node 3 fault: {fault}"));
         let cid = ContainerId::new(11);
         let e: DebarError = StoreError::Unrecoverable {
             container: cid,
@@ -445,6 +411,18 @@ mod tests {
         );
         let e: DebarError = StoreError::NodeDown { node: 2 }.into();
         assert_eq!(e, DebarError::NodeDown { node: 2 });
+    }
+
+    #[test]
+    fn index_fault_conversion_names_server_and_part() {
+        let fault = InjectedFault {
+            op: 4,
+            kind: debar_simio::FaultKind::Fail,
+        };
+        let e = DebarError::index_fault(5, IndexError::SweepFault { fault, part: 2 });
+        let device = Device::IndexPart { server: 5, part: 2 };
+        assert_eq!(e, DebarError::DeviceFault { device, fault });
+        assert!(e.to_string().contains("part-disk 2 of server 5"), "{e}");
     }
 
     #[test]
@@ -471,7 +449,11 @@ mod tests {
     #[test]
     fn interrupted_error_chains_its_cause() {
         use std::error::Error;
-        let cause = DebarError::DiskFault {
+        let cause = DebarError::DeviceFault {
+            device: Device::LogWorker {
+                server: 0,
+                worker: 0,
+            },
             fault: InjectedFault {
                 op: 3,
                 kind: debar_simio::FaultKind::Fail,

@@ -160,10 +160,10 @@ impl DebarCluster {
     ///
     /// See the module docs for the phase ordering and the
     /// crash-consistency contract. Faults surface typed
-    /// ([`DebarError::RepoNodeFault`] / [`DebarError::NodeDown`] from
-    /// repository I/O, [`DebarError::PartDiskFault`] from a striped
-    /// index sweep) and re-running after clearing them converges
-    /// byte-identically with an uninterrupted collection.
+    /// ([`DebarError::DeviceFault`] naming the repository node or index
+    /// part-disk, [`DebarError::NodeDown`] from repository I/O) and
+    /// re-running after clearing them converges byte-identically with an
+    /// uninterrupted collection.
     pub fn run_gc(&mut self) -> DebarResult<GcReport> {
         if let Some(sid) = self.servers.iter().position(|s| !s.is_quiesced()) {
             return Err(DebarError::GcRace {
@@ -304,7 +304,7 @@ impl DebarCluster {
             let t = self.servers[sid]
                 .index_mut()
                 .try_gc_sweep(dead, parts)
-                .map_err(DebarError::from)?;
+                .map_err(|e| DebarError::index_fault(sid as ServerId, e))?;
             self.servers[sid].clock.advance(t.cost);
             report.wall += t.cost;
             report.index_removed += t.value;
@@ -323,7 +323,7 @@ mod tests {
     use super::*;
     use crate::config::DebarConfig;
     use crate::dataset::Dataset;
-    use crate::ids::ClientId;
+    use crate::ids::{ClientId, Device};
     use debar_hash::Sha1;
     use debar_simio::FaultPlan;
     use debar_workload::ChunkRecord;
@@ -471,14 +471,14 @@ mod tests {
         // Fault plans are absolute-op-indexed and the backups above already
         // ticked the index disk: arm on the *next* op, which is the GC
         // sweep's striped read charge.
-        let next_op = faulty.index_disk_ops(0);
-        faulty.set_index_fault_plan(0, FaultPlan::fail_at(next_op));
+        let part0 = Device::IndexPart { server: 0, part: 0 };
+        let next_op = faulty.device_ops(part0).expect("in range");
+        faulty
+            .arm(part0, FaultPlan::fail_at(next_op))
+            .expect("in range");
         let err = faulty.run_gc().expect_err("armed index disk must fault");
         assert!(
-            matches!(
-                err,
-                DebarError::DiskFault { .. } | DebarError::PartDiskFault { .. }
-            ),
+            matches!(err, DebarError::DeviceFault { device, .. } if device == part0),
             "{err:?}"
         );
         faulty.clear_fault_plans();
@@ -519,16 +519,17 @@ mod tests {
         // Fault the first foreground repository op GC issues on node 0
         // (victim read or compaction store — both abort pre-mutation for
         // that victim).
-        let next_op = faulty.repo_node_ops(0).expect("node exists");
+        let node0 = Device::RepoNode(0);
+        let next_op = faulty.device_ops(node0).expect("node exists");
         faulty
-            .set_repo_fault_plan(0, FaultPlan::fail_at(next_op))
+            .arm(node0, FaultPlan::fail_at(next_op))
             .expect("node exists");
         let err = faulty.run_gc().expect_err("armed repo node must fault");
         assert!(
             matches!(
                 err,
-                DebarError::RepoNodeFault { .. } | DebarError::Unrecoverable { .. }
-            ),
+                DebarError::DeviceFault { device, .. } if device == node0
+            ) || matches!(err, DebarError::Unrecoverable { node: 0, .. }),
             "{err:?}"
         );
         faulty.clear_fault_plans();

@@ -1,4 +1,4 @@
-//! Identifier types for jobs, clients, servers and job runs.
+//! Identifier types for jobs, clients, servers, job runs and devices.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -28,6 +28,47 @@ pub struct RunId {
 impl fmt::Display for RunId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "job{}v{}", self.job.0, self.version)
+    }
+}
+
+/// The address of one fault-injectable simulated device. The value passed
+/// to [`crate::DebarCluster::arm`] is the value a fired fault reports in
+/// [`crate::DebarError::DeviceFault`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Device {
+    /// One repository node's disk.
+    RepoNode(usize),
+    /// One part-disk of a server's striped index volume. Part 0 is the
+    /// volume: it also carries the un-striped index I/O (random lookups,
+    /// capacity scaling).
+    IndexPart {
+        /// The server owning the index part.
+        server: ServerId,
+        /// The part-disk within the stripe (`< sweep_parts`, clamped to
+        /// the live bucket count).
+        part: u32,
+    },
+    /// One worker disk of a server's chunk-log drain stripe. Worker 0 is
+    /// the volume: it also carries every dedup-1 append.
+    LogWorker {
+        /// The server owning the chunk log.
+        server: ServerId,
+        /// The worker disk within the stripe (`< store_workers`).
+        worker: u32,
+    },
+}
+
+impl fmt::Display for Device {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Device::RepoNode(node) => write!(f, "repository node {node}"),
+            Device::IndexPart { server, part } => {
+                write!(f, "index part-disk {part} of server {server}")
+            }
+            Device::LogWorker { server, worker } => {
+                write!(f, "chunk-log worker disk {worker} of server {server}")
+            }
+        }
     }
 }
 

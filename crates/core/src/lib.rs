@@ -31,9 +31,13 @@
 //! * **Injected device faults** (`debar_simio::FaultPlan`): every
 //!   simulated disk carries a deterministic, op-indexed fault schedule
 //!   (outright failure, torn write, bit flip, or a *transient* failure
-//!   that clears after a budgeted number of attempts). Arm them per
-//!   repository node ([`DebarCluster::set_repo_fault_plan`]) or per index
-//!   part-disk ([`DebarCluster::set_index_fault_plan`]).
+//!   that clears after a budgeted number of attempts). One address names
+//!   them all — [`Device`]: a repository node, one part-disk of a server's
+//!   index stripe, one worker disk of its chunk-log stripe — with one
+//!   [`DebarCluster::arm`] and one [`DebarCluster::device_ops`]; a fired
+//!   fault reports the address it was armed with
+//!   ([`DebarError::DeviceFault`]). Each component owns one device bank
+//!   whose part/worker 0 is its volume: no device is charged twice.
 //! * **Persisted corruption**: containers are serialized with a versioned
 //!   magic byte and a SHA-1 checksum trailer; torn writes and bit rot are
 //!   *detected* on every read path — restore, verify, LPC prefetch and
@@ -89,10 +93,10 @@
 //!   `debar_store::RepoStats::failover_reads` and surfaced per restore in
 //!   [`RestoreReport::failover_reads`].
 //! * **Typed node errors.** A fault on a repository node's disk names the
-//!   node: [`DebarError::RepoNodeFault`]; a store targeting a downed node
-//!   is [`DebarError::NodeDown`]; and only when *every* replica of a
-//!   container is unreachable does the read surface
-//!   [`DebarError::Unrecoverable`] — at `replication = 1` that is any
+//!   node ([`DebarError::DeviceFault`] on a [`Device::RepoNode`]); a
+//!   store targeting a downed node is [`DebarError::NodeDown`]; and only
+//!   when *every* replica of a container is unreachable does the read
+//!   surface [`DebarError::Unrecoverable`] — at `replication = 1` that is any
 //!   single node loss, at `replication >= 2` it takes multiple failures.
 //! * **Repair.** [`DebarCluster::repair_repo_node`] re-replicates from
 //!   surviving copies: a downed node is treated as a replaced disk (wiped,
@@ -291,6 +295,6 @@ pub use dataset::{ChunkedFile, Dataset, FileContent, FileEntry, StreamChunk};
 pub use debar_simio::RetryPolicy;
 pub use debar_store::{Health, HealthPolicy, ScrubReport};
 pub use error::{DebarError, DebarResult, Dedup2Phase};
-pub use ids::{ClientId, JobId, RunId, ServerId};
+pub use ids::{ClientId, Device, JobId, RunId, ServerId};
 pub use report::{Dedup1Report, Dedup2Report, RestoreReport};
 pub use system::DebarSystem;

@@ -19,14 +19,14 @@ use crate::chunklog::{ChunkLog, LogRecord};
 use crate::config::DebarConfig;
 use crate::dataset::ChunkedFile;
 use crate::error::DebarError;
-use crate::ids::{ClientId, RunId, ServerId};
+use crate::ids::{ClientId, Device, RunId, ServerId};
 use crate::metadata::{FileIndexEntry, RunRecord};
 use crate::report::{Dedup1Report, StoreReport};
 use debar_filter::{FilterVerdict, PrelimFilter};
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache, IndexError, SiuReport};
 use debar_simio::models::paper;
-use debar_simio::{FaultPlan, Secs, SimCpu, SimLink, VirtualClock};
+use debar_simio::{Secs, SimCpu, SimLink, VirtualClock};
 use debar_store::{ChunkRepository, Container, ContainerManager, LpcCache};
 use std::collections::{HashMap, HashSet};
 
@@ -136,7 +136,8 @@ pub struct BackupServer {
     cfg: DebarConfig,
     nic: SimLink,
     cpu: SimCpu,
-    chunk_log: ChunkLog,
+    /// The on-disk chunk log (crate-visible for fault arming).
+    pub(crate) chunk_log: ChunkLog,
     undetermined: Vec<Fingerprint>,
     index: DiskIndex,
     /// The checking fingerprint file (§5.4): fingerprints scheduled for
@@ -193,7 +194,7 @@ impl BackupServer {
             clock: VirtualClock::new(),
             nic: SimLink::new(paper::server_nic()),
             cpu: SimCpu::new(paper::cpu()),
-            chunk_log: ChunkLog::new(),
+            chunk_log: ChunkLog::new(id),
             undetermined: Vec::new(),
             // This server owns index part `id`: the first w fingerprint
             // bits route to it, the *next* n bits are its bucket number
@@ -212,77 +213,6 @@ impl BackupServer {
             container_cache: HashMap::new(),
             cfg,
         }
-    }
-
-    /// Arm a deterministic fault schedule on this server's index disk
-    /// (volume level: the fault takes out the whole striped sweep).
-    pub fn set_index_fault_plan(&mut self, plan: FaultPlan) {
-        self.index.set_fault_plan(plan);
-    }
-
-    /// Arm a deterministic fault schedule on **one part-disk** of this
-    /// server's striped index volume: the fault fires only when a sweep
-    /// charges that partition and surfaces as
-    /// [`DebarError::PartDiskFault`] naming the part.
-    pub fn set_index_part_fault_plan(&mut self, part: usize, plan: FaultPlan) {
-        self.index.set_part_fault_plan(part, plan);
-    }
-
-    /// Arm a deterministic fault schedule on this server's chunk-log disk
-    /// (dedup-1 appends and the phase-II drain check it).
-    pub fn set_log_fault_plan(&mut self, plan: FaultPlan) {
-        self.chunk_log.set_fault_plan(plan);
-    }
-
-    /// Arm a deterministic fault schedule on **one worker disk** of this
-    /// server's chunk-log drain stripe: the fault fires only when a
-    /// striped drain charges that worker's share (mid-pipeline loss of a
-    /// single store worker's spindle set).
-    ///
-    /// # Panics
-    /// Panics when `worker >= store_workers`: the drain stripe resizes to
-    /// the configured worker count at every drain, so a plan armed past
-    /// it would be silently dropped instead of firing — a fault-injection
-    /// test written that way would go green without testing anything.
-    pub fn set_log_worker_fault_plan(&mut self, worker: usize, plan: FaultPlan) {
-        assert!(
-            worker < self.cfg.store_workers,
-            "worker {worker} outside the {}-way drain stripe: the plan would \
-             never fire",
-            self.cfg.store_workers
-        );
-        self.chunk_log.set_worker_fault_plan(worker, plan);
-    }
-
-    /// Disarm this server's index-disk faults (volume and part-disks).
-    pub fn clear_index_fault_plan(&mut self) {
-        self.index.clear_fault_plan();
-    }
-
-    /// Disarm this server's chunk-log faults.
-    pub fn clear_log_fault_plan(&mut self) {
-        self.chunk_log.clear_fault_plan();
-    }
-
-    /// The index disk's op counter (for arming fault plans).
-    pub fn index_disk_ops(&self) -> u64 {
-        self.index.disk_ops()
-    }
-
-    /// One index part-disk's op counter (for arming single-part plans).
-    pub fn index_part_disk_ops(&self, part: usize) -> u64 {
-        self.index.part_disk_ops(part)
-    }
-
-    /// The chunk-log disk's op counter (for arming fault plans).
-    pub fn log_disk_ops(&self) -> u64 {
-        self.chunk_log.disk_ops()
-    }
-
-    /// One chunk-log worker disk's op counter (for arming single-worker
-    /// drain fault plans).
-    pub fn log_worker_disk_ops(&self, worker: usize) -> u64 {
-        self.chunk_log.worker_disk_ops(worker)
     }
 
     /// Undetermined fingerprints accumulated since the last dedup-2.
@@ -317,7 +247,7 @@ impl BackupServer {
         self.cfg.store_workers
     }
 
-    /// Mutable index access (cluster restore path).
+    /// Mutable index access (cluster restore path, fault arming).
     pub(crate) fn index_mut(&mut self) -> &mut DiskIndex {
         &mut self.index
     }
@@ -344,7 +274,7 @@ impl BackupServer {
     ///
     /// Fault-aware: chunk-log appends go through the fault-checked path,
     /// so an injected log-disk fault aborts the run with
-    /// [`DebarError::DiskFault`] instead of panicking or silently losing
+    /// [`DebarError::DeviceFault`] instead of panicking or silently losing
     /// the record. An aborted run registers nothing — no run record, no
     /// undetermined fingerprints — and may be retried whole; records
     /// appended before the fault stay in the log but, having no storage
@@ -544,7 +474,7 @@ impl BackupServer {
             let t = self
                 .index
                 .try_sequential_lookup_sharded(&mut cache, self.cfg.sweep_parts)
-                .map_err(DebarError::from)?;
+                .map_err(|e| DebarError::index_fault(self.id, e))?;
             let sil = self.clock.charge(t);
             stats.parts = stats.parts.max(sil.parts);
             for node in &sil.duplicates {
@@ -609,7 +539,7 @@ impl BackupServer {
     /// this server's clock alone and, in virtual time, overlaps stragglers
     /// still sweeping PSIL.
     ///
-    /// A drain fault (volume or single worker disk) leaves every record
+    /// A drain fault (on any single worker disk) leaves every record
     /// in the log, carries the merged storage decisions over and
     /// surfaces as `Err` — the resumed round replays identically.
     pub fn pack_chunks(
@@ -874,20 +804,21 @@ impl BackupServer {
             Err(e) => {
                 let total = updates.len() as u64;
                 // SIU interruptions surface uniformly as PartialSiu (the
-                // redo contract is identical whether the volume or a
-                // single part-disk faulted), with the failing part-disk
-                // named when a single-part fault fired.
+                // redo contract is identical whichever part-disk faulted,
+                // torn or outright), naming the failing part-disk.
                 let applied = match e {
                     IndexError::PartialSweep { applied, .. } => applied,
                     _ => 0,
                 };
                 self.pending_updates = updates;
                 Err(DebarError::PartialSiu {
-                    server: self.id,
+                    device: Device::IndexPart {
+                        server: self.id,
+                        part: e.part(),
+                    },
                     applied,
                     total,
                     fault: e.fault(),
-                    part: e.part(),
                 })
             }
         }
@@ -922,7 +853,7 @@ impl BackupServer {
             clock: self.clock.clone(),
             nic: SimLink::new(paper::server_nic()),
             cpu: SimCpu::new(paper::cpu()),
-            chunk_log: ChunkLog::new(),
+            chunk_log: ChunkLog::new(old_id * 2),
             undetermined: Vec::new(),
             index: part0,
             checking: HashSet::new(),
@@ -938,7 +869,7 @@ impl BackupServer {
             clock: self.clock.clone(),
             nic: SimLink::new(paper::server_nic()),
             cpu: SimCpu::new(paper::cpu()),
-            chunk_log: ChunkLog::new(),
+            chunk_log: ChunkLog::new(old_id * 2 + 1),
             undetermined: Vec::new(),
             index: part1,
             checking: HashSet::new(),

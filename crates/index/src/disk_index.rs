@@ -5,16 +5,15 @@
 //! chosen adjacent bucket; when a bucket *and both its neighbours* are full
 //! the index reports that it needs capacity scaling (§4.1/§4.2).
 //!
-//! All I/O costs are charged through owned simulated devices and returned
-//! as [`Timed`] values: random operations for per-fingerprint access (the
-//! Venti regime the paper escapes) go to the volume-level [`SimDisk`];
-//! striped sequential sweeps for SIL/SIU (implemented in [`crate::sweep`])
-//! are charged **physically** through a [`PartDiskSet`] — one real
-//! [`SimDisk`] per sweep partition, each with its own op counter, queue
-//! and armable fault plan, the sweep completing at the slowest part. The
-//! volume disk still ticks once per sweep as the whole-volume statistics
-//! view, op-counting surface for volume-level fault plans, and retained
-//! even-split oracle.
+//! All I/O costs are charged through one owned device bank, a
+//! [`PartDiskSet`], and returned as [`Timed`] values. Striped sequential
+//! sweeps for SIL/SIU (implemented in [`crate::sweep`]) charge one real
+//! `SimDisk` per sweep partition — each with its own op counter, queue
+//! and armable fault plan — and complete at the slowest part. **Part-disk
+//! 0 is the volume**: un-striped work (random per-fingerprint access, the
+//! Venti regime the paper escapes; capacity scaling; splits) is charged to
+//! it, so at one sweep partition the bank is the paper's single index
+//! volume and no device is ever charged twice.
 
 use crate::entry::{
     block_entries, block_find, block_full, block_push, block_set_cid, IndexEntry, BLOCK_BYTES,
@@ -23,7 +22,7 @@ use crate::params::IndexParams;
 use debar_hash::SplitMix64;
 use debar_hash::{ContainerId, Fingerprint};
 use debar_simio::models::paper;
-use debar_simio::{DiskModel, PartDiskSet, Secs, SimCpu, SimDisk, Timed};
+use debar_simio::{DiskModel, PartDiskSet, Secs, SimCpu, Timed};
 
 /// Result of a random-path insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,12 +46,12 @@ pub struct DiskIndex {
     /// ("the remaining n−w bits will be used as the bucket number", §5.2).
     skip_bits: u32,
     data: Vec<u8>,
-    disk: SimDisk,
-    /// The physical striped volume: one [`SimDisk`] per sweep partition,
-    /// each with its own op counter, queue and armable fault plan (the
-    /// per-spindle decomposition of §5.2). Sized lazily to each sweep's
-    /// clamped partition count; see [`DiskIndex::set_part_fault_plan`].
-    part_disks: PartDiskSet,
+    /// The index's only devices: one `SimDisk` per sweep partition, each
+    /// with its own op counter, queue and armable fault plan (the
+    /// per-spindle decomposition of §5.2); part 0 doubles as the volume
+    /// for un-striped work. Sized lazily to each sweep's clamped
+    /// partition count; see [`DiskIndex::set_part_fault_plan`].
+    pub(crate) part_disks: PartDiskSet,
     /// Explicit per-part bucket boundaries (cumulative end buckets) for
     /// deliberately skewed stripes; `None` = even split. Bound to the
     /// current bucket count: capacity scaling resets it to even.
@@ -90,7 +89,6 @@ impl DiskIndex {
             params,
             skip_bits,
             data: vec![0u8; bytes as usize],
-            disk: SimDisk::new(disk_model),
             part_disks: PartDiskSet::new(disk_model),
             sweep_layout: None,
             cpu: SimCpu::new(paper::cpu()),
@@ -124,12 +122,12 @@ impl DiskIndex {
         self.entries as f64 / self.params.max_entries() as f64
     }
 
-    /// I/O statistics of the backing **volume-level** disk: full byte
-    /// volumes per sweep, one op per sweep, busy time per the retained
-    /// even-split oracle. The physical per-partition view lives in
-    /// [`DiskIndex::part_disk_stats`].
+    /// I/O statistics merged over the part-disk bank: whole-volume byte
+    /// and op totals, `busy_s` in device-seconds (summed over part-disks,
+    /// so it exceeds the striped wall time at more than one partition).
+    /// The per-partition view lives in [`DiskIndex::part_disk_stats`].
     pub fn disk_stats(&self) -> debar_simio::DiskStats {
-        self.disk.stats()
+        self.part_disks.stats()
     }
 
     /// CPU statistics (in-memory probe accounting).
@@ -137,52 +135,29 @@ impl DiskIndex {
         self.cpu.stats()
     }
 
-    pub(crate) fn disk_mut(&mut self) -> &mut SimDisk {
-        &mut self.disk
-    }
-
-    /// Arm a deterministic fault schedule on this index's **volume-level**
-    /// disk (see `debar_simio::fault`): the fallible sweep entry points
-    /// (`try_sequential_lookup_sharded`, `try_sequential_update_sharded`,
-    /// [`DiskIndex::try_bulk_load_striped`]) check it. A volume-level
-    /// fault takes out the whole stripe; to hit exactly one partition of a
-    /// striped sweep, use [`DiskIndex::set_part_fault_plan`].
-    pub fn set_fault_plan(&mut self, plan: debar_simio::FaultPlan) {
-        self.disk.set_fault_plan(plan);
-    }
-
-    /// Arm a deterministic fault schedule on **one part-disk** of the
-    /// striped volume (materializing it if no sweep has engaged it yet).
-    /// The fault fires only when a sweep charges that partition; the
-    /// fallible entry points surface it as an [`crate::IndexError`] whose
-    /// `part` names the failing part-disk.
+    /// Arm a deterministic fault schedule (see `debar_simio::fault`) on
+    /// **one part-disk** (materializing it if no sweep has engaged it
+    /// yet). A fault on part `p > 0` fires only when a sweep charges that
+    /// partition; part 0 also carries the un-striped ops. The fallible
+    /// entry points (`try_sequential_lookup_sharded`,
+    /// `try_sequential_update_sharded`,
+    /// [`DiskIndex::try_bulk_load_striped`], [`DiskIndex::try_gc_sweep`])
+    /// surface it as an [`crate::IndexError`] whose `part` names the
+    /// failing part-disk.
     pub fn set_part_fault_plan(&mut self, part: usize, plan: debar_simio::FaultPlan) {
         self.part_disks.set_fault_plan(part, plan);
     }
 
-    /// Disarm all faults on this index's disks (volume and every
-    /// part-disk).
+    /// Disarm all faults on every part-disk.
     pub fn clear_fault_plan(&mut self) {
-        self.disk.clear_fault_plan();
         self.part_disks.clear_fault_plans();
     }
 
-    /// The index disk's operation counter (for arming `FaultPlan`s
-    /// relative to "the next op").
-    pub fn disk_ops(&self) -> u64 {
-        self.disk.ops()
-    }
-
-    /// Operation counter of one striped part-disk (0 if no sweep has
-    /// engaged it yet — its first op will be op 0).
+    /// Operation counter of one part-disk, for arming `FaultPlan`s
+    /// relative to "the next op" (0 if no sweep has engaged it yet — its
+    /// first op will be op 0).
     pub fn part_disk_ops(&self, part: usize) -> u64 {
         self.part_disks.ops(part)
-    }
-
-    /// Part-disks materialized so far (the widest stripe any sweep ran
-    /// on, or the highest part armed with a fault plan).
-    pub fn part_disk_count(&self) -> usize {
-        self.part_disks.len()
     }
 
     /// I/O statistics of one striped part-disk, if materialized.
@@ -252,15 +227,11 @@ impl DiskIndex {
             .collect()
     }
 
-    /// Charge one physical striped **read** sweep: the volume-level disk
-    /// ticks once (op counting, whole-volume statistics and the retained
-    /// even-split oracle), each part-disk reads its own byte share, and
-    /// the returned wall time is the max over per-part completion times.
+    /// Charge one physical striped **read** sweep: each part-disk reads
+    /// its own byte share, and the returned wall time is the max over
+    /// per-part completion times.
     pub(crate) fn charge_sweep_read(&mut self, bounds: &[u64]) -> Secs {
         let bytes = self.part_bytes(bounds);
-        let _ = self
-            .disk
-            .seq_read_striped(self.params.total_bytes(), bounds.len() as u32);
         self.part_disks.seq_read_split(&bytes)
     }
 
@@ -268,59 +239,7 @@ impl DiskIndex {
     /// [`DiskIndex::charge_sweep_read`]).
     pub(crate) fn charge_sweep_write(&mut self, bounds: &[u64]) -> Secs {
         let bytes = self.part_bytes(bounds);
-        let _ = self
-            .disk
-            .seq_write_striped(self.params.total_bytes(), bounds.len() as u32);
         self.part_disks.seq_write_split(&bytes)
-    }
-
-    /// Collect a fired-but-uncollected fault from the volume disk or any
-    /// part-disk (volume first), as `(part, fault)`.
-    pub(crate) fn take_any_fault(&mut self) -> Option<(Option<u32>, debar_simio::InjectedFault)> {
-        if let Some(f) = self.disk.take_fault() {
-            return Some((None, f));
-        }
-        self.part_disks.take_fault().map(|(p, f)| (Some(p), f))
-    }
-
-    /// Collect the fired fault of one specific disk (volume or part),
-    /// leaving other disks' pending faults in place: the fallible sweeps
-    /// attribute their error to the disk they *peeked*, so the reported
-    /// fault always matches the decision that was made on it, even when a
-    /// harness arms faults on several disks in one sweep window (the
-    /// siblings surface at the next checked boundary).
-    pub(crate) fn take_fault_on(
-        &mut self,
-        part: Option<u32>,
-    ) -> Option<debar_simio::InjectedFault> {
-        match part {
-            None => self.disk.take_fault(),
-            Some(p) => self.part_disks.take_fault_on(p as usize),
-        }
-    }
-
-    /// The first armed fault that would fire within the next
-    /// `ops_per_disk` operations of the volume disk or any part-disk.
-    pub(crate) fn peek_any_fault(
-        &self,
-        ops_per_disk: u64,
-    ) -> Option<(Option<u32>, debar_simio::FaultSpec)> {
-        if let Some(s) = self.disk.peek_fault(ops_per_disk) {
-            return Some((None, s));
-        }
-        self.part_disks
-            .peek_fault(ops_per_disk)
-            .map(|(p, s)| (Some(p), s))
-    }
-
-    /// Op counter of the disk an armed fault sits on (volume or part) —
-    /// for deciding whether a peeked fault lands on a sweep's read or
-    /// write op.
-    pub(crate) fn fault_disk_ops(&self, part: Option<u32>) -> u64 {
-        match part {
-            None => self.disk.ops(),
-            Some(p) => self.part_disks.ops(p as usize),
-        }
     }
 
     pub(crate) fn cpu_mut(&mut self) -> &mut SimCpu {
@@ -386,18 +305,19 @@ impl DiskIndex {
     /// replaces; kept for the random-update baseline (Fig. 11).
     pub fn insert_random(&mut self, fp: Fingerprint, cid: ContainerId) -> Timed<InsertOutcome> {
         let bucket_bytes = self.params.bucket_bytes as u64;
-        let mut cost = self.disk.rand_read(bucket_bytes);
+        let mut cost = self.part_disks.volume_mut().rand_read(bucket_bytes);
         let outcome = self.place(&IndexEntry::new(fp, cid));
+        let disk = self.part_disks.volume_mut();
         match outcome {
-            InsertOutcome::Home => cost += self.disk.rand_write(bucket_bytes),
+            InsertOutcome::Home => cost += disk.rand_write(bucket_bytes),
             InsertOutcome::Adjacent(_) => {
                 // Read the neighbour(s) + write the one that accepted.
-                cost += self.disk.rand_read(bucket_bytes);
-                cost += self.disk.rand_write(bucket_bytes);
+                cost += disk.rand_read(bucket_bytes);
+                cost += disk.rand_write(bucket_bytes);
             }
             InsertOutcome::NeedsScaling => {
-                cost += self.disk.rand_read(bucket_bytes);
-                cost += self.disk.rand_read(bucket_bytes);
+                cost += disk.rand_read(bucket_bytes);
+                cost += disk.rand_read(bucket_bytes);
             }
         }
         Timed::new(outcome, cost)
@@ -409,10 +329,10 @@ impl DiskIndex {
         let bucket_bytes = self.params.bucket_bytes as u64;
         let view = self.view();
         let (found, buckets_read) = view.resolve(view.bucket_of(fp), fp, &mut None);
-        let mut cost = self.disk.rand_read(bucket_bytes);
+        let mut cost = self.part_disks.volume_mut().rand_read(bucket_bytes);
         cost += self.cpu.probe_fps(1);
         for _ in 1..buckets_read {
-            cost += self.disk.rand_read(bucket_bytes);
+            cost += self.part_disks.volume_mut().rand_read(bucket_bytes);
         }
         Timed::new(found, cost)
     }
@@ -534,10 +454,11 @@ impl DiskIndex {
     }
 
     /// Fault-checked [`DiskIndex::bulk_load_striped`] (the recovery
-    /// rebuild's write path): any fault fired during the load — on the
-    /// volume disk or on a single part-disk of the striped write sweep —
-    /// surfaces as [`crate::IndexError::SweepFault`] (with `part` naming
-    /// the failing part-disk when one faulted). The in-memory load has
+    /// rebuild's write path): any fault fired during the load — by a
+    /// capacity-scaling op on part 0 or on a single part-disk of the
+    /// striped write sweep — surfaces as
+    /// [`crate::IndexError::SweepFault`] naming the failing part-disk
+    /// (lowest part first when several fired). The in-memory load has
     /// already happened when the fault is detected; recovery callers treat
     /// the rebuild as failed and re-run it from scratch (the rebuild
     /// resets the part first, so a retry converges).
@@ -547,7 +468,7 @@ impl DiskIndex {
         parts: usize,
     ) -> Result<Timed<u64>, crate::IndexError> {
         let t = self.bulk_load_striped(entries, parts);
-        match self.take_any_fault() {
+        match self.part_disks.take_fault() {
             Some((part, fault)) => Err(crate::IndexError::SweepFault { fault, part }),
             None => Ok(t),
         }
@@ -561,8 +482,8 @@ impl DiskIndex {
     ///
     /// **Crash consistency:** both sweep charges are fault-checked
     /// *before* any byte of the index changes — a faulted GC sweep
-    /// surfaces [`crate::IndexError::SweepFault`] (naming the part-disk
-    /// when a single stripe faulted) and leaves the part untouched, so
+    /// surfaces [`crate::IndexError::SweepFault`] (naming the faulted
+    /// part-disk) and leaves the part untouched, so
     /// re-running the sweep after clearing the fault converges to the
     /// byte-identical result of an uninterrupted sweep. The in-memory
     /// mutation is modeled as the shadow-write swap of the write sweep.
@@ -581,11 +502,11 @@ impl DiskIndex {
     ) -> Result<Timed<u64>, crate::IndexError> {
         let bounds = self.resolve_sweep_bounds(parts);
         let mut cost = self.charge_sweep_read(&bounds);
-        if let Some((part, fault)) = self.take_any_fault() {
+        if let Some((part, fault)) = self.part_disks.take_fault() {
             return Err(crate::IndexError::SweepFault { fault, part });
         }
         cost += self.charge_sweep_write(&bounds);
-        if let Some((part, fault)) = self.take_any_fault() {
+        if let Some((part, fault)) = self.part_disks.take_fault() {
             return Err(crate::IndexError::SweepFault { fault, part });
         }
         cost += self.cpu.probe_fps(self.entries);
@@ -619,7 +540,6 @@ impl DiskIndex {
             params: new_params,
             skip_bits: self.skip_bits,
             data: vec![0u8; new_params.total_bytes() as usize],
-            disk: self.disk.clone(),
             // Part-disks survive scaling (their queues and fault plans
             // are device state); an explicit skewed layout does not — it
             // addressed the old bucket range (documented re-split rule).
@@ -636,8 +556,9 @@ impl DiskIndex {
             // indexes can cluster; grow again rather than fail.
             extra += fresh.place_with_growth(&e).cost;
         }
-        let mut cost = fresh.disk.seq_read(old_bytes);
-        cost += fresh.disk.seq_write(fresh.params.total_bytes());
+        let new_bytes = fresh.params.total_bytes();
+        let mut cost = fresh.part_disks.volume_mut().seq_read(old_bytes);
+        cost += fresh.part_disks.volume_mut().seq_write(new_bytes);
         cost += fresh.cpu.probe_fps(fresh.entries);
         debug_assert_eq!(fresh.entries, self.entries);
         *self = fresh;
@@ -651,10 +572,10 @@ impl DiskIndex {
     /// hosted by backup server `p`).
     ///
     /// Charged as a sequential read of the whole index plus a sequential
-    /// write of each part (costs attributed to the part disks).
+    /// write of each part (each charged to the new part's own volume).
     pub fn split(mut self, w_bits: u32) -> Timed<Vec<DiskIndex>> {
         let part_params = self.params.split_part(w_bits);
-        let model = self.disk.model();
+        let model = self.part_disks.model();
         let new_skip = self.skip_bits + w_bits;
         let mut parts: Vec<DiskIndex> = (0..(1u64 << w_bits))
             .map(|p| DiskIndex::with_prefix(part_params, new_skip, model, self.rng.next_u64() ^ p))
@@ -668,9 +589,11 @@ impl DiskIndex {
             moved += 1;
         }
         debug_assert_eq!(moved, self.entries);
-        let mut cost = self.disk.seq_read(self.params.total_bytes());
+        let old_bytes = self.params.total_bytes();
+        let mut cost = self.part_disks.volume_mut().seq_read(old_bytes);
         for part in &mut parts {
-            cost += part.disk.seq_write(part.params.total_bytes());
+            let bytes = part.params.total_bytes();
+            cost += part.part_disks.volume_mut().seq_write(bytes);
         }
         Timed::new(parts, cost + extra)
     }
@@ -975,7 +898,7 @@ mod tests {
             .try_bulk_load_striped(entries.clone(), 4)
             .expect_err("part fault fires on the write sweep");
         assert!(
-            matches!(err, crate::IndexError::SweepFault { part: Some(1), .. }),
+            matches!(err, crate::IndexError::SweepFault { part: 1, .. }),
             "{err:?}"
         );
         // Retry from a reset part converges (the recovery contract).
@@ -1042,7 +965,7 @@ mod tests {
             .try_gc_sweep(&dead, 4)
             .expect_err("armed part must fault the sweep");
         assert!(
-            matches!(err, crate::IndexError::SweepFault { part: Some(2), .. }),
+            matches!(err, crate::IndexError::SweepFault { part: 2, .. }),
             "{err:?}"
         );
         assert_eq!(

@@ -13,9 +13,8 @@ pub enum IndexError {
     SweepFault {
         /// The injected fault that fired.
         fault: InjectedFault,
-        /// The striped part-disk the fault fired on (`None` when the
-        /// volume-level disk faulted — the whole stripe).
-        part: Option<u32>,
+        /// The part-disk the fault fired on (part 0 is the volume).
+        part: u32,
     },
     /// An SIU write sweep was torn: only the first `applied` updates of
     /// the canonically sorted batch are durable. Re-running the same
@@ -27,9 +26,8 @@ pub enum IndexError {
         total: u64,
         /// The injected fault that fired.
         fault: InjectedFault,
-        /// The striped part-disk the tear fired on (`None` for the
-        /// volume-level disk).
-        part: Option<u32>,
+        /// The part-disk the tear fired on (part 0 is the volume).
+        part: u32,
     },
 }
 
@@ -41,9 +39,8 @@ impl IndexError {
         }
     }
 
-    /// The striped part-disk the fault fired on, if it was a single-part
-    /// fault rather than a volume-level one.
-    pub fn part(&self) -> Option<u32> {
+    /// The part-disk the fault fired on.
+    pub fn part(&self) -> u32 {
         match self {
             IndexError::SweepFault { part, .. } | IndexError::PartialSweep { part, .. } => *part,
         }
@@ -52,13 +49,9 @@ impl IndexError {
 
 impl fmt::Display for IndexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let on_part = |part: &Option<u32>| match part {
-            Some(p) => format!(" on part-disk {p}"),
-            None => String::new(),
-        };
         match self {
             IndexError::SweepFault { fault, part } => {
-                write!(f, "index sweep failed{}: {fault}", on_part(part))
+                write!(f, "index sweep failed on part-disk {part}: {fault}")
             }
             IndexError::PartialSweep {
                 applied,
@@ -67,8 +60,7 @@ impl fmt::Display for IndexError {
                 part,
             } => write!(
                 f,
-                "index update sweep torn after {applied}/{total} updates{}: {fault}",
-                on_part(part)
+                "index update sweep torn after {applied}/{total} updates on part-disk {part}: {fault}"
             ),
         }
     }

@@ -50,15 +50,17 @@
 //!
 //! Sweep time is charged **physically**: each partition owns a real
 //! [`debar_simio::SimDisk`] in the index's
-//! [`debar_simio::PartDiskSet`], the sweep charges each part-disk exactly
-//! the bytes its bucket range covers, and the wall time is the **max over
-//! per-part completion times**. The rules:
+//! [`debar_simio::PartDiskSet`] — the index's only device bank — the sweep
+//! charges each part-disk exactly the bytes its bucket range covers, and
+//! the wall time is the **max over per-part completion times**. Part-disk
+//! 0 is also the volume un-striped work (random bucket I/O, capacity
+//! scaling, the reference kernels) is charged to. The rules:
 //!
 //! * **Even split** (the default): partitions differ by at most one
 //!   bucket, so for power-of-two `P` dividing the bucket count the
-//!   physical max is bit-identical to the retained analytic oracle
-//!   [`debar_simio::SimDisk::seq_read_striped`] (`total/bw/P`) — the
-//!   equivalence the property tests pin.
+//!   physical max is bit-identical to the closed form
+//!   `DiskModel::seq_read_cost(total) / P` — the even-split law the
+//!   property tests pin.
 //! * **Skewed split** ([`DiskIndex::set_sweep_layout`]): an uneven bucket
 //!   split makes the largest partition a visible *straggler* — sweep time
 //!   is the slowest part, not `total/P`. Placement and results are
@@ -67,13 +69,15 @@
 //!   bucket count (`min(parts, buckets)` even partitions; a skewed layout
 //!   is dropped when capacity scaling changes the geometry), resizing the
 //!   part-disk bank — growth adds fresh disks, shrink drops the top disks
-//!   along with any faults still armed on them.
-//! * **Fault targeting**: volume-level [`debar_simio::FaultPlan`]s
-//!   (`DiskIndex::set_fault_plan`, one op per sweep) take out the whole
-//!   stripe; per-part plans ([`DiskIndex::set_part_fault_plan`], one op
-//!   per part per sweep direction) take out a single partition, and the
-//!   fallible entry points surface them as an [`IndexError`] whose `part`
-//!   names the failing part-disk.
+//!   (never part 0) along with any faults still armed on them.
+//! * **Fault targeting**: a [`debar_simio::FaultPlan`] is armed on one
+//!   part-disk ([`DiskIndex::set_part_fault_plan`]; one op per part per
+//!   sweep direction, plus the un-striped ops on part 0) and takes out
+//!   that partition's share of the sweep; the fallible entry points
+//!   surface it as an [`IndexError`] whose `part` names the failing
+//!   part-disk. Each checked operation reports **one** fault — the lowest
+//!   armed part — and a sibling armed in the same window stays pending
+//!   until the next checked boundary.
 //!
 //! # One kernel per sweep
 //!
@@ -154,9 +158,9 @@ pub struct SiuReport {
 /// scaling doubles it mid-batch, performance-scaling splits halve it — so
 /// every sweep re-clamps. The documented rule: a sweep runs on
 /// `min(parts, buckets)` partitions. Parts that don't divide the bucket
-/// count evenly are fine: [`part_bounds`] hands out contiguous ranges
-/// differing by at most one bucket, and virtual sweep time is charged as
-/// the even-split maximum (`SimDisk::seq_read_striped`).
+/// count evenly are fine: `DiskIndex::resolve_sweep_bounds` hands out
+/// contiguous ranges differing by at most one bucket, and each part-disk
+/// is charged its own range, the sweep completing at the slowest.
 pub(crate) fn clamp_parts(parts: usize, buckets: u64) -> u32 {
     (parts.max(1) as u64).min(buckets).min(u32::MAX as u64) as u32
 }
@@ -205,14 +209,20 @@ impl DiskIndex {
         parts: usize,
     ) -> Timed<SilReport> {
         let bounds = self.resolve_sweep_bounds(parts);
-        self.lookup_kernel(cache, &bounds)
+        let sweep = self.charge_sweep_read(&bounds);
+        self.lookup_kernel(cache, bounds.len() as u32, sweep)
     }
 
-    /// The shared SIL kernel over a resolved partition layout (cumulative
-    /// end-bucket `bounds`, one entry per engaged part-disk).
-    fn lookup_kernel(&mut self, cache: &mut IndexCache, bounds: &[u64]) -> Timed<SilReport> {
+    /// The shared SIL kernel: resolve the batch against a read sweep
+    /// already charged (`sweep` seconds, the slowest of `parts`
+    /// part-disks each reading its own bucket-range byte share).
+    fn lookup_kernel(
+        &mut self,
+        cache: &mut IndexCache,
+        parts: u32,
+        sweep: Secs,
+    ) -> Timed<SilReport> {
         let submitted = cache.len();
-        let parts = bounds.len() as u32;
         let view = self.view();
         let mut fps: Vec<Fingerprint> = cache.iter().map(|n| n.fp).collect();
         // Sort by (bucket, 64-bit prefix): native-integer keys are far
@@ -232,11 +242,9 @@ impl DiskIndex {
             }
         });
 
-        // Physical stripe: each part-disk reads its own bucket-range byte
-        // share; the sweep completes at the slowest part. CPU probing
-        // keeps the even-split pipelined model (probe work is in-memory
-        // and balances across the parts' CPUs, not across bucket ranges).
-        let sweep = self.charge_sweep_read(bounds);
+        // CPU probing keeps the even-split pipelined model (probe work is
+        // in-memory and balances across the parts' CPUs, not across
+        // bucket ranges).
         let probe = self.cpu_mut().probe_fps_striped(submitted as u64, parts);
         Timed::new(
             SilReport {
@@ -258,7 +266,7 @@ impl DiskIndex {
     pub fn sequential_lookup_hashed(&mut self, cache: &mut IndexCache) -> Timed<SilReport> {
         let total = self.params().total_bytes();
         let submitted = cache.len();
-        let sweep = self.disk_mut().seq_read(total);
+        let sweep = self.part_disks.volume_mut().seq_read(total);
         let mut duplicates = Vec::new();
         let mut hits = Vec::new();
         for node in cache.iter() {
@@ -383,7 +391,7 @@ impl DiskIndex {
     ) -> Timed<SiuReport> {
         let sorted = self.canonical_updates(updates);
         let total_before = self.params().total_bytes();
-        let mut cost = self.disk_mut().seq_read(total_before);
+        let mut cost = self.part_disks.volume_mut().seq_read(total_before);
         let mut report = SiuReport {
             parts: 1,
             ..SiuReport::default()
@@ -398,20 +406,19 @@ impl DiskIndex {
             cost += self.place_counted(fp, cid, &mut report);
         }
         let total_after = self.params().total_bytes();
-        cost += self.disk_mut().seq_write(total_after);
+        cost += self.part_disks.volume_mut().seq_write(total_after);
         let merge = self.cpu_mut().probe_fps(sorted.len() as u64);
         report.utilization_after = self.utilization();
         Timed::new(report, cost.max(merge))
     }
 
     /// Fault-checked [`DiskIndex::sequential_lookup_sharded`]: if a
-    /// [`debar_simio::FaultPlan`] — on the volume-level disk *or on a
-    /// single part-disk of the stripe* — arms a fault on this sweep's
-    /// read op, the sweep charges its disk time, consumes the fault and
-    /// returns [`IndexError::SweepFault`] (with `part` naming the failing
-    /// part-disk for a single-part fault) **without touching the cache**
-    /// — the caller re-submits the same batch after recovery and
-    /// converges to the uninterrupted result.
+    /// [`debar_simio::FaultPlan`] on any part-disk of the stripe arms a
+    /// fault on this sweep's read op, the sweep charges its disk time,
+    /// consumes the fault and returns [`IndexError::SweepFault`] (`part`
+    /// naming the failing part-disk) **without touching the cache** — the
+    /// caller re-submits the same batch after recovery and converges to
+    /// the uninterrupted result.
     pub fn try_sequential_lookup_sharded(
         &mut self,
         cache: &mut IndexCache,
@@ -419,27 +426,22 @@ impl DiskIndex {
     ) -> Result<Timed<SilReport>, IndexError> {
         // The "next checked boundary" rule: a fault fired by an unchecked
         // operation (e.g. a capacity-scaling sweep) surfaces here.
-        if let Some((part, fault)) = self.take_any_fault() {
+        if let Some((part, fault)) = self.part_disks.take_fault() {
             return Err(IndexError::SweepFault { fault, part });
         }
         let bounds = self.resolve_sweep_bounds(parts);
-        if let Some((part, _)) = self.peek_any_fault(1) {
-            let _ = self.charge_sweep_read(&bounds);
-            // Attribute the error to the disk that was peeked (volume
-            // first, then lowest part); faults armed on other disks in
-            // the same window stay pending per the boundary rule.
-            let fault = self
-                .take_fault_on(part)
-                .expect("peeked fault fires on the sweep op");
+        let sweep = self.charge_sweep_read(&bounds);
+        // One error per checked op: the lowest faulted part is reported,
+        // a sibling that fired on the same sweep stays pending.
+        if let Some((part, fault)) = self.part_disks.take_fault() {
             return Err(IndexError::SweepFault { fault, part });
         }
-        Ok(self.lookup_kernel(cache, &bounds))
+        Ok(self.lookup_kernel(cache, bounds.len() as u32, sweep))
     }
 
     /// Fault-checked [`DiskIndex::sequential_update_sharded`]. An SIU
-    /// sweep performs two disk ops per device — the read sweep, then the
-    /// write sweep (one op each on the volume disk, one each on every
-    /// engaged part-disk):
+    /// sweep performs two disk ops on every engaged part-disk — the read
+    /// sweep, then the write sweep:
     ///
     /// * a fault on the **read** op applies nothing
     ///   ([`IndexError::SweepFault`]);
@@ -447,13 +449,13 @@ impl DiskIndex {
     ///   whole in-place update ([`IndexError::SweepFault`], nothing
     ///   applied);
     /// * a **torn** write op persists only the first half of the
-    ///   canonically sorted batch ([`IndexError::PartialSweep`]) — a torn
-    ///   *part*-disk write applies the same canonical half-prefix (the
-    ///   established crash model: what matters downstream is that the
-    ///   durable set is a canonical prefix and redo is idempotent).
+    ///   canonically sorted batch ([`IndexError::PartialSweep`]) whichever
+    ///   part-disk tore (the established crash model: what matters
+    ///   downstream is that the durable set is a canonical prefix and redo
+    ///   is idempotent).
     ///
-    /// Single-part faults carry the failing part-disk in the error's
-    /// `part`. In every case re-running the *same* batch converges to the
+    /// The error's `part` names the failing part-disk. In every case
+    /// re-running the *same* batch converges to the
     /// uninterrupted result byte-for-byte: already-applied entries are
     /// overwritten in place with the same container IDs, the rest insert
     /// in the same canonical order.
@@ -463,17 +465,17 @@ impl DiskIndex {
         parts: usize,
     ) -> Result<Timed<SiuReport>, IndexError> {
         // The "next checked boundary" rule (see the lookup counterpart).
-        if let Some((part, fault)) = self.take_any_fault() {
+        if let Some((part, fault)) = self.part_disks.take_fault() {
             return Err(IndexError::SweepFault { fault, part });
         }
         let bounds = self.resolve_sweep_bounds(parts);
-        let Some((armed_part, spec)) = self.peek_any_fault(2) else {
+        let Some((armed_part, spec)) = self.part_disks.peek_fault(2) else {
             let sorted = self.canonical_updates(updates);
             let limit = sorted.len();
             return Ok(self.update_kernel(&sorted, &bounds, limit));
         };
         let total = updates.len() as u64;
-        let on_read = spec.at_op == self.fault_disk_ops(armed_part);
+        let on_read = spec.at_op == self.part_disks.ops(armed_part as usize);
         let apply_limit = if !on_read && spec.kind == debar_simio::FaultKind::TornWrite {
             updates.len() / 2
         } else {
@@ -495,7 +497,8 @@ impl DiskIndex {
         // construction — one error per checked operation keeps the
         // decision and the report consistent).
         let fault = self
-            .take_fault_on(armed_part)
+            .part_disks
+            .take_fault_on(armed_part as usize)
             .expect("peeked fault fires within the sweep's ops");
         if !on_read && spec.kind == debar_simio::FaultKind::TornWrite {
             Err(IndexError::PartialSweep {
@@ -565,11 +568,11 @@ mod tests {
         idx.sequential_update(&updates);
         let mut cache = cache_of(200..600);
         let before = cache.len();
-        idx.set_fault_plan(FaultPlan::fail_at(idx.disk_ops()));
+        idx.set_part_fault_plan(0, FaultPlan::fail_at(idx.part_disk_ops(0)));
         let err = idx
             .try_sequential_lookup_sharded(&mut cache, 2)
             .expect_err("armed fault must fire");
-        assert!(matches!(err, IndexError::SweepFault { .. }));
+        assert!(matches!(err, IndexError::SweepFault { part: 0, .. }));
         assert_eq!(cache.len(), before, "failed sweep must not drain the cache");
         // Retry converges to the clean result.
         let rep = idx
@@ -592,7 +595,7 @@ mod tests {
 
         // Torn write sweep: only half the canonical batch lands.
         let mut torn = index(41);
-        torn.set_fault_plan(FaultPlan::torn_write_at(torn.disk_ops() + 1));
+        torn.set_part_fault_plan(0, FaultPlan::torn_write_at(torn.part_disk_ops(0) + 1));
         let err = torn
             .try_sequential_update_sharded(&updates, 1)
             .expect_err("torn write must surface");
@@ -600,10 +603,10 @@ mod tests {
             applied,
             total,
             fault,
-            ..
+            part: 0,
         } = err
         else {
-            panic!("expected PartialSweep, got {err:?}");
+            panic!("expected PartialSweep on part 0, got {err:?}");
         };
         assert_eq!(total, 500);
         assert_eq!(applied, 250);
@@ -630,11 +633,14 @@ mod tests {
         clean.sequential_update(&updates);
         for write_op in [0u64, 1] {
             let mut faulted = index(42);
-            faulted.set_fault_plan(FaultPlan::fail_at(faulted.disk_ops() + write_op));
+            faulted.set_part_fault_plan(0, FaultPlan::fail_at(faulted.part_disk_ops(0) + write_op));
             let err = faulted
                 .try_sequential_update_sharded(&updates, 4)
                 .expect_err("fault fires");
-            assert!(matches!(err, IndexError::SweepFault { .. }), "{err:?}");
+            assert!(
+                matches!(err, IndexError::SweepFault { part: 0, .. }),
+                "{err:?}"
+            );
             assert_eq!(faulted.entry_count(), 0, "all-or-nothing");
             faulted
                 .try_sequential_update_sharded(&updates, 4)
@@ -656,13 +662,10 @@ mod tests {
         let err = idx
             .try_sequential_lookup_sharded(&mut cache, 4)
             .expect_err("single-part fault must fire");
-        let IndexError::SweepFault {
-            part: Some(part), ..
-        } = err
-        else {
-            panic!("expected a part-naming SweepFault, got {err:?}");
-        };
-        assert_eq!(part, 2, "error must name the failing part-disk");
+        assert!(
+            matches!(err, IndexError::SweepFault { part: 2, .. }),
+            "error must name the failing part-disk: {err:?}"
+        );
         assert_eq!(cache.len(), before, "failed sweep must not drain the cache");
         // Retry converges to the clean result.
         let rep = idx
@@ -689,7 +692,7 @@ mod tests {
             .try_sequential_update_sharded(&updates, 4)
             .expect_err("part write fault fires");
         assert!(
-            matches!(err, IndexError::SweepFault { part: Some(1), .. }),
+            matches!(err, IndexError::SweepFault { part: 1, .. }),
             "{err:?}"
         );
         assert_eq!(faulted.entry_count(), 0, "failed write applies nothing");
@@ -714,7 +717,7 @@ mod tests {
         else {
             panic!("expected PartialSweep, got {err:?}");
         };
-        assert_eq!(part, Some(3), "tear must name its part-disk");
+        assert_eq!(part, 3, "tear must name its part-disk");
         assert_eq!((applied, total), (250, 500));
         assert_eq!(fault.kind, FaultKind::TornWrite);
         assert_eq!(torn.entry_count(), 250);
@@ -724,37 +727,80 @@ mod tests {
     }
 
     #[test]
-    fn simultaneous_volume_and_part_faults_report_one_at_a_time() {
+    fn two_parts_armed_in_one_window_report_one_at_a_time() {
         use debar_simio::FaultPlan;
-        // Faults armed on two disks in the same sweep window: the error is
-        // attributed to the peeked disk (volume first) and the sibling
-        // fault stays pending, surfacing at the next checked boundary —
-        // decision and report always refer to the same disk.
+        // Faults armed on two part-disks in the same sweep window: the
+        // error is attributed to the peeked disk (lowest part first) and
+        // the sibling's fault stays pending, surfacing at the next checked
+        // boundary — decision and report always refer to the same disk.
         let mut idx = index(54);
         let updates: Vec<_> = (0..300u64).map(|i| (fp(i), ContainerId::new(i))).collect();
         idx.sequential_update_sharded(&updates, 4);
-        idx.set_fault_plan(FaultPlan::fail_at(idx.disk_ops()));
-        idx.set_part_fault_plan(1, FaultPlan::fail_at(idx.part_disk_ops(1)));
+        idx.set_part_fault_plan(0, FaultPlan::fail_at(idx.part_disk_ops(0)));
+        idx.set_part_fault_plan(3, FaultPlan::fail_at(idx.part_disk_ops(3)));
         let mut cache = cache_of(0..300);
         let err = idx
             .try_sequential_lookup_sharded(&mut cache, 4)
-            .expect_err("volume fault reported first");
+            .expect_err("lowest armed part reported first");
         assert!(
-            matches!(err, IndexError::SweepFault { part: None, .. }),
+            matches!(err, IndexError::SweepFault { part: 0, .. }),
             "{err:?}"
         );
+        let ops = idx.part_disk_ops(3);
         let err = idx
             .try_sequential_lookup_sharded(&mut cache, 4)
-            .expect_err("part fault surfaces at the next boundary");
+            .expect_err("sibling surfaces at the next boundary");
         assert!(
-            matches!(err, IndexError::SweepFault { part: Some(1), .. }),
+            matches!(err, IndexError::SweepFault { part: 3, .. }),
             "{err:?}"
+        );
+        assert_eq!(
+            idx.part_disk_ops(3),
+            ops,
+            "boundary collection charges no op"
         );
         let rep = idx
             .try_sequential_lookup_sharded(&mut cache, 4)
             .expect("clean after both collected")
             .value;
         assert_eq!(rep.duplicates.len(), 300);
+    }
+
+    /// SIU + SIL + one random lookup + capacity scaling + a GC sweep.
+    fn mixed_sequence(parts: usize) -> DiskIndex {
+        let mut idx = index(60);
+        let updates: Vec<_> = (0..400u64).map(|i| (fp(i), ContainerId::new(i))).collect();
+        idx.sequential_update_sharded(&updates, parts);
+        let mut cache = cache_of(200..600);
+        idx.sequential_lookup_sharded(&mut cache, parts);
+        idx.lookup_random(&fp(1));
+        idx.scale_up();
+        let dead: std::collections::HashSet<Fingerprint> =
+            (0..400u64).filter(|i| i % 3 == 0).map(fp).collect();
+        idx.try_gc_sweep(&dead, parts).expect("clean sweep");
+        idx
+    }
+
+    #[test]
+    fn part_zero_is_the_volume() {
+        // One sweep partition: the bank *is* the single index volume, and
+        // its op counter reads what the separate volume-level disk read
+        // before the twin was dropped (2 SIU + 1 SIL + 1 random + 2 scale
+        // + 2 GC), so `ops + k` arm offsets carry over.
+        let one = mixed_sequence(1);
+        assert!(one.part_disk_stats(1).is_none(), "a one-part bank");
+        assert_eq!(Some(one.disk_stats()), one.part_disk_stats(0));
+        assert_eq!(one.part_disk_ops(0), 8);
+        // Four partitions: un-striped ops still land on part 0 only, and
+        // the merged statistics keep the whole-volume byte totals.
+        let four = mixed_sequence(4);
+        assert_eq!(four.part_disk_ops(0), 8);
+        assert_eq!(four.part_disk_ops(3), 5, "sweeps only");
+        for stats in [one.disk_stats(), four.disk_stats()] {
+            assert_eq!(stats.seq_read_bytes, 655_360);
+            assert_eq!(stats.seq_write_bytes, 655_360);
+            assert_eq!((stats.rand_reads, stats.rand_read_bytes), (1, 512));
+        }
     }
 
     #[test]
@@ -773,7 +819,7 @@ mod tests {
             .expect("2-way sweep never touches part 3")
             .value;
         assert_eq!(rep.parts, 2);
-        assert_eq!(idx.part_disk_count(), 2);
+        assert!(idx.part_disk_stats(2).is_none(), "parts 2 and 3 are gone");
     }
 
     #[test]
@@ -1289,7 +1335,7 @@ mod tests {
             pow in 0u32..4,
         ) {
             // Even power-of-two geometry: the physical per-part model must
-            // reproduce the retained analytic even-split oracle
+            // reproduce the closed-form even-split cost
             // bit-for-bit — same sweep virtual time (total/bw/P), same
             // index bytes as the scalar reference.
             use debar_simio::models::paper;

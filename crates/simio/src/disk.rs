@@ -210,38 +210,6 @@ impl SimDisk {
         c
     }
 
-    /// Perform a sequential read of `bytes` striped across `ways` identical
-    /// volumes (the multi-part index of paper §5.2: each part sweeps its
-    /// share concurrently, so wall-clock time is `max` over parts ≈ a
-    /// `1/ways` share). Statistics record the full byte volume; the
-    /// returned (and accrued) busy time is the parallel wall time.
-    ///
-    /// This is the **analytic even-split model**, retained as the
-    /// equivalence oracle for the physical per-partition model
-    /// ([`crate::PartDiskSet`]): on an even power-of-two split the two
-    /// must agree bit-for-bit. Physical sweeps (real part-disk queues,
-    /// per-part byte shares, single-part fault targeting) live in
-    /// [`crate::partdisk`].
-    pub fn seq_read_striped(&mut self, bytes: u64, ways: u32) -> Secs {
-        self.tick();
-        let ways = ways.max(1) as f64;
-        let c = self.model.seq_read_cost(bytes) / ways;
-        self.stats.seq_read_bytes += bytes;
-        self.stats.busy_s += c;
-        c
-    }
-
-    /// Perform a sequential write of `bytes` striped across `ways` volumes
-    /// (see [`SimDisk::seq_read_striped`]).
-    pub fn seq_write_striped(&mut self, bytes: u64, ways: u32) -> Secs {
-        self.tick();
-        let ways = ways.max(1) as f64;
-        let c = self.model.seq_write_cost(bytes) / ways;
-        self.stats.seq_write_bytes += bytes;
-        self.stats.busy_s += c;
-        c
-    }
-
     /// Perform a random read of `bytes`; returns the cost.
     pub fn rand_read(&mut self, bytes: u64) -> Secs {
         self.tick();
@@ -305,25 +273,6 @@ mod tests {
         assert_eq!(d.stats().seq_read_bytes, 100_000_000);
         assert_eq!(d.stats().seq_write_bytes, 50_000_000);
         assert_eq!(d.stats().busy_s, 2.0);
-    }
-
-    #[test]
-    fn striped_sweeps_divide_wall_time_and_keep_volume() {
-        // The multi-part index contract: P part-disks sweep concurrently,
-        // wall time is the even-split maximum (exactly 1/P here), and the
-        // statistics still record the full byte volume moved.
-        let mut d = disk();
-        let scalar_r = d.seq_read(100_000_000);
-        let striped_r = d.seq_read_striped(100_000_000, 4);
-        assert_eq!(striped_r, scalar_r / 4.0);
-        let scalar_w = d.seq_write(50_000_000);
-        let striped_w = d.seq_write_striped(50_000_000, 5);
-        assert_eq!(striped_w, scalar_w / 5.0);
-        assert_eq!(d.stats().seq_read_bytes, 200_000_000);
-        assert_eq!(d.stats().seq_write_bytes, 100_000_000);
-        // ways = 0 and ways = 1 both degrade to the scalar sweep.
-        assert_eq!(d.seq_read_striped(1000, 0), d.seq_read(1000));
-        assert_eq!(d.seq_read_striped(1000, 1), d.seq_read(1000));
     }
 
     #[test]

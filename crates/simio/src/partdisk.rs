@@ -1,42 +1,32 @@
-//! Physical per-partition disk model for striped sweeps.
+//! Per-partition device bank: the one disk model behind every striped
+//! component.
 //!
 //! The multi-part index of paper §5.2 puts each index partition on its own
-//! spindle set. Up to PR 3 that was modelled *analytically*: one
-//! [`SimDisk`] charged an even-split maximum via
-//! [`SimDisk::seq_read_striped`] (`bytes / bandwidth / parts`), which makes
-//! every partition identical by construction — uneven partitions can never
-//! straggle and a [`FaultPlan`] can never target a single part.
-//!
-//! A [`PartDiskSet`] replaces that with **real devices**: one [`SimDisk`]
-//! per partition, each with its own operation counter, busy-time
-//! accounting and armable [`FaultPlan`]. A striped sweep charges each
-//! part-disk the bytes its partition *actually* covers and completes at
-//! the **max over per-part completion times** — so a skewed bucket split
-//! (or a slow device model on one part) produces a visible straggler, and
-//! a fault armed on one part-disk fires without touching its siblings.
+//! spindle set, and the striped chunk-log drain does the same per store
+//! worker. A [`PartDiskSet`] is that bank of **real devices**: one
+//! [`SimDisk`] per partition, each with its own operation counter,
+//! busy-time accounting and armable [`FaultPlan`]. A striped sweep charges
+//! each part-disk the bytes its partition *actually* covers and completes
+//! at the **max over per-part completion times** — a skewed split shows a
+//! straggler, and a fault armed on one part-disk spares its siblings.
 //!
 //! # Physical-stripe rules
 //!
+//! * The set is **never empty, and part 0 is the volume**: un-striped work
+//!   (random bucket I/O, capacity scaling, log appends) is charged to
+//!   part-disk 0 through [`PartDiskSet::volume_mut`], so a one-part set
+//!   *is* the paper's single volume and no device is charged twice.
 //! * The set resizes to the sweep's (clamped) partition count lazily, at
 //!   charge time: growing adds fresh disks built from the base
-//!   [`DiskModel`]; shrinking truncates from the top, dropping any faults
-//!   still armed on the removed disks. Part indices are stable across
-//!   growth, so a plan armed on part `p` survives as long as sweeps keep
-//!   engaging at least `p + 1` partitions (the documented re-split rule:
-//!   capacity scaling and scale-out only ever *grow* the clamp
-//!   `min(parts, buckets)` for a fixed configuration).
+//!   [`DiskModel`]; shrinking truncates from the top (never below part 0),
+//!   dropping any faults still armed on the removed disks. A plan armed on
+//!   part `p` survives as long as sweeps keep engaging `p + 1` partitions.
 //! * Each sweep ticks every engaged part-disk exactly once (per direction:
-//!   an SIU read-then-write sweep ticks each part twice), mirroring the
-//!   volume-level one-op-per-sweep rule of the virtual model.
-//! * For an **even** split the physical model reproduces the virtual
-//!   even-split maximum bit-for-bit when the partition count is a power of
-//!   two (`(bytes/P)/bw == (bytes/bw)/P` exactly, because dividing an IEEE
-//!   double by a power of two is exact): the retained virtual oracle and
-//!   the physical model agree, which the equivalence property tests pin.
-//!
-//! The per-disk [`DiskStats`] record the per-part byte volumes; callers
-//! that also keep a volume-level [`SimDisk`] (the disk index does) get
-//! both views — the physical queues here, the whole-volume totals there.
+//!   an SIU read-then-write sweep ticks each part twice).
+//! * An **even** split over a power-of-two partition count costs exactly
+//!   `DiskModel::seq_read_cost(total) / P` (`(bytes/P)/bw == (bytes/bw)/P`:
+//!   dividing an IEEE double by a power of two is exact) — the even-split
+//!   law the property test below pins against the closed form.
 
 use crate::clock::Secs;
 use crate::disk::{DiskModel, DiskStats, SimDisk};
@@ -46,15 +36,17 @@ use crate::fault::{FaultPlan, FaultSpec, InjectedFault};
 #[derive(Debug, Clone)]
 pub struct PartDiskSet {
     model: DiskModel,
+    /// Never empty: `disks[0]` is the volume.
     disks: Vec<SimDisk>,
 }
 
 impl PartDiskSet {
-    /// An empty set; disks materialize on first resize/charge.
+    /// A one-part set (the un-striped volume); further part-disks
+    /// materialize on resize, charge or arming.
     pub fn new(model: DiskModel) -> Self {
         PartDiskSet {
             model,
-            disks: Vec::new(),
+            disks: vec![SimDisk::new(model)],
         }
     }
 
@@ -63,40 +55,22 @@ impl PartDiskSet {
         self.model
     }
 
-    /// Part-disks currently materialized.
-    pub fn len(&self) -> usize {
+    /// Part-disks currently materialized (at least 1).
+    pub fn parts(&self) -> usize {
         self.disks.len()
     }
 
-    /// Whether no part-disk has materialized yet.
-    pub fn is_empty(&self) -> bool {
-        self.disks.is_empty()
+    /// Part-disk 0, the device un-striped work is charged to.
+    pub fn volume_mut(&mut self) -> &mut SimDisk {
+        &mut self.disks[0]
     }
 
-    /// Resize to exactly `parts` disks: growth adds fresh disks with the
-    /// base model, shrinking truncates from the top (dropping any armed
+    /// Resize to exactly `parts.max(1)` disks: growth adds fresh disks with
+    /// the base model, shrinking truncates from the top (dropping any armed
     /// faults on the removed disks — see the module docs).
     pub fn resize(&mut self, parts: usize) {
-        if parts < self.disks.len() {
-            self.disks.truncate(parts);
-        } else {
-            while self.disks.len() < parts {
-                self.disks.push(SimDisk::new(self.model));
-            }
-        }
-    }
-
-    /// Grow (never shrink) to at least `parts` disks, so fault plans can
-    /// be armed on a part before its first sweep.
-    pub fn ensure(&mut self, parts: usize) {
-        if parts > self.disks.len() {
-            self.resize(parts);
-        }
-    }
-
-    /// A part-disk view, if materialized.
-    pub fn disk(&self, part: usize) -> Option<&SimDisk> {
-        self.disks.get(part)
+        let model = self.model;
+        self.disks.resize_with(parts.max(1), || SimDisk::new(model));
     }
 
     /// Operation counter of part `part` (0 for a disk not yet materialized:
@@ -106,9 +80,11 @@ impl PartDiskSet {
     }
 
     /// Arm a deterministic fault schedule on one part-disk (materializing
-    /// it if needed).
+    /// it if needed, so a part can be armed before its first sweep).
     pub fn set_fault_plan(&mut self, part: usize, plan: FaultPlan) {
-        self.ensure(part + 1);
+        if part >= self.disks.len() {
+            self.resize(part + 1);
+        }
         self.disks[part].set_fault_plan(plan);
     }
 
@@ -124,8 +100,9 @@ impl PartDiskSet {
         self.disks.iter().any(SimDisk::has_armed_faults)
     }
 
-    /// Collect the first fired-but-uncollected fault across parts, with
-    /// the part index it fired on.
+    /// Collect the first fired-but-uncollected fault across parts (lowest
+    /// part first), with the part index it fired on. Siblings that fired
+    /// in the same window stay pending and surface at the next collection.
     pub fn take_fault(&mut self) -> Option<(u32, InjectedFault)> {
         self.disks
             .iter_mut()
@@ -141,8 +118,9 @@ impl PartDiskSet {
         self.disks.get_mut(part).and_then(SimDisk::take_fault)
     }
 
-    /// The first armed fault that would fire within the next
-    /// `ops_per_part` operations of any part-disk (without consuming it).
+    /// The first armed fault (lowest part first) that would fire within
+    /// the next `ops_per_part` operations of any part-disk, without
+    /// consuming it.
     pub fn peek_fault(&self, ops_per_part: u64) -> Option<(u32, FaultSpec)> {
         self.disks
             .iter()
@@ -208,7 +186,7 @@ mod tests {
         // Uneven split: the 300 MB part is the straggler.
         let t = set.seq_read_split(&[100_000_000, 300_000_000, 100_000_000]);
         assert_eq!(t, 3.0, "wall time must be the slowest part");
-        assert_eq!(set.len(), 3);
+        assert_eq!(set.parts(), 3);
         assert_eq!(
             set.part_stats(1).expect("part 1").seq_read_bytes,
             300_000_000
@@ -219,19 +197,65 @@ mod tests {
     }
 
     #[test]
-    fn even_power_of_two_split_matches_virtual_oracle_exactly() {
-        // The retained virtual model charges seq_read_cost(total)/P; a
-        // power-of-two even split must reproduce it bit-for-bit.
-        let total: u64 = 1 << 27;
-        for parts in [1u64, 2, 4, 8] {
+    fn striped_sweeps_divide_wall_time_and_keep_volume() {
+        // The multi-part index contract: P part-disks sweep concurrently,
+        // wall time is the even-split maximum (exactly 1/P here), and the
+        // statistics still record the full byte volume moved.
+        let mut scalar = PartDiskSet::new(model());
+        let mut striped = PartDiskSet::new(model());
+        let scalar_r = scalar.seq_read_split(&[100_000_000]);
+        let striped_r = striped.seq_read_split(&[25_000_000; 4]);
+        assert_eq!(striped_r, scalar_r / 4.0);
+        let scalar_w = scalar.seq_write_split(&[50_000_000]);
+        let striped_w = striped.seq_write_split(&[10_000_000; 5]);
+        assert_eq!(striped_w, scalar_w / 5.0);
+        assert_eq!(striped.stats().seq_read_bytes, 100_000_000);
+        assert_eq!(striped.stats().seq_write_bytes, 50_000_000);
+        // A one-part split is the scalar sweep on the volume.
+        assert_eq!(
+            scalar.seq_read_split(&[1000]),
+            scalar.volume_mut().seq_read(1000)
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_even_power_of_two_split_costs_the_closed_form(
+            total in 0u64..(1 << 40),
+            pow in 0u32..5,
+        ) {
+            // The even-split law: P part-disks each moving total/P bytes
+            // finish in exactly seq_cost(total) / P for power-of-two P —
+            // bit-for-bit, both directions.
+            let parts = 1u64 << pow;
+            let total = total / parts * parts;
+            let bytes = vec![total / parts; parts as usize];
             let mut set = PartDiskSet::new(model());
-            let share = total / parts;
-            let bytes: Vec<u64> = (0..parts).map(|_| share).collect();
-            let physical = set.seq_read_split(&bytes);
-            let mut oracle = SimDisk::new(model());
-            let virtual_t = oracle.seq_read_striped(total, parts as u32);
-            assert_eq!(physical, virtual_t, "parts={parts}");
+            proptest::prop_assert_eq!(
+                set.seq_read_split(&bytes),
+                model().seq_read_cost(total) / parts as f64
+            );
+            proptest::prop_assert_eq!(
+                set.seq_write_split(&bytes),
+                model().seq_write_cost(total) / parts as f64
+            );
+            proptest::prop_assert_eq!(set.stats().seq_read_bytes, total);
         }
+    }
+
+    #[test]
+    fn part_zero_is_the_volume() {
+        // Never empty; un-striped work lands on part 0 and survives any
+        // resize, so a one-part set is the whole volume.
+        let mut set = PartDiskSet::new(model());
+        assert_eq!(set.parts(), 1);
+        set.volume_mut().rand_read(512);
+        set.seq_read_split(&[10, 10, 10]);
+        set.resize(0);
+        assert_eq!(set.parts(), 1, "part 0 is never dropped");
+        assert_eq!(set.ops(0), 2);
+        assert_eq!(set.stats(), set.part_stats(0).expect("part 0"));
+        assert_eq!(set.stats().rand_reads, 1);
     }
 
     #[test]
@@ -259,10 +283,10 @@ mod tests {
         assert_eq!(part, 1);
         assert_eq!(fault.op, 1);
         assert!(set.take_fault().is_none(), "one-shot, one part");
-        // Ensure() can pre-materialize a part for arming before any sweep.
+        // Arming pre-materializes a part before any sweep engages it.
         let mut fresh = PartDiskSet::new(model());
         fresh.set_fault_plan(2, FaultPlan::bit_flip_at(0));
-        assert_eq!(fresh.len(), 3);
+        assert_eq!(fresh.parts(), 3);
         assert!(fresh.has_armed_faults());
         fresh.clear_fault_plans();
         assert!(!fresh.has_armed_faults());

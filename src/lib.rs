@@ -56,8 +56,9 @@ pub use debar_workload as workload;
 
 pub use debar_core::{
     CapReport, ChunkedFile, ClientId, Dataset, DebarCluster, DebarConfig, DebarError, DebarResult,
-    DebarSystem, Dedup1Report, Dedup2Phase, Dedup2Report, DedupMode, FileContent, FileEntry,
-    GcReport, JobId, LayoutMode, LayoutReport, RestoreReport, RunId, ServerId, StreamChunk,
+    DebarSystem, Dedup1Report, Dedup2Phase, Dedup2Report, DedupMode, Device, FileContent,
+    FileEntry, GcReport, JobId, LayoutMode, LayoutReport, RestoreReport, RunId, ServerId,
+    StreamChunk,
 };
 pub use debar_hash::{ContainerId, Fingerprint};
 pub use debar_simio::{FaultKind, FaultPlan, FaultSpec, InjectedFault, RetryPolicy};

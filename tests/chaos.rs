@@ -32,11 +32,12 @@
 mod common;
 
 use common::{
-    assert_equivalent, replication_matrix, run_scenario, sweep_parts_matrix, Failure, Scenario,
+    arm_in, assert_equivalent, replication_matrix, run_scenario, sweep_parts_matrix, Failure,
+    Scenario,
 };
 use debar::workload::ChunkRecord;
 use debar::{
-    ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, FaultPlan, Health,
+    ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, Device, FaultPlan, Health,
     HealthPolicy, JobId, RetryPolicy, RunId, ScrubReport,
 };
 
@@ -152,9 +153,9 @@ fn retry_exhaustion_is_typed_on_the_read_path() {
     let run = RunId { job, version: 0 };
     let nodes = c.repository().node_count();
     for node in 0..nodes {
-        let at = c.repo_node_ops(node).expect("node in range");
-        c.set_repo_fault_plan(node, FaultPlan::transient_at(at, 5))
-            .expect("node in range");
+        arm_in(&mut c, Device::RepoNode(node), 0, |at| {
+            FaultPlan::transient_at(at, 5)
+        });
     }
     let err = c
         .restore_run(run)
@@ -182,9 +183,9 @@ fn retry_exhaustion_is_typed_on_the_write_path() {
         .expect("backup");
     let nodes = c.repository().node_count();
     for node in 0..nodes {
-        let at = c.repo_node_ops(node).expect("node in range");
-        c.set_repo_fault_plan(node, FaultPlan::transient_at(at, 9))
-            .expect("node in range");
+        arm_in(&mut c, Device::RepoNode(node), 0, |at| {
+            FaultPlan::transient_at(at, 9)
+        });
     }
     let err = c
         .run_dedup2()
@@ -227,9 +228,7 @@ fn read_failures_walk_health_to_quarantine_and_writes_refuse_typed() {
         );
     }
 
-    let at = c.repo_node_ops(0).expect("node in range");
-    c.set_repo_fault_plan(0, FaultPlan::fail_at(at))
-        .expect("node in range");
+    arm_in(&mut c, Device::RepoNode(0), 0, FaultPlan::fail_at);
     let v1 = c.verify_run(run).expect("verify is non-strict");
     assert!(v1.failures > 0, "the faulted read must fail verification");
     assert_eq!(
@@ -241,9 +240,7 @@ fn read_failures_walk_health_to_quarantine_and_writes_refuse_typed() {
         Health::Suspect,
         "first error must cross suspect_after=1"
     );
-    let at = c.repo_node_ops(0).expect("node in range");
-    c.set_repo_fault_plan(0, FaultPlan::fail_at(at))
-        .expect("node in range");
+    arm_in(&mut c, Device::RepoNode(0), 0, FaultPlan::fail_at);
     let v2 = c.verify_run(run).expect("verify");
     assert!(v2.failures > 0);
     assert_eq!(

@@ -21,7 +21,7 @@ use debar::hash::Sha1;
 use debar::workload::files::{FileSpec, FileTreeConfig, FileTreeGen, MutationConfig};
 use debar::{
     ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, Dedup2Phase, DedupMode,
-    FaultPlan, HealthPolicy, JobId, LayoutMode, RetryPolicy, RunId,
+    Device, FaultPlan, HealthPolicy, JobId, LayoutMode, RetryPolicy, RunId,
 };
 
 /// The failure kind a scenario injects (beyond plain index loss).
@@ -47,23 +47,24 @@ pub enum Failure {
     PartialSiu,
     /// Fail exactly **one part-disk** of server 0's striped PSIL sweep in
     /// the final round: `run_dedup2` must surface
-    /// `InterruptedDedup2(Sil)` whose cause is `PartDiskFault` naming
-    /// that part, and a re-run must converge byte-identically. The part
+    /// `InterruptedDedup2(Sil)` whose cause is a `DeviceFault` naming
+    /// that `IndexPart`, and a re-run must converge byte-identically. The part
     /// index must be `< sweep_parts`.
     PartDiskFault {
         /// The part-disk to fault (partition index within the stripe).
         part: usize,
     },
     /// Fail a chunk-log append during the first backup run: the backup
-    /// must surface `DebarError::DiskFault` (dedup-1 is fault-checked), a
+    /// must surface `DebarError::DeviceFault` naming the assigned server's
+    /// log volume (dedup-1 is fault-checked), a
     /// retried backup must succeed, and the scenario must converge
     /// byte-identically — the aborted run's stray log records carry no
     /// storage verdict and are discarded.
     ChunkLogFault,
     /// Fail exactly **one worker disk** of server 0's striped chunk-log
     /// drain in the final round's pipelined chunk-storing phase:
-    /// `run_dedup2` must surface `InterruptedDedup2(ChunkStoring)`, the
-    /// log must stay byte-for-byte intact for the replay, and a re-run
+    /// `run_dedup2` must surface `InterruptedDedup2(ChunkStoring)` whose
+    /// cause is a `DeviceFault` naming that `LogWorker`, the log must stay byte-for-byte intact for the replay, and a re-run
     /// must converge byte-identically. The worker index must be
     /// `< store_workers`.
     ChunkLogDrainFault {
@@ -81,23 +82,24 @@ pub enum Failure {
         /// The repository node to take down.
         node: usize,
     },
-    /// Fail every server's index volume disk at the GC sweep (armed on
-    /// the op right after compaction): `run_gc` must abort **before any
-    /// index byte moves** with a typed disk fault, and the redo must
+    /// Fail every server's index volume (part-disk 0) at the GC sweep
+    /// (armed on the op right after compaction): `run_gc` must abort
+    /// **before any index byte moves** with a `DeviceFault` naming an
+    /// index volume, and the redo must
     /// converge byte-identically with an uninterrupted collection.
     /// Requires `retention > 0` and an expiring scenario (so the sweep
     /// has dead entries to engage).
     GcFault,
     /// Fail every repository node's next disk op at GC compaction: the
-    /// first victim read/store aborts typed (`RepoNodeFault` /
-    /// `Unrecoverable`), no live chunk is lost, and the redo converges
+    /// first victim read/store aborts typed (`DeviceFault` on a
+    /// `RepoNode` / `Unrecoverable`), no live chunk is lost, and the redo converges
     /// byte-identically. Requires `retention > 0` and an expiring
     /// scenario.
     CompactionFault,
     /// Fail exactly **one repository node's** disk at the final round's
     /// chunk storing: `run_dedup2` must surface
-    /// `InterruptedDedup2(ChunkStoring)` whose cause is `RepoNodeFault`
-    /// naming that node, and a re-run must converge byte-identically.
+    /// `InterruptedDedup2(ChunkStoring)` whose cause is a `DeviceFault`
+    /// naming that `RepoNode`, and a re-run must converge byte-identically.
     /// When round-robin placement would not route any of the final
     /// round's writes to the requested node (possible at low replication
     /// with few new containers), the harness redirects the fault onto the
@@ -517,6 +519,22 @@ fn chaos_step(state: &mut u64) -> u64 {
     *state >> 33
 }
 
+/// Arm `device` with `plan(op index k ops from now)`.
+pub fn arm_in(
+    cluster: &mut DebarCluster,
+    device: Device,
+    k: u64,
+    plan: impl FnOnce(u64) -> FaultPlan,
+) {
+    let at = cluster.device_ops(device).expect("device in range") + k;
+    cluster.arm(device, plan(at)).expect("device in range");
+}
+
+/// Arm `device` to fail outright `k` ops from now.
+fn fail_in(cluster: &mut DebarCluster, device: Device, k: u64) {
+    arm_in(cluster, device, k, FaultPlan::fail_at);
+}
+
 /// Arm one seeded round of transient chaos: every repository node gets a
 /// `Transient` fault at a near-future op with a failure budget strictly
 /// inside the retry policy's `max_attempts`, so a retrying caller must
@@ -533,11 +551,10 @@ fn arm_transient_chaos(cluster: &mut DebarCluster, sc: &Scenario, seed: u64, rou
             ^ (node as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
         let budget = (sc.retry.max_attempts - 1).max(1) as u64;
         let fails_for = 1 + (chaos_step(&mut rng) % budget) as u32;
-        let ops = cluster.repo_node_ops(node).expect("node in range");
-        let at = ops + chaos_step(&mut rng) % 3;
-        cluster
-            .set_repo_fault_plan(node, FaultPlan::transient_at(at, fails_for))
-            .expect("node in range");
+        let k = chaos_step(&mut rng) % 3;
+        arm_in(cluster, Device::RepoNode(node), k, |at| {
+            FaultPlan::transient_at(at, fails_for)
+        });
     }
 }
 
@@ -602,18 +619,23 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             if sc.failure == Failure::ChunkLogFault && version == 0 && ci == 0 {
                 // Fail an early chunk-log append of the first run. The
                 // director's server assignment is deterministic but not
-                // known here, so arm every server's log disk; only the
+                // known here, so arm every server's log volume; only the
                 // assigned one can fire.
-                for s in 0..cluster.server_count() as u16 {
-                    let ops = cluster.log_disk_ops(s);
-                    cluster.set_log_fault_plan(s, FaultPlan::fail_at(ops + 2));
+                for server in 0..cluster.server_count() as u16 {
+                    fail_in(&mut cluster, Device::LogWorker { server, worker: 0 }, 2);
                 }
                 let err = cluster
                     .backup(job, &ds)
                     .expect_err("injected log fault must abort dedup-1");
                 assert!(
-                    matches!(err, DebarError::DiskFault { .. }),
-                    "{}: expected DiskFault from the chunk log, got {err}",
+                    matches!(
+                        err,
+                        DebarError::DeviceFault {
+                            device: Device::LogWorker { worker: 0, .. },
+                            ..
+                        }
+                    ),
+                    "{}: expected a fault on a chunk-log volume, got {err}",
                     sc.name
                 );
                 cluster.clear_fault_plans();
@@ -640,8 +662,11 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                     sc.sweep_parts
                 );
                 // Fail exactly one part-disk of server 0's striped PSIL.
-                let ops = cluster.index_part_disk_ops(0, part);
-                cluster.set_index_part_fault_plan(0, part, FaultPlan::fail_at(ops));
+                let armed = Device::IndexPart {
+                    server: 0,
+                    part: part as u32,
+                };
+                fail_in(&mut cluster, armed, 0);
                 let err = cluster
                     .run_dedup2()
                     .expect_err("injected part-disk fault must interrupt PSIL");
@@ -658,8 +683,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                     );
                 };
                 assert!(
-                    matches!(**cause, DebarError::PartDiskFault { part: p, .. }
-                        if p as usize == part),
+                    matches!(**cause, DebarError::DeviceFault { device, .. } if device == armed),
                     "{}: cause must name part-disk {part}, got {cause}",
                     sc.name
                 );
@@ -679,8 +703,11 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                 // Fail exactly one worker disk of server 0's striped
                 // chunk-log drain, mid-pipeline.
                 let log_before = cluster.server(0).log_bytes();
-                let ops = cluster.log_worker_disk_ops(0, worker);
-                cluster.set_log_worker_fault_plan(0, worker, FaultPlan::fail_at(ops));
+                let armed = Device::LogWorker {
+                    server: 0,
+                    worker: worker as u32,
+                };
+                fail_in(&mut cluster, armed, 0);
                 let err = cluster
                     .run_dedup2()
                     .expect_err("injected drain-worker fault must interrupt the round");
@@ -696,8 +723,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                     );
                 };
                 assert!(
-                    matches!(**cause, DebarError::LogWorkerFault { worker: w, .. }
-                        if w as usize == worker),
+                    matches!(**cause, DebarError::DeviceFault { device, .. } if device == armed),
                     "{}: cause must name worker disk {worker}, got {cause}",
                     sc.name
                 );
@@ -740,10 +766,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                 } else {
                     first
                 };
-                let ops = cluster.repo_node_ops(node).expect("node in range");
-                cluster
-                    .set_repo_fault_plan(node, FaultPlan::fail_at(ops))
-                    .expect("node in range");
+                fail_in(&mut cluster, Device::RepoNode(node), 0);
                 let err = cluster
                     .run_dedup2()
                     .expect_err("injected node fault must interrupt the round");
@@ -759,7 +782,8 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                     );
                 };
                 assert!(
-                    matches!(**cause, DebarError::RepoNodeFault { node: n, .. } if n == node),
+                    matches!(**cause, DebarError::DeviceFault { device, .. }
+                        if device == Device::RepoNode(node)),
                     "{}: cause must name repository node {node}, got {cause}",
                     sc.name
                 );
@@ -772,10 +796,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             // Crash the final round's chunk storing: whichever repository
             // node takes the round's first container write fails it.
             for n in 0..cluster.repository().node_count() {
-                let ops = cluster.repo_node_ops(n).expect("node in range");
-                cluster
-                    .set_repo_fault_plan(n, FaultPlan::fail_at(ops))
-                    .expect("node in range");
+                fail_in(&mut cluster, Device::RepoNode(n), 0);
             }
             let err = cluster
                 .run_dedup2()
@@ -824,20 +845,25 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         // Tear server 0's final SIU write sweep (the asynchronous-SIU
         // schedule must leave it pending work: versions and siu_interval
         // are chosen so the last round deferred its PSIU).
-        let ops = cluster.index_disk_ops(0);
-        cluster.set_index_fault_plan(0, FaultPlan::torn_write_at(ops + 1));
+        let volume = Device::IndexPart { server: 0, part: 0 };
+        arm_in(&mut cluster, volume, 1, FaultPlan::torn_write_at);
         let err = cluster
             .force_siu()
             .expect_err("injected torn write must interrupt the SIU");
         let DebarError::PartialSiu {
-            server: 0,
+            device,
             applied,
             total,
             ..
         } = err
         else {
-            panic!("{}: expected PartialSiu on server 0, got {err}", sc.name);
+            panic!("{}: expected PartialSiu, got {err}", sc.name);
         };
+        assert_eq!(
+            device, volume,
+            "{}: PartialSiu names the torn disk",
+            sc.name
+        );
         assert!(
             total >= 2,
             "{}: scenario must leave server 0 pending SIU work",
@@ -873,12 +899,11 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         let mut gc_was_faulted = false;
         match sc.failure {
             Failure::GcFault => {
-                // Arm every server's index volume disk on its *next* op:
+                // Arm every server's index volume on its *next* op:
                 // compaction touches no index disk, so the first armed op
                 // is the GC sweep's striped read charge.
-                for s in 0..cluster.server_count() as u16 {
-                    let ops = cluster.index_disk_ops(s);
-                    cluster.set_index_fault_plan(s, FaultPlan::fail_at(ops));
+                for server in 0..cluster.server_count() as u16 {
+                    fail_in(&mut cluster, Device::IndexPart { server, part: 0 }, 0);
                 }
                 let err = cluster
                     .run_gc()
@@ -886,9 +911,12 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                 assert!(
                     matches!(
                         err,
-                        DebarError::DiskFault { .. } | DebarError::PartDiskFault { .. }
+                        DebarError::DeviceFault {
+                            device: Device::IndexPart { part: 0, .. },
+                            ..
+                        }
                     ),
-                    "{}: expected a typed index fault from the GC sweep, got {err}",
+                    "{}: expected an index-volume fault from the GC sweep, got {err}",
                     sc.name
                 );
                 cluster.clear_fault_plans();
@@ -898,10 +926,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                 // Arm every repository node: whichever node takes GC's
                 // first victim read (or compaction store) faults it.
                 for n in 0..cluster.repository().node_count() {
-                    let ops = cluster.repo_node_ops(n).expect("node in range");
-                    cluster
-                        .set_repo_fault_plan(n, FaultPlan::fail_at(ops))
-                        .expect("node in range");
+                    fail_in(&mut cluster, Device::RepoNode(n), 0);
                 }
                 let err = cluster
                     .run_gc()
@@ -909,7 +934,10 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                 assert!(
                     matches!(
                         err,
-                        DebarError::RepoNodeFault { .. } | DebarError::Unrecoverable { .. }
+                        DebarError::DeviceFault {
+                            device: Device::RepoNode(_),
+                            ..
+                        } | DebarError::Unrecoverable { .. }
                     ),
                     "{}: expected a typed repository fault from compaction, got {err}",
                     sc.name

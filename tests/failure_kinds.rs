@@ -139,9 +139,10 @@ fn single_part_disk_fault_converges_multi_server() {
 #[test]
 fn chunk_log_fault_aborts_backup_and_retry_converges() {
     // Dedup-1's chunk log is fault-checked: the injected append fault
-    // surfaces as DebarError::DiskFault (asserted inside the harness),
-    // the retried backup succeeds, and the aborted run's stray log
-    // records are discarded — outcomes byte-identical to a clean run.
+    // surfaces as DebarError::DeviceFault on a log volume (asserted inside
+    // the harness), the retried backup succeeds, and the aborted run's
+    // stray log records are discarded — outcomes byte-identical to a
+    // clean run.
     for (parts, faulted) in matrix("log-fault", 0, Failure::ChunkLogFault) {
         let clean = run_scenario(&Scenario::tiny("log-fault", 0, parts));
         assert_equivalent(
@@ -298,7 +299,7 @@ fn repo_node_down_without_replicas_is_typed_unrecoverable() {
 #[test]
 fn repo_node_fault_names_node_and_converges() {
     // A fault on one repository node's disk mid-chunk-storing surfaces as
-    // `InterruptedDedup2(ChunkStoring)` caused by `RepoNodeFault` naming
+    // `InterruptedDedup2(ChunkStoring)` caused by a `DeviceFault` naming
     // that node (asserted inside the harness), and the redo converges
     // byte-identically — at every replication factor in the matrix.
     let node = fault_node_for(TINY_REPO_NODES);

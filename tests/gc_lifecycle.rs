@@ -30,7 +30,9 @@ use common::{
 };
 use debar::hash::Sha1;
 use debar::workload::ChunkRecord;
-use debar::{ClientId, Dataset, DebarCluster, DebarConfig, DebarError, JobId, LayoutMode, RunId};
+use debar::{
+    ClientId, Dataset, DebarCluster, DebarConfig, DebarError, Device, JobId, LayoutMode, RunId,
+};
 
 #[test]
 fn expire_then_restore_byte_identical_across_sweep_parts() {
@@ -167,9 +169,12 @@ fn node_loss_mid_collection_aborts_typed_and_repair_redo_converges() {
     assert!(
         matches!(
             err,
-            DebarError::NodeDown { .. }
-                | DebarError::RepoNodeFault { .. }
-                | DebarError::Unrecoverable { .. }
+            DebarError::NodeDown { node: 0 }
+                | DebarError::DeviceFault {
+                    device: Device::RepoNode(0),
+                    ..
+                }
+                | DebarError::Unrecoverable { node: 0, .. }
         ),
         "expected a typed node error from the degraded collection, got {err}"
     );
