@@ -45,14 +45,14 @@ use crate::error::{DebarError, DebarResult, Dedup2Phase};
 use crate::ids::{ClientId, Device, JobId, RunId, ServerId};
 use crate::job::{JobSpec, Schedule};
 use crate::metadata::{FileIndexEntry, RunRecord};
-use crate::report::{Dedup1Report, Dedup2Report, RestoreReport, StoreReport};
+use crate::report::{Dedup1Report, Dedup2Report, StoreReport};
 use crate::server::{BackupServer, Decision, SilPartOutput};
 use debar_filter::{CuckooFilter, FilterVerdict, PrelimFilter};
-use debar_hash::{ContainerId, Fingerprint, Sha1};
+use debar_hash::{ContainerId, Fingerprint};
 use debar_index::SiuReport;
 use debar_simio::models::paper;
 use debar_simio::{FaultPlan, Secs, Timed};
-use debar_store::{ChunkRepository, CorruptKind, Damage, Payload};
+use debar_store::{ChunkRepository, Damage};
 use std::collections::{BTreeSet, HashMap};
 
 #[path = "gc.rs"]
@@ -63,6 +63,9 @@ pub use gc::GcReport;
 mod layout;
 pub(crate) use layout::LayoutTracker;
 pub use layout::{CapReport, LayoutReport};
+
+#[path = "restore.rs"]
+mod restore;
 
 /// A DEBAR deployment: director + backup servers + chunk repository.
 pub struct DebarCluster {
@@ -234,8 +237,8 @@ impl DebarCluster {
 
     /// Take one repository node offline: every read prefers a surviving
     /// replica (counted in `RepoStats::failover_reads` and
-    /// [`RestoreReport::failover_reads`]) and stores targeting the node
-    /// surface [`DebarError::NodeDown`]. The node's data is retained —
+    /// [`crate::RestoreReport::failover_reads`]) and stores targeting the
+    /// node surface [`DebarError::NodeDown`]. The node's data is retained —
     /// [`DebarCluster::revive_repo_node`] restores access to it.
     pub fn set_repo_node_down(&mut self, node: usize) -> DebarResult<()> {
         Ok(self.repo.set_node_down(node)?)
@@ -527,7 +530,8 @@ impl DebarCluster {
                 // 3. The budgeted random index probe (authoritative).
                 probes += 1;
                 report.inline_index_reads += 1;
-                match self.lookup_with_owner(sid, owner, &fp) {
+                let found = lookup_with_owner(&mut self.servers, sid, owner, &fp);
+                match self.servers[sid].clock.charge(found) {
                     Some(cid) => {
                         report.inline_hits += 1;
                         filter.mark_determined(&fp);
@@ -536,7 +540,7 @@ impl DebarCluster {
                         // cache, keeping the two in lockstep exactly like
                         // the restore path): nearby chunks of the same
                         // old stream now dedup without further probes.
-                        let t = self.repo.read_anywhere(cid);
+                        let t = self.repo.read_anywhere(cid).timed();
                         let container = match self.servers[sid].clock.charge(t) {
                             Ok(Some(c)) => c,
                             Ok(None) => continue, // reclaimed under us: verdict stands
@@ -551,9 +555,10 @@ impl DebarCluster {
                         for e in evicted {
                             self.servers[sid].container_cache.remove(&e);
                         }
+                        let now = self.servers[sid].clock.now();
                         self.servers[sid]
                             .container_cache
-                            .insert(cid, crate::server::CachedContainer::new(container));
+                            .insert(cid, crate::server::CachedContainer::new(container, now));
                     }
                     None => {
                         // Determined new at backup time: transfer and log
@@ -950,208 +955,6 @@ impl DebarCluster {
         self.servers[owner].index().lookup_uncharged(fp)
     }
 
-    /// Restore one run: file indices from the director, fingerprints
-    /// resolved via LPC / owner index parts, chunks read from repository
-    /// containers, payloads verified (SHA-1 for real bytes) and streamed to
-    /// the client.
-    ///
-    /// Strict: an unknown run, an unresolvable chunk, a missing container
-    /// or a detected corruption aborts with the matching typed
-    /// [`DebarError`] (use [`DebarCluster::verify_run`] for the auditing
-    /// walk that counts problems instead).
-    pub fn restore_run(&mut self, run: RunId) -> DebarResult<RestoreReport> {
-        self.restore_impl(run, None, true)
-    }
-
-    /// Verify one run (the director's third job kind, §3.1): walk the file
-    /// indices and check that every chunk is resolvable, readable and
-    /// hashes back to its fingerprint — without streaming anything to a
-    /// client. Integrity problems (missing chunks, corrupt containers,
-    /// injected read faults) are *counted* in
-    /// [`RestoreReport::failures`], not returned as errors: a verify job
-    /// is an audit and must survey the whole run.
-    pub fn verify_run(&mut self, run: RunId) -> DebarResult<RestoreReport> {
-        self.restore_impl(run, None, false)
-    }
-
-    /// Restore a single file of a run by its dataset path. Typed errors:
-    /// [`DebarError::UnknownRun`], [`DebarError::UnknownPath`], plus the
-    /// strict-restore errors of [`DebarCluster::restore_run`].
-    pub fn restore_file(&mut self, run: RunId, path: &str) -> DebarResult<RestoreReport> {
-        self.restore_impl(run, Some(path), true)
-    }
-
-    fn restore_impl(
-        &mut self,
-        run: RunId,
-        only_path: Option<&str>,
-        to_client: bool,
-    ) -> DebarResult<RestoreReport> {
-        let record = self
-            .director
-            .metadata
-            .run(run)
-            .ok_or(DebarError::UnknownRun { run })?
-            .clone();
-        let sid = record.server as usize;
-        let w = self.cfg.w_bits;
-        let start = self.servers[sid].clock.now();
-        let lpc_before = self.servers[sid].lpc.stats();
-        let failover_before = self.repo.stats().failover_reads;
-        let corrupt_before = self.repo.stats().corrupt_reads;
-        let retried_before = self.repo.stats().retried_ops;
-        let mut report = RestoreReport {
-            run,
-            files: 0,
-            bytes: 0,
-            chunks: 0,
-            lpc: debar_store::LpcStats::default(),
-            layout: LayoutReport::default(),
-            failures: 0,
-            failover_reads: 0,
-            corrupt_reads: 0,
-            retried_ops: 0,
-            elapsed: 0.0,
-        };
-        let mut tracker = LayoutTracker::default();
-        for file in &record.files {
-            if let Some(p) = only_path {
-                if file.path != p {
-                    continue;
-                }
-            }
-            report.files += 1;
-            for fp in &file.fingerprints {
-                report.chunks += 1;
-                let cid = match self.servers[sid].lpc.lookup(fp) {
-                    Some(cid) => cid,
-                    None => {
-                        let owner = fp.server_number(w) as usize;
-                        let found = self.lookup_with_owner(sid, owner, fp);
-                        let Some(cid) = found else {
-                            if to_client {
-                                return Err(DebarError::MissingChunk {
-                                    fp: *fp,
-                                    container: None,
-                                });
-                            }
-                            report.failures += 1;
-                            continue;
-                        };
-                        let t = self.repo.read_anywhere(cid);
-                        let container = self.servers[sid].clock.charge(t);
-                        let container = match container {
-                            Ok(Some(c)) => c,
-                            Ok(None) => {
-                                if to_client {
-                                    return Err(DebarError::MissingContainer { container: cid });
-                                }
-                                report.failures += 1;
-                                continue;
-                            }
-                            Err(e) => {
-                                if to_client {
-                                    return Err(e.into());
-                                }
-                                report.failures += 1;
-                                continue;
-                            }
-                        };
-                        let evicted = self.servers[sid]
-                            .lpc
-                            .insert_container(cid, container.fingerprints().collect());
-                        for e in evicted {
-                            self.servers[sid].container_cache.remove(&e);
-                        }
-                        self.servers[sid]
-                            .container_cache
-                            .insert(cid, crate::server::CachedContainer::new(container));
-                        cid
-                    }
-                };
-                tracker.observe(cid);
-                let chunk = self.servers[sid]
-                    .container_cache
-                    .get(&cid)
-                    .and_then(|c| c.chunk(fp));
-                match chunk {
-                    Some((len, payload)) => {
-                        if !verify_payload(fp, &payload) {
-                            if to_client {
-                                return Err(DebarError::CorruptContainer {
-                                    container: cid,
-                                    reason: CorruptKind::PayloadMismatch,
-                                });
-                            }
-                            report.failures += 1;
-                            continue;
-                        }
-                        report.bytes += len as u64;
-                        if to_client {
-                            self.servers[sid].charge_net(len as u64);
-                        }
-                    }
-                    None => {
-                        if to_client {
-                            return Err(DebarError::MissingChunk {
-                                fp: *fp,
-                                container: Some(cid),
-                            });
-                        }
-                        report.failures += 1;
-                    }
-                }
-            }
-        }
-        if let Some(p) = only_path {
-            if report.files == 0 {
-                return Err(DebarError::UnknownPath {
-                    run,
-                    path: p.to_string(),
-                });
-            }
-        }
-        report.elapsed = self.servers[sid].clock.since(start);
-        // Surface the locality-preserving cache's own view of this walk
-        // (delta of its cumulative counters, including evictions).
-        let lpc_after = self.servers[sid].lpc.stats();
-        report.lpc = debar_store::LpcStats {
-            hits: lpc_after.hits - lpc_before.hits,
-            misses: lpc_after.misses - lpc_before.misses,
-            evictions: lpc_after.evictions - lpc_before.evictions,
-        };
-        report.failover_reads = self.repo.stats().failover_reads - failover_before;
-        report.corrupt_reads = self.repo.stats().corrupt_reads - corrupt_before;
-        report.retried_ops = self.repo.stats().retried_ops - retried_before;
-        report.layout = tracker.finish(report.chunks, report.bytes);
-        Ok(report)
-    }
-
-    /// Random index lookup on `owner`'s part, charged to both the owner's
-    /// disk and the requesting server's (blocking) clock.
-    fn lookup_with_owner(
-        &mut self,
-        sid: usize,
-        owner: usize,
-        fp: &Fingerprint,
-    ) -> Option<ContainerId> {
-        if sid == owner {
-            let t = self.servers[sid].index_mut().lookup_random(fp);
-            return self.servers[sid].clock.charge(t);
-        }
-        // Request/response hop.
-        self.servers[sid].charge_net(64);
-        let t = {
-            let srv = &mut self.servers[owner];
-            let t = srv.index_mut().lookup_random(fp);
-            srv.clock.advance(t.cost);
-            srv.charge_net(64);
-            t
-        };
-        self.servers[sid].clock.advance(t.cost);
-        t.value
-    }
-
     /// Capacity scaling at cluster level (§4.1): double every server's
     /// index part in place. Returns the wall-clock cost of the slowest
     /// server's rebuild.
@@ -1241,7 +1044,7 @@ impl DebarCluster {
         let mut entries: Vec<(Fingerprint, ContainerId)> = Vec::new();
         let mut scan_cost = 0.0;
         for cid in self.repo.container_ids() {
-            let t = self.repo.read_anywhere(cid);
+            let t = self.repo.read_anywhere(cid).timed();
             scan_cost += t.cost;
             let container = match t.value {
                 Ok(Some(c)) => c,
@@ -1304,19 +1107,34 @@ fn first_fault<T>(results: &[DebarResult<T>]) -> Option<(ServerId, DebarError)> 
         .find_map(|(i, r)| r.as_ref().err().map(|e| (i as ServerId, e.clone())))
 }
 
-/// Verify a restored payload against its fingerprint: real bytes must hash
-/// back to the fingerprint; synthetic zero payloads are length-checked
-/// (their fingerprints are counter-derived, §6.2).
-fn verify_payload(fp: &Fingerprint, payload: &Payload) -> bool {
-    match payload {
-        Payload::Real(bytes) => &Fingerprint(Sha1::digest(bytes)) == fp,
-        Payload::Zero(len) => *len > 0,
+/// Random index lookup on `owner`'s part, as the requesting server `sid`
+/// waits for it: the returned cost is the owner's index-disk read plus,
+/// when the owner is remote, the request and the reply — one 64-byte
+/// message each way. The devices tick here (the owner's index disk; for
+/// a remote owner also both NICs and the owner's clock, busy serving);
+/// the caller charges the returned cost to its own timeline.
+fn lookup_with_owner(
+    servers: &mut [BackupServer],
+    sid: usize,
+    owner: usize,
+    fp: &Fingerprint,
+) -> Timed<Option<ContainerId>> {
+    if sid == owner {
+        return servers[sid].index_mut().lookup_random(fp);
     }
+    let request = servers[sid].nic.message(64);
+    let srv = &mut servers[owner];
+    let found = srv.index_mut().lookup_random(fp);
+    let reply = srv.nic.message(64);
+    srv.clock.advance(found.cost + reply);
+    found.plus(request + reply)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::RestoreReport;
+    use debar_hash::Sha1;
     use debar_workload::ChunkRecord;
 
     fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {

@@ -220,7 +220,7 @@ impl DebarCluster {
                 continue;
             }
             report.containers_examined += 1;
-            let t = self.repo.read_anywhere(cid);
+            let t = self.repo.read_anywhere(cid).timed();
             report.wall += t.cost;
             let container = match t.value {
                 Ok(Some(c)) => c,

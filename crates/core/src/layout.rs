@@ -240,7 +240,7 @@ impl DebarCluster {
             victim_ids.sort_unstable();
             let mut payloads: HashMap<Fingerprint, (u32, Payload)> = HashMap::new();
             for cid in &victim_ids {
-                let t = self.repo.read_anywhere(*cid);
+                let t = self.repo.read_anywhere(*cid).timed();
                 let container = match self.servers[sid].clock.charge(t) {
                     Ok(Some(c)) => c,
                     Ok(None) => {

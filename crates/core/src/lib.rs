@@ -16,7 +16,9 @@
 //!   (TPDS) orchestrated across `2^w` backup servers with parallel
 //!   sequential index lookups/updates (PSIL/PSIU, §5.2/§5.4) — parallel in
 //!   virtual time: each server advances its own clock, no OS threads —
-//!   plus the restore path with LPC.
+//!   plus the restore path: one pipelined walk in which index lookups,
+//!   repository-node reads and the client stream overlap on per-device
+//!   timelines, with the LPC as its read-ahead buffer.
 //!
 //! [`system::DebarSystem`] is the single-facade entry point used by the
 //! examples: define jobs, back up datasets, run dedup-2, restore and
@@ -204,11 +206,36 @@
 //!
 //! ## Restore & container layout
 //!
+//! **The data path** (`crates/core/src/restore.rs`).
+//! [`DebarCluster::restore_run`], [`DebarCluster::restore_file`] and
+//! [`DebarCluster::verify_run`] are one walk over the run's recipe: LPC
+//! lookup; on a miss a random lookup on the owning index part (a
+//! request/response message pair when the owner is another server), then
+//! the container read with replica failover; payload verification; the
+//! client stream. The walk touches the devices in that order, but each
+//! device keeps its own timeline (`debar_simio::Lane`): the resolver
+//! walks on as soon as a fetched container's *metadata section* has
+//! streamed in — the paper's container format puts it ahead of the data
+//! (§3.4) — so the next miss's lookup and read are issued while earlier
+//! reads are still in flight on other repository nodes, and the NIC
+//! streams chunks in recipe order once their container's read has
+//! completed and verified. Nothing is delivered on unverified metadata,
+//! and a fetch waits for the LPC entry it evicts to have been sent —
+//! [`DebarConfig::lpc_containers`] is both the cache and the read-ahead
+//! buffer — and for the client to have been sent what was queued
+//! `repo_nodes - 1` fetches ago: the walk keeps one container per
+//! repository node ahead of the client stream, enough to keep every node
+//! disk reading. [`RestoreReport`] carries each lane's busy time
+//! (`resolve_s`, `node_read_s`, `node_read_total_s`, `send_s`) beside
+//! `elapsed`; their sum, [`RestoreReport::serial_s`], is what one clock
+//! would charge for the same walk. GC compaction, the cap-rewrite pass,
+//! the recovery rebuild and the scrub still read serially.
+//!
 //! Out-of-line dedup scatters each new generation's chunks across
 //! ever-older containers, so restore of the *latest* backup — the one
-//! users actually read — degrades with generation count. The layout
-//! subsystem (`crates/core/src/layout.rs`) makes that trade observable
-//! and boundable:
+//! users actually read — costs more node reads with every generation.
+//! The layout subsystem (`crates/core/src/layout.rs`) makes that trade
+//! observable and boundable:
 //!
 //! * **Fragmentation telemetry.** Every restore surfaces a
 //!   [`cluster::LayoutReport`] in [`RestoreReport::layout`]: distinct

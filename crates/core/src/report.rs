@@ -217,7 +217,21 @@ pub struct RestoreReport {
     /// `debar_store::RepoStats::retried_ops` across the walk). Zero under
     /// the fail-fast default policy.
     pub retried_ops: u64,
-    /// Virtual seconds consumed.
+    /// Seconds the resolver spent on index lookups (random reads on the
+    /// owning parts' index disks plus, for a remote owner, the
+    /// request/response hop) — the busy time of the walk's resolve lane.
+    pub resolve_s: Secs,
+    /// Busy seconds of the **busiest** repository node's disk during the
+    /// walk: container reads, failed and retried attempts with their
+    /// back-off, read-repair writes. The restore cannot finish sooner.
+    pub node_read_s: Secs,
+    /// Busy seconds summed over every repository node's disk.
+    pub node_read_total_s: Secs,
+    /// Seconds the restoring server's NIC spent streaming chunks to the
+    /// client (0 for a verify walk).
+    pub send_s: Secs,
+    /// Virtual seconds consumed: the makespan of the pipelined walk,
+    /// between the busiest single lane above and [`Self::serial_s`].
     pub elapsed: Secs,
 }
 
@@ -225,6 +239,13 @@ impl RestoreReport {
     /// Restore throughput in MiB/s.
     pub fn throughput_mibps(&self) -> f64 {
         mibps(self.bytes, self.elapsed)
+    }
+
+    /// What the same walk costs with nothing overlapped — every lookup,
+    /// node read and client send charged to one clock, one after another.
+    /// `serial_s() - elapsed` is what the pipeline hid.
+    pub fn serial_s(&self) -> Secs {
+        self.resolve_s + self.node_read_total_s + self.send_s
     }
 
     /// LPC hit ratio during the restore.

@@ -134,7 +134,9 @@ pub struct BackupServer {
     /// The server's virtual clock.
     pub clock: VirtualClock,
     cfg: DebarConfig,
-    nic: SimLink,
+    /// The server's NIC (crate-visible: the restore pipeline ticks it
+    /// while scheduling the transfer on its own lane).
+    pub(crate) nic: SimLink,
     cpu: SimCpu,
     /// The on-disk chunk log (crate-visible for fault arming).
     pub(crate) chunk_log: ChunkLog,
@@ -164,16 +166,30 @@ pub struct BackupServer {
     pub(crate) container_cache: HashMap<ContainerId, CachedContainer>,
 }
 
-/// A container resident in the restore cache, with an O(1) chunk map.
+/// A container resident in the restore cache, with an O(1) chunk map and
+/// its place on the restore pipeline's timeline.
 pub(crate) struct CachedContainer {
     pub(crate) container: Container,
     by_fp: HashMap<Fingerprint, usize>,
+    /// Server-clock time the container's read completed and verified: no
+    /// chunk of it is delivered earlier.
+    pub(crate) ready_at: Secs,
+    /// Server-clock time the last chunk served from it left the NIC (its
+    /// `ready_at` until one has): the fetch that evicts this container
+    /// may not start before.
+    pub(crate) last_sent: Secs,
 }
 
 impl CachedContainer {
-    pub(crate) fn new(container: Container) -> Self {
+    /// Cache a container whose read completed at `ready_at`.
+    pub(crate) fn new(container: Container, ready_at: Secs) -> Self {
         let by_fp = container.build_lookup();
-        CachedContainer { container, by_fp }
+        CachedContainer {
+            container,
+            by_fp,
+            ready_at,
+            last_sent: ready_at,
+        }
     }
 
     /// Chunk length and payload for a fingerprint, if present.

@@ -246,7 +246,7 @@ impl DdfsServer {
                     Some(cid) => {
                         // Prefetch the container's fingerprints into LPC.
                         let metas = self.repo.read_metas(cid);
-                        let cost = metas.cost;
+                        let cost = metas.legs.cost();
                         self.clock.advance(cost);
                         if let Some(fps) = metas.value? {
                             self.lpc.insert_container(cid, fps);
@@ -356,7 +356,7 @@ impl DdfsServer {
                     let Some(cid) = found else {
                         continue; // unrecoverable chunk (never stored)
                     };
-                    let t = self.repo.read(cid);
+                    let t = self.repo.read(cid).timed();
                     let container = self.clock.charge(t);
                     if let Some(c) = container? {
                         self.lpc.insert_container(cid, c.fingerprints().collect());

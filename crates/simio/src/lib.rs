@@ -8,7 +8,10 @@
 //! [`SimLink`], [`SimCpu`]) compute the cost of each operation from
 //! calibrated rate models and the caller accrues those costs on a
 //! [`VirtualClock`]. Throughput figures are then `bytes / virtual time`,
-//! reproducible bit-for-bit across machines.
+//! reproducible bit-for-bit across machines. Where devices genuinely work
+//! at the same time (the pipelined restore), each gets a [`Lane`] — a FIFO
+//! timeline — instead of sharing one clock; the overlap is arithmetic,
+//! never a thread.
 //!
 //! [`models::paper`] holds the constants calibrated from the paper's own
 //! measurements (200+ MB/s sequential RAID transfer, ~522 random fingerprint
@@ -23,6 +26,7 @@ pub mod cluster;
 pub mod cpu;
 pub mod disk;
 pub mod fault;
+pub mod lane;
 pub mod models;
 pub mod net;
 pub mod partdisk;
@@ -34,6 +38,7 @@ pub use clock::{Secs, VirtualClock};
 pub use cpu::{CpuModel, CpuStats, SimCpu};
 pub use disk::{DiskModel, DiskStats, SimDisk};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, InjectedFault, RetryPolicy};
+pub use lane::Lane;
 pub use net::{NetModel, NetStats, SimLink};
 pub use partdisk::PartDiskSet;
 pub use scale::ScaleModel;

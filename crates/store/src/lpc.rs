@@ -9,6 +9,15 @@
 //! Because SISL stores chunks in stream order, one container fetch turns
 //! the next ~1000 stream-local lookups into hits; the paper measures 99.3%
 //! of random fingerprint-lookup I/Os eliminated this way (§6.2).
+//!
+//! On the restore path the capacity is also the **read-ahead buffer**:
+//! the walk fetches ahead of the client stream, and a fetch may not start
+//! before the container it evicts ([`LpcCache::insert_container`] returns
+//! the victims) has been streamed out. A cache of `n` containers
+//! therefore bounds the containers in flight or waiting to be sent at
+//! `n`; a cache of one serializes reads and sends. (The walk itself runs
+//! no deeper than one container per repository node ahead of the client,
+//! so the capacity only binds below the node count.)
 
 use debar_hash::{ContainerId, Fingerprint};
 use serde::{Deserialize, Serialize};

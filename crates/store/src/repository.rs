@@ -33,6 +33,13 @@
 //! [`StoreError::Unrecoverable`] when all holding nodes are down (the
 //! `R = 1` node-loss case).
 //!
+//! Every read reports **which node disk each attempt charged**
+//! ([`NodeRead::legs`]: failed attempts in failover order, the serving
+//! read, read-repair writes — the read-side twin of
+//! [`BatchAppend::node_costs`]). A sequential caller sums them onto its
+//! clock ([`NodeRead::timed`]); the pipelined restore walk puts each leg
+//! on its own node's timeline, which is what lets two nodes read at once.
+//!
 //! [`ChunkRepository::repair_node`] is the scrub/re-replication pass: a
 //! downed node is repaired by *replacing* its disk (every copy it held is
 //! re-replicated from surviving healthy copies), an up node is scrubbed in
@@ -288,6 +295,80 @@ pub struct BatchAppend {
     pub fault: Option<(StoreError, Container)>,
 }
 
+/// The read leg that served a container ([`ReadLegs::served`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServedLeg {
+    /// The node whose copy was returned.
+    pub node: usize,
+    /// Seconds charged to that node's disk: the serving read plus any
+    /// retried attempts and back-off before it.
+    pub cost: Secs,
+    /// Seconds between the container's metadata section (what
+    /// [`ChunkRepository::read_metas`] alone would fetch) having streamed
+    /// in and the read completing — the data section's transfer time.
+    /// `cost - data_tail` into the leg a reader knows the container's
+    /// fingerprints, unverified; 0 for a metadata-only read.
+    pub data_tail: Secs,
+}
+
+/// The node-disk legs of one container read, in the order the failover
+/// loop charged them: failed attempts, the serving read, read-repair
+/// writes — the read-side counterpart of [`BatchAppend::node_costs`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ReadLegs {
+    /// `(node, cost)` of every attempt that did not serve the read, in
+    /// failover order: a faulted attempt (its retries and back-off
+    /// included) or a copy read in full and found corrupt.
+    pub failed: Vec<(usize, Secs)>,
+    /// The leg that served the read; `None` when the read failed or no
+    /// node holds the container.
+    pub served: Option<ServedLeg>,
+    /// `(node, cost)` of each read-repair write, issued from the clean
+    /// copy once it is in.
+    pub repairs: Vec<(usize, Secs)>,
+}
+
+impl ReadLegs {
+    /// The serial sum of every leg, in charge order — what one clock
+    /// pays for the read.
+    pub fn cost(&self) -> Secs {
+        (self.failed.iter().copied())
+            .chain(self.served.map(|s| (s.node, s.cost)))
+            .chain(self.repairs.iter().copied())
+            .fold(0.0, |sum, (_, c)| sum + c)
+    }
+}
+
+/// Outcome of one container read: the value plus **which node disk each
+/// attempt charged** ([`ReadLegs`]). A sequential caller lumps the legs
+/// onto its clock with [`NodeRead::timed`]; a pipelined one (the restore
+/// walk) puts each leg on its own node's timeline, so two nodes' reads
+/// overlap.
+#[derive(Debug)]
+pub struct NodeRead<T> {
+    /// The container (or `None` when no node holds it), or the typed
+    /// error once every copy is lost.
+    pub value: Result<Option<T>, StoreError>,
+    /// The node-disk legs the read charged.
+    pub legs: ReadLegs,
+}
+
+impl<T> NodeRead<T> {
+    /// A read that touched no disk.
+    fn free(value: Result<Option<T>, StoreError>) -> Self {
+        NodeRead {
+            value,
+            legs: ReadLegs::default(),
+        }
+    }
+
+    /// The read as a sequential caller sees it: the value at the serial
+    /// sum of its legs.
+    pub fn timed(self) -> Timed<Result<Option<T>, StoreError>> {
+        Timed::new(self.value, self.legs.cost())
+    }
+}
+
 /// Outcome of a [`ChunkRepository::repair_node`] scrub pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RepairReport {
@@ -321,6 +402,13 @@ type StoreOutcome = (
     Vec<(usize, Secs)>,
     Result<ContainerId, (StoreError, Container)>,
 );
+
+/// On-disk size of a container's metadata section — header, ≈ 32 bytes
+/// per chunk, checksum trailer: all a prefetch reads, and the head of a
+/// full read.
+fn meta_section_bytes(chunks: usize) -> u64 {
+    6 + 32 * chunks as u64 + 20
+}
 
 /// The multi-node, replicated container log.
 #[derive(Debug, Clone)]
@@ -860,19 +948,20 @@ impl ChunkRepository {
     /// from the clean copy the read returns. When every copy is exhausted
     /// the read fails with the last typed error — or
     /// [`StoreError::Unrecoverable`] when no copy could even be attempted
-    /// (every holder down).
+    /// (every holder down). Every attempt is reported as a leg on the
+    /// node it charged ([`NodeRead`]).
     fn read_one(
         &mut self,
         cid: ContainerId,
         meta_only: bool,
         anywhere: bool,
-    ) -> Timed<Result<Option<Container>, StoreError>> {
+    ) -> NodeRead<Container> {
         if cid.is_null() {
-            return Timed::free(Ok(None));
+            return NodeRead::free(Ok(None));
         }
         let mut candidates = self.holders(cid, anywhere);
         let Some(&first) = candidates.first() else {
-            return Timed::free(Ok(None));
+            return NodeRead::free(Ok(None));
         };
         // Health-then-load replica selection: prefer the healthiest
         // candidate, then the one whose disk has accumulated the least
@@ -888,7 +977,7 @@ impl ChunkRepository {
             )
         });
         self.stats.reads += 1;
-        let mut cost: Secs = 0.0;
+        let mut out = NodeRead::free(Ok(None));
         let mut degraded_fault = false;
         let mut corrupt_nodes: Vec<usize> = Vec::new();
         let mut last_err: Option<StoreError> = None;
@@ -898,19 +987,18 @@ impl ChunkRepository {
                 continue;
             }
             let bytes = if meta_only {
-                // Metadata-section prefetch: ≈ 32 bytes/chunk under the
-                // same checksum trailer.
+                // Metadata-section prefetch.
                 let len = self.nodes[node]
                     .containers
                     .get(&cid.raw())
-                    .map_or(0, |sc| sc.container.len()) as u64;
-                6 + 32 * len + 20
+                    .map_or(0, |sc| sc.container.len());
+                meta_section_bytes(len)
             } else {
                 self.container_bytes
             };
             let (read_cost, outcome) = self.read_attempts(node, bytes);
-            cost += read_cost;
             if let Err(e) = outcome {
+                out.legs.failed.push((node, read_cost));
                 degraded_fault = true;
                 last_err = Some(e);
                 continue;
@@ -920,14 +1008,24 @@ impl ChunkRepository {
                     if degraded_fault {
                         self.stats.failover_reads += 1;
                     }
-                    cost += self.read_repair(cid, &c, &corrupt_nodes);
-                    return Timed::new(Ok(Some(c)), cost);
+                    // The metadata section is the head of the read: what
+                    // follows it is the tail the resolver need not wait for.
+                    let tail_bytes = bytes.saturating_sub(meta_section_bytes(c.len()));
+                    out.legs.served = Some(ServedLeg {
+                        node,
+                        cost: read_cost,
+                        data_tail: self.nodes[node].disk.model().seq_read_cost(tail_bytes),
+                    });
+                    out.legs.repairs = self.read_repair(cid, &c, &corrupt_nodes);
+                    out.value = Ok(Some(c));
+                    return out;
                 }
-                Ok(None) => continue,
+                Ok(None) => out.legs.failed.push((node, read_cost)),
                 Err(e) => {
                     self.stats.corrupt_reads += 1;
                     self.record_node_error(node);
                     corrupt_nodes.push(node);
+                    out.legs.failed.push((node, read_cost));
                     last_err = Some(e);
                 }
             }
@@ -935,58 +1033,62 @@ impl ChunkRepository {
         // Every replica lost: the last attempt's error, or — when every
         // holder was down and nothing could be attempted — the typed
         // unrecoverable case naming the preferred holder.
-        let err = last_err.unwrap_or(StoreError::Unrecoverable {
+        out.value = Err(last_err.unwrap_or(StoreError::Unrecoverable {
             container: cid,
             node: first,
-        });
-        Timed::new(Err(err), cost)
+        }));
+        out
     }
 
     /// Inline read-repair: rewrite every corrupt copy a failover read
-    /// detected from the clean image it is about to return. The repair
+    /// detected from the clean image it is about to return. Each repair
     /// write is charged to the corrupt node's disk as maintenance I/O
     /// (like [`ChunkRepository::repair_node`], it does not consume armed
-    /// fault plans) and counted in [`RepoStats::read_repairs`].
-    fn read_repair(&mut self, cid: ContainerId, clean: &Container, corrupt: &[usize]) -> Secs {
-        let mut cost: Secs = 0.0;
+    /// fault plans), reported as a `(node, cost)` leg and counted in
+    /// [`RepoStats::read_repairs`].
+    fn read_repair(
+        &mut self,
+        cid: ContainerId,
+        clean: &Container,
+        corrupt: &[usize],
+    ) -> Vec<(usize, Secs)> {
+        let mut writes = Vec::new();
         for &node in corrupt {
             if self.nodes[node].down {
                 continue;
             }
-            cost += self.nodes[node].disk.seq_write(self.container_bytes);
+            let cost = self.nodes[node].disk.seq_write(self.container_bytes);
+            writes.push((node, cost));
             if let Some(sc) = self.nodes[node].containers.get_mut(&cid.raw()) {
                 sc.container = clean.clone();
                 sc.damage = None;
                 self.stats.read_repairs += 1;
             }
         }
-        cost
+        writes
     }
 
     /// Read a container from its replica ring (one random container-sized
-    /// I/O per attempted copy). Returns a clone — cheap for zero payloads
-    /// and refcounted for real bytes. `Ok(None)` means no ring node holds
-    /// the container; injected faults and detected corruption fail over to
-    /// surviving replicas and surface as typed errors only when every copy
-    /// is lost.
-    pub fn read(&mut self, cid: ContainerId) -> Timed<Result<Option<Container>, StoreError>> {
+    /// I/O per attempted copy, each reported as a leg on the node it
+    /// charged). Returns a clone — cheap for zero payloads and refcounted
+    /// for real bytes. `Ok(None)` means no ring node holds the container;
+    /// injected faults and detected corruption fail over to surviving
+    /// replicas and surface as typed errors only when every copy is lost.
+    pub fn read(&mut self, cid: ContainerId) -> NodeRead<Container> {
         self.read_one(cid, false, false)
     }
 
     /// Read only a container's metadata section (fingerprints): the cheap
     /// prefetch LPC performs on an index hit. Charged as one small random
-    /// read per attempted copy (metadata section ≈ 32 bytes/chunk).
-    /// Damaged copies fail over here too — the metadata section is under
-    /// the same checksum.
-    pub fn read_metas(
-        &mut self,
-        cid: ContainerId,
-    ) -> Timed<Result<Option<Vec<debar_hash::Fingerprint>>, StoreError>> {
-        let t = self.read_one(cid, true, false);
-        Timed::new(
-            t.value.map(|c| c.map(|c| c.fingerprints().collect())),
-            t.cost,
-        )
+    /// read per attempted copy (metadata section ≈ 32 bytes/chunk), legs
+    /// reported like [`ChunkRepository::read`]. Damaged copies fail over
+    /// here too — the metadata section is under the same checksum.
+    pub fn read_metas(&mut self, cid: ContainerId) -> NodeRead<Vec<debar_hash::Fingerprint>> {
+        let read = self.read_one(cid, true, false);
+        NodeRead {
+            value: read.value.map(|c| c.map(|c| c.fingerprints().collect())),
+            legs: read.legs,
+        }
     }
 
     /// Whether any node holds a copy of the container.
@@ -1114,12 +1216,9 @@ impl ChunkRepository {
     }
 
     /// Read a container wherever a copy lives (supports migrated
-    /// containers), with the same replica failover as
+    /// containers), with the same replica failover and per-node legs as
     /// [`ChunkRepository::read`].
-    pub fn read_anywhere(
-        &mut self,
-        cid: ContainerId,
-    ) -> Timed<Result<Option<Container>, StoreError>> {
+    pub fn read_anywhere(&mut self, cid: ContainerId) -> NodeRead<Container> {
         self.read_one(cid, false, true)
     }
 
@@ -1408,7 +1507,10 @@ mod tests {
         let metas = r.read_metas(id);
         let full = r.read(id);
         assert_eq!(metas.value.expect("ok").expect("stored").len(), 100);
-        assert!(metas.cost < full.cost, "meta read must be cheaper");
+        assert!(
+            metas.legs.cost() < full.legs.cost(),
+            "meta read must be cheaper"
+        );
     }
 
     #[test]
@@ -1554,11 +1656,27 @@ mod tests {
         // Tear only the primary (first) write of container 0 on node 0.
         arm(&mut r, 0, FaultPlan::torn_write_at(0));
         let id = store_ok(&mut r, container_with(0..10));
-        let got = r
-            .read(id)
-            .value
-            .expect("replica saves the read")
-            .expect("stored");
+        let read = r.read(id);
+        // Leg by leg: the full read that found node 0's copy corrupt, the
+        // serving read on node 1 — whose metadata section (10 chunks) is
+        // in `data_tail` before it completes — and the repair write back
+        // on node 0.
+        let disk = paper::repo_disk();
+        let full = disk.rand_read_cost(1 << 20);
+        assert_eq!(read.legs.failed, [(0, full)]);
+        let served = ServedLeg {
+            node: 1,
+            cost: full,
+            data_tail: disk.seq_read_cost((1 << 20) - (6 + 32 * 10 + 20)),
+        };
+        assert_eq!(read.legs.served, Some(served));
+        assert_eq!(read.legs.repairs, [(0, disk.seq_write_cost(1 << 20))]);
+        assert_eq!(
+            read.legs.cost(),
+            full + full + disk.seq_write_cost(1 << 20),
+            "a sequential caller pays the legs one after another"
+        );
+        let got = read.value.expect("replica saves the read").expect("stored");
         assert_eq!(got.len(), 10);
         // The failover split: a checksum failure counts in corrupt_reads,
         // not failover_reads — telemetry tells corruption from downed
@@ -1697,7 +1815,13 @@ mod tests {
         let mut r = repo_r(2, 2);
         let id = store_ok(&mut r, container_with(0..2)); // node 0 op 0: write
         arm(&mut r, 0, FaultPlan::fail_at(1));
-        let got = r.read(id).value.expect("replica saves it").expect("stored");
+        let read = r.read(id);
+        // The faulted attempt stays on node 0, the serving read is node 1's.
+        let full = paper::repo_disk().rand_read_cost(1 << 20);
+        assert_eq!(read.legs.failed, [(0, full)]);
+        assert_eq!(read.legs.served.map(|s| (s.node, s.cost)), Some((1, full)));
+        assert!(read.legs.repairs.is_empty());
+        let got = read.value.expect("replica saves it").expect("stored");
         assert_eq!(got.len(), 2);
         assert_eq!(r.stats().failover_reads, 1);
     }

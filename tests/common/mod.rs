@@ -20,8 +20,9 @@
 use debar::hash::Sha1;
 use debar::workload::files::{FileSpec, FileTreeConfig, FileTreeGen, MutationConfig};
 use debar::{
-    ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, Dedup2Phase, DedupMode,
-    Device, FaultPlan, HealthPolicy, JobId, LayoutMode, RetryPolicy, RunId,
+    ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, DebarResult, Dedup2Phase,
+    DedupMode, Device, FaultPlan, HealthPolicy, JobId, LayoutMode, RestoreReport, RetryPolicy,
+    RunId,
 };
 
 /// The failure kind a scenario injects (beyond plain index loss).
@@ -558,6 +559,30 @@ fn arm_transient_chaos(cluster: &mut DebarCluster, sc: &Scenario, seed: u64, rou
     }
 }
 
+/// Pass a restore result through, holding every successful walk to the
+/// pipeline's bounds: it can finish no sooner than its busiest device
+/// lane and no later than the serial sum of all of them
+/// (`RestoreReport::serial_s`, what one clock would have charged).
+pub fn within_lanes(result: DebarResult<RestoreReport>) -> DebarResult<RestoreReport> {
+    if let Ok(r) = &result {
+        let slack = 1e-9 * r.serial_s();
+        let busiest = r.resolve_s.max(r.node_read_s).max(r.send_s);
+        assert!(
+            busiest <= r.elapsed + slack && r.elapsed <= r.serial_s() + slack,
+            "restore of {:?} outside its lanes: busiest {busiest} <= elapsed {} <= serial {} \
+             (resolve {}, node {} of {}, send {})",
+            r.run,
+            r.elapsed,
+            r.serial_s(),
+            r.resolve_s,
+            r.node_read_s,
+            r.node_read_total_s,
+            r.send_s
+        );
+    }
+    result
+}
+
 /// Drive one scenario end to end and collect its [`Outcome`].
 ///
 /// Workload: every client's tree derives from one shared base tree (pool
@@ -1001,8 +1026,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         // Expired runs are gone, typed; retained runs stay in the ledger
         // for the byte-identical verification walk below.
         for run in &expired {
-            let err = cluster
-                .restore_run(*run)
+            let err = within_lanes(cluster.restore_run(*run))
                 .expect_err("an expired run must not restore");
             assert!(
                 matches!(err, DebarError::UnknownRun { .. }),
@@ -1036,13 +1060,13 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                     job: entry.job,
                     version: entry.version,
                 };
-                let v = cluster.verify_run(run).expect("degraded verify walks");
+                let v = within_lanes(cluster.verify_run(run)).expect("degraded verify walks");
                 assert_eq!(
                     v.failures, 0,
                     "{}: replicas must absorb the node loss",
                     sc.name
                 );
-                let r = cluster.restore_run(run).expect("degraded restore");
+                let r = within_lanes(cluster.restore_run(run)).expect("degraded restore");
                 assert_eq!(
                     r.bytes, entry.logical_bytes,
                     "{}: degraded restore of {run:?} diverged",
@@ -1077,7 +1101,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                     job: entry.job,
                     version: entry.version,
                 };
-                match cluster.restore_run(run) {
+                match within_lanes(cluster.restore_run(run)) {
                     Ok(_) => {}
                     Err(DebarError::Unrecoverable { node: n, .. }) => {
                         assert_eq!(n, node, "{}: wrong node blamed", sc.name);
@@ -1097,7 +1121,9 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                     job: entry.job,
                     version: entry.version,
                 };
-                audit_failures += cluster.verify_run(run).expect("audit walks").failures;
+                audit_failures += within_lanes(cluster.verify_run(run))
+                    .expect("audit walks")
+                    .failures;
             }
             assert!(audit_failures > 0, "{}: audit missed the loss", sc.name);
             // Repair refuses — there is nothing to copy from — and the
@@ -1131,7 +1157,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                 job: entry.job,
                 version: entry.version,
             };
-            match cluster.restore_run(run) {
+            match within_lanes(cluster.restore_run(run)) {
                 Ok(_) => {}
                 Err(DebarError::CorruptContainer { container, .. }) => {
                     assert_eq!(container, target, "{}: wrong container blamed", sc.name);
@@ -1152,7 +1178,9 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                 job: entry.job,
                 version: entry.version,
             };
-            audit_failures += cluster.verify_run(run).expect("verify walks").failures;
+            audit_failures += within_lanes(cluster.verify_run(run))
+                .expect("verify walks")
+                .failures;
         }
         assert!(audit_failures > 0, "{}: audit missed corruption", sc.name);
         // Detected on the §4.1 recovery rebuild: the repository scan
@@ -1202,9 +1230,9 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             job: entry.job,
             version: entry.version,
         };
-        let v = cluster.verify_run(run).expect("verify");
+        let v = within_lanes(cluster.verify_run(run)).expect("verify");
         out.verify_failures += v.failures;
-        let r = cluster.restore_run(run).expect("restore");
+        let r = within_lanes(cluster.restore_run(run)).expect("restore");
         out.restore_failures += r.failures;
         out.restored_bytes += r.bytes;
         lpc_hits += r.lpc.hits;
@@ -1215,9 +1243,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             sc.name
         );
         assert_eq!(r.files, entry.files, "{}: run {run:?} file count", sc.name);
-        let f = cluster
-            .restore_file(run, &entry.sample_path)
-            .expect("restore-file");
+        let f = within_lanes(cluster.restore_file(run, &entry.sample_path)).expect("restore-file");
         assert_eq!(
             f.bytes, entry.sample_bytes,
             "{}: partial restore of {} diverged",
