@@ -28,7 +28,8 @@
 //! ```
 //!
 //! `--smoke` (CI) uses a deep scale denominator so the bin can't rot
-//! without burning minutes.
+//! without burning minutes. Its numbers go to the temp directory, never
+//! over the committed file.
 
 use debar_bench::table::{f, TablePrinter};
 use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, Device, RunId};
@@ -36,7 +37,6 @@ use debar_simio::throughput::mibps;
 use debar_simio::{FaultPlan, RetryPolicy};
 use debar_store::Damage;
 use debar_workload::ChunkRecord;
-use std::io::Write;
 
 const JOBS: u64 = 2;
 const GENERATIONS: u64 = 3;
@@ -290,8 +290,8 @@ fn main() {
          corrupt copy that has a clean sibling."
     );
 
-    // ---- BENCH_chaos.json (workspace root, manual JSON: no runtime
-    //      serde_json in the container). ----
+    // ---- BENCH_chaos.json (manual JSON: no runtime serde_json in the
+    //      container). ----
     let mut out = String::from("{\n  \"bench\": \"chaos\",\n");
     out.push_str(&format!(
         "  \"denom\": {denom},\n  \"jobs\": {JOBS},\n  \"generations\": {GENERATIONS},\n  \
@@ -320,9 +320,5 @@ fn main() {
         s.containers, s.copies_checked, s.corrupt_found, s.repaired, s.scrub_wall_s, s.scrub_mibps,
     ));
     out.push_str("}\n");
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_chaos.json");
-    std::fs::File::create(&path)
-        .and_then(|mut f| f.write_all(out.as_bytes()))
-        .expect("write BENCH_chaos.json");
-    println!("\nwrote {}", path.display());
+    debar_bench::write_bench_json("chaos", smoke, &out);
 }

@@ -27,13 +27,13 @@
 //! ```
 //!
 //! `--smoke` (CI) uses a deep scale denominator so the bin can't rot
-//! without burning minutes.
+//! without burning minutes. Its numbers go to the temp directory, never
+//! over the committed file.
 
 use debar_bench::table::{f, TablePrinter};
 use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
 use debar_simio::throughput::mibps;
 use debar_workload::ChunkRecord;
-use std::io::Write;
 
 const JOBS: u64 = 2;
 const GENERATIONS: u64 = 4;
@@ -211,8 +211,8 @@ fn main() {
          compaction charges the repository nodes that host each victim."
     );
 
-    // ---- BENCH_gc.json (workspace root, manual JSON: no runtime
-    //      serde_json in the container). ----
+    // ---- BENCH_gc.json (manual JSON: no runtime serde_json in the
+    //      container). ----
     let mut out = String::from("{\n  \"bench\": \"gc\",\n");
     out.push_str(&format!(
         "  \"denom\": {denom},\n  \"jobs\": {JOBS},\n  \"generations\": {GENERATIONS},\n  \
@@ -237,9 +237,5 @@ fn main() {
         ));
     }
     out.push_str("  ]\n}\n");
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_gc.json");
-    std::fs::File::create(&path)
-        .and_then(|mut f| f.write_all(out.as_bytes()))
-        .expect("write BENCH_gc.json");
-    println!("\nwrote {}", path.display());
+    debar_bench::write_bench_json("gc", smoke, &out);
 }

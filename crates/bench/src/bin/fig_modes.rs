@@ -30,12 +30,12 @@
 //! ```
 //!
 //! `--smoke` (CI) shrinks the stream and generation count so the bin
-//! can't rot without burning minutes.
+//! can't rot without burning minutes. Its numbers go to the temp
+//! directory, never over the committed file.
 
 use debar_bench::table::{f, TablePrinter};
 use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, DedupMode, JobId, RunId};
 use debar_workload::ChunkRecord;
-use std::io::Write;
 
 const SHARE: u64 = 4;
 const JOBS: u32 = 2;
@@ -262,8 +262,8 @@ fn main() {
         oo.dedup2_wall
     );
 
-    // ---- BENCH_modes.json (workspace root, manual JSON: no runtime
-    //      serde_json in the container). ----
+    // ---- BENCH_modes.json (manual JSON: no runtime serde_json in the
+    //      container). ----
     let mut out = String::from("{\n  \"bench\": \"modes\",\n");
     out.push_str(&format!(
         "  \"denom\": {denom},\n  \"jobs\": {JOBS},\n  \"chunks\": {},\n  \
@@ -291,9 +291,5 @@ fn main() {
         ));
     }
     out.push_str("}\n");
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_modes.json");
-    std::fs::File::create(&path)
-        .and_then(|mut f| f.write_all(out.as_bytes()))
-        .expect("write BENCH_modes.json");
-    println!("\nwrote {}", path.display());
+    debar_bench::write_bench_json("modes", smoke, &out);
 }

@@ -46,7 +46,8 @@
 //! ```
 //!
 //! `--smoke` (CI) uses a deep scale denominator and one round so the bin
-//! can't rot without burning minutes.
+//! can't rot without burning minutes. Its numbers go to the temp
+//! directory, never over the committed file.
 
 use debar_bench::table::{f, TablePrinter};
 use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig};
@@ -54,7 +55,6 @@ use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache};
 use debar_simio::throughput::mibps;
 use debar_workload::ChunkRecord;
-use std::io::Write;
 
 const PARTS: [usize; 5] = [1, 2, 4, 8, 16];
 
@@ -548,8 +548,8 @@ fn main() {
          container IDs are untouched."
     );
 
-    // ---- BENCH_multipart.json (workspace root, manual JSON: no runtime
-    //      serde_json in the container). ----
+    // ---- BENCH_multipart.json (manual JSON: no runtime serde_json in the
+    //      container). ----
     let mut out = String::from("{\n  \"bench\": \"multipart\",\n");
     out.push_str(&format!("  \"denom\": {denom},\n  \"rounds\": {rounds},\n"));
     out.push_str("  \"points\": [\n");
@@ -625,9 +625,5 @@ fn main() {
         ));
     }
     out.push_str("  ]\n}\n");
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_multipart.json");
-    std::fs::File::create(&path)
-        .and_then(|mut f| f.write_all(out.as_bytes()))
-        .expect("write BENCH_multipart.json");
-    println!("\nwrote {}", path.display());
+    debar_bench::write_bench_json("multipart", smoke, &out);
 }

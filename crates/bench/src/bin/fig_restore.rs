@@ -43,14 +43,14 @@
 //! ```
 //!
 //! `--smoke` (CI) shrinks the stream and generation count so the bin
-//! can't rot without burning minutes.
+//! can't rot without burning minutes. Its numbers go to the temp
+//! directory, never over the committed file.
 
 use debar_bench::table::{f, TablePrinter};
 use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, JobId, LayoutMode, RunId};
 use debar_simio::models::MIB;
 use debar_simio::throughput::mibps;
 use debar_workload::ChunkRecord;
-use std::io::Write;
 
 const RETENTION: u32 = 2;
 
@@ -346,8 +346,8 @@ fn main() {
         capped_gc.superseded_containers
     );
 
-    // ---- BENCH_restore.json (workspace root, manual JSON: no runtime
-    //      serde_json in the container). ----
+    // ---- BENCH_restore.json (manual JSON: no runtime serde_json in the
+    //      container). ----
     let mut out = String::from("{\n  \"bench\": \"restore\",\n");
     out.push_str(&format!(
         "  \"denom\": {denom},\n  \"chunks\": {},\n  \"churn_period\": {},\n  \
@@ -392,9 +392,5 @@ fn main() {
         ));
     }
     out.push_str("  }\n}\n");
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_restore.json");
-    std::fs::File::create(&path)
-        .and_then(|mut f| f.write_all(out.as_bytes()))
-        .expect("write BENCH_restore.json");
-    println!("\nwrote {}", path.display());
+    debar_bench::write_bench_json("restore", smoke, &out);
 }

@@ -20,7 +20,9 @@ pub struct MonthConfig {
     pub clients: usize,
     /// Whether to also run the DDFS baseline.
     pub run_ddfs: bool,
-    /// Disable DEBAR's preliminary filter (ablation).
+    /// Disable DEBAR's preliminary filter (ablation): no job chains — every
+    /// client's every day runs as a fresh job, so nothing ever primes its
+    /// filter (within-run duplicates are still caught).
     pub disable_prelim_filter: bool,
 }
 
@@ -192,11 +194,6 @@ pub fn run_month(cfg: MonthConfig) -> MonthReport {
         ..HustConfig::default()
     };
     let mut debar_cfg = DebarConfig::single_server_scaled(cfg.denom);
-    if cfg.disable_prelim_filter {
-        // A 1-entry filter disables phase-I elimination in practice while
-        // keeping the undetermined-collection machinery intact.
-        debar_cfg.filter_bytes = 28;
-    }
     // Trigger dedup-2 when the index cache would be full (the paper: "to
     // fully utilize the index cache, DEBAR usually provides synchronous
     // lookups for more than one job").
@@ -219,8 +216,13 @@ pub fn run_month(cfg: MonthConfig) -> MonthReport {
         // --- DEBAR dedup-1: one job per client. ---
         let t0 = debar.align_clocks();
         for (i, stream) in day.per_client.iter().enumerate() {
+            let job = if cfg.disable_prelim_filter {
+                debar.define_job(format!("hust-node-{i}-day-{}", day.day), ClientId(i as u32))
+            } else {
+                jobs[i]
+            };
             let rep = debar
-                .backup(jobs[i], &Dataset::from_records("daily", stream.clone()))
+                .backup(job, &Dataset::from_records("daily", stream.clone()))
                 .expect("backup");
             row.logical += rep.logical_bytes;
             row.transferred += rep.transferred_bytes;

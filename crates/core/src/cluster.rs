@@ -422,7 +422,8 @@ impl DebarCluster {
     }
 
     /// The inline/hybrid dedup-1 loop ([`crate::DedupMode`]): identical to
-    /// [`BackupServer::run_backup`] except that filter-missed fingerprints
+    /// [`BackupServer::run_backup`] (the filter streams `filtering`, the
+    /// previous run in stream order) except that filter-missed fingerprints
     /// are resolved at backup time against the hot window — the assigned
     /// server's LPC, the owner part's checking file, and (within the
     /// hybrid probe budget) a random disk-index probe whose hit prefetches

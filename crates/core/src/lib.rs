@@ -9,7 +9,12 @@
 //!   fingerprinting of datasets (§3.2);
 //! * **backup servers** ([`server`]) — the File Store (de-duplication
 //!   phase I: preliminary filtering + chunk log) and the Chunk Store
-//!   (phase II: SIL, chunk storing, SIU) (§3.3, §5);
+//!   (phase II: SIL, chunk storing, SIU) (§3.3, §5). Dedup-1 hands the
+//!   preliminary filter the previous run's fingerprints whole and in
+//!   stream order: they are a file the filter streams past the backup's
+//!   position, so a job larger than the filter's memory is filtered like
+//!   one that fits (`debar_filter::prelim`), and whatever dedup-1 misses
+//!   is paid a second time as chunk-log and dedup-2 backlog;
 //! * the **chunk repository** (from `debar-store`) — the global container
 //!   pool (§3.4);
 //! * the **cluster** ([`cluster`]) — the two-phase de-duplication scheme

@@ -134,7 +134,8 @@ impl MetadataManager {
     }
 
     /// Filtering fingerprints for a job's next run: the fingerprints of its
-    /// previous run, in logical (file) order (§5.1 job-chain semantics).
+    /// previous run, in logical (file) order (§5.1 job-chain semantics) —
+    /// the order the preliminary filter streams them in.
     pub fn filtering_fingerprints(&self, job: JobId) -> Vec<Fingerprint> {
         match self.last_run(job) {
             Some(rec) => rec

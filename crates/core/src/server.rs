@@ -2,9 +2,11 @@
 //! (dedup-2 pieces).
 //!
 //! Dedup-1 ([`BackupServer::run_backup`]): receive a client stream, build
-//! file indices, filter duplicates with the preliminary filter primed from
-//! the job chain, append survivors to the on-disk chunk log and accumulate
-//! their fingerprints as *undetermined*.
+//! file indices, filter duplicates with the preliminary filter — which
+//! streams the job chain's previous run past the stream's position, so
+//! the run may be any size relative to the filter — append survivors to
+//! the on-disk chunk log and accumulate their fingerprints as
+//! *undetermined*.
 //!
 //! Dedup-2 pieces (driven phase by phase, in server-ID order, by
 //! [`crate::cluster::DebarCluster`]):
@@ -286,7 +288,10 @@ impl BackupServer {
     // Dedup-1: File Store
     // ------------------------------------------------------------------
 
-    /// Execute one backup job run (de-duplication phase I).
+    /// Execute one backup job run (de-duplication phase I). `filtering` is
+    /// the previous run's fingerprints, whole and in that run's stream
+    /// order: the filter keeps the `Vec` as the file it streams
+    /// ([`PrelimFilter::prime`]).
     ///
     /// Fault-aware: chunk-log appends go through the fault-checked path,
     /// so an injected log-disk fault aborts the run with

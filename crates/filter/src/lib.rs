@@ -3,8 +3,9 @@
 //! In-memory duplicate filters:
 //!
 //! * [`prelim`] — DEBAR's **preliminary filter** (paper §5.1): a hash table
-//!   primed with the *filtering fingerprints* of the previous run of the
-//!   same job (job-chain semantics). In de-duplication phase I it eliminates
+//!   that streams the *filtering fingerprints* of the previous run of the
+//!   same job (job-chain semantics) past the backup stream's position, so
+//!   a job may outgrow its memory. In de-duplication phase I it eliminates
 //!   internal and adjacent-version duplicates before any data crosses the
 //!   network, and collects the fingerprints that still need a disk-index
 //!   check (the *undetermined fingerprint file*).

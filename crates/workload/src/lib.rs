@@ -20,12 +20,17 @@
 //! * [`files`] — real-byte synthetic file trees with version mutations, for
 //!   end-to-end tests that exercise the full chunk→hash→store→restore
 //!   pipeline.
+//! * [`drift`] — one previous version and the elementary changes of a next
+//!   one (in place, growing, shrinking, one block), each in isolation, for
+//!   the preliminary filter's position-tracking laws.
 
+pub mod drift;
 pub mod files;
 pub mod hust;
 pub mod record;
 pub mod synth;
 
+pub use drift::Drift;
 pub use hust::{HustConfig, HustDay, HustGen};
 pub use record::ChunkRecord;
 pub use synth::{MultiStreamConfig, MultiStreamGen};

@@ -87,23 +87,28 @@ fn preliminary_filter_cuts_network_traffic_not_compression() {
     let mut version_b = records(0..1500); // 75% overlap with a
     version_b.extend(records(10_000..10_500));
 
-    let run = |filter_bytes: u64| {
-        let mut cfg = DebarConfig::tiny_test(0);
-        cfg.filter_bytes = filter_bytes;
-        let mut c = DebarCluster::new(cfg);
+    // "Without the filter" is what it means — no job chain: version B is
+    // backed up under a fresh job, so nothing primes its filter.
+    let run = |chained: bool| {
+        let mut c = DebarCluster::new(DebarConfig::tiny_test(0));
         let job = c.define_job("j", ClientId(0));
         c.backup(job, &Dataset::from_records("s", version_a.clone()))
             .expect("backup");
         c.run_dedup2().expect("dedup2");
+        let job_b = if chained {
+            job
+        } else {
+            c.define_job("unchained", ClientId(0))
+        };
         let rep = c
-            .backup(job, &Dataset::from_records("s", version_b.clone()))
+            .backup(job_b, &Dataset::from_records("s", version_b.clone()))
             .expect("backup");
         c.run_dedup2().expect("dedup2");
         c.force_siu().expect("siu");
         (rep.transferred_bytes, c.index_entries())
     };
-    let (with_filter_tx, with_entries) = run(28 * 100_000);
-    let (no_filter_tx, no_entries) = run(28); // 1-entry filter = disabled
+    let (with_filter_tx, with_entries) = run(true);
+    let (no_filter_tx, no_entries) = run(false);
     assert!(
         (with_filter_tx as f64) < 0.4 * no_filter_tx as f64,
         "filter saved too little: {with_filter_tx} vs {no_filter_tx}"
