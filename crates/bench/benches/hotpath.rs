@@ -6,7 +6,7 @@
 //!
 //! | pair | baseline | optimised |
 //! |---|---|---|
-//! | SIL sweep (1M-entry index, 64K batch) | `sequential_lookup_hashed` | `sequential_lookup_sharded` |
+//! | SIL sweep (1M-entry index, 64K batch) | `sequential_lookup_hashed` | `try_sequential_lookup_sharded` |
 //! | probe kernel | per-fp hash probing | merge-join cursor |
 //! | Bloom batch probe (64 MB filter) | classic `k`-line layout | blocked one-line layout |
 //! | CDC (8 MB stream, paper params) | `chunk_all_reference` | `chunk_all` (min-size skip) |
@@ -83,7 +83,11 @@ fn test_data(len: usize, seed: u64) -> Vec<u8> {
 /// 1M-entry index with paper-geometry 8 KB buckets (2^12 buckets ≈ 34 MB).
 fn million_entry_index() -> DiskIndex {
     let mut idx = DiskIndex::with_paper_disk(IndexParams::new(12, 8 * 1024), 0xBE);
-    idx.bulk_load((0..1_000_000u64).map(|i| (fp(i), ContainerId::new(i % 4096))));
+    idx.try_bulk_load_striped(
+        (0..1_000_000u64).map(|i| (fp(i), ContainerId::new(i % 4096))),
+        1,
+    )
+    .expect("no fault is armed");
     idx
 }
 
@@ -132,14 +136,21 @@ fn sil_benches(c: &mut Criterion) {
     c.bench_function("sil/merge_join_64k_1m", |b| {
         b.iter(|| {
             let mut cache = cache.clone();
-            black_box(idx.sequential_lookup(&mut cache).value.duplicates.len())
+            black_box(
+                idx.try_sequential_lookup_sharded(&mut cache, 1)
+                    .expect("no fault is armed")
+                    .value
+                    .duplicates
+                    .len(),
+            )
         })
     });
     c.bench_function("sil/sharded_64k_1m", |b| {
         b.iter(|| {
             let mut cache = cache.clone();
             black_box(
-                idx.sequential_lookup_sharded(&mut cache, P)
+                idx.try_sequential_lookup_sharded(&mut cache, P)
+                    .expect("no fault is armed")
                     .value
                     .duplicates
                     .len(),
@@ -168,7 +179,12 @@ fn sil_benches(c: &mut Criterion) {
     c.bench_function("siu/sharded_64k_1m", |b| {
         b.iter(|| {
             let mut idx = idx.clone();
-            black_box(idx.sequential_update_sharded(&siu_batch, P).value.inserted)
+            black_box(
+                idx.try_sequential_update_sharded(&siu_batch, P)
+                    .expect("no fault is armed")
+                    .value
+                    .inserted,
+            )
         })
     });
 }

@@ -2,7 +2,7 @@
 //! index operations, filters and containers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use debar_chunk::{CdcChunker, CdcParams, FixedChunker};
+use debar_chunk::{CdcChunker, CdcParams};
 use debar_filter::{BloomFilter, PrelimFilter};
 use debar_hash::rabin::{RabinTables, RollingHash};
 use debar_hash::{ContainerId, Fingerprint, Sha1, SplitMix64};
@@ -53,10 +53,6 @@ fn chunk_benches(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(data.len() as u64));
     g.bench_function("cdc_256k", |b| {
         b.iter(|| black_box(cdc.chunk_all(&data).len()))
-    });
-    let fixed = FixedChunker::new(4096);
-    g.bench_function("fixed_256k", |b| {
-        b.iter(|| black_box(fixed.chunk_all(&data).len()))
     });
     g.finish();
 }

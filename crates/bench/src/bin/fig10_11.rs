@@ -21,7 +21,9 @@ fn build_index(nominal_bytes: u64, denom: u64, fill: f64, seed: u64) -> DiskInde
     let params = IndexParams::from_total_size(nominal_bytes / denom, paper::DEFAULT_BUCKET_BYTES);
     let mut idx = DiskIndex::with_paper_disk(params, seed);
     let entries = (params.max_entries() as f64 * fill) as u64;
-    idx.bulk_load((0..entries).map(|i| (Fingerprint::of_counter(i), ContainerId::new(i % 1000))));
+    let ballast = (0..entries).map(|i| (Fingerprint::of_counter(i), ContainerId::new(i % 1000)));
+    idx.try_bulk_load_striped(ballast, 1)
+        .expect("no fault is armed");
     idx
 }
 
@@ -58,7 +60,9 @@ fn main() {
             for i in 0..batch {
                 cache.insert(Fingerprint::of_counter(1_000_000_000 + i as u64), 0);
             }
-            let t = idx.sequential_lookup(&mut cache);
+            let t = idx
+                .try_sequential_lookup_sharded(&mut cache, 1)
+                .expect("no fault is armed");
             // Nominal time = actual virtual time x denom (sizes scaled,
             // rates fixed).
             let sil_nominal = t.cost * denom as f64;
@@ -73,7 +77,9 @@ fn main() {
                     )
                 })
                 .collect();
-            let t = idx.sequential_update(&updates);
+            let t = idx
+                .try_sequential_update_sharded(&updates, 1)
+                .expect("no fault is armed");
             let siu_nominal = t.cost * denom as f64;
             siu_speed[ci][si] = batch as f64 / t.cost;
             if ci == 0 {

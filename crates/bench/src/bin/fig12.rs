@@ -59,12 +59,13 @@ fn main() {
         cfg.index_part_bytes = index_bytes / denom;
         cfg.dedup2_trigger_fps = cfg.cache_fps();
         let mut debar = DebarCluster::new(cfg);
-        debar.preload_index((0..ballast).map(|i| {
+        let entries = (0..ballast).map(|i| {
             (
                 Fingerprint::of_counter(BALLAST_BASE + i),
                 ContainerId::new(0),
             )
-        }));
+        });
+        debar.preload_index(entries).expect("no fault is armed");
         let hust = HustConfig {
             scale: debar_simio::ScaleModel::new(denom),
             days,

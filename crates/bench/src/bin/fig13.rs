@@ -12,7 +12,6 @@
 use debar_bench::table::{f, TablePrinter};
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache, IndexParams};
-use debar_simio::cluster::barrier_max;
 use debar_simio::models::paper;
 
 const GIB: u64 = 1 << 30;
@@ -42,16 +41,17 @@ fn main() {
                 let mut idx = DiskIndex::with_paper_disk(params, 100 + s as u64);
                 let entries = (params.max_entries() as f64 * fill) as u64;
                 let base = (s as u64) << 40;
-                idx.bulk_load(
-                    (0..entries).map(|i| (Fingerprint::of_counter(base + i), ContainerId::new(0))),
-                );
+                let ballast =
+                    (0..entries).map(|i| (Fingerprint::of_counter(base + i), ContainerId::new(0)));
+                idx.try_bulk_load_striped(ballast, 1)
+                    .expect("no fault is armed");
                 idx
             })
             .collect();
 
         // PSIL: every server looks up a full cache of fingerprints.
         let batch = IndexCache::with_memory(cache_bytes).capacity();
-        let psil_walls: Vec<f64> = parts
+        let psil_wall = parts
             .iter_mut()
             .enumerate()
             .map(|(s, idx)| {
@@ -60,14 +60,15 @@ fn main() {
                 for i in 0..batch {
                     cache.insert(Fingerprint::of_counter(base + i as u64), 0);
                 }
-                idx.sequential_lookup(&mut cache).cost
+                idx.try_sequential_lookup_sharded(&mut cache, 1)
+                    .expect("no fault is armed")
+                    .cost
             })
-            .collect();
-        let psil_wall = barrier_max(&psil_walls);
+            .fold(0.0, f64::max);
         let psil = (SERVERS * batch) as f64 / psil_wall / 1e3;
 
         // PSIU: every server merges a full cache of new fingerprints.
-        let psiu_walls: Vec<f64> = parts
+        let psiu_wall = parts
             .iter_mut()
             .enumerate()
             .map(|(s, idx)| {
@@ -75,10 +76,11 @@ fn main() {
                 let updates: Vec<(Fingerprint, ContainerId)> = (0..batch as u64)
                     .map(|i| (Fingerprint::of_counter(base + i), ContainerId::new(1)))
                     .collect();
-                idx.sequential_update(&updates).cost
+                idx.try_sequential_update_sharded(&updates, 1)
+                    .expect("no fault is armed")
+                    .cost
             })
-            .collect();
-        let psiu_wall = barrier_max(&psiu_walls);
+            .fold(0.0, f64::max);
         let psiu = (SERVERS * batch) as f64 / psiu_wall / 1e3;
 
         let label = if total >= TIB {

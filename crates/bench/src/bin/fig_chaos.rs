@@ -177,7 +177,7 @@ fn scrub_point(denom: u64) -> ScrubPoint {
     let cids = c.repository().container_ids();
     let physical_bytes = c.repository().physical_data_bytes();
     for &cid in &cids {
-        c.corrupt_container(cid, Damage::BitFlip).expect("exists");
+        c.set_damage(cid, Some(Damage::BitFlip)).expect("exists");
     }
     let scrubbed = c.scrub().expect("quiesced cluster scrubs");
     let rep = scrubbed.value;

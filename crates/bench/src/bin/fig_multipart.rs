@@ -84,49 +84,34 @@ fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
     range.map(ChunkRecord::of_counter).collect()
 }
 
-/// One striped SIL sweep of a paper-geometry index part (index-level law).
-fn index_sweep_secs(cfg: &DebarConfig, parts: usize) -> f64 {
+/// One striped SIL sweep of a paper-geometry index part (index-level
+/// law) — evenly split, or under a deliberately skewed `parts`-way layout:
+/// the first part-disk covers half the bucket range, the rest split the
+/// remainder, and the physical model completes at the slowest part.
+fn index_sweep_secs(cfg: &DebarConfig, parts: usize, skewed: bool) -> f64 {
     let mut idx = DiskIndex::with_paper_disk(cfg.index_part_params(), 0xF16);
-    idx.bulk_load((0..20_000u64).map(|i| (Fingerprint::of_counter(i), ContainerId::new(i))));
-    let mut cache = IndexCache::new(8, 40_000);
-    for i in 0..10_000u64 {
-        cache.insert(Fingerprint::of_counter(i * 3), 0);
-    }
-    let rep = idx.sequential_lookup_sharded(&mut cache, parts).value;
-    assert_eq!(rep.parts, parts as u32, "sweep must engage all partitions");
-    rep.sweep_secs
-}
-
-/// The same sweep under a deliberately skewed `parts`-way layout: the
-/// first part-disk covers half the bucket range, the rest split the
-/// remainder. The physical model completes at the slowest part.
-fn skew_sweep_secs(cfg: &DebarConfig, parts: usize) -> f64 {
-    let mut idx = DiskIndex::with_paper_disk(cfg.index_part_params(), 0xF16);
-    idx.bulk_load((0..20_000u64).map(|i| (Fingerprint::of_counter(i), ContainerId::new(i))));
-    let buckets = idx.params().buckets();
-    let bounds: Vec<u64> = if parts == 1 {
-        vec![buckets]
-    } else {
+    let ballast = (0..20_000u64).map(|i| (Fingerprint::of_counter(i), ContainerId::new(i)));
+    idx.try_bulk_load_striped(ballast, 1)
+        .expect("no fault is armed");
+    if skewed && parts > 1 {
+        let buckets = idx.params().buckets();
         let half = buckets / 2;
         let rest = buckets - half;
         let tail = (parts - 1) as u64;
-        (1..=tail)
-            .map(|i| half + rest * i / tail)
-            .fold(vec![half], |mut b, e| {
-                b.push(e);
-                b
-            })
-    };
-    idx.set_sweep_layout(Some(bounds));
+        let bounds = std::iter::once(half)
+            .chain((1..=tail).map(|i| half + rest * i / tail))
+            .collect();
+        idx.set_sweep_layout(Some(bounds));
+    }
     let mut cache = IndexCache::new(8, 40_000);
     for i in 0..10_000u64 {
         cache.insert(Fingerprint::of_counter(i * 3), 0);
     }
-    let rep = idx.sequential_lookup_sharded(&mut cache, parts).value;
-    assert_eq!(
-        rep.parts, parts as u32,
-        "skewed sweep must engage all parts"
-    );
+    let rep = idx
+        .try_sequential_lookup_sharded(&mut cache, parts)
+        .expect("no fault is armed")
+        .value;
+    assert_eq!(rep.parts, parts as u32, "sweep must engage all partitions");
     rep.sweep_secs
 }
 
@@ -261,8 +246,8 @@ fn main() {
     ]);
     let mut points = Vec::new();
     for &parts in &PARTS {
-        let index_sweep_s = index_sweep_secs(&law_cfg, parts);
-        let skew_sweep_s = skew_sweep_secs(&law_cfg, parts);
+        let index_sweep_s = index_sweep_secs(&law_cfg, parts, false);
+        let skew_sweep_s = index_sweep_secs(&law_cfg, parts, true);
         let w = system_point(0, parts, 1, denom, rounds);
         points.push(Point {
             parts,

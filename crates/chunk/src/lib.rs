@@ -1,23 +1,13 @@
 //! # debar-chunk
 //!
-//! Chunking algorithms for DEBAR (paper §3.2):
-//!
-//! * [`cdc`] — content-defined chunking (CDC) using Rabin fingerprints of a
-//!   48-byte sliding window, with configurable expected size (`2^k`), a
-//!   2 KB lower and 64 KB upper bound on chunk sizes, exactly as the paper
-//!   configures it (expected chunk size 8 KB).
-//! * [`fixed`] — the fixed-size blocking baseline the paper contrasts CDC
-//!   against ("even a small change to a file ... will result in a change to
-//!   all fixed-sized blocks").
-//! * [`stats`] — chunk-size distribution statistics used by tests and the
-//!   benchmark harness.
+//! Chunking for DEBAR (paper §3.2): [`cdc`] is content-defined chunking
+//! (CDC) using Rabin fingerprints of a 48-byte sliding window, with
+//! configurable expected size (`2^k`), a 2 KB lower and 64 KB upper bound
+//! on chunk sizes, exactly as the paper configures it (expected chunk size
+//! 8 KB).
 
 pub mod cdc;
-pub mod fixed;
 pub mod span;
-pub mod stats;
 
 pub use cdc::{CdcChunker, CdcParams, CdcStream};
-pub use fixed::FixedChunker;
 pub use span::ChunkSpan;
-pub use stats::ChunkStats;

@@ -1,6 +1,12 @@
 //! The DEBAR cluster: TPDS orchestration across `2^w` backup servers
 //! (paper §2, §5).
 //!
+//! Dedup-1 is `backup.rs`: one loop for every [`crate::DedupMode`], run
+//! here rather than on a [`BackupServer`] because its inline rungs reach
+//! other servers' index parts and checking files; out-of-line is that loop
+//! with no probe budget. The rest of this file is dedup-2 and cluster
+//! administration.
+//!
 //! Dedup-2 follows the paper's Fig. 5 phases, but the phases are a
 //! **pipeline**, not a lockstep of barriers. The cluster's parallelism is
 //! **charged, not executed**: every [`BackupServer`] owns its
@@ -36,24 +42,24 @@
 //! The remaining barriers are genuine data dependencies (all-to-all
 //! exchanges and the round commit), not implementation convenience.
 
-use crate::chunklog::LogRecord;
 use crate::client::BackupClient;
 use crate::config::DebarConfig;
-use crate::dataset::{ChunkedFile, Dataset};
 use crate::director::Director;
 use crate::error::{DebarError, DebarResult, Dedup2Phase};
 use crate::ids::{ClientId, Device, JobId, RunId, ServerId};
 use crate::job::{JobSpec, Schedule};
-use crate::metadata::{FileIndexEntry, RunRecord};
-use crate::report::{Dedup1Report, Dedup2Report, StoreReport};
-use crate::server::{BackupServer, Decision, SilPartOutput};
-use debar_filter::{CuckooFilter, FilterVerdict, PrelimFilter};
+use crate::report::{Dedup2Report, StoreReport};
+use crate::server::{merge_decision, BackupServer, Decision, SilPartOutput};
+use debar_filter::CuckooFilter;
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::SiuReport;
 use debar_simio::models::paper;
 use debar_simio::{FaultPlan, Secs, Timed};
 use debar_store::{ChunkRepository, Damage};
 use std::collections::{BTreeSet, HashMap};
+
+#[path = "backup.rs"]
+mod backup;
 
 #[path = "gc.rs"]
 mod gc;
@@ -281,27 +287,31 @@ impl DebarCluster {
     /// Maintenance I/O runs in the background: the returned cost is the
     /// slowest node's share, charged to no backup server's clock.
     pub fn scrub(&mut self) -> DebarResult<Timed<debar_store::ScrubReport>> {
-        if let Some(sid) = self.servers.iter().position(|s| !s.is_quiesced()) {
-            return Err(DebarError::NotQuiesced {
-                server: sid as ServerId,
-            });
-        }
+        self.ensure_quiesced()?;
         Ok(self.repo.scrub_all())
     }
 
-    /// Inject damage against a stored container (torn write / bit rot);
-    /// every later read of it surfaces [`DebarError::CorruptContainer`].
-    /// Targeting a container that does not exist is the typed
-    /// [`DebarError::MissingContainer`], never a silent no-op.
-    pub fn corrupt_container(&mut self, cid: ContainerId, damage: Damage) -> DebarResult<()> {
-        Ok(self.repo.corrupt_container(cid, damage)?)
+    /// The quiesce gate of every operation that cannot race an in-flight
+    /// dedup-2 round (scrub, garbage collection, scale-out): the typed
+    /// [`DebarError::NotQuiesced`] naming the first server that still holds
+    /// staged dedup-2 state.
+    pub(crate) fn ensure_quiesced(&self) -> DebarResult<()> {
+        match self.servers.iter().position(|s| !s.is_quiesced()) {
+            Some(sid) => Err(DebarError::NotQuiesced {
+                server: sid as ServerId,
+            }),
+            None => Ok(()),
+        }
     }
 
-    /// Clear injected damage (admin repair from a replica). Targeting a
-    /// container that does not exist is the typed
-    /// [`DebarError::MissingContainer`].
-    pub fn repair_container(&mut self, cid: ContainerId) -> DebarResult<()> {
-        Ok(self.repo.repair_container(cid)?)
+    /// Set (`Some`: torn write / bit rot) or clear (`None`: admin repair
+    /// from a replica) injected damage against a stored container; while
+    /// damaged, every read of that copy surfaces
+    /// [`DebarError::CorruptContainer`]. Targeting a container that does
+    /// not exist is the typed [`DebarError::MissingContainer`], never a
+    /// silent no-op.
+    pub fn set_damage(&mut self, cid: ContainerId, damage: Option<Damage>) -> DebarResult<()> {
+        Ok(self.repo.set_damage(cid, damage)?)
     }
 
     /// Per-server undetermined fingerprint counts.
@@ -334,314 +344,15 @@ impl DebarCluster {
         })
     }
 
-    /// Back up a dataset under a job (de-duplication phase I): client-side
-    /// chunking/fingerprinting, server assignment, preliminary filtering,
-    /// chunk logging, metadata recording.
-    pub fn backup(&mut self, job: JobId, dataset: &Dataset) -> DebarResult<Dedup1Report> {
-        let client_id = self
-            .director
-            .metadata
-            .try_job(job)
-            .ok_or(DebarError::UnknownJob { job })?
-            .spec
-            .client;
-        let client = self
-            .clients
-            .entry(client_id)
-            .or_insert_with(|| BackupClient::new(client_id));
-        let files = client.prepare(dataset).value;
-        self.backup_prepared(job, &files)
-    }
-
-    /// Back up pre-chunked files (bench harness path).
-    pub fn backup_prepared(
-        &mut self,
-        job: JobId,
-        files: &[ChunkedFile],
-    ) -> DebarResult<Dedup1Report> {
-        let job_obj = self
-            .director
-            .metadata
-            .try_job(job)
-            .ok_or(DebarError::UnknownJob { job })?;
-        let client_id = job_obj.spec.client;
-        let version = job_obj.next_version();
-        let run = RunId { job, version };
-        // Gate the preliminary-filter priming on the deletable summary
-        // vector: a fingerprint the summary no longer advertises (GC
-        // removed it) must not prime the filter. Every retained run's
-        // fingerprints are in the summary (inserted at record time, only
-        // removed when dead), so for live chains this retains everything
-        // and dedup-1 results are byte-identical to the ungated model —
-        // the gate is the safety interlock that makes deletion sound.
-        let filtering: Vec<Fingerprint> = self
-            .director
-            .metadata
-            .filtering_fingerprints(job)
-            .into_iter()
-            .filter(|fp| self.summary.contains(fp))
-            .collect();
-        let est: u64 = files.iter().map(ChunkedFile::bytes).sum();
-        let sid = self.director.assign_server(est);
-        // Mode dispatch: pure out-of-line runs entirely on the assigned
-        // server (the paper's dedup-1); inline and hybrid need cross-server
-        // access (owner index probes, checking-file consults), so their
-        // loop lives at cluster level.
-        let result = if self.cfg.dedup_mode.is_inline() {
-            self.run_backup_inline(sid, run, client_id, filtering, files)
-        } else {
-            self.servers[sid as usize].run_backup(run, client_id, filtering, files)
-        };
-        let (record, report) = match result {
-            Ok(r) => r,
-            Err(e) => {
-                // An aborted run registers nothing — including its
-                // placement load, or a faulted-then-retried history
-                // would route later jobs differently than a clean one.
-                self.director.unassign_server(sid, est);
-                return Err(e);
-            }
-        };
-        // Advertise the run's fingerprints in the summary vector — one
-        // copy per fingerprint cluster-wide (the multiset stays a set
-        // here), so a GC removal of a dead fingerprint fully withdraws it.
-        for file in &record.files {
-            for fp in &file.fingerprints {
-                if !self.summary.contains(fp) {
-                    self.summary.insert(fp);
-                }
-            }
-        }
-        self.director.metadata.record_run(record);
-        if self.cfg.layout.is_capped() {
-            // Queue the run for the rewrite-on-backup capping pass of the
-            // round that makes its chunks durable (see `layout.rs`).
-            self.uncapped_runs.push(run);
-        }
-        Ok(report)
-    }
-
-    /// The inline/hybrid dedup-1 loop ([`crate::DedupMode`]): identical to
-    /// [`BackupServer::run_backup`] (the filter streams `filtering`, the
-    /// previous run in stream order) except that filter-missed fingerprints
-    /// are resolved at backup time against the hot window — the assigned
-    /// server's LPC, the owner part's checking file, and (within the
-    /// hybrid probe budget) a random disk-index probe whose hit prefetches
-    /// the container's fingerprints into the LPC. Resolved-new chunks are
-    /// logged with a `Store` decision staged for the next chunk-storing
-    /// pass; under [`crate::DedupMode::Hybrid`] the cold remainder past
-    /// the probe budget falls back to the paper's out-of-line path (log +
-    /// undetermined set).
-    ///
-    /// Abort semantics match the out-of-line run: on any fault the staged
-    /// decisions and checking entries are rolled back, so records appended
-    /// before the fault carry no verdict and are discarded by the next
-    /// chunk-storing pass.
-    fn run_backup_inline(
-        &mut self,
-        sid: ServerId,
-        run: RunId,
-        client: ClientId,
-        filtering: Vec<Fingerprint>,
-        files: &[ChunkedFile],
-    ) -> DebarResult<(RunRecord, Dedup1Report)> {
-        let sid = sid as usize;
-        let w = self.cfg.w_bits;
-        let start = self.servers[sid].clock.now();
-        let mut filter = PrelimFilter::with_memory(self.cfg.filter_bytes);
-        filter.prime(filtering);
-        // `None` = unlimited (pure inline); hybrid runs down a per-run
-        // probe budget and goes cold after.
-        let budget = self.cfg.dedup_mode.probe_budget();
-        let mut probes: u64 = 0;
-        // Staged (fp → Store on sid, fp → checking on owner) entries of
-        // *this run*, undone whole if the run aborts.
-        let mut staged: Vec<Fingerprint> = Vec::new();
-
-        let mut report = Dedup1Report {
-            run,
-            server: sid as ServerId,
-            logical_bytes: 0,
-            logical_chunks: 0,
-            transferred_bytes: 0,
-            transferred_chunks: 0,
-            filtered_dups: 0,
-            undetermined_added: 0,
-            inline_hits: 0,
-            inline_index_reads: 0,
-            backlog_bytes: 0,
-            elapsed: 0.0,
-        };
-        let mut file_indices = Vec::with_capacity(files.len());
-        let mut log_cost: Secs = 0.0;
-        for file in files {
-            let mut fps = Vec::with_capacity(file.chunks.len());
-            let mut fbytes = 0u64;
-            for chunk in &file.chunks {
-                let len = chunk.len();
-                report.logical_bytes += len;
-                report.logical_chunks += 1;
-                fbytes += len;
-                fps.push(chunk.fp);
-                self.servers[sid].charge_ingest_fp();
-                if filter.check(chunk.fp) == FilterVerdict::Duplicate {
-                    report.filtered_dups += 1;
-                    continue;
-                }
-                let fp = chunk.fp;
-                let owner = fp.server_number(w) as usize;
-                // 1. The hot window's free tier: container fingerprints
-                // already prefetched into the assigned server's LPC.
-                if self.servers[sid].lpc.lookup(&fp).is_some() {
-                    report.inline_hits += 1;
-                    filter.mark_determined(&fp);
-                    continue;
-                }
-                let may_probe = budget.map(|b| probes < b).unwrap_or(true);
-                if !may_probe {
-                    // Hybrid cold path: the paper's out-of-line dedup-1.
-                    self.servers[sid].charge_net(len);
-                    log_cost += match self.servers[sid].try_log_append(LogRecord::from(chunk)) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            self.rollback_inline_staging(sid, &staged);
-                            return Err(e);
-                        }
-                    };
-                    report.transferred_bytes += len;
-                    report.transferred_chunks += 1;
-                    report.backlog_bytes += len;
-                    continue;
-                }
-                // 2. The owner part's checking file: a store is already
-                // scheduled (SIU pending) — probing the index would miss
-                // and wrongly designate a second storer. When the owner is
-                // remote and the consult short-circuits, charge the
-                // request/response hop it rode on; on a miss the probe's
-                // own hop carries it for free.
-                if self.servers[owner].checking_contains(&fp) {
-                    if owner != sid {
-                        self.servers[sid].charge_net(64);
-                        self.servers[owner].charge_net(64);
-                    }
-                    report.inline_hits += 1;
-                    filter.mark_determined(&fp);
-                    continue;
-                }
-                // 3. The budgeted random index probe (authoritative).
-                probes += 1;
-                report.inline_index_reads += 1;
-                let found = lookup_with_owner(&mut self.servers, sid, owner, &fp);
-                match self.servers[sid].clock.charge(found) {
-                    Some(cid) => {
-                        report.inline_hits += 1;
-                        filter.mark_determined(&fp);
-                        // Prefetch the hit container's fingerprints into
-                        // the LPC (and its payloads into the decoded
-                        // cache, keeping the two in lockstep exactly like
-                        // the restore path): nearby chunks of the same
-                        // old stream now dedup without further probes.
-                        let t = self.repo.read_anywhere(cid).timed();
-                        let container = match self.servers[sid].clock.charge(t) {
-                            Ok(Some(c)) => c,
-                            Ok(None) => continue, // reclaimed under us: verdict stands
-                            Err(e) => {
-                                self.rollback_inline_staging(sid, &staged);
-                                return Err(e.into());
-                            }
-                        };
-                        let evicted = self.servers[sid]
-                            .lpc
-                            .insert_container(cid, container.fingerprints().collect());
-                        for e in evicted {
-                            self.servers[sid].container_cache.remove(&e);
-                        }
-                        let now = self.servers[sid].clock.now();
-                        self.servers[sid]
-                            .container_cache
-                            .insert(cid, crate::server::CachedContainer::new(container, now));
-                    }
-                    None => {
-                        // Determined new at backup time: transfer and log
-                        // the chunk, stage its Store decision for the next
-                        // chunk-storing pass, and suppress duplicates via
-                        // the owner's checking file until SIU registers it.
-                        self.servers[sid].charge_net(len);
-                        log_cost += match self.servers[sid].try_log_append(LogRecord::from(chunk)) {
-                            Ok(c) => c,
-                            Err(e) => {
-                                self.rollback_inline_staging(sid, &staged);
-                                return Err(e);
-                            }
-                        };
-                        report.transferred_bytes += len;
-                        report.transferred_chunks += 1;
-                        self.servers[sid].stage_inline_store(fp);
-                        if owner != sid {
-                            self.servers[sid].charge_net(64);
-                            self.servers[owner].charge_net(64);
-                        }
-                        self.servers[owner].stage_inline_checking(fp);
-                        staged.push(fp);
-                        filter.mark_determined(&fp);
-                    }
-                }
-            }
-            file_indices.push(FileIndexEntry {
-                path: file.path.clone(),
-                fingerprints: fps,
-                bytes: fbytes,
-            });
-        }
-        let produced = self.servers[sid].clock.since(start);
-        if log_cost > produced {
-            self.servers[sid].clock.advance(log_cost - produced);
-        }
-        // Pure inline leaves nothing undetermined (every transfer verdict
-        // was resolved and downgraded); hybrid's cold remainder goes to
-        // the out-of-line sweep.
-        let und = filter.take_undetermined();
-        report.undetermined_added = und.len() as u64;
-        self.servers[sid].extend_undetermined(und);
-        report.elapsed = self.servers[sid].clock.since(start);
-        let record = RunRecord {
-            run,
-            server: sid as ServerId,
-            client,
-            files: file_indices,
-            logical_bytes: report.logical_bytes,
-            logical_chunks: report.logical_chunks,
-        };
-        Ok((record, report))
-    }
-
-    /// Undo an aborted inline run's staged state: its `Store` decisions on
-    /// the assigned server and its checking entries on the owner parts.
-    /// Only entries this run added are in `staged` (a fingerprint already
-    /// checking or carried over is resolved as a duplicate before staging),
-    /// so removal cannot clobber another run's scheduling.
-    fn rollback_inline_staging(&mut self, sid: usize, staged: &[Fingerprint]) {
-        let w = self.cfg.w_bits;
-        for fp in staged {
-            self.servers[sid].unstage_inline_store(fp);
-            let owner = fp.server_number(w) as usize;
-            self.servers[owner].unstage_inline_checking(fp);
-        }
-    }
-
-    /// Align all server clocks to the slowest and return that time.
-    fn barrier(&mut self) -> Secs {
+    /// The clock barrier: align all server clocks to the slowest and
+    /// return that time. Public for experiment harnesses measuring
+    /// wall-clock phases across servers (e.g. "one day of backups").
+    pub fn align_clocks(&mut self) -> Secs {
         let max = self.now();
         for s in &mut self.servers {
             s.clock.advance_to(max);
         }
         max
-    }
-
-    /// Public clock barrier for experiment harnesses measuring wall-clock
-    /// phases across servers (e.g. "one day of backups").
-    pub fn align_clocks(&mut self) -> Secs {
-        self.barrier()
     }
 
     /// Run one de-duplication phase-II round (PSIL → chunk storing → PSIU).
@@ -668,7 +379,7 @@ impl DebarCluster {
         // the round so a faulted attempt reports them again on the resume;
         // the counters reset only on commit below.
         let predetermined_fps: u64 = self.servers.iter().map(BackupServer::inline_staged).sum();
-        let t0 = self.barrier();
+        let t0 = self.align_clocks();
 
         // ---- Phase 1: partition undetermined fingerprints, exchange. ----
         // The per-server snapshot survives until every PSIL pass succeeds
@@ -696,7 +407,7 @@ impl DebarCluster {
             self.servers[i].charge_net(tx_bytes[i] + rx_bytes[i]);
         }
         let submitted_fps: u64 = batches.iter().map(|b| b.len() as u64).sum();
-        let t1 = self.barrier();
+        let t1 = self.align_clocks();
 
         // ---- Phase 2: PSIL, every server on its own clock. ----
         let results: Vec<Result<SilPartOutput, DebarError>> = self
@@ -711,7 +422,7 @@ impl DebarCluster {
             for (srv, fps) in self.servers.iter_mut().zip(taken) {
                 srv.restore_undetermined(fps);
             }
-            let _ = self.barrier();
+            let _ = self.align_clocks();
             return Err(DebarError::InterruptedDedup2 {
                 round,
                 phase: Dedup2Phase::Sil,
@@ -741,14 +452,7 @@ impl DebarCluster {
                     // first yields Store, the second a checking-file Skip.
                     // A Store designation is binding — it must never be
                     // overwritten by a later Skip.
-                    decisions[origin]
-                        .entry(fp)
-                        .and_modify(|existing| {
-                            if d == Decision::Store {
-                                *existing = Decision::Store;
-                            }
-                        })
-                        .or_insert(d);
+                    merge_decision(&mut decisions[origin], fp, d);
                 }
             }
         }
@@ -842,7 +546,7 @@ impl DebarCluster {
         if let Some((sid, cause)) = store_fault {
             // Keep the durable prefix's statistics for the resumed round.
             self.carryover_store = store_total;
-            let _ = self.barrier();
+            let _ = self.align_clocks();
             return Err(DebarError::InterruptedDedup2 {
                 round,
                 phase: Dedup2Phase::ChunkStoring,
@@ -860,7 +564,7 @@ impl DebarCluster {
             .zip(&sil_done)
             .map(|(srv, &c)| srv.clock.now() - c);
         let bulk_sync_end = t2 + store_walls.fold(0.0_f64, f64::max);
-        let t3 = self.barrier();
+        let t3 = self.align_clocks();
         let store_overlap_saved = (bulk_sync_end - t3).max(0.0);
 
         // ---- Phase 3b: rewrite-on-backup container capping. ----
@@ -873,11 +577,11 @@ impl DebarCluster {
         let mut cap = match self.cap_rewrite_pass() {
             Ok(c) => c,
             Err(e) => {
-                let _ = self.barrier();
+                let _ = self.align_clocks();
                 return Err(e);
             }
         };
-        let t3b = self.barrier();
+        let t3b = self.align_clocks();
         cap.wall = t3b - t3;
 
         // ---- Phase 4: PSIU (possibly deferred: asynchronous SIU). ----
@@ -888,7 +592,7 @@ impl DebarCluster {
         } else {
             (Vec::new(), 0)
         };
-        let t4 = self.barrier();
+        let t4 = self.align_clocks();
         self.director.commit_dedup2();
         // The round committed: the staged inline decisions it consumed are
         // accounted for.
@@ -927,7 +631,7 @@ impl DebarCluster {
     /// updates, and calling `force_siu` again re-applies them
     /// idempotently (see [`BackupServer::run_siu`]).
     pub fn force_siu(&mut self) -> DebarResult<(Vec<SiuReport>, Secs)> {
-        let t0 = self.barrier();
+        let t0 = self.align_clocks();
         let (reports, _) = self.psiu()?;
         Ok((reports, self.now() - t0))
     }
@@ -938,7 +642,7 @@ impl DebarCluster {
     /// the first fault (lowest server ID).
     fn psiu(&mut self) -> DebarResult<(Vec<SiuReport>, u64)> {
         let results: Vec<_> = self.servers.iter_mut().map(BackupServer::run_siu).collect();
-        let _ = self.barrier();
+        let _ = self.align_clocks();
         let mut reports = Vec::with_capacity(results.len());
         let mut updates = 0;
         for r in results {
@@ -960,12 +664,12 @@ impl DebarCluster {
     /// index part in place. Returns the wall-clock cost of the slowest
     /// server's rebuild.
     pub fn scale_up_indexes(&mut self) -> Secs {
-        let t0 = self.barrier();
+        let t0 = self.align_clocks();
         for srv in &mut self.servers {
             let t = srv.index_mut().scale_up();
             srv.clock.advance(t.cost);
         }
-        let t1 = self.barrier();
+        let t1 = self.align_clocks();
         t1 - t0
     }
 
@@ -980,12 +684,8 @@ impl DebarCluster {
     /// [`DebarError::NotQuiesced`] when a server still holds staged
     /// dedup-2 state.
     pub fn scale_out(&mut self) -> DebarResult<Secs> {
-        if let Some(sid) = self.servers.iter().position(|s| !s.is_quiesced()) {
-            return Err(DebarError::NotQuiesced {
-                server: sid as ServerId,
-            });
-        }
-        let t0 = self.barrier();
+        self.ensure_quiesced()?;
+        let t0 = self.align_clocks();
         let mut new_cfg = self.cfg;
         new_cfg.w_bits += 1;
         // The index owns its geometry — SIU grows a full part in place —
@@ -1014,7 +714,7 @@ impl DebarCluster {
         self.cfg = new_cfg;
         self.director.metadata.remap_servers(|s| s * 2);
         self.director.resize_servers(self.servers.len());
-        let t1 = self.barrier();
+        let t1 = self.align_clocks();
         Ok(t1 - t0)
     }
 
@@ -1071,8 +771,15 @@ impl DebarCluster {
 
     /// Pre-load ballast fingerprints into the index parts (experiment
     /// setup: "the system already stores X TB"). No virtual time is
-    /// charged; fingerprints must be distinct and absent.
-    pub fn preload_index(&mut self, entries: impl IntoIterator<Item = (Fingerprint, ContainerId)>) {
+    /// charged; fingerprints must be distinct and absent. Each part is
+    /// loaded across the deployment's sweep partitions — one write-sweep op
+    /// on every part-disk, so the striped bank, its statistics and any
+    /// armed plan survive — and a fault fired by the load is the typed
+    /// [`DebarError::DeviceFault`].
+    pub fn preload_index(
+        &mut self,
+        entries: impl IntoIterator<Item = (Fingerprint, ContainerId)>,
+    ) -> DebarResult<()> {
         let w = self.cfg.w_bits;
         let mut per_server: Vec<Vec<(Fingerprint, ContainerId)>> =
             vec![Vec::new(); self.servers.len()];
@@ -1082,9 +789,12 @@ impl DebarCluster {
             }
             per_server[fp.server_number(w) as usize].push((fp, cid));
         }
+        let parts = self.cfg.sweep_parts;
         for (srv, batch) in self.servers.iter_mut().zip(per_server) {
-            srv.index_mut().bulk_load(batch);
+            (srv.index_mut().try_bulk_load_striped(batch, parts))
+                .map_err(|e| DebarError::index_fault(srv.id, e))?;
         }
+        Ok(())
     }
 
     /// Total index entries across parts.
@@ -1134,6 +844,7 @@ fn lookup_with_owner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use crate::report::RestoreReport;
     use debar_hash::Sha1;
     use debar_workload::ChunkRecord;
@@ -1325,7 +1036,6 @@ mod tests {
         assert!(d2.store_wall > 0.0);
         assert!(d2.siu_wall > 0.0);
         assert!(d2.total_wall() >= d2.sil_wall + d2.store_wall);
-        assert!(d2.psil_fps_per_s() > 0.0);
     }
 
     #[test]
@@ -1614,7 +1324,7 @@ mod tests {
         c.run_dedup2().expect("dedup2");
         let run = RunId { job, version: 0 };
         let target = c.repository().container_ids()[0];
-        c.corrupt_container(target, Damage::BitFlip)
+        c.set_damage(target, Some(Damage::BitFlip))
             .expect("container exists");
         // Strict restore fails fast with the typed error...
         let err = c.restore_run(run).expect_err("corruption detected");
@@ -1633,7 +1343,7 @@ mod tests {
             "{err}"
         );
         // Repair, then everything converges again.
-        c.repair_container(target).expect("container exists");
+        c.set_damage(target, None).expect("container exists");
         c.recover_index(0).expect("rebuild after repair");
         let r = c.restore_run(run).expect("restore after repair");
         assert_eq!(r.failures, 0);
@@ -2420,6 +2130,39 @@ mod tests {
     }
 
     #[test]
+    fn preload_index_keeps_the_striped_part_disk_bank() {
+        let mut c = DebarCluster::new(DebarConfig::tiny_test(0).with_sweep_parts(4));
+        let job = c.define_job("j", ClientId(0));
+        c.backup(job, &Dataset::from_records("s", records(0..500)))
+            .expect("backup");
+        c.run_dedup2().expect("dedup2");
+        let part2 = Device::IndexPart { server: 0, part: 2 };
+        let ops = c.device_ops(part2).expect("in the stripe");
+        assert!(ops > 0, "the round swept part 2");
+        let stats = |c: &DebarCluster| c.server(0).index().part_disk_stats(2);
+        let read_before = stats(&c).expect("materialized").seq_read_bytes;
+        // Armed past the load's own write sweep: the next round's PSIL.
+        c.arm(part2, FaultPlan::fail_at(ops + 1))
+            .expect("in the stripe");
+        let ballast =
+            (10_000..10_100).map(|i| (ChunkRecord::of_counter(i).fp, ContainerId::new(7)));
+        c.preload_index(ballast).expect("preload");
+        assert_eq!(
+            c.device_ops(part2),
+            Ok(ops + 1),
+            "the load is one write sweep on every part-disk of the stripe"
+        );
+        let after = stats(&c).expect("the bank is still four disks wide");
+        assert_eq!(after.seq_read_bytes, read_before, "its statistics survive");
+        c.backup(job, &Dataset::from_records("s", records(500..600)))
+            .expect("backup");
+        let err = c
+            .run_dedup2()
+            .expect_err("the armed plan survived the load");
+        assert_eq!(interrupting_device(&err), Some(part2), "{err}");
+    }
+
+    #[test]
     fn deterministic_across_runs() {
         // 2 servers x 4 sweep parts: every virtual-time field of both
         // reports must repeat bit-for-bit on a fresh cluster.
@@ -2650,7 +2393,7 @@ mod tests {
             "{err}"
         );
         assert_eq!(index_devices(&c, 1), index_devices(&clean, 1));
-        assert_eq!(c.server(1).pending_updates_len(), 0, "server 1 registered");
+        assert!(c.server(1).is_quiesced(), "server 1 registered");
         assert_eq!(index_digests(&c)[1], index_digests(&clean)[1]);
         assert_eq!(c.now(), clean.now());
         assert_redo_converges(c, &clean);

@@ -198,8 +198,8 @@ pub struct DebarConfig {
     /// phase (§5.3): the chunk-log drain is striped across this many
     /// worker disks ([`crate::Device::LogWorker`], each reading its even
     /// byte share concurrently, wall time the max over workers ≈
-    /// 1/workers), feeding the container packer and the write-behind
-    /// flush queue. Chunk-storing *results* are byte-identical at any
+    /// 1/workers), feeding the container packer, whose containers commit
+    /// as one batch. Chunk-storing *results* are byte-identical at any
     /// worker count — only the virtual drain time divides. `1` — worker
     /// disk 0 alone, which also takes every append — is the paper's
     /// single log volume per server and the default everywhere.
@@ -448,11 +448,6 @@ impl DebarConfig {
         IndexParams::from_total_size(self.index_part_bytes, self.bucket_bytes)
     }
 
-    /// Global bucket-number width: `w` server bits + per-part bucket bits.
-    pub fn global_n_bits(&self) -> u32 {
-        self.w_bits + self.index_part_params().n_bits
-    }
-
     /// Validate invariants, returning the typed
     /// [`crate::DebarError::IndexGeometry`] on inconsistency.
     pub fn try_validate(&self) -> Result<(), crate::error::DebarError> {
@@ -617,7 +612,7 @@ mod tests {
         let cfg = DebarConfig::cluster_scaled(4, 32 << 30, 1024);
         cfg.validate();
         assert_eq!(cfg.servers(), 16);
-        assert_eq!(cfg.global_n_bits(), 4 + 12);
+        assert_eq!(cfg.w_bits + cfg.index_part_params().n_bits, 4 + 12);
     }
 
     #[test]

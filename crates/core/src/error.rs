@@ -154,19 +154,13 @@ pub enum DebarError {
         /// The injected fault that fired.
         fault: InjectedFault,
     },
-    /// Online scaling was requested while a server still holds staged
-    /// dedup-2 state (run dedup-2 and `force_siu` first).
+    /// Online scaling, a scrub or garbage collection was requested while a
+    /// server still holds staged dedup-2 state — an in-flight backup races
+    /// the operation. It refuses the race with this typed error (GC, for
+    /// one, could reclaim a chunk the staged round is about to reference);
+    /// finish the round (`run_dedup2` + `force_siu`) and re-run it.
     NotQuiesced {
         /// The first non-quiesced server.
-        server: ServerId,
-    },
-    /// Garbage collection was requested while a server still holds staged
-    /// dedup-2 state — an in-flight backup races the collector. GC refuses
-    /// the race with this typed error instead of risking reclaiming a
-    /// chunk the staged round is about to reference; finish the round
-    /// (`run_dedup2` + `force_siu`) and re-run GC.
-    GcRace {
-        /// The first server with staged (un-quiesced) dedup-2 state.
         server: ServerId,
     },
     /// `delete_run` targeted a run inside the retention window: the run is
@@ -254,12 +248,8 @@ impl fmt::Display for DebarError {
             ),
             DebarError::NotQuiesced { server } => write!(
                 f,
-                "server {server} holds staged dedup-2 state; run dedup-2 + force_siu before scaling"
-            ),
-            DebarError::GcRace { server } => write!(
-                f,
-                "GC races an in-flight backup: server {server} holds staged dedup-2 state; \
-                 run dedup-2 + force_siu, then re-run GC"
+                "server {server} holds staged dedup-2 state; \
+                 run dedup-2 + force_siu before scaling, scrubbing or collecting garbage"
             ),
             DebarError::RetainedRun { run, retention } => write!(
                 f,
@@ -360,9 +350,9 @@ mod tests {
 
     #[test]
     fn gc_errors_display_their_context() {
-        let e = DebarError::GcRace { server: 2 };
+        let e = DebarError::NotQuiesced { server: 2 };
         assert!(e.to_string().contains("server 2"), "{e}");
-        assert!(e.to_string().contains("re-run GC"), "{e}");
+        assert!(e.to_string().contains("collecting garbage"), "{e}");
         let e = DebarError::RetainedRun {
             run: RunId {
                 job: JobId(1),

@@ -26,7 +26,7 @@
 //! byte-identical state of an uninterrupted collection.
 //!
 //! * **Quiesce gate.** GC refuses to race an in-flight backup
-//!   ([`DebarError::GcRace`]): with staged dedup-2 state, a chunk's
+//!   ([`DebarError::NotQuiesced`]): with staged dedup-2 state, a chunk's
 //!   liveness cannot be decided (its referencing run is not yet recorded
 //!   as durable).
 //! * **Compaction is store-new-then-delete-old.** The fresh container is
@@ -165,11 +165,7 @@ impl DebarCluster {
     /// re-running after clearing them converges byte-identically with an
     /// uninterrupted collection.
     pub fn run_gc(&mut self) -> DebarResult<GcReport> {
-        if let Some(sid) = self.servers.iter().position(|s| !s.is_quiesced()) {
-            return Err(DebarError::GcRace {
-                server: sid as ServerId,
-            });
-        }
+        self.ensure_quiesced()?;
         let result = self.gc_execute();
         // Unconditional: even an aborted collection may have deleted
         // containers that a cached LPC mapping still points at.
@@ -432,7 +428,7 @@ mod tests {
         c.backup(a, &Dataset::from_records("s", records(0..200)))
             .expect("backup");
         // Staged dedup-2 state: the collector must refuse, typed.
-        assert_eq!(c.run_gc(), Err(DebarError::GcRace { server: 0 }));
+        assert_eq!(c.run_gc(), Err(DebarError::NotQuiesced { server: 0 }));
         c.run_dedup2().expect("dedup2");
         c.force_siu().expect("siu");
         c.run_gc().expect("quiesced cluster collects fine");

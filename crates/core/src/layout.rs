@@ -47,7 +47,7 @@ use crate::error::{DebarError, DebarResult};
 use crate::ids::RunId;
 use debar_hash::{ContainerId, Fingerprint};
 use debar_simio::Secs;
-use debar_store::{Container, Payload};
+use debar_store::{Container, ContainerManager, Payload};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -262,8 +262,7 @@ impl DebarCluster {
             // Re-materialize the victims' chunks in stream order into
             // fresh containers of the run's own; store each serially
             // (canonical ID allocation), repoint only once durable.
-            let mut fresh = Container::new(self.cfg.container_bytes);
-            let mut fresh_fps: Vec<Fingerprint> = Vec::new();
+            let mut packer = ContainerManager::new(self.cfg.container_bytes);
             for fp in order.iter().filter(|fp| victims.contains(&resolved[*fp])) {
                 let Some((len, payload)) = payloads.get(fp).cloned() else {
                     fault = Some(DebarError::MissingChunk {
@@ -272,30 +271,19 @@ impl DebarCluster {
                     });
                     break 'runs;
                 };
-                if !fresh.try_append(*fp, payload.clone()) {
-                    match self.store_rewritten(fresh, &fresh_fps, sid, &mut overlay, &mut report) {
-                        Ok(()) => {}
-                        Err(e) => {
-                            fault = Some(e);
-                            break 'runs;
-                        }
-                    }
-                    fresh = Container::new(self.cfg.container_bytes);
-                    fresh_fps.clear();
-                    let fits = fresh.try_append(*fp, payload);
-                    debug_assert!(fits, "one chunk must fit an empty container");
-                }
-                fresh_fps.push(*fp);
-                report.chunks_rewritten += 1;
-                report.bytes_rewritten += len as u64;
-            }
-            if !fresh_fps.is_empty() {
-                match self.store_rewritten(fresh, &fresh_fps, sid, &mut overlay, &mut report) {
-                    Ok(()) => {}
-                    Err(e) => {
+                if let Some(sealed) = packer.append(*fp, payload) {
+                    if let Err(e) = self.store_rewritten(sealed, sid, &mut overlay, &mut report) {
                         fault = Some(e);
                         break 'runs;
                     }
+                }
+                report.chunks_rewritten += 1;
+                report.bytes_rewritten += len as u64;
+            }
+            if let Some(sealed) = packer.flush() {
+                if let Err(e) = self.store_rewritten(sealed, sid, &mut overlay, &mut report) {
+                    fault = Some(e);
+                    break 'runs;
                 }
             }
             done.insert(run);
@@ -321,18 +309,18 @@ impl DebarCluster {
     fn store_rewritten(
         &mut self,
         fresh: Container,
-        fps: &[Fingerprint],
         sid: usize,
         overlay: &mut [HashMap<Fingerprint, ContainerId>],
         report: &mut CapReport,
     ) -> DebarResult<()> {
         let w = self.cfg.w_bits;
+        let fps: Vec<Fingerprint> = fresh.fingerprints().collect();
         let t = self.repo.store(fresh);
         let new_cid = self.servers[sid]
             .clock
             .charge(t)
             .map_err(DebarError::from)?;
-        for fp in fps {
+        for fp in &fps {
             let owner = fp.server_number(w) as usize;
             self.servers[owner].repoint(fp, new_cid);
             overlay[owner].insert(*fp, new_cid);

@@ -9,12 +9,18 @@
 //!   fingerprinting of datasets (§3.2);
 //! * **backup servers** ([`server`]) — the File Store (de-duplication
 //!   phase I: preliminary filtering + chunk log) and the Chunk Store
-//!   (phase II: SIL, chunk storing, SIU) (§3.3, §5). Dedup-1 hands the
-//!   preliminary filter the previous run's fingerprints whole and in
-//!   stream order: they are a file the filter streams past the backup's
-//!   position, so a job larger than the filter's memory is filtered like
-//!   one that fits (`debar_filter::prelim`), and whatever dedup-1 misses
-//!   is paid a second time as chunk-log and dedup-2 backlog;
+//!   (phase II: SIL, chunk storing, SIU) (§3.3, §5). Dedup-1 is **one
+//!   loop** (in [`cluster`], because its inline rungs reach other
+//!   servers' index parts). It hands the preliminary filter the previous
+//!   run's fingerprints whole and in stream order: they are a file the
+//!   filter streams past the backup's position, so a job larger than the
+//!   filter's memory is filtered like one that fits
+//!   (`debar_filter::prelim`). What the filter misses walks down a ladder
+//!   — LPC, owner checking file, random index probe — as far as the
+//!   mode's probe budget ([`DedupMode::probe_budget`]) reaches, and past
+//!   it is appended to the chunk log undetermined: paid a second time as
+//!   dedup-2 backlog. The paper's out-of-line dedup-1 is that loop at
+//!   budget 0, not a second implementation (see *Deduplication modes*);
 //! * the **chunk repository** (from `debar-store`) — the global container
 //!   pool (§3.4);
 //! * the **cluster** ([`cluster`]) — the two-phase de-duplication scheme
@@ -25,9 +31,8 @@
 //!   repository-node reads and the client stream overlap on per-device
 //!   timelines, with the LPC as its read-ahead buffer.
 //!
-//! [`system::DebarSystem`] is the single-facade entry point used by the
-//! examples: define jobs, back up datasets, run dedup-2, restore and
-//! verify.
+//! [`DebarCluster`] is the entry point: define jobs, back up datasets,
+//! run dedup-2, restore, verify, expire and collect.
 //!
 //! # Failure model & error taxonomy
 //!
@@ -49,14 +54,14 @@
 //!   magic byte and a SHA-1 checksum trailer; torn writes and bit rot are
 //!   *detected* on every read path — restore, verify, LPC prefetch and
 //!   the §4.1 recovery rebuild — as [`DebarError::CorruptContainer`],
-//!   never silently read. [`DebarCluster::corrupt_container`] injects
-//!   damage directly against a stored container.
+//!   never silently read. [`DebarCluster::set_damage`] injects damage
+//!   directly against a stored container.
 //! * **Caller errors**: unknown jobs/runs/paths
 //!   ([`DebarError::UnknownJob`] / [`DebarError::UnknownRun`] /
 //!   [`DebarError::UnknownPath`]), inconsistent deployment geometry
 //!   ([`DebarError::IndexGeometry`], from
-//!   [`DebarConfig::try_validate`]), and scaling a non-quiesced cluster
-//!   ([`DebarError::NotQuiesced`]).
+//!   [`DebarConfig::try_validate`]), and scaling, scrubbing or collecting
+//!   garbage on a non-quiesced cluster ([`DebarError::NotQuiesced`]).
 //!
 //! Two failure kinds are **resumable** — the operation rolls back to a
 //! crash-consistent state and *re-running it converges to the
@@ -188,7 +193,7 @@
 //!   numbering and the filtering-fingerprint chain of future backups are
 //!   unaffected.
 //! * **Collect.** [`DebarCluster::run_gc`] refuses to race staged
-//!   dedup-2 state ([`DebarError::GcRace`]), then: computes the live set
+//!   dedup-2 state ([`DebarError::NotQuiesced`]), then: computes the live set
 //!   from the retained runs, compacts partially-dead containers
 //!   (store-new-then-delete-old, on **every replica**), deletes
 //!   whole-dead ones, rebuilds each server's index part without the dead
@@ -279,15 +284,23 @@
 //!
 //! [`DebarConfig::dedup_mode`] selects *when* a filter-missed
 //! fingerprint is resolved against the disk index — the axis the paper
-//! contrasts with DDFS's inline scheme (§1, §6):
+//! contrasts with DDFS's inline scheme (§1, §6). It parameterises the one
+//! dedup-1 loop with a per-run budget of random index probes
+//! ([`DedupMode::probe_budget`]), which is Li et al.'s hybrid scheme
+//! (PAPERS.md) read literally: out-of-line is the zero-budget case of the
+//! inline ladder, not a second algorithm.
 //!
-//! * [`DedupMode::OutOfLine`] (default, the paper's TPDS): dedup-1 only
-//!   consults the in-memory preliminary filter; every miss is appended
-//!   to the chunk log with its fingerprint *undetermined*, and the
-//!   batched dedup-2 sweep (PSIL → chunk storing → PSIU) resolves the
-//!   whole backlog later with sequential index I/O.
-//! * [`DedupMode::Inline`] (the DDFS-style baseline): every filter miss
-//!   is resolved *at backup time* — locality-preserving-cache lookup,
+//! * [`DedupMode::OutOfLine`] (default, the paper's TPDS; budget 0):
+//!   dedup-1 only consults the in-memory preliminary filter; every miss
+//!   is appended to the chunk log with its fingerprint *undetermined*,
+//!   and the batched dedup-2 sweep (PSIL → chunk storing → PSIU) resolves
+//!   the whole backlog later with sequential index I/O. The ladder's free
+//!   LPC rung is inline-only: with no probe to back it, an out-of-line
+//!   backup must neither count an LPC hit as a duplicate nor perturb the
+//!   restore cache's LRU order.
+//! * [`DedupMode::Inline`] (the DDFS-style baseline; unlimited budget):
+//!   every filter miss is resolved *at backup time* —
+//!   locality-preserving-cache lookup,
 //!   then pending-set consult, then a random disk-index probe, with a
 //!   container prefetch on a probe hit. Known duplicates never enter
 //!   the chunk log; genuinely new chunks are logged with their storage
@@ -319,7 +332,6 @@ pub mod job;
 pub mod metadata;
 pub mod report;
 pub mod server;
-pub mod system;
 
 pub use cluster::{CapReport, DebarCluster, GcReport, LayoutReport};
 pub use config::{DebarConfig, DedupMode, LayoutMode};
@@ -329,4 +341,3 @@ pub use debar_store::{Health, HealthPolicy, ScrubReport};
 pub use error::{DebarError, DebarResult, Dedup2Phase};
 pub use ids::{ClientId, Device, JobId, RunId, ServerId};
 pub use report::{Dedup1Report, Dedup2Report, RestoreReport};
-pub use system::DebarSystem;

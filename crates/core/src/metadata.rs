@@ -110,12 +110,6 @@ impl MetadataManager {
         self.runs.remove(&run)
     }
 
-    /// Whether the job has ever recorded this run (even if since retired).
-    pub fn chain_contains(&self, run: RunId) -> bool {
-        self.try_job(run.job)
-            .is_some_and(|j| (run.version as usize) < j.chain.len())
-    }
-
     /// Run records currently retained, in no particular order.
     pub fn retained_runs(&self) -> impl Iterator<Item = &RunRecord> {
         self.runs.values()
@@ -241,7 +235,6 @@ mod tests {
         assert_eq!(gone.run.version, 2);
         assert_eq!(m.last_run(a).unwrap().run.version, 1);
         assert_eq!(m.filtering_fingerprints(a), vec![fp(2)]);
-        assert!(m.chain_contains(RunId { job: a, version: 2 }));
         assert!(m.run(RunId { job: a, version: 2 }).is_none());
         assert!(m.retire_run(RunId { job: a, version: 2 }).is_none());
         m.record_run(record(a, 3, vec![fp(4)]));

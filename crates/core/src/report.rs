@@ -143,24 +143,6 @@ impl Dedup2Report {
         self.exchange_wall + self.sil_wall + self.store_wall + self.cap.wall + self.siu_wall
     }
 
-    /// PSIL speed in fingerprints/second.
-    pub fn psil_fps_per_s(&self) -> f64 {
-        if self.sil_wall <= 0.0 {
-            0.0
-        } else {
-            self.submitted_fps as f64 / self.sil_wall
-        }
-    }
-
-    /// PSIU speed in fingerprints/second (0 when SIU deferred).
-    pub fn psiu_fps_per_s(&self) -> f64 {
-        if self.siu_wall <= 0.0 {
-            0.0
-        } else {
-            self.siu_updates as f64 / self.siu_wall
-        }
-    }
-
     /// Dedup-2 throughput over the drained log bytes.
     pub fn throughput_mibps(&self) -> f64 {
         mibps(self.store.log_bytes, self.total_wall())
@@ -318,8 +300,6 @@ mod tests {
             siu_wall: 0.5,
         };
         assert_eq!(r.total_wall(), 4.0);
-        assert_eq!(r.psil_fps_per_s(), 1000.0);
-        assert_eq!(r.psiu_fps_per_s(), 1000.0);
         assert_eq!(r.compression_ratio(), 2.0);
         assert_eq!(r.throughput_mibps(), 2.0);
     }

@@ -47,7 +47,7 @@ use super::{lookup_with_owner, DebarCluster, LayoutTracker};
 use crate::error::{DebarError, DebarResult};
 use crate::ids::RunId;
 use crate::report::RestoreReport;
-use crate::server::{BackupServer, CachedContainer};
+use crate::server::BackupServer;
 use debar_hash::{Fingerprint, Sha1};
 use debar_simio::{Lane, Secs};
 use debar_store::{ChunkRepository, CorruptKind, LpcStats, NodeRead, Payload, ReadLegs};
@@ -286,21 +286,11 @@ impl RestoreWalk<'_> {
                         return Err(DebarError::MissingContainer { container: cid });
                     }
                 };
-                let srv = &mut self.servers[sid];
-                let evicted = srv
-                    .lpc
-                    .insert_container(cid, container.fingerprints().collect());
                 // The cache slot is the read-ahead buffer: the fetch waits
                 // for the container it evicts to have been streamed out.
-                let mut gate = lanes.at;
-                for e in evicted {
-                    if let Some(victim) = srv.container_cache.remove(&e) {
-                        gate = gate.max(victim.last_sent);
-                    }
-                }
-                let ready_at = lanes.fetch(gate, &legs);
-                srv.container_cache
-                    .insert(cid, CachedContainer::new(container, ready_at));
+                self.servers[sid].cache_container(cid, container, |victim_sent| {
+                    lanes.fetch(lanes.at.max(victim_sent), &legs)
+                });
                 cid
             }
         };
@@ -439,7 +429,7 @@ mod tests {
             );
             if p.corrupt > 0 {
                 let first = c.repo.container_ids()[0];
-                c.corrupt_container(first, Damage::BitFlip).expect("exists");
+                c.set_damage(first, Some(Damage::BitFlip)).expect("exists");
             }
             let r = if p.to_client {
                 c.restore_run(run)
@@ -636,7 +626,7 @@ mod tests {
         // write land on the corrupt node's lane.
         let (mut c, job) = two_generations(cfg);
         let first = c.repo.container_ids()[0];
-        c.corrupt_container(first, Damage::BitFlip).expect("exists");
+        c.set_damage(first, Some(Damage::BitFlip)).expect("exists");
         let before = node_busy(&c);
         let repairs = c.repo.stats().read_repairs;
         let r = c.restore_run(RunId { job, version: 0 }).expect("restore");

@@ -1,12 +1,15 @@
-//! The backup server (paper §3.3): File Store (dedup-1) + Chunk Store
-//! (dedup-2 pieces).
+//! The backup server (paper §3.3): the state of its File Store (dedup-1)
+//! and the Chunk Store passes of dedup-2.
 //!
-//! Dedup-1 ([`BackupServer::run_backup`]): receive a client stream, build
-//! file indices, filter duplicates with the preliminary filter — which
-//! streams the job chain's previous run past the stream's position, so
-//! the run may be any size relative to the filter — append survivors to
-//! the on-disk chunk log and accumulate their fingerprints as
-//! *undetermined*.
+//! Dedup-1 has one loop, and it lives on the cluster
+//! (`DebarCluster::run_backup` in `backup.rs`), because its inline rungs
+//! consult *other* servers' index parts and checking files. This server
+//! is where the loop's effects land: the stream is charged to its NIC,
+//! CPU and clock, survivors of the preliminary filter are appended to its
+//! on-disk chunk log, their fingerprints accumulate here as
+//! *undetermined*, backup-time `Store` verdicts are staged in its
+//! carryover (`stage_inline_store`) and prefetched containers enter its
+//! restore cache (`cache_container`).
 //!
 //! Dedup-2 pieces (driven phase by phase, in server-ID order, by
 //! [`crate::cluster::DebarCluster`]):
@@ -19,12 +22,9 @@
 
 use crate::chunklog::{ChunkLog, LogRecord};
 use crate::config::DebarConfig;
-use crate::dataset::ChunkedFile;
 use crate::error::DebarError;
-use crate::ids::{ClientId, Device, RunId, ServerId};
-use crate::metadata::{FileIndexEntry, RunRecord};
-use crate::report::{Dedup1Report, StoreReport};
-use debar_filter::{FilterVerdict, PrelimFilter};
+use crate::ids::{Device, ServerId};
+use crate::report::StoreReport;
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache, IndexError, SiuReport};
 use debar_simio::models::paper;
@@ -139,14 +139,20 @@ pub struct BackupServer {
     /// The server's NIC (crate-visible: the restore pipeline ticks it
     /// while scheduling the transfer on its own lane).
     pub(crate) nic: SimLink,
-    cpu: SimCpu,
-    /// The on-disk chunk log (crate-visible for fault arming).
+    /// The server's CPU (crate-visible with the chunk log, the
+    /// undetermined set and the checking file: the cluster's dedup-1 loop
+    /// works on them directly).
+    pub(crate) cpu: SimCpu,
+    /// The on-disk chunk log.
     pub(crate) chunk_log: ChunkLog,
-    undetermined: Vec<Fingerprint>,
+    /// Fingerprints awaiting the next dedup-2 sweep.
+    pub(crate) undetermined: Vec<Fingerprint>,
     index: DiskIndex,
     /// The checking fingerprint file (§5.4): fingerprints scheduled for
-    /// storage whose index registration (SIU) is still pending.
-    checking: HashSet<Fingerprint>,
+    /// storage whose index registration (SIU) is still pending. Dedup-1's
+    /// inline rungs consult it (a pending store is a duplicate) and add
+    /// the stores they schedule.
+    pub(crate) checking: HashSet<Fingerprint>,
     /// The unregistered fingerprint file: fp → container mappings awaiting
     /// SIU on this part.
     pending_updates: Vec<(Fingerprint, ContainerId)>,
@@ -243,11 +249,6 @@ impl BackupServer {
         self.chunk_log.bytes()
     }
 
-    /// Unregistered fingerprints awaiting SIU on this part.
-    pub fn pending_updates_len(&self) -> usize {
-        self.pending_updates.len()
-    }
-
     /// This server's disk-index part.
     pub fn index(&self) -> &DiskIndex {
         &self.index
@@ -278,110 +279,34 @@ impl BackupServer {
         self.container_cache.clear();
     }
 
+    /// Admit a fetched container to the restore cache. The LPC
+    /// (fingerprint side) and the decoded-container cache (payload side)
+    /// move in lockstep: the container's fingerprints enter the LPC, every
+    /// container the LRU evicts for them leaves the payload cache too, and
+    /// the container joins it, ready at `ready_at(sent)` — `sent` being
+    /// the time the last evicted container's last chunk left the NIC (0
+    /// when nothing was evicted), which the restore walk's fetch must wait
+    /// for.
+    pub(crate) fn cache_container(
+        &mut self,
+        cid: ContainerId,
+        container: Container,
+        ready_at: impl FnOnce(Secs) -> Secs,
+    ) {
+        let evicted = self
+            .lpc
+            .insert_container(cid, container.fingerprints().collect());
+        let sent = (evicted.iter())
+            .filter_map(|e| self.container_cache.remove(e))
+            .fold(0.0, |sent, victim| f64::max(sent, victim.last_sent));
+        self.container_cache
+            .insert(cid, CachedContainer::new(container, ready_at(sent)));
+    }
+
     /// Charge a network transfer to this server's clock.
     pub(crate) fn charge_net(&mut self, bytes: u64) {
         let c = self.nic.stream(bytes);
         self.clock.advance(c);
-    }
-
-    // ------------------------------------------------------------------
-    // Dedup-1: File Store
-    // ------------------------------------------------------------------
-
-    /// Execute one backup job run (de-duplication phase I). `filtering` is
-    /// the previous run's fingerprints, whole and in that run's stream
-    /// order: the filter keeps the `Vec` as the file it streams
-    /// ([`PrelimFilter::prime`]).
-    ///
-    /// Fault-aware: chunk-log appends go through the fault-checked path,
-    /// so an injected log-disk fault aborts the run with
-    /// [`DebarError::DeviceFault`] instead of panicking or silently losing
-    /// the record. An aborted run registers nothing — no run record, no
-    /// undetermined fingerprints — and may be retried whole; records
-    /// appended before the fault stay in the log but, having no storage
-    /// verdict, are discarded by the next chunk-storing pass.
-    pub fn run_backup(
-        &mut self,
-        run: RunId,
-        client: ClientId,
-        filtering: Vec<Fingerprint>,
-        files: &[ChunkedFile],
-    ) -> Result<(RunRecord, Dedup1Report), DebarError> {
-        let start = self.clock.now();
-        let mut filter = PrelimFilter::with_memory(self.cfg.filter_bytes);
-        filter.prime(filtering);
-
-        let mut report = Dedup1Report {
-            run,
-            server: self.id,
-            logical_bytes: 0,
-            logical_chunks: 0,
-            transferred_bytes: 0,
-            transferred_chunks: 0,
-            filtered_dups: 0,
-            undetermined_added: 0,
-            inline_hits: 0,
-            inline_index_reads: 0,
-            backlog_bytes: 0,
-            elapsed: 0.0,
-        };
-        let mut file_indices = Vec::with_capacity(files.len());
-        let mut log_cost: Secs = 0.0;
-        for file in files {
-            let mut fps = Vec::with_capacity(file.chunks.len());
-            let mut fbytes = 0u64;
-            for chunk in &file.chunks {
-                let len = chunk.len();
-                report.logical_bytes += len;
-                report.logical_chunks += 1;
-                fbytes += len;
-                // The fingerprint always crosses the wire (the negotiation
-                // of §3.2 "content backup"), plus one in-memory probe.
-                let c = self.nic.stream(25) + self.cpu.probe_fps(1);
-                self.clock.advance(c);
-                match filter.check(chunk.fp) {
-                    FilterVerdict::Transfer => {
-                        let c = self.nic.stream(len);
-                        self.clock.advance(c);
-                        // Chunk-log appends go to a dedicated disk and are
-                        // pipelined behind the network receive; only the
-                        // excess (log slower than stream) stalls the run.
-                        log_cost += self.chunk_log.try_append(LogRecord::from(chunk))?;
-                        report.transferred_bytes += len;
-                        report.transferred_chunks += 1;
-                    }
-                    FilterVerdict::Duplicate => {
-                        report.filtered_dups += 1;
-                    }
-                }
-                fps.push(chunk.fp);
-            }
-            file_indices.push(FileIndexEntry {
-                path: file.path.clone(),
-                fingerprints: fps,
-                bytes: fbytes,
-            });
-        }
-        let produced = self.clock.since(start);
-        if log_cost > produced {
-            self.clock.advance(log_cost - produced);
-        }
-        let und = filter.take_undetermined();
-        report.undetermined_added = und.len() as u64;
-        self.undetermined.extend(und);
-        // Pure out-of-line: everything transferred awaits the dedup-2
-        // sweep (the inline/hybrid path in `cluster.rs` logs less).
-        report.backlog_bytes = report.transferred_bytes;
-        report.elapsed = self.clock.since(start);
-        let record = RunRecord {
-            run,
-            server: self.id,
-            client,
-            files: file_indices,
-            logical_bytes: report.logical_bytes,
-            logical_chunks: report.logical_chunks,
-        };
-        Ok((record, report))
     }
 
     /// Take the accumulated undetermined fingerprints (start of dedup-2).
@@ -390,32 +315,9 @@ impl BackupServer {
     }
 
     // ------------------------------------------------------------------
-    // Inline/hybrid dedup support (the cluster-level backup loop in
-    // `cluster.rs` drives these; pure out-of-line never touches them)
+    // Backup-time verdicts (staged by the dedup-1 loop's probe rung; an
+    // out-of-line run has no probe budget and never reaches them)
     // ------------------------------------------------------------------
-
-    /// Charge the per-chunk ingest cost (fingerprint over the wire + one
-    /// in-memory filter probe) to this server's clock.
-    pub(crate) fn charge_ingest_fp(&mut self) {
-        let c = self.nic.stream(25) + self.cpu.probe_fps(1);
-        self.clock.advance(c);
-    }
-
-    /// Fault-checked chunk-log append (the inline loop's transfer path).
-    pub(crate) fn try_log_append(&mut self, rec: LogRecord) -> Result<Secs, DebarError> {
-        self.chunk_log.try_append(rec)
-    }
-
-    /// Accumulate undetermined fingerprints (the hybrid cold remainder).
-    pub(crate) fn extend_undetermined(&mut self, fps: Vec<Fingerprint>) {
-        self.undetermined.extend(fps);
-    }
-
-    /// Whether this part's checking file holds `fp` (a store is scheduled,
-    /// SIU pending) — the inline loop's pending-duplicate consult.
-    pub(crate) fn checking_contains(&self, fp: &Fingerprint) -> bool {
-        self.checking.contains(fp)
-    }
 
     /// Stage an inline-resolved `Store` decision for a chunk this server
     /// just logged: the next chunk-storing pass consumes it through the
@@ -431,17 +333,6 @@ impl BackupServer {
     pub(crate) fn unstage_inline_store(&mut self, fp: &Fingerprint) {
         self.carryover.remove(fp);
         self.inline_staged = self.inline_staged.saturating_sub(1);
-    }
-
-    /// Add an inline-scheduled fingerprint to this part's checking file
-    /// (duplicate suppression until SIU registers it).
-    pub(crate) fn stage_inline_checking(&mut self, fp: Fingerprint) {
-        self.checking.insert(fp);
-    }
-
-    /// Roll one inline checking entry back (backup abort).
-    pub(crate) fn unstage_inline_checking(&mut self, fp: &Fingerprint) {
-        self.checking.remove(fp);
     }
 
     /// Store decisions the backup path staged since the last completed
@@ -554,11 +445,11 @@ impl BackupServer {
     /// The pack stage of chunk storing (§5.3): drain the chunk log
     /// (striped across [`DebarConfig::store_workers`] worker disks, wall
     /// time the max over even shares) and pack the chunks this server was
-    /// designated to store into SISL containers on the write-behind flush
-    /// queue. The repository is **not** touched — no container IDs are
-    /// assigned and no shared state is read — so the pack is charged to
-    /// this server's clock alone and, in virtual time, overlaps stragglers
-    /// still sweeping PSIL.
+    /// designated to store into SISL containers, each recorded with the
+    /// drain position it sealed at. The repository is **not** touched — no
+    /// container IDs are assigned and no shared state is read — so the
+    /// pack is charged to this server's clock alone and, in virtual time,
+    /// overlaps stragglers still sweeping PSIL.
     ///
     /// A drain fault (on any single worker disk) leaves every record
     /// in the log, carries the merged storage decisions over and
@@ -592,8 +483,7 @@ impl BackupServer {
         let log_bytes = t.value.iter().map(|r| r.record_bytes()).sum();
         let records = self.clock.charge(t);
         let mut manager = ContainerManager::new(self.cfg.container_bytes);
-        // Per-seal rollback metadata, zipped with the flushed batch below.
-        let mut seals: Vec<(usize, u64)> = Vec::new();
+        let mut containers: Vec<PackedContainer> = Vec::new();
         // Fingerprints already packed in this pass (open or sealed): the
         // union the sequential model tracked as `open ∪ stored`.
         let mut packed: HashSet<Fingerprint> = HashSet::new();
@@ -608,34 +498,28 @@ impl BackupServer {
                 discarded += 1;
                 continue;
             }
-            let before = manager.queued();
-            manager.append_queued(rec.fp, rec.payload.clone());
-            if manager.queued() > before {
-                // A container sealed; `rec` is its trigger and sits alone
-                // in the fresh open container right now — the position the
-                // sequential model's crash rollback re-queues from.
-                seals.push((next, discarded));
+            if let Some(container) = manager.append(rec.fp, rec.payload.clone()) {
+                // `rec` did not fit: it is the sealed container's trigger
+                // and sits alone in the fresh open container right now —
+                // the position the sequential model's crash rollback
+                // re-queues from.
+                containers.push(PackedContainer {
+                    container,
+                    requeue_from: next,
+                    discarded_at_seal: discarded,
+                });
             }
             packed.insert(rec.fp);
         }
-        if manager.pending_chunks() > 0 {
+        if let Some(container) = manager.flush() {
             // The final flushed container: no trigger record — a fault on
             // it re-queues only its own chunks.
-            seals.push((records.len(), discarded));
+            containers.push(PackedContainer {
+                container,
+                requeue_from: records.len(),
+                discarded_at_seal: discarded,
+            });
         }
-        let batch = manager.flush_batch();
-        debug_assert_eq!(batch.len(), seals.len());
-        let containers = batch
-            .into_iter()
-            .zip(seals)
-            .map(
-                |(container, (requeue_from, discarded_at_seal))| PackedContainer {
-                    container,
-                    requeue_from,
-                    discarded_at_seal,
-                },
-            )
-            .collect();
 
         Ok(PackOutput {
             log_records: records.len() as u64,
@@ -907,7 +791,11 @@ impl BackupServer {
 
 /// Merge one storage decision into a decision map: a `Store` designation
 /// is binding and must never be overwritten by a later `Skip`.
-fn merge_decision(map: &mut HashMap<Fingerprint, Decision>, fp: Fingerprint, d: Decision) {
+pub(crate) fn merge_decision(
+    map: &mut HashMap<Fingerprint, Decision>,
+    fp: Fingerprint,
+    d: Decision,
+) {
     map.entry(fp)
         .and_modify(|existing| {
             if d == Decision::Store {

@@ -208,36 +208,11 @@ impl IndexCache {
         true
     }
 
-    /// Insert a fingerprint with a known container ID (SIU input).
-    pub fn insert_with_cid(&mut self, fp: Fingerprint, cid: ContainerId, origin: u16) -> bool {
-        let fresh = self.insert(fp, origin);
-        let b = self.bucket_of(&fp);
-        let node = self.buckets[b]
-            .iter_mut()
-            .find(|n| n.fp == fp)
-            .expect("just inserted");
-        node.cid = cid;
-        fresh
-    }
-
     /// Look up a node.
     pub fn get(&self, fp: &Fingerprint) -> Option<&CacheNode> {
         self.buckets[self.bucket_of(fp)]
             .iter()
             .find(|n| &n.fp == fp)
-    }
-
-    /// Set the container ID of a cached fingerprint; returns `false` when
-    /// absent.
-    pub fn set_cid(&mut self, fp: &Fingerprint, cid: ContainerId) -> bool {
-        let b = self.bucket_of(fp);
-        match self.buckets[b].iter_mut().find(|n| &n.fp == fp) {
-            Some(node) => {
-                node.cid = cid;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Remove and return a node (SIL removes duplicates from the cache so
@@ -300,26 +275,6 @@ mod tests {
         let n = c.get(&fp(7)).unwrap();
         assert_eq!(n.origins, vec![1, 2, 3]);
         assert_eq!(n.storer(), Some(1));
-    }
-
-    #[test]
-    fn set_cid_roundtrip() {
-        let mut c = IndexCache::new(4, 100);
-        c.insert(fp(5), 0);
-        assert!(c.set_cid(&fp(5), ContainerId::new(9)));
-        assert_eq!(c.get(&fp(5)).unwrap().cid, ContainerId::new(9));
-        assert!(!c.set_cid(&fp(99), ContainerId::new(1)));
-    }
-
-    #[test]
-    fn insert_with_cid_sets_mapping() {
-        let mut c = IndexCache::new(4, 100);
-        assert!(c.insert_with_cid(fp(6), ContainerId::new(4), 0));
-        assert_eq!(c.get(&fp(6)).unwrap().cid, ContainerId::new(4));
-        // Re-inserting updates the cid.
-        assert!(!c.insert_with_cid(fp(6), ContainerId::new(8), 1));
-        assert_eq!(c.get(&fp(6)).unwrap().cid, ContainerId::new(8));
-        assert_eq!(c.get(&fp(6)).unwrap().origins, vec![0, 1]);
     }
 
     #[test]

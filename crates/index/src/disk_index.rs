@@ -138,9 +138,8 @@ impl DiskIndex {
     /// Arm a deterministic fault schedule (see `debar_simio::fault`) on
     /// **one part-disk** (materializing it if no sweep has engaged it
     /// yet). A fault on part `p > 0` fires only when a sweep charges that
-    /// partition; part 0 also carries the un-striped ops. The fallible
-    /// entry points (`try_sequential_lookup_sharded`,
-    /// `try_sequential_update_sharded`,
+    /// partition; part 0 also carries the un-striped ops. The sweeps
+    /// (`try_sequential_lookup_sharded`, `try_sequential_update_sharded`,
     /// [`DiskIndex::try_bulk_load_striped`], [`DiskIndex::try_gc_sweep`])
     /// surface it as an [`crate::IndexError`] whose `part` names the
     /// failing part-disk.
@@ -249,15 +248,6 @@ impl DiskIndex {
     fn bucket_mut(&mut self, k: u64) -> &mut [u8] {
         let start = k as usize * self.params.bucket_bytes;
         &mut self.data[start..start + self.params.bucket_bytes]
-    }
-
-    /// Number of entries in bucket `k`.
-    pub fn bucket_len(&self, k: u64) -> usize {
-        self.view()
-            .bucket(k)
-            .chunks_exact(BLOCK_BYTES)
-            .map(crate::entry::block_len)
-            .sum()
     }
 
     /// In-memory append to a bucket; `false` when full. No I/O charge.
@@ -416,45 +406,19 @@ impl DiskIndex {
         self.entries = 0;
     }
 
-    /// Bulk-load pre-de-duplicated entries (experiment setup): places each
-    /// entry without per-entry existence checks, growing the index if a
-    /// bucket triple fills. Charged as one sequential write sweep. Returns
-    /// the number of entries loaded.
+    /// Bulk-load pre-de-duplicated entries (experiment setup, the recovery
+    /// rebuild's write path): places each entry without per-entry existence
+    /// checks, growing the index if a bucket triple fills. Charged as one
+    /// sequential write sweep, **physically** across `parts` striped
+    /// part-disks — each writes the bytes its bucket range covers and the
+    /// sweep completes at the slowest part (`parts = 1` is the single
+    /// index volume; `parts` is clamped to the bucket count). Placement is
+    /// the same at any `parts`. Returns the number of entries loaded.
     ///
     /// Callers must guarantee the fingerprints are distinct and absent;
     /// duplicates would be double-inserted.
-    pub fn bulk_load(
-        &mut self,
-        entries: impl IntoIterator<Item = (Fingerprint, ContainerId)>,
-    ) -> Timed<u64> {
-        self.bulk_load_striped(entries, 1)
-    }
-
-    /// [`DiskIndex::bulk_load`] onto a striped multi-part index: the write
-    /// sweep of the rebuilt part is charged **physically** across the
-    /// striped part-disks — each part-disk writes the bytes its bucket
-    /// range covers and the sweep completes at the slowest part (even
-    /// split ≈ `1/parts`; the recovery path of a striped deployment).
-    /// Placement is identical to the scalar load; `parts` is clamped to
-    /// the bucket count.
-    pub fn bulk_load_striped(
-        &mut self,
-        entries: impl IntoIterator<Item = (Fingerprint, ContainerId)>,
-        parts: usize,
-    ) -> Timed<u64> {
-        let mut loaded = 0u64;
-        let mut extra = 0.0;
-        for (fp, cid) in entries {
-            extra += self.place_with_growth(&IndexEntry::new(fp, cid)).cost;
-            loaded += 1;
-        }
-        let bounds = self.resolve_sweep_bounds(parts);
-        let cost = self.charge_sweep_write(&bounds);
-        Timed::new(loaded, cost + extra)
-    }
-
-    /// Fault-checked [`DiskIndex::bulk_load_striped`] (the recovery
-    /// rebuild's write path): any fault fired during the load — by a
+    ///
+    /// Fault-checked: any fault fired during the load — by a
     /// capacity-scaling op on part 0 or on a single part-disk of the
     /// striped write sweep — surfaces as
     /// [`crate::IndexError::SweepFault`] naming the failing part-disk
@@ -467,10 +431,17 @@ impl DiskIndex {
         entries: impl IntoIterator<Item = (Fingerprint, ContainerId)>,
         parts: usize,
     ) -> Result<Timed<u64>, crate::IndexError> {
-        let t = self.bulk_load_striped(entries, parts);
+        let mut loaded = 0u64;
+        let mut extra = 0.0;
+        for (fp, cid) in entries {
+            extra += self.place_with_growth(&IndexEntry::new(fp, cid)).cost;
+            loaded += 1;
+        }
+        let bounds = self.resolve_sweep_bounds(parts);
+        let cost = self.charge_sweep_write(&bounds);
         match self.part_disks.take_fault() {
             Some((part, fault)) => Err(crate::IndexError::SweepFault { fault, part }),
-            None => Ok(t),
+            None => Ok(Timed::new(loaded, cost + extra)),
         }
     }
 
@@ -789,8 +760,8 @@ mod tests {
             let f = fp(i);
             let b = f.bucket_number(6);
             if b == target || b == l || b == r {
-                if idx.bucket_len(b) < 20 {
-                    assert!(idx.push_to_bucket(b, &IndexEntry::new(f, ContainerId::new(1))));
+                // A full bucket (20 entries) refuses the push.
+                if idx.push_to_bucket(b, &IndexEntry::new(f, ContainerId::new(1))) {
                     picked += 1;
                 }
                 if picked == 60 {

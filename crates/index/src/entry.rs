@@ -128,22 +128,6 @@ pub fn block_set_cid(block: &mut [u8], fp: &Fingerprint, cid: ContainerId) -> bo
     }
 }
 
-/// Remove a fingerprint's entry, compacting the remaining entries left and
-/// zeroing the vacated slot (the raw block bytes stay a pure function of
-/// the surviving entry sequence — byte-identical convergence depends on
-/// that). Returns `false` when the fingerprint is not present.
-pub fn block_remove(block: &mut [u8], fp: &Fingerprint) -> bool {
-    let Some(i) = block_position(block, fp) else {
-        return false;
-    };
-    let len = block_len(block);
-    // Shift later entries down one slot.
-    block.copy_within(slot(i + 1).start..slot(len).start, slot(i).start);
-    block[slot(len - 1)].fill(0);
-    set_block_len(block, len - 1);
-    true
-}
-
 /// Iterate the entries of a block.
 pub fn block_entries(block: &[u8]) -> impl Iterator<Item = IndexEntry> + '_ {
     (0..block_len(block)).map(move |i| IndexEntry::decode(&block[slot(i)]))
@@ -202,28 +186,6 @@ mod tests {
         assert!(block_set_cid(&mut block, &fp(3), ContainerId::new(12)));
         assert_eq!(block_find(&block, &fp(3)), Some(ContainerId::new(12)));
         assert!(!block_set_cid(&mut block, &fp(50), ContainerId::new(1)));
-    }
-
-    #[test]
-    fn block_remove_compacts_and_zeroes() {
-        let mut block = [0u8; BLOCK_BYTES];
-        for i in 0..5u64 {
-            block_push(&mut block, &IndexEntry::new(fp(i), ContainerId::new(i)));
-        }
-        assert!(block_remove(&mut block, &fp(2)));
-        assert_eq!(block_len(&block), 4);
-        assert_eq!(block_find(&block, &fp(2)), None);
-        for i in [0u64, 1, 3, 4] {
-            assert_eq!(block_find(&block, &fp(i)), Some(ContainerId::new(i)));
-        }
-        // The vacated tail slot is zeroed: a block that held then lost an
-        // entry is byte-identical to one that never held it.
-        let mut fresh = [0u8; BLOCK_BYTES];
-        for i in [0u64, 1, 3, 4] {
-            block_push(&mut fresh, &IndexEntry::new(fp(i), ContainerId::new(i)));
-        }
-        assert_eq!(block, fresh);
-        assert!(!block_remove(&mut block, &fp(2)), "second remove is a miss");
     }
 
     #[test]

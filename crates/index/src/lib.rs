@@ -9,8 +9,8 @@
 //!    overflow (§4.2, Tables 1 and 2, reproduced in [`theory`]).
 //! 2. **Number-ordered fingerprint distribution** — fingerprints sort into
 //!    buckets by numeric prefix, enabling *sequential* index lookups and
-//!    updates ([`DiskIndex::sequential_lookup`],
-//!    [`DiskIndex::sequential_update`], §5.2/§5.4).
+//!    updates ([`DiskIndex::try_sequential_lookup_sharded`],
+//!    [`DiskIndex::try_sequential_update_sharded`], §5.2/§5.4).
 //! 3. **Simple capacity scaling** — doubling bucket count by entry copying
 //!    ([`DiskIndex::scale_up`], §4.1).
 //! 4. **Simple performance scaling** — splitting into `2^w` parts across

@@ -32,19 +32,23 @@
 //! every non-full home bucket. The pre-merge-join path — one ungrouped
 //! three-bucket probe per fingerprint — is preserved as
 //! [`DiskIndex::sequential_lookup_hashed`] /
-//! [`DiskIndex::sequential_update_scalar`] for benchmarking and
-//! equivalence testing.
+//! [`DiskIndex::sequential_update_scalar`]: the references the equivalence
+//! property tests and the `hotpath` bench compare the sweeps against.
 //!
 //! # Striped sweeps
 //!
-//! [`DiskIndex::sequential_lookup_sharded`] and
-//! [`DiskIndex::sequential_update_sharded`] model the multi-part index of
-//! §5.2: the bucket range is split into `P` contiguous partitions, each on
-//! its own spindle set. The parallelism is **charged, not executed** — the
+//! [`DiskIndex::try_sequential_lookup_sharded`] and
+//! [`DiskIndex::try_sequential_update_sharded`] are *the* sweeps: they
+//! model the multi-part index of §5.2, the bucket range split into `P`
+//! contiguous partitions, each on its own spindle set, and the paper's
+//! single index volume is `parts = 1` — an argument value, not a second
+//! entry point. The parallelism is **charged, not executed** — the
 //! partition count decides what each part-disk and the probe CPU are
 //! charged (below), while the in-memory work is the same single merge-join
 //! pass over the whole sorted batch at any `P`. Results, hit order and
 //! index bytes therefore cannot depend on `P`, and no OS thread is spawned.
+//! Both are fault-checked: a caller that arms no [`debar_simio::FaultPlan`]
+//! can never see the `Err` arm.
 //!
 //! # Physical part-disks
 //!
@@ -73,11 +77,11 @@
 //! * **Fault targeting**: a [`debar_simio::FaultPlan`] is armed on one
 //!   part-disk ([`DiskIndex::set_part_fault_plan`]; one op per part per
 //!   sweep direction, plus the un-striped ops on part 0) and takes out
-//!   that partition's share of the sweep; the fallible entry points
-//!   surface it as an [`IndexError`] whose `part` names the failing
-//!   part-disk. Each checked operation reports **one** fault — the lowest
-//!   armed part — and a sibling armed in the same window stays pending
-//!   until the next checked boundary.
+//!   that partition's share of the sweep; the sweeps surface it as an
+//!   [`IndexError`] whose `part` names the failing part-disk. Each
+//!   checked operation reports **one** fault — the lowest armed part —
+//!   and a sibling armed in the same window stays pending until the next
+//!   checked boundary.
 //!
 //! # One kernel per sweep
 //!
@@ -122,13 +126,6 @@ pub struct SilReport {
     pub probe_secs: Secs,
     /// Partitions the sweep ran on (1 = scalar).
     pub parts: u32,
-}
-
-impl SilReport {
-    /// Number of batch fingerprints that turned out to be new.
-    pub fn new_count(&self) -> usize {
-        self.submitted - self.duplicates.len()
-    }
 }
 
 /// Outcome of one SIU sweep.
@@ -183,86 +180,12 @@ impl DiskIndex {
         sorted.sort_by_key(|(fp, _)| (view.bucket_of(fp), fp.prefix64()));
         sorted
     }
-    /// Sequential index lookup (§5.2, Fig. 4) with merge-join probing.
-    ///
-    /// One sequential read sweep of the entire index; as buckets stream
-    /// through memory, the sorted batch is resolved by a single cursor
-    /// advancing in fingerprint order (see the module docs). CPU probing is
-    /// pipelined with the disk sweep, so the SIL cost is the *larger* of
-    /// the two — which is why the paper finds SIL time "only related to the
-    /// disk index size and the disk transfer rate" (§5.2, Fig. 10).
-    ///
-    /// Returns duplicates (with their container IDs) and leaves the new
-    /// fingerprints in `cache`.
-    pub fn sequential_lookup(&mut self, cache: &mut IndexCache) -> Timed<SilReport> {
-        self.sequential_lookup_sharded(cache, 1)
-    }
-
-    /// Striped sequential index lookup: the bucket range is split into
-    /// `parts` contiguous partitions, each on its own part-disk (the
-    /// multi-part index of §5.2). Results are identical to
-    /// [`DiskIndex::sequential_lookup`]; virtual sweep time is the slowest
-    /// part-disk's, probe time the even `1/parts` share.
-    pub fn sequential_lookup_sharded(
-        &mut self,
-        cache: &mut IndexCache,
-        parts: usize,
-    ) -> Timed<SilReport> {
-        let bounds = self.resolve_sweep_bounds(parts);
-        let sweep = self.charge_sweep_read(&bounds);
-        self.lookup_kernel(cache, bounds.len() as u32, sweep)
-    }
-
-    /// The shared SIL kernel: resolve the batch against a read sweep
-    /// already charged (`sweep` seconds, the slowest of `parts`
-    /// part-disks each reading its own bucket-range byte share).
-    fn lookup_kernel(
-        &mut self,
-        cache: &mut IndexCache,
-        parts: u32,
-        sweep: Secs,
-    ) -> Timed<SilReport> {
-        let submitted = cache.len();
-        let view = self.view();
-        let mut fps: Vec<Fingerprint> = cache.iter().map(|n| n.fp).collect();
-        // Sort by (bucket, 64-bit prefix): native-integer keys are far
-        // cheaper than 20-byte lexicographic compares, and leading with
-        // the bucket number keeps the order monotone in `bucket_of` even
-        // on an index *part* whose bucket bits start at `skip_bits > 0`
-        // (multi-server routing) — which the grouped probe relies on.
-        fps.sort_unstable_by_key(|fp| (view.bucket_of(fp), fp.prefix64()));
-        let mut duplicates = Vec::new();
-        view.probe_sorted_map(&fps, |i, r| {
-            if let Some(cid) = r {
-                let mut node = cache
-                    .remove(&fps[i])
-                    .expect("hit fingerprints come from the cache");
-                node.cid = cid;
-                duplicates.push(node);
-            }
-        });
-
-        // CPU probing keeps the even-split pipelined model (probe work is
-        // in-memory and balances across the parts' CPUs, not across
-        // bucket ranges).
-        let probe = self.cpu_mut().probe_fps_striped(submitted as u64, parts);
-        Timed::new(
-            SilReport {
-                duplicates,
-                submitted,
-                sweep_secs: sweep,
-                probe_secs: probe,
-                parts,
-            },
-            sweep.max(probe),
-        )
-    }
 
     /// The pre-merge-join SIL reference: per-node hash probing through
     /// [`DiskIndex::lookup_uncharged`] (home bucket plus both neighbours on
     /// every miss, cache-node order). Kept for benchmarking and for the
     /// equivalence property tests; results are identical to
-    /// [`DiskIndex::sequential_lookup`].
+    /// [`DiskIndex::try_sequential_lookup_sharded`].
     pub fn sequential_lookup_hashed(&mut self, cache: &mut IndexCache) -> Timed<SilReport> {
         let total = self.params().total_bytes();
         let submitted = cache.len();
@@ -293,43 +216,10 @@ impl DiskIndex {
         )
     }
 
-    /// Sequential index update (§5.4): merge `updates` into the index with
-    /// one read sweep + one write sweep (merge CPU pipelined with the I/O),
-    /// transparently scaling capacity when a bucket and both neighbours are
-    /// full. The batch is canonicalised by a stable bucket-order sort,
-    /// classified in one pass of the grouped merge-join cursor
-    /// (`probe_sorted_map`: each home bucket located and fullness-checked
-    /// once per batch group, ascending memory, `u64`-prefix compares), and
-    /// applied in canonical order — the one-partition charging of
-    /// [`DiskIndex::sequential_update_sharded`].
-    pub fn sequential_update(
-        &mut self,
-        updates: &[(Fingerprint, ContainerId)],
-    ) -> Timed<SiuReport> {
-        self.sequential_update_sharded(updates, 1)
-    }
-
-    /// Striped sequential index update: the read and write sweeps are
-    /// charged across `parts` part-disks (each its own bucket-range byte
-    /// share, completing at the slowest) and the merge CPU at the even
-    /// `1/parts` share. Byte-identical to
-    /// [`DiskIndex::sequential_update`] on the same batch.
-    pub fn sequential_update_sharded(
-        &mut self,
-        updates: &[(Fingerprint, ContainerId)],
-        parts: usize,
-    ) -> Timed<SiuReport> {
-        let sorted = self.canonical_updates(updates);
-        let bounds = self.resolve_sweep_bounds(parts);
-        let limit = sorted.len();
-        self.update_kernel(&sorted, &bounds, limit)
-    }
-
     /// The shared SIU kernel: classify the whole canonical batch, then
     /// apply its first `apply_limit` entries in canonical order.
     /// `apply_limit < sorted.len()` models a torn write sweep (only a
-    /// prefix of the updates became durable) for the fault-injecting
-    /// [`DiskIndex::try_sequential_update_sharded`]; the normal paths pass
+    /// prefix of the updates became durable); an unfaulted sweep passes
     /// the full length.
     fn update_kernel(
         &mut self,
@@ -384,7 +274,7 @@ impl DiskIndex {
     /// ([`DiskIndex::lookup_uncharged`] + in-place overwrite) over the
     /// canonically sorted batch. Kept for benchmarking
     /// and equivalence tests; byte-identical to
-    /// [`DiskIndex::sequential_update`].
+    /// [`DiskIndex::try_sequential_update_sharded`].
     pub fn sequential_update_scalar(
         &mut self,
         updates: &[(Fingerprint, ContainerId)],
@@ -412,13 +302,27 @@ impl DiskIndex {
         Timed::new(report, cost.max(merge))
     }
 
-    /// Fault-checked [`DiskIndex::sequential_lookup_sharded`]: if a
-    /// [`debar_simio::FaultPlan`] on any part-disk of the stripe arms a
-    /// fault on this sweep's read op, the sweep charges its disk time,
-    /// consumes the fault and returns [`IndexError::SweepFault`] (`part`
-    /// naming the failing part-disk) **without touching the cache** — the
-    /// caller re-submits the same batch after recovery and converges to
-    /// the uninterrupted result.
+    /// Sequential index lookup (§5.2, Fig. 4) with merge-join probing.
+    ///
+    /// One sequential read sweep of the entire index, its bucket range
+    /// split into `parts` contiguous partitions, each on its own part-disk
+    /// (`parts = 1` is the paper's single index volume); as buckets stream
+    /// through memory, the sorted batch is resolved by a single cursor
+    /// advancing in fingerprint order (see the module docs). CPU probing is
+    /// pipelined with the disk sweep, so the SIL cost is the *larger* of
+    /// the two — the slowest part-disk's sweep or the even `1/parts` probe
+    /// share — which is why the paper finds SIL time "only related to the
+    /// disk index size and the disk transfer rate" (§5.2, Fig. 10).
+    ///
+    /// Returns duplicates (with their container IDs) and leaves the new
+    /// fingerprints in `cache`.
+    ///
+    /// Fault-checked: if a [`debar_simio::FaultPlan`] on any part-disk of
+    /// the stripe arms a fault on this sweep's read op, the sweep charges
+    /// its disk time, consumes the fault and returns
+    /// [`IndexError::SweepFault`] (`part` naming the failing part-disk)
+    /// **without touching the cache** — the caller re-submits the same
+    /// batch after recovery and converges to the uninterrupted result.
     pub fn try_sequential_lookup_sharded(
         &mut self,
         cache: &mut IndexCache,
@@ -436,12 +340,57 @@ impl DiskIndex {
         if let Some((part, fault)) = self.part_disks.take_fault() {
             return Err(IndexError::SweepFault { fault, part });
         }
-        Ok(self.lookup_kernel(cache, bounds.len() as u32, sweep))
+        let parts = bounds.len() as u32;
+        let submitted = cache.len();
+        let view = self.view();
+        let mut fps: Vec<Fingerprint> = cache.iter().map(|n| n.fp).collect();
+        // Sort by (bucket, 64-bit prefix): native-integer keys are far
+        // cheaper than 20-byte lexicographic compares, and leading with
+        // the bucket number keeps the order monotone in `bucket_of` even
+        // on an index *part* whose bucket bits start at `skip_bits > 0`
+        // (multi-server routing) — which the grouped probe relies on.
+        fps.sort_unstable_by_key(|fp| (view.bucket_of(fp), fp.prefix64()));
+        let mut duplicates = Vec::new();
+        view.probe_sorted_map(&fps, |i, r| {
+            if let Some(cid) = r {
+                let mut node = cache
+                    .remove(&fps[i])
+                    .expect("hit fingerprints come from the cache");
+                node.cid = cid;
+                duplicates.push(node);
+            }
+        });
+
+        // CPU probing keeps the even-split pipelined model (probe work is
+        // in-memory and balances across the parts' CPUs, not across
+        // bucket ranges).
+        let probe = self.cpu_mut().probe_fps_striped(submitted as u64, parts);
+        Ok(Timed::new(
+            SilReport {
+                duplicates,
+                submitted,
+                sweep_secs: sweep,
+                probe_secs: probe,
+                parts,
+            },
+            sweep.max(probe),
+        ))
     }
 
-    /// Fault-checked [`DiskIndex::sequential_update_sharded`]. An SIU
-    /// sweep performs two disk ops on every engaged part-disk — the read
-    /// sweep, then the write sweep:
+    /// Sequential index update (§5.4): merge `updates` into the index with
+    /// one read sweep + one write sweep (merge CPU pipelined with the I/O),
+    /// transparently scaling capacity when a bucket and both neighbours are
+    /// full. The batch is canonicalised by a stable bucket-order sort,
+    /// classified in one pass of the grouped merge-join cursor
+    /// (`probe_sorted_map`: each home bucket located and fullness-checked
+    /// once per batch group, ascending memory, `u64`-prefix compares), and
+    /// applied in canonical order. Both sweeps are charged across `parts`
+    /// part-disks (each its own bucket-range byte share, completing at the
+    /// slowest) and the merge CPU at the even `1/parts` share; the index
+    /// bytes are the same at any `parts`.
+    ///
+    /// Fault-checked. An SIU sweep performs two disk ops on every engaged
+    /// part-disk — the read sweep, then the write sweep:
     ///
     /// * a fault on the **read** op applies nothing
     ///   ([`IndexError::SweepFault`]);
@@ -560,12 +509,28 @@ mod tests {
         c
     }
 
+    /// One unfaulted SIL sweep on `parts` partitions.
+    fn sil(idx: &mut DiskIndex, cache: &mut IndexCache, parts: usize) -> Timed<SilReport> {
+        idx.try_sequential_lookup_sharded(cache, parts)
+            .expect("no fault is armed")
+    }
+
+    /// One unfaulted SIU sweep on `parts` partitions.
+    fn siu(
+        idx: &mut DiskIndex,
+        batch: &[(Fingerprint, ContainerId)],
+        parts: usize,
+    ) -> Timed<SiuReport> {
+        idx.try_sequential_update_sharded(batch, parts)
+            .expect("no fault is armed")
+    }
+
     #[test]
     fn try_sil_fault_leaves_cache_untouched_and_retry_matches() {
         use debar_simio::FaultPlan;
         let mut idx = index(40);
         let updates: Vec<_> = (0..400u64).map(|i| (fp(i), ContainerId::new(i))).collect();
-        idx.sequential_update(&updates);
+        siu(&mut idx, &updates, 1);
         let mut cache = cache_of(200..600);
         let before = cache.len();
         idx.set_part_fault_plan(0, FaultPlan::fail_at(idx.part_disk_ops(0)));
@@ -580,7 +545,7 @@ mod tests {
             .expect("clean retry")
             .value;
         assert_eq!(rep.duplicates.len(), 200);
-        assert_eq!(rep.new_count(), 200);
+        assert_eq!(cache.len(), 200, "the new fingerprints stay in the cache");
     }
 
     #[test]
@@ -591,7 +556,7 @@ mod tests {
             .collect();
         // Reference: uninterrupted SIU.
         let mut clean = index(41);
-        clean.sequential_update(&updates);
+        siu(&mut clean, &updates, 1);
 
         // Torn write sweep: only half the canonical batch lands.
         let mut torn = index(41);
@@ -630,7 +595,7 @@ mod tests {
         use debar_simio::FaultPlan;
         let updates: Vec<_> = (0..300u64).map(|i| (fp(i), ContainerId::new(i))).collect();
         let mut clean = index(42);
-        clean.sequential_update(&updates);
+        siu(&mut clean, &updates, 1);
         for write_op in [0u64, 1] {
             let mut faulted = index(42);
             faulted.set_part_fault_plan(0, FaultPlan::fail_at(faulted.part_disk_ops(0) + write_op));
@@ -654,7 +619,7 @@ mod tests {
         use debar_simio::FaultPlan;
         let mut idx = index(50);
         let updates: Vec<_> = (0..400u64).map(|i| (fp(i), ContainerId::new(i))).collect();
-        idx.sequential_update_sharded(&updates, 4);
+        siu(&mut idx, &updates, 4);
         let mut cache = cache_of(0..400);
         let before = cache.len();
         // Arm part-disk 2 only; its siblings stay clean.
@@ -682,11 +647,11 @@ mod tests {
             .map(|i| (fp(i), ContainerId::new(i % 40)))
             .collect();
         let mut clean = index(51);
-        clean.sequential_update_sharded(&updates, 4);
+        siu(&mut clean, &updates, 4);
 
         // Outright failure on part 1's write op: all-or-nothing.
         let mut faulted = index(51);
-        faulted.sequential_update_sharded(&[], 4); // materialize part disks
+        siu(&mut faulted, &[], 4); // materialize part disks
         faulted.set_part_fault_plan(1, FaultPlan::fail_at(faulted.part_disk_ops(1) + 1));
         let err = faulted
             .try_sequential_update_sharded(&updates, 4)
@@ -703,7 +668,7 @@ mod tests {
 
         // Torn write on part 3: canonical half-prefix durable, then redo.
         let mut torn = index(51);
-        torn.sequential_update_sharded(&[], 4);
+        siu(&mut torn, &[], 4);
         torn.set_part_fault_plan(3, FaultPlan::torn_write_at(torn.part_disk_ops(3) + 1));
         let err = torn
             .try_sequential_update_sharded(&updates, 4)
@@ -735,7 +700,7 @@ mod tests {
         // boundary — decision and report always refer to the same disk.
         let mut idx = index(54);
         let updates: Vec<_> = (0..300u64).map(|i| (fp(i), ContainerId::new(i))).collect();
-        idx.sequential_update_sharded(&updates, 4);
+        siu(&mut idx, &updates, 4);
         idx.set_part_fault_plan(0, FaultPlan::fail_at(idx.part_disk_ops(0)));
         idx.set_part_fault_plan(3, FaultPlan::fail_at(idx.part_disk_ops(3)));
         let mut cache = cache_of(0..300);
@@ -770,9 +735,9 @@ mod tests {
     fn mixed_sequence(parts: usize) -> DiskIndex {
         let mut idx = index(60);
         let updates: Vec<_> = (0..400u64).map(|i| (fp(i), ContainerId::new(i))).collect();
-        idx.sequential_update_sharded(&updates, parts);
+        siu(&mut idx, &updates, parts);
         let mut cache = cache_of(200..600);
-        idx.sequential_lookup_sharded(&mut cache, parts);
+        sil(&mut idx, &mut cache, parts);
         idx.lookup_random(&fp(1));
         idx.scale_up();
         let dead: std::collections::HashSet<Fingerprint> =
@@ -811,7 +776,7 @@ mod tests {
         // the documented re-split rule.
         let mut idx = index(52);
         let updates: Vec<_> = (0..200u64).map(|i| (fp(i), ContainerId::new(i))).collect();
-        idx.sequential_update_sharded(&updates, 4);
+        siu(&mut idx, &updates, 4);
         idx.set_part_fault_plan(3, FaultPlan::fail_at(idx.part_disk_ops(3)));
         let mut cache = cache_of(0..200);
         let rep = idx
@@ -828,8 +793,8 @@ mod tests {
         let updates: Vec<_> = (0..1200u64).map(|i| (fp(i), ContainerId::new(i))).collect();
         let mut even = index(53);
         let mut skew = index(53);
-        even.sequential_update(&updates);
-        skew.sequential_update(&updates);
+        siu(&mut even, &updates, 1);
+        siu(&mut skew, &updates, 1);
 
         let buckets = skew.params().buckets(); // 256
                                                // 4 parts, the first covering half the bucket range: the sweep
@@ -846,8 +811,8 @@ mod tests {
         let mut ce = cache_of(0..800);
         let mut cs = cache_of(0..800);
         let p0_before = skew.part_disk_stats(0).map_or(0, |s| s.seq_read_bytes);
-        let even_rep = even.sequential_lookup_sharded(&mut ce, 4).value;
-        let skew_rep = skew.sequential_lookup_sharded(&mut cs, 4).value;
+        let even_rep = sil(&mut even, &mut ce, 4).value;
+        let skew_rep = sil(&mut skew, &mut cs, 4).value;
         assert_eq!(skew_rep.parts, 4);
         assert_eq!(
             dup_set(&even_rep),
@@ -876,8 +841,8 @@ mod tests {
         let more: Vec<_> = (1200..1800u64)
             .map(|i| (fp(i), ContainerId::new(i)))
             .collect();
-        even.sequential_update_sharded(&more, 4);
-        skew.sequential_update_sharded(&more, 4);
+        siu(&mut even, &more, 4);
+        siu(&mut skew, &more, 4);
         assert_eq!(even.raw_data(), skew.raw_data());
     }
 
@@ -886,14 +851,13 @@ mod tests {
         let mut idx = index(1);
         // Register fingerprints 0..500 via SIU.
         let updates: Vec<_> = (0..500u64).map(|i| (fp(i), ContainerId::new(i))).collect();
-        idx.sequential_update(&updates);
+        siu(&mut idx, &updates, 1);
 
         // Batch 250..750: half duplicates, half new.
         let mut cache = cache_of(250..750);
-        let rep = idx.sequential_lookup(&mut cache).value;
+        let rep = sil(&mut idx, &mut cache, 1).value;
         assert_eq!(rep.submitted, 500);
         assert_eq!(rep.duplicates.len(), 250);
-        assert_eq!(rep.new_count(), 250);
         assert_eq!(cache.len(), 250);
         // Duplicates carry their on-disk container IDs.
         for d in &rep.duplicates {
@@ -911,12 +875,12 @@ mod tests {
     fn sil_cost_is_sweep_plus_probes_independent_of_batch() {
         let mut idx = index(2);
         let updates: Vec<_> = (0..1000u64).map(|i| (fp(i), ContainerId::new(0))).collect();
-        idx.sequential_update(&updates);
+        siu(&mut idx, &updates, 1);
 
         let mut small = cache_of(5000..5010);
         let mut large = cache_of(10_000..10_100);
-        let t_small = idx.sequential_lookup(&mut small);
-        let t_large = idx.sequential_lookup(&mut large);
+        let t_small = sil(&mut idx, &mut small, 1);
+        let t_large = sil(&mut idx, &mut large, 1);
         // Sweep time dominates (CPU probing is pipelined behind the sweep)
         // and is the same for both batches on the same index size.
         let rel = (t_small.cost - t_large.cost).abs() / t_small.cost;
@@ -933,11 +897,11 @@ mod tests {
         // magnitude faster than random lookups (Fig. 11).
         let mut idx = index(3);
         let updates: Vec<_> = (0..2000u64).map(|i| (fp(i), ContainerId::new(0))).collect();
-        idx.sequential_update(&updates);
+        siu(&mut idx, &updates, 1);
 
         let mut cache = cache_of(0..4000);
         let batch = cache.len() as f64;
-        let t = idx.sequential_lookup(&mut cache);
+        let t = sil(&mut idx, &mut cache, 1);
         let sil_fps_per_s = batch / t.cost;
 
         let rand_cost = idx.lookup_random(&fp(1)).cost;
@@ -952,12 +916,12 @@ mod tests {
     fn sharded_sil_charges_fraction_of_scalar_sweep() {
         let mut idx = index(11);
         let updates: Vec<_> = (0..2000u64).map(|i| (fp(i), ContainerId::new(i))).collect();
-        idx.sequential_update(&updates);
+        siu(&mut idx, &updates, 1);
 
         let mut a = cache_of(0..1000);
-        let scalar = idx.sequential_lookup(&mut a);
+        let scalar = sil(&mut idx, &mut a, 1);
         let mut b = cache_of(0..1000);
-        let sharded = idx.sequential_lookup_sharded(&mut b, 4);
+        let sharded = sil(&mut idx, &mut b, 4);
         assert_eq!(sharded.value.parts, 4);
         // Four partitions on four part-disks: ~1/4 the sweep wall time.
         let ratio = scalar.value.sweep_secs / sharded.value.sweep_secs;
@@ -969,13 +933,13 @@ mod tests {
     fn siu_inserts_and_updates() {
         let mut idx = index(4);
         let first: Vec<_> = (0..100u64).map(|i| (fp(i), ContainerId::new(1))).collect();
-        let rep = idx.sequential_update(&first).value;
+        let rep = siu(&mut idx, &first, 1).value;
         assert_eq!(rep.inserted, 100);
         assert_eq!(rep.updated, 0);
 
         // Overlapping second batch: 50 updates + 50 inserts.
         let second: Vec<_> = (50..150u64).map(|i| (fp(i), ContainerId::new(2))).collect();
-        let rep2 = idx.sequential_update(&second).value;
+        let rep2 = siu(&mut idx, &second, 1).value;
         assert_eq!(rep2.inserted, 50);
         assert_eq!(rep2.updated, 50);
         assert_eq!(idx.lookup_uncharged(&fp(75)), Some(ContainerId::new(2)));
@@ -991,7 +955,7 @@ mod tests {
             (fp(2), ContainerId::new(20)),
             (fp(1), ContainerId::new(11)),
         ];
-        let rep = idx.sequential_update(&updates).value;
+        let rep = siu(&mut idx, &updates, 1).value;
         assert_eq!(rep.inserted, 2);
         assert_eq!(rep.updated, 1);
         assert_eq!(idx.lookup_uncharged(&fp(1)), Some(ContainerId::new(11)));
@@ -1001,7 +965,7 @@ mod tests {
     fn siu_cost_has_read_and_write_sweeps() {
         let mut idx = index(5);
         let updates: Vec<_> = (0..10u64).map(|i| (fp(i), ContainerId::new(0))).collect();
-        let t = idx.sequential_update(&updates);
+        let t = siu(&mut idx, &updates, 1);
         let total = idx.params().total_bytes();
         let m = idx.disk_stats();
         assert!(m.seq_read_bytes >= total);
@@ -1014,7 +978,7 @@ mod tests {
         // Tiny index: 2 buckets of 512 B => capacity 40. Insert far more.
         let mut idx = DiskIndex::with_paper_disk(IndexParams::new(1, 512), 6);
         let updates: Vec<_> = (0..200u64).map(|i| (fp(i), ContainerId::new(0))).collect();
-        let rep = idx.sequential_update(&updates).value;
+        let rep = siu(&mut idx, &updates, 1).value;
         assert_eq!(rep.inserted, 200);
         assert!(
             rep.scale_events >= 2,
@@ -1037,9 +1001,9 @@ mod tests {
         let updates: Vec<_> = (0..300u64)
             .map(|i| (fp(i), ContainerId::new(i % 7)))
             .collect();
-        idx.sequential_update(&updates);
+        siu(&mut idx, &updates, 1);
         let mut cache = cache_of(0..300);
-        let rep = idx.sequential_lookup(&mut cache).value;
+        let rep = sil(&mut idx, &mut cache, 1).value;
         assert_eq!(rep.duplicates.len(), 300);
         assert!(cache.is_empty());
     }
@@ -1050,12 +1014,12 @@ mod tests {
         // A 2-bucket index asked for 64 partitions sweeps on 2.
         let mut idx = DiskIndex::with_paper_disk(IndexParams::new(1, 512), 31);
         let updates: Vec<_> = (0..30u64).map(|i| (fp(i), ContainerId::new(i))).collect();
-        let rep = idx.sequential_update_sharded(&updates, 64).value;
+        let rep = siu(&mut idx, &updates, 64).value;
         assert_eq!(rep.parts, 2, "parts must clamp to the bucket count");
         let mut cache = cache_of(0..30);
-        let sil = idx.sequential_lookup_sharded(&mut cache, 64).value;
-        assert_eq!(sil.parts, 2);
-        assert_eq!(sil.duplicates.len(), 30);
+        let looked_up = sil(&mut idx, &mut cache, 64).value;
+        assert_eq!(looked_up.parts, 2);
+        assert_eq!(looked_up.duplicates.len(), 30);
     }
 
     #[test]
@@ -1066,8 +1030,8 @@ mod tests {
             let batch = random_batch(0x11D, 900, 3000);
             let mut scalar = index(77);
             let mut shard = index(77);
-            scalar.sequential_update(&batch);
-            shard.sequential_update_sharded(&batch, parts);
+            siu(&mut scalar, &batch, 1);
+            siu(&mut shard, &batch, parts);
             assert!(
                 scalar.raw_data() == shard.raw_data(),
                 "parts={parts} diverged from scalar"
@@ -1085,12 +1049,12 @@ mod tests {
         let batch_b = random_batch(0xC1B, 150, 90_000);
         let mut scalar = DiskIndex::with_paper_disk(IndexParams::new(1, 512), 13);
         let mut shard = DiskIndex::with_paper_disk(IndexParams::new(1, 512), 13);
-        let a1 = scalar.sequential_update(&batch_a).value;
-        let b1 = shard.sequential_update_sharded(&batch_a, 8).value;
+        let a1 = siu(&mut scalar, &batch_a, 1).value;
+        let b1 = siu(&mut shard, &batch_a, 8).value;
         assert!(a1.scale_events >= 1, "test must scale mid-batch");
         assert_eq!(b1.parts, 2, "pre-scaling clamp is the old bucket count");
-        let b2 = shard.sequential_update_sharded(&batch_b, 8).value;
-        scalar.sequential_update(&batch_b);
+        let b2 = siu(&mut shard, &batch_b, 8).value;
+        siu(&mut scalar, &batch_b, 1);
         assert!(
             b2.parts > 2,
             "post-scaling sweep must use the grown bucket count, got {}",
@@ -1125,11 +1089,11 @@ mod tests {
     #[test]
     fn merge_join_sil_matches_hashed_probing() {
         let mut idx = index(21);
-        idx.sequential_update(&random_batch(1, 3000, 5000));
+        siu(&mut idx, &random_batch(1, 3000, 5000), 1);
         let mut a = cache_of(0..2000);
         let mut b = cache_of(0..2000);
         let hashed = idx.sequential_lookup_hashed(&mut a).value;
-        let merged = idx.sequential_lookup(&mut b).value;
+        let merged = sil(&mut idx, &mut b, 1).value;
         assert_eq!(dup_set(&hashed), dup_set(&merged));
         assert_eq!(a.len(), b.len());
     }
@@ -1143,9 +1107,9 @@ mod tests {
             // the intersection, new exactly the difference.
             let mut idx = index(seed);
             let updates: Vec<_> = (0..reg).map(|i| (fp(i), ContainerId::new(0))).collect();
-            idx.sequential_update(&updates);
+            siu(&mut idx, &updates, 1);
             let mut cache = cache_of(0..probe);
-            let rep = idx.sequential_lookup(&mut cache).value;
+            let rep = sil(&mut idx, &mut cache, 1).value;
             let expect_dup = probe.min(reg);
             proptest::prop_assert_eq!(rep.duplicates.len() as u64, expect_dup);
             proptest::prop_assert_eq!(cache.len() as u64, probe - expect_dup);
@@ -1156,15 +1120,15 @@ mod tests {
             // Scalar hashed, merge-join and sharded SIL: identical duplicate
             // sets and survivors on a randomized registered set.
             let mut idx = index(seed ^ 0x51);
-            idx.sequential_update(&random_batch(seed, reg, 4000));
+            siu(&mut idx, &random_batch(seed, reg, 4000), 1);
             let before = idx.raw_data().to_vec();
 
             let mut c_hashed = cache_of(0..probe as u64);
             let mut c_merge = cache_of(0..probe as u64);
             let mut c_shard = cache_of(0..probe as u64);
             let hashed = idx.sequential_lookup_hashed(&mut c_hashed).value;
-            let merged = idx.sequential_lookup(&mut c_merge).value;
-            let sharded = idx.sequential_lookup_sharded(&mut c_shard, parts).value;
+            let merged = sil(&mut idx, &mut c_merge, 1).value;
+            let sharded = sil(&mut idx, &mut c_shard, parts).value;
 
             proptest::prop_assert_eq!(dup_set(&hashed), dup_set(&merged));
             proptest::prop_assert_eq!(dup_set(&merged), dup_set(&sharded));
@@ -1186,8 +1150,8 @@ mod tests {
             let mut shard = index(seed ^ 0xA);
 
             let r_scalar = scalar.sequential_update_scalar(&batch).value;
-            let r_merge = merge.sequential_update(&batch).value;
-            let r_shard = shard.sequential_update_sharded(&batch, parts).value;
+            let r_merge = siu(&mut merge, &batch, 1).value;
+            let r_shard = siu(&mut shard, &batch, parts).value;
 
             proptest::prop_assert!(scalar.raw_data() == merge.raw_data());
             proptest::prop_assert!(merge.raw_data() == shard.raw_data());
@@ -1220,13 +1184,13 @@ mod tests {
             let mut shard = index(seed ^ 0x1F);
             let pre = random_batch(seed ^ 0x77, 120, 150);
             scalar.sequential_update_scalar(&pre);
-            merge.sequential_update(&pre);
-            shard.sequential_update_sharded(&pre, parts);
+            siu(&mut merge, &pre, 1);
+            siu(&mut shard, &pre, parts);
 
             let batch = random_batch(seed, count, 150);
             let r_scalar = scalar.sequential_update_scalar(&batch).value;
-            let r_merge = merge.sequential_update(&batch).value;
-            let r_shard = shard.sequential_update_sharded(&batch, parts).value;
+            let r_merge = siu(&mut merge, &batch, 1).value;
+            let r_shard = siu(&mut shard, &batch, parts).value;
 
             proptest::prop_assert!(scalar.raw_data() == merge.raw_data());
             proptest::prop_assert!(merge.raw_data() == shard.raw_data());
@@ -1252,7 +1216,7 @@ mod tests {
             // 64-bit prefix is NOT bucket order once skip_bits > 0).
             let whole = {
                 let mut idx = DiskIndex::with_paper_disk(IndexParams::new(8, 512), seed ^ 0x99);
-                idx.sequential_update(&random_batch(seed, 1500, 6000));
+                siu(&mut idx, &random_batch(seed, 1500, 6000), 1);
                 idx
             };
             let part0 = whole.split(2).value.remove(0);
@@ -1274,14 +1238,14 @@ mod tests {
                 cache_b.insert(*fp, 0);
             }
             let hashed = a.sequential_lookup_hashed(&mut cache_a).value;
-            let sharded = b.sequential_lookup_sharded(&mut cache_b, parts).value;
+            let sharded = sil(&mut b, &mut cache_b, parts).value;
             proptest::prop_assert_eq!(dup_set(&hashed), dup_set(&sharded));
 
             // SIU: scalar vs sharded byte-identity on the part.
             let mut c = part0.clone();
             let mut d = part0;
-            c.sequential_update(&routed);
-            d.sequential_update_sharded(&routed, parts);
+            siu(&mut c, &routed, 1);
+            siu(&mut d, &routed, parts);
             proptest::prop_assert!(c.raw_data() == d.raw_data());
         }
 
@@ -1299,14 +1263,14 @@ mod tests {
             // computed per part-disk from its own bucket-range share.
             use debar_simio::models::paper;
             let mut idx = DiskIndex::with_paper_disk(IndexParams::new(n_bits, 512), seed);
-            idx.sequential_update(&random_batch(seed, reg, 3000));
+            siu(&mut idx, &random_batch(seed, reg, 3000), 1);
             let buckets = idx.params().buckets();
             let p = clamp_parts(parts, buckets) as u64;
             let read_before: Vec<u64> = (0..p as usize)
                 .map(|i| idx.part_disk_stats(i).map_or(0, |s| s.seq_read_bytes))
                 .collect();
             let mut cache = cache_of(0..probe);
-            let rep = idx.sequential_lookup_sharded(&mut cache, parts).value;
+            let rep = sil(&mut idx, &mut cache, parts).value;
 
             proptest::prop_assert_eq!(rep.parts as u64, p);
             let model = paper::index_disk();
@@ -1344,12 +1308,12 @@ mod tests {
             let mut scalar = index(seed ^ 0xE0);
             let mut physical = index(seed ^ 0xE0);
             scalar.sequential_update_scalar(&batch);
-            let siu = physical.sequential_update_sharded(&batch, parts).value;
-            proptest::prop_assert_eq!(siu.parts as usize, parts);
+            let updated = siu(&mut physical, &batch, parts).value;
+            proptest::prop_assert_eq!(updated.parts as usize, parts);
             proptest::prop_assert!(scalar.raw_data() == physical.raw_data());
 
             let mut cache = cache_of(0..probe);
-            let rep = physical.sequential_lookup_sharded(&mut cache, parts).value;
+            let rep = sil(&mut physical, &mut cache, parts).value;
             let model = paper::index_disk();
             let oracle = model.seq_read_cost(physical.params().total_bytes()) / parts as f64;
             proptest::prop_assert_eq!(rep.sweep_secs, oracle);
@@ -1362,8 +1326,8 @@ mod tests {
             let batch = random_batch(seed, 300, 100_000);
             let mut scalar = DiskIndex::with_paper_disk(IndexParams::new(1, 512), 9);
             let mut shard = DiskIndex::with_paper_disk(IndexParams::new(1, 512), 9);
-            let a = scalar.sequential_update(&batch).value;
-            let b = shard.sequential_update_sharded(&batch, parts).value;
+            let a = siu(&mut scalar, &batch, 1).value;
+            let b = siu(&mut shard, &batch, parts).value;
             proptest::prop_assert!(a.scale_events >= 1, "test must exercise scaling");
             proptest::prop_assert_eq!(a.scale_events, b.scale_events);
             proptest::prop_assert!(scalar.raw_data() == shard.raw_data());

@@ -10,8 +10,8 @@ pub type Secs = f64;
 /// A monotonically advancing virtual clock.
 ///
 /// Each sequential execution context (a backup server, a client, the
-/// director) owns one clock; parallel phases combine clocks with
-/// [`crate::cluster::barrier_max`].
+/// director) owns one clock; a parallel phase ends at the `max` over its
+/// participants' clocks ([`VirtualClock::advance_to`] aligns them).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VirtualClock {
     now: Secs,

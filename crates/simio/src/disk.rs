@@ -48,12 +48,6 @@ impl DiskModel {
     pub fn rand_write_cost(&self, bytes: u64) -> Secs {
         self.seek_s + self.seq_write_cost(bytes)
     }
-
-    /// Random read operations per second for a given transfer size —
-    /// the "fingerprints per second" ceiling of random index lookup.
-    pub fn rand_read_ops_per_s(&self, bytes: u64) -> f64 {
-        1.0 / self.rand_read_cost(bytes)
-    }
 }
 
 /// Cumulative I/O statistics for one simulated disk.
@@ -308,7 +302,7 @@ mod tests {
             read_bw: 225.0 * (1 << 20) as f64,
             write_bw: 165.0 * (1 << 20) as f64,
         };
-        let random_fps_per_s = m.rand_read_ops_per_s(512);
+        let random_fps_per_s = 1.0 / m.rand_read_cost(512);
         // One sequential sweep of a 512-byte bucket holding 20 fingerprints:
         let seq_fps_per_s = 20.0 / m.seq_read_cost(512);
         assert!(seq_fps_per_s / random_fps_per_s > 100.0);

@@ -22,7 +22,6 @@
 //! scale-invariant.
 
 pub mod clock;
-pub mod cluster;
 pub mod cpu;
 pub mod disk;
 pub mod fault;

@@ -81,14 +81,6 @@ pub mod paper {
         }
     }
 
-    /// A backup client's NIC (single 1-GbE link).
-    pub fn client_nic() -> NetModel {
-        NetModel {
-            bandwidth: 110.0 * MIB,
-            latency_s: 100e-6,
-        }
-    }
-
     /// The backup-server CPU.
     pub fn cpu() -> CpuModel {
         CpuModel {
@@ -106,7 +98,7 @@ mod tests {
     #[test]
     fn random_lookup_rate_near_paper_measurement() {
         // Paper: ~522 random on-disk fingerprint lookups per second.
-        let rate = paper::index_disk().rand_read_ops_per_s(512);
+        let rate = 1.0 / paper::index_disk().rand_read_cost(512);
         assert!((rate - 522.0).abs() < 5.0, "rate {rate}");
     }
 

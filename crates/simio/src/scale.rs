@@ -47,26 +47,6 @@ impl ScaleModel {
             (nominal / self.denom).max(1)
         }
     }
-
-    /// Convert an actual byte size/count back to nominal.
-    pub fn to_nominal(&self, actual: u64) -> u64 {
-        actual * self.denom
-    }
-
-    /// Scale down a power-of-two bit width: an index of `2^n` nominal
-    /// buckets has `2^(n - log2(denom))` actual buckets.
-    ///
-    /// # Panics
-    /// Panics if `denom` is not a power of two or exceeds `2^bits`.
-    pub fn scale_bits(&self, bits: u32) -> u32 {
-        assert!(
-            self.denom.is_power_of_two(),
-            "bit scaling needs power-of-two denom"
-        );
-        let shift = self.denom.trailing_zeros();
-        assert!(shift <= bits, "scale denominator larger than quantity");
-        bits - shift
-    }
 }
 
 impl Default for ScaleModel {
@@ -83,7 +63,7 @@ mod tests {
     fn roundtrip() {
         let s = ScaleModel::DEFAULT;
         assert_eq!(s.to_actual(32 << 30), 32 << 20); // 32 GB -> 32 MB
-        assert_eq!(s.to_nominal(32 << 20), 32 << 30);
+        assert_eq!(s.to_actual(32 << 30) * s.denom, 32 << 30);
     }
 
     #[test]
@@ -97,19 +77,6 @@ mod tests {
     fn full_scale_is_identity() {
         let s = ScaleModel::FULL;
         assert_eq!(s.to_actual(12345), 12345);
-        assert_eq!(s.scale_bits(26), 26);
-    }
-
-    #[test]
-    fn bit_scaling() {
-        let s = ScaleModel::DEFAULT; // 2^10
-        assert_eq!(s.scale_bits(26), 16); // 2^26 nominal buckets -> 2^16 actual
-    }
-
-    #[test]
-    #[should_panic]
-    fn bit_scaling_requires_pow2() {
-        ScaleModel::new(1000).scale_bits(26);
     }
 
     #[test]

@@ -31,11 +31,6 @@ pub fn human_bytes(bytes: u64) -> String {
     }
 }
 
-/// Format a rate in bytes/second as "X MB/s"-style text.
-pub fn human_rate(bytes_per_s: f64) -> String {
-    format!("{}/s", human_bytes(bytes_per_s.max(0.0) as u64))
-}
-
 /// Format seconds as a human-readable duration.
 pub fn human_secs(secs: Secs) -> String {
     if secs < 1e-3 {

@@ -49,13 +49,6 @@ impl<T> Timed<T> {
     }
 }
 
-impl Timed<()> {
-    /// A pure cost with no value.
-    pub fn cost_only(cost: Secs) -> Self {
-        Timed::new((), cost)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,17 +6,13 @@
 //! appear in the backup stream. It hence creates a spatial locality for the
 //! chunk access" — the property LPC exploits on reads.
 //!
-//! # Write-behind flush queue
-//!
-//! The pipelined chunk-storing phase packs ahead of the repository: sealed
-//! containers accumulate in a **flush queue**
-//! ([`ContainerManager::append_queued`]) instead of stalling the drain
-//! loop on a per-container submit, and the store worker flushes the queue
-//! as one batch ([`ContainerManager::flush_batch`] →
-//! `ChunkRepository::store_batch`), amortizing per-submit overhead across
-//! the batch. The legacy one-at-a-time [`ContainerManager::append`] /
-//! [`ContainerManager::flush`] path is retained; both produce the same
-//! container sequence.
+//! The manager holds exactly one container — the open one — and
+//! [`ContainerManager::append`] / [`ContainerManager::flush`] hand each
+//! sealed container to the caller at the moment it seals. What happens to
+//! it next is the caller's: the chunk-storing pack stage collects a pass's
+//! containers (with the drain position each sealed at) and commits them as
+//! one `ChunkRepository::store_batch`; the capping pass and the DDFS
+//! baseline store each one as it seals.
 //!
 //! Containers are pre-sized for `capacity / expected-chunk-size` chunks
 //! (paper §3.2/§3.4: 8 MB containers, 8 KB expected chunks ⇒ ~1024 chunk
@@ -29,16 +25,13 @@ use debar_hash::Fingerprint;
 /// Expected chunk size used to pre-size container buffers (paper §3.2).
 const EXPECTED_CHUNK_BYTES: u64 = 8 * 1024;
 
-/// Stream-order container filler with a write-behind flush queue.
+/// Stream-order container filler.
 #[derive(Debug, Clone)]
 pub struct ContainerManager {
     capacity: u64,
     /// Chunk-slot hint for pre-sizing fresh containers.
     chunk_hint: usize,
     open: Container,
-    /// Sealed containers awaiting a batched flush, in seal order.
-    queue: Vec<Container>,
-    sealed_count: u64,
 }
 
 impl ContainerManager {
@@ -49,34 +42,12 @@ impl ContainerManager {
             capacity,
             chunk_hint,
             open: Container::with_chunk_capacity(capacity, chunk_hint),
-            queue: Vec::new(),
-            sealed_count: 0,
         }
     }
 
     /// A fresh, pre-sized container.
     fn fresh(&self) -> Container {
         Container::with_chunk_capacity(self.capacity, self.chunk_hint)
-    }
-
-    /// Container capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Chunks currently buffered in the open container.
-    pub fn pending_chunks(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Containers sealed so far.
-    pub fn sealed_count(&self) -> u64 {
-        self.sealed_count
-    }
-
-    /// Sealed containers waiting in the write-behind flush queue.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
     }
 
     /// Append a chunk in stream order. When the open container cannot take
@@ -90,18 +61,7 @@ impl ContainerManager {
         let sealed = std::mem::replace(&mut self.open, fresh);
         let ok = self.open.try_append(fp, payload);
         debug_assert!(ok, "chunk must fit an empty container");
-        self.sealed_count += 1;
         Some(sealed)
-    }
-
-    /// Append a chunk in stream order, pushing any sealed container onto
-    /// the write-behind flush queue instead of returning it — the
-    /// pipelined drain loop's path (compare queue depth via
-    /// [`ContainerManager::queued`] to observe seals).
-    pub fn append_queued(&mut self, fp: Fingerprint, payload: Payload) {
-        if let Some(sealed) = self.append(fp, payload) {
-            self.queue.push(sealed);
-        }
     }
 
     /// Seal and return the open container if it holds any chunks (end of a
@@ -110,25 +70,8 @@ impl ContainerManager {
         if self.open.is_empty() {
             return None;
         }
-        self.sealed_count += 1;
         let fresh = self.fresh();
         Some(std::mem::replace(&mut self.open, fresh))
-    }
-
-    /// Drain the write-behind queue (sealed containers in seal order)
-    /// without touching the open container — a mid-pass flush.
-    pub fn take_batch(&mut self) -> Vec<Container> {
-        std::mem::take(&mut self.queue)
-    }
-
-    /// End-of-pass batched flush: seal the open container (if it holds
-    /// any chunks) onto the queue, then drain the whole queue — the batch
-    /// a store worker hands to `ChunkRepository::store_batch`.
-    pub fn flush_batch(&mut self) -> Vec<Container> {
-        if let Some(sealed) = self.flush() {
-            self.queue.push(sealed);
-        }
-        self.take_batch()
     }
 }
 
@@ -148,8 +91,10 @@ mod tests {
         let sealed = m.append(fp(2), Payload::Zero(60)).expect("should seal");
         assert_eq!(sealed.len(), 1);
         assert_eq!(sealed.fingerprints().next(), Some(fp(1)));
-        assert_eq!(m.pending_chunks(), 1);
-        assert_eq!(m.sealed_count(), 1);
+        let open = m
+            .flush()
+            .expect("the trigger chunk opened the next container");
+        assert_eq!(open.fingerprints().next(), Some(fp(2)));
     }
 
     #[test]
@@ -188,59 +133,5 @@ mod tests {
         );
         let sealed = m.append(fp(3), Payload::Zero(1)).expect("now seals");
         assert_eq!(sealed.len(), 2);
-    }
-
-    #[test]
-    fn queued_appends_batch_in_seal_order() {
-        let mut m = ContainerManager::new(64);
-        for i in 0..10u64 {
-            m.append_queued(fp(i), Payload::Zero(20));
-        }
-        // 10 chunks × 20 B into 64 B containers: 3 sealed, 1 open.
-        assert_eq!(m.queued(), 3);
-        assert_eq!(m.pending_chunks(), 1);
-        let batch = m.flush_batch();
-        assert_eq!(batch.len(), 4, "flush_batch seals the open container");
-        let fps: Vec<Fingerprint> = batch.iter().flat_map(|c| c.fingerprints()).collect();
-        assert_eq!(fps, (0..10u64).map(fp).collect::<Vec<_>>());
-        assert_eq!(m.queued(), 0);
-        assert!(m.flush_batch().is_empty(), "queue drained");
-    }
-
-    #[test]
-    fn queued_and_returned_paths_produce_identical_containers() {
-        let drive = |queued: bool| -> Vec<Vec<Fingerprint>> {
-            let mut m = ContainerManager::new(100);
-            let mut out = Vec::new();
-            for i in 0..17u64 {
-                if queued {
-                    m.append_queued(fp(i), Payload::Zero(30));
-                } else if let Some(c) = m.append(fp(i), Payload::Zero(30)) {
-                    out.push(c.fingerprints().collect());
-                }
-            }
-            if queued {
-                out.extend(
-                    m.flush_batch()
-                        .iter()
-                        .map(|c| c.fingerprints().collect::<Vec<_>>()),
-                );
-            } else if let Some(c) = m.flush() {
-                out.push(c.fingerprints().collect());
-            }
-            out
-        };
-        assert_eq!(drive(true), drive(false));
-    }
-
-    #[test]
-    fn take_batch_leaves_open_container_alone() {
-        let mut m = ContainerManager::new(64);
-        for i in 0..5u64 {
-            m.append_queued(fp(i), Payload::Zero(20));
-        }
-        let batch = m.take_batch();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(m.pending_chunks(), 2, "open container untouched");
     }
 }

@@ -4,20 +4,19 @@
 //!
 //! Container IDs are assigned at store time ("When a container is written
 //! into the chunk repository, a container ID will be generated") and placed
-//! across nodes by a pluggable [`Placement`] policy — round-robin by
-//! default, which both spreads load and makes the primary node of any
-//! container derivable from its ID.
+//! across nodes round-robin by ID ([`ChunkRepository::node_of`]) — the
+//! paper's uniform container log — which both spreads load and makes the
+//! primary node of any container derivable from its ID.
 //!
 //! # Replication, failover and repair
 //!
 //! With a replication factor `R` ([`ChunkRepository::with_replication`]),
-//! every container is written to `R` distinct nodes — the primary from the
-//! placement policy plus the next `R-1` nodes on the ring — and each
+//! every container is written to `R` distinct nodes — the primary plus the
+//! next `R-1` nodes on the ring — and each
 //! replica write is charged to its own node disk. Because the replicas
 //! land on distinct disks, a batch append completes at the **max over
 //! per-node accumulated write time** ([`BatchAppend::cost`]), not the sum:
-//! the store phase is as slow as its most-loaded node, and skewed
-//! placement ([`Placement::Fixed`]) makes that straggler visible.
+//! the store phase is as slow as its most-loaded node.
 //!
 //! Reads **balance and fail over**: with `R >= 2` the read path picks the
 //! **least-loaded replica** first (by accumulated random-read bytes on the
@@ -218,21 +217,6 @@ impl StorageNode {
     }
 }
 
-/// Container placement policy: which node a container's *primary* copy
-/// lands on (replicas follow on the next ring nodes).
-///
-/// Set the policy before the first store: reads derive the replica ring
-/// from the current policy, so copies stored under a different one are
-/// only found by the presence-scanning paths
-/// ([`ChunkRepository::read_anywhere`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Round-robin by container ID — the paper's uniform container log.
-    RoundRobin,
-    /// Every primary copy on one fixed node (skew/straggler experiments).
-    Fixed(usize),
-}
-
 /// Aggregate repository statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RepoStats {
@@ -403,6 +387,16 @@ type StoreOutcome = (
     Result<ContainerId, (StoreError, Container)>,
 );
 
+/// The disk op one replica attempt charges
+/// ([`ChunkRepository::io_attempts`]).
+#[derive(Clone, Copy)]
+enum NodeOp {
+    /// A random read of this many bytes.
+    Read(u64),
+    /// A sequential write of one container.
+    Write,
+}
+
 /// On-disk size of a container's metadata section — header, ≈ 32 bytes
 /// per chunk, checksum trailer: all a prefetch reads, and the head of a
 /// full read.
@@ -418,7 +412,6 @@ pub struct ChunkRepository {
     next_id: u64,
     stats: RepoStats,
     replication: usize,
-    placement: Placement,
     retry: RetryPolicy,
     health_policy: HealthPolicy,
     /// Tombstones of reclaimed container ids. A reclaimed container is
@@ -443,7 +436,6 @@ impl ChunkRepository {
             next_id: 0,
             stats: RepoStats::default(),
             replication: 1,
-            placement: Placement::RoundRobin,
             retry: RetryPolicy::default(),
             health_policy: HealthPolicy::default(),
             reclaimed: HashSet::new(),
@@ -473,38 +465,17 @@ impl ChunkRepository {
     /// (`max_attempts` is clamped to at least 1; negative backoff is
     /// clamped to 0 at charge time).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.set_retry(retry);
-        self
-    }
-
-    /// Set the retry policy (see [`ChunkRepository::with_retry`]).
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
         self.retry = RetryPolicy {
             max_attempts: retry.max_attempts.max(1),
             backoff_cost: retry.backoff_cost.max(0.0),
         };
-    }
-
-    /// The active retry policy.
-    pub fn retry(&self) -> RetryPolicy {
-        self.retry
+        self
     }
 
     /// Builder: set the node-health thresholds (see [`HealthPolicy`]).
     pub fn with_health_policy(mut self, policy: HealthPolicy) -> Self {
         self.health_policy = policy;
         self
-    }
-
-    /// Set the node-health thresholds (see [`HealthPolicy`]). Applies to
-    /// errors recorded from now on; current health is not re-derived.
-    pub fn set_health_policy(&mut self, policy: HealthPolicy) {
-        self.health_policy = policy;
-    }
-
-    /// The active node-health thresholds.
-    pub fn health_policy(&self) -> HealthPolicy {
-        self.health_policy
     }
 
     /// One node's tracked health, or a typed error for an id outside the
@@ -529,25 +500,9 @@ impl ChunkRepository {
         }
     }
 
-    /// Set the container placement policy (see [`Placement`] for the
-    /// change-after-store caveat). A fixed node outside the cluster is a
-    /// typed error.
-    pub fn set_placement(&mut self, placement: Placement) -> Result<(), StoreError> {
-        if let Placement::Fixed(node) = placement {
-            self.check_node(node)?;
-        }
-        self.placement = placement;
-        Ok(())
-    }
-
     /// Number of storage nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Fixed container size used for I/O accounting.
-    pub fn container_bytes(&self) -> u64 {
-        self.container_bytes
     }
 
     /// Aggregate statistics.
@@ -558,12 +513,6 @@ impl ChunkRepository {
     /// Per-node views.
     pub fn nodes(&self) -> &[StorageNode] {
         &self.nodes
-    }
-
-    /// One node's view, or a typed error for an id outside the cluster.
-    pub fn node(&self, node: usize) -> Result<&StorageNode, StoreError> {
-        self.check_node(node)?;
-        Ok(&self.nodes[node])
     }
 
     /// Validate a node id at arm/call time — same rule as the store
@@ -630,53 +579,28 @@ impl ChunkRepository {
         Ok(self.nodes[node].down)
     }
 
-    /// Inject damage directly against a stored container copy (the
-    /// per-container corruption hook the failure-kind scenarios use); the
-    /// first-located copy is damaged, its replicas stay clean.
+    /// Set (`Some`) or clear (`None`: admin repair from a replica) the
+    /// injected damage of a stored container's first-located copy — the
+    /// per-container corruption hook the failure-kind scenarios use; its
+    /// replicas are untouched.
     ///
     /// An unknown or reclaimed container is the typed
     /// [`StoreError::MissingContainer`], never a silent no-op.
-    pub fn corrupt_container(
+    pub fn set_damage(
         &mut self,
         cid: ContainerId,
-        damage: Damage,
+        damage: Option<Damage>,
     ) -> Result<(), StoreError> {
-        let node = self
-            .locate(cid)
-            .ok_or(StoreError::MissingContainer { container: cid })?;
-        match self.nodes[node].containers.get_mut(&cid.raw()) {
-            Some(sc) => {
-                sc.damage = Some(damage);
-                Ok(())
-            }
-            None => Err(StoreError::MissingContainer { container: cid }),
-        }
+        let missing = StoreError::MissingContainer { container: cid };
+        let node = self.locate(cid).ok_or(missing)?;
+        let copy = self.nodes[node].containers.get_mut(&cid.raw());
+        copy.ok_or(missing)?.damage = damage;
+        Ok(())
     }
 
-    /// Clear injected damage on the first-located copy (admin repair from
-    /// a replica; test support).
-    ///
-    /// An unknown or reclaimed container is the typed
-    /// [`StoreError::MissingContainer`], never a silent no-op.
-    pub fn repair_container(&mut self, cid: ContainerId) -> Result<(), StoreError> {
-        let node = self
-            .locate(cid)
-            .ok_or(StoreError::MissingContainer { container: cid })?;
-        match self.nodes[node].containers.get_mut(&cid.raw()) {
-            Some(sc) => {
-                sc.damage = None;
-                Ok(())
-            }
-            None => Err(StoreError::MissingContainer { container: cid }),
-        }
-    }
-
-    /// The node a container's primary copy lives on (placement policy).
+    /// The node a container's primary copy lives on: round-robin by ID.
     pub fn node_of(&self, cid: ContainerId) -> usize {
-        match self.placement {
-            Placement::RoundRobin => (cid.raw() % self.nodes.len() as u64) as usize,
-            Placement::Fixed(node) => node,
-        }
+        (cid.raw() % self.nodes.len() as u64) as usize
     }
 
     /// The `replication` distinct nodes a container's copies are written
@@ -703,15 +627,15 @@ impl ChunkRepository {
         Timed::new(result.map_err(|(e, _)| e), cost)
     }
 
-    /// Multi-container batch append (the write-behind flush path of the
-    /// pipelined chunk-storing phase): store a sealed-container batch in
-    /// order, stopping at the first write fault.
+    /// Multi-container batch append (the commit of the pipelined
+    /// chunk-storing phase): store a sealed-container batch in order,
+    /// stopping at the first write fault.
     ///
     /// Per-container semantics — ID assignment, placement, one sequential
     /// write op per replica on its node, the fault rules of
     /// [`ChunkRepository::store`] — are *identical* to storing the batch
     /// one container at a time; the batch amortizes the per-submit
-    /// overhead and models the flush queue draining behind the packer.
+    /// overhead and models the node disks draining behind the packer.
     /// The batch wall ([`BatchAppend::cost`]) is the max over per-node
     /// accumulated write time: the nodes drain their queues in parallel
     /// and the most-loaded node is the straggler. On a fault, the failed
@@ -786,7 +710,7 @@ impl ChunkRepository {
         let mut writes: Vec<(usize, Secs)> = Vec::with_capacity(targets.len());
         let mut damages: Vec<(usize, Option<Damage>)> = Vec::with_capacity(targets.len());
         for &node in &targets {
-            let (cost, outcome) = self.write_attempts(node);
+            let (cost, outcome) = self.io_attempts(node, NodeOp::Write);
             writes.push((node, cost));
             match outcome {
                 Ok(damage) => damages.push((node, damage)),
@@ -807,46 +731,6 @@ impl ChunkRepository {
             );
         }
         (writes, Ok(id))
-    }
-
-    /// One replica write under the retry policy: charge a sequential
-    /// container write per attempt (plus backoff between attempts) until
-    /// it succeeds or the budget is spent. Returns the node's total
-    /// charged time and either the silent damage the surviving write
-    /// carries, or the typed error after exhaustion. Torn writes and bit
-    /// flips are *not* retried — they look successful at write time.
-    fn write_attempts(&mut self, node: usize) -> (Secs, Result<Option<Damage>, StoreError>) {
-        let max = self.retry.max_attempts.max(1);
-        let mut cost: Secs = 0.0;
-        let mut attempt = 1u32;
-        loop {
-            cost += self.nodes[node].disk.seq_write(self.container_bytes);
-            let Some(fault) = self.nodes[node].disk.take_fault() else {
-                return (cost, Ok(None));
-            };
-            match fault.kind {
-                FaultKind::TornWrite => return (cost, Ok(Some(Damage::Torn))),
-                FaultKind::BitFlip => return (cost, Ok(Some(Damage::BitFlip))),
-                FaultKind::Fail | FaultKind::Transient { .. } => {
-                    self.record_node_error(node);
-                    if attempt < max {
-                        cost += self.nodes[node].disk.stall(self.retry.backoff_cost);
-                        self.stats.retried_ops += 1;
-                        attempt += 1;
-                        continue;
-                    }
-                    let err = if max > 1 {
-                        StoreError::RetriesExhausted {
-                            node,
-                            attempts: max,
-                        }
-                    } else {
-                        StoreError::DiskFault { node, fault }
-                    };
-                    return (cost, Err(err));
-                }
-            }
-        }
     }
 
     /// Materialize a stored container copy, running any injected damage
@@ -878,20 +762,36 @@ impl ChunkRepository {
         }
     }
 
-    /// One replica read under the retry policy: charge a random read of
-    /// `bytes` per attempt (plus backoff between attempts) until the op
-    /// is fault-free or the budget is spent. Any fault kind fired on a
-    /// read op is a failed read; transients that clear within the budget
-    /// are absorbed.
-    fn read_attempts(&mut self, node: usize, bytes: u64) -> (Secs, Result<(), StoreError>) {
+    /// One replica I/O under the retry policy: charge `op` per attempt
+    /// (plus backoff between attempts) until an attempt is fault-free or
+    /// the budget is spent. Returns the node's total charged time and
+    /// either the silent damage a surviving *write* carries — torn writes
+    /// and bit flips look successful at write time and are not retried —
+    /// or the typed error after exhaustion. Any fault kind fired on a read
+    /// op is a failed read; transients that clear within the budget are
+    /// absorbed.
+    fn io_attempts(
+        &mut self,
+        node: usize,
+        op: NodeOp,
+    ) -> (Secs, Result<Option<Damage>, StoreError>) {
         let max = self.retry.max_attempts.max(1);
         let mut cost: Secs = 0.0;
         let mut attempt = 1u32;
         loop {
-            cost += self.nodes[node].disk.rand_read(bytes);
-            let Some(fault) = self.nodes[node].disk.take_fault() else {
-                return (cost, Ok(()));
+            let disk = &mut self.nodes[node].disk;
+            cost += match op {
+                NodeOp::Read(bytes) => disk.rand_read(bytes),
+                NodeOp::Write => disk.seq_write(self.container_bytes),
             };
+            let Some(fault) = disk.take_fault() else {
+                return (cost, Ok(None));
+            };
+            match (op, fault.kind) {
+                (NodeOp::Write, FaultKind::TornWrite) => return (cost, Ok(Some(Damage::Torn))),
+                (NodeOp::Write, FaultKind::BitFlip) => return (cost, Ok(Some(Damage::BitFlip))),
+                _ => {}
+            }
             self.record_node_error(node);
             if attempt < max {
                 cost += self.nodes[node].disk.stall(self.retry.backoff_cost);
@@ -996,7 +896,7 @@ impl ChunkRepository {
             } else {
                 self.container_bytes
             };
-            let (read_cost, outcome) = self.read_attempts(node, bytes);
+            let (read_cost, outcome) = self.io_attempts(node, NodeOp::Read(bytes));
             if let Err(e) = outcome {
                 out.legs.failed.push((node, read_cost));
                 degraded_fault = true;
@@ -1057,15 +957,33 @@ impl ChunkRepository {
             if self.nodes[node].down {
                 continue;
             }
-            let cost = self.nodes[node].disk.seq_write(self.container_bytes);
-            writes.push((node, cost));
-            if let Some(sc) = self.nodes[node].containers.get_mut(&cid.raw()) {
-                sc.container = clean.clone();
-                sc.damage = None;
-                self.stats.read_repairs += 1;
-            }
+            writes.push((node, self.install_clean(node, cid.raw(), clean.clone())));
+            self.stats.read_repairs += 1;
         }
         writes
+    }
+
+    /// Write `image` onto `node` as its clean copy of container `raw` (any
+    /// copy it held is replaced): one sequential container write, charged
+    /// to the node's disk as maintenance I/O — no armed fault plan is
+    /// consumed. Returns the write's cost.
+    fn install_clean(&mut self, node: usize, raw: u64, image: Container) -> Secs {
+        let stored = StoredContainer {
+            container: image,
+            damage: None,
+        };
+        self.nodes[node].containers.insert(raw, stored);
+        self.nodes[node].disk.seq_write(self.container_bytes)
+    }
+
+    /// Re-replicate container `raw` from `src`'s image onto `node`: one
+    /// container read on `src`, then [`Self::install_clean`] on `node`.
+    /// Returns the `(read, write)` costs, or `None` — nothing charged —
+    /// when `src` holds no copy.
+    fn recopy(&mut self, raw: u64, src: usize, node: usize) -> Option<(Secs, Secs)> {
+        let image = self.nodes[src].containers.get(&raw)?.container.clone();
+        let read = self.nodes[src].disk.rand_read(self.container_bytes);
+        Some((read, self.install_clean(node, raw, image)))
     }
 
     /// Read a container from its replica ring (one random container-sized
@@ -1320,18 +1238,11 @@ impl ChunkRepository {
         let mut cost: Secs = 0.0;
         let mut recopied = 0u64;
         for (raw, src) in plan {
-            let Some(sc) = self.nodes[src].containers.get(&raw).cloned() else {
+            let Some((read, write)) = self.recopy(raw, src, node) else {
                 continue;
             };
-            cost += self.nodes[src].disk.rand_read(self.container_bytes);
-            cost += self.nodes[node].disk.seq_write(self.container_bytes);
-            self.nodes[node].containers.insert(
-                raw,
-                StoredContainer {
-                    container: sc.container,
-                    damage: None,
-                },
-            );
+            cost += read;
+            cost += write;
             recopied += 1;
         }
         Timed::new(
@@ -1381,26 +1292,14 @@ impl ChunkRepository {
             // healthy-copy guard keeps scrub from undoing defragmentation:
             // a migrated copy is not "missing" while replication is met.
             for node in bad {
-                match self.healthy_source(cid, node) {
-                    Some(src) => {
-                        node_costs[src] += self.nodes[src].disk.rand_read(self.container_bytes);
-                        node_costs[node] += self.nodes[node].disk.seq_write(self.container_bytes);
-                        if let Some(image) = self.nodes[src]
-                            .containers
-                            .get(&raw)
-                            .map(|sc| sc.container.clone())
-                        {
-                            self.nodes[node].containers.insert(
-                                raw,
-                                StoredContainer {
-                                    container: image,
-                                    damage: None,
-                                },
-                            );
-                            report.repaired += 1;
-                        }
-                    }
-                    None => report.unrecoverable += 1,
+                let Some(src) = self.healthy_source(cid, node) else {
+                    report.unrecoverable += 1;
+                    continue;
+                };
+                if let Some((read, write)) = self.recopy(raw, src, node) {
+                    node_costs[src] += read;
+                    node_costs[node] += write;
+                    report.repaired += 1;
                 }
             }
             let missing: Vec<usize> = self
@@ -1415,20 +1314,9 @@ impl ChunkRepository {
                 let Some(src) = self.healthy_source(cid, node) else {
                     continue;
                 };
-                node_costs[src] += self.nodes[src].disk.rand_read(self.container_bytes);
-                node_costs[node] += self.nodes[node].disk.seq_write(self.container_bytes);
-                if let Some(image) = self.nodes[src]
-                    .containers
-                    .get(&raw)
-                    .map(|sc| sc.container.clone())
-                {
-                    self.nodes[node].containers.insert(
-                        raw,
-                        StoredContainer {
-                            container: image,
-                            damage: None,
-                        },
-                    );
+                if let Some((read, write)) = self.recopy(raw, src, node) {
+                    node_costs[src] += read;
+                    node_costs[node] += write;
                     report.repaired += 1;
                 }
             }
@@ -1518,10 +1406,7 @@ mod tests {
         let mut r = repo(2);
         let t = r.store(container_with(0..2));
         assert!(t.cost > 0.0);
-        assert_eq!(
-            r.nodes()[0].disk_stats().seq_write_bytes,
-            r.container_bytes()
-        );
+        assert_eq!(r.nodes()[0].disk_stats().seq_write_bytes, 1 << 20);
         assert_eq!(r.nodes()[1].disk_stats().seq_write_bytes, 0);
     }
 
@@ -1530,14 +1415,8 @@ mod tests {
         let mut r = repo_r(3, 2);
         let id = store_ok(&mut r, container_with(0..2)); // primary node 0
         assert_eq!(r.replica_nodes(id), vec![0, 1]);
-        assert_eq!(
-            r.nodes()[0].disk_stats().seq_write_bytes,
-            r.container_bytes()
-        );
-        assert_eq!(
-            r.nodes()[1].disk_stats().seq_write_bytes,
-            r.container_bytes()
-        );
+        assert_eq!(r.nodes()[0].disk_stats().seq_write_bytes, 1 << 20);
+        assert_eq!(r.nodes()[1].disk_stats().seq_write_bytes, 1 << 20);
         assert_eq!(r.nodes()[2].disk_stats().seq_write_bytes, 0);
         // Logical stats count the container once.
         assert_eq!(r.stats().containers, 1);
@@ -1770,33 +1649,10 @@ mod tests {
                 .expect_err("typed"),
         );
         expect_unknown(r.node_disk_ops(7).expect_err("typed"));
-        expect_unknown(r.node(7).expect_err("typed"));
         expect_unknown(r.set_node_down(7).expect_err("typed"));
         expect_unknown(r.revive_node(7).expect_err("typed"));
         expect_unknown(r.is_node_down(7).expect_err("typed"));
         expect_unknown(r.repair_node(7).value.expect_err("typed"));
-        expect_unknown(r.set_placement(Placement::Fixed(7)).expect_err("typed"));
-    }
-
-    #[test]
-    fn fixed_placement_skews_every_write_onto_one_node() {
-        let mut r = repo(4);
-        r.set_placement(Placement::Fixed(2)).expect("in range");
-        let batch: Vec<Container> = (0..4u64)
-            .map(|i| container_with(i * 2..i * 2 + 2))
-            .collect();
-        let out = r.store_batch(batch);
-        assert!(out.fault.is_none());
-        assert_eq!(r.nodes()[2].container_count(), 4);
-        // The straggler law: the skewed batch's wall is node 2's entire
-        // accumulated write time, with every other node idle.
-        assert_eq!(out.cost, out.node_costs[2]);
-        assert_eq!(out.node_costs[0], 0.0);
-        // Reads route to the fixed primary.
-        for &id in &out.ids {
-            assert_eq!(r.node_of(id), 2);
-            assert!(r.read(id).value.expect("ok").is_some());
-        }
     }
 
     #[test]
@@ -2017,7 +1873,7 @@ mod tests {
         assert!(r.container_ids().is_empty());
         r.revive_node(0).expect("in range");
         assert_eq!(
-            r.node(0).expect("in range").container_count(),
+            r.nodes()[0].container_count(),
             0,
             "revive must purge the reclaimed copy, not resurrect it"
         );
@@ -2047,22 +1903,22 @@ mod tests {
         let mut r = repo(2);
         let ghost = ContainerId::new(42);
         assert_eq!(
-            r.corrupt_container(ghost, Damage::BitFlip),
+            r.set_damage(ghost, Some(Damage::BitFlip)),
             Err(StoreError::MissingContainer { container: ghost })
         );
         assert_eq!(
-            r.repair_container(ghost),
+            r.set_damage(ghost, None),
             Err(StoreError::MissingContainer { container: ghost })
         );
         let id = store_ok(&mut r, container_with(0..3));
-        r.corrupt_container(id, Damage::BitFlip).expect("exists");
+        r.set_damage(id, Some(Damage::BitFlip)).expect("exists");
         assert!(r.read(id).value.is_err(), "damage landed");
-        r.repair_container(id).expect("exists");
+        r.set_damage(id, None).expect("exists");
         assert!(r.read(id).value.expect("clean").is_some());
         // Reclaimed ids are gone for the hooks too.
         r.delete_container(id).value.expect("live");
         assert_eq!(
-            r.corrupt_container(id, Damage::Torn),
+            r.set_damage(id, Some(Damage::Torn)),
             Err(StoreError::MissingContainer { container: id })
         );
     }
@@ -2083,7 +1939,7 @@ mod tests {
         assert!(busy >= 2.0 * 0.01, "backoff charged: busy {busy}");
         assert_eq!(
             r.nodes()[0].disk_stats().seq_write_bytes,
-            3 * r.container_bytes(),
+            3 << 20,
             "every attempt moved real bytes"
         );
     }
@@ -2145,11 +2001,11 @@ mod tests {
         arm(&mut r, 0, FaultPlan::fail_at(2));
         assert!(r.read(id).value.is_err());
         assert_eq!(r.node_health(0).expect("in range"), Health::Quarantined);
-        assert_eq!(r.node(0).expect("in range").error_count(), 2);
+        assert_eq!(r.nodes()[0].error_count(), 2);
         // Repair wipes the history.
         r.repair_node(0).value.expect("repairable");
         assert_eq!(r.node_health(0).expect("in range"), Health::Healthy);
-        assert_eq!(r.node(0).expect("in range").error_count(), 0);
+        assert_eq!(r.nodes()[0].error_count(), 0);
     }
 
     #[test]
@@ -2178,18 +2034,6 @@ mod tests {
         assert_eq!(r.node_health(1).expect("in range"), Health::Quarantined);
         let id = store_ok(&mut r, container_with(6..9));
         assert_eq!(id.raw(), 2, "last-resort write proceeds");
-        // A Fixed placement pinned to a quarantined node is always typed.
-        let mut f = repo(2).with_health_policy(HealthPolicy::new(0, 1));
-        let b = store_ok(&mut f, container_with(0..3));
-        arm(&mut f, 0, FaultPlan::fail_at(1));
-        assert!(f.read(b).value.is_err());
-        f.set_placement(Placement::Fixed(0)).expect("in range");
-        // Node 1 stays usable, so the pinned quarantined target refuses.
-        let err = f
-            .store(container_with(9..12))
-            .value
-            .expect_err("pinned quarantined target");
-        assert_eq!(err, StoreError::NodeQuarantined { node: 0 });
     }
 
     #[test]
@@ -2223,8 +2067,8 @@ mod tests {
             .map(|i| store_ok(&mut r, container_with(i * 3..i * 3 + 3)))
             .collect();
         // Damage the primary copies of two containers.
-        r.corrupt_container(ids[0], Damage::BitFlip).expect("live");
-        r.corrupt_container(ids[2], Damage::Torn).expect("live");
+        r.set_damage(ids[0], Some(Damage::BitFlip)).expect("live");
+        r.set_damage(ids[2], Some(Damage::Torn)).expect("live");
         assert_eq!(r.under_replicated().len(), 2);
         let t = r.scrub_all();
         let report = t.value;
@@ -2249,14 +2093,14 @@ mod tests {
     fn scrub_counts_unrecoverable_sole_copies() {
         let mut r = repo(2); // R = 1
         let id = store_ok(&mut r, container_with(0..4));
-        r.corrupt_container(id, Damage::BitFlip).expect("live");
+        r.set_damage(id, Some(Damage::BitFlip)).expect("live");
         let report = r.scrub_all().value;
         assert_eq!(report.copies_checked, 1);
         assert_eq!(report.corrupt_found, 1);
         assert_eq!(report.repaired, 0, "no clean source anywhere");
         assert_eq!(report.unrecoverable, 1);
         // The copy is left in place: a later admin repair still works.
-        r.repair_container(id).expect("still resident");
+        r.set_damage(id, None).expect("still resident");
         assert!(r.read(id).value.expect("clean").is_some());
     }
 

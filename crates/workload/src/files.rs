@@ -177,11 +177,6 @@ impl FileTreeGen {
     }
 }
 
-/// Total bytes in a tree version.
-pub fn tree_bytes(files: &[FileSpec]) -> u64 {
-    files.iter().map(|f| f.data.len() as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,16 +248,6 @@ mod tests {
         assert!(
             block_hits.values().any(|&c| c >= 2),
             "expected duplicated blocks across files"
-        );
-    }
-
-    #[test]
-    fn tree_bytes_sums() {
-        let mut g = FileTreeGen::new(FileTreeConfig::default());
-        let v = g.initial();
-        assert_eq!(
-            tree_bytes(&v),
-            v.iter().map(|f| f.data.len() as u64).sum::<u64>()
         );
     }
 }

@@ -149,14 +149,6 @@ impl HustGen {
             rng,
         }
     }
-
-    /// The planned nominal logical size of each day.
-    pub fn planned_daily_bytes(&self) -> Vec<u64> {
-        self.daily_weights
-            .iter()
-            .map(|w| (self.cfg.mean_daily_bytes as f64 * w) as u64)
-            .collect()
-    }
 }
 
 impl Iterator for HustGen {
@@ -413,8 +405,11 @@ mod tests {
 
     #[test]
     fn planned_daily_bytes_spread() {
+        // The nominal logical size `next` gives each day.
         let g = HustGen::new(HustConfig::default());
-        let plan = g.planned_daily_bytes();
+        let plan: Vec<u64> = (g.daily_weights.iter())
+            .map(|w| (g.cfg.mean_daily_bytes as f64 * w) as u64)
+            .collect();
         assert_eq!(plan.len(), 31);
         let min = *plan.iter().min().unwrap();
         let max = *plan.iter().max().unwrap();

@@ -47,12 +47,6 @@ pub fn total_bytes(records: &[ChunkRecord]) -> u64 {
     records.iter().map(|r| r.len as u64).sum()
 }
 
-/// Count of distinct fingerprints.
-pub fn unique_fingerprints(records: &[ChunkRecord]) -> usize {
-    let set: std::collections::HashSet<Fingerprint> = records.iter().map(|r| r.fp).collect();
-    set.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,7 +76,6 @@ mod tests {
             .iter()
             .map(|&c| ChunkRecord::of_counter(c))
             .collect();
-        assert_eq!(unique_fingerprints(&recs), 2);
         assert_eq!(
             total_bytes(&recs),
             recs.iter().map(|r| r.len as u64).sum::<u64>()

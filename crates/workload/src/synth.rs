@@ -225,7 +225,7 @@ fn append_cross_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::unique_fingerprints;
+    use debar_hash::Fingerprint;
     use std::collections::HashSet;
 
     fn cfg() -> MultiStreamConfig {
@@ -262,7 +262,8 @@ mod tests {
         let round0 = g.next_round();
         let mut all = HashSet::new();
         for v in &round0 {
-            assert_eq!(unique_fingerprints(v), v.len(), "internal dup in v0");
+            let distinct: HashSet<Fingerprint> = v.iter().map(|r| r.fp).collect();
+            assert_eq!(distinct.len(), v.len(), "internal dup in v0");
             for r in v {
                 assert!(all.insert(r.fp), "cross-client collision in round 0");
             }

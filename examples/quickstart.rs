@@ -5,14 +5,14 @@
 
 use debar::simio::throughput::{human_bytes, human_secs};
 use debar::workload::files::{FileTreeConfig, FileTreeGen, MutationConfig};
-use debar::{ClientId, Dataset, DebarConfig, DebarSystem, RunId};
+use debar::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
 
 fn main() {
     // A single-server DEBAR deployment at 1/1024 of the paper's sizes
     // (32 MB disk index standing in for 32 GB, and so on — all rates stay
     // at the paper's hardware speeds, so MB/s figures are comparable).
-    let mut system = DebarSystem::single_server(1024);
-    let job = system.define_job("home-directories", ClientId(0));
+    let mut cluster = DebarCluster::new(DebarConfig::single_server_scaled(1024));
+    let job = cluster.define_job("home-directories", ClientId(0));
 
     // Version 1: a synthetic file tree with realistic cross-file duplication.
     let mut gen = FileTreeGen::new(FileTreeConfig {
@@ -20,7 +20,7 @@ fn main() {
         ..FileTreeConfig::default()
     });
     let v1 = gen.initial();
-    let d1 = system
+    let d1 = cluster
         .backup(job, &Dataset::from_file_specs(&v1))
         .expect("backup");
     println!(
@@ -32,7 +32,7 @@ fn main() {
     );
 
     // De-duplication phase II: SIL -> chunk storing -> SIU.
-    let d2 = system.dedup2().expect("dedup2");
+    let d2 = cluster.run_dedup2().expect("dedup2");
     println!(
         "dedup-2 v1: {} new chunks stored in {} containers, {} duplicates discarded ({} wall)",
         d2.store.stored_chunks,
@@ -45,7 +45,7 @@ fn main() {
     // filter (primed from the job chain) and CDC's resynchronization keep
     // the transfer tiny.
     let v2 = gen.mutate(&v1, MutationConfig::default());
-    let d1b = system
+    let d1b = cluster
         .backup(job, &Dataset::from_file_specs(&v2))
         .expect("backup");
     println!(
@@ -54,18 +54,20 @@ fn main() {
         human_bytes(d1b.transferred_bytes),
         d1b.compression_ratio(),
     );
-    let d2b = system.dedup2().expect("dedup2");
+    let d2b = cluster.run_dedup2().expect("dedup2");
     println!(
         "dedup-2 v2: {} new chunks, {} duplicates eliminated before storage",
         d2b.store.stored_chunks,
         d2b.dup_registered + d2b.dup_pending + d2b.store.discarded,
     );
-    system.finish().expect("finish");
+    cluster.force_siu().expect("siu");
 
     // Restore both versions; every chunk is re-hashed and checked against
     // its fingerprint.
     for version in 0..2u32 {
-        let rep = system.restore(RunId { job, version }).expect("restore");
+        let rep = cluster
+            .restore_run(RunId { job, version })
+            .expect("restore");
         assert_eq!(rep.failures, 0, "restore verification failed");
         println!(
             "restore v{}: {} across {} files at {:.1} MiB/s (LPC hit ratio {:.1}%)",
@@ -77,7 +79,7 @@ fn main() {
         );
     }
 
-    let repo = system.cluster().repository().stats();
+    let repo = cluster.repository().stats();
     println!(
         "repository: {} containers, {} stored — overall compression {:.2}:1",
         repo.containers,
@@ -86,7 +88,7 @@ fn main() {
     );
 
     // Show the underlying config for orientation.
-    let cfg: DebarConfig = *system.cluster().config();
+    let cfg: DebarConfig = *cluster.config();
     println!(
         "config: {} server(s), {} index/part, {} buckets of {}B, container {}",
         cfg.servers(),

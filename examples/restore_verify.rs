@@ -10,14 +10,14 @@
 use debar::simio::throughput::human_bytes;
 use debar::store::defrag::defragment;
 use debar::workload::files::{FileTreeConfig, FileTreeGen, MutationConfig};
-use debar::{ClientId, Dataset, DebarConfig, DebarSystem, RunId};
+use debar::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
 use std::collections::HashSet;
 
 fn main() {
     let mut cfg = DebarConfig::single_server_scaled(2048);
     cfg.repo_nodes = 4; // spread containers, so defrag has work to do
-    let mut system = DebarSystem::new(cfg);
-    let job = system.define_job("project-tree", ClientId(0));
+    let mut cluster = DebarCluster::new(cfg);
+    let job = cluster.define_job("project-tree", ClientId(0));
 
     // Ten nightly versions with ongoing edits.
     let mut gen = FileTreeGen::new(FileTreeConfig {
@@ -27,11 +27,11 @@ fn main() {
     let mut tree = gen.initial();
     let mut last_tree = tree.clone();
     for night in 0..10 {
-        let rep = system
+        let rep = cluster
             .backup(job, &Dataset::from_file_specs(&tree))
             .expect("backup");
         if night % 3 == 2 {
-            system.dedup2().expect("dedup2");
+            cluster.run_dedup2().expect("dedup2");
         }
         println!(
             "night {night}: {} logical, {} transferred",
@@ -41,12 +41,12 @@ fn main() {
         last_tree = tree.clone();
         tree = gen.mutate(&tree, MutationConfig::default());
     }
-    system.dedup2().expect("dedup2");
-    system.finish().expect("finish");
+    cluster.run_dedup2().expect("dedup2");
+    cluster.force_siu().expect("siu");
 
     // --- Disaster-recovery drill: restore the latest stored version. ---
     let latest = RunId { job, version: 9 };
-    let rep = system.restore(latest).expect("restore");
+    let rep = cluster.restore_run(latest).expect("restore");
     assert_eq!(
         rep.failures, 0,
         "every chunk must re-hash to its fingerprint"
@@ -69,8 +69,7 @@ fn main() {
 
     // --- §6.3 defragmentation: aggregate this job's containers. ---
     // Collect the containers the job's latest version lives in.
-    let record = system
-        .cluster()
+    let record = cluster
         .director
         .metadata
         .run(latest)
@@ -79,7 +78,7 @@ fn main() {
     let mut cids = HashSet::new();
     for file in &record.files {
         for fp in &file.fingerprints {
-            if let Some(cid) = system.cluster().resolve(fp) {
+            if let Some(cid) = cluster.resolve(fp) {
                 cids.insert(cid);
             }
         }
@@ -91,10 +90,10 @@ fn main() {
     };
     let spread_before: HashSet<_> = cids
         .iter()
-        .filter_map(|&c| system.cluster().repository().locate(c))
+        .filter_map(|&c| cluster.repository().locate(c))
         .collect();
     // Defragment on a scratch copy of the repository state.
-    let mut repo = system.cluster().repository().clone();
+    let mut repo = cluster.repository().clone();
     let t = defragment(&mut repo, &cids).expect("every referenced container exists");
     println!(
         "\ndefragmentation: v10 spanned {} containers on {} nodes -> {} node(s), \

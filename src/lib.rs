@@ -7,7 +7,7 @@
 //! This umbrella crate re-exports the whole workspace:
 //!
 //! * [`hash`] — SHA-1, Rabin fingerprinting, the 160-bit [`Fingerprint`]
-//! * [`chunk`] — content-defined chunking (CDC) and the fixed-size baseline
+//! * [`chunk`] — content-defined chunking (CDC)
 //! * [`simio`] — the calibrated virtual-time disk/network/CPU substrate
 //! * [`index`] — the DEBAR disk index with SIL/SIU and capacity/performance
 //!   scaling
@@ -21,26 +21,26 @@
 //! ## Quickstart
 //!
 //! ```
-//! use debar::{DebarSystem, ClientId, Dataset};
+//! use debar::{ClientId, Dataset, DebarCluster, DebarConfig};
 //! use debar::workload::files::{FileTreeConfig, FileTreeGen};
 //!
-//! // A single-server DEBAR deployment at 1/1024 of the paper's sizes.
-//! let mut system = DebarSystem::new(debar::core::config::DebarConfig::tiny_test(0));
-//! let job = system.define_job("documents", ClientId(0));
+//! // A small single-server DEBAR deployment.
+//! let mut cluster = DebarCluster::new(DebarConfig::tiny_test(0));
+//! let job = cluster.define_job("documents", ClientId(0));
 //!
 //! // Back up a real-byte file tree (CDC + SHA-1 at the client).
 //! let tree = FileTreeGen::new(FileTreeConfig::default()).initial();
-//! let report = system.backup(job, &Dataset::from_file_specs(&tree)).expect("backup");
+//! let report = cluster.backup(job, &Dataset::from_file_specs(&tree)).expect("backup");
 //! assert!(report.logical_bytes > 0);
 //!
 //! // Phase II: sequential index lookup, chunk storing, sequential update.
 //! // Every fallible operation returns a typed `DebarError` — injected
 //! // faults, corrupt containers and unknown runs never panic.
-//! let d2 = system.dedup2().expect("dedup2");
+//! let d2 = cluster.run_dedup2().expect("dedup2");
 //! assert_eq!(d2.store.stored_chunks as usize, report.transferred_chunks as usize);
 //!
-//! // Restore and verify every chunk by its SHA-1.
-//! let restored = system.restore_latest(job).expect("restore");
+//! // Restore the run and verify every chunk by its SHA-1.
+//! let restored = cluster.restore_run(report.run).expect("restore");
 //! assert_eq!(restored.failures, 0);
 //! ```
 
@@ -56,9 +56,8 @@ pub use debar_workload as workload;
 
 pub use debar_core::{
     CapReport, ChunkedFile, ClientId, Dataset, DebarCluster, DebarConfig, DebarError, DebarResult,
-    DebarSystem, Dedup1Report, Dedup2Phase, Dedup2Report, DedupMode, Device, FileContent,
-    FileEntry, GcReport, JobId, LayoutMode, LayoutReport, RestoreReport, RunId, ServerId,
-    StreamChunk,
+    Dedup1Report, Dedup2Phase, Dedup2Report, DedupMode, Device, FileContent, FileEntry, GcReport,
+    JobId, LayoutMode, LayoutReport, RestoreReport, RunId, ServerId, StreamChunk,
 };
 pub use debar_hash::{ContainerId, Fingerprint};
 pub use debar_simio::{FaultKind, FaultPlan, FaultSpec, InjectedFault, RetryPolicy};

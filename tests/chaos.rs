@@ -70,19 +70,20 @@ fn transient_chaos_converges_byte_identically_across_matrix() {
     // replication factor.
     for repl in replication_matrix() {
         for parts in sweep_parts_matrix() {
-            let clean = run_scenario(&Scenario::tiny("chaos", 0, parts).with_replication(repl));
+            let clean = run_scenario(
+                &Scenario::tiny("chaos", 0, parts).with_cfg(|c| c.with_replication(repl)),
+            );
             assert_eq!(
                 clean.retried_ops, 0,
                 "chaos: r={repl} parts={parts}: fault-free run must not retry"
             );
             let chaotic = run_scenario(
                 &Scenario::tiny("chaos", 0, parts)
-                    .with_replication(repl)
-                    .with_retry(chaos_retry())
+                    .with_cfg(|c| c.with_replication(repl).with_retry(chaos_retry()))
                     // Suspect-only health: errors re-rank replica reads
                     // but never gate writes, so the outcome stays
                     // comparable. (Quarantine refusal is test 3's job.)
-                    .with_health(HealthPolicy::new(4, 0))
+                    .with_cfg(|c| c.with_health(HealthPolicy::new(4, 0)))
                     .with_failure(Failure::TransientChaos { seed: 0xC4A0_0001 }),
             );
             assert!(
@@ -104,8 +105,10 @@ fn transient_chaos_converges_multi_server() {
         let clean = run_scenario(&Scenario::tiny("chaos-w1", 1, parts));
         let chaotic = run_scenario(
             &Scenario::tiny("chaos-w1", 1, parts)
-                .with_retry(chaos_retry())
-                .with_health(HealthPolicy::new(4, 0))
+                .with_cfg(|c| {
+                    c.with_retry(chaos_retry())
+                        .with_health(HealthPolicy::new(4, 0))
+                })
                 .with_failure(Failure::TransientChaos { seed: 0xC4A0_0002 }),
         );
         assert!(chaotic.retried_ops > 0, "chaos-w1 parts={parts}: no retry");
@@ -124,12 +127,12 @@ fn node_loss_with_retry_enabled_still_converges_at_r2() {
     // must not perturb the degraded outcome.
     for repl in replication_matrix().into_iter().filter(|&r| r >= 2) {
         for parts in sweep_parts_matrix() {
-            let clean =
-                run_scenario(&Scenario::tiny("chaos-down", 0, parts).with_replication(repl));
+            let clean = run_scenario(
+                &Scenario::tiny("chaos-down", 0, parts).with_cfg(|c| c.with_replication(repl)),
+            );
             let degraded = run_scenario(
                 &Scenario::tiny("chaos-down", 0, parts)
-                    .with_replication(repl)
-                    .with_retry(chaos_retry())
+                    .with_cfg(|c| c.with_replication(repl).with_retry(chaos_retry()))
                     .with_failure(Failure::RepoNodeDown { node: 1 }),
             );
             assert_equivalent(
@@ -289,7 +292,7 @@ fn scrub_detects_and_repairs_every_corrupt_copy_at_r2() {
     let cids = c.repository().container_ids();
     assert!(cids.len() >= 2, "fixture must span several containers");
     for &cid in &cids {
-        c.corrupt_container(cid, Damage::BitFlip).expect("exists");
+        c.set_damage(cid, Some(Damage::BitFlip)).expect("exists");
     }
 
     let scrubbed = c.scrub().expect("quiesced cluster scrubs");
@@ -351,7 +354,7 @@ fn failover_reads_repair_corrupt_copies_the_scrub_then_finds_clean() {
     let run = RunId { job, version: 0 };
     let cids = c.repository().container_ids();
     for &cid in &cids {
-        c.corrupt_container(cid, Damage::BitFlip).expect("exists");
+        c.set_damage(cid, Some(Damage::BitFlip)).expect("exists");
     }
     let r = c
         .restore_run(run)

@@ -21,8 +21,7 @@ use debar::hash::Sha1;
 use debar::workload::files::{FileSpec, FileTreeConfig, FileTreeGen, MutationConfig};
 use debar::{
     ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, DebarResult, Dedup2Phase,
-    DedupMode, Device, FaultPlan, HealthPolicy, JobId, LayoutMode, RestoreReport, RetryPolicy,
-    RunId,
+    DedupMode, Device, FaultPlan, JobId, LayoutMode, RestoreReport, RunId,
 };
 
 /// The failure kind a scenario injects (beyond plain index loss).
@@ -125,125 +124,60 @@ pub enum Failure {
     },
 }
 
-/// A parameterized end-to-end scenario.
+/// A parameterized end-to-end scenario: a deployment and the workload and
+/// failure driven through it.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Name prefix for jobs (diagnostics only).
     pub name: &'static str,
-    /// `2^w_bits` backup servers.
-    pub w_bits: u32,
-    /// Striped sweep partitions per index part.
-    pub sweep_parts: usize,
-    /// Store workers striping each server's chunk-log drain in the
-    /// pipelined chunk-storing phase.
-    pub store_workers: usize,
-    /// Distinct repository nodes each container is written to
-    /// (`1 <= replication <= repo_nodes`).
-    pub replication: usize,
+    /// The deployment. [`Scenario::tiny`] builds the default; a suite moves
+    /// an axis with `DebarConfig`'s own builders ([`Scenario::with_cfg`]).
+    /// What the harness makes of the axes: restore bytes must be identical
+    /// across `sweep_parts`, `store_workers`, `replication`, `layout` and
+    /// `dedup_mode` for the same workload; `retention > 0` adds the
+    /// deletion phase — after all backups every run but the newest
+    /// `retention` versions per job is expired and garbage-collected
+    /// (reclaim exactness asserted), its restore must fail with the typed
+    /// `UnknownRun`, and the retained runs must still restore
+    /// byte-identically; `retry` lets the chaos suite prove outcomes
+    /// byte-identical to a fault-free, retry-free run.
+    pub cfg: DebarConfig,
     /// Clients, each with its own job and evolving file tree.
     pub clients: usize,
     /// Backup versions per client (dedup-2 after each version round).
     pub versions: usize,
     /// Files per client tree.
     pub files: usize,
-    /// PSIU once every this many dedup-2 rounds (asynchronous SIU).
-    pub siu_interval: u32,
     /// Workload seed (trees are identical across cluster shapes for the
     /// same seed, which is what makes outcomes comparable).
     pub seed: u64,
     /// The injected failure kind.
     pub failure: Failure,
-    /// Container layout policy: `Scatter` (duplicates always reference
-    /// their original containers) or `Capped` (rewrite-on-backup bounds
-    /// each run's containers-per-MiB). Restore bytes must be identical
-    /// across layouts for the same workload.
-    pub layout: LayoutMode,
-    /// Retention window: after all backups, every run but the newest
-    /// `retention` versions per job is expired, garbage-collected
-    /// (reclaim exactness asserted), and its restore must fail with the
-    /// typed `UnknownRun`; the retained runs must still restore
-    /// byte-identically. `0` disables the deletion phase entirely.
-    pub retention: u32,
-    /// When the backup path resolves filter-missed fingerprints:
-    /// `OutOfLine` (the paper's TPDS default), `Inline` (DDFS-style
-    /// resolve-at-backup, no dedup-2 backlog) or `Hybrid { window }`
-    /// (bounded inline probes, cold remainder out-of-line). Restore
-    /// bytes must be identical across modes for the same workload.
-    pub dedup_mode: DedupMode,
-    /// Retry policy for repository-node I/O (default: fail-fast, no
-    /// retries). The chaos suite enables retries and proves outcomes are
-    /// byte-identical to a fault-free, retry-free run.
-    pub retry: RetryPolicy,
-    /// Repository-node health thresholds (default: tracking disabled).
-    pub health: HealthPolicy,
 }
 
 impl Scenario {
     /// The default tiny-geometry scenario: 3 clients × 3 versions of an
-    /// 8-file tree, asynchronous SIU every 2 rounds.
+    /// 8-file tree on `DebarConfig::tiny_test(w_bits)` striped over
+    /// `sweep_parts`, asynchronous SIU every 2 rounds.
     pub fn tiny(name: &'static str, w_bits: u32, sweep_parts: usize) -> Self {
         Scenario {
             name,
-            w_bits,
-            sweep_parts,
-            store_workers: 1,
-            replication: 1,
+            cfg: DebarConfig {
+                siu_interval: 2,
+                ..DebarConfig::tiny_test(w_bits).with_sweep_parts(sweep_parts)
+            },
             clients: 3,
             versions: 3,
             files: 8,
-            siu_interval: 2,
             seed: 0x5CE0_A710,
             failure: Failure::None,
-            layout: LayoutMode::Scatter,
-            retention: 0,
-            dedup_mode: DedupMode::OutOfLine,
-            retry: RetryPolicy::none(),
-            health: HealthPolicy::default(),
         }
     }
 
-    /// Builder: absorb transient repository faults with a retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Builder: track repository-node health with the given thresholds.
-    pub fn with_health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
-        self
-    }
-
-    /// Builder: select when filter-missed fingerprints are resolved.
-    pub fn with_dedup_mode(mut self, mode: DedupMode) -> Self {
-        self.dedup_mode = mode;
-        self
-    }
-
-    /// Builder: select the container layout policy.
-    pub fn with_layout(mut self, layout: LayoutMode) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Builder: expire all but the newest `retention` versions per job
-    /// and garbage-collect before the verification walk.
-    pub fn with_retention(mut self, retention: u32) -> Self {
-        self.retention = retention;
-        self
-    }
-
-    /// Builder: stripe each server's chunk-log drain over `workers` store
-    /// workers.
-    pub fn with_store_workers(mut self, workers: usize) -> Self {
-        self.store_workers = workers;
-        self
-    }
-
-    /// Builder: write every container to `replication` distinct
-    /// repository nodes.
-    pub fn with_replication(mut self, replication: usize) -> Self {
-        self.replication = replication;
+    /// Builder: reshape the deployment, e.g.
+    /// `.with_cfg(|c| c.with_replication(2).with_retention(1))`.
+    pub fn with_cfg(mut self, reshape: impl FnOnce(DebarConfig) -> DebarConfig) -> Self {
+        self.cfg = reshape(self.cfg);
         self
     }
 
@@ -269,27 +203,6 @@ impl Scenario {
     pub fn with_versions(mut self, versions: usize) -> Self {
         self.versions = versions;
         self
-    }
-
-    /// Builder: override the SIU interval.
-    pub fn with_siu_interval(mut self, siu_interval: u32) -> Self {
-        self.siu_interval = siu_interval;
-        self
-    }
-
-    fn config(&self) -> DebarConfig {
-        let mut cfg = DebarConfig::tiny_test(self.w_bits)
-            .with_sweep_parts(self.sweep_parts)
-            .with_store_workers(self.store_workers)
-            .with_replication(self.replication)
-            .with_layout(self.layout)
-            .with_retention(self.retention)
-            .with_dedup_mode(self.dedup_mode)
-            .with_retry(self.retry)
-            .with_health(self.health);
-        cfg.siu_interval = self.siu_interval;
-        cfg.validate();
-        cfg
     }
 }
 
@@ -542,7 +455,7 @@ fn fail_in(cluster: &mut DebarCluster, device: Device, k: u64) {
 /// absorb it. Deterministic in (seed, round, node).
 fn arm_transient_chaos(cluster: &mut DebarCluster, sc: &Scenario, seed: u64, round: u64) {
     assert!(
-        sc.retry.max_attempts >= 2,
+        sc.cfg.retry.max_attempts >= 2,
         "{}: transient chaos needs a retrying policy (max_attempts >= 2)",
         sc.name
     );
@@ -550,7 +463,7 @@ fn arm_transient_chaos(cluster: &mut DebarCluster, sc: &Scenario, seed: u64, rou
         let mut rng = seed
             ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (node as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
-        let budget = (sc.retry.max_attempts - 1).max(1) as u64;
+        let budget = (sc.cfg.retry.max_attempts - 1).max(1) as u64;
         let fails_for = 1 + (chaos_step(&mut rng) % budget) as u32;
         let k = chaos_step(&mut rng) % 3;
         arm_in(cluster, Device::RepoNode(node), k, |at| {
@@ -593,7 +506,7 @@ pub fn within_lanes(result: DebarResult<RestoreReport>) -> DebarResult<RestoreRe
 /// asserted against the ledger) and partially restored (one sample file,
 /// byte count asserted).
 pub fn run_scenario(sc: &Scenario) -> Outcome {
-    let mut cluster = DebarCluster::new(sc.config());
+    let mut cluster = DebarCluster::new(sc.cfg);
     let jobs: Vec<JobId> = (0..sc.clients)
         .map(|i| cluster.define_job(format!("{}-c{i}", sc.name), ClientId(i as u32)))
         .collect();
@@ -625,7 +538,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         gc_dead_fps: 0,
         gc_reclaimed: 0,
         physical_bytes: 0,
-        replication: sc.replication,
+        replication: sc.cfg.replication,
         retried_ops: 0,
         sil_wall: 0.0,
         siu_wall: 0.0,
@@ -681,10 +594,10 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         if let Failure::PartDiskFault { part } = sc.failure {
             if version == sc.versions - 1 {
                 assert!(
-                    part < sc.sweep_parts,
+                    part < sc.cfg.sweep_parts,
                     "{}: faulted part {part} must be within the {}-way stripe",
                     sc.name,
-                    sc.sweep_parts
+                    sc.cfg.sweep_parts
                 );
                 // Fail exactly one part-disk of server 0's striped PSIL.
                 let armed = Device::IndexPart {
@@ -720,10 +633,10 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         if let Failure::ChunkLogDrainFault { worker } = sc.failure {
             if version == sc.versions - 1 {
                 assert!(
-                    worker < sc.store_workers,
+                    worker < sc.cfg.store_workers,
                     "{}: faulted worker {worker} must be within the {}-way drain stripe",
                     sc.name,
-                    sc.store_workers
+                    sc.cfg.store_workers
                 );
                 // Fail exactly one worker disk of server 0's striped
                 // chunk-log drain, mid-pipeline.
@@ -758,7 +671,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                     "{}: drain fault must leave the log byte-for-byte intact",
                     sc.name
                 );
-                if sc.w_bits == 0 {
+                if sc.cfg.w_bits == 0 {
                     assert!(
                         log_before > 0,
                         "{}: the single-server leg must have records to replay",
@@ -786,7 +699,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                 // would miss the requested node entirely.
                 let nodes = cluster.repository().node_count();
                 let first = (cluster.repository().stats().containers % nodes as u64) as usize;
-                let node = if (node + nodes - first) % nodes < sc.replication {
+                let node = if (node + nodes - first) % nodes < sc.cfg.replication {
                     node
                 } else {
                     first
@@ -841,15 +754,15 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             // The resumed round converges (compared byte-for-byte against
             // the Failure::None scenario by the failure_kinds suite).
         }
-        if sc.retention > 0 && version == sc.versions - 1 {
+        if sc.cfg.retention > 0 && version == sc.versions - 1 {
             // With staged dedup-2 state a chunk's liveness is undecidable:
             // GC must refuse to race the in-flight backup, typed.
             let err = cluster
                 .run_gc()
                 .expect_err("GC must refuse to race staged dedup-2 state");
             assert!(
-                matches!(err, DebarError::GcRace { .. }),
-                "{}: expected GcRace, got {err}",
+                matches!(err, DebarError::NotQuiesced { .. }),
+                "{}: expected NotQuiesced, got {err}",
                 sc.name
             );
         }
@@ -902,11 +815,11 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
     out.siu_wall += siu_wall;
     out.dedup2_wall += siu_wall;
 
-    if sc.retention > 0 {
+    if sc.cfg.retention > 0 {
         // ---- Deletion lifecycle: expire, (optionally crash the) GC,
         // assert reclaim exactness, prune the ledger to retained runs.
         let expired = cluster.expire_runs();
-        let expected_expired = (sc.versions as u32).saturating_sub(sc.retention) as usize;
+        let expected_expired = (sc.versions as u32).saturating_sub(sc.cfg.retention) as usize;
         assert_eq!(
             expired.len(),
             expected_expired * sc.clients,
@@ -915,7 +828,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         );
         for run in &expired {
             assert!(
-                (run.version as usize) + (sc.retention as usize) < sc.versions,
+                (run.version as usize) + (sc.cfg.retention as usize) < sc.versions,
                 "{}: {run:?} expired inside the retention window",
                 sc.name
             );
@@ -1004,7 +917,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             // with the clean leg instead.)
             assert_eq!(
                 rep.net_physical_reclaimed(),
-                sc.replication as u64 * rep.dead_chunk_bytes,
+                sc.cfg.replication as u64 * rep.dead_chunk_bytes,
                 "{}: GC must reclaim replication x dead bytes exactly",
                 sc.name
             );
@@ -1034,7 +947,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                 sc.name
             );
         }
-        ledger.retain(|e| (e.version as usize) + (sc.retention as usize) >= sc.versions);
+        ledger.retain(|e| (e.version as usize) + (sc.cfg.retention as usize) >= sc.versions);
         assert!(
             !ledger.is_empty(),
             "{}: retention must keep the newest generations",
@@ -1050,7 +963,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             cluster.repository().node_count()
         );
         cluster.set_repo_node_down(node).expect("node in range");
-        if sc.replication >= 2 {
+        if sc.cfg.replication >= 2 {
             // Degraded but survivable: every run verifies and restores
             // byte-identically off the surviving replicas, and the
             // degraded reads are surfaced in the restore reports.
@@ -1147,7 +1060,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         let cids = cluster.repository().container_ids();
         let target = cids[cids.len() / 2];
         cluster
-            .corrupt_container(target, Damage::BitFlip)
+            .set_damage(target, Some(Damage::BitFlip))
             .expect("container exists");
         // Detected on restore: at least one run's strict restore fails
         // with the typed error naming the damaged container.
@@ -1196,7 +1109,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         // Repair (admin restores the container from a replica), then
         // rebuild every part and fall through to the full verification
         // walk below.
-        cluster.repair_container(target).expect("container exists");
+        cluster.set_damage(target, None).expect("container exists");
         for s in 0..cluster.server_count() as u16 {
             cluster.recover_index(s).expect("rebuild after repair");
         }

@@ -23,7 +23,7 @@
 //!    inline/hybrid rolls the staged decisions back, and the retried
 //!    scenario converges byte-identically with a never-faulted one.
 //! 4. **Lifecycle compatibility** — the full deletion lifecycle
-//!    (expiry, GcRace refusal, reclaim exactness, idempotent
+//!    (expiry, NotQuiesced refusal, reclaim exactness, idempotent
 //!    re-collection) holds verbatim under every mode.
 
 mod common;
@@ -43,7 +43,8 @@ fn modes_converge_byte_identically_across_sweep_parts() {
     let mut outs = Vec::new();
     for parts in sweep_parts_matrix() {
         for mode in mode_matrix() {
-            let out = run_scenario(&Scenario::tiny("dm", 0, parts).with_dedup_mode(mode));
+            let out =
+                run_scenario(&Scenario::tiny("dm", 0, parts).with_cfg(|c| c.with_dedup_mode(mode)));
             assert_eq!(out.restore_failures, 0, "{mode:?} parts={parts}");
             assert_eq!(out.verify_failures, 0, "{mode:?} parts={parts}");
             if let Some((m0, p0, base)) = outs.first() {
@@ -67,8 +68,7 @@ fn modes_converge_across_replication() {
         for mode in mode_matrix() {
             let out = run_scenario(
                 &Scenario::tiny("dm-rep", 0, 2)
-                    .with_dedup_mode(mode)
-                    .with_replication(r),
+                    .with_cfg(|c| c.with_dedup_mode(mode).with_replication(r)),
             );
             if let Some((m0, r0, base)) = outs.first() {
                 assert_equivalent(
@@ -92,7 +92,8 @@ fn multi_server_modes_agree_on_dedup_and_restore() {
     // must not.
     let mut outs = Vec::new();
     for mode in mode_matrix() {
-        let out = run_scenario(&Scenario::tiny("dm-w1", 1, 2).with_dedup_mode(mode));
+        let out =
+            run_scenario(&Scenario::tiny("dm-w1", 1, 2).with_cfg(|c| c.with_dedup_mode(mode)));
         assert_eq!(out.restore_failures, 0, "{mode:?}");
         assert_eq!(out.verify_failures, 0, "{mode:?}");
         if let Some((m0, base)) = outs.first() {
@@ -240,10 +241,11 @@ fn inline_chunk_log_fault_rolls_back_and_converges() {
     // never-faulted twin (run_scenario injects the fault and asserts
     // the typed abort; the equivalence check pins the rollback).
     for mode in [DedupMode::Inline, DedupMode::Hybrid { window: 4 }] {
-        let clean = run_scenario(&Scenario::tiny("dm-fault", 0, 2).with_dedup_mode(mode));
+        let clean =
+            run_scenario(&Scenario::tiny("dm-fault", 0, 2).with_cfg(|c| c.with_dedup_mode(mode)));
         let faulted = run_scenario(
             &Scenario::tiny("dm-fault", 0, 2)
-                .with_dedup_mode(mode)
+                .with_cfg(|c| c.with_dedup_mode(mode))
                 .with_failure(Failure::ChunkLogFault),
         );
         assert_equivalent(
@@ -256,16 +258,14 @@ fn inline_chunk_log_fault_rolls_back_and_converges() {
 
 #[test]
 fn gc_lifecycle_holds_under_every_mode() {
-    // Expiry, GcRace refusal while staged, reclaim exactness and
+    // Expiry, NotQuiesced refusal while staged, reclaim exactness and
     // idempotent re-collection are all exercised inside run_scenario
     // when retention > 0 — and the whole outcome must be identical
     // across modes.
     let mut outs = Vec::new();
     for mode in mode_matrix() {
         let out = run_scenario(
-            &Scenario::tiny("dm-gc", 0, 2)
-                .with_dedup_mode(mode)
-                .with_retention(1),
+            &Scenario::tiny("dm-gc", 0, 2).with_cfg(|c| c.with_dedup_mode(mode).with_retention(1)),
         );
         assert!(out.gc_reclaimed > 0, "{mode:?}: nothing reclaimed");
         if let Some((m0, base)) = outs.first() {

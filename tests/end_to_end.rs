@@ -6,7 +6,7 @@ mod common;
 
 use common::{assert_equivalent, run_scenario, sweep_parts_matrix, Scenario};
 use debar::workload::files::{FileTreeConfig, FileTreeGen, MutationConfig};
-use debar::{ClientId, Dataset, DebarConfig, DebarSystem, RunId};
+use debar::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
 
 fn tree_gen() -> FileTreeGen {
     FileTreeGen::new(FileTreeConfig {
@@ -17,20 +17,22 @@ fn tree_gen() -> FileTreeGen {
 
 #[test]
 fn backup_restore_roundtrip_is_byte_exact() {
-    let mut system = DebarSystem::new(DebarConfig::tiny_test(0));
-    let job = system.define_job("docs", ClientId(0));
+    let mut cluster = DebarCluster::new(DebarConfig::tiny_test(0));
+    let job = cluster.define_job("docs", ClientId(0));
     let tree = tree_gen().initial();
     let logical: u64 = tree.iter().map(|f| f.data.len() as u64).sum();
 
-    let d1 = system
+    let d1 = cluster
         .backup(job, &Dataset::from_file_specs(&tree))
         .expect("backup");
     assert_eq!(d1.logical_bytes, logical);
-    let d2 = system.dedup2().expect("dedup2");
+    let d2 = cluster.run_dedup2().expect("dedup2");
     assert!(d2.store.stored_chunks > 0);
-    system.finish().expect("finish");
+    cluster.force_siu().expect("siu");
 
-    let rep = system.restore_latest(job).expect("restore");
+    let rep = cluster
+        .restore_run(RunId { job, version: 0 })
+        .expect("restore");
     assert_eq!(
         rep.failures, 0,
         "every chunk must re-hash to its fingerprint"
@@ -41,24 +43,24 @@ fn backup_restore_roundtrip_is_byte_exact() {
 
 #[test]
 fn incremental_versions_share_storage() {
-    let mut system = DebarSystem::new(DebarConfig::tiny_test(0));
-    let job = system.define_job("docs", ClientId(0));
+    let mut cluster = DebarCluster::new(DebarConfig::tiny_test(0));
+    let job = cluster.define_job("docs", ClientId(0));
     let mut gen = tree_gen();
     let v1 = gen.initial();
     let v2 = gen.mutate(&v1, MutationConfig::default());
 
-    let d1 = system
+    let d1 = cluster
         .backup(job, &Dataset::from_file_specs(&v1))
         .expect("backup");
-    system.dedup2().expect("dedup2");
-    let stored_v1 = system.cluster().repository().stats().data_bytes;
+    cluster.run_dedup2().expect("dedup2");
+    let stored_v1 = cluster.repository().stats().data_bytes;
 
-    let d1b = system
+    let d1b = cluster
         .backup(job, &Dataset::from_file_specs(&v2))
         .expect("backup");
-    system.dedup2().expect("dedup2");
-    system.finish().expect("finish");
-    let stored_both = system.cluster().repository().stats().data_bytes;
+    cluster.run_dedup2().expect("dedup2");
+    cluster.force_siu().expect("siu");
+    let stored_both = cluster.repository().stats().data_bytes;
 
     // The second version's new storage must be far below its logical size
     // (CDC resynchronization + the job-chain preliminary filter).
@@ -72,7 +74,9 @@ fn incremental_versions_share_storage() {
 
     // Both versions restore clean.
     for version in 0..2u32 {
-        let rep = system.restore(RunId { job, version }).expect("restore");
+        let rep = cluster
+            .restore_run(RunId { job, version })
+            .expect("restore");
         assert_eq!(rep.failures, 0, "version {version} failed verification");
     }
 }
@@ -82,20 +86,20 @@ fn distinct_jobs_deduplicate_against_each_other_in_phase2() {
     // Two clients back up overlapping trees under different jobs; the
     // preliminary filter cannot help (different chains), so dedup-2's SIL
     // must catch the overlap.
-    let mut system = DebarSystem::new(DebarConfig::tiny_test(0));
-    let a = system.define_job("a", ClientId(0));
-    let b = system.define_job("b", ClientId(1));
+    let mut cluster = DebarCluster::new(DebarConfig::tiny_test(0));
+    let a = cluster.define_job("a", ClientId(0));
+    let b = cluster.define_job("b", ClientId(1));
     let tree = tree_gen().initial();
 
-    system
+    cluster
         .backup(a, &Dataset::from_file_specs(&tree))
         .expect("backup");
-    let d2a = system.dedup2().expect("dedup2");
-    system
+    let d2a = cluster.run_dedup2().expect("dedup2");
+    cluster
         .backup(b, &Dataset::from_file_specs(&tree))
         .expect("backup");
-    let d2b = system.dedup2().expect("dedup2");
-    system.finish().expect("finish");
+    let d2b = cluster.run_dedup2().expect("dedup2");
+    cluster.force_siu().expect("siu");
 
     assert!(d2a.store.stored_chunks > 0);
     assert_eq!(
@@ -107,7 +111,9 @@ fn distinct_jobs_deduplicate_against_each_other_in_phase2() {
         d2a.store.stored_chunks as usize
     );
 
-    let rep = system.restore_latest(b).expect("restore");
+    let rep = cluster
+        .restore_run(RunId { job: b, version: 0 })
+        .expect("restore");
     assert_eq!(rep.failures, 0);
 }
 
@@ -117,11 +123,17 @@ fn striped_pipeline_is_byte_exact_and_byte_identical() {
     // SISL → SIU → restore) under the striped multi-part index: every
     // partition count restores byte-exact, and all of them leave the
     // same index bytes as the single-volume run.
-    let base = run_scenario(&Scenario::tiny("e2e", 0, 1).with_siu_interval(1));
+    let base = run_scenario(&Scenario::tiny("e2e", 0, 1).with_cfg(|c| DebarConfig {
+        siu_interval: 1,
+        ..c
+    }));
     assert_eq!(base.restored_bytes, base.logical_bytes);
     assert!(base.dedup_ratio() > 1.0, "versions must share storage");
     for parts in sweep_parts_matrix().into_iter().filter(|&p| p != 1) {
-        let striped = run_scenario(&Scenario::tiny("e2e", 0, parts).with_siu_interval(1));
+        let striped = run_scenario(&Scenario::tiny("e2e", 0, parts).with_cfg(|c| DebarConfig {
+            siu_interval: 1,
+            ..c
+        }));
         assert_equivalent(&base, &striped, &format!("e2e parts={parts}"));
     }
 }
@@ -129,21 +141,23 @@ fn striped_pipeline_is_byte_exact_and_byte_identical() {
 #[test]
 fn deterministic_end_to_end() {
     let run = || {
-        let mut system = DebarSystem::new(DebarConfig::tiny_test(1));
-        let job = system.define_job("d", ClientId(0));
+        let mut cluster = DebarCluster::new(DebarConfig::tiny_test(1));
+        let job = cluster.define_job("d", ClientId(0));
         let tree = tree_gen().initial();
-        system
+        cluster
             .backup(job, &Dataset::from_file_specs(&tree))
             .expect("backup");
-        let d2 = system.dedup2().expect("dedup2");
-        system.finish().expect("finish");
-        let rep = system.restore_latest(job).expect("restore");
+        let d2 = cluster.run_dedup2().expect("dedup2");
+        cluster.force_siu().expect("siu");
+        let rep = cluster
+            .restore_run(RunId { job, version: 0 })
+            .expect("restore");
         (
             d2.store.stored_chunks,
             d2.store.containers,
             rep.bytes,
             rep.elapsed.to_bits(),
-            system.cluster().index_entries(),
+            cluster.index_entries(),
         )
     };
     assert_eq!(

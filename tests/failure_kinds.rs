@@ -185,12 +185,14 @@ fn chunk_log_drain_fault_mid_pipeline_converges() {
     for workers in worker_counts {
         let faulted = run_scenario(
             &Scenario::tiny("drain-fault", 0, 2)
-                .with_store_workers(workers)
+                .with_cfg(|c| c.with_store_workers(workers))
                 .with_failure(Failure::ChunkLogDrainFault {
                     worker: workers - 1,
                 }),
         );
-        let clean = run_scenario(&Scenario::tiny("drain-fault", 0, 2).with_store_workers(workers));
+        let clean = run_scenario(
+            &Scenario::tiny("drain-fault", 0, 2).with_cfg(|c| c.with_store_workers(workers)),
+        );
         assert_equivalent(
             &clean,
             &faulted,
@@ -205,10 +207,11 @@ fn chunk_log_drain_fault_converges_multi_server() {
     // parallel; their rolled-back logs must replay identically too.
     let faulted = run_scenario(
         &Scenario::tiny("drain-fault-w1", 1, 2)
-            .with_store_workers(2)
+            .with_cfg(|c| c.with_store_workers(2))
             .with_failure(Failure::ChunkLogDrainFault { worker: 1 }),
     );
-    let clean = run_scenario(&Scenario::tiny("drain-fault-w1", 1, 2).with_store_workers(2));
+    let clean =
+        run_scenario(&Scenario::tiny("drain-fault-w1", 1, 2).with_cfg(|c| c.with_store_workers(2)));
     assert_equivalent(&clean, &faulted, "drain-fault-w1: resumed vs uninterrupted");
 }
 
@@ -243,10 +246,12 @@ fn repo_node_down_survivable_and_repaired_with_replicas() {
         for parts in sweep_parts_matrix() {
             let degraded = run_scenario(
                 &Scenario::tiny("node-down", 0, parts)
-                    .with_replication(r)
+                    .with_cfg(|c| c.with_replication(r))
                     .with_failure(Failure::RepoNodeDown { node }),
             );
-            let healthy = run_scenario(&Scenario::tiny("node-down", 0, parts).with_replication(r));
+            let healthy = run_scenario(
+                &Scenario::tiny("node-down", 0, parts).with_cfg(|c| c.with_replication(r)),
+            );
             assert_equivalent(
                 &healthy,
                 &degraded,
@@ -269,10 +274,11 @@ fn repo_node_down_survivable_multi_server() {
     let node = fault_node_for(TINY_REPO_NODES);
     let degraded = run_scenario(
         &Scenario::tiny("node-down-w1", 1, 2)
-            .with_replication(2)
+            .with_cfg(|c| c.with_replication(2))
             .with_failure(Failure::RepoNodeDown { node }),
     );
-    let healthy = run_scenario(&Scenario::tiny("node-down-w1", 1, 2).with_replication(2));
+    let healthy =
+        run_scenario(&Scenario::tiny("node-down-w1", 1, 2).with_cfg(|c| c.with_replication(2)));
     assert_equivalent(&healthy, &degraded, "node-down-w1: degraded vs healthy");
 }
 
@@ -307,10 +313,12 @@ fn repo_node_fault_names_node_and_converges() {
         for parts in sweep_parts_matrix() {
             let faulted = run_scenario(
                 &Scenario::tiny("node-fault", 0, parts)
-                    .with_replication(r)
+                    .with_cfg(|c| c.with_replication(r))
                     .with_failure(Failure::RepoNodeFault { node }),
             );
-            let clean = run_scenario(&Scenario::tiny("node-fault", 0, parts).with_replication(r));
+            let clean = run_scenario(
+                &Scenario::tiny("node-fault", 0, parts).with_cfg(|c| c.with_replication(r)),
+            );
             assert_equivalent(
                 &clean,
                 &faulted,
@@ -325,10 +333,11 @@ fn repo_node_fault_converges_multi_server() {
     let node = fault_node_for(TINY_REPO_NODES);
     let faulted = run_scenario(
         &Scenario::tiny("node-fault-w1", 1, 2)
-            .with_replication(2)
+            .with_cfg(|c| c.with_replication(2))
             .with_failure(Failure::RepoNodeFault { node }),
     );
-    let clean = run_scenario(&Scenario::tiny("node-fault-w1", 1, 2).with_replication(2));
+    let clean =
+        run_scenario(&Scenario::tiny("node-fault-w1", 1, 2).with_cfg(|c| c.with_replication(2)));
     assert_equivalent(&clean, &faulted, "node-fault-w1: resumed vs uninterrupted");
 }
 
@@ -343,10 +352,11 @@ fn gc_sweep_fault_aborts_pre_mutation_and_converges() {
     for parts in sweep_parts_matrix() {
         let faulted = run_scenario(
             &Scenario::tiny("gc-fault", 0, parts)
-                .with_retention(1)
+                .with_cfg(|c| c.with_retention(1))
                 .with_failure(Failure::GcFault),
         );
-        let clean = run_scenario(&Scenario::tiny("gc-fault", 0, parts).with_retention(1));
+        let clean =
+            run_scenario(&Scenario::tiny("gc-fault", 0, parts).with_cfg(|c| c.with_retention(1)));
         assert_equivalent(
             &clean,
             &faulted,
@@ -359,10 +369,11 @@ fn gc_sweep_fault_aborts_pre_mutation_and_converges() {
 fn gc_sweep_fault_converges_multi_server() {
     let faulted = run_scenario(
         &Scenario::tiny("gc-fault-w1", 1, 2)
-            .with_retention(1)
+            .with_cfg(|c| c.with_retention(1))
             .with_failure(Failure::GcFault),
     );
-    let clean = run_scenario(&Scenario::tiny("gc-fault-w1", 1, 2).with_retention(1));
+    let clean =
+        run_scenario(&Scenario::tiny("gc-fault-w1", 1, 2).with_cfg(|c| c.with_retention(1)));
     assert_equivalent(&clean, &faulted, "gc-fault-w1: redone vs uninterrupted");
 }
 
@@ -377,14 +388,12 @@ fn gc_compaction_fault_loses_no_live_chunk_and_converges() {
         for parts in sweep_parts_matrix() {
             let faulted = run_scenario(
                 &Scenario::tiny("gc-compact-fault", 0, parts)
-                    .with_retention(1)
-                    .with_replication(r)
+                    .with_cfg(|c| c.with_retention(1).with_replication(r))
                     .with_failure(Failure::CompactionFault),
             );
             let clean = run_scenario(
                 &Scenario::tiny("gc-compact-fault", 0, parts)
-                    .with_retention(1)
-                    .with_replication(r),
+                    .with_cfg(|c| c.with_retention(1).with_replication(r)),
             );
             assert_equivalent(
                 &clean,

@@ -36,7 +36,7 @@ use debar::{
 
 #[test]
 fn expire_then_restore_byte_identical_across_sweep_parts() {
-    // The harness asserts the lifecycle internally (typed GcRace while
+    // The harness asserts the lifecycle internally (typed NotQuiesced while
     // staged, expiry counts, reclaim exactness, idempotent
     // re-collection, typed UnknownRun for expired runs, byte-identical
     // retained restores); here we additionally pin that the post-GC
@@ -45,7 +45,9 @@ fn expire_then_restore_byte_identical_across_sweep_parts() {
     for retention in retention_matrix() {
         let mut outs: Vec<(usize, Outcome)> = Vec::new();
         for parts in sweep_parts_matrix() {
-            let out = run_scenario(&Scenario::tiny("gc", 0, parts).with_retention(retention));
+            let out = run_scenario(
+                &Scenario::tiny("gc", 0, parts).with_cfg(|c| c.with_retention(retention)),
+            );
             if let Some((p0, base)) = outs.first() {
                 assert_equivalent(
                     base,
@@ -61,7 +63,7 @@ fn expire_then_restore_byte_identical_across_sweep_parts() {
 #[test]
 fn expire_then_restore_multi_server() {
     for parts in sweep_parts_matrix() {
-        run_scenario(&Scenario::tiny("gc-w1", 1, parts).with_retention(1));
+        run_scenario(&Scenario::tiny("gc-w1", 1, parts).with_cfg(|c| c.with_retention(1)));
     }
 }
 
@@ -70,11 +72,9 @@ fn gc_reclaims_exactly_per_replication() {
     // Dedup decisions are replication-independent, so the same workload
     // must reclaim exactly twice the physical bytes at R=2: every dead
     // chunk had two copies.
-    let r1 = run_scenario(&Scenario::tiny("gc-r", 0, 2).with_retention(1));
+    let r1 = run_scenario(&Scenario::tiny("gc-r", 0, 2).with_cfg(|c| c.with_retention(1)));
     let r2 = run_scenario(
-        &Scenario::tiny("gc-r", 0, 2)
-            .with_retention(1)
-            .with_replication(2),
+        &Scenario::tiny("gc-r", 0, 2).with_cfg(|c| c.with_retention(1).with_replication(2)),
     );
     assert!(r1.gc_reclaimed > 0, "gc-r: nothing reclaimed at R=1");
     assert_eq!(
@@ -92,8 +92,7 @@ fn gc_reclaims_exactly_per_replication() {
         for parts in sweep_parts_matrix() {
             let out = run_scenario(
                 &Scenario::tiny("gc-rm", 0, parts)
-                    .with_retention(1)
-                    .with_replication(r),
+                    .with_cfg(|c| c.with_retention(1).with_replication(r)),
             );
             if let Some((p0, base)) = outs.first() {
                 assert_equivalent(
@@ -117,7 +116,7 @@ fn index_recovery_rebuild_converges_after_gc() {
     for parts in sweep_parts_matrix() {
         let out = run_scenario(
             &Scenario::tiny("gc-recover", 0, parts)
-                .with_retention(1)
+                .with_cfg(|c| c.with_retention(1))
                 .with_recovery(),
         );
         if let Some((p0, base)) = outs.first() {

@@ -17,13 +17,19 @@ fn sil_beats_random_lookup_by_orders_of_magnitude() {
     // §5.2: "such a lookup speed is over two orders of magnitude higher
     // than conventional random index lookup approaches".
     let mut idx = DiskIndex::with_paper_disk(IndexParams::new(10, 512), 1);
-    idx.bulk_load((0..5000u64).map(|i| (Fingerprint::of_counter(i), ContainerId::new(0))));
+    idx.try_bulk_load_striped(
+        (0..5000u64).map(|i| (Fingerprint::of_counter(i), ContainerId::new(0))),
+        1,
+    )
+    .expect("no fault is armed");
     let mut cache = IndexCache::new(8, 50_000);
     for i in 0..20_000u64 {
         cache.insert(Fingerprint::of_counter(100_000 + i), 0);
     }
     let batch = cache.len() as f64;
-    let t = idx.sequential_lookup(&mut cache);
+    let t = idx
+        .try_sequential_lookup_sharded(&mut cache, 1)
+        .expect("no fault is armed");
     let sil_rate = batch / t.cost;
     let rand_rate = 1.0 / idx.lookup_random(&Fingerprint::of_counter(1)).cost;
     assert!(
@@ -148,7 +154,11 @@ fn multipart_index_divides_sweep_time_by_parts() {
     // lookup results.
     let build = || {
         let mut idx = DiskIndex::with_paper_disk(IndexParams::new(12, 512), 4);
-        idx.bulk_load((0..10_000u64).map(|i| (Fingerprint::of_counter(i), ContainerId::new(i))));
+        idx.try_bulk_load_striped(
+            (0..10_000u64).map(|i| (Fingerprint::of_counter(i), ContainerId::new(i))),
+            1,
+        )
+        .expect("no fault is armed");
         idx
     };
     let probe = |idx: &mut DiskIndex, parts: usize| {
@@ -156,7 +166,9 @@ fn multipart_index_divides_sweep_time_by_parts() {
         for i in 0..8_000u64 {
             cache.insert(Fingerprint::of_counter(i * 2), 0);
         }
-        idx.sequential_lookup_sharded(&mut cache, parts).value
+        idx.try_sequential_lookup_sharded(&mut cache, parts)
+            .expect("no fault is armed")
+            .value
     };
     let mut scalar_idx = build();
     let scalar = probe(&mut scalar_idx, 1);
@@ -178,13 +190,19 @@ fn sil_time_independent_of_batch_size() {
     // §5.2/Fig. 10: SIL time is a function of index size and transfer
     // rate, not of how many fingerprints are processed.
     let mut idx = DiskIndex::with_paper_disk(IndexParams::new(12, 512), 2);
-    idx.bulk_load((0..20_000u64).map(|i| (Fingerprint::of_counter(i), ContainerId::new(0))));
+    idx.try_bulk_load_striped(
+        (0..20_000u64).map(|i| (Fingerprint::of_counter(i), ContainerId::new(0))),
+        1,
+    )
+    .expect("no fault is armed");
     let mut cost_of = |n: u64| {
         let mut cache = IndexCache::new(8, 1 << 20);
         for i in 0..n {
             cache.insert(Fingerprint::of_counter(1_000_000 + i), 0);
         }
-        idx.sequential_lookup(&mut cache).cost
+        idx.try_sequential_lookup_sharded(&mut cache, 1)
+            .expect("no fault is armed")
+            .cost
     };
     let small = cost_of(100);
     let large = cost_of(5_000);

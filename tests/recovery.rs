@@ -8,7 +8,7 @@ mod common;
 
 use common::{assert_equivalent, assert_same_dedup, run_scenario, sweep_parts_matrix, Scenario};
 use debar::workload::files::{FileTreeConfig, FileTreeGen};
-use debar::{ClientId, Dataset, DebarConfig, DebarSystem, RunId};
+use debar::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
 
 #[test]
 fn verify_jobs_and_partial_restores_across_striped_matrix() {
@@ -67,20 +67,22 @@ fn striped_recovery_rebuild_is_charged_cheaper() {
     // The rebuilt part's write sweep lands on `parts` part-disks, so the
     // recovery of a striped deployment costs less virtual time.
     let cost_of = |parts: usize| {
-        let mut system = DebarSystem::new(DebarConfig::tiny_test(0).with_sweep_parts(parts));
-        let job = system.define_job("docs", ClientId(0));
+        let mut cluster = DebarCluster::new(DebarConfig::tiny_test(0).with_sweep_parts(parts));
+        let job = cluster.define_job("docs", ClientId(0));
         let tree = FileTreeGen::new(FileTreeConfig {
             files: 12,
             ..FileTreeConfig::default()
         })
         .initial();
-        system
+        cluster
             .backup(job, &Dataset::from_file_specs(&tree))
             .expect("backup");
-        system.dedup2().expect("dedup2");
-        system.finish().expect("finish");
-        let cost = system.cluster_mut().recover_index(0).expect("recover");
-        let rep = system.verify(RunId { job, version: 0 }).expect("verify");
+        cluster.run_dedup2().expect("dedup2");
+        cluster.force_siu().expect("siu");
+        let cost = cluster.recover_index(0).expect("recover");
+        let rep = cluster
+            .verify_run(RunId { job, version: 0 })
+            .expect("verify");
         assert_eq!(rep.failures, 0, "parts={parts}: recovery broke integrity");
         cost
     };

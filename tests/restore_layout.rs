@@ -13,7 +13,7 @@
 //!    while its mean run length collapses toward 1; under `Capped` both
 //!    stay bounded, and the latest-generation restore touches fewer
 //!    containers than its scattered twin.
-//! 3. **GC-visible rewrites** — the harness lifecycle (expiry, GcRace
+//! 3. **GC-visible rewrites** — the harness lifecycle (expiry, NotQuiesced
 //!    refusal, reclaim exactness `net = replication × dead bytes`,
 //!    idempotent re-collection) holds verbatim under `Capped`, across
 //!    the sweep-partition matrix, with superseded scattered copies
@@ -224,7 +224,7 @@ fn cap_report_surfaces_rewrite_traffic() {
 #[test]
 fn capped_lifecycle_holds_across_sweep_parts_with_gc() {
     // The full harness lifecycle under Capped with retention: expiry,
-    // GcRace refusal while staged, reclaim exactness (the superseded
+    // NotQuiesced refusal while staged, reclaim exactness (the superseded
     // scattered copies are part of the dead bytes and reclaim exactly),
     // idempotent re-collection, byte-identical retained restores — and
     // the whole outcome is identical across sweep striping.
@@ -235,8 +235,7 @@ fn capped_lifecycle_holds_across_sweep_parts_with_gc() {
     for parts in sweep_parts_matrix() {
         let out = run_scenario(
             &Scenario::tiny("rl-gc", 0, parts)
-                .with_layout(layout)
-                .with_retention(1),
+                .with_cfg(|c| c.with_layout(layout).with_retention(1)),
         );
         assert_eq!(out.restore_failures, 0, "parts={parts}");
         assert_eq!(out.verify_failures, 0, "parts={parts}");
@@ -258,13 +257,12 @@ fn capped_multi_server_restores_clean() {
     // (chunks of one run route by fingerprint bits): a 2-server capped
     // history must stay clean end to end, with replication crossed in.
     for r in [1usize, 2] {
-        let out = run_scenario(
-            &Scenario::tiny("rl-w1", 1, 2)
-                .with_layout(LayoutMode::Capped {
-                    max_refs_per_mib: 2,
-                })
-                .with_replication(r),
-        );
+        let out = run_scenario(&Scenario::tiny("rl-w1", 1, 2).with_cfg(|c| {
+            c.with_layout(LayoutMode::Capped {
+                max_refs_per_mib: 2,
+            })
+            .with_replication(r)
+        }));
         assert_eq!(out.restore_failures, 0, "r={r}");
         assert_eq!(out.verify_failures, 0, "r={r}");
         assert_eq!(out.restored_bytes, out.logical_bytes, "r={r}");

@@ -73,7 +73,9 @@ fn store_workers_cross_sweep_parts_byte_identical() {
             if parts == 1 && workers == 1 {
                 continue; // the base point itself
             }
-            let out = run_scenario(&Scenario::tiny("sm-sw", 0, parts).with_store_workers(workers));
+            let out = run_scenario(
+                &Scenario::tiny("sm-sw", 0, parts).with_cfg(|c| c.with_store_workers(workers)),
+            );
             assert_equivalent(
                 &base,
                 &out,
@@ -87,7 +89,9 @@ fn store_workers_cross_sweep_parts_byte_identical() {
 fn store_workers_byte_identical_multi_server() {
     let base = run_scenario(&Scenario::tiny("sm-sw2", 2, 1));
     for workers in store_workers_matrix().into_iter().filter(|&w| w != 1) {
-        let out = run_scenario(&Scenario::tiny("sm-sw2", 2, 4).with_store_workers(workers));
+        let out = run_scenario(
+            &Scenario::tiny("sm-sw2", 2, 4).with_cfg(|c| c.with_store_workers(workers)),
+        );
         assert_equivalent(&base, &out, &format!("w=2 store_workers={workers}"));
     }
 }
@@ -102,7 +106,8 @@ fn replication_factors_byte_identical() {
     let base = run_scenario(&Scenario::tiny("sm-r", 0, 1));
     for r in replication_matrix().into_iter().filter(|&r| r != 1) {
         for parts in [1usize, 4] {
-            let replicated = run_scenario(&Scenario::tiny("sm-r", 0, parts).with_replication(r));
+            let replicated =
+                run_scenario(&Scenario::tiny("sm-r", 0, parts).with_cfg(|c| c.with_replication(r)));
             assert_equivalent(
                 &base,
                 &replicated,
@@ -116,7 +121,8 @@ fn replication_factors_byte_identical() {
 fn replication_byte_identical_multi_server() {
     let base = run_scenario(&Scenario::tiny("sm-r2", 2, 2));
     for r in replication_matrix().into_iter().filter(|&r| r != 1) {
-        let replicated = run_scenario(&Scenario::tiny("sm-r2", 2, 2).with_replication(r));
+        let replicated =
+            run_scenario(&Scenario::tiny("sm-r2", 2, 2).with_cfg(|c| c.with_replication(r)));
         assert_equivalent(&base, &replicated, &format!("w=2 replication={r}"));
     }
 }
@@ -158,11 +164,22 @@ fn synchronous_and_async_siu_agree_under_striping() {
     // legitimately reorder insertions within overflowing buckets — but
     // never the dedup decisions or restore results. And within one
     // interval, sweep striping must stay byte-identical.
-    let sync1 = run_scenario(&Scenario::tiny("sm-siu", 0, 1).with_siu_interval(1));
-    let lazy1 = run_scenario(&Scenario::tiny("sm-siu", 0, 1).with_siu_interval(3));
+    let sync1 = run_scenario(&Scenario::tiny("sm-siu", 0, 1).with_cfg(|c| DebarConfig {
+        siu_interval: 1,
+        ..c
+    }));
+    let lazy1 = run_scenario(&Scenario::tiny("sm-siu", 0, 1).with_cfg(|c| DebarConfig {
+        siu_interval: 3,
+        ..c
+    }));
     assert_same_dedup(&sync1, &lazy1, "siu_interval 1 vs 3");
     for parts in sweep_parts_matrix().into_iter().filter(|&p| p != 1) {
-        let lazy = run_scenario(&Scenario::tiny("sm-siu", 0, parts).with_siu_interval(3));
+        let lazy = run_scenario(
+            &Scenario::tiny("sm-siu", 0, parts).with_cfg(|c| DebarConfig {
+                siu_interval: 3,
+                ..c
+            }),
+        );
         assert_equivalent(&lazy1, &lazy, &format!("async-siu parts={parts}"));
     }
 }
@@ -178,15 +195,15 @@ fn layout_matrix_restores_byte_identical_across_layouts() {
     // mode, since rewrites store through the same replicated path.
     let base = run_scenario(&Scenario::tiny("sm-l", 0, 1));
     for layout in layout_matrix() {
-        let one = run_scenario(&Scenario::tiny("sm-l", 0, 1).with_layout(layout));
+        let one = run_scenario(&Scenario::tiny("sm-l", 0, 1).with_cfg(|c| c.with_layout(layout)));
         assert_same_restore(&base, &one, &format!("{layout:?} vs scatter"));
-        let striped = run_scenario(&Scenario::tiny("sm-l", 0, 4).with_layout(layout));
+        let striped =
+            run_scenario(&Scenario::tiny("sm-l", 0, 4).with_cfg(|c| c.with_layout(layout)));
         assert_equivalent(&one, &striped, &format!("{layout:?} parts=4"));
         for r in replication_matrix().into_iter().filter(|&r| r != 1) {
             let replicated = run_scenario(
                 &Scenario::tiny("sm-l", 0, 1)
-                    .with_layout(layout)
-                    .with_replication(r),
+                    .with_cfg(|c| c.with_layout(layout).with_replication(r)),
             );
             assert_equivalent(&one, &replicated, &format!("{layout:?} replication={r}"));
         }
