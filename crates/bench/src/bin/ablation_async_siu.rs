@@ -7,10 +7,11 @@
 //! (every round) and asynchronous SIU (every 3rd round) and compares the
 //! cumulative dedup-2 time and SIU sweep count.
 //!
-//! Run: `cargo run --release -p debar-bench --bin ablation_async_siu [denom]`
+//! Run: `cargo run --release -p debar-bench --bin ablation_async_siu [n] [--smoke]`
+//! (`n`: scale denominator, default 1024; `--smoke`: 16x deeper).
 
 use debar_bench::table::{f, TablePrinter};
-use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, JobId};
+use debar_core::{DebarCluster, DebarConfig};
 use debar_simio::throughput::mibps;
 use debar_workload::{MultiStreamConfig, MultiStreamGen};
 
@@ -19,9 +20,7 @@ fn run(siu_interval: u32, denom: u64) -> (f64, f64, u32, u64) {
     cfg.siu_interval = siu_interval;
     let mut cluster = DebarCluster::new(cfg);
     let clients = 4usize;
-    let jobs: Vec<JobId> = (0..clients)
-        .map(|i| cluster.define_job(format!("j{i}"), ClientId(i as u32)))
-        .collect();
+    let jobs = debar_bench::client_jobs(&mut cluster, clients);
     let mut gen = MultiStreamGen::new(MultiStreamConfig {
         clients,
         version_chunks: ((10u64 << 30) / 8192 / denom).max(64) as usize,
@@ -32,12 +31,7 @@ fn run(siu_interval: u32, denom: u64) -> (f64, f64, u32, u64) {
     let mut siu_sweeps = 0u32;
     let mut stored = 0u64;
     for _ in 0..9 {
-        for (i, v) in gen.next_round().into_iter().enumerate() {
-            logical += cluster
-                .backup(jobs[i], &Dataset::from_records("v", v))
-                .expect("backup")
-                .logical_bytes;
-        }
+        logical += debar_bench::backup_round(&mut cluster, &jobs, gen.next_round());
         let d2 = cluster.run_dedup2().expect("dedup2");
         d2_time += d2.total_wall();
         siu_sweeps += d2.siu_reports.len() as u32;
@@ -50,10 +44,7 @@ fn run(siu_interval: u32, denom: u64) -> (f64, f64, u32, u64) {
 }
 
 fn main() {
-    let denom: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1024);
+    let (denom, _) = debar_bench::args(1024, 16 * 1024);
     let mut t = TablePrinter::new(&[
         "SIU policy",
         "dedup-2 MiB/s",

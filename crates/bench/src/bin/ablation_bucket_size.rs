@@ -7,17 +7,17 @@
 //! index space per fingerprint is identical — while random lookups barely
 //! care (seek-dominated) and SIL sweeps are size-indifferent.
 //!
-//! Run: `cargo run --release -p debar-bench --bin ablation_bucket_size [runs]`
+//! Run: `cargo run --release -p debar-bench --bin ablation_bucket_size [n] [--smoke]`
+//! (`n`: runs per bucket size, default 3; `--smoke`: one run at a bucket
+//! count scaled a further 2^4).
 
 use debar_bench::table::{f, TablePrinter};
 use debar_index::theory::{max_eta_for_bound, predicted_exit_eta, UtilizationSim};
 use debar_simio::models::paper;
 
 fn main() {
-    let runs: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let (runs, smoke) = debar_bench::args(3, 1);
+    let runs = runs as usize;
     let mut t = TablePrinter::new(&[
         "bucket",
         "b",
@@ -38,7 +38,7 @@ fn main() {
     ] {
         let bucket_bytes = (kb * 1024.0) as usize;
         let b = (bucket_bytes / 512 * 20) as u32;
-        let n_scaled = n_paper - 10;
+        let n_scaled = n_paper - if smoke { 14 } else { 10 };
         let sim = UtilizationSim {
             n_bits: n_scaled,
             b,

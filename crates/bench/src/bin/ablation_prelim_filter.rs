@@ -32,11 +32,11 @@
 //! temp directory) and prints the tables.
 //!
 //! ```bash
-//! cargo run --release -p debar-bench --bin ablation_prelim_filter [denom] [--smoke]
+//! cargo run --release -p debar-bench --bin ablation_prelim_filter [n] [--smoke]
 //! ```
 
 use debar_bench::month::{run_month, MonthConfig, MonthReport};
-use debar_bench::table::{f, TablePrinter};
+use debar_bench::table::{f, Cell, Table, TablePrinter};
 use debar_core::client::BackupClient;
 use debar_core::{ChunkedFile, ClientId, Dataset, DebarCluster, DebarConfig};
 use debar_filter::{PrelimFilter, NODE_BYTES};
@@ -127,7 +127,7 @@ fn fps(files: &[ChunkedFile]) -> Vec<Fingerprint> {
 }
 
 /// One cell of the sweep, over the backups that have a previous run.
-struct Cell {
+struct SweepCell {
     capacity: usize,
     logical_chunks: u64,
     filtered: u64,
@@ -137,21 +137,19 @@ struct Cell {
     backup_s: f64,
 }
 
-impl Cell {
+impl SweepCell {
     fn share(&self) -> f64 {
         self.filtered as f64 / self.logical_chunks as f64
     }
 }
 
-fn run_cell(w: &Workload, ratio: f64, denom: u64) -> Cell {
+fn run_cell(w: &Workload, ratio: f64, denom: u64) -> SweepCell {
     let capacity = ((w.version_chunks as f64 / ratio) as usize).max(1);
     let mut cfg = DebarConfig::single_server_scaled(denom);
     cfg.filter_bytes = capacity as u64 * NODE_BYTES;
     let mut cluster = DebarCluster::new(cfg);
-    let jobs: Vec<_> = (0..w.generations[0].len())
-        .map(|j| cluster.define_job(format!("job-{j}"), ClientId(j as u32)))
-        .collect();
-    let mut cell = Cell {
+    let jobs = debar_bench::client_jobs(&mut cluster, w.generations[0].len());
+    let mut cell = SweepCell {
         capacity,
         logical_chunks: 0,
         filtered: 0,
@@ -307,32 +305,25 @@ fn month_table(denom: u64, smoke: bool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let denom: u64 = args
-        .iter()
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(DEFAULT_DENOM);
+    let (denom, smoke) = debar_bench::args(DEFAULT_DENOM, DEFAULT_DENOM);
     month_table(denom, smoke);
 
     let mut workloads = generator_workloads(denom, smoke);
     workloads.extend(drift_workloads(smoke));
-    let mut t = TablePrinter::new(&[
+    let mut t = Table::new(&[
         "workload",
-        "version/cap",
+        "version_per_capacity",
+        "version_chunks",
         "capacity",
-        "filtered",
-        "parent",
-        "transferred",
-        "backup MiB/s",
-        "hits/loaded",
+        "filtered_share",
+        "parent_filtered_share",
+        "transferred_bytes",
+        "backup_mibps",
+        "hits_per_loaded",
     ]);
-    let mut json = format!(
-        "{{\n  \"bench\": \"filter\",\n  \"denom\": {denom},\n  \"parent\": \"c4e4ceb\",\n  \"cells\": [\n"
-    );
     let mut shares = Vec::new();
-    for (wi, w) in workloads.iter().enumerate() {
-        let cells: Vec<Cell> = RATIOS.iter().map(|&r| run_cell(w, r, denom)).collect();
+    for w in &workloads {
+        let cells: Vec<SweepCell> = RATIOS.iter().map(|&r| run_cell(w, r, denom)).collect();
         for (ri, (cell, ratio)) in cells.iter().zip(RATIOS).enumerate() {
             // The parent's column is a full-scale measurement.
             let parent = PARENT_SHARE
@@ -345,36 +336,22 @@ fn main() {
                 w.name,
                 cell.share()
             );
-            let tp = mibps(cell.logical_bytes, cell.backup_s);
-            let per_loaded = cell.filtered as f64 / cell.primed_loaded as f64;
             t.row(vec![
-                w.name.to_string(),
-                f(ratio, 1),
-                cell.capacity.to_string(),
-                f(cell.share(), 4),
-                parent.map_or("-".into(), |p| f(p, 4)),
-                human_bytes(cell.transferred_bytes),
-                f(tp, 1),
-                f(per_loaded, 3),
+                Cell::S(w.name),
+                // Every ratio is a power of two: 0.5 needs its one
+                // decimal, the rest print whole.
+                Cell::F(ratio, usize::from(ratio < 1.0)),
+                Cell::U(w.version_chunks as u64),
+                Cell::U(cell.capacity as u64),
+                Cell::F(cell.share(), 6),
+                parent.map_or(Cell::Null, |p| Cell::F(p, 4)),
+                Cell::U(cell.transferred_bytes),
+                Cell::F(mibps(cell.logical_bytes, cell.backup_s), 2),
+                Cell::F(cell.filtered as f64 / cell.primed_loaded as f64, 4),
             ]);
-            let last = wi + 1 == workloads.len() && ri + 1 == RATIOS.len();
-            json.push_str(&format!(
-                "    {{ \"workload\": \"{}\", \"version_per_capacity\": {ratio}, \
-                 \"version_chunks\": {}, \"capacity\": {}, \"filtered_share\": {:.6}, \
-                 \"parent_filtered_share\": {}, \"transferred_bytes\": {}, \
-                 \"backup_mibps\": {tp:.2}, \"hits_per_loaded\": {per_loaded:.4} }}{}\n",
-                w.name,
-                w.version_chunks,
-                cell.capacity,
-                cell.share(),
-                parent.map_or("null".into(), |p| format!("{p:.4}")),
-                cell.transferred_bytes,
-                if last { "" } else { "," }
-            ));
         }
-        shares.push(cells.iter().map(Cell::share).collect::<Vec<f64>>());
+        shares.push(cells.iter().map(SweepCell::share).collect::<Vec<f64>>());
     }
-    json.push_str("  ]\n}\n");
     t.print();
 
     // ---- Laws. ----
@@ -401,6 +378,11 @@ fn main() {
          capacity at a time keeps >= 0.99 of it at 8x. One block longer than\n\
          the quarter window (insert-block, delete-block past 2x) is the limit:\n\
          the position is lost for the rest of that version."
+    );
+    let json = format!(
+        "{{\n  \"bench\": \"filter\",\n  \"denom\": {denom},\n  \"parent\": \"c4e4ceb\",\n  \
+         \"cells\": {}\n}}\n",
+        t.json_rows()
     );
     debar_bench::write_bench_json("filter", smoke, &json);
 }

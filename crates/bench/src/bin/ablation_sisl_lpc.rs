@@ -7,18 +7,19 @@
 //! locality), then restore a stream-ordered reference of the content from
 //! each and compare LPC hit ratios and restore throughput.
 //!
-//! Run: `cargo run --release -p debar-bench --bin ablation_sisl_lpc [denom]`
+//! Run: `cargo run --release -p debar-bench --bin ablation_sisl_lpc [n] [--smoke]`
+//! (`n`: scale denominator, default 1024; `--smoke`: 16x deeper).
 
 use debar_bench::table::{f, TablePrinter};
 use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
 use debar_hash::SplitMix64;
-use debar_workload::ChunkRecord;
+use debar_workload::drift::records;
 
 fn run(shuffled_layout: bool, denom: u64) -> (f64, f64) {
     let cfg = DebarConfig::single_server_scaled(denom);
     let mut cluster = DebarCluster::new(cfg);
     let n = ((2u64 << 30) / 8192 / denom * 1024).max(4096) as usize;
-    let ordered: Vec<ChunkRecord> = (0..n as u64).map(ChunkRecord::of_counter).collect();
+    let ordered = records(0..n as u64);
 
     // Job 1 determines the physical container layout.
     let layout_job = cluster.define_job("layout", ClientId(0));
@@ -53,10 +54,7 @@ fn run(shuffled_layout: bool, denom: u64) -> (f64, f64) {
 }
 
 fn main() {
-    let denom: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1024);
+    let (denom, _) = debar_bench::args(1024, 16 * 1024);
     let mut t = TablePrinter::new(&["layout", "LPC hit ratio", "restore MiB/s"]);
     for (label, shuffled) in [
         ("SISL (stream order)", false),

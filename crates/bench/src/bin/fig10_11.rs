@@ -8,14 +8,13 @@
 //! times by the denominator — the fingerprints/second rates are
 //! scale-invariant; see the scale rule in `debar_simio::scale`).
 //!
-//! Run: `cargo run --release -p debar-bench --bin fig10_11 [denom]`
+//! Run: `cargo run --release -p debar-bench --bin fig10_11 [n] [--smoke]`
+//! (`n`: scale denominator, default 1024; `--smoke`: 16x deeper).
 
 use debar_bench::table::{f, TablePrinter};
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache, IndexParams};
-use debar_simio::models::paper;
-
-const GIB: u64 = 1 << 30;
+use debar_simio::models::{paper, GIB};
 
 fn build_index(nominal_bytes: u64, denom: u64, fill: f64, seed: u64) -> DiskIndex {
     let params = IndexParams::from_total_size(nominal_bytes / denom, paper::DEFAULT_BUCKET_BYTES);
@@ -32,10 +31,7 @@ fn cache_for(nominal_cache: u64, denom: u64) -> IndexCache {
 }
 
 fn main() {
-    let denom: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1024);
+    let (denom, _) = debar_bench::args(1024, 16 * 1024);
     let sizes = [32 * GIB, 64 * GIB, 128 * GIB, 256 * GIB, 512 * GIB];
     let caches = [GIB, 2 * GIB, 3 * GIB];
     let fill = 0.35;

@@ -8,26 +8,22 @@
 //! with capacity and false positives flood the disk index with random
 //! lookups — the paper's capacity cliff beyond ~8 TB.
 //!
-//! Run: `cargo run --release -p debar-bench --bin fig12 [denom]`
+//! Run: `cargo run --release -p debar-bench --bin fig12 [n] [--smoke]`
+//! (`n`: scale denominator, default 1024; `--smoke`: 16x deeper).
 
 use debar_bench::table::{f, TablePrinter};
-use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig};
+use debar_core::{DebarCluster, DebarConfig};
 use debar_ddfs::{DdfsConfig, DdfsServer};
 use debar_hash::{ContainerId, Fingerprint};
+use debar_simio::models::{GIB, TIB};
 use debar_simio::throughput::mibps;
 use debar_workload::{HustConfig, HustGen};
-
-const GIB: u64 = 1 << 30;
-const TIB: u64 = 1 << 40;
 
 /// Ballast counters live far outside the HUSt client subspaces.
 const BALLAST_BASE: u64 = 63u64 << 58;
 
 fn main() {
-    let denom: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1024);
+    let (denom, _) = debar_bench::args(1024, 16 * 1024);
     // (capacity, index size): 8 TB per 32 GB of index (§5.2).
     let points: [(u64, u64); 5] = [
         (8 * TIB, 32 * GIB),
@@ -53,27 +49,29 @@ fn main() {
         // (the paper measures DDFS "when the amount of data stored
         // increases from under 8TB to over 12TB" on a growing system).
         let ballast = (capacity * 9 / 10 / 8192 / denom).max(1);
+        let ballast_entries = || {
+            (0..ballast).map(|i| {
+                (
+                    Fingerprint::of_counter(BALLAST_BASE + i),
+                    ContainerId::new(0),
+                )
+            })
+        };
+        let hust = HustConfig {
+            scale: debar_simio::ScaleModel::new(denom),
+            days,
+            ..HustConfig::default()
+        };
 
         // --- DEBAR ---
         let mut cfg = DebarConfig::single_server_scaled(denom);
         cfg.index_part_bytes = index_bytes / denom;
         cfg.dedup2_trigger_fps = cfg.cache_fps();
         let mut debar = DebarCluster::new(cfg);
-        let entries = (0..ballast).map(|i| {
-            (
-                Fingerprint::of_counter(BALLAST_BASE + i),
-                ContainerId::new(0),
-            )
-        });
-        debar.preload_index(entries).expect("no fault is armed");
-        let hust = HustConfig {
-            scale: debar_simio::ScaleModel::new(denom),
-            days,
-            ..HustConfig::default()
-        };
-        let jobs: Vec<_> = (0..hust.clients)
-            .map(|i| debar.define_job(format!("j{i}"), ClientId(i as u32)))
-            .collect();
+        debar
+            .preload_index(ballast_entries())
+            .expect("no fault is armed");
+        let jobs = debar_bench::client_jobs(&mut debar, hust.clients);
         let mut logical = 0u64;
         let mut d2_log_bytes = 0u64;
         let mut d2_time = 0.0;
@@ -81,13 +79,9 @@ fn main() {
         for day in HustGen::new(hust) {
             let measured = day.day > measure_from;
             let t0 = debar.align_clocks();
-            for (i, stream) in day.per_client.iter().enumerate() {
-                let rep = debar
-                    .backup(jobs[i], &Dataset::from_records("d", stream.clone()))
-                    .expect("backup");
-                if measured {
-                    logical += rep.logical_bytes;
-                }
+            let day_bytes = debar_bench::backup_round(&mut debar, &jobs, day.per_client);
+            if measured {
+                logical += day_bytes;
             }
             let d1_wall = debar.align_clocks() - t0;
             let mut d2_wall = 0.0;
@@ -110,17 +104,7 @@ fn main() {
         let mut dcfg = DdfsConfig::paper_scaled(denom);
         dcfg.index = debar_index::IndexParams::from_total_size(index_bytes / denom, 512);
         let mut ddfs = DdfsServer::new(dcfg);
-        ddfs.preload((0..ballast).map(|i| {
-            (
-                Fingerprint::of_counter(BALLAST_BASE + i),
-                ContainerId::new(0),
-            )
-        }));
-        let hust = HustConfig {
-            scale: debar_simio::ScaleModel::new(denom),
-            days,
-            ..HustConfig::default()
-        };
+        ddfs.preload(ballast_entries());
         let mut dd_logical = 0u64;
         let mut dd_time = 0.0;
         for day in HustGen::new(hust) {

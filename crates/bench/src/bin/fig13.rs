@@ -7,22 +7,18 @@
 //! time (fingerprints/second rates are scale-invariant; see the scale rule
 //! in `debar_simio::scale`).
 //!
-//! Run: `cargo run --release -p debar-bench --bin fig13 [denom]`
+//! Run: `cargo run --release -p debar-bench --bin fig13 [n] [--smoke]`
+//! (`n`: scale denominator, default 4096; `--smoke`: 16x deeper).
 
-use debar_bench::table::{f, TablePrinter};
+use debar_bench::table::{f, tb, TablePrinter};
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache, IndexParams};
-use debar_simio::models::paper;
+use debar_simio::models::{paper, GIB, TIB};
 
-const GIB: u64 = 1 << 30;
-const TIB: u64 = 1 << 40;
 const SERVERS: usize = 16;
 
 fn main() {
-    let denom: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4096);
+    let (denom, _) = debar_bench::args(4096, 16 * 4096);
     let totals = [TIB / 2, TIB, 2 * TIB, 4 * TIB, 8 * TIB];
     let cache_bytes = GIB / denom;
     let fill = 0.35;
@@ -83,12 +79,7 @@ fn main() {
             .fold(0.0, f64::max);
         let psiu = (SERVERS * batch) as f64 / psiu_wall / 1e3;
 
-        let label = if total >= TIB {
-            format!("{}TB", total / TIB)
-        } else {
-            format!("{:.1}TB", total as f64 / TIB as f64)
-        };
-        t.row(vec![label, f(psil, 0), f(psiu, 0), "1".into()]);
+        t.row(vec![tb(total), f(psil, 0), f(psiu, 0), "1".into()]);
     }
     t.print();
     println!(

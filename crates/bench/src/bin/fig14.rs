@@ -6,64 +6,62 @@
 //! versions each, ~90% duplicates of which ~30% are cross-stream, written
 //! in parallel (4 clients per server).
 //!
-//! Run: `cargo run --release -p debar-bench --bin fig14 [denom]`
+//! Run: `cargo run --release -p debar-bench --bin fig14 [n] [--smoke]`
+//! (`n`: scale denominator, default 4096; `--smoke`: 16x deeper).
 
-use debar_bench::table::{f, TablePrinter};
-use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, JobId, RunId};
+use debar_bench::table::{f, tb, TablePrinter};
+use debar_core::{DebarCluster, DebarConfig, JobId, RunId};
+use debar_simio::models::TIB;
 use debar_simio::throughput::mibps;
 use debar_workload::{MultiStreamConfig, MultiStreamGen};
 
-const TIB: u64 = 1 << 40;
 const W_BITS: u32 = 4; // 16 servers
 const CLIENTS: usize = 64;
 const VERSIONS: usize = 10;
 
+/// Chunks per version per client at scale 1/`denom`: nominal 50 GB (§6.2).
+fn version_chunks(denom: u64) -> usize {
+    ((50u64 << 30) / 8192 / denom).max(64) as usize
+}
+
+/// A 16-server cluster over a `total`-byte global index at scale
+/// 1/`denom`, its 64 client jobs, and their version streams.
+fn testbed(total: u64, denom: u64) -> (DebarCluster, Vec<JobId>, MultiStreamGen) {
+    let version_chunks = version_chunks(denom);
+    let mut cfg = DebarConfig::cluster_scaled(W_BITS, total / (1 << W_BITS), denom);
+    cfg.dedup2_trigger_fps = cfg.cache_fps();
+    let mut cluster = DebarCluster::new(cfg);
+    let jobs = debar_bench::client_jobs(&mut cluster, CLIENTS);
+    let gen = MultiStreamGen::new(MultiStreamConfig {
+        clients: CLIENTS,
+        version_chunks,
+        run_len: (256, (version_chunks / 4).max(257)),
+        ..MultiStreamConfig::default()
+    });
+    (cluster, jobs, gen)
+}
+
 fn main() {
-    let denom: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4096);
-    // Nominal 50 GB per version per client (§6.2).
-    let version_chunks = ((50u64 << 30) / 8192 / denom).max(64) as usize;
+    let (denom, _) = debar_bench::args(4096, 16 * 4096);
+    let chunks = version_chunks(denom);
     let totals = [TIB / 2, TIB, 2 * TIB, 4 * TIB, 8 * TIB];
 
     println!(
         "Figure 14(a): aggregate write throughput, 16 servers, 64 clients,\n\
-         {VERSIONS} versions x {version_chunks} chunks/client (scale 1/{denom}; MiB/s)\n"
+         {VERSIONS} versions x {chunks} chunks/client (scale 1/{denom}; MiB/s)\n"
     );
     let mut ta = TablePrinter::new(&["index total", "dedup-1", "dedup-2", "total"]);
-    for (pi, &total) in totals.iter().enumerate() {
-        let mut cfg = DebarConfig::cluster_scaled(W_BITS, total / (1 << W_BITS), denom);
-        cfg.dedup2_trigger_fps = cfg.cache_fps();
-        let mut cluster = DebarCluster::new(cfg);
-        let jobs: Vec<JobId> = (0..CLIENTS)
-            .map(|i| cluster.define_job(format!("stream{i}"), ClientId(i as u32)))
-            .collect();
-        let mut gen = MultiStreamGen::new(MultiStreamConfig {
-            clients: CLIENTS,
-            version_chunks,
-            run_len: (256, (version_chunks / 4).max(257)),
-            ..MultiStreamConfig::default()
-        });
+    for total in totals {
+        let (mut cluster, jobs, mut gen) = testbed(total, denom);
 
         let mut logical = 0u64;
         let mut d1_time = 0.0;
         let mut d2_time = 0.0;
-        let mut d1_bytes_time: Vec<(u64, f64)> = Vec::new();
         for _round in 0..VERSIONS {
             let versions = gen.next_round();
             let t0 = cluster.align_clocks();
-            let mut round_bytes = 0u64;
-            for (i, v) in versions.into_iter().enumerate() {
-                let rep = cluster
-                    .backup(jobs[i], &Dataset::from_records("v", v))
-                    .expect("backup");
-                logical += rep.logical_bytes;
-                round_bytes += rep.logical_bytes;
-            }
-            let d1_wall = cluster.align_clocks() - t0;
-            d1_time += d1_wall;
-            d1_bytes_time.push((round_bytes, d1_wall));
+            logical += debar_bench::backup_round(&mut cluster, &jobs, versions);
+            d1_time += cluster.align_clocks() - t0;
             if cluster.should_run_dedup2() {
                 let d2 = cluster.run_dedup2().expect("dedup2");
                 d2_time += d2.total_wall();
@@ -75,19 +73,12 @@ fn main() {
         let (_, siu_wall) = cluster.force_siu().expect("siu");
         d2_time += siu_wall;
 
-        let label = if total >= TIB {
-            format!("{}TB", total / TIB)
-        } else {
-            format!("{:.1}TB", total as f64 / TIB as f64)
-        };
         ta.row(vec![
-            label,
+            tb(total),
             f(mibps(logical, d1_time), 0),
             f(mibps(logical, d2_time), 0),
             f(mibps(logical, d1_time + d2_time), 0),
         ]);
-
-        let _ = pi;
     }
     ta.print();
     println!(
@@ -102,27 +93,13 @@ fn main() {
     // chunks-per-version to container-size ratio, which the finer scale
     // keeps at the paper's proportions.
     let read_denom = (denom / 4).max(256);
-    let version_chunks = ((50u64 << 30) / 8192 / read_denom).max(64) as usize;
-    eprintln!("read pass at scale 1/{read_denom} ({version_chunks} chunks/version)...");
-    let mut cfg = DebarConfig::cluster_scaled(W_BITS, (TIB / 2) / (1 << W_BITS), read_denom);
-    cfg.dedup2_trigger_fps = cfg.cache_fps();
-    let mut cluster = DebarCluster::new(cfg);
-    let jobs: Vec<JobId> = (0..CLIENTS)
-        .map(|i| cluster.define_job(format!("stream{i}"), ClientId(i as u32)))
-        .collect();
-    let mut gen = MultiStreamGen::new(MultiStreamConfig {
-        clients: CLIENTS,
-        version_chunks,
-        run_len: (256, (version_chunks / 4).max(257)),
-        ..MultiStreamConfig::default()
-    });
+    let (mut cluster, jobs, mut gen) = testbed(TIB / 2, read_denom);
+    eprintln!(
+        "read pass at scale 1/{read_denom} ({} chunks/version)...",
+        version_chunks(read_denom)
+    );
     for _round in 0..VERSIONS {
-        let versions = gen.next_round();
-        for (i, v) in versions.into_iter().enumerate() {
-            cluster
-                .backup(jobs[i], &Dataset::from_records("v", v))
-                .expect("backup");
-        }
+        debar_bench::backup_round(&mut cluster, &jobs, gen.next_round());
         if cluster.should_run_dedup2() {
             cluster.run_dedup2().expect("dedup2");
         }

@@ -7,20 +7,17 @@
 //! capacity-scaling property ((x,32) → (x,64)) and performance-scaling
 //! property ((x,64) → (2x,32)), carrying all stored data along.
 //!
-//! Run: `cargo run --release -p debar-bench --bin fig15 [denom]`
+//! Run: `cargo run --release -p debar-bench --bin fig15 [n] [--smoke]`
+//! (`n`: scale denominator, default 2048; `--smoke`: 16x deeper).
 
 use debar_bench::table::{f, TablePrinter};
-use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, JobId};
+use debar_core::{DebarCluster, DebarConfig};
+use debar_simio::models::GIB;
 use debar_simio::throughput::mibps;
 use debar_workload::{MultiStreamConfig, MultiStreamGen};
 
-const GIB: u64 = 1 << 30;
-
 fn main() {
-    let denom: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2048);
+    let (denom, _) = debar_bench::args(2048, 16 * 2048);
     let rounds_per_mode = 2usize;
     let version_chunks = ((50u64 << 30) / 8192 / denom).max(64) as usize;
     // 64 clients throughout, matching the paper's testbed.
@@ -29,9 +26,7 @@ fn main() {
     let mut cfg = DebarConfig::cluster_scaled(0, 32 * GIB, denom);
     cfg.dedup2_trigger_fps = 0; // dedup-2 runs at the end of each mode
     let mut cluster = DebarCluster::new(cfg);
-    let jobs: Vec<JobId> = (0..clients)
-        .map(|i| cluster.define_job(format!("stream{i}"), ClientId(i as u32)))
-        .collect();
+    let jobs = debar_bench::client_jobs(&mut cluster, clients);
     let mut gen = MultiStreamGen::new(MultiStreamConfig {
         clients,
         version_chunks,
@@ -60,16 +55,10 @@ fn main() {
             let t0 = cluster.align_clocks();
             let mut logical = 0u64;
             for _ in 0..rounds_per_mode {
-                for (i, v) in gen.next_round().into_iter().enumerate() {
-                    let rep = cluster
-                        .backup(jobs[i], &Dataset::from_records("v", v))
-                        .expect("backup");
-                    logical += rep.logical_bytes;
-                }
+                logical += debar_bench::backup_round(&mut cluster, &jobs, gen.next_round());
             }
             cluster.run_dedup2().expect("dedup2");
-            let (_, siu_wall) = cluster.force_siu().expect("siu");
-            let _ = siu_wall;
+            cluster.force_siu().expect("siu");
             let wall = cluster.align_clocks() - t0;
             // Supported capacity: total index entries x 8 KB chunks, at the
             // paper's 80% utilization design point, re-expressed nominally.

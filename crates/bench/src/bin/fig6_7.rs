@@ -2,22 +2,15 @@
 //! stored over the 31-day HUSt month) and **Figure 7** (daily/cumulative
 //! compression ratios for DEBAR dedup-1, dedup-2, overall, and DDFS).
 //!
-//! Run: `cargo run --release -p debar-bench --bin fig6_7 [denom]`
+//! Run: `cargo run --release -p debar-bench --bin fig6_7 [n] [--smoke]`
+//! (`n`: scale denominator, default 256; `--smoke`: 16x deeper).
 
-use debar_bench::month::{run_month, MonthConfig};
+use debar_bench::month::run_month_from_args;
 use debar_bench::table::{f, opt_f, TablePrinter};
 use debar_simio::throughput::human_bytes;
 
 fn main() {
-    let denom: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(MonthConfig::default().denom);
-    eprintln!("running the HUSt month at scale 1/{denom} (DEBAR + DDFS)...");
-    let r = run_month(MonthConfig {
-        denom,
-        ..MonthConfig::default()
-    });
+    let (denom, r) = run_month_from_args();
 
     println!(
         "Figure 6: logical vs physically stored data (scale 1/{denom}; paper sizes = x{denom})\n"

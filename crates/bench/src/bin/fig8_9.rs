@@ -2,21 +2,14 @@
 //! total throughput over the month) and **Figure 9** (DEBAR dedup-2 vs
 //! DDFS daily/cumulative throughput).
 //!
-//! Run: `cargo run --release -p debar-bench --bin fig8_9 [denom]`
+//! Run: `cargo run --release -p debar-bench --bin fig8_9 [n] [--smoke]`
+//! (`n`: scale denominator, default 256; `--smoke`: 16x deeper).
 
-use debar_bench::month::{run_month, MonthConfig};
+use debar_bench::month::run_month_from_args;
 use debar_bench::table::{f, opt_f, TablePrinter};
 
 fn main() {
-    let denom: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(MonthConfig::default().denom);
-    eprintln!("running the HUSt month at scale 1/{denom} (DEBAR + DDFS)...");
-    let r = run_month(MonthConfig {
-        denom,
-        ..MonthConfig::default()
-    });
+    let (_, r) = run_month_from_args();
 
     println!("Figure 8: DEBAR throughput over time (MiB/s)\n");
     let mut t = TablePrinter::new(&[

@@ -24,19 +24,19 @@
 //! Run:
 //!
 //! ```text
-//! cargo run --release -p debar-bench --bin fig_chaos [denom] [--smoke]
+//! cargo run --release -p debar-bench --bin fig_chaos [n] [--smoke]
 //! ```
 //!
 //! `--smoke` (CI) uses a deep scale denominator so the bin can't rot
 //! without burning minutes. Its numbers go to the temp directory, never
 //! over the committed file.
 
-use debar_bench::table::{f, TablePrinter};
+use debar_bench::table::{Cell, Table};
 use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, Device, RunId};
 use debar_simio::throughput::mibps;
 use debar_simio::{FaultPlan, RetryPolicy};
 use debar_store::Damage;
-use debar_workload::ChunkRecord;
+use debar_workload::drift::records;
 
 const JOBS: u64 = 2;
 const GENERATIONS: u64 = 3;
@@ -44,10 +44,6 @@ const SWEEP_PARTS: usize = 2;
 const MAX_ATTEMPTS: u32 = 4;
 const BACKOFF_COST: f64 = 0.002;
 const SEED: u64 = 0xC4A0_5EED;
-
-fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-    range.map(ChunkRecord::of_counter).collect()
-}
 
 /// One step of a splitmix-style generator: deterministic, seed-stable.
 fn chaos_step(state: &mut u64) -> u64 {
@@ -74,19 +70,10 @@ fn arm_transients(c: &mut DebarCluster, round: u64) {
     }
 }
 
-struct ChaosPoint {
-    replication: usize,
-    chaos: bool,
-    retried_ops: u64,
-    dedup_wall_s: f64,
-    restore_wall_s: f64,
-    restored_bytes: u64,
-    restore_mibps: f64,
-}
-
 /// Drive one generational history — optionally under the seeded
-/// transient schedule — and measure what the retry layer absorbed.
-fn chaos_point(replication: usize, chaos: bool, denom: u64) -> ChaosPoint {
+/// transient schedule — and add what the retry layer absorbed as a row of
+/// `t`. Returns the restored bytes.
+fn chaos_point(t: &mut Table, replication: usize, chaos: bool, denom: u64) -> u64 {
     let mut cfg = DebarConfig::striped_scaled(SWEEP_PARTS, denom).with_replication(replication);
     if chaos {
         cfg = cfg.with_retry(RetryPolicy::new(MAX_ATTEMPTS, BACKOFF_COST));
@@ -95,9 +82,7 @@ fn chaos_point(replication: usize, chaos: bool, denom: u64) -> ChaosPoint {
     let n = cfg.cache_fps() as u64;
     let shift = n / 4;
     let mut c = DebarCluster::new(cfg);
-    let jobs: Vec<_> = (0..JOBS)
-        .map(|j| c.define_job(format!("chaos{j}"), ClientId(j as u32)))
-        .collect();
+    let jobs = debar_bench::client_jobs(&mut c, JOBS as usize);
     let mut dedup_wall = 0.0;
     for g in 0..GENERATIONS {
         for (j, &job) in jobs.iter().enumerate() {
@@ -141,29 +126,21 @@ fn chaos_point(replication: usize, chaos: bool, denom: u64) -> ChaosPoint {
     } else {
         assert_eq!(retried_ops, 0, "a fault-free run must never retry");
     }
-    ChaosPoint {
-        replication,
-        chaos,
-        retried_ops,
-        dedup_wall_s: dedup_wall,
-        restore_wall_s: restore_wall,
-        restored_bytes,
-        restore_mibps: mibps(restored_bytes, restore_wall),
-    }
-}
-
-struct ScrubPoint {
-    containers: u64,
-    copies_checked: u64,
-    corrupt_found: u64,
-    repaired: u64,
-    scrub_wall_s: f64,
-    scrub_mibps: f64,
+    t.row(vec![
+        Cell::U(replication as u64),
+        Cell::B(chaos),
+        Cell::U(retried_ops),
+        Cell::F(dedup_wall, 9),
+        Cell::F(restore_wall, 9),
+        Cell::U(restored_bytes),
+        Cell::F(mibps(restored_bytes, restore_wall), 2),
+    ]);
+    restored_bytes
 }
 
 /// Corrupt one copy of every container at `R = 2` and price the scrub
-/// that heals them all.
-fn scrub_point(denom: u64) -> ScrubPoint {
+/// that heals them all: a one-row table.
+fn scrub_point(denom: u64) -> Table {
     let cfg = DebarConfig::striped_scaled(SWEEP_PARTS, denom).with_replication(2);
     cfg.validate();
     let n = cfg.cache_fps() as u64;
@@ -199,90 +176,59 @@ fn scrub_point(denom: u64) -> ScrubPoint {
         .expect("restore after heal");
     assert_eq!(r.failures, 0);
     assert_eq!(r.corrupt_reads, 0, "no corrupt copy left for reads to trip");
-    ScrubPoint {
-        containers: cids.len() as u64,
-        copies_checked: rep.copies_checked,
-        corrupt_found: rep.corrupt_found,
-        repaired: rep.repaired,
-        scrub_wall_s: scrubbed.cost,
-        scrub_mibps: mibps(physical_bytes, scrubbed.cost),
-    }
+    let mut t = Table::new(&[
+        "pass",
+        "containers",
+        "copies_checked",
+        "corrupt_found",
+        "repaired",
+        "scrub_wall_s",
+        "scrub_mibps",
+    ]);
+    t.row(vec![
+        Cell::S("scrub"),
+        Cell::U(cids.len() as u64),
+        Cell::U(rep.copies_checked),
+        Cell::U(rep.corrupt_found),
+        Cell::U(rep.repaired),
+        Cell::F(scrubbed.cost, 9),
+        Cell::F(mibps(physical_bytes, scrubbed.cost), 2),
+    ]);
+    t
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let denom: u64 = args
-        .iter()
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(if smoke { 16 * 1024 } else { 1024 });
+    let (denom, smoke) = debar_bench::args(1024, 16 * 1024);
 
     println!(
         "Self-healing: {JOBS} jobs x {GENERATIONS} generations, retry budget \
          {MAX_ATTEMPTS} attempts @ {BACKOFF_COST}s backoff, denom {denom}\n"
     );
-    let mut points: Vec<ChaosPoint> = Vec::new();
-    for replication in [1usize, 2] {
-        for chaos in [false, true] {
-            points.push(chaos_point(replication, chaos, denom));
-        }
-    }
-    let mut t = TablePrinter::new(&[
+    let mut t = Table::new(&[
         "replication",
-        "faults",
-        "retried ops",
-        "dedup wall (s)",
-        "restore wall (s)",
-        "restored MiB",
-        "restore MiB/s",
+        "chaos",
+        "retried_ops",
+        "dedup_wall_s",
+        "restore_wall_s",
+        "restored_bytes",
+        "restore_mibps",
     ]);
-    for p in &points {
-        t.row(vec![
-            p.replication.to_string(),
-            if p.chaos {
-                "transient".into()
-            } else {
-                "none".to_string()
-            },
-            p.retried_ops.to_string(),
-            format!("{:.6}", p.dedup_wall_s),
-            format!("{:.6}", p.restore_wall_s),
-            f(p.restored_bytes as f64 / (1 << 20) as f64, 1),
-            f(p.restore_mibps, 1),
-        ]);
+    for replication in [1usize, 2] {
+        // Law: per replication factor, the chaotic run restores the same
+        // bytes as the clean one — the retry layer is invisible except in
+        // time and telemetry.
+        let clean = chaos_point(&mut t, replication, false, denom);
+        let chaotic = chaos_point(&mut t, replication, true, denom);
+        assert_eq!(
+            clean, chaotic,
+            "R={replication}: transient chaos changed the restored bytes"
+        );
     }
     t.print();
 
-    // Law: per replication factor, the chaotic run restores the same
-    // bytes as the clean one — the retry layer is invisible except in
-    // time and telemetry.
-    for r in [1usize, 2] {
-        let clean = points
-            .iter()
-            .find(|p| p.replication == r && !p.chaos)
-            .expect("clean point");
-        let chaotic = points
-            .iter()
-            .find(|p| p.replication == r && p.chaos)
-            .expect("chaos point");
-        assert_eq!(
-            clean.restored_bytes, chaotic.restored_bytes,
-            "R={r}: transient chaos changed the restored bytes"
-        );
-    }
-
-    let s = scrub_point(denom);
-    println!(
-        "\nScrub at R=2 with every container holding one corrupt copy:\n  \
-         {} containers, {} copies checked, {} corrupt found, {} repaired\n  \
-         scrub wall {:.6}s ({} MiB/s over the physical bytes)",
-        s.containers,
-        s.copies_checked,
-        s.corrupt_found,
-        s.repaired,
-        s.scrub_wall_s,
-        f(s.scrub_mibps, 1),
-    );
+    let scrub = scrub_point(denom);
+    println!("\nScrub at R=2 with every container holding one corrupt copy:\n");
+    scrub.print();
     println!(
         "\nShape: in-budget transients cost retries and backoff, never\n\
          correctness — restored bytes are identical with the fault-free\n\
@@ -290,35 +236,12 @@ fn main() {
          corrupt copy that has a clean sibling."
     );
 
-    // ---- BENCH_chaos.json (manual JSON: no runtime serde_json in the
-    //      container). ----
-    let mut out = String::from("{\n  \"bench\": \"chaos\",\n");
-    out.push_str(&format!(
-        "  \"denom\": {denom},\n  \"jobs\": {JOBS},\n  \"generations\": {GENERATIONS},\n  \
-         \"max_attempts\": {MAX_ATTEMPTS},\n  \"backoff_cost_s\": {BACKOFF_COST},\n"
-    ));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"replication\": {}, \"chaos\": {}, \"retried_ops\": {}, \
-             \"dedup_wall_s\": {:.9}, \"restore_wall_s\": {:.9}, \"restored_bytes\": {}, \
-             \"restore_mibps\": {:.2} }}{}\n",
-            p.replication,
-            p.chaos,
-            p.retried_ops,
-            p.dedup_wall_s,
-            p.restore_wall_s,
-            p.restored_bytes,
-            p.restore_mibps,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"scrub\": {{ \"containers\": {}, \"copies_checked\": {}, \"corrupt_found\": {}, \
-         \"repaired\": {}, \"scrub_wall_s\": {:.9}, \"scrub_mibps\": {:.2} }}\n",
-        s.containers, s.copies_checked, s.corrupt_found, s.repaired, s.scrub_wall_s, s.scrub_mibps,
-    ));
-    out.push_str("}\n");
-    debar_bench::write_bench_json("chaos", smoke, &out);
+    let json = format!(
+        "{{\n  \"bench\": \"chaos\",\n  \"denom\": {denom},\n  \"jobs\": {JOBS},\n  \
+         \"generations\": {GENERATIONS},\n  \"max_attempts\": {MAX_ATTEMPTS},\n  \
+         \"backoff_cost_s\": {BACKOFF_COST},\n  \"points\": {},\n{}\n}}\n",
+        t.json_rows(),
+        scrub.json_keyed(2)
+    );
+    debar_bench::write_bench_json("chaos", smoke, &json);
 }

@@ -23,41 +23,25 @@
 //! prints the table. Run:
 //!
 //! ```text
-//! cargo run --release -p debar-bench --bin fig_gc [denom] [--smoke]
+//! cargo run --release -p debar-bench --bin fig_gc [n] [--smoke]
 //! ```
 //!
 //! `--smoke` (CI) uses a deep scale denominator so the bin can't rot
 //! without burning minutes. Its numbers go to the temp directory, never
 //! over the committed file.
 
-use debar_bench::table::{f, TablePrinter};
-use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
+use debar_bench::table::{Cell, Table};
+use debar_core::{Dataset, DebarCluster, DebarConfig, GcReport, RunId};
 use debar_simio::throughput::mibps;
-use debar_workload::ChunkRecord;
+use debar_workload::drift::records;
 
 const JOBS: u64 = 2;
 const GENERATIONS: u64 = 4;
 const RETENTION: u32 = 1;
 
-fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-    range.map(ChunkRecord::of_counter).collect()
-}
-
-struct GcPoint {
-    parts: usize,
-    replication: usize,
-    live_fps: u64,
-    dead_fps: u64,
-    containers_compacted: u64,
-    containers_deleted: u64,
-    reclaimed_bytes: u64,
-    gc_wall_s: f64,
-    reclaim_mibps: f64,
-}
-
 /// Drive one generational history to quiescence, expire everything
 /// outside the retention window, collect, and assert the reclaim laws.
-fn gc_point(parts: usize, replication: usize, denom: u64) -> GcPoint {
+fn gc_point(parts: usize, replication: usize, denom: u64) -> GcReport {
     let cfg = DebarConfig::striped_scaled(parts, denom)
         .with_replication(replication)
         .with_retention(RETENTION);
@@ -65,9 +49,7 @@ fn gc_point(parts: usize, replication: usize, denom: u64) -> GcPoint {
     let n = cfg.cache_fps() as u64;
     let shift = n / 4; // chunks each generation retires
     let mut c = DebarCluster::new(cfg);
-    let jobs: Vec<_> = (0..JOBS)
-        .map(|j| c.define_job(format!("gen{j}"), ClientId(j as u32)))
-        .collect();
+    let jobs = debar_bench::client_jobs(&mut c, JOBS as usize);
     for g in 0..GENERATIONS {
         for (j, &job) in jobs.iter().enumerate() {
             let base = j as u64 * 10 * n + g * shift;
@@ -116,90 +98,67 @@ fn gc_point(parts: usize, replication: usize, denom: u64) -> GcPoint {
         }
     }
 
-    GcPoint {
-        parts,
-        replication,
-        live_fps: rep.live_fps,
-        dead_fps: rep.dead_fps,
-        containers_compacted: rep.containers_compacted,
-        containers_deleted: rep.containers_deleted,
-        reclaimed_bytes: rep.net_physical_reclaimed(),
-        gc_wall_s: rep.wall,
-        reclaim_mibps: mibps(rep.net_physical_reclaimed(), rep.wall),
-    }
+    rep
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let denom: u64 = args
-        .iter()
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(if smoke { 16 * 1024 } else { 1024 });
+    let (denom, smoke) = debar_bench::args(1024, 16 * 1024);
 
     println!(
         "Deletion & reclamation: {JOBS} jobs x {GENERATIONS} generations, \
          retention {RETENTION}, denom {denom}\n"
     );
-    let mut t = TablePrinter::new(&[
+    let mut t = Table::new(&[
         "parts",
         "replication",
-        "live fps",
-        "dead fps",
-        "compacted",
-        "deleted",
-        "reclaimed MiB",
-        "GC wall (s)",
-        "reclaim MiB/s",
+        "live_fps",
+        "dead_fps",
+        "containers_compacted",
+        "containers_deleted",
+        "reclaimed_bytes",
+        "gc_wall_s",
+        "reclaim_mibps",
     ]);
-    let mut points: Vec<GcPoint> = Vec::new();
-    for parts in [1usize, 2, 4] {
-        points.push(gc_point(parts, 1, denom));
-    }
-    for r in [1usize, 2] {
-        points.push(gc_point(4, r, denom));
-    }
-    for p in &points {
+    let mut points: Vec<(usize, usize, GcReport)> = Vec::new();
+    for (parts, replication) in [(1usize, 1usize), (2, 1), (4, 1), (4, 1), (4, 2)] {
+        let rep = gc_point(parts, replication, denom);
         t.row(vec![
-            p.parts.to_string(),
-            p.replication.to_string(),
-            p.live_fps.to_string(),
-            p.dead_fps.to_string(),
-            p.containers_compacted.to_string(),
-            p.containers_deleted.to_string(),
-            f(p.reclaimed_bytes as f64 / (1 << 20) as f64, 1),
-            format!("{:.6}", p.gc_wall_s),
-            f(p.reclaim_mibps, 1),
+            Cell::U(parts as u64),
+            Cell::U(replication as u64),
+            Cell::U(rep.live_fps),
+            Cell::U(rep.dead_fps),
+            Cell::U(rep.containers_compacted),
+            Cell::U(rep.containers_deleted),
+            Cell::U(rep.net_physical_reclaimed()),
+            Cell::F(rep.wall, 9),
+            Cell::F(mibps(rep.net_physical_reclaimed(), rep.wall), 2),
         ]);
+        points.push((parts, replication, rep));
     }
     t.print();
 
     // Law 2: partition independence of the logical outcome.
-    let base = &points[0];
-    for p in points.iter().filter(|p| p.replication == 1) {
+    let base = &points[0].2;
+    for (parts, _, p) in points
+        .iter()
+        .filter(|(_, replication, _)| *replication == 1)
+    {
         assert_eq!(
             p.dead_fps, base.dead_fps,
-            "parts={}: the dead set is partition-independent",
-            p.parts
+            "parts={parts}: the dead set is partition-independent"
         );
         assert_eq!(
-            p.reclaimed_bytes, base.reclaimed_bytes,
-            "parts={}: reclaimed bytes are partition-independent",
-            p.parts
+            p.net_physical_reclaimed(),
+            base.net_physical_reclaimed(),
+            "parts={parts}: reclaimed bytes are partition-independent"
         );
     }
-    // Law 3: replication accounting on the fixed-parts pair.
-    let r1 = points
-        .iter()
-        .find(|p| p.parts == 4 && p.replication == 1)
-        .expect("R=1 point");
-    let r2 = points
-        .iter()
-        .find(|p| p.parts == 4 && p.replication == 2)
-        .expect("R=2 point");
+    // Law 3: replication accounting on the fixed-parts pair, the last two
+    // points.
+    let (r1, r2) = (&points[3].2, &points[4].2);
     assert_eq!(
-        r2.reclaimed_bytes,
-        2 * r1.reclaimed_bytes,
+        r2.net_physical_reclaimed(),
+        2 * r1.net_physical_reclaimed(),
         "R=2 must reclaim exactly two copies of every dead chunk"
     );
     assert_eq!(r2.dead_fps, r1.dead_fps, "the dead set is logical");
@@ -211,31 +170,11 @@ fn main() {
          compaction charges the repository nodes that host each victim."
     );
 
-    // ---- BENCH_gc.json (manual JSON: no runtime serde_json in the
-    //      container). ----
-    let mut out = String::from("{\n  \"bench\": \"gc\",\n");
-    out.push_str(&format!(
-        "  \"denom\": {denom},\n  \"jobs\": {JOBS},\n  \"generations\": {GENERATIONS},\n  \
-         \"retention\": {RETENTION},\n"
-    ));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"parts\": {}, \"replication\": {}, \"live_fps\": {}, \"dead_fps\": {}, \
-             \"containers_compacted\": {}, \"containers_deleted\": {}, \
-             \"reclaimed_bytes\": {}, \"gc_wall_s\": {:.9}, \"reclaim_mibps\": {:.2} }}{}\n",
-            p.parts,
-            p.replication,
-            p.live_fps,
-            p.dead_fps,
-            p.containers_compacted,
-            p.containers_deleted,
-            p.reclaimed_bytes,
-            p.gc_wall_s,
-            p.reclaim_mibps,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    debar_bench::write_bench_json("gc", smoke, &out);
+    let json = format!(
+        "{{\n  \"bench\": \"gc\",\n  \"denom\": {denom},\n  \"jobs\": {JOBS},\n  \
+         \"generations\": {GENERATIONS},\n  \"retention\": {RETENTION},\n  \
+         \"points\": {}\n}}\n",
+        t.json_rows()
+    );
+    debar_bench::write_bench_json("gc", smoke, &json);
 }

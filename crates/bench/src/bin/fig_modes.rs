@@ -26,15 +26,15 @@
 //! table. Run:
 //!
 //! ```text
-//! cargo run --release -p debar-bench --bin fig_modes [denom] [--smoke]
+//! cargo run --release -p debar-bench --bin fig_modes [n] [--smoke]
 //! ```
 //!
 //! `--smoke` (CI) shrinks the stream and generation count so the bin
 //! can't rot without burning minutes. Its numbers go to the temp
 //! directory, never over the committed file.
 
-use debar_bench::table::{f, TablePrinter};
-use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, DedupMode, JobId, RunId};
+use debar_bench::table::{Cell, Table};
+use debar_core::{Dataset, DebarCluster, DebarConfig, DedupMode, RunId};
 use debar_workload::ChunkRecord;
 
 const SHARE: u64 = 4;
@@ -87,9 +87,7 @@ impl Totals {
 
 fn drive(mode: DedupMode, denom: u64, scale: &Scale) -> Totals {
     let mut c = DebarCluster::new(DebarConfig::single_server_scaled(denom).with_dedup_mode(mode));
-    let jobs: Vec<JobId> = (0..JOBS)
-        .map(|i| c.define_job(format!("m-{i}"), ClientId(i)))
-        .collect();
+    let jobs = debar_bench::client_jobs(&mut c, JOBS as usize);
     let mut t = Totals::default();
     for v in 0..scale.versions {
         let ds = Dataset::from_records("s", stream(v, scale.n));
@@ -124,12 +122,7 @@ fn drive(mode: DedupMode, denom: u64, scale: &Scale) -> Totals {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let denom: u64 = args
-        .iter()
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(if smoke { 16 * 1024 } else { 1024 });
+    let (denom, smoke) = debar_bench::args(1024, 16 * 1024);
     let scale = if smoke {
         Scale {
             n: 400,
@@ -165,26 +158,30 @@ fn main() {
         .map(|&(key, mode)| (key, drive(mode, denom, &scale)))
         .collect();
 
-    let mut t = TablePrinter::new(&[
+    let mut t = Table::new(&[
         "mode",
-        "backup MiB/s",
-        "backlog MiB",
-        "inline hits",
-        "index reads",
-        "PSIL fps",
-        "prestaged fps",
-        "dedup2 wall s",
+        "backup_mibps",
+        "logical_bytes",
+        "backlog_bytes",
+        "inline_hits",
+        "inline_index_reads",
+        "submitted_fps",
+        "predetermined_fps",
+        "dedup2_wall",
+        "stored_bytes",
     ]);
-    for (key, tot) in &totals {
+    for &(key, ref tot) in &totals {
         t.row(vec![
-            key.to_string(),
-            f(tot.backup_mibps(), 1),
-            f(tot.backlog_bytes as f64 / (1 << 20) as f64, 2),
-            tot.inline_hits.to_string(),
-            tot.inline_index_reads.to_string(),
-            tot.submitted_fps.to_string(),
-            tot.predetermined_fps.to_string(),
-            f(tot.dedup2_wall, 2),
+            Cell::S(key),
+            Cell::F(tot.backup_mibps(), 2),
+            Cell::U(tot.logical_bytes),
+            Cell::U(tot.backlog_bytes),
+            Cell::U(tot.inline_hits),
+            Cell::U(tot.inline_index_reads),
+            Cell::U(tot.submitted_fps),
+            Cell::U(tot.predetermined_fps),
+            Cell::F(tot.dedup2_wall, 4),
+            Cell::U(tot.stored_bytes),
         ]);
     }
     t.print();
@@ -262,34 +259,14 @@ fn main() {
         oo.dedup2_wall
     );
 
-    // ---- BENCH_modes.json (manual JSON: no runtime serde_json in the
-    //      container). ----
-    let mut out = String::from("{\n  \"bench\": \"modes\",\n");
-    out.push_str(&format!(
-        "  \"denom\": {denom},\n  \"jobs\": {JOBS},\n  \"chunks\": {},\n  \
-         \"generations\": {},\n  \"share_period\": {SHARE},\n  \
-         \"hybrid_window\": {},\n",
-        scale.n, scale.versions, scale.window
-    ));
-    for (i, (key, tot)) in totals.iter().enumerate() {
-        out.push_str(&format!(
-            "  \"{key}\": {{ \"backup_mibps\": {:.2}, \"logical_bytes\": {}, \
-             \"backlog_bytes\": {}, \"inline_hits\": {}, \
-             \"inline_index_reads\": {}, \"submitted_fps\": {}, \
-             \"predetermined_fps\": {}, \"dedup2_wall\": {:.4}, \
-             \"stored_bytes\": {} }}{}\n",
-            tot.backup_mibps(),
-            tot.logical_bytes,
-            tot.backlog_bytes,
-            tot.inline_hits,
-            tot.inline_index_reads,
-            tot.submitted_fps,
-            tot.predetermined_fps,
-            tot.dedup2_wall,
-            tot.stored_bytes,
-            if i + 1 < totals.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("}\n");
-    debar_bench::write_bench_json("modes", smoke, &out);
+    let json = format!(
+        "{{\n  \"bench\": \"modes\",\n  \"denom\": {denom},\n  \"jobs\": {JOBS},\n  \
+         \"chunks\": {},\n  \"generations\": {},\n  \"share_period\": {SHARE},\n  \
+         \"hybrid_window\": {},\n{}\n}}\n",
+        scale.n,
+        scale.versions,
+        scale.window,
+        t.json_keyed(2)
+    );
+    debar_bench::write_bench_json("modes", smoke, &json);
 }

@@ -42,47 +42,21 @@
 //! tables. Run:
 //!
 //! ```text
-//! cargo run --release -p debar-bench --bin fig_multipart [denom] [--smoke]
+//! cargo run --release -p debar-bench --bin fig_multipart [n] [--smoke]
 //! ```
 //!
 //! `--smoke` (CI) uses a deep scale denominator and one round so the bin
 //! can't rot without burning minutes. Its numbers go to the temp
 //! directory, never over the committed file.
 
-use debar_bench::table::{f, TablePrinter};
-use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig};
+use debar_bench::table::{Cell, Table};
+use debar_core::{Dataset, DebarCluster, DebarConfig};
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache};
 use debar_simio::throughput::mibps;
-use debar_workload::ChunkRecord;
+use debar_workload::drift::records;
 
 const PARTS: [usize; 5] = [1, 2, 4, 8, 16];
-
-struct Point {
-    parts: usize,
-    index_sweep_s: f64,
-    skew_sweep_s: f64,
-    sil_wall_s: f64,
-    siu_wall_s: f64,
-    store_wall_s: f64,
-    d2_wall_s: f64,
-    d2_throughput_mibps: f64,
-}
-
-/// One row of the store-worker scaling table (measurement 4).
-struct StorePoint {
-    servers: usize,
-    workers: usize,
-    store_wall_s: f64,
-    overlap_saved_s: f64,
-    d2_wall_s: f64,
-    d2_throughput_mibps: f64,
-    mibps_per_worker: f64,
-}
-
-fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-    range.map(ChunkRecord::of_counter).collect()
-}
 
 /// One striped SIL sweep of a paper-geometry index part (index-level
 /// law) — evenly split, or under a deliberately skewed `parts`-way layout:
@@ -164,9 +138,7 @@ fn drive_system(cfg: DebarConfig, parts: usize, workers: usize, rounds: u64) -> 
     // pipelined store phase has an overlap window to exploit.
     let streams = 2 * cfg.servers() as u64;
     let n = cfg.cache_fps() as u64;
-    let jobs: Vec<_> = (0..streams)
-        .map(|k| c.define_job(format!("s{k}"), ClientId(k as u32)))
-        .collect();
+    let jobs = debar_bench::client_jobs(&mut c, streams as usize);
     let mut w = SystemWalls {
         sil: 0.0,
         siu: 0.0,
@@ -221,86 +193,86 @@ fn drive_system(cfg: DebarConfig, parts: usize, workers: usize, rounds: u64) -> 
     }
 }
 
+/// Chunk-log MiB stored per second of the store wall.
+fn store_mibps(run: &SystemRun) -> f64 {
+    mibps(run.log_bytes, run.walls.store)
+}
+
+/// One row of measurement 5: a repository geometry and what storing cost.
+fn repo_row(nodes: usize, replication: usize, run: &SystemRun) -> Vec<Cell> {
+    vec![
+        Cell::U(nodes as u64),
+        Cell::U(replication as u64),
+        Cell::F(run.walls.store, 6),
+        Cell::F(store_mibps(run), 2),
+        Cell::F(run.walls.mibps, 2),
+        Cell::U(run.physical_write_bytes),
+    ]
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let denom: u64 = args
-        .iter()
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(if smoke { 16 * 1024 } else { 1024 });
+    let (denom, smoke) = debar_bench::args(1024, 16 * 1024);
     let rounds: u64 = if smoke { 1 } else { 3 };
     let law_cfg = DebarConfig::striped_scaled(1, denom);
 
     println!("Multi-part index analysis (§5.2): denom {denom}, {rounds} round(s)\n");
-    let mut t = TablePrinter::new(&[
+    let mut t = Table::new(&[
         "parts",
-        "index sweep (s)",
-        "sweep speedup",
-        "skew sweep (s)",
-        "straggler x",
-        "PSIL wall (s)",
-        "PSIU wall (s)",
-        "store wall (s)",
-        "dedup-2 wall (s)",
-        "dedup-2 MiB/s",
+        "index_sweep_s",
+        "sweep_speedup",
+        "skew_sweep_s",
+        "straggler_x",
+        "sil_wall_s",
+        "siu_wall_s",
+        "store_wall_s",
+        "d2_wall_s",
+        "sil_speedup",
+        "d2_throughput_mibps",
     ]);
-    let mut points = Vec::new();
+    // The single-volume point (`PARTS[0] == 1`) every speedup is over, and
+    // the dedup-2 MiB/s of the last, saturated one.
+    let mut base = None;
+    let mut sat_mibps = 0.0;
     for &parts in &PARTS {
         let index_sweep_s = index_sweep_secs(&law_cfg, parts, false);
         let skew_sweep_s = index_sweep_secs(&law_cfg, parts, true);
         let w = system_point(0, parts, 1, denom, rounds);
-        points.push(Point {
-            parts,
-            index_sweep_s,
-            skew_sweep_s,
-            sil_wall_s: w.sil,
-            siu_wall_s: w.siu,
-            store_wall_s: w.store,
-            d2_wall_s: w.wall,
-            d2_throughput_mibps: w.mibps,
-        });
-    }
-    let base = &points[0];
-    let base_sweep = base.index_sweep_s;
-    let base_sil = base.sil_wall_s;
-    for p in &points {
-        let sweep_speedup = base_sweep / p.index_sweep_s;
+        let (base_sweep, base_sil) = *base.get_or_insert((index_sweep_s, w.sil));
+        let sweep_speedup = base_sweep / index_sweep_s;
         // The even-split law is exact in the physical model too: every
         // part-disk reads total/P bytes.
         assert!(
-            (sweep_speedup - p.parts as f64).abs() / (p.parts as f64) < 1e-9,
-            "parts={}: sweep speedup {sweep_speedup} != 1/P law",
-            p.parts
+            (sweep_speedup - parts as f64).abs() / (parts as f64) < 1e-9,
+            "parts={parts}: sweep speedup {sweep_speedup} != 1/P law"
         );
         // The straggler column must be populated and obey the physical
         // law: a skewed sweep completes at the slowest part — half the
         // scalar sweep for P >= 2 (its biggest part covers half the
         // buckets), NOT total/P.
-        assert!(p.skew_sweep_s > 0.0, "straggler column unpopulated");
-        let expect_skew = if p.parts == 1 {
+        assert!(skew_sweep_s > 0.0, "straggler column unpopulated");
+        let expect_skew = if parts == 1 {
             base_sweep
         } else {
             base_sweep / 2.0
         };
         assert!(
-            (p.skew_sweep_s - expect_skew).abs() / expect_skew < 1e-9,
-            "parts={}: skewed sweep {} != slowest-part law {expect_skew}",
-            p.parts,
-            p.skew_sweep_s
+            (skew_sweep_s - expect_skew).abs() / expect_skew < 1e-9,
+            "parts={parts}: skewed sweep {skew_sweep_s} != slowest-part law {expect_skew}"
         );
-        let straggler_x = p.skew_sweep_s / p.index_sweep_s;
         t.row(vec![
-            p.parts.to_string(),
-            format!("{:.6}", p.index_sweep_s),
-            f(sweep_speedup, 2),
-            format!("{:.6}", p.skew_sweep_s),
-            f(straggler_x, 2),
-            f(p.sil_wall_s, 3),
-            f(p.siu_wall_s, 3),
-            f(p.store_wall_s, 3),
-            f(p.d2_wall_s, 3),
-            f(p.d2_throughput_mibps, 1),
+            Cell::U(parts as u64),
+            Cell::F(index_sweep_s, 9),
+            Cell::F(sweep_speedup, 3),
+            Cell::F(skew_sweep_s, 9),
+            Cell::F(skew_sweep_s / index_sweep_s, 3),
+            Cell::F(w.sil, 6),
+            Cell::F(w.siu, 6),
+            Cell::F(w.store, 6),
+            Cell::F(w.wall, 6),
+            Cell::F(base_sil / w.sil, 3),
+            Cell::F(w.mibps, 2),
         ]);
+        sat_mibps = w.mibps;
     }
     t.print();
     println!(
@@ -320,14 +292,14 @@ fn main() {
         "\nPipelined chunk storing at P = {sat_parts}: scaling in store \
          workers and servers\n"
     );
-    let mut st = TablePrinter::new(&[
+    let mut st = Table::new(&[
         "servers",
         "workers",
-        "store wall (s)",
-        "overlap saved (s)",
-        "dedup-2 wall (s)",
-        "dedup-2 MiB/s",
-        "MiB/s per worker",
+        "store_wall_s",
+        "overlap_saved_s",
+        "d2_wall_s",
+        "d2_throughput_mibps",
+        "mibps_per_worker",
     ]);
     let mut store_points = Vec::new();
     for &(w_bits, workers) in &combos {
@@ -335,68 +307,54 @@ fn main() {
         // Per-worker efficiency divides by the deployment's *total*
         // worker count (servers x workers per server), so the column is
         // comparable across the server axis too.
-        let total_workers = ((1usize << w_bits) * workers) as f64;
-        let sp = StorePoint {
-            servers: 1 << w_bits,
-            workers,
-            store_wall_s: w.store,
-            overlap_saved_s: w.overlap,
-            d2_wall_s: w.wall,
-            d2_throughput_mibps: w.mibps,
-            mibps_per_worker: w.mibps / total_workers,
-        };
+        let servers = 1usize << w_bits;
         st.row(vec![
-            sp.servers.to_string(),
-            sp.workers.to_string(),
-            f(sp.store_wall_s, 3),
-            format!("{:.6}", sp.overlap_saved_s),
-            f(sp.d2_wall_s, 3),
-            f(sp.d2_throughput_mibps, 1),
-            f(sp.mibps_per_worker, 1),
+            Cell::U(servers as u64),
+            Cell::U(workers as u64),
+            Cell::F(w.store, 6),
+            Cell::F(w.overlap, 6),
+            Cell::F(w.wall, 6),
+            Cell::F(w.mibps, 2),
+            Cell::F(w.mibps / (servers * workers) as f64, 2),
         ]);
-        store_points.push(sp);
+        store_points.push((servers, workers, w));
     }
     st.print();
-    let single = &points[points.len() - 1];
-    let base_mibps = single.d2_throughput_mibps;
+    let first = &store_points[0].2;
     assert!(
-        (store_points[0].d2_throughput_mibps - base_mibps).abs() / base_mibps < 1e-9,
+        (first.mibps - sat_mibps).abs() / sat_mibps < 1e-9,
         "the (1 server, 1 worker) store point must reproduce the P={sat_parts} \
          saturation row exactly"
     );
     assert_eq!(
-        store_points[0].overlap_saved_s, 0.0,
+        first.overlap, 0.0,
         "a single server has no sibling sweep to overlap"
     );
-    for sp in store_points
-        .iter()
-        .filter(|sp| sp.servers == 1 && sp.workers >= 2)
-    {
-        // The acceptance bar: the dedup-2 column no longer saturates at
-        // the single-worker value — ≥ 1.5× at workers >= 2 (full scale);
-        // the smoke scale keeps a strict-improvement floor so the bin
-        // can't silently regress.
-        let floor = if smoke { 1.05 } else { 1.5 };
-        assert!(
-            sp.d2_throughput_mibps >= floor * base_mibps,
-            "workers={}: dedup-2 {:.1} MiB/s below {floor}x the saturation value {:.1}",
-            sp.workers,
-            sp.d2_throughput_mibps,
-            base_mibps
-        );
-    }
-    for sp in store_points.iter().filter(|sp| sp.servers > 1) {
-        assert!(sp.overlap_saved_s >= 0.0, "overlap can never be negative");
-        // At full scale the skewed streams stagger PSIL completion enough
-        // for the pipeline to reclaim a visible window; the deep smoke
-        // denominator can shrink it to nothing.
-        assert!(
-            smoke || sp.overlap_saved_s > 0.0,
-            "servers={} workers={}: skewed multi-server streams must yield a \
-             positive store/PSIL overlap window",
-            sp.servers,
-            sp.workers
-        );
+    for (servers, workers, w) in &store_points {
+        if *servers == 1 && *workers >= 2 {
+            // The acceptance bar: the dedup-2 column no longer saturates at
+            // the single-worker value — ≥ 1.5× at workers >= 2 (full scale);
+            // the smoke scale keeps a strict-improvement floor so the bin
+            // can't silently regress.
+            let floor = if smoke { 1.05 } else { 1.5 };
+            assert!(
+                w.mibps >= floor * sat_mibps,
+                "workers={workers}: dedup-2 {:.1} MiB/s below {floor}x the saturation value \
+                 {sat_mibps:.1}",
+                w.mibps
+            );
+        }
+        if *servers > 1 {
+            assert!(w.overlap >= 0.0, "overlap can never be negative");
+            // At full scale the skewed streams stagger PSIL completion enough
+            // for the pipeline to reclaim a visible window; the deep smoke
+            // denominator can shrink it to nothing.
+            assert!(
+                smoke || w.overlap > 0.0,
+                "servers={servers} workers={workers}: skewed multi-server streams must \
+                 yield a positive store/PSIL overlap window"
+            );
+        }
     }
     println!(
         "\nShape: at the saturation point the chunk-storing phase dominates;\n\
@@ -417,109 +375,74 @@ fn main() {
     // survivability at a quantified storage overhead (the FASTEN
     // trade-off).
     let sat_workers = 4usize;
-    let repo_nodes_axis: [usize; 4] = [1, 2, 4, 8];
     println!(
         "\nPhysical repository nodes at P = {sat_parts}, W = {sat_workers}: \
          store-wall scaling and replication overhead\n"
     );
-    let mut rt = TablePrinter::new(&[
-        "repo nodes",
+    const REPO_COLUMNS: [&str; 6] = [
+        "repo_nodes",
         "replication",
-        "store wall (s)",
-        "store MiB/s",
-        "dedup-2 MiB/s",
-        "physical MiB",
-        "overhead x",
-    ]);
-    struct RepoPoint {
-        nodes: usize,
-        replication: usize,
-        store_wall_s: f64,
-        store_mibps: f64,
-        d2_throughput_mibps: f64,
-        physical_write_bytes: u64,
-    }
-    let mut repo_points: Vec<RepoPoint> = Vec::new();
-    let mut repl_points: Vec<RepoPoint> = Vec::new();
+        "store_wall_s",
+        "store_mibps",
+        "d2_throughput_mibps",
+        "physical_write_bytes",
+    ];
     let point = |nodes: usize, replication: usize| {
         let mut cfg = DebarConfig::striped_scaled(sat_parts, denom).with_store_workers(sat_workers);
         cfg.repo_nodes = nodes;
         let cfg = cfg.with_replication(replication);
         cfg.validate();
-        let run = drive_system(cfg, sat_parts, sat_workers, rounds);
-        RepoPoint {
-            nodes,
-            replication,
-            store_wall_s: run.walls.store,
-            store_mibps: mibps(run.log_bytes, run.walls.store),
-            d2_throughput_mibps: run.walls.mibps,
-            physical_write_bytes: run.physical_write_bytes,
-        }
+        drive_system(cfg, sat_parts, sat_workers, rounds)
     };
-    for &nodes in &repo_nodes_axis {
-        repo_points.push(point(nodes, 1));
+    let mut repo_table = Table::new(&REPO_COLUMNS);
+    let repo_points: Vec<(usize, SystemRun)> = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|nodes| (nodes, point(nodes, 1)))
+        .collect();
+    for (nodes, run) in &repo_points {
+        repo_table.row(repo_row(*nodes, 1, run));
     }
+    repo_table.print();
     // Replication overhead at a fixed node count: R = 2 doubles the
     // physical container bytes on the node disks (every container on two
     // distinct nodes) without touching a single dedup decision.
-    for r in [1usize, 2] {
-        repl_points.push(point(4, r));
-    }
-    for p in repo_points.iter().chain(repl_points.iter()) {
-        let base_phys = repl_points
-            .first()
-            .map_or(p.physical_write_bytes, |b| b.physical_write_bytes);
-        let overhead = if p.replication == 1 {
-            1.0
-        } else {
-            p.physical_write_bytes as f64 / base_phys as f64
-        };
-        rt.row(vec![
-            p.nodes.to_string(),
-            p.replication.to_string(),
-            f(p.store_wall_s, 3),
-            f(p.store_mibps, 1),
-            f(p.d2_throughput_mibps, 1),
-            f(p.physical_write_bytes as f64 / (1 << 20) as f64, 1),
-            f(overhead, 2),
-        ]);
-    }
-    rt.print();
+    let mut repl_table = Table::new(&REPO_COLUMNS);
+    let (r1, r2) = (point(4, 1), point(4, 2));
+    repl_table.row(repo_row(4, 1, &r1));
+    repl_table.row(repo_row(4, 2, &r2));
+    println!("\nReplication at 4 nodes:\n");
+    repl_table.print();
     // Node scaling: the store wall must never rise as repository nodes
     // are added, and at full scale the 8-node wall must be strictly below
     // the single-node one (the W >= 4 wall moves with `repo_nodes`).
     for pair in repo_points.windows(2) {
+        let ((n0, p0), (n1, p1)) = (&pair[0], &pair[1]);
         assert!(
-            pair[1].store_wall_s <= pair[0].store_wall_s * (1.0 + 1e-9),
-            "store wall rose from {} to {} nodes",
-            pair[0].nodes,
-            pair[1].nodes
+            p1.walls.store <= p0.walls.store * (1.0 + 1e-9),
+            "store wall rose from {n0} to {n1} nodes"
         );
         assert!(
-            pair[1].store_mibps >= pair[0].store_mibps * (1.0 - 1e-9),
-            "store MiB/s fell from {} to {} nodes",
-            pair[0].nodes,
-            pair[1].nodes
+            store_mibps(p1) >= store_mibps(p0) * (1.0 - 1e-9),
+            "store MiB/s fell from {n0} to {n1} nodes"
         );
     }
     if !smoke {
-        let first = repo_points.first().expect("non-empty");
-        let last = repo_points.last().expect("non-empty");
+        let first = &repo_points.first().expect("non-empty").1;
+        let last = &repo_points.last().expect("non-empty").1;
         assert!(
-            last.store_wall_s < first.store_wall_s,
+            last.walls.store < first.walls.store,
             "adding repository nodes must move the store wall at full scale"
         );
     }
     // Replication accounting: same containers, same IDs — exactly R times
     // the physical bytes on the node disks.
-    let (r1, r2) = (&repl_points[0], &repl_points[1]);
     let overhead = r2.physical_write_bytes as f64 / r1.physical_write_bytes as f64;
     assert!(
         (overhead - 2.0).abs() < 1e-9,
         "R=2 must write exactly 2x the physical container bytes, got {overhead}"
     );
     assert!(
-        r2.store_wall_s >= r1.store_wall_s,
+        r2.walls.store >= r1.walls.store,
         "replica writes are charged to real disks; the wall cannot shrink"
     );
     println!(
@@ -533,82 +456,14 @@ fn main() {
          container IDs are untouched."
     );
 
-    // ---- BENCH_multipart.json (manual JSON: no runtime serde_json in the
-    //      container). ----
-    let mut out = String::from("{\n  \"bench\": \"multipart\",\n");
-    out.push_str(&format!("  \"denom\": {denom},\n  \"rounds\": {rounds},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"parts\": {}, \"index_sweep_s\": {:.9}, \"sweep_speedup\": {:.3}, \
-             \"skew_sweep_s\": {:.9}, \"straggler_x\": {:.3}, \
-             \"sil_wall_s\": {:.6}, \"siu_wall_s\": {:.6}, \"store_wall_s\": {:.6}, \
-             \"d2_wall_s\": {:.6}, \
-             \"sil_speedup\": {:.3}, \"d2_throughput_mibps\": {:.2} }}{}\n",
-            p.parts,
-            p.index_sweep_s,
-            base_sweep / p.index_sweep_s,
-            p.skew_sweep_s,
-            p.skew_sweep_s / p.index_sweep_s,
-            p.sil_wall_s,
-            p.siu_wall_s,
-            p.store_wall_s,
-            p.d2_wall_s,
-            base_sil / p.sil_wall_s,
-            p.d2_throughput_mibps,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"store_scaling_parts\": {sat_parts},\n"));
-    out.push_str("  \"store_points\": [\n");
-    for (i, sp) in store_points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"servers\": {}, \"workers\": {}, \"store_wall_s\": {:.6}, \
-             \"overlap_saved_s\": {:.6}, \"d2_wall_s\": {:.6}, \
-             \"d2_throughput_mibps\": {:.2}, \"mibps_per_worker\": {:.2} }}{}\n",
-            sp.servers,
-            sp.workers,
-            sp.store_wall_s,
-            sp.overlap_saved_s,
-            sp.d2_wall_s,
-            sp.d2_throughput_mibps,
-            sp.mibps_per_worker,
-            if i + 1 < store_points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"repo_points\": [\n");
-    for (i, p) in repo_points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"repo_nodes\": {}, \"replication\": {}, \"store_wall_s\": {:.6}, \
-             \"store_mibps\": {:.2}, \"d2_throughput_mibps\": {:.2}, \
-             \"physical_write_bytes\": {} }}{}\n",
-            p.nodes,
-            p.replication,
-            p.store_wall_s,
-            p.store_mibps,
-            p.d2_throughput_mibps,
-            p.physical_write_bytes,
-            if i + 1 < repo_points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"replication_points\": [\n");
-    for (i, p) in repl_points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"repo_nodes\": {}, \"replication\": {}, \"store_wall_s\": {:.6}, \
-             \"store_mibps\": {:.2}, \"d2_throughput_mibps\": {:.2}, \
-             \"physical_write_bytes\": {} }}{}\n",
-            p.nodes,
-            p.replication,
-            p.store_wall_s,
-            p.store_mibps,
-            p.d2_throughput_mibps,
-            p.physical_write_bytes,
-            if i + 1 < repl_points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    debar_bench::write_bench_json("multipart", smoke, &out);
+    let json = format!(
+        "{{\n  \"bench\": \"multipart\",\n  \"denom\": {denom},\n  \"rounds\": {rounds},\n  \
+         \"points\": {},\n  \"store_scaling_parts\": {sat_parts},\n  \"store_points\": {},\n  \
+         \"repo_points\": {},\n  \"replication_points\": {}\n}}\n",
+        t.json_rows(),
+        st.json_rows(),
+        repo_table.json_rows(),
+        repl_table.json_rows()
+    );
+    debar_bench::write_bench_json("multipart", smoke, &json);
 }

@@ -39,18 +39,20 @@
 //! table. Run:
 //!
 //! ```text
-//! cargo run --release -p debar-bench --bin fig_restore [denom] [--smoke]
+//! cargo run --release -p debar-bench --bin fig_restore [n] [--smoke]
 //! ```
 //!
 //! `--smoke` (CI) shrinks the stream and generation count so the bin
 //! can't rot without burning minutes. Its numbers go to the temp
 //! directory, never over the committed file.
 
-use debar_bench::table::{f, TablePrinter};
-use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, JobId, LayoutMode, RunId};
+use debar_bench::table::{Cell, Table};
+use debar_core::{
+    ClientId, Dataset, DebarCluster, DebarConfig, JobId, LayoutMode, RestoreReport, RunId,
+};
 use debar_simio::models::MIB;
 use debar_simio::throughput::mibps;
-use debar_workload::ChunkRecord;
+use debar_workload::drift::churn;
 
 const RETENTION: u32 = 2;
 
@@ -60,23 +62,6 @@ struct Scale {
     k: u64,
     gens: u64,
     lpc_containers: usize,
-}
-
-/// Churn stream: slot `i` carries the content of the latest generation
-/// `gp <= g` with `gp % k == i % k` (generation 0 content for slices not
-/// yet rewritten).
-fn churn(g: u64, n: u64, k: u64) -> Vec<ChunkRecord> {
-    (0..n)
-        .map(|i| {
-            let r = i % k;
-            let gp = g.saturating_sub((g + k - r) % k);
-            if gp >= 1 {
-                ChunkRecord::of_counter(1_000_000 * gp + i)
-            } else {
-                ChunkRecord::of_counter(i)
-            }
-        })
-        .collect()
 }
 
 fn cluster(layout: LayoutMode, denom: u64, scale: &Scale) -> (DebarCluster, JobId) {
@@ -95,27 +80,28 @@ fn cluster(layout: LayoutMode, denom: u64, scale: &Scale) -> (DebarCluster, JobI
     (c, job)
 }
 
-/// Per-generation, per-layout measurements.
-struct Point {
-    gen: u64,
-    mibps: f64,
-    /// Throughput of the same walk with nothing overlapped.
-    serial_mibps: f64,
-    /// Repository-disk milliseconds per restored MiB, summed over the nodes.
-    node_ms_per_mib: f64,
-    containers_per_mib: f64,
-    mean_run_length: f64,
-    lpc_hit_ratio: f64,
-    rewritten_bytes: u64,
+/// Repository-disk milliseconds per restored MiB, summed over the nodes.
+fn node_ms_per_mib(r: &RestoreReport) -> f64 {
+    1e3 * r.node_read_total_s / (r.bytes as f64 / MIB)
+}
+
+/// One generation's restore on one layout, with the bytes its dedup-2
+/// rewrote. `serial_mibps` is the same walk with nothing overlapped.
+fn row(r: &RestoreReport, rewritten_bytes: u64) -> Vec<Cell> {
+    vec![
+        Cell::U(r.run.version as u64),
+        Cell::F(r.throughput_mibps(), 2),
+        Cell::F(mibps(r.bytes, r.serial_s()), 2),
+        Cell::F(node_ms_per_mib(r), 4),
+        Cell::F(r.layout.containers_per_mib(), 4),
+        Cell::F(r.layout.mean_run_length(), 4),
+        Cell::F(r.lpc_hit_ratio(), 4),
+        Cell::U(rewritten_bytes),
+    ]
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let denom: u64 = args
-        .iter()
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(if smoke { 16 * 1024 } else { 1024 });
+    let (denom, smoke) = debar_bench::args(1024, 16 * 1024);
     let scale = if smoke {
         Scale {
             n: 600,
@@ -147,8 +133,19 @@ fn main() {
         &scale,
     );
 
-    let mut s_points: Vec<Point> = Vec::new();
-    let mut c_points: Vec<Point> = Vec::new();
+    const COLUMNS: [&str; 8] = [
+        "gen",
+        "restore_mibps",
+        "serial_mibps",
+        "node_read_ms_per_mib",
+        "containers_per_mib",
+        "mean_run_length",
+        "lpc_hit_ratio",
+        "rewritten_bytes",
+    ];
+    let (mut s_table, mut c_table) = (Table::new(&COLUMNS), Table::new(&COLUMNS));
+    let (mut s_reps, mut c_reps) = (Vec::new(), Vec::new());
+    let mut total_rewritten = 0u64;
     for g in 0..scale.gens {
         let ds = Dataset::from_records("s", churn(g, scale.n, scale.k));
         scatter.backup(sj, &ds).expect("scatter backup");
@@ -179,96 +176,54 @@ fn main() {
             (c.bytes, c.chunks),
             "gen {g}: layouts must stream identical restores"
         );
-        s_points.push(Point {
-            gen: g,
-            mibps: s.throughput_mibps(),
-            serial_mibps: mibps(s.bytes, s.serial_s()),
-            node_ms_per_mib: 1e3 * s.node_read_total_s / (s.bytes as f64 / MIB),
-            containers_per_mib: s.layout.containers_per_mib(),
-            mean_run_length: s.layout.mean_run_length(),
-            lpc_hit_ratio: s.lpc_hit_ratio(),
-            rewritten_bytes: 0,
-        });
-        c_points.push(Point {
-            gen: g,
-            mibps: c.throughput_mibps(),
-            serial_mibps: mibps(c.bytes, c.serial_s()),
-            node_ms_per_mib: 1e3 * c.node_read_total_s / (c.bytes as f64 / MIB),
-            containers_per_mib: c.layout.containers_per_mib(),
-            mean_run_length: c.layout.mean_run_length(),
-            lpc_hit_ratio: c.lpc_hit_ratio(),
-            rewritten_bytes: cd2.cap.bytes_rewritten,
-        });
+        s_table.row(row(&s, 0));
+        c_table.row(row(&c, cd2.cap.bytes_rewritten));
+        s_reps.push(s);
+        c_reps.push(c);
+        total_rewritten += cd2.cap.bytes_rewritten;
     }
-
-    let mut t = TablePrinter::new(&[
-        "gen",
-        "scatter MiB/s",
-        "scatter serial",
-        "scatter node ms/MiB",
-        "scatter ctr/MiB",
-        "scatter runlen",
-        "capped MiB/s",
-        "capped serial",
-        "capped node ms/MiB",
-        "capped ctr/MiB",
-        "capped runlen",
-        "rewritten MiB",
-    ]);
-    for (s, c) in s_points.iter().zip(&c_points) {
-        t.row(vec![
-            s.gen.to_string(),
-            f(s.mibps, 1),
-            f(s.serial_mibps, 1),
-            f(s.node_ms_per_mib, 3),
-            f(s.containers_per_mib, 2),
-            f(s.mean_run_length, 1),
-            f(c.mibps, 1),
-            f(c.serial_mibps, 1),
-            f(c.node_ms_per_mib, 3),
-            f(c.containers_per_mib, 2),
-            f(c.mean_run_length, 1),
-            f(c.rewritten_bytes as f64 / (1 << 20) as f64, 1),
-        ]);
-    }
-    t.print();
+    println!("Scatter:\n");
+    s_table.print();
+    println!("\nCapped:\n");
+    c_table.print();
 
     // Law 2: fragmentation costs Scatter node reads, Capped stays
     // bounded. Generation 1 is the reference (generation 0 is the
     // self-contained initial full, fragmented on neither layout).
-    let (s1, s_last) = (&s_points[1], s_points.last().expect("points"));
-    let (c1, c_last) = (&c_points[1], c_points.last().expect("points"));
+    let (s1, s_last) = (&s_reps[1], s_reps.last().expect("points"));
+    let (c1, c_last) = (&c_reps[1], c_reps.last().expect("points"));
+    let per_mib = |r: &RestoreReport| r.layout.containers_per_mib();
     assert!(
-        s_last.containers_per_mib > 1.5 * s1.containers_per_mib,
+        per_mib(s_last) > 1.5 * per_mib(s1),
         "Scatter read amplification must grow: gen1 {:.2}/MiB vs last {:.2}/MiB",
-        s1.containers_per_mib,
-        s_last.containers_per_mib
+        per_mib(s1),
+        per_mib(s_last)
     );
     assert!(
-        s_last.node_ms_per_mib >= 1.5 * s1.node_ms_per_mib,
+        node_ms_per_mib(s_last) >= 1.5 * node_ms_per_mib(s1),
         "Scatter must pay for fragmentation in node reads: \
          gen1 {:.3} ms/MiB vs last {:.3} ms/MiB",
-        s1.node_ms_per_mib,
-        s_last.node_ms_per_mib
+        node_ms_per_mib(s1),
+        node_ms_per_mib(s_last)
     );
     assert!(
-        c_last.containers_per_mib <= 1.5 * c1.containers_per_mib.max(1.0),
+        per_mib(c_last) <= 1.5 * per_mib(c1).max(1.0),
         "Capped read amplification must stay bounded: gen1 {:.2}/MiB vs last {:.2}/MiB",
-        c1.containers_per_mib,
-        c_last.containers_per_mib
+        per_mib(c1),
+        per_mib(c_last)
     );
     assert!(
-        c_last.node_ms_per_mib <= 1.5 * c1.node_ms_per_mib,
+        node_ms_per_mib(c_last) <= 1.5 * node_ms_per_mib(c1),
         "Capped node reads must stay bounded: gen1 {:.3} ms/MiB vs last {:.3} ms/MiB",
-        c1.node_ms_per_mib,
-        c_last.node_ms_per_mib
+        node_ms_per_mib(c1),
+        node_ms_per_mib(c_last)
     );
     assert!(
-        c_last.mibps >= 0.5 * c1.mibps,
+        c_last.throughput_mibps() >= 0.5 * c1.throughput_mibps(),
         "Capped restore must hold within a constant factor: \
          gen1 {:.1} MiB/s vs last {:.1} MiB/s",
-        c1.mibps,
-        c_last.mibps
+        c1.throughput_mibps(),
+        c_last.throughput_mibps()
     );
     // The locality crossover: at the last generation the capped restore
     // touches far fewer containers per MiB. (Throughput is not compared
@@ -277,12 +232,11 @@ fn main() {
     // between rounds, and the pipelined walk hides Scatter's extra reads
     // behind the client stream.)
     assert!(
-        c_last.containers_per_mib < 0.75 * s_last.containers_per_mib,
+        per_mib(c_last) < 0.75 * per_mib(s_last),
         "at the last generation Capped ({:.2}/MiB) must beat Scatter ({:.2}/MiB)",
-        c_last.containers_per_mib,
-        s_last.containers_per_mib
+        per_mib(c_last),
+        per_mib(s_last)
     );
-    let total_rewritten: u64 = c_points.iter().map(|p| p.rewritten_bytes).sum();
     assert!(total_rewritten > 0, "the churn history must trip the cap");
 
     // The dedup-ratio cost of the bounded restore (reported, the price).
@@ -294,7 +248,16 @@ fn main() {
     // Law 3: expiry + collection reclaims dead and superseded exactly.
     scatter.force_siu().expect("siu");
     capped.force_siu().expect("siu");
-    let mut gc = Vec::new();
+    let mut gc = Table::new(&[
+        "layout",
+        "dead_fps",
+        "dead_chunk_bytes",
+        "containers_deleted",
+        "containers_compacted",
+        "superseded_containers",
+        "net_physical_reclaimed",
+    ]);
+    let mut superseded = 0;
     for (label, c) in [("scatter", &mut scatter), ("capped", &mut capped)] {
         let expired = c.expire_runs();
         assert_eq!(
@@ -314,11 +277,20 @@ fn main() {
             rep.dead_chunk_bytes,
             "{label}: R=1 reclaim exactness"
         );
-        gc.push((label, rep));
+        gc.row(vec![
+            Cell::S(label),
+            Cell::U(rep.dead_fps),
+            Cell::U(rep.dead_chunk_bytes),
+            Cell::U(rep.containers_deleted),
+            Cell::U(rep.containers_compacted),
+            Cell::U(rep.superseded_containers),
+            Cell::U(rep.net_physical_reclaimed()),
+        ]);
+        // Capped is collected last: its count is the one checked below.
+        superseded = rep.superseded_containers;
     }
-    let capped_gc = &gc[1].1;
     assert!(
-        capped_gc.superseded_containers > 0,
+        superseded > 0,
         "the collection must drain the capping queue"
     );
     for (c, job) in [(&mut scatter, sj), (&mut capped, cj)] {
@@ -342,55 +314,22 @@ fn main() {
          one clock would charge). Capping rewrites the sparsest references\n\
          at backup time: node reads stay within a constant factor of\n\
          generation 1 at a {cost:.2}x physical-byte cost, and GC reclaims\n\
-         the superseded copies exactly ({} containers drained).",
-        capped_gc.superseded_containers
+         the superseded copies exactly ({superseded} containers drained).\n"
     );
+    gc.print();
 
-    // ---- BENCH_restore.json (manual JSON: no runtime serde_json in the
-    //      container). ----
-    let mut out = String::from("{\n  \"bench\": \"restore\",\n");
-    out.push_str(&format!(
-        "  \"denom\": {denom},\n  \"chunks\": {},\n  \"churn_period\": {},\n  \
-         \"generations\": {},\n  \"retention\": {RETENTION},\n  \
-         \"lpc_containers\": {},\n  \"capped_phys_cost\": {cost:.4},\n",
-        scale.n, scale.k, scale.gens, scale.lpc_containers
-    ));
-    for (key, points) in [("scatter", &s_points), ("capped", &c_points)] {
-        out.push_str(&format!("  \"{key}\": [\n"));
-        for (i, p) in points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"gen\": {}, \"restore_mibps\": {:.2}, \"serial_mibps\": {:.2}, \
-                 \"node_read_ms_per_mib\": {:.4}, \
-                 \"containers_per_mib\": {:.4}, \"mean_run_length\": {:.4}, \
-                 \"lpc_hit_ratio\": {:.4}, \"rewritten_bytes\": {} }}{}\n",
-                p.gen,
-                p.mibps,
-                p.serial_mibps,
-                p.node_ms_per_mib,
-                p.containers_per_mib,
-                p.mean_run_length,
-                p.lpc_hit_ratio,
-                p.rewritten_bytes,
-                if i + 1 < points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-    }
-    out.push_str("  \"gc\": {\n");
-    for (i, (label, rep)) in gc.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{label}\": {{ \"dead_fps\": {}, \"dead_chunk_bytes\": {}, \
-             \"containers_deleted\": {}, \"containers_compacted\": {}, \
-             \"superseded_containers\": {}, \"net_physical_reclaimed\": {} }}{}\n",
-            rep.dead_fps,
-            rep.dead_chunk_bytes,
-            rep.containers_deleted,
-            rep.containers_compacted,
-            rep.superseded_containers,
-            rep.net_physical_reclaimed(),
-            if i + 1 < gc.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    debar_bench::write_bench_json("restore", smoke, &out);
+    let json = format!(
+        "{{\n  \"bench\": \"restore\",\n  \"denom\": {denom},\n  \"chunks\": {},\n  \
+         \"churn_period\": {},\n  \"generations\": {},\n  \"retention\": {RETENTION},\n  \
+         \"lpc_containers\": {},\n  \"capped_phys_cost\": {cost:.4},\n  \
+         \"scatter\": {},\n  \"capped\": {},\n  \"gc\": {{\n{}\n  }}\n}}\n",
+        scale.n,
+        scale.k,
+        scale.gens,
+        scale.lpc_containers,
+        s_table.json_rows(),
+        c_table.json_rows(),
+        gc.json_keyed(4)
+    );
+    debar_bench::write_bench_json("restore", smoke, &json);
 }

@@ -3,12 +3,14 @@
 //! reaching utilization η — from the paper's formula (1), for a 512 GB
 //! index across bucket sizes 0.5-64 KB.
 //!
-//! Run: `cargo run --release -p debar-bench --bin table1`
+//! Run: `cargo run --release -p debar-bench --bin table1 [--smoke]` (a
+//! closed form: there is nothing to scale, and `--smoke` prints the same).
 
 use debar_bench::table::{f, TablePrinter};
 use debar_index::theory::{max_eta_for_bound, table1_rows};
 
 fn main() {
+    debar_bench::args(1, 1);
     let paper_bounds = [1.71, 1.02, 1.24, 1.59, 1.91, 1.93, 2.16, 2.08];
     println!("Table 1: upper bound of Pr(D), 512GB disk index, formula (1)\n");
     let mut t = TablePrinter::new(&[

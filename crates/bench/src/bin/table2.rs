@@ -10,16 +10,15 @@
 //! (1) is printed for both geometries so the scaled measurement can be
 //! compared against the paper's.
 //!
-//! Run: `cargo run --release -p debar-bench --bin table2 [runs]`
+//! Run: `cargo run --release -p debar-bench --bin table2 [n] [--smoke]`
+//! (`n`: runs per bucket size, default 5; `--smoke`: one run at a bucket
+//! count scaled a further 2^4).
 
 use debar_bench::table::{f, TablePrinter};
 use debar_index::theory::{predicted_exit_eta, UtilizationSim};
 
 fn main() {
-    let runs: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+    let (runs, smoke) = debar_bench::args(5, 1);
     // (bucket KB, b, paper n, paper eta avg, paper rho %, paper n3 over 50 runs)
     let cases = [
         (0.5, 20u32, 30u32, 0.4145, 0.068, 147u64),
@@ -31,10 +30,11 @@ fn main() {
         (32.0, 1280, 24, 0.9214, 0.20, 67),
         (64.0, 2560, 23, 0.9443, 0.21, 62),
     ];
-    const SCALE_BITS: u32 = 10;
+    let runs = runs as usize;
+    let scale_bits: u32 = if smoke { 14 } else { 10 };
     println!(
         "Table 2: disk index utilization at first 3-adjacent-full event\n\
-         ({runs} runs per bucket size, bucket count scaled 2^-{SCALE_BITS})\n"
+         ({runs} runs per bucket size, bucket count scaled 2^-{scale_bits})\n"
     );
     let mut t = TablePrinter::new(&[
         "bucket",
@@ -49,7 +49,7 @@ fn main() {
         "paper eta",
     ]);
     for (kb, b, paper_n, paper_eta, _paper_rho, _paper_n3) in cases {
-        let n_bits = paper_n - SCALE_BITS;
+        let n_bits = paper_n - scale_bits;
         let sim = UtilizationSim { n_bits, b };
         let results = sim.run_many(2026, runs);
         let etas: Vec<f64> = results.iter().map(|r| r.utilization).collect();

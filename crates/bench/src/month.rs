@@ -2,7 +2,7 @@
 //! same 8-client daily streams for 31 days. Regenerates the data behind
 //! Figures 6, 7, 8 and 9.
 
-use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig, JobId};
+use debar_core::{ClientId, Dataset, DebarCluster, DebarConfig};
 use debar_ddfs::{DdfsConfig, DdfsServer};
 use debar_simio::throughput::mibps;
 use debar_simio::Secs;
@@ -185,6 +185,20 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
+/// The month Figures 6-9 are drawn from, DDFS baseline included, at the
+/// scale the command line asks for ([`crate::args`]: `n` is the scale
+/// denominator, 16x deeper in a smoke run). Returns the denominator too.
+pub fn run_month_from_args() -> (u64, MonthReport) {
+    let full = MonthConfig::default().denom;
+    let (denom, _) = crate::args(full, 16 * full);
+    eprintln!("running the HUSt month at scale 1/{denom} (DEBAR + DDFS)...");
+    let cfg = MonthConfig {
+        denom,
+        ..MonthConfig::default()
+    };
+    (denom, run_month(cfg))
+}
+
 /// Run the month experiment.
 pub fn run_month(cfg: MonthConfig) -> MonthReport {
     let hust = HustConfig {
@@ -199,9 +213,7 @@ pub fn run_month(cfg: MonthConfig) -> MonthReport {
     // lookups for more than one job").
     debar_cfg.dedup2_trigger_fps = debar_cfg.cache_fps();
     let mut debar = DebarCluster::new(debar_cfg);
-    let jobs: Vec<JobId> = (0..cfg.clients)
-        .map(|i| debar.define_job(format!("hust-node-{i}"), ClientId(i as u32)))
-        .collect();
+    let jobs = crate::client_jobs(&mut debar, cfg.clients);
 
     let mut ddfs = cfg
         .run_ddfs

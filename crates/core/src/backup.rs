@@ -245,7 +245,7 @@ impl DebarCluster {
                     // nearby chunks of the same old stream now dedup on
                     // rung 1 without further probes.
                     let srv = &mut servers[sid];
-                    let t = repo.read_anywhere(cid).timed();
+                    let t = repo.read(cid).timed();
                     // `None`: reclaimed under us — the verdict stands.
                     if let Some(container) = srv.clock.charge(t)? {
                         let now = srv.clock.now();
@@ -305,11 +305,7 @@ impl DebarCluster {
 mod tests {
     use super::*;
     use crate::config::DebarConfig;
-    use debar_workload::ChunkRecord;
-
-    fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-        range.map(ChunkRecord::of_counter).collect()
-    }
+    use debar_workload::drift::records;
 
     #[test]
     fn out_of_line_backup_neither_reads_nor_touches_the_restore_cache() {

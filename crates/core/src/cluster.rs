@@ -680,12 +680,13 @@ impl DebarCluster {
     /// to be quiesced (no staged dedup-2 work; call
     /// [`DebarCluster::force_siu`] first).
     ///
-    /// Returns the wall-clock cost of the redistribution, or
+    /// Returns the wall-clock cost of the redistribution,
     /// [`DebarError::NotQuiesced`] when a server still holds staged
-    /// dedup-2 state.
+    /// dedup-2 state, or [`DebarError::IndexGeometry`] when the cluster
+    /// cannot split again (the halves would have a single bucket, or the
+    /// routing prefix is exhausted) — refused before anything changes.
     pub fn scale_out(&mut self) -> DebarResult<Secs> {
         self.ensure_quiesced()?;
-        let t0 = self.align_clocks();
         let mut new_cfg = self.cfg;
         new_cfg.w_bits += 1;
         // The index owns its geometry — SIU grows a full part in place —
@@ -704,7 +705,8 @@ impl DebarCluster {
         // stay valid without aborting a scale-out).
         new_cfg.clamp_sweep_parts();
         new_cfg.clamp_replication();
-        new_cfg.validate();
+        new_cfg.try_validate()?;
+        let t0 = self.align_clocks();
         let old = std::mem::take(&mut self.servers);
         for srv in old {
             let (a, b) = srv.split_for_scale_out(new_cfg);
@@ -745,7 +747,7 @@ impl DebarCluster {
         let mut entries: Vec<(Fingerprint, ContainerId)> = Vec::new();
         let mut scan_cost = 0.0;
         for cid in self.repo.container_ids() {
-            let t = self.repo.read_anywhere(cid).timed();
+            let t = self.repo.read(cid).timed();
             scan_cost += t.cost;
             let container = match t.value {
                 Ok(Some(c)) => c,
@@ -847,11 +849,8 @@ mod tests {
     use crate::dataset::Dataset;
     use crate::report::RestoreReport;
     use debar_hash::Sha1;
+    use debar_workload::drift::records;
     use debar_workload::ChunkRecord;
-
-    fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-        range.map(ChunkRecord::of_counter).collect()
-    }
 
     fn cluster(w: u32) -> DebarCluster {
         DebarCluster::new(DebarConfig::tiny_test(w))
@@ -1311,6 +1310,32 @@ mod tests {
         c.run_dedup2().expect("dedup2");
         c.force_siu().expect("siu");
         assert!(c.scale_out().is_ok());
+    }
+
+    #[test]
+    fn scale_out_past_the_geometry_is_refused_and_the_cluster_keeps_working() {
+        let mut c = cluster(0);
+        let refused = loop {
+            match c.scale_out() {
+                Ok(_) => continue,
+                Err(e) => break e,
+            }
+        };
+        // 256 buckets halve seven times; an eighth split would leave one.
+        assert!(
+            matches!(refused, DebarError::IndexGeometry { .. }),
+            "{refused:?}"
+        );
+        assert_eq!(c.server_count(), 128);
+        assert_eq!(c.scale_out().expect_err("still refused"), refused);
+        let job = c.define_job("j", ClientId(0));
+        let run = c
+            .backup(job, &Dataset::from_records("s", records(0..500)))
+            .expect("backup")
+            .run;
+        c.run_dedup2().expect("dedup2");
+        let rep = c.restore_run(run).expect("restore");
+        assert_eq!((rep.chunks, rep.failures), (500, 0));
     }
 
     #[test]

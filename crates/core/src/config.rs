@@ -277,27 +277,13 @@ impl DebarConfig {
     /// part of nominal size `index_part_nominal` (scaled by `denom`), with
     /// the paper's per-server 1 GB cache and one repository node per server.
     pub fn cluster_scaled(w_bits: u32, index_part_nominal: u64, denom: u64) -> Self {
-        let scale = ScaleModel::new(denom);
         DebarConfig {
             w_bits,
-            index_part_bytes: scale.to_actual(index_part_nominal),
-            bucket_bytes: 8 * 1024,
-            cache_bytes: scale.to_actual(1 << 30),
-            filter_bytes: scale.to_actual(1 << 30),
-            lpc_containers: 16,
-            container_bytes: 8 << 20,
+            index_part_bytes: ScaleModel::new(denom).to_actual(index_part_nominal),
             repo_nodes: (1usize << w_bits).max(2),
-            replication: 1,
             siu_interval: 2,
-            dedup2_trigger_fps: 0,
-            sweep_parts: 1,
-            store_workers: 1,
-            retention: 0,
-            layout: LayoutMode::Scatter,
-            dedup_mode: DedupMode::OutOfLine,
-            retry: RetryPolicy::none(),
-            health: HealthPolicy::default(),
             seed: 0xDEBA_0002,
+            ..Self::single_server_scaled(denom)
         }
     }
 
@@ -312,18 +298,9 @@ impl DebarConfig {
             filter_bytes: 28 * 10_000,
             lpc_containers: 8,
             container_bytes: 1 << 20,
-            repo_nodes: 2,
-            replication: 1,
             siu_interval: 1,
-            dedup2_trigger_fps: 0,
-            sweep_parts: 1,
-            store_workers: 1,
-            retention: 0,
-            layout: LayoutMode::Scatter,
-            dedup_mode: DedupMode::OutOfLine,
-            retry: RetryPolicy::none(),
-            health: HealthPolicy::default(),
             seed: 0xDEBA_7E57,
+            ..Self::single_server_scaled(1)
         }
     }
 
@@ -427,9 +404,10 @@ impl DebarConfig {
     /// Re-clamp `sweep_parts` to the current part geometry. Performance
     /// scaling halves each index part, so a striped deployment that
     /// scales out keeps `min(parts, buckets)` partitions per part
-    /// (documented rule) instead of failing validation.
+    /// (documented rule) instead of failing validation. Never panics: a
+    /// part geometry `try_validate` would refuse clamps to one partition.
     pub fn clamp_sweep_parts(&mut self) {
-        let buckets = self.index_part_params().buckets();
+        let buckets = (self.index_part_bytes / self.bucket_bytes.max(1) as u64).max(1);
         self.sweep_parts = (self.sweep_parts.max(1) as u64).min(buckets) as usize;
     }
 
@@ -496,6 +474,11 @@ impl DebarConfig {
         }
         if self.container_bytes == 0 {
             return Err(geometry("container size must be positive".into()));
+        }
+        if self.lpc_containers == 0 {
+            return Err(geometry(
+                "the restore cache (LPC) must hold at least one container".into(),
+            ));
         }
         if self.repo_nodes == 0 {
             return Err(geometry("repository needs at least one node".into()));
@@ -670,6 +653,11 @@ mod tests {
             ..base
         });
         assert!(r.contains("cache"), "{r}");
+        let r = geom(DebarConfig {
+            lpc_containers: 0,
+            ..base
+        });
+        assert!(r.contains("LPC"), "{r}");
         let r = geom(base.with_sweep_parts(100_000));
         assert!(r.contains("exceeds"), "{r}");
         let r = geom(base.with_store_workers(0));

@@ -216,7 +216,7 @@ impl DebarCluster {
                 continue;
             }
             report.containers_examined += 1;
-            let t = self.repo.read_anywhere(cid).timed();
+            let t = self.repo.read(cid).timed();
             report.wall += t.cost;
             let container = match t.value {
                 Ok(Some(c)) => c,
@@ -322,11 +322,8 @@ mod tests {
     use crate::ids::{ClientId, Device};
     use debar_hash::Sha1;
     use debar_simio::FaultPlan;
+    use debar_workload::drift::records;
     use debar_workload::ChunkRecord;
-
-    fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-        range.map(ChunkRecord::of_counter).collect()
-    }
 
     fn backed_up(c: &mut DebarCluster, job: crate::ids::JobId, range: std::ops::Range<u64>) {
         c.backup(job, &Dataset::from_records("s", records(range)))

@@ -240,7 +240,7 @@ impl DebarCluster {
             victim_ids.sort_unstable();
             let mut payloads: HashMap<Fingerprint, (u32, Payload)> = HashMap::new();
             for cid in &victim_ids {
-                let t = self.repo.read_anywhere(*cid).timed();
+                let t = self.repo.read(*cid).timed();
                 let container = match self.servers[sid].clock.charge(t) {
                     Ok(Some(c)) => c,
                     Ok(None) => {
@@ -336,28 +336,7 @@ mod tests {
     use crate::config::DebarConfig;
     use crate::dataset::Dataset;
     use crate::ids::ClientId;
-    use debar_workload::ChunkRecord;
-
-    /// Synthetic churn stream: `n` chunk slots in `k` churn slices; each
-    /// generation `g >= 1` rewrites slice `g % k` with fresh content, and
-    /// a slot holds whatever its latest rewriting generation produced. A
-    /// late generation therefore references containers from up to `k`
-    /// earlier generations, interleaved chunk-by-chunk — the classic
-    /// restore-fragmentation workload.
-    fn churn(g: u64, n: u64, k: u64) -> Vec<ChunkRecord> {
-        (0..n)
-            .map(|i| {
-                let r = i % k;
-                // Latest generation <= g that rewrote slice r.
-                let gp = g.saturating_sub((g + k - r) % k);
-                if gp >= 1 {
-                    ChunkRecord::of_counter(1_000_000 * gp + i)
-                } else {
-                    ChunkRecord::of_counter(i)
-                }
-            })
-            .collect()
-    }
+    use debar_workload::drift::churn;
 
     fn drive(layout: crate::config::LayoutMode, gens: u64) -> (DebarCluster, Vec<CapReport>) {
         let mut c = DebarCluster::new(DebarConfig::tiny_test(0).with_layout(layout));

@@ -277,7 +277,7 @@ impl RestoreWalk<'_> {
                     fp: *fp,
                     container: None,
                 })?;
-                let NodeRead { value, legs } = self.repo.read_anywhere(cid);
+                let NodeRead { value, legs } = self.repo.read(cid);
                 let container = match value {
                     Ok(Some(c)) => c,
                     failed => {
@@ -336,11 +336,7 @@ mod tests {
     use debar_simio::models::paper;
     use debar_simio::{FaultPlan, RetryPolicy};
     use debar_store::Damage;
-    use debar_workload::ChunkRecord;
-
-    fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-        range.map(ChunkRecord::of_counter).collect()
-    }
+    use debar_workload::drift::records;
 
     /// Two overlapping generations of one job, deduplicated: 24 one-MiB
     /// containers against an 8-container LPC.

@@ -212,23 +212,27 @@ impl CachedContainer {
 impl BackupServer {
     /// Create server `id` of a deployment described by `cfg`.
     pub fn new(id: ServerId, cfg: DebarConfig) -> Self {
-        let params = cfg.index_part_params();
+        // This server owns index part `id`: the first w fingerprint bits
+        // route to it, the *next* n bits are its bucket number (§5.2).
+        let index = DiskIndex::with_prefix(
+            cfg.index_part_params(),
+            cfg.w_bits,
+            paper::index_disk(),
+            cfg.seed ^ (0x5e4 + id as u64),
+        );
+        Self::with_index(id, cfg, index, VirtualClock::new())
+    }
+
+    /// Server `id` around an index part and a clock, with nothing staged.
+    fn with_index(id: ServerId, cfg: DebarConfig, index: DiskIndex, clock: VirtualClock) -> Self {
         BackupServer {
             id,
-            clock: VirtualClock::new(),
+            clock,
             nic: SimLink::new(paper::server_nic()),
             cpu: SimCpu::new(paper::cpu()),
             chunk_log: ChunkLog::new(id),
             undetermined: Vec::new(),
-            // This server owns index part `id`: the first w fingerprint
-            // bits route to it, the *next* n bits are its bucket number
-            // (§5.2).
-            index: DiskIndex::with_prefix(
-                params,
-                cfg.w_bits,
-                paper::index_disk(),
-                cfg.seed ^ (0x5e4 + id as u64),
-            ),
+            index,
             checking: HashSet::new(),
             pending_updates: Vec::new(),
             carryover: HashMap::new(),
@@ -753,38 +757,8 @@ impl BackupServer {
         let mut parts = t.value;
         let part1 = parts.pop().expect("two parts");
         let part0 = parts.pop().expect("two parts");
-        let a = BackupServer {
-            id: old_id * 2,
-            clock: self.clock.clone(),
-            nic: SimLink::new(paper::server_nic()),
-            cpu: SimCpu::new(paper::cpu()),
-            chunk_log: ChunkLog::new(old_id * 2),
-            undetermined: Vec::new(),
-            index: part0,
-            checking: HashSet::new(),
-            pending_updates: Vec::new(),
-            carryover: HashMap::new(),
-            inline_staged: 0,
-            lpc: LpcCache::new(new_cfg.lpc_containers),
-            container_cache: HashMap::new(),
-            cfg: new_cfg,
-        };
-        let b = BackupServer {
-            id: old_id * 2 + 1,
-            clock: self.clock.clone(),
-            nic: SimLink::new(paper::server_nic()),
-            cpu: SimCpu::new(paper::cpu()),
-            chunk_log: ChunkLog::new(old_id * 2 + 1),
-            undetermined: Vec::new(),
-            index: part1,
-            checking: HashSet::new(),
-            pending_updates: Vec::new(),
-            carryover: HashMap::new(),
-            inline_staged: 0,
-            lpc: LpcCache::new(new_cfg.lpc_containers),
-            container_cache: HashMap::new(),
-            cfg: new_cfg,
-        };
+        let a = Self::with_index(old_id * 2, new_cfg, part0, self.clock.clone());
+        let b = Self::with_index(old_id * 2 + 1, new_cfg, part1, self.clock);
         (a, b)
     }
 }

@@ -350,6 +350,7 @@ impl DdfsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use debar_workload::drift::records;
 
     fn small_cfg() -> DdfsConfig {
         DdfsConfig {
@@ -364,14 +365,10 @@ mod tests {
         }
     }
 
-    fn stream(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-        range.map(ChunkRecord::of_counter).collect()
-    }
-
     #[test]
     fn new_data_is_stored_once() {
         let mut s = DdfsServer::new(small_cfg());
-        let recs = stream(0..3000);
+        let recs = records(0..3000);
         let rep = s.backup_stream(&recs).expect("backup");
         s.finish().expect("finish");
         assert_eq!(rep.chunks, 3000);
@@ -384,7 +381,7 @@ mod tests {
     #[test]
     fn duplicate_stream_is_eliminated() {
         let mut s = DdfsServer::new(small_cfg());
-        let recs = stream(0..3000);
+        let recs = records(0..3000);
         s.backup_stream(&recs).expect("backup");
         s.finish().expect("finish");
         let rep = s.backup_stream(&recs).expect("backup");
@@ -403,7 +400,7 @@ mod tests {
     fn lpc_eliminates_most_random_lookups() {
         // The paper: >99% of index lookups avoided on duplicate streams.
         let mut s = DdfsServer::new(small_cfg());
-        let recs = stream(0..5000);
+        let recs = records(0..5000);
         s.backup_stream(&recs).expect("backup");
         s.finish().expect("finish");
         let before = s.stats().index_lookups;
@@ -418,7 +415,7 @@ mod tests {
     #[test]
     fn bloom_negative_shortcut_for_new_data() {
         let mut s = DdfsServer::new(small_cfg());
-        let rep = s.backup_stream(&stream(0..1000)).expect("backup");
+        let rep = s.backup_stream(&records(0..1000)).expect("backup");
         // Fresh data: nearly every chunk short-circuits at the Bloom filter,
         // no random index I/O.
         assert!(rep.false_positives < 50, "fps {}", rep.false_positives);
@@ -431,7 +428,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.write_buffer_fps = 500;
         let mut s = DdfsServer::new(cfg);
-        let rep = s.backup_stream(&stream(0..2600)).expect("backup");
+        let rep = s.backup_stream(&records(0..2600)).expect("backup");
         assert!(rep.flushes >= 4, "flushes {}", rep.flushes);
         // Flush time is visible in elapsed: throughput below NIC line rate.
         let nic_only = rep.logical_bytes as f64 / (210.0 * (1 << 20) as f64);
@@ -448,10 +445,10 @@ mod tests {
         cfg.index = IndexParams::new(12, 512);
         let mut s = DdfsServer::new(cfg);
         let n = (8u64 << 10) * 8 / 3;
-        s.backup_stream(&stream(0..n)).expect("backup");
+        s.backup_stream(&records(0..n)).expect("backup");
         s.finish().expect("finish");
         let rep = s
-            .backup_stream(&stream(1_000_000..1_000_000 + 2000))
+            .backup_stream(&records(1_000_000..1_000_000 + 2000))
             .expect("backup");
         let fp_rate = rep.false_positives as f64 / 2000.0;
         let theory =
@@ -466,7 +463,7 @@ mod tests {
     #[test]
     fn throughput_capped_by_nic_for_clean_streams() {
         let mut s = DdfsServer::new(small_cfg());
-        let rep = s.backup_stream(&stream(0..4000)).expect("backup");
+        let rep = s.backup_stream(&records(0..4000)).expect("backup");
         let tp = rep.throughput_mibps();
         // At most the 210 MiB/s NIC; at least half of it (flushes, stores).
         assert!(tp <= 211.0, "tp {tp}");
@@ -476,7 +473,7 @@ mod tests {
     #[test]
     fn restore_roundtrip() {
         let mut s = DdfsServer::new(small_cfg());
-        let recs = stream(0..2000);
+        let recs = records(0..2000);
         s.backup_stream(&recs).expect("backup");
         s.finish().expect("finish");
         // Everything backed up is retrievable: each fingerprint resolves

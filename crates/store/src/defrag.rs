@@ -114,7 +114,7 @@ mod tests {
             ids.iter().map(|&c| repo.locate(c).unwrap()).collect();
         assert_eq!(homes.len(), 1);
         for &cid in &ids {
-            assert!(repo.read_anywhere(cid).value.unwrap().is_some());
+            assert!(repo.read(cid).value.unwrap().is_some());
         }
     }
 

@@ -812,10 +812,10 @@ impl ChunkRepository {
     }
 
     /// The nodes holding a copy, in failover order: the replica ring
-    /// (primary first), then — for the presence-scanning paths — any node
-    /// a copy was migrated onto. Down nodes are included (the read loop
-    /// skips them and counts the skip as degradation).
-    fn holders(&self, cid: ContainerId, anywhere: bool) -> Vec<usize> {
+    /// (primary first), then any node a copy was migrated onto. Down nodes
+    /// are included (the read loop skips them and counts the skip as
+    /// degradation).
+    fn holders(&self, cid: ContainerId) -> Vec<usize> {
         let raw = cid.raw();
         if self.reclaimed.contains(&raw) {
             // Tombstoned: stale copies on downed nodes do not count as
@@ -827,19 +827,16 @@ impl ChunkRepository {
             .into_iter()
             .filter(|&n| self.nodes[n].containers.contains_key(&raw))
             .collect();
-        if anywhere {
-            for (n, node) in self.nodes.iter().enumerate() {
-                if node.containers.contains_key(&raw) && !order.contains(&n) {
-                    order.push(n);
-                }
+        for (n, node) in self.nodes.iter().enumerate() {
+            if node.containers.contains_key(&raw) && !order.contains(&n) {
+                order.push(n);
             }
         }
         order
     }
 
-    /// The replica-failover read core shared by [`ChunkRepository::read`],
-    /// [`ChunkRepository::read_metas`] and
-    /// [`ChunkRepository::read_anywhere`]: try each holding node in
+    /// The replica-failover read core shared by [`ChunkRepository::read`]
+    /// and [`ChunkRepository::read_metas`]: try each holding node in
     /// failover order, skipping down nodes; an injected failure (after
     /// any retries the policy allows) or a detected-corrupt copy moves on
     /// to the next replica. A success after a down/faulted skip is a
@@ -850,16 +847,11 @@ impl ChunkRepository {
     /// [`StoreError::Unrecoverable`] when no copy could even be attempted
     /// (every holder down). Every attempt is reported as a leg on the
     /// node it charged ([`NodeRead`]).
-    fn read_one(
-        &mut self,
-        cid: ContainerId,
-        meta_only: bool,
-        anywhere: bool,
-    ) -> NodeRead<Container> {
+    fn read_one(&mut self, cid: ContainerId, meta_only: bool) -> NodeRead<Container> {
         if cid.is_null() {
             return NodeRead::free(Ok(None));
         }
-        let mut candidates = self.holders(cid, anywhere);
+        let mut candidates = self.holders(cid);
         let Some(&first) = candidates.first() else {
             return NodeRead::free(Ok(None));
         };
@@ -986,14 +978,15 @@ impl ChunkRepository {
         Some((read, self.install_clean(node, raw, image)))
     }
 
-    /// Read a container from its replica ring (one random container-sized
-    /// I/O per attempted copy, each reported as a leg on the node it
-    /// charged). Returns a clone — cheap for zero payloads and refcounted
-    /// for real bytes. `Ok(None)` means no ring node holds the container;
-    /// injected faults and detected corruption fail over to surviving
+    /// Read a container wherever a copy lives — its replica ring, then any
+    /// node [`ChunkRepository::migrate`] moved one onto (one random
+    /// container-sized I/O per attempted copy, each reported as a leg on
+    /// the node it charged). Returns a clone — cheap for zero payloads and
+    /// refcounted for real bytes. `Ok(None)` means no node holds the
+    /// container; injected faults and detected corruption fail over to surviving
     /// replicas and surface as typed errors only when every copy is lost.
     pub fn read(&mut self, cid: ContainerId) -> NodeRead<Container> {
-        self.read_one(cid, false, false)
+        self.read_one(cid, false)
     }
 
     /// Read only a container's metadata section (fingerprints): the cheap
@@ -1002,7 +995,7 @@ impl ChunkRepository {
     /// reported like [`ChunkRepository::read`]. Damaged copies fail over
     /// here too — the metadata section is under the same checksum.
     pub fn read_metas(&mut self, cid: ContainerId) -> NodeRead<Vec<debar_hash::Fingerprint>> {
-        let read = self.read_one(cid, true, false);
+        let read = self.read_one(cid, true);
         NodeRead {
             value: read.value.map(|c| c.map(|c| c.fingerprints().collect())),
             legs: read.legs,
@@ -1011,7 +1004,7 @@ impl ChunkRepository {
 
     /// Whether any node holds a copy of the container.
     pub fn contains(&self, cid: ContainerId) -> bool {
-        !cid.is_null() && !self.holders(cid, true).is_empty()
+        !cid.is_null() && !self.holders(cid).is_empty()
     }
 
     /// All container IDs, ascending (each counted once regardless of
@@ -1130,14 +1123,7 @@ impl ChunkRepository {
     /// Locate a container's first copy in failover order (replica ring,
     /// then migrated copies).
     pub fn locate(&self, cid: ContainerId) -> Option<usize> {
-        self.holders(cid, true).into_iter().next()
-    }
-
-    /// Read a container wherever a copy lives (supports migrated
-    /// containers), with the same replica failover and per-node legs as
-    /// [`ChunkRepository::read`].
-    pub fn read_anywhere(&mut self, cid: ContainerId) -> NodeRead<Container> {
-        self.read_one(cid, false, true)
+        self.holders(cid).into_iter().next()
     }
 
     /// How many healthy copies (up node, no recorded damage) exist.
@@ -1161,7 +1147,7 @@ impl ChunkRepository {
     /// The first holder in failover order, excluding `exclude`, that is up
     /// and damage-free — the source a repair copies from.
     fn healthy_source(&self, cid: ContainerId, exclude: usize) -> Option<usize> {
-        self.holders(cid, true)
+        self.holders(cid)
             .into_iter()
             .find(|&n| n != exclude && !self.nodes[n].down && self.nodes[n].clean_copy(cid.raw()))
     }
@@ -1433,16 +1419,19 @@ mod tests {
         let cost = r.migrate(id, 2).expect("exists");
         assert!(cost > 0.0);
         assert_eq!(r.locate(id), Some(2));
-        assert!(
-            r.read(id).value.expect("ok").is_none(),
-            "home node no longer has it"
-        );
+        // The home node no longer has it: both reads follow the copy.
         let got = r
-            .read_anywhere(id)
+            .read(id)
             .value
             .expect("no fault")
             .expect("found after migration");
         assert_eq!(got.len(), 4);
+        let metas = r
+            .read_metas(id)
+            .value
+            .expect("no fault")
+            .expect("metadata found after migration");
+        assert_eq!(metas, got.fingerprints().collect::<Vec<_>>());
         // Self-migration is free.
         assert_eq!(r.migrate(id, 2), Ok(0.0));
         // Unknown container and out-of-range target are typed, not
@@ -1836,9 +1825,9 @@ mod tests {
         // Gone from every lookup path; the survivor is untouched.
         assert!(!r.contains(a));
         assert!(r.locate(a).is_none());
-        assert!(r.read_anywhere(a).value.expect("clean").is_none());
+        assert!(r.read(a).value.expect("clean").is_none());
         assert!(!r.container_ids().contains(&a));
-        assert!(r.read_anywhere(b).value.expect("clean").is_some());
+        assert!(r.read(b).value.expect("clean").is_some());
     }
 
     #[test]
@@ -1877,7 +1866,7 @@ mod tests {
             0,
             "revive must purge the reclaimed copy, not resurrect it"
         );
-        assert!(r.read_anywhere(a).value.expect("clean").is_none());
+        assert!(r.read(a).value.expect("clean").is_none());
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! change it is about. A version is a sequence of [`ChunkRecord`]s;
 //! [`base_version`] draws the previous one and [`Drift::apply`] derives the
 //! next from it. New content never collides with the base.
+//!
+//! The two synthetic streams the figures, suites and unit tests share live
+//! here too: [`records`], the chunks of a counter range, and [`churn`], the
+//! restore-fragmentation history.
 
 use crate::record::ChunkRecord;
 use debar_hash::SplitMix64;
@@ -15,9 +19,36 @@ use debar_hash::SplitMix64;
 /// First counter of the content a drift adds (the base counts from 0).
 const NEW_BASE: u64 = 1 << 40;
 
+/// The chunks of a counter range, one per counter: disjoint ranges share
+/// nothing, overlapping ranges share exactly the overlap.
+pub fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
+    range.map(ChunkRecord::of_counter).collect()
+}
+
 /// A previous version of `chunks` distinct chunks.
 pub fn base_version(chunks: usize) -> Vec<ChunkRecord> {
-    (0..chunks as u64).map(ChunkRecord::of_counter).collect()
+    records(0..chunks as u64)
+}
+
+/// Generation `g` of a churn stream: `n` chunk slots in `k` slices, each
+/// generation `g >= 1` rewriting slice `g % k` with fresh content, so slot
+/// `i` holds what the latest generation `gp <= g` with `gp % k == i % k`
+/// wrote (generation 0's content where none has). A late generation
+/// references containers of up to `k` earlier ones, interleaved chunk by
+/// chunk — the classic restore-fragmentation workload.
+pub fn churn(g: u64, n: u64, k: u64) -> Vec<ChunkRecord> {
+    (0..n)
+        .map(|i| {
+            let r = i % k;
+            // Latest generation <= g that rewrote slice r.
+            let gp = g.saturating_sub((g + k - r) % k);
+            if gp >= 1 {
+                ChunkRecord::of_counter(1_000_000 * gp + i)
+            } else {
+                ChunkRecord::of_counter(i)
+            }
+        })
+        .collect()
 }
 
 /// `version` with a `share` of its positions, drawn at random, overwritten

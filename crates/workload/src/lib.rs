@@ -22,7 +22,8 @@
 //!   pipeline.
 //! * [`drift`] — one previous version and the elementary changes of a next
 //!   one (in place, growing, shrinking, one block), each in isolation, for
-//!   the preliminary filter's position-tracking laws.
+//!   the preliminary filter's position-tracking laws; and the two synthetic
+//!   streams everything else shares, [`drift::records`] and [`drift::churn`].
 
 pub mod drift;
 pub mod files;

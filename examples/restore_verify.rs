@@ -106,7 +106,7 @@ fn main() {
     );
     for &cid in &cids {
         assert!(
-            repo.read_anywhere(cid).value.expect("clean read").is_some(),
+            repo.read(cid).value.expect("clean read").is_some(),
             "container lost by defrag"
         );
     }

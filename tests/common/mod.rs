@@ -181,12 +181,6 @@ impl Scenario {
         self
     }
 
-    /// Builder: inject index loss + repository-scan recovery.
-    pub fn with_recovery(mut self) -> Self {
-        self.failure = Failure::RecoverIndexes;
-        self
-    }
-
     /// Builder: inject an explicit failure kind.
     pub fn with_failure(mut self, failure: Failure) -> Self {
         self.failure = failure;
@@ -204,6 +198,15 @@ impl Scenario {
         self.versions = versions;
         self
     }
+
+    /// A failure kind's target must exist in this deployment.
+    fn require_within(&self, what: &str, i: usize, n: usize) {
+        assert!(
+            i < n,
+            "{}: faulted {what} {i} is out of range: the deployment has {n}",
+            self.name
+        );
+    }
 }
 
 /// One backed-up run the harness will verify and restore.
@@ -217,8 +220,17 @@ struct LedgerEntry {
     sample_bytes: u64,
 }
 
+impl LedgerEntry {
+    fn run(&self) -> RunId {
+        RunId {
+            job: self.job,
+            version: self.version,
+        }
+    }
+}
+
 /// Everything a scenario run produced, for cross-shape comparison.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Outcome {
     /// SHA-1 of every server's raw index-part bytes, in server order.
     pub index_digests: Vec<[u8; 20]>,
@@ -307,44 +319,19 @@ pub fn replication_matrix() -> Vec<usize> {
 /// `capped` / `capped:N` for `Capped { max_refs_per_mib: N }` (default
 /// budget 2).
 pub fn layout_matrix() -> Vec<LayoutMode> {
-    let parse = |tok: &str| -> Option<LayoutMode> {
-        let tok = tok.trim();
-        match tok {
-            "scatter" => Some(LayoutMode::Scatter),
-            "capped" => Some(LayoutMode::Capped {
-                max_refs_per_mib: 2,
-            }),
-            _ => {
-                let n = tok
-                    .strip_prefix("capped:")?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)?;
-                Some(LayoutMode::Capped {
-                    max_refs_per_mib: n,
-                })
-            }
-        }
+    let capped = |n| LayoutMode::Capped {
+        max_refs_per_mib: n,
     };
-    match std::env::var("DEBAR_LAYOUT") {
-        Ok(s) => {
-            let parsed: Vec<LayoutMode> = s.split(',').filter_map(parse).collect();
-            // Same loudness rule as the numeric matrices: a set-but-bogus
-            // variable must fail, not silently run the default layouts.
-            assert!(
-                parsed.len() == s.split(',').count(),
-                "DEBAR_LAYOUT is set but unparsable: {s:?} \
-                 (expected a comma-separated list of scatter|capped|capped:N)"
-            );
-            parsed
-        }
-        Err(_) => vec![
-            LayoutMode::Scatter,
-            LayoutMode::Capped {
-                max_refs_per_mib: 2,
-            },
-        ],
-    }
+    env_tokens(
+        "DEBAR_LAYOUT",
+        "scatter|capped|capped:N",
+        vec![LayoutMode::Scatter, capped(2)],
+        |name, n| match (name, n) {
+            ("scatter", None) => Some(LayoutMode::Scatter),
+            ("capped", n) => Some(capped(n.unwrap_or(2))),
+            _ => None,
+        },
+    )
 }
 
 /// The dedup-mode matrix the suites parameterize over: `{OutOfLine,
@@ -354,40 +341,18 @@ pub fn layout_matrix() -> Vec<LayoutMode> {
 /// way). Tokens: `outofline`, `inline`, or `hybrid` / `hybrid:N` for
 /// `Hybrid { window: N }` (default window 4).
 pub fn mode_matrix() -> Vec<DedupMode> {
-    let parse = |tok: &str| -> Option<DedupMode> {
-        let tok = tok.trim();
-        match tok {
-            "outofline" => Some(DedupMode::OutOfLine),
-            "inline" => Some(DedupMode::Inline),
-            "hybrid" => Some(DedupMode::Hybrid { window: 4 }),
-            _ => {
-                let n = tok
-                    .strip_prefix("hybrid:")?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)?;
-                Some(DedupMode::Hybrid { window: n })
-            }
-        }
-    };
-    match std::env::var("DEBAR_DEDUP_MODE") {
-        Ok(s) => {
-            let parsed: Vec<DedupMode> = s.split(',').filter_map(parse).collect();
-            // Same loudness rule as the numeric matrices: a set-but-bogus
-            // variable must fail, not silently run the default modes.
-            assert!(
-                parsed.len() == s.split(',').count(),
-                "DEBAR_DEDUP_MODE is set but unparsable: {s:?} \
-                 (expected a comma-separated list of outofline|inline|hybrid|hybrid:N)"
-            );
-            parsed
-        }
-        Err(_) => vec![
-            DedupMode::OutOfLine,
-            DedupMode::Inline,
-            DedupMode::Hybrid { window: 4 },
-        ],
-    }
+    let hybrid = |window| DedupMode::Hybrid { window };
+    env_tokens(
+        "DEBAR_DEDUP_MODE",
+        "outofline|inline|hybrid|hybrid:N",
+        vec![DedupMode::OutOfLine, DedupMode::Inline, hybrid(4)],
+        |name, n| match (name, n) {
+            ("outofline", None) => Some(DedupMode::OutOfLine),
+            ("inline", None) => Some(DedupMode::Inline),
+            ("hybrid", n) => Some(hybrid(n.unwrap_or(4))),
+            _ => None,
+        },
+    )
 }
 
 /// The retention-window matrix the GC suites parameterize over: `{1, 2}`
@@ -403,25 +368,37 @@ pub fn retention_matrix() -> Vec<u32> {
 }
 
 fn env_matrix(var: &str, default: &[usize]) -> Vec<usize> {
-    match std::env::var(var) {
-        Ok(s) => {
-            let parsed: Vec<usize> = s
-                .split(',')
-                .filter_map(|p| p.trim().parse().ok())
-                .filter(|&p| p >= 1)
-                .collect();
-            // A set-but-unparsable variable must fail loudly: a silent
-            // fallback would green-light a CI leg that never engaged the
-            // counts its name claims.
-            assert!(
-                !parsed.is_empty(),
+    env_tokens(var, "positive integers", default.to_vec(), |tok, n| {
+        tok.parse().ok().filter(|&p| p >= 1 && n.is_none())
+    })
+}
+
+/// A matrix of axis values: `default`, or `var`'s comma-separated tokens,
+/// each a `name` or `name:N` (`N >= 1`) that `parse` maps to a value. A
+/// set-but-unparsable variable must fail loudly: a silent fallback would
+/// green-light a CI leg that never engaged the values its name claims.
+fn env_tokens<T>(
+    var: &str,
+    grammar: &str,
+    default: Vec<T>,
+    parse: impl Fn(&str, Option<u32>) -> Option<T>,
+) -> Vec<T> {
+    let Ok(s) = std::env::var(var) else {
+        return default;
+    };
+    let token = |tok: &str| match tok.trim().split_once(':') {
+        Some((name, n)) => parse(name, Some(n.parse().ok().filter(|&n| n > 0)?)),
+        None => parse(tok.trim(), None),
+    };
+    s.split(',')
+        .map(token)
+        .collect::<Option<Vec<T>>>()
+        .unwrap_or_else(|| {
+            panic!(
                 "{var} is set but unparsable: {s:?} \
-                 (expected a comma-separated list of positive integers)"
-            );
-            parsed
-        }
-        Err(_) => default.to_vec(),
-    }
+                 (expected a comma-separated list of {grammar})"
+            )
+        })
 }
 
 /// One step of the chaos schedule's LCG (PCG-style multiplier; the high
@@ -444,9 +421,71 @@ pub fn arm_in(
     cluster.arm(device, plan(at)).expect("device in range");
 }
 
-/// Arm `device` to fail outright `k` ops from now.
-fn fail_in(cluster: &mut DebarCluster, device: Device, k: u64) {
-    arm_in(cluster, device, k, FaultPlan::fail_at);
+/// The operation a fault leg aborts, and so the shape of its error.
+enum Faulted<'a> {
+    /// A backup: dedup-1 is fault-checked and reports the bare fault.
+    Backup(JobId, &'a Dataset),
+    /// A dedup-2 round, which must report itself interrupted in this phase.
+    Dedup2(Dedup2Phase),
+    /// A collection, which reports the bare fault — or, having lost every
+    /// copy of a victim to armed repository nodes, `Unrecoverable`.
+    Gc,
+}
+
+const PSIL: Faulted = Faulted::Dedup2(Dedup2Phase::Sil);
+const STORING: Faulted = Faulted::Dedup2(Dedup2Phase::ChunkStoring);
+
+/// One fault leg: arm every device of `armed` to fail `k` ops from now, run
+/// `op`, and require it to fail as its kind reports a fault, with a cause
+/// naming an armed device. Disarms, and returns the error for the leg's own
+/// checks.
+fn faulted(
+    cluster: &mut DebarCluster,
+    sc: &Scenario,
+    armed: &[Device],
+    k: u64,
+    op: Faulted,
+) -> DebarError {
+    for &device in armed {
+        arm_in(cluster, device, k, FaultPlan::fail_at);
+    }
+    let err = match op {
+        Faulted::Backup(job, ds) => cluster.backup(job, ds).map(drop),
+        Faulted::Dedup2(_) => cluster.run_dedup2().map(drop),
+        Faulted::Gc => cluster.run_gc().map(drop),
+    }
+    .expect_err("an armed fault must abort the operation");
+    let cause = match (&err, &op) {
+        (DebarError::InterruptedDedup2 { phase, cause, .. }, Faulted::Dedup2(p)) if phase == p => {
+            cause
+        }
+        (_, Faulted::Dedup2(phase)) => panic!(
+            "{}: expected InterruptedDedup2({phase:?}), got {err}",
+            sc.name
+        ),
+        (err, _) => err,
+    };
+    let named = match cause {
+        DebarError::DeviceFault { device, .. } => armed.contains(device),
+        DebarError::Unrecoverable { node, .. } => {
+            matches!(op, Faulted::Gc) && armed.contains(&Device::RepoNode(*node))
+        }
+        _ => false,
+    };
+    assert!(
+        named,
+        "{}: the cause must name an armed device ({armed:?}), got {cause}",
+        sc.name
+    );
+    cluster.clear_fault_plans();
+    err
+}
+
+/// Every repository node, as fault-leg devices.
+fn repo_nodes(cluster: &DebarCluster) -> Vec<Device> {
+    (0..cluster.repository().node_count())
+        .map(Device::RepoNode)
+        .collect()
 }
 
 /// Arm one seeded round of transient chaos: every repository node gets a
@@ -496,6 +535,32 @@ pub fn within_lanes(result: DebarResult<RestoreReport>) -> DebarResult<RestoreRe
     result
 }
 
+/// A loss (`what`) no clean copy covers must be *typed*, never a panic or
+/// silent corruption. Strictly restored, every run of the ledger restores or
+/// fails with the error `lost` accepts — the one naming the culprit; anything
+/// else is a panic — and at least one fails; the verify audit, whose walks
+/// complete, counts failures too.
+fn assert_loss_typed(
+    cluster: &mut DebarCluster,
+    sc: &Scenario,
+    ledger: &[LedgerEntry],
+    what: &str,
+    lost: impl Fn(&DebarError) -> bool,
+) {
+    let mut detected = 0u64;
+    for entry in ledger {
+        match within_lanes(cluster.restore_run(entry.run())) {
+            Ok(_) => {}
+            Err(e) if lost(&e) => detected += 1,
+            Err(e) => panic!("{}: unexpected restore error {e}", sc.name),
+        }
+    }
+    let audit = |e: &LedgerEntry| within_lanes(cluster.verify_run(e.run())).expect("audit walks");
+    let audit_failures: u64 = ledger.iter().map(audit).map(|v| v.failures).sum();
+    assert!(detected > 0, "{}: no restore touched the {what}", sc.name);
+    assert!(audit_failures > 0, "{}: audit missed the {what}", sc.name);
+}
+
 /// Drive one scenario end to end and collect its [`Outcome`].
 ///
 /// Workload: every client's tree derives from one shared base tree (pool
@@ -525,24 +590,8 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
 
     let mut ledger: Vec<LedgerEntry> = Vec::new();
     let mut out = Outcome {
-        index_digests: Vec::new(),
-        index_entries: 0,
-        stored_chunks: 0,
-        stored_bytes: 0,
-        logical_bytes: 0,
-        restored_bytes: 0,
-        file_restore_bytes: 0,
-        restore_failures: 0,
-        verify_failures: 0,
-        sweep_parts_engaged: 0,
-        gc_dead_fps: 0,
-        gc_reclaimed: 0,
-        physical_bytes: 0,
         replication: sc.cfg.replication,
-        retried_ops: 0,
-        sil_wall: 0.0,
-        siu_wall: 0.0,
-        dedup2_wall: 0.0,
+        ..Outcome::default()
     };
 
     for version in 0..sc.versions {
@@ -559,24 +608,10 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                 // director's server assignment is deterministic but not
                 // known here, so arm every server's log volume; only the
                 // assigned one can fire.
-                for server in 0..cluster.server_count() as u16 {
-                    fail_in(&mut cluster, Device::LogWorker { server, worker: 0 }, 2);
-                }
-                let err = cluster
-                    .backup(job, &ds)
-                    .expect_err("injected log fault must abort dedup-1");
-                assert!(
-                    matches!(
-                        err,
-                        DebarError::DeviceFault {
-                            device: Device::LogWorker { worker: 0, .. },
-                            ..
-                        }
-                    ),
-                    "{}: expected a fault on a chunk-log volume, got {err}",
-                    sc.name
-                );
-                cluster.clear_fault_plans();
+                let volumes: Vec<Device> = (0..cluster.server_count() as u16)
+                    .map(|server| Device::LogWorker { server, worker: 0 })
+                    .collect();
+                faulted(&mut cluster, sc, &volumes, 2, Faulted::Backup(job, &ds));
                 // The retried run below converges; the aborted run's
                 // stray log records are discarded at chunk storing.
             }
@@ -591,53 +626,27 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                 sample_bytes: sample.data.len() as u64,
             });
         }
-        if let Failure::PartDiskFault { part } = sc.failure {
-            if version == sc.versions - 1 {
-                assert!(
-                    part < sc.cfg.sweep_parts,
-                    "{}: faulted part {part} must be within the {}-way stripe",
-                    sc.name,
-                    sc.cfg.sweep_parts
-                );
+        // The dedup-2 fault legs all hit the final round; each resumed
+        // round converges (compared byte-for-byte against the
+        // Failure::None scenario by the failure_kinds suite).
+        let final_round = version == sc.versions - 1;
+        match sc.failure {
+            Failure::PartDiskFault { part } if final_round => {
+                sc.require_within("sweep part", part, sc.cfg.sweep_parts);
                 // Fail exactly one part-disk of server 0's striped PSIL.
                 let armed = Device::IndexPart {
                     server: 0,
                     part: part as u32,
                 };
-                fail_in(&mut cluster, armed, 0);
-                let err = cluster
-                    .run_dedup2()
-                    .expect_err("injected part-disk fault must interrupt PSIL");
-                let DebarError::InterruptedDedup2 {
-                    phase: Dedup2Phase::Sil,
-                    server: 0,
-                    ref cause,
-                    ..
-                } = err
-                else {
-                    panic!(
-                        "{}: expected InterruptedDedup2(Sil) on server 0, got {err}",
-                        sc.name
-                    );
-                };
+                let err = faulted(&mut cluster, sc, &[armed], 0, PSIL);
                 assert!(
-                    matches!(**cause, DebarError::DeviceFault { device, .. } if device == armed),
-                    "{}: cause must name part-disk {part}, got {cause}",
+                    matches!(err, DebarError::InterruptedDedup2 { server: 0, .. }),
+                    "{}: expected PSIL interrupted on server 0, got {err}",
                     sc.name
                 );
-                cluster.clear_fault_plans();
-                // The resumed round converges (compared byte-for-byte
-                // against the Failure::None scenario by failure_kinds).
             }
-        }
-        if let Failure::ChunkLogDrainFault { worker } = sc.failure {
-            if version == sc.versions - 1 {
-                assert!(
-                    worker < sc.cfg.store_workers,
-                    "{}: faulted worker {worker} must be within the {}-way drain stripe",
-                    sc.name,
-                    sc.cfg.store_workers
-                );
+            Failure::ChunkLogDrainFault { worker } if final_round => {
+                sc.require_within("store worker", worker, sc.cfg.store_workers);
                 // Fail exactly one worker disk of server 0's striped
                 // chunk-log drain, mid-pipeline.
                 let log_before = cluster.server(0).log_bytes();
@@ -645,26 +654,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                     server: 0,
                     worker: worker as u32,
                 };
-                fail_in(&mut cluster, armed, 0);
-                let err = cluster
-                    .run_dedup2()
-                    .expect_err("injected drain-worker fault must interrupt the round");
-                let DebarError::InterruptedDedup2 {
-                    phase: Dedup2Phase::ChunkStoring,
-                    ref cause,
-                    ..
-                } = err
-                else {
-                    panic!(
-                        "{}: expected InterruptedDedup2(ChunkStoring), got {err}",
-                        sc.name
-                    );
-                };
-                assert!(
-                    matches!(**cause, DebarError::DeviceFault { device, .. } if device == armed),
-                    "{}: cause must name worker disk {worker}, got {cause}",
-                    sc.name
-                );
+                faulted(&mut cluster, sc, &[armed], 0, STORING);
                 assert_eq!(
                     cluster.server(0).log_bytes(),
                     log_before,
@@ -678,83 +668,34 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
                         sc.name
                     );
                 }
-                cluster.clear_fault_plans();
-                // The resumed round converges (compared byte-for-byte
-                // against the Failure::None scenario by failure_kinds).
             }
-        }
-        if let Failure::RepoNodeFault { node } = sc.failure {
-            if version == sc.versions - 1 {
-                assert!(
-                    node < cluster.repository().node_count(),
-                    "{}: faulted node {node} must be within the {}-node repository",
-                    sc.name,
-                    cluster.repository().node_count()
-                );
+            Failure::RepoNodeFault { node } if final_round => {
+                let nodes = cluster.repository().node_count();
+                sc.require_within("repository node", node, nodes);
                 // Fail exactly one repository node's next container
                 // write. The round's first new container gets the next
                 // sequential ID (= logical containers stored so far), and
                 // its replica ring covers `replication` nodes from
                 // `id % nodes` — redirect onto that ring if round-robin
                 // would miss the requested node entirely.
-                let nodes = cluster.repository().node_count();
                 let first = (cluster.repository().stats().containers % nodes as u64) as usize;
-                let node = if (node + nodes - first) % nodes < sc.cfg.replication {
-                    node
+                let armed = if (node + nodes - first) % nodes < sc.cfg.replication {
+                    Device::RepoNode(node)
                 } else {
-                    first
+                    Device::RepoNode(first)
                 };
-                fail_in(&mut cluster, Device::RepoNode(node), 0);
-                let err = cluster
-                    .run_dedup2()
-                    .expect_err("injected node fault must interrupt the round");
-                let DebarError::InterruptedDedup2 {
-                    phase: Dedup2Phase::ChunkStoring,
-                    ref cause,
-                    ..
-                } = err
-                else {
-                    panic!(
-                        "{}: expected InterruptedDedup2(ChunkStoring), got {err}",
-                        sc.name
-                    );
-                };
-                assert!(
-                    matches!(**cause, DebarError::DeviceFault { device, .. }
-                        if device == Device::RepoNode(node)),
-                    "{}: cause must name repository node {node}, got {cause}",
-                    sc.name
-                );
-                cluster.clear_fault_plans();
-                // The resumed round converges (compared byte-for-byte
-                // against the Failure::None scenario by failure_kinds).
+                faulted(&mut cluster, sc, &[armed], 0, STORING);
             }
-        }
-        if sc.failure == Failure::InterruptDedup2 && version == sc.versions - 1 {
-            // Crash the final round's chunk storing: whichever repository
-            // node takes the round's first container write fails it.
-            for n in 0..cluster.repository().node_count() {
-                fail_in(&mut cluster, Device::RepoNode(n), 0);
+            Failure::InterruptDedup2 if final_round => {
+                // Crash the final round's chunk storing: whichever
+                // repository node takes the round's first container write
+                // fails it.
+                let nodes = repo_nodes(&cluster);
+                faulted(&mut cluster, sc, &nodes, 0, STORING);
             }
-            let err = cluster
-                .run_dedup2()
-                .expect_err("injected store fault must interrupt the round");
-            assert!(
-                matches!(
-                    &err,
-                    DebarError::InterruptedDedup2 {
-                        phase: Dedup2Phase::ChunkStoring,
-                        ..
-                    }
-                ),
-                "{}: expected InterruptedDedup2(ChunkStoring), got {err}",
-                sc.name
-            );
-            cluster.clear_fault_plans();
-            // The resumed round converges (compared byte-for-byte against
-            // the Failure::None scenario by the failure_kinds suite).
+            _ => {}
         }
-        if sc.cfg.retention > 0 && version == sc.versions - 1 {
+        if sc.cfg.retention > 0 && final_round {
             // With staged dedup-2 state a chunk's liveness is undecidable:
             // GC must refuse to race the in-flight backup, typed.
             let err = cluster
@@ -834,57 +775,27 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             );
         }
         let phys_before = cluster.repository().physical_data_bytes();
-        let mut gc_was_faulted = false;
-        match sc.failure {
+        let gc_was_faulted = match sc.failure {
             Failure::GcFault => {
                 // Arm every server's index volume on its *next* op:
                 // compaction touches no index disk, so the first armed op
                 // is the GC sweep's striped read charge.
-                for server in 0..cluster.server_count() as u16 {
-                    fail_in(&mut cluster, Device::IndexPart { server, part: 0 }, 0);
-                }
-                let err = cluster
-                    .run_gc()
-                    .expect_err("armed index disk must fault the GC sweep");
-                assert!(
-                    matches!(
-                        err,
-                        DebarError::DeviceFault {
-                            device: Device::IndexPart { part: 0, .. },
-                            ..
-                        }
-                    ),
-                    "{}: expected an index-volume fault from the GC sweep, got {err}",
-                    sc.name
-                );
-                cluster.clear_fault_plans();
-                gc_was_faulted = true;
+                let volumes: Vec<Device> = (0..cluster.server_count() as u16)
+                    .map(|server| Device::IndexPart { server, part: 0 })
+                    .collect();
+                faulted(&mut cluster, sc, &volumes, 0, Faulted::Gc);
+                true
             }
             Failure::CompactionFault => {
                 // Arm every repository node: whichever node takes GC's
-                // first victim read (or compaction store) faults it.
-                for n in 0..cluster.repository().node_count() {
-                    fail_in(&mut cluster, Device::RepoNode(n), 0);
-                }
-                let err = cluster
-                    .run_gc()
-                    .expect_err("armed repo node must fault the GC compaction");
-                assert!(
-                    matches!(
-                        err,
-                        DebarError::DeviceFault {
-                            device: Device::RepoNode(_),
-                            ..
-                        } | DebarError::Unrecoverable { .. }
-                    ),
-                    "{}: expected a typed repository fault from compaction, got {err}",
-                    sc.name
-                );
-                cluster.clear_fault_plans();
-                gc_was_faulted = true;
+                // first victim read (or compaction store) faults it — or
+                // all of a victim's holders do, and it is unrecoverable.
+                let nodes = repo_nodes(&cluster);
+                faulted(&mut cluster, sc, &nodes, 0, Faulted::Gc);
+                true
             }
-            _ => {}
-        }
+            _ => false,
+        };
         // Reclaimed bytes are monotone: an aborted attempt never grows
         // the repository.
         let phys_mid = cluster.repository().physical_data_bytes();
@@ -956,12 +867,8 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
     }
 
     if let Failure::RepoNodeDown { node } = sc.failure {
-        assert!(
-            node < cluster.repository().node_count(),
-            "{}: downed node {node} must be within the {}-node repository",
-            sc.name,
-            cluster.repository().node_count()
-        );
+        let nodes = cluster.repository().node_count();
+        sc.require_within("repository node", node, nodes);
         cluster.set_repo_node_down(node).expect("node in range");
         if sc.cfg.replication >= 2 {
             // Degraded but survivable: every run verifies and restores
@@ -969,10 +876,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
             // degraded reads are surfaced in the restore reports.
             let mut failover = 0u64;
             for entry in &ledger {
-                let run = RunId {
-                    job: entry.job,
-                    version: entry.version,
-                };
+                let run = entry.run();
                 let v = within_lanes(cluster.verify_run(run)).expect("degraded verify walks");
                 assert_eq!(
                     v.failures, 0,
@@ -1008,37 +912,13 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         } else {
             // No replicas: the loss must be *typed*, never a panic or
             // silent corruption — and a revive restores the data.
-            let mut detected = 0u64;
-            for entry in &ledger {
-                let run = RunId {
-                    job: entry.job,
-                    version: entry.version,
-                };
-                match within_lanes(cluster.restore_run(run)) {
-                    Ok(_) => {}
-                    Err(DebarError::Unrecoverable { node: n, .. }) => {
-                        assert_eq!(n, node, "{}: wrong node blamed", sc.name);
-                        detected += 1;
-                    }
-                    Err(e) => panic!("{}: unexpected restore error {e}", sc.name),
-                }
-            }
-            assert!(
-                detected > 0,
-                "{}: no restore touched the downed node",
-                sc.name
+            assert_loss_typed(
+                &mut cluster,
+                sc,
+                &ledger,
+                "downed node",
+                |e| matches!(e, DebarError::Unrecoverable { node: n, .. } if *n == node),
             );
-            let mut audit_failures = 0u64;
-            for entry in &ledger {
-                let run = RunId {
-                    job: entry.job,
-                    version: entry.version,
-                };
-                audit_failures += within_lanes(cluster.verify_run(run))
-                    .expect("audit walks")
-                    .failures;
-            }
-            assert!(audit_failures > 0, "{}: audit missed the loss", sc.name);
             // Repair refuses — there is nothing to copy from — and the
             // refusal changes nothing.
             let err = cluster
@@ -1062,40 +942,14 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         cluster
             .set_damage(target, Some(Damage::BitFlip))
             .expect("container exists");
-        // Detected on restore: at least one run's strict restore fails
-        // with the typed error naming the damaged container.
-        let mut detected = 0u64;
-        for entry in &ledger {
-            let run = RunId {
-                job: entry.job,
-                version: entry.version,
-            };
-            match within_lanes(cluster.restore_run(run)) {
-                Ok(_) => {}
-                Err(DebarError::CorruptContainer { container, .. }) => {
-                    assert_eq!(container, target, "{}: wrong container blamed", sc.name);
-                    detected += 1;
-                }
-                Err(e) => panic!("{}: unexpected restore error {e}", sc.name),
-            }
-        }
-        assert!(
-            detected > 0,
-            "{}: no restore touched the corrupt container",
-            sc.name
+        // Detected on restore and by the verify audit, naming the container.
+        assert_loss_typed(
+            &mut cluster,
+            sc,
+            &ledger,
+            "corrupt container",
+            |e| matches!(e, DebarError::CorruptContainer { container, .. } if *container == target),
         );
-        // Detected by the verify audit: failures counted, walk completes.
-        let mut audit_failures = 0u64;
-        for entry in &ledger {
-            let run = RunId {
-                job: entry.job,
-                version: entry.version,
-            };
-            audit_failures += within_lanes(cluster.verify_run(run))
-                .expect("verify walks")
-                .failures;
-        }
-        assert!(audit_failures > 0, "{}: audit missed corruption", sc.name);
         // Detected on the §4.1 recovery rebuild: the repository scan
         // refuses to rebuild an index from a corrupt container.
         let err = cluster
@@ -1139,10 +993,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
     let mut lpc_hits = 0u64;
     let mut lpc_lookups = 0u64;
     for entry in &ledger {
-        let run = RunId {
-            job: entry.job,
-            version: entry.version,
-        };
+        let run = entry.run();
         let v = within_lanes(cluster.verify_run(run)).expect("verify");
         out.verify_failures += v.failures;
         let r = within_lanes(cluster.restore_run(run)).expect("restore");
@@ -1235,26 +1086,26 @@ pub fn assert_same_restore(base: &Outcome, other: &Outcome, label: &str) {
     );
     assert_eq!(
         base.restored_bytes, other.restored_bytes,
-        "{label}: restored bytes diverged across layouts"
+        "{label}: restored bytes diverged"
     );
     assert_eq!(
         base.file_restore_bytes, other.file_restore_bytes,
-        "{label}: partial-restore bytes diverged across layouts"
+        "{label}: partial-restore bytes diverged"
     );
     assert_eq!(other.restore_failures, 0, "{label}: restore failures");
     assert_eq!(other.verify_failures, 0, "{label}: verify failures");
     assert_eq!(
         base.index_entries, other.index_entries,
-        "{label}: a rewrite repoints entries, it must never add or drop any"
+        "{label}: entries (a rewrite repoints them, it must never add or drop any)"
     );
 }
 
-/// The shape-independent half of [`assert_equivalent`]: same dedup
-/// decisions and restore results, but index layouts may differ (used
-/// when comparing *different server counts* on one workload, where
-/// entries split differently across parts).
+/// The shape-independent half of [`assert_equivalent`]: same restore
+/// results ([`assert_same_restore`]) *and* same dedup decisions, but index
+/// layouts may differ (used when comparing *different server counts* on
+/// one workload, where entries split differently across parts).
 pub fn assert_same_dedup(base: &Outcome, other: &Outcome, label: &str) {
-    assert_eq!(base.index_entries, other.index_entries, "{label}: entries");
+    assert_same_restore(base, other, label);
     assert_eq!(
         base.stored_chunks, other.stored_chunks,
         "{label}: stored chunks"
@@ -1263,18 +1114,4 @@ pub fn assert_same_dedup(base: &Outcome, other: &Outcome, label: &str) {
         base.stored_bytes, other.stored_bytes,
         "{label}: stored bytes"
     );
-    assert_eq!(
-        base.logical_bytes, other.logical_bytes,
-        "{label}: workload drifted — scenario not deterministic"
-    );
-    assert_eq!(
-        base.restored_bytes, other.restored_bytes,
-        "{label}: restored bytes"
-    );
-    assert_eq!(
-        base.file_restore_bytes, other.file_restore_bytes,
-        "{label}: partial-restore bytes"
-    );
-    assert_eq!(other.restore_failures, 0, "{label}: restore failures");
-    assert_eq!(other.verify_failures, 0, "{label}: verify failures");
 }

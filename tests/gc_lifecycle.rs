@@ -26,7 +26,7 @@ mod common;
 
 use common::{
     assert_equivalent, replication_matrix, retention_matrix, run_scenario, sweep_parts_matrix,
-    Outcome, Scenario,
+    Failure, Outcome, Scenario,
 };
 use debar::hash::Sha1;
 use debar::workload::ChunkRecord;
@@ -117,7 +117,7 @@ fn index_recovery_rebuild_converges_after_gc() {
         let out = run_scenario(
             &Scenario::tiny("gc-recover", 0, parts)
                 .with_cfg(|c| c.with_retention(1))
-                .with_recovery(),
+                .with_failure(Failure::RecoverIndexes),
         );
         if let Some((p0, base)) = outs.first() {
             assert_equivalent(

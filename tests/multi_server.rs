@@ -5,16 +5,13 @@
 mod common;
 
 use common::{assert_equivalent, assert_same_dedup, run_scenario, Scenario};
-use debar::workload::{ChunkRecord, MultiStreamConfig, MultiStreamGen};
+use debar::workload::drift::records;
+use debar::workload::{MultiStreamConfig, MultiStreamGen};
 use debar::{ClientId, Dataset, DebarCluster, DebarConfig, Fingerprint, JobId, RunId};
 use std::collections::HashSet;
 
 fn cluster(w: u32) -> DebarCluster {
     DebarCluster::new(DebarConfig::tiny_test(w))
-}
-
-fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-    range.map(ChunkRecord::of_counter).collect()
 }
 
 #[test]

@@ -5,12 +5,8 @@ use debar::ddfs::{DdfsConfig, DdfsServer};
 use debar::filter::bloom::false_positive_rate;
 use debar::index::theory::{predicted_exit_eta, UtilizationSim};
 use debar::index::{DiskIndex, IndexCache, IndexParams};
-use debar::workload::ChunkRecord;
+use debar::workload::drift::records;
 use debar::{ClientId, ContainerId, Dataset, DebarCluster, DebarConfig, Fingerprint};
-
-fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-    range.map(ChunkRecord::of_counter).collect()
-}
 
 #[test]
 fn sil_beats_random_lookup_by_orders_of_magnitude() {

@@ -6,7 +6,9 @@
 
 mod common;
 
-use common::{assert_equivalent, assert_same_dedup, run_scenario, sweep_parts_matrix, Scenario};
+use common::{
+    assert_equivalent, assert_same_dedup, run_scenario, sweep_parts_matrix, Failure, Scenario,
+};
 use debar::workload::files::{FileTreeConfig, FileTreeGen};
 use debar::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
 
@@ -34,11 +36,14 @@ fn index_loss_recoverable_across_striped_matrix() {
     // state must also be byte-identical across partition counts (the
     // striped rebuild writes the same bucket array, just over more
     // part-disks).
-    let base = run_scenario(&Scenario::tiny("rec-loss", 1, 1).with_recovery());
+    let base =
+        run_scenario(&Scenario::tiny("rec-loss", 1, 1).with_failure(Failure::RecoverIndexes));
     assert_eq!(base.verify_failures, 0);
     assert_eq!(base.restore_failures, 0);
     for parts in sweep_parts_matrix().into_iter().filter(|&p| p != 1) {
-        let striped = run_scenario(&Scenario::tiny("rec-loss", 1, parts).with_recovery());
+        let striped = run_scenario(
+            &Scenario::tiny("rec-loss", 1, parts).with_failure(Failure::RecoverIndexes),
+        );
         assert_equivalent(&base, &striped, &format!("recovery parts={parts}"));
     }
 }
@@ -53,7 +58,8 @@ fn recovery_outcome_matches_unfailed_run() {
     // resolvability, not layout, is the recovery contract.)
     for parts in [1usize, 2] {
         let healthy = run_scenario(&Scenario::tiny("rec-eq", 1, parts));
-        let recovered = run_scenario(&Scenario::tiny("rec-eq", 1, parts).with_recovery());
+        let recovered =
+            run_scenario(&Scenario::tiny("rec-eq", 1, parts).with_failure(Failure::RecoverIndexes));
         assert_same_dedup(
             &healthy,
             &recovered,

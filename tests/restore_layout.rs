@@ -22,27 +22,8 @@
 mod common;
 
 use common::{assert_equivalent, run_scenario, sweep_parts_matrix, Scenario};
-use debar::workload::ChunkRecord;
+use debar::workload::drift::churn;
 use debar::{ClientId, Dataset, DebarCluster, DebarConfig, JobId, LayoutMode, RunId};
-
-/// Churn workload: `n` chunk slots in `k` slices; generation `g >= 1`
-/// rewrites slice `g % k`, so slot `i` carries the content of the latest
-/// generation `gp <= g` with `gp % k == i % k`. Late generations
-/// interleave chunks from up to `k` past generations' containers
-/// chunk-by-chunk — the classic dedup fragmentation shape.
-fn churn(g: u64, n: u64, k: u64) -> Vec<ChunkRecord> {
-    (0..n)
-        .map(|i| {
-            let r = i % k;
-            let gp = g.saturating_sub((g + k - r) % k);
-            if gp >= 1 {
-                ChunkRecord::of_counter(1_000_000 * gp + i)
-            } else {
-                ChunkRecord::of_counter(i)
-            }
-        })
-        .collect()
-}
 
 const N: u64 = 600;
 const K: u64 = 12;

@@ -6,12 +6,8 @@
 
 mod common;
 
-use debar::workload::ChunkRecord;
+use debar::workload::drift::records;
 use debar::{ClientId, Dataset, DebarCluster, DebarConfig, DebarError, RunId};
-
-fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-    range.map(ChunkRecord::of_counter).collect()
-}
 
 #[test]
 fn full_scaling_ladder_preserves_everything() {

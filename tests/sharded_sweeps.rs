@@ -9,12 +9,8 @@
 mod common;
 
 use common::sweep_parts_matrix;
-use debar::workload::ChunkRecord;
+use debar::workload::drift::records;
 use debar::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
-
-fn records(range: std::ops::Range<u64>) -> Vec<ChunkRecord> {
-    range.map(ChunkRecord::of_counter).collect()
-}
 
 fn run_cluster(parts: usize) -> (u64, u64, u64, f64, u64) {
     let mut c = DebarCluster::new(DebarConfig::tiny_test(2).with_sweep_parts(parts));
