@@ -14,10 +14,11 @@
 //!    chunk counts at every generation; capping moves chunks, never
 //!    content.
 //! 2. **Scatter pays for fragmentation in node reads, Capped does not**
-//!    — under `Scatter` the latest generation's containers-per-MiB and
-//!    the repository-disk seconds it costs per restored MiB
+//!    — under `Scatter` the latest generation's containers-per-MiB, the
+//!    node bytes read per byte restored (`read_amp`: every miss fetches a
+//!    whole container) and the repository-disk seconds per restored MiB
 //!    (`RestoreReport::node_read_total_s` over the bytes) grow with the
-//!    generation count; under `Capped` both stay within a constant
+//!    generation count; under `Capped` all three stay within a constant
 //!    factor of generation 1, and so does its throughput.
 //! 3. **GC-visible rewrites** — expiring all but the newest
 //!    `RETENTION` generations and collecting reclaims the dead *and*
@@ -31,10 +32,18 @@
 //! the same walk costs with nothing overlapped (`serial_s()`). The
 //! pipeline hides Scatter's extra reads behind the client stream on this
 //! 2-node repository — over 30 generations the serial column decays
-//! 189 → 72 MiB/s, the pipelined one 189 → 155 — while Capped, which
+//! 189 → 75 MiB/s, the pipelined one 189 → 158 — while Capped, which
 //! restores cold after every rewrite, ends below Scatter: at this scale
 //! it pays 2.7x the physical bytes for a bound the pipeline already
-//! gives (ROADMAP item 3, "axes that do not pay").
+//! gives (ROADMAP item 3, "axes that do not pay"). `refetch` (fetches
+//! per distinct container needed) is what the walk's recipe-aware
+//! eviction works on. Scatter restores each generation on the cache the
+//! one before left; at generation 17 the working set first outgrows it
+//! (33 containers, 32 slots), which cost LRU 16 fetches and costs this
+//! walk 2 (`refetch` 0.06), and from there the column climbs only as
+//! the recipe needs containers that cannot all stay — 0.36 at generation
+//! 29. What is left of `read_amp` is whole-container reads for a few
+//! chunks each, which only ranged reads can take (ROADMAP item 6).
 //! Writes `BENCH_restore.json` into the workspace root and prints the
 //! table. Run:
 //!
@@ -55,6 +64,10 @@ use debar_simio::throughput::mibps;
 use debar_workload::drift::churn;
 
 const RETENTION: u32 = 2;
+/// Small containers + a tight LPC make fragmentation visible at bench
+/// scale: the scattered working set outgrows the cache, the capped one
+/// fits it.
+const CONTAINER_BYTES: u64 = 1 << 20;
 
 /// One run's scale knobs (full vs smoke).
 struct Scale {
@@ -68,10 +81,7 @@ fn cluster(layout: LayoutMode, denom: u64, scale: &Scale) -> (DebarCluster, JobI
     let mut cfg = DebarConfig::single_server_scaled(denom)
         .with_layout(layout)
         .with_retention(RETENTION);
-    // Small containers + a tight LPC make fragmentation visible at bench
-    // scale: the scattered working set outgrows the cache, the capped one
-    // fits it.
-    cfg.container_bytes = 1 << 20;
+    cfg.container_bytes = CONTAINER_BYTES;
     cfg.lpc_containers = scale.lpc_containers;
     cfg.siu_interval = 1;
     cfg.validate();
@@ -85,6 +95,19 @@ fn node_ms_per_mib(r: &RestoreReport) -> f64 {
     1e3 * r.node_read_total_s / (r.bytes as f64 / MIB)
 }
 
+/// Read amplification: node bytes read per byte restored. Every LPC miss
+/// fetches one whole container, however few of its chunks the recipe
+/// needs.
+fn read_amp(r: &RestoreReport) -> f64 {
+    (r.lpc.misses * CONTAINER_BYTES) as f64 / r.bytes as f64
+}
+
+/// Fetches per distinct container the restore needed: 1 when nothing
+/// evicted had to be read again.
+fn refetch(r: &RestoreReport) -> f64 {
+    r.lpc.misses as f64 / r.layout.containers_touched as f64
+}
+
 /// One generation's restore on one layout, with the bytes its dedup-2
 /// rewrote. `serial_mibps` is the same walk with nothing overlapped.
 fn row(r: &RestoreReport, rewritten_bytes: u64) -> Vec<Cell> {
@@ -93,6 +116,8 @@ fn row(r: &RestoreReport, rewritten_bytes: u64) -> Vec<Cell> {
         Cell::F(r.throughput_mibps(), 2),
         Cell::F(mibps(r.bytes, r.serial_s()), 2),
         Cell::F(node_ms_per_mib(r), 4),
+        Cell::F(read_amp(r), 4),
+        Cell::F(refetch(r), 4),
         Cell::F(r.layout.containers_per_mib(), 4),
         Cell::F(r.layout.mean_run_length(), 4),
         Cell::F(r.lpc_hit_ratio(), 4),
@@ -133,11 +158,13 @@ fn main() {
         &scale,
     );
 
-    const COLUMNS: [&str; 8] = [
+    const COLUMNS: [&str; 10] = [
         "gen",
         "restore_mibps",
         "serial_mibps",
         "node_read_ms_per_mib",
+        "read_amp",
+        "refetch",
         "containers_per_mib",
         "mean_run_length",
         "lpc_hit_ratio",
@@ -207,6 +234,13 @@ fn main() {
         node_ms_per_mib(s_last)
     );
     assert!(
+        read_amp(s_last) >= 1.5 * read_amp(s1),
+        "Scatter must pay for fragmentation in bytes read: \
+         gen1 {:.2}x vs last {:.2}x the bytes restored",
+        read_amp(s1),
+        read_amp(s_last)
+    );
+    assert!(
         per_mib(c_last) <= 1.5 * per_mib(c1).max(1.0),
         "Capped read amplification must stay bounded: gen1 {:.2}/MiB vs last {:.2}/MiB",
         per_mib(c1),
@@ -217,6 +251,12 @@ fn main() {
         "Capped node reads must stay bounded: gen1 {:.3} ms/MiB vs last {:.3} ms/MiB",
         node_ms_per_mib(c1),
         node_ms_per_mib(c_last)
+    );
+    assert!(
+        read_amp(c_last) <= 1.5 * read_amp(c1),
+        "Capped read amplification must stay bounded: gen1 {:.2}x vs last {:.2}x",
+        read_amp(c1),
+        read_amp(c_last)
     );
     assert!(
         c_last.throughput_mibps() >= 0.5 * c1.throughput_mibps(),

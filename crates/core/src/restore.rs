@@ -5,9 +5,9 @@
 //! devices in exactly the order a serial walk would — LPC lookup, on a
 //! miss the owning part's random index lookup, then the container read
 //! with its failover legs — so op counters, fault offsets, cache counters
-//! and every byte restored are those of the serial walk. What differs is
-//! **when** each device is busy. Every device is a FIFO
-//! [`debar_simio::Lane`]:
+//! and every byte restored are those of a serial walk that evicts as this
+//! one does (the last rule below). What differs is **when** each device
+//! is busy. Every device is a FIFO [`debar_simio::Lane`]:
 //!
 //! | lane | carries |
 //! |---|---|
@@ -15,7 +15,7 @@
 //! | one per repository node | that node's container reads: failed and retried attempts, the serving read, read-repair writes — [`debar_store::ReadLegs`] says which node each attempt charged |
 //! | send | the restoring server's NIC streaming verified chunks to the client, in recipe order |
 //!
-//! and the data dependencies between them are:
+//! and the dependencies between them are:
 //!
 //! * **Read-ahead on unverified metadata.** A container's metadata section
 //!   precedes its data section (paper §3.4), so `data_tail` seconds before
@@ -38,6 +38,40 @@
 //!   client has seen nothing of. With one node, reads and sends take
 //!   turns; an audit sends nothing and is never held back.
 //!
+//! * **The walk chooses its victim from its recipe.** A restore, unlike a
+//!   backup, holds its whole recipe before it reads a byte, so on a miss
+//!   with the cache full it does not leave the eviction to recency. Among
+//!   the resident containers **whose slot is already free when the fetch
+//!   could start** — last chunk sent by the time the resolver is there and
+//!   the read-ahead depth allows (the two things a fetch waits for
+//!   anyway) — it gives up the one whose next use in the rest of the
+//!   recipe is farthest, one never needed again first, ties to the
+//!   coldest; when no slot is free yet, the one that frees soonest
+//!   (`choose_victim`). The fetched container then enters through the
+//!   same `BackupServer::cache_container` as a backup's prefetch, whose
+//!   LRU has nothing left to evict. What the rule reads is a small index
+//!   private to the walk (`RecipeIndex`): fingerprint → the recipe
+//!   positions of the entries this walk visits (so a single-file restore
+//!   and the audit index exactly what they walk), and per resident
+//!   container the ascending positions it supplies *as the LPC would
+//!   answer them*, with a cursor. It is built on the first miss that finds
+//!   the cache full: a walk that never evicts pays nothing, and the cache
+//!   holds the same `lpc_containers` slots either way. A walk that knew no
+//!   next use would take the coldest free slot — the paper's LRU is the
+//!   no-knowledge case of this rule, and is what `debar-ddfs` and the
+//!   backup prefetch still run.
+//!
+//!   The clause about free slots is not a refinement. Measured on
+//!   `benchmark/`'s `lifecycle-churn` (restore of the latest generation,
+//!   MiB/s, seed 1) with every gate and check of the walk kept: LRU 31.2;
+//!   plain farthest-next-use 34.2 — 1.39x fewer misses, but the container
+//!   needed last is time and again the one fetched or streamed a moment
+//!   ago, so the fetch stalls on the slot gate above and the read-ahead
+//!   with it (a restore that follows a restore got *slower* for fewer
+//!   reads); exempting the `repo_nodes` most recent residents 40.3; the
+//!   rule above 41.8, with no walk of any workload or figure slower than
+//!   under LRU.
+//!
 //! The server's clock jumps to the end of the schedule; the lanes' busy
 //! times are reported beside it ([`RestoreReport::serial_s`] is what one
 //! clock would have charged). Nothing runs concurrently — the overlap is
@@ -46,11 +80,13 @@
 use super::{lookup_with_owner, DebarCluster, LayoutTracker};
 use crate::error::{DebarError, DebarResult};
 use crate::ids::RunId;
+use crate::metadata::{FileIndexEntry, RunRecord};
 use crate::report::RestoreReport;
 use crate::server::BackupServer;
-use debar_hash::{Fingerprint, Sha1};
+use debar_hash::{ContainerId, Fingerprint, Sha1};
 use debar_simio::{Lane, Secs};
-use debar_store::{ChunkRepository, CorruptKind, LpcStats, NodeRead, Payload, ReadLegs};
+use debar_store::{ChunkRepository, CorruptKind, LpcCache, LpcStats, NodeRead, Payload, ReadLegs};
+use std::collections::HashMap;
 
 /// The device timelines of one restore walk, in server-clock time.
 struct RestoreLanes {
@@ -62,7 +98,7 @@ struct RestoreLanes {
     nodes: Vec<Lane>,
     send: Lane,
     /// `queued[j % nodes]`: where the send lane's queue ended when fetch
-    /// `j` was issued — what [`Self::depth_gate`] holds later fetches to.
+    /// `j` was issued — what [`Self::fetch_start`] holds later fetches to.
     queued: Vec<Secs>,
     fetches: usize,
 }
@@ -79,15 +115,18 @@ impl RestoreLanes {
         }
     }
 
-    /// Count a fetch and return the time its read-ahead depth allows it
-    /// to start: when the client has been sent everything that was queued
-    /// as the fetch `nodes - 1` before this one was issued (with one
-    /// node: everything queued by now).
-    fn depth_gate(&mut self) -> Secs {
+    /// The earliest the next fetch could start: the resolver has got to
+    /// it, and the client has been sent everything that was queued as the
+    /// fetch `nodes - 1` before it was issued (with one node: everything
+    /// queued by now) — the read-ahead depth.
+    fn fetch_start(&self) -> Secs {
         let (j, n) = (self.fetches, self.queued.len());
-        self.fetches += 1;
-        self.queued[j % n] = self.send.free_at;
-        self.queued[(j + 1) % n]
+        let depth = if n == 1 {
+            self.send.free_at
+        } else {
+            self.queued[(j + 1) % n]
+        };
+        self.at.max(depth)
     }
 
     /// The resolver waits out an index lookup.
@@ -97,12 +136,16 @@ impl RestoreLanes {
 
     /// Put a container read's legs on their nodes' lanes, one after the
     /// other (a replica is only tried once the one before it has failed),
-    /// starting no sooner than `gate` and the read-ahead depth allow. The
-    /// resolver moves on once the serving read's metadata section is in —
-    /// or, when no copy served, once the last attempt has failed. Returns
-    /// the completion time of the whole read.
+    /// starting no sooner than `gate` (the cache slot it takes is free)
+    /// and [`Self::fetch_start`] allow. The resolver moves on once the
+    /// serving read's metadata section is in — or, when no copy served,
+    /// once the last attempt has failed. Returns the completion time of
+    /// the whole read.
     fn fetch(&mut self, gate: Secs, legs: &ReadLegs) -> Secs {
-        let mut t = self.at.max(gate).max(self.depth_gate());
+        let mut t = self.fetch_start().max(gate);
+        let n = self.queued.len();
+        self.queued[self.fetches % n] = self.send.free_at;
+        self.fetches += 1;
         for &(node, cost) in &legs.failed {
             t = self.nodes[node].run(t, cost);
         }
@@ -187,16 +230,17 @@ impl DebarCluster {
             w_bits: cfg.w_bits,
             sid,
             to_client,
+            record,
+            only_path,
+            recipe: None,
         };
         let walked = 'walk: {
-            for file in &record.files {
-                if only_path.is_some_and(|p| file.path != p) {
-                    continue;
-                }
+            for file in walked_files(record, only_path) {
                 files += 1;
                 for fp in &file.fingerprints {
+                    let pos = chunks as usize;
                     chunks += 1;
-                    match walk.chunk(fp) {
+                    match walk.chunk(pos, fp) {
                         Ok(len) => bytes += len as u64,
                         // The audit counts what the strict restore dies of.
                         Err(_) if !to_client => failures += 1,
@@ -246,6 +290,130 @@ impl DebarCluster {
     }
 }
 
+/// The files of a run that a walk visits, in walk order: all of them, or
+/// the one `restore_file` names. A recipe *position* counts the
+/// fingerprints of these files, from 0.
+fn walked_files<'r>(
+    record: &'r RunRecord,
+    only_path: Option<&'r str>,
+) -> impl DoubleEndedIterator<Item = &'r FileIndexEntry> {
+    (record.files.iter()).filter(move |f| only_path.is_none_or(|p| f.path == p))
+}
+
+/// One resident container as the victim choice sees it.
+struct Resident<T> {
+    id: T,
+    /// The next recipe position that needs it; `None` when no later one
+    /// is known to.
+    next_use: Option<usize>,
+    /// When its cache slot falls free: its last chunk has left the NIC.
+    free_at: Secs,
+}
+
+/// The victim rule. Of the residents — **coldest first** — whose slot is
+/// already free when the fetch could `start`, give up the one needed
+/// farthest ahead, one with no known use before any with one, ties to the
+/// coldest; when every slot is still busy, the one that frees soonest
+/// (ties to the coldest again). A caller that knows no next use and no
+/// time gets the coldest resident: LRU.
+fn choose_victim<T>(residents: impl Iterator<Item = Resident<T>>, start: Secs) -> Option<T> {
+    let (mut farthest, mut soonest): (Option<Resident<T>>, Option<Resident<T>>) = (None, None);
+    for r in residents {
+        if r.free_at <= start {
+            // No known use must rank farthest, but `None` sorts below
+            // `Some`: lead with `is_none`.
+            let key = |r: &Resident<T>| (r.next_use.is_none(), r.next_use);
+            if farthest.as_ref().is_none_or(|best| key(&r) > key(best)) {
+                farthest = Some(r);
+            }
+        } else if soonest.as_ref().is_none_or(|s| r.free_at < s.free_at) {
+            soonest = Some(r);
+        }
+    }
+    farthest.or(soonest).map(|r| r.id)
+}
+
+/// What a walk knows of the rest of its own recipe — built on the first
+/// miss that finds the cache full, so a walk that never evicts never pays
+/// for it. Only ever looked up by key: no `HashMap` order reaches a
+/// victim choice.
+struct RecipeIndex {
+    /// Fingerprint → the first recipe position that holds it.
+    first: HashMap<Fingerprint, usize>,
+    /// Position → the next position holding the same fingerprint
+    /// ([`Self::END`] after the last).
+    next_same: Vec<usize>,
+    /// Per resident container: the positions it supplies, ascending, and
+    /// how many of them the walk has passed.
+    supplies: HashMap<ContainerId, (Vec<usize>, usize)>,
+}
+
+impl RecipeIndex {
+    /// No position: ends a fingerprint's chain through `next_same`.
+    const END: usize = usize::MAX;
+
+    fn build(record: &RunRecord, only_path: Option<&str>) -> Self {
+        let files = || walked_files(record, only_path);
+        let len = files().map(|f| f.fingerprints.len()).sum();
+        let mut first = HashMap::with_capacity(len);
+        let mut next_same = vec![Self::END; len];
+        let recipe = files().flat_map(|f| &f.fingerprints);
+        for (pos, fp) in (0..len).rev().zip(recipe.rev()) {
+            if let Some(later) = first.insert(*fp, pos) {
+                next_same[pos] = later;
+            }
+        }
+        RecipeIndex {
+            first,
+            next_same,
+            supplies: HashMap::new(),
+        }
+    }
+
+    /// Note what a resident container supplies: the positions of its
+    /// fingerprints the cache answers *with it* (a fingerprint two
+    /// residents hold is the younger one's).
+    fn admit(&mut self, cid: ContainerId, lpc: &LpcCache) {
+        let fps = lpc.fingerprints(cid).unwrap_or_default();
+        let mut positions = Vec::with_capacity(fps.len());
+        for fp in fps {
+            // Most of a container is not in the recipe: ask the recipe
+            // first, the cache only about what it holds.
+            let Some(&first) = self.first.get(fp) else {
+                continue;
+            };
+            if lpc.peek(fp) != Some(cid) {
+                continue;
+            }
+            let mut pos = first;
+            while pos != Self::END {
+                positions.push(pos);
+                pos = self.next_same[pos];
+            }
+        }
+        positions.sort_unstable();
+        self.supplies.insert(cid, (positions, 0));
+    }
+
+    /// The resident to give up for the fetch that the miss at recipe
+    /// position `pos` needs, which could start at `start`.
+    fn victim(&mut self, pos: usize, srv: &BackupServer, start: Secs) -> Option<ContainerId> {
+        let residents = srv.lpc.residents().map(|id| Resident {
+            id,
+            next_use: self.supplies.get_mut(&id).and_then(|(positions, passed)| {
+                while positions.get(*passed).is_some_and(|&p| p <= pos) {
+                    *passed += 1;
+                }
+                positions.get(*passed).copied()
+            }),
+            free_at: (srv.container_cache.get(&id)).map_or(0.0, |c| c.last_sent),
+        });
+        let victim = choose_victim(residents, start)?;
+        self.supplies.remove(&victim);
+        Some(victim)
+    }
+}
+
 /// One restore walk in progress: the devices it touches, where it runs
 /// and its timelines.
 struct RestoreWalk<'a> {
@@ -258,14 +426,19 @@ struct RestoreWalk<'a> {
     to_client: bool,
     lanes: RestoreLanes,
     tracker: LayoutTracker,
+    /// The run being walked and the one file of it `restore_file` wants.
+    record: &'a RunRecord,
+    only_path: Option<&'a str>,
+    /// The walk's knowledge of its recipe, once it has had to evict.
+    recipe: Option<RecipeIndex>,
 }
 
 impl RestoreWalk<'_> {
-    /// One recipe entry: resolve the chunk's container (LPC, else index
-    /// lookup + container fetch), verify the payload and queue it for the
-    /// client. Returns the chunk's length, or the typed error a strict
-    /// restore aborts with.
-    fn chunk(&mut self, fp: &Fingerprint) -> DebarResult<u32> {
+    /// One recipe entry, the `pos`-th of the walk: resolve the chunk's
+    /// container (LPC, else index lookup + container fetch), verify the
+    /// payload and queue it for the client. Returns the chunk's length,
+    /// or the typed error a strict restore aborts with.
+    fn chunk(&mut self, pos: usize, fp: &Fingerprint) -> DebarResult<u32> {
         let (sid, lanes) = (self.sid, &mut self.lanes);
         let cid = match self.servers[sid].lpc.lookup(fp) {
             Some(cid) => cid,
@@ -286,11 +459,28 @@ impl RestoreWalk<'_> {
                         return Err(DebarError::MissingContainer { container: cid });
                     }
                 };
+                // A full cache gives up the resident the rest of the
+                // recipe needs last, among those already streamed out.
+                let srv = &mut self.servers[sid];
+                let full = srv.lpc.len() >= srv.lpc.capacity() && !srv.lpc.contains_container(cid);
+                let victim = if full {
+                    let recipe = self.recipe.get_or_insert_with(|| {
+                        let mut index = RecipeIndex::build(self.record, self.only_path);
+                        (srv.lpc.residents()).for_each(|resident| index.admit(resident, &srv.lpc));
+                        index
+                    });
+                    recipe.victim(pos, srv, lanes.fetch_start())
+                } else {
+                    None
+                };
                 // The cache slot is the read-ahead buffer: the fetch waits
                 // for the container it evicts to have been streamed out.
-                self.servers[sid].cache_container(cid, container, |victim_sent| {
-                    lanes.fetch(lanes.at.max(victim_sent), &legs)
+                srv.cache_container(cid, container, victim, |victim_sent| {
+                    lanes.fetch(victim_sent, &legs)
                 });
+                if let Some(recipe) = &mut self.recipe {
+                    recipe.admit(cid, &srv.lpc);
+                }
                 cid
             }
         };
@@ -397,17 +587,29 @@ mod tests {
 
     #[test]
     fn pipelined_walk_keeps_the_serial_walks_outputs_and_reports_its_time() {
-        // Probed at the parent commit on this history (2 nodes, R = 2,
-        // one server — so the remote-lookup hop does not enter). The
-        // device op order is unchanged, so every non-time output and op
-        // counter must match, and `serial_s()` must be the time the
+        // Probed at the serial walk's commit on this history (2 nodes,
+        // R = 2, one server — so the remote-lookup hop does not enter).
+        // The device op order is unchanged, so every non-time output and
+        // op counter must match, and `serial_s()` must be the time the
         // serial walk charged.
+        //
+        // The first two walks never meet a container twice, so which
+        // resident they evict cannot show: their rows are the serial
+        // walk's own and must never move. The audit of v1 then starts
+        // with the last eight containers of v0 resident, the next seven of
+        // which it needs at once: LRU flooded them out one fetch ahead of
+        // their use — (1983, 17, 17), ops [49, 49, 56], 0.14097793357090305
+        // s — while the walk that reads its recipe keeps them: seven
+        // misses, lookups and container reads fewer. That row and the op
+        // counters after it were re-probed when the victim rule arrived
+        // (`.claude/skills/verify/SKILL.md` says how); the repair walk's
+        // own seconds did not move.
         #[rustfmt::skip]
         let probed = [
             Probed { tag: "restore v1", version: 1, to_client: true, corrupt: 0, bytes: 16374979, lpc: (1983, 17, 9), containers: 17, ops: [32, 33, 23], elapsed: 0.2153417283518137 },
             Probed { tag: "restore v0", version: 0, to_client: true, corrupt: 0, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [40, 41, 39], elapsed: 0.2060823280211772 },
-            Probed { tag: "verify v1", version: 1, to_client: false, corrupt: 0, bytes: 16374979, lpc: (1983, 17, 17), containers: 17, ops: [49, 49, 56], elapsed: 0.14097793357090305 },
-            Probed { tag: "repair v0", version: 0, to_client: true, corrupt: 1, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [58, 58, 72], elapsed: 0.21692389944974833 },
+            Probed { tag: "verify v1", version: 1, to_client: false, corrupt: 0, bytes: 16374979, lpc: (1990, 10, 10), containers: 17, ops: [45, 46, 49], elapsed: 0.08292819621817746 },
+            Probed { tag: "repair v0", version: 0, to_client: true, corrupt: 1, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [55, 54, 65], elapsed: 0.21692389944974833 },
         ];
         let devices = [
             Device::RepoNode(0),
@@ -463,6 +665,228 @@ mod tests {
             );
             assert_eq!(r.send_s > 0.0, p.to_client, "{tag}: only a restore sends");
         }
+    }
+
+    #[test]
+    fn the_victim_is_the_free_slot_needed_last_else_the_one_that_frees_soonest() {
+        let choose = |residents: &[(Option<usize>, Secs)], start| {
+            let residents = residents
+                .iter()
+                .zip(0..)
+                .map(|(&(next_use, free_at), id)| Resident {
+                    id,
+                    next_use,
+                    free_at,
+                });
+            choose_victim(residents, start)
+        };
+        assert_eq!(choose(&[], 1.0), None);
+        // Among free slots: the farthest next use.
+        assert_eq!(
+            choose(&[(Some(5), 0.0), (Some(9), 1.0), (Some(7), 0.5)], 1.0),
+            Some(1)
+        );
+        // Never needed again goes before any needed one, however far.
+        assert_eq!(
+            choose(&[(Some(usize::MAX), 0.0), (None, 0.0), (Some(7), 0.0)], 1.0),
+            Some(1)
+        );
+        // Ties go to the coldest — the first.
+        assert_eq!(
+            choose(&[(Some(3), 0.0), (Some(9), 0.0), (Some(9), 0.0)], 1.0),
+            Some(1)
+        );
+        assert_eq!(choose(&[(None, 0.0), (None, 0.0)], 1.0), Some(0));
+        // A busy slot is never taken while a free one exists, whatever it
+        // holds: the container streamed a moment ago is the one the
+        // recipe needs last, and waiting for it stalls the read-ahead.
+        assert_eq!(
+            choose(&[(None, 1.5), (Some(2), 1.0), (None, 2.0)], 1.0),
+            Some(1)
+        );
+        // None free: the one that frees soonest, next uses set aside.
+        assert_eq!(
+            choose(&[(None, 3.0), (Some(2), 1.5), (None, 2.0)], 1.0),
+            Some(1)
+        );
+        assert_eq!(choose(&[(Some(4), 2.0), (None, 2.0)], 1.0), Some(0));
+    }
+
+    #[test]
+    fn a_choice_that_knows_nothing_is_the_lpcs_own_lru() {
+        // No next use, no time: whatever the history of inserts and
+        // touches, the rule names the container `insert_container` evicts.
+        let fp = Fingerprint::of_counter;
+        let mut lpc = LpcCache::new(4);
+        for step in 0..64u64 {
+            if lpc.len() == lpc.capacity() {
+                let unknowing = lpc.residents().map(|id| Resident {
+                    id,
+                    next_use: None,
+                    free_at: 0.0,
+                });
+                let chosen = choose_victim(unknowing, 0.0);
+                let evicted = lpc.insert_container(ContainerId::new(100 + step), vec![fp(step)]);
+                assert_eq!(evicted, Vec::from_iter(chosen), "step {step}");
+            } else {
+                lpc.insert_container(ContainerId::new(100 + step), vec![fp(step)]);
+            }
+            // Touch a resident picked by the step: recency is not
+            // insertion order.
+            lpc.lookup(&fp(step - step % 3));
+        }
+        assert!(lpc.stats().evictions > 50 && lpc.stats().hits > 50);
+    }
+
+    /// Misses of a `slots`-container cache over a container trace, every
+    /// slot always free, evicting by [`choose_victim`] — told each
+    /// resident's next use, or nothing.
+    fn misses_of(trace: &[u8], slots: usize, knows_the_recipe: bool) -> usize {
+        let mut cache: Vec<u8> = Vec::new();
+        let mut misses = 0;
+        for (pos, &c) in trace.iter().enumerate() {
+            if let Some(at) = cache.iter().position(|&r| r == c) {
+                cache.remove(at);
+            } else {
+                misses += 1;
+                if cache.len() == slots {
+                    let residents = cache.iter().map(|&id| Resident {
+                        id,
+                        next_use: (trace[pos..].iter().position(|&t| t == id))
+                            .filter(|_| knows_the_recipe),
+                        free_at: 0.0,
+                    });
+                    let victim = choose_victim(residents, 0.0).expect("a full cache");
+                    cache.retain(|&r| r != victim);
+                }
+            }
+            cache.push(c);
+        }
+        misses
+    }
+
+    /// The fewest misses any eviction policy can have: try every victim.
+    fn optimal_misses(trace: &[u8], slots: usize, cache: &mut Vec<u8>) -> usize {
+        let Some((&c, rest)) = trace.split_first() else {
+            return 0;
+        };
+        if cache.contains(&c) {
+            return optimal_misses(rest, slots, cache);
+        }
+        if cache.len() < slots {
+            cache.push(c);
+            let misses = 1 + optimal_misses(rest, slots, cache);
+            cache.pop();
+            return misses;
+        }
+        let mut best = usize::MAX;
+        for slot in 0..slots {
+            let victim = std::mem::replace(&mut cache[slot], c);
+            best = best.min(1 + optimal_misses(rest, slots, cache));
+            cache[slot] = victim;
+        }
+        best
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_with_every_slot_free_the_rule_is_beladys(
+            trace in proptest::collection::vec(0u8..6, 1..14),
+            slots in 1usize..5,
+        ) {
+            let informed = misses_of(&trace, slots, true);
+            proptest::prop_assert_eq!(informed, optimal_misses(&trace, slots, &mut Vec::new()));
+            proptest::prop_assert!(informed <= misses_of(&trace, slots, false));
+        }
+    }
+
+    #[test]
+    fn the_cache_never_outgrows_its_slots_and_keeps_what_the_next_walk_needs() {
+        // Same memory at any capacity: after every walk the LPC and the
+        // payload cache hold the same containers, at most `lpc_containers`
+        // of them; a walk evicts once per fetch into a full cache, never
+        // more; and every walk delivers every byte.
+        for slots in [1, 2, 8] {
+            let mut cfg = DebarConfig::tiny_test(0);
+            cfg.lpc_containers = slots;
+            let (mut c, job) = two_generations(cfg);
+            let mut resident = 0;
+            for (version, to_client) in [(1, true), (0, true), (1, false), (1, true)] {
+                let run = RunId { job, version };
+                let r = if to_client {
+                    c.restore_run(run)
+                } else {
+                    c.verify_run(run)
+                }
+                .expect("walk");
+                let tag = format!("{slots} slots, v{version}, to_client {to_client}");
+                assert_eq!((r.failures, r.chunks), (0, 2000), "{tag}");
+                assert_eq!(r.lpc.hits + r.lpc.misses, r.chunks, "{tag}");
+                let srv = &c.servers[0];
+                assert!(srv.lpc.len() <= slots, "{tag}");
+                assert_eq!(srv.container_cache.len(), srv.lpc.len(), "{tag}");
+                assert!(srv
+                    .lpc
+                    .residents()
+                    .all(|cid| srv.container_cache.contains_key(&cid)));
+                // Every miss of a walk fetches, and a fetch evicts exactly
+                // when it found the cache full.
+                let room = (slots - resident) as u64;
+                assert_eq!(r.lpc.evictions, r.lpc.misses.saturating_sub(room), "{tag}");
+                resident = srv.lpc.len();
+            }
+        }
+    }
+
+    #[test]
+    fn one_file_of_many_and_the_audit_after_it_read_their_own_recipes() {
+        // Three files, the middle one three laps over more containers
+        // than there are slots. `restore_file` indexes
+        // only the entries it walks — positions count from the file's
+        // first chunk — and the audit of the whole run that follows takes
+        // the same choices a restore would.
+        let mut cfg = DebarConfig::tiny_test(0);
+        cfg.lpc_containers = 4;
+        let mut c = DebarCluster::new(cfg);
+        let job = c.define_job("j", ClientId(0));
+        let looped = [
+            records(1000..1700),
+            records(1000..1700),
+            records(1000..1700),
+        ]
+        .concat();
+        let mut tree = Dataset::from_records("a", records(0..600));
+        tree.files.extend(Dataset::from_records("b", looped).files);
+        tree.files
+            .extend(Dataset::from_records("c", records(2000..2600)).files);
+        c.backup(job, &tree).expect("backup");
+        c.run_dedup2().expect("dedup2");
+        let run = RunId { job, version: 0 };
+
+        let b = c.restore_file(run, "b").expect("one file");
+        assert_eq!((b.files, b.chunks, b.failures), (1, 2100, 0));
+        // Six containers over four slots: LRU misses on every one of the
+        // 3 x 6 visits; what stays resident across a lap saves its fetch.
+        let visits = b.layout.fragments;
+        assert_eq!(visits, 3 * b.layout.containers_touched);
+        assert!(b.layout.containers_touched > 4 && b.lpc.misses <= visits * 2 / 3);
+        assert!(b.lpc.evictions <= b.lpc.misses);
+
+        let whole = c.verify_run(run).expect("audit");
+        assert_eq!((whole.files, whole.chunks, whole.failures), (3, 3300, 0));
+        let again = c.restore_run(run).expect("restore");
+        assert_eq!((again.bytes, again.failures), (whole.bytes, 0));
+        assert_eq!(again.bytes, tree.logical_bytes());
+        // From the same cache state the audit and the restore fetch alike
+        // up to timing: both beat one fetch per visit.
+        let visits = whole.layout.fragments;
+        assert!(whole.lpc.misses < visits && again.lpc.misses < visits);
+        assert!(matches!(
+            c.restore_file(run, "nope"),
+            Err(DebarError::UnknownPath { .. })
+        ));
     }
 
     #[test]

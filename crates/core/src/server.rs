@@ -283,24 +283,32 @@ impl BackupServer {
         self.container_cache.clear();
     }
 
-    /// Admit a fetched container to the restore cache. The LPC
-    /// (fingerprint side) and the decoded-container cache (payload side)
-    /// move in lockstep: the container's fingerprints enter the LPC, every
-    /// container the LRU evicts for them leaves the payload cache too, and
-    /// the container joins it, ready at `ready_at(sent)` — `sent` being
-    /// the time the last evicted container's last chunk left the NIC (0
-    /// when nothing was evicted), which the restore walk's fetch must wait
-    /// for.
+    /// Admit a fetched container to the restore cache — the one way in.
+    /// The LPC (fingerprint side) and the decoded-container cache (payload
+    /// side) move in lockstep: `victim`, the resident the caller chose to
+    /// give up, leaves both first; the container's fingerprints enter the
+    /// LPC; whatever the LPC's own LRU still evicts for them leaves the
+    /// payload cache too; and the container joins it, ready at
+    /// `ready_at(sent)` — `sent` being the time the last evicted
+    /// container's last chunk left the NIC (0 when nothing was evicted),
+    /// which the restore walk's fetch must wait for.
+    ///
+    /// A caller that does not know the future passes no victim and gets
+    /// the paper's LRU (the inline-backup prefetch). The restore walk
+    /// knows its recipe and names the victim whenever the cache is full,
+    /// so for it the LRU never has anything left to evict.
     pub(crate) fn cache_container(
         &mut self,
         cid: ContainerId,
         container: Container,
+        victim: Option<ContainerId>,
         ready_at: impl FnOnce(Secs) -> Secs,
     ) {
+        let chosen = victim.filter(|&v| self.lpc.evict(v));
         let evicted = self
             .lpc
             .insert_container(cid, container.fingerprints().collect());
-        let sent = (evicted.iter())
+        let sent = (chosen.iter().chain(&evicted))
             .filter_map(|e| self.container_cache.remove(e))
             .fold(0.0, |sent, victim| f64::max(sent, victim.last_sent));
         self.container_cache

@@ -10,14 +10,22 @@
 //! the next ~1000 stream-local lookups into hits; the paper measures 99.3%
 //! of random fingerprint-lookup I/Os eliminated this way (§6.2).
 //!
+//! **LRU is the rule of a caller that does not know the future** — a
+//! backup's prefetch, `debar-ddfs`: [`LpcCache::insert_container`] makes
+//! room by dropping the coldest resident. A caller that does know it (the
+//! restore walk holds its whole recipe) names its own victim with
+//! [`LpcCache::evict`] before it inserts, choosing among
+//! [`LpcCache::residents`] — which come coldest first, so a choice that
+//! breaks its ties towards the front and knows nothing picks exactly the
+//! victim LRU would.
+//!
 //! On the restore path the capacity is also the **read-ahead buffer**:
 //! the walk fetches ahead of the client stream, and a fetch may not start
-//! before the container it evicts ([`LpcCache::insert_container`] returns
-//! the victims) has been streamed out. A cache of `n` containers
-//! therefore bounds the containers in flight or waiting to be sent at
-//! `n`; a cache of one serializes reads and sends. (The walk itself runs
-//! no deeper than one container per repository node ahead of the client,
-//! so the capacity only binds below the node count.)
+//! before the container it evicts has been streamed out. A cache of `n`
+//! containers therefore bounds the containers in flight or waiting to be
+//! sent at `n`; a cache of one serializes reads and sends. (The walk
+//! itself runs no deeper than one container per repository node ahead of
+//! the client, so the capacity only binds below the node count.)
 
 use debar_hash::{ContainerId, Fingerprint};
 use serde::{Deserialize, Serialize};
@@ -126,6 +134,18 @@ impl LpcCache {
         self.by_container.contains_key(&cid)
     }
 
+    /// The cached containers in recency order, coldest first: the first is
+    /// the one [`LpcCache::insert_container`] would evict next.
+    pub fn residents(&self) -> impl Iterator<Item = ContainerId> + '_ {
+        self.lru.iter().copied()
+    }
+
+    /// A cached container's fingerprints, as it was inserted. Another
+    /// resident may answer for some of them ([`LpcCache::peek`] says who).
+    pub fn fingerprints(&self, cid: ContainerId) -> Option<&[Fingerprint]> {
+        self.by_container.get(&cid).map(Vec::as_slice)
+    }
+
     /// Insert a container's fingerprint set (after fetching the container on
     /// a miss), evicting the least-recently-used containers if needed.
     /// Returns the evicted container IDs so callers keeping payload caches
@@ -136,16 +156,24 @@ impl LpcCache {
         fps: Vec<Fingerprint>,
     ) -> Vec<ContainerId> {
         if self.by_container.contains_key(&cid) {
+            // A resident container is fetched again only because a
+            // fingerprint of its missed: a younger resident that also
+            // held it took the mapping over and was evicted since. Give
+            // every orphaned fingerprint back, or each later occurrence
+            // would miss and re-read this container to no effect.
+            for fp in fps {
+                self.by_fp.entry(fp).or_insert(cid);
+            }
             self.touch(cid);
             return Vec::new();
         }
         let mut evicted = Vec::new();
         while self.by_container.len() >= self.capacity {
-            if let Some(victim) = self.evict_lru() {
-                evicted.push(victim);
-            } else {
+            let Some(&coldest) = self.lru.front() else {
                 break;
-            }
+            };
+            self.evict(coldest);
+            evicted.push(coldest);
         }
         for fp in &fps {
             self.by_fp.insert(*fp, cid);
@@ -162,19 +190,23 @@ impl LpcCache {
         }
     }
 
-    fn evict_lru(&mut self) -> Option<ContainerId> {
-        let victim = self.lru.pop_front()?;
-        if let Some(fps) = self.by_container.remove(&victim) {
-            for fp in fps {
-                // Only remove mappings still pointing at the victim (a
-                // fingerprint can be re-cached under a newer container).
-                if self.by_fp.get(&fp) == Some(&victim) {
-                    self.by_fp.remove(&fp);
-                }
+    /// Evict one container, whatever its recency — for the caller that
+    /// knows better than LRU which resident it needs last. Returns whether
+    /// it was cached (and counts an eviction only then).
+    pub fn evict(&mut self, victim: ContainerId) -> bool {
+        let Some(fps) = self.by_container.remove(&victim) else {
+            return false;
+        };
+        self.lru.retain(|&c| c != victim);
+        for fp in fps {
+            // Only remove mappings still pointing at the victim (a
+            // fingerprint can be re-cached under a newer container).
+            if self.by_fp.get(&fp) == Some(&victim) {
+                self.by_fp.remove(&fp);
             }
         }
         self.stats.evictions += 1;
-        Some(victim)
+        true
     }
 }
 
@@ -257,6 +289,54 @@ mod tests {
         c.insert_container(cid(2), vec![fp(2)]);
         assert!(!c.contains_container(cid(0)));
         assert_eq!(c.peek(&fp(7)), Some(cid(1)));
+    }
+
+    #[test]
+    fn a_resident_container_gets_its_orphaned_fingerprints_back() {
+        // fp(0) lives in containers 0 and 1 (a rewrite's superseded copy,
+        // a chunk stored again after a collection). The younger takes the
+        // mapping over and is evicted first; the older stays resident
+        // without it.
+        let mut c = LpcCache::new(3);
+        c.insert_container(cid(0), vec![fp(0), fp(1)]);
+        c.insert_container(cid(1), vec![fp(0)]);
+        assert_eq!(c.lookup(&fp(1)), Some(cid(0)), "touch container 0");
+        c.insert_container(cid(2), vec![fp(2)]);
+        assert_eq!(c.insert_container(cid(3), vec![fp(3)]), vec![cid(1)]);
+        assert!(c.contains_container(cid(0)));
+        assert_eq!(c.lookup(&fp(0)), None, "the mapping left with container 1");
+        // The miss resolves to container 0 on the index and fetches it:
+        // re-inserting a resident must restore the mapping, or every
+        // later occurrence misses and re-reads the container again.
+        assert!(c.insert_container(cid(0), vec![fp(0), fp(1)]).is_empty());
+        assert_eq!(c.lookup(&fp(0)), Some(cid(0)));
+        assert_eq!(c.len(), 3);
+        // A mapping a younger resident still holds is left with it.
+        c.insert_container(cid(4), vec![fp(1)]);
+        c.insert_container(cid(0), vec![fp(0), fp(1)]);
+        assert_eq!(c.peek(&fp(1)), Some(cid(4)));
+    }
+
+    #[test]
+    fn evict_takes_the_named_container_whatever_its_recency() {
+        let mut c = LpcCache::new(3);
+        for n in 0..3 {
+            c.insert_container(cid(n), vec![fp(n), fp(10 + n)]);
+        }
+        c.lookup(&fp(0));
+        assert_eq!(c.residents().collect::<Vec<_>>(), [cid(1), cid(2), cid(0)]);
+        assert_eq!(c.fingerprints(cid(2)), Some(&[fp(2), fp(12)][..]));
+        // The hottest goes; the cold ones stay, in order.
+        assert!(c.evict(cid(0)));
+        assert_eq!(c.residents().collect::<Vec<_>>(), [cid(1), cid(2)]);
+        assert_eq!((c.peek(&fp(0)), c.peek(&fp(10))), (None, None));
+        assert_eq!((c.len(), c.stats().evictions), (2, 1));
+        // Not cached: nothing happens, nothing is counted.
+        assert!(!c.evict(cid(0)));
+        assert_eq!((c.fingerprints(cid(0)), c.stats().evictions), (None, 1));
+        // There is room again: the next insert evicts nobody.
+        assert!(c.insert_container(cid(3), vec![fp(3)]).is_empty());
+        assert_eq!(c.insert_container(cid(4), vec![fp(4)]), vec![cid(1)]);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!    while its mean run length collapses toward 1; under `Capped` both
 //!    stay bounded, and the latest-generation restore touches fewer
 //!    containers than its scattered twin.
+//!    And a restore **reads its recipe**: a recipe that cycles over one
+//!    container more than the cache holds — the layout LRU cannot serve
+//!    at all — costs about one fetch per cache-full of visits.
 //! 3. **GC-visible rewrites** — the harness lifecycle (expiry, NotQuiesced
 //!    refusal, reclaim exactness `net = replication × dead bytes`,
 //!    idempotent re-collection) holds verbatim under `Capped`, across
@@ -21,8 +24,10 @@
 
 mod common;
 
-use common::{assert_equivalent, run_scenario, sweep_parts_matrix, Scenario};
-use debar::workload::drift::churn;
+use common::{assert_equivalent, run_scenario, sweep_parts_matrix, within_lanes, Scenario};
+use debar::hash::{ContainerId, Fingerprint};
+use debar::store::LpcCache;
+use debar::workload::drift::{churn, records};
 use debar::{ClientId, Dataset, DebarCluster, DebarConfig, JobId, LayoutMode, RunId};
 
 const N: u64 = 600;
@@ -247,5 +252,67 @@ fn capped_multi_server_restores_clean() {
         assert_eq!(out.restore_failures, 0, "r={r}");
         assert_eq!(out.verify_failures, 0, "r={r}");
         assert_eq!(out.restored_bytes, out.logical_bytes, "r={r}");
+    }
+}
+
+#[test]
+fn a_recipe_that_cycles_past_the_cache_is_served_from_it() {
+    // One file of LAPS laps over the same chunks, which fill one
+    // container more than the restore cache holds. Every visit finds the
+    // container LRU threw out a moment ago: it misses on all of them.
+    const LAPS: u64 = 6;
+    let lap = records(0..1100);
+    let looped: Vec<_> = (0..LAPS).flat_map(|_| lap.clone()).collect();
+    let backed_up = |lpc_containers| {
+        let mut cfg = DebarConfig::tiny_test(0);
+        cfg.lpc_containers = lpc_containers;
+        let mut c = DebarCluster::new(cfg);
+        let job = c.define_job("laps", ClientId(0));
+        let data = Dataset::from_records("f", looped.clone());
+        c.backup(job, &data).expect("backup");
+        c.run_dedup2().expect("dedup2");
+        (c, RunId { job, version: 0 }, data.logical_bytes())
+    };
+    let (mut wide, run, _) = backed_up(64);
+    let containers = wide
+        .restore_run(run)
+        .expect("restore")
+        .layout
+        .containers_touched;
+    let slots = containers - 1;
+    let visits = LAPS * containers;
+
+    let mut lru = LpcCache::new(slots as usize);
+    for visit in 0..visits {
+        let (c, f) = (
+            visit % containers,
+            Fingerprint::of_counter(visit % containers),
+        );
+        if lru.lookup(&f).is_none() {
+            lru.insert_container(ContainerId::new(c), vec![f]);
+        }
+    }
+    assert_eq!(lru.stats().misses, visits, "LRU misses every visit");
+
+    // The walk that reads its recipe gives up the container the lap
+    // returns to last: after the first lap it fetches about once per
+    // `slots` visits, from the same memory — once more per lap is left
+    // for the slots still streaming to the client when a fetch is due.
+    let (mut c, run, logical) = backed_up(slots as usize);
+    let allowed = containers + visits / slots + LAPS;
+    for to_client in [false, true] {
+        let r = within_lanes(if to_client {
+            c.restore_run(run)
+        } else {
+            c.verify_run(run)
+        })
+        .expect("walk");
+        assert_eq!((r.bytes, r.failures), (logical, 0));
+        assert_eq!(r.layout.fragments, visits);
+        assert!(
+            r.lpc.misses <= allowed && r.lpc.evictions <= r.lpc.misses,
+            "to_client {to_client}: {:?} for {visits} visits over {slots} slots",
+            r.lpc
+        );
     }
 }
