@@ -249,7 +249,7 @@ impl DebarCluster {
                     // `None`: reclaimed under us — the verdict stands.
                     if let Some(container) = srv.clock.charge(t)? {
                         let now = srv.clock.now();
-                        srv.cache_container(cid, container, None, |_| now);
+                        srv.cache_container(cid, container.chunks().collect(), None, |_| now);
                     }
                     continue;
                 }

@@ -54,8 +54,13 @@
 //!   magic byte and a SHA-1 checksum trailer; torn writes and bit rot are
 //!   *detected* on every read path — restore, verify, LPC prefetch and
 //!   the §4.1 recovery rebuild — as [`DebarError::CorruptContainer`],
-//!   never silently read. [`DebarCluster::set_damage`] injects damage
-//!   directly against a stored container.
+//!   never silently read. A restore that reads *ranges* of a container
+//!   (below) verifies what it reads — header, metadata section, every
+//!   chunk it delivers against its fingerprint — and cannot see damage
+//!   in bytes it skipped: that copy serves those chunks correctly, and
+//!   the damage is the next whole read's or [`DebarCluster::scrub`]'s to
+//!   find. [`DebarCluster::set_damage`] injects damage directly against
+//!   a stored container.
 //! * **Caller errors**: unknown jobs/runs/paths
 //!   ([`DebarError::UnknownJob`] / [`DebarError::UnknownRun`] /
 //!   [`DebarError::UnknownPath`]), inconsistent deployment geometry
@@ -240,7 +245,19 @@
 //! sent, the one the rest of the recipe needs last (never again first;
 //! the paper's LRU is the same rule knowing nothing, and is what a
 //! backup's prefetch gets) — the same slots, 1.4x fewer container reads
-//! on `benchmark/`'s fragmented workloads. [`RestoreReport`] carries each
+//! on `benchmark/`'s fragmented workloads. And *what* a miss reads is the
+//! walk's choice too, once a miss has found the cache full and it has
+//! started reading its recipe: the container's metadata section, then
+//! only the extents holding chunks the rest of the recipe still needs and
+//! no resident answers for (`ChunkRepository::read_chunks`; a gap between
+//! two of them is read through when streaming it costs no more than a
+//! seek), not the whole fixed-size container — 1.9–2.3x the restore
+//! throughput of those workloads from the same slots. A cache entry is
+//! therefore an *extent set*, and a later miss on a container that is
+//! resident but lacks the chunk merges the missing extents into its slot.
+//! A walk whose cache never fills keeps reading the paper's whole
+//! containers, which is what makes a small tree's second restore warm.
+//! [`RestoreReport`] carries each
 //! lane's busy time (`resolve_s`, `node_read_s`, `node_read_total_s`,
 //! `send_s`) beside `elapsed`; their sum, [`RestoreReport::serial_s`], is
 //! what one clock would charge for the same walk. GC compaction, the

@@ -5,9 +5,10 @@
 //! devices in exactly the order a serial walk would — LPC lookup, on a
 //! miss the owning part's random index lookup, then the container read
 //! with its failover legs — so op counters, fault offsets, cache counters
-//! and every byte restored are those of a serial walk that evicts as this
-//! one does (the last rule below). What differs is **when** each device
-//! is busy. Every device is a FIFO [`debar_simio::Lane`]:
+//! and every byte restored are those of a serial walk that evicts and
+//! reads as this one does (the last two rules below). What differs is
+//! **when** each device is busy. Every device is a FIFO
+//! [`debar_simio::Lane`]:
 //!
 //! | lane | carries |
 //! |---|---|
@@ -24,8 +25,9 @@
 //!   reads are still in flight on other nodes. The early metadata only
 //!   ever *schedules* a fetch.
 //! * **Nothing is delivered early.** A chunk enters the send lane no
-//!   sooner than its container's read has completed in full — checksum
-//!   trailer passed, read-repair done — and `verify_payload` accepted it.
+//!   sooner than the read that fetched it has completed in full — every
+//!   extent in, what was read verified, read-repair done — and
+//!   `verify_payload` accepted it.
 //! * **The LPC is the read-ahead buffer.** A fetch may not start before
 //!   the cached container it evicts has been fully sent, so at most
 //!   `lpc_containers` containers are ever in flight or waiting to be
@@ -71,6 +73,57 @@
 //!   reads); exempting the `repo_nodes` most recent residents 40.3; the
 //!   rule above 41.8, with no walk of any workload or figure slower than
 //!   under LRU.
+//!
+//! * **The walk reads what its recipe needs.** The same knowledge says
+//!   what a miss should fetch. A container is self-described — its
+//!   metadata section lies ahead of its data — so once the walk reads its
+//!   recipe (from the first miss that finds the cache full, when
+//!   `RecipeIndex` is built) a miss asks the repository for the metadata
+//!   section and then only the extents that hold **chunks the rest of
+//!   this walk's recipe still needs and no resident already answers
+//!   for** (`ChunkRepository::read_chunks`). Adjacent wanted chunks share
+//!   an extent, and the *gap law* settles the rest in `DiskModel` terms:
+//!   the bytes between two wanted chunks are read through exactly when
+//!   streaming them is no dearer than the seek that skipping them costs,
+//!   `gap / read_bw <= seek_s`; a range that would cost no less than the
+//!   container in one piece is read as the container in one piece. The
+//!   metadata section is its own I/O and each extent pays its own seek,
+//!   but the attempt is one device op (fault offsets do not move), the
+//!   resolver still walks on as soon as the metadata is in, and the slot
+//!   gate, the read-ahead depth and the victim rule above apply as they
+//!   are.
+//!
+//!   A cache entry is therefore an **extent set** in the same slot: the
+//!   LPC maps exactly the fingerprints fetched, at most `lpc_containers`
+//!   entries of at most one container each. A later miss on a fingerprint
+//!   whose container is resident but does not hold it (another run's
+//!   recipe, another file's, wanted other chunks) fetches the missing
+//!   wanted chunks and **merges them into that slot**: no victim, no slot
+//!   to wait for, and nothing of the slot is delivered — nor the slot
+//!   given up — before the merge is in.
+//!
+//!   What is verified is what is read. A ranged read cannot check a
+//!   checksum trailer it did not read, so the repository checks that the
+//!   header and the metadata section parse and that every wanted chunk
+//!   is listed there and hashes back to its fingerprint; a copy failing
+//!   that is a corrupt read exactly as a failed trailer is — counted,
+//!   the node's error recorded, the next replica tried, and tried
+//!   *whole*, so that the read-repair writes back a trailer-verified
+//!   image. Damage in bytes the walk skipped does not stop it, and is
+//!   the next whole read's or scrub's to find.
+//!
+//!   A walk that knows nothing — its cache has never been full — keeps
+//!   calling `ChunkRepository::read` and gets the paper's whole
+//!   fixed-size container, the whole-extent case of the same miss path.
+//!   That is not caution: LPC's locality prefetch is what makes a second
+//!   restore of a small tree warm, and reading by range from the first
+//!   miss un-warms it (`benchmark/`'s `filetree-bytes`, oldest
+//!   generation: 210.0 → 131.8 MiB/s, measured). Measured where the
+//!   cache does fill (`lifecycle-churn`, seed 1, MiB/s): latest
+//!   generation 41.8 → 97.4, oldest 46.2 → 105.6; `cluster-multistream`
+//!   53.8 → 109.7 and 64.9 → 122.8; over their restores the repository
+//!   nodes read 1.26 and 1.24 bytes per byte restored where they read
+//!   8.18 and 5.80.
 //!
 //! The server's clock jumps to the end of the schedule; the lanes' busy
 //! times are reported beside it ([`RestoreReport::serial_s`] is what one
@@ -338,8 +391,8 @@ fn choose_victim<T>(residents: impl Iterator<Item = Resident<T>>, start: Secs) -
 /// for it. Only ever looked up by key: no `HashMap` order reaches a
 /// victim choice.
 struct RecipeIndex {
-    /// Fingerprint → the first recipe position that holds it.
-    first: HashMap<Fingerprint, usize>,
+    /// Fingerprint → the first and the last recipe position that hold it.
+    spans: HashMap<Fingerprint, (usize, usize)>,
     /// Position → the next position holding the same fingerprint
     /// ([`Self::END`] after the last).
     next_same: Vec<usize>,
@@ -355,19 +408,24 @@ impl RecipeIndex {
     fn build(record: &RunRecord, only_path: Option<&str>) -> Self {
         let files = || walked_files(record, only_path);
         let len = files().map(|f| f.fingerprints.len()).sum();
-        let mut first = HashMap::with_capacity(len);
+        let mut spans: HashMap<Fingerprint, (usize, usize)> = HashMap::with_capacity(len);
         let mut next_same = vec![Self::END; len];
         let recipe = files().flat_map(|f| &f.fingerprints);
         for (pos, fp) in (0..len).rev().zip(recipe.rev()) {
-            if let Some(later) = first.insert(*fp, pos) {
-                next_same[pos] = later;
-            }
+            let (first, _last) = spans.entry(*fp).or_insert((Self::END, pos));
+            next_same[pos] = std::mem::replace(first, pos);
         }
         RecipeIndex {
-            first,
+            spans,
             next_same,
             supplies: HashMap::new(),
         }
+    }
+
+    /// Whether the walk, standing at recipe position `pos`, still needs
+    /// this fingerprint's chunk — for `pos` itself or for a later entry.
+    fn needs(&self, fp: &Fingerprint, pos: usize) -> bool {
+        self.spans.get(fp).is_some_and(|&(_, last)| last >= pos)
     }
 
     /// Note what a resident container supplies: the positions of its
@@ -379,7 +437,7 @@ impl RecipeIndex {
         for fp in fps {
             // Most of a container is not in the recipe: ask the recipe
             // first, the cache only about what it holds.
-            let Some(&first) = self.first.get(fp) else {
+            let Some(&(first, _)) = self.spans.get(fp) else {
                 continue;
             };
             if lpc.peek(fp) != Some(cid) {
@@ -450,32 +508,46 @@ impl RestoreWalk<'_> {
                     fp: *fp,
                     container: None,
                 })?;
-                let NodeRead { value, legs } = self.repo.read(cid);
-                let container = match value {
-                    Ok(Some(c)) => c,
+                // A miss that finds the cache full is where the walk
+                // starts reading its recipe: for the victim, and for what
+                // to fetch.
+                let srv = &mut self.servers[sid];
+                let full = srv.lpc.len() >= srv.lpc.capacity();
+                if full && self.recipe.is_none() {
+                    let mut index = RecipeIndex::build(self.record, self.only_path);
+                    (srv.lpc.residents()).for_each(|resident| index.admit(resident, &srv.lpc));
+                    self.recipe = Some(index);
+                }
+                // Knowing it, fetch what the rest of it needs from this
+                // container and no resident already answers for; knowing
+                // nothing, the paper's whole container.
+                let NodeRead { value, legs } = match &self.recipe {
+                    Some(recipe) => (self.repo).read_chunks(cid, |wanted| {
+                        recipe.needs(wanted, pos) && srv.lpc.peek(wanted).is_none()
+                    }),
+                    None => self.repo.read(cid).map(|c| c.chunks().collect()),
+                };
+                let chunks = match value {
+                    Ok(Some(chunks)) => chunks,
                     failed => {
                         lanes.fetch(lanes.at, &legs);
                         failed?;
                         return Err(DebarError::MissingContainer { container: cid });
                     }
                 };
-                // A full cache gives up the resident the rest of the
-                // recipe needs last, among those already streamed out.
-                let srv = &mut self.servers[sid];
-                let full = srv.lpc.len() >= srv.lpc.capacity() && !srv.lpc.contains_container(cid);
-                let victim = if full {
-                    let recipe = self.recipe.get_or_insert_with(|| {
-                        let mut index = RecipeIndex::build(self.record, self.only_path);
-                        (srv.lpc.residents()).for_each(|resident| index.admit(resident, &srv.lpc));
-                        index
-                    });
-                    recipe.victim(pos, srv, lanes.fetch_start())
-                } else {
-                    None
+                // A container that takes a slot of a full cache takes the
+                // one whose resident the rest of the recipe needs last,
+                // among those already streamed out; one that is resident
+                // (a partial entry, now merged into) takes none.
+                let victim = match &mut self.recipe {
+                    Some(recipe) if full && !srv.lpc.contains_container(cid) => {
+                        recipe.victim(pos, srv, lanes.fetch_start())
+                    }
+                    _ => None,
                 };
                 // The cache slot is the read-ahead buffer: the fetch waits
                 // for the container it evicts to have been streamed out.
-                srv.cache_container(cid, container, victim, |victim_sent| {
+                srv.cache_container(cid, chunks, victim, |victim_sent| {
                     lanes.fetch(victim_sent, &legs)
                 });
                 if let Some(recipe) = &mut self.recipe {
@@ -527,6 +599,7 @@ mod tests {
     use debar_simio::{FaultPlan, RetryPolicy};
     use debar_store::Damage;
     use debar_workload::drift::records;
+    use debar_workload::record::ChunkRecord;
 
     /// Two overlapping generations of one job, deduplicated: 24 one-MiB
     /// containers against an 8-container LPC.
@@ -590,26 +663,34 @@ mod tests {
         // Probed at the serial walk's commit on this history (2 nodes,
         // R = 2, one server — so the remote-lookup hop does not enter).
         // The device op order is unchanged, so every non-time output and
-        // op counter must match, and `serial_s()` must be the time the
-        // serial walk charged.
+        // op counter must match, and `serial_s()` must be the time a
+        // serial walk that reads what this one reads would have charged.
         //
         // The first two walks never meet a container twice, so which
-        // resident they evict cannot show: their rows are the serial
-        // walk's own and must never move. The audit of v1 then starts
-        // with the last eight containers of v0 resident, the next seven of
-        // which it needs at once: LRU flooded them out one fetch ahead of
-        // their use — (1983, 17, 17), ops [49, 49, 56], 0.14097793357090305
-        // s — while the walk that reads its recipe keeps them: seven
-        // misses, lookups and container reads fewer. That row and the op
-        // counters after it were re-probed when the victim rule arrived
-        // (`.claude/skills/verify/SKILL.md` says how); the repair walk's
-        // own seconds did not move.
+        // resident they evict cannot show: their counters and op numbers
+        // are the serial walk's own and must never move. The audit of v1
+        // then starts with the last eight containers of v0 resident, the
+        // next seven of which it needs at once: LRU flooded them out one
+        // fetch ahead of their use — (1983, 17, 17), ops [49, 49, 56] —
+        // while the walk that reads its recipe keeps them: seven misses,
+        // lookups and container reads fewer. That row and the op counters
+        // after it were re-probed when the victim rule arrived
+        // (`.claude/skills/verify/SKILL.md` says how).
+        //
+        // The seconds were re-probed when ranged reads arrived: once the
+        // eight slots have been full, a miss charges the metadata section
+        // and the extents its recipe wants, not `container_bytes`. These
+        // recipes want nearly every chunk of nearly every container, so
+        // the seconds barely move — whole-container reads charged
+        // 0.2153417283518137, 0.2060823280211772, 0.08292819621817746 and
+        // 0.21692389944974833 — and no counter or op number moves at all:
+        // a ranged attempt is still one device op.
         #[rustfmt::skip]
         let probed = [
-            Probed { tag: "restore v1", version: 1, to_client: true, corrupt: 0, bytes: 16374979, lpc: (1983, 17, 9), containers: 17, ops: [32, 33, 23], elapsed: 0.2153417283518137 },
-            Probed { tag: "restore v0", version: 0, to_client: true, corrupt: 0, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [40, 41, 39], elapsed: 0.2060823280211772 },
-            Probed { tag: "verify v1", version: 1, to_client: false, corrupt: 0, bytes: 16374979, lpc: (1990, 10, 10), containers: 17, ops: [45, 46, 49], elapsed: 0.08292819621817746 },
-            Probed { tag: "repair v0", version: 0, to_client: true, corrupt: 1, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [55, 54, 65], elapsed: 0.21692389944974833 },
+            Probed { tag: "restore v1", version: 1, to_client: true, corrupt: 0, bytes: 16374979, lpc: (1983, 17, 9), containers: 17, ops: [32, 33, 23], elapsed: 0.21514107101353597 },
+            Probed { tag: "restore v0", version: 0, to_client: true, corrupt: 0, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [40, 41, 39], elapsed: 0.20588167068289648 },
+            Probed { tag: "verify v1", version: 1, to_client: false, corrupt: 0, bytes: 16374979, lpc: (1990, 10, 10), containers: 17, ops: [45, 46, 49], elapsed: 0.08169222067093189 },
+            Probed { tag: "repair v0", version: 0, to_client: true, corrupt: 1, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [55, 54, 65], elapsed: 0.21672324211146793 },
         ];
         let devices = [
             Device::RepoNode(0),
@@ -840,6 +921,266 @@ mod tests {
         }
     }
 
+    /// One stored container of a [`laid_out`] history: its id and, in
+    /// stored order, the record counters of its chunks.
+    type Stored = (ContainerId, Vec<u64>);
+
+    /// A cluster whose first run stored `records(0..n)`, and where each
+    /// record went. The layout is read back by one whole-container read
+    /// each, so an even count leaves the read loads of two nodes level.
+    fn laid_out(cfg: DebarConfig, n: u64) -> (DebarCluster, JobId, Vec<Stored>) {
+        let mut c = DebarCluster::new(cfg);
+        let job = c.define_job("j", ClientId(0));
+        c.backup(job, &Dataset::from_records("base", records(0..n)))
+            .expect("backup");
+        c.run_dedup2().expect("dedup2");
+        let counter: HashMap<Fingerprint, u64> =
+            (0..n).map(|i| (Fingerprint::of_counter(i), i)).collect();
+        let layout = (c.repo.container_ids().into_iter())
+            .map(|cid| {
+                let stored = c.repo.read(cid).value.expect("clean").expect("stored");
+                (cid, stored.fingerprints().map(|f| counter[&f]).collect())
+            })
+            .collect();
+        (c, job, layout)
+    }
+
+    /// Back a dataset of stored records up as the job's next run.
+    fn next_run(c: &mut DebarCluster, job: JobId, dataset: &Dataset) -> RunId {
+        let run = c.backup(job, dataset).expect("backup").run;
+        let d2 = c.run_dedup2().expect("dedup2");
+        assert_eq!(d2.store.containers, 0, "every chunk is stored already");
+        run
+    }
+
+    fn of_counters(name: &str, counters: &[u64]) -> Dataset {
+        let records = counters.iter().map(|&i| ChunkRecord::of_counter(i));
+        Dataset::from_records(name, records.collect())
+    }
+
+    /// Bytes the repository nodes' disks have read so far.
+    fn node_bytes_read(c: &DebarCluster) -> u64 {
+        (c.repo.nodes().iter())
+            .map(|n| n.disk_stats().read_bytes())
+            .sum()
+    }
+
+    /// What a ranged read of `counters` — adjacent chunks of one stored
+    /// container — moves: its metadata section and their one extent.
+    fn ranged_bytes(stored: &Stored, counters: &[u64]) -> u64 {
+        let extent: u64 = (counters.iter())
+            .map(|&i| ChunkRecord::of_counter(i).len as u64)
+            .sum();
+        6 + 32 * stored.1.len() as u64 + 20 + extent
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_a_ranged_walk_restores_what_a_whole_container_walk_restores(
+            visits in proptest::collection::vec((0usize..6, 0usize..100, 1usize..24), 1..14),
+            slots in 1usize..5,
+        ) {
+            // Six containers, up to thirteen visits that each take a run
+            // of chunks out of one of them, so the containers interleave.
+            // The same recipe is walked twice and audited, so the second
+            // and third walk start on the extent sets the one before left.
+            let mut cfg = DebarConfig::tiny_test(0);
+            cfg.lpc_containers = slots;
+            let (mut ranged, job, layout) = laid_out(cfg, 720);
+            proptest::prop_assert_eq!(layout.len(), 6);
+            // Eight slots never fill: that walk knows nothing and reads
+            // whole containers throughout.
+            let (mut whole, _, _) = laid_out(DebarConfig::tiny_test(0), 720);
+            let recipe: Vec<u64> = (visits.iter())
+                .flat_map(|&(container, from, len)| {
+                    let held = &layout[container].1;
+                    held[from.min(held.len() - 1)..(from + len).min(held.len())].to_vec()
+                })
+                .collect();
+            let dataset = of_counters("visits", &recipe);
+            let run = next_run(&mut ranged, job, &dataset);
+            proptest::prop_assert_eq!(next_run(&mut whole, job, &dataset), run);
+            for to_client in [true, true, false] {
+                let read_before = node_bytes_read(&ranged);
+                let walk = |c: &mut DebarCluster| if to_client {
+                    c.restore_run(run)
+                } else {
+                    c.verify_run(run)
+                };
+                let (r, w) = (walk(&mut ranged).expect("ranged"), walk(&mut whole).expect("whole"));
+                proptest::prop_assert_eq!(
+                    (r.files, r.chunks, r.bytes, r.failures),
+                    (w.files, w.chunks, w.bytes, w.failures)
+                );
+                proptest::prop_assert_eq!((r.bytes, r.failures), (dataset.logical_bytes(), 0));
+                proptest::prop_assert_eq!(&r.layout, &w.layout);
+                // Never more than `lpc_containers` entries, both sides of
+                // the cache in step.
+                let srv = &ranged.servers[0];
+                proptest::prop_assert!(srv.lpc.len() <= slots);
+                proptest::prop_assert_eq!(srv.container_cache.len(), srv.lpc.len());
+                // No fetch reads more than the whole container it stands
+                // for, and whoever evicts nothing reads nothing twice.
+                let read = node_bytes_read(&ranged) - read_before;
+                proptest::prop_assert!(read <= r.lpc.misses * cfg.container_bytes);
+                if r.lpc.evictions == 0 && w.lpc.misses > 0 {
+                    proptest::prop_assert!(read <= w.lpc.misses * cfg.container_bytes);
+                }
+            }
+        }
+    }
+
+    /// A [`laid_out`] two-node history with two cache slots, a container
+    /// of it that `damage` hits in mid data section, and the chunk it hits.
+    fn damaged_history(
+        damage: Damage,
+        replication: usize,
+    ) -> (DebarCluster, JobId, Vec<Stored>, usize, usize) {
+        let mut cfg = DebarConfig::tiny_test(0).with_replication(replication);
+        cfg.lpc_containers = 2;
+        let (c, job, layout) = laid_out(cfg, 1000);
+        assert_eq!(layout.len() % 2, 0, "level read loads");
+        let (target, hit) = (layout.iter().enumerate().skip(2))
+            .find_map(|(at, (cid, held))| {
+                let meta_end = 6 + 32 * held.len();
+                let lens = (held.iter()).map(|&i| ChunkRecord::of_counter(i).len as usize);
+                let image = meta_end + lens.clone().sum::<usize>() + 20;
+                let byte = damage.position(image, cid.raw()).checked_sub(meta_end)?;
+                let mut ends = lens.scan(0, |end, len| {
+                    *end += len;
+                    Some(*end)
+                });
+                let hit = ends.position(|end| byte < end)?;
+                (hit >= 10).then_some((at, hit))
+            })
+            .expect("a container hit in mid data section");
+        (c, job, layout, target, hit)
+    }
+
+    #[test]
+    fn a_ranged_walk_fails_over_on_damage_it_reads_and_leaves_the_rest_to_scrub() {
+        for (damage, replication) in [
+            (Damage::BitFlip, 2),
+            (Damage::Torn, 2),
+            (Damage::BitFlip, 1),
+            (Damage::Torn, 1),
+        ] {
+            let tag = format!("{damage:?} at R = {replication}");
+            // Two containers fill the cache; the third miss is the
+            // damaged container's, and reads by range.
+            let recipe = |layout: &[Stored], of_target: std::ops::Range<usize>, target: usize| {
+                let mut recipe = layout[0].1[..5].to_vec();
+                recipe.extend(&layout[1].1[..5]);
+                recipe.extend(&layout[target].1[of_target]);
+                recipe
+            };
+
+            // Inside a wanted extent.
+            let (mut c, job, layout, target, hit) = damaged_history(damage, replication);
+            let cid = layout[target].0;
+            let dataset = of_counters("inside", &recipe(&layout, hit - 1..hit + 1, target));
+            let run = next_run(&mut c, job, &dataset);
+            c.set_damage(cid, Some(damage)).expect("stored");
+            let repairs = c.repo.stats().read_repairs;
+            if replication == 2 {
+                let r = c.restore_run(run).expect("the replica serves");
+                assert_eq!((r.corrupt_reads, r.failures), (1, 0), "{tag}");
+                assert_eq!(r.bytes, dataset.logical_bytes(), "{tag}");
+                assert_eq!(c.repo.stats().read_repairs, repairs + 1, "{tag}");
+                assert!(c.repo.under_replicated().is_empty(), "{tag}: rewritten");
+            } else {
+                let err = c.restore_run(run).expect_err("sole copy");
+                assert!(
+                    matches!(err, DebarError::CorruptContainer { container, .. } if container == cid),
+                    "{tag}: {err}"
+                );
+                // The audit counts it once per chunk it could not get.
+                let audit = c.verify_run(run).expect("the audit walks on");
+                assert_eq!((audit.failures, audit.corrupt_reads), (2, 2), "{tag}");
+            }
+
+            // Outside every wanted extent: the walk reads the metadata
+            // section and the head of the data section, the damage lies
+            // behind them. Exact bytes, nothing counted — and scrub finds
+            // what the walk never read.
+            let (mut c, job, layout, target, _) = damaged_history(damage, replication);
+            let dataset = of_counters("outside", &recipe(&layout, 0..5, target));
+            let run = next_run(&mut c, job, &dataset);
+            c.set_damage(layout[target].0, Some(damage))
+                .expect("stored");
+            for audit in [false, true] {
+                let r = if audit {
+                    c.verify_run(run)
+                } else {
+                    c.restore_run(run)
+                }
+                .expect("the damage is not in the way");
+                assert_eq!((r.corrupt_reads, r.failures), (0, 0), "{tag}");
+                assert_eq!(r.bytes, dataset.logical_bytes(), "{tag}");
+            }
+            let scrub = c.scrub().expect("quiesced").value;
+            assert_eq!(scrub.corrupt_found, 1, "{tag}");
+            assert_eq!(scrub.repaired, (replication == 2) as u64, "{tag}");
+        }
+    }
+
+    #[test]
+    fn one_file_reads_its_own_extents_and_a_later_run_merges_into_the_slot() {
+        // Three files that share every container: `a` takes chunks 0..40
+        // of each of the first three, `b` chunks 40..60, `c` chunks 60..80.
+        let mut cfg = DebarConfig::tiny_test(0);
+        cfg.lpc_containers = 1;
+        let (mut c, job, layout) = laid_out(cfg, 500);
+        let of = |chunks: std::ops::Range<usize>| -> Vec<u64> {
+            (layout[..3].iter())
+                .flat_map(|(_, held)| held[chunks.clone()].to_vec())
+                .collect()
+        };
+        let mut tree = of_counters("a", &of(0..40));
+        tree.files.extend(of_counters("b", &of(40..60)).files);
+        tree.files.extend(of_counters("c", &of(60..80)).files);
+        let run = next_run(&mut c, job, &tree);
+
+        // The middle file alone: the first miss fills the one slot
+        // knowing nothing (a whole container), the other two read the
+        // metadata section and `b`'s twenty chunks — not `a`'s, not `c`'s.
+        let before = node_bytes_read(&c);
+        let b = c.restore_file(run, "b").expect("one file");
+        assert_eq!((b.files, b.chunks, b.failures), (1, 60, 0));
+        assert_eq!((b.lpc.misses, b.lpc.evictions), (3, 2));
+        let extents: u64 = (layout[1..3].iter())
+            .map(|stored| ranged_bytes(stored, &stored.1[40..60]))
+            .sum();
+        assert_eq!(node_bytes_read(&c) - before, cfg.container_bytes + extents);
+
+        // A second run shares the resident container: it needs five of
+        // the chunks the slot holds and five it does not. The miss on the
+        // first of those merges into the slot — no victim, and only the
+        // five missing chunks are read, nothing of the slot a second time.
+        let (_, last) = &layout[2];
+        let shared = [&last[45..50], &last[60..65]].concat();
+        let second = next_run(&mut c, job, &of_counters("second", &shared));
+        let before = node_bytes_read(&c);
+        let audit = c.verify_run(second).expect("audit");
+        assert_eq!((audit.chunks, audit.failures), (10, 0));
+        assert_eq!((audit.lpc.misses, audit.lpc.evictions), (1, 0));
+        assert_eq!(
+            node_bytes_read(&c) - before,
+            ranged_bytes(&layout[2], &last[60..65])
+        );
+        let srv = &c.servers[0];
+        assert_eq!((srv.lpc.len(), srv.container_cache.len()), (1, 1));
+        assert_eq!(srv.lpc.fingerprints(layout[2].0).map(<[_]>::len), Some(25));
+        // The restore after it finds everything in the merged slot.
+        let before = node_bytes_read(&c);
+        let again = c.restore_run(second).expect("restore");
+        assert_eq!((again.bytes, again.failures), (audit.bytes, 0));
+        assert_eq!((again.lpc.misses, node_bytes_read(&c)), (0, before));
+        assert_eq!(again.bytes, of_counters("second", &shared).logical_bytes());
+    }
+
     #[test]
     fn one_file_of_many_and_the_audit_after_it_read_their_own_recipes() {
         // Three files, the middle one three laps over more containers
@@ -948,7 +1289,12 @@ mod tests {
             r.resolve_s,
             r.elapsed
         );
-        // The default window on the same history overlaps all three.
+        // The default window on the same history overlaps all three. It
+        // charges the same reads although it starts reading ranges seven
+        // misses later (its cache fills later): v1 wants every chunk of
+        // every container but its first and its last; both walks read the
+        // first knowing nothing and the last by range, and a range that
+        // is the whole data section is the one whole-container I/O.
         let (mut c, job) = two_generations(DebarConfig::tiny_test(0));
         let wide = c.restore_run(RunId { job, version: 1 }).expect("restore");
         assert_eq!((wide.bytes, wide.lpc.misses), (r.bytes, r.lpc.misses));
@@ -972,7 +1318,19 @@ mod tests {
         let read = paper::repo_disk().rand_read_cost(cfg.container_bytes);
         assert_eq!((r.failures, r.send_s), (0, 0.0));
         assert!(close(r.resolve_s, r.lpc.misses as f64 * lookup));
-        assert!(close(r.node_read_s, r.lpc.misses as f64 * read));
+        // Until PR 22 this pinned `misses x whole-read cost`. The walk
+        // knows nothing while its cache fills — those misses still read
+        // the paper's whole container — and every miss after that reads
+        // the metadata section and the extents its recipe wants, never
+        // more than the whole container would have cost.
+        let (filling, misses) = (cfg.lpc_containers as f64, r.lpc.misses as f64);
+        assert!(misses > filling, "the walk must outgrow its cache");
+        assert!(
+            filling * read < r.node_read_s && r.node_read_s < misses * read,
+            "{} s of reads for {filling} whole containers and {} ranged",
+            r.node_read_s,
+            misses - filling
+        );
         assert_eq!(r.node_read_s, r.node_read_total_s);
         assert!(
             close(r.elapsed, lookup + r.node_read_s),

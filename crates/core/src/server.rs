@@ -29,7 +29,7 @@ use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache, IndexError, SiuReport};
 use debar_simio::models::paper;
 use debar_simio::{Secs, SimCpu, SimLink, VirtualClock};
-use debar_store::{ChunkRepository, Container, ContainerManager, LpcCache};
+use debar_store::{ChunkRepository, Container, ContainerManager, LpcCache, Payload};
 use std::collections::{HashMap, HashSet};
 
 /// Per-origin storage decision for a fingerprint this origin submitted.
@@ -174,13 +174,14 @@ pub struct BackupServer {
     pub(crate) container_cache: HashMap<ContainerId, CachedContainer>,
 }
 
-/// A container resident in the restore cache, with an O(1) chunk map and
-/// its place on the restore pipeline's timeline.
+/// One entry of the restore cache — the chunks fetched from one container
+/// (all of them after a whole-container read, the extents its recipe
+/// wanted after a ranged one), keyed for O(1) extraction — and its place
+/// on the restore pipeline's timeline.
 pub(crate) struct CachedContainer {
-    pub(crate) container: Container,
-    by_fp: HashMap<Fingerprint, usize>,
-    /// Server-clock time the container's read completed and verified: no
-    /// chunk of it is delivered earlier.
+    chunks: HashMap<Fingerprint, Payload>,
+    /// Server-clock time the last read into this slot completed and
+    /// verified: no chunk of it is delivered earlier.
     pub(crate) ready_at: Secs,
     /// Server-clock time the last chunk served from it left the NIC (its
     /// `ready_at` until one has): the fetch that evicts this container
@@ -189,23 +190,18 @@ pub(crate) struct CachedContainer {
 }
 
 impl CachedContainer {
-    /// Cache a container whose read completed at `ready_at`.
-    pub(crate) fn new(container: Container, ready_at: Secs) -> Self {
-        let by_fp = container.build_lookup();
-        CachedContainer {
-            container,
-            by_fp,
-            ready_at,
-            last_sent: ready_at,
-        }
+    /// Chunk length and payload for a fingerprint, if the slot holds it.
+    pub(crate) fn chunk(&self, fp: &Fingerprint) -> Option<(u32, Payload)> {
+        (self.chunks.get(fp)).map(|payload| (payload.len() as u32, payload.clone()))
     }
 
-    /// Chunk length and payload for a fingerprint, if present.
-    pub(crate) fn chunk(&self, fp: &Fingerprint) -> Option<(u32, debar_store::Payload)> {
-        self.by_fp.get(fp).map(|&i| {
-            let (meta, payload) = self.container.slot(i);
-            (meta.len, payload.clone())
-        })
+    /// Take in what a read that completed at `ready_at` fetched. Nothing
+    /// of the slot is delivered, and the slot is not given up, before
+    /// that read is in.
+    fn merge(&mut self, chunks: Vec<(Fingerprint, Payload)>, ready_at: Secs) {
+        self.chunks.extend(chunks);
+        self.ready_at = self.ready_at.max(ready_at);
+        self.last_sent = self.last_sent.max(ready_at);
     }
 }
 
@@ -283,15 +279,23 @@ impl BackupServer {
         self.container_cache.clear();
     }
 
-    /// Admit a fetched container to the restore cache — the one way in.
-    /// The LPC (fingerprint side) and the decoded-container cache (payload
-    /// side) move in lockstep: `victim`, the resident the caller chose to
-    /// give up, leaves both first; the container's fingerprints enter the
-    /// LPC; whatever the LPC's own LRU still evicts for them leaves the
-    /// payload cache too; and the container joins it, ready at
-    /// `ready_at(sent)` — `sent` being the time the last evicted
-    /// container's last chunk left the NIC (0 when nothing was evicted),
-    /// which the restore walk's fetch must wait for.
+    /// Admit what a container read fetched to the restore cache — the one
+    /// way in. The LPC (fingerprint side) and the payload cache move in
+    /// lockstep, and map exactly the chunks fetched.
+    ///
+    /// A container that is **not resident** takes a slot: `victim`, the
+    /// resident the caller chose to give up, leaves both sides first; the
+    /// fetched fingerprints enter the LPC; whatever the LPC's own LRU
+    /// still evicts for them leaves the payload cache too; and the chunks
+    /// join it, ready at `ready_at(sent)` — `sent` being the time the last
+    /// evicted container's last chunk left the NIC (0 when nothing was
+    /// evicted), which the restore walk's fetch must wait for.
+    ///
+    /// A container that **is resident** — a partial entry whose recipe
+    /// wanted less than a later miss needs, or one a fingerprint of which
+    /// lost its mapping to a younger resident — is merged into, in its own
+    /// slot: no victim, no slot to wait for (`sent` is 0), and the whole
+    /// entry is ready no earlier than this read.
     ///
     /// A caller that does not know the future passes no victim and gets
     /// the paper's LRU (the inline-backup prefetch). The restore walk
@@ -300,19 +304,28 @@ impl BackupServer {
     pub(crate) fn cache_container(
         &mut self,
         cid: ContainerId,
-        container: Container,
+        chunks: Vec<(Fingerprint, Payload)>,
         victim: Option<ContainerId>,
         ready_at: impl FnOnce(Secs) -> Secs,
     ) {
+        let fps = chunks.iter().map(|(fp, _)| *fp).collect();
+        if let Some(slot) = self.container_cache.get_mut(&cid) {
+            self.lpc.insert_container(cid, fps);
+            slot.merge(chunks, ready_at(0.0));
+            return;
+        }
         let chosen = victim.filter(|&v| self.lpc.evict(v));
-        let evicted = self
-            .lpc
-            .insert_container(cid, container.fingerprints().collect());
+        let evicted = self.lpc.insert_container(cid, fps);
         let sent = (chosen.iter().chain(&evicted))
             .filter_map(|e| self.container_cache.remove(e))
             .fold(0.0, |sent, victim| f64::max(sent, victim.last_sent));
-        self.container_cache
-            .insert(cid, CachedContainer::new(container, ready_at(sent)));
+        let mut slot = CachedContainer {
+            chunks: HashMap::with_capacity(chunks.len()),
+            ready_at: 0.0,
+            last_sent: 0.0,
+        };
+        slot.merge(chunks, ready_at(sent));
+        self.container_cache.insert(cid, slot);
     }
 
     /// Charge a network transfer to this server's clock.

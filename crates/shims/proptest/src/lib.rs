@@ -3,14 +3,15 @@
 //! The build environment has no network access to a crates registry, so the
 //! real `proptest` cannot be fetched. This shim implements the subset the
 //! workspace uses — the `proptest!` macro (with `#![proptest_config(..)]`,
-//! `name: Type` and `name in strategy` argument forms), integer-range and
-//! `collection::vec` strategies, `any::<T>()`, and the `prop_assert*`
+//! `name: Type` and `name in strategy` argument forms), integer-range,
+//! tuple and `collection::vec` strategies, `any::<T>()`, and the `prop_assert*`
 //! macros — on top of a deterministic SplitMix64 generator.
 //!
 //! Unlike the real proptest there is **no shrinking** and no persisted
 //! failure seeds: cases are generated from a seed derived from the test's
 //! module path and case number, so failures reproduce exactly across runs
-//! and machines.
+//! and machines. A failing case names itself — `case k/n of name` — whether
+//! it returned an error (`prop_assert!`) or panicked (`assert!`, `expect`).
 
 pub mod strategy {
     use crate::test_runner::TestRng;
@@ -49,6 +50,19 @@ pub mod strategy {
         )*};
     }
     int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+    macro_rules! tuple_strategy {
+        ($($s:ident . $i:tt),*) => {
+            impl<$($s: Strategy),*> Strategy for ($($s,)*) {
+                type Value = ($($s::Value,)*);
+                fn sample(&self, rng: &mut TestRng) -> Self::Value {
+                    ($(self.$i.sample(rng),)*)
+                }
+            }
+        };
+    }
+    tuple_strategy!(A.0, B.1);
+    tuple_strategy!(A.0, B.1, C.2);
 
     /// Strategy for any value of an [`crate::arbitrary::Arbitrary`] type.
     pub struct Any<T>(pub(crate) std::marker::PhantomData<T>);
@@ -226,6 +240,34 @@ pub mod test_runner {
     /// Result of one test case.
     pub type TestCaseResult = Result<(), TestCaseError>;
 
+    /// Names the running case when its body *panics* — an `assert!` or an
+    /// `expect` inside the property, where a `prop_assert!` would have
+    /// returned an error for the runner to report. Armed for the length of
+    /// one case; says nothing when the case returns.
+    pub struct CaseGuard {
+        /// The property's name.
+        pub name: &'static str,
+        /// The case running, from 0.
+        pub case: u32,
+        /// The number of cases the property runs.
+        pub cases: u32,
+    }
+
+    impl Drop for CaseGuard {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                use std::io::Write;
+                let CaseGuard { name, case, cases } = *self;
+                // A failed write must not panic inside an unwind.
+                let case = case + 1;
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "proptest case {case}/{cases} of {name} panicked"
+                );
+            }
+        }
+    }
+
     /// Deterministic SplitMix64 generator, seeded from the test identity
     /// and case number (stable across runs and machines).
     pub struct TestRng {
@@ -360,12 +402,18 @@ macro_rules! __proptest_fns {
                     concat!(module_path!(), "::", stringify!($name)),
                     __case,
                 );
-                let __result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
+                let __result: ::std::result::Result<(), $crate::test_runner::TestCaseError> = {
+                    let __armed = $crate::test_runner::CaseGuard {
+                        name: stringify!($name),
+                        case: __case,
+                        cases: __config.cases,
+                    };
                     (|| {
                         $crate::__proptest_bind!(__rng; $($args)*);
                         $body
                         ::std::result::Result::Ok(())
-                    })();
+                    })()
+                };
                 if let ::std::result::Result::Err(e) = __result {
                     panic!(
                         "proptest case {}/{} of {} failed: {}",
@@ -394,4 +442,29 @@ macro_rules! proptest {
             $($rest)*
         );
     };
+}
+
+#[cfg(test)]
+mod tests {
+    proptest! {
+        #![proptest_config(crate::ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn prop_pairs_and_triples_draw_each_member(
+            pair in (0u8..4, 10usize..12),
+            runs in crate::collection::vec((0u32..3, 5u64..6, 0i8..1), 1..4),
+        ) {
+            prop_assert!(pair.0 < 4 && (10..12).contains(&pair.1));
+            prop_assert!(runs.iter().all(|&(a, b, c)| a < 3 && b == 5 && c == 0));
+        }
+
+        // The case guard names the case on stderr (`case 3/4 of …
+        // panicked`) and lets the panic through: it must not turn it into
+        // a double panic, which would abort the test binary.
+        #[test]
+        #[should_panic(expected = "a plain assert")]
+        fn prop_a_panicking_case_unwinds_through_its_guard(n in 0u8..1) {
+            assert!(n > 0, "a plain assert");
+        }
+    }
 }

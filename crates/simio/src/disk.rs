@@ -81,6 +81,11 @@ impl DiskStats {
         self.busy_s += other.busy_s;
     }
 
+    /// Bytes read, sequentially or at random.
+    pub fn read_bytes(&self) -> u64 {
+        self.seq_read_bytes + self.rand_read_bytes
+    }
+
     /// Total bytes moved in either direction.
     pub fn total_bytes(&self) -> u64 {
         self.seq_read_bytes + self.seq_write_bytes + self.rand_read_bytes + self.rand_write_bytes
@@ -206,12 +211,25 @@ impl SimDisk {
 
     /// Perform a random read of `bytes`; returns the cost.
     pub fn rand_read(&mut self, bytes: u64) -> Secs {
+        self.rand_read_extents(&[bytes])
+    }
+
+    /// Perform **one** operation made of several random reads — the
+    /// extents of a ranged read. The op counter ticks once (a
+    /// [`FaultPlan`] sees one op, whatever the extent count), every extent
+    /// pays its own positioning and is counted as its own random read in
+    /// the statistics, and the cost is their sum.
+    pub fn rand_read_extents(&mut self, extents: &[u64]) -> Secs {
         self.tick();
-        let c = self.model.rand_read_cost(bytes);
-        self.stats.rand_reads += 1;
-        self.stats.rand_read_bytes += bytes;
-        self.stats.busy_s += c;
-        c
+        let mut cost = 0.0;
+        for &bytes in extents {
+            let c = self.model.rand_read_cost(bytes);
+            self.stats.rand_reads += 1;
+            self.stats.rand_read_bytes += bytes;
+            self.stats.busy_s += c;
+            cost += c;
+        }
+        cost
     }
 
     /// Run one **fault-checked** operation: collect a pending fault first
@@ -275,6 +293,21 @@ mod tests {
         let c = d.rand_read(512);
         assert!((c - (0.002 + 512.0 / 100e6)).abs() < 1e-12);
         assert_eq!(d.stats().rand_reads, 1);
+    }
+
+    #[test]
+    fn a_ranged_read_is_one_op_of_many_seeks() {
+        let (mut ranged, mut apart) = (disk(), disk());
+        let cost = ranged.rand_read_extents(&[512, 4096, 100]);
+        let sum: Secs = [512, 4096, 100].map(|b| apart.rand_read(b)).iter().sum();
+        assert!((cost - sum).abs() < 1e-15);
+        // Every extent is a random read in the statistics; the fault plan
+        // sees one operation.
+        assert_eq!(ranged.stats().rand_reads, 3);
+        assert_eq!(ranged.stats().rand_read_bytes, 512 + 4096 + 100);
+        assert_eq!((ranged.ops(), apart.ops()), (1, 3));
+        // One extent is `rand_read`, to the bit.
+        assert_eq!(disk().rand_read_extents(&[8192]), disk().rand_read(8192));
     }
 
     #[test]

@@ -83,24 +83,33 @@ pub enum Damage {
 }
 
 impl Damage {
+    /// The first byte of a `len`-byte image the damage touches: where a
+    /// torn image ends, the byte a flip lands in (`salt` picks it).
+    pub fn position(self, len: usize, salt: u64) -> usize {
+        match self {
+            Damage::Torn => len * 2 / 3,
+            Damage::BitFlip => (flip_hash(salt) % len.max(1) as u64) as usize,
+        }
+    }
+
     /// Apply the damage to a serialized container image. `salt`
     /// (typically the container ID) picks the deterministic flip position.
     pub fn apply(self, raw: &mut Vec<u8>, salt: u64) {
+        let at = self.position(raw.len(), salt);
         match self {
-            Damage::Torn => {
-                let keep = raw.len() * 2 / 3;
-                raw.truncate(keep);
-            }
+            Damage::Torn => raw.truncate(at),
             Damage::BitFlip => {
-                if raw.is_empty() {
-                    return;
+                if let Some(byte) = raw.get_mut(at) {
+                    *byte ^= 1 << (flip_hash(salt) >> 61);
                 }
-                let h = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let pos = (h % raw.len() as u64) as usize;
-                raw[pos] ^= 1 << (h >> 61);
             }
         }
     }
+}
+
+/// What a [`Damage::BitFlip`] derives its byte and bit from.
+fn flip_hash(salt: u64) -> u64 {
+    salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// A chunk payload.
@@ -253,7 +262,7 @@ impl Container {
     }
 
     /// Find a chunk by fingerprint (linear scan of the metadata section —
-    /// restore hot paths should use [`Container::build_lookup`]).
+    /// the restore cache keys the chunks it fetched by fingerprint instead).
     pub fn find(&self, fp: &Fingerprint) -> Option<(&ChunkMeta, &Payload)> {
         self.metas
             .iter()
@@ -261,17 +270,7 @@ impl Container {
             .map(|i| (&self.metas[i], &self.payloads[i]))
     }
 
-    /// Build a fingerprint → chunk-slot map for O(1) repeated lookups (the
-    /// LPC payload cache uses this on insertion).
-    pub fn build_lookup(&self) -> std::collections::HashMap<Fingerprint, usize> {
-        self.metas
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.fp, i))
-            .collect()
-    }
-
-    /// Access a chunk by slot index (pairs with [`Container::build_lookup`]).
+    /// Access a chunk by its index in the metadata section.
     pub fn slot(&self, i: usize) -> (&ChunkMeta, &Payload) {
         (&self.metas[i], &self.payloads[i])
     }
@@ -325,61 +324,18 @@ impl Container {
     /// garbled, pre-magic or future-format input fails loudly with the
     /// specific [`CorruptKind`].
     pub fn deserialize(raw: &[u8], capacity: u64) -> Result<Container, CorruptKind> {
-        if raw.len() < WIRE_HEADER + WIRE_TRAILER {
-            return Err(CorruptKind::Truncated("header"));
-        }
-        if raw[0] != CONTAINER_MAGIC {
-            return Err(CorruptKind::BadMagic);
-        }
-        if raw[1] != CONTAINER_VERSION {
-            return Err(CorruptKind::UnsupportedVersion(raw[1]));
-        }
+        let count = wire_header(raw)?;
         let body_end = raw.len() - WIRE_TRAILER;
         if Sha1::digest(&raw[..body_end])[..] != raw[body_end..] {
             return Err(CorruptKind::ChecksumMismatch);
         }
-        let count = u32::from_le_bytes(
-            raw[2..6]
-                .try_into()
-                .map_err(|_| CorruptKind::Truncated("chunk count"))?,
-        ) as usize;
-        let meta_end = WIRE_HEADER + count * 32;
-        if body_end < meta_end {
-            return Err(CorruptKind::Truncated("metadata section"));
-        }
-        let mut metas = Vec::with_capacity(count);
-        for i in 0..count {
-            let base = WIRE_HEADER + i * 32;
-            let mut fpb = [0u8; 20];
-            fpb.copy_from_slice(&raw[base..base + 20]);
-            let len = u32::from_le_bytes(
-                raw[base + 20..base + 24]
-                    .try_into()
-                    .map_err(|_| CorruptKind::Truncated("chunk length"))?,
-            );
-            let offset = u64::from_le_bytes(
-                raw[base + 24..base + 32]
-                    .try_into()
-                    .map_err(|_| CorruptKind::Truncated("chunk offset"))?,
-            );
-            metas.push(ChunkMeta {
-                fp: Fingerprint(fpb),
-                len,
-                offset,
-            });
-        }
-        let data = &raw[meta_end..body_end];
+        let metas = wire_metas(raw, count)?;
         let mut payloads = Vec::with_capacity(count);
         let mut data_bytes = 0u64;
         for m in &metas {
-            let start = m.offset as usize;
-            let end = start
-                .checked_add(m.len as usize)
-                .ok_or(CorruptKind::BadGeometry("chunk span overflows"))?;
-            if end > data.len() {
-                return Err(CorruptKind::BadGeometry("chunk span outside data section"));
-            }
-            payloads.push(Payload::Real(Bytes::copy_from_slice(&data[start..end])));
+            payloads.push(Payload::Real(Bytes::copy_from_slice(wire_chunk(
+                raw, count, m,
+            )?)));
             data_bytes += m.len as u64;
         }
         Ok(Container {
@@ -390,6 +346,89 @@ impl Container {
             data_bytes,
         })
     }
+
+    /// Decode what a **ranged read** sees of a serialized container: the
+    /// header, the metadata section and the spans of the chunks `wanted`
+    /// names, in metadata order. The checksum trailer is *not* checked — a
+    /// reader that fetched a few extents never read the bytes it covers —
+    /// so the caller must verify every chunk it gets against its
+    /// fingerprint. What is parsed fails with the same [`CorruptKind`]s as
+    /// [`Container::deserialize`].
+    pub fn deserialize_chunks(
+        raw: &[u8],
+        wanted: impl Fn(&Fingerprint) -> bool,
+    ) -> Result<Vec<(ChunkMeta, Bytes)>, CorruptKind> {
+        let count = wire_header(raw)?;
+        let mut chunks = Vec::new();
+        for m in wire_metas(raw, count)? {
+            if wanted(&m.fp) {
+                chunks.push((m, Bytes::copy_from_slice(wire_chunk(raw, count, &m)?)));
+            }
+        }
+        Ok(chunks)
+    }
+}
+
+/// The header of a serialized container — magic, version — and the chunk
+/// count it announces.
+fn wire_header(raw: &[u8]) -> Result<usize, CorruptKind> {
+    if raw.len() < WIRE_HEADER + WIRE_TRAILER {
+        return Err(CorruptKind::Truncated("header"));
+    }
+    if raw[0] != CONTAINER_MAGIC {
+        return Err(CorruptKind::BadMagic);
+    }
+    if raw[1] != CONTAINER_VERSION {
+        return Err(CorruptKind::UnsupportedVersion(raw[1]));
+    }
+    let count = raw[2..6]
+        .try_into()
+        .map_err(|_| CorruptKind::Truncated("chunk count"))?;
+    Ok(u32::from_le_bytes(count) as usize)
+}
+
+/// The metadata section of a serialized container of `count` chunks.
+fn wire_metas(raw: &[u8], count: usize) -> Result<Vec<ChunkMeta>, CorruptKind> {
+    let body_end = raw.len() - WIRE_TRAILER;
+    if body_end < WIRE_HEADER + count * 32 {
+        return Err(CorruptKind::Truncated("metadata section"));
+    }
+    let mut metas = Vec::with_capacity(count);
+    for i in 0..count {
+        let base = WIRE_HEADER + i * 32;
+        let mut fpb = [0u8; 20];
+        fpb.copy_from_slice(&raw[base..base + 20]);
+        let len = u32::from_le_bytes(
+            raw[base + 20..base + 24]
+                .try_into()
+                .map_err(|_| CorruptKind::Truncated("chunk length"))?,
+        );
+        let offset = u64::from_le_bytes(
+            raw[base + 24..base + 32]
+                .try_into()
+                .map_err(|_| CorruptKind::Truncated("chunk offset"))?,
+        );
+        metas.push(ChunkMeta {
+            fp: Fingerprint(fpb),
+            len,
+            offset,
+        });
+    }
+    Ok(metas)
+}
+
+/// One chunk's bytes in the data section of a serialized container of
+/// `count` chunks.
+fn wire_chunk<'a>(raw: &'a [u8], count: usize, m: &ChunkMeta) -> Result<&'a [u8], CorruptKind> {
+    let data = &raw[WIRE_HEADER + count * 32..raw.len() - WIRE_TRAILER];
+    let start = m.offset as usize;
+    let end = start
+        .checked_add(m.len as usize)
+        .ok_or(CorruptKind::BadGeometry("chunk span overflows"))?;
+    if end > data.len() {
+        return Err(CorruptKind::BadGeometry("chunk span outside data section"));
+    }
+    Ok(&data[start..end])
 }
 
 #[cfg(test)]
@@ -531,6 +570,61 @@ mod tests {
             );
         }
         assert!(Container::deserialize(&clean, 1 << 16).is_ok());
+    }
+
+    #[test]
+    fn a_ranged_decode_sees_the_header_the_metadata_and_the_chunks_it_wants() {
+        let mut c = Container::new(1 << 16);
+        for i in 0..10u64 {
+            let body: Vec<u8> = (0..64).map(|j| (i * 3 + j) as u8).collect();
+            c.try_append(fp(i), Payload::Real(Bytes::from(body)));
+        }
+        let clean = c.serialize();
+        let odd = |f: &Fingerprint| (1..10).step_by(2).any(|i| *f == fp(i));
+        let read = Container::deserialize_chunks(&clean, odd).expect("clean");
+        assert_eq!(read.len(), 5);
+        for (m, bytes) in &read {
+            assert_eq!(Some(bytes.clone()), c.read_chunk(&m.fp));
+        }
+        // It never reads the trailer or a chunk it does not want: damage
+        // there goes unseen, damage in what it parses or returns does not.
+        let meta_end = 6 + 32 * 10;
+        let mut raw = clean.clone();
+        *raw.last_mut().expect("trailer") ^= 1;
+        raw[meta_end + 3] ^= 1; // chunk 0, unwanted
+        let unseen = Container::deserialize_chunks(&raw, odd).expect("unseen");
+        assert_eq!(unseen, read);
+        assert!(Container::deserialize(&raw, 1 << 16).is_err());
+        let mut raw = clean.clone();
+        raw[meta_end + 64 + 3] ^= 1; // chunk 1, wanted: delivered as it reads
+        let flipped = Container::deserialize_chunks(&raw, odd).expect("parses");
+        assert_ne!(
+            flipped[0].1, read[0].1,
+            "the caller's hash check is the guard"
+        );
+        let mut raw = clean.clone();
+        raw[0] ^= 1;
+        assert_eq!(
+            Container::deserialize_chunks(&raw, odd).unwrap_err(),
+            CorruptKind::BadMagic
+        );
+        // A torn image: chunks that end before the tear decode, one that
+        // reaches past it is out of the data section.
+        let mut torn = clean.clone();
+        Damage::Torn.apply(&mut torn, 0);
+        let early = |f: &Fingerprint| *f == fp(1);
+        assert_eq!(
+            Container::deserialize_chunks(&torn, early).expect("before the tear"),
+            read[..1]
+        );
+        assert_eq!(
+            Container::deserialize_chunks(&torn, odd).unwrap_err(),
+            CorruptKind::BadGeometry("chunk span outside data section")
+        );
+        assert_eq!(
+            Container::deserialize_chunks(&clean[..meta_end], odd).unwrap_err(),
+            CorruptKind::Truncated("metadata section")
+        );
     }
 
     #[test]

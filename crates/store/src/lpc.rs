@@ -10,6 +10,14 @@
 //! the next ~1000 stream-local lookups into hits; the paper measures 99.3%
 //! of random fingerprint-lookup I/Os eliminated this way (§6.2).
 //!
+//! **An entry is an extent set.** What is cached under a container is the
+//! fingerprints its fetch brought in: all of them after the paper's
+//! whole-container read, only the chunks its recipe still needed after the
+//! restore walk's ranged read. [`LpcCache::insert_container`] of a
+//! container that is already resident *merges* — the entry grows by the new
+//! fingerprints, nobody is evicted — so the capacity counts entries of at
+//! most one container each, and a partial entry only ever takes less.
+//!
 //! **LRU is the rule of a caller that does not know the future** — a
 //! backup's prefetch, `debar-ddfs`: [`LpcCache::insert_container`] makes
 //! room by dropping the coldest resident. A caller that does know it (the
@@ -140,8 +148,9 @@ impl LpcCache {
         self.lru.iter().copied()
     }
 
-    /// A cached container's fingerprints, as it was inserted. Another
-    /// resident may answer for some of them ([`LpcCache::peek`] says who).
+    /// A cached container's fingerprints, in the order its inserts brought
+    /// them. Another resident may answer for some of them
+    /// ([`LpcCache::peek`] says who).
     pub fn fingerprints(&self, cid: ContainerId) -> Option<&[Fingerprint]> {
         self.by_container.get(&cid).map(Vec::as_slice)
     }
@@ -149,19 +158,27 @@ impl LpcCache {
     /// Insert a container's fingerprint set (after fetching the container on
     /// a miss), evicting the least-recently-used containers if needed.
     /// Returns the evicted container IDs so callers keeping payload caches
-    /// in sync (the restore path) can drop theirs too.
+    /// in sync (the restore path) can drop theirs too. A container that is
+    /// already resident grows by the fingerprints it did not list yet and
+    /// evicts nobody.
     pub fn insert_container(
         &mut self,
         cid: ContainerId,
         fps: Vec<Fingerprint>,
     ) -> Vec<ContainerId> {
-        if self.by_container.contains_key(&cid) {
-            // A resident container is fetched again only because a
-            // fingerprint of its missed: a younger resident that also
-            // held it took the mapping over and was evicted since. Give
-            // every orphaned fingerprint back, or each later occurrence
-            // would miss and re-read this container to no effect.
+        if let Some(held) = self.by_container.get_mut(&cid) {
+            // A resident container is fetched again for one of two
+            // reasons. A fingerprint of its missed because a younger
+            // resident that also held it took the mapping over and was
+            // evicted since: give every orphaned fingerprint back, or each
+            // later occurrence would miss and re-read this container to no
+            // effect. Or the entry is an extent set that just grew by a
+            // merge: the new fingerprints are recorded with the entry, so
+            // that evicting it takes their mappings along.
             for fp in fps {
+                if self.by_fp.get(&fp) != Some(&cid) && !held.contains(&fp) {
+                    held.push(fp);
+                }
                 self.by_fp.entry(fp).or_insert(cid);
             }
             self.touch(cid);
@@ -315,6 +332,34 @@ mod tests {
         c.insert_container(cid(4), vec![fp(1)]);
         c.insert_container(cid(0), vec![fp(0), fp(1)]);
         assert_eq!(c.peek(&fp(1)), Some(cid(4)));
+    }
+
+    #[test]
+    fn a_resident_container_that_grows_takes_its_new_fingerprints_along() {
+        // An entry is an extent set: a second fetch of a resident
+        // container merges into it. What the merge added must leave with
+        // the entry, or `by_fp` keeps pointing at a container that is gone.
+        let mut c = LpcCache::new(2);
+        c.insert_container(cid(0), vec![fp(1), fp(2)]);
+        assert!(c.insert_container(cid(0), vec![fp(2), fp(3)]).is_empty());
+        assert_eq!(c.fingerprints(cid(0)), Some(&[fp(1), fp(2), fp(3)][..]));
+        assert_eq!((c.len(), c.peek(&fp(3))), (1, Some(cid(0))));
+        assert!(c.evict(cid(0)));
+        for n in 1..=3 {
+            assert_eq!(c.peek(&fp(n)), None, "fp({n}) outlived its container");
+        }
+        // A fingerprint a younger resident answers for is listed too: when
+        // that one goes, the re-insert gives the mapping back and the list
+        // does not grow twice.
+        c.insert_container(cid(1), vec![fp(7)]);
+        c.insert_container(cid(2), vec![fp(7), fp(8)]);
+        c.insert_container(cid(1), vec![fp(8)]);
+        assert_eq!(c.fingerprints(cid(1)), Some(&[fp(7), fp(8)][..]));
+        assert_eq!(c.peek(&fp(8)), Some(cid(2)));
+        assert!(c.evict(cid(2)));
+        c.insert_container(cid(1), vec![fp(7), fp(8)]);
+        assert_eq!(c.fingerprints(cid(1)), Some(&[fp(7), fp(8)][..]));
+        assert_eq!(c.peek(&fp(8)), Some(cid(1)));
     }
 
     #[test]

@@ -39,6 +39,22 @@
 //! clock ([`NodeRead::timed`]); the pipelined restore walk puts each leg
 //! on its own node's timeline, which is what lets two nodes read at once.
 //!
+//! **One failover core, three reads.** [`ChunkRepository::read`] (the
+//! paper's whole fixed-size container, one I/O, verified against its
+//! checksum trailer), [`ChunkRepository::read_metas`] (the metadata
+//! section alone) and [`ChunkRepository::read_chunks`] (the metadata
+//! section, then only the extents that hold the chunks the caller wants —
+//! [`wanted_extents`] coalesces them by the gap law) are the same
+//! balance → attempt → fail over → read-repair loop asked to fetch
+//! something else. An attempt is one fault-checked disk op whatever it
+//! fetches: a ranged read's I/Os are summed into its cost and counted one
+//! by one in the node's [`debar_simio::DiskStats`], so its seeks stay
+//! visible, but an armed [`FaultPlan`] sees one op. A ranged read verifies
+//! what it uses — header, metadata section, every wanted chunk against its
+//! fingerprint — not the trailer it never read; once it has found a copy
+//! corrupt it reads the remaining replicas whole, so a read-repair always
+//! writes back an image that passed its trailer.
+//!
 //! [`ChunkRepository::repair_node`] is the scrub/re-replication pass: a
 //! downed node is repaired by *replacing* its disk (every copy it held is
 //! re-replicated from surviving healthy copies), an up node is scrubbed in
@@ -99,9 +115,9 @@
 //! * a `Fail` on a read surfaces [`StoreError::DiskFault`] — or fails
 //!   over, when another replica survives.
 
-use crate::container::{Container, Damage};
+use crate::container::{ChunkMeta, Container, CorruptKind, Damage, Payload};
 use crate::error::StoreError;
-use debar_hash::ContainerId;
+use debar_hash::{ContainerId, Fingerprint, Sha1};
 use debar_simio::{DiskModel, FaultKind, FaultPlan, RetryPolicy, Secs, SimDisk, Timed};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -346,6 +362,14 @@ impl<T> NodeRead<T> {
         }
     }
 
+    /// The same read, its value (when a copy served) passed through `f`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> NodeRead<U> {
+        NodeRead {
+            value: self.value.map(|served| served.map(f)),
+            legs: self.legs,
+        }
+    }
+
     /// The read as a sequential caller sees it: the value at the serial
     /// sum of its legs.
     pub fn timed(self) -> Timed<Result<Option<T>, StoreError>> {
@@ -390,11 +414,37 @@ type StoreOutcome = (
 /// The disk op one replica attempt charges
 /// ([`ChunkRepository::io_attempts`]).
 #[derive(Clone, Copy)]
-enum NodeOp {
-    /// A random read of this many bytes.
-    Read(u64),
+enum NodeOp<'a> {
+    /// One read made of these random I/Os (byte lengths).
+    Read(&'a [u64]),
     /// A sequential write of one container.
     Write,
+}
+
+/// What one container read fetches from a copy — the argument of the one
+/// failover core ([`ChunkRepository::read`], [`ChunkRepository::read_metas`]
+/// and [`ChunkRepository::read_chunks`] are its three values).
+#[derive(Clone, Copy)]
+enum Fetch<'a> {
+    /// The paper's read: the whole fixed-size container in one I/O,
+    /// verified against its checksum trailer.
+    Whole,
+    /// The metadata section alone.
+    Metas,
+    /// The metadata section, then the extents holding the chunks the
+    /// predicate wants ([`wanted_extents`]).
+    Chunks(&'a dyn Fn(&Fingerprint) -> bool),
+}
+
+/// Whether `bytes`, as read from a copy's data section, are the chunk
+/// stored under `fp`: real bytes hash back to the fingerprint; a synthetic
+/// zero payload (whose fingerprint is counter-derived, no hash of it) reads
+/// back as that many zero bytes.
+fn reads_back(fp: &Fingerprint, stored: &Payload, bytes: &[u8]) -> bool {
+    match stored {
+        Payload::Real(_) => Sha1::digest(bytes) == fp.0,
+        Payload::Zero(len) => bytes.len() == *len as usize && bytes.iter().all(|&b| b == 0),
+    }
 }
 
 /// On-disk size of a container's metadata section — header, ≈ 32 bytes
@@ -402,6 +452,34 @@ enum NodeOp {
 /// full read.
 fn meta_section_bytes(chunks: usize) -> u64 {
     6 + 32 * chunks as u64 + 20
+}
+
+/// The reads that fetch the `wanted` chunks of a data section laid out as
+/// `metas` (stream order, ascending offsets): the byte length of each
+/// extent, in offset order. Adjacent wanted chunks share an extent, and
+/// the **gap law** decides the rest: the bytes between two wanted chunks
+/// are read through exactly when streaming them is no dearer than the
+/// seek that skipping them costs — `gap / read_bw <= seek_s`. Nothing
+/// before the first or after the last wanted chunk is read.
+pub fn wanted_extents(
+    metas: &[ChunkMeta],
+    wanted: impl Fn(&Fingerprint) -> bool,
+    disk: &DiskModel,
+) -> Vec<u64> {
+    let mut extents = Vec::new();
+    // Where the extent being grown ends.
+    let mut end = 0u64;
+    for m in metas.iter().filter(|m| wanted(&m.fp)) {
+        let reach = m.offset + m.len as u64;
+        match extents.last_mut() {
+            Some(open) if disk.seq_read_cost(m.offset.saturating_sub(end)) <= disk.seek_s => {
+                *open += reach.saturating_sub(end);
+            }
+            _ => extents.push(m.len as u64),
+        }
+        end = end.max(reach);
+    }
+    extents
 }
 
 /// The multi-node, replicated container log.
@@ -733,32 +811,51 @@ impl ChunkRepository {
         (writes, Ok(id))
     }
 
-    /// Materialize a stored container copy, running any injected damage
-    /// through the real serialize → damage → deserialize pipeline so
-    /// corruption is *detected* by the checksum trailer, not silently
-    /// read.
-    fn materialize(&self, node: usize, cid: ContainerId) -> Result<Option<Container>, StoreError> {
+    /// Check a stored container copy as a reader fetching `fetch` sees it,
+    /// running any injected damage through the real serialize → damage →
+    /// deserialize pipeline so corruption is *detected*, not silently
+    /// read. `Ok(false)` means the node holds no copy.
+    ///
+    /// A whole or metadata read verifies the checksum trailer. A ranged
+    /// read cannot check a trailer it did not read, so it verifies exactly
+    /// what it uses: header and metadata section parse, and every wanted
+    /// chunk is listed there and hashes back to its fingerprint (a
+    /// [`Payload::Zero`] stand-in, whose fingerprint is no hash, must read
+    /// back as that many zero bytes). Damage in bytes it never read is
+    /// [`ChunkRepository::scrub_all`]'s to find.
+    fn check_copy(&self, node: usize, cid: ContainerId, fetch: Fetch) -> Result<bool, StoreError> {
         let Some(sc) = self.nodes[node].containers.get(&cid.raw()) else {
-            return Ok(None);
+            return Ok(false);
         };
-        match sc.damage {
-            None => Ok(Some(sc.container.clone())),
-            Some(damage) => {
-                let mut raw = sc.container.serialize();
-                damage.apply(&mut raw, cid.raw());
-                match Container::deserialize(&raw, sc.container.capacity()) {
-                    Ok(mut c) => {
-                        // Damage missed the image (can't happen with the
-                        // current shapes, but stay honest if it does).
-                        c.set_id(cid);
-                        Ok(Some(c))
-                    }
-                    Err(reason) => Err(StoreError::CorruptContainer {
-                        container: cid,
-                        reason,
-                    }),
-                }
+        let Some(damage) = sc.damage else {
+            return Ok(true);
+        };
+        let mut raw = sc.container.serialize();
+        damage.apply(&mut raw, cid.raw());
+        let checked = match fetch {
+            // Damage that missed the image (no current shape does) leaves
+            // a readable copy.
+            Fetch::Whole | Fetch::Metas => {
+                Container::deserialize(&raw, sc.container.capacity()).map(|_| ())
             }
+            Fetch::Chunks(wanted) => Container::deserialize_chunks(&raw, wanted).and_then(|read| {
+                let mut read = read.into_iter();
+                let stored = sc.container.chunks().filter(|(fp, _)| wanted(fp));
+                for (fp, payload) in stored {
+                    let listed = read.find(|(m, _)| m.fp == fp);
+                    if !listed.is_some_and(|(_, bytes)| reads_back(&fp, &payload, &bytes)) {
+                        return Err(CorruptKind::PayloadMismatch);
+                    }
+                }
+                Ok(())
+            }),
+        };
+        match checked {
+            Ok(()) => Ok(true),
+            Err(reason) => Err(StoreError::CorruptContainer {
+                container: cid,
+                reason,
+            }),
         }
     }
 
@@ -773,7 +870,7 @@ impl ChunkRepository {
     fn io_attempts(
         &mut self,
         node: usize,
-        op: NodeOp,
+        op: NodeOp<'_>,
     ) -> (Secs, Result<Option<Damage>, StoreError>) {
         let max = self.retry.max_attempts.max(1);
         let mut cost: Secs = 0.0;
@@ -781,7 +878,7 @@ impl ChunkRepository {
         loop {
             let disk = &mut self.nodes[node].disk;
             cost += match op {
-                NodeOp::Read(bytes) => disk.rand_read(bytes),
+                NodeOp::Read(extents) => disk.rand_read_extents(extents),
                 NodeOp::Write => disk.seq_write(self.container_bytes),
             };
             let Some(fault) = disk.take_fault() else {
@@ -835,19 +932,53 @@ impl ChunkRepository {
         order
     }
 
-    /// The replica-failover read core shared by [`ChunkRepository::read`]
-    /// and [`ChunkRepository::read_metas`]: try each holding node in
-    /// failover order, skipping down nodes; an injected failure (after
-    /// any retries the policy allows) or a detected-corrupt copy moves on
-    /// to the next replica. A success after a down/faulted skip is a
-    /// degraded read ([`RepoStats::failover_reads`]); corrupt copies are
-    /// counted separately ([`RepoStats::corrupt_reads`]) and read-repaired
-    /// from the clean copy the read returns. When every copy is exhausted
-    /// the read fails with the last typed error — or
-    /// [`StoreError::Unrecoverable`] when no copy could even be attempted
-    /// (every holder down). Every attempt is reported as a leg on the
-    /// node it charged ([`NodeRead`]).
-    fn read_one(&mut self, cid: ContainerId, meta_only: bool) -> NodeRead<Container> {
+    /// The I/Os (byte lengths) one attempt at `fetch` issues against
+    /// `node`'s copy, and the fetch they amount to. A ranged read opens
+    /// with the metadata section as its own I/O — the reader must parse
+    /// it before it knows where the chunks lie — and pays one seek per
+    /// extent; when that would cost no less than the container in one
+    /// piece, it *is* the whole read.
+    fn plan<'f>(&self, node: usize, cid: ContainerId, fetch: Fetch<'f>) -> (Fetch<'f>, Vec<u64>) {
+        let metas = (self.nodes[node].containers.get(&cid.raw()))
+            .map_or(&[][..], |sc| sc.container.metas());
+        let meta_bytes = meta_section_bytes(metas.len());
+        match fetch {
+            Fetch::Whole => (fetch, vec![self.container_bytes]),
+            Fetch::Metas => (fetch, vec![meta_bytes]),
+            Fetch::Chunks(wanted) => {
+                let disk = self.nodes[node].disk.model();
+                let mut ios = vec![meta_bytes];
+                ios.extend(wanted_extents(metas, wanted, &disk));
+                let ranged: Secs = ios.iter().map(|&b| disk.rand_read_cost(b)).sum();
+                if ranged < disk.rand_read_cost(self.container_bytes) {
+                    (fetch, ios)
+                } else {
+                    (Fetch::Whole, vec![self.container_bytes])
+                }
+            }
+        }
+    }
+
+    /// The replica-failover read core — [`ChunkRepository::read`],
+    /// [`ChunkRepository::read_metas`] and [`ChunkRepository::read_chunks`]
+    /// are this loop asked for a different [`Fetch`]: try each holding
+    /// node in failover order, skipping down nodes; an injected failure
+    /// (after any retries the policy allows) or a detected-corrupt copy
+    /// moves on to the next replica. A success after a down/faulted skip
+    /// is a degraded read ([`RepoStats::failover_reads`]); corrupt copies
+    /// are counted separately ([`RepoStats::corrupt_reads`]) and
+    /// read-repaired from the clean copy the read returns — which is why
+    /// every attempt after a corrupt one reads its replica **whole**,
+    /// whatever was asked: the image a repair writes back has passed its
+    /// checksum trailer. When every copy is exhausted the read fails with
+    /// the last typed error — or [`StoreError::Unrecoverable`] when no
+    /// copy could even be attempted (every holder down).
+    ///
+    /// Each attempt is **one** fault-checked disk op, however many I/Os
+    /// it issues, and is reported as a leg on the node it charged
+    /// ([`NodeRead`]). The value is the node that served: its stored copy
+    /// is what the caller reads from.
+    fn read_one(&mut self, cid: ContainerId, fetch: Fetch) -> NodeRead<usize> {
         if cid.is_null() {
             return NodeRead::free(Ok(None));
         }
@@ -878,41 +1009,41 @@ impl ChunkRepository {
                 degraded_fault = true;
                 continue;
             }
-            let bytes = if meta_only {
-                // Metadata-section prefetch.
-                let len = self.nodes[node]
-                    .containers
-                    .get(&cid.raw())
-                    .map_or(0, |sc| sc.container.len());
-                meta_section_bytes(len)
+            let asked = if corrupt_nodes.is_empty() {
+                fetch
             } else {
-                self.container_bytes
+                Fetch::Whole
             };
-            let (read_cost, outcome) = self.io_attempts(node, NodeOp::Read(bytes));
+            let (fetch, ios) = self.plan(node, cid, asked);
+            let (read_cost, outcome) = self.io_attempts(node, NodeOp::Read(&ios));
             if let Err(e) = outcome {
                 out.legs.failed.push((node, read_cost));
                 degraded_fault = true;
                 last_err = Some(e);
                 continue;
             }
-            match self.materialize(node, cid) {
-                Ok(Some(c)) => {
+            match self.check_copy(node, cid, fetch) {
+                Ok(true) => {
                     if degraded_fault {
                         self.stats.failover_reads += 1;
                     }
-                    // The metadata section is the head of the read: what
-                    // follows it is the tail the resolver need not wait for.
-                    let tail_bytes = bytes.saturating_sub(meta_section_bytes(c.len()));
+                    // The metadata section is the head of the first I/O:
+                    // what follows it is the tail the resolver need not
+                    // wait for.
+                    let copy = &self.nodes[node].containers[&cid.raw()].container;
+                    let disk = self.nodes[node].disk.model();
+                    let head = ios[0].saturating_sub(meta_section_bytes(copy.len()));
+                    let extents: Secs = ios[1..].iter().map(|&b| disk.rand_read_cost(b)).sum();
                     out.legs.served = Some(ServedLeg {
                         node,
                         cost: read_cost,
-                        data_tail: self.nodes[node].disk.model().seq_read_cost(tail_bytes),
+                        data_tail: disk.seq_read_cost(head) + extents,
                     });
-                    out.legs.repairs = self.read_repair(cid, &c, &corrupt_nodes);
-                    out.value = Ok(Some(c));
+                    out.legs.repairs = self.read_repair(cid, node, &corrupt_nodes);
+                    out.value = Ok(Some(node));
                     return out;
                 }
-                Ok(None) => out.legs.failed.push((node, read_cost)),
+                Ok(false) => out.legs.failed.push((node, read_cost)),
                 Err(e) => {
                     self.stats.corrupt_reads += 1;
                     self.record_node_error(node);
@@ -932,16 +1063,26 @@ impl ChunkRepository {
         out
     }
 
+    /// A read's value taken from the copy that served it.
+    fn served_copy<T>(
+        &self,
+        cid: ContainerId,
+        read: NodeRead<usize>,
+        take: impl FnOnce(&Container) -> T,
+    ) -> NodeRead<T> {
+        read.map(|node| take(&self.nodes[node].containers[&cid.raw()].container))
+    }
+
     /// Inline read-repair: rewrite every corrupt copy a failover read
-    /// detected from the clean image it is about to return. Each repair
-    /// write is charged to the corrupt node's disk as maintenance I/O
-    /// (like [`ChunkRepository::repair_node`], it does not consume armed
-    /// fault plans), reported as a `(node, cost)` leg and counted in
+    /// detected from the clean image `source` just served whole. Each
+    /// repair write is charged to the corrupt node's disk as maintenance
+    /// I/O (like [`ChunkRepository::repair_node`], it does not consume
+    /// armed fault plans), reported as a `(node, cost)` leg and counted in
     /// [`RepoStats::read_repairs`].
     fn read_repair(
         &mut self,
         cid: ContainerId,
-        clean: &Container,
+        source: usize,
         corrupt: &[usize],
     ) -> Vec<(usize, Secs)> {
         let mut writes = Vec::new();
@@ -949,7 +1090,8 @@ impl ChunkRepository {
             if self.nodes[node].down {
                 continue;
             }
-            writes.push((node, self.install_clean(node, cid.raw(), clean.clone())));
+            let clean = self.nodes[source].containers[&cid.raw()].container.clone();
+            writes.push((node, self.install_clean(node, cid.raw(), clean)));
             self.stats.read_repairs += 1;
         }
         writes
@@ -986,7 +1128,8 @@ impl ChunkRepository {
     /// container; injected faults and detected corruption fail over to surviving
     /// replicas and surface as typed errors only when every copy is lost.
     pub fn read(&mut self, cid: ContainerId) -> NodeRead<Container> {
-        self.read_one(cid, false)
+        let read = self.read_one(cid, Fetch::Whole);
+        self.served_copy(cid, read, Container::clone)
     }
 
     /// Read only a container's metadata section (fingerprints): the cheap
@@ -994,12 +1137,33 @@ impl ChunkRepository {
     /// read per attempted copy (metadata section ≈ 32 bytes/chunk), legs
     /// reported like [`ChunkRepository::read`]. Damaged copies fail over
     /// here too — the metadata section is under the same checksum.
-    pub fn read_metas(&mut self, cid: ContainerId) -> NodeRead<Vec<debar_hash::Fingerprint>> {
-        let read = self.read_one(cid, true);
-        NodeRead {
-            value: read.value.map(|c| c.map(|c| c.fingerprints().collect())),
-            legs: read.legs,
-        }
+    pub fn read_metas(&mut self, cid: ContainerId) -> NodeRead<Vec<Fingerprint>> {
+        let read = self.read_one(cid, Fetch::Metas);
+        self.served_copy(cid, read, |c| c.fingerprints().collect())
+    }
+
+    /// The ranged read: fetch a container's metadata section and then only
+    /// the chunks `wanted` names — for a reader that knows which chunks it
+    /// will use (the restore walk, from its recipe). The metadata section
+    /// is one I/O, each extent of [`wanted_extents`] another, all one op
+    /// of the serving node's disk; same failover core, legs and counters
+    /// as [`ChunkRepository::read`]. What it cannot promise is the
+    /// checksum trailer, which it never reads: a copy is corrupt *to this
+    /// read* when its header or metadata section does not parse or a
+    /// wanted chunk does not hash back to its fingerprint — damage
+    /// elsewhere in the copy goes unseen until a whole read or
+    /// [`ChunkRepository::scrub_all`] meets it. Once a copy has been found
+    /// corrupt the remaining replicas are read whole, so the read-repair
+    /// that follows writes back a trailer-verified image.
+    pub fn read_chunks(
+        &mut self,
+        cid: ContainerId,
+        wanted: impl Fn(&Fingerprint) -> bool,
+    ) -> NodeRead<Vec<(Fingerprint, Payload)>> {
+        let read = self.read_one(cid, Fetch::Chunks(&wanted));
+        self.served_copy(cid, read, |c| {
+            c.chunks().filter(|(fp, _)| wanted(fp)).collect()
+        })
     }
 
     /// Whether any node holds a copy of the container.
@@ -1267,7 +1431,7 @@ impl ChunkRepository {
             for &node in &holders {
                 node_costs[node] += self.nodes[node].disk.rand_read(self.container_bytes);
                 report.copies_checked += 1;
-                if self.materialize(node, cid).is_err() {
+                if self.check_copy(node, cid, Fetch::Whole).is_err() {
                     report.corrupt_found += 1;
                     bad.push(node);
                 }
@@ -1385,6 +1549,182 @@ mod tests {
             metas.legs.cost() < full.legs.cost(),
             "meta read must be cheaper"
         );
+    }
+
+    #[test]
+    fn a_gap_is_read_through_exactly_when_streaming_it_is_no_dearer_than_a_seek() {
+        // Two wanted chunks `gap` bytes apart are one I/O iff
+        // `gap / read_bw <= seek_s`, and that is the cheaper plan: the
+        // extents cost the minimum of reading through and skipping.
+        let round = DiskModel {
+            seek_s: 0.002,
+            read_bw: 100e6,
+            write_bw: 100e6,
+        };
+        for disk in [round, paper::repo_disk()] {
+            let edge = (disk.seek_s * disk.read_bw) as u64;
+            for gap in [0, 1, edge - 1, edge, edge + 1, edge + 2, 8 << 20] {
+                let (a, b) = (1000u32, 500u32);
+                let at = |offset: u64, n: u64, len: u32| ChunkMeta {
+                    fp: fp(n),
+                    len,
+                    offset,
+                };
+                let mut metas = vec![at(0, 0, a)];
+                if gap > 0 {
+                    metas.push(at(a as u64, 1, gap as u32));
+                }
+                metas.push(at(a as u64 + gap, 2, b));
+                let ends = |f: &Fingerprint| *f != fp(1);
+                let extents = wanted_extents(&metas, ends, &disk);
+                let through = disk.seq_read_cost(gap) <= disk.seek_s;
+                if through {
+                    assert_eq!(extents, [a as u64 + gap + b as u64], "gap {gap}");
+                } else {
+                    assert_eq!(extents, [a as u64, b as u64], "gap {gap}");
+                }
+                assert_eq!(through, gap <= edge, "the law is a byte count: {edge}");
+                let cost: Secs = extents.iter().map(|&e| disk.rand_read_cost(e)).sum();
+                let one = disk.rand_read_cost(a as u64 + gap + b as u64);
+                let two = disk.rand_read_cost(a as u64) + disk.rand_read_cost(b as u64);
+                assert!((cost - one.min(two)).abs() < 1e-12, "gap {gap}");
+            }
+        }
+        // Nothing wanted, nothing read; nothing before the first or after
+        // the last wanted chunk either.
+        let metas = container_with(0..10).metas().to_vec();
+        let disk = paper::repo_disk();
+        assert!(wanted_extents(&metas, |_| false, &disk).is_empty());
+        let middle = |f: &Fingerprint| *f == fp(4) || *f == fp(5);
+        assert_eq!(wanted_extents(&metas, middle, &disk), [2000]);
+    }
+
+    /// The first chunk of a stored container that `damage` touches —
+    /// `None` when it starts in the header or the metadata section.
+    fn first_damaged_chunk(c: &Container, damage: Damage) -> Option<usize> {
+        let at = damage.position(c.serialized_len(), c.id().raw());
+        let data_at = at.checked_sub(6 + 32 * c.len())? as u64;
+        (c.metas().iter()).position(|m| data_at < m.offset + m.len as u64)
+    }
+
+    #[test]
+    fn a_ranged_read_charges_the_metadata_section_and_its_extents_as_one_op() {
+        let mut r = repo(1);
+        let id = store_ok(&mut r, container_with(0..100));
+        let disk = paper::repo_disk();
+        let before = (r.nodes()[0].disk_stats(), r.node_disk_ops(0).expect("node"));
+        let tenth = |f: &Fingerprint| (30..40).any(|n| *f == fp(n));
+        let read = r.read_chunks(id, tenth);
+        let chunks = read.value.expect("clean").expect("stored");
+        let fps: Vec<Fingerprint> = chunks.iter().map(|(f, _)| *f).collect();
+        assert_eq!(fps, (30..40).map(fp).collect::<Vec<_>>());
+        // Two I/Os — the metadata section, one extent of ten adjacent
+        // chunks — in one device op; the resolver may go on once the
+        // first is in.
+        let meta = disk.rand_read_cost(6 + 32 * 100 + 20);
+        let extent = disk.rand_read_cost(10 * 1000);
+        let served = read.legs.served.expect("served");
+        assert!((served.cost - (meta + extent)).abs() < 1e-15);
+        assert_eq!((served.node, served.data_tail), (0, extent));
+        let after = (r.nodes()[0].disk_stats(), r.node_disk_ops(0).expect("node"));
+        assert_eq!(after.1, before.1 + 1, "one fault-checked op");
+        assert_eq!(after.0.rand_reads, before.0.rand_reads + 2, "two seeks");
+        assert_eq!(
+            after.0.rand_read_bytes - before.0.rand_read_bytes,
+            6 + 32 * 100 + 20 + 10 * 1000
+        );
+        // Wanting nothing reads the metadata section; wanting so much
+        // that the extents cost no less than the container in one piece
+        // reads the container in one piece.
+        let none = r.read_chunks(id, |_| false);
+        assert!(none.value.expect("clean").expect("stored").is_empty());
+        assert_eq!(none.legs.cost(), meta);
+        let mut full = repo(1);
+        let mut big = Container::new(1 << 20);
+        (0..1000).for_each(|n| assert!(big.try_append(fp(n), Payload::Zero(1000))));
+        let id = store_ok(&mut full, big);
+        let all = full.read_chunks(id, |_| true);
+        assert_eq!(all.value.expect("clean").expect("stored").len(), 1000);
+        assert_eq!(all.legs, full.read(id).legs);
+        // A fault on the op fails the whole attempt, as it does a whole
+        // read's.
+        arm(&mut r, 0, FaultPlan::fail_at(after.1 + 1));
+        let err = r.read_chunks(id, tenth).value.expect_err("faulted");
+        assert!(matches!(err, StoreError::DiskFault { node: 0, .. }));
+    }
+
+    #[test]
+    fn a_ranged_read_verifies_what_it_uses_and_leaves_the_rest_to_scrub() {
+        for damage in [Damage::BitFlip, Damage::Torn] {
+            // Find a container the damage hits in mid data section.
+            let mut r = repo_r(2, 2);
+            let ids: Vec<ContainerId> = (0..8)
+                .map(|n| store_ok(&mut r, container_with(n * 100..n * 100 + 100)))
+                .collect();
+            let (id, hit) = (ids.iter())
+                .find_map(|&id| {
+                    let c = r.read(id).value.expect("clean").expect("stored");
+                    let hit = first_damaged_chunk(&c, damage)?;
+                    (hit >= 10).then_some((id, c.metas()[hit].fp))
+                })
+                .expect("one of eight");
+            let first = id.raw() * 100;
+            r.set_damage(id, Some(damage)).expect("stored");
+            let damaged = r.locate(id).expect("held");
+            let stats = r.stats();
+
+            // Outside: the extents end before the damage begins. Both
+            // copies serve, nothing is counted, the damage stays.
+            let before_it = |f: &Fingerprint| (first..first + 5).any(|n| *f == fp(n));
+            for _ in 0..2 {
+                let read = r.read_chunks(id, before_it);
+                assert_eq!(read.value.expect("unseen").expect("stored").len(), 5);
+                assert!(read.legs.failed.is_empty() && read.legs.repairs.is_empty());
+            }
+            assert_eq!(r.stats().corrupt_reads, stats.corrupt_reads, "{damage:?}");
+            assert_eq!(r.under_replicated(), [id], "{damage:?}: still damaged");
+
+            // Inside: the wanted chunk does not hash back. A corrupt read
+            // exactly as a whole read's — counted, the replica serves,
+            // read whole so that the repair writes a verified image.
+            let on_it = |f: &Fingerprint| *f == hit;
+            let disk = paper::repo_disk();
+            let mut read = r.read_chunks(id, on_it);
+            while read.legs.failed.is_empty() {
+                // Load balancing preferred the clean replica: ask again.
+                read = r.read_chunks(id, on_it);
+            }
+            let ranged = disk.rand_read_cost(6 + 32 * 100 + 20) + disk.rand_read_cost(1000);
+            assert_eq!(read.legs.failed.len(), 1, "{damage:?}");
+            assert_eq!(read.legs.failed[0].0, damaged);
+            assert!((read.legs.failed[0].1 - ranged).abs() < 1e-15);
+            let served = read.legs.served.expect("replica");
+            assert_eq!(served.cost, disk.rand_read_cost(1 << 20), "read whole");
+            assert_eq!(read.legs.repairs, [(damaged, disk.seq_write_cost(1 << 20))]);
+            assert_eq!(read.value.expect("served").expect("stored").len(), 1);
+            assert_eq!(r.stats().corrupt_reads, stats.corrupt_reads + 1);
+            assert_eq!(r.stats().read_repairs, stats.read_repairs + 1);
+            assert!(r.under_replicated().is_empty(), "{damage:?}: repaired");
+
+            // R = 1: nobody to fail over to — the typed error; and what
+            // the ranged read never saw, scrub finds.
+            let mut r = repo(1);
+            let mut sole = ContainerId::NULL;
+            while sole != id {
+                let n = r.stats().containers;
+                sole = store_ok(&mut r, container_with(n * 100..n * 100 + 100));
+            }
+            r.set_damage(id, Some(damage)).expect("stored");
+            assert_eq!(r.read_chunks(id, before_it).legs.failed, []);
+            let err = r.read_chunks(id, on_it).value.expect_err("sole copy");
+            assert!(
+                matches!(err, StoreError::CorruptContainer { container, .. } if container == id),
+                "{damage:?}: {err}"
+            );
+            assert_eq!(r.stats().corrupt_reads, 1);
+            let scrub = r.scrub_all().value;
+            assert_eq!((scrub.corrupt_found, scrub.unrecoverable), (1, 1));
+        }
     }
 
     #[test]
