@@ -7,7 +7,7 @@
 //! content window (consecutive generations share most chunks; each
 //! generation retires a fixed shift of old ones). After the history is
 //! quiesced, all but the newest `retention` generations per job are
-//! expired and one `run_gc` reclaims them. Three laws are asserted:
+//! expired and one `run_gc` reclaims them. Four laws are asserted:
 //!
 //! 1. **Reclaim exactness** — the repository's physical-byte delta is
 //!    exactly `replication × dead_chunk_bytes` (the report agrees), and
@@ -17,6 +17,10 @@
 //!    striped index sweep divides its read/write time).
 //! 3. **Replication accounting** — `R = 2` reclaims exactly twice the
 //!    physical bytes of `R = 1` on the same history.
+//! 4. **Packed outputs** — the survivors of all compacted victims share
+//!    containers: a collection writes at most `⌈moved bytes ÷
+//!    (container_bytes − largest chunk)⌉` of them (an output is sealed only
+//!    by a chunk that does not fit), not one per compacted victim.
 //!
 //! Every retained run must still verify with zero failures after the
 //! collection. Writes `BENCH_gc.json` into the workspace root and
@@ -41,7 +45,9 @@ const RETENTION: u32 = 1;
 
 /// Drive one generational history to quiescence, expire everything
 /// outside the retention window, collect, and assert the reclaim laws.
-fn gc_point(parts: usize, replication: usize, denom: u64) -> GcReport {
+/// Returns the report, the containers the collection wrote and how full
+/// they are.
+fn gc_point(parts: usize, replication: usize, denom: u64) -> (GcReport, u64, f64) {
     let cfg = DebarConfig::striped_scaled(parts, denom)
         .with_replication(replication)
         .with_retention(RETENTION);
@@ -50,10 +56,15 @@ fn gc_point(parts: usize, replication: usize, denom: u64) -> GcReport {
     let shift = n / 4; // chunks each generation retires
     let mut c = DebarCluster::new(cfg);
     let jobs = debar_bench::client_jobs(&mut c, JOBS as usize);
+    let mut largest_chunk = 0u64;
     for g in 0..GENERATIONS {
         for (j, &job) in jobs.iter().enumerate() {
             let base = j as u64 * 10 * n + g * shift;
-            c.backup(job, &Dataset::from_records("s", records(base..base + n)))
+            let stream = records(base..base + n);
+            largest_chunk = stream
+                .iter()
+                .fold(largest_chunk, |m, r| m.max(r.len as u64));
+            c.backup(job, &Dataset::from_records("s", stream))
                 .expect("backup");
         }
         c.run_dedup2().expect("dedup2");
@@ -67,8 +78,10 @@ fn gc_point(parts: usize, replication: usize, denom: u64) -> GcReport {
         "expiry must retire every pre-window generation"
     );
     let phys_before = c.repository().physical_data_bytes();
+    let stored_before = c.repository().stats().containers;
     let rep = c.run_gc().expect("gc");
     let phys_after = c.repository().physical_data_bytes();
+    let written = c.repository().stats().containers - stored_before;
 
     // Law 1: exactness, and idempotence of the follow-up collection.
     assert_eq!(
@@ -86,6 +99,16 @@ fn gc_point(parts: usize, replication: usize, denom: u64) -> GcReport {
     let rep2 = c.run_gc().expect("idempotent gc");
     assert_eq!(rep2.dead_fps, 0, "re-collection must find nothing");
 
+    // Law 4: outputs are packed across victims, each sealed only by a
+    // chunk that did not fit.
+    let moved_bytes = rep.stored_physical_bytes / replication as u64;
+    assert!(rep.containers_compacted > 1, "nothing to pack");
+    assert!(
+        written <= moved_bytes.div_ceil(cfg.container_bytes - largest_chunk),
+        "{written} outputs for {moved_bytes} moved bytes"
+    );
+    let fill = moved_bytes as f64 / (written * cfg.container_bytes) as f64;
+
     // Retained generations still verify with zero failures.
     for (j, &job) in jobs.iter().enumerate() {
         for v in (GENERATIONS - RETENTION as u64)..GENERATIONS {
@@ -98,7 +121,7 @@ fn gc_point(parts: usize, replication: usize, denom: u64) -> GcReport {
         }
     }
 
-    rep
+    (rep, written, fill)
 }
 
 fn main() {
@@ -115,13 +138,15 @@ fn main() {
         "dead_fps",
         "containers_compacted",
         "containers_deleted",
+        "containers_written",
+        "fill",
         "reclaimed_bytes",
         "gc_wall_s",
         "reclaim_mibps",
     ]);
     let mut points: Vec<(usize, usize, GcReport)> = Vec::new();
     for (parts, replication) in [(1usize, 1usize), (2, 1), (4, 1), (4, 1), (4, 2)] {
-        let rep = gc_point(parts, replication, denom);
+        let (rep, written, fill) = gc_point(parts, replication, denom);
         t.row(vec![
             Cell::U(parts as u64),
             Cell::U(replication as u64),
@@ -129,6 +154,8 @@ fn main() {
             Cell::U(rep.dead_fps),
             Cell::U(rep.containers_compacted),
             Cell::U(rep.containers_deleted),
+            Cell::U(written),
+            Cell::F(fill, 3),
             Cell::U(rep.net_physical_reclaimed()),
             Cell::F(rep.wall, 9),
             Cell::F(mibps(rep.net_physical_reclaimed(), rep.wall), 2),
@@ -167,7 +194,9 @@ fn main() {
          identical at every sweep-partition count and scaled exactly by the\n\
          replication factor — while the GC wall is physical: the striped\n\
          index sweep divides its read/write time over the part-disks, and\n\
-         compaction charges the repository nodes that host each victim."
+         compaction runs on the repository nodes side by side — each victim\n\
+         read for what is live in it, the survivors packed into full\n\
+         containers."
     );
 
     let json = format!(

@@ -54,7 +54,7 @@ use debar_filter::CuckooFilter;
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::SiuReport;
 use debar_simio::models::paper;
-use debar_simio::{FaultPlan, Secs, Timed};
+use debar_simio::{FaultPlan, Lane, Secs, Timed};
 use debar_store::{ChunkRepository, Damage};
 use std::collections::{BTreeSet, HashMap};
 
@@ -72,6 +72,12 @@ pub use layout::{CapReport, LayoutReport};
 
 #[path = "restore.rs"]
 mod restore;
+
+/// When the last of a phase's repository-node timelines falls idle: the
+/// makespan of what was queued on them.
+fn last_idle(nodes: &[Lane]) -> Secs {
+    nodes.iter().map(|n| n.free_at).fold(0.0, f64::max)
+}
 
 /// A DEBAR deployment: director + backup servers + chunk repository.
 pub struct DebarCluster {
@@ -725,9 +731,11 @@ impl DebarCluster {
     /// necessary information from the containers to the reconstructed
     /// bucket entries ... used to recover a corrupted index").
     ///
-    /// Charged as a sequential read of every container plus one write sweep
-    /// of the rebuilt part; pending (unregistered) fingerprints survive in
-    /// the server's update queue and re-register at the next SIU.
+    /// Charged as a whole, trailer-verified read of every container — the
+    /// repository nodes scanning side by side, so the scan takes as long as
+    /// the busiest node's share — plus one write sweep of the rebuilt part;
+    /// pending (unregistered) fingerprints survive in the server's update
+    /// queue and re-register at the next SIU.
     ///
     /// The repository scan validates every container: a torn or bit-rotted
     /// container aborts the rebuild with
@@ -745,11 +753,13 @@ impl DebarCluster {
         let w = self.cfg.w_bits;
         self.servers[sid].index_mut().reset_empty();
         let mut entries: Vec<(Fingerprint, ContainerId)> = Vec::new();
-        let mut scan_cost = 0.0;
+        // The nodes scan their own containers side by side: each read's
+        // legs go on the timelines of the nodes they charged.
+        let mut nodes = vec![Lane::new(); self.repo.node_count()];
         for cid in self.repo.container_ids() {
-            let t = self.repo.read(cid).timed();
-            scan_cost += t.cost;
-            let container = match t.value {
+            let read = self.repo.read(cid);
+            read.legs.run_on(&mut nodes, 0.0);
+            let container = match read.value {
                 Ok(Some(c)) => c,
                 Ok(None) => return Err(DebarError::MissingContainer { container: cid }),
                 Err(e) => return Err(e.into()),
@@ -767,6 +777,7 @@ impl DebarCluster {
             .index_mut()
             .try_bulk_load_striped(entries, parts)
             .map_err(|e| DebarError::index_fault(server, e))?;
+        let scan_cost = last_idle(&nodes);
         self.servers[sid].clock.advance(scan_cost + t.cost);
         Ok(scan_cost + t.cost)
     }
@@ -1162,9 +1173,25 @@ mod tests {
         assert!(c.index_entries() < before);
         let lost = recs.iter().filter(|r| c.resolve(&r.fp).is_none()).count();
         assert!(lost > 0, "corruption should lose entries");
-        // Rebuild from the chunk repository.
+        // Rebuild from the chunk repository: the two nodes scan their
+        // containers side by side, so the scan takes the busier node's
+        // share of the reads, then the part is written back.
+        let busy = |c: &DebarCluster| -> Vec<Secs> {
+            let nodes = c.repo.nodes().iter().map(|n| n.disk_stats().busy_s);
+            nodes.collect()
+        };
+        let (nodes_before, index_before) = (busy(&c), c.servers[1].index().disk_stats().busy_s);
         let cost = c.recover_index(1).expect("recover");
-        assert!(cost > 0.0);
+        let scans: Vec<Secs> = (busy(&c).iter().zip(&nodes_before))
+            .map(|(after, before)| after - before)
+            .collect();
+        let load = c.servers[1].index().disk_stats().busy_s - index_before;
+        assert!(scans.iter().all(|&s| s > 0.0) && load > 0.0);
+        let busiest = scans.iter().copied().fold(0.0, f64::max);
+        assert!(
+            (cost - (busiest + load)).abs() < 1e-12,
+            "{cost} != {busiest} + {load}"
+        );
         assert_eq!(c.index_entries(), before);
         for r in &recs {
             assert!(c.resolve(&r.fp).is_some(), "not recovered: {:?}", r.fp);

@@ -59,7 +59,9 @@
 //!   chunk it delivers against its fingerprint — and cannot see damage
 //!   in bytes it skipped: that copy serves those chunks correctly, and
 //!   the damage is the next whole read's or [`DebarCluster::scrub`]'s to
-//!   find. [`DebarCluster::set_damage`] injects damage directly against
+//!   find. A collection reads its victims by range too — the survivors
+//!   it moves are verified, and what it skipped is dead and is deleted
+//!   with the victim. [`DebarCluster::set_damage`] injects damage directly against
 //!   a stored container.
 //! * **Caller errors**: unknown jobs/runs/paths
 //!   ([`DebarError::UnknownJob`] / [`DebarError::UnknownRun`] /
@@ -199,8 +201,12 @@
 //!   unaffected.
 //! * **Collect.** [`DebarCluster::run_gc`] refuses to race staged
 //!   dedup-2 state ([`DebarError::NotQuiesced`]), then: computes the live set
-//!   from the retained runs, compacts partially-dead containers
-//!   (store-new-then-delete-old, on **every replica**), deletes
+//!   from the retained runs, compacts partially-dead containers — each
+//!   read for what is live in it, the survivors of successive victims
+//!   packed into full containers, every read, write and free on its
+//!   repository node's timeline (store-new-then-delete-old, on **every
+//!   replica**: a victim goes only once every container holding one of
+//!   its survivors is durable) — deletes
 //!   whole-dead ones, rebuilds each server's index part without the dead
 //!   entries ([`debar_index::DiskIndex::try_gc_sweep`] aborts before
 //!   mutation on an armed fault), and withdraws the dead fingerprints
@@ -209,12 +215,17 @@
 //!   [`cluster::GcReport`] accounts the reclaim exactly: the net
 //!   physical delta equals `replication × dead_chunk_bytes`.
 //! * **Converge.** A collection interrupted by an injected fault — at
-//!   compaction (a failed store consumes no container ID) or at the
-//!   index sweep (charged and fault-checked before a byte moves) —
-//!   surfaces typed, loses nothing, and re-running `run_gc` converges
-//!   to the byte-identical state of an uninterrupted collection;
-//!   victims already reclaimed by the interrupted attempt are detected
-//!   and skipped. Node repair after a collection re-replicates only
+//!   compaction (a failed store consumes no container ID and repoints
+//!   nothing) or at the index sweep (charged and fault-checked before a
+//!   byte moves) — surfaces typed, loses nothing, and re-running `run_gc`
+//!   converges to the byte-identical state of an uninterrupted
+//!   collection: victims already reclaimed by the interrupted attempt
+//!   are detected and skipped, and a victim that was still waiting for
+//!   an output is read again for what still resolves to it, which
+//!   refills that output with exactly the chunks it held (swept at every
+//!   device op of a collection by
+//!   `gc_crash_point_sweep_converges_at_every_device_op`). Node repair
+//!   after a collection re-replicates only
 //!   live containers — reclaimed ones are never resurrected (proven by
 //!   the GC scenario family in `tests/gc_lifecycle.rs` and the GC fault
 //!   legs in `tests/failure_kinds.rs`).
@@ -260,9 +271,9 @@
 //! [`RestoreReport`] carries each
 //! lane's busy time (`resolve_s`, `node_read_s`, `node_read_total_s`,
 //! `send_s`) beside `elapsed`; their sum, [`RestoreReport::serial_s`], is
-//! what one clock would charge for the same walk. GC compaction, the
-//! cap-rewrite pass, the recovery rebuild and the scrub still read
-//! serially.
+//! what one clock would charge for the same walk. GC compaction and the
+//! recovery rebuild run on the same node timelines; the cap-rewrite pass,
+//! the inline-backup prefetch and the scrub still read serially.
 //!
 //! Out-of-line dedup scatters each new generation's chunks across
 //! ever-older containers, so restore of the *latest* backup — the one

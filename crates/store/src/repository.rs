@@ -35,9 +35,12 @@
 //! Every read reports **which node disk each attempt charged**
 //! ([`NodeRead::legs`]: failed attempts in failover order, the serving
 //! read, read-repair writes — the read-side twin of
-//! [`BatchAppend::node_costs`]). A sequential caller sums them onto its
-//! clock ([`NodeRead::timed`]); the pipelined restore walk puts each leg
-//! on its own node's timeline, which is what lets two nodes read at once.
+//! [`BatchAppend::node_costs`]; a delete's are
+//! [`Reclaimed::node_costs`]). A sequential caller sums them onto its
+//! clock ([`NodeRead::timed`]); a pipelined one — the restore walk, GC
+//! compaction, the recovery scan — puts each leg on its own node's
+//! timeline ([`ReadLegs::run_on`]), which is what lets two nodes read at
+//! once.
 //!
 //! **One failover core, three reads.** [`ChunkRepository::read`] (the
 //! paper's whole fixed-size container, one I/O, verified against its
@@ -118,7 +121,7 @@
 use crate::container::{ChunkMeta, Container, CorruptKind, Damage, Payload};
 use crate::error::StoreError;
 use debar_hash::{ContainerId, Fingerprint, Sha1};
-use debar_simio::{DiskModel, FaultKind, FaultPlan, RetryPolicy, Secs, SimDisk, Timed};
+use debar_simio::{DiskModel, FaultKind, FaultPlan, Lane, RetryPolicy, Secs, SimDisk, Timed};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -295,6 +298,17 @@ pub struct BatchAppend {
     pub fault: Option<(StoreError, Container)>,
 }
 
+/// Outcome of a [`ChunkRepository::delete_container`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Reclaimed {
+    /// Physical bytes freed (logical data bytes × copies).
+    pub bytes: u64,
+    /// `(node, cost)` of the free on each reachable node holding a copy —
+    /// the nodes free their copies side by side, so a pipelined caller
+    /// puts each on its node's timeline and a sequential one sums them.
+    pub node_costs: Vec<(usize, Secs)>,
+}
+
 /// The read leg that served a container ([`ReadLegs::served`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServedLeg {
@@ -309,6 +323,11 @@ pub struct ServedLeg {
     /// `cost - data_tail` into the leg a reader knows the container's
     /// fingerprints, unverified; 0 for a metadata-only read.
     pub data_tail: Secs,
+    /// Chunk-data bytes that metadata section lists — every chunk of the
+    /// served copy, fetched or not: what a reader that wanted only some of
+    /// them ([`ChunkRepository::read_chunks`]) left behind is this minus
+    /// what it got, at no second I/O.
+    pub data_bytes: u64,
 }
 
 /// The node-disk legs of one container read, in the order the failover
@@ -329,21 +348,34 @@ pub struct ReadLegs {
 }
 
 impl ReadLegs {
-    /// The serial sum of every leg, in charge order — what one clock
-    /// pays for the read.
-    pub fn cost(&self) -> Secs {
+    /// Every `(node, cost)` leg in charge order.
+    fn in_order(&self) -> impl Iterator<Item = (usize, Secs)> + '_ {
         (self.failed.iter().copied())
             .chain(self.served.map(|s| (s.node, s.cost)))
             .chain(self.repairs.iter().copied())
-            .fold(0.0, |sum, (_, c)| sum + c)
+    }
+
+    /// The serial sum of every leg, in charge order — what one clock
+    /// pays for the read.
+    pub fn cost(&self) -> Secs {
+        self.in_order().fold(0.0, |sum, (_, c)| sum + c)
+    }
+
+    /// Put the legs on their nodes' timelines (`nodes[n]` is node `n`'s),
+    /// one after the other from `ready` — a replica is only tried once
+    /// the one before it has failed, a repair written once the clean
+    /// copy is in — and return when the last completes. Two reads served
+    /// by different nodes overlap; on one node they queue.
+    pub fn run_on(&self, nodes: &mut [Lane], ready: Secs) -> Secs {
+        (self.in_order()).fold(ready, |t, (node, cost)| nodes[node].run(t, cost))
     }
 }
 
 /// Outcome of one container read: the value plus **which node disk each
 /// attempt charged** ([`ReadLegs`]). A sequential caller lumps the legs
 /// onto its clock with [`NodeRead::timed`]; a pipelined one (the restore
-/// walk) puts each leg on its own node's timeline, so two nodes' reads
-/// overlap.
+/// walk, GC compaction) puts each leg on its own node's timeline
+/// ([`ReadLegs::run_on`]), so two nodes' reads overlap.
 #[derive(Debug)]
 pub struct NodeRead<T> {
     /// The container (or `None` when no node holds it), or the typed
@@ -1038,6 +1070,7 @@ impl ChunkRepository {
                         node,
                         cost: read_cost,
                         data_tail: disk.seq_read_cost(head) + extents,
+                        data_bytes: copy.data_bytes(),
                     });
                     out.legs.repairs = self.read_repair(cid, node, &corrupt_nodes);
                     out.value = Ok(Some(node));
@@ -1144,10 +1177,14 @@ impl ChunkRepository {
 
     /// The ranged read: fetch a container's metadata section and then only
     /// the chunks `wanted` names — for a reader that knows which chunks it
-    /// will use (the restore walk, from its recipe). The metadata section
-    /// is one I/O, each extent of [`wanted_extents`] another, all one op
-    /// of the serving node's disk; same failover core, legs and counters
-    /// as [`ChunkRepository::read`]. What it cannot promise is the
+    /// will use (the restore walk, from its recipe; GC compaction, from
+    /// the live set). The metadata section is one I/O, each extent of
+    /// [`wanted_extents`] another, all one op of the serving node's disk;
+    /// same failover core, legs and counters as [`ChunkRepository::read`].
+    /// Having read the metadata section, it also reports the chunk-data
+    /// bytes listed there ([`ServedLeg::data_bytes`]), so a reader that
+    /// wanted none or only some of the chunks knows what it left behind
+    /// without a second I/O. What it cannot promise is the
     /// checksum trailer, which it never reads: a copy is corrupt *to this
     /// read* when its header or metadata section does not parse or a
     /// wanted chunk does not hash back to its fingerprint — damage
@@ -1200,19 +1237,20 @@ impl ChunkRepository {
     }
 
     /// Reclaim a container: free its copy on every reachable node, charge
-    /// the frees to those node disks, tombstone the id so copies stranded
-    /// on downed nodes are purged at revive/repair instead of
-    /// resurrecting, and account the reclaimed bytes in
-    /// [`RepoStats`]. Returns the physical bytes freed (logical data
-    /// bytes × copies). Reclamation is background maintenance like
+    /// the frees to those node disks ([`Reclaimed::node_costs`]), tombstone
+    /// the id so copies stranded on downed nodes are purged at
+    /// revive/repair instead of resurrecting, and account the reclaimed
+    /// bytes in [`RepoStats`]. Returns the physical bytes freed (logical
+    /// data bytes × copies). Reclamation is background maintenance like
     /// [`ChunkRepository::migrate`] and [`ChunkRepository::repair_node`]:
     /// it charges I/O but consumes no armed fault plans (the
     /// crash-consistency window of GC lives in the compaction writes and
     /// index sweeps, which *are* fault-checked).
     ///
     /// An unknown or already-reclaimed id is a typed
-    /// [`StoreError::MissingContainer`] — double frees are never silent.
-    pub fn delete_container(&mut self, cid: ContainerId) -> Timed<Result<u64, StoreError>> {
+    /// [`StoreError::MissingContainer`] — double frees are never silent —
+    /// and charges nothing.
+    pub fn delete_container(&mut self, cid: ContainerId) -> Result<Reclaimed, StoreError> {
         let raw = cid.raw();
         let copies: Vec<usize> = self
             .nodes
@@ -1222,12 +1260,12 @@ impl ChunkRepository {
             .map(|(i, _)| i)
             .collect();
         if copies.is_empty() || self.reclaimed.contains(&raw) {
-            return Timed::free(Err(StoreError::MissingContainer { container: cid }));
+            return Err(StoreError::MissingContainer { container: cid });
         }
         let data_bytes = self.nodes[copies[0]].containers[&raw]
             .container
             .data_bytes();
-        let mut cost: Secs = 0.0;
+        let mut node_costs = Vec::with_capacity(copies.len());
         for &node in &copies {
             if self.nodes[node].down {
                 // Unreachable: the tombstone purges this copy at
@@ -1238,14 +1276,14 @@ impl ChunkRepository {
             self.nodes[node].containers.remove(&raw);
             // Freeing a container is a metadata update on the node's
             // container log, not a full rewrite.
-            cost += self.nodes[node].disk.seq_write(4096);
+            node_costs.push((node, self.nodes[node].disk.seq_write(4096)));
         }
         self.reclaimed.insert(raw);
-        let physical = data_bytes * copies.len() as u64;
+        let bytes = data_bytes * copies.len() as u64;
         self.stats.reclaimed_containers += 1;
         self.stats.reclaimed_bytes += data_bytes;
-        self.stats.reclaimed_physical_bytes += physical;
-        Timed::new(Ok(physical), cost)
+        self.stats.reclaimed_physical_bytes += bytes;
+        Ok(Reclaimed { bytes, node_costs })
     }
 
     /// Whether an id has been reclaimed (tombstoned) by
@@ -1876,6 +1914,7 @@ mod tests {
             node: 1,
             cost: full,
             data_tail: disk.seq_read_cost((1 << 20) - (6 + 32 * 10 + 20)),
+            data_bytes: 10 * 1000,
         };
         assert_eq!(read.legs.served, Some(served));
         assert_eq!(read.legs.repairs, [(0, disk.seq_write_cost(1 << 20))]);
@@ -2154,9 +2193,10 @@ mod tests {
         let bytes = 3 * 1000u64;
         let before = r.physical_data_bytes();
         assert_eq!(before, 2 * 2 * bytes, "R=2: every container twice");
-        let t = r.delete_container(a);
-        assert_eq!(t.value.expect("known container"), 2 * bytes);
-        assert!(t.cost > 0.0, "frees charge node I/O");
+        let freed = r.delete_container(a).expect("known container");
+        assert_eq!(freed.bytes, 2 * bytes);
+        let free = paper::repo_disk().seq_write_cost(4096);
+        assert_eq!(freed.node_costs, [(0, free), (1, free)], "each holder");
         assert_eq!(r.physical_data_bytes(), before - 2 * bytes);
         let s = r.stats();
         assert_eq!(s.reclaimed_containers, 1);
@@ -2175,13 +2215,13 @@ mod tests {
         let mut r = repo(2);
         let ghost = ContainerId::new(9);
         assert_eq!(
-            r.delete_container(ghost).value,
+            r.delete_container(ghost),
             Err(StoreError::MissingContainer { container: ghost })
         );
         let a = store_ok(&mut r, container_with(0..2));
-        r.delete_container(a).value.expect("first free");
+        r.delete_container(a).expect("first free");
         assert_eq!(
-            r.delete_container(a).value,
+            r.delete_container(a),
             Err(StoreError::MissingContainer { container: a }),
             "double free must be typed, never silent"
         );
@@ -2194,8 +2234,17 @@ mod tests {
         let mut r = repo_r(2, 2);
         let a = store_ok(&mut r, container_with(0..2)); // both nodes hold a copy
         r.set_node_down(0).expect("in range");
-        let freed = r.delete_container(a).value.expect("replica reachable");
-        assert_eq!(freed, 2 * 2000, "the stranded copy counts as reclaimed");
+        let freed = r.delete_container(a).expect("replica reachable");
+        assert_eq!(
+            freed.bytes,
+            2 * 2000,
+            "the stranded copy counts as reclaimed"
+        );
+        assert_eq!(
+            freed.node_costs.len(),
+            1,
+            "only the reachable node is charged"
+        );
         // Tombstoned cluster-wide even while node 0 still has it on disk.
         assert!(r.is_reclaimed(a));
         assert!(!r.contains(a));
@@ -2215,7 +2264,7 @@ mod tests {
         let a = store_ok(&mut r, container_with(0..2));
         let b = store_ok(&mut r, container_with(2..4));
         r.set_node_down(0).expect("in range");
-        r.delete_container(a).value.expect("replica reachable");
+        r.delete_container(a).expect("replica reachable");
         // Replace node 0's disk: it must come back holding only the live
         // container's copy.
         let rep = r.repair_node(0).value.expect("repairable");
@@ -2245,7 +2294,7 @@ mod tests {
         r.set_damage(id, None).expect("exists");
         assert!(r.read(id).value.expect("clean").is_some());
         // Reclaimed ids are gone for the hooks too.
-        r.delete_container(id).value.expect("live");
+        r.delete_container(id).expect("live");
         assert_eq!(
             r.set_damage(id, Some(Damage::Torn)),
             Err(StoreError::MissingContainer { container: id })
@@ -2481,7 +2530,7 @@ mod tests {
         // And a scrub right after repair finds a fully healthy cluster —
         // including after GC reclaimed containers (no resurrection).
         let a = r.container_ids()[0];
-        r.delete_container(a).value.expect("live");
+        r.delete_container(a).expect("live");
         let report = r.scrub_all().value;
         assert_eq!(report.corrupt_found, 0);
         assert_eq!(report.repaired, 0);

@@ -31,8 +31,10 @@ use common::{
 use debar::hash::Sha1;
 use debar::workload::ChunkRecord;
 use debar::{
-    ClientId, Dataset, DebarCluster, DebarConfig, DebarError, Device, JobId, LayoutMode, RunId,
+    ClientId, ContainerId, Dataset, DebarCluster, DebarConfig, DebarError, Device, FaultPlan,
+    JobId, LayoutMode, RunId,
 };
+use std::collections::{BTreeMap, BTreeSet};
 
 #[test]
 fn expire_then_restore_byte_identical_across_sweep_parts() {
@@ -145,6 +147,140 @@ fn overlapping_cluster(cfg: DebarConfig) -> (DebarCluster, JobId, JobId) {
         c.force_siu().expect("siu");
     }
     (c, a, b)
+}
+
+/// Crash-point fixture: job `a` fills containers, job `b` keeps every
+/// other run of 24 chunks of them alive, `a` is deleted — so every
+/// container of `a` is a half-live victim and the survivors of about two
+/// victims fill one output. Returns the cluster, quiesced and ready to
+/// collect, with the retained run and its fingerprints.
+fn half_live_cluster(cfg: DebarConfig) -> (DebarCluster, RunId, Vec<ChunkRecord>) {
+    let mut c = DebarCluster::new(cfg);
+    let a = c.define_job("a", ClientId(0));
+    let b = c.define_job("b", ClientId(1));
+    let all: Vec<ChunkRecord> = (0..1000u64).map(ChunkRecord::of_counter).collect();
+    let kept: Vec<ChunkRecord> = (all.chunks(24).step_by(2).flatten().copied()).collect();
+    for (job, recs) in [(a, all), (b, kept.clone())] {
+        c.backup(job, &Dataset::from_records("s", recs))
+            .expect("backup");
+        c.run_dedup2().expect("dedup2");
+        c.force_siu().expect("siu");
+    }
+    c.delete_run(RunId { job: a, version: 0 }).expect("delete");
+    (c, RunId { job: b, version: 0 }, kept)
+}
+
+/// What a collection must converge to: index bytes, container set,
+/// physical bytes and the retained run's restored bytes.
+fn converged(c: &mut DebarCluster, retained: RunId) -> ([u8; 20], Vec<ContainerId>, u64, u64) {
+    let restored = c.restore_run(retained).expect("retained run restores");
+    assert_eq!(restored.failures, 0);
+    (
+        Sha1::digest(c.server(0).index().raw_data()),
+        c.repository().container_ids(),
+        c.repository().physical_data_bytes(),
+        restored.bytes,
+    )
+}
+
+#[test]
+fn gc_crash_point_sweep_converges_at_every_device_op() {
+    // Every device op of a packed collection is a crash point: a victim
+    // read, a replica write of an output that holds the survivors of
+    // several victims, the frees behind it, the index sweeps. Arm each in
+    // turn on each device; the collection ends typed (or, with a replica
+    // to fail over to, unharmed), and the redo reaches the clean twin —
+    // whichever outputs were durable, whichever victim was waiting for
+    // its second one.
+    let devices = [
+        Device::RepoNode(0),
+        Device::RepoNode(1),
+        Device::IndexPart { server: 0, part: 0 },
+    ];
+    for replication in replication_matrix() {
+        for parts in sweep_parts_matrix() {
+            let cfg = DebarConfig::tiny_test(0)
+                .with_replication(replication)
+                .with_sweep_parts(parts);
+            let tag = format!("R={replication} parts={parts}");
+            // The clean twin, and the shape the sweep is about.
+            let (mut clean, retained, kept) = half_live_cluster(cfg);
+            let was_in: Vec<ContainerId> =
+                (kept.iter().map(|r| clean.resolve(&r.fp).expect("live"))).collect();
+            let ops_before = devices.map(|d| clean.device_ops(d).expect("device"));
+            let written_before = clean.repository().stats().containers;
+            clean.run_gc().expect("clean collection");
+            let ops = devices.map(|d| clean.device_ops(d).expect("device"));
+            let mut outputs_of: BTreeMap<ContainerId, BTreeSet<ContainerId>> = BTreeMap::new();
+            for (r, victim) in kept.iter().zip(&was_in) {
+                let now_in = clean.resolve(&r.fp).expect("live");
+                outputs_of.entry(*victim).or_default().insert(now_in);
+            }
+            let straddling = outputs_of.values().filter(|o| o.len() > 1).count();
+            let outputs = clean.repository().stats().containers - written_before;
+            assert!(
+                outputs >= 3 && straddling >= 2,
+                "{tag}: {outputs} outputs, {straddling} straddling"
+            );
+            let want = converged(&mut clean, retained);
+            // Legs that aborted typed, and torn copies the sweep left.
+            let (mut aborted, mut torn_copies) = (0, 0);
+
+            for (device, (from, to)) in devices.into_iter().zip(ops_before.into_iter().zip(ops)) {
+                assert!(to > from, "{tag}: {device:?} idle in the collection");
+                for at in from..to {
+                    let leg = format!("{tag} {device:?} op {at} of {from}..{to}");
+                    // Fail: typed, naming the device — unless the other
+                    // replica of a victim absorbed it, or the armed op was
+                    // a free after the device's last checked op (frees
+                    // check no plan): then the collection was a clean one.
+                    let (mut c, ..) = half_live_cluster(cfg);
+                    c.arm(device, FaultPlan::fail_at(at)).expect("device");
+                    let faulted = c.run_gc();
+                    c.clear_fault_plans();
+                    aborted += usize::from(faulted.is_err());
+                    match faulted {
+                        Err(DebarError::DeviceFault { device: d, .. }) => {
+                            assert_eq!(d, device, "{leg}")
+                        }
+                        Err(DebarError::Unrecoverable { node, .. }) => {
+                            assert_eq!(Device::RepoNode(node), device, "{leg}")
+                        }
+                        Ok(_) => assert_eq!(converged(&mut c, retained), want, "{leg}"),
+                        Err(e) => panic!("{leg}: {e}"),
+                    }
+                    // No live chunk is unreadable between a store and the
+                    // frees it enables.
+                    let mid = c.verify_run(retained).expect("verify");
+                    assert_eq!(mid.failures, 0, "{leg}: a live chunk was lost");
+                    c.run_gc().expect("redo");
+                    assert_eq!(converged(&mut c, retained), want, "{leg}: redo diverged");
+
+                    // TornWrite: silent on a replica write, a failed attempt
+                    // on a read — either way the other copy serves.
+                    if replication < 2 || !matches!(device, Device::RepoNode(_)) {
+                        continue;
+                    }
+                    let (mut c, ..) = half_live_cluster(cfg);
+                    c.arm(device, FaultPlan::torn_write_at(at)).expect("device");
+                    c.run_gc().expect("a torn replica write looks durable");
+                    c.clear_fault_plans();
+                    let torn = c.repository().under_replicated();
+                    let repairs = c.repository().stats().read_repairs;
+                    assert_eq!(converged(&mut c, retained), want, "{leg}: torn copy leaked");
+                    let scrub = c.scrub().expect("quiesced").value;
+                    let repaired = c.repository().stats().read_repairs - repairs + scrub.repaired;
+                    assert_eq!(repaired, torn.len() as u64, "{leg}: {scrub:?}");
+                    torn_copies += torn.len();
+                    assert_eq!(scrub.unrecoverable, 0, "{leg}");
+                    assert!(c.repository().under_replicated().is_empty(), "{leg}");
+                }
+            }
+            // Every output's replica write was a crash point of its own.
+            assert!(aborted as u64 >= outputs, "{tag}: {aborted} legs aborted");
+            assert!(replication < 2 || torn_copies as u64 >= outputs, "{tag}");
+        }
+    }
 }
 
 #[test]
