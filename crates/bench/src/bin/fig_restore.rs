@@ -33,29 +33,35 @@
 //! the same walk costs with nothing overlapped (`serial_s()`). The
 //! pipeline hides Scatter's extra reads behind the client stream on this
 //! 2-node repository — over 30 generations the serial column decays
-//! 189 → 75 MiB/s, the pipelined one 189 → 158 — while Capped, which
-//! restores cold after every rewrite, ends below Scatter: at this scale
-//! it pays 2.7x the physical bytes for a bound the pipeline already
-//! gives (ROADMAP item 3, "axes that do not pay"). `refetch` (fetches
-//! per distinct container needed) is what the walk's recipe-aware
-//! eviction works on. Scatter restores each generation on the cache the
-//! one before left; at generation 17 the working set first outgrows it
-//! (33 containers, 32 slots), which cost LRU 16 fetches and costs this
-//! walk 2 (`refetch` 0.06), and from there the column climbs only as
-//! the recipe needs containers that cannot all stay — 0.36 at generation
-//! 29. `read_amp` is what ranged reads work on: once a walk has filled
+//! 189 → 149 MiB/s, the pipelined one 189 → 180 — while Capped, which
+//! restores cold after every rewrite, ends below Scatter at 105: at this
+//! scale it pays 2.7x the physical bytes for a bound the pipeline already
+//! gives (ROADMAP item 7). `lane_share` (busiest device lane ÷ `elapsed`)
+//! is what the pipeline still leaves idle: Scatter's walks keep their NIC
+//! busy 0.86–0.92 of the time; Capped's late ones 0.50 — cold, they are
+//! bound by the resolver's own chain (lookup, seek, metadata section,
+//! next lookup), which is no lane. `refetch` (fetches per distinct
+//! container needed) is what the walk's recipe-aware eviction works on.
+//! Scatter restores each generation on the cache the one before left; at
+//! generation 17 the working set first outgrows it (33 containers,
+//! 32 slots), which cost LRU 16 fetches and costs this walk 2 (`refetch`
+//! 0.06), and from there the column stays under 0.15 — 0.09 at
+//! generation 29 — because the cache is counted in bytes: an extent set
+//! weighs what it holds, and the 32 MiB hold the extent sets of nearly
+//! the whole working set (0.36 at generation 29 while each took a whole
+//! slot). `read_amp` is what ranged reads work on: once a walk has filled
 //! its cache it reads a container's metadata section and the extents its
 //! recipe wants, so from generation 17 on Scatter's measured column runs
 //! below `whole_read_amp` — what the same fetches would have read as the
 //! paper's whole fixed-size containers (every miss × `container_bytes`,
 //! the number this column showed before PR 22) — 0.05 against 0.13 at
-//! generation 17, 0.93 against 1.03 at generation 29: this churn takes
+//! generation 17, 0.17 against 0.26 at generation 29: this churn takes
 //! every 60th chunk of a 1 MiB container, and a gap shorter than a seek's
 //! worth of streaming (~440 KiB on the repository disk) is read through,
-//! so here a range is most of its container. Rows whose walk never fills
-//! the cache read whole containers and show the two columns equal: every
-//! Capped row (it restores cold after each rewrite) and Scatter up to
-//! generation 16.
+//! so a range is the stretch from the first chunk the rest of the recipe
+//! wants to the last. Rows whose walk cannot have filled the cache read
+//! whole containers and show the two columns equal: every Capped row (it
+//! restores cold after each rewrite) and Scatter up to generation 16.
 //! Writes `BENCH_restore.json` into the workspace root and prints the
 //! table. Run:
 //!
@@ -146,6 +152,13 @@ fn refetch(r: &RestoreReport) -> f64 {
     r.lpc.misses as f64 / r.layout.containers_touched as f64
 }
 
+/// How much of the walk its busiest device lane — resolver, one
+/// repository node, or the NIC — was busy: 1.0 is a walk no pipeline
+/// could shorten, the rest is what this one still leaves idle.
+fn lane_share(r: &RestoreReport) -> f64 {
+    r.resolve_s.max(r.node_read_s).max(r.send_s) / r.elapsed
+}
+
 /// One generation's restore on one layout, with the bytes its dedup-2
 /// rewrote. `serial_mibps` is the same walk with nothing overlapped.
 fn row(w: &Walk, rewritten_bytes: u64) -> Vec<Cell> {
@@ -154,6 +167,7 @@ fn row(w: &Walk, rewritten_bytes: u64) -> Vec<Cell> {
         Cell::U(r.run.version as u64),
         Cell::F(r.throughput_mibps(), 2),
         Cell::F(mibps(r.bytes, r.serial_s()), 2),
+        Cell::F(lane_share(r), 4),
         Cell::F(node_ms_per_mib(r), 4),
         Cell::F(read_amp(w), 4),
         Cell::F(whole_read_amp(r), 4),
@@ -198,10 +212,11 @@ fn main() {
         &scale,
     );
 
-    const COLUMNS: [&str; 11] = [
+    const COLUMNS: [&str; 12] = [
         "gen",
         "restore_mibps",
         "serial_mibps",
+        "lane_share",
         "node_read_ms_per_mib",
         "read_amp",
         "whole_read_amp",
@@ -214,6 +229,8 @@ fn main() {
     let (mut s_table, mut c_table) = (Table::new(&COLUMNS), Table::new(&COLUMNS));
     let (mut s_reps, mut c_reps) = (Vec::new(), Vec::new());
     let mut total_rewritten = 0u64;
+    // Entries each cluster's restore cache holds, at most.
+    let (mut s_resident, mut c_resident) = (0u64, 0u64);
     for g in 0..scale.gens {
         let ds = Dataset::from_records("s", churn(g, scale.n, scale.k));
         scatter.backup(sj, &ds).expect("scatter backup");
@@ -235,15 +252,21 @@ fn main() {
             version: g as u32,
         };
         let c = restore(&mut capped, capped_run, "capped restore");
-        for w in [&s, &c] {
+        for (w, resident) in [(&s, &mut s_resident), (&c, &mut c_resident)] {
             assert_eq!(w.report.failures, 0, "gen {g}");
             // A fetch never reads more than the whole container it stands
-            // for, and a walk that never filled its cache read exactly that.
-            let whole = w.report.lpc.misses * CONTAINER_BYTES;
+            // for, and a walk that cannot have filled its cache — had every
+            // entry before it and every fetch of its own weighed a whole
+            // container, there was room — read exactly that.
+            let lpc = &w.report.lpc;
+            let whole = lpc.misses * CONTAINER_BYTES;
             assert!(w.node_bytes <= whole, "gen {g}: {} > {whole}", w.node_bytes);
-            if w.report.lpc.evictions == 0 {
+            if *resident + lpc.misses <= scale.lpc_containers as u64 {
                 assert_eq!(w.node_bytes, whole, "gen {g}: knows nothing, reads whole");
             }
+            // (An upper bound: a merge adds no entry, a rewrite empties
+            // Capped's cache.)
+            *resident += lpc.misses - lpc.evictions;
         }
         // Law 1: byte identity across layouts, every generation.
         assert_eq!(

@@ -249,7 +249,10 @@ impl DebarCluster {
                     // `None`: reclaimed under us — the verdict stands.
                     if let Some(container) = srv.clock.charge(t)? {
                         let now = srv.clock.now();
-                        srv.cache_container(cid, container.chunks().collect(), None, |_| now);
+                        // A whole container, and no victim named: one
+                        // full slot, room made by the paper's LRU.
+                        let (chunks, whole) = (container.chunks().collect(), cfg.container_bytes);
+                        srv.cache_container(cid, chunks, whole, |_, _| None, |_| now);
                     }
                     continue;
                 }

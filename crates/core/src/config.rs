@@ -166,7 +166,9 @@ pub struct DebarConfig {
     pub cache_bytes: u64,
     /// Preliminary-filter budget per backup job, in bytes.
     pub filter_bytes: u64,
-    /// LPC read-cache capacity, in containers.
+    /// LPC read-cache budget, in containers' worth of bytes: the restore
+    /// cache holds whole containers and extent sets weighing up to
+    /// `lpc_containers × container_bytes` together.
     pub lpc_containers: usize,
     /// Container size in bytes.
     pub container_bytes: u64,

@@ -246,26 +246,31 @@
 //! reads are still in flight on other repository nodes, and the NIC
 //! streams chunks in recipe order once their container's read has
 //! completed and verified. Nothing is delivered on unverified metadata,
-//! and a fetch waits for the LPC entry it evicts to have been sent —
-//! [`DebarConfig::lpc_containers`] is both the cache and the read-ahead
-//! buffer — and for the client to have been sent what was queued
-//! `repo_nodes - 1` fetches ago: the walk keeps one container per
-//! repository node ahead of the client stream, enough to keep every node
-//! disk reading. Which entry a full cache gives up is the walk's own
-//! choice, because it holds the whole recipe: of the residents already
-//! sent, the one the rest of the recipe needs last (never again first;
-//! the paper's LRU is the same rule knowing nothing, and is what a
-//! backup's prefetch gets) — the same slots, 1.4x fewer container reads
-//! on `benchmark/`'s fragmented workloads. And *what* a miss reads is the
-//! walk's choice too, once a miss has found the cache full and it has
-//! started reading its recipe: the container's metadata section, then
-//! only the extents holding chunks the rest of the recipe still needs and
-//! no resident answers for (`ChunkRepository::read_chunks`; a gap between
-//! two of them is read through when streaming it costs no more than a
-//! seek), not the whole fixed-size container — 1.9–2.3x the restore
-//! throughput of those workloads from the same slots. A cache entry is
-//! therefore an *extent set*, and a later miss on a container that is
-//! resident but lacks the chunk merges the missing extents into its slot.
+//! and a fetch waits for the resolver and for the LPC entries it evicts
+//! to have been sent, nothing else: the cache is the walk's one buffer,
+//! bounded by what it holds — resident, in flight or waiting to be
+//! streamed, the fetch coming in included, never more than
+//! [`DebarConfig::lpc_containers`] `×` [`DebarConfig::container_bytes`]
+//! (the paper's LPC is a memory budget) — so the walk runs ahead of the
+//! client for as long as the cache has room and is paced by the client
+//! stream once it is full. Which entries a full cache gives up is the
+//! walk's own choice, because it holds the whole recipe: of the residents
+//! already sent, the one the rest of the recipe needs last (never again
+//! first; the paper's LRU is the same rule knowing nothing, and is what a
+//! backup's prefetch gets), again until the fetch fits. And *what* a miss
+//! reads is the walk's choice too, once a miss has found the cache full
+//! and it has started reading its recipe: the container's metadata
+//! section, then only the extents holding chunks the rest of the recipe
+//! still needs and no resident answers for
+//! (`ChunkRepository::read_chunks`; a gap between two of them is read
+//! through when streaming it costs no more than a seek), not the whole
+//! fixed-size container. A cache entry is therefore an *extent set* that
+//! weighs the payload it holds — a whole container one full slot — and a
+//! later miss on a container that is resident but lacks the chunk merges
+//! the missing extents into its entry. From the same 128 MiB, on
+//! `benchmark/`'s fragmented workloads: recipe-aware eviction 1.3x,
+//! ranged reads a further 2.0–2.3x, the byte budget as the one gate a
+//! further 1.6x.
 //! A walk whose cache never fills keeps reading the paper's whole
 //! containers, which is what makes a small tree's second restore warm.
 //! [`RestoreReport`] carries each

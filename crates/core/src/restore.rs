@@ -28,51 +28,66 @@
 //!   sooner than the read that fetched it has completed in full — every
 //!   extent in, what was read verified, read-repair done — and
 //!   `verify_payload` accepted it.
-//! * **The LPC is the read-ahead buffer.** A fetch may not start before
-//!   the cached container it evicts has been fully sent, so at most
-//!   `lpc_containers` containers are ever in flight or waiting to be
-//!   streamed: no second buffer, no new knob.
-//! * **The read-ahead runs one container per repository node ahead of the
-//!   client.** Fetch `j` may not start before the client has been sent
-//!   everything the walk had queued for it when fetch `j - (nodes - 1)`
-//!   was issued: deep enough to keep every node disk reading, and the
-//!   server never holds more than `repo_nodes` fetched containers the
-//!   client has seen nothing of. With one node, reads and sends take
-//!   turns; an audit sends nothing and is never held back.
+//! * **The cache is the read-ahead window, and the only one.** A fetch
+//!   waits for the resolver to get to it and for the cache entries it
+//!   evicts to have been fully sent — nothing else. What is resident, in
+//!   flight or waiting to be streamed, the fetch coming in included,
+//!   never weighs more than `lpc_containers × container_bytes` (the
+//!   paper's LPC is a memory budget, §3.3): no second buffer, no new
+//!   knob. While the cache has room the walk runs ahead of the client as
+//!   far as the node disks take it; once it is full, every fetch is paced
+//!   by the client stream freeing what it displaces. An audit sends
+//!   nothing, so its entries are free the moment their read is in.
+//!
+//!   (Until PR 24 a second gate held fetch `j` until the client had been
+//!   sent everything queued when fetch `j - (nodes - 1)` was issued — one
+//!   container per repository node ahead of the client, with one node
+//!   reads and sends taking turns. It was added to keep PR 14's gain
+//!   under a spread bound, when it cost 8 %; once a miss was a ranged
+//!   read it cost 28–31 % — `lifecycle-churn`, latest generation: 1.57 s
+//!   elapsed for a busiest node of 1.04 s — and it is deleted, not
+//!   switched off.)
 //!
 //! * **The walk chooses its victim from its recipe.** A restore, unlike a
 //!   backup, holds its whole recipe before it reads a byte, so on a miss
 //!   with the cache full it does not leave the eviction to recency. Among
-//!   the resident containers **whose slot is already free when the fetch
-//!   could start** — last chunk sent by the time the resolver is there and
-//!   the read-ahead depth allows (the two things a fetch waits for
-//!   anyway) — it gives up the one whose next use in the rest of the
-//!   recipe is farthest, one never needed again first, ties to the
-//!   coldest; when no slot is free yet, the one that frees soonest
-//!   (`choose_victim`). The fetched container then enters through the
-//!   same `BackupServer::cache_container` as a backup's prefetch, whose
-//!   LRU has nothing left to evict. What the rule reads is a small index
-//!   private to the walk (`RecipeIndex`): fingerprint → the recipe
-//!   positions of the entries this walk visits (so a single-file restore
-//!   and the audit index exactly what they walk), and per resident
-//!   container the ascending positions it supplies *as the LPC would
-//!   answer them*, with a cursor. It is built on the first miss that finds
-//!   the cache full: a walk that never evicts pays nothing, and the cache
-//!   holds the same `lpc_containers` slots either way. A walk that knew no
-//!   next use would take the coldest free slot — the paper's LRU is the
-//!   no-knowledge case of this rule, and is what `debar-ddfs` and the
-//!   backup prefetch still run.
+//!   the resident containers **whose entry is already free when the fetch
+//!   could start** — last chunk sent by the time the resolver is there
+//!   (what a fetch waits for anyway) — it gives up the one whose next use
+//!   in the rest of the recipe is farthest, one never needed again first,
+//!   ties to the coldest; when no entry is free yet, the one that frees
+//!   soonest (`choose_victim`). The rule is applied again, to the
+//!   residents that are left and from the time the last victim frees,
+//!   until the fetch fits — never to the container being fetched, whose
+//!   resident entry the fetch merges into. The fetched chunks then enter
+//!   through the same `BackupServer::cache_container` as a backup's
+//!   prefetch, whose LRU has nothing left to evict. What the rule reads
+//!   is a small index private to the walk (`RecipeIndex`): fingerprint →
+//!   the recipe positions of the entries this walk visits (so a
+//!   single-file restore and the audit index exactly what they walk), and
+//!   per resident container the ascending positions it supplies *as the
+//!   LPC would answer them*, with a cursor. It is built on the first miss
+//!   that finds the cache full — no room for one more whole container: a
+//!   walk that never evicts pays nothing, and the cache holds the same
+//!   bytes either way. A walk that knew no next use would take the coldest free entry
+//!   — the paper's LRU is the no-knowledge case of this rule, and is what
+//!   `debar-ddfs` and the backup prefetch still run.
 //!
 //!   The clause about free slots is not a refinement. Measured on
 //!   `benchmark/`'s `lifecycle-churn` (restore of the latest generation,
 //!   MiB/s, seed 1) with every gate and check of the walk kept: LRU 31.2;
 //!   plain farthest-next-use 34.2 — 1.39x fewer misses, but the container
 //!   needed last is time and again the one fetched or streamed a moment
-//!   ago, so the fetch stalls on the slot gate above and the read-ahead
+//!   ago, so the fetch stalls on the cache gate above and the read-ahead
 //!   with it (a restore that follows a restore got *slower* for fewer
 //!   reads); exempting the `repo_nodes` most recent residents 40.3; the
 //!   rule above 41.8, with no walk of any workload or figure slower than
-//!   under LRU.
+//!   under LRU. The clause costs fetches where the walk is far ahead of
+//!   its client: on a recipe that cycles, the entries already streamed
+//!   out are the ones the cycle returns to soonest
+//!   (`tests/restore_layout.rs::a_recipe_that_cycles_past_the_cache_…`:
+//!   47 fetches for 54 visits where an audit, whose entries free at once,
+//!   needs 14 — and still the faster walk, the NIC being what binds).
 //!
 //! * **The walk reads what its recipe needs.** The same knowledge says
 //!   what a miss should fetch. A container is self-described — its
@@ -89,18 +104,23 @@
 //!   container in one piece is read as the container in one piece. The
 //!   metadata section is its own I/O and each extent pays its own seek,
 //!   but the attempt is one device op (fault offsets do not move), the
-//!   resolver still walks on as soon as the metadata is in, and the slot
-//!   gate, the read-ahead depth and the victim rule above apply as they
-//!   are.
+//!   resolver still walks on as soon as the metadata is in, and the cache
+//!   gate and the victim rule above apply as they are.
 //!
-//!   A cache entry is therefore an **extent set** in the same slot: the
-//!   LPC maps exactly the fingerprints fetched, at most `lpc_containers`
-//!   entries of at most one container each. A later miss on a fingerprint
-//!   whose container is resident but does not hold it (another run's
-//!   recipe, another file's, wanted other chunks) fetches the missing
-//!   wanted chunks and **merges them into that slot**: no victim, no slot
-//!   to wait for, and nothing of the slot is delivered — nor the slot
-//!   given up — before the merge is in.
+//!   A cache entry is therefore an **extent set, and the cache is bounded
+//!   by their bytes**: the LPC maps exactly the fingerprints fetched, an
+//!   entry weighs the payload bytes its fetches brought in (a whole
+//!   container read by a walk that knows nothing: one full
+//!   `container_bytes` slot, so a cache of whole entries holds exactly
+//!   `lpc_containers` of them), and as many entries stay as weigh no more
+//!   than the budget together — about six times as many as slots where a
+//!   ranged fetch brings in a sixth of its container. A later miss on a
+//!   fingerprint whose container is resident but does not hold it
+//!   (another run's recipe, another file's, wanted other chunks) fetches
+//!   the missing wanted chunks and **merges them into that entry**, which
+//!   grows by them: victims only if the growth does not fit, and nothing
+//!   of the entry is delivered — nor the entry given up — before the
+//!   merge is in.
 //!
 //!   What is verified is what is read. A ranged read cannot check a
 //!   checksum trailer it did not read, so the repository checks that the
@@ -123,7 +143,11 @@
 //!   generation 41.8 → 97.4, oldest 46.2 → 105.6; `cluster-multistream`
 //!   53.8 → 109.7 and 64.9 → 122.8; over their restores the repository
 //!   nodes read 1.26 and 1.24 bytes per byte restored where they read
-//!   8.18 and 5.80.
+//!   8.18 and 5.80. Counting the cache in bytes and letting it be the
+//!   only gate then took the same four cells to 155.5 and 166.2, 172.9
+//!   and 190.0 (from 96.7 and 103.7, 109.7 and 122.8 after PR 23; the
+//!   gate's removal alone 133.4 and 145.6 on `lifecycle-churn`, the byte
+//!   budget alone 115.7 and 125.3).
 //!
 //! The server's clock jumps to the end of the schedule; the lanes' busy
 //! times are reported beside it ([`RestoreReport::serial_s`] is what one
@@ -145,15 +169,12 @@ use std::collections::HashMap;
 struct RestoreLanes {
     /// Where the resolver is: everything it needs to look at the next
     /// recipe entry — the answer to its last lookup, the metadata section
-    /// of its last fetch — is in by this time.
+    /// of its last fetch — is in by this time. It is also the earliest
+    /// the next fetch could start.
     at: Secs,
     resolve: Lane,
     nodes: Vec<Lane>,
     send: Lane,
-    /// `queued[j % nodes]`: where the send lane's queue ended when fetch
-    /// `j` was issued — what [`Self::fetch_start`] holds later fetches to.
-    queued: Vec<Secs>,
-    fetches: usize,
 }
 
 impl RestoreLanes {
@@ -163,23 +184,7 @@ impl RestoreLanes {
             resolve: Lane::new(),
             nodes: vec![Lane::new(); nodes],
             send: Lane::new(),
-            queued: vec![0.0; nodes],
-            fetches: 0,
         }
-    }
-
-    /// The earliest the next fetch could start: the resolver has got to
-    /// it, and the client has been sent everything that was queued as the
-    /// fetch `nodes - 1` before it was issued (with one node: everything
-    /// queued by now) — the read-ahead depth.
-    fn fetch_start(&self) -> Secs {
-        let (j, n) = (self.fetches, self.queued.len());
-        let depth = if n == 1 {
-            self.send.free_at
-        } else {
-            self.queued[(j + 1) % n]
-        };
-        self.at.max(depth)
     }
 
     /// The resolver waits out an index lookup.
@@ -189,16 +194,14 @@ impl RestoreLanes {
 
     /// Put a container read's legs on their nodes' lanes, one after the
     /// other (a replica is only tried once the one before it has failed),
-    /// starting no sooner than `gate` (the cache slot it takes is free)
-    /// and [`Self::fetch_start`] allow. The resolver moves on once the
-    /// serving read's metadata section is in — or, when no copy served,
-    /// once the last attempt has failed. Returns the completion time of
-    /// the whole read.
+    /// starting once the resolver has got to it and no sooner than `gate`
+    /// (the cache entries it evicts have been streamed out) — the two
+    /// things a fetch waits for. The resolver moves on once the serving
+    /// read's metadata section is in — or, when no copy served, once the
+    /// last attempt has failed. Returns the completion time of the whole
+    /// read.
     fn fetch(&mut self, gate: Secs, legs: &ReadLegs) -> Secs {
-        let mut t = self.fetch_start().max(gate);
-        let n = self.queued.len();
-        self.queued[self.fetches % n] = self.send.free_at;
-        self.fetches += 1;
+        let mut t = self.at.max(gate);
         for &(node, cost) in &legs.failed {
             t = self.nodes[node].run(t, cost);
         }
@@ -281,6 +284,7 @@ impl DebarCluster {
             servers: &mut *servers,
             repo: &mut *repo,
             w_bits: cfg.w_bits,
+            container_bytes: cfg.container_bytes,
             sid,
             to_client,
             record,
@@ -453,10 +457,17 @@ impl RecipeIndex {
         self.supplies.insert(cid, (positions, 0));
     }
 
-    /// The resident to give up for the fetch that the miss at recipe
-    /// position `pos` needs, which could start at `start`.
-    fn victim(&mut self, pos: usize, srv: &BackupServer, start: Secs) -> Option<ContainerId> {
-        let residents = srv.lpc.residents().map(|id| Resident {
+    /// The next resident to give up for the fetch of `keep` that the miss
+    /// at recipe position `pos` needs and that could start at `start` —
+    /// never `keep` itself, which the fetch merges into when resident.
+    fn victim(
+        &mut self,
+        pos: usize,
+        srv: &BackupServer,
+        keep: ContainerId,
+        start: Secs,
+    ) -> Option<ContainerId> {
+        let residents = (srv.lpc.residents().filter(|&id| id != keep)).map(|id| Resident {
             id,
             next_use: self.supplies.get_mut(&id).and_then(|(positions, passed)| {
                 while positions.get(*passed).is_some_and(|&p| p <= pos) {
@@ -478,6 +489,8 @@ struct RestoreWalk<'a> {
     servers: &'a mut [BackupServer],
     repo: &'a mut ChunkRepository,
     w_bits: u32,
+    /// What a whole container weighs in the restore cache.
+    container_bytes: u64,
     /// The restoring server.
     sid: usize,
     /// Stream to the client (restore) or only check (verify).
@@ -508,12 +521,11 @@ impl RestoreWalk<'_> {
                     fp: *fp,
                     container: None,
                 })?;
-                // A miss that finds the cache full is where the walk
-                // starts reading its recipe: for the victim, and for what
-                // to fetch.
-                let srv = &mut self.servers[sid];
-                let full = srv.lpc.len() >= srv.lpc.capacity();
-                if full && self.recipe.is_none() {
+                // A miss that finds no room for a whole container is where
+                // the walk starts reading its recipe: for the victims, and
+                // for what to fetch.
+                let (srv, whole) = (&mut self.servers[sid], self.container_bytes);
+                if self.recipe.is_none() && srv.lpc.shortfall(cid, whole) > 0 {
                     let mut index = RecipeIndex::build(self.record, self.only_path);
                     (srv.lpc.residents()).for_each(|resident| index.admit(resident, &srv.lpc));
                     self.recipe = Some(index);
@@ -535,21 +547,26 @@ impl RestoreWalk<'_> {
                         return Err(DebarError::MissingContainer { container: cid });
                     }
                 };
-                // A container that takes a slot of a full cache takes the
-                // one whose resident the rest of the recipe needs last,
-                // among those already streamed out; one that is resident
-                // (a partial entry, now merged into) takes none.
-                let victim = match &mut self.recipe {
-                    Some(recipe) if full && !srv.lpc.contains_container(cid) => {
-                        recipe.victim(pos, srv, lanes.fetch_start())
-                    }
-                    _ => None,
+                // The cache is the read-ahead window, counted in bytes:
+                // what is resident, in flight or waiting to be streamed,
+                // this fetch included, never weighs more than the budget.
+                // A whole container weighs one full slot of it, an extent
+                // set its payload. Whatever must go to make room is the
+                // residents the rest of the recipe needs last, among those
+                // already streamed out — and the fetch waits for the last
+                // of them to have been, and for nothing else.
+                let bytes = match &self.recipe {
+                    Some(_) => chunks.iter().map(|(_, p)| p.len()).sum(),
+                    None => whole,
                 };
-                // The cache slot is the read-ahead buffer: the fetch waits
-                // for the container it evicts to have been streamed out.
-                srv.cache_container(cid, chunks, victim, |victim_sent| {
-                    lanes.fetch(victim_sent, &legs)
-                });
+                let (at, recipe) = (lanes.at, &mut self.recipe);
+                srv.cache_container(
+                    cid,
+                    chunks,
+                    bytes,
+                    |srv, sent| (recipe.as_mut())?.victim(pos, srv, cid, at.max(sent)),
+                    |evicted_sent| lanes.fetch(evicted_sent, &legs),
+                );
                 if let Some(recipe) = &mut self.recipe {
                     recipe.admit(cid, &srv.lpc);
                 }
@@ -672,10 +689,18 @@ mod tests {
         // then starts with the last eight containers of v0 resident, the
         // next seven of which it needs at once: LRU flooded them out one
         // fetch ahead of their use — (1983, 17, 17), ops [49, 49, 56] —
-        // while the walk that reads its recipe keeps them: seven misses,
-        // lookups and container reads fewer. That row and the op counters
-        // after it were re-probed when the victim rule arrived
-        // (`.claude/skills/verify/SKILL.md` says how).
+        // while the walk that reads its recipe keeps them. That row and
+        // the op counters after it were re-probed when the victim rule
+        // arrived (`.claude/skills/verify/SKILL.md` says how), and again
+        // when the cache came to be counted in bytes: under the slot rule
+        // the audit's first fetch had to take one of the eight slots —
+        // (1990, 10, 10), ops [45, 46, 49], 0.08169222067093189 s — although
+        // the eight extent sets v0's walk left weigh 7.47 of the 8 MiB; its
+        // own share of container 7 weighs 0.34 MiB and fits beside them,
+        // so all eight stay until they have been used: one miss, lookup
+        // and container read fewer. The repair row after it reads what it
+        // read before (same seconds, one index op fewer behind it); that
+        // its walk meets the damaged copy at all is now arranged below.
         //
         // The seconds were re-probed when ranged reads arrived: once the
         // eight slots have been full, a miss charges the metadata section
@@ -689,8 +714,8 @@ mod tests {
         let probed = [
             Probed { tag: "restore v1", version: 1, to_client: true, corrupt: 0, bytes: 16374979, lpc: (1983, 17, 9), containers: 17, ops: [32, 33, 23], elapsed: 0.21514107101353597 },
             Probed { tag: "restore v0", version: 0, to_client: true, corrupt: 0, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [40, 41, 39], elapsed: 0.20588167068289648 },
-            Probed { tag: "verify v1", version: 1, to_client: false, corrupt: 0, bytes: 16374979, lpc: (1990, 10, 10), containers: 17, ops: [45, 46, 49], elapsed: 0.08169222067093189 },
-            Probed { tag: "repair v0", version: 0, to_client: true, corrupt: 1, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [55, 54, 65], elapsed: 0.21672324211146793 },
+            Probed { tag: "verify v1", version: 1, to_client: false, corrupt: 0, bytes: 16374979, lpc: (1991, 9, 9), containers: 17, ops: [45, 45, 48], elapsed: 0.07360005838739278 },
+            Probed { tag: "repair v0", version: 0, to_client: true, corrupt: 1, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [55, 54, 64], elapsed: 0.21672324211146793 },
         ];
         let devices = [
             Device::RepoNode(0),
@@ -709,6 +734,17 @@ mod tests {
             if p.corrupt > 0 {
                 let first = c.repo.container_ids()[0];
                 c.set_damage(first, Some(Damage::BitFlip)).expect("exists");
+                // The damaged copy is the primary's, and a read takes the
+                // replica whose disk has read least (ties: the primary).
+                // The walks so far left that the other node: read the
+                // container from it until the primary is the lighter one,
+                // or this walk would never meet the damage.
+                let read =
+                    |c: &DebarCluster, n: usize| c.repo.nodes()[n].disk_stats().rand_read_bytes;
+                let (primary, other) = (c.repo.node_of(first), 1 - c.repo.node_of(first));
+                while read(&c, other) < read(&c, primary) {
+                    c.repo.read(first).value.expect("the clean copy serves");
+                }
             }
             let r = if p.to_client {
                 c.restore_run(run)
@@ -883,12 +919,45 @@ mod tests {
         }
     }
 
+    /// The restore cache's memory law, which holds after any walk: the
+    /// entries weigh no more than `lpc_containers × container_bytes`, the
+    /// LPC and the payload cache hold the same containers, and what the
+    /// payload cache really holds is no more than what the LPC weighs it
+    /// at. (That it holds at every *fetch* — the one coming in and those
+    /// still in flight included — is `LpcCache::insert_extents`' own
+    /// `debug_assert`, live in every test of this workspace.) Returns the
+    /// number of residents.
+    fn assert_cache_within_its_bytes(c: &DebarCluster, tag: &str) -> u64 {
+        let (srv, cfg) = (&c.servers[0], &c.cfg);
+        let budget = cfg.lpc_containers as u64 * cfg.container_bytes;
+        assert_eq!(srv.lpc.budget(), budget, "{tag}");
+        assert!(srv.lpc.weight() <= budget, "{tag}");
+        assert_eq!(srv.container_cache.len(), srv.lpc.len(), "{tag}");
+        let held: u64 = (srv.lpc.residents())
+            .map(|cid| srv.container_cache[&cid].payload_bytes())
+            .sum();
+        assert!(
+            held <= srv.lpc.weight(),
+            "{tag}: {held} held, weighed {}",
+            srv.lpc.weight()
+        );
+        srv.lpc.len() as u64
+    }
+
     #[test]
     fn the_cache_never_outgrows_its_slots_and_keeps_what_the_next_walk_needs() {
-        // Same memory at any capacity: after every walk the LPC and the
-        // payload cache hold the same containers, at most `lpc_containers`
-        // of them; a walk evicts once per fetch into a full cache, never
-        // more; and every walk delivers every byte.
+        // Same memory at any budget. Until the cache was counted in bytes
+        // this pinned the slot rule its name still carries — at most
+        // `lpc_containers` entries, one eviction per fetch into a full
+        // cache. An entry is an extent set and takes what it weighs, so
+        // the law is now in bytes: after every walk the LPC and the
+        // payload cache hold the same containers, weighing at most
+        // `lpc_containers × container_bytes` together — there may be more
+        // of them than slots, and one fetch may evict several or none;
+        // every fetch enters as a new entry or merges into its own, so
+        // the residents before a walk, its misses and its evictions
+        // bound the residents after it; and every walk delivers every
+        // byte.
         for slots in [1, 2, 8] {
             let mut cfg = DebarConfig::tiny_test(0);
             cfg.lpc_containers = slots;
@@ -905,18 +974,9 @@ mod tests {
                 let tag = format!("{slots} slots, v{version}, to_client {to_client}");
                 assert_eq!((r.failures, r.chunks), (0, 2000), "{tag}");
                 assert_eq!(r.lpc.hits + r.lpc.misses, r.chunks, "{tag}");
-                let srv = &c.servers[0];
-                assert!(srv.lpc.len() <= slots, "{tag}");
-                assert_eq!(srv.container_cache.len(), srv.lpc.len(), "{tag}");
-                assert!(srv
-                    .lpc
-                    .residents()
-                    .all(|cid| srv.container_cache.contains_key(&cid)));
-                // Every miss of a walk fetches, and a fetch evicts exactly
-                // when it found the cache full.
-                let room = (slots - resident) as u64;
-                assert_eq!(r.lpc.evictions, r.lpc.misses.saturating_sub(room), "{tag}");
-                resident = srv.lpc.len();
+                let after = assert_cache_within_its_bytes(&c, &tag);
+                assert!(after + r.lpc.evictions <= resident + r.lpc.misses, "{tag}");
+                resident = after;
             }
         }
     }
@@ -985,7 +1045,8 @@ mod tests {
             // Six containers, up to thirteen visits that each take a run
             // of chunks out of one of them, so the containers interleave.
             // The same recipe is walked twice and audited, so the second
-            // and third walk start on the extent sets the one before left.
+            // and third walk start on the extent sets the one before left
+            // — more of them than slots, when they are small.
             let mut cfg = DebarConfig::tiny_test(0);
             cfg.lpc_containers = slots;
             let (mut ranged, job, layout) = laid_out(cfg, 720);
@@ -1016,11 +1077,14 @@ mod tests {
                 );
                 proptest::prop_assert_eq!((r.bytes, r.failures), (dataset.logical_bytes(), 0));
                 proptest::prop_assert_eq!(&r.layout, &w.layout);
-                // Never more than `lpc_containers` entries, both sides of
-                // the cache in step.
-                let srv = &ranged.servers[0];
-                proptest::prop_assert!(srv.lpc.len() <= slots);
-                proptest::prop_assert_eq!(srv.container_cache.len(), srv.lpc.len());
+                // Never more than `lpc_containers × container_bytes`,
+                // both sides of the cache in step — until the cache was
+                // counted in bytes this held it to `lpc_containers`
+                // *entries*, and an extent set of a few chunks took a
+                // whole slot. Every fetch of these walks — its incoming
+                // bytes and everything resident or in flight — went
+                // through `insert_extents`' own check of the same bound.
+                assert_cache_within_its_bytes(&ranged, "ranged");
                 // No fetch reads more than the whole container it stands
                 // for, and whoever evicts nothing reads nothing twice.
                 let read = node_bytes_read(&ranged) - read_before;
@@ -1146,19 +1210,25 @@ mod tests {
         // The middle file alone: the first miss fills the one slot
         // knowing nothing (a whole container), the other two read the
         // metadata section and `b`'s twenty chunks — not `a`'s, not `c`'s.
+        // Counted in slots each of them took the one slot from the entry
+        // before it (two evictions); counted in bytes the whole container
+        // has to go for the first, and the second — twenty chunks are a
+        // sixth of a container — fits beside it.
         let before = node_bytes_read(&c);
         let b = c.restore_file(run, "b").expect("one file");
         assert_eq!((b.files, b.chunks, b.failures), (1, 60, 0));
-        assert_eq!((b.lpc.misses, b.lpc.evictions), (3, 2));
+        assert_eq!((b.lpc.misses, b.lpc.evictions), (3, 1));
+        assert_eq!(assert_cache_within_its_bytes(&c, "two extent sets"), 2);
         let extents: u64 = (layout[1..3].iter())
             .map(|stored| ranged_bytes(stored, &stored.1[40..60]))
             .sum();
         assert_eq!(node_bytes_read(&c) - before, cfg.container_bytes + extents);
 
-        // A second run shares the resident container: it needs five of
-        // the chunks the slot holds and five it does not. The miss on the
-        // first of those merges into the slot — no victim, and only the
-        // five missing chunks are read, nothing of the slot a second time.
+        // A second run shares the last of them: it needs five of the
+        // chunks that entry holds and five it does not. The miss on the
+        // first of those merges into the entry — five more chunks fit, so
+        // no victim — and only the five missing chunks are read, nothing
+        // of the entry a second time.
         let (_, last) = &layout[2];
         let shared = [&last[45..50], &last[60..65]].concat();
         let second = next_run(&mut c, job, &of_counters("second", &shared));
@@ -1170,10 +1240,10 @@ mod tests {
             node_bytes_read(&c) - before,
             ranged_bytes(&layout[2], &last[60..65])
         );
+        assert_eq!(assert_cache_within_its_bytes(&c, "merged"), 2);
         let srv = &c.servers[0];
-        assert_eq!((srv.lpc.len(), srv.container_cache.len()), (1, 1));
         assert_eq!(srv.lpc.fingerprints(layout[2].0).map(<[_]>::len), Some(25));
-        // The restore after it finds everything in the merged slot.
+        // The restore after it finds everything in the merged entry.
         let before = node_bytes_read(&c);
         let again = c.restore_run(second).expect("restore");
         assert_eq!((again.bytes, again.failures), (audit.bytes, 0));
@@ -1208,22 +1278,37 @@ mod tests {
 
         let b = c.restore_file(run, "b").expect("one file");
         assert_eq!((b.files, b.chunks, b.failures), (1, 2100, 0));
-        // Six containers over four slots: LRU misses on every one of the
-        // 3 x 6 visits; what stays resident across a lap saves its fetch.
+        // Six containers over four slots, 3 x 6 visits. While the depth
+        // gate held the walk one container per node ahead of the client,
+        // nearly every resident had been streamed out when a fetch was
+        // due, the victim was the one the lap returns to last, and twelve
+        // fetches did where LRU needs eighteen. The walk now runs ahead by
+        // the whole cache: when a fetch is due, the residents already
+        // streamed out are the oldest — the ones the lap returns to
+        // *soonest* — and giving one of those up beats stalling the
+        // read-ahead on a busy one (the victim rule's first clause; the
+        // module docs have the measurement). So this restore fetches on
+        // every visit again, and is the faster for it: the NIC idled for
+        // a fifth of the old walk (0.0946 s for 0.0784 s of sends) and
+        // idles for an eighth of this one (0.0881 s).
         let visits = b.layout.fragments;
         assert_eq!(visits, 3 * b.layout.containers_touched);
-        assert!(b.layout.containers_touched > 4 && b.lpc.misses <= visits * 2 / 3);
+        assert!(b.layout.containers_touched > 4 && b.lpc.misses <= visits);
         assert!(b.lpc.evictions <= b.lpc.misses);
+        assert!(b.elapsed < 1.15 * b.send_s, "{} of {}", b.elapsed, b.send_s);
+        assert_cache_within_its_bytes(&c, "one file");
 
         let whole = c.verify_run(run).expect("audit");
         assert_eq!((whole.files, whole.chunks, whole.failures), (3, 3300, 0));
         let again = c.restore_run(run).expect("restore");
         assert_eq!((again.bytes, again.failures), (whole.bytes, 0));
         assert_eq!(again.bytes, tree.logical_bytes());
-        // From the same cache state the audit and the restore fetch alike
-        // up to timing: both beat one fetch per visit.
+        // The audit sends nothing, so an entry is free as soon as its read
+        // is in and the rule has its choice: it beats one fetch per
+        // visit. The restore after it, ahead of its client by the whole
+        // cache, is where the one file was: a fetch per visit at most.
         let visits = whole.layout.fragments;
-        assert!(whole.lpc.misses < visits && again.lpc.misses < visits);
+        assert!(whole.lpc.misses <= visits * 3 / 4 && again.lpc.misses <= visits);
         assert!(matches!(
             c.restore_file(run, "nope"),
             Err(DebarError::UnknownPath { .. })
@@ -1273,14 +1358,21 @@ mod tests {
 
     #[test]
     fn a_window_of_one_serializes_reads_and_sends() {
-        // With one cache slot a fetch must wait until the container it
-        // evicts has been streamed out: node reads and the client stream
-        // take turns, and only the index lookups (issued off the
-        // metadata section, while the read is still streaming) overlap.
+        // With a budget of one container a fetch must wait until what it
+        // does not fit beside has been streamed out. Counted in slots
+        // that was every fetch by definition; counted in bytes it is
+        // every fetch of *this* history, because v1 wants nearly every
+        // chunk of every container it touches, so each extent set weighs
+        // most of the budget and no two are ever resident together: node
+        // reads and the client stream take turns, and only the index
+        // lookups (issued off the metadata section, while the read is
+        // still streaming) overlap.
         let mut narrow = DebarConfig::tiny_test(0);
         narrow.lpc_containers = 1;
         let (mut c, job) = two_generations(narrow);
         let r = c.restore_run(RunId { job, version: 1 }).expect("restore");
+        assert_eq!(assert_cache_within_its_bytes(&c, "window 1"), 1);
+        assert_eq!(r.lpc.evictions, r.lpc.misses - 1, "no two fit together");
         let slack = 1e-9 * r.serial_s();
         assert!(
             r.serial_s() - r.resolve_s <= r.elapsed + slack && r.elapsed <= r.serial_s() + slack,
@@ -1342,30 +1434,49 @@ mod tests {
 
     #[test]
     fn read_ahead_runs_one_container_per_node_ahead_of_the_client() {
-        // One repository node, depth one: a fetch waits until everything
-        // queued for the client has been sent, so the disk and the NIC
-        // take turns and only the lookups (issued off the metadata
-        // section) hide — all but the first.
+        // Until the cache became the one read-ahead window this pinned a
+        // second one, the depth gate its name still carries: on one
+        // repository node a fetch waited until everything queued for the
+        // client had been sent, so disk and NIC took turns and the walk
+        // took `first lookup + reads + sends`. The gate is gone: a fetch
+        // waits for the resolver and for the entries it evicts to have
+        // been streamed out, and on this history — a disk slower than
+        // the NIC, eight slots — no evicted entry is ever still waiting.
+        // What is left is the one-node law: after the first lookup the
+        // node lane never idles (each next lookup is issued off the
+        // metadata section and answered before the read in flight is in),
+        // and every chunk is sent behind a later read except those of the
+        // last fetch, which has none behind it.
         let mut cfg = DebarConfig::tiny_test(0);
         cfg.repo_nodes = 1;
         let (mut c, job) = two_generations(cfg);
         let one = c.restore_run(RunId { job, version: 1 }).expect("restore");
         let lookup = one.resolve_s / one.lpc.misses as f64;
+        let last = *c.repo.container_ids().last().expect("stored");
+        let last = c.repo.read(last).value.expect("clean").expect("stored");
+        let last_bytes: u64 = last.chunks().map(|(_, p)| p.len()).sum();
+        let last_send = paper::server_nic().stream_cost(last_bytes);
         assert!(
-            close(one.elapsed, lookup + one.node_read_s + one.send_s),
-            "elapsed {} vs first lookup {lookup} + reads {} + sends {}",
-            one.elapsed,
-            one.node_read_s,
-            one.send_s
+            one.send_s > 10.0 * last_send,
+            "most of the stream must hide"
         );
-        // A second node deepens the read-ahead to two: the same reads now
-        // overlap each other and the client stream.
+        assert!(
+            close(one.elapsed, lookup + one.node_read_s + last_send),
+            "elapsed {} vs first lookup {lookup} + reads {} + the last fetch's sends {last_send}",
+            one.elapsed,
+            one.node_read_s
+        );
+        // A second node takes half the reads, and the same walk is bound
+        // by the NIC instead: it idles for the first fetch and a little
+        // more, not for the reads.
         let (mut c, job) = two_generations(DebarConfig::tiny_test(0));
         let two = c.restore_run(RunId { job, version: 1 }).expect("restore");
         assert_eq!((two.bytes, two.lpc.misses), (one.bytes, one.lpc.misses));
         assert!(close(two.serial_s(), one.serial_s()));
-        assert!(two.elapsed < 0.75 * one.elapsed);
-        assert!(two.elapsed >= two.node_read_s.max(two.send_s));
+        assert!(two.node_read_s < two.send_s && two.send_s < one.node_read_s);
+        let fetch = lookup + paper::repo_disk().rand_read_cost(cfg.container_bytes);
+        assert!(two.elapsed >= two.send_s && two.elapsed < two.send_s + 2.0 * fetch);
+        assert!(two.elapsed < one.elapsed);
     }
 
     #[test]

@@ -195,6 +195,12 @@ impl CachedContainer {
         (self.chunks.get(fp)).map(|payload| (payload.len() as u32, payload.clone()))
     }
 
+    /// Bytes of payload the entry holds.
+    #[cfg(test)]
+    pub(crate) fn payload_bytes(&self) -> u64 {
+        self.chunks.values().map(Payload::len).sum()
+    }
+
     /// Take in what a read that completed at `ready_at` fetched. Nothing
     /// of the slot is delivered, and the slot is not given up, before
     /// that read is in.
@@ -203,6 +209,13 @@ impl CachedContainer {
         self.ready_at = self.ready_at.max(ready_at);
         self.last_sent = self.last_sent.max(ready_at);
     }
+}
+
+/// An empty restore cache of the deployment's memory: the paper's LPC is
+/// a byte budget, [`DebarConfig::lpc_containers`] whole containers' worth.
+fn restore_cache(cfg: &DebarConfig) -> LpcCache {
+    let container_bytes = cfg.container_bytes;
+    LpcCache::with_memory(cfg.lpc_containers as u64 * container_bytes, container_bytes)
 }
 
 impl BackupServer {
@@ -233,7 +246,7 @@ impl BackupServer {
             pending_updates: Vec::new(),
             carryover: HashMap::new(),
             inline_staged: 0,
-            lpc: LpcCache::new(cfg.lpc_containers),
+            lpc: restore_cache(&cfg),
             container_cache: HashMap::new(),
             cfg,
         }
@@ -275,7 +288,7 @@ impl BackupServer {
     /// Garbage collection calls this after reclaiming containers: a stale
     /// cached mapping to a deleted container must never serve a read.
     pub(crate) fn invalidate_read_caches(&mut self) {
-        self.lpc = LpcCache::new(self.cfg.lpc_containers);
+        self.lpc = restore_cache(&self.cfg);
         self.container_cache.clear();
     }
 
@@ -283,49 +296,62 @@ impl BackupServer {
     /// way in. The LPC (fingerprint side) and the payload cache move in
     /// lockstep, and map exactly the chunks fetched.
     ///
-    /// A container that is **not resident** takes a slot: `victim`, the
-    /// resident the caller chose to give up, leaves both sides first; the
-    /// fetched fingerprints enter the LPC; whatever the LPC's own LRU
-    /// still evicts for them leaves the payload cache too; and the chunks
-    /// join it, ready at `ready_at(sent)` — `sent` being the time the last
-    /// evicted container's last chunk left the NIC (0 when nothing was
-    /// evicted), which the restore walk's fetch must wait for.
+    /// The cache is bounded by what it holds: `bytes` is what the fetch
+    /// weighs — one whole container for a caller that read one, the
+    /// payload bytes of its extents for a ranged read — and the entries
+    /// together never weigh more than `lpc_containers × container_bytes`,
+    /// *the fetch coming in included*. So first residents leave, both
+    /// sides, until it fits: those `victim(self, sent)` names, one at a
+    /// time for as long as [`LpcCache::shortfall`] says more must go
+    /// (`sent` being when the last chunk of those already given up left
+    /// the NIC), and whatever the LPC's own LRU still evicts once the
+    /// caller names nobody. Then the fetched fingerprints enter the LPC
+    /// and the chunks the payload cache, ready at `ready_at(sent)` — which
+    /// the restore walk's fetch must wait for (0 when nothing was evicted).
     ///
     /// A container that **is resident** — a partial entry whose recipe
     /// wanted less than a later miss needs, or one a fingerprint of which
     /// lost its mapping to a younger resident — is merged into, in its own
-    /// slot: no victim, no slot to wait for (`sent` is 0), and the whole
-    /// entry is ready no earlier than this read.
+    /// entry: it grows by what is new, is never its own victim, and the
+    /// whole entry is ready no earlier than this read.
     ///
-    /// A caller that does not know the future passes no victim and gets
+    /// A caller that does not know the future names no victim and gets
     /// the paper's LRU (the inline-backup prefetch). The restore walk
-    /// knows its recipe and names the victim whenever the cache is full,
-    /// so for it the LRU never has anything left to evict.
+    /// knows its recipe and names victims until the fetch fits, so for it
+    /// the LRU never has anything left to evict.
     pub(crate) fn cache_container(
         &mut self,
         cid: ContainerId,
         chunks: Vec<(Fingerprint, Payload)>,
-        victim: Option<ContainerId>,
+        bytes: u64,
+        mut victim: impl FnMut(&Self, Secs) -> Option<ContainerId>,
         ready_at: impl FnOnce(Secs) -> Secs,
     ) {
-        let fps = chunks.iter().map(|(fp, _)| *fp).collect();
-        if let Some(slot) = self.container_cache.get_mut(&cid) {
-            self.lpc.insert_container(cid, fps);
-            slot.merge(chunks, ready_at(0.0));
-            return;
+        let mut sent: Secs = 0.0;
+        while self.lpc.shortfall(cid, bytes) > 0 {
+            let Some(chosen) = victim(self, sent).filter(|&v| self.lpc.evict(v)) else {
+                break;
+            };
+            sent = self.drop_payload(chosen, sent);
         }
-        let chosen = victim.filter(|&v| self.lpc.evict(v));
-        let evicted = self.lpc.insert_container(cid, fps);
-        let sent = (chosen.iter().chain(&evicted))
-            .filter_map(|e| self.container_cache.remove(e))
-            .fold(0.0, |sent, victim| f64::max(sent, victim.last_sent));
-        let mut slot = CachedContainer {
-            chunks: HashMap::with_capacity(chunks.len()),
+        let fps = chunks.iter().map(|(fp, _)| *fp).collect();
+        for evicted in self.lpc.insert_extents(cid, fps, bytes) {
+            sent = self.drop_payload(evicted, sent);
+        }
+        let slot = self.container_cache.entry(cid).or_insert(CachedContainer {
+            chunks: HashMap::new(),
             ready_at: 0.0,
             last_sent: 0.0,
-        };
+        });
         slot.merge(chunks, ready_at(sent));
-        self.container_cache.insert(cid, slot);
+    }
+
+    /// The payload side of an eviction: drop the container's chunks.
+    /// Returns when the last chunk of it, and of those given up before it
+    /// (`sent`), had left the NIC.
+    fn drop_payload(&mut self, evicted: ContainerId, sent: Secs) -> Secs {
+        let gone = self.container_cache.remove(&evicted);
+        gone.map_or(sent, |gone| sent.max(gone.last_sent))
     }
 
     /// Charge a network transfer to this server's clock.

@@ -15,29 +15,37 @@
 //! whole-container read, only the chunks its recipe still needed after the
 //! restore walk's ranged read. [`LpcCache::insert_container`] of a
 //! container that is already resident *merges* — the entry grows by the new
-//! fingerprints, nobody is evicted — so the capacity counts entries of at
-//! most one container each, and a partial entry only ever takes less.
+//! fingerprints.
+//!
+//! **The cache is bounded by what its entries weigh.** The paper's LPC is
+//! a memory budget — 128 MB over 8 MB containers — and that is what
+//! [`LpcCache::with_memory`] takes: an entry weighs the bytes its fetches
+//! brought in ([`LpcCache::insert_extents`]), never more than one
+//! container, and the entries together never more than the budget. A
+//! caller that knows nothing of bytes ([`LpcCache::insert_container`])
+//! inserts whole containers, each one full slot of the budget, so for it
+//! the budget counts containers — [`LpcCache::new`] is that reading of the
+//! same number, and a cache of whole entries holds exactly `capacity` of
+//! them either way.
 //!
 //! **LRU is the rule of a caller that does not know the future** — a
-//! backup's prefetch, `debar-ddfs`: [`LpcCache::insert_container`] makes
-//! room by dropping the coldest resident. A caller that does know it (the
-//! restore walk holds its whole recipe) names its own victim with
-//! [`LpcCache::evict`] before it inserts, choosing among
-//! [`LpcCache::residents`] — which come coldest first, so a choice that
-//! breaks its ties towards the front and knows nothing picks exactly the
-//! victim LRU would.
+//! backup's prefetch, `debar-ddfs`: an insert makes room by dropping the
+//! coldest residents. A caller that does know it (the restore walk holds
+//! its whole recipe) names its own victims with [`LpcCache::evict`] before
+//! it inserts — as many as [`LpcCache::shortfall`] asks for — choosing
+//! among [`LpcCache::residents`], which come coldest first, so a choice
+//! that breaks its ties towards the front and knows nothing picks exactly
+//! the victim LRU would.
 //!
-//! On the restore path the capacity is also the **read-ahead buffer**:
-//! the walk fetches ahead of the client stream, and a fetch may not start
-//! before the container it evicts has been streamed out. A cache of `n`
-//! containers therefore bounds the containers in flight or waiting to be
-//! sent at `n`; a cache of one serializes reads and sends. (The walk
-//! itself runs no deeper than one container per repository node ahead of
-//! the client, so the capacity only binds below the node count.)
+//! On the restore path the budget is also the **read-ahead window**: the
+//! walk fetches ahead of the client stream, and a fetch may not start
+//! before the entries it evicts have been streamed out. A budget of `n`
+//! containers therefore bounds the bytes in flight or waiting to be sent
+//! at `n` containers' worth; a budget of one serializes reads and sends.
 
 use debar_hash::{ContainerId, Fingerprint};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,44 +70,87 @@ impl LpcStats {
     }
 }
 
-/// An LRU cache of containers' fingerprint sets.
+/// One resident container: what its fetches brought in.
+#[derive(Debug, Clone)]
+struct Entry {
+    fps: Vec<Fingerprint>,
+    /// What it weighs against the budget, at most one slot.
+    weight: u64,
+    /// Recency stamp of its last insert or hit: the coldest entry holds
+    /// the smallest.
+    used: u64,
+}
+
+/// An LRU cache of containers' fingerprint sets, bounded by what they
+/// weigh.
 #[derive(Debug, Clone)]
 pub struct LpcCache {
-    capacity: usize,
+    /// What a whole container weighs — an entry of a caller that knows
+    /// nothing of bytes, and the most any entry can weigh.
+    slot: u64,
+    /// What the entries may weigh together: a whole number of slots.
+    budget: u64,
+    /// What they do weigh together (a running sum of `Entry::weight`).
+    held: u64,
     /// fingerprint → container holding it.
     by_fp: HashMap<Fingerprint, ContainerId>,
-    /// container → its fingerprints (for eviction bookkeeping).
-    by_container: HashMap<ContainerId, Vec<Fingerprint>>,
-    /// LRU order: front = coldest.
-    lru: VecDeque<ContainerId>,
+    by_container: HashMap<ContainerId, Entry>,
+    /// The last recency stamp handed out, and the resident that holds it:
+    /// a hit on that one — nearly every hit of a stream — changes no order
+    /// and needs no stamp.
+    clock: u64,
+    hottest: Option<ContainerId>,
     stats: LpcStats,
 }
 
 impl LpcCache {
-    /// Create a cache holding at most `capacity` containers' fingerprints.
+    /// Create a cache holding at most `capacity` containers' fingerprints:
+    /// the budget counted in whole containers.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LPC capacity must be positive");
+        Self::with_memory(capacity as u64, 1)
+    }
+
+    /// Create from a memory budget: the paper's 128 MB LPC over 8 MB
+    /// containers caches 16 whole containers' worth of fingerprints — or
+    /// as many extent sets as weigh no more ([`LpcCache::insert_extents`]).
+    /// A budget below one container holds one.
+    ///
+    /// # Panics
+    /// Panics if `container_bytes == 0`.
+    pub fn with_memory(bytes: u64, container_bytes: u64) -> Self {
+        assert!(container_bytes > 0, "container size must be positive");
         LpcCache {
-            capacity,
+            slot: container_bytes,
+            budget: (bytes / container_bytes).max(1) * container_bytes,
+            held: 0,
             by_fp: HashMap::new(),
             by_container: HashMap::new(),
-            lru: VecDeque::new(),
+            clock: 0,
+            hottest: None,
             stats: LpcStats::default(),
         }
     }
 
-    /// Create from a memory budget: the paper's 128 MB LPC over 8 MB
-    /// containers caches 16 containers' worth of fingerprints.
-    pub fn with_memory(bytes: u64, container_bytes: u64) -> Self {
-        Self::new(((bytes / container_bytes).max(1)) as usize)
+    /// How many whole containers the budget holds.
+    pub fn capacity(&self) -> usize {
+        (self.budget / self.slot) as usize
     }
 
-    /// Container capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// What the entries may weigh together, in the unit the cache was
+    /// built with: bytes ([`LpcCache::with_memory`]) or containers
+    /// ([`LpcCache::new`]).
+    pub fn budget(&self) -> u64 {
+        self.budget
+    }
+
+    /// What the entries weigh together, never more than
+    /// [`LpcCache::budget`].
+    pub fn weight(&self) -> u64 {
+        self.held
     }
 
     /// Number of cached containers.
@@ -122,7 +173,9 @@ impl LpcCache {
         match self.by_fp.get(fp).copied() {
             Some(cid) => {
                 self.stats.hits += 1;
-                self.touch(cid);
+                if self.hottest != Some(cid) {
+                    self.touch(cid);
+                }
                 Some(cid)
             }
             None => {
@@ -143,30 +196,82 @@ impl LpcCache {
     }
 
     /// The cached containers in recency order, coldest first: the first is
-    /// the one [`LpcCache::insert_container`] would evict next.
-    pub fn residents(&self) -> impl Iterator<Item = ContainerId> + '_ {
-        self.lru.iter().copied()
+    /// the one an insert that needs room would evict next.
+    pub fn residents(&self) -> impl Iterator<Item = ContainerId> {
+        let mut by_age: Vec<(u64, ContainerId)> = (self.by_container.iter())
+            .map(|(&cid, entry)| (entry.used, cid))
+            .collect();
+        by_age.sort_unstable();
+        by_age.into_iter().map(|(_, cid)| cid)
     }
 
     /// A cached container's fingerprints, in the order its inserts brought
     /// them. Another resident may answer for some of them
     /// ([`LpcCache::peek`] says who).
     pub fn fingerprints(&self, cid: ContainerId) -> Option<&[Fingerprint]> {
-        self.by_container.get(&cid).map(Vec::as_slice)
+        self.by_container.get(&cid).map(|entry| &entry.fps[..])
     }
 
-    /// Insert a container's fingerprint set (after fetching the container on
-    /// a miss), evicting the least-recently-used containers if needed.
-    /// Returns the evicted container IDs so callers keeping payload caches
-    /// in sync (the restore path) can drop theirs too. A container that is
-    /// already resident grows by the fingerprints it did not list yet and
-    /// evicts nobody.
+    /// Make a resident the most recently used.
+    fn touch(&mut self, cid: ContainerId) {
+        if let Some(entry) = self.by_container.get_mut(&cid) {
+            self.clock += 1;
+            entry.used = self.clock;
+            self.hottest = Some(cid);
+        }
+    }
+
+    /// By how much `bytes` more of `cid` would grow the cache: an entry
+    /// never outgrows its container.
+    fn growth(&self, cid: ContainerId, bytes: u64) -> u64 {
+        let weighs = self.by_container.get(&cid).map_or(0, |e| e.weight);
+        bytes.min(self.slot - weighs)
+    }
+
+    /// How much weight must leave before `bytes` more of `cid` fit: what
+    /// the caller that names its own victims has to [`LpcCache::evict`]
+    /// first (residents other than `cid` — enough of them always exist).
+    pub fn shortfall(&self, cid: ContainerId, bytes: u64) -> u64 {
+        (self.held + self.growth(cid, bytes)).saturating_sub(self.budget)
+    }
+
+    /// Insert a whole container's fingerprint set (after fetching the
+    /// container on a miss): [`LpcCache::insert_extents`] of one full slot.
     pub fn insert_container(
         &mut self,
         cid: ContainerId,
         fps: Vec<Fingerprint>,
     ) -> Vec<ContainerId> {
-        if let Some(held) = self.by_container.get_mut(&cid) {
+        self.insert_extents(cid, fps, self.slot)
+    }
+
+    /// Insert the fingerprints a fetch of `bytes` of payload brought in,
+    /// evicting the least-recently-used other containers while they do not
+    /// fit. Returns the evicted container IDs so callers keeping payload
+    /// caches in sync (the restore path) can drop theirs too. A container
+    /// that is already resident grows by the fingerprints it did not list
+    /// yet and by their weight.
+    pub fn insert_extents(
+        &mut self,
+        cid: ContainerId,
+        fps: Vec<Fingerprint>,
+        bytes: u64,
+    ) -> Vec<ContainerId> {
+        let mut evicted = Vec::new();
+        while self.shortfall(cid, bytes) > 0 {
+            let coldest = (self.by_container.iter())
+                .filter(|(&resident, _)| resident != cid)
+                .min_by_key(|(_, entry)| entry.used)
+                .map(|(&resident, _)| resident);
+            let Some(coldest) = coldest else {
+                break;
+            };
+            self.evict(coldest);
+            evicted.push(coldest);
+        }
+        let grown = self.growth(cid, bytes);
+        self.held += grown;
+        if let Some(entry) = self.by_container.get_mut(&cid) {
             // A resident container is fetched again for one of two
             // reasons. A fingerprint of its missed because a younger
             // resident that also held it took the mapping over and was
@@ -176,46 +281,40 @@ impl LpcCache {
             // merge: the new fingerprints are recorded with the entry, so
             // that evicting it takes their mappings along.
             for fp in fps {
-                if self.by_fp.get(&fp) != Some(&cid) && !held.contains(&fp) {
-                    held.push(fp);
+                if self.by_fp.get(&fp) != Some(&cid) && !entry.fps.contains(&fp) {
+                    entry.fps.push(fp);
                 }
                 self.by_fp.entry(fp).or_insert(cid);
             }
-            self.touch(cid);
-            return Vec::new();
-        }
-        let mut evicted = Vec::new();
-        while self.by_container.len() >= self.capacity {
-            let Some(&coldest) = self.lru.front() else {
-                break;
+            entry.weight += grown;
+        } else {
+            for fp in &fps {
+                self.by_fp.insert(*fp, cid);
+            }
+            let entry = Entry {
+                fps,
+                weight: grown,
+                used: 0,
             };
-            self.evict(coldest);
-            evicted.push(coldest);
+            self.by_container.insert(cid, entry);
         }
-        for fp in &fps {
-            self.by_fp.insert(*fp, cid);
-        }
-        self.by_container.insert(cid, fps);
-        self.lru.push_back(cid);
+        self.touch(cid);
+        debug_assert!(self.held <= self.budget, "the LPC outgrew its budget");
         evicted
-    }
-
-    fn touch(&mut self, cid: ContainerId) {
-        if let Some(pos) = self.lru.iter().position(|&c| c == cid) {
-            self.lru.remove(pos);
-            self.lru.push_back(cid);
-        }
     }
 
     /// Evict one container, whatever its recency — for the caller that
     /// knows better than LRU which resident it needs last. Returns whether
     /// it was cached (and counts an eviction only then).
     pub fn evict(&mut self, victim: ContainerId) -> bool {
-        let Some(fps) = self.by_container.remove(&victim) else {
+        let Some(entry) = self.by_container.remove(&victim) else {
             return false;
         };
-        self.lru.retain(|&c| c != victim);
-        for fp in fps {
+        self.held -= entry.weight;
+        if self.hottest == Some(victim) {
+            self.hottest = None;
+        }
+        for fp in entry.fps {
             // Only remove mappings still pointing at the victim (a
             // fingerprint can be re-cached under a newer container).
             if self.by_fp.get(&fp) == Some(&victim) {
@@ -388,6 +487,76 @@ mod tests {
     fn with_memory_paper_configuration() {
         // 128 MB LPC / 8 MB containers = 16 containers (§6.1 DDFS setup).
         let c = LpcCache::with_memory(128 << 20, 8 << 20);
-        assert_eq!(c.capacity(), 16);
+        assert_eq!((c.capacity(), c.budget()), (16, 128 << 20));
+        // A budget is a whole number of containers, and at least one.
+        assert_eq!(LpcCache::with_memory(250, 100).budget(), 200);
+        assert_eq!(LpcCache::with_memory(1, 100).budget(), 100);
+        // `new` is the same budget counted in containers.
+        let n = LpcCache::new(16);
+        assert_eq!((n.capacity(), n.budget()), (16, 16));
+    }
+
+    #[test]
+    fn whole_entries_fill_a_byte_budget_as_they_fill_slots() {
+        // For a caller that inserts whole containers the byte budget is
+        // the slot count: the same residents, the same victims, the same
+        // counters, step by step.
+        let (mut slots, mut bytes) = (LpcCache::new(3), LpcCache::with_memory(300, 100));
+        for step in 0..40u64 {
+            let (container, fps) = (cid(step % 7), vec![fp(step % 7), fp(100 + step % 5)]);
+            assert_eq!(
+                slots.insert_container(container, fps.clone()),
+                bytes.insert_container(container, fps),
+                "step {step}"
+            );
+            assert_eq!(slots.lookup(&fp(step % 3)), bytes.lookup(&fp(step % 3)));
+            assert!(slots.residents().eq(bytes.residents()), "step {step}");
+            assert_eq!(bytes.weight(), 100 * slots.weight());
+        }
+        assert_eq!(slots.stats(), bytes.stats());
+        assert!(slots.stats().evictions > 20);
+    }
+
+    #[test]
+    fn extent_sets_are_bounded_by_what_they_weigh() {
+        // Four containers' worth of bytes holds thirteen 30-byte extent
+        // sets; the fourteenth evicts the coldest.
+        let mut c = LpcCache::with_memory(400, 100);
+        for n in 0..13 {
+            assert!(c.insert_extents(cid(n), vec![fp(n)], 30).is_empty());
+        }
+        assert_eq!((c.len(), c.weight(), c.capacity()), (13, 390, 4));
+        assert_eq!(c.lookup(&fp(0)), Some(cid(0)), "touch the oldest");
+        assert_eq!(c.shortfall(cid(13), 30), 20);
+        assert_eq!(c.insert_extents(cid(13), vec![fp(13)], 30), vec![cid(1)]);
+        assert_eq!((c.len(), c.weight()), (13, 390));
+        // A merge grows its entry by what came in — never past one
+        // container, and never at its own expense.
+        assert_eq!(c.shortfall(cid(13), 50), 40);
+        let evicted = c.insert_extents(cid(13), vec![fp(213)], 50);
+        assert_eq!(evicted, vec![cid(2), cid(3)]);
+        assert_eq!((c.len(), c.weight()), (11, 380));
+        assert!(c.insert_extents(cid(13), vec![fp(313)], 50).is_empty());
+        assert_eq!(c.weight(), 400, "80 + 50 weighs one container, not 130");
+        assert_eq!(c.shortfall(cid(13), 1000), 0, "a full entry grows no more");
+        // The caller that names its own victims evicts what `shortfall`
+        // asks for, and then nothing else has to go.
+        assert_eq!(c.shortfall(cid(20), 100), 100);
+        let mut named = Vec::new();
+        while c.shortfall(cid(20), 100) > 0 {
+            let victim = c.residents().find(|&r| r != cid(13)).expect("others");
+            assert!(c.evict(victim));
+            named.push(victim);
+        }
+        assert_eq!(named, [cid(4), cid(5), cid(6), cid(7)]);
+        assert!(c.insert_container(cid(20), vec![fp(20)]).is_empty());
+        assert_eq!((c.len(), c.weight()), (8, 380));
+        // What the entries weigh is a running sum: evicting all of them
+        // leaves exactly nothing.
+        for resident in c.residents().collect::<Vec<_>>() {
+            assert!(c.evict(resident));
+        }
+        assert_eq!((c.len(), c.weight()), (0, 0));
+        assert_eq!(c.peek(&fp(313)), None);
     }
 }
