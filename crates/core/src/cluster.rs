@@ -19,7 +19,7 @@
 //! |---|---|---|
 //! | exchange | §5.2: undetermined fingerprints partitioned by first `w` bits and exchanged | barrier **after** (all-to-all: every owner needs every origin's batch) |
 //! | PSIL | each server sweeps its index part on its own clock; verdicts routed back to origins | no exit barrier — each server's clock runs ahead on its own |
-//! | chunk storing | §5.3: each origin **packs** its chunk log into containers on its own clock (`store_workers` worker disks striping each drain), then a canonical-order **commit** assigns container IDs | overlapped: server *i*'s pack starts at its own post-PSIL clock, while straggler servers are still sweeping — the saved window is reported as `Dedup2Report::store_overlap_saved` |
+//! | chunk storing | §5.3: each origin **packs** its chunk log into containers on its own clock (`store_workers` worker disks striping each drain), then a canonical-order **commit** assigns container IDs | overlapped: server *i*'s pack starts at its own post-PSIL clock, while straggler servers are still sweeping |
 //! | update routing | unregistered `(fp, container)` pairs exchanged to owner parts | barrier after (PSIU needs every origin's updates) |
 //! | PSIU | §5.4: owners merge updates on their own clocks; may be deferred (asynchronous SIU) | barrier after (round commit) |
 //!
@@ -491,7 +491,6 @@ impl DebarCluster {
         // over `store_workers` worker disks) and packs SISL containers,
         // starting at its own post-PSIL clock. Packing touches only the
         // server's own state (no repository access).
-        let sil_done: Vec<Secs> = self.servers.iter().map(|srv| srv.clock.now()).collect();
         let packs: Vec<Result<crate::server::PackOutput, DebarError>> = self
             .servers
             .iter_mut()
@@ -560,18 +559,7 @@ impl DebarCluster {
                 cause: Box::new(cause),
             });
         }
-        // The overlap the pipeline saved: the bulk-synchronous model
-        // would have started every store pass at the PSIL barrier `t2`
-        // and finished at `t2 + max(per-server store time)`; the
-        // pipelined phase finishes at `max(own start + own store time)`.
-        let store_walls = self
-            .servers
-            .iter()
-            .zip(&sil_done)
-            .map(|(srv, &c)| srv.clock.now() - c);
-        let bulk_sync_end = t2 + store_walls.fold(0.0_f64, f64::max);
         let t3 = self.align_clocks();
-        let store_overlap_saved = (bulk_sync_end - t3).max(0.0);
 
         // ---- Phase 3b: rewrite-on-backup container capping. ----
         // Runs only under `LayoutMode::Capped`, after the chunk-storing
@@ -624,7 +612,6 @@ impl DebarCluster {
             exchange_wall: t1 - t0,
             sil_wall: t2 - t1,
             store_wall: t3 - t2,
-            store_overlap_saved,
             siu_wall: t4 - t3b,
         })
     }
@@ -2109,9 +2096,8 @@ mod tests {
     #[test]
     fn pipelined_store_overlap_reported_and_multi_server_results_unchanged() {
         // Two servers with asymmetric load: the lightly-loaded server's
-        // chunk storing starts while the straggler still sweeps, so the
-        // pipeline saves a positive overlap window — without changing any
-        // stored byte.
+        // chunk storing starts while the straggler still sweeps, without
+        // changing any stored byte.
         let mut c = cluster(1);
         let a = c.define_job("heavy", ClientId(0));
         let b = c.define_job("light", ClientId(1));
@@ -2121,16 +2107,6 @@ mod tests {
             .expect("backup");
         let d2 = c.run_dedup2().expect("dedup2");
         assert_eq!(d2.store.stored_chunks, 5000);
-        assert!(
-            d2.store_overlap_saved >= 0.0,
-            "overlap accounting must never go negative"
-        );
-        assert!(
-            d2.store_overlap_saved > 0.0,
-            "asymmetric PSIL loads must yield a positive overlap window"
-        );
-        // The pipelined wall is exactly the bulk-synchronous wall minus
-        // the saved overlap, so total accounting stays conservative.
         assert!(d2.store_wall > 0.0);
         for r in records(0..4000)
             .iter()
@@ -2449,5 +2425,57 @@ mod tests {
         assert_eq!(index_digests(&c)[1], index_digests(&clean)[1]);
         assert_eq!(c.now(), clean.now());
         assert_redo_converges(c, &clean);
+    }
+
+    /// Bytes server 0's chunk-log disks have read so far.
+    fn log_read(c: &DebarCluster) -> u64 {
+        c.servers[0].chunk_log.disk_stats().seq_read_bytes
+    }
+
+    #[test]
+    fn a_round_of_cross_job_duplicates_reads_little_of_its_log_and_its_redo_converges() {
+        // Job 1 backs up the stream job 0 stored a round earlier. Its
+        // filter has no chain to prime from, so the round's log holds only
+        // cross-job duplicates, which PSIL finds registered: the drain
+        // seeks past them. A fault on that drain still rolls it back
+        // whole, and the redo converges.
+        let build = || {
+            let mut c = cluster(0);
+            let a = c.define_job("a", ClientId(0));
+            let b = c.define_job("b", ClientId(1));
+            c.backup(a, &Dataset::from_records("s", records(0..2000)))
+                .expect("backup");
+            let logged = c.server(0).log_bytes();
+            c.run_dedup2().expect("dedup2");
+            assert_eq!(log_read(&c), logged, "a first backup's log is read whole");
+            c.backup(b, &Dataset::from_records("s", records(0..2000)))
+                .expect("backup");
+            c
+        };
+        let mut clean = build();
+        let (logged, before) = (clean.server(0).log_bytes(), log_read(&clean));
+        let d2 = clean.run_dedup2().expect("dedup2");
+        assert_eq!(d2.store.log_bytes, logged, "every record is processed");
+        assert_eq!((d2.store.discarded, d2.store.stored_chunks), (2000, 0));
+        let read = log_read(&clean) - before;
+        assert!(2 * read < logged, "read {read} of {logged} logged bytes");
+        clean.force_siu().expect("siu");
+
+        let mut c = build();
+        arm_in(&mut c, LOG0, 0, FaultPlan::fail_at);
+        let err = c.run_dedup2().expect_err("drain fault");
+        assert_eq!(interrupting_device(&err), Some(LOG0), "{err}");
+        assert_eq!(c.server(0).log_bytes(), logged, "nothing drained");
+        c.clear_fault_plans();
+        c.run_dedup2().expect("redo");
+        c.force_siu().expect("siu");
+        assert_eq!(index_digests(&c), index_digests(&clean));
+        for job in [JobId(0), JobId(1)] {
+            let run = RunId { job, version: 0 };
+            let got = c.restore_run(run).expect("restore");
+            let want = clean.restore_run(run).expect("restore");
+            assert_eq!((got.bytes, got.chunks), (want.bytes, want.chunks));
+            assert_eq!((got.chunks, got.failures), (2000, 0));
+        }
     }
 }

@@ -64,7 +64,9 @@ impl Dedup1Report {
 pub struct StoreReport {
     /// Log records processed.
     pub log_records: u64,
-    /// Log bytes drained.
+    /// Log bytes processed: every record the pass drained, wanted or not
+    /// — not what the drain read off the log disk, which skips the
+    /// duplicate runs (`chunklog.rs`). The dedup-2 throughput numerator.
     pub log_bytes: u64,
     /// Chunks written to containers.
     pub stored_chunks: u64,
@@ -127,12 +129,6 @@ pub struct Dedup2Report {
     /// Wall time of the chunk-storing phase (pack + commit, measured from
     /// the slowest server's PSIL completion — overlap already deducted).
     pub store_wall: Secs,
-    /// Wall time the chunk-storing pipeline saved by starting each
-    /// server's pack at its own post-PSIL clock instead of the PSIL
-    /// barrier: `(barrier start + slowest store) − pipelined finish`.
-    /// Zero for a single server (its own clock *is* the barrier) and
-    /// under perfectly symmetric PSIL loads.
-    pub store_overlap_saved: Secs,
     /// Wall time of the PSIU phase (zero when deferred).
     pub siu_wall: Secs,
 }
@@ -143,7 +139,7 @@ impl Dedup2Report {
         self.exchange_wall + self.sil_wall + self.store_wall + self.cap.wall + self.siu_wall
     }
 
-    /// Dedup-2 throughput over the drained log bytes.
+    /// Dedup-2 throughput over the processed log bytes.
     pub fn throughput_mibps(&self) -> f64 {
         mibps(self.store.log_bytes, self.total_wall())
     }
@@ -296,7 +292,6 @@ mod tests {
             exchange_wall: 0.5,
             sil_wall: 1.0,
             store_wall: 2.0,
-            store_overlap_saved: 0.25,
             siu_wall: 0.5,
         };
         assert_eq!(r.total_wall(), 4.0);

@@ -493,11 +493,16 @@ impl BackupServer {
         self.undetermined = fps;
     }
 
-    /// The pack stage of chunk storing (§5.3): drain the chunk log
-    /// (striped across [`DebarConfig::store_workers`] worker disks, wall
-    /// time the max over even shares) and pack the chunks this server was
-    /// designated to store into SISL containers, each recorded with the
-    /// drain position it sealed at. The repository is **not** touched — no
+    /// The pack stage of chunk storing (§5.3): decide once which log
+    /// records this pass packs — a `Store` verdict (carryover merged with
+    /// this round's) on the first occurrence of its fingerprint — drain
+    /// the chunk log reading only those (striped across
+    /// [`DebarConfig::store_workers`] worker disks, each seeking over the
+    /// duplicate runs of its even share, wall time the slowest worker;
+    /// see `chunklog.rs`), and pack them into SISL containers, each
+    /// recorded with the drain position it sealed at. Every drained record
+    /// is processed and counted; those not packed are discarded. The
+    /// repository is **not** touched — no
     /// container IDs are assigned and no shared state is read — so the
     /// pack is charged to this server's clock alone and, in virtual time,
     /// overlaps stragglers still sweeping PSIL.
@@ -519,12 +524,24 @@ impl BackupServer {
             merged
         };
 
+        // The records this pass packs, decided once: a `Store` verdict on
+        // the first occurrence of its fingerprint in the log. The drain
+        // reads only these, and the pack loop consults nothing else.
+        let mut packed: HashSet<Fingerprint> = HashSet::new();
+        let store = |fp: &Fingerprint| matches!(decisions.get(fp), Some(Decision::Store));
+        let wanted: Vec<bool> = (self.chunk_log.records().iter())
+            .map(|rec| store(&rec.fp) && packed.insert(rec.fp))
+            .collect();
+
         let start = self.clock.now();
         // Fault-checked log replay: a drain fault leaves every record in
         // the log (the read pointer never advanced), so the resumed
         // round's drain replays the identical sequence — just carry the
         // storage decisions over and report the interruption.
-        let t = match self.chunk_log.try_drain_striped(self.cfg.store_workers) {
+        let t = match self
+            .chunk_log
+            .try_drain_striped(self.cfg.store_workers, &wanted)
+        {
             Ok(t) => t,
             Err(e) => {
                 self.carryover = decisions;
@@ -535,17 +552,12 @@ impl BackupServer {
         let records = self.clock.charge(t);
         let mut manager = ContainerManager::new(self.cfg.container_bytes);
         let mut containers: Vec<PackedContainer> = Vec::new();
-        // Fingerprints already packed in this pass (open or sealed): the
-        // union the sequential model tracked as `open ∪ stored`.
-        let mut packed: HashSet<Fingerprint> = HashSet::new();
         let mut discarded = 0u64;
 
-        for (next, rec) in records.iter().enumerate() {
+        for (next, (rec, &keep)) in records.iter().zip(&wanted).enumerate() {
             let c = self.cpu.probe_fps(1);
             self.clock.advance(c);
-            let store_it = matches!(decisions.get(&rec.fp), Some(Decision::Store))
-                && !packed.contains(&rec.fp);
-            if !store_it {
+            if !keep {
                 discarded += 1;
                 continue;
             }
@@ -560,7 +572,6 @@ impl BackupServer {
                     discarded_at_seal: discarded,
                 });
             }
-            packed.insert(rec.fp);
         }
         if let Some(container) = manager.flush() {
             // The final flushed container: no trigger record — a fault on
@@ -632,7 +643,8 @@ impl BackupServer {
         let batch = repo.store_batch(containers.into_iter().map(|p| p.container));
         // Container writes land on physical repository-node disks and are
         // pipelined behind the log drain (the paper measures chunk
-        // storing at exactly the log's sustained read rate, §6.1.2); only
+        // storing at exactly the log's sustained read rate, §6.1.2 — its
+        // drain read the whole log; ours skips duplicate runs); only
         // the excess stalls. Placement spreads the batch over the nodes
         // draining in parallel, so the write path completes at the max
         // over the nodes actually written — the most-loaded node is the

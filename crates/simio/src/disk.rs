@@ -193,11 +193,7 @@ impl SimDisk {
 
     /// Perform a sequential read of `bytes`; returns the cost.
     pub fn seq_read(&mut self, bytes: u64) -> Secs {
-        self.tick();
-        let c = self.model.seq_read_cost(bytes);
-        self.stats.seq_read_bytes += bytes;
-        self.stats.busy_s += c;
-        c
+        self.seq_read_extents(&[bytes])
     }
 
     /// Perform a sequential write of `bytes`; returns the cost.
@@ -230,6 +226,22 @@ impl SimDisk {
             cost += c;
         }
         cost
+    }
+
+    /// Perform **one** forward pass that reads `extents` in order and
+    /// seeks over the gaps between them — a sequential reader skipping
+    /// what it does not need. The op counter ticks once, the bytes are
+    /// sequential reads, and the cost is `seq_read_cost(Σ extents)` plus
+    /// one positioning per extent after the first: one extent is
+    /// [`SimDisk::seq_read`] to the bit, and none reads nothing in one op.
+    pub fn seq_read_extents(&mut self, extents: &[u64]) -> Secs {
+        self.tick();
+        let bytes = extents.iter().sum();
+        let seeks = extents.len().saturating_sub(1) as f64;
+        let c = self.model.seq_read_cost(bytes) + seeks * self.model.seek_s;
+        self.stats.seq_read_bytes += bytes;
+        self.stats.busy_s += c;
+        c
     }
 
     /// Run one **fault-checked** operation: collect a pending fault first
@@ -308,6 +320,24 @@ mod tests {
         assert_eq!((ranged.ops(), apart.ops()), (1, 3));
         // One extent is `rand_read`, to the bit.
         assert_eq!(disk().rand_read_extents(&[8192]), disk().rand_read(8192));
+    }
+
+    #[test]
+    fn a_skipping_pass_is_one_op_paying_a_seek_per_extra_extent() {
+        let mut d = disk();
+        let cost = d.seq_read_extents(&[1000, 300_000, 0, 42]);
+        let m = d.model();
+        assert_eq!(cost, m.seq_read_cost(301_042) + 3.0 * m.seek_s);
+        assert_eq!(d.ops(), 1);
+        assert_eq!(d.stats().seq_read_bytes, 301_042);
+        assert_eq!((d.stats().rand_reads, d.stats().busy_s), (0, cost));
+        // One extent is `seq_read` to the bit; none is one op of nothing.
+        for bytes in [0, 1, 8192, 1 << 33] {
+            assert_eq!(disk().seq_read_extents(&[bytes]), disk().seq_read(bytes));
+        }
+        let mut idle = disk();
+        assert_eq!(idle.seq_read_extents(&[]), 0.0);
+        assert_eq!((idle.ops(), idle.stats().seq_read_bytes), (1, 0));
     }
 
     #[test]

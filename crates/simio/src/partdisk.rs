@@ -140,6 +140,21 @@ impl PartDiskSet {
             .fold(0.0, f64::max)
     }
 
+    /// One striped **skipping** read: resize to `extents.len()` parts and
+    /// charge each part-disk one [`SimDisk::seq_read_extents`] over its own
+    /// extents (one op per engaged part, even with none to read); returns
+    /// the max over per-part completion times. A part whose extents are
+    /// its whole share costs what [`PartDiskSet::seq_read_split`] charges
+    /// it, to the bit.
+    pub fn seq_read_extents_split(&mut self, extents: &[Vec<u64>]) -> Secs {
+        self.resize(extents.len());
+        self.disks
+            .iter_mut()
+            .zip(extents)
+            .map(|(d, e)| d.seq_read_extents(e))
+            .fold(0.0, f64::max)
+    }
+
     /// One striped **write** sweep (see [`PartDiskSet::seq_read_split`]).
     pub fn seq_write_split(&mut self, bytes: &[u64]) -> Secs {
         self.resize(bytes.len());

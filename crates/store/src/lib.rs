@@ -43,6 +43,6 @@ pub use error::StoreError;
 pub use lpc::{LpcCache, LpcStats};
 pub use manager::ContainerManager;
 pub use repository::{
-    BatchAppend, ChunkRepository, Health, HealthPolicy, NodeRead, ReadLegs, Reclaimed,
-    RepairReport, RepoStats, ScrubReport, ServedLeg, StorageNode,
+    wanted_extents, BatchAppend, ChunkRepository, Health, HealthPolicy, NodeRead, ReadLegs,
+    Reclaimed, RepairReport, RepoStats, ScrubReport, ServedLeg, StorageNode,
 };
