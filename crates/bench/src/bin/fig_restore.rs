@@ -33,12 +33,13 @@
 //! the same walk costs with nothing overlapped (`serial_s()`). The
 //! pipeline hides Scatter's extra reads behind the client stream on this
 //! 2-node repository — over 30 generations the serial column decays
-//! 189 → 149 MiB/s, the pipelined one 189 → 180 — while Capped, which
-//! restores cold after every rewrite, ends below Scatter at 105: at this
+//! 196 → 152 MiB/s, the pipelined one 199 → 187 — while Capped, which
+//! restores cold after every rewrite, ends below Scatter at 108: at this
 //! scale it pays 2.7x the physical bytes for a bound the pipeline already
 //! gives (ROADMAP item 7). `lane_share` (busiest device lane ÷ `elapsed`)
 //! is what the pipeline still leaves idle: Scatter's walks keep their NIC
-//! busy 0.86–0.92 of the time; Capped's late ones 0.50 — cold, they are
+//! busy 0.89–0.96 of the time (0.86–0.92 while no chunk was sent before
+//! its whole read was in); Capped's late ones 0.51 — cold, they are
 //! bound by the resolver's own chain (lookup, seek, metadata section,
 //! next lookup), which is no lane. `refetch` (fetches per distinct
 //! container needed) is what the walk's recipe-aware eviction works on.
@@ -55,13 +56,22 @@
 //! below `whole_read_amp` — what the same fetches would have read as the
 //! paper's whole fixed-size containers (every miss × `container_bytes`,
 //! the number this column showed before PR 22) — 0.05 against 0.13 at
-//! generation 17, 0.17 against 0.26 at generation 29: this churn takes
+//! generation 17, 0.18 against 0.26 at generation 29: this churn takes
 //! every 60th chunk of a 1 MiB container, and a gap shorter than a seek's
 //! worth of streaming (~440 KiB on the repository disk) is read through,
 //! so a range is the stretch from the first chunk the rest of the recipe
 //! wants to the last. Rows whose walk cannot have filled the cache read
-//! whole containers and show the two columns equal: every Capped row (it
-//! restores cold after each rewrite) and Scatter up to generation 16.
+//! whole containers — every Capped row (it restores cold after each
+//! rewrite) and Scatter up to generation 16 — and a whole read reads the
+//! container's image, not its slot, so they too run below the paper's
+//! column by what their containers leave unfilled: 1.00 against 1.04 at
+//! generation 0, where every container is read, and 0.017 against 0.065
+//! at generation 16, whose one fetch is the newest, early-sealed
+//! container. (The two columns were equal on those rows until whole
+//! reads stopped at the image.) The same rule makes a range cost no less
+//! than the image sooner, so from generation 19 a few more Scatter
+//! fetches read whole and `read_amp` is up to 0.015 higher than it was —
+//! in less time.
 //! Writes `BENCH_restore.json` into the workspace root and prints the
 //! table. Run:
 //!
@@ -113,25 +123,30 @@ fn node_ms_per_mib(r: &RestoreReport) -> f64 {
     1e3 * r.node_read_total_s / (r.bytes as f64 / MIB)
 }
 
-/// Bytes the repository nodes' disks have read so far.
-fn node_bytes_read(c: &DebarCluster) -> u64 {
+/// Bytes the repository nodes' disks have read so far, and the I/Os.
+fn node_reads(c: &DebarCluster) -> (u64, u64) {
     (c.repository().nodes().iter())
-        .map(|n| n.disk_stats().read_bytes())
-        .sum()
+        .map(|n| n.disk_stats())
+        .fold((0, 0), |(bytes, ios), d| {
+            (bytes + d.read_bytes(), ios + d.rand_reads)
+        })
 }
 
-/// One restore and the bytes the repository nodes read for it.
+/// One restore, and the bytes and I/Os the repository nodes read for it.
 struct Walk {
     report: RestoreReport,
     node_bytes: u64,
+    node_ios: u64,
 }
 
 fn restore(c: &mut DebarCluster, run: RunId, label: &str) -> Walk {
-    let before = node_bytes_read(c);
+    let before = node_reads(c);
     let report = c.restore_run(run).expect(label);
+    let after = node_reads(c);
     Walk {
         report,
-        node_bytes: node_bytes_read(c) - before,
+        node_bytes: after.0 - before.0,
+        node_ios: after.1 - before.1,
     }
 }
 
@@ -252,17 +267,42 @@ fn main() {
             version: g as u32,
         };
         let c = restore(&mut capped, capped_run, "capped restore");
-        for (w, resident) in [(&s, &mut s_resident), (&c, &mut c_resident)] {
+        for (w, resident, repo) in [
+            (&s, &mut s_resident, scatter.repository()),
+            (&c, &mut c_resident, capped.repository()),
+        ] {
             assert_eq!(w.report.failures, 0, "gen {g}");
             // A fetch never reads more than the whole container it stands
             // for, and a walk that cannot have filled its cache — had every
             // entry before it and every fetch of its own weighed a whole
-            // container, there was room — read exactly that.
+            // container, there was room — read whole containers: one I/O a
+            // fetch, of the container's image (header, metadata section,
+            // data, trailer — no more than its slot). The first generation
+            // is the walk that reads every container stored so far, and
+            // restores every byte of them.
             let lpc = &w.report.lpc;
             let whole = lpc.misses * CONTAINER_BYTES;
             assert!(w.node_bytes <= whole, "gen {g}: {} > {whole}", w.node_bytes);
             if *resident + lpc.misses <= scale.lpc_containers as u64 {
-                assert_eq!(w.node_bytes, whole, "gen {g}: knows nothing, reads whole");
+                assert_eq!(
+                    w.node_ios, lpc.misses,
+                    "gen {g}: knows nothing, reads whole"
+                );
+            }
+            if g == 0 {
+                // What each copy's image weighs, read off a copy of the
+                // repository so that no disk of this one is charged.
+                let mut probe = repo.clone();
+                let images: u64 = (repo.container_ids().into_iter())
+                    .map(|cid| probe.read(cid).value.expect("clean").expect("stored"))
+                    .map(|stored| (stored.serialized_len() as u64).min(CONTAINER_BYTES))
+                    .sum();
+                assert_eq!(
+                    repo.stats().data_bytes,
+                    w.report.bytes,
+                    "every byte restored"
+                );
+                assert_eq!(w.node_bytes, images, "gen {g}: whole reads read images");
             }
             // (An upper bound: a merge adds no entry, a rewrite empties
             // Capped's cache.)

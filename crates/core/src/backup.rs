@@ -250,9 +250,11 @@ impl DebarCluster {
                     if let Some(container) = srv.clock.charge(t)? {
                         let now = srv.clock.now();
                         // A whole container, and no victim named: one
-                        // full slot, room made by the paper's LRU.
+                        // full slot, room made by the paper's LRU; all of
+                        // it in now, on this serial clock.
                         let (chunks, whole) = (container.chunks().collect(), cfg.container_bytes);
-                        srv.cache_container(cid, chunks, whole, |_, _| None, |_| now);
+                        let tails = std::iter::repeat(0.0);
+                        srv.cache_container(cid, chunks, tails, whole, |_, _| None, |_| (now, now));
                     }
                     continue;
                 }

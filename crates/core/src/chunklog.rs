@@ -256,10 +256,11 @@ impl ChunkLog {
         // Only wanted pieces are listed, at their offsets in the log: the
         // gaps between them are the unwanted runs the gap law weighs.
         let model = self.worker_disks.model();
-        shares
-            .iter()
-            .map(|metas| wanted_extents(metas, |_| true, &model))
-            .collect()
+        let lens = |metas: &Vec<ChunkMeta>| {
+            let extents = wanted_extents(metas, |_| true, &model);
+            extents.iter().map(|e| e.end - e.start).collect()
+        };
+        shares.iter().map(lens).collect()
     }
 
     /// Put records back at the *front* of the log in order (crash

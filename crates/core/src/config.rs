@@ -43,7 +43,7 @@ use debar_store::HealthPolicy;
 use serde::{Deserialize, Serialize};
 
 /// Physical container-layout policy for duplicate chunks (the
-/// restore-fragmentation trade; ROADMAP item 3).
+/// restore-fragmentation trade; ROADMAP item 7).
 ///
 /// DEBAR's out-of-line dedup lets every new generation reference chunks
 /// scattered across ever-older containers, so restores of the *latest*
@@ -83,8 +83,9 @@ impl LayoutMode {
     }
 }
 
-/// *When* duplicate detection happens (the inline/out-of-line trade;
-/// ROADMAP item 5).
+/// *When* duplicate detection happens (the inline/out-of-line trade of
+/// Li et al., *Efficient Hybrid Inline and Out-of-line Deduplication for
+/// Backup Storage*).
 ///
 /// DEBAR's two-phase design (paper §5) is pure **out-of-line**: the backup
 /// path only consults the in-memory preliminary filter, logs every

@@ -249,8 +249,11 @@
 //! streamed in — the paper's container format puts it ahead of the data
 //! (§3.4) — so the next miss's lookup and read are issued while earlier
 //! reads are still in flight on other repository nodes, and the NIC
-//! streams chunks in recipe order once their container's read has
-//! completed and verified. Nothing is delivered on unverified metadata,
+//! streams chunks in recipe order, each verified and sent as soon as its
+//! own bytes are in — the serving read says how long before it completed
+//! each chunk it returns streamed in (`ServedLeg::tails`), so a chunk
+//! does not wait for the data behind it, the reads after it or a
+//! read-repair. Nothing is delivered on unverified metadata,
 //! and a fetch waits for the resolver and for the LPC entries it evicts
 //! to have been sent, nothing else: the cache is the walk's one buffer,
 //! bounded by what it holds — resident, in flight or waiting to be
@@ -269,7 +272,7 @@
 //! still needs and no resident answers for
 //! (`ChunkRepository::read_chunks`; a gap between two of them is read
 //! through when streaming it costs no more than a seek), not the whole
-//! fixed-size container. A cache entry is therefore an *extent set* that
+//! container. A cache entry is therefore an *extent set* that
 //! weighs the payload it holds — a whole container one full slot — and a
 //! later miss on a container that is resident but lacks the chunk merges
 //! the missing extents into its entry. From the same 128 MiB, on
@@ -277,7 +280,10 @@
 //! ranged reads a further 2.0–2.3x, the byte budget as the one gate a
 //! further 1.6x.
 //! A walk whose cache never fills keeps reading the paper's whole
-//! containers, which is what makes a small tree's second restore warm.
+//! containers, which is what makes a small tree's second restore warm —
+//! each one's image (header, metadata, data, trailer), not the
+//! fixed-size slot it was written to; with per-chunk sends that took
+//! `filetree-bytes`' latest restore from 88.1 to 125.3 MiB/s.
 //! [`RestoreReport`] carries each
 //! lane's busy time (`resolve_s`, `node_read_s`, `node_read_total_s`,
 //! `send_s`) beside `elapsed`; their sum, [`RestoreReport::serial_s`], is

@@ -176,38 +176,47 @@ pub struct BackupServer {
 
 /// One entry of the restore cache — the chunks fetched from one container
 /// (all of them after a whole-container read, the extents its recipe
-/// wanted after a ranged one), keyed for O(1) extraction — and its place
-/// on the restore pipeline's timeline.
+/// wanted after a ranged one), keyed for O(1) extraction, each with the
+/// server-clock time its bytes were in — and its place on the restore
+/// pipeline's timeline.
 pub(crate) struct CachedContainer {
-    chunks: HashMap<Fingerprint, Payload>,
-    /// Server-clock time the last read into this slot completed and
-    /// verified: no chunk of it is delivered earlier.
-    pub(crate) ready_at: Secs,
-    /// Server-clock time the last chunk served from it left the NIC (its
-    /// `ready_at` until one has): the fetch that evicts this container
-    /// may not start before.
+    chunks: HashMap<Fingerprint, (Payload, Secs)>,
+    /// Server-clock time the last chunk served from it left the NIC (the
+    /// completion of the last read into it until one has, or if later):
+    /// the fetch that evicts this container may not start before.
     pub(crate) last_sent: Secs,
 }
 
 impl CachedContainer {
-    /// Chunk length and payload for a fingerprint, if the slot holds it.
-    pub(crate) fn chunk(&self, fp: &Fingerprint) -> Option<(u32, Payload)> {
-        (self.chunks.get(fp)).map(|payload| (payload.len() as u32, payload.clone()))
+    /// Chunk length, payload and arrival time for a fingerprint, if the
+    /// entry holds it.
+    pub(crate) fn chunk(&self, fp: &Fingerprint) -> Option<(u32, Payload, Secs)> {
+        (self.chunks.get(fp))
+            .map(|(payload, arrived)| (payload.len() as u32, payload.clone(), *arrived))
     }
 
     /// Bytes of payload the entry holds.
     #[cfg(test)]
     pub(crate) fn payload_bytes(&self) -> u64 {
-        self.chunks.values().map(Payload::len).sum()
+        self.chunks.values().map(|(p, _)| p.len()).sum()
     }
 
-    /// Take in what a read that completed at `ready_at` fetched. Nothing
-    /// of the slot is delivered, and the slot is not given up, before
-    /// that read is in.
-    fn merge(&mut self, chunks: Vec<(Fingerprint, Payload)>, ready_at: Secs) {
-        self.chunks.extend(chunks);
-        self.ready_at = self.ready_at.max(ready_at);
-        self.last_sent = self.last_sent.max(ready_at);
+    /// Take in what a read fetched: its serving leg completed at `served`
+    /// and the whole read — read-repair writes included — at `done`. Each
+    /// chunk is in its `tails` entry's seconds before `served`; chunks the
+    /// entry holds already keep their own arrival. The entry is not given
+    /// up before the read is done.
+    fn merge(
+        &mut self,
+        chunks: Vec<(Fingerprint, Payload)>,
+        tails: impl Iterator<Item = Secs>,
+        (served, done): (Secs, Secs),
+    ) {
+        self.chunks.reserve(chunks.len());
+        for ((fp, payload), tail) in chunks.into_iter().zip(tails) {
+            self.chunks.entry(fp).or_insert((payload, served - tail));
+        }
+        self.last_sent = self.last_sent.max(done);
     }
 }
 
@@ -306,14 +315,18 @@ impl BackupServer {
     /// (`sent` being when the last chunk of those already given up left
     /// the NIC), and whatever the LPC's own LRU still evicts once the
     /// caller names nobody. Then the fetched fingerprints enter the LPC
-    /// and the chunks the payload cache, ready at `ready_at(sent)` — which
-    /// the restore walk's fetch must wait for (0 when nothing was evicted).
+    /// and the chunks the payload cache. `fetch(sent)` — which the restore
+    /// walk's read must wait for (0 when nothing was evicted) — says when
+    /// the read's serving leg and the whole read completed: each chunk is
+    /// in its own tail before the first — `tails` follow `chunks`, as
+    /// [`debar_store::ServedLeg::tails`] do — and the entry stays until
+    /// the second.
     ///
     /// A container that **is resident** — a partial entry whose recipe
     /// wanted less than a later miss needs, or one a fingerprint of which
     /// lost its mapping to a younger resident — is merged into, in its own
-    /// entry: it grows by what is new, is never its own victim, and the
-    /// whole entry is ready no earlier than this read.
+    /// entry: it grows by what is new, is never its own victim, and is not
+    /// given up before this read is done; what it held keeps its arrival.
     ///
     /// A caller that does not know the future names no victim and gets
     /// the paper's LRU (the inline-backup prefetch). The restore walk
@@ -323,9 +336,10 @@ impl BackupServer {
         &mut self,
         cid: ContainerId,
         chunks: Vec<(Fingerprint, Payload)>,
+        tails: impl Iterator<Item = Secs>,
         bytes: u64,
         mut victim: impl FnMut(&Self, Secs) -> Option<ContainerId>,
-        ready_at: impl FnOnce(Secs) -> Secs,
+        fetch: impl FnOnce(Secs) -> (Secs, Secs),
     ) {
         let mut sent: Secs = 0.0;
         while self.lpc.shortfall(cid, bytes) > 0 {
@@ -340,10 +354,9 @@ impl BackupServer {
         }
         let slot = self.container_cache.entry(cid).or_insert(CachedContainer {
             chunks: HashMap::new(),
-            ready_at: 0.0,
             last_sent: 0.0,
         });
-        slot.merge(chunks, ready_at(sent));
+        slot.merge(chunks, tails, fetch(sent));
     }
 
     /// The payload side of an eviction: drop the container's chunks.

@@ -11,7 +11,12 @@
 //! failure seeds: cases are generated from a seed derived from the test's
 //! module path and case number, so failures reproduce exactly across runs
 //! and machines. A failing case names itself — `case k/n of name` — whether
-//! it returned an error (`prop_assert!`) or panicked (`assert!`, `expect`).
+//! it returned an error (`prop_assert!`) or panicked (`assert!`, `expect`),
+//! and `PROPTEST_CASE=k` replays that case alone:
+//!
+//! ```text
+//! PROPTEST_CASE=7 cargo test -p debar-core prop_a_walk_sends
+//! ```
 
 pub mod strategy {
     use crate::test_runner::TestRng;
@@ -268,6 +273,29 @@ pub mod test_runner {
         }
     }
 
+    /// The cases a property of `cases` cases runs: all of them, or — with
+    /// `PROPTEST_CASE=k` set, `k` as a failing case prints itself (`case
+    /// k/n of name`) — the `k`-th alone. Its values are drawn from the
+    /// same seed as in a full run, so it fails the same way.
+    pub fn cases_to_run(cases: u32) -> std::ops::Range<u32> {
+        replayed(cases, std::env::var("PROPTEST_CASE").ok().as_deref())
+    }
+
+    /// [`cases_to_run`] with the variable's value passed in.
+    ///
+    /// # Panics
+    /// Panics when `pick` is not a case of the property: a replay that
+    /// silently ran nothing would pass.
+    pub(crate) fn replayed(cases: u32, pick: Option<&str>) -> std::ops::Range<u32> {
+        let Some(pick) = pick else {
+            return 0..cases;
+        };
+        match pick.trim().parse::<u32>() {
+            Ok(k) if (1..=cases).contains(&k) => k - 1..k,
+            _ => panic!("PROPTEST_CASE={pick}: a property of {cases} cases has no such case"),
+        }
+    }
+
     /// Deterministic SplitMix64 generator, seeded from the test identity
     /// and case number (stable across runs and machines).
     pub struct TestRng {
@@ -397,7 +425,7 @@ macro_rules! __proptest_fns {
         $(#[$meta])*
         fn $name() {
             let __config: $crate::test_runner::Config = $cfg;
-            for __case in 0..__config.cases {
+            for __case in $crate::test_runner::cases_to_run(__config.cases) {
                 let mut __rng = $crate::test_runner::TestRng::for_case(
                     concat!(module_path!(), "::", stringify!($name)),
                     __case,
@@ -466,5 +494,40 @@ mod tests {
         fn prop_a_panicking_case_unwinds_through_its_guard(n in 0u8..1) {
             assert!(n > 0, "a plain assert");
         }
+    }
+
+    // Every case draws from its own seed, a pure function of the
+    // property's path and the case number, so a replayed case sees what
+    // it saw in the full run.
+    #[test]
+    fn a_replay_runs_the_printed_case_alone_and_draws_what_it_drew() {
+        use crate::test_runner::{replayed, TestRng};
+        assert_eq!(replayed(48, None), 0..48);
+        // `case k/n` counts from 1; the loop from 0.
+        assert_eq!(replayed(48, Some("1")), 0..1);
+        assert_eq!(replayed(48, Some(" 7")), 6..7);
+        assert_eq!(replayed(48, Some("48")), 47..48);
+        let draws = |case| {
+            let mut rng = TestRng::for_case("a::b", case);
+            [rng.next_u64(), rng.next_u64()]
+        };
+        let full: Vec<[u64; 2]> = replayed(48, None).map(draws).collect();
+        assert_eq!(
+            replayed(48, Some("7")).map(draws).collect::<Vec<_>>(),
+            [full[6]]
+        );
+        assert_ne!(full[6], full[7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_CASE=5: a property of 4 cases has no such case")]
+    fn a_replay_of_a_case_the_property_does_not_have_is_refused() {
+        crate::test_runner::replayed(4, Some("5"));
+    }
+
+    #[test]
+    #[should_panic(expected = "has no such case")]
+    fn a_replay_of_case_zero_is_refused() {
+        crate::test_runner::replayed(4, Some("0"));
     }
 }

@@ -207,7 +207,7 @@ impl SimDisk {
 
     /// Perform a random read of `bytes`; returns the cost.
     pub fn rand_read(&mut self, bytes: u64) -> Secs {
-        self.rand_read_extents(&[bytes])
+        self.rand_read_extents([bytes])
     }
 
     /// Perform **one** operation made of several random reads — the
@@ -215,10 +215,10 @@ impl SimDisk {
     /// [`FaultPlan`] sees one op, whatever the extent count), every extent
     /// pays its own positioning and is counted as its own random read in
     /// the statistics, and the cost is their sum.
-    pub fn rand_read_extents(&mut self, extents: &[u64]) -> Secs {
+    pub fn rand_read_extents(&mut self, extents: impl IntoIterator<Item = u64>) -> Secs {
         self.tick();
         let mut cost = 0.0;
-        for &bytes in extents {
+        for bytes in extents {
             let c = self.model.rand_read_cost(bytes);
             self.stats.rand_reads += 1;
             self.stats.rand_read_bytes += bytes;
@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn a_ranged_read_is_one_op_of_many_seeks() {
         let (mut ranged, mut apart) = (disk(), disk());
-        let cost = ranged.rand_read_extents(&[512, 4096, 100]);
+        let cost = ranged.rand_read_extents([512, 4096, 100]);
         let sum: Secs = [512, 4096, 100].map(|b| apart.rand_read(b)).iter().sum();
         assert!((cost - sum).abs() < 1e-15);
         // Every extent is a random read in the statistics; the fault plan
@@ -319,7 +319,7 @@ mod tests {
         assert_eq!(ranged.stats().rand_read_bytes, 512 + 4096 + 100);
         assert_eq!((ranged.ops(), apart.ops()), (1, 3));
         // One extent is `rand_read`, to the bit.
-        assert_eq!(disk().rand_read_extents(&[8192]), disk().rand_read(8192));
+        assert_eq!(disk().rand_read_extents([8192]), disk().rand_read(8192));
     }
 
     #[test]

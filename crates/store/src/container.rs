@@ -6,6 +6,14 @@
 //! fingerprint, chunk size and storage offset." DEBAR uses 8 MB containers:
 //! ~1024 chunks at the 8 KB expected chunk size.
 //!
+//! What is fixed is a container's *capacity* — the data section it may
+//! fill — and the on-disk slot it is written to: every write charges the
+//! whole slot. What a container *is* on disk is its image
+//! ([`Container::serialize`]: header, metadata section, data, checksum
+//! trailer — [`Container::serialized_len`] bytes), and a whole read reads
+//! that, never more than the slot: the last container of a chunk-storing
+//! round, sealed early, is not read to the end of its padding.
+//!
 //! Payloads are either real bytes (full-pipeline backups) or synthetic
 //! zero-runs of a recorded length (the paper's fingerprint-level workloads
 //! pad each synthetic fingerprint with a zero chunk; we keep only the
@@ -292,8 +300,8 @@ impl Container {
     }
 
     /// Serialized on-disk size: header + metadata section + data section +
-    /// checksum trailer (the repository charges the fixed container size
-    /// regardless; this is the self-described payload encoding).
+    /// checksum trailer — the image a whole read reads (the repository
+    /// caps it at the fixed slot every write charges).
     pub fn serialized_len(&self) -> usize {
         WIRE_HEADER + self.metas.len() * 32 + self.data_bytes as usize + WIRE_TRAILER
     }

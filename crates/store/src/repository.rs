@@ -43,20 +43,33 @@
 //! once.
 //!
 //! **One failover core, three reads.** [`ChunkRepository::read`] (the
-//! paper's whole fixed-size container, one I/O, verified against its
-//! checksum trailer), [`ChunkRepository::read_metas`] (the metadata
-//! section alone) and [`ChunkRepository::read_chunks`] (the metadata
-//! section, then only the extents that hold the chunks the caller wants —
-//! [`wanted_extents`] coalesces them by the gap law) are the same
-//! balance → attempt → fail over → read-repair loop asked to fetch
-//! something else. An attempt is one fault-checked disk op whatever it
-//! fetches: a ranged read's I/Os are summed into its cost and counted one
-//! by one in the node's [`debar_simio::DiskStats`], so its seeks stay
-//! visible, but an armed [`FaultPlan`] sees one op. A ranged read verifies
-//! what it uses — header, metadata section, every wanted chunk against its
-//! fingerprint — not the trailer it never read; once it has found a copy
-//! corrupt it reads the remaining replicas whole, so a read-repair always
-//! writes back an image that passed its trailer.
+//! paper's whole container in one I/O, verified against its checksum
+//! trailer), [`ChunkRepository::read_metas`] (the metadata section alone)
+//! and [`ChunkRepository::read_chunks`] (the metadata section, then only
+//! the extents that hold the chunks the caller wants — [`wanted_extents`]
+//! coalesces them by the gap law) are the same balance → attempt → fail
+//! over → read-repair loop asked to fetch something else. An attempt is
+//! one fault-checked disk op whatever it fetches: a ranged read's I/Os are
+//! summed into its cost and counted one by one in the node's
+//! [`debar_simio::DiskStats`], so its seeks stay visible, but an armed
+//! [`FaultPlan`] sees one op. A ranged read verifies what it uses —
+//! header, metadata section, every wanted chunk against its fingerprint —
+//! not the trailer it never read; once it has found a copy corrupt it
+//! reads the remaining replicas whole, so a read-repair always writes back
+//! an image that passed its trailer.
+//!
+//! **A write fills a slot, a read reads an image.** Containers are
+//! written to fixed-size slots of `container_bytes` (paper §3.4), and
+//! every write — a store, a read-repair, a recopy — charges the whole
+//! slot. A whole read (the paper's read, scrub's, a recopy's source, a
+//! migration's) charges the copy's *image* instead: header, metadata
+//! section, data and checksum trailer — what [`Container::serialize`]
+//! writes — and never more than the slot, so a container sealed early is
+//! not read to the end of its padding, and one that fills its slot costs
+//! exactly the slot. The serving read also says when each chunk it
+//! returns was in ([`ServedLeg::tails`]): a reader may use a chunk before
+//! the I/Os after it complete. (Trimming *writes* to the image too is left
+//! out on purpose: it would move every dedup-2 and GC write cost.)
 //!
 //! [`ChunkRepository::repair_node`] is the scrub/re-replication pass: a
 //! downed node is repaired by *replacing* its disk (every copy it held is
@@ -124,6 +137,7 @@ use debar_hash::{ContainerId, Fingerprint, Sha1};
 use debar_simio::{DiskModel, FaultKind, FaultPlan, Lane, RetryPolicy, Secs, SimDisk, Timed};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// A storage node's tracked health, driven by its error count against the
 /// repository's [`HealthPolicy`] thresholds. Reads prefer healthier
@@ -310,7 +324,7 @@ pub struct Reclaimed {
 }
 
 /// The read leg that served a container ([`ReadLegs::served`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServedLeg {
     /// The node whose copy was returned.
     pub node: usize,
@@ -323,6 +337,15 @@ pub struct ServedLeg {
     /// `cost - data_tail` into the leg a reader knows the container's
     /// fingerprints, unverified; 0 for a metadata-only read.
     pub data_tail: Secs,
+    /// For every chunk the read returns, in the order it returns them:
+    /// the seconds between that chunk's last byte having streamed in and
+    /// the read completing — the rest of the I/O that read it, then every
+    /// later I/O of the attempt. `cost - tails[i]` into the leg the
+    /// `i`-th chunk is in; the last chunk of a whole read, and the last
+    /// wanted chunk of a ranged one, arrive as the read completes (tail
+    /// 0). Never more than `data_tail`: a chunk is listed in the metadata
+    /// section that precedes it.
+    pub tails: Vec<Secs>,
     /// Chunk-data bytes that metadata section lists — every chunk of the
     /// served copy, fetched or not: what a reader that wanted only some of
     /// them ([`ChunkRepository::read_chunks`]) left behind is this minus
@@ -351,7 +374,7 @@ impl ReadLegs {
     /// Every `(node, cost)` leg in charge order.
     fn in_order(&self) -> impl Iterator<Item = (usize, Secs)> + '_ {
         (self.failed.iter().copied())
-            .chain(self.served.map(|s| (s.node, s.cost)))
+            .chain(self.served.as_ref().map(|s| (s.node, s.cost)))
             .chain(self.repairs.iter().copied())
     }
 
@@ -391,14 +414,6 @@ impl<T> NodeRead<T> {
         NodeRead {
             value,
             legs: ReadLegs::default(),
-        }
-    }
-
-    /// The same read, its value (when a copy served) passed through `f`.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> NodeRead<U> {
-        NodeRead {
-            value: self.value.map(|served| served.map(f)),
-            legs: self.legs,
         }
     }
 
@@ -447,8 +462,8 @@ type StoreOutcome = (
 /// ([`ChunkRepository::io_attempts`]).
 #[derive(Clone, Copy)]
 enum NodeOp<'a> {
-    /// One read made of these random I/Os (byte lengths).
-    Read(&'a [u64]),
+    /// One read made of these random I/Os (byte ranges of the image).
+    Read(&'a [Range<u64>]),
     /// A sequential write of one container.
     Write,
 }
@@ -458,8 +473,9 @@ enum NodeOp<'a> {
 /// and [`ChunkRepository::read_chunks`] are its three values).
 #[derive(Clone, Copy)]
 enum Fetch<'a> {
-    /// The paper's read: the whole fixed-size container in one I/O,
-    /// verified against its checksum trailer.
+    /// The paper's read: the whole container in one I/O — its image, not
+    /// the fixed-size slot it was written to — verified against its
+    /// checksum trailer.
     Whole,
     /// The metadata section alone.
     Metas,
@@ -487,31 +503,47 @@ fn meta_section_bytes(chunks: usize) -> u64 {
 }
 
 /// The reads that fetch the `wanted` chunks of a data section laid out as
-/// `metas` (stream order, ascending offsets): the byte length of each
-/// extent, in offset order. Adjacent wanted chunks share an extent, and
-/// the **gap law** decides the rest: the bytes between two wanted chunks
-/// are read through exactly when streaming them is no dearer than the
-/// seek that skipping them costs — `gap / read_bw <= seek_s`. Nothing
-/// before the first or after the last wanted chunk is read.
+/// `metas` (stream order, ascending offsets): the byte range of each
+/// extent in the data section, in offset order. Adjacent wanted chunks
+/// share an extent, and the **gap law** decides the rest: the bytes
+/// between two wanted chunks are read through exactly when streaming them
+/// is no dearer than the seek that skipping them costs — `gap / read_bw <=
+/// seek_s`. Nothing before the first or after the last wanted chunk is
+/// read.
 pub fn wanted_extents(
     metas: &[ChunkMeta],
     wanted: impl Fn(&Fingerprint) -> bool,
     disk: &DiskModel,
-) -> Vec<u64> {
-    let mut extents = Vec::new();
-    // Where the extent being grown ends.
-    let mut end = 0u64;
+) -> Vec<Range<u64>> {
+    let mut extents: Vec<Range<u64>> = Vec::new();
     for m in metas.iter().filter(|m| wanted(&m.fp)) {
         let reach = m.offset + m.len as u64;
         match extents.last_mut() {
-            Some(open) if disk.seq_read_cost(m.offset.saturating_sub(end)) <= disk.seek_s => {
-                *open += reach.saturating_sub(end);
+            Some(open) if disk.seq_read_cost(m.offset.saturating_sub(open.end)) <= disk.seek_s => {
+                open.end = open.end.max(reach);
             }
-            _ => extents.push(m.len as u64),
+            _ => extents.push(m.offset..reach),
         }
-        end = end.max(reach);
     }
     extents
+}
+
+/// Seconds between a container's image having streamed in up to byte
+/// offset `at` (where a chunk, or the metadata section, ends) and the last
+/// of an attempt's I/Os `ios` — byte ranges of the image, in issue order —
+/// completing: the rest of the I/O that reads up to `at`, then every later
+/// I/O, seek included. An `at` past the end of that I/O (a chunk of a
+/// container that fills its slot, whose image is capped at the slot)
+/// arrives with the I/O's last byte.
+fn tail(ios: &[Range<u64>], at: u64, disk: &DiskModel) -> Secs {
+    let Some(k) = ios.iter().rposition(|io| io.start < at) else {
+        return 0.0;
+    };
+    let later: Secs = ios[k + 1..]
+        .iter()
+        .map(|io| disk.rand_read_cost(io.end - io.start))
+        .sum();
+    disk.seq_read_cost(ios[k].end.saturating_sub(at)) + later
 }
 
 /// The multi-node, replicated container log.
@@ -534,8 +566,9 @@ pub struct ChunkRepository {
 
 impl ChunkRepository {
     /// Create a repository of `num_nodes` storage nodes whose disks follow
-    /// `model`; `container_bytes` is the fixed on-disk container size used
-    /// for I/O charging. Replication defaults to 1 (no replicas); see
+    /// `model`; `container_bytes` is the fixed on-disk slot a container is
+    /// written to — what every write charges, and the most a whole read of
+    /// one charges. Replication defaults to 1 (no replicas); see
     /// [`ChunkRepository::with_replication`].
     pub fn new(num_nodes: usize, model: DiskModel, container_bytes: u64) -> Self {
         assert!(num_nodes > 0, "repository needs at least one node");
@@ -910,7 +943,7 @@ impl ChunkRepository {
         loop {
             let disk = &mut self.nodes[node].disk;
             cost += match op {
-                NodeOp::Read(extents) => disk.rand_read_extents(extents),
+                NodeOp::Read(ios) => disk.rand_read_extents(ios.iter().map(|io| io.end - io.start)),
                 NodeOp::Write => disk.seq_write(self.container_bytes),
             };
             let Some(fault) = disk.take_fault() else {
@@ -964,28 +997,50 @@ impl ChunkRepository {
         order
     }
 
-    /// The I/Os (byte lengths) one attempt at `fetch` issues against
-    /// `node`'s copy, and the fetch they amount to. A ranged read opens
-    /// with the metadata section as its own I/O — the reader must parse
-    /// it before it knows where the chunks lie — and pays one seek per
-    /// extent; when that would cost no less than the container in one
-    /// piece, it *is* the whole read.
-    fn plan<'f>(&self, node: usize, cid: ContainerId, fetch: Fetch<'f>) -> (Fetch<'f>, Vec<u64>) {
-        let metas = (self.nodes[node].containers.get(&cid.raw()))
-            .map_or(&[][..], |sc| sc.container.metas());
-        let meta_bytes = meta_section_bytes(metas.len());
+    /// What a whole read of `copy` reads: its image — header, metadata
+    /// section, data and checksum trailer, what [`Container::serialize`]
+    /// writes — and never more than the fixed-size slot it was written to.
+    /// The node wrote the copy, so it knows the length: a container sealed
+    /// early is not read to the end of its padding.
+    fn image_bytes(&self, copy: &Container) -> u64 {
+        (copy.serialized_len() as u64).min(self.container_bytes)
+    }
+
+    /// The I/Os one attempt at `fetch` issues against `node`'s copy — byte
+    /// ranges of its image, in issue order — and the fetch they amount
+    /// to. A ranged read opens with the metadata section as its own I/O —
+    /// the reader must parse it before it knows where the chunks lie —
+    /// and pays one seek per extent; when that would cost no less than
+    /// the image in one piece, it *is* the whole read.
+    fn plan<'f>(
+        &self,
+        node: usize,
+        cid: ContainerId,
+        fetch: Fetch<'f>,
+    ) -> (Fetch<'f>, Vec<Range<u64>>) {
+        let copy = (self.nodes[node].containers.get(&cid.raw())).map(|sc| &sc.container);
+        let metas = copy.map_or(&[][..], Container::metas);
+        let meta = meta_section_bytes(metas.len());
+        let image = copy.map_or(meta, |c| self.image_bytes(c));
+        // The head of every read: the image from its first byte.
+        let head = |len: u64| std::iter::once(0..len);
         match fetch {
-            Fetch::Whole => (fetch, vec![self.container_bytes]),
-            Fetch::Metas => (fetch, vec![meta_bytes]),
+            Fetch::Whole => (fetch, head(image).collect()),
+            Fetch::Metas => (fetch, head(meta).collect()),
             Fetch::Chunks(wanted) => {
                 let disk = self.nodes[node].disk.model();
-                let mut ios = vec![meta_bytes];
-                ios.extend(wanted_extents(metas, wanted, &disk));
-                let ranged: Secs = ios.iter().map(|&b| disk.rand_read_cost(b)).sum();
-                if ranged < disk.rand_read_cost(self.container_bytes) {
+                let extents = wanted_extents(metas, wanted, &disk).into_iter();
+                let ios: Vec<Range<u64>> = head(meta)
+                    .chain(extents.map(|e| meta + e.start..meta + e.end))
+                    .collect();
+                let ranged: Secs = ios
+                    .iter()
+                    .map(|io| disk.rand_read_cost(io.end - io.start))
+                    .sum();
+                if ranged < disk.rand_read_cost(image) {
                     (fetch, ios)
                 } else {
-                    (Fetch::Whole, vec![self.container_bytes])
+                    (Fetch::Whole, head(image).collect())
                 }
             }
         }
@@ -1008,9 +1063,17 @@ impl ChunkRepository {
     ///
     /// Each attempt is **one** fault-checked disk op, however many I/Os
     /// it issues, and is reported as a leg on the node it charged
-    /// ([`NodeRead`]). The value is the node that served: its stored copy
-    /// is what the caller reads from.
-    fn read_one(&mut self, cid: ContainerId, fetch: Fetch) -> NodeRead<usize> {
+    /// ([`NodeRead`]). The value is what `take` makes of the copy that
+    /// served, told when each of its chunks was in — how long before the
+    /// attempt completed its last byte streamed in: `take` returns the
+    /// caller's value and the tails of the chunks it took, in the order it
+    /// took them ([`ServedLeg::tails`]).
+    fn read_one<T>(
+        &mut self,
+        cid: ContainerId,
+        fetch: Fetch,
+        take: impl FnOnce(&Container, &dyn Fn(&ChunkMeta) -> Secs) -> (T, Vec<Secs>),
+    ) -> NodeRead<T> {
         if cid.is_null() {
             return NodeRead::free(Ok(None));
         }
@@ -1061,19 +1124,22 @@ impl ChunkRepository {
                     }
                     // The metadata section is the head of the first I/O:
                     // what follows it is the tail the resolver need not
-                    // wait for.
+                    // wait for, and each chunk the caller takes is in once
+                    // the I/O that reads it has got to its last byte.
                     let copy = &self.nodes[node].containers[&cid.raw()].container;
                     let disk = self.nodes[node].disk.model();
-                    let head = ios[0].saturating_sub(meta_section_bytes(copy.len()));
-                    let extents: Secs = ios[1..].iter().map(|&b| disk.rand_read_cost(b)).sum();
+                    let meta = meta_section_bytes(copy.len());
+                    let arrived = |m: &ChunkMeta| tail(&ios, meta + m.offset + m.len as u64, &disk);
+                    let (value, tails) = take(copy, &arrived);
                     out.legs.served = Some(ServedLeg {
                         node,
                         cost: read_cost,
-                        data_tail: disk.seq_read_cost(head) + extents,
+                        data_tail: tail(&ios, meta, &disk),
+                        tails,
                         data_bytes: copy.data_bytes(),
                     });
                     out.legs.repairs = self.read_repair(cid, node, &corrupt_nodes);
-                    out.value = Ok(Some(node));
+                    out.value = Ok(Some(value));
                     return out;
                 }
                 Ok(false) => out.legs.failed.push((node, read_cost)),
@@ -1094,16 +1160,6 @@ impl ChunkRepository {
             node: first,
         }));
         out
-    }
-
-    /// A read's value taken from the copy that served it.
-    fn served_copy<T>(
-        &self,
-        cid: ContainerId,
-        read: NodeRead<usize>,
-        take: impl FnOnce(&Container) -> T,
-    ) -> NodeRead<T> {
-        read.map(|node| take(&self.nodes[node].containers[&cid.raw()].container))
     }
 
     /// Inline read-repair: rewrite every corrupt copy a failover read
@@ -1144,25 +1200,30 @@ impl ChunkRepository {
     }
 
     /// Re-replicate container `raw` from `src`'s image onto `node`: one
-    /// container read on `src`, then [`Self::install_clean`] on `node`.
-    /// Returns the `(read, write)` costs, or `None` — nothing charged —
-    /// when `src` holds no copy.
+    /// whole read of the image on `src`, then [`Self::install_clean`] on
+    /// `node`. Returns the `(read, write)` costs, or `None` — nothing
+    /// charged — when `src` holds no copy.
     fn recopy(&mut self, raw: u64, src: usize, node: usize) -> Option<(Secs, Secs)> {
         let image = self.nodes[src].containers.get(&raw)?.container.clone();
-        let read = self.nodes[src].disk.rand_read(self.container_bytes);
+        let bytes = self.image_bytes(&image);
+        let read = self.nodes[src].disk.rand_read(bytes);
         Some((read, self.install_clean(node, raw, image)))
     }
 
     /// Read a container wherever a copy lives — its replica ring, then any
-    /// node [`ChunkRepository::migrate`] moved one onto (one random
-    /// container-sized I/O per attempted copy, each reported as a leg on
-    /// the node it charged). Returns a clone — cheap for zero payloads and
-    /// refcounted for real bytes. `Ok(None)` means no node holds the
-    /// container; injected faults and detected corruption fail over to surviving
-    /// replicas and surface as typed errors only when every copy is lost.
+    /// node [`ChunkRepository::migrate`] moved one onto (one random I/O of
+    /// the copy's image per attempted copy — header, metadata, data,
+    /// trailer, at most the fixed slot — each reported as a leg on the
+    /// node it charged, the serving one with every chunk's
+    /// [`ServedLeg::tails`] in metadata order). Returns a clone — cheap
+    /// for zero payloads and refcounted for real bytes. `Ok(None)` means
+    /// no node holds the container; injected faults and detected
+    /// corruption fail over to surviving replicas and surface as typed
+    /// errors only when every copy is lost.
     pub fn read(&mut self, cid: ContainerId) -> NodeRead<Container> {
-        let read = self.read_one(cid, Fetch::Whole);
-        self.served_copy(cid, read, Container::clone)
+        self.read_one(cid, Fetch::Whole, |copy, arrived| {
+            (copy.clone(), copy.metas().iter().map(arrived).collect())
+        })
     }
 
     /// Read only a container's metadata section (fingerprints): the cheap
@@ -1171,8 +1232,9 @@ impl ChunkRepository {
     /// reported like [`ChunkRepository::read`]. Damaged copies fail over
     /// here too — the metadata section is under the same checksum.
     pub fn read_metas(&mut self, cid: ContainerId) -> NodeRead<Vec<Fingerprint>> {
-        let read = self.read_one(cid, Fetch::Metas);
-        self.served_copy(cid, read, |c| c.fingerprints().collect())
+        self.read_one(cid, Fetch::Metas, |copy, _| {
+            (copy.fingerprints().collect(), Vec::new())
+        })
     }
 
     /// The ranged read: fetch a container's metadata section and then only
@@ -1180,7 +1242,11 @@ impl ChunkRepository {
     /// will use (the restore walk, from its recipe; GC compaction, from
     /// the live set). The metadata section is one I/O, each extent of
     /// [`wanted_extents`] another, all one op of the serving node's disk;
-    /// same failover core, legs and counters as [`ChunkRepository::read`].
+    /// same failover core, legs and counters as [`ChunkRepository::read`],
+    /// and the serving leg's [`ServedLeg::tails`] follow the chunks
+    /// returned. A reader that wants every chunk gets exactly the whole
+    /// read: one I/O of the image is cheaper than the metadata section
+    /// and the data section apart.
     /// Having read the metadata section, it also reports the chunk-data
     /// bytes listed there ([`ServedLeg::data_bytes`]), so a reader that
     /// wanted none or only some of the chunks knows what it left behind
@@ -1197,9 +1263,17 @@ impl ChunkRepository {
         cid: ContainerId,
         wanted: impl Fn(&Fingerprint) -> bool,
     ) -> NodeRead<Vec<(Fingerprint, Payload)>> {
-        let read = self.read_one(cid, Fetch::Chunks(&wanted));
-        self.served_copy(cid, read, |c| {
-            c.chunks().filter(|(fp, _)| wanted(fp)).collect()
+        self.read_one(cid, Fetch::Chunks(&wanted), |copy, arrived| {
+            let mut tails = Vec::with_capacity(copy.len());
+            let chunks = (0..copy.len())
+                .map(|i| copy.slot(i))
+                .filter(|(m, _)| wanted(&m.fp))
+                .map(|(m, payload)| {
+                    tails.push(arrived(m));
+                    (m.fp, payload.clone())
+                })
+                .collect();
+            (chunks, tails)
         })
     }
 
@@ -1293,7 +1367,8 @@ impl ChunkRepository {
     }
 
     /// Move a container copy onto an explicit node (defragmentation,
-    /// §6.3); charges a read on the source node and a write on the target.
+    /// §6.3); charges a whole read of its image on the source node and a
+    /// slot write on the target.
     /// Returns the I/O cost. Injected damage travels with the copy; fault
     /// plans are not checked here (defragmentation is background
     /// maintenance). Sibling replicas are untouched.
@@ -1314,7 +1389,8 @@ impl ChunkRepository {
             .containers
             .remove(&cid.raw())
             .ok_or(StoreError::MissingContainer { container: cid })?;
-        let mut cost = self.nodes[source].disk.rand_read(self.container_bytes);
+        let image = self.image_bytes(&stored.container);
+        let mut cost = self.nodes[source].disk.rand_read(image);
         cost += self.nodes[target_node].disk.seq_write(self.container_bytes);
         // Migrated containers keep their ID; the node mapping for migrated
         // containers is overridden by presence.
@@ -1461,13 +1537,20 @@ impl ChunkRepository {
         let mut node_costs: Vec<Secs> = vec![0.0; self.nodes.len()];
         for cid in self.container_ids() {
             let raw = cid.raw();
-            // Verify every resident copy on every up node.
-            let holders: Vec<usize> = (0..self.nodes.len())
-                .filter(|&n| !self.nodes[n].down && self.nodes[n].containers.contains_key(&raw))
+            // Verify every resident copy on every up node: one whole read
+            // of its image.
+            let holders: Vec<(usize, u64)> = (0..self.nodes.len())
+                .filter(|&n| !self.nodes[n].down)
+                .filter_map(|n| {
+                    Some((
+                        n,
+                        self.image_bytes(&self.nodes[n].containers.get(&raw)?.container),
+                    ))
+                })
                 .collect();
             let mut bad: Vec<usize> = Vec::new();
-            for &node in &holders {
-                node_costs[node] += self.nodes[node].disk.rand_read(self.container_bytes);
+            for (node, image) in holders {
+                node_costs[node] += self.nodes[node].disk.rand_read(image);
                 report.copies_checked += 1;
                 if self.check_copy(node, cid, Fetch::Whole).is_err() {
                     report.corrupt_found += 1;
@@ -1534,9 +1617,14 @@ mod tests {
     }
 
     fn container_with(range: std::ops::Range<u64>) -> Container {
+        container_of(range, 1000)
+    }
+
+    /// A container of `range`'s chunks, `len` bytes each.
+    fn container_of(range: std::ops::Range<u64>, len: u32) -> Container {
         let mut c = Container::new(1 << 20);
         for i in range {
-            c.try_append(fp(i), Payload::Zero(1000));
+            assert!(c.try_append(fp(i), Payload::Zero(len)));
         }
         c
     }
@@ -1616,15 +1704,19 @@ mod tests {
                 let ends = |f: &Fingerprint| *f != fp(1);
                 let extents = wanted_extents(&metas, ends, &disk);
                 let through = disk.seq_read_cost(gap) <= disk.seek_s;
+                let (a, b, end) = (a as u64, b as u64, a as u64 + gap + b as u64);
                 if through {
-                    assert_eq!(extents, [a as u64 + gap + b as u64], "gap {gap}");
+                    assert_eq!(extents.first().cloned(), Some(0..end), "gap {gap}");
+                    assert_eq!(extents.len(), 1, "gap {gap}");
                 } else {
-                    assert_eq!(extents, [a as u64, b as u64], "gap {gap}");
+                    assert_eq!(extents, [0..a, end - b..end], "gap {gap}");
                 }
                 assert_eq!(through, gap <= edge, "the law is a byte count: {edge}");
-                let cost: Secs = extents.iter().map(|&e| disk.rand_read_cost(e)).sum();
-                let one = disk.rand_read_cost(a as u64 + gap + b as u64);
-                let two = disk.rand_read_cost(a as u64) + disk.rand_read_cost(b as u64);
+                let cost: Secs = (extents.iter())
+                    .map(|e| disk.rand_read_cost(e.end - e.start))
+                    .sum();
+                let one = disk.rand_read_cost(end);
+                let two = disk.rand_read_cost(a) + disk.rand_read_cost(b);
                 assert!((cost - one.min(two)).abs() < 1e-12, "gap {gap}");
             }
         }
@@ -1634,7 +1726,11 @@ mod tests {
         let disk = paper::repo_disk();
         assert!(wanted_extents(&metas, |_| false, &disk).is_empty());
         let middle = |f: &Fingerprint| *f == fp(4) || *f == fp(5);
-        assert_eq!(wanted_extents(&metas, middle, &disk), [2000]);
+        let extents = wanted_extents(&metas, middle, &disk);
+        assert_eq!(
+            (extents.len(), extents.first().cloned()),
+            (1, Some(4000..6000))
+        );
     }
 
     /// The first chunk of a stored container that `damage` touches —
@@ -1647,8 +1743,13 @@ mod tests {
 
     #[test]
     fn a_ranged_read_charges_the_metadata_section_and_its_extents_as_one_op() {
+        // A ranged read pays a seek per I/O, so it beats the whole read
+        // only where what it skips takes longer to stream than a seek. A
+        // tenth of a container of 100 kB did while a whole read read the
+        // 1 MiB slot; now that it reads the image it does not, and this
+        // container holds 1 MB.
         let mut r = repo(1);
-        let id = store_ok(&mut r, container_with(0..100));
+        let id = store_ok(&mut r, container_of(0..100, 10_000));
         let disk = paper::repo_disk();
         let before = (r.nodes()[0].disk_stats(), r.node_disk_ops(0).expect("node"));
         let tenth = |f: &Fingerprint| (30..40).any(|n| *f == fp(n));
@@ -1660,7 +1761,7 @@ mod tests {
         // chunks — in one device op; the resolver may go on once the
         // first is in.
         let meta = disk.rand_read_cost(6 + 32 * 100 + 20);
-        let extent = disk.rand_read_cost(10 * 1000);
+        let extent = disk.rand_read_cost(10 * 10_000);
         let served = read.legs.served.expect("served");
         assert!((served.cost - (meta + extent)).abs() < 1e-15);
         assert_eq!((served.node, served.data_tail), (0, extent));
@@ -1669,11 +1770,11 @@ mod tests {
         assert_eq!(after.0.rand_reads, before.0.rand_reads + 2, "two seeks");
         assert_eq!(
             after.0.rand_read_bytes - before.0.rand_read_bytes,
-            6 + 32 * 100 + 20 + 10 * 1000
+            6 + 32 * 100 + 20 + 10 * 10_000
         );
         // Wanting nothing reads the metadata section; wanting so much
-        // that the extents cost no less than the container in one piece
-        // reads the container in one piece.
+        // that the extents cost no less than the image in one piece reads
+        // the image in one piece.
         let none = r.read_chunks(id, |_| false);
         assert!(none.value.expect("clean").expect("stored").is_empty());
         assert_eq!(none.legs.cost(), meta);
@@ -1692,13 +1793,135 @@ mod tests {
     }
 
     #[test]
+    fn a_whole_read_reads_the_image_and_never_more_than_the_slot() {
+        let disk = paper::repo_disk();
+        let mut r = repo_r(2, 2);
+        // Ten chunks of 1000 bytes: the image is what `serialize` writes —
+        // header, metadata section, data, trailer — a hundredth of the
+        // 1 MiB slot the container was written to.
+        let small = container_with(0..10);
+        let image = 6 + 32 * 10 + 20 + 10 * 1000;
+        assert_eq!(small.serialized_len() as u64, image);
+        let id = store_ok(&mut r, small);
+        let read = r.read(id);
+        assert_eq!(read.legs.cost(), disk.rand_read_cost(image));
+        assert_eq!(r.nodes()[0].disk_stats().rand_read_bytes, image);
+        // A container that fills its slot reads the slot, to the bit: its
+        // image would be larger, and the slot is all there is.
+        let mut full = Container::new(1 << 20);
+        while full.try_append(fp(1000 + full.len() as u64), Payload::Zero(1024)) {}
+        assert!(full.serialized_len() as u64 > 1 << 20);
+        let id_full = store_ok(&mut r, full);
+        assert_eq!(r.read(id_full).legs.cost(), disk.rand_read_cost(1 << 20));
+        // Writes still fill the slot: a store charges it on each replica.
+        assert_eq!(r.nodes()[1].disk_stats().seq_write_bytes, 2 << 20);
+
+        // Scrub reads every copy whole — its image — and a recopy reads
+        // its source's image and writes a slot: the bit-flipped primary
+        // of the small container is checked and rewritten on node 0, its
+        // replica on node 1 checked and read again as the source.
+        let before: Vec<_> = r.nodes().iter().map(|n| n.disk_stats()).collect();
+        r.set_damage(id, Some(Damage::BitFlip)).expect("stored");
+        let scrub = r.scrub_all();
+        assert_eq!((scrub.value.corrupt_found, scrub.value.repaired), (1, 1));
+        let delta = |n: usize| {
+            let after = r.nodes()[n].disk_stats();
+            let read = after.rand_read_bytes - before[n].rand_read_bytes;
+            (read, after.seq_write_bytes - before[n].seq_write_bytes)
+        };
+        assert_eq!(delta(0), (image + (1 << 20), 1 << 20));
+        assert_eq!(delta(1), (2 * image + (1 << 20), 0));
+        let node0 = disk.rand_read_cost(image) + disk.rand_read_cost(1 << 20);
+        assert_eq!(scrub.cost, node0 + disk.seq_write_cost(1 << 20));
+
+        // Repairing a replaced disk recopies every copy it held the same
+        // way, and a migration reads the image too.
+        r.set_node_down(1).expect("node");
+        let repair = r.repair_node(1);
+        assert_eq!(repair.value.expect("sources").recopied, 2);
+        let copies = disk.rand_read_cost(image) + disk.seq_write_cost(1 << 20);
+        let copies = copies + disk.rand_read_cost(1 << 20) + disk.seq_write_cost(1 << 20);
+        assert_eq!(repair.cost, copies);
+        let mut m = repo(2);
+        let id = store_ok(&mut m, container_with(0..10));
+        let moved = m.migrate(id, 1).expect("moved");
+        assert_eq!(
+            moved,
+            disk.rand_read_cost(image) + disk.seq_write_cost(1 << 20)
+        );
+    }
+
+    #[test]
+    fn a_chunk_is_in_once_the_io_that_reads_it_has_got_to_its_end() {
+        let disk = paper::repo_disk();
+        let (meta, len) = (6 + 32 * 100 + 20, 10_000);
+        let mut r = repo_r(2, 2);
+        let id = store_ok(&mut r, container_of(0..100, len as u32));
+        let at_most_data_tail = |s: &ServedLeg| s.tails.iter().all(|&t| t <= s.data_tail);
+
+        // A whole read streams the data section in order: a chunk is in
+        // once what follows it is all that is left, the last as the read
+        // completes.
+        let whole = r.read(id).legs.served.expect("served");
+        let expected: Vec<Secs> = (0..100)
+            .map(|i| disk.seq_read_cost((99 - i) * len))
+            .collect();
+        assert_eq!(whole.tails, expected);
+        assert!(whole.tails.windows(2).all(|w| w[0] >= w[1]));
+        assert_eq!(whole.tails.last(), Some(&0.0));
+        assert!(at_most_data_tail(&whole));
+
+        // A ranged read of two extents — chunks 10 and 11, chunk 80 — in
+        // one op: within an extent the tails fall with the offset, each
+        // extent waits for every later one, the last wanted chunk is in
+        // as the read completes.
+        let wanted = |f: &Fingerprint| [10, 11, 80].iter().any(|&n| *f == fp(n));
+        let ranged = r.read_chunks(id, wanted).legs.served.expect("served");
+        let (first, second) = (disk.rand_read_cost(2 * len), disk.rand_read_cost(len));
+        assert_eq!(ranged.cost, disk.rand_read_cost(meta) + first + second);
+        assert_eq!(ranged.data_tail, first + second);
+        let expected = [disk.seq_read_cost(len) + second, second, 0.0];
+        assert_eq!(ranged.tails, expected);
+        assert!(at_most_data_tail(&ranged));
+
+        // After a failover the tails are the serving leg's own: a faulted
+        // whole read on node 0 leaves the replica's read to say them, and
+        // a ranged attempt that found its copy corrupt leaves the whole
+        // read of the replica that follows it.
+        let load = |r: &ChunkRepository, n: usize| r.nodes()[n].disk_stats().rand_read_bytes;
+        let preferred = usize::from(load(&r, 1) < load(&r, 0));
+        let next = r.node_disk_ops(preferred).expect("node");
+        arm(&mut r, preferred, FaultPlan::fail_at(next));
+        let read = r.read(id);
+        assert_eq!(read.legs.failed.len(), 1);
+        let served = read.legs.served.map(|s| (s.node, s.tails));
+        assert_eq!(served, Some((1 - preferred, whole.tails.clone())));
+        let hit = first_damaged_chunk(
+            &r.read(id).value.expect("clean").expect("stored"),
+            Damage::Torn,
+        )
+        .expect("a torn image loses its last third");
+        r.set_damage(id, Some(Damage::Torn)).expect("stored");
+        let on_it = |f: &Fingerprint| *f == fp(hit as u64);
+        let mut read = r.read_chunks(id, on_it);
+        while read.legs.failed.is_empty() {
+            // Load balancing preferred the clean replica: ask again.
+            read = r.read_chunks(id, on_it);
+        }
+        let served = read.legs.served.expect("the replica");
+        assert_eq!(served.tails, [whole.tails[hit]], "read whole");
+    }
+
+    #[test]
     fn a_ranged_read_verifies_what_it_uses_and_leaves_the_rest_to_scrub() {
+        // Containers of 1 MB: a whole read reads the image, so a ranged
+        // read of a few chunks of a 100 kB one would be read whole — and
+        // verified against its trailer — as the cheaper plan.
+        let stored = |n: u64| container_of(n * 100..n * 100 + 100, 10_000);
         for damage in [Damage::BitFlip, Damage::Torn] {
             // Find a container the damage hits in mid data section.
             let mut r = repo_r(2, 2);
-            let ids: Vec<ContainerId> = (0..8)
-                .map(|n| store_ok(&mut r, container_with(n * 100..n * 100 + 100)))
-                .collect();
+            let ids: Vec<ContainerId> = (0..8).map(|n| store_ok(&mut r, stored(n))).collect();
             let (id, hit) = (ids.iter())
                 .find_map(|&id| {
                     let c = r.read(id).value.expect("clean").expect("stored");
@@ -1732,12 +1955,14 @@ mod tests {
                 // Load balancing preferred the clean replica: ask again.
                 read = r.read_chunks(id, on_it);
             }
-            let ranged = disk.rand_read_cost(6 + 32 * 100 + 20) + disk.rand_read_cost(1000);
+            let meta = 6 + 32 * 100 + 20;
+            let ranged = disk.rand_read_cost(meta) + disk.rand_read_cost(10_000);
             assert_eq!(read.legs.failed.len(), 1, "{damage:?}");
             assert_eq!(read.legs.failed[0].0, damaged);
             assert!((read.legs.failed[0].1 - ranged).abs() < 1e-15);
             let served = read.legs.served.expect("replica");
-            assert_eq!(served.cost, disk.rand_read_cost(1 << 20), "read whole");
+            let image = meta + 100 * 10_000;
+            assert_eq!(served.cost, disk.rand_read_cost(image), "read whole");
             assert_eq!(read.legs.repairs, [(damaged, disk.seq_write_cost(1 << 20))]);
             assert_eq!(read.value.expect("served").expect("stored").len(), 1);
             assert_eq!(r.stats().corrupt_reads, stats.corrupt_reads + 1);
@@ -1749,8 +1974,8 @@ mod tests {
             let mut r = repo(1);
             let mut sole = ContainerId::NULL;
             while sole != id {
-                let n = r.stats().containers;
-                sole = store_ok(&mut r, container_with(n * 100..n * 100 + 100));
+                let next = stored(r.stats().containers);
+                sole = store_ok(&mut r, next);
             }
             r.set_damage(id, Some(damage)).expect("stored");
             assert_eq!(r.read_chunks(id, before_it).legs.failed, []);
@@ -1903,17 +2128,24 @@ mod tests {
         arm(&mut r, 0, FaultPlan::torn_write_at(0));
         let id = store_ok(&mut r, container_with(0..10));
         let read = r.read(id);
-        // Leg by leg: the full read that found node 0's copy corrupt, the
+        // Leg by leg: the whole read that found node 0's copy corrupt, the
         // serving read on node 1 — whose metadata section (10 chunks) is
-        // in `data_tail` before it completes — and the repair write back
-        // on node 0.
+        // in `data_tail` before it completes, and each chunk as soon as
+        // the data behind it is all that is left — and the repair write
+        // back on node 0. A whole read reads the image — metadata section
+        // and ten chunks of 1000 bytes — where it used to read the 1 MiB
+        // slot; the repair still writes the slot.
         let disk = paper::repo_disk();
-        let full = disk.rand_read_cost(1 << 20);
+        let meta = 6 + 32 * 10 + 20;
+        let full = disk.rand_read_cost(meta + 10 * 1000);
         assert_eq!(read.legs.failed, [(0, full)]);
         let served = ServedLeg {
             node: 1,
             cost: full,
-            data_tail: disk.seq_read_cost((1 << 20) - (6 + 32 * 10 + 20)),
+            data_tail: disk.seq_read_cost(10 * 1000),
+            tails: (0..10)
+                .map(|i| disk.seq_read_cost((9 - i) * 1000))
+                .collect(),
             data_bytes: 10 * 1000,
         };
         assert_eq!(read.legs.served, Some(served));
@@ -2040,8 +2272,10 @@ mod tests {
         let id = store_ok(&mut r, container_with(0..2)); // node 0 op 0: write
         arm(&mut r, 0, FaultPlan::fail_at(1));
         let read = r.read(id);
-        // The faulted attempt stays on node 0, the serving read is node 1's.
-        let full = paper::repo_disk().rand_read_cost(1 << 20);
+        // The faulted attempt stays on node 0, the serving read is node
+        // 1's: each a whole read of the image — two chunks of 1000 bytes
+        // behind their metadata section — not of the 1 MiB slot.
+        let full = paper::repo_disk().rand_read_cost(6 + 32 * 2 + 20 + 2 * 1000);
         assert_eq!(read.legs.failed, [(0, full)]);
         assert_eq!(read.legs.served.map(|s| (s.node, s.cost)), Some((1, full)));
         assert!(read.legs.repairs.is_empty());
