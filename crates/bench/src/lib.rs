@@ -19,7 +19,7 @@
 //! | `fig_multipart` | §5.2 multi-part index analysis: sweep time & throughput vs parts (`BENCH_multipart.json`) |
 //! | `ablation_prelim_filter` | §5.1 job chains on/off, and what the filter catches vs version ÷ capacity (`BENCH_filter.json`) |
 //! | `fig_modes` | out-of-line vs inline vs hybrid dedup-1 (`BENCH_modes.json`) |
-//! | `fig_restore` | restore decay under `Scatter` vs `Capped` layouts (`BENCH_restore.json`) |
+//! | `fig_restore` | restore decay over 30 generations of the paper's layout (`BENCH_restore.json`) |
 //! | `fig_gc` | retention expiry and garbage collection (`BENCH_gc.json`) |
 //! | `fig_chaos` | what retry/backoff and scrub-repair cost (`BENCH_chaos.json`) |
 //!

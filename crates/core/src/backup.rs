@@ -106,11 +106,6 @@ impl DebarCluster {
             }
         }
         self.director.metadata.record_run(record);
-        if self.cfg.layout.is_capped() {
-            // Queue the run for the rewrite-on-backup capping pass of the
-            // round that makes its chunks durable (see `layout.rs`).
-            self.uncapped_runs.push(run);
-        }
         Ok(report)
     }
 

@@ -46,9 +46,9 @@ use crate::client::BackupClient;
 use crate::config::DebarConfig;
 use crate::director::Director;
 use crate::error::{DebarError, DebarResult, Dedup2Phase};
-use crate::ids::{ClientId, Device, JobId, RunId, ServerId};
+use crate::ids::{ClientId, Device, JobId, ServerId};
 use crate::job::{JobSpec, Schedule};
-use crate::report::{Dedup2Report, StoreReport};
+use crate::report::{CapReport, Dedup2Report, StoreReport};
 use crate::server::{merge_decision, BackupServer, Decision, SilPartOutput};
 use debar_filter::CuckooFilter;
 use debar_hash::{ContainerId, Fingerprint};
@@ -56,7 +56,7 @@ use debar_index::SiuReport;
 use debar_simio::models::paper;
 use debar_simio::{FaultPlan, Lane, Secs, Timed};
 use debar_store::{ChunkRepository, Damage};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 #[path = "backup.rs"]
 mod backup;
@@ -64,11 +64,6 @@ mod backup;
 #[path = "gc.rs"]
 mod gc;
 pub use gc::GcReport;
-
-#[path = "layout.rs"]
-mod layout;
-pub(crate) use layout::LayoutTracker;
-pub use layout::{CapReport, LayoutReport};
 
 #[path = "restore.rs"]
 mod restore;
@@ -98,17 +93,6 @@ pub struct DebarCluster {
     /// Bloom preliminary filter cannot do — so the filter chain stops
     /// advertising dead chunks (see [`crate::cluster::GcReport`]).
     summary: CuckooFilter,
-    /// Runs recorded since the last rewrite-on-backup capping pass
-    /// (populated only under [`crate::config::LayoutMode::Capped`]; the
-    /// pass after each round's chunk-storing commit drains it — see
-    /// `layout.rs`). Runs survive here across a faulted pass for the
-    /// redo.
-    uncapped_runs: Vec<RunId>,
-    /// Containers left holding superseded chunk copies by capping
-    /// rewrites: the owning index parts no longer point at them, and the
-    /// next [`DebarCluster::run_gc`] reclaims the dead copies (copy-aware
-    /// liveness) and drains this queue.
-    superseded: BTreeSet<ContainerId>,
 }
 
 impl DebarCluster {
@@ -128,8 +112,6 @@ impl DebarCluster {
             clients: HashMap::new(),
             carryover_store: StoreReport::default(),
             summary: CuckooFilter::with_capacity(1024, cfg.seed ^ 0x6C1A_55E7),
-            uncapped_runs: Vec::new(),
-            superseded: BTreeSet::new(),
             cfg,
         }
     }
@@ -561,23 +543,6 @@ impl DebarCluster {
         }
         let t3 = self.align_clocks();
 
-        // ---- Phase 3b: rewrite-on-backup container capping. ----
-        // Runs only under `LayoutMode::Capped`, after the chunk-storing
-        // commit (container IDs are canonical and every chunk of the
-        // round's runs is durable) and before PSIU (repoints overwrite
-        // the pending mappings in place, so the same SIU registers the
-        // colocated layout). A fault keeps the affected runs queued and
-        // leaves the round uncommitted, so the redo converges.
-        let mut cap = match self.cap_rewrite_pass() {
-            Ok(c) => c,
-            Err(e) => {
-                let _ = self.align_clocks();
-                return Err(e);
-            }
-        };
-        let t3b = self.align_clocks();
-        cap.wall = t3b - t3;
-
         // ---- Phase 4: PSIU (possibly deferred: asynchronous SIU). ----
         // A faulted server keeps its pending updates; the round stays
         // uncommitted and a re-run retries the SIU.
@@ -605,14 +570,14 @@ impl DebarCluster {
             sweep_parts,
             store_workers: self.cfg.store_workers.min(u32::MAX as usize) as u32,
             store: store_total,
-            cap,
+            cap: CapReport::default(),
             siu_ran: run_siu,
             siu_reports,
             siu_updates,
             exchange_wall: t1 - t0,
             sil_wall: t2 - t1,
             store_wall: t3 - t2,
-            siu_wall: t4 - t3b,
+            siu_wall: t4 - t3,
         })
     }
 
@@ -845,6 +810,7 @@ fn lookup_with_owner(
 mod tests {
     use super::*;
     use crate::dataset::Dataset;
+    use crate::ids::RunId;
     use crate::report::RestoreReport;
     use debar_hash::Sha1;
     use debar_workload::drift::records;

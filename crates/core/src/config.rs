@@ -42,47 +42,6 @@ use debar_simio::{RetryPolicy, ScaleModel};
 use debar_store::HealthPolicy;
 use serde::{Deserialize, Serialize};
 
-/// Physical container-layout policy for duplicate chunks (the
-/// restore-fragmentation trade; ROADMAP item 7).
-///
-/// DEBAR's out-of-line dedup lets every new generation reference chunks
-/// scattered across ever-older containers, so restores of the *latest*
-/// backup — the one users actually read — touch more containers per MiB
-/// with each generation. `Scatter` reproduces the paper's behavior;
-/// `Capped` bounds it by re-materializing a run's most scattered
-/// duplicate chunks into fresh containers of its own (rewrite-on-backup
-/// colocation, in the spirit of RevDedup's sequential-newest-backup
-/// guarantee), trading a little dedup ratio for bounded restore read
-/// amplification. Restore *bytes* are identical across modes; only the
-/// physical container layout (and hence the index's cid column and the
-/// restore clock) moves. Superseded scattered copies stay GC-visible and
-/// are reclaimed by the next collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LayoutMode {
-    /// The paper's behavior: duplicates keep referencing whatever
-    /// container first stored them, however old.
-    Scatter,
-    /// Rewrite-on-backup container capping: after each dedup-2 commit,
-    /// every run whose distinct *old*-container reference count exceeds
-    /// `max_refs_per_mib × restored MiB` (floor 1) gets its most
-    /// thinly-referenced old containers rewritten — the run's chunks in
-    /// them are copied into fresh containers in canonical ID order and
-    /// the index repointed, leaving the old copies dead for GC.
-    Capped {
-        /// Budget of distinct previously-written containers a run may
-        /// keep referencing, per logical MiB of the run (at least 1 per
-        /// run). Smaller = tighter colocation, more rewrite traffic.
-        max_refs_per_mib: u32,
-    },
-}
-
-impl LayoutMode {
-    /// True when this mode rewrites scattered duplicates on backup.
-    pub fn is_capped(&self) -> bool {
-        matches!(self, LayoutMode::Capped { .. })
-    }
-}
-
 /// *When* duplicate detection happens (the inline/out-of-line trade of
 /// Li et al., *Efficient Hybrid Inline and Out-of-line Deduplication for
 /// Backup Storage*).
@@ -214,12 +173,6 @@ pub struct DebarConfig {
     /// expiry (nothing auto-expires; explicit `delete_run` still works on
     /// any run) and is the default everywhere.
     pub retention: u32,
-    /// Container-layout policy for duplicate chunks:
-    /// [`LayoutMode::Scatter`] (the paper's behavior, default everywhere)
-    /// or [`LayoutMode::Capped`] rewrite-on-backup colocation. Restore
-    /// bytes are identical across modes; dedup ratio and restore clock
-    /// trade against each other.
-    pub layout: LayoutMode,
     /// When duplicate detection happens: [`DedupMode::OutOfLine`] (the
     /// paper's behavior, default everywhere), [`DedupMode::Inline`]
     /// (DDFS-style resolve-at-ingest), or [`DedupMode::Hybrid`] (bounded
@@ -268,7 +221,6 @@ impl DebarConfig {
             sweep_parts: 1,
             store_workers: 1,
             retention: 0,
-            layout: LayoutMode::Scatter,
             dedup_mode: DedupMode::OutOfLine,
             retry: RetryPolicy::none(),
             health: HealthPolicy::default(),
@@ -357,14 +309,6 @@ impl DebarConfig {
     /// retention-driven expiry).
     pub fn with_retention(mut self, retention: u32) -> Self {
         self.retention = retention;
-        self
-    }
-
-    /// Builder: select the container-layout policy for duplicate chunks
-    /// (see the `layout` field; `try_validate` rejects a capped budget
-    /// of 0 refs/MiB).
-    pub fn with_layout(mut self, layout: LayoutMode) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -507,16 +451,6 @@ impl DebarConfig {
         if self.store_workers < 1 {
             return Err(geometry(
                 "chunk storing needs at least one store worker".into(),
-            ));
-        }
-        if let LayoutMode::Capped {
-            max_refs_per_mib: 0,
-        } = self.layout
-        {
-            return Err(geometry(
-                "capped layout needs a positive container-reference budget \
-                 (max_refs_per_mib >= 1)"
-                    .into(),
             ));
         }
         if let DedupMode::Hybrid { window: 0 } = self.dedup_mode {
@@ -669,10 +603,6 @@ mod tests {
         assert!(r.contains("replication"), "{r}");
         let r = geom(base.with_replication(3)); // tiny_test has 2 repo nodes
         assert!(r.contains("distinct nodes"), "{r}");
-        let r = geom(base.with_layout(LayoutMode::Capped {
-            max_refs_per_mib: 0,
-        }));
-        assert!(r.contains("reference budget"), "{r}");
         let r = geom(base.with_dedup_mode(DedupMode::Hybrid { window: 0 }));
         assert!(r.contains("probe window"), "{r}");
         let r = geom(DebarConfig {
@@ -714,23 +644,6 @@ mod tests {
             hybrid.validate();
             assert_eq!(hybrid.dedup_mode.probe_budget(), Some(w as u64));
         }
-    }
-
-    #[test]
-    fn layout_defaults_to_scatter_and_capped_validates() {
-        for cfg in [
-            DebarConfig::single_server_scaled(1024),
-            DebarConfig::cluster_scaled(2, 32 << 30, 1024),
-            DebarConfig::tiny_test(0),
-        ] {
-            assert_eq!(cfg.layout, LayoutMode::Scatter);
-            assert!(!cfg.layout.is_capped());
-        }
-        let capped = DebarConfig::tiny_test(0).with_layout(LayoutMode::Capped {
-            max_refs_per_mib: 4,
-        });
-        capped.validate();
-        assert!(capped.layout.is_capped());
     }
 
     #[test]

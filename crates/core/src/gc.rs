@@ -128,11 +128,6 @@ pub struct GcReport {
     pub index_removed: u64,
     /// Fingerprint copies withdrawn from the summary vector.
     pub summary_removed: u64,
-    /// Containers drained from the capping queue: victims examined
-    /// because a rewrite-on-backup pass superseded copies in them (see
-    /// `layout.rs`; always 0 under
-    /// [`crate::config::LayoutMode::Scatter`]).
-    pub superseded_containers: u64,
     /// Virtual time the collection took: the compaction's makespan over
     /// the repository nodes — each node's reads, writes and frees queue on
     /// its own timeline, so it is at least the busiest node's busy time
@@ -246,10 +241,6 @@ impl DebarCluster {
             }
         }
         report.dead_fps = dead_per_server.iter().map(|d| d.len() as u64).sum();
-        // Containers holding copies a capping rewrite superseded carry no
-        // dead *entries* (the fingerprints are live, just repointed):
-        // they enter the plan through the cluster's capping queue.
-        victims.extend(self.superseded.iter().copied());
 
         // ---- Compaction/deletion, ascending container ID (deterministic
         // plan; the outputs fill — and so allocate their IDs — in the same
@@ -260,16 +251,17 @@ impl DebarCluster {
                 // Already reclaimed by an interrupted earlier attempt (or
                 // a preloaded mapping whose container never existed): the
                 // index sweep below is all that's left to do.
-                self.superseded.remove(&cid);
                 continue;
             }
             report.containers_examined += 1;
             // Copy-aware liveness: a chunk is live *in this container*
             // only if its fingerprint is live AND the owning index part
-            // still resolves it here — a live fingerprint repointed by a
-            // capping rewrite (or an earlier output of this or an
-            // interrupted collection) leaves a dead copy behind that must
-            // reclaim. The read fetches the metadata section and the
+            // still resolves it here. The redo needs the second clause: a
+            // collection that faulted after output k-1 became durable has
+            // already repointed the entries of the survivors that output
+            // took from a victim still waiting for output k, and on the
+            // redo those copies must read as dead, or they are copied
+            // twice. The read fetches the metadata section and the
             // extents of what is live here, nothing else.
             let (servers, w) = (&self.servers, self.cfg.w_bits);
             let read = self.repo.read_chunks(cid, |fp| {
@@ -286,9 +278,7 @@ impl DebarCluster {
             let dead_bytes = listed_bytes - live_bytes;
             if dead_bytes == 0 {
                 // Every chunk is live here: the entry that named this
-                // container is stale metadata (or a superseded victim
-                // whose rewrite never repointed — kept queued), nothing
-                // to reclaim.
+                // container is stale metadata, nothing to reclaim.
                 continue;
             }
             if survivors.is_empty() && pass.waiting.is_empty() {
@@ -400,9 +390,6 @@ impl DebarCluster {
         report.containers_deleted += 1;
         report.freed_physical_bytes += freed.bytes;
         report.dead_chunk_bytes += dead_bytes;
-        if self.superseded.remove(&cid) {
-            report.superseded_containers += 1;
-        }
         Ok(())
     }
 }

@@ -78,6 +78,16 @@ pub struct StoreReport {
     pub containers: u64,
 }
 
+/// The wall time of a dedup-2 phase that no longer exists: `wall` is
+/// always `0.0`. The end-to-end benchmark package (`benchmark/`, whose
+/// calls into this crate are frozen) still reads
+/// [`Dedup2Report::cap`]`.wall`, and this struct is kept only for it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct CapReport {
+    /// Always `0.0`.
+    pub wall: Secs,
+}
+
 /// Outcome of one dedup-2 round (§5.2-§5.4).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dedup2Report {
@@ -111,11 +121,8 @@ pub struct Dedup2Report {
     pub store_workers: u32,
     /// Aggregate chunk-storing outcome.
     pub store: StoreReport,
-    /// Rewrite-on-backup container-capping outcome (all-zero under the
-    /// default [`crate::LayoutMode::Scatter`]; see
-    /// [`crate::cluster::CapReport`]). Its wall is part of
-    /// [`Dedup2Report::total_wall`].
-    pub cap: crate::cluster::CapReport,
+    /// Always zero: see [`CapReport`].
+    pub cap: CapReport,
     /// Whether PSIU ran this round.
     pub siu_ran: bool,
     /// Per-server SIU reports when it ran.
@@ -136,7 +143,7 @@ pub struct Dedup2Report {
 impl Dedup2Report {
     /// Total wall time of the round.
     pub fn total_wall(&self) -> Secs {
-        self.exchange_wall + self.sil_wall + self.store_wall + self.cap.wall + self.siu_wall
+        self.exchange_wall + self.sil_wall + self.store_wall + self.siu_wall
     }
 
     /// Dedup-2 throughput over the processed log bytes.
@@ -150,6 +157,45 @@ impl Dedup2Report {
             f64::INFINITY
         } else {
             self.store.log_bytes as f64 / self.store.stored_bytes as f64
+        }
+    }
+}
+
+/// Container-fragmentation telemetry for one restore walk.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct LayoutReport {
+    /// Distinct containers the walk touched.
+    pub containers_touched: u64,
+    /// Fragments: maximal groups of consecutive chunks sharing one
+    /// container (a perfectly sequential layout has one fragment per
+    /// container; a fully scattered one has one per chunk).
+    pub fragments: u64,
+    /// Chunks walked.
+    pub chunks: u64,
+    /// Bytes restored.
+    pub bytes: u64,
+}
+
+impl LayoutReport {
+    /// Containers touched per restored MiB — the paper-style read
+    /// amplification proxy (1 MiB containers at full utilization give
+    /// exactly 1.0; growth over generations is fragmentation).
+    pub fn containers_per_mib(&self) -> f64 {
+        if self.bytes == 0 {
+            0.0
+        } else {
+            self.containers_touched as f64 / (self.bytes as f64 / (1u64 << 20) as f64)
+        }
+    }
+
+    /// Mean run-length of consecutive chunks sharing a container — the
+    /// chunk-fragmentation level (high is sequential, 1.0 is fully
+    /// scattered).
+    pub fn mean_run_length(&self) -> f64 {
+        if self.fragments == 0 {
+            0.0
+        } else {
+            self.chunks as f64 / self.fragments as f64
         }
     }
 }
@@ -174,8 +220,8 @@ pub struct RestoreReport {
     /// Container-fragmentation telemetry for this restore: distinct
     /// containers touched, containers per restored MiB and the mean
     /// run-length of consecutive chunks sharing a container (see
-    /// [`crate::LayoutReport`]).
-    pub layout: crate::cluster::LayoutReport,
+    /// [`LayoutReport`]).
+    pub layout: LayoutReport,
     /// Chunks whose payload failed verification or could not be found.
     pub failures: u64,
     /// Degraded repository reads during the restore: container fetches
@@ -285,7 +331,7 @@ mod tests {
                 discarded: 500,
                 containers: 1,
             },
-            cap: crate::cluster::CapReport::default(),
+            cap: CapReport::default(),
             siu_ran: true,
             siu_reports: Vec::new(),
             siu_updates: 500,

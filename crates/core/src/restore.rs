@@ -178,16 +178,47 @@
 //! clock would have charged). Nothing runs concurrently — the overlap is
 //! arithmetic on `free_at`.
 
-use super::{lookup_with_owner, DebarCluster, LayoutTracker};
+use super::{lookup_with_owner, DebarCluster};
 use crate::error::{DebarError, DebarResult};
 use crate::ids::RunId;
 use crate::metadata::{FileIndexEntry, RunRecord};
-use crate::report::RestoreReport;
+use crate::report::{LayoutReport, RestoreReport};
 use crate::server::BackupServer;
 use debar_hash::{ContainerId, Fingerprint, Sha1};
 use debar_simio::{Lane, Secs};
 use debar_store::{ChunkRepository, CorruptKind, LpcCache, LpcStats, NodeRead, Payload, ReadLegs};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+
+/// Accumulates [`LayoutReport`] facts chunk by chunk during a restore
+/// walk.
+#[derive(Default)]
+struct LayoutTracker {
+    seen: HashSet<ContainerId>,
+    last: Option<ContainerId>,
+    fragments: u64,
+}
+
+impl LayoutTracker {
+    /// Record that the next restored chunk came from `cid`.
+    fn observe(&mut self, cid: ContainerId) {
+        self.seen.insert(cid);
+        if self.last != Some(cid) {
+            self.fragments += 1;
+            self.last = Some(cid);
+        }
+    }
+
+    /// Finish the walk into a report (`chunks`/`bytes` come from the
+    /// restore's own counters so failures are accounted consistently).
+    fn finish(self, chunks: u64, bytes: u64) -> LayoutReport {
+        LayoutReport {
+            containers_touched: self.seen.len() as u64,
+            fragments: self.fragments,
+            chunks,
+            bytes,
+        }
+    }
+}
 
 /// The device timelines of one restore walk, in server-clock time.
 struct RestoreLanes {
@@ -643,14 +674,13 @@ fn verify_payload(fp: &Fingerprint, payload: &Payload) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::LayoutReport;
     use crate::config::DebarConfig;
     use crate::dataset::Dataset;
     use crate::ids::{ClientId, Device, JobId};
     use debar_simio::models::paper;
     use debar_simio::{FaultPlan, RetryPolicy};
     use debar_store::Damage;
-    use debar_workload::drift::records;
+    use debar_workload::drift::{churn, records};
     use debar_workload::record::ChunkRecord;
 
     /// Two overlapping generations of one job, deduplicated: 24 one-MiB
@@ -1801,5 +1831,55 @@ mod tests {
             "the audit counts what the restore died of"
         );
         assert!(audit.elapsed >= audit.node_read_s);
+    }
+
+    #[test]
+    fn telemetry_math() {
+        let mut t = LayoutTracker::default();
+        for cid in [1u64, 1, 2, 1, 3, 3] {
+            t.observe(ContainerId::new(cid));
+        }
+        let rep = t.finish(6, 3 << 20);
+        assert_eq!(rep.containers_touched, 3);
+        assert_eq!(rep.fragments, 4, "runs: [1,1] [2] [1] [3,3]");
+        assert_eq!(rep.mean_run_length(), 1.5);
+        assert_eq!(rep.containers_per_mib(), 1.0);
+        assert_eq!(LayoutReport::default().mean_run_length(), 0.0);
+        assert_eq!(LayoutReport::default().containers_per_mib(), 0.0);
+    }
+
+    #[test]
+    fn restore_surfaces_layout_telemetry_and_scatter_fragments_grow() {
+        let gens = 8u64;
+        let mut c = DebarCluster::new(DebarConfig::tiny_test(0));
+        let job = c.define_job("churn", ClientId(0));
+        for g in 0..gens {
+            c.backup(job, &Dataset::from_records("s", churn(g, 600, 12)))
+                .expect("backup");
+            c.run_dedup2().expect("dedup2");
+        }
+        let first = c
+            .restore_run(RunId { job, version: 0 })
+            .expect("restore v0");
+        let last = c
+            .restore_run(RunId {
+                job,
+                version: gens as u32 - 1,
+            })
+            .expect("restore latest");
+        assert_eq!(first.layout.chunks, first.chunks);
+        assert_eq!(first.layout.bytes, first.bytes);
+        assert!(first.layout.containers_touched > 0);
+        assert!(first.layout.fragments >= first.layout.containers_touched);
+        assert!(
+            last.layout.containers_per_mib() > first.layout.containers_per_mib(),
+            "scatter fragmentation must grow with generation: gen0 {} vs latest {}",
+            first.layout.containers_per_mib(),
+            last.layout.containers_per_mib()
+        );
+        assert!(
+            last.layout.mean_run_length() < first.layout.mean_run_length(),
+            "scatter chunk runs must shorten with generation"
+        );
     }
 }

@@ -734,31 +734,6 @@ impl BackupServer {
         self.pending_updates.extend(updates);
     }
 
-    /// Snapshot of the pending (unregistered) mappings as a map, latest
-    /// entry winning — the overlay the capping pass resolves against
-    /// before SIU has registered this round's assignments (see
-    /// `layout.rs`).
-    pub(crate) fn pending_update_map(&self) -> HashMap<Fingerprint, ContainerId> {
-        self.pending_updates.iter().copied().collect()
-    }
-
-    /// Repoint one fingerprint of this part to a rewritten container:
-    /// a pending SIU mapping is overwritten **in place** (keeping one
-    /// mapping per fingerprint, so the SIU batch stays canonical), a
-    /// registered entry is updated directly (the GC-compaction path).
-    pub(crate) fn repoint(&mut self, fp: &Fingerprint, cid: ContainerId) {
-        let mut pending = false;
-        for (f, c) in self.pending_updates.iter_mut() {
-            if f == fp {
-                *c = cid;
-                pending = true;
-            }
-        }
-        if !pending {
-            self.index.set_cid_uncharged(fp, cid);
-        }
-    }
-
     /// Sequential index update (§5.4): merge all pending `(fp, container)`
     /// mappings into this part and clear them from the checking file.
     ///

@@ -17,14 +17,12 @@
 //!   ones inline); transient faults are absorbed by a retry policy with
 //!   backoff; per-node error counts drive a health state machine
 //!   (healthy → suspect → quarantined); and repair/scrub passes
-//!   re-replicate what a lost node held or a scrub found damaged.
+//!   re-replicate what a lost node held or a scrub found damaged. Every
+//!   copy of a container lives on its replica ring.
 //! * [`lpc`] — locality-preserved caching (LPC): an LRU of containers'
 //!   fingerprint sets; one container fetch turns the following stream-local
 //!   chunk lookups into cache hits (paper §3.3/§6.2: 99.3% of random
 //!   lookups eliminated).
-//! * [`defrag`] — the defragmentation mechanism sketched in §6.3:
-//!   re-aggregates a job's containers onto few storage nodes to restore
-//!   read locality.
 //! * [`error`] — typed storage errors ([`StoreError`]): containers carry
 //!   a versioned magic byte and a SHA-1 checksum trailer, repository
 //!   disks carry deterministic fault plans, and torn writes / bit rot /
@@ -32,7 +30,6 @@
 //!   garbage.
 
 pub mod container;
-pub mod defrag;
 pub mod error;
 pub mod lpc;
 pub mod manager;

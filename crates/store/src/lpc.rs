@@ -409,8 +409,9 @@ mod tests {
 
     #[test]
     fn a_resident_container_gets_its_orphaned_fingerprints_back() {
-        // fp(0) lives in containers 0 and 1 (a rewrite's superseded copy,
-        // a chunk stored again after a collection). The younger takes the
+        // fp(0) lives in containers 0 and 1 (a GC output next to the
+        // victim it was copied out of, a chunk stored again after a
+        // collection). The younger takes the
         // mapping over and is evicted first; the older stays resident
         // without it.
         let mut c = LpcCache::new(3);

@@ -61,9 +61,9 @@
 //! **A write fills a slot, a read reads an image.** Containers are
 //! written to fixed-size slots of `container_bytes` (paper §3.4), and
 //! every write — a store, a read-repair, a recopy — charges the whole
-//! slot. A whole read (the paper's read, scrub's, a recopy's source, a
-//! migration's) charges the copy's *image* instead: header, metadata
-//! section, data and checksum trailer — what [`Container::serialize`]
+//! slot. A whole read (the paper's read, scrub's, a recopy's source)
+//! charges the copy's *image* instead: header, metadata section, data
+//! and checksum trailer — what [`Container::serialize`]
 //! writes — and never more than the slot, so a container sealed early is
 //! not read to the end of its padding, and one that fills its slot costs
 //! exactly the slot. The serving read also says when each chunk it
@@ -77,9 +77,14 @@
 //! place (only missing or damaged copies are recopied). The pass plans
 //! before it mutates: if any copy the node must hold has no surviving
 //! healthy source, it refuses with [`StoreError::Unrecoverable`] and
-//! changes nothing. Like defragmentation (§6.3), repair is background
-//! maintenance: it charges real read/write I/O but does not consume armed
-//! fault plans.
+//! changes nothing. Repair is background maintenance: it charges real
+//! read/write I/O but does not consume armed fault plans.
+//!
+//! **Every copy sits on its ring.** A store writes the `R` ring nodes,
+//! and a recopy (repair, scrub) or a read-repair only ever rewrites a
+//! copy on one of them, so the ring is the whole of where a container can
+//! be: a read, a repair's source and scrub's count of missing copies look
+//! nowhere else.
 //!
 //! # Self-healing: retry, health, quarantine, scrub
 //!
@@ -427,8 +432,8 @@ impl<T> NodeRead<T> {
 /// Outcome of a [`ChunkRepository::repair_node`] scrub pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RepairReport {
-    /// Container copies the node must hold (its replica-set share plus
-    /// copies migrated onto it).
+    /// Container copies the node must hold: one for every live container
+    /// whose replica ring includes it.
     pub scanned: u64,
     /// Copies re-replicated onto the node from surviving healthy sources.
     pub recopied: u64,
@@ -974,9 +979,8 @@ impl ChunkRepository {
     }
 
     /// The nodes holding a copy, in failover order: the replica ring
-    /// (primary first), then any node a copy was migrated onto. Down nodes
-    /// are included (the read loop skips them and counts the skip as
-    /// degradation).
+    /// (primary first), where every copy lives. Down nodes are included
+    /// (the read loop skips them and counts the skip as degradation).
     fn holders(&self, cid: ContainerId) -> Vec<usize> {
         let raw = cid.raw();
         if self.reclaimed.contains(&raw) {
@@ -984,17 +988,10 @@ impl ChunkRepository {
             // holders — a reclaimed container is gone cluster-wide.
             return Vec::new();
         }
-        let mut order: Vec<usize> = self
-            .replica_nodes(cid)
+        self.replica_nodes(cid)
             .into_iter()
             .filter(|&n| self.nodes[n].containers.contains_key(&raw))
-            .collect();
-        for (n, node) in self.nodes.iter().enumerate() {
-            if node.containers.contains_key(&raw) && !order.contains(&n) {
-                order.push(n);
-            }
-        }
-        order
+            .collect()
     }
 
     /// What a whole read of `copy` reads: its image — header, metadata
@@ -1210,9 +1207,8 @@ impl ChunkRepository {
         Some((read, self.install_clean(node, raw, image)))
     }
 
-    /// Read a container wherever a copy lives — its replica ring, then any
-    /// node [`ChunkRepository::migrate`] moved one onto (one random I/O of
-    /// the copy's image per attempted copy — header, metadata, data,
+    /// Read a container off its replica ring (one random I/O of the
+    /// copy's image per attempted copy — header, metadata, data,
     /// trailer, at most the fixed slot — each reported as a leg on the
     /// node it charged, the serving one with every chunk's
     /// [`ServedLeg::tails`] in metadata order). Returns a clone — cheap
@@ -1316,10 +1312,9 @@ impl ChunkRepository {
     /// revive/repair instead of resurrecting, and account the reclaimed
     /// bytes in [`RepoStats`]. Returns the physical bytes freed (logical
     /// data bytes × copies). Reclamation is background maintenance like
-    /// [`ChunkRepository::migrate`] and [`ChunkRepository::repair_node`]:
-    /// it charges I/O but consumes no armed fault plans (the
-    /// crash-consistency window of GC lives in the compaction writes and
-    /// index sweeps, which *are* fault-checked).
+    /// [`ChunkRepository::repair_node`]: it charges I/O but consumes no
+    /// armed fault plans (the crash-consistency window of GC lives in the
+    /// compaction writes and index sweeps, which *are* fault-checked).
     ///
     /// An unknown or already-reclaimed id is a typed
     /// [`StoreError::MissingContainer`] — double frees are never silent —
@@ -1366,40 +1361,8 @@ impl ChunkRepository {
         self.reclaimed.contains(&cid.raw())
     }
 
-    /// Move a container copy onto an explicit node (defragmentation,
-    /// §6.3); charges a whole read of its image on the source node and a
-    /// slot write on the target.
-    /// Returns the I/O cost. Injected damage travels with the copy; fault
-    /// plans are not checked here (defragmentation is background
-    /// maintenance). Sibling replicas are untouched.
-    ///
-    /// A target outside the cluster is the typed
-    /// [`StoreError::UnknownNode`] and an unknown/reclaimed container the
-    /// typed [`StoreError::MissingContainer`] — never a panic or a silent
-    /// no-op.
-    pub fn migrate(&mut self, cid: ContainerId, target_node: usize) -> Result<Secs, StoreError> {
-        self.check_node(target_node)?;
-        let source = self
-            .locate(cid)
-            .ok_or(StoreError::MissingContainer { container: cid })?;
-        if source == target_node {
-            return Ok(0.0);
-        }
-        let stored = self.nodes[source]
-            .containers
-            .remove(&cid.raw())
-            .ok_or(StoreError::MissingContainer { container: cid })?;
-        let image = self.image_bytes(&stored.container);
-        let mut cost = self.nodes[source].disk.rand_read(image);
-        cost += self.nodes[target_node].disk.seq_write(self.container_bytes);
-        // Migrated containers keep their ID; the node mapping for migrated
-        // containers is overridden by presence.
-        self.nodes[target_node].containers.insert(cid.raw(), stored);
-        Ok(cost)
-    }
-
-    /// Locate a container's first copy in failover order (replica ring,
-    /// then migrated copies).
+    /// Locate a container's first copy in failover order (its replica
+    /// ring, primary first).
     pub fn locate(&self, cid: ContainerId) -> Option<usize> {
         self.holders(cid).into_iter().next()
     }
@@ -1433,13 +1396,13 @@ impl ChunkRepository {
     /// Repair/scrub one node back to full replication.
     ///
     /// A **down** node is repaired by replacing its disk: every copy it
-    /// must hold (its share of each replica set, plus copies migrated onto
-    /// it) is re-replicated from a surviving healthy source. An **up**
-    /// node is scrubbed in place: clean copies are kept, missing or
-    /// damaged ones recopied. Each recopy charges one container read on
-    /// the source and one sequential write on the repaired node; the
-    /// returned cost is the sum (the scrub is a background serial pass and
-    /// consumes no armed fault plans, like [`ChunkRepository::migrate`]).
+    /// must hold (its share of each replica set) is re-replicated from a
+    /// surviving healthy source. An **up** node is scrubbed in place:
+    /// clean copies are kept, missing or damaged ones recopied. Each
+    /// recopy charges one container read on the source and one sequential
+    /// write on the repaired node; the returned cost is the sum (the scrub
+    /// is a background serial pass and consumes no armed fault plans, like
+    /// [`ChunkRepository::delete_container`]).
     ///
     /// The pass plans before it mutates: if any needed copy has no
     /// surviving healthy source (the `R = 1` node-loss case), it returns
@@ -1450,23 +1413,15 @@ impl ChunkRepository {
             return Timed::free(Err(e));
         }
         let replace = self.nodes[node].down;
-        // What the node must hold afterwards. Reclaimed (tombstoned)
-        // containers are excluded: repair must not re-replicate — or keep
-        // — garbage-collected data, even when the node went down before
-        // the GC ran and still holds a stale copy.
-        let mut want: Vec<u64> = self.nodes[node]
-            .containers
-            .keys()
-            .copied()
-            .filter(|raw| !self.reclaimed.contains(raw))
+        // What the node must hold afterwards: its ring share of the live
+        // containers, ascending. Reclaimed (tombstoned) containers are not
+        // live: repair must not re-replicate — or keep — garbage-collected
+        // data, even when the node went down before the GC ran and still
+        // holds a stale copy.
+        let want: Vec<u64> = (self.container_ids().into_iter())
+            .filter(|&cid| self.replica_nodes(cid).contains(&node))
+            .map(|cid| cid.raw())
             .collect();
-        for cid in self.container_ids() {
-            if self.replica_nodes(cid).contains(&node) {
-                want.push(cid.raw());
-            }
-        }
-        want.sort_unstable();
-        want.dedup();
         // Plan first, mutate after.
         let mut plan: Vec<(u64, usize)> = Vec::new();
         for &raw in &want {
@@ -1558,10 +1513,8 @@ impl ChunkRepository {
                 }
             }
             // Repair corrupt copies in place from a clean source; then
-            // top the container back up to its replication factor if ring
-            // copies are missing (a node silently lost one). The
-            // healthy-copy guard keeps scrub from undoing defragmentation:
-            // a migrated copy is not "missing" while replication is met.
+            // recopy the ring copies that are missing (a node silently
+            // lost one).
             for node in bad {
                 let Some(src) = self.healthy_source(cid, node) else {
                     report.unrecoverable += 1;
@@ -1579,9 +1532,6 @@ impl ChunkRepository {
                 .filter(|&n| !self.nodes[n].down && !self.nodes[n].containers.contains_key(&raw))
                 .collect();
             for node in missing {
-                if self.healthy_copies(cid) >= self.replication {
-                    break;
-                }
                 let Some(src) = self.healthy_source(cid, node) else {
                     continue;
                 };
@@ -1835,20 +1785,13 @@ mod tests {
         assert_eq!(scrub.cost, node0 + disk.seq_write_cost(1 << 20));
 
         // Repairing a replaced disk recopies every copy it held the same
-        // way, and a migration reads the image too.
+        // way.
         r.set_node_down(1).expect("node");
         let repair = r.repair_node(1);
         assert_eq!(repair.value.expect("sources").recopied, 2);
         let copies = disk.rand_read_cost(image) + disk.seq_write_cost(1 << 20);
         let copies = copies + disk.rand_read_cost(1 << 20) + disk.seq_write_cost(1 << 20);
         assert_eq!(repair.cost, copies);
-        let mut m = repo(2);
-        let id = store_ok(&mut m, container_with(0..10));
-        let moved = m.migrate(id, 1).expect("moved");
-        assert_eq!(
-            moved,
-            disk.rand_read_cost(image) + disk.seq_write_cost(1 << 20)
-        );
     }
 
     #[test]
@@ -2013,41 +1956,6 @@ mod tests {
         let t = repo_r(3, 2).store(container_with(0..2));
         let single = repo(3).store(container_with(0..2));
         assert_eq!(t.cost, single.cost);
-    }
-
-    #[test]
-    fn migrate_moves_and_read_anywhere_finds() {
-        let mut r = repo(3);
-        let id = store_ok(&mut r, container_with(0..4)); // node 0
-        let cost = r.migrate(id, 2).expect("exists");
-        assert!(cost > 0.0);
-        assert_eq!(r.locate(id), Some(2));
-        // The home node no longer has it: both reads follow the copy.
-        let got = r
-            .read(id)
-            .value
-            .expect("no fault")
-            .expect("found after migration");
-        assert_eq!(got.len(), 4);
-        let metas = r
-            .read_metas(id)
-            .value
-            .expect("no fault")
-            .expect("metadata found after migration");
-        assert_eq!(metas, got.fingerprints().collect::<Vec<_>>());
-        // Self-migration is free.
-        assert_eq!(r.migrate(id, 2), Ok(0.0));
-        // Unknown container and out-of-range target are typed, not
-        // panics or silent no-ops.
-        let ghost = ContainerId::new(123);
-        assert_eq!(
-            r.migrate(ghost, 0),
-            Err(StoreError::MissingContainer { container: ghost })
-        );
-        assert_eq!(
-            r.migrate(id, 9),
-            Err(StoreError::UnknownNode { node: 9, nodes: 3 })
-        );
     }
 
     #[test]
@@ -2717,7 +2625,7 @@ mod tests {
     }
 
     #[test]
-    fn scrub_rebuilds_missing_ring_copies_without_undoing_migration() {
+    fn scrub_rebuilds_missing_ring_copies() {
         let mut r = repo_r(3, 2);
         let id = store_ok(&mut r, container_with(0..4)); // ring {0, 1}
                                                          // Node 1 silently loses its copy.
@@ -2727,15 +2635,17 @@ mod tests {
         assert_eq!(report.corrupt_found, 0);
         assert_eq!(report.repaired, 1, "missing ring copy re-replicated");
         assert!(r.under_replicated().is_empty());
-        // A migrated R=1 container is NOT "missing" from its ring node:
-        // scrub must not duplicate it back.
-        let mut m = repo(3);
-        let mid = store_ok(&mut m, container_with(0..4)); // node 0
-        m.migrate(mid, 2).expect("in range");
-        let report = m.scrub_all().value;
-        assert_eq!(report.copies_checked, 1);
-        assert_eq!(report.repaired, 0, "replication met: no resurrection");
-        assert_eq!(m.locate(mid), Some(2), "migrated copy stays put");
+    }
+
+    /// Every resident copy sits on its container's replica ring: what
+    /// `holders`, `repair_node` and scrub rest on.
+    fn assert_copies_on_rings(r: &ChunkRepository, step: &str) {
+        for (n, node) in r.nodes.iter().enumerate() {
+            for &raw in node.containers.keys() {
+                let ring = r.replica_nodes(ContainerId::new(raw));
+                assert!(ring.contains(&n), "{step}: {raw} on {n}, not {ring:?}");
+            }
+        }
     }
 
     #[test]
@@ -2744,13 +2654,16 @@ mod tests {
         for i in 0..5u64 {
             store_ok(&mut r, container_with(i * 2..i * 2 + 2));
         }
+        assert_copies_on_rings(&r, "store");
         r.set_node_down(1).expect("in range");
         let first = r.repair_node(1).value.expect("repairable");
         assert!(first.recopied > 0);
+        assert_copies_on_rings(&r, "repair of a down node");
         let counts: Vec<usize> = r.nodes().iter().map(|n| n.container_count()).collect();
         let stats = r.stats();
         // Second repair: same scan, zero recopies, identical state.
         let second = r.repair_node(1).value.expect("still repairable");
+        assert_copies_on_rings(&r, "repair of an up node");
         assert_eq!(second.scanned, first.scanned);
         assert_eq!(second.recopied, 0, "repair is idempotent");
         assert_eq!(
@@ -2765,9 +2678,20 @@ mod tests {
         // including after GC reclaimed containers (no resurrection).
         let a = r.container_ids()[0];
         r.delete_container(a).expect("live");
+        assert_copies_on_rings(&r, "delete");
         let report = r.scrub_all().value;
         assert_eq!(report.corrupt_found, 0);
         assert_eq!(report.repaired, 0);
         assert!(!r.contains(a), "scrub does not resurrect reclaimed ids");
+        // A scrub that repairs a corrupt copy and a missing one writes
+        // both back onto their rings.
+        let ids = r.container_ids();
+        r.set_damage(ids[0], Some(Damage::BitFlip)).expect("live");
+        let lost = ids[1];
+        let holder = r.replica_nodes(lost)[1];
+        r.nodes[holder].containers.remove(&lost.raw());
+        let report = r.scrub_all().value;
+        assert_eq!((report.corrupt_found, report.repaired), (1, 2));
+        assert_copies_on_rings(&r, "scrub repairs");
     }
 }

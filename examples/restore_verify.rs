@@ -1,21 +1,18 @@
-//! Restore-path deep dive: disaster-recovery drill with defragmentation.
+//! Restore-path deep dive: a disaster-recovery drill.
 //!
 //! Backs up ten mutating versions of a file tree, simulates losing the
-//! client data, restores the latest version with SHA-1 verification of
-//! every chunk, then shows the §6.3 defragmentation extension re-aggregating
-//! a job's containers onto one storage node to improve future restores.
+//! client data, and restores the latest version with SHA-1 verification of
+//! every chunk.
 //!
 //! Run: `cargo run --release --example restore_verify`
 
 use debar::simio::throughput::human_bytes;
-use debar::store::defrag::defragment;
 use debar::workload::files::{FileTreeConfig, FileTreeGen, MutationConfig};
 use debar::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
-use std::collections::HashSet;
 
 fn main() {
     let mut cfg = DebarConfig::single_server_scaled(2048);
-    cfg.repo_nodes = 4; // spread containers, so defrag has work to do
+    cfg.repo_nodes = 4;
     let mut cluster = DebarCluster::new(cfg);
     let job = cluster.define_job("project-tree", ClientId(0));
 
@@ -66,49 +63,4 @@ fn main() {
         "byte totals match the client's original copy ({})",
         human_bytes(expect)
     );
-
-    // --- §6.3 defragmentation: aggregate this job's containers. ---
-    // Collect the containers the job's latest version lives in.
-    let record = cluster
-        .director
-        .metadata
-        .run(latest)
-        .expect("run recorded")
-        .clone();
-    let mut cids = HashSet::new();
-    for file in &record.files {
-        for fp in &file.fingerprints {
-            if let Some(cid) = cluster.resolve(fp) {
-                cids.insert(cid);
-            }
-        }
-    }
-    let cids: Vec<_> = {
-        let mut v: Vec<_> = cids.into_iter().collect();
-        v.sort();
-        v
-    };
-    let spread_before: HashSet<_> = cids
-        .iter()
-        .filter_map(|&c| cluster.repository().locate(c))
-        .collect();
-    // Defragment on a scratch copy of the repository state.
-    let mut repo = cluster.repository().clone();
-    let t = defragment(&mut repo, &cids).expect("every referenced container exists");
-    println!(
-        "\ndefragmentation: v10 spanned {} containers on {} nodes -> {} node(s), \
-         {} containers migrated ({:.2}s virtual I/O)",
-        cids.len(),
-        spread_before.len(),
-        t.value.nodes_after,
-        t.value.migrated,
-        t.cost,
-    );
-    for &cid in &cids {
-        assert!(
-            repo.read(cid).value.expect("clean read").is_some(),
-            "container lost by defrag"
-        );
-    }
-    println!("all containers intact after migration");
 }

@@ -57,7 +57,7 @@ pub use debar_workload as workload;
 pub use debar_core::{
     CapReport, ChunkedFile, ClientId, Dataset, DebarCluster, DebarConfig, DebarError, DebarResult,
     Dedup1Report, Dedup2Phase, Dedup2Report, DedupMode, Device, FileContent, FileEntry, GcReport,
-    JobId, LayoutMode, LayoutReport, RestoreReport, RunId, ServerId, StreamChunk,
+    JobId, LayoutReport, RestoreReport, RunId, ServerId, StreamChunk,
 };
 pub use debar_hash::{ContainerId, Fingerprint};
 pub use debar_simio::{FaultKind, FaultPlan, FaultSpec, InjectedFault, RetryPolicy};

@@ -21,7 +21,7 @@ use debar::hash::Sha1;
 use debar::workload::files::{FileSpec, FileTreeConfig, FileTreeGen, MutationConfig};
 use debar::{
     ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, DebarResult, Dedup2Phase,
-    DedupMode, Device, FaultPlan, JobId, LayoutMode, RestoreReport, RunId,
+    DedupMode, Device, FaultPlan, JobId, RestoreReport, RunId,
 };
 
 /// The failure kind a scenario injects (beyond plain index loss).
@@ -133,7 +133,7 @@ pub struct Scenario {
     /// The deployment. [`Scenario::tiny`] builds the default; a suite moves
     /// an axis with `DebarConfig`'s own builders ([`Scenario::with_cfg`]).
     /// What the harness makes of the axes: restore bytes must be identical
-    /// across `sweep_parts`, `store_workers`, `replication`, `layout` and
+    /// across `sweep_parts`, `store_workers`, `replication` and
     /// `dedup_mode` for the same workload; `retention > 0` adds the
     /// deletion phase — after all backups every run but the newest
     /// `retention` versions per job is expired and garbage-collected
@@ -310,28 +310,6 @@ pub fn store_workers_matrix() -> Vec<usize> {
 /// deployment's `repo_nodes`.
 pub fn replication_matrix() -> Vec<usize> {
     env_matrix("DEBAR_REPLICATION", &[1, 2])
-}
-
-/// The container-layout matrix the suites parameterize over: `{scatter,
-/// capped}` by default, overridable as a comma-separated list of layout
-/// tokens through the `DEBAR_LAYOUT` environment variable (the CI
-/// restore-matrix legs select values this way). Tokens: `scatter`, or
-/// `capped` / `capped:N` for `Capped { max_refs_per_mib: N }` (default
-/// budget 2).
-pub fn layout_matrix() -> Vec<LayoutMode> {
-    let capped = |n| LayoutMode::Capped {
-        max_refs_per_mib: n,
-    };
-    env_tokens(
-        "DEBAR_LAYOUT",
-        "scatter|capped|capped:N",
-        vec![LayoutMode::Scatter, capped(2)],
-        |name, n| match (name, n) {
-            ("scatter", None) => Some(LayoutMode::Scatter),
-            ("capped", n) => Some(capped(n.unwrap_or(2))),
-            _ => None,
-        },
-    )
 }
 
 /// The dedup-mode matrix the suites parameterize over: `{OutOfLine,
@@ -1074,11 +1052,9 @@ pub fn assert_equivalent(base: &Outcome, other: &Outcome, label: &str) {
     assert_same_dedup(base, other, label);
 }
 
-/// The cross-**layout** comparison: `Capped` re-materializes duplicate
-/// chunks into fresh containers, so index digests, stored bytes and
-/// physical bytes legitimately diverge from `Scatter` — but the restored
-/// byte streams must be identical, chunk for chunk. This pins exactly
-/// the layout-invariant half of a scenario's outcome.
+/// The restore half of [`assert_same_dedup`]: the same workload restores
+/// the same bytes, run for run and file for file, cleanly, from the same
+/// number of index entries.
 pub fn assert_same_restore(base: &Outcome, other: &Outcome, label: &str) {
     assert_eq!(
         base.logical_bytes, other.logical_bytes,
@@ -1096,7 +1072,7 @@ pub fn assert_same_restore(base: &Outcome, other: &Outcome, label: &str) {
     assert_eq!(other.verify_failures, 0, "{label}: verify failures");
     assert_eq!(
         base.index_entries, other.index_entries,
-        "{label}: entries (a rewrite repoints them, it must never add or drop any)"
+        "{label}: index entries"
     );
 }
 

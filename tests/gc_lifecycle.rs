@@ -32,7 +32,7 @@ use debar::hash::Sha1;
 use debar::workload::ChunkRecord;
 use debar::{
     ClientId, ContainerId, Dataset, DebarCluster, DebarConfig, DebarError, Device, FaultPlan,
-    JobId, LayoutMode, RunId,
+    JobId, RunId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -355,71 +355,6 @@ fn node_loss_mid_collection_aborts_typed_and_repair_redo_converges() {
         .expect("degraded-then-repaired restore");
     assert_eq!(rd.bytes, rc.bytes, "retained run diverged after repair");
     assert_eq!(rd.failures, 0);
-}
-
-#[test]
-fn capped_superseded_copies_reclaim_without_any_expiry() {
-    // Rewrite-on-backup capping leaves superseded chunk copies behind in
-    // the old scattered containers. Those copies are dead *without any
-    // run expiring* — every fingerprint still lives, just elsewhere — so
-    // a collection with zero dead fingerprints must still drain the
-    // capping queue, reclaim exactly `replication × dead copy bytes`,
-    // and leave every generation restoring clean. At R=2 both replicas
-    // of each superseded copy are freed.
-    let mut c = DebarCluster::new(DebarConfig::tiny_test(0).with_replication(2).with_layout(
-        LayoutMode::Capped {
-            max_refs_per_mib: 1,
-        },
-    ));
-    let job = c.define_job("churn", ClientId(0));
-    const GENS: u32 = 6;
-    for g in 0..GENS as u64 {
-        // Slot i carries the newest content of its churn slice: late
-        // generations reference many past generations' containers, which
-        // trips the cap and supersedes the scattered copies.
-        let recs: Vec<ChunkRecord> = (0..600u64)
-            .map(|i| {
-                let gp = g.saturating_sub((g + 12 - i % 12) % 12);
-                if gp >= 1 {
-                    ChunkRecord::of_counter(1_000_000 * gp + i)
-                } else {
-                    ChunkRecord::of_counter(i)
-                }
-            })
-            .collect();
-        c.backup(job, &Dataset::from_records("s", recs))
-            .expect("backup");
-        c.run_dedup2().expect("dedup2");
-    }
-    c.force_siu().expect("siu");
-    let phys_before = c.repository().physical_data_bytes();
-    let rep = c.run_gc().expect("gc");
-    assert_eq!(rep.dead_fps, 0, "no run expired: every fingerprint lives");
-    assert!(
-        rep.superseded_containers > 0,
-        "the churn history must have superseded containers to drain"
-    );
-    assert!(rep.dead_chunk_bytes > 0, "superseded copies are dead bytes");
-    assert_eq!(
-        rep.net_physical_reclaimed(),
-        2 * rep.dead_chunk_bytes,
-        "reclaim exactness must hold for copy-death too"
-    );
-    assert_eq!(
-        phys_before - c.repository().physical_data_bytes(),
-        rep.net_physical_reclaimed(),
-        "physical delta must match the report"
-    );
-    for g in 0..GENS {
-        let r = c.restore_run(RunId { job, version: g }).expect("restore");
-        assert_eq!(r.failures, 0, "gen {g} after reclaim");
-    }
-    let rep2 = c.run_gc().expect("idempotent gc");
-    assert_eq!(
-        (rep2.superseded_containers, rep2.containers_deleted),
-        (0, 0),
-        "immediate re-collection must find nothing"
-    );
 }
 
 #[test]

@@ -1,41 +1,33 @@
-//! The restore-layout scenario family (ROADMAP: restore-optimized
-//! layout): fragmentation telemetry and rewrite-on-backup container
-//! capping, end to end.
+//! The restore-layout scenario family: what the paper's layout costs a
+//! restore, end to end.
 //!
-//! Three properties are pinned:
+//! Out-of-line dedup leaves every duplicate in the container that first
+//! stored it, so each generation of a churning job reads from more of
+//! them. Two properties are pinned:
 //!
-//! 1. **Byte-identical restores across layouts** — the same churn
-//!    history under `Scatter` and `Capped` restores the same bytes and
-//!    chunks at every generation; capping moves only *where* chunks
-//!    live, never what a restore streams back.
-//! 2. **Bounded fragmentation** — under `Scatter` the latest
-//!    generation's containers-per-MiB grows with the generation count
-//!    while its mean run length collapses toward 1; under `Capped` both
-//!    stay bounded, and the latest-generation restore touches fewer
-//!    containers than its scattered twin.
-//!    And a restore **reads its recipe**: a recipe that cycles over one
-//!    container more than the cache holds — the layout LRU cannot serve
-//!    at all — costs about one fetch per cache-full of visits.
-//! 3. **GC-visible rewrites** — the harness lifecycle (expiry, NotQuiesced
-//!    refusal, reclaim exactness `net = replication × dead bytes`,
-//!    idempotent re-collection) holds verbatim under `Capped`, across
-//!    the sweep-partition matrix, with superseded scattered copies
-//!    reclaimed rather than leaked.
+//! 1. **Fragmentation grows and is measured** — the latest generation's
+//!    containers-per-MiB grows with the generation count while its mean
+//!    run length collapses toward 1, as every restore reports in
+//!    `RestoreReport::layout`.
+//! 2. **A restore reads its recipe** — a recipe that cycles over one
+//!    container more than the cache holds, which LRU cannot serve at all,
+//!    costs about one fetch per cache-full of visits; and a walk that
+//!    evicts is held back by its cache alone.
 
 mod common;
 
-use common::{assert_equivalent, run_scenario, sweep_parts_matrix, within_lanes, Scenario};
+use common::within_lanes;
 use debar::hash::{ContainerId, Fingerprint};
 use debar::store::LpcCache;
 use debar::workload::drift::{churn, records};
-use debar::{ClientId, Dataset, DebarCluster, DebarConfig, JobId, LayoutMode, RunId};
+use debar::{ClientId, Dataset, DebarCluster, DebarConfig, JobId, RunId};
 
 const N: u64 = 600;
 const K: u64 = 12;
 const GENS: u64 = 10;
 
-fn drive(layout: LayoutMode) -> (DebarCluster, JobId) {
-    let mut c = DebarCluster::new(DebarConfig::tiny_test(0).with_layout(layout));
+fn drive() -> (DebarCluster, JobId) {
+    let mut c = DebarCluster::new(DebarConfig::tiny_test(0));
     let job = c.define_job("churn", ClientId(0));
     for g in 0..GENS {
         c.backup(job, &Dataset::from_records("s", churn(g, N, K)))
@@ -47,76 +39,8 @@ fn drive(layout: LayoutMode) -> (DebarCluster, JobId) {
 }
 
 #[test]
-fn capped_restores_byte_identical_and_defragmented() {
-    let (mut scatter, sj) = drive(LayoutMode::Scatter);
-    let (mut capped, cj) = drive(LayoutMode::Capped {
-        max_refs_per_mib: 1,
-    });
-    for g in 0..GENS {
-        let s = scatter
-            .restore_run(RunId {
-                job: sj,
-                version: g as u32,
-            })
-            .expect("scatter restore");
-        let c = capped
-            .restore_run(RunId {
-                job: cj,
-                version: g as u32,
-            })
-            .expect("capped restore");
-        assert_eq!(s.failures, 0, "gen {g}");
-        assert_eq!(c.failures, 0, "gen {g}");
-        assert_eq!(
-            (s.bytes, s.chunks),
-            (c.bytes, c.chunks),
-            "gen {g}: capping must not change what a restore streams back"
-        );
-        // The telemetry is self-consistent on both layouts.
-        for (label, r) in [("scatter", &s), ("capped", &c)] {
-            assert_eq!(r.layout.chunks, r.chunks, "gen {g} {label}");
-            assert_eq!(r.layout.bytes, r.bytes, "gen {g} {label}");
-            assert!(r.layout.containers_touched > 0, "gen {g} {label}");
-        }
-    }
-    // Latest generation: capping must have bought locality.
-    let s = scatter
-        .restore_run(RunId {
-            job: sj,
-            version: (GENS - 1) as u32,
-        })
-        .expect("scatter restore");
-    let c = capped
-        .restore_run(RunId {
-            job: cj,
-            version: (GENS - 1) as u32,
-        })
-        .expect("capped restore");
-    assert!(
-        c.layout.containers_touched < s.layout.containers_touched,
-        "capped latest gen touches {} containers, scatter {}",
-        c.layout.containers_touched,
-        s.layout.containers_touched
-    );
-    assert!(
-        c.layout.mean_run_length() > s.layout.mean_run_length(),
-        "capped run length {} must beat scatter {}",
-        c.layout.mean_run_length(),
-        s.layout.mean_run_length()
-    );
-    // And the dedup-ratio cost is visible: capping stored strictly more.
-    assert!(
-        capped.repository().physical_data_bytes() > scatter.repository().physical_data_bytes(),
-        "rewrites must cost physical bytes"
-    );
-}
-
-#[test]
-fn scatter_fragmentation_grows_with_generations_capped_stays_bounded() {
-    let (mut scatter, sj) = drive(LayoutMode::Scatter);
-    let (mut capped, cj) = drive(LayoutMode::Capped {
-        max_refs_per_mib: 1,
-    });
+fn scatter_fragmentation_grows_with_generations() {
+    let (mut scatter, sj) = drive();
     let probe = |c: &mut DebarCluster, job: JobId, g: u64| {
         c.restore_run(RunId {
             job,
@@ -141,118 +65,6 @@ fn scatter_fragmentation_grows_with_generations_capped_stays_bounded() {
         s9.mean_run_length(),
         s0.mean_run_length()
     );
-    let c0 = probe(&mut capped, cj, 0);
-    let c9 = probe(&mut capped, cj, GENS - 1);
-    assert!(
-        c9.containers_per_mib() <= 1.5 * c0.containers_per_mib().max(1.0),
-        "capped read amplification must stay bounded: \
-         gen0 {:.2}/MiB vs gen{} {:.2}/MiB",
-        c0.containers_per_mib(),
-        GENS - 1,
-        c9.containers_per_mib()
-    );
-    assert!(
-        c9.containers_per_mib() < s9.containers_per_mib(),
-        "at the latest generation capped ({:.2}/MiB) must beat scatter ({:.2}/MiB)",
-        c9.containers_per_mib(),
-        s9.containers_per_mib()
-    );
-}
-
-#[test]
-fn cap_report_surfaces_rewrite_traffic() {
-    let (mut c, job) = {
-        let mut c = DebarCluster::new(DebarConfig::tiny_test(0).with_layout(LayoutMode::Capped {
-            max_refs_per_mib: 1,
-        }));
-        let job = c.define_job("churn", ClientId(0));
-        (c, job)
-    };
-    let mut rewritten_runs = 0u64;
-    let mut rewritten_bytes = 0u64;
-    for g in 0..GENS {
-        c.backup(job, &Dataset::from_records("s", churn(g, N, K)))
-            .expect("backup");
-        let d2 = c.run_dedup2().expect("dedup2");
-        assert_eq!(d2.cap.runs_examined, 1, "gen {g}: one run per round");
-        rewritten_runs += d2.cap.runs_rewritten;
-        rewritten_bytes += d2.cap.bytes_rewritten;
-        if d2.cap.runs_rewritten > 0 {
-            assert!(
-                d2.cap.containers_superseded > 0 && d2.cap.chunks_rewritten > 0,
-                "gen {g}: a rewrite must supersede old containers"
-            );
-        }
-    }
-    assert!(
-        rewritten_runs > 0 && rewritten_bytes > 0,
-        "the churn history must trip the cap at least once"
-    );
-    // Scatter never rewrites: its cap report is identically zero.
-    let mut s = DebarCluster::new(DebarConfig::tiny_test(0));
-    let sj = s.define_job("churn", ClientId(0));
-    for g in 0..3 {
-        s.backup(sj, &Dataset::from_records("s", churn(g, N, K)))
-            .expect("backup");
-        let d2 = s.run_dedup2().expect("dedup2");
-        assert_eq!(
-            (
-                d2.cap.runs_examined,
-                d2.cap.runs_rewritten,
-                d2.cap.bytes_rewritten
-            ),
-            (0, 0, 0),
-            "gen {g}: Scatter must never engage the cap pass"
-        );
-    }
-}
-
-#[test]
-fn capped_lifecycle_holds_across_sweep_parts_with_gc() {
-    // The full harness lifecycle under Capped with retention: expiry,
-    // NotQuiesced refusal while staged, reclaim exactness (the superseded
-    // scattered copies are part of the dead bytes and reclaim exactly),
-    // idempotent re-collection, byte-identical retained restores — and
-    // the whole outcome is identical across sweep striping.
-    let layout = LayoutMode::Capped {
-        max_refs_per_mib: 2,
-    };
-    let mut outs = Vec::new();
-    for parts in sweep_parts_matrix() {
-        let out = run_scenario(
-            &Scenario::tiny("rl-gc", 0, parts)
-                .with_cfg(|c| c.with_layout(layout).with_retention(1)),
-        );
-        assert_eq!(out.restore_failures, 0, "parts={parts}");
-        assert_eq!(out.verify_failures, 0, "parts={parts}");
-        assert!(out.gc_reclaimed > 0, "parts={parts}: nothing reclaimed");
-        if let Some((p0, base)) = outs.first() {
-            assert_equivalent(
-                base,
-                &out,
-                &format!("rl-gc: parts={parts} vs parts={p0} diverged"),
-            );
-        }
-        outs.push((parts, out));
-    }
-}
-
-#[test]
-fn capped_multi_server_restores_clean() {
-    // The rewrite pass repoints fingerprints across *owning servers*
-    // (chunks of one run route by fingerprint bits): a 2-server capped
-    // history must stay clean end to end, with replication crossed in.
-    for r in [1usize, 2] {
-        let out = run_scenario(&Scenario::tiny("rl-w1", 1, 2).with_cfg(|c| {
-            c.with_layout(LayoutMode::Capped {
-                max_refs_per_mib: 2,
-            })
-            .with_replication(r)
-        }));
-        assert_eq!(out.restore_failures, 0, "r={r}");
-        assert_eq!(out.verify_failures, 0, "r={r}");
-        assert_eq!(out.restored_bytes, out.logical_bytes, "r={r}");
-    }
 }
 
 #[test]

@@ -8,8 +8,8 @@
 mod common;
 
 use common::{
-    assert_equivalent, assert_same_dedup, assert_same_restore, layout_matrix, replication_matrix,
-    run_scenario, store_workers_matrix, sweep_parts_matrix, Scenario,
+    assert_equivalent, assert_same_dedup, replication_matrix, run_scenario, store_workers_matrix,
+    sweep_parts_matrix, Scenario,
 };
 use debar::workload::files::FileSpec;
 use debar::{ClientId, Dataset, DebarConfig, RunId};
@@ -181,32 +181,6 @@ fn synchronous_and_async_siu_agree_under_striping() {
             }),
         );
         assert_equivalent(&lazy1, &lazy, &format!("async-siu parts={parts}"));
-    }
-}
-
-#[test]
-fn layout_matrix_restores_byte_identical_across_layouts() {
-    // The container-layout axis: `Capped` re-materializes scattered
-    // duplicates into fresh containers, which legitimately moves stored
-    // bytes, container IDs and index cid columns — but the restored byte
-    // streams must match `Scatter` exactly, and within one layout the
-    // outcome must stay byte-identical across sweep striping (the rewrite
-    // pass is deterministic). Crossed with replication for the capped
-    // mode, since rewrites store through the same replicated path.
-    let base = run_scenario(&Scenario::tiny("sm-l", 0, 1));
-    for layout in layout_matrix() {
-        let one = run_scenario(&Scenario::tiny("sm-l", 0, 1).with_cfg(|c| c.with_layout(layout)));
-        assert_same_restore(&base, &one, &format!("{layout:?} vs scatter"));
-        let striped =
-            run_scenario(&Scenario::tiny("sm-l", 0, 4).with_cfg(|c| c.with_layout(layout)));
-        assert_equivalent(&one, &striped, &format!("{layout:?} parts=4"));
-        for r in replication_matrix().into_iter().filter(|&r| r != 1) {
-            let replicated = run_scenario(
-                &Scenario::tiny("sm-l", 0, 1)
-                    .with_cfg(|c| c.with_layout(layout).with_replication(r)),
-            );
-            assert_equivalent(&one, &replicated, &format!("{layout:?} replication={r}"));
-        }
     }
 }
 
