@@ -3,11 +3,19 @@
 //! the paper's archival setting implies (bounded retention over an
 //! ever-growing version chain) but never measures.
 //!
-//! Workload: `J` jobs, each backing up `G` generations of a sliding
-//! content window (consecutive generations share most chunks; each
-//! generation retires a fixed shift of old ones). After the history is
-//! quiesced, all but the newest `retention` generations per job are
-//! expired and one `run_gc` reclaims them. Four laws are asserted:
+//! Workload (`history = sliding`): `J` jobs, each backing up `G`
+//! generations of a sliding content window (consecutive generations share
+//! most chunks; each generation retires a fixed shift of old ones). After
+//! the history is quiesced, all but the newest `retention` generations per
+//! job are expired and one `run_gc` reclaims them. Those collections are
+//! mostly deletes: a few victims hold survivors. The last row
+//! (`history = every_other_run`) is survivor-heavy: a second job keeps
+//! every other run of 24 chunks of the first one's stream, and the first
+//! job's run is deleted, so every victim moves half its bytes — the
+//! compaction whose reads, output writes and frees share the repository
+//! nodes (`busiest_node_s`: the busiest node's busy seconds in the
+//! collection; `gc_wall_s` adds the index sweeps to the nodes' makespan).
+//! Four laws are asserted:
 //!
 //! 1. **Reclaim exactness** — the repository's physical-byte delta is
 //!    exactly `replication × dead_chunk_bytes` (the report agrees), and
@@ -22,7 +30,9 @@
 //!    (container_bytes − largest chunk)⌉` of them (an output is sealed only
 //!    by a chunk that does not fit), not one per compacted victim.
 //!
-//! Every retained run must still verify with zero failures after the
+//! Every collection keeps laws 1 and 4 and takes no less than its busiest
+//! node's busy time; laws 2 and 3 compare the sliding points. Every
+//! retained run must still verify with zero failures after the
 //! collection. Writes `BENCH_gc.json` into the workspace root and
 //! prints the table. Run:
 //!
@@ -37,21 +47,92 @@
 use debar_bench::table::{Cell, Table};
 use debar_core::{Dataset, DebarCluster, DebarConfig, GcReport, RunId};
 use debar_simio::throughput::mibps;
+use debar_simio::Secs;
 use debar_workload::drift::records;
+use debar_workload::ChunkRecord;
 
 const JOBS: u64 = 2;
 const GENERATIONS: u64 = 4;
 const RETENTION: u32 = 1;
+/// The survivor-heavy history keeps every other run of this many chunks.
+const RUN: usize = 24;
+
+/// What one collection did: the report, the containers it wrote, how full
+/// they are, and the busiest repository node's busy seconds in it.
+struct Collected {
+    rep: GcReport,
+    written: u64,
+    fill: f64,
+    busiest_node_s: Secs,
+}
+
+/// Collect `c` and assert the laws every collection keeps: reclaim
+/// exactness (law 1), idempotence, packed outputs (law 4) and a wall no
+/// shorter than the busiest node's share of it.
+fn collect(c: &mut DebarCluster, replication: usize, largest_chunk: u64) -> Collected {
+    let node_busy = |c: &DebarCluster| -> Vec<Secs> {
+        (c.repository().nodes().iter())
+            .map(|n| n.disk_stats().busy_s)
+            .collect()
+    };
+    let container_bytes = c.config().container_bytes;
+    let phys_before = c.repository().physical_data_bytes();
+    let stored_before = c.repository().stats().containers;
+    let busy_before = node_busy(c);
+    let rep = c.run_gc().expect("gc");
+    let phys_after = c.repository().physical_data_bytes();
+    let written = c.repository().stats().containers - stored_before;
+    let busiest_node_s = (node_busy(c).iter().zip(&busy_before))
+        .map(|(after, before)| after - before)
+        .fold(0.0, f64::max);
+
+    // Law 1: exactness, and idempotence of the follow-up collection.
+    assert_eq!(
+        phys_before - phys_after,
+        rep.net_physical_reclaimed(),
+        "physical delta must match the GC report"
+    );
+    assert_eq!(
+        rep.net_physical_reclaimed(),
+        replication as u64 * rep.dead_chunk_bytes,
+        "GC must reclaim replication x dead bytes exactly"
+    );
+    assert!(rep.dead_fps > 0, "the history must kill chunks");
+    assert!(
+        rep.wall >= busiest_node_s,
+        "the nodes work side by side, never faster than the busiest"
+    );
+    let rep2 = c.run_gc().expect("idempotent gc");
+    assert_eq!(rep2.dead_fps, 0, "re-collection must find nothing");
+
+    // Law 4: outputs are packed across victims, each sealed only by a
+    // chunk that did not fit.
+    let moved_bytes = rep.stored_physical_bytes / replication as u64;
+    assert!(rep.containers_compacted > 1, "nothing to pack");
+    assert!(
+        written <= moved_bytes.div_ceil(container_bytes - largest_chunk),
+        "{written} outputs for {moved_bytes} moved bytes"
+    );
+    let fill = moved_bytes as f64 / (written * container_bytes) as f64;
+    Collected {
+        rep,
+        written,
+        fill,
+        busiest_node_s,
+    }
+}
+
+/// The scaled deployment of one point.
+fn config(parts: usize, replication: usize, denom: u64) -> DebarConfig {
+    let cfg = DebarConfig::striped_scaled(parts, denom).with_replication(replication);
+    cfg.validate();
+    cfg
+}
 
 /// Drive one generational history to quiescence, expire everything
-/// outside the retention window, collect, and assert the reclaim laws.
-/// Returns the report, the containers the collection wrote and how full
-/// they are.
-fn gc_point(parts: usize, replication: usize, denom: u64) -> (GcReport, u64, f64) {
-    let cfg = DebarConfig::striped_scaled(parts, denom)
-        .with_replication(replication)
-        .with_retention(RETENTION);
-    cfg.validate();
+/// outside the retention window and collect.
+fn gc_point(parts: usize, replication: usize, denom: u64) -> Collected {
+    let cfg = config(parts, replication, denom).with_retention(RETENTION);
     let n = cfg.cache_fps() as u64;
     let shift = n / 4; // chunks each generation retires
     let mut c = DebarCluster::new(cfg);
@@ -77,37 +158,7 @@ fn gc_point(parts: usize, replication: usize, denom: u64) -> (GcReport, u64, f64
         JOBS * (GENERATIONS - RETENTION as u64),
         "expiry must retire every pre-window generation"
     );
-    let phys_before = c.repository().physical_data_bytes();
-    let stored_before = c.repository().stats().containers;
-    let rep = c.run_gc().expect("gc");
-    let phys_after = c.repository().physical_data_bytes();
-    let written = c.repository().stats().containers - stored_before;
-
-    // Law 1: exactness, and idempotence of the follow-up collection.
-    assert_eq!(
-        phys_before - phys_after,
-        rep.net_physical_reclaimed(),
-        "physical delta must match the GC report"
-    );
-    assert_eq!(
-        rep.net_physical_reclaimed(),
-        replication as u64 * rep.dead_chunk_bytes,
-        "GC must reclaim replication x dead bytes exactly"
-    );
-    assert!(rep.dead_fps > 0, "the sliding window must kill chunks");
-    assert!(rep.wall > 0.0, "a collection charges real I/O");
-    let rep2 = c.run_gc().expect("idempotent gc");
-    assert_eq!(rep2.dead_fps, 0, "re-collection must find nothing");
-
-    // Law 4: outputs are packed across victims, each sealed only by a
-    // chunk that did not fit.
-    let moved_bytes = rep.stored_physical_bytes / replication as u64;
-    assert!(rep.containers_compacted > 1, "nothing to pack");
-    assert!(
-        written <= moved_bytes.div_ceil(cfg.container_bytes - largest_chunk),
-        "{written} outputs for {moved_bytes} moved bytes"
-    );
-    let fill = moved_bytes as f64 / (written * cfg.container_bytes) as f64;
+    let point = collect(&mut c, replication, largest_chunk);
 
     // Retained generations still verify with zero failures.
     for (j, &job) in jobs.iter().enumerate() {
@@ -120,8 +171,35 @@ fn gc_point(parts: usize, replication: usize, denom: u64) -> (GcReport, u64, f64
             assert_eq!(r.failures, 0, "job {j} v{v} damaged by the collection");
         }
     }
+    point
+}
 
-    (rep, written, fill)
+/// The survivor-heavy history: one job backs up a stream, a second keeps
+/// every other run of [`RUN`] of its chunks, and the first job's run is
+/// deleted — so every container of it is a victim half of whose bytes
+/// move, and the survivors fill many outputs.
+fn survivor_heavy_point(parts: usize, replication: usize, denom: u64) -> Collected {
+    let cfg = config(parts, replication, denom);
+    let stream = records(0..cfg.cache_fps() as u64);
+    let kept: Vec<ChunkRecord> = (stream.chunks(RUN).step_by(2).flatten().copied()).collect();
+    let largest_chunk = stream.iter().map(|r| r.len as u64).max().unwrap_or(0);
+    let mut c = DebarCluster::new(cfg);
+    let jobs = debar_bench::client_jobs(&mut c, 2);
+    for (&job, recs) in jobs.iter().zip([stream, kept]) {
+        c.backup(job, &Dataset::from_records("s", recs))
+            .expect("backup");
+        c.run_dedup2().expect("dedup2");
+    }
+    c.force_siu().expect("siu");
+    let run = |j: usize| RunId {
+        job: jobs[j],
+        version: 0,
+    };
+    c.delete_run(run(0)).expect("delete");
+    let point = collect(&mut c, replication, largest_chunk);
+    let r = c.verify_run(run(1)).expect("retained run verifies");
+    assert_eq!(r.failures, 0, "the kept runs damaged by the collection");
+    point
 }
 
 fn main() {
@@ -132,6 +210,7 @@ fn main() {
          retention {RETENTION}, denom {denom}\n"
     );
     let mut t = Table::new(&[
+        "history",
         "parts",
         "replication",
         "live_fps",
@@ -142,26 +221,35 @@ fn main() {
         "fill",
         "reclaimed_bytes",
         "gc_wall_s",
+        "busiest_node_s",
         "reclaim_mibps",
     ]);
-    let mut points: Vec<(usize, usize, GcReport)> = Vec::new();
-    for (parts, replication) in [(1usize, 1usize), (2, 1), (4, 1), (4, 1), (4, 2)] {
-        let (rep, written, fill) = gc_point(parts, replication, denom);
+    let mut row = |history: &'static str, parts: usize, replication: usize, p: &Collected| {
+        let rep = &p.rep;
         t.row(vec![
+            Cell::S(history),
             Cell::U(parts as u64),
             Cell::U(replication as u64),
             Cell::U(rep.live_fps),
             Cell::U(rep.dead_fps),
             Cell::U(rep.containers_compacted),
             Cell::U(rep.containers_deleted),
-            Cell::U(written),
-            Cell::F(fill, 3),
+            Cell::U(p.written),
+            Cell::F(p.fill, 3),
             Cell::U(rep.net_physical_reclaimed()),
             Cell::F(rep.wall, 9),
+            Cell::F(p.busiest_node_s, 9),
             Cell::F(mibps(rep.net_physical_reclaimed(), rep.wall), 2),
         ]);
-        points.push((parts, replication, rep));
+    };
+    let mut points: Vec<(usize, usize, GcReport)> = Vec::new();
+    for (parts, replication) in [(1usize, 1usize), (2, 1), (4, 1), (4, 1), (4, 2)] {
+        let p = gc_point(parts, replication, denom);
+        row("sliding", parts, replication, &p);
+        points.push((parts, replication, p.rep));
     }
+    // Outside law 2's set: another history, another dead set.
+    row("every_other_run", 1, 1, &survivor_heavy_point(1, 1, denom));
     t.print();
 
     // Law 2: partition independence of the logical outcome.
@@ -196,7 +284,10 @@ fn main() {
          index sweep divides its read/write time over the part-disks, and\n\
          compaction runs on the repository nodes side by side — each victim\n\
          read for what is live in it, the survivors packed into full\n\
-         containers."
+         containers. Where survivors are many (every_other_run), each node\n\
+         serves whatever read or write is ready and the survivors in flight\n\
+         may fill the restore cache, so the wall is the busiest node's\n\
+         busy time plus the index sweeps."
     );
 
     let json = format!(

@@ -7,8 +7,11 @@
 //! with its failover legs — so op counters, fault offsets, cache counters
 //! and every byte restored are those of a serial walk that evicts and
 //! reads as this one does (the last two rules below). What differs is
-//! **when** each device is busy. Every device is a FIFO
-//! [`debar_simio::Lane`]:
+//! **when** each device is busy. Every device is a
+//! [`debar_simio::Lane`], which serves whatever is ready; the walk offers
+//! the resolver and the send lane ready times that never decrease, and a
+//! node lane too unless a read-repair write went before, so each runs its
+//! operations in walk order:
 //!
 //! | lane | carries |
 //! |---|---|
@@ -176,7 +179,7 @@
 //! The server's clock jumps to the end of the schedule; the lanes' busy
 //! times are reported beside it ([`RestoreReport::serial_s`] is what one
 //! clock would have charged). Nothing runs concurrently — the overlap is
-//! arithmetic on `free_at`.
+//! arithmetic on the lanes' busy intervals.
 
 use super::{lookup_with_owner, DebarCluster};
 use crate::error::{DebarError, DebarResult};
@@ -271,6 +274,17 @@ impl RestoreLanes {
             t = self.nodes[node].run(t, cost);
         }
         (served, t)
+    }
+
+    /// Stream a chunk of `cost` seconds to the client once it has
+    /// `arrived` and the resolver has got to it, and after the chunk before
+    /// it: the client reads a stream, in recipe order, so the send lane is
+    /// never offered an idle interval an earlier chunk left — its `ready`
+    /// never drops below its last send's end, which makes it FIFO.
+    /// Returns when the chunk is out.
+    fn send(&mut self, arrived: Secs, cost: Secs) -> Secs {
+        let ready = self.at.max(arrived).max(self.send.free_at);
+        self.send.run(ready, cost)
     }
 
     /// When the last device falls idle.
@@ -652,9 +666,7 @@ impl RestoreWalk<'_> {
             // A chunk goes out once its own bytes are in and the resolver
             // has got to it. Its entry may have been filled later than
             // this send ends: it stays until both.
-            let sent = lanes
-                .send
-                .run(lanes.at.max(arrived), srv.nic.stream(len as u64));
+            let sent = lanes.send(arrived, srv.nic.stream(len as u64));
             cached.last_sent = cached.last_sent.max(sent);
         }
         Ok(len)
@@ -1606,13 +1618,16 @@ mod tests {
     /// devices' models: each container's first visit is an index lookup on
     /// the resolver, then a whole read of its image on its node (R = 1),
     /// the resolver walking on once the metadata section is in; every
-    /// chunk goes out in recipe order once the resolver has got to it and
-    /// it is `ready(read done, its tail)`. Returns the walk's makespan.
+    /// chunk goes out once the resolver has got to it and it is
+    /// `ready(read done, its tail)` — `in_order`, after the chunk before
+    /// it, as a stream; else wherever the send lane is idle for it.
+    /// Returns the walk's makespan.
     fn never_evicting_walk(
         cfg: &DebarConfig,
         layout: &[Stored],
         recipe: &[u64],
         ready: impl Fn(Secs, Secs) -> Secs,
+        in_order: bool,
     ) -> Secs {
         let (disk, nic) = (paper::repo_disk(), paper::server_nic());
         let lookup = paper::index_disk().rand_read_cost(cfg.bucket_bytes as u64)
@@ -1637,7 +1652,13 @@ mod tests {
             });
             let tail = disk.seq_read_cost(image.saturating_sub(ends[index]));
             let len = ChunkRecord::of_counter(counter).len as u64;
-            send.run(f64::max(at, ready(read_done, tail)), nic.stream_cost(len));
+            let ready = f64::max(at, ready(read_done, tail));
+            let ready = if in_order {
+                ready.max(send.free_at)
+            } else {
+                ready
+            };
+            send.run(ready, nic.stream_cost(len));
         }
         (nodes.iter()).fold(f64::max(at, send.free_at), |t, n| t.max(n.free_at))
     }
@@ -1703,6 +1724,49 @@ mod tests {
         assert_eq!(entry.last_sent, c.servers[0].clock.now(), "free when done");
     }
 
+    #[test]
+    fn the_client_stream_stays_in_recipe_order() {
+        // Container A holds ten chunks, container B twenty-one, its largest
+        // first; the recipe walks A, then B, then A's smallest chunk again.
+        // A's chunks are out long before B's first one is in, so the NIC
+        // idles meanwhile — long enough to send A's revisited chunk, in
+        // since A was read. A send lane that served what is ready would
+        // put it there, ahead of B, and end the walk sooner: the client
+        // reads a stream, so it goes out after B's last chunk.
+        let mut cfg = DebarConfig::tiny_test(0);
+        cfg.repo_nodes = 1;
+        let mut c = DebarCluster::new(cfg);
+        let job = c.define_job("j", ClientId(0));
+        let len = |i: &u64| ChunkRecord::of_counter(*i).len;
+        let a: Vec<u64> = (0..10).collect();
+        let mut b: Vec<u64> = (10..31).collect();
+        b.sort_by_key(|i| std::cmp::Reverse(len(i)));
+        let revisit = *a.iter().min_by_key(|i| len(i)).expect("ten chunks");
+        for (name, counters) in [("a", &a), ("b", &b)] {
+            c.backup(job, &of_counters(name, counters)).expect("backup");
+            c.run_dedup2().expect("dedup2");
+        }
+        let ids = c.repo.container_ids();
+        let layout: Vec<Stored> = vec![(ids[0], a.clone()), (ids[1], b.clone())];
+        let recipe = [a.as_slice(), b.as_slice(), &[revisit]].concat();
+        let run = next_run(&mut c, job, &of_counters("visits", &recipe));
+        c.servers[0].invalidate_read_caches();
+        let r = c.restore_run(run).expect("restore");
+        assert_eq!((r.lpc.misses, r.lpc.evictions, r.failures), (2, 0, 0));
+
+        let per_chunk = |done: Secs, tail: Secs| done - tail;
+        let stream = never_evicting_walk(&cfg, &layout, &recipe, per_chunk, true);
+        let reordered = never_evicting_walk(&cfg, &layout, &recipe, per_chunk, false);
+        assert!(close(r.elapsed, stream), "{} vs {stream}", r.elapsed);
+        assert!(reordered < stream, "the NIC idles before B's first chunk");
+        // Each entry is given up once its last chunk is out: A's only
+        // after B's, by exactly the revisited chunk's send.
+        let cache = &c.servers[0].container_cache;
+        let (a_out, b_out) = (cache[&ids[0]].last_sent, cache[&ids[1]].last_sent);
+        let send = paper::server_nic().stream_cost(len(&revisit) as u64);
+        assert!(close(a_out, b_out + send), "{a_out} vs {b_out} + {send}");
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
@@ -1747,8 +1811,8 @@ mod tests {
                 .map(|i| layout.iter().find(|(_, held)| held.contains(i)).expect("stored").0)
                 .collect();
             proptest::prop_assert_eq!((r.lpc.misses, r.lpc.evictions), (visited.len() as u64, 0));
-            let per_chunk = never_evicting_walk(&cfg, &layout, &recipe, |done, tail| done - tail);
-            let store_and_forward = never_evicting_walk(&cfg, &layout, &recipe, |done, _| done);
+            let per_chunk = never_evicting_walk(&cfg, &layout, &recipe, |done, tail| done - tail, true);
+            let store_and_forward = never_evicting_walk(&cfg, &layout, &recipe, |done, _| done, true);
             proptest::prop_assert!(close(r.elapsed, per_chunk), "{} vs {per_chunk}", r.elapsed);
             proptest::prop_assert!(per_chunk <= store_and_forward);
             proptest::prop_assert!(r.elapsed <= store_and_forward * (1.0 + 1e-9));

@@ -9,9 +9,9 @@
 //! calibrated rate models and the caller accrues those costs on a
 //! [`VirtualClock`]. Throughput figures are then `bytes / virtual time`,
 //! reproducible bit-for-bit across machines. Where devices genuinely work
-//! at the same time (the pipelined restore), each gets a [`Lane`] — a FIFO
-//! timeline — instead of sharing one clock; the overlap is arithmetic,
-//! never a thread.
+//! at the same time (the pipelined restore, GC compaction), each gets a
+//! [`Lane`] — a timeline that serves whatever operation is ready — instead
+//! of sharing one clock; the overlap is arithmetic, never a thread.
 //!
 //! [`models::paper`] holds the constants calibrated from the paper's own
 //! measurements (200+ MB/s sequential RAID transfer, ~522 random fingerprint

@@ -211,6 +211,19 @@ fn gc_crash_point_sweep_converges_at_every_device_op() {
             let written_before = clean.repository().stats().containers;
             clean.run_gc().expect("clean collection");
             let ops = devices.map(|d| clean.device_ops(d).expect("device"));
+            // Which op runs when moves with the node timelines; which ops
+            // there are, and in what order, does not: the sweep arms the
+            // same crash points it armed when every node ran its ops in
+            // submission order and two outputs were in flight.
+            let enumerated: Vec<u64> = (ops.iter().zip(&ops_before))
+                .map(|(to, from)| to - from)
+                .collect();
+            let pinned: &[u64] = match replication {
+                1 => &[10, 10, 2],
+                2 => &[16, 16, 2],
+                _ => &enumerated,
+            };
+            assert_eq!(enumerated, pinned, "{tag}: crash points");
             let mut outputs_of: BTreeMap<ContainerId, BTreeSet<ContainerId>> = BTreeMap::new();
             for (r, victim) in kept.iter().zip(&was_in) {
                 let now_in = clean.resolve(&r.fp).expect("live");
