@@ -16,7 +16,7 @@ use crate::metadata::{FileIndexEntry, RunRecord};
 use crate::report::Dedup1Report;
 use debar_filter::{FilterVerdict, PrelimFilter};
 use debar_hash::Fingerprint;
-use debar_simio::Secs;
+use debar_simio::{Lane, Secs};
 
 impl DebarCluster {
     /// Back up a dataset under a job (de-duplication phase I): client-side
@@ -26,7 +26,7 @@ impl DebarCluster {
         let client_id = self
             .director
             .metadata
-            .try_job(job)
+            .job(job)
             .ok_or(DebarError::UnknownJob { job })?
             .spec
             .client;
@@ -47,7 +47,7 @@ impl DebarCluster {
         let job_obj = self
             .director
             .metadata
-            .try_job(job)
+            .job(job)
             .ok_or(DebarError::UnknownJob { job })?;
         let client_id = job_obj.spec.client;
         let version = job_obj.next_version();
@@ -160,6 +160,8 @@ impl DebarCluster {
         let mut filter = PrelimFilter::with_memory(cfg.filter_bytes);
         filter.prime(filtering);
         let start = servers[sid].clock.now();
+        // The repository nodes as this run's prefetches find them.
+        let mut nodes = vec![Lane::new(); repo.node_count()];
 
         let mut report = Dedup1Report {
             run,
@@ -240,9 +242,11 @@ impl DebarCluster {
                     // nearby chunks of the same old stream now dedup on
                     // rung 1 without further probes.
                     let srv = &mut servers[sid];
-                    let t = repo.read(cid).timed();
+                    let read = repo.read(cid);
+                    srv.clock
+                        .advance_to(read.legs.run_on(&mut nodes, srv.clock.now()));
                     // `None`: reclaimed under us — the verdict stands.
-                    if let Some(container) = srv.clock.charge(t)? {
+                    if let Some(container) = read.value? {
                         let now = srv.clock.now();
                         // A whole container, and no victim named: one
                         // full slot, room made by the paper's LRU; all of

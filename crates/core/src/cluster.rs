@@ -251,7 +251,7 @@ impl DebarCluster {
     /// [`DebarError::Unrecoverable`] — having changed nothing — when a
     /// container's every other replica is lost too.
     pub fn repair_repo_node(&mut self, node: usize) -> DebarResult<debar_store::RepairReport> {
-        Ok(self.repo.repair_node(node).value?)
+        Ok(self.repo.repair_node(node)?)
     }
 
     /// One repository node's health as tracked by the configured
@@ -272,11 +272,18 @@ impl DebarCluster {
     /// [`DebarCluster::scale_out`] — it requires every server to be
     /// quiesced and refuses with the typed [`DebarError::NotQuiesced`]
     /// otherwise (finish the round with `run_dedup2` + `force_siu`).
-    /// Maintenance I/O runs in the background: the returned cost is the
-    /// slowest node's share, charged to no backup server's clock.
+    /// Maintenance I/O runs in the background: every leg goes on its
+    /// node's lane at the scrub's start — no read waits for another's data
+    /// — and the returned cost is when the last node falls idle, charged
+    /// to no backup server's clock.
     pub fn scrub(&mut self) -> DebarResult<Timed<debar_store::ScrubReport>> {
         self.ensure_quiesced()?;
-        Ok(self.repo.scrub_all())
+        let (report, legs) = self.repo.scrub_all();
+        let mut nodes = vec![Lane::new(); self.repo.node_count()];
+        for (node, cost) in legs {
+            nodes[node].run(0.0, cost);
+        }
+        Ok(Timed::new(report, last_idle(&nodes)))
     }
 
     /// The quiesce gate of every operation that cannot race an in-flight

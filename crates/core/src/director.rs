@@ -232,6 +232,6 @@ mod tests {
             client: ClientId(0),
             schedule: Schedule::Manual,
         });
-        assert_eq!(d.metadata.job(id).spec.name, "j");
+        assert_eq!(d.metadata.job(id).expect("registered").spec.name, "j");
     }
 }

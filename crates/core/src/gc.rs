@@ -179,7 +179,7 @@ impl DebarCluster {
         let job = self
             .director
             .metadata
-            .try_job(run.job)
+            .job(run.job)
             .ok_or(DebarError::UnknownJob { job: run.job })?;
         let chain_len = job.chain.len();
         if run.version as usize >= chain_len || self.director.metadata.run(run).is_none() {
@@ -397,9 +397,8 @@ impl DebarCluster {
         }
         // Each replica writes on its own node once the reads that filled
         // the container are in.
-        let durable = (stored.node_costs.iter().enumerate())
-            .filter(|(_, &cost)| cost > 0.0)
-            .map(|(node, &cost)| pass.nodes[node].run(pass.filled_at, cost))
+        let durable = (stored.writes.iter())
+            .map(|&(node, cost)| pass.nodes[node].run(pass.filled_at, cost))
             .fold(pass.filled_at, f64::max);
         pass.window.stored(bytes, durable);
         let w = self.cfg.w_bits;

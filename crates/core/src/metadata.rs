@@ -64,17 +64,8 @@ impl MetadataManager {
         id
     }
 
-    /// Look up a job.
-    ///
-    /// # Panics
-    /// Panics on an unknown ID (see [`MetadataManager::try_job`] for the
-    /// fallible form).
-    pub fn job(&self, id: JobId) -> &JobObject {
-        &self.jobs[id.0 as usize]
-    }
-
     /// Look up a job, `None` on an unknown ID.
-    pub fn try_job(&self, id: JobId) -> Option<&JobObject> {
+    pub fn job(&self, id: JobId) -> Option<&JobObject> {
         self.jobs.get(id.0 as usize)
     }
 
@@ -118,9 +109,9 @@ impl MetadataManager {
     /// The most recent **retained** run record for a job: walks the chain
     /// backwards past retired versions, so retention-driven expiry of old
     /// runs never breaks the filtering-fingerprint chain of the next
-    /// backup.
+    /// backup. `None` too for an unknown job.
     pub fn last_run(&self, job: JobId) -> Option<&RunRecord> {
-        self.jobs[job.0 as usize]
+        (self.jobs.get(job.0 as usize)?)
             .chain
             .iter()
             .rev()
@@ -206,9 +197,20 @@ mod tests {
         assert_eq!(m.jobs().len(), 2);
         m.record_run(record(a, 0, vec![fp(1)]));
         m.record_run(record(a, 1, vec![fp(2)]));
-        assert_eq!(m.job(a).chain.len(), 2);
-        assert_eq!(m.job(b).chain.len(), 0);
+        assert_eq!(m.job(a).expect("registered").chain.len(), 2);
+        assert_eq!(m.job(b).expect("registered").chain.len(), 0);
         assert_eq!(m.last_run(a).unwrap().run.version, 1);
+    }
+
+    #[test]
+    fn an_unknown_job_is_none_not_a_panic() {
+        let mut m = MetadataManager::new();
+        let a = m.register_job(spec("a"));
+        let ghost = JobId(a.0 + 1);
+        assert!(m.job(ghost).is_none());
+        assert!(m.last_run(ghost).is_none());
+        assert!(m.filtering_fingerprints(ghost).is_empty());
+        assert_eq!(m.job(a).map(|j| j.id), Some(a));
     }
 
     #[test]
@@ -245,7 +247,7 @@ mod tests {
         }
         assert!(m.last_run(a).is_none());
         assert!(m.filtering_fingerprints(a).is_empty());
-        assert_eq!(m.job(a).chain.len(), 4);
+        assert_eq!(m.job(a).expect("registered").chain.len(), 4);
         assert_eq!(m.retained_runs().count(), 0);
     }
 

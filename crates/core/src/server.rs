@@ -28,7 +28,7 @@ use crate::report::StoreReport;
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache, IndexError, SiuReport};
 use debar_simio::models::paper;
-use debar_simio::{Secs, SimCpu, SimLink, VirtualClock};
+use debar_simio::{Lane, Secs, SimCpu, SimLink, VirtualClock};
 use debar_store::{ChunkRepository, Container, ContainerManager, LpcCache, Payload};
 use std::collections::{HashMap, HashSet};
 
@@ -658,11 +658,15 @@ impl BackupServer {
         // pipelined behind the log drain (the paper measures chunk
         // storing at exactly the log's sustained read rate, §6.1.2 — its
         // drain read the whole log; ours skips duplicate runs); only
-        // the excess stalls. Placement spreads the batch over the nodes
-        // draining in parallel, so the write path completes at the max
-        // over the nodes actually written — the most-loaded node is the
-        // straggler, and adding repository nodes moves the wall for real.
-        let store_cost = batch.cost;
+        // the excess stalls. Placement spreads the batch over the nodes,
+        // which drain side by side: each write queues on its node's lane
+        // from the start of the drain, so the write path completes when
+        // the most-loaded node does, and adding repository nodes moves the
+        // wall for real.
+        let mut nodes = vec![Lane::new(); repo.node_count()];
+        let store_path = (batch.writes.iter())
+            .map(|&(node, cost)| nodes[node].run(0.0, cost))
+            .fold(0.0, f64::max);
         let durable = batch.ids.len();
         for (k, &cid) in batch.ids.iter().enumerate() {
             report.containers += 1;
@@ -706,7 +710,6 @@ impl BackupServer {
             }
         };
 
-        let store_path = store_cost;
         if store_path > produced {
             self.clock.advance(store_path - produced);
         }

@@ -4,7 +4,7 @@ use debar_filter::BloomFilter;
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexParams};
 use debar_simio::models::paper;
-use debar_simio::{Secs, SimCpu, SimLink, VirtualClock};
+use debar_simio::{Lane, Secs, SimCpu, SimLink, VirtualClock};
 use debar_store::{ChunkRepository, Container, ContainerManager, LpcCache, Payload, StoreError};
 use debar_workload::ChunkRecord;
 use serde::{Deserialize, Serialize};
@@ -206,6 +206,8 @@ impl DdfsServer {
         // did.
         const BLOOM_BATCH: usize = 4096;
         let mut batch_inserted: std::collections::HashSet<Fingerprint> = Default::default();
+        // The repository nodes as this stream's prefetches find them.
+        let mut nodes = vec![Lane::new(); self.repo.node_count()];
         for batch in records.chunks(BLOOM_BATCH) {
             let batch_fps: Vec<Fingerprint> = batch.iter().map(|r| r.fp).collect();
             let verdicts = self.bloom.contains_all(&batch_fps);
@@ -248,8 +250,8 @@ impl DdfsServer {
                     Some(cid) => {
                         // Prefetch the container's fingerprints into LPC.
                         let metas = self.repo.read_metas(cid);
-                        let cost = metas.legs.cost();
-                        self.clock.advance(cost);
+                        let done = metas.legs.run_on(&mut nodes, self.clock.now());
+                        self.clock.advance_to(done);
                         if let Some(fps) = metas.value? {
                             self.lpc.insert_container(cid, fps);
                         }
@@ -301,10 +303,14 @@ impl DdfsServer {
     fn seal(&mut self, sealed: Container) -> Result<(), StoreError> {
         let fps: Vec<Fingerprint> = sealed.fingerprints().collect();
         // Container writes go to repository-node disks, pipelined behind
-        // the inline stream; the excess is settled at stream end.
-        let t = self.repo.store(sealed);
-        self.async_store_cost += t.cost;
-        let cid = t.value?;
+        // the inline stream: their seconds add up here, and what exceeds
+        // the stream once spread over the nodes is settled at stream end.
+        let stored = self.repo.store_batch([sealed]);
+        self.async_store_cost += stored.writes.iter().map(|&(_, cost)| cost).sum::<Secs>();
+        if let Some((e, _)) = stored.fault {
+            return Err(e);
+        }
+        let cid = stored.ids[0];
         // Fingerprints of the sealed container: into LPC (recently written
         // chunks are the hottest duplicate targets) and the write buffer.
         debug_assert_eq!(fps.len(), self.open_fps.len());

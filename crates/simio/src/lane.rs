@@ -35,7 +35,10 @@
 //! Two laws bound any schedule built this way: its makespan is at least
 //! the busiest lane's busy time and at most the serial sum of every cost —
 //! and exactly the serial sum when every operation goes through one lane
-//! in dependency order, which is what a single clock charges.
+//! in dependency order, which is what a single clock charges. At the other
+//! end, operations that depend on nothing and are all ready at once — a
+//! store's replica writes, a scrub's reads — end exactly when the busiest
+//! lane's own costs, summed in submission order, do.
 
 use crate::clock::Secs;
 
@@ -231,6 +234,41 @@ mod tests {
                 proptest::prop_assert_eq!(lane.run(ready, cost), fifo.run(ready, cost));
             }
             proptest::prop_assert_eq!(lane.free_at, fifo.free_at);
+        }
+
+        #[test]
+        fn prop_legs_at_one_ready_end_with_the_busiest_nodes_sum(
+            legs in proptest::collection::vec(0u64..(1 << 16), 0..64),
+            lanes in 1usize..5,
+            at in 0u64..256,
+        ) {
+            // The degenerate case: independent `(node, cost)` legs, all
+            // ready at once, on fresh lanes. Each node runs its own legs
+            // back to back, so the last completion is the busiest node's
+            // in-order sum — from 0 bit for bit for costs of any
+            // magnitude, and from any `ready` for exact (1/64 s) costs.
+            let decode = |unit: f64| -> Vec<(usize, Secs)> {
+                (legs.iter())
+                    .map(|&l| ((l & 0xff) as usize % lanes, (l >> 8) as f64 * unit))
+                    .collect()
+            };
+            let end = |ready: Secs, legs: &[(usize, Secs)]| {
+                let mut nodes = vec![Lane::new(); lanes];
+                (legs.iter())
+                    .map(|&(n, cost)| nodes[n].run(ready, cost))
+                    .fold(ready, f64::max)
+            };
+            let busiest = |legs: &[(usize, Secs)]| {
+                let mut sums = vec![0.0; lanes];
+                for &(n, cost) in legs {
+                    sums[n] += cost;
+                }
+                sums.into_iter().fold(0.0, f64::max)
+            };
+            let (any, exact) = (decode(0.11), decode(1.0 / 64.0));
+            proptest::prop_assert_eq!(end(0.0, &any), busiest(&any));
+            let ready = at as f64 / 64.0;
+            proptest::prop_assert_eq!(end(ready, &exact), ready + busiest(&exact));
         }
 
         #[test]

@@ -13,10 +13,10 @@
 //! With a replication factor `R` ([`ChunkRepository::with_replication`]),
 //! every container is written to `R` distinct nodes — the primary plus the
 //! next `R-1` nodes on the ring — and each
-//! replica write is charged to its own node disk. Because the replicas
-//! land on distinct disks, a batch append completes at the **max over
-//! per-node accumulated write time** ([`BatchAppend::cost`]), not the sum:
-//! the store phase is as slow as its most-loaded node.
+//! replica write is charged to its own node disk and reported as a
+//! `(node, cost)` leg ([`BatchAppend::writes`]). The replicas land on
+//! distinct disks, so a caller that puts each leg on its node's [`Lane`]
+//! sees the store end with its most-loaded node.
 //!
 //! Reads **balance and fail over**: with `R >= 2` the read path picks the
 //! **least-loaded replica** first (by accumulated random-read bytes on the
@@ -32,15 +32,14 @@
 //! [`StoreError::Unrecoverable`] when all holding nodes are down (the
 //! `R = 1` node-loss case).
 //!
-//! Every read reports **which node disk each attempt charged**
-//! ([`NodeRead::legs`]: failed attempts in failover order, the serving
-//! read, read-repair writes — the read-side twin of
-//! [`BatchAppend::node_costs`]; a delete's are
-//! [`Reclaimed::node_costs`]). A sequential caller sums them onto its
-//! clock ([`NodeRead::timed`]); a pipelined one — the restore walk, GC
-//! compaction, the recovery scan — puts each leg on its own node's
-//! timeline ([`ReadLegs::run_on`]), which is what lets two nodes read at
-//! once.
+//! **Legs, not time.** Every operation reports **which node disk paid
+//! what** and never a duration: a read's legs ([`NodeRead::legs`]: failed
+//! attempts in failover order, the serving read, read-repair writes), a
+//! store's ([`BatchAppend::writes`]), a delete's
+//! ([`Reclaimed::node_costs`]), a scrub's ([`ChunkRepository::scrub_all`]).
+//! The caller puts each leg on its node's [`Lane`] — a read's one after
+//! the other ([`ReadLegs::run_on`]), independent writes side by side — so
+//! node time adds up in one place, and two nodes work at once.
 //!
 //! **One failover core, three reads.** [`ChunkRepository::read`] (the
 //! paper's whole container in one I/O, verified against its checksum
@@ -112,10 +111,10 @@
 //!   cluster-wide background pass that reads every container copy on
 //!   every up node, verifies the v2 checksum trailer, and re-replicates
 //!   corrupt or missing copies from clean survivors ([`ScrubReport`]
-//!   accounts every copy; the pass cost is the max over per-node time —
-//!   nodes scrub in parallel). Independently, any failover read that
-//!   detected a corrupt copy *read-repairs* it inline from the clean copy
-//!   it returns ([`RepoStats::read_repairs`]).
+//!   accounts every copy; every read and recopy comes back as a
+//!   `(node, cost)` leg for the caller's lanes). Independently, any
+//!   failover read that detected a corrupt copy *read-repairs* it inline
+//!   from the clean copy it returns ([`RepoStats::read_repairs`]).
 //!
 //! # Fault injection
 //!
@@ -139,7 +138,7 @@
 use crate::container::{ChunkMeta, Container, CorruptKind, Damage, Payload};
 use crate::error::StoreError;
 use debar_hash::{ContainerId, Fingerprint, Sha1};
-use debar_simio::{DiskModel, FaultKind, FaultPlan, Lane, RetryPolicy, Secs, SimDisk, Timed};
+use debar_simio::{DiskModel, FaultKind, FaultPlan, Lane, RetryPolicy, Secs, SimDisk};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -304,14 +303,11 @@ impl RepoStats {
 pub struct BatchAppend {
     /// IDs assigned to the durably stored prefix, in batch order.
     pub ids: Vec<ContainerId>,
-    /// Store-phase wall for the batch: replica writes land on distinct
-    /// node disks working in parallel, so the batch completes at the
-    /// **max over per-node accumulated write time** — the most-loaded
-    /// node is the straggler.
-    pub cost: Secs,
-    /// Accumulated write time per node (indexed by node id) for the
-    /// durable prefix; `cost` is the max of these.
-    pub node_costs: Vec<Secs>,
+    /// `(node, cost)` of every replica write of the durable prefix, in
+    /// charge order. The writes of one node queue on its disk and the
+    /// nodes write side by side: on per-node lanes the batch ends when
+    /// its most-loaded node does.
+    pub writes: Vec<(usize, Secs)>,
     /// The first write fault, with the container whose write failed
     /// handed back unconsumed for re-queueing; `None` on a clean batch.
     pub fault: Option<(StoreError, Container)>,
@@ -360,7 +356,7 @@ pub struct ServedLeg {
 
 /// The node-disk legs of one container read, in the order the failover
 /// loop charged them: failed attempts, the serving read, read-repair
-/// writes — the read-side counterpart of [`BatchAppend::node_costs`].
+/// writes — the read-side counterpart of [`BatchAppend::writes`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReadLegs {
     /// `(node, cost)` of every attempt that did not serve the read, in
@@ -376,34 +372,24 @@ pub struct ReadLegs {
 }
 
 impl ReadLegs {
-    /// Every `(node, cost)` leg in charge order.
-    fn in_order(&self) -> impl Iterator<Item = (usize, Secs)> + '_ {
-        (self.failed.iter().copied())
-            .chain(self.served.as_ref().map(|s| (s.node, s.cost)))
-            .chain(self.repairs.iter().copied())
-    }
-
-    /// The serial sum of every leg, in charge order — what one clock
-    /// pays for the read.
-    pub fn cost(&self) -> Secs {
-        self.in_order().fold(0.0, |sum, (_, c)| sum + c)
-    }
-
     /// Put the legs on their nodes' timelines (`nodes[n]` is node `n`'s),
     /// one after the other from `ready` — a replica is only tried once
     /// the one before it has failed, a repair written once the clean
     /// copy is in — and return when the last completes. Two reads served
-    /// by different nodes overlap; on one node they queue.
+    /// by different nodes overlap; on one node they queue. This is the
+    /// only way a read's legs become time: a caller with one clock runs
+    /// them from its `now` and advances to the result.
     pub fn run_on(&self, nodes: &mut [Lane], ready: Secs) -> Secs {
-        (self.in_order()).fold(ready, |t, (node, cost)| nodes[node].run(t, cost))
+        (self.failed.iter().copied())
+            .chain(self.served.as_ref().map(|s| (s.node, s.cost)))
+            .chain(self.repairs.iter().copied())
+            .fold(ready, |t, (node, cost)| nodes[node].run(t, cost))
     }
 }
 
 /// Outcome of one container read: the value plus **which node disk each
-/// attempt charged** ([`ReadLegs`]). A sequential caller lumps the legs
-/// onto its clock with [`NodeRead::timed`]; a pipelined one (the restore
-/// walk, GC compaction) puts each leg on its own node's timeline
-/// ([`ReadLegs::run_on`]), so two nodes' reads overlap.
+/// attempt charged** ([`ReadLegs`]), which the caller puts on its node
+/// lanes ([`ReadLegs::run_on`]), so two nodes' reads overlap.
 #[derive(Debug)]
 pub struct NodeRead<T> {
     /// The container (or `None` when no node holds it), or the typed
@@ -420,12 +406,6 @@ impl<T> NodeRead<T> {
             value,
             legs: ReadLegs::default(),
         }
-    }
-
-    /// The read as a sequential caller sees it: the value at the serial
-    /// sum of its legs.
-    pub fn timed(self) -> Timed<Result<Option<T>, StoreError>> {
-        Timed::new(self.value, self.legs.cost())
     }
 }
 
@@ -759,42 +739,27 @@ impl ChunkRepository {
         (0..self.replication).map(|k| (primary + k) % n).collect()
     }
 
-    /// Store a sealed container: assigns its ID, writes one copy to each
-    /// of the `replication` placement nodes (each charged to its own
-    /// disk; the cost is the max — the replicas write in parallel).
+    /// Store a batch of sealed containers in order — the commit of the
+    /// pipelined chunk-storing phase, or one container alone — stopping
+    /// at the first write fault.
     ///
-    /// A [`FaultKind::Fail`] injected on any replica write persists
-    /// nothing anywhere and leaves the ID unconsumed (retrying the store
-    /// converges to the same ID); torn writes and bit flips persist a
-    /// damaged image *on that copy only* that later reads detect via the
-    /// checksum trailer. A down placement node refuses the write with
-    /// [`StoreError::NodeDown`].
-    pub fn store(&mut self, container: Container) -> Timed<Result<ContainerId, StoreError>> {
-        let (writes, result) = self.store_inner(container);
-        let cost = writes.iter().fold(0.0, |m, &(_, c)| f64::max(m, c));
-        Timed::new(result.map_err(|(e, _)| e), cost)
-    }
-
-    /// Multi-container batch append (the commit of the pipelined
-    /// chunk-storing phase): store a sealed-container batch in order,
-    /// stopping at the first write fault.
-    ///
-    /// Per-container semantics — ID assignment, placement, one sequential
-    /// write op per replica on its node, the fault rules of
-    /// [`ChunkRepository::store`] — are *identical* to storing the batch
-    /// one container at a time; the batch amortizes the per-submit
-    /// overhead and models the node disks draining behind the packer.
-    /// The batch wall ([`BatchAppend::cost`]) is the max over per-node
-    /// accumulated write time: the nodes drain their queues in parallel
-    /// and the most-loaded node is the straggler. On a fault, the failed
-    /// container is handed back unconsumed (its chunks re-queue into the
-    /// chunk log) and the remaining batch is dropped — those chunks are
-    /// re-derived from the log tail on redo.
+    /// Each container is assigned the next ID and written to each of its
+    /// `replication` placement nodes, one sequential write op on each,
+    /// reported in [`BatchAppend::writes`]. A [`FaultKind::Fail`] injected
+    /// on any replica write persists nothing anywhere and leaves the ID
+    /// unconsumed (retrying the store converges to the same ID); torn
+    /// writes and bit flips persist a damaged image *on that copy only*
+    /// that later reads detect via the checksum trailer. A down placement
+    /// node refuses the write with [`StoreError::NodeDown`]. On a fault,
+    /// the failed container is handed back unconsumed (its chunks
+    /// re-queue into the chunk log), the remaining batch is dropped —
+    /// those chunks are re-derived from the log tail on redo — and the
+    /// faulted container's writes are not reported: their time is the
+    /// device failing, not pipeline progress.
     pub fn store_batch(&mut self, batch: impl IntoIterator<Item = Container>) -> BatchAppend {
         let mut out = BatchAppend {
             ids: Vec::new(),
-            cost: 0.0,
-            node_costs: vec![0.0; self.nodes.len()],
+            writes: Vec::new(),
             fault: None,
         };
         for container in batch {
@@ -802,20 +767,14 @@ impl ChunkRepository {
             match result {
                 Ok(id) => {
                     out.ids.push(id);
-                    for (node, cost) in writes {
-                        out.node_costs[node] += cost;
-                    }
+                    out.writes.extend(writes);
                 }
                 Err((e, failed)) => {
-                    // The faulted op's time is the device failing, not
-                    // pipeline progress: excluded from the batch cost,
-                    // exactly like the one-at-a-time path.
                     out.fault = Some((e, failed));
                     break;
                 }
             }
         }
-        out.cost = out.node_costs.iter().fold(0.0, |m, &c| f64::max(m, c));
         out
     }
 
@@ -1399,19 +1358,18 @@ impl ChunkRepository {
     /// must hold (its share of each replica set) is re-replicated from a
     /// surviving healthy source. An **up** node is scrubbed in place:
     /// clean copies are kept, missing or damaged ones recopied. Each
-    /// recopy charges one container read on the source and one sequential
-    /// write on the repaired node; the returned cost is the sum (the scrub
-    /// is a background serial pass and consumes no armed fault plans, like
-    /// [`ChunkRepository::delete_container`]).
+    /// recopy charges one whole read of the image on the source and one
+    /// sequential slot write on the repaired node, seen in their
+    /// [`debar_simio::DiskStats`]; the pass is background maintenance and
+    /// consumes no armed fault plans, like
+    /// [`ChunkRepository::delete_container`].
     ///
     /// The pass plans before it mutates: if any needed copy has no
     /// surviving healthy source (the `R = 1` node-loss case), it returns
     /// [`StoreError::Unrecoverable`] naming the container and node, and
     /// changes nothing.
-    pub fn repair_node(&mut self, node: usize) -> Timed<Result<RepairReport, StoreError>> {
-        if let Err(e) = self.check_node(node) {
-            return Timed::free(Err(e));
-        }
+    pub fn repair_node(&mut self, node: usize) -> Result<RepairReport, StoreError> {
+        self.check_node(node)?;
         let replace = self.nodes[node].down;
         // What the node must hold afterwards: its ring share of the live
         // containers, ascending. Reclaimed (tombstoned) containers are not
@@ -1432,10 +1390,10 @@ impl ChunkRepository {
             match self.healthy_source(cid, node) {
                 Some(src) => plan.push((raw, src)),
                 None => {
-                    return Timed::free(Err(StoreError::Unrecoverable {
+                    return Err(StoreError::Unrecoverable {
                         container: cid,
                         node,
-                    }));
+                    })
                 }
             }
         }
@@ -1454,23 +1412,13 @@ impl ChunkRepository {
         // (or the healing loop) has replaced/verified the hardware.
         self.nodes[node].health = Health::Healthy;
         self.nodes[node].errors = 0;
-        let mut cost: Secs = 0.0;
-        let mut recopied = 0u64;
-        for (raw, src) in plan {
-            let Some((read, write)) = self.recopy(raw, src, node) else {
-                continue;
-            };
-            cost += read;
-            cost += write;
-            recopied += 1;
-        }
-        Timed::new(
-            Ok(RepairReport {
-                scanned: want.len() as u64,
-                recopied,
-            }),
-            cost,
-        )
+        let recopied = (plan.into_iter())
+            .filter_map(|(raw, src)| self.recopy(raw, src, node))
+            .count() as u64;
+        Ok(RepairReport {
+            scanned: want.len() as u64,
+            recopied,
+        })
     }
 
     /// Cluster-wide scrub: read and checksum-verify **every container
@@ -1483,13 +1431,15 @@ impl ChunkRepository {
     /// The scrub is background maintenance like
     /// [`ChunkRepository::repair_node`]: it charges real read/write I/O
     /// per node but consumes no armed fault plans and does not change
-    /// node health. Nodes scrub their own copies in parallel, so the
-    /// returned cost is the **max over per-node accumulated time**, not
-    /// the sum. Down nodes are skipped entirely — their copies are
+    /// node health. Beside the report it returns the `(node, cost)` of
+    /// every verifying read and every recopy's source read and write, in
+    /// charge order; none waits for another's data, so a caller that puts
+    /// them on per-node lanes at one start sees the nodes scrub side by
+    /// side. Down nodes are skipped entirely — their copies are
     /// [`ChunkRepository::repair_node`]'s job at revive time.
-    pub fn scrub_all(&mut self) -> Timed<ScrubReport> {
+    pub fn scrub_all(&mut self) -> (ScrubReport, Vec<(usize, Secs)>) {
         let mut report = ScrubReport::default();
-        let mut node_costs: Vec<Secs> = vec![0.0; self.nodes.len()];
+        let mut legs: Vec<(usize, Secs)> = Vec::new();
         for cid in self.container_ids() {
             let raw = cid.raw();
             // Verify every resident copy on every up node: one whole read
@@ -1505,7 +1455,7 @@ impl ChunkRepository {
                 .collect();
             let mut bad: Vec<usize> = Vec::new();
             for (node, image) in holders {
-                node_costs[node] += self.nodes[node].disk.rand_read(image);
+                legs.push((node, self.nodes[node].disk.rand_read(image)));
                 report.copies_checked += 1;
                 if self.check_copy(node, cid, Fetch::Whole).is_err() {
                     report.corrupt_found += 1;
@@ -1521,8 +1471,7 @@ impl ChunkRepository {
                     continue;
                 };
                 if let Some((read, write)) = self.recopy(raw, src, node) {
-                    node_costs[src] += read;
-                    node_costs[node] += write;
+                    legs.extend([(src, read), (node, write)]);
                     report.repaired += 1;
                 }
             }
@@ -1536,14 +1485,12 @@ impl ChunkRepository {
                     continue;
                 };
                 if let Some((read, write)) = self.recopy(raw, src, node) {
-                    node_costs[src] += read;
-                    node_costs[node] += write;
+                    legs.extend([(src, read), (node, write)]);
                     report.repaired += 1;
                 }
             }
         }
-        let cost = node_costs.iter().fold(0.0, |m, &c| f64::max(m, c));
-        Timed::new(report, cost)
+        (report, legs)
     }
 }
 
@@ -1580,7 +1527,17 @@ mod tests {
     }
 
     fn store_ok(r: &mut ChunkRepository, c: Container) -> ContainerId {
-        r.store(c).value.expect("store succeeds")
+        store_one(r, c).expect("store succeeds")
+    }
+
+    /// Store one container alone: its ID, or the typed error of the write
+    /// that refused it.
+    fn store_one(r: &mut ChunkRepository, c: Container) -> Result<ContainerId, StoreError> {
+        let out = r.store_batch([c]);
+        match out.fault {
+            Some((e, _)) => Err(e),
+            None => Ok(out.ids[0]),
+        }
     }
 
     fn arm(r: &mut ChunkRepository, node: usize, plan: FaultPlan) {
@@ -1621,8 +1578,9 @@ mod tests {
         let metas = r.read_metas(id);
         let full = r.read(id);
         assert_eq!(metas.value.expect("ok").expect("stored").len(), 100);
+        let cost = |legs: ReadLegs| legs.served.expect("served").cost;
         assert!(
-            metas.legs.cost() < full.legs.cost(),
+            cost(metas.legs) < cost(full.legs),
             "meta read must be cheaper"
         );
     }
@@ -1727,7 +1685,7 @@ mod tests {
         // the image in one piece.
         let none = r.read_chunks(id, |_| false);
         assert!(none.value.expect("clean").expect("stored").is_empty());
-        assert_eq!(none.legs.cost(), meta);
+        assert_eq!(none.legs.served.map(|s| s.cost), Some(meta));
         let mut full = repo(1);
         let mut big = Container::new(1 << 20);
         (0..1000).for_each(|n| assert!(big.try_append(fp(n), Payload::Zero(1000))));
@@ -1754,7 +1712,8 @@ mod tests {
         assert_eq!(small.serialized_len() as u64, image);
         let id = store_ok(&mut r, small);
         let read = r.read(id);
-        assert_eq!(read.legs.cost(), disk.rand_read_cost(image));
+        let served = read.legs.served.map(|s| (s.node, s.cost));
+        assert_eq!(served, Some((0, disk.rand_read_cost(image))));
         assert_eq!(r.nodes()[0].disk_stats().rand_read_bytes, image);
         // A container that fills its slot reads the slot, to the bit: its
         // image would be larger, and the slot is all there is.
@@ -1762,7 +1721,8 @@ mod tests {
         while full.try_append(fp(1000 + full.len() as u64), Payload::Zero(1024)) {}
         assert!(full.serialized_len() as u64 > 1 << 20);
         let id_full = store_ok(&mut r, full);
-        assert_eq!(r.read(id_full).legs.cost(), disk.rand_read_cost(1 << 20));
+        let served = r.read(id_full).legs.served.map(|s| s.cost);
+        assert_eq!(served, Some(disk.rand_read_cost(1 << 20)));
         // Writes still fill the slot: a store charges it on each replica.
         assert_eq!(r.nodes()[1].disk_stats().seq_write_bytes, 2 << 20);
 
@@ -1770,28 +1730,43 @@ mod tests {
         // its source's image and writes a slot: the bit-flipped primary
         // of the small container is checked and rewritten on node 0, its
         // replica on node 1 checked and read again as the source.
-        let before: Vec<_> = r.nodes().iter().map(|n| n.disk_stats()).collect();
+        let stats =
+            |r: &ChunkRepository| -> Vec<_> { r.nodes().iter().map(|n| n.disk_stats()).collect() };
+        let before = stats(&r);
         r.set_damage(id, Some(Damage::BitFlip)).expect("stored");
-        let scrub = r.scrub_all();
-        assert_eq!((scrub.value.corrupt_found, scrub.value.repaired), (1, 1));
-        let delta = |n: usize| {
+        let (scrub, legs) = r.scrub_all();
+        assert_eq!((scrub.corrupt_found, scrub.repaired), (1, 1));
+        // (read bytes, written bytes) of node `n` since `before`.
+        let delta = |r: &ChunkRepository, before: &[debar_simio::DiskStats], n: usize| {
             let after = r.nodes()[n].disk_stats();
             let read = after.rand_read_bytes - before[n].rand_read_bytes;
             (read, after.seq_write_bytes - before[n].seq_write_bytes)
         };
-        assert_eq!(delta(0), (image + (1 << 20), 1 << 20));
-        assert_eq!(delta(1), (2 * image + (1 << 20), 0));
-        let node0 = disk.rand_read_cost(image) + disk.rand_read_cost(1 << 20);
-        assert_eq!(scrub.cost, node0 + disk.seq_write_cost(1 << 20));
+        assert_eq!(delta(&r, &before, 0), (image + (1 << 20), 1 << 20));
+        assert_eq!(delta(&r, &before, 1), (2 * image + (1 << 20), 0));
+        // Leg by leg, in charge order: both copies of the small container
+        // verified, the recopy's read on node 1 and write on node 0, then
+        // both copies of the full one.
+        let (small, slot) = (disk.rand_read_cost(image), disk.rand_read_cost(1 << 20));
+        let write = disk.seq_write_cost(1 << 20);
+        let expected = [
+            (0, small),
+            (1, small),
+            (1, small),
+            (0, write),
+            (0, slot),
+            (1, slot),
+        ];
+        assert_eq!(legs, expected);
 
         // Repairing a replaced disk recopies every copy it held the same
-        // way.
+        // way: each image read on its source, each slot written on the
+        // repaired node.
+        let before = stats(&r);
         r.set_node_down(1).expect("node");
-        let repair = r.repair_node(1);
-        assert_eq!(repair.value.expect("sources").recopied, 2);
-        let copies = disk.rand_read_cost(image) + disk.seq_write_cost(1 << 20);
-        let copies = copies + disk.rand_read_cost(1 << 20) + disk.seq_write_cost(1 << 20);
-        assert_eq!(repair.cost, copies);
+        assert_eq!(r.repair_node(1).expect("sources").recopied, 2);
+        assert_eq!(delta(&r, &before, 0), (image + (1 << 20), 0));
+        assert_eq!(delta(&r, &before, 1), (0, 2 << 20));
     }
 
     #[test]
@@ -1928,7 +1903,7 @@ mod tests {
                 "{damage:?}: {err}"
             );
             assert_eq!(r.stats().corrupt_reads, 1);
-            let scrub = r.scrub_all().value;
+            let scrub = r.scrub_all().0;
             assert_eq!((scrub.corrupt_found, scrub.unrecoverable), (1, 1));
         }
     }
@@ -1936,8 +1911,9 @@ mod tests {
     #[test]
     fn store_charges_target_node_disk() {
         let mut r = repo(2);
-        let t = r.store(container_with(0..2));
-        assert!(t.cost > 0.0);
+        let out = r.store_batch([container_with(0..2)]);
+        let write = paper::repo_disk().seq_write_cost(1 << 20);
+        assert_eq!(out.writes, [(0, write)], "one slot write on the primary");
         assert_eq!(r.nodes()[0].disk_stats().seq_write_bytes, 1 << 20);
         assert_eq!(r.nodes()[1].disk_stats().seq_write_bytes, 0);
     }
@@ -1952,10 +1928,11 @@ mod tests {
         assert_eq!(r.nodes()[2].disk_stats().seq_write_bytes, 0);
         // Logical stats count the container once.
         assert_eq!(r.stats().containers, 1);
-        // Replicas write in parallel: the store costs one write, not two.
-        let t = repo_r(3, 2).store(container_with(0..2));
-        let single = repo(3).store(container_with(0..2));
-        assert_eq!(t.cost, single.cost);
+        // Each replica write is its own leg, on its own node: side by side
+        // on their lanes, the store costs one write, not two.
+        let out = repo_r(3, 2).store_batch([container_with(0..2)]);
+        let write = paper::repo_disk().seq_write_cost(1 << 20);
+        assert_eq!(out.writes, [(0, write), (1, write)]);
     }
 
     #[test]
@@ -1983,8 +1960,8 @@ mod tests {
         let mut r = repo(2);
         // Node 0 receives container 0; fail its first disk op.
         arm(&mut r, 0, FaultPlan::fail_at(0));
-        let t = r.store(container_with(0..3));
-        let err = t.value.expect_err("injected failure must surface");
+        let err =
+            store_one(&mut r, container_with(0..3)).expect_err("injected failure must surface");
         assert!(matches!(err, StoreError::DiskFault { node: 0, .. }));
         assert_eq!(r.stats().containers, 0, "nothing persisted");
         assert_eq!(r.container_ids().len(), 0);
@@ -1999,10 +1976,8 @@ mod tests {
         let mut r = repo_r(2, 2);
         // The replica (second) write of container 0 lands on node 1.
         arm(&mut r, 1, FaultPlan::fail_at(0));
-        let err = r
-            .store(container_with(0..3))
-            .value
-            .expect_err("replica write fault surfaces");
+        let err =
+            store_one(&mut r, container_with(0..3)).expect_err("replica write fault surfaces");
         assert!(matches!(err, StoreError::DiskFault { node: 1, .. }));
         assert_eq!(r.stats().containers, 0, "no copy persisted on any node");
         assert_eq!(r.nodes()[0].container_count(), 0);
@@ -2058,10 +2033,15 @@ mod tests {
         };
         assert_eq!(read.legs.served, Some(served));
         assert_eq!(read.legs.repairs, [(0, disk.seq_write_cost(1 << 20))]);
+        // On its nodes' lanes the legs run one after another: node 1 is
+        // tried once node 0's copy is found corrupt, and node 0 repaired
+        // once node 1's copy is in.
+        let mut lanes = [Lane::new(), Lane::new()];
+        let end = read.legs.run_on(&mut lanes, 0.0);
+        assert_eq!(end, full + full + disk.seq_write_cost(1 << 20));
         assert_eq!(
-            read.legs.cost(),
-            full + full + disk.seq_write_cost(1 << 20),
-            "a sequential caller pays the legs one after another"
+            (lanes[0].busy, lanes[1].busy),
+            (full + disk.seq_write_cost(1 << 20), full)
         );
         let got = read.value.expect("replica saves the read").expect("stored");
         assert_eq!(got.len(), 10);
@@ -2132,10 +2112,7 @@ mod tests {
     fn store_to_down_node_is_typed_node_down() {
         let mut r = repo(2);
         r.set_node_down(0).expect("node in range");
-        let err = r
-            .store(container_with(0..3))
-            .value
-            .expect_err("down node refuses the write");
+        let err = store_one(&mut r, container_with(0..3)).expect_err("down node refuses the write");
         assert!(matches!(err, StoreError::NodeDown { node: 0 }));
         assert_eq!(r.stats().containers, 0);
         // The ID stays unconsumed: after revival the store converges.
@@ -2160,7 +2137,7 @@ mod tests {
         expect_unknown(r.set_node_down(7).expect_err("typed"));
         expect_unknown(r.revive_node(7).expect_err("typed"));
         expect_unknown(r.is_node_down(7).expect_err("typed"));
-        expect_unknown(r.repair_node(7).value.expect_err("typed"));
+        expect_unknown(r.repair_node(7).expect_err("typed"));
     }
 
     #[test]
@@ -2194,35 +2171,31 @@ mod tests {
 
     #[test]
     fn store_batch_matches_one_at_a_time_semantics() {
-        // Same containers through both paths: identical IDs, placement,
-        // per-node op/byte accounting — and the batch wall is the max
-        // over per-node accumulated write time (the nodes drain in
-        // parallel), where the one-at-a-time path sums serially.
-        let mut one = repo(3);
-        let mut costs = 0.0;
-        let mut ids = Vec::new();
-        for i in 0..5u64 {
-            let t = one.store(container_with(i * 3..i * 3 + 3));
-            costs += t.cost;
-            ids.push(t.value.expect("clean store"));
+        // One batch of five containers and five one-container batches:
+        // identical IDs, placement, statistics, per-node op/byte
+        // accounting, and the same write legs in the same order.
+        let containers = || (0..5u64).map(|i| container_with(i * 3..i * 3 + 3));
+        let (mut one, mut batched) = (repo_r(3, 2), repo_r(3, 2));
+        let (mut ids, mut writes) = (Vec::new(), Vec::new());
+        for c in containers() {
+            let out = one.store_batch([c]);
+            assert!(out.fault.is_none());
+            ids.extend(out.ids);
+            writes.extend(out.writes);
         }
-        let mut batched = repo(3);
-        let batch: Vec<Container> = (0..5u64)
-            .map(|i| container_with(i * 3..i * 3 + 3))
-            .collect();
-        let out = batched.store_batch(batch);
+        let out = batched.store_batch(containers());
         assert!(out.fault.is_none());
         assert_eq!(out.ids, ids);
-        assert_eq!(
-            out.cost,
-            out.node_costs.iter().fold(0.0, |m, &c| f64::max(m, c)),
-            "batch wall = max over per-node write time"
-        );
-        let summed: Secs = out.node_costs.iter().sum();
-        assert_eq!(summed, costs, "total device time matches one-at-a-time");
-        assert!(out.cost < costs, "parallel nodes beat the serial sum");
+        assert_eq!(out.writes, writes);
+        assert_eq!(writes.len(), 2 * 5, "one leg per replica");
         assert_eq!(batched.stats(), one.stats());
         for n in 0..3 {
+            let held = |r: &ChunkRepository| {
+                let mut raws: Vec<u64> = r.nodes[n].containers.keys().copied().collect();
+                raws.sort();
+                raws
+            };
+            assert_eq!(held(&batched), held(&one), "node {n} placement must match");
             assert_eq!(
                 batched.nodes()[n].disk_stats(),
                 one.nodes()[n].disk_stats(),
@@ -2242,6 +2215,12 @@ mod tests {
             .collect();
         let out = r.store_batch(batch);
         assert_eq!(out.ids.len(), 2, "durable prefix before the fault");
+        let write = paper::repo_disk().seq_write_cost(1 << 20);
+        assert_eq!(
+            out.writes,
+            [(0, write), (1, write)],
+            "the faulted write is not"
+        );
         let (err, failed) = out.fault.expect("fault surfaced");
         assert!(matches!(err, StoreError::DiskFault { node: 0, .. }));
         assert_eq!(failed.len(), 2, "failed container handed back");
@@ -2261,11 +2240,22 @@ mod tests {
         r.set_node_down(1).expect("node in range");
         // Node 1 holds 4 copies: primaries of ids 1,4 + replicas of 0,3.
         assert_eq!(r.under_replicated().len(), 4);
-        let t = r.repair_node(1);
-        let report = t.value.expect("recoverable");
+        let before: Vec<_> = r.nodes().iter().map(|n| n.disk_stats()).collect();
+        let report = r.repair_node(1).expect("recoverable");
         assert_eq!(report.scanned, 4);
         assert_eq!(report.recopied, 4, "a down node is replaced wholesale");
-        assert!(t.cost > 0.0);
+        // Each copy's image read once on its surviving source — node 0
+        // for ids 0 and 3, node 2 for ids 1 and 4 — and a slot written
+        // for each on node 1.
+        let image = container_with(0..2).serialized_len() as u64;
+        let delta = |n: usize| {
+            let after = r.nodes()[n].disk_stats();
+            let read = after.rand_read_bytes - before[n].rand_read_bytes;
+            (read, after.seq_write_bytes - before[n].seq_write_bytes)
+        };
+        assert_eq!(delta(0), (2 * image, 0));
+        assert_eq!(delta(1), (0, 4 << 20));
+        assert_eq!(delta(2), (2 * image, 0));
         assert!(!r.is_node_down(1).expect("node in range"));
         assert!(r.under_replicated().is_empty(), "full replication restored");
         // Post-repair reads are healthy, not degraded.
@@ -2283,7 +2273,7 @@ mod tests {
         arm(&mut r, 1, FaultPlan::torn_write_at(0));
         let id = store_ok(&mut r, container_with(0..8));
         assert_eq!(r.under_replicated(), vec![id]);
-        let report = r.repair_node(1).value.expect("recoverable");
+        let report = r.repair_node(1).expect("recoverable");
         assert_eq!(report.recopied, 1, "only the damaged copy is recopied");
         assert!(r.under_replicated().is_empty());
         // The scrubbed copy serves reads even with the primary down.
@@ -2296,7 +2286,7 @@ mod tests {
         let mut r = repo(2); // replication = 1
         let id = store_ok(&mut r, container_with(0..4)); // node 0
         r.set_node_down(0).expect("node in range");
-        let err = r.repair_node(0).value.expect_err("no surviving source");
+        let err = r.repair_node(0).expect_err("no surviving source");
         assert!(
             matches!(err, StoreError::Unrecoverable { container, node: 0 } if container == id),
             "{err}"
@@ -2309,7 +2299,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn storing_empty_container_rejected() {
-        repo(1).store(Container::new(100));
+        repo(1).store_batch([Container::new(100)]);
     }
 
     #[test]
@@ -2318,7 +2308,7 @@ mod tests {
         let mut r = repo(1);
         let mut c = container_with(0..1);
         c.set_id(ContainerId::new(5));
-        r.store(c);
+        r.store_batch([c]);
     }
 
     #[test]
@@ -2409,7 +2399,7 @@ mod tests {
         r.delete_container(a).expect("replica reachable");
         // Replace node 0's disk: it must come back holding only the live
         // container's copy.
-        let rep = r.repair_node(0).value.expect("repairable");
+        let rep = r.repair_node(0).expect("repairable");
         assert_eq!(rep.scanned, 1, "the reclaimed container is not wanted");
         assert_eq!(rep.recopied, 1);
         assert!(!r.is_node_down(0).expect("in range"));
@@ -2448,8 +2438,8 @@ mod tests {
         let mut r = repo(1).with_retry(RetryPolicy::new(3, 0.01));
         // Fails the first two attempts (ops 0 and 1), clears on the third.
         arm(&mut r, 0, FaultPlan::transient_at(0, 2));
-        let t = r.store(container_with(0..4));
-        let id = t.value.expect("in-budget transient never surfaces");
+        let id =
+            store_one(&mut r, container_with(0..4)).expect("in-budget transient never surfaces");
         assert_eq!(id.raw(), 0);
         assert_eq!(r.stats().retried_ops, 2, "two retries absorbed it");
         assert!(r.read(id).value.expect("clean").is_some());
@@ -2482,10 +2472,7 @@ mod tests {
         let mut r = repo(1).with_retry(RetryPolicy::new(2, 0.0));
         // Outlasts the two-attempt budget.
         arm(&mut r, 0, FaultPlan::transient_at(0, 5));
-        let err = r
-            .store(container_with(0..4))
-            .value
-            .expect_err("budget spent");
+        let err = store_one(&mut r, container_with(0..4)).expect_err("budget spent");
         assert_eq!(
             err,
             StoreError::RetriesExhausted {
@@ -2523,7 +2510,7 @@ mod tests {
         assert_eq!(r.node_health(0).expect("in range"), Health::Quarantined);
         assert_eq!(r.nodes()[0].error_count(), 2);
         // Repair wipes the history.
-        r.repair_node(0).value.expect("repairable");
+        r.repair_node(0).expect("repairable");
         assert_eq!(r.node_health(0).expect("in range"), Health::Healthy);
         assert_eq!(r.nodes()[0].error_count(), 0);
     }
@@ -2540,10 +2527,7 @@ mod tests {
         );
         assert_eq!(r.node_health(0).expect("in range"), Health::Quarantined);
         // id 2 would land on node 0: refused typed while node 1 is usable.
-        let err = r
-            .store(container_with(6..9))
-            .value
-            .expect_err("quarantined target");
+        let err = store_one(&mut r, container_with(6..9)).expect_err("quarantined target");
         assert_eq!(err, StoreError::NodeQuarantined { node: 0 });
         assert_eq!(r.stats().containers, 2, "nothing persisted, ID unconsumed");
         // Quarantine node 1 too: refusing both would violate R, so
@@ -2590,20 +2574,23 @@ mod tests {
         r.set_damage(ids[0], Some(Damage::BitFlip)).expect("live");
         r.set_damage(ids[2], Some(Damage::Torn)).expect("live");
         assert_eq!(r.under_replicated().len(), 2);
-        let t = r.scrub_all();
-        let report = t.value;
+        let (report, legs) = r.scrub_all();
         assert_eq!(report.copies_checked, 8, "every copy on every node");
         assert_eq!(report.corrupt_found, 2);
         assert_eq!(report.repaired, 2, "100% of corrupt copies repaired");
         assert_eq!(report.unrecoverable, 0);
-        assert!(t.cost > 0.0);
+        assert_eq!(
+            legs.len(),
+            8 + 2 * 2,
+            "a read per copy, a read and a write per repair"
+        );
         assert!(r.under_replicated().is_empty());
         for &id in &ids {
             assert!(r.read(id).value.expect("clean").is_some());
         }
         assert_eq!(r.stats().corrupt_reads, 0, "scrub reads are maintenance");
         // Idempotence: a second scrub finds a fully healthy cluster.
-        let again = r.scrub_all().value;
+        let again = r.scrub_all().0;
         assert_eq!(again.corrupt_found, 0);
         assert_eq!(again.repaired, 0);
         assert_eq!(again.copies_checked, 8);
@@ -2614,7 +2601,7 @@ mod tests {
         let mut r = repo(2); // R = 1
         let id = store_ok(&mut r, container_with(0..4));
         r.set_damage(id, Some(Damage::BitFlip)).expect("live");
-        let report = r.scrub_all().value;
+        let report = r.scrub_all().0;
         assert_eq!(report.copies_checked, 1);
         assert_eq!(report.corrupt_found, 1);
         assert_eq!(report.repaired, 0, "no clean source anywhere");
@@ -2631,7 +2618,7 @@ mod tests {
                                                          // Node 1 silently loses its copy.
         r.nodes[1].containers.clear();
         assert_eq!(r.under_replicated(), vec![id]);
-        let report = r.scrub_all().value;
+        let report = r.scrub_all().0;
         assert_eq!(report.corrupt_found, 0);
         assert_eq!(report.repaired, 1, "missing ring copy re-replicated");
         assert!(r.under_replicated().is_empty());
@@ -2656,13 +2643,13 @@ mod tests {
         }
         assert_copies_on_rings(&r, "store");
         r.set_node_down(1).expect("in range");
-        let first = r.repair_node(1).value.expect("repairable");
+        let first = r.repair_node(1).expect("repairable");
         assert!(first.recopied > 0);
         assert_copies_on_rings(&r, "repair of a down node");
         let counts: Vec<usize> = r.nodes().iter().map(|n| n.container_count()).collect();
         let stats = r.stats();
         // Second repair: same scan, zero recopies, identical state.
-        let second = r.repair_node(1).value.expect("still repairable");
+        let second = r.repair_node(1).expect("still repairable");
         assert_copies_on_rings(&r, "repair of an up node");
         assert_eq!(second.scanned, first.scanned);
         assert_eq!(second.recopied, 0, "repair is idempotent");
@@ -2679,7 +2666,7 @@ mod tests {
         let a = r.container_ids()[0];
         r.delete_container(a).expect("live");
         assert_copies_on_rings(&r, "delete");
-        let report = r.scrub_all().value;
+        let report = r.scrub_all().0;
         assert_eq!(report.corrupt_found, 0);
         assert_eq!(report.repaired, 0);
         assert!(!r.contains(a), "scrub does not resurrect reclaimed ids");
@@ -2690,7 +2677,7 @@ mod tests {
         let lost = ids[1];
         let holder = r.replica_nodes(lost)[1];
         r.nodes[holder].containers.remove(&lost.raw());
-        let report = r.scrub_all().value;
+        let report = r.scrub_all().0;
         assert_eq!((report.corrupt_found, report.repaired), (1, 2));
         assert_copies_on_rings(&r, "scrub repairs");
     }

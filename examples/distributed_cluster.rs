@@ -82,7 +82,13 @@ fn main() {
     cluster.force_siu().expect("siu");
     let mut restored = 0u64;
     for &job in &jobs {
-        let versions = cluster.director.metadata.job(job).chain.len() as u32;
+        let versions = cluster
+            .director
+            .metadata
+            .job(job)
+            .expect("defined")
+            .chain
+            .len() as u32;
         for v in 0..versions {
             let rep = cluster
                 .restore_run(RunId { job, version: v })

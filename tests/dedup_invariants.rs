@@ -41,7 +41,12 @@ fn random_workload(seed: u64, w_bits: u32, sweep_parts: usize) {
                 recs.extend((base..base + len).map(ChunkRecord::of_counter));
             }
             seen.extend(recs.iter().map(|r| r.fp));
-            let version = c.director.metadata.job(job).next_version();
+            let version = c
+                .director
+                .metadata
+                .job(job)
+                .expect("defined")
+                .next_version();
             let bytes: u64 = recs.iter().map(|r| r.len as u64).sum();
             runs.push((job, version, bytes));
             c.backup(job, &Dataset::from_records("s", recs))
