@@ -209,7 +209,7 @@ impl DebarCluster {
                     // pipelined behind the network receive; only the
                     // excess (log slower than stream) stalls the run.
                     srv.charge_net(len);
-                    log_cost += srv.chunk_log.try_append(LogRecord::from(chunk))?;
+                    log_cost += srv.chunk_log.append(LogRecord::from(chunk))?;
                     report.transferred_bytes += len;
                     report.transferred_chunks += 1;
                     report.backlog_bytes += len;
@@ -263,7 +263,7 @@ impl DebarCluster {
                 // owner's checking file until SIU registers it.
                 let srv = &mut servers[sid];
                 srv.charge_net(len);
-                log_cost += srv.chunk_log.try_append(LogRecord::from(chunk))?;
+                log_cost += srv.chunk_log.append(LogRecord::from(chunk))?;
                 report.transferred_bytes += len;
                 report.transferred_chunks += 1;
                 srv.stage_inline_store(fp);

@@ -9,8 +9,8 @@
 //! fingerprint still *undetermined* — duplicates included — and the
 //! sweep discards them at drain time; under `Inline` only chunks the
 //! backup path already determined **new** are appended (their storage
-//! decision rides along as pre-staged carryover, so nothing drained is
-//! discarded); under `Hybrid` the log holds both record kinds — the
+//! decision is staged in the server's decision map, so nothing drained
+//! is discarded); under `Hybrid` the log holds both record kinds — the
 //! budget-resolved new chunks and the cold undetermined remainder.
 //!
 //! # What a drain reads
@@ -18,23 +18,29 @@
 //! By the time chunk storing drains the log, PSIL has decided every record
 //! in it. So the drain reads only the records the pass will pack — a
 //! `Store` verdict on the first occurrence of its fingerprint, the mask
-//! [`ChunkLog::try_drain_striped`] takes — and seeks over the rest, with
+//! [`ChunkLog::drain_striped`] takes — and seeks over the rest, with
 //! the gap law ranged container reads use (`debar_store::wanted_extents`):
 //! a run of unwanted records is read through iff streaming it costs no
 //! more than the seek that skipping it costs. A record's offset is its
 //! place in the log's record table: the `record_bytes` of every record
-//! ahead of it in the log's current order (records a crash rollback
-//! re-queued sit at the front, where the read pointer stopped). The drain
-//! is still one forward pass per worker disk, charged as one op by
+//! ahead of it in log order. The drain is still one forward pass per
+//! worker disk, charged as one op by
 //! `debar_simio::SimDisk::seq_read_extents`.
 //!
 //! The paper's "its sustained read rate (224 MB/s) bounds chunk storing"
 //! is the case where every record is wanted — an inline-mode log, a first
 //! backup, a log with no duplicate in it: that drain costs the whole-log
 //! sequential read, to the bit. Skipping moves disk time only. Every
-//! record still comes back in append order, the pack processes and counts
-//! each one (`StoreReport::log_bytes`), and a crash rollback re-queues
-//! them all.
+//! record still comes back in log order and the pack processes each one.
+//!
+//! # A drain reads, a commit consumes
+//!
+//! A drain leaves the log as it found it: the read pointer moves only
+//! when the pass that read the log commits ([`ChunkLog::commit`]). A clean
+//! commit releases every record; a commit that faulted keeps exactly what
+//! it did not make durable, in log order, for the resumed round. What a
+//! commit gives up is what the pass reports (`StoreReport::log_bytes`),
+//! so an interrupted pass and its redo count each record once.
 //!
 //! # Striped drains (`store_workers`)
 //!
@@ -56,15 +62,15 @@
 //!
 //! Every worker disk carries an armable [`debar_simio::FaultPlan`] like
 //! every other simulated device, and the log's only I/O entry points
-//! ([`ChunkLog::try_append`], [`ChunkLog::try_drain_striped`]) are
+//! ([`ChunkLog::append`], [`ChunkLog::drain_striped`]) are
 //! fault-checked: they surface injected faults as
 //! [`DebarError::DeviceFault`] naming the [`Device::LogWorker`] that
 //! faulted — extending the typed failure story to de-duplication phase
 //! I. Log appends are synchronous (the backup run stalls on them), so
 //! *every* fault kind — outright failure, torn write, bit flip — is
 //! detected at the faulted operation itself: a failed append persists
-//! nothing and the record is **not** logged; a failed drain leaves every
-//! record in place for the retry.
+//! nothing and the record is **not** logged. A failed drain, like every
+//! drain, leaves every record in place.
 
 use crate::dataset::StreamChunk;
 use crate::error::DebarError;
@@ -105,7 +111,7 @@ pub struct ChunkLog {
     /// The owning backup server (names this log's devices in errors).
     server: ServerId,
     /// The log's only devices: one disk per store worker, sized by
-    /// [`ChunkLog::try_drain_striped`]; worker 0 doubles as the volume
+    /// [`ChunkLog::drain_striped`]; worker 0 doubles as the volume
     /// appends are charged to.
     worker_disks: PartDiskSet,
     records: Vec<LogRecord>,
@@ -178,7 +184,7 @@ impl ChunkLog {
     /// [`DebarError::DeviceFault`] and the record is
     /// **not** logged (a failed synchronous append persists nothing) —
     /// the caller aborts its backup run and may retry it whole.
-    pub fn try_append(&mut self, rec: LogRecord) -> Result<Secs, DebarError> {
+    pub fn append(&mut self, rec: LogRecord) -> Result<Secs, DebarError> {
         let b = rec.record_bytes();
         let cost = self
             .worker_disks
@@ -205,27 +211,41 @@ impl ChunkLog {
     /// `1/W` of it striped. The returned record sequence is the whole log,
     /// wanted or not, byte-identical at any worker count.
     ///
-    /// Each engaged worker disk is charged one op, even with nothing of
-    /// its share wanted. A fault on any single worker disk surfaces as
-    /// [`DebarError::DeviceFault`] naming it (lowest worker first; a
-    /// sibling armed in the same window surfaces at the next drain) with
-    /// **every record left in the log** — the read pointer never
-    /// advanced, so the resumed round's drain replays the identical
-    /// sequence.
-    pub fn try_drain_striped(
+    /// A drain is a read: it leaves every record in the log, and only
+    /// [`ChunkLog::commit`] consumes them. Each engaged worker disk is
+    /// charged one op, even with nothing of its share wanted. A fault on
+    /// any single worker disk surfaces as [`DebarError::DeviceFault`]
+    /// naming it (lowest worker first; a sibling armed in the same window
+    /// surfaces at the next drain).
+    pub fn drain_striped(
         &mut self,
         workers: usize,
         wanted: &[bool],
-    ) -> Result<Timed<Vec<LogRecord>>, DebarError> {
+    ) -> Result<Timed<&[LogRecord]>, DebarError> {
         let extents = self.worker_extents(workers.max(1), wanted);
         let cost = self.worker_disks.seq_read_extents_split(&extents);
         if let Some((worker, fault)) = self.worker_disks.take_fault() {
-            // The faulted worker's share never merged: the whole drain
-            // aborts with the read pointer unadvanced.
             return Err(self.fault(worker, fault));
         }
-        self.bytes = 0;
-        Ok(Timed::new(std::mem::take(&mut self.records), cost))
+        Ok(Timed::new(&self.records, cost))
+    }
+
+    /// Commit the pass that drained the log: keep the records `keep`
+    /// names by their place in log order — what the pass did not make
+    /// durable — in that order, and release the rest. No I/O is charged:
+    /// the read pointer moves over bytes already read. Returns the records
+    /// and bytes the log gave up.
+    pub fn commit(&mut self, keep: impl Fn(usize) -> bool) -> (u64, u64) {
+        let (records, bytes) = (self.records.len() as u64, self.bytes);
+        // A fresh table: the one the pass read is released with its
+        // high-water capacity, not cleared in place.
+        let kept: Vec<LogRecord> = (self.records.iter().enumerate())
+            .filter(|&(i, _)| keep(i))
+            .map(|(_, rec)| rec.clone())
+            .collect();
+        self.bytes = kept.iter().map(LogRecord::record_bytes).sum();
+        self.records = kept;
+        (records - self.len() as u64, bytes - self.bytes)
     }
 
     /// What each of `workers` worker disks reads: the extents of the
@@ -263,17 +283,6 @@ impl ChunkLog {
         shares.iter().map(lens).collect()
     }
 
-    /// Put records back at the *front* of the log in order (crash
-    /// rollback: an interrupted chunk-storing phase re-queues the records
-    /// it did not durably store, modelling a log read pointer that never
-    /// advanced past them). No I/O is charged — the bytes are already on
-    /// the log disk.
-    pub fn requeue_front(&mut self, mut records: Vec<LogRecord>) {
-        self.bytes += records.iter().map(LogRecord::record_bytes).sum::<u64>();
-        records.append(&mut self.records);
-        self.records = records;
-    }
-
     /// Disk statistics, merged over the worker disks (`busy_s` in
     /// device-seconds).
     pub fn disk_stats(&self) -> debar_simio::DiskStats {
@@ -308,7 +317,7 @@ mod tests {
         let mut log = ChunkLog::new(3);
         for (n, &b) in bytes.iter().enumerate() {
             let len = b.checked_sub(25).expect("a record is at least its header");
-            log.try_append(rec(n as u64, len as u32)).expect("append");
+            log.append(rec(n as u64, len as u32)).expect("append");
         }
         log
     }
@@ -324,28 +333,43 @@ mod tests {
     }
 
     #[test]
-    fn append_accumulates_and_drain_clears() {
+    fn append_accumulates_and_commit_clears() {
         let mut log = ChunkLog::new(3);
         assert!(log.is_empty());
-        let c1 = log.try_append(rec(1, 1000)).expect("append");
-        let c2 = log.try_append(rec(2, 2000)).expect("append");
+        let c1 = log.append(rec(1, 1000)).expect("append");
+        let c2 = log.append(rec(2, 2000)).expect("append");
         assert!(c1 > 0.0 && c2 > c1);
         assert_eq!(log.len(), 2);
-        assert_eq!(log.bytes(), 25 + 1000 + 25 + 2000);
-        let t = log.try_drain_striped(1, &all(&log)).expect("drain");
+        let bytes = 25 + 1000 + 25 + 2000;
+        assert_eq!(log.bytes(), bytes);
+        let t = log.drain_striped(1, &all(&log)).expect("drain");
         assert_eq!(t.value.len(), 2);
         assert!(t.cost > 0.0);
+        // A drain reads; the commit consumes.
+        assert_eq!((log.len(), log.bytes()), (2, bytes), "drain keeps the log");
+        assert_eq!(log.commit(|_| false), (2, bytes));
         assert!(log.is_empty());
         assert_eq!(log.bytes(), 0);
+    }
+
+    #[test]
+    fn a_commit_keeps_what_it_names_in_log_order() {
+        let mut log = log_of(&[100, 200, 300, 400, 500]);
+        log.drain_striped(2, &all(&log)).expect("drain");
+        assert_eq!(log.commit(|i| i == 1 || i >= 3), (2, 100 + 300));
+        let fps: Vec<Fingerprint> = log.records().iter().map(|r| r.fp).collect();
+        let want: Vec<Fingerprint> = [1, 3, 4].map(Fingerprint::of_counter).to_vec();
+        assert_eq!(fps, want);
+        assert_eq!(log.bytes(), 200 + 400 + 500);
     }
 
     #[test]
     fn drain_preserves_append_order() {
         let mut log = ChunkLog::new(3);
         for i in 0..10u64 {
-            log.try_append(rec(i, 100)).expect("append");
+            log.append(rec(i, 100)).expect("append");
         }
-        let recs = log.try_drain_striped(1, &all(&log)).expect("drain").value;
+        let recs = log.drain_striped(1, &all(&log)).expect("drain").value;
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r.fp, Fingerprint::of_counter(i as u64));
         }
@@ -354,7 +378,7 @@ mod tests {
     #[test]
     fn sequential_rates_used() {
         let mut log = ChunkLog::new(3);
-        log.try_append(rec(1, 1 << 20)).expect("append");
+        log.append(rec(1, 1 << 20)).expect("append");
         let stats = log.disk_stats();
         assert_eq!(stats.rand_writes, 0, "log writes must be sequential");
         assert!(stats.seq_write_bytes > 1 << 20);
@@ -364,9 +388,9 @@ mod tests {
     fn append_fault_is_typed_and_record_not_logged() {
         use debar_simio::FaultKind;
         let mut log = ChunkLog::new(3);
-        log.try_append(rec(1, 100)).expect("clean append");
+        log.append(rec(1, 100)).expect("clean append");
         log.set_worker_fault_plan(0, FaultPlan::fail_at(log.worker_disk_ops(0)));
-        let err = log.try_append(rec(2, 200)).expect_err("armed fault fires");
+        let err = log.append(rec(2, 200)).expect_err("armed fault fires");
         let DebarError::DeviceFault {
             device: WORKER_0,
             fault,
@@ -379,8 +403,8 @@ mod tests {
         assert_eq!(log.bytes(), 125);
         // Retry succeeds and the drained sequence is exactly the durable
         // appends.
-        log.try_append(rec(2, 200)).expect("retry");
-        let recs = log.try_drain_striped(1, &all(&log)).expect("drain").value;
+        log.append(rec(2, 200)).expect("retry");
+        let recs = log.drain_striped(1, &all(&log)).expect("drain").value;
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].fp, Fingerprint::of_counter(2));
     }
@@ -393,7 +417,7 @@ mod tests {
         for plan in [FaultPlan::torn_write_at(0), FaultPlan::bit_flip_at(0)] {
             let mut log = ChunkLog::new(3);
             log.set_worker_fault_plan(0, plan);
-            let err = log.try_append(rec(7, 50)).expect_err("fault fires");
+            let err = log.append(rec(7, 50)).expect_err("fault fires");
             assert!(
                 matches!(
                     err,
@@ -412,12 +436,10 @@ mod tests {
     fn drain_fault_keeps_records_for_identical_replay() {
         let mut log = ChunkLog::new(3);
         for i in 0..5u64 {
-            log.try_append(rec(i, 100)).expect("append");
+            log.append(rec(i, 100)).expect("append");
         }
         log.set_worker_fault_plan(0, FaultPlan::fail_at(log.worker_disk_ops(0)));
-        let err = log
-            .try_drain_striped(1, &all(&log))
-            .expect_err("drain fault");
+        let err = log.drain_striped(1, &all(&log)).expect_err("drain fault");
         assert!(
             matches!(
                 err,
@@ -431,13 +453,15 @@ mod tests {
         assert_eq!(log.len(), 5, "read pointer never advanced");
         assert_eq!(log.bytes(), 5 * 125);
         let recs = log
-            .try_drain_striped(1, &all(&log))
+            .drain_striped(1, &all(&log))
             .expect("retry drains")
             .value;
         assert_eq!(recs.len(), 5);
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r.fp, Fingerprint::of_counter(i as u64), "order kept");
         }
+        assert_eq!(log.len(), 5, "the replay reads, too");
+        assert_eq!(log.commit(|_| false), (5, 5 * 125));
         assert!(log.is_empty());
     }
 
@@ -446,16 +470,16 @@ mod tests {
         let build = || {
             let mut log = ChunkLog::new(3);
             for i in 0..16u64 {
-                log.try_append(rec(i, 1000)).expect("append");
+                log.append(rec(i, 1000)).expect("append");
             }
             log
         };
         let mut scalar = build();
-        let t1 = scalar.try_drain_striped(1, &all(&scalar)).expect("drain");
+        let t1 = scalar.drain_striped(1, &all(&scalar)).expect("drain");
         for workers in [2usize, 4, 8] {
             let mut striped = build();
             let tw = striped
-                .try_drain_striped(workers, &all(&striped))
+                .drain_striped(workers, &all(&striped))
                 .expect("striped drain");
             assert_eq!(
                 tw.cost,
@@ -464,7 +488,7 @@ mod tests {
             );
             // The record sequence is byte-identical at any worker count.
             assert_eq!(tw.value.len(), t1.value.len());
-            for (a, b) in tw.value.iter().zip(&t1.value) {
+            for (a, b) in tw.value.iter().zip(t1.value) {
                 assert_eq!(a.fp, b.fp);
                 assert_eq!(a.payload, b.payload);
             }
@@ -475,12 +499,12 @@ mod tests {
     fn single_worker_drain_fault_keeps_records_for_identical_replay() {
         let mut log = ChunkLog::new(3);
         for i in 0..6u64 {
-            log.try_append(rec(i, 100)).expect("append");
+            log.append(rec(i, 100)).expect("append");
         }
         // Arm exactly one worker disk of a 3-way drain stripe.
         log.set_worker_fault_plan(1, FaultPlan::fail_at(log.worker_disk_ops(1)));
         let err = log
-            .try_drain_striped(3, &all(&log))
+            .drain_striped(3, &all(&log))
             .expect_err("worker fault fires");
         assert!(
             matches!(
@@ -499,13 +523,15 @@ mod tests {
         assert_eq!(log.len(), 6, "read pointer never advanced");
         assert_eq!(log.bytes(), 6 * 125);
         let recs = log
-            .try_drain_striped(3, &all(&log))
+            .drain_striped(3, &all(&log))
             .expect("retry drains")
             .value;
         assert_eq!(recs.len(), 6);
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r.fp, Fingerprint::of_counter(i as u64), "order kept");
         }
+        assert_eq!(log.len(), 6, "the replay reads, too");
+        assert_eq!(log.commit(|_| false), (6, 6 * 125));
         assert!(log.is_empty());
     }
 
@@ -521,7 +547,7 @@ mod tests {
         let model = debar_simio::models::paper::log_disk();
         for w in 1..=5usize {
             let mut log = log_of(&sizes);
-            let cost = log.try_drain_striped(w, &all(&log)).expect("drain").cost;
+            let cost = log.drain_striped(w, &all(&log)).expect("drain").cost;
             let shares: Vec<u64> = (0..w as u64)
                 .map(|i| bytes * (i + 1) / w as u64 - bytes * i / w as u64)
                 .collect();
@@ -538,7 +564,7 @@ mod tests {
             }
         }
         let mut log = log_of(&sizes);
-        let cost = log.try_drain_striped(1, &all(&log)).expect("drain").cost;
+        let cost = log.drain_striped(1, &all(&log)).expect("drain").cost;
         assert_eq!(cost, debar_simio::SimDisk::new(model).seq_read(bytes));
     }
 
@@ -555,7 +581,7 @@ mod tests {
         for gap in [edge - 1, edge, edge + 1] {
             let mut log = log_of(&[a, gap / 2, gap - gap / 2, b]);
             let mask = [true, false, false, true];
-            let cost = log.try_drain_striped(1, &mask).expect("drain").cost;
+            let cost = log.drain_striped(1, &mask).expect("drain").cost;
             let through = model.seq_read_cost(gap) <= seek;
             assert_eq!(through, gap <= edge, "the law is a byte count: {edge}");
             let (read, want) = if through {
@@ -575,15 +601,17 @@ mod tests {
             for mask in [Vec::new(), vec![false; 9]] {
                 let mut log = log_of(&[5000; 9]);
                 let before: Vec<u64> = (0..w).map(|i| log.worker_disk_ops(i)).collect();
-                let t = log.try_drain_striped(w, &mask).expect("drain");
+                let t = log.drain_striped(w, &mask).expect("drain");
                 assert_eq!(t.cost, 0.0, "W = {w}");
                 assert_eq!(t.value.len(), 9, "every record comes back");
-                assert!(log.is_empty() && log.bytes() == 0);
+                assert_eq!((log.len(), log.bytes()), (9, 9 * 5000), "and stays");
                 let reads = worker_reads(&log);
                 assert_eq!(reads.len(), w, "every worker is engaged");
                 for (i, &(ops, read, _)) in reads.iter().enumerate() {
                     assert_eq!((ops, read), (before[i] + 1, 0), "W = {w}, worker {i}");
                 }
+                assert_eq!(log.commit(|_| false), (9, 9 * 5000));
+                assert!(log.is_empty());
             }
         }
     }
@@ -603,7 +631,7 @@ mod tests {
                     let mut log = log_of(&sizes);
                     let armed = log.worker_disk_ops(worker);
                     log.set_worker_fault_plan(worker, FaultPlan::fail_at(armed));
-                    let err = log.try_drain_striped(w, mask).expect_err("armed op faults");
+                    let err = log.drain_striped(w, mask).expect_err("armed op faults");
                     let DebarError::DeviceFault {
                         device: Device::LogWorker { worker: named, .. },
                         fault,
@@ -613,7 +641,7 @@ mod tests {
                     };
                     assert_eq!((named as usize, fault.op), (worker, armed));
                     assert_eq!((log.len(), log.bytes()), (6, bytes), "nothing drained");
-                    let recs = log.try_drain_striped(w, mask).expect("replay").value;
+                    let recs = log.drain_striped(w, mask).expect("replay").value;
                     for (i, r) in recs.iter().enumerate() {
                         assert_eq!(r.fp, Fingerprint::of_counter(i as u64), "order kept");
                     }
@@ -636,10 +664,10 @@ mod tests {
             let sizes: Vec<u64> = log.iter().map(|&(b, _)| b).collect();
             let wanted: Vec<bool> = log.iter().map(|&(_, v)| v == 0).collect();
             let (mut ranged, mut whole) = (log_of(&sizes), log_of(&sizes));
-            let r = ranged.try_drain_striped(w, &wanted).expect("drain");
-            let t = whole.try_drain_striped(w, &all(&whole)).expect("drain");
+            let r = ranged.drain_striped(w, &wanted).expect("drain");
+            let t = whole.drain_striped(w, &all(&whole)).expect("drain");
             proptest::prop_assert_eq!(r.value.len(), sizes.len());
-            for (i, (a, b)) in r.value.iter().zip(&t.value).enumerate() {
+            for (i, (a, b)) in r.value.iter().zip(t.value).enumerate() {
                 proptest::prop_assert_eq!(a.fp, Fingerprint::of_counter(i as u64));
                 proptest::prop_assert_eq!(&a.payload, &b.payload);
             }

@@ -35,7 +35,8 @@
 //!    to run.
 //! 2. **A fault does not stop the siblings.** Every server finishes PSIL,
 //!    pack or PSIU before any result is inspected; only then is the first
-//!    error (lowest server ID) surfaced and the round rolled back. Sibling
+//!    error (lowest server ID) surfaced, and what no commit took is simply
+//!    dropped (see [`DebarCluster::run_dedup2`]'s failure model). Sibling
 //!    op counters and clocks advance as in an unfaulted round, so a redo
 //!    replays from the same device state whichever server faulted.
 //!
@@ -49,7 +50,7 @@ use crate::error::{DebarError, DebarResult, Dedup2Phase};
 use crate::ids::{ClientId, Device, JobId, ServerId};
 use crate::job::{JobSpec, Schedule};
 use crate::report::{CapReport, Dedup2Report, StoreReport};
-use crate::server::{merge_decision, BackupServer, Decision, SilPartOutput};
+use crate::server::{BackupServer, PackOutput, SilPartOutput};
 use debar_filter::CuckooFilter;
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::SiuReport;
@@ -82,9 +83,10 @@ pub struct DebarCluster {
     servers: Vec<BackupServer>,
     repo: ChunkRepository,
     clients: HashMap<ClientId, BackupClient>,
-    /// Storage statistics of an interrupted round's durable prefix, folded
-    /// into the resumed round's report so crashed-plus-resumed totals
-    /// match an uninterrupted history.
+    /// Storage statistics of the current round's store commits, across an
+    /// interrupted attempt and its resume: the round's report takes them
+    /// at the round's commit, so crashed-plus-resumed totals match an
+    /// uninterrupted history.
     carryover_store: StoreReport,
     /// The deletable summary vector: a cuckoo filter holding one copy of
     /// every fingerprint referenced by a recorded run (or preloaded as
@@ -354,42 +356,50 @@ impl DebarCluster {
     ///
     /// # Failure model
     ///
-    /// An injected fault mid-round surfaces as
-    /// [`DebarError::InterruptedDedup2`] (PSIL or chunk storing) or
-    /// [`DebarError::PartialSiu`] (PSIU), and the cluster rolls the round
-    /// back to a crash-consistent state: undetermined fingerprints are
-    /// restored, checking-file additions are only committed when every
-    /// PSIL pass succeeded, undrained/unsealed chunks are re-queued into
-    /// the chunk log with their storage decisions carried over, and the
-    /// round number is **not** committed. Calling `run_dedup2` again
-    /// (after clearing the fault) re-runs the same round and converges to
-    /// the byte-identical index parts and restore bytes of an
-    /// uninterrupted run.
+    /// Every phase reads the servers' dedup-2 state in place — the
+    /// undetermined lists, the chunk logs, the decision maps — and the
+    /// round has three commit points, the only places that state moves:
+    ///
+    /// 1. **PSIL**, once every server's pass succeeded: each owner's
+    ///    staged checking entries enter its checking file, each origin's
+    ///    verdicts enter its decision map, and the undetermined lists are
+    ///    released.
+    /// 2. **Each server's store commit** ([`BackupServer::commit_packed`]),
+    ///    in server order: the containers it made durable get their IDs
+    ///    and route to SIU, its log and decision map give up what became
+    ///    durable (everything, on a clean batch), and its store totals
+    ///    join the round's. No server commits after a drain fault or a
+    ///    sibling's store fault.
+    /// 3. **The round**, after PSIU ran or was deferred: the round number,
+    ///    the inline-staged counters and the round's store totals, which
+    ///    the report takes.
+    ///
+    /// An injected fault surfaces as [`DebarError::InterruptedDedup2`]
+    /// (PSIL or chunk storing) or [`DebarError::PartialSiu`] (PSIU). What a
+    /// phase computed before its commit is dropped: nothing moved, so
+    /// nothing is rolled back. Calling `run_dedup2` again (after clearing
+    /// the fault) re-runs the same round from what the commits left and
+    /// converges to the byte-identical index parts, restore bytes and store
+    /// totals of an uninterrupted run.
     pub fn run_dedup2(&mut self) -> DebarResult<Dedup2Report> {
         let (round, run_siu) = self.director.peek_dedup2();
         let s = self.servers.len();
         let w = self.cfg.w_bits;
         // Decisions the backup path already resolved (inline/hybrid dedup):
-        // they enter the round as carryover, bypassing PSIL. Counted before
-        // the round so a faulted attempt reports them again on the resume;
-        // the counters reset only on commit below.
+        // they are staged in the decision maps, bypassing PSIL. Counted
+        // before the round so a faulted attempt reports them again on the
+        // resume; the counters reset only at the round's commit.
         let predetermined_fps: u64 = self.servers.iter().map(BackupServer::inline_staged).sum();
         let t0 = self.align_clocks();
 
         // ---- Phase 1: partition undetermined fingerprints, exchange. ----
-        // The per-server snapshot survives until every PSIL pass succeeds
-        // so an interrupted round can restore the exact original order
-        // (sub-batch boundaries must reproduce on the re-run).
-        let taken: Vec<Vec<Fingerprint>> = self
-            .servers
-            .iter_mut()
-            .map(BackupServer::take_undetermined)
-            .collect();
+        // Read in place, in arrival order: a redo after a PSIL fault
+        // submits the identical batches (sub-batch boundaries reproduce).
         let mut batches: Vec<Vec<(Fingerprint, ServerId)>> = vec![Vec::new(); s];
         let mut tx_bytes = vec![0u64; s];
         let mut rx_bytes = vec![0u64; s];
-        for (i, fps) in taken.iter().enumerate() {
-            for &fp in fps {
+        for (i, srv) in self.servers.iter().enumerate() {
+            for &fp in &srv.undetermined {
                 let owner = fp.server_number(w) as usize;
                 if owner != i {
                     tx_bytes[i] += 25;
@@ -412,11 +422,6 @@ impl DebarCluster {
             .map(|(srv, batch)| srv.sil_on_part(batch, s))
             .collect();
         if let Some((sid, cause)) = first_fault(&results) {
-            // Crash rollback: give every origin its fingerprints back in
-            // original order; no checking entry was committed.
-            for (srv, fps) in self.servers.iter_mut().zip(taken) {
-                srv.restore_undetermined(fps);
-            }
             let _ = self.align_clocks();
             return Err(DebarError::InterruptedDedup2 {
                 round,
@@ -426,32 +431,22 @@ impl DebarCluster {
             });
         }
         let outputs: Vec<SilPartOutput> = results.into_iter().flatten().collect();
-        // Every PSIL pass succeeded: commit the staged checking entries.
-        for (srv, out) in self.servers.iter_mut().zip(&outputs) {
-            srv.commit_checking(&out.newly_checking);
-        }
-        // Route verdicts back to origins (charging the result exchange).
-        let mut decisions: Vec<HashMap<Fingerprint, Decision>> =
-            (0..s).map(|_| HashMap::new()).collect();
+        // The PSIL commit: checking entries, verdicts routed back to their
+        // origins (charging the result exchange), and the undetermined
+        // lists the batches were read from released.
         let mut tx2 = vec![0u64; s];
         for (owner, out) in outputs.iter().enumerate() {
+            self.servers[owner].commit_checking(&out.newly_checking);
             for (origin, list) in out.verdicts.iter().enumerate() {
                 if origin != owner {
                     tx2[owner] += 26 * list.len() as u64;
                     tx2[origin] += 26 * list.len() as u64;
                 }
-                for &(fp, d) in list {
-                    // The same (fp, origin) pair can be adjudicated twice
-                    // when an origin re-submitted a fingerprint and the two
-                    // submissions landed in different SIL sub-batches: the
-                    // first yields Store, the second a checking-file Skip.
-                    // A Store designation is binding — it must never be
-                    // overwritten by a later Skip.
-                    merge_decision(&mut decisions[origin], fp, d);
-                }
+                self.servers[origin].decide(list);
             }
         }
         for (srv, &t) in self.servers.iter_mut().zip(&tx2) {
+            srv.undetermined = Vec::new();
             srv.charge_net(t);
         }
         let dup_registered: u64 = outputs.iter().map(|o| o.stats.dup_registered).sum();
@@ -473,23 +468,16 @@ impl DebarCluster {
         let t2 = self.now();
 
         // ---- Phase 3: pipelined chunk storing. ----
-        // Start from the durable prefix of an interrupted attempt of this
-        // round, so the (re)run's report covers the whole round.
-        let mut store_total = std::mem::take(&mut self.carryover_store);
         // Stage 1 — pack: every server drains its chunk log (striped
         // over `store_workers` worker disks) and packs SISL containers,
-        // starting at its own post-PSIL clock. Packing touches only the
-        // server's own state (no repository access).
-        let packs: Vec<Result<crate::server::PackOutput, DebarError>> = self
+        // starting at its own post-PSIL clock. Packing reads only the
+        // server's own state and moves none of it.
+        let packs: Vec<Result<PackOutput, DebarError>> = self
             .servers
             .iter_mut()
-            .zip(&decisions)
-            .map(|(srv, dec)| srv.pack_chunks(dec))
+            .map(BackupServer::pack_chunks)
             .collect();
-        // A drain fault interrupts the phase before any container commits:
-        // the faulted server already kept its log intact and stashed its
-        // decisions, and the walk below rolls every sibling pack back, so
-        // the resumed round replays the identical sequence everywhere.
+        // A drain fault interrupts the phase before any container commits.
         let mut store_fault = first_fault(&packs);
         // Stage 2 — commit in canonical server order: container IDs are
         // assigned here, so the repository sees exactly the operation
@@ -498,25 +486,19 @@ impl DebarCluster {
         let mut routed_updates: Vec<Vec<(Fingerprint, ContainerId)>> = vec![Vec::new(); s];
         let mut tx3 = vec![0u64; s];
         for (i, pack) in packs.into_iter().enumerate() {
-            let Ok(pack) = pack else { continue };
-            if store_fault.is_some() {
-                // An earlier fault interrupted the phase: roll this
-                // server's pack back whole (its log must look as if the
-                // drain never ran) and carry its decisions over.
-                self.servers[i].abort_pack(pack);
+            // Once the phase faulted, every remaining pack is dropped
+            // uncommitted: its server's log and decisions never moved.
+            let (Ok(pack), None) = (pack, &store_fault) else {
                 continue;
-            }
-            let outcome = {
-                let repo = &mut self.repo;
-                self.servers[i].commit_packed(pack, repo)
             };
-            let rep = outcome.report;
-            store_total.log_records += rep.log_records;
-            store_total.log_bytes += rep.log_bytes;
-            store_total.stored_chunks += rep.stored_chunks;
-            store_total.stored_bytes += rep.stored_bytes;
-            store_total.discarded += rep.discarded;
-            store_total.containers += rep.containers;
+            let outcome = self.servers[i].commit_packed(pack, &mut self.repo);
+            let (rep, total) = (outcome.report, &mut self.carryover_store);
+            total.log_records += rep.log_records;
+            total.log_bytes += rep.log_bytes;
+            total.stored_chunks += rep.stored_chunks;
+            total.stored_bytes += rep.stored_bytes;
+            total.discarded += rep.discarded;
+            total.containers += rep.containers;
             // Durable assignments route to their owners even when the
             // pass was interrupted — they are on disk and must register.
             for (fp, cid) in outcome.assigned {
@@ -538,8 +520,6 @@ impl DebarCluster {
             self.servers[i].queue_updates(updates);
         }
         if let Some((sid, cause)) = store_fault {
-            // Keep the durable prefix's statistics for the resumed round.
-            self.carryover_store = store_total;
             let _ = self.align_clocks();
             return Err(DebarError::InterruptedDedup2 {
                 round,
@@ -559,9 +539,8 @@ impl DebarCluster {
             (Vec::new(), 0)
         };
         let t4 = self.align_clocks();
+        // The round's commit.
         self.director.commit_dedup2();
-        // The round committed: the staged inline decisions it consumed are
-        // accounted for.
         for srv in &mut self.servers {
             srv.reset_inline_staged();
         }
@@ -576,7 +555,7 @@ impl DebarCluster {
             sil_sweeps,
             sweep_parts,
             store_workers: self.cfg.store_workers.min(u32::MAX as usize) as u32,
-            store: store_total,
+            store: std::mem::take(&mut self.carryover_store),
             cap: CapReport::default(),
             siu_ran: run_siu,
             siu_reports,
@@ -1590,14 +1569,17 @@ mod tests {
     fn mid_store_interruption_keeps_durable_prefix_and_its_statistics() {
         use debar_simio::FaultPlan;
         // Fail node 0's *second* container write: a durable prefix exists
-        // before the fault, unlike the first-write crash above.
+        // before the fault, unlike the first-write crash above. A second
+        // job repeats a third of the first, so the log holds duplicates
+        // the pass discards on both sides of the fault.
         let drive = |fault: bool| {
             let mut c = cluster(0);
             let job = c.define_job("j", ClientId(0));
             c.backup(job, &Dataset::from_records("s", records(0..3000)))
                 .expect("backup");
-            let mut stored_chunks = 0u64;
-            let mut containers = 0u64;
+            let other = c.define_job("k", ClientId(1));
+            c.backup(other, &Dataset::from_records("s", records(1000..4000)))
+                .expect("backup");
             if fault {
                 arm_in(&mut c, Device::RepoNode(0), 1, FaultPlan::fail_at);
                 let err = c.run_dedup2().expect_err("second write faults");
@@ -1612,28 +1594,29 @@ mod tests {
                 c.clear_fault_plans();
             }
             let d2 = c.run_dedup2().expect("(re)run");
-            stored_chunks += d2.store.stored_chunks;
-            containers += d2.store.containers;
-            (c, stored_chunks, containers)
+            (c, d2.store)
         };
-        let (clean, clean_chunks, clean_containers) = drive(false);
-        let (mut resumed, resumed_chunks, resumed_containers) = drive(true);
-        // The resumed round's report folds in the durable prefix, so the
+        let (clean, clean_store) = drive(false);
+        let (mut resumed, resumed_store) = drive(true);
+        // The resumed round's report folds in the durable prefix, and the
+        // prefix counts only what its commit consumed of the log: all six
         // totals match an uninterrupted history exactly.
-        assert_eq!(resumed_chunks, clean_chunks, "stored-chunk accounting");
-        assert_eq!(resumed_containers, clean_containers, "container count");
+        assert_eq!(resumed_store, clean_store, "store accounting");
+        assert_eq!(
+            (clean_store.log_records, clean_store.discarded),
+            (6000, 2000)
+        );
         assert_eq!(
             Sha1::digest(resumed.server(0).index().raw_data()),
             Sha1::digest(clean.server(0).index().raw_data())
         );
-        let r = resumed
-            .restore_run(RunId {
-                job: JobId(0),
-                version: 0,
-            })
-            .expect("restore");
-        assert_eq!(r.failures, 0);
-        assert_eq!(r.chunks, 3000);
+        for job in [JobId(0), JobId(1)] {
+            let r = resumed
+                .restore_run(RunId { job, version: 0 })
+                .expect("restore");
+            assert_eq!(r.failures, 0);
+            assert_eq!(r.chunks, 3000);
+        }
     }
 
     #[test]
@@ -2365,9 +2348,9 @@ mod tests {
         );
         assert_eq!(interrupting_device(&err), Some(LOG0));
         // Server 1 drained (one op on each worker disk, as in the clean
-        // round) and was charged for it, then rolled back.
+        // round) and was charged for it; its pack was never committed.
         assert_eq!(log_devices(&c, 1), log_devices(&clean, 1));
-        assert_eq!(c.server(1).log_bytes(), logged, "pack rolled back whole");
+        assert_eq!(c.server(1).log_bytes(), logged, "pack dropped whole");
         let mut nobody_packed = two_striped_servers(2);
         arm(&mut nobody_packed, 0);
         arm(&mut nobody_packed, 1);

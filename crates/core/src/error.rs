@@ -123,11 +123,11 @@ pub enum DebarError {
         reason: String,
     },
     /// A dedup-2 round was interrupted mid-phase by a fault. **Resumable:**
-    /// the cluster rolled the round back to a crash-consistent state
-    /// (undetermined fingerprints restored, chunk-log records re-queued,
-    /// storage decisions carried over, the round not committed); calling
-    /// `run_dedup2` again re-runs the same round and converges to the
-    /// byte-identical result of an uninterrupted run.
+    /// the faulted phase had not committed, so the cluster is in a
+    /// crash-consistent state (undetermined fingerprints, chunk logs and
+    /// decision maps hold everything no commit made durable, the round is
+    /// not committed); calling `run_dedup2` again re-runs the same round
+    /// and converges to the byte-identical result of an uninterrupted run.
     InterruptedDedup2 {
         /// The (uncommitted) round number.
         round: u32,

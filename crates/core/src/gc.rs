@@ -106,7 +106,7 @@
 //!   physical bytes are those of an uninterrupted collection.
 //! * **Index sweeps abort before mutation.** Each server's GC sweep
 //!   charges its striped read+write I/O and checks fault plans *before*
-//!   touching a byte ([`debar_index::DiskIndex::try_gc_sweep`]); summary
+//!   touching a byte ([`debar_index::DiskIndex::gc_sweep`]); summary
 //!   removals are tied to each server's *successful* sweep, so a redo
 //!   never double-removes (which could hurt a colliding live key).
 //! * **Read caches are invalidated** on every exit path that may have
@@ -363,7 +363,7 @@ impl DebarCluster {
             }
             let t = self.servers[sid]
                 .index_mut()
-                .try_gc_sweep(dead, parts)
+                .gc_sweep(dead, parts)
                 .map_err(|e| DebarError::index_fault(sid as ServerId, e))?;
             self.servers[sid].clock.advance(t.cost);
             report.wall += t.cost;

@@ -81,16 +81,19 @@
 //! run*, for any `sweep_parts` (proven by the failure-kind scenarios in
 //! `tests/failure_kinds.rs`):
 //!
-//! * [`DebarError::InterruptedDedup2`] — a fault in PSIL restores every
-//!   origin's undetermined fingerprints in order (checking-file additions
-//!   are staged and only committed when all PSIL passes succeed); a fault
-//!   in chunk storing re-queues the non-durable chunks at the front of
-//!   the chunk log and carries the storage decisions over, while durable
-//!   container assignments still flow to SIU. The round number is only
-//!   committed on success, so the asynchronous-SIU schedule is unchanged.
-//!   Container IDs are allocated as part of the durable commit (a failed
-//!   write consumes no ID), so the resumed round stores into the same
-//!   containers an uninterrupted run would have.
+//! * [`DebarError::InterruptedDedup2`] — every dedup-2 phase reads the
+//!   servers' undetermined lists, chunk logs and decision maps in place,
+//!   and only its commit moves them, so a faulted phase has nothing to
+//!   roll back: a fault in PSIL leaves every origin's undetermined
+//!   fingerprints and every checking file as they were (the PSIL commit
+//!   runs only when all passes succeed); a fault in chunk storing leaves
+//!   each log and decision map holding what its server's store commit did
+//!   not make durable, while durable container assignments still flow to
+//!   SIU. The round number is only committed on success, so the
+//!   asynchronous-SIU schedule is unchanged. Container IDs are allocated
+//!   as part of the durable commit (a failed write consumes no ID), so the
+//!   resumed round stores into the same containers an uninterrupted run
+//!   would have.
 //! * [`DebarError::PartialSiu`] — an interrupted index-update sweep may
 //!   leave only a canonical-order prefix of the batch durable; the server
 //!   keeps its pending updates and checking file, and re-running SIU
@@ -213,7 +216,7 @@
 //!   replica**: a victim goes only once every container holding one of
 //!   its survivors is durable) — deletes
 //!   whole-dead ones, rebuilds each server's index part without the dead
-//!   entries ([`debar_index::DiskIndex::try_gc_sweep`] aborts before
+//!   entries ([`debar_index::DiskIndex::gc_sweep`] aborts before
 //!   mutation on an armed fault), and withdraws the dead fingerprints
 //!   from the cluster's deletable **cuckoo summary vector** — so the
 //!   preliminary filter stops advertising dead chunks to dedup-1. The
@@ -344,8 +347,9 @@
 //! Restore bytes and dedup outcomes are mode-invariant — only *where*
 //! the index I/O is spent moves (proven across modes, sweep stripes and
 //! replication by `tests/dedup_modes.rs`; quantified by the `fig_modes`
-//! bench). Chunks resolved inline arrive at dedup-2 as pre-staged
-//! carryover decisions, surfaced in [`Dedup2Report::predetermined_fps`].
+//! bench). Chunks resolved inline arrive at dedup-2 as decisions
+//! pre-staged in their server's decision map, surfaced in
+//! [`Dedup2Report::predetermined_fps`].
 
 pub mod chunklog;
 pub mod client;

@@ -62,11 +62,13 @@ impl Dedup1Report {
 /// Per-server chunk-storing outcome within dedup-2 (§5.3).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StoreReport {
-    /// Log records processed.
+    /// Log records processed: what the store commits consumed of the logs.
     pub log_records: u64,
-    /// Log bytes processed: every record the pass drained, wanted or not
-    /// — not what the drain read off the log disk, which skips the
-    /// duplicate runs (`chunklog.rs`). The dedup-2 throughput numerator.
+    /// Log bytes processed: every record the store commits consumed,
+    /// wanted or not — not what the drain read off the log disk, which
+    /// skips the duplicate runs (`chunklog.rs`). A record an interrupted
+    /// pass kept for the resumed round counts once, when it is consumed.
+    /// The dedup-2 throughput numerator.
     pub log_bytes: u64,
     /// Chunks written to containers.
     pub stored_chunks: u64,
@@ -96,8 +98,8 @@ pub struct Dedup2Report {
     /// Undetermined fingerprints submitted across servers.
     pub submitted_fps: u64,
     /// Decisions that entered the round already resolved by the *backup
-    /// path* (inline/hybrid dedup staged them as carryover, bypassing
-    /// PSIL). Measures the backlog shrink: under
+    /// path* (inline/hybrid dedup staged them in the decision maps,
+    /// bypassing PSIL). Measures the backlog shrink: under
     /// [`crate::DedupMode::Inline`] every stored chunk arrives this way
     /// and `submitted_fps` is 0.
     pub predetermined_fps: u64,

@@ -8,7 +8,7 @@
 //! CPU and clock, survivors of the preliminary filter are appended to its
 //! on-disk chunk log, their fingerprints accumulate here as
 //! *undetermined*, backup-time `Store` verdicts are staged in its
-//! carryover (`stage_inline_store`) and prefetched containers enter its
+//! decision map (`stage_inline_store`) and prefetched containers enter its
 //! restore cache (`cache_container`).
 //!
 //! Dedup-2 pieces (driven phase by phase, in server-ID order, by
@@ -19,8 +19,16 @@
 //! the log, write new chunks to containers per the SIL verdicts, §5.3)
 //! and [`BackupServer::run_siu`] (merge the unregistered fingerprints into
 //! the index part). Each advances only this server's own clock.
+//!
+//! Every piece *reads* the server's dedup-2 state in place — the
+//! undetermined list, the chunk log, the decision map — and only a commit
+//! moves it: the cluster's PSIL commit (checking entries, verdicts into
+//! `BackupServer::decide`, the undetermined list released) and each
+//! server's store commit ([`BackupServer::commit_packed`]: the log and the
+//! decision map give up what became durable). A piece that faults before
+//! its commit has nothing to undo, and its output is simply dropped.
 
-use crate::chunklog::{ChunkLog, LogRecord};
+use crate::chunklog::ChunkLog;
 use crate::config::DebarConfig;
 use crate::error::DebarError;
 use crate::ids::{Device, ServerId};
@@ -77,8 +85,8 @@ pub struct SilPartOutput {
 
 /// Outcome of one server's chunk-storing pass (§5.3). `fault` is `Some`
 /// when the pass was interrupted: `report`/`assigned` then cover only the
-/// durably stored prefix, the rest of the log was re-queued and the
-/// storage decisions carried over for the resumed round.
+/// durably stored prefix, and the log and the decision map keep what it
+/// did not make durable for the resumed round.
 pub struct StoreOutcome {
     /// Storage statistics for the durable part of the pass.
     pub report: StoreReport,
@@ -89,40 +97,29 @@ pub struct StoreOutcome {
 }
 
 /// One container packed by the pack stage
-/// ([`BackupServer::pack_chunks`]), carrying the drain-position metadata
-/// the commit needs to reproduce the sequential model's crash rollback
-/// exactly if its repository write faults.
+/// ([`BackupServer::pack_chunks`]) and the log position it sealed at.
 struct PackedContainer {
     container: Container,
-    /// Drain index the log tail re-queues from if *this* container's
-    /// write faults: for an overflow-sealed container that is the index
-    /// of its trigger record (the record that did not fit and sits alone
-    /// in the next open container at that moment); for the final flushed
-    /// container it is `records.len()`.
-    requeue_from: usize,
-    /// Records discarded as duplicates up to the moment this container
-    /// sealed (the sequential model's `discarded` count at the fault).
-    discarded_at_seal: u64,
+    /// Where in the log this container sealed: the index of its trigger
+    /// record (the record that did not fit and opened the next container)
+    /// for an overflow-sealed container, the log's length for the final
+    /// flushed one. Its chunks are the wanted records from the previous
+    /// container's position (0 for the first) up to this one.
+    sealed_at: usize,
 }
 
-/// Output of one server's pack stage: the drained log, the packed
-/// container sequence and the merged storage decisions — everything the
-/// commit ([`BackupServer::commit_packed`]) or a crash rollback
-/// ([`BackupServer::abort_pack`]) needs. Packing touches no shared state
-/// (the repository is not involved), which is what lets every server's
-/// pack start at its own post-PSIL clock instead of a cluster barrier.
+/// Output of one server's pack stage: which log records it packs and the
+/// packed container sequence — what the commit
+/// ([`BackupServer::commit_packed`]) needs. Packing reads the server's log
+/// and decision map and moves neither, and it touches no shared state
+/// (the repository is not involved): that is what lets every server's
+/// pack start at its own post-PSIL clock instead of a cluster barrier, and
+/// a pack that is not committed is simply dropped.
 pub struct PackOutput {
-    /// The full drained record sequence, in log order.
-    records: Vec<LogRecord>,
+    /// `wanted[i]`: whether the pass packs the log's `i`-th record.
+    wanted: Vec<bool>,
     /// Containers in seal order (SISL stream order across the pass).
     containers: Vec<PackedContainer>,
-    /// Log statistics of the drain (records, bytes, clean-path discards).
-    log_records: u64,
-    log_bytes: u64,
-    discarded: u64,
-    /// Merged storage decisions (carryover ∪ this round's verdicts), for
-    /// carryover if the commit faults.
-    decisions: HashMap<Fingerprint, Decision>,
     /// Virtual seconds the pack charged to this server's clock (log
     /// drain plus per-record probes) — the pipeline depth container
     /// writes hide behind.
@@ -140,12 +137,13 @@ pub struct BackupServer {
     /// while scheduling the transfer on its own lane).
     pub(crate) nic: SimLink,
     /// The server's CPU (crate-visible with the chunk log, the
-    /// undetermined set and the checking file: the cluster's dedup-1 loop
-    /// works on them directly).
+    /// undetermined list and the checking file: the cluster's dedup-1 loop
+    /// and dedup-2 exchange work on them directly).
     pub(crate) cpu: SimCpu,
     /// The on-disk chunk log.
     pub(crate) chunk_log: ChunkLog,
-    /// Fingerprints awaiting the next dedup-2 sweep.
+    /// Fingerprints awaiting the next dedup-2 sweep, in arrival order. The
+    /// exchange reads them in place; the PSIL commit releases them.
     pub(crate) undetermined: Vec<Fingerprint>,
     index: DiskIndex,
     /// The checking fingerprint file (§5.4): fingerprints scheduled for
@@ -156,13 +154,13 @@ pub struct BackupServer {
     /// The unregistered fingerprint file: fp → container mappings awaiting
     /// SIU on this part.
     pending_updates: Vec<(Fingerprint, ContainerId)>,
-    /// Storage decisions carried over from an interrupted chunk-storing
-    /// phase: the chunk log still holds the matching records (re-queued at
-    /// crash rollback), and the resumed round's [`BackupServer::pack_chunks`]
-    /// merges these ahead of the new round's verdicts. Inline/hybrid
-    /// backups stage their resolved-new `Store` decisions here too — the
-    /// chunk-storing pass consumes both through the same merge.
-    carryover: HashMap<Fingerprint, Decision>,
+    /// Every storage decision this server has been given and has not made
+    /// durable: the verdicts of each committed PSIL pass and the `Store`
+    /// decisions inline/hybrid backups staged. The chunk log holds the
+    /// matching records; [`BackupServer::pack_chunks`] reads the map in
+    /// place and only a store commit ([`BackupServer::commit_packed`])
+    /// gives decisions up.
+    decisions: HashMap<Fingerprint, Decision>,
     /// Store decisions staged by the *backup path* (inline/hybrid dedup)
     /// since the last completed dedup-2 round — the
     /// `Dedup2Report::predetermined_fps` source. Reset only after a round
@@ -253,7 +251,7 @@ impl BackupServer {
             index,
             checking: HashSet::new(),
             pending_updates: Vec::new(),
-            carryover: HashMap::new(),
+            decisions: HashMap::new(),
             inline_staged: 0,
             lpc: restore_cache(&cfg),
             container_cache: HashMap::new(),
@@ -373,21 +371,16 @@ impl BackupServer {
         self.clock.advance(c);
     }
 
-    /// Take the accumulated undetermined fingerprints (start of dedup-2).
-    pub fn take_undetermined(&mut self) -> Vec<Fingerprint> {
-        std::mem::take(&mut self.undetermined)
-    }
-
     // ------------------------------------------------------------------
     // Backup-time verdicts (staged by the dedup-1 loop's probe rung; an
     // out-of-line run has no probe budget and never reaches them)
     // ------------------------------------------------------------------
 
     /// Stage an inline-resolved `Store` decision for a chunk this server
-    /// just logged: the next chunk-storing pass consumes it through the
-    /// same carryover merge an interrupted round uses.
+    /// just logged: the next chunk-storing pass reads it from the same
+    /// decision map PSIL's verdicts land in.
     pub(crate) fn stage_inline_store(&mut self, fp: Fingerprint) {
-        merge_decision(&mut self.carryover, fp, Decision::Store);
+        merge_decision(&mut self.decisions, fp, Decision::Store);
         self.inline_staged += 1;
     }
 
@@ -395,7 +388,7 @@ impl BackupServer {
     /// record must carry no verdict, exactly like an aborted out-of-line
     /// run's records).
     pub(crate) fn unstage_inline_store(&mut self, fp: &Fingerprint) {
-        self.carryover.remove(fp);
+        self.decisions.remove(fp);
         self.inline_staged = self.inline_staged.saturating_sub(1);
     }
 
@@ -499,145 +492,102 @@ impl BackupServer {
         self.checking.extend(fps.iter().copied());
     }
 
-    /// Restore undetermined fingerprints after an interrupted round (exact
-    /// original order — sub-batch boundaries must reproduce on re-run).
-    pub(crate) fn restore_undetermined(&mut self, mut fps: Vec<Fingerprint>) {
-        fps.append(&mut self.undetermined);
-        self.undetermined = fps;
+    /// Take in verdicts an owner's committed PSIL pass gave this origin.
+    /// The same fingerprint can be adjudicated twice — re-submitted by
+    /// this origin into two SIL sub-batches (the first yields `Store`,
+    /// the second a checking-file `Skip`), or already decided in a round
+    /// whose store commit faulted — and a `Store` designation is binding:
+    /// a later `Skip` never overwrites it.
+    pub(crate) fn decide(&mut self, verdicts: &[(Fingerprint, Decision)]) {
+        for &(fp, d) in verdicts {
+            merge_decision(&mut self.decisions, fp, d);
+        }
     }
 
     /// The pack stage of chunk storing (§5.3): decide once which log
-    /// records this pass packs — a `Store` verdict (carryover merged with
-    /// this round's) on the first occurrence of its fingerprint — drain
-    /// the chunk log reading only those (striped across
-    /// [`DebarConfig::store_workers`] worker disks, each seeking over the
-    /// duplicate runs of its even share, wall time the slowest worker;
-    /// see `chunklog.rs`), and pack them into SISL containers, each
-    /// recorded with the drain position it sealed at. Every drained record
-    /// is processed and counted; those not packed are discarded. The
-    /// repository is **not** touched — no
-    /// container IDs are assigned and no shared state is read — so the
-    /// pack is charged to this server's clock alone and, in virtual time,
-    /// overlaps stragglers still sweeping PSIL.
+    /// records this pass packs — a `Store` decision on the first
+    /// occurrence of its fingerprint — drain the chunk log reading only
+    /// those (striped across [`DebarConfig::store_workers`] worker disks,
+    /// each seeking over the duplicate runs of its even share, wall time
+    /// the slowest worker; see `chunklog.rs`), and pack them into SISL
+    /// containers, each recorded with the log position it sealed at.
+    /// Every drained record is processed; those not packed are discarded.
+    /// The log and the decision map are read in place and the repository
+    /// is **not** touched — no container IDs are assigned and no shared
+    /// state is read — so the pack is charged to this server's clock alone
+    /// and, in virtual time, overlaps stragglers still sweeping PSIL.
     ///
-    /// A drain fault (on any single worker disk) leaves every record
-    /// in the log, carries the merged storage decisions over and
-    /// surfaces as `Err` — the resumed round replays identically.
-    pub fn pack_chunks(
-        &mut self,
-        decisions: &HashMap<Fingerprint, Decision>,
-    ) -> Result<PackOutput, DebarError> {
-        // Merge decisions carried over from an interrupted round; a Store
-        // designation is binding and never downgraded.
-        let decisions = {
-            let mut merged = std::mem::take(&mut self.carryover);
-            for (&fp, &d) in decisions {
-                merge_decision(&mut merged, fp, d);
-            }
-            merged
-        };
-
-        // The records this pass packs, decided once: a `Store` verdict on
+    /// A drain fault (on any single worker disk) surfaces as `Err` with
+    /// nothing moved, so the resumed round replays identically.
+    pub fn pack_chunks(&mut self) -> Result<PackOutput, DebarError> {
+        // The records this pass packs, decided once: a `Store` decision on
         // the first occurrence of its fingerprint in the log. The drain
         // reads only these, and the pack loop consults nothing else.
         let mut packed: HashSet<Fingerprint> = HashSet::new();
-        let store = |fp: &Fingerprint| matches!(decisions.get(fp), Some(Decision::Store));
+        let store = |fp: &Fingerprint| matches!(self.decisions.get(fp), Some(Decision::Store));
         let wanted: Vec<bool> = (self.chunk_log.records().iter())
             .map(|rec| store(&rec.fp) && packed.insert(rec.fp))
             .collect();
 
         let start = self.clock.now();
-        // Fault-checked log replay: a drain fault leaves every record in
-        // the log (the read pointer never advanced), so the resumed
-        // round's drain replays the identical sequence — just carry the
-        // storage decisions over and report the interruption.
-        let t = match self
+        let t = self
             .chunk_log
-            .try_drain_striped(self.cfg.store_workers, &wanted)
-        {
-            Ok(t) => t,
-            Err(e) => {
-                self.carryover = decisions;
-                return Err(e);
-            }
-        };
-        let log_bytes = t.value.iter().map(|r| r.record_bytes()).sum();
+            .drain_striped(self.cfg.store_workers, &wanted)?;
         let records = self.clock.charge(t);
         let mut manager = ContainerManager::new(self.cfg.container_bytes);
         let mut containers: Vec<PackedContainer> = Vec::new();
-        let mut discarded = 0u64;
-
         for (next, (rec, &keep)) in records.iter().zip(&wanted).enumerate() {
             let c = self.cpu.probe_fps(1);
             self.clock.advance(c);
             if !keep {
-                discarded += 1;
                 continue;
             }
             if let Some(container) = manager.append(rec.fp, rec.payload.clone()) {
-                // `rec` did not fit: it is the sealed container's trigger
-                // and sits alone in the fresh open container right now —
-                // the position the sequential model's crash rollback
-                // re-queues from.
+                // `rec` did not fit: the sealed container ends just
+                // before it, and it opens the next one.
                 containers.push(PackedContainer {
                     container,
-                    requeue_from: next,
-                    discarded_at_seal: discarded,
+                    sealed_at: next,
                 });
             }
         }
         if let Some(container) = manager.flush() {
-            // The final flushed container: no trigger record — a fault on
-            // it re-queues only its own chunks.
             containers.push(PackedContainer {
                 container,
-                requeue_from: records.len(),
-                discarded_at_seal: discarded,
+                sealed_at: records.len(),
             });
         }
-
         Ok(PackOutput {
-            log_records: records.len() as u64,
-            records,
+            wanted,
             containers,
-            log_bytes,
-            discarded,
-            decisions,
             produced: self.clock.since(start),
         })
     }
 
     /// The commit stage of chunk storing: flush the packed
-    /// container batch to the repository in seal order. Container IDs are
-    /// assigned here, in canonical server order across the cluster, which
-    /// is what keeps the pipelined phase byte-identical to the sequential
-    /// model.
+    /// container batch to the repository in seal order, then commit the
+    /// pass — the one place this server's log and decision map move.
+    /// Container IDs are assigned here, in canonical server order across
+    /// the cluster, which is what keeps the pipelined phase
+    /// byte-identical to the sequential model.
     ///
-    /// Crash-consistent: when a container write faults, the chunks of the
-    /// failed container and the drained log tail from its seal position
-    /// are re-queued at the front of the chunk log (exactly the records a
-    /// sequential drain would not yet have consumed), the storage
-    /// decisions not yet durable are carried over, and
-    /// [`StoreOutcome::fault`] reports the interruption. The durable
-    /// prefix's assignments still flow to SIU; re-running the round
-    /// stores the re-queued chunks into the *same* container IDs an
-    /// uninterrupted run would have used.
+    /// Crash-consistent: a clean batch consumes the whole log and every
+    /// decision. When container `k`'s write faults, the log keeps what
+    /// the durable prefix did not store — container `k`'s own records
+    /// (the wanted records of its log span) and every record from its
+    /// seal position on — and the decision map gives up only the durable
+    /// fingerprints; [`StoreOutcome::fault`] reports the interruption. The
+    /// report counts what the log gave up, so the prefix and the resumed
+    /// round count each record once. The durable prefix's assignments
+    /// still flow to SIU; re-running the round stores the kept chunks
+    /// into the *same* container IDs an uninterrupted run would have used.
     pub fn commit_packed(&mut self, pack: PackOutput, repo: &mut ChunkRepository) -> StoreOutcome {
         let PackOutput {
-            records,
+            wanted,
             containers,
-            log_records,
-            log_bytes,
-            discarded,
-            mut decisions,
             produced,
         } = pack;
-        let mut report = StoreReport {
-            log_records,
-            log_bytes,
-            discarded,
-            ..StoreReport::default()
-        };
+        let mut report = StoreReport::default();
         let mut assigned: Vec<(Fingerprint, ContainerId)> = Vec::new();
         // Stage each container's fingerprints (cheap: no payload clones)
         // before the batch consumes them.
@@ -645,10 +595,7 @@ impl BackupServer {
             .iter()
             .map(|p| p.container.fingerprints().collect())
             .collect();
-        let meta: Vec<(usize, u64)> = containers
-            .iter()
-            .map(|p| (p.requeue_from, p.discarded_at_seal))
-            .collect();
+        let sealed_at: Vec<usize> = containers.iter().map(|p| p.sealed_at).collect();
         let stored_sizes: Vec<(u64, u64)> = containers
             .iter()
             .map(|p| (p.container.len() as u64, p.container.data_bytes()))
@@ -676,39 +623,25 @@ impl BackupServer {
                 assigned.push((fp, cid));
             }
         }
-        let fault = match batch.fault {
-            None => None,
-            Some((e, failed)) => {
-                // Crash rollback, reproducing the sequential model's log
-                // state at the moment container `durable`'s write failed:
-                // the failed container's chunks in stream order, then the
-                // log tail from its seal position (which starts with the
-                // trigger record the open container held).
-                let (requeue_from, discarded_at_seal) = meta[durable];
-                report.discarded = discarded_at_seal;
-                let mut requeue: Vec<LogRecord> =
-                    Vec::with_capacity(failed.len() + records.len().saturating_sub(requeue_from));
-                requeue.extend(
-                    failed
-                        .chunks()
-                        .map(|(fp, payload)| LogRecord { fp, payload }),
-                );
-                requeue.extend(records[requeue_from..].iter().map(|r| LogRecord {
-                    fp: r.fp,
-                    payload: r.payload.clone(),
-                }));
-                self.chunk_log.requeue_front(requeue);
-                // Decisions for everything not yet durable carry over to
-                // the resumed round.
-                for fps in &staged_fps[..durable] {
-                    for fp in fps {
-                        decisions.remove(fp);
-                    }
+        let consumed = match batch.fault {
+            None => {
+                self.decisions = HashMap::new();
+                self.chunk_log.commit(|_| false)
+            }
+            Some(_) => {
+                // Container `durable`'s write failed: its log span runs
+                // from the previous container's seal position to its own.
+                let from = durable.checked_sub(1).map_or(0, |k| sealed_at[k]);
+                let to = sealed_at[durable];
+                for fp in staged_fps[..durable].iter().flatten() {
+                    self.decisions.remove(fp);
                 }
-                self.carryover = decisions;
-                Some(e.into())
+                self.chunk_log
+                    .commit(|i| i >= to || (i >= from && wanted[i]))
             }
         };
+        (report.log_records, report.log_bytes) = consumed;
+        report.discarded = report.log_records - report.stored_chunks;
 
         if store_path > produced {
             self.clock.advance(store_path - produced);
@@ -716,20 +649,8 @@ impl BackupServer {
         StoreOutcome {
             report,
             assigned,
-            fault,
+            fault: batch.fault.map(|(e, _)| e.into()),
         }
-    }
-
-    /// Roll a successful pack back without committing anything: re-queue
-    /// the full drained record sequence at the front of the log (order
-    /// preserved — the log's content is exactly what it was before the
-    /// drain) and carry the merged storage decisions over. The cluster
-    /// uses this when a *sibling* server's pass faulted in the same
-    /// phase: this server's log state must look as if
-    /// its drain never ran, so the resumed round replays identically.
-    pub fn abort_pack(&mut self, pack: PackOutput) {
-        self.chunk_log.requeue_front(pack.records);
-        self.carryover = pack.decisions;
     }
 
     /// Accept unregistered fingerprints routed to this index part.
@@ -790,7 +711,7 @@ impl BackupServer {
             && self.chunk_log.is_empty()
             && self.pending_updates.is_empty()
             && self.checking.is_empty()
-            && self.carryover.is_empty()
+            && self.decisions.is_empty()
     }
 
     /// Performance scaling (§4.1): split this server into two servers with
@@ -815,11 +736,7 @@ impl BackupServer {
 
 /// Merge one storage decision into a decision map: a `Store` designation
 /// is binding and must never be overwritten by a later `Skip`.
-pub(crate) fn merge_decision(
-    map: &mut HashMap<Fingerprint, Decision>,
-    fp: Fingerprint,
-    d: Decision,
-) {
+fn merge_decision(map: &mut HashMap<Fingerprint, Decision>, fp: Fingerprint, d: Decision) {
     map.entry(fp)
         .and_modify(|existing| {
             if d == Decision::Store {

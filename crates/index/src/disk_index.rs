@@ -140,7 +140,7 @@ impl DiskIndex {
     /// yet). A fault on part `p > 0` fires only when a sweep charges that
     /// partition; part 0 also carries the un-striped ops. The sweeps
     /// (`try_sequential_lookup_sharded`, `try_sequential_update_sharded`,
-    /// [`DiskIndex::try_bulk_load_striped`], [`DiskIndex::try_gc_sweep`])
+    /// [`DiskIndex::try_bulk_load_striped`], [`DiskIndex::gc_sweep`])
     /// surface it as an [`crate::IndexError`] whose `part` names the
     /// failing part-disk.
     pub fn set_part_fault_plan(&mut self, part: usize, plan: debar_simio::FaultPlan) {
@@ -466,7 +466,7 @@ impl DiskIndex {
     /// bucket is full — even when removals open holes in previously-full
     /// buckets. Placement depends only on the pre-sweep contents and the
     /// dead set, never on `parts`: striped shapes stay byte-identical.
-    pub fn try_gc_sweep(
+    pub fn gc_sweep(
         &mut self,
         dead: &std::collections::HashSet<Fingerprint>,
         parts: usize,
@@ -887,7 +887,7 @@ mod tests {
         }
         let dead: std::collections::HashSet<Fingerprint> =
             (0..400u64).filter(|i| i % 3 == 0).map(fp).collect();
-        let t = idx.try_gc_sweep(&dead, 4).expect("clean sweep");
+        let t = idx.gc_sweep(&dead, 4).expect("clean sweep");
         assert_eq!(t.value, dead.len() as u64);
         assert!(t.cost > 0.0);
         assert_eq!(idx.entry_count(), 400 - dead.len() as u64);
@@ -909,7 +909,7 @@ mod tests {
         }
         let before = Sha1::digest(idx.raw_data());
         let absent: std::collections::HashSet<Fingerprint> = (1000..1010u64).map(fp).collect();
-        let t = idx.try_gc_sweep(&absent, 2).expect("clean sweep");
+        let t = idx.gc_sweep(&absent, 2).expect("clean sweep");
         assert_eq!(t.value, 0);
         assert!(t.cost > 0.0, "the sweep I/O is still charged");
         assert_eq!(
@@ -933,7 +933,7 @@ mod tests {
         let before = Sha1::digest(faulty.raw_data());
         faulty.set_part_fault_plan(2, FaultPlan::fail_at(0));
         let err = faulty
-            .try_gc_sweep(&dead, 4)
+            .gc_sweep(&dead, 4)
             .expect_err("armed part must fault the sweep");
         assert!(
             matches!(err, crate::IndexError::SweepFault { part: 2, .. }),
@@ -946,8 +946,8 @@ mod tests {
         );
         // Redo after clearing the fault converges byte-identically with an
         // uninterrupted sweep, independent of the striping shape.
-        let t = faulty.try_gc_sweep(&dead, 4).expect("redo");
-        let tc = clean.try_gc_sweep(&dead, 1).expect("uninterrupted");
+        let t = faulty.gc_sweep(&dead, 4).expect("redo");
+        let tc = clean.gc_sweep(&dead, 1).expect("uninterrupted");
         assert_eq!(t.value, tc.value);
         assert_eq!(
             Sha1::digest(faulty.raw_data()),
@@ -974,7 +974,7 @@ mod tests {
         // Kill 10 of the colliding keys: the home bucket is no longer full.
         let dead: std::collections::HashSet<Fingerprint> =
             same_bucket.iter().take(10).copied().collect();
-        idx.try_gc_sweep(&dead, 1).expect("clean sweep");
+        idx.gc_sweep(&dead, 1).expect("clean sweep");
         for f in same_bucket.iter().skip(10) {
             assert_eq!(
                 idx.lookup_random(f).value,

@@ -742,7 +742,7 @@ mod tests {
         idx.scale_up();
         let dead: std::collections::HashSet<Fingerprint> =
             (0..400u64).filter(|i| i % 3 == 0).map(fp).collect();
-        idx.try_gc_sweep(&dead, parts).expect("clean sweep");
+        idx.gc_sweep(&dead, parts).expect("clean sweep");
         idx
     }
 

@@ -290,8 +290,7 @@ impl Container {
 
     /// Chunks in stream (SISL) order: `(fingerprint, payload)` pairs.
     /// Payload clones are cheap (`Bytes` is refcounted, zero-runs are a
-    /// length) — this is what the crash-consistent chunk-storing path uses
-    /// to re-queue the chunks of a container whose write faulted.
+    /// length).
     pub fn chunks(&self) -> impl Iterator<Item = (Fingerprint, Payload)> + '_ {
         self.metas
             .iter()

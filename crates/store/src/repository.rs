@@ -309,7 +309,7 @@ pub struct BatchAppend {
     /// its most-loaded node does.
     pub writes: Vec<(usize, Secs)>,
     /// The first write fault, with the container whose write failed
-    /// handed back unconsumed for re-queueing; `None` on a clean batch.
+    /// handed back unconsumed; `None` on a clean batch.
     pub fault: Option<(StoreError, Container)>,
 }
 
@@ -751,11 +751,11 @@ impl ChunkRepository {
     /// writes and bit flips persist a damaged image *on that copy only*
     /// that later reads detect via the checksum trailer. A down placement
     /// node refuses the write with [`StoreError::NodeDown`]. On a fault,
-    /// the failed container is handed back unconsumed (its chunks
-    /// re-queue into the chunk log), the remaining batch is dropped —
-    /// those chunks are re-derived from the log tail on redo — and the
-    /// faulted container's writes are not reported: their time is the
-    /// device failing, not pipeline progress.
+    /// the failed container is handed back unconsumed, the remaining batch
+    /// is dropped — the caller still holds every chunk not durable (the
+    /// chunk log keeps them for the redo) — and the faulted container's
+    /// writes are not reported: their time is the device failing, not
+    /// pipeline progress.
     pub fn store_batch(&mut self, batch: impl IntoIterator<Item = Container>) -> BatchAppend {
         let mut out = BatchAppend {
             ids: Vec::new(),

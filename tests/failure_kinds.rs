@@ -22,6 +22,12 @@ use common::{
     assert_equivalent, replication_matrix, run_scenario, store_workers_matrix, sweep_parts_matrix,
     Failure, Outcome, Scenario,
 };
+use debar::core::report::StoreReport;
+use debar::hash::Sha1;
+use debar::workload::ChunkRecord;
+use debar::{
+    ClientId, Dataset, DebarCluster, DebarConfig, DebarError, Dedup2Phase, Device, FaultPlan, RunId,
+};
 
 /// Run one failure-kind scenario across the partition matrix, asserting
 /// cross-partition equivalence, and return the outcomes by parts.
@@ -426,4 +432,134 @@ fn partial_siu_converges_multi_server() {
             &format!("partial-siu-w1: redone run (parts={parts}) vs uninterrupted"),
         );
     }
+}
+
+/// Dedup-2 crash-point fixture: two servers (`w = 1`), job `a` backs up
+/// chunks 0..1200 on server 0 and job `b` chunks 400..1600 on server 1, so
+/// a third of each stream is a cross-server duplicate the filter cannot
+/// catch — the exchange, both PSIL owners, a sibling's pack and a
+/// multi-container store commit all run in the round.
+fn cross_server_cluster() -> (DebarCluster, [RunId; 2]) {
+    let mut c = DebarCluster::new(DebarConfig::tiny_test(1));
+    let mut runs = Vec::new();
+    for (name, client, span) in [("a", 0, 0..1200u64), ("b", 1, 400..1600)] {
+        let job = c.define_job(name, ClientId(client));
+        let recs: Vec<ChunkRecord> = span.map(ChunkRecord::of_counter).collect();
+        c.backup(job, &Dataset::from_records("s", recs))
+            .expect("backup");
+        runs.push(RunId { job, version: 0 });
+    }
+    assert!(c.undetermined_counts().iter().all(|&n| n > 0));
+    (c, [runs[0], runs[1]])
+}
+
+/// What a dedup-2 round must converge to once SIU has run: every index
+/// part's bytes, the containers written, the round's store totals and
+/// both runs' restored bytes.
+fn converged_round(
+    c: &mut DebarCluster,
+    store: StoreReport,
+    runs: [RunId; 2],
+) -> (Vec<[u8; 20]>, u64, StoreReport, [u64; 2]) {
+    c.force_siu().expect("siu");
+    let restored = runs.map(|run| {
+        let r = c.restore_run(run).expect("restore");
+        assert_eq!(r.failures, 0);
+        r.bytes
+    });
+    (
+        (0..c.server_count() as u16)
+            .map(|s| Sha1::digest(c.server(s).index().raw_data()))
+            .collect(),
+        c.repository().stats().containers,
+        store,
+        restored,
+    )
+}
+
+/// The device a dedup-2 or SIU fault names.
+fn named_device(err: &DebarError) -> Option<Device> {
+    match err {
+        DebarError::InterruptedDedup2 { cause, .. } => named_device(cause),
+        DebarError::DeviceFault { device, .. } | DebarError::PartialSiu { device, .. } => {
+            Some(*device)
+        }
+        DebarError::Unrecoverable { node, .. } => Some(Device::RepoNode(*node)),
+        _ => None,
+    }
+}
+
+#[test]
+fn dedup2_crash_point_sweep_converges_at_every_device_op() {
+    // Every device op a clean round charges is a crash point: a PSIL
+    // sweep or SIU sweep on an index part, a log drain, a container
+    // write. Arm `Fail` at each in turn; the round ends `Ok` or typed,
+    // naming the device, and the redo reaches the clean twin — index
+    // parts, containers, store totals and restore bytes — whichever
+    // server had committed what.
+    let (mut clean, runs) = cross_server_cluster();
+    let mut devices = vec![Device::RepoNode(0), Device::RepoNode(1)];
+    for server in 0..clean.server_count() as u16 {
+        devices.push(Device::IndexPart { server, part: 0 });
+        devices.push(Device::LogWorker { server, worker: 0 });
+    }
+    let ops_before: Vec<u64> = (devices.iter())
+        .map(|&d| clean.device_ops(d).expect("device"))
+        .collect();
+    let report = clean.run_dedup2().expect("clean round");
+    let ops: Vec<u64> = (devices.iter())
+        .map(|&d| clean.device_ops(d).expect("device"))
+        .collect();
+    let enumerated: Vec<u64> = (ops.iter().zip(&ops_before))
+        .map(|(to, from)| to - from)
+        .collect();
+    // Repository nodes 0 and 1, then per server its index part and its
+    // log worker.
+    assert_eq!(enumerated, [7, 7, 3, 1, 3, 1], "crash points");
+    assert!(report.store.discarded > 0, "cross-server duplicates");
+    let want = converged_round(&mut clean, report.store, runs);
+
+    let mut aborted = 0;
+    for (i, &device) in devices.iter().enumerate() {
+        for at in ops_before[i]..ops[i] {
+            let leg = format!("{device:?} op {at}");
+            let (mut c, _) = cross_server_cluster();
+            let (undetermined, logs) = (c.undetermined_counts(), log_bytes(&c));
+            c.arm(device, FaultPlan::fail_at(at)).expect("device");
+            let faulted = c.run_dedup2();
+            c.clear_fault_plans();
+            let report = match faulted {
+                Ok(report) => report,
+                Err(err) => {
+                    aborted += 1;
+                    assert_eq!(named_device(&err), Some(device), "{leg}: {err}");
+                    // Before any store commit, nothing moved: a PSIL fault
+                    // leaves the undetermined lists, and a PSIL or drain
+                    // fault every log, as the round found them.
+                    if let DebarError::InterruptedDedup2 { phase, .. } = &err {
+                        if *phase == Dedup2Phase::Sil {
+                            assert_eq!(c.undetermined_counts(), undetermined, "{leg}");
+                        }
+                        if !matches!(device, Device::RepoNode(_)) {
+                            assert_eq!(log_bytes(&c), logs, "{leg}");
+                        }
+                    }
+                    c.run_dedup2().expect("redo")
+                }
+            };
+            let got = converged_round(&mut c, report.store, runs);
+            assert_eq!(got, want, "{leg}: redo diverged");
+        }
+    }
+    // With one copy of each container, no crash point is absorbed: the
+    // sweep interrupted PSIL, both drains, each server's store commit
+    // before and after a durable prefix, and PSIU.
+    assert_eq!(aborted, enumerated.iter().sum::<u64>(), "every leg aborted");
+}
+
+/// Bytes waiting in each server's chunk log.
+fn log_bytes(c: &DebarCluster) -> Vec<u64> {
+    (0..c.server_count() as u16)
+        .map(|s| c.server(s).log_bytes())
+        .collect()
 }
