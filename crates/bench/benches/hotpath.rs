@@ -1,15 +1,19 @@
 //! Hot-path micro-benchmarks for the PR-1 performance work, with a
 //! machine-readable summary.
 //!
-//! Four before/after pairs, each comparing the retained baseline path
-//! against the optimised one on identical inputs:
+//! Before/after pairs, each comparing the retained baseline path against
+//! the optimised one on identical inputs:
 //!
 //! | pair | baseline | optimised |
 //! |---|---|---|
 //! | SIL sweep (1M-entry index, 64K batch) | `sequential_lookup_hashed` | `try_sequential_lookup_sharded` |
 //! | probe kernel | per-fp hash probing | merge-join cursor |
 //! | Bloom batch probe (64 MB filter) | classic `k`-line layout | blocked one-line layout |
-//! | CDC (8 MB stream, paper params) | `chunk_all_reference` | `chunk_all` (min-size skip) |
+//! | CDC (8 MB stream, paper params) | `chunk_all_reference` (per-byte ring) | `chunk_all` (two-chain slice kernel) |
+//! | SHA-1 (the 8 MB stream's ~8 KB chunks) | `Sha1::portable` | `Sha1::new` (CPU-dispatched kernel) |
+//!
+//! The SHA-1 pair compares kernels only when the CPU has the SHA
+//! extensions; `sha1_kernel` in the summary names the one that ran.
 //!
 //! The `*/sharded_*` rows time the **same kernel** as `*/merge_join_*` —
 //! one merge-join pass over the whole sorted batch — under `P = 4`-way
@@ -25,7 +29,7 @@
 use criterion::Criterion;
 use debar_chunk::{CdcChunker, CdcParams};
 use debar_filter::BloomFilter;
-use debar_hash::{ContainerId, Fingerprint, SplitMix64};
+use debar_hash::{ContainerId, Fingerprint, Sha1, SplitMix64};
 use debar_index::{DiskIndex, IndexCache, IndexParams};
 use std::hint::black_box;
 use std::io::Write;
@@ -231,11 +235,31 @@ fn bloom_benches(c: &mut Criterion) {
 fn cdc_benches(c: &mut Criterion) {
     let data = test_data(8 << 20, 0xCDC);
     let chunker = CdcChunker::new(CdcParams::paper());
-    c.bench_function("cdc/full_hash_8m", |b| {
+    c.bench_function("cdc/per_byte_reference_8m", |b| {
         b.iter(|| black_box(chunker.chunk_all_reference(&data).len()))
     });
-    c.bench_function("cdc/min_size_skip_8m", |b| {
+    c.bench_function("cdc/slice_kernel_8m", |b| {
         b.iter(|| black_box(chunker.chunk_all(&data).len()))
+    });
+}
+
+fn sha1_benches(c: &mut Criterion) {
+    let data = test_data(8 << 20, 0x5A1);
+    let chunks = CdcChunker::paper().split(&data);
+    let hash_all = |new: fn() -> Sha1| {
+        let mut acc = 0u8;
+        for chunk in &chunks {
+            let mut h = new();
+            h.update(black_box(chunk));
+            acc ^= h.finalize()[0];
+        }
+        acc
+    };
+    c.bench_function("sha1/portable_8k_chunks_8m", |b| {
+        b.iter(|| black_box(hash_all(Sha1::portable)))
+    });
+    c.bench_function("sha1/dispatch_8k_chunks_8m", |b| {
+        b.iter(|| black_box(hash_all(Sha1::new)))
     });
 }
 
@@ -266,9 +290,14 @@ fn write_summary(results: &[(String, criterion::Sample)]) {
             "bloom/blocked_64k_probes",
         ),
         (
-            "cdc_min_size_skip",
-            "cdc/full_hash_8m",
-            "cdc/min_size_skip_8m",
+            "cdc_slice_kernel",
+            "cdc/per_byte_reference_8m",
+            "cdc/slice_kernel_8m",
+        ),
+        (
+            "sha1_dispatch",
+            "sha1/portable_8k_chunks_8m",
+            "sha1/dispatch_8k_chunks_8m",
         ),
     ];
 
@@ -290,7 +319,10 @@ fn write_summary(results: &[(String, criterion::Sample)]) {
             if i + 1 < speedups.len() { "," } else { "" }
         ));
     }
-    out.push_str("  }\n}\n");
+    out.push_str(&format!(
+        "  }},\n  \"sha1_kernel\": \"{:?}\"\n}}\n",
+        debar_hash::sha1::kernel()
+    ));
 
     // Workspace root, regardless of the cwd `cargo bench` hands us.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hotpath.json");
@@ -308,5 +340,6 @@ fn main() {
     sil_benches(&mut c);
     bloom_benches(&mut c);
     cdc_benches(&mut c);
+    sha1_benches(&mut c);
     write_summary(&c.take_results());
 }

@@ -12,6 +12,29 @@
 //! re-synchronizes chunking at the first anchor after the edited region,
 //! which is precisely the property that lets CDC detect duplicates in
 //! shifted content.
+//!
+//! # The slice kernel
+//!
+//! [`CdcChunker::chunk_all`] scans the slice in place. A boundary can only
+//! fall `min_size` bytes or more into a chunk, and the window fingerprint
+//! there depends only on the trailing `window` bytes, so the first window
+//! is hashed directly from `data[s + min_size − window .. s + min_size]`
+//! and the bytes before it are never touched. From there the window
+//! slides: the byte leaving it is `data[i − window]`, read from the slice,
+//! so there is no ring buffer, no per-byte wrap and no window-full test.
+//!
+//! The slide runs two chains, one over even and one over odd positions,
+//! each stepping two bytes at a time. With `W_i` the fingerprint of the
+//! window ending at byte `i` and `W = 48`,
+//!
+//! `W_i = x¹⁶·W_{i−2} ⊕ (d_{i−1}·x⁸ ⊕ d_i) ⊕ d_{i−49}·x³⁹² ⊕ d_{i−48}·x³⁸⁴  (mod P)`
+//!
+//! ([`RabinTables::roll2`]; its tables are `x⁸·shift8` and `x⁸·pop` beside
+//! the one-byte `shift8` and `pop`). The chains do not depend on each
+//! other, so the CPU overlaps them, and each has half the dependent steps
+//! of a one-byte roll. Positions are still tested in order, so the kernel
+//! cuts exactly where the per-byte reference
+//! ([`CdcChunker::chunk_all_reference`]) cuts.
 
 use crate::span::ChunkSpan;
 use debar_hash::rabin::{RabinParams, RabinTables, RollingHash};
@@ -95,12 +118,6 @@ pub struct CdcChunker {
     params: CdcParams,
     tables: RabinTables,
     mask: u64,
-    /// Bytes at the start of each chunk that cannot influence any boundary
-    /// decision (`min_size − window`): a boundary is only possible at
-    /// positions ≥ `min_size`, and the window fingerprint there depends
-    /// only on the trailing `window` bytes, so the rolling hash skips
-    /// everything before `min_size − window` entirely.
-    skip: usize,
 }
 
 impl CdcChunker {
@@ -109,12 +126,10 @@ impl CdcChunker {
         params.validate();
         let tables = RabinTables::new(params.rabin);
         let mask = (1u64 << params.mask_bits) - 1;
-        let skip = params.min_size - params.rabin.window;
         CdcChunker {
             params,
             tables,
             mask,
-            skip,
         }
     }
 
@@ -128,33 +143,20 @@ impl CdcChunker {
         &self.params
     }
 
-    /// Begin a streaming chunking session.
-    pub fn stream(&self) -> CdcStream<'_> {
-        CdcStream {
-            chunker: self,
-            roll: RollingHash::new(&self.tables),
-            chunk_start: 0,
-            cur_len: 0,
-            skip: self.skip,
-        }
-    }
-
-    /// Begin a streaming session with the min-size skip disabled: every
-    /// byte feeds the rolling hash, as the pre-optimisation chunker did.
-    /// Produces identical spans to [`CdcChunker::stream`]; kept as the
-    /// reference for equivalence tests and the with/without-skip
-    /// micro-benchmark.
+    /// Begin a streaming session: every byte feeds a per-byte rolling
+    /// hash, as the chunker did before the slice kernel. Produces the
+    /// spans of [`CdcChunker::chunk_all`]; kept as the reference for
+    /// equivalence tests and the kernel micro-benchmark.
     pub fn stream_reference(&self) -> CdcStream<'_> {
         CdcStream {
             chunker: self,
             roll: RollingHash::new(&self.tables),
             chunk_start: 0,
             cur_len: 0,
-            skip: 0,
         }
     }
 
-    /// [`CdcChunker::chunk_all`] via the skip-free reference stream.
+    /// [`CdcChunker::chunk_all`] via the per-byte reference stream.
     pub fn chunk_all_reference(&self, data: &[u8]) -> Vec<ChunkSpan> {
         let mut out = Vec::with_capacity(data.len() / self.params.expected_size() + 1);
         let mut s = self.stream_reference();
@@ -168,12 +170,63 @@ impl CdcChunker {
     /// Chunk an entire buffer; returned spans tile `[0, data.len())`.
     pub fn chunk_all(&self, data: &[u8]) -> Vec<ChunkSpan> {
         let mut out = Vec::with_capacity(data.len() / self.params.expected_size() + 1);
-        let mut s = self.stream();
-        s.push_slice(data, |span| out.push(span));
-        if let Some(tail) = s.finish() {
-            out.push(tail);
+        let mut start = 0;
+        while start < data.len() {
+            let end = self.cut(data, start);
+            out.push(ChunkSpan::new(start as u64, (end - start) as u32));
+            start = end;
         }
         out
+    }
+
+    /// The end of the chunk that starts at `start`: just past the first
+    /// anchor at least `min_size` bytes in, else `max_size` bytes in, else
+    /// the end of `data`. See the module docs for the two-chain scan.
+    fn cut(&self, data: &[u8], start: usize) -> usize {
+        let p = &self.params;
+        let w = p.rabin.window;
+        let (t, mask, magic) = (&self.tables, self.mask, p.magic);
+        let lim = data.len().min(start + p.max_size);
+        // `e` is a candidate end, `fa` the fingerprint of `data[e − w..e]`;
+        // `fb` is one position ahead of it.
+        let mut e = start + p.min_size;
+        if e > lim {
+            return lim;
+        }
+        let mut fa = t.fingerprint(&data[e - w..e]);
+        if fa & mask == magic || e == lim {
+            return e;
+        }
+        let mut fb = t.roll(fa, data[e - w], data[e]);
+        if fb & mask == magic || e + 1 == lim {
+            return e + 1;
+        }
+        // Both chains step two bytes per round, to ends `e` and `e + 1`:
+        // chain `a` enters `data[e − 2..e]` and drops the bytes `w` before
+        // them, chain `b` one byte later. `ins` starts at the first byte
+        // chain `a` enters, `outs` `w` bytes earlier; pairs of both are
+        // read as exact 2-byte chunks, so the loop has no bounds checks
+        // and stops at the last round whose end `e + 1` is within `lim`.
+        let ins = &data[e..lim];
+        let outs = &data[e - w..lim - w];
+        let rounds = ins
+            .chunks_exact(2)
+            .zip(ins[1..].chunks_exact(2))
+            .zip(outs.chunks_exact(2).zip(outs[1..].chunks_exact(2)));
+        for ((ia, ib), (oa, ob)) in rounds {
+            e += 2;
+            fa = t.roll2(fa, [oa[0], oa[1]], [ia[0], ia[1]]);
+            fb = t.roll2(fb, [ob[0], ob[1]], [ib[0], ib[1]]);
+            if fa & mask == magic {
+                return e;
+            }
+            if fb & mask == magic {
+                return e + 1;
+            }
+        }
+        // An odd count of candidates leaves `lim` itself to chain `a`; its
+        // test does not matter, the chunk ends there either way.
+        lim
     }
 
     /// Split a buffer into chunk byte-slices.
@@ -197,15 +250,13 @@ impl CdcChunker {
     }
 }
 
-/// Incremental chunking state; feed bytes, collect [`ChunkSpan`]s.
+/// Incremental per-byte chunking state (the reference); feed bytes,
+/// collect [`ChunkSpan`]s.
 pub struct CdcStream<'c> {
     chunker: &'c CdcChunker,
     roll: RollingHash<'c>,
     chunk_start: u64,
     cur_len: usize,
-    /// Chunk-leading bytes excluded from the rolling hash (see
-    /// [`CdcChunker`]'s `skip`; 0 for the reference stream).
-    skip: usize,
 }
 
 impl CdcStream<'_> {
@@ -213,15 +264,6 @@ impl CdcStream<'_> {
     #[inline]
     pub fn push(&mut self, b: u8) -> Option<ChunkSpan> {
         let p = &self.chunker.params;
-        // Min-size skip: bytes before `min_size − window` cannot be covered
-        // by any window evaluated at a legal boundary position (≥ min_size),
-        // and the rolling hash is a pure function of its window, so they
-        // need not touch the hash at all. `skip < min_size ≤ max_size`, so
-        // no boundary can fall inside the skipped prefix either.
-        if self.cur_len < self.skip {
-            self.cur_len += 1;
-            return None;
-        }
         let fp = self.roll.push(b);
         self.cur_len += 1;
         let at_anchor = self.cur_len >= p.min_size
@@ -238,22 +280,12 @@ impl CdcStream<'_> {
         }
     }
 
-    /// Push a slice, invoking `sink` for each completed chunk. The
-    /// min-size skip is applied in bulk: whole skipped prefixes are jumped
-    /// over without a per-byte loop.
+    /// Push a slice, invoking `sink` for each completed chunk.
     pub fn push_slice(&mut self, data: &[u8], mut sink: impl FnMut(ChunkSpan)) {
-        let mut i = 0;
-        while i < data.len() {
-            if self.cur_len < self.skip {
-                let jump = (self.skip - self.cur_len).min(data.len() - i);
-                self.cur_len += jump;
-                i += jump;
-                continue;
-            }
-            if let Some(span) = self.push(data[i]) {
+        for &b in data {
+            if let Some(span) = self.push(b) {
                 sink(span);
             }
-            i += 1;
         }
     }
 
@@ -337,7 +369,7 @@ mod tests {
         let data = test_data(20_000, 5);
         let oneshot = c.chunk_all(&data);
         let mut streamed = Vec::new();
-        let mut s = c.stream();
+        let mut s = c.stream_reference();
         // Push in awkward increments.
         for part in data.chunks(7) {
             s.push_slice(part, |span| streamed.push(span));
@@ -436,12 +468,14 @@ mod tests {
     #[test]
     fn zero_region_hits_max_size() {
         // All-zero data has no anchors (magic != 0), so chunks cap at max.
-        let p = CdcParams::small();
-        let c = CdcChunker::new(p);
-        let data = vec![0u8; 5000];
-        let spans = c.chunk_all(&data);
-        for s in spans.iter().take(spans.len() - 1) {
-            assert_eq!(s.len as usize, p.max_size);
+        for c in both_params() {
+            let p = *c.params();
+            let data = vec![0u8; 3 * p.max_size + 17];
+            let spans = c.chunk_all(&data);
+            assert_eq!(spans.len(), 4);
+            assert!(spans[..3].iter().all(|s| s.len as usize == p.max_size));
+            assert_eq!(spans[3].len, 17);
+            assert_kernel_matches(&c, &data, "all zero");
         }
     }
 
@@ -465,12 +499,110 @@ mod tests {
 
     #[test]
     fn skip_matches_reference_on_long_streams() {
-        for seed in [1u64, 7, 42] {
-            let data = test_data(200_000, seed);
-            let small = CdcChunker::new(CdcParams::small());
-            assert_eq!(small.chunk_all(&data), small.chunk_all_reference(&data));
-            let paper = CdcChunker::paper();
-            assert_eq!(paper.chunk_all(&data), paper.chunk_all_reference(&data));
+        for (seed, len) in [(1u64, 200_000), (7, 200_000), (42, 3 << 20)] {
+            let data = test_data(len, seed);
+            for c in both_params() {
+                assert_kernel_matches(&c, &data, "random stream");
+            }
+        }
+    }
+
+    fn both_params() -> [CdcChunker; 2] {
+        [CdcChunker::paper(), CdcChunker::new(CdcParams::small())]
+    }
+
+    /// `chunk_all` must cut exactly where the per-byte reference cuts.
+    fn assert_kernel_matches(c: &CdcChunker, data: &[u8], what: &str) {
+        assert_eq!(
+            c.chunk_all(data),
+            c.chunk_all_reference(data),
+            "{what} (len {}, min {})",
+            data.len(),
+            c.params.min_size
+        );
+    }
+
+    /// Overwrite the `window` bytes before `end` until the window ending at
+    /// `end` is an anchor and no other window ending in `from..end` is.
+    fn plant_anchor(c: &CdcChunker, data: &mut [u8], from: usize, end: usize) {
+        let w = c.params.rabin.window;
+        for seed in 1.. {
+            data[end - w..end].copy_from_slice(&test_data(w, seed));
+            if c.tables.fingerprint(&data[end - w..end]) & c.mask != c.params.magic {
+                continue;
+            }
+            // `anchors` reports only full windows: ends `from..=end` here.
+            if c.anchors(&data[from - w..end]) == [(end - from + w) as u64] {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_at_the_size_edges() {
+        for c in both_params() {
+            let p = *c.params();
+            let skip = p.min_size - p.rabin.window;
+            let data = test_data(3 * p.max_size + 5, 77);
+            for len in [
+                0,
+                1,
+                skip.saturating_sub(1),
+                skip,
+                skip + 1,
+                p.min_size - 1,
+                p.min_size,
+                p.min_size + 1,
+                p.min_size + 2,
+                p.min_size + 3,
+                p.max_size - 1,
+                p.max_size,
+                p.max_size + 1,
+                p.max_size + p.min_size,
+                2 * p.max_size,
+                3 * p.max_size + 5,
+            ] {
+                assert_kernel_matches(&c, &data[..len], "random prefix");
+                assert_kernel_matches(&c, &vec![0u8; len], "all zero");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_with_anchors_at_both_ends_of_the_range() {
+        for c in both_params() {
+            let p = *c.params();
+            // Chunk ends at the first eligible byte, one past it, just
+            // before and at the max-size limit, and just before and at the
+            // end of the data; the rest of the data has no anchor.
+            for end in [p.min_size, p.min_size + 1, p.max_size - 1, p.max_size] {
+                let mut data = vec![0u8; 2 * p.max_size];
+                plant_anchor(&c, &mut data, p.min_size, end);
+                assert_kernel_matches(&c, &data, "planted anchor");
+                assert_eq!(c.chunk_all(&data)[0].len as usize, end);
+            }
+            let len = p.min_size + 7;
+            for end in [len - 1, len] {
+                let mut data = vec![0u8; len];
+                plant_anchor(&c, &mut data, p.min_size, end);
+                assert_kernel_matches(&c, &data, "anchor at the end of the data");
+                assert_eq!(c.chunk_all(&data)[0].len as usize, end);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_on_odd_and_even_remainders() {
+        // The two chains test ends in pairs: a chunk with an odd or an even
+        // count of candidates before its limit ends the loop differently.
+        for c in both_params() {
+            let p = *c.params();
+            let data = test_data(2 * p.max_size + 9, 5);
+            for extra in 0..9 {
+                for len in [p.min_size + extra, p.max_size + p.min_size + extra] {
+                    assert_kernel_matches(&c, &data[..len], "remainder");
+                }
+            }
         }
     }
 
@@ -479,7 +611,8 @@ mod tests {
 
         #[test]
         fn prop_skip_equals_reference(data: Vec<u8>) {
-            // The min-size skip must be invisible in the produced spans.
+            // The slice kernel, which never hashes a chunk's first
+            // `min_size − window` bytes, must cut where the reference does.
             let c = CdcChunker::new(CdcParams::small());
             proptest::prop_assert_eq!(c.chunk_all(&data), c.chunk_all_reference(&data));
         }

@@ -5,6 +5,15 @@
 //! fingerprinting* (SHA-1 of each chunk) before negotiating transfer with
 //! the backup server. Fingerprint-level datasets pass through unchanged
 //! (they model already-traced streams, §6.2).
+//!
+//! Two clocks meet here. The chunks and digests are computed for real, by
+//! the host kernels of `debar-chunk` (the two-chain slice CDC) and
+//! `debar-hash` (SHA-1 on the CPU's SHA extensions where it has them):
+//! they decide how long the simulator takes, and they cut and hash exactly
+//! as the portable per-byte references do. What the backup costs in
+//! virtual time is `SimCpu::hash_bytes`, the paper's client CPU, and it
+//! depends only on how many bytes were chunked — never on which kernel or
+//! machine did it.
 
 use crate::dataset::{ChunkedFile, Dataset, FileContent, StreamChunk};
 use crate::ids::ClientId;

@@ -4,7 +4,8 @@
 //! system, implemented from scratch:
 //!
 //! * [`sha1`] — the SHA-1 cryptographic hash (FIPS 180-1), used to compute
-//!   160-bit chunk fingerprints (paper §3.2).
+//!   160-bit chunk fingerprints (paper §3.2); it runs on the CPU's SHA
+//!   extensions where detection finds them, with identical digests.
 //! * [`gf2`] — carry-less polynomial arithmetic over GF(2), the algebraic
 //!   foundation of Rabin fingerprinting, including an irreducibility test.
 //! * [`rabin`] — Rabin fingerprints with a table-driven rolling window, used

@@ -11,6 +11,14 @@
 //! additionally XORs out `b_old·x^(8W) mod P`. Both operations are table
 //! driven (two 256-entry tables), so the rolling hash costs a shift, two
 //! XORs and two table loads per byte.
+//!
+//! [`RabinTables::roll2`] advances a window by two bytes in one step,
+//! `f' = (f·x^16 + b₁·x^8 + b₂ − o₁·x^(8W+8) − o₂·x^(8W)) mod P`, with two
+//! more tables, `x^8·shift8` and `x^8·pop`: the two bytes that overflow the
+//! degree and the two that leave the window each take one load, and the
+//! four loads are independent of each other. A chunker that runs two such
+//! chains side by side (one for even, one for odd positions) has half the
+//! dependent steps per byte of [`RabinTables::roll`].
 
 use crate::gf2;
 
@@ -56,6 +64,12 @@ pub struct RabinTables {
     /// `pop[b] = (b · x^(8·window)) mod P`: the contribution of the byte that
     /// slides out of the window.
     pop: [u64; 256],
+    /// `shift8_x8[t] = (t · x^(degree+8)) mod P`: the high one of the two
+    /// bytes a two-byte step pushes past the degree.
+    shift8_x8: [u64; 256],
+    /// `pop_x8[b] = (b · x^(8·window+8)) mod P`: the older one of the two
+    /// bytes a two-byte step slides out of the window.
+    pop_x8: [u64; 256],
 }
 
 impl RabinTables {
@@ -75,23 +89,21 @@ impl RabinTables {
         assert!(params.window > 0, "window must be non-empty");
         let mask = (1u64 << degree) - 1;
 
-        let mut shift8 = [0u64; 256];
-        for (t, entry) in shift8.iter_mut().enumerate() {
-            *entry = gf2::reduce128((t as u128) << degree, params.poly);
-        }
-
-        let xpow = gf2::xpow_mod(8 * params.window as u128, params.poly);
-        let mut pop = [0u64; 256];
-        for (b, entry) in pop.iter_mut().enumerate() {
-            *entry = gf2::mulmod(b as u64, xpow, params.poly);
-        }
+        // `table[b] = (b · x^exp) mod P` for every byte `b`.
+        let times_xpow = |exp: u128| {
+            let xpow = gf2::xpow_mod(exp, params.poly);
+            std::array::from_fn(|b| gf2::mulmod(b as u64, xpow, params.poly))
+        };
+        let window_bits = 8 * params.window as u128;
 
         RabinTables {
             params,
             degree,
             mask,
-            shift8,
-            pop,
+            shift8: times_xpow(degree as u128),
+            pop: times_xpow(window_bits),
+            shift8_x8: times_xpow(degree as u128 + 8),
+            pop_x8: times_xpow(window_bits + 8),
         }
     }
 
@@ -116,6 +128,30 @@ impl RabinTables {
         debug_assert!(f <= self.mask);
         let raw = (f << 8) | b as u64;
         (raw & self.mask) ^ self.shift8[(raw >> self.degree) as usize]
+    }
+
+    /// Slide a full window one byte: append `b`, drop `out`, the byte
+    /// `window` positions before it.
+    #[inline]
+    pub fn roll(&self, f: u64, out: u8, b: u8) -> u64 {
+        self.append(f, b) ^ self.pop[out as usize]
+    }
+
+    /// Slide a full window two bytes in one step: append `b1` then `b2`,
+    /// drop `out1` and `out2`, the bytes `window` positions before each.
+    /// Equals `roll(roll(f, out1, b1), out2, b2)`.
+    #[inline]
+    pub fn roll2(&self, f: u64, [out1, out2]: [u8; 2], [b1, b2]: [u8; 2]) -> u64 {
+        debug_assert!(f <= self.mask);
+        // `f·x^16 + b1·x^8 + b2` split at the degree: `raw` has at most
+        // `degree + 8 ≤ 64` bits, so `top` is the 16 bits that overflow.
+        let raw = (f << 8) | b1 as u64;
+        let top = raw >> (self.degree - 8);
+        let low = ((raw << 8) | b2 as u64) & self.mask;
+        // The loads indexed by `top` are the only ones on `f`'s chain;
+        // XOR the rest together first.
+        let rest = low ^ self.pop_x8[out1 as usize] ^ self.pop[out2 as usize];
+        rest ^ (self.shift8[top as u8 as usize] ^ self.shift8_x8[(top >> 8) as u8 as usize])
     }
 
     /// Fingerprint of an entire byte slice (no window).
@@ -155,14 +191,16 @@ impl<'t> RollingHash<'t> {
     #[inline]
     pub fn push(&mut self, b: u8) -> u64 {
         if self.filled == self.ring.len() {
-            let old = self.ring[self.head];
-            self.fp = self.tables.append(self.fp, b) ^ self.tables.pop[old as usize];
+            self.fp = self.tables.roll(self.fp, self.ring[self.head], b);
         } else {
             self.fp = self.tables.append(self.fp, b);
             self.filled += 1;
         }
         self.ring[self.head] = b;
-        self.head = (self.head + 1) % self.ring.len();
+        self.head += 1;
+        if self.head == self.ring.len() {
+            self.head = 0;
+        }
         self.fp
     }
 
@@ -307,6 +345,25 @@ mod tests {
         for i in 0..10_000u32 {
             let fp = r.push((i % 251) as u8);
             assert!(fp < (1 << 53));
+        }
+    }
+
+    #[test]
+    fn roll_and_roll2_match_the_rolling_hash() {
+        for (poly, window) in [(DEFAULT_POLY, 48), (DEFAULT_POLY, 16), (0x11B, 4)] {
+            let t = RabinTables::new(RabinParams { poly, window });
+            let data: Vec<u8> = (0..600u32)
+                .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
+                .collect();
+            let mut r = RollingHash::new(&t);
+            let fps: Vec<u64> = data.iter().map(|&b| r.push(b)).collect();
+            for i in window..data.len() {
+                assert_eq!(t.roll(fps[i - 1], data[i - window], data[i]), fps[i]);
+            }
+            for i in window + 1..data.len() {
+                let out = [data[i - 1 - window], data[i - window]];
+                assert_eq!(t.roll2(fps[i - 2], out, [data[i - 1], data[i]]), fps[i]);
+            }
         }
     }
 

@@ -9,6 +9,23 @@
 //! [`Sha1::finalize`]) and one-shot helpers. A dedicated single-block fast
 //! path ([`sha1_u64`]) hashes a 64-bit counter, which the paper uses to
 //! synthesize unlimited random fingerprint streams (§4.2, §6.2).
+//!
+//! # Kernels
+//!
+//! Every block goes through one function, `compress_blocks`, and only CPU
+//! detection chooses its kernel — no configuration, feature or variable:
+//!
+//! * on x86_64 CPUs with the SHA extensions (SHA-NI, detected at run time
+//!   together with the SSSE3 and SSE4.1 it also needs), a kernel built on
+//!   the `sha1rnds4` / `sha1nexte` / `sha1msg1` / `sha1msg2` instructions
+//!   runs the 80 rounds four at a time;
+//! * everywhere else the portable [`compress`] runs, one block at a time.
+//!
+//! Both compute the FIPS 180-1 compression function exactly, so the kernel
+//! changes how fast a digest is computed and never what it is: every
+//! fingerprint, and with it every index bucket, routing decision and stored
+//! byte, is the same on any CPU. [`compress`] stays public as the reference
+//! the tests hold the hardware kernel to; [`kernel`] names the one that runs.
 
 const H0: [u32; 5] = [
     0x6745_2301,
@@ -27,6 +44,7 @@ pub struct Sha1 {
     len_bytes: u64,
     buf: [u8; 64],
     buf_len: usize,
+    kernel: Kernel,
 }
 
 impl Default for Sha1 {
@@ -36,13 +54,25 @@ impl Default for Sha1 {
 }
 
 impl Sha1 {
-    /// Create a fresh hasher.
+    /// Create a fresh hasher that runs this CPU's fastest kernel.
     pub fn new() -> Self {
+        Self::with_kernel(kernel())
+    }
+
+    /// Create a fresh hasher that runs the portable [`compress`] on any
+    /// CPU: the reference the hardware kernel is measured and tested
+    /// against. Its digests are those of [`Sha1::new`].
+    pub fn portable() -> Self {
+        Self::with_kernel(Kernel::Portable)
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha1 {
             state: H0,
             len_bytes: 0,
             buf: [0u8; 64],
             buf_len: 0,
+            kernel,
         }
     }
 
@@ -50,55 +80,37 @@ impl Sha1 {
     pub fn update(&mut self, mut data: &[u8]) {
         self.len_bytes = self.len_bytes.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                compress(&mut self.state, &block);
-                self.buf_len = 0;
-            }
-            if data.is_empty() {
+            if self.buf_len < 64 {
                 return;
             }
+            compress_blocks(self.kernel, &mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            compress(&mut self.state, block.try_into().expect("exact chunk"));
-        }
-        let rem = chunks.remainder();
+        let whole = data.len() & !63;
+        compress_blocks(self.kernel, &mut self.state, &data[..whole]);
+        let rem = &data[whole..];
         self.buf[..rem.len()].copy_from_slice(rem);
         self.buf_len = rem.len();
     }
 
     /// Finish the computation and return the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.len_bytes.wrapping_mul(8);
-        // Append the 0x80 terminator, zero padding, then the 64-bit length.
-        let mut pad = [0u8; 128];
-        pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        self.update_no_len(&pad[..pad_len + 8]);
-        debug_assert_eq!(self.buf_len, 0);
-        let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-
-    /// `update` without advancing the message length (used for padding).
-    fn update_no_len(&mut self, data: &[u8]) {
-        let saved = self.len_bytes;
-        self.update(data);
-        self.len_bytes = saved;
+        // The buffered tail, the 0x80 terminator, zero padding and the
+        // 64-bit bit length: one block when the tail leaves room for the
+        // length (< 56 bytes), else two.
+        let n = self.buf_len;
+        let blocks = if n < 56 { 1 } else { 2 };
+        let mut tail = [0u8; 128];
+        tail[..n].copy_from_slice(&self.buf[..n]);
+        tail[n] = 0x80;
+        let end = 64 * blocks;
+        tail[end - 8..end].copy_from_slice(&self.len_bytes.wrapping_mul(8).to_be_bytes());
+        compress_blocks(self.kernel, &mut self.state, &tail[..end]);
+        digest_bytes(&self.state)
     }
 
     /// One-shot digest of `data`.
@@ -107,6 +119,173 @@ impl Sha1 {
         h.update(data);
         h.finalize()
     }
+}
+
+/// The compression kernel a [`Sha1`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// The portable [`compress`], one block at a time.
+    Portable,
+    /// The x86_64 SHA extensions (SHA-NI), four rounds per instruction.
+    #[cfg(target_arch = "x86_64")]
+    ShaNi,
+}
+
+/// The kernel [`Sha1::new`] and [`sha1_u64`] run on this CPU.
+pub fn kernel() -> Kernel {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni_detected() {
+        return Kernel::ShaNi;
+    }
+    Kernel::Portable
+}
+
+/// True when the CPU has every feature [`compress_blocks_sha_ni`] enables
+/// (SSE2 is part of the x86_64 baseline).
+#[cfg(target_arch = "x86_64")]
+fn sha_ni_detected() -> bool {
+    std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+}
+
+/// Absorb `data`, a whole number of 64-byte blocks, with `kernel`. The
+/// hardware kernel is taken only when the CPU has it, whoever asked.
+fn compress_blocks(kernel: Kernel, state: &mut [u32; 5], data: &[u8]) {
+    debug_assert_eq!(data.len() % 64, 0);
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the guard has just detected sha, ssse3 and sse4.1, every
+        // feature the kernel enables beyond the x86_64 baseline.
+        Kernel::ShaNi if sha_ni_detected() => unsafe { compress_blocks_sha_ni(state, data) },
+        _ => {
+            for block in data.chunks_exact(64) {
+                compress(state, block.try_into().expect("exact chunk"));
+            }
+        }
+    }
+}
+
+/// The SHA-1 compression function over every 64-byte block of `data`, on
+/// the SHA extensions: `sha1rnds4` runs four rounds, `sha1nexte` derives
+/// the next four rounds' `E` from the `A` four rounds back, and
+/// `sha1msg1` / `sha1msg2` expand the message schedule four words at a
+/// time (`w[t] = rotl1(w[t-3] ^ w[t-8] ^ w[t-14] ^ w[t-16])`).
+///
+/// `A..D` live in one register, `A` in the highest lane; `E` in the highest
+/// lane of another. Schedule words are kept four to a register, `w[t]` in
+/// the highest lane, cycling through five registers.
+///
+/// # Safety
+/// The CPU must support `sha`, `ssse3` and `sse4.1` (`sse2` is in the
+/// x86_64 baseline): call it only after [`sha_ni_detected`] returned true.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+unsafe fn compress_blocks_sha_ni(state: &mut [u32; 5], data: &[u8]) {
+    use std::arch::x86_64::*;
+
+    // Reverses the 16 bytes of a load: big-endian words, `w[t]` on top.
+    let flip = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
+    let mut abcd = _mm_set_epi32(
+        state[0] as i32,
+        state[1] as i32,
+        state[2] as i32,
+        state[3] as i32,
+    );
+    let mut e = _mm_set_epi32(state[4] as i32, 0, 0, 0);
+
+    // Four rounds of family `F` on schedule words `w`: `prev` holds the
+    // `A..D` of four rounds back, from which the `E` of these rounds comes;
+    // the result replaces it.
+    macro_rules! rounds4 {
+        ($cur:ident, $prev:ident, $w:expr, $f:literal) => {
+            $prev = _mm_sha1rnds4_epu32::<$f>($cur, _mm_sha1nexte_epu32($prev, $w));
+        };
+    }
+    // The next four schedule words from the last sixteen.
+    macro_rules! schedule {
+        ($w16:expr, $w12:expr, $w8:expr, $w4:expr) => {
+            _mm_sha1msg2_epu32(_mm_xor_si128(_mm_sha1msg1_epu32($w16, $w12), $w8), $w4)
+        };
+    }
+
+    for block in data.chunks_exact(64) {
+        let p = block.as_ptr().cast::<__m128i>();
+        // SAFETY: `block` is 64 readable bytes, so `p` and the next three
+        // 16-byte offsets are in bounds; `loadu` takes any alignment.
+        let (mut w0, mut w1, mut w2, mut w3) = unsafe {
+            (
+                _mm_shuffle_epi8(_mm_loadu_si128(p), flip),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), flip),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), flip),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), flip),
+            )
+        };
+        let mut w4;
+
+        // `h0` / `h1` alternate between the current `A..D` and the one
+        // four rounds back. Rounds 0..4 take `E` straight from the state.
+        let mut h0 = abcd;
+        let mut h1 = _mm_sha1rnds4_epu32::<0>(h0, _mm_add_epi32(e, w0));
+        rounds4!(h1, h0, w1, 0);
+        rounds4!(h0, h1, w2, 0);
+        rounds4!(h1, h0, w3, 0);
+        w4 = schedule!(w0, w1, w2, w3);
+        rounds4!(h0, h1, w4, 0);
+        // Rounds 20..40.
+        w0 = schedule!(w1, w2, w3, w4);
+        rounds4!(h1, h0, w0, 1);
+        w1 = schedule!(w2, w3, w4, w0);
+        rounds4!(h0, h1, w1, 1);
+        w2 = schedule!(w3, w4, w0, w1);
+        rounds4!(h1, h0, w2, 1);
+        w3 = schedule!(w4, w0, w1, w2);
+        rounds4!(h0, h1, w3, 1);
+        w4 = schedule!(w0, w1, w2, w3);
+        rounds4!(h1, h0, w4, 1);
+        // Rounds 40..60.
+        w0 = schedule!(w1, w2, w3, w4);
+        rounds4!(h0, h1, w0, 2);
+        w1 = schedule!(w2, w3, w4, w0);
+        rounds4!(h1, h0, w1, 2);
+        w2 = schedule!(w3, w4, w0, w1);
+        rounds4!(h0, h1, w2, 2);
+        w3 = schedule!(w4, w0, w1, w2);
+        rounds4!(h1, h0, w3, 2);
+        w4 = schedule!(w0, w1, w2, w3);
+        rounds4!(h0, h1, w4, 2);
+        // Rounds 60..80.
+        w0 = schedule!(w1, w2, w3, w4);
+        rounds4!(h1, h0, w0, 3);
+        w1 = schedule!(w2, w3, w4, w0);
+        rounds4!(h0, h1, w1, 3);
+        w2 = schedule!(w3, w4, w0, w1);
+        rounds4!(h1, h0, w2, 3);
+        w3 = schedule!(w4, w0, w1, w2);
+        rounds4!(h0, h1, w3, 3);
+        w4 = schedule!(w0, w1, w2, w3);
+        rounds4!(h1, h0, w4, 3);
+
+        // `h0` is the final `A..D`; the final `E` is `rotl30` of the `A`
+        // four rounds back, in `h1`.
+        abcd = _mm_add_epi32(abcd, h0);
+        e = _mm_sha1nexte_epu32(h1, e);
+    }
+
+    state[0] = _mm_extract_epi32::<3>(abcd) as u32;
+    state[1] = _mm_extract_epi32::<2>(abcd) as u32;
+    state[2] = _mm_extract_epi32::<1>(abcd) as u32;
+    state[3] = _mm_extract_epi32::<0>(abcd) as u32;
+    state[4] = _mm_extract_epi32::<3>(e) as u32;
+}
+
+/// The big-endian digest bytes of a final state.
+fn digest_bytes(state: &[u32; 5]) -> [u8; 20] {
+    let mut out = [0u8; 20];
+    for (i, word) in state.iter().enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// The SHA-1 compression function: absorb one 64-byte block.
@@ -118,7 +297,10 @@ impl Sha1 {
 /// split into four specialised 20-round loops the compiler fully unrolls.
 /// The boolean functions use their branch-free forms
 /// (`ch = d ^ (b & (c ^ d))`, `maj = (b & c) | (d & (b | c))`).
-fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+///
+/// This is the portable kernel: it runs wherever the SHA extensions do
+/// not, and it is the reference they are tested against.
+pub fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
     const K0: u32 = 0x5A82_7999;
     const K1: u32 = 0x6ED9_EBA1;
     const K2: u32 = 0x8F1B_BCDC;
@@ -194,12 +376,8 @@ pub fn sha1_u64(value: u64) -> [u8; 20] {
     // 8 bytes = 64 bits, big-endian in the final 8 bytes of the block.
     block[56..64].copy_from_slice(&64u64.to_be_bytes());
     let mut state = H0;
-    compress(&mut state, &block);
-    let mut out = [0u8; 20];
-    for (i, word) in state.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    compress_blocks(kernel(), &mut state, &block);
+    digest_bytes(&state)
 }
 
 #[cfg(test)]
@@ -358,7 +536,106 @@ mod tests {
     fn sha1_u64_matches_streaming() {
         for v in [0u64, 1, 42, u64::MAX, 0x0123_4567_89ab_cdef] {
             assert_eq!(sha1_u64(v), Sha1::digest(&v.to_le_bytes()));
+            assert_eq!(sha1_u64(v), portable_digest(&v.to_le_bytes()));
         }
+    }
+
+    fn portable_digest(data: &[u8]) -> [u8; 20] {
+        let mut h = Sha1::portable();
+        h.update(data);
+        h.finalize()
+    }
+
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Names the kernel the dispatched tests below exercised, so a green
+    /// run on a CPU without SHA-NI is not read as coverage of the SHA-NI
+    /// kernel (`cargo test -p debar-hash kernel -- --nocapture` shows it).
+    #[test]
+    fn kernel_is_the_detected_one() {
+        let k = kernel();
+        println!("sha1 kernel under test: {k:?}");
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(k == Kernel::ShaNi, sha_ni_detected());
+        assert_eq!(Sha1::new().kernel, k);
+        assert_eq!(Sha1::portable().kernel, Kernel::Portable);
+    }
+
+    #[test]
+    fn dispatched_matches_portable_at_every_length_to_300() {
+        let data = noise(300, 0x5a1);
+        for n in 0..=300 {
+            assert_eq!(
+                Sha1::digest(&data[..n]),
+                portable_digest(&data[..n]),
+                "length {n} on {:?}",
+                kernel()
+            );
+        }
+    }
+
+    #[test]
+    fn three_blocks_split_at_every_offset_match_portable() {
+        // The first `update` leaves 0..=63 bytes buffered; the second fills
+        // the buffer (the buffered path) and hands the rest to the bulk path.
+        let data = noise(192, 0xb10c);
+        let whole = portable_digest(&data);
+        for split in 0..=data.len() {
+            let mut h = Sha1::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finalize(), whole, "split at {split} on {:?}", kernel());
+        }
+    }
+
+    #[test]
+    fn fips_vectors_on_the_portable_kernel() {
+        let million_a = vec![b'a'; 1_000_000];
+        for (msg, want) in [
+            (&b""[..], "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+            (b"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+            ),
+            (&million_a, "34aa973cd4c4daa4f61eeb2bdbad27316534016f"),
+        ] {
+            assert_eq!(hex(&portable_digest(msg)), want);
+            assert_eq!(hex(&Sha1::digest(msg)), want);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sha_ni_kernel_matches_portable_block_by_block() {
+        if !sha_ni_detected() {
+            println!("CPU lacks SHA-NI: the hardware kernel is not exercised");
+            return;
+        }
+        let data = noise(64 * 200, 0x5eed);
+        let mut hw = H0;
+        let mut sw = H0;
+        for (i, block) in data.chunks_exact(64).enumerate() {
+            // SAFETY: `sha_ni_detected()` returned true above.
+            unsafe { compress_blocks_sha_ni(&mut hw, block) };
+            compress(&mut sw, block.try_into().expect("64-byte block"));
+            assert_eq!(hw, sw, "block {i}");
+        }
+        // And many blocks in one call.
+        let mut many = H0;
+        // SAFETY: as above.
+        unsafe { compress_blocks_sha_ni(&mut many, &data) };
+        assert_eq!(many, sw);
     }
 
     #[test]
