@@ -50,7 +50,7 @@ fn run(shuffled_layout: bool, denom: u64) -> (f64, f64) {
         })
         .expect("restore");
     assert_eq!(rep.failures, 0);
-    (rep.lpc_hit_ratio(), rep.throughput_mibps())
+    (rep.lpc.hit_ratio(), rep.throughput_mibps())
 }
 
 fn main() {

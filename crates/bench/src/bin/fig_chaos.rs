@@ -78,7 +78,7 @@ fn chaos_point(t: &mut Table, replication: usize, chaos: bool, denom: u64) -> u6
     if chaos {
         cfg = cfg.with_retry(RetryPolicy::new(MAX_ATTEMPTS, BACKOFF_COST));
     }
-    cfg.validate();
+    cfg.validate().expect("a valid configuration");
     let n = cfg.cache_fps() as u64;
     let shift = n / 4;
     let mut c = DebarCluster::new(cfg);
@@ -142,7 +142,7 @@ fn chaos_point(t: &mut Table, replication: usize, chaos: bool, denom: u64) -> u6
 /// that heals them all: a one-row table.
 fn scrub_point(denom: u64) -> Table {
     let cfg = DebarConfig::striped_scaled(SWEEP_PARTS, denom).with_replication(2);
-    cfg.validate();
+    cfg.validate().expect("a valid configuration");
     let n = cfg.cache_fps() as u64;
     let mut c = DebarCluster::new(cfg);
     let job = c.define_job("scrub", ClientId(0));

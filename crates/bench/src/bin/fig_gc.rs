@@ -125,7 +125,7 @@ fn collect(c: &mut DebarCluster, replication: usize, largest_chunk: u64) -> Coll
 /// The scaled deployment of one point.
 fn config(parts: usize, replication: usize, denom: u64) -> DebarConfig {
     let cfg = DebarConfig::striped_scaled(parts, denom).with_replication(replication);
-    cfg.validate();
+    cfg.validate().expect("a valid configuration");
     cfg
 }
 

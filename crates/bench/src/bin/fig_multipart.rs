@@ -8,12 +8,14 @@
 //!    part striped over `P` part-disks; with the physical per-partition
 //!    disk model the even-split sweep time must still be exactly `1/P` of
 //!    the single-volume sweep (each part-disk reads `total/P` bytes).
-//! 2. **Straggler law** — the same sweep under a *deliberately skewed*
-//!    layout (the first part-disk covers **half** the bucket range, the
-//!    rest split the remainder): the sweep completes at the **slowest
-//!    part**, i.e. half the scalar sweep regardless of `P` — not
-//!    `total/P`. The analytic even-split model could never show this;
-//!    the physical part-disk queues do.
+//! 2. **Straggler law** — the same sweep's bytes read by a bank of `P`
+//!    index part-disks (`PartDiskSet`, the index's own device model)
+//!    under a *deliberately skewed* split (the first part-disk covers
+//!    **half** the bucket range, the rest split the remainder): the read
+//!    completes at the **slowest part**, i.e. half the scalar sweep
+//!    regardless of `P` — not `total/P`. The analytic even-split model
+//!    could never show this; the physical part-disk queues do. (The index
+//!    itself always splits evenly.)
 //! 3. **System-level dedup-2** — the same multi-round, two-job backup
 //!    workload on a [`DebarConfig::striped_scaled`] deployment; PSIL/PSIU
 //!    walls shrink ≈ `1/P` while the chunk-storing phase is unchanged, so
@@ -59,29 +61,18 @@ use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache};
 use debar_simio::models::{paper, MIB};
 use debar_simio::throughput::mibps;
+use debar_simio::PartDiskSet;
 use debar_workload::drift::records;
 
 const PARTS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// One striped SIL sweep of a paper-geometry index part (index-level
-/// law) — evenly split, or under a deliberately skewed `parts`-way layout:
-/// the first part-disk covers half the bucket range, the rest split the
-/// remainder, and the physical model completes at the slowest part.
-fn index_sweep_secs(cfg: &DebarConfig, parts: usize, skewed: bool) -> f64 {
+/// law), evenly split over `parts` part-disks.
+fn index_sweep_secs(cfg: &DebarConfig, parts: usize) -> f64 {
     let mut idx = DiskIndex::with_paper_disk(cfg.index_part_params(), 0xF16);
     let ballast = (0..20_000u64).map(|i| (Fingerprint::of_counter(i), ContainerId::new(i)));
     idx.try_bulk_load_striped(ballast, 1)
         .expect("no fault is armed");
-    if skewed && parts > 1 {
-        let buckets = idx.params().buckets();
-        let half = buckets / 2;
-        let rest = buckets - half;
-        let tail = (parts - 1) as u64;
-        let bounds = std::iter::once(half)
-            .chain((1..=tail).map(|i| half + rest * i / tail))
-            .collect();
-        idx.set_sweep_layout(Some(bounds));
-    }
     let mut cache = IndexCache::new(8, 40_000);
     for i in 0..10_000u64 {
         cache.insert(Fingerprint::of_counter(i * 3), 0);
@@ -92,6 +83,30 @@ fn index_sweep_secs(cfg: &DebarConfig, parts: usize, skewed: bool) -> f64 {
         .value;
     assert_eq!(rep.parts, parts as u32, "sweep must engage all partitions");
     rep.sweep_secs
+}
+
+/// The same index part's bytes read by `parts` paper index part-disks
+/// under a deliberately skewed split: the first covers half the bucket
+/// range, the rest split the remainder, and the read completes at the
+/// slowest part.
+fn skewed_sweep_secs(cfg: &DebarConfig, parts: usize) -> f64 {
+    let params = cfg.index_part_params();
+    let buckets = params.buckets();
+    let bounds: Vec<u64> = if parts > 1 {
+        let (half, tail) = (buckets / 2, parts as u64 - 1);
+        let rest = buckets - half;
+        std::iter::once(half)
+            .chain((1..=tail).map(|i| half + rest * i / tail))
+            .collect()
+    } else {
+        vec![buckets]
+    };
+    let shares: Vec<u64> = std::iter::once(0)
+        .chain(bounds.iter().copied())
+        .zip(&bounds)
+        .map(|(start, end)| (end - start) * params.bucket_bytes as u64)
+        .collect();
+    PartDiskSet::new(paper::index_disk()).seq_read_split(&shares)
 }
 
 /// System-level walls of one configuration: summed PSIL/PSIU/store walls,
@@ -115,7 +130,7 @@ fn system_point(w_bits: u32, parts: usize, workers: usize, denom: u64, rounds: u
         let c = DebarConfig::cluster_scaled(w_bits, 32 << 30, denom)
             .with_sweep_parts(parts)
             .with_store_workers(workers);
-        c.validate();
+        c.validate().expect("a valid configuration");
         c
     };
     drive_system(cfg, parts, workers, rounds).walls
@@ -236,8 +251,8 @@ fn main() {
     let mut base = None;
     let mut sat_mibps = 0.0;
     for &parts in &PARTS {
-        let index_sweep_s = index_sweep_secs(&law_cfg, parts, false);
-        let skew_sweep_s = index_sweep_secs(&law_cfg, parts, true);
+        let index_sweep_s = index_sweep_secs(&law_cfg, parts);
+        let skew_sweep_s = skewed_sweep_secs(&law_cfg, parts);
         let w = system_point(0, parts, 1, denom, rounds);
         let (base_sweep, base_sil) = *base.get_or_insert((index_sweep_s, w.sil));
         let sweep_speedup = base_sweep / index_sweep_s;
@@ -391,7 +406,7 @@ fn main() {
         let mut cfg = DebarConfig::striped_scaled(sat_parts, denom).with_store_workers(sat_workers);
         cfg.repo_nodes = nodes;
         let cfg = cfg.with_replication(replication);
-        cfg.validate();
+        cfg.validate().expect("a valid configuration");
         drive_system(cfg, sat_parts, sat_workers, rounds)
     };
     let mut repo_table = Table::new(&REPO_COLUMNS);

@@ -93,7 +93,7 @@ fn cluster(denom: u64, scale: &Scale) -> (DebarCluster, JobId) {
     cfg.container_bytes = CONTAINER_BYTES;
     cfg.lpc_containers = scale.lpc_containers;
     cfg.siu_interval = 1;
-    cfg.validate();
+    cfg.validate().expect("a valid configuration");
     let mut c = DebarCluster::new(cfg);
     let job = c.define_job("churn", ClientId(0));
     (c, job)
@@ -170,7 +170,7 @@ fn row(w: &Walk) -> Vec<Cell> {
         Cell::F(refetch(r), 4),
         Cell::F(r.layout.containers_per_mib(), 4),
         Cell::F(r.layout.mean_run_length(), 4),
-        Cell::F(r.lpc_hit_ratio(), 4),
+        Cell::F(r.lpc.hit_ratio(), 4),
     ]
 }
 

@@ -251,9 +251,10 @@ impl DebarCluster {
                         // A whole container, and no victim named: one
                         // full slot, room made by the paper's LRU; all of
                         // it in now, on this serial clock.
-                        let (chunks, whole) = (container.chunks().collect(), cfg.container_bytes);
-                        let tails = std::iter::repeat(0.0);
-                        srv.cache_container(cid, chunks, tails, whole, |_, _| None, |_| (now, now));
+                        let chunks: Vec<_> = container.chunks().collect();
+                        let fps = chunks.iter().map(|(fp, _)| *fp).collect();
+                        let entry = srv.lpc.insert_extents(cid, fps, cfg.container_bytes).1;
+                        entry.merge(chunks, std::iter::repeat(0.0), (now, now));
                     }
                     continue;
                 }
@@ -308,7 +309,7 @@ impl DebarCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DebarConfig;
+    use crate::config::{DebarConfig, DedupMode};
     use debar_workload::drift::records;
 
     #[test]
@@ -354,5 +355,33 @@ mod tests {
             (w.backlog_bytes, w.inline_index_reads),
             (c.backlog_bytes, 0)
         );
+    }
+
+    #[test]
+    fn an_inline_prefetch_fills_the_cache_the_restore_walk_reads() {
+        // A second job backs the first one's stored stream up inline: the
+        // probe rung's hits prefetch whole containers into the LPC, chunks
+        // and all, and the restore of that backup starts on that cache.
+        let cfg = DebarConfig::tiny_test(0).with_dedup_mode(DedupMode::Inline);
+        let mut c = DebarCluster::new(cfg);
+        let stream = Dataset::from_records("s", records(0..1500));
+        let first = c.define_job("first", ClientId(0));
+        c.backup(first, &stream).expect("backup");
+        c.run_dedup2().expect("dedup2");
+        let second = c.define_job("second", ClientId(1));
+        let r = c.backup(second, &stream).expect("backup");
+        assert!(r.inline_index_reads > 0, "the probe rung prefetched");
+        assert_eq!((r.inline_hits, r.transferred_chunks), (1500, 0));
+        let srv = &c.servers[0];
+        assert!(srv.restore_cache_payload("prefetched") > 0);
+        let whole = srv.lpc.len() as u64 * cfg.container_bytes;
+        assert_eq!(
+            srv.lpc.weight(),
+            whole,
+            "a prefetch weighs whole containers"
+        );
+        let restored = c.restore_run(r.run).expect("restore");
+        assert_eq!((restored.failures, restored.bytes), (0, r.logical_bytes));
+        c.servers[0].restore_cache_payload("restored");
     }
 }

@@ -263,19 +263,16 @@ impl DebarConfig {
     /// geometry with every SIL/SIU sweep striped over `parts` part-disks
     /// (scaled down by the default 1/1024 denominator). Dedup results are
     /// byte-identical to [`DebarConfig::single_server_scaled`]; sweep
-    /// virtual time divides by ≈ `parts`.
-    ///
-    /// # Panics
-    /// Panics if `parts` is 0 or exceeds the index part's bucket count.
+    /// virtual time divides by ≈ `parts`. Like every builder it returns
+    /// the configuration unvalidated: [`DebarConfig::validate`] refuses a
+    /// `parts` of 0 or more than the index part's bucket count.
     pub fn striped(parts: usize) -> Self {
         Self::striped_scaled(parts, 1024)
     }
 
     /// [`DebarConfig::striped`] at an explicit scale denominator.
     pub fn striped_scaled(parts: usize, denom: u64) -> Self {
-        let cfg = Self::single_server_scaled(denom).with_sweep_parts(parts);
-        cfg.validate();
-        cfg
+        Self::single_server_scaled(denom).with_sweep_parts(parts)
     }
 
     /// Builder: shard each server's SIL/SIU sweeps into `parts` bucket
@@ -297,7 +294,7 @@ impl DebarConfig {
     }
 
     /// Builder: write every container to `replication` distinct repository
-    /// nodes (see the `replication` field; `try_validate` rejects 0 and
+    /// nodes (see the `replication` field; `validate` rejects 0 and
     /// values above `repo_nodes`).
     pub fn with_replication(mut self, replication: usize) -> Self {
         self.replication = replication;
@@ -313,7 +310,7 @@ impl DebarConfig {
     }
 
     /// Builder: select when duplicate detection happens (see the
-    /// `dedup_mode` field; `try_validate` rejects a hybrid window of 0
+    /// `dedup_mode` field; `validate` rejects a hybrid window of 0
     /// probes — that spelling is [`DedupMode::OutOfLine`]).
     pub fn with_dedup_mode(mut self, mode: DedupMode) -> Self {
         self.dedup_mode = mode;
@@ -323,7 +320,7 @@ impl DebarConfig {
     /// Builder: absorb transient repository-node faults with up to
     /// `max_attempts` total tries per I/O, charging `backoff_cost`
     /// simulated seconds between tries (see the `retry` field;
-    /// `try_validate` rejects 0 attempts and non-finite or negative
+    /// `validate` rejects 0 attempts and non-finite or negative
     /// backoff).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
@@ -331,7 +328,7 @@ impl DebarConfig {
     }
 
     /// Builder: track repository-node health with the given error
-    /// thresholds (see the `health` field; `try_validate` rejects a
+    /// thresholds (see the `health` field; `validate` rejects a
     /// suspect threshold above the quarantine one when both are set).
     pub fn with_health(mut self, health: HealthPolicy) -> Self {
         self.health = health;
@@ -352,7 +349,7 @@ impl DebarConfig {
     /// scaling halves each index part, so a striped deployment that
     /// scales out keeps `min(parts, buckets)` partitions per part
     /// (documented rule) instead of failing validation. Never panics: a
-    /// part geometry `try_validate` would refuse clamps to one partition.
+    /// part geometry `validate` would refuse clamps to one partition.
     pub fn clamp_sweep_parts(&mut self) {
         let buckets = (self.index_part_bytes / self.bucket_bytes.max(1) as u64).max(1);
         self.sweep_parts = (self.sweep_parts.max(1) as u64).min(buckets) as usize;
@@ -375,7 +372,7 @@ impl DebarConfig {
 
     /// Validate invariants, returning the typed
     /// [`crate::DebarError::IndexGeometry`] on inconsistency.
-    pub fn try_validate(&self) -> Result<(), crate::error::DebarError> {
+    pub fn validate(&self) -> Result<(), crate::error::DebarError> {
         let geometry = |reason: String| crate::error::DebarError::IndexGeometry { reason };
         if self.w_bits > 8 {
             return Err(geometry(format!(
@@ -498,27 +495,17 @@ impl DebarConfig {
         }
         Ok(())
     }
-
-    /// Validate invariants.
-    ///
-    /// # Panics
-    /// Panics on inconsistent geometry (see [`DebarConfig::try_validate`]
-    /// for the fallible form).
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DebarError;
 
     #[test]
     fn paper_single_server_geometry() {
         let cfg = DebarConfig::single_server_scaled(1024);
-        cfg.validate();
+        cfg.validate().expect("valid");
         assert_eq!(cfg.servers(), 1);
         // 32 GB / 1024 = 32 MB of 8 KB buckets = 2^12 buckets.
         assert_eq!(cfg.index_part_params().n_bits, 12);
@@ -530,14 +517,14 @@ mod tests {
     #[test]
     fn cluster_geometry_routing_bits() {
         let cfg = DebarConfig::cluster_scaled(4, 32 << 30, 1024);
-        cfg.validate();
+        cfg.validate().expect("valid");
         assert_eq!(cfg.servers(), 16);
         assert_eq!(cfg.w_bits + cfg.index_part_params().n_bits, 4 + 12);
     }
 
     #[test]
     fn tiny_test_valid() {
-        DebarConfig::tiny_test(2).validate();
+        DebarConfig::tiny_test(2).validate().expect("valid");
     }
 
     #[test]
@@ -548,18 +535,17 @@ mod tests {
         assert_eq!(striped.w_bits, plain.w_bits);
         assert_eq!(striped.index_part_bytes, plain.index_part_bytes);
         assert_eq!(striped.bucket_bytes, plain.bucket_bytes);
-        striped.validate();
+        striped.validate().expect("valid");
     }
 
     #[test]
     fn try_validate_returns_typed_geometry_errors() {
-        use crate::error::DebarError;
-        let geom = |cfg: DebarConfig| match cfg.try_validate() {
+        let geom = |cfg: DebarConfig| match cfg.validate() {
             Err(DebarError::IndexGeometry { reason }) => reason,
             other => panic!("expected IndexGeometry, got {other:?}"),
         };
         let base = DebarConfig::tiny_test(0);
-        assert!(base.try_validate().is_ok());
+        assert!(base.validate().is_ok());
         // Every arm that used to be an assert deep inside IndexParams now
         // surfaces as a typed error from the fallible validator.
         let r = geom(DebarConfig {
@@ -635,13 +621,13 @@ mod tests {
             assert_eq!(cfg.dedup_mode.probe_budget(), Some(0));
         }
         let inline = DebarConfig::tiny_test(0).with_dedup_mode(DedupMode::Inline);
-        inline.validate();
+        inline.validate().expect("valid");
         assert!(inline.dedup_mode.is_inline());
         assert_eq!(inline.dedup_mode.probe_budget(), None);
         // Like store_workers: any positive window validates, no upper clamp.
         for w in [1u32, 7, 100_000] {
             let hybrid = DebarConfig::tiny_test(0).with_dedup_mode(DedupMode::Hybrid { window: w });
-            hybrid.validate();
+            hybrid.validate().expect("valid");
             assert_eq!(hybrid.dedup_mode.probe_budget(), Some(w as u64));
         }
     }
@@ -660,22 +646,27 @@ mod tests {
         let cfg = DebarConfig::tiny_test(0)
             .with_retry(RetryPolicy::new(3, 0.004))
             .with_health(HealthPolicy::new(2, 5));
-        cfg.validate();
+        cfg.validate().expect("valid");
         assert!(cfg.retry.retries());
         assert!(cfg.health.is_enabled());
         // One-sided health policies validate (0 disables that tier).
         DebarConfig::tiny_test(0)
             .with_health(HealthPolicy::new(0, 3))
-            .validate();
+            .validate()
+            .expect("valid");
         DebarConfig::tiny_test(0)
             .with_health(HealthPolicy::new(3, 0))
-            .validate();
+            .validate()
+            .expect("valid");
     }
 
     #[test]
     fn replication_within_node_count_validates() {
         for r in [1usize, 2] {
-            DebarConfig::tiny_test(0).with_replication(r).validate();
+            DebarConfig::tiny_test(0)
+                .with_replication(r)
+                .validate()
+                .expect("valid");
         }
     }
 
@@ -685,7 +676,7 @@ mod tests {
         cfg.repo_nodes = 1;
         cfg.clamp_replication();
         assert_eq!(cfg.replication, 1);
-        cfg.validate();
+        cfg.validate().expect("valid");
         // Clamping an in-range value is a no-op; zero is lifted to 1.
         let mut cfg2 = DebarConfig::tiny_test(0).with_replication(2);
         cfg2.clamp_replication();
@@ -700,38 +691,50 @@ mod tests {
     fn store_workers_any_positive_count_validates() {
         // Workers stripe log bytes, not a bucket geometry: no upper clamp.
         for w in [1usize, 2, 7, 64] {
-            DebarConfig::tiny_test(0).with_store_workers(w).validate();
+            DebarConfig::tiny_test(0)
+                .with_store_workers(w)
+                .validate()
+                .expect("valid");
         }
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
     fn sweep_parts_beyond_bucket_count_rejected() {
         // tiny_test parts have 256 buckets; 257 partitions can't all get
         // a bucket.
-        DebarConfig::tiny_test(0).with_sweep_parts(257).validate();
+        let r = DebarConfig::tiny_test(0).with_sweep_parts(257).validate();
+        assert!(
+            matches!(&r, Err(DebarError::IndexGeometry { reason }) if reason.contains("exceeds")),
+            "{r:?}"
+        );
     }
 
     #[test]
     fn sweep_parts_equal_to_bucket_count_allowed() {
-        DebarConfig::tiny_test(0).with_sweep_parts(256).validate();
+        DebarConfig::tiny_test(0)
+            .with_sweep_parts(256)
+            .validate()
+            .expect("valid");
     }
 
     #[test]
     fn non_dividing_sweep_parts_validate() {
         // 3 does not divide 256; partitions just differ by one bucket.
-        DebarConfig::tiny_test(0).with_sweep_parts(3).validate();
+        DebarConfig::tiny_test(0)
+            .with_sweep_parts(3)
+            .validate()
+            .expect("valid");
     }
 
     #[test]
     fn clamp_sweep_parts_applies_documented_rule() {
         let mut cfg = DebarConfig::tiny_test(0).with_sweep_parts(256);
-        cfg.validate();
+        cfg.validate().expect("valid");
         // A performance-scaling split halves the part: 128 buckets left.
         cfg.index_part_bytes /= 2;
         cfg.clamp_sweep_parts();
         assert_eq!(cfg.sweep_parts, 128);
-        cfg.validate();
+        cfg.validate().expect("valid");
         // Clamping an in-range value is a no-op.
         let mut cfg2 = DebarConfig::tiny_test(0).with_sweep_parts(4);
         cfg2.clamp_sweep_parts();

@@ -72,7 +72,7 @@
 //!   ([`DebarError::UnknownJob`] / [`DebarError::UnknownRun`] /
 //!   [`DebarError::UnknownPath`]), inconsistent deployment geometry
 //!   ([`DebarError::IndexGeometry`], from
-//!   [`DebarConfig::try_validate`]), and scaling, scrubbing or collecting
+//!   [`DebarConfig::validate`]), and scaling, scrubbing or collecting
 //!   garbage on a non-quiesced cluster ([`DebarError::NotQuiesced`]).
 //!
 //! Two failure kinds are **resumable** — the operation rolls back to a

@@ -273,16 +273,6 @@ impl RestoreReport {
     pub fn serial_s(&self) -> Secs {
         self.resolve_s + self.node_read_total_s + self.send_s
     }
-
-    /// LPC hit ratio during the restore.
-    pub fn lpc_hit_ratio(&self) -> f64 {
-        let total = self.lpc.hits + self.lpc.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.lpc.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -82,11 +82,11 @@
 //!   residents that are left and from the time the last victim frees,
 //!   until the fetch fits — never to the container being fetched, whose
 //!   resident entry the fetch merges into. The fetched chunks then enter
-//!   through the same `BackupServer::cache_container` as a backup's
-//!   prefetch, whose LRU has nothing left to evict. What the rule reads
-//!   is a small index private to the walk (`RecipeIndex`): fingerprint →
-//!   the recipe positions of the entries this walk visits (so a
-//!   single-file restore and the audit index exactly what they walk), and
+//!   their LPC entry's value through the same `LpcCache::insert_extents`
+//!   as a backup's prefetch, whose LRU has nothing left to evict. What
+//!   the rule reads is a small index private to the walk (`RecipeIndex`):
+//!   fingerprint → the recipe positions of the entries this walk visits
+//!   (so a single-file restore and the audit index exactly what they walk), and
 //!   per resident container the ascending positions it supplies *as the
 //!   LPC would answer them*, with a cursor. It is built on the first miss
 //!   that finds the cache full — no room for one more whole container: a
@@ -186,7 +186,7 @@ use crate::error::{DebarError, DebarResult};
 use crate::ids::RunId;
 use crate::metadata::{FileIndexEntry, RunRecord};
 use crate::report::{LayoutReport, RestoreReport};
-use crate::server::BackupServer;
+use crate::server::{BackupServer, CachedContainer};
 use debar_hash::{ContainerId, Fingerprint, Sha1};
 use debar_simio::{Lane, Secs};
 use debar_store::{ChunkRepository, CorruptKind, LpcCache, LpcStats, NodeRead, Payload, ReadLegs};
@@ -506,7 +506,7 @@ impl RecipeIndex {
     /// Note what a resident container supplies: the positions of its
     /// fingerprints the cache answers *with it* (a fingerprint two
     /// residents hold is the younger one's).
-    fn admit(&mut self, cid: ContainerId, lpc: &LpcCache) {
+    fn admit(&mut self, cid: ContainerId, lpc: &LpcCache<CachedContainer>) {
         let fps = lpc.fingerprints(cid).unwrap_or_default();
         let mut positions = Vec::with_capacity(fps.len());
         for fp in fps {
@@ -534,11 +534,11 @@ impl RecipeIndex {
     fn victim(
         &mut self,
         pos: usize,
-        srv: &BackupServer,
+        lpc: &LpcCache<CachedContainer>,
         keep: ContainerId,
         start: Secs,
     ) -> Option<ContainerId> {
-        let residents = (srv.lpc.residents().filter(|&id| id != keep)).map(|id| Resident {
+        let residents = (lpc.residents().filter(|&id| id != keep)).map(|id| Resident {
             id,
             next_use: self.supplies.get_mut(&id).and_then(|(positions, passed)| {
                 while positions.get(*passed).is_some_and(|&p| p <= pos) {
@@ -546,7 +546,7 @@ impl RecipeIndex {
                 }
                 positions.get(*passed).copied()
             }),
-            free_at: (srv.container_cache.get(&id)).map_or(0.0, |c| c.last_sent),
+            free_at: lpc.value(id).map_or(0.0, |c| c.last_sent),
         });
         let victim = choose_victim(residents, start)?;
         self.supplies.remove(&victim);
@@ -633,15 +633,23 @@ impl RestoreWalk<'_> {
                     Some(_) => chunks.iter().map(|(_, p)| p.len()).sum(),
                     None => whole,
                 };
-                let (at, recipe) = (lanes.at, &mut self.recipe);
-                srv.cache_container(
-                    cid,
-                    chunks,
-                    tails,
-                    bytes,
-                    |srv, sent| (recipe.as_mut())?.victim(pos, srv, cid, at.max(sent)),
-                    |evicted_sent| lanes.fetch(evicted_sent, &legs),
-                );
+                // The fetch waits for the last chunk of the residents it
+                // evicts to have left the NIC, and merges into its own entry
+                // when resident.
+                let (at, lpc) = (lanes.at, &mut srv.lpc);
+                let mut sent: Secs = 0.0;
+                while lpc.shortfall(cid, bytes) > 0 {
+                    let named = (self.recipe.as_mut())
+                        .and_then(|recipe| recipe.victim(pos, lpc, cid, at.max(sent)));
+                    let Some(gone) = named.and_then(|victim| lpc.evict(victim)) else {
+                        break;
+                    };
+                    sent = sent.max(gone.last_sent);
+                }
+                let fps = chunks.iter().map(|(fp, _)| *fp).collect();
+                let (evicted, entry) = lpc.insert_extents(cid, fps, bytes);
+                let sent = (evicted.iter()).fold(sent, |sent, (_, gone)| sent.max(gone.last_sent));
+                entry.merge(chunks, tails, lanes.fetch(sent, &legs));
                 if let Some(recipe) = &mut self.recipe {
                     recipe.admit(cid, &srv.lpc);
                 }
@@ -654,7 +662,7 @@ impl RestoreWalk<'_> {
             container: Some(cid),
         };
         let srv = &mut self.servers[sid];
-        let cached = srv.container_cache.get_mut(&cid).ok_or_else(missing)?;
+        let cached = srv.lpc.value_mut(cid).ok_or_else(missing)?;
         let (len, payload, arrived) = cached.chunk(fp).ok_or_else(missing)?;
         if !verify_payload(fp, &payload) {
             return Err(DebarError::CorruptContainer {
@@ -1008,22 +1016,19 @@ mod tests {
     }
 
     /// The restore cache's memory law, which holds after any walk: the
-    /// entries weigh no more than `lpc_containers × container_bytes`, the
-    /// LPC and the payload cache hold the same containers, and what the
-    /// payload cache really holds is no more than what the LPC weighs it
-    /// at. (That it holds at every *fetch* — the one coming in and those
-    /// still in flight included — is `LpcCache::insert_extents`' own
-    /// `debug_assert`, live in every test of this workspace.) Returns the
-    /// number of residents.
+    /// entries weigh no more than `lpc_containers × container_bytes`,
+    /// every resident holds the chunks of exactly the fingerprints its LPC
+    /// entry lists, and what they really hold is no more than what the LPC
+    /// weighs them at. (That it holds at every *fetch* — the one coming in
+    /// and those still in flight included — is `LpcCache::insert_extents`'
+    /// own `debug_assert`, live in every test of this workspace.) Returns
+    /// the number of residents.
     fn assert_cache_within_its_bytes(c: &DebarCluster, tag: &str) -> u64 {
         let (srv, cfg) = (&c.servers[0], &c.cfg);
         let budget = cfg.lpc_containers as u64 * cfg.container_bytes;
         assert_eq!(srv.lpc.budget(), budget, "{tag}");
         assert!(srv.lpc.weight() <= budget, "{tag}");
-        assert_eq!(srv.container_cache.len(), srv.lpc.len(), "{tag}");
-        let held: u64 = (srv.lpc.residents())
-            .map(|cid| srv.container_cache[&cid].payload_bytes())
-            .sum();
+        let held = srv.restore_cache_payload(tag);
         assert!(
             held <= srv.lpc.weight(),
             "{tag}: {held} held, weighed {}",
@@ -1038,8 +1043,8 @@ mod tests {
         // this pinned the slot rule its name still carries — at most
         // `lpc_containers` entries, one eviction per fetch into a full
         // cache. An entry is an extent set and takes what it weighs, so
-        // the law is now in bytes: after every walk the LPC and the
-        // payload cache hold the same containers, weighing at most
+        // the law is now in bytes: after every walk each resident holds
+        // the chunks its LPC entry lists, the entries weighing at most
         // `lpc_containers × container_bytes` together — there may be more
         // of them than slots, and one fetch may evict several or none;
         // every fetch enters as a new entry or merges into its own, so
@@ -1720,7 +1725,7 @@ mod tests {
         c.set_damage(cid, Some(Damage::BitFlip)).expect("stored");
         let r = c.restore_run(run).expect("the replica serves");
         assert_eq!((r.corrupt_reads, c.repo.stats().read_repairs), (1, 1));
-        let entry = &c.servers[0].container_cache[&cid];
+        let entry = c.servers[0].lpc.value(cid).expect("resident");
         assert_eq!(entry.last_sent, c.servers[0].clock.now(), "free when done");
     }
 
@@ -1761,8 +1766,8 @@ mod tests {
         assert!(reordered < stream, "the NIC idles before B's first chunk");
         // Each entry is given up once its last chunk is out: A's only
         // after B's, by exactly the revisited chunk's send.
-        let cache = &c.servers[0].container_cache;
-        let (a_out, b_out) = (cache[&ids[0]].last_sent, cache[&ids[1]].last_sent);
+        let out = |cid| c.servers[0].lpc.value(cid).expect("resident").last_sent;
+        let (a_out, b_out) = (out(ids[0]), out(ids[1]));
         let send = paper::server_nic().stream_cost(len(&revisit) as u64);
         assert!(close(a_out, b_out + send), "{a_out} vs {b_out} + {send}");
     }

@@ -9,7 +9,7 @@
 //! on-disk chunk log, their fingerprints accumulate here as
 //! *undetermined*, backup-time `Store` verdicts are staged in its
 //! decision map (`stage_inline_store`) and prefetched containers enter its
-//! restore cache (`cache_container`).
+//! restore cache (`lpc`, whose entries carry the fetched chunks).
 //!
 //! Dedup-2 pieces (driven phase by phase, in server-ID order, by
 //! [`crate::cluster::DebarCluster`]):
@@ -166,17 +166,18 @@ pub struct BackupServer {
     /// `Dedup2Report::predetermined_fps` source. Reset only after a round
     /// commits, so a faulted round's resume still reports them.
     inline_staged: u64,
-    /// LPC read cache (fingerprint side).
-    pub(crate) lpc: LpcCache,
-    /// Payload side of the LPC: resident containers for chunk extraction.
-    pub(crate) container_cache: HashMap<ContainerId, CachedContainer>,
+    /// The restore cache: the LPC, each resident carrying the chunks its
+    /// fetches brought in.
+    pub(crate) lpc: LpcCache<CachedContainer>,
 }
 
 /// One entry of the restore cache — the chunks fetched from one container
 /// (all of them after a whole-container read, the extents its recipe
 /// wanted after a ranged one), keyed for O(1) extraction, each with the
 /// server-clock time its bytes were in — and its place on the restore
-/// pipeline's timeline.
+/// pipeline's timeline. It is the value of its container's LPC entry, so
+/// it holds exactly the chunks whose fingerprints the entry lists.
+#[derive(Default)]
 pub(crate) struct CachedContainer {
     chunks: HashMap<Fingerprint, (Payload, Secs)>,
     /// Server-clock time the last chunk served from it left the NIC (the
@@ -193,18 +194,12 @@ impl CachedContainer {
             .map(|(payload, arrived)| (payload.len() as u32, payload.clone(), *arrived))
     }
 
-    /// Bytes of payload the entry holds.
-    #[cfg(test)]
-    pub(crate) fn payload_bytes(&self) -> u64 {
-        self.chunks.values().map(|(p, _)| p.len()).sum()
-    }
-
     /// Take in what a read fetched: its serving leg completed at `served`
     /// and the whole read — read-repair writes included — at `done`. Each
     /// chunk is in its `tails` entry's seconds before `served`; chunks the
     /// entry holds already keep their own arrival. The entry is not given
     /// up before the read is done.
-    fn merge(
+    pub(crate) fn merge(
         &mut self,
         chunks: Vec<(Fingerprint, Payload)>,
         tails: impl Iterator<Item = Secs>,
@@ -218,9 +213,30 @@ impl CachedContainer {
     }
 }
 
+#[cfg(test)]
+impl BackupServer {
+    /// The one restore cache's invariant, checked: every resident holds
+    /// the chunks of exactly the fingerprints its LPC entry lists. Returns
+    /// the payload bytes the residents hold.
+    pub(crate) fn restore_cache_payload(&self, tag: &str) -> u64 {
+        let mut held = 0;
+        for cid in self.lpc.residents() {
+            let fps = self.lpc.fingerprints(cid).expect("resident");
+            let entry = self.lpc.value(cid).expect("resident");
+            assert_eq!(entry.chunks.len(), fps.len(), "{tag}: {cid:?}");
+            assert!(
+                fps.iter().all(|fp| entry.chunks.contains_key(fp)),
+                "{tag}: {cid:?}"
+            );
+            held += entry.chunks.values().map(|(p, _)| p.len()).sum::<u64>();
+        }
+        held
+    }
+}
+
 /// An empty restore cache of the deployment's memory: the paper's LPC is
 /// a byte budget, [`DebarConfig::lpc_containers`] whole containers' worth.
-fn restore_cache(cfg: &DebarConfig) -> LpcCache {
+fn restore_cache(cfg: &DebarConfig) -> LpcCache<CachedContainer> {
     let container_bytes = cfg.container_bytes;
     LpcCache::with_memory(cfg.lpc_containers as u64 * container_bytes, container_bytes)
 }
@@ -254,7 +270,6 @@ impl BackupServer {
             decisions: HashMap::new(),
             inline_staged: 0,
             lpc: restore_cache(&cfg),
-            container_cache: HashMap::new(),
             cfg,
         }
     }
@@ -291,78 +306,11 @@ impl BackupServer {
         &mut self.index
     }
 
-    /// Drop the restore read caches (LPC + decoded-container cache).
-    /// Garbage collection calls this after reclaiming containers: a stale
-    /// cached mapping to a deleted container must never serve a read.
+    /// Drop the restore cache. Garbage collection calls this after
+    /// reclaiming containers: a stale cached mapping to a deleted container
+    /// must never serve a read.
     pub(crate) fn invalidate_read_caches(&mut self) {
         self.lpc = restore_cache(&self.cfg);
-        self.container_cache.clear();
-    }
-
-    /// Admit what a container read fetched to the restore cache — the one
-    /// way in. The LPC (fingerprint side) and the payload cache move in
-    /// lockstep, and map exactly the chunks fetched.
-    ///
-    /// The cache is bounded by what it holds: `bytes` is what the fetch
-    /// weighs — one whole container for a caller that read one, the
-    /// payload bytes of its extents for a ranged read — and the entries
-    /// together never weigh more than `lpc_containers × container_bytes`,
-    /// *the fetch coming in included*. So first residents leave, both
-    /// sides, until it fits: those `victim(self, sent)` names, one at a
-    /// time for as long as [`LpcCache::shortfall`] says more must go
-    /// (`sent` being when the last chunk of those already given up left
-    /// the NIC), and whatever the LPC's own LRU still evicts once the
-    /// caller names nobody. Then the fetched fingerprints enter the LPC
-    /// and the chunks the payload cache. `fetch(sent)` — which the restore
-    /// walk's read must wait for (0 when nothing was evicted) — says when
-    /// the read's serving leg and the whole read completed: each chunk is
-    /// in its own tail before the first — `tails` follow `chunks`, as
-    /// [`debar_store::ServedLeg::tails`] do — and the entry stays until
-    /// the second.
-    ///
-    /// A container that **is resident** — a partial entry whose recipe
-    /// wanted less than a later miss needs, or one a fingerprint of which
-    /// lost its mapping to a younger resident — is merged into, in its own
-    /// entry: it grows by what is new, is never its own victim, and is not
-    /// given up before this read is done; what it held keeps its arrival.
-    ///
-    /// A caller that does not know the future names no victim and gets
-    /// the paper's LRU (the inline-backup prefetch). The restore walk
-    /// knows its recipe and names victims until the fetch fits, so for it
-    /// the LRU never has anything left to evict.
-    pub(crate) fn cache_container(
-        &mut self,
-        cid: ContainerId,
-        chunks: Vec<(Fingerprint, Payload)>,
-        tails: impl Iterator<Item = Secs>,
-        bytes: u64,
-        mut victim: impl FnMut(&Self, Secs) -> Option<ContainerId>,
-        fetch: impl FnOnce(Secs) -> (Secs, Secs),
-    ) {
-        let mut sent: Secs = 0.0;
-        while self.lpc.shortfall(cid, bytes) > 0 {
-            let Some(chosen) = victim(self, sent).filter(|&v| self.lpc.evict(v)) else {
-                break;
-            };
-            sent = self.drop_payload(chosen, sent);
-        }
-        let fps = chunks.iter().map(|(fp, _)| *fp).collect();
-        for evicted in self.lpc.insert_extents(cid, fps, bytes) {
-            sent = self.drop_payload(evicted, sent);
-        }
-        let slot = self.container_cache.entry(cid).or_insert(CachedContainer {
-            chunks: HashMap::new(),
-            last_sent: 0.0,
-        });
-        slot.merge(chunks, tails, fetch(sent));
-    }
-
-    /// The payload side of an eviction: drop the container's chunks.
-    /// Returns when the last chunk of it, and of those given up before it
-    /// (`sent`), had left the NIC.
-    fn drop_payload(&mut self, evicted: ContainerId, sent: Secs) -> Secs {
-        let gone = self.container_cache.remove(&evicted);
-        gone.map_or(sent, |gone| sent.max(gone.last_sent))
     }
 
     /// Charge a network transfer to this server's clock.

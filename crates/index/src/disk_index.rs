@@ -52,10 +52,6 @@ pub struct DiskIndex {
     /// for un-striped work. Sized lazily to each sweep's clamped
     /// partition count; see [`DiskIndex::set_part_fault_plan`].
     pub(crate) part_disks: PartDiskSet,
-    /// Explicit per-part bucket boundaries (cumulative end buckets) for
-    /// deliberately skewed stripes; `None` = even split. Bound to the
-    /// current bucket count: capacity scaling resets it to even.
-    sweep_layout: Option<Vec<u64>>,
     cpu: SimCpu,
     entries: u64,
     rng: SplitMix64,
@@ -90,7 +86,6 @@ impl DiskIndex {
             skip_bits,
             data: vec![0u8; bytes as usize],
             part_disks: PartDiskSet::new(disk_model),
-            sweep_layout: None,
             cpu: SimCpu::new(paper::cpu()),
             entries: 0,
             rng: SplitMix64::new(seed),
@@ -164,51 +159,14 @@ impl DiskIndex {
         self.part_disks.part_stats(part)
     }
 
-    /// Impose a deliberately skewed stripe: `bounds` are strictly
-    /// increasing cumulative end buckets, one per partition, ending at the
-    /// bucket count. Sweeps then charge each part-disk its own (uneven)
-    /// byte share and complete at the slowest part — the straggler the
-    /// even analytic model cannot show. `None` restores the even split.
-    /// The layout is bound to the current geometry: capacity scaling
-    /// resets it to even (a stale layout would misaddress the doubled
-    /// bucket range).
-    ///
-    /// Placement, probing and results are layout-independent; only the
-    /// physical time (and which part-disk a fault lands on) changes.
-    ///
-    /// # Panics
-    /// Panics if `bounds` is empty, not strictly increasing, or does not
-    /// end exactly at [`IndexParams::buckets`].
-    pub fn set_sweep_layout(&mut self, bounds: Option<Vec<u64>>) {
-        if let Some(b) = &bounds {
-            assert!(!b.is_empty(), "layout needs at least one partition");
-            assert!(
-                b.windows(2).all(|w| w[0] < w[1]) && b[0] > 0,
-                "layout bounds must be strictly increasing and non-empty"
-            );
-            assert_eq!(
-                *b.last().expect("non-empty"),
-                self.params.buckets(),
-                "layout must cover the whole bucket range"
-            );
-        }
-        self.sweep_layout = bounds;
-    }
-
-    /// Resolve a sweep's partition layout: the explicit skewed layout if
-    /// one is set (and still matches the geometry), otherwise the even
-    /// split of `min(parts, buckets)` contiguous ranges. Returns
-    /// cumulative end-bucket bounds (one per engaged partition) and
-    /// resizes the physical part-disk bank to match.
+    /// Resolve a sweep's partition layout: the even split of
+    /// `min(parts, buckets)` contiguous ranges. Returns cumulative
+    /// end-bucket bounds (one per engaged partition) and resizes the
+    /// physical part-disk bank to match.
     pub(crate) fn resolve_sweep_bounds(&mut self, parts: usize) -> Vec<u64> {
         let buckets = self.params.buckets();
-        let bounds = match &self.sweep_layout {
-            Some(b) if *b.last().expect("validated non-empty") == buckets => b.clone(),
-            _ => {
-                let p = crate::sweep::clamp_parts(parts, buckets);
-                (1..=p).map(|i| buckets * i as u64 / p as u64).collect()
-            }
-        };
+        let p = crate::sweep::clamp_parts(parts, buckets);
+        let bounds: Vec<u64> = (1..=p).map(|i| buckets * i as u64 / p as u64).collect();
         self.part_disks.resize(bounds.len());
         bounds
     }
@@ -512,10 +470,8 @@ impl DiskIndex {
             skip_bits: self.skip_bits,
             data: vec![0u8; new_params.total_bytes() as usize],
             // Part-disks survive scaling (their queues and fault plans
-            // are device state); an explicit skewed layout does not — it
-            // addressed the old bucket range (documented re-split rule).
+            // are device state).
             part_disks: self.part_disks.clone(),
-            sweep_layout: None,
             cpu: self.cpu.clone(),
             entries: 0,
             rng: self.rng.fork(),

@@ -65,13 +65,8 @@
 //!   physical max is bit-identical to the closed form
 //!   `DiskModel::seq_read_cost(total) / P` — the even-split law the
 //!   property tests pin.
-//! * **Skewed split** ([`DiskIndex::set_sweep_layout`]): an uneven bucket
-//!   split makes the largest partition a visible *straggler* — sweep time
-//!   is the slowest part, not `total/P`. Placement and results are
-//!   layout-independent; only the clock (and fault targeting) changes.
 //! * **Re-split**: every sweep re-resolves its layout against the live
-//!   bucket count (`min(parts, buckets)` even partitions; a skewed layout
-//!   is dropped when capacity scaling changes the geometry), resizing the
+//!   bucket count (`min(parts, buckets)` even partitions), resizing the
 //!   part-disk bank — growth adds fresh disks, shrink drops the top disks
 //!   (never part 0) along with any faults still armed on them.
 //! * **Fault targeting**: a [`debar_simio::FaultPlan`] is armed on one
@@ -261,8 +256,7 @@ impl DiskIndex {
             }
         }
         // Capacity scaling mid-apply may have changed the bucket count;
-        // the write sweep re-resolves the layout over the live geometry
-        // (an explicit skewed layout was reset to even by the scaling).
+        // the write sweep re-resolves the layout over the live geometry.
         let wbounds = self.resolve_sweep_bounds(parts as usize);
         cost += self.charge_sweep_write(&wbounds);
         let merge = self.cpu_mut().probe_fps_striped(sorted.len() as u64, parts);
@@ -785,65 +779,6 @@ mod tests {
             .value;
         assert_eq!(rep.parts, 2);
         assert!(idx.part_disk_stats(2).is_none(), "parts 2 and 3 are gone");
-    }
-
-    #[test]
-    fn skewed_layout_straggles_at_slowest_part_with_identical_results() {
-        use debar_simio::models::paper;
-        let updates: Vec<_> = (0..1200u64).map(|i| (fp(i), ContainerId::new(i))).collect();
-        let mut even = index(53);
-        let mut skew = index(53);
-        siu(&mut even, &updates, 1);
-        siu(&mut skew, &updates, 1);
-
-        let buckets = skew.params().buckets(); // 256
-                                               // 4 parts, the first covering half the bucket range: the sweep
-                                               // must complete at that straggler, not at total/4.
-        let half = buckets / 2;
-        let rest = buckets - half;
-        skew.set_sweep_layout(Some(vec![
-            half,
-            half + rest / 3,
-            half + 2 * rest / 3,
-            buckets,
-        ]));
-
-        let mut ce = cache_of(0..800);
-        let mut cs = cache_of(0..800);
-        let p0_before = skew.part_disk_stats(0).map_or(0, |s| s.seq_read_bytes);
-        let even_rep = sil(&mut even, &mut ce, 4).value;
-        let skew_rep = sil(&mut skew, &mut cs, 4).value;
-        assert_eq!(skew_rep.parts, 4);
-        assert_eq!(
-            dup_set(&even_rep),
-            dup_set(&skew_rep),
-            "results are layout-independent"
-        );
-        let model = paper::index_disk();
-        let slowest = model.seq_read_cost(half * skew.params().bucket_bytes as u64);
-        assert_eq!(
-            skew_rep.sweep_secs, slowest,
-            "skewed sweep completes at the slowest part"
-        );
-        assert_eq!(
-            even_rep.sweep_secs,
-            model.seq_read_cost(skew.params().total_bytes()) / 4.0,
-            "even sweep keeps the 1/P law"
-        );
-        assert!(skew_rep.sweep_secs > even_rep.sweep_secs);
-        // The straggler part-disk moved half the index bytes this sweep.
-        let p0 = skew.part_disk_stats(0).expect("part 0 engaged");
-        assert_eq!(
-            p0.seq_read_bytes - p0_before,
-            half * skew.params().bucket_bytes as u64
-        );
-        // SIU under the same layout also stays byte-identical.
-        let more: Vec<_> = (1200..1800u64)
-            .map(|i| (fp(i), ContainerId::new(i)))
-            .collect();
-        siu(&mut even, &more, 4);
-        siu(&mut skew, &more, 4);
-        assert_eq!(even.raw_data(), skew.raw_data());
     }
 
     #[test]

@@ -10,12 +10,17 @@
 //! the next ~1000 stream-local lookups into hits; the paper measures 99.3%
 //! of random fingerprint-lookup I/Os eliminated this way (§6.2).
 //!
-//! **An entry is an extent set.** What is cached under a container is the
-//! fingerprints its fetch brought in: all of them after the paper's
-//! whole-container read, only the chunks its recipe still needed after the
-//! restore walk's ranged read. [`LpcCache::insert_container`] of a
-//! container that is already resident *merges* — the entry grows by the new
-//! fingerprints.
+//! **An entry is an extent set and the caller's value.** What is cached
+//! under a container is the fingerprints its fetch brought in — all of them
+//! after the paper's whole-container read, only the chunks its recipe still
+//! needed after the restore walk's ranged read — and a value of the
+//! caller's type `V` that lives and leaves with them. The restore path keeps
+//! the fetched chunks there, so eviction, the byte budget and invalidation
+//! are one structure's: a chunk is cached exactly while its fingerprint's
+//! entry is. A caller that keeps nothing beside the fingerprints
+//! (`debar-ddfs`) uses `V = ()`, the default.
+//! [`LpcCache::insert_container`] of a container that is already resident
+//! *merges* — the entry grows by the new fingerprints and keeps its value.
 //!
 //! **The cache is bounded by what its entries weigh.** The paper's LPC is
 //! a memory budget — 128 MB over 8 MB containers — and that is what
@@ -45,6 +50,7 @@
 
 use debar_hash::{ContainerId, Fingerprint};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Hit/miss counters.
@@ -72,29 +78,31 @@ impl LpcStats {
 
 /// One resident container: what its fetches brought in.
 #[derive(Debug, Clone)]
-struct Entry {
+struct Resident<V> {
     fps: Vec<Fingerprint>,
     /// What it weighs against the budget, at most one slot.
     weight: u64,
     /// Recency stamp of its last insert or hit: the coldest entry holds
     /// the smallest.
     used: u64,
+    /// The caller's value, which leaves with the entry.
+    value: V,
 }
 
-/// An LRU cache of containers' fingerprint sets, bounded by what they
-/// weigh.
+/// An LRU cache of containers' fingerprint sets, each with a caller value
+/// `V`, bounded by what they weigh.
 #[derive(Debug, Clone)]
-pub struct LpcCache {
+pub struct LpcCache<V = ()> {
     /// What a whole container weighs — an entry of a caller that knows
     /// nothing of bytes, and the most any entry can weigh.
     slot: u64,
     /// What the entries may weigh together: a whole number of slots.
     budget: u64,
-    /// What they do weigh together (a running sum of `Entry::weight`).
+    /// What they do weigh together (a running sum of `Resident::weight`).
     held: u64,
     /// fingerprint → container holding it.
     by_fp: HashMap<Fingerprint, ContainerId>,
-    by_container: HashMap<ContainerId, Entry>,
+    by_container: HashMap<ContainerId, Resident<V>>,
     /// The last recency stamp handed out, and the resident that holds it:
     /// a hit on that one — nearly every hit of a stream — changes no order
     /// and needs no stamp.
@@ -114,6 +122,20 @@ impl LpcCache {
         Self::with_memory(capacity as u64, 1)
     }
 
+    /// Insert a whole container's fingerprint set (after fetching the
+    /// container on a miss): [`LpcCache::insert_extents`] of one full slot.
+    /// Returns the containers evicted to make room.
+    pub fn insert_container(
+        &mut self,
+        cid: ContainerId,
+        fps: Vec<Fingerprint>,
+    ) -> Vec<ContainerId> {
+        let evicted = self.insert_extents(cid, fps, self.slot).0;
+        evicted.into_iter().map(|(gone, ())| gone).collect()
+    }
+}
+
+impl<V> LpcCache<V> {
     /// Create from a memory budget: the paper's 128 MB LPC over 8 MB
     /// containers caches 16 whole containers' worth of fingerprints — or
     /// as many extent sets as weigh no more ([`LpcCache::insert_extents`]).
@@ -190,11 +212,6 @@ impl LpcCache {
         self.by_fp.get(fp).copied()
     }
 
-    /// Whether a container's fingerprints are cached.
-    pub fn contains_container(&self, cid: ContainerId) -> bool {
-        self.by_container.contains_key(&cid)
-    }
-
     /// The cached containers in recency order, coldest first: the first is
     /// the one an insert that needs room would evict next.
     pub fn residents(&self) -> impl Iterator<Item = ContainerId> {
@@ -210,6 +227,19 @@ impl LpcCache {
     /// ([`LpcCache::peek`] says who).
     pub fn fingerprints(&self, cid: ContainerId) -> Option<&[Fingerprint]> {
         self.by_container.get(&cid).map(|entry| &entry.fps[..])
+    }
+
+    /// A cached container's value.
+    pub fn value(&self, cid: ContainerId) -> Option<&V> {
+        self.by_container.get(&cid).map(|entry| &entry.value)
+    }
+
+    /// A cached container's value, to update in place; recency is not
+    /// touched.
+    pub fn value_mut(&mut self, cid: ContainerId) -> Option<&mut V> {
+        self.by_container
+            .get_mut(&cid)
+            .map(|entry| &mut entry.value)
     }
 
     /// Make a resident the most recently used.
@@ -235,28 +265,22 @@ impl LpcCache {
         (self.held + self.growth(cid, bytes)).saturating_sub(self.budget)
     }
 
-    /// Insert a whole container's fingerprint set (after fetching the
-    /// container on a miss): [`LpcCache::insert_extents`] of one full slot.
-    pub fn insert_container(
-        &mut self,
-        cid: ContainerId,
-        fps: Vec<Fingerprint>,
-    ) -> Vec<ContainerId> {
-        self.insert_extents(cid, fps, self.slot)
-    }
-
     /// Insert the fingerprints a fetch of `bytes` of payload brought in,
     /// evicting the least-recently-used other containers while they do not
-    /// fit. Returns the evicted container IDs so callers keeping payload
-    /// caches in sync (the restore path) can drop theirs too. A container
-    /// that is already resident grows by the fingerprints it did not list
-    /// yet and by their weight.
+    /// fit. Returns the evicted containers with their values, and the
+    /// entry's own value for the caller to fill: a new entry's starts as
+    /// `V::default()`. A container that is already resident grows by the
+    /// fingerprints it did not list yet and by their weight, and keeps its
+    /// value.
     pub fn insert_extents(
         &mut self,
         cid: ContainerId,
         fps: Vec<Fingerprint>,
         bytes: u64,
-    ) -> Vec<ContainerId> {
+    ) -> (Vec<(ContainerId, V)>, &mut V)
+    where
+        V: Default,
+    {
         let mut evicted = Vec::new();
         while self.shortfall(cid, bytes) > 0 {
             let coldest = (self.by_container.iter())
@@ -266,50 +290,56 @@ impl LpcCache {
             let Some(coldest) = coldest else {
                 break;
             };
-            self.evict(coldest);
-            evicted.push(coldest);
+            evicted.extend(self.evict(coldest).map(|gone| (coldest, gone)));
         }
         let grown = self.growth(cid, bytes);
         self.held += grown;
-        if let Some(entry) = self.by_container.get_mut(&cid) {
-            // A resident container is fetched again for one of two
-            // reasons. A fingerprint of its missed because a younger
-            // resident that also held it took the mapping over and was
-            // evicted since: give every orphaned fingerprint back, or each
-            // later occurrence would miss and re-read this container to no
-            // effect. Or the entry is an extent set that just grew by a
-            // merge: the new fingerprints are recorded with the entry, so
-            // that evicting it takes their mappings along.
-            for fp in fps {
-                if self.by_fp.get(&fp) != Some(&cid) && !entry.fps.contains(&fp) {
-                    entry.fps.push(fp);
+        let entry = match self.by_container.entry(cid) {
+            Entry::Occupied(resident) => {
+                let entry = resident.into_mut();
+                // A resident container is fetched again for one of two
+                // reasons. A fingerprint of its missed because a younger
+                // resident that also held it took the mapping over and was
+                // evicted since: give every orphaned fingerprint back, or
+                // each later occurrence would miss and re-read this
+                // container to no effect. Or the entry is an extent set
+                // that just grew by a merge: the new fingerprints are
+                // recorded with the entry, so that evicting it takes their
+                // mappings along.
+                for fp in fps {
+                    if self.by_fp.get(&fp) != Some(&cid) && !entry.fps.contains(&fp) {
+                        entry.fps.push(fp);
+                    }
+                    self.by_fp.entry(fp).or_insert(cid);
                 }
-                self.by_fp.entry(fp).or_insert(cid);
+                entry.weight += grown;
+                entry
             }
-            entry.weight += grown;
-        } else {
-            for fp in &fps {
-                self.by_fp.insert(*fp, cid);
+            Entry::Vacant(slot) => {
+                for fp in &fps {
+                    self.by_fp.insert(*fp, cid);
+                }
+                slot.insert(Resident {
+                    fps,
+                    weight: grown,
+                    used: 0,
+                    value: V::default(),
+                })
             }
-            let entry = Entry {
-                fps,
-                weight: grown,
-                used: 0,
-            };
-            self.by_container.insert(cid, entry);
-        }
-        self.touch(cid);
+        };
+        // The insert makes it the most recently used (`touch`).
+        self.clock += 1;
+        entry.used = self.clock;
+        self.hottest = Some(cid);
         debug_assert!(self.held <= self.budget, "the LPC outgrew its budget");
-        evicted
+        (evicted, &mut entry.value)
     }
 
     /// Evict one container, whatever its recency — for the caller that
-    /// knows better than LRU which resident it needs last. Returns whether
-    /// it was cached (and counts an eviction only then).
-    pub fn evict(&mut self, victim: ContainerId) -> bool {
-        let Some(entry) = self.by_container.remove(&victim) else {
-            return false;
-        };
+    /// knows better than LRU which resident it needs last. Returns its
+    /// value if it was cached (and counts an eviction only then).
+    pub fn evict(&mut self, victim: ContainerId) -> Option<V> {
+        let entry = self.by_container.remove(&victim)?;
         self.held -= entry.weight;
         if self.hottest == Some(victim) {
             self.hottest = None;
@@ -322,7 +352,7 @@ impl LpcCache {
             }
         }
         self.stats.evictions += 1;
-        true
+        Some(entry.value)
     }
 }
 
@@ -360,8 +390,8 @@ mod tests {
         c.lookup(&fp(0));
         let evicted = c.insert_container(cid(2), vec![fp(2)]);
         assert_eq!(evicted, vec![cid(1)], "eviction must be reported");
-        assert!(c.contains_container(cid(0)), "recently used survived");
-        assert!(!c.contains_container(cid(1)), "LRU evicted");
+        assert!(c.fingerprints(cid(0)).is_some(), "recently used survived");
+        assert!(c.fingerprints(cid(1)).is_none(), "LRU evicted");
         assert_eq!(c.lookup(&fp(1)), None);
         assert_eq!(c.stats().evictions, 1);
     }
@@ -403,7 +433,7 @@ mod tests {
         assert_eq!(c.peek(&fp(7)), Some(cid(1)));
         // Evicting container 0 must not clobber the newer mapping.
         c.insert_container(cid(2), vec![fp(2)]);
-        assert!(!c.contains_container(cid(0)));
+        assert!(c.fingerprints(cid(0)).is_none());
         assert_eq!(c.peek(&fp(7)), Some(cid(1)));
     }
 
@@ -420,7 +450,7 @@ mod tests {
         assert_eq!(c.lookup(&fp(1)), Some(cid(0)), "touch container 0");
         c.insert_container(cid(2), vec![fp(2)]);
         assert_eq!(c.insert_container(cid(3), vec![fp(3)]), vec![cid(1)]);
-        assert!(c.contains_container(cid(0)));
+        assert!(c.fingerprints(cid(0)).is_some());
         assert_eq!(c.lookup(&fp(0)), None, "the mapping left with container 1");
         // The miss resolves to container 0 on the index and fetches it:
         // re-inserting a resident must restore the mapping, or every
@@ -444,7 +474,7 @@ mod tests {
         assert!(c.insert_container(cid(0), vec![fp(2), fp(3)]).is_empty());
         assert_eq!(c.fingerprints(cid(0)), Some(&[fp(1), fp(2), fp(3)][..]));
         assert_eq!((c.len(), c.peek(&fp(3))), (1, Some(cid(0))));
-        assert!(c.evict(cid(0)));
+        assert!(c.evict(cid(0)).is_some());
         for n in 1..=3 {
             assert_eq!(c.peek(&fp(n)), None, "fp({n}) outlived its container");
         }
@@ -456,7 +486,7 @@ mod tests {
         c.insert_container(cid(1), vec![fp(8)]);
         assert_eq!(c.fingerprints(cid(1)), Some(&[fp(7), fp(8)][..]));
         assert_eq!(c.peek(&fp(8)), Some(cid(2)));
-        assert!(c.evict(cid(2)));
+        assert!(c.evict(cid(2)).is_some());
         c.insert_container(cid(1), vec![fp(7), fp(8)]);
         assert_eq!(c.fingerprints(cid(1)), Some(&[fp(7), fp(8)][..]));
         assert_eq!(c.peek(&fp(8)), Some(cid(1)));
@@ -472,12 +502,12 @@ mod tests {
         assert_eq!(c.residents().collect::<Vec<_>>(), [cid(1), cid(2), cid(0)]);
         assert_eq!(c.fingerprints(cid(2)), Some(&[fp(2), fp(12)][..]));
         // The hottest goes; the cold ones stay, in order.
-        assert!(c.evict(cid(0)));
+        assert!(c.evict(cid(0)).is_some());
         assert_eq!(c.residents().collect::<Vec<_>>(), [cid(1), cid(2)]);
         assert_eq!((c.peek(&fp(0)), c.peek(&fp(10))), (None, None));
         assert_eq!((c.len(), c.stats().evictions), (2, 1));
         // Not cached: nothing happens, nothing is counted.
-        assert!(!c.evict(cid(0)));
+        assert!(c.evict(cid(0)).is_none());
         assert_eq!((c.fingerprints(cid(0)), c.stats().evictions), (None, 1));
         // There is room again: the next insert evicts nobody.
         assert!(c.insert_container(cid(3), vec![fp(3)]).is_empty());
@@ -487,11 +517,11 @@ mod tests {
     #[test]
     fn with_memory_paper_configuration() {
         // 128 MB LPC / 8 MB containers = 16 containers (§6.1 DDFS setup).
-        let c = LpcCache::with_memory(128 << 20, 8 << 20);
+        let c = LpcCache::<()>::with_memory(128 << 20, 8 << 20);
         assert_eq!((c.capacity(), c.budget()), (16, 128 << 20));
         // A budget is a whole number of containers, and at least one.
-        assert_eq!(LpcCache::with_memory(250, 100).budget(), 200);
-        assert_eq!(LpcCache::with_memory(1, 100).budget(), 100);
+        assert_eq!(LpcCache::<()>::with_memory(250, 100).budget(), 200);
+        assert_eq!(LpcCache::<()>::with_memory(1, 100).budget(), 100);
         // `new` is the same budget counted in containers.
         let n = LpcCache::new(16);
         assert_eq!((n.capacity(), n.budget()), (16, 16));
@@ -522,22 +552,25 @@ mod tests {
     fn extent_sets_are_bounded_by_what_they_weigh() {
         // Four containers' worth of bytes holds thirteen 30-byte extent
         // sets; the fourteenth evicts the coldest.
-        let mut c = LpcCache::with_memory(400, 100);
+        let mut c = LpcCache::<()>::with_memory(400, 100);
         for n in 0..13 {
-            assert!(c.insert_extents(cid(n), vec![fp(n)], 30).is_empty());
+            assert!(c.insert_extents(cid(n), vec![fp(n)], 30).0.is_empty());
         }
         assert_eq!((c.len(), c.weight(), c.capacity()), (13, 390, 4));
         assert_eq!(c.lookup(&fp(0)), Some(cid(0)), "touch the oldest");
         assert_eq!(c.shortfall(cid(13), 30), 20);
-        assert_eq!(c.insert_extents(cid(13), vec![fp(13)], 30), vec![cid(1)]);
+        assert_eq!(
+            c.insert_extents(cid(13), vec![fp(13)], 30).0,
+            [(cid(1), ())]
+        );
         assert_eq!((c.len(), c.weight()), (13, 390));
         // A merge grows its entry by what came in — never past one
         // container, and never at its own expense.
         assert_eq!(c.shortfall(cid(13), 50), 40);
-        let evicted = c.insert_extents(cid(13), vec![fp(213)], 50);
-        assert_eq!(evicted, vec![cid(2), cid(3)]);
+        let evicted = c.insert_extents(cid(13), vec![fp(213)], 50).0;
+        assert_eq!(evicted, [(cid(2), ()), (cid(3), ())]);
         assert_eq!((c.len(), c.weight()), (11, 380));
-        assert!(c.insert_extents(cid(13), vec![fp(313)], 50).is_empty());
+        assert!(c.insert_extents(cid(13), vec![fp(313)], 50).0.is_empty());
         assert_eq!(c.weight(), 400, "80 + 50 weighs one container, not 130");
         assert_eq!(c.shortfall(cid(13), 1000), 0, "a full entry grows no more");
         // The caller that names its own victims evicts what `shortfall`
@@ -546,7 +579,7 @@ mod tests {
         let mut named = Vec::new();
         while c.shortfall(cid(20), 100) > 0 {
             let victim = c.residents().find(|&r| r != cid(13)).expect("others");
-            assert!(c.evict(victim));
+            assert!(c.evict(victim).is_some());
             named.push(victim);
         }
         assert_eq!(named, [cid(4), cid(5), cid(6), cid(7)]);
@@ -555,9 +588,73 @@ mod tests {
         // What the entries weigh is a running sum: evicting all of them
         // leaves exactly nothing.
         for resident in c.residents().collect::<Vec<_>>() {
-            assert!(c.evict(resident));
+            assert!(c.evict(resident).is_some());
         }
         assert_eq!((c.len(), c.weight()), (0, 0));
         assert_eq!(c.peek(&fp(313)), None);
+    }
+
+    #[test]
+    fn a_residents_value_lives_and_leaves_with_it() {
+        let mut c = LpcCache::<Vec<u64>>::with_memory(200, 100);
+        let (evicted, value) = c.insert_extents(cid(0), vec![fp(0)], 100);
+        assert!(
+            evicted.is_empty() && value.is_empty(),
+            "a new entry starts at the default"
+        );
+        value.push(0);
+        c.insert_extents(cid(1), vec![fp(1)], 60).1.push(1);
+        // A merge into a resident hands back that resident's value.
+        let (evicted, value) = c.insert_extents(cid(1), vec![fp(2)], 40);
+        assert_eq!((evicted, value.clone()), (vec![], vec![1]));
+        value.push(2);
+        c.value_mut(cid(0)).expect("resident").push(10);
+        assert_eq!(c.value(cid(0)), Some(&vec![0, 10]));
+        // An LRU insert returns exactly the evicted residents' values: the
+        // merge made container 1 the hotter, and `value_mut` touched nobody.
+        let (evicted, _) = c.insert_extents(cid(2), vec![fp(3)], 100);
+        assert_eq!(evicted, [(cid(0), vec![0, 10])]);
+        assert_eq!((c.value(cid(0)), c.peek(&fp(0))), (None, None));
+        // `evict` returns it, once.
+        assert_eq!(c.evict(cid(1)), Some(vec![1, 2]));
+        assert_eq!(c.evict(cid(1)), None);
+        assert_eq!((c.len(), c.stats().evictions), (1, 2));
+    }
+
+    #[test]
+    fn a_value_moves_no_resident_victim_or_counter() {
+        // The same calls on a cache that keeps a counter per resident and
+        // on one that keeps nothing: the same residents, victims and
+        // counters, step for step. Every insert counts one on its entry,
+        // and a count leaves only with its entry, so what was handed back
+        // and what is still resident add up to the inserts.
+        let mut bare = LpcCache::<()>::with_memory(400, 100);
+        let mut counted = LpcCache::<u32>::with_memory(400, 100);
+        let mut handed_back = 0;
+        for step in 0..60u64 {
+            if step % 7 == 6 {
+                let named = bare.residents().nth(1).expect("two residents");
+                assert!(counted.residents().nth(1) == Some(named), "step {step}");
+                assert!(bare.evict(named).is_some());
+                handed_back += counted.evict(named).expect("resident");
+            }
+            let (container, fps) = (cid(step % 9), vec![fp(step % 9), fp(100 + step % 4)]);
+            let bytes = 20 + step * 37 % 81;
+            let victims = bare.insert_extents(container, fps.clone(), bytes).0;
+            let (evicted, count) = counted.insert_extents(container, fps, bytes);
+            *count += 1;
+            assert!(victims.iter().map(|v| v.0).eq(evicted.iter().map(|e| e.0)));
+            handed_back += evicted.iter().map(|e| e.1).sum::<u32>();
+            assert_eq!(bare.lookup(&fp(step % 5)), counted.lookup(&fp(step % 5)));
+            assert!(bare.residents().eq(counted.residents()), "step {step}");
+            assert_eq!(bare.weight(), counted.weight(), "step {step}");
+        }
+        assert_eq!(bare.stats(), counted.stats());
+        assert!(bare.stats().evictions > 10);
+        let resident: u32 = counted
+            .residents()
+            .map(|r| counted.value(r).copied().unwrap_or(0))
+            .sum();
+        assert_eq!(handed_back + resident, 60);
     }
 }

@@ -573,7 +573,7 @@ impl ChunkRepository {
     /// Builder: set the replication factor — every container is written to
     /// `replication` distinct nodes. Must satisfy
     /// `1 <= replication <= node count` (enforced for configs by
-    /// `DebarConfig::try_validate`).
+    /// `DebarConfig::validate`).
     pub fn with_replication(mut self, replication: usize) -> Self {
         assert!(
             replication >= 1 && replication <= self.nodes.len(),

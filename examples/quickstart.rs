@@ -75,7 +75,7 @@ fn main() {
             human_bytes(rep.bytes),
             rep.files,
             rep.throughput_mibps(),
-            rep.lpc_hit_ratio() * 100.0,
+            rep.lpc.hit_ratio() * 100.0,
         );
     }
 

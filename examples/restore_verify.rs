@@ -54,7 +54,7 @@ fn main() {
         rep.files,
         human_bytes(rep.bytes),
         rep.chunks,
-        rep.lpc_hit_ratio() * 100.0,
+        rep.lpc.hit_ratio() * 100.0,
     );
     // Cross-check byte totals against the client's own copy of v10.
     let expect: u64 = last_tree.iter().map(|f| f.data.len() as u64).sum();

@@ -279,7 +279,7 @@ fn gc_lifecycle_holds_under_every_mode() {
 fn hybrid_zero_window_is_a_typed_geometry_error() {
     let err = DebarConfig::tiny_test(0)
         .with_dedup_mode(DedupMode::Hybrid { window: 0 })
-        .try_validate()
+        .validate()
         .expect_err("a zero probe window must not validate");
     assert!(
         matches!(&err, DebarError::IndexGeometry { reason } if reason.contains("probe window")),

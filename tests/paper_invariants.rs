@@ -137,9 +137,9 @@ fn sisl_gives_lpc_high_hit_rate_on_restore() {
         .expect("restore");
     assert_eq!(rep.failures, 0);
     assert!(
-        rep.lpc_hit_ratio() > 0.97,
+        rep.lpc.hit_ratio() > 0.97,
         "LPC hit ratio {:.4} below the paper's regime",
-        rep.lpc_hit_ratio()
+        rep.lpc.hit_ratio()
     );
 }
 

@@ -10,7 +10,7 @@ mod common;
 
 use common::sweep_parts_matrix;
 use debar::workload::drift::records;
-use debar::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
+use debar::{ClientId, Dataset, DebarCluster, DebarConfig, DebarError, RunId};
 
 fn run_cluster(parts: usize) -> (u64, u64, u64, f64, u64) {
     let mut c = DebarCluster::new(DebarConfig::tiny_test(2).with_sweep_parts(parts));
@@ -72,20 +72,29 @@ fn sharded_cluster_matches_scalar_dedup_results() {
 
 #[test]
 fn sweep_parts_validates() {
-    DebarConfig::tiny_test(0).with_sweep_parts(4).validate();
+    assert!(DebarConfig::tiny_test(0)
+        .with_sweep_parts(4)
+        .validate()
+        .is_ok());
+}
+
+/// Whether `cfg` is refused as an [`DebarError::IndexGeometry`] whose
+/// reason says `why`.
+fn refused_for(cfg: DebarConfig, why: &str) -> bool {
+    matches!(cfg.validate(), Err(DebarError::IndexGeometry { reason }) if reason.contains(why))
 }
 
 #[test]
-#[should_panic(expected = "at least one partition")]
 fn zero_sweep_parts_rejected() {
-    DebarConfig::tiny_test(0).with_sweep_parts(0).validate();
+    let cfg = DebarConfig::tiny_test(0).with_sweep_parts(0);
+    assert!(refused_for(cfg, "at least one partition"));
 }
 
 #[test]
-#[should_panic(expected = "exceeds")]
 fn sweep_parts_beyond_bucket_count_rejected() {
     // One tiny_test index part has 256 buckets.
-    DebarConfig::tiny_test(0).with_sweep_parts(512).validate();
+    let cfg = DebarConfig::tiny_test(0).with_sweep_parts(512);
+    assert!(refused_for(cfg, "exceeds"));
 }
 
 #[test]
