@@ -77,7 +77,8 @@ use crate::error::DebarError;
 use crate::ids::{Device, ServerId};
 use debar_hash::Fingerprint;
 use debar_simio::{FaultPlan, InjectedFault, PartDiskSet, Secs, Timed};
-use debar_store::{wanted_extents, ChunkMeta, Payload};
+use debar_store::{wanted_extents, Payload};
+use std::ops::Range;
 
 /// One `<F, D(F)>` group.
 #[derive(Debug, Clone)]
@@ -254,7 +255,7 @@ impl ChunkLog {
     fn worker_extents(&self, workers: usize, wanted: &[bool]) -> Vec<Vec<u64>> {
         let (b, w) = (self.bytes, workers as u64);
         let share_end = |i: u64| b * (i + 1) / w;
-        let mut shares: Vec<Vec<ChunkMeta>> = vec![Vec::new(); workers];
+        let mut shares: Vec<Vec<Range<u64>>> = vec![Vec::new(); workers];
         let (mut offset, mut share) = (0u64, 0u64);
         for (rec, &keep) in self.records.iter().zip(wanted) {
             let end = offset + rec.record_bytes();
@@ -264,11 +265,7 @@ impl ChunkLog {
                     share += 1;
                 }
                 let upto = end.min(share_end(share));
-                shares[share as usize].push(ChunkMeta {
-                    fp: rec.fp,
-                    len: (upto - at) as u32,
-                    offset: at,
-                });
+                shares[share as usize].push(at..upto);
                 at = upto;
             }
             offset = end;
@@ -276,11 +273,11 @@ impl ChunkLog {
         // Only wanted pieces are listed, at their offsets in the log: the
         // gaps between them are the unwanted runs the gap law weighs.
         let model = self.worker_disks.model();
-        let lens = |metas: &Vec<ChunkMeta>| {
-            let extents = wanted_extents(metas, |_| true, &model);
+        let lens = |pieces: Vec<Range<u64>>| {
+            let extents = wanted_extents(pieces, &model);
             extents.iter().map(|e| e.end - e.start).collect()
         };
-        shares.iter().map(lens).collect()
+        shares.into_iter().map(lens).collect()
     }
 
     /// Disk statistics, merged over the worker disks (`busy_s` in

@@ -88,10 +88,12 @@
 //!   fingerprint → the recipe positions of the entries this walk visits
 //!   (so a single-file restore and the audit index exactly what they walk), and
 //!   per resident container the ascending positions it supplies *as the
-//!   LPC would answer them*, with a cursor. It is built on the first miss
-//!   that finds the cache full — no room for one more whole container: a
-//!   walk that never evicts pays nothing, and the cache holds the same
-//!   bytes either way. A walk that knew no next use would take the coldest free entry
+//!   LPC would answer them*, with a cursor. It is built on the walk's
+//!   first miss when the files it walks weigh more than the cache holds,
+//!   else on the first miss that finds the cache full — no room for one
+//!   more whole container (see *recipe-sized reads* below): a walk that
+//!   never evicts pays nothing, and the cache holds the same bytes either
+//!   way. A walk that knew no next use would take the coldest free entry
 //!   — the paper's LRU is the no-knowledge case of this rule, and is what
 //!   `debar-ddfs` and the backup prefetch still run.
 //!
@@ -114,20 +116,21 @@
 //! * **The walk reads what its recipe needs.** The same knowledge says
 //!   what a miss should fetch. A container is self-described — its
 //!   metadata section lies ahead of its data — so once the walk reads its
-//!   recipe (from the first miss that finds the cache full, when
-//!   `RecipeIndex` is built) a miss asks the repository for the metadata
-//!   section and then only the extents that hold **chunks the rest of
-//!   this walk's recipe still needs and no resident already answers
-//!   for** (`ChunkRepository::read_chunks`). Adjacent wanted chunks share
-//!   an extent, and the *gap law* settles the rest in `DiskModel` terms:
-//!   the bytes between two wanted chunks are read through exactly when
-//!   streaming them is no dearer than the seek that skipping them costs,
-//!   `gap / read_bw <= seek_s`; a range that would cost no less than the
-//!   container in one piece is read as the container in one piece. The
-//!   metadata section is its own I/O and each extent pays its own seek,
-//!   but the attempt is one device op (fault offsets do not move), the
-//!   resolver still walks on as soon as the metadata is in, and the cache
-//!   gate and the victim rule above apply as they are.
+//!   recipe (when `RecipeIndex` is built) a miss asks the repository for
+//!   the metadata section and then only the extents that hold **chunks
+//!   the rest of this walk's recipe still needs and no resident already
+//!   answers for** (`ChunkRepository::read_chunks`). Adjacent wanted
+//!   chunks share an extent, and the *gap law* settles the rest in
+//!   `DiskModel` terms: the bytes between two wanted ranges are read
+//!   through exactly when streaming them is no dearer than the seek that
+//!   skipping them costs, `gap / read_bw <= seek_s` — and the metadata
+//!   section is the first wanted range, so a first chunk close behind it
+//!   comes in the same I/O; a range that would cost no less than the
+//!   container in one piece is read as the container in one piece. Each
+//!   I/O pays its own seek, but the attempt is one device op (fault
+//!   offsets do not move), the resolver still walks on as soon as the
+//!   metadata is in, and the cache gate and the victim rule above apply
+//!   as they are.
 //!
 //!   A cache entry is therefore an **extent set, and the cache is bounded
 //!   by their bytes**: the LPC maps exactly the fingerprints fetched, an
@@ -154,18 +157,27 @@
 //!   image. Damage in bytes the walk skipped does not stop it, and is
 //!   the next whole read's or scrub's to find.
 //!
-//!   A walk that knows nothing — its cache has never been full — wants
-//!   every chunk of the container, which the repository reads as the
-//!   paper's whole container in one I/O: the whole-extent case of the
-//!   same miss path. It reads the container's image — header, metadata
-//!   section, data, trailer — not the fixed-size slot it was written to,
-//!   so the last container of a round, sealed early, is not read to the
-//!   end of its padding. Reading whole is not caution: LPC's locality
-//!   prefetch is what makes a second restore of a small tree warm, and
-//!   reading by range from the first miss un-warms it (`benchmark/`'s
-//!   `filetree-bytes`, oldest generation: 210.0 → 131.8 MiB/s,
-//!   measured). Measured where the
-//!   cache does fill (`lifecycle-churn`, seed 1, MiB/s): latest
+//! * **Recipe-sized reads.** When the walk reads its recipe is decided by
+//!   the recipe's size. A walk whose files weigh more than the cache holds
+//!   (`LpcCache::budget`) will fill it and evict, so it reads its recipe
+//!   on its first miss and reads by range from there; a walk whose files
+//!   fit does so only at the first miss that finds no room for a whole
+//!   container — in a cache another walk left full. Until then it knows
+//!   nothing and wants every chunk of the container, which the repository
+//!   reads as the paper's whole container in one I/O: the whole-extent
+//!   case of the same miss path. It reads the container's image — header,
+//!   metadata section, data, trailer — not the fixed-size slot it was
+//!   written to, so the last container of a round, sealed early, is not
+//!   read to the end of its padding. Reading whole is not caution: LPC's
+//!   locality prefetch is what makes a second restore of a small tree
+//!   warm, and reading by range from the first miss of *every* walk
+//!   un-warms it (`benchmark/`'s `filetree-bytes`, oldest generation:
+//!   210.0 → 131.8 MiB/s, measured); its walks fit the cache and keep the
+//!   whole reads, as do `month-records`'. A walk that will evict gains
+//!   nothing by reading whole first: what a whole read brings in beyond
+//!   its recipe only takes cache room the recipe will want. Ranged reads
+//!   measured where the cache does fill (`lifecycle-churn`, seed 1,
+//!   MiB/s): latest
 //!   generation 41.8 → 97.4, oldest 46.2 → 105.6; `cluster-multistream`
 //!   53.8 → 109.7 and 64.9 → 122.8; over their restores the repository
 //!   nodes read 1.26 and 1.24 bytes per byte restored where they read
@@ -175,6 +187,24 @@
 //!   gate's removal alone 133.4 and 145.6 on `lifecycle-churn`, the byte
 //!   budget alone 115.7 and 125.3), and image reads with per-chunk
 //!   arrival to 157.5 and 168.1, 174.3 and 191.1.
+//!
+//! * **A fetch goes where the disk is free.** Of a container's copies the
+//!   repository reads the healthiest, then the one whose node lane can
+//!   start the read soonest — the walk tells it, per node, `max(lane
+//!   free, resolver)` — and only then the one whose disk has read least;
+//!   a fetch whose lanes all start alike takes the copy byte balance
+//!   names, as every reader without lanes does. Byte balance alone would
+//!   queue a fetch behind an earlier read on its node while the other
+//!   copy's node sits idle, and the resolver, waiting for the fetch's
+//!   metadata section, with it. A faulted or corrupt copy still fails
+//!   over to the next in that order.
+//!
+//!   The three rules together — recipe-sized reads, the gap law from the
+//!   metadata section, the copy whose lane starts first — measured on
+//!   `benchmark/` (seed 1, MiB/s): `lifecycle-churn` latest 157.5 →
+//!   173.6, oldest 168.1 → 176.9; `cluster-multistream` 174.3 → 190.1
+//!   and 191.1 → 197.1. What binds after that is node seconds per byte
+//!   restored — the fragmentation GC compaction leaves.
 //!
 //! The server's clock jumps to the end of the schedule; the lanes' busy
 //! times are reported beside it ([`RestoreReport::serial_s`] is what one
@@ -245,6 +275,15 @@ impl RestoreLanes {
         }
     }
 
+    /// When each node's lane could start a fetch the resolver issues now:
+    /// once the resolver has got to it and the lane is through with what
+    /// it already holds.
+    fn starts(&self) -> Vec<Secs> {
+        (self.nodes.iter())
+            .map(|n| n.free_at.max(self.at))
+            .collect()
+    }
+
     /// The resolver waits out an index lookup.
     fn lookup(&mut self, cost: Secs) {
         self.at = self.resolve.run(self.at, cost);
@@ -252,13 +291,15 @@ impl RestoreLanes {
 
     /// Put a container read's legs on their nodes' lanes, one after the
     /// other (a replica is only tried once the one before it has failed),
-    /// starting once the resolver has got to it and no sooner than `gate`
-    /// (the cache entries it evicts have been streamed out) — the two
-    /// things a fetch waits for. The resolver moves on once the serving
-    /// read's metadata section is in — or, when no copy served, once the
-    /// last attempt has failed. Returns when the serving leg completed
-    /// (the last failed attempt, when none served) and when the whole
-    /// read did, read-repair writes included.
+    /// in the order the repository tried them: of the equally healthy
+    /// copies, the one whose lane [`Self::starts`] the soonest, ties to
+    /// the least-read. It starts once the resolver has got to it and no
+    /// sooner than `gate` (the cache entries it evicts have been streamed
+    /// out) — the two things a fetch waits for. The resolver moves on
+    /// once the serving read's metadata section is in — or, when no copy
+    /// served, once the last attempt has failed. Returns when the serving
+    /// leg completed (the last failed attempt, when none served) and when
+    /// the whole read did, read-repair writes included.
     fn fetch(&mut self, gate: Secs, legs: &ReadLegs) -> (Secs, Secs) {
         let mut t = self.at.max(gate);
         for &(node, cost) in &legs.failed {
@@ -349,6 +390,8 @@ impl DebarCluster {
         let lpc_before = servers[sid].lpc.stats();
         let repo_before = repo.stats();
         let (mut files, mut chunks, mut bytes, mut failures) = (0u64, 0u64, 0u64, 0u64);
+        let walked_bytes: u64 = walked_files(record, only_path).map(|f| f.bytes).sum();
+        let outgrows_cache = walked_bytes > servers[sid].lpc.budget();
         let mut walk = RestoreWalk {
             lanes: RestoreLanes::new(start, repo.node_count()),
             tracker: LayoutTracker::default(),
@@ -360,6 +403,7 @@ impl DebarCluster {
             to_client,
             record,
             only_path,
+            outgrows_cache,
             recipe: None,
         };
         let walked = 'walk: {
@@ -571,7 +615,10 @@ struct RestoreWalk<'a> {
     /// The run being walked and the one file of it `restore_file` wants.
     record: &'a RunRecord,
     only_path: Option<&'a str>,
-    /// The walk's knowledge of its recipe, once it has had to evict.
+    /// Whether the files the walk visits weigh more than the restore
+    /// cache holds: then it reads its recipe from its first miss.
+    outgrows_cache: bool,
+    /// The walk's knowledge of its recipe, once it reads it.
     recipe: Option<RecipeIndex>,
 }
 
@@ -592,11 +639,14 @@ impl RestoreWalk<'_> {
                     fp: *fp,
                     container: None,
                 })?;
-                // A miss that finds no room for a whole container is where
-                // the walk starts reading its recipe: for the victims, and
-                // for what to fetch.
+                // The walk reads its recipe — for the victims, and for what
+                // to fetch — from its first miss when the files it walks
+                // weigh more than the cache holds, else from the first miss
+                // that finds no room for a whole container.
                 let (srv, whole) = (&mut self.servers[sid], self.container_bytes);
-                if self.recipe.is_none() && srv.lpc.shortfall(cid, whole) > 0 {
+                if self.recipe.is_none()
+                    && (self.outgrows_cache || srv.lpc.shortfall(cid, whole) > 0)
+                {
                     let mut index = RecipeIndex::build(self.record, self.only_path);
                     (srv.lpc.residents()).for_each(|resident| index.admit(resident, &srv.lpc));
                     self.recipe = Some(index);
@@ -604,13 +654,14 @@ impl RestoreWalk<'_> {
                 // Knowing it, fetch what the rest of it needs from this
                 // container and no resident already answers for; knowing
                 // nothing, every chunk — which is the paper's whole
-                // container, one I/O of its image.
+                // container, one I/O of its image. Either from the copy
+                // whose node lane can start the read soonest.
                 let recipe = self.recipe.as_ref();
-                let NodeRead { value, legs } = self.repo.read_chunks(cid, |wanted| {
-                    recipe.is_none_or(|recipe| {
-                        recipe.needs(wanted, pos) && srv.lpc.peek(wanted).is_none()
-                    })
-                });
+                let starts = lanes.starts();
+                let wanted = |fp: &Fingerprint| {
+                    recipe.is_none_or(|recipe| recipe.needs(fp, pos) && srv.lpc.peek(fp).is_none())
+                };
+                let NodeRead { value, legs } = self.repo.read_chunks(cid, wanted, &starts);
                 // The chunks, and how long before the serving read
                 // completed each one's bytes were in.
                 let (chunks, tails) = match (value, &legs.served) {
@@ -806,12 +857,28 @@ mod tests {
         // [32, 33] → [33, 32], [40, 41] → [41, 40], [45, 45] → [46, 44],
         // [55, 54] → [56, 53]. The totals, every LPC counter and every byte
         // restored stay the serial walk's.
+        //
+        // They moved once more when a walk whose recipe outgrows the
+        // cache (every walk here: 2000 chunks for 8 slots) came to read
+        // by range from its first miss, the gap law to join the metadata
+        // section to the first extent, and a fetch to take the copy whose
+        // node lane can start it soonest. Only `restore v1`'s seconds
+        // moved, by the first rule: its first fetch wants its container
+        // from chunk 1000 on, and read by range instead of whole it skips
+        // what lies ahead — serial 0.2123473698122333 →
+        // 0.2113227591519528 s. The other walks' first fetches want every
+        // chunk, which the ranged read reads whole. The lane key sends
+        // reads to the idle node, so the per-node split moved again:
+        // [33, 32] → [32, 33], [41, 40] → [40, 41], [46, 44] → [45, 45]
+        // and [56, 53] → [54, 54] — the last total one fewer because the
+        // loads the walks left take one read of the damaged container
+        // fewer to level below.
         #[rustfmt::skip]
         let probed = [
-            Probed { tag: "restore v1", version: 1, to_client: true, corrupt: 0, bytes: 16374979, lpc: (1983, 17, 9), containers: 17, ops: [33, 32, 23], elapsed: 0.2123473698122333 },
-            Probed { tag: "restore v0", version: 0, to_client: true, corrupt: 0, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [41, 40, 39], elapsed: 0.20373060973166357 },
-            Probed { tag: "verify v1", version: 1, to_client: false, corrupt: 0, bytes: 16374979, lpc: (1991, 9, 9), containers: 17, ops: [46, 44, 48], elapsed: 0.07286852632458979 },
-            Probed { tag: "repair v0", version: 0, to_client: true, corrupt: 1, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [56, 53, 64], elapsed: 0.21457218116023502 },
+            Probed { tag: "restore v1", version: 1, to_client: true, corrupt: 0, bytes: 16374979, lpc: (1983, 17, 9), containers: 17, ops: [32, 33, 23], elapsed: 0.2113227591519528 },
+            Probed { tag: "restore v0", version: 0, to_client: true, corrupt: 0, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [40, 41, 39], elapsed: 0.20373060973166357 },
+            Probed { tag: "verify v1", version: 1, to_client: false, corrupt: 0, bytes: 16374979, lpc: (1991, 9, 9), containers: 17, ops: [45, 45, 48], elapsed: 0.07286852632458979 },
+            Probed { tag: "repair v0", version: 0, to_client: true, corrupt: 1, bytes: 16162137, lpc: (1984, 16, 16), containers: 16, ops: [54, 54, 64], elapsed: 0.21457218116023502 },
         ];
         let devices = [
             Device::RepoNode(0),
@@ -830,11 +897,12 @@ mod tests {
             if p.corrupt > 0 {
                 let first = c.repo.container_ids()[0];
                 c.set_damage(first, Some(Damage::BitFlip)).expect("exists");
-                // The damaged copy is the primary's, and a read takes the
-                // replica whose disk has read least (ties: the primary).
-                // The walks so far left that the other node: read the
-                // container from it until the primary is the lighter one,
-                // or this walk would never meet the damage.
+                // The damaged copy is the primary's, and the walk's first
+                // fetch — both lanes idle — takes the replica whose disk
+                // has read least (ties: the primary). The walks so far
+                // left that the other node: read the container from it
+                // until the primary is the lighter one, or this walk would
+                // never meet the damage.
                 let read =
                     |c: &DebarCluster, n: usize| c.repo.nodes()[n].disk_stats().rand_read_bytes;
                 let (primary, other) = (c.repo.node_of(first), 1 - c.repo.node_of(first));
@@ -1117,13 +1185,23 @@ mod tests {
             .sum()
     }
 
-    /// What a ranged read of `counters` — adjacent chunks of one stored
-    /// container — moves: its metadata section and their one extent.
+    /// What a ranged read of `counters` — chunks of one stored container
+    /// — moves: the I/Os the gap law makes of its metadata section and
+    /// their chunks, which read through what lies between them wherever
+    /// streaming it is no dearer than a seek.
     fn ranged_bytes(stored: &Stored, counters: &[u64]) -> u64 {
-        let extent: u64 = (counters.iter())
-            .map(|&i| ChunkRecord::of_counter(i).len as u64)
-            .sum();
-        6 + 32 * stored.1.len() as u64 + 20 + extent
+        let meta = 6 + 32 * stored.1.len() as u64 + 20;
+        let mut end = meta;
+        let chunks = (stored.1.iter()).filter_map(|i| {
+            let at = end;
+            end += ChunkRecord::of_counter(*i).len as u64;
+            counters.contains(i).then_some(at..end)
+        });
+        let ios = debar_store::wanted_extents(
+            std::iter::once(0..meta).chain(chunks),
+            &paper::repo_disk(),
+        );
+        ios.iter().map(|io| io.end - io.start).sum()
     }
 
     proptest::proptest! {
@@ -1216,12 +1294,15 @@ mod tests {
 
     /// Make the damaged copy of `cid` — its primary's, on one of two nodes
     /// — the one a walk that first reads two other containers whole then
-    /// reads. A read takes the copy whose node has read least (ties to
-    /// the primary), and since a whole read reads the image, not the
-    /// slot, one read of each container no longer leaves the two nodes'
-    /// loads level. So with the damaged node down, read the container off
-    /// the other until it has read two slots more: the walk's first two
-    /// reads then go to the damaged node and leave it no heavier.
+    /// reads. A fetch takes the copy whose node lane can start it first,
+    /// ties to the node that has read least (then the primary), and since
+    /// a whole read reads the image, not the slot, one read of each
+    /// container does not leave the two nodes' loads level. So with the
+    /// damaged node down, read the container off the other until it has
+    /// read two slots more: the walk's first read, both lanes idle, goes
+    /// to the damaged node, its second to the other, idle one, and its
+    /// third — the damaged container's — to the damaged node, whose lane
+    /// is through with its read first.
     fn aim_at_the_damaged_copy(c: &mut DebarCluster, cid: ContainerId) {
         let damaged = c.repo.locate(cid).expect("held");
         let read = |c: &DebarCluster, n: usize| c.repo.nodes()[n].disk_stats().rand_read_bytes;
@@ -1318,9 +1399,13 @@ mod tests {
         tree.files.extend(of_counters("c", &of(60..80)).files);
         let run = next_run(&mut c, job, &tree);
 
-        // The middle file alone: the first miss fills the one slot
-        // knowing nothing (a whole container), the other two read the
-        // metadata section and `b`'s twenty chunks — not `a`'s, not `c`'s.
+        // The middle file alone: its sixty chunks weigh less than the one
+        // slot, so the first miss fills it knowing nothing (a whole
+        // container); the other two take `b`'s twenty chunks — not `a`'s,
+        // not `c`'s — in one I/O with the metadata section: `a`'s forty
+        // chunks lie between the two and streaming them (~300 kB) is no
+        // dearer than a seek (~440 KiB on `paper::repo_disk`), so the
+        // gap law reads them through, as it would between two chunks.
         // Counted in slots each of them took the one slot from the entry
         // before it (two evictions); counted in bytes the whole container
         // has to go for the first, and the second — twenty chunks are a
@@ -1424,6 +1509,41 @@ mod tests {
             c.restore_file(run, "nope"),
             Err(DebarError::UnknownPath { .. })
         ));
+    }
+
+    #[test]
+    fn a_walk_reads_by_range_from_its_first_miss_only_when_its_recipe_outgrows_the_cache() {
+        // Forty chunks of each of the first four containers, ~1.3 MB of
+        // recipe: within an eight-slot cache, past a one-slot one.
+        for replication in [1, 2] {
+            for slots in [8, 1] {
+                let mut cfg = DebarConfig::tiny_test(0).with_replication(replication);
+                cfg.lpc_containers = slots;
+                let (mut c, job, layout) = laid_out(cfg, 1000);
+                let first_forty = |stored: &Stored| stored.1[..40].to_vec();
+                let dataset = of_counters(
+                    "part",
+                    &layout[..4].iter().flat_map(first_forty).collect::<Vec<_>>(),
+                );
+                let budget = slots as u64 * cfg.container_bytes;
+                let tag = format!("{slots} slots, R = {replication}");
+                assert_eq!(dataset.logical_bytes() > budget, slots == 1, "{tag}");
+                let run = next_run(&mut c, job, &dataset);
+                let before = node_bytes_read(&c);
+                let r = c.restore_run(run).expect("restore");
+                assert_eq!((r.lpc.misses, r.failures), (4, 0), "{tag}");
+                // A recipe that fits reads each container's image, whole,
+                // from whichever copy. One that does not reads its first
+                // miss by range, as it reads every other.
+                let fetched: u64 = (layout[..4].iter())
+                    .map(|stored| match slots {
+                        8 => image_of(stored, cfg.container_bytes).1,
+                        _ => ranged_bytes(stored, &stored.1[..40]),
+                    })
+                    .sum();
+                assert_eq!(node_bytes_read(&c) - before, fetched, "{tag}");
+            }
+        }
     }
 
     #[test]

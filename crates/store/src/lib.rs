@@ -11,8 +11,9 @@
 //! * [`repository`] — the chunk repository: a uniform container log across
 //!   a cluster of physical, replicated storage nodes, providing the global
 //!   de-duplication storage pool. Each container is written to
-//!   `replication` distinct node disks; reads pick the healthiest,
-//!   least-loaded replica and fail over to surviving copies past downed
+//!   `replication` distinct node disks; reads pick the healthiest replica,
+//!   then the one the caller's lane can start soonest, then the
+//!   least-loaded, and fail over to surviving copies past downed
 //!   nodes, injected faults and corrupt copies (read-repairing corrupt
 //!   ones inline); transient faults are absorbed by a retry policy with
 //!   backoff; per-node error counts drive a health state machine

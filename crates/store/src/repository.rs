@@ -19,10 +19,13 @@
 //! sees the store end with its most-loaded node.
 //!
 //! Reads **balance and fail over**: with `R >= 2` the read path picks the
-//! **least-loaded replica** first (by accumulated random-read bytes on the
-//! holding nodes' disks; ties keep ring order, so a fresh repository still
-//! prefers the primary), spreading restore traffic across the replica set
-//! instead of hammering the ring head. A downed node
+//! healthiest replica first, then — when the caller has lanes and says
+//! when each node's lane could start the read
+//! ([`ChunkRepository::read_chunks`]' `starts`) — the one that can start
+//! soonest, then the **least-loaded** (by accumulated random-read bytes
+//! on the holding nodes' disks; ties keep ring order, so a fresh
+//! repository still prefers the primary), spreading restore traffic
+//! across the replica set instead of hammering the ring head. A downed node
 //! ([`ChunkRepository::set_node_down`]), an injected [`FaultKind::Fail`],
 //! or a copy whose checksum trailer detects corruption transparently
 //! redirects the read to the next candidate. A degraded read that succeeds
@@ -487,27 +490,29 @@ fn meta_section_bytes(chunks: usize) -> u64 {
     6 + 32 * chunks as u64 + 20
 }
 
-/// The reads that fetch the `wanted` chunks of a data section laid out as
-/// `metas` (stream order, ascending offsets): the byte range of each
-/// extent in the data section, in offset order. Adjacent wanted chunks
-/// share an extent, and the **gap law** decides the rest: the bytes
-/// between two wanted chunks are read through exactly when streaming them
-/// is no dearer than the seek that skipping them costs — `gap / read_bw <=
-/// seek_s`. Nothing before the first or after the last wanted chunk is
-/// read.
+/// The reads that fetch the `wanted` byte ranges of one device region
+/// (ascending starts): the range of each extent, in offset order.
+/// Adjacent wanted ranges share an extent, and the **gap law** decides
+/// the rest: the bytes between two wanted ranges are read through exactly
+/// when streaming them is no dearer than the seek that skipping them
+/// costs — `gap / read_bw <= seek_s`. Nothing before the first or after
+/// the last wanted range is read. A ranged container read's first range
+/// is its metadata section, so the law that joins two chunks also joins
+/// the metadata section to the first chunk: there is no rule for the
+/// head.
 pub fn wanted_extents(
-    metas: &[ChunkMeta],
-    wanted: impl Fn(&Fingerprint) -> bool,
+    wanted: impl IntoIterator<Item = Range<u64>>,
     disk: &DiskModel,
 ) -> Vec<Range<u64>> {
     let mut extents: Vec<Range<u64>> = Vec::new();
-    for m in metas.iter().filter(|m| wanted(&m.fp)) {
-        let reach = m.offset + m.len as u64;
+    for range in wanted {
         match extents.last_mut() {
-            Some(open) if disk.seq_read_cost(m.offset.saturating_sub(open.end)) <= disk.seek_s => {
-                open.end = open.end.max(reach);
+            Some(open)
+                if disk.seq_read_cost(range.start.saturating_sub(open.end)) <= disk.seek_s =>
+            {
+                open.end = open.end.max(range.end);
             }
-            _ => extents.push(m.offset..reach),
+            _ => extents.push(range),
         }
     }
     extents
@@ -964,10 +969,11 @@ impl ChunkRepository {
 
     /// The I/Os one attempt at `fetch` issues against `node`'s copy — byte
     /// ranges of its image, in issue order — and the fetch they amount
-    /// to. A ranged read opens with the metadata section as its own I/O —
-    /// the reader must parse it before it knows where the chunks lie —
-    /// and pays one seek per extent; when that would cost no less than
-    /// the image in one piece, it *is* the whole read.
+    /// to. A ranged read wants the metadata section — the reader must
+    /// parse it before it knows where the chunks lie — and then the
+    /// wanted chunks, and [`wanted_extents`] makes I/Os of all of them by
+    /// the one gap law, each I/O paying its own seek; when that would
+    /// cost no less than the image in one piece, it *is* the whole read.
     fn plan<'f>(
         &self,
         node: usize,
@@ -985,10 +991,9 @@ impl ChunkRepository {
             Fetch::Metas => (fetch, head(meta).collect()),
             Fetch::Chunks(wanted) => {
                 let disk = self.nodes[node].disk.model();
-                let extents = wanted_extents(metas, wanted, &disk).into_iter();
-                let ios: Vec<Range<u64>> = head(meta)
-                    .chain(extents.map(|e| meta + e.start..meta + e.end))
-                    .collect();
+                let chunks = (metas.iter().filter(|m| wanted(&m.fp)))
+                    .map(|m| meta + m.offset..meta + m.offset + m.len as u64);
+                let ios = wanted_extents(head(meta).chain(chunks), &disk);
                 let ranged: Secs = ios
                     .iter()
                     .map(|io| disk.rand_read_cost(io.end - io.start))
@@ -1024,10 +1029,15 @@ impl ChunkRepository {
     /// attempt completed its last byte streamed in: `take` returns the
     /// caller's value and the tails of the chunks it took, in the order it
     /// took them ([`ServedLeg::tails`]).
+    ///
+    /// `starts[n]` is when the caller's lane for node `n` could start the
+    /// read; empty (or short) when the caller has no lanes, which leaves
+    /// every node at the same start.
     fn read_one<T>(
         &mut self,
         cid: ContainerId,
         fetch: Fetch,
+        starts: &[Secs],
         take: impl FnOnce(&Container, &dyn Fn(&ChunkMeta) -> Secs) -> (T, Vec<Secs>),
     ) -> NodeRead<T> {
         if cid.is_null() {
@@ -1037,18 +1047,24 @@ impl ChunkRepository {
         let Some(&first) = candidates.first() else {
             return NodeRead::free(Ok(None));
         };
-        // Health-then-load replica selection: prefer the healthiest
-        // candidate, then the one whose disk has accumulated the least
-        // random-read traffic. The sort is stable, so ties keep failover
-        // order (primary first) — and down nodes are *not* filtered here:
-        // a down candidate is discovered at read time and counted as a
-        // failover, same as before balancing. Preferring a healthy copy
-        // over a suspect/quarantined one is a reorder, not a degradation.
-        candidates.sort_by_key(|&n| {
-            (
-                self.nodes[n].health,
-                self.nodes[n].disk.stats().rand_read_bytes,
-            )
+        // Health, then lane, then load: prefer the healthiest candidate,
+        // then the one whose lane can start the read soonest (a caller
+        // without lanes starts them all alike), then the one whose disk
+        // has accumulated the least random-read traffic. The sort is
+        // stable, so ties keep failover order (primary first) — and down
+        // nodes are *not* filtered here: a down candidate is discovered at
+        // read time and counted as a failover, same as before balancing.
+        // Preferring a healthy copy over a suspect/quarantined one, or an
+        // idle one over a busy one, is a reorder, not a degradation.
+        let start = |n: usize| starts.get(n).copied().unwrap_or(0.0);
+        candidates.sort_by(|&a, &b| {
+            let node = |n: usize| &self.nodes[n];
+            (node(a).health.cmp(&node(b).health))
+                .then(start(a).total_cmp(&start(b)))
+                .then_with(|| {
+                    let load = |n: usize| node(n).disk.stats().rand_read_bytes;
+                    load(a).cmp(&load(b))
+                })
         });
         self.stats.reads += 1;
         let mut out = NodeRead::free(Ok(None));
@@ -1176,7 +1192,7 @@ impl ChunkRepository {
     /// corruption fail over to surviving replicas and surface as typed
     /// errors only when every copy is lost.
     pub fn read(&mut self, cid: ContainerId) -> NodeRead<Container> {
-        self.read_one(cid, Fetch::Whole, |copy, arrived| {
+        self.read_one(cid, Fetch::Whole, &[], |copy, arrived| {
             (copy.clone(), copy.metas().iter().map(arrived).collect())
         })
     }
@@ -1187,7 +1203,7 @@ impl ChunkRepository {
     /// reported like [`ChunkRepository::read`]. Damaged copies fail over
     /// here too — the metadata section is under the same checksum.
     pub fn read_metas(&mut self, cid: ContainerId) -> NodeRead<Vec<Fingerprint>> {
-        self.read_one(cid, Fetch::Metas, |copy, _| {
+        self.read_one(cid, Fetch::Metas, &[], |copy, _| {
             (copy.fingerprints().collect(), Vec::new())
         })
     }
@@ -1195,9 +1211,10 @@ impl ChunkRepository {
     /// The ranged read: fetch a container's metadata section and then only
     /// the chunks `wanted` names — for a reader that knows which chunks it
     /// will use (the restore walk, from its recipe; GC compaction, from
-    /// the live set). The metadata section is one I/O, each extent of
-    /// [`wanted_extents`] another, all one op of the serving node's disk;
-    /// same failover core, legs and counters as [`ChunkRepository::read`],
+    /// the live set). [`wanted_extents`] makes I/Os of the metadata
+    /// section and the wanted chunks — a first chunk close behind the
+    /// metadata section shares its I/O — all one op of the serving node's
+    /// disk; same failover core, legs and counters as [`ChunkRepository::read`],
     /// and the serving leg's [`ServedLeg::tails`] follow the chunks
     /// returned. A reader that wants every chunk gets exactly the whole
     /// read: one I/O of the image is cheaper than the metadata section
@@ -1213,12 +1230,19 @@ impl ChunkRepository {
     /// [`ChunkRepository::scrub_all`] meets it. Once a copy has been found
     /// corrupt the remaining replicas are read whole, so the read-repair
     /// that follows writes back a trailer-verified image.
+    ///
+    /// A caller that puts the legs on lanes says in `starts[n]` when its
+    /// lane for node `n` could start the read: of equally healthy copies
+    /// the one that can start soonest serves, and only a tie goes to the
+    /// least-loaded. A caller without lanes passes `&[]`, which is the
+    /// order [`ChunkRepository::read`] takes.
     pub fn read_chunks(
         &mut self,
         cid: ContainerId,
         wanted: impl Fn(&Fingerprint) -> bool,
+        starts: &[Secs],
     ) -> NodeRead<Vec<(Fingerprint, Payload)>> {
-        self.read_one(cid, Fetch::Chunks(&wanted), |copy, arrived| {
+        self.read_one(cid, Fetch::Chunks(&wanted), starts, |copy, arrived| {
             let mut tails = Vec::with_capacity(copy.len());
             let chunks = (0..copy.len())
                 .map(|i| copy.slot(i))
@@ -1598,21 +1622,10 @@ mod tests {
         for disk in [round, paper::repo_disk()] {
             let edge = (disk.seek_s * disk.read_bw) as u64;
             for gap in [0, 1, edge - 1, edge, edge + 1, edge + 2, 8 << 20] {
-                let (a, b) = (1000u32, 500u32);
-                let at = |offset: u64, n: u64, len: u32| ChunkMeta {
-                    fp: fp(n),
-                    len,
-                    offset,
-                };
-                let mut metas = vec![at(0, 0, a)];
-                if gap > 0 {
-                    metas.push(at(a as u64, 1, gap as u32));
-                }
-                metas.push(at(a as u64 + gap, 2, b));
-                let ends = |f: &Fingerprint| *f != fp(1);
-                let extents = wanted_extents(&metas, ends, &disk);
+                let (a, b) = (1000u64, 500u64);
+                let end = a + gap + b;
+                let extents = wanted_extents([0..a, end - b..end], &disk);
                 let through = disk.seq_read_cost(gap) <= disk.seek_s;
-                let (a, b, end) = (a as u64, b as u64, a as u64 + gap + b as u64);
                 if through {
                     assert_eq!(extents.first().cloned(), Some(0..end), "gap {gap}");
                     assert_eq!(extents.len(), 1, "gap {gap}");
@@ -1629,12 +1642,10 @@ mod tests {
             }
         }
         // Nothing wanted, nothing read; nothing before the first or after
-        // the last wanted chunk either.
-        let metas = container_with(0..10).metas().to_vec();
+        // the last wanted range either.
         let disk = paper::repo_disk();
-        assert!(wanted_extents(&metas, |_| false, &disk).is_empty());
-        let middle = |f: &Fingerprint| *f == fp(4) || *f == fp(5);
-        let extents = wanted_extents(&metas, middle, &disk);
+        assert!(wanted_extents([], &disk).is_empty());
+        let extents = wanted_extents([4000..5000, 5000..6000], &disk);
         assert_eq!(
             (extents.len(), extents.first().cloned()),
             (1, Some(4000..6000))
@@ -1661,42 +1672,47 @@ mod tests {
         let disk = paper::repo_disk();
         let before = (r.nodes()[0].disk_stats(), r.node_disk_ops(0).expect("node"));
         let tenth = |f: &Fingerprint| (30..40).any(|n| *f == fp(n));
-        let read = r.read_chunks(id, tenth);
+        let read = r.read_chunks(id, tenth, &[]);
         let chunks = read.value.expect("clean").expect("stored");
         let fps: Vec<Fingerprint> = chunks.iter().map(|(f, _)| *f).collect();
         assert_eq!(fps, (30..40).map(fp).collect::<Vec<_>>());
-        // Two I/Os — the metadata section, one extent of ten adjacent
-        // chunks — in one device op; the resolver may go on once the
-        // first is in.
-        let meta = disk.rand_read_cost(6 + 32 * 100 + 20);
-        let extent = disk.rand_read_cost(10 * 10_000);
+        // One I/O in one device op: the thirty chunks between the
+        // metadata section and the ten it wants stream in less time than
+        // a seek, so the gap law reads them through, as it would between
+        // two chunks. The resolver may go on once the metadata section is
+        // in.
+        let (meta, head) = (6 + 32 * 100 + 20, 40 * 10_000);
         let served = read.legs.served.expect("served");
-        assert!((served.cost - (meta + extent)).abs() < 1e-15);
-        assert_eq!((served.node, served.data_tail), (0, extent));
+        assert_eq!(served.cost, disk.rand_read_cost(meta + head));
+        assert_eq!(
+            (served.node, served.data_tail),
+            (0, disk.seq_read_cost(head))
+        );
         let after = (r.nodes()[0].disk_stats(), r.node_disk_ops(0).expect("node"));
         assert_eq!(after.1, before.1 + 1, "one fault-checked op");
-        assert_eq!(after.0.rand_reads, before.0.rand_reads + 2, "two seeks");
+        assert_eq!(after.0.rand_reads, before.0.rand_reads + 1, "one seek");
         assert_eq!(
             after.0.rand_read_bytes - before.0.rand_read_bytes,
-            6 + 32 * 100 + 20 + 10 * 10_000
+            meta + head
         );
+        let meta = disk.rand_read_cost(meta);
         // Wanting nothing reads the metadata section; wanting so much
         // that the extents cost no less than the image in one piece reads
         // the image in one piece.
-        let none = r.read_chunks(id, |_| false);
+        let none = r.read_chunks(id, |_| false, &[]);
         assert!(none.value.expect("clean").expect("stored").is_empty());
         assert_eq!(none.legs.served.map(|s| s.cost), Some(meta));
         let mut full = repo(1);
         let mut big = Container::new(1 << 20);
         (0..1000).for_each(|n| assert!(big.try_append(fp(n), Payload::Zero(1000))));
         let id = store_ok(&mut full, big);
-        let all = full.read_chunks(id, |_| true);
+        let all = full.read_chunks(id, |_| true, &[]);
         assert_eq!(all.value.expect("clean").expect("stored").len(), 1000);
         assert_eq!(all.legs, full.read(id).legs);
         // A fault on the op fails the whole attempt, as it does a whole
         // read's.
         arm(&mut r, 0, FaultPlan::fail_at(after.1 + 1));
-        let err = r.read_chunks(id, tenth).value.expect_err("faulted");
+        let err = r.read_chunks(id, tenth, &[]).value.expect_err("faulted");
         assert!(matches!(err, StoreError::DiskFault { node: 0, .. }));
     }
 
@@ -1789,15 +1805,19 @@ mod tests {
         assert_eq!(whole.tails.last(), Some(&0.0));
         assert!(at_most_data_tail(&whole));
 
-        // A ranged read of two extents — chunks 10 and 11, chunk 80 — in
-        // one op: within an extent the tails fall with the offset, each
-        // extent waits for every later one, the last wanted chunk is in
-        // as the read completes.
+        // A ranged read of two I/Os — the metadata section through chunks
+        // 10 and 11 (the ten chunks ahead of them stream in less time than
+        // a seek), chunk 80 — in one op: within an I/O the tails fall with
+        // the offset, each I/O waits for every later one, the last wanted
+        // chunk is in as the read completes.
         let wanted = |f: &Fingerprint| [10, 11, 80].iter().any(|&n| *f == fp(n));
-        let ranged = r.read_chunks(id, wanted).legs.served.expect("served");
-        let (first, second) = (disk.rand_read_cost(2 * len), disk.rand_read_cost(len));
-        assert_eq!(ranged.cost, disk.rand_read_cost(meta) + first + second);
-        assert_eq!(ranged.data_tail, first + second);
+        let ranged = r.read_chunks(id, wanted, &[]).legs.served.expect("served");
+        let (first, second) = (
+            disk.rand_read_cost(meta + 12 * len),
+            disk.rand_read_cost(len),
+        );
+        assert_eq!(ranged.cost, first + second);
+        assert_eq!(ranged.data_tail, disk.seq_read_cost(12 * len) + second);
         let expected = [disk.seq_read_cost(len) + second, second, 0.0];
         assert_eq!(ranged.tails, expected);
         assert!(at_most_data_tail(&ranged));
@@ -1821,10 +1841,10 @@ mod tests {
         .expect("a torn image loses its last third");
         r.set_damage(id, Some(Damage::Torn)).expect("stored");
         let on_it = |f: &Fingerprint| *f == fp(hit as u64);
-        let mut read = r.read_chunks(id, on_it);
+        let mut read = r.read_chunks(id, on_it, &[]);
         while read.legs.failed.is_empty() {
             // Load balancing preferred the clean replica: ask again.
-            read = r.read_chunks(id, on_it);
+            read = r.read_chunks(id, on_it, &[]);
         }
         let served = read.legs.served.expect("the replica");
         assert_eq!(served.tails, [whole.tails[hit]], "read whole");
@@ -1856,7 +1876,7 @@ mod tests {
             // copies serve, nothing is counted, the damage stays.
             let before_it = |f: &Fingerprint| (first..first + 5).any(|n| *f == fp(n));
             for _ in 0..2 {
-                let read = r.read_chunks(id, before_it);
+                let read = r.read_chunks(id, before_it, &[]);
                 assert_eq!(read.value.expect("unseen").expect("stored").len(), 5);
                 assert!(read.legs.failed.is_empty() && read.legs.repairs.is_empty());
             }
@@ -1868,10 +1888,10 @@ mod tests {
             // read whole so that the repair writes a verified image.
             let on_it = |f: &Fingerprint| *f == hit;
             let disk = paper::repo_disk();
-            let mut read = r.read_chunks(id, on_it);
+            let mut read = r.read_chunks(id, on_it, &[]);
             while read.legs.failed.is_empty() {
                 // Load balancing preferred the clean replica: ask again.
-                read = r.read_chunks(id, on_it);
+                read = r.read_chunks(id, on_it, &[]);
             }
             let meta = 6 + 32 * 100 + 20;
             let ranged = disk.rand_read_cost(meta) + disk.rand_read_cost(10_000);
@@ -1896,8 +1916,8 @@ mod tests {
                 sole = store_ok(&mut r, next);
             }
             r.set_damage(id, Some(damage)).expect("stored");
-            assert_eq!(r.read_chunks(id, before_it).legs.failed, []);
-            let err = r.read_chunks(id, on_it).value.expect_err("sole copy");
+            assert_eq!(r.read_chunks(id, before_it, &[]).legs.failed, []);
+            let err = r.read_chunks(id, on_it, &[]).value.expect_err("sole copy");
             assert!(
                 matches!(err, StoreError::CorruptContainer { container, .. } if container == id),
                 "{damage:?}: {err}"
@@ -2562,6 +2582,106 @@ mod tests {
             "suspect node sees no more reads"
         );
         assert_eq!(r.stats().failover_reads, 1, "preference is not failover");
+    }
+
+    #[test]
+    fn a_read_takes_the_copy_whose_lane_starts_first_then_the_least_read() {
+        // Three replicas of one container; node 1 has read the most, node
+        // 2 a little, node 0 nothing.
+        let mut r = repo_r(3, 3).with_health_policy(HealthPolicy::new(1, 3));
+        let id = store_ok(&mut r, container_with(0..4));
+        let other = store_ok(&mut r, container_with(4..8));
+        let load = |r: &ChunkRepository| -> Vec<u64> {
+            (r.nodes().iter())
+                .map(|n| n.disk_stats().rand_read_bytes)
+                .collect()
+        };
+        for (node, reads) in [(1, 3), (2, 1)] {
+            for n in 0..3 {
+                r.set_node_down(n).expect("node");
+            }
+            r.revive_node(node).expect("node");
+            (0..reads).for_each(|_| assert!(r.read(other).value.is_ok()));
+            (0..3).for_each(|n| r.revive_node(n).expect("node"));
+        }
+        let before = load(&r);
+        assert!(before[0] < before[2] && before[2] < before[1], "{before:?}");
+        let serving = |r: &mut ChunkRepository, starts: &[Secs]| {
+            let read = r.read_chunks(id, |f| *f == fp(2), starts);
+            assert!(read.legs.failed.is_empty());
+            read.legs.served.map(|s| s.node)
+        };
+        // No preference, or every lane starting alike: the least read.
+        for starts in [&[][..], &[0.5, 0.5, 0.5], &[0.5; 7]] {
+            let mut twin = r.clone();
+            assert_eq!(serving(&mut twin, starts), Some(0), "{starts:?}");
+            assert_eq!(twin.read(id).legs.served.map(|s| s.node), Some(0));
+        }
+        // The lane that starts first, however much its disk has read; a
+        // tie between the later two goes to the lesser load.
+        assert_eq!(serving(&mut r.clone(), &[0.3, 0.1, 0.2]), Some(1));
+        assert_eq!(serving(&mut r.clone(), &[0.3, 0.2, 0.2]), Some(2));
+        // Health outranks the lanes: node 1, suspect after one failed
+        // attempt, is passed over for a busier healthy node.
+        let next = r.node_disk_ops(1).expect("node");
+        arm(&mut r, 1, FaultPlan::fail_at(next));
+        let failed = r.read_chunks(id, |f| *f == fp(2), &[0.3, 0.1, 0.2]);
+        assert_eq!(
+            failed.legs.failed.iter().map(|l| l.0).collect::<Vec<_>>(),
+            [1]
+        );
+        assert_eq!(
+            failed.legs.served.map(|s| s.node),
+            Some(2),
+            "then the next lane"
+        );
+        assert_eq!(r.node_health(1).expect("in range"), Health::Suspect);
+        assert_eq!(serving(&mut r, &[0.3, 0.1, 0.2]), Some(2));
+    }
+
+    #[test]
+    fn the_metadata_section_joins_the_first_extent_by_the_gap_law() {
+        // The mirror of the two-chunk edge test: the metadata section and
+        // the first wanted chunk `gap` bytes behind it are one I/O iff
+        // `gap / read_bw <= seek_s` — exactly at `seek_s × read_bw` bytes
+        // and not one byte past it.
+        let round = DiskModel {
+            seek_s: 0.002,
+            read_bw: 100e6,
+            write_bw: 100e6,
+        };
+        for disk in [round, paper::repo_disk()] {
+            let edge = (disk.seek_s * disk.read_bw) as u64;
+            for gap in [0, 1, edge - 1, edge, edge + 1, edge + 2, 600_000] {
+                let mut r = ChunkRepository::new(1, disk, 1 << 20);
+                let mut c = Container::new(1 << 20);
+                if gap > 0 {
+                    assert!(c.try_append(fp(0), Payload::Zero(gap as u32)));
+                }
+                (1..=3).for_each(|n| assert!(c.try_append(fp(n), Payload::Zero(500))));
+                let id = store_ok(&mut r, c);
+                let meta = 6 + 32 * (3 + u64::from(gap > 0)) + 20;
+                let read = r.read_chunks(id, |f| *f == fp(1), &[]);
+                let served = read.legs.served.expect("served");
+                let through = disk.seq_read_cost(gap) <= disk.seek_s;
+                assert_eq!(through, gap <= edge, "the law is a byte count: {edge}");
+                // The resolver has the metadata section once what follows
+                // it in its I/O has streamed in, and every later I/O.
+                let (cost, data_tail, ios) = if through {
+                    let one = disk.rand_read_cost(meta + gap + 500);
+                    (one, disk.seq_read_cost(gap + 500), 1)
+                } else {
+                    let extent = disk.rand_read_cost(500);
+                    (disk.rand_read_cost(meta) + extent, extent, 2)
+                };
+                assert_eq!(
+                    (served.cost, served.data_tail),
+                    (cost, data_tail),
+                    "gap {gap}"
+                );
+                assert_eq!(r.nodes()[0].disk_stats().rand_reads, ios, "gap {gap}");
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use common::{
 };
 use debar::core::report::StoreReport;
 use debar::hash::Sha1;
+use debar::workload::drift::churn;
 use debar::workload::ChunkRecord;
 use debar::{
     ClientId, Dataset, DebarCluster, DebarConfig, DebarError, Dedup2Phase, Device, FaultPlan, RunId,
@@ -555,6 +556,82 @@ fn dedup2_crash_point_sweep_converges_at_every_device_op() {
     // sweep interrupted PSIL, both drains, each server's store commit
     // before and after a durable prefix, and PSIU.
     assert_eq!(aborted, enumerated.iter().sum::<u64>(), "every leg aborted");
+}
+
+/// Two generations of a churning job on two nodes at R = 2, the second
+/// interleaving its chunks with the first's chunk by chunk, against a
+/// two-slot restore cache: the latest generation's walk outgrows the
+/// cache, reads by range from its first miss and evicts.
+fn fragmented_r2_cluster() -> (DebarCluster, RunId) {
+    let mut cfg = DebarConfig::tiny_test(0).with_replication(2);
+    cfg.lpc_containers = 2;
+    let mut c = DebarCluster::new(cfg);
+    let job = c.define_job("churn", ClientId(0));
+    for g in 0..2 {
+        c.backup(job, &Dataset::from_records("s", churn(g, 1200, 2)))
+            .expect("backup");
+        c.run_dedup2().expect("dedup2");
+    }
+    c.force_siu().expect("siu");
+    (c, RunId { job, version: 1 })
+}
+
+#[test]
+fn restore_crash_point_sweep_at_r2_fails_over_or_names_the_device() {
+    // Every device op a clean restore of the latest generation charges is
+    // a crash point: a container read on either node, an index lookup.
+    // Arm `Fail` at each in turn. The restore returns the clean walk's
+    // bytes — the other copy serves a faulted read, whichever copy the
+    // node lanes sent it to first — or a typed error naming the armed
+    // device; never a panic, never other bytes.
+    let devices = [
+        Device::RepoNode(0),
+        Device::RepoNode(1),
+        Device::IndexPart { server: 0, part: 0 },
+    ];
+    let ops_of = |c: &DebarCluster| devices.map(|d| c.device_ops(d).expect("device"));
+    let (mut clean, run) = fragmented_r2_cluster();
+    let before = ops_of(&clean);
+    let want = clean.restore_run(run).expect("clean restore");
+    let touched: Vec<u64> = (ops_of(&clean).iter().zip(&before))
+        .map(|(after, before)| after - before)
+        .collect();
+    assert!(touched.iter().all(|&n| n > 0), "crash points {touched:?}");
+    assert!(want.lpc.evictions > 0, "the walk evicts");
+    assert!(
+        want.layout.fragments > want.layout.containers_touched,
+        "the walk returns to containers: {:?}",
+        want.layout
+    );
+
+    let mut failed_over = 0;
+    for (i, &device) in devices.iter().enumerate() {
+        let node = matches!(device, Device::RepoNode(_));
+        for at in before[i]..before[i] + touched[i] {
+            let leg = format!("{device:?} op {at}");
+            let (mut c, _) = fragmented_r2_cluster();
+            c.arm(device, FaultPlan::fail_at(at)).expect("device");
+            match c.restore_run(run) {
+                Ok(r) => {
+                    let got = (r.files, r.chunks, r.bytes, r.failures);
+                    assert_eq!(got, (want.files, want.chunks, want.bytes, 0), "{leg}");
+                    assert_eq!(r.layout, want.layout, "{leg}");
+                    // A node's fault fails over to the other copy. A
+                    // random index lookup charges its op but checks no
+                    // fault plan, so an armed lookup answers as the clean
+                    // one did and the plan waits for the part's next
+                    // checked op.
+                    assert_eq!(r.failover_reads, u64::from(node), "{leg}");
+                    failed_over += u64::from(node);
+                }
+                Err(err) => {
+                    assert!(!node, "{leg}: the other copy serves: {err}");
+                    assert_eq!(named_device(&err), Some(device), "{leg}: {err}");
+                }
+            }
+        }
+    }
+    assert_eq!(failed_over, touched[0] + touched[1]);
 }
 
 /// Bytes waiting in each server's chunk log.
