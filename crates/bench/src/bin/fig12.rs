@@ -9,9 +9,10 @@
 //! lookups — the paper's capacity cliff beyond ~8 TB.
 //!
 //! Run: `cargo run --release -p debar-bench --bin fig12 [n] [--smoke]`
-//! (`n`: scale denominator, default 1024; `--smoke`: 16x deeper).
+//! (`n`: scale denominator, default 1024; `--smoke`: 16x deeper). A full
+//! run writes `BENCH_fig12.json`, which CI holds to its committed bytes.
 
-use debar_bench::table::{f, TablePrinter};
+use debar_bench::table::{Cell, Table};
 use debar_core::{DebarCluster, DebarConfig};
 use debar_ddfs::{DdfsConfig, DdfsServer};
 use debar_hash::{ContainerId, Fingerprint};
@@ -23,7 +24,7 @@ use debar_workload::{HustConfig, HustGen};
 const BALLAST_BASE: u64 = 63u64 << 58;
 
 fn main() {
-    let (denom, _) = debar_bench::args(1024, 16 * 1024);
+    let (denom, smoke) = debar_bench::args(1024, 16 * 1024);
     // (capacity, index size): 8 TB per 32 GB of index (§5.2).
     let points: [(u64, u64); 5] = [
         (8 * TIB, 32 * GIB),
@@ -36,13 +37,13 @@ fn main() {
     let measure_from = 2usize; // skip warm-up days
 
     println!("Figure 12: throughput vs system capacity (single server, MiB/s)\n");
-    let mut t = TablePrinter::new(&[
-        "capacity",
-        "DEBAR total",
-        "DEBAR dedup-2",
-        "DDFS",
-        "DDFS m/n",
-        "bloom fp %",
+    let mut t = Table::new(&[
+        "capacity_tb",
+        "debar_total_mibps",
+        "debar_dedup2_mibps",
+        "ddfs_mibps",
+        "ddfs_bits_per_key",
+        "bloom_fp_pct",
     ]);
     for (capacity, index_bytes) in points {
         // Ballast: the system already holds 90% of its rated capacity
@@ -120,12 +121,12 @@ fn main() {
         let st = ddfs.stats();
         let fp_pct = 100.0 * st.bloom_false_positives as f64 / st.logical_chunks as f64;
         t.row(vec![
-            format!("{}TB", capacity / TIB),
-            f(debar_total, 1),
-            f(debar_d2, 1),
-            f(mibps(dd_logical, dd_time), 1),
-            f(ddfs.bloom_bits_per_key(), 1),
-            f(fp_pct, 2),
+            Cell::U(capacity / TIB),
+            Cell::F(debar_total, 1),
+            Cell::F(debar_d2, 1),
+            Cell::F(mibps(dd_logical, dd_time), 1),
+            Cell::F(ddfs.bloom_bits_per_key(), 1),
+            Cell::F(fp_pct, 2),
         ]);
     }
     t.print();
@@ -136,4 +137,11 @@ fn main() {
          ~5.3 (capacity > 12TB) because Bloom false positives turn into\n\
          random index lookups."
     );
+
+    let json = format!(
+        "{{\n  \"bench\": \"fig12\",\n  \"denom\": {denom},\n  \"days\": {days},\n  \
+         \"measure_from\": {measure_from},\n  \"points\": {}\n}}\n",
+        t.json_rows()
+    );
+    debar_bench::write_bench_json("fig12", smoke, &json);
 }

@@ -7,9 +7,10 @@
 //! in parallel (4 clients per server).
 //!
 //! Run: `cargo run --release -p debar-bench --bin fig14 [n] [--smoke]`
-//! (`n`: scale denominator, default 4096; `--smoke`: 16x deeper).
+//! (`n`: scale denominator, default 4096; `--smoke`: 16x deeper). A full
+//! run writes `BENCH_fig14.json`, which CI holds to its committed bytes.
 
-use debar_bench::table::{f, tb, TablePrinter};
+use debar_bench::table::{Cell, Table};
 use debar_core::{DebarCluster, DebarConfig, JobId, RunId};
 use debar_simio::models::TIB;
 use debar_simio::throughput::mibps;
@@ -42,7 +43,7 @@ fn testbed(total: u64, denom: u64) -> (DebarCluster, Vec<JobId>, MultiStreamGen)
 }
 
 fn main() {
-    let (denom, _) = debar_bench::args(4096, 16 * 4096);
+    let (denom, smoke) = debar_bench::args(4096, 16 * 4096);
     let chunks = version_chunks(denom);
     let totals = [TIB / 2, TIB, 2 * TIB, 4 * TIB, 8 * TIB];
 
@@ -50,7 +51,12 @@ fn main() {
         "Figure 14(a): aggregate write throughput, 16 servers, 64 clients,\n\
          {VERSIONS} versions x {chunks} chunks/client (scale 1/{denom}; MiB/s)\n"
     );
-    let mut ta = TablePrinter::new(&["index total", "dedup-1", "dedup-2", "total"]);
+    let mut ta = Table::new(&[
+        "index_total_tb",
+        "dedup1_mibps",
+        "dedup2_mibps",
+        "total_mibps",
+    ]);
     for total in totals {
         let (mut cluster, jobs, mut gen) = testbed(total, denom);
 
@@ -74,10 +80,10 @@ fn main() {
         d2_time += siu_wall;
 
         ta.row(vec![
-            tb(total),
-            f(mibps(logical, d1_time), 0),
-            f(mibps(logical, d2_time), 0),
-            f(mibps(logical, d1_time + d2_time), 0),
+            Cell::F(total as f64 / TIB as f64, 1),
+            Cell::F(mibps(logical, d1_time), 0),
+            Cell::F(mibps(logical, d2_time), 0),
+            Cell::F(mibps(logical, d1_time + d2_time), 0),
         ]);
     }
     ta.print();
@@ -108,7 +114,7 @@ fn main() {
     cluster.force_siu().expect("siu");
 
     println!("Figure 14(b): aggregate read throughput per version (MiB/s)\n");
-    let mut tb = TablePrinter::new(&["version", "read MiB/s"]);
+    let mut tb = Table::new(&["version", "read_mibps"]);
     for v in 0..VERSIONS {
         let t0 = cluster.align_clocks();
         let mut bytes = 0u64;
@@ -125,7 +131,7 @@ fn main() {
         }
         let wall = cluster.align_clocks() - t0;
         assert_eq!(failures, 0, "restore must verify cleanly");
-        tb.row(vec![(v + 1).to_string(), f(mibps(bytes, wall), 0)]);
+        tb.row(vec![Cell::U(v as u64 + 1), Cell::F(mibps(bytes, wall), 0)]);
     }
     tb.print();
     println!(
@@ -133,4 +139,14 @@ fn main() {
          (cross-stream duplicates spread chunks across storage nodes; SISL +\n\
          LPC keep the decline bounded — 99.3% of random lookups eliminated)."
     );
+
+    let json = format!(
+        "{{\n  \"bench\": \"fig14\",\n  \"denom\": {denom},\n  \"servers\": {},\n  \
+         \"clients\": {CLIENTS},\n  \"versions\": {VERSIONS},\n  \"chunks\": {chunks},\n  \
+         \"write\": {},\n  \"read_denom\": {read_denom},\n  \"read\": {}\n}}\n",
+        1u32 << W_BITS,
+        ta.json_rows(),
+        tb.json_rows()
+    );
+    debar_bench::write_bench_json("fig14", smoke, &json);
 }

@@ -8,16 +8,17 @@
 //! property ((x,64) → (2x,32)), carrying all stored data along.
 //!
 //! Run: `cargo run --release -p debar-bench --bin fig15 [n] [--smoke]`
-//! (`n`: scale denominator, default 2048; `--smoke`: 16x deeper).
+//! (`n`: scale denominator, default 2048; `--smoke`: 16x deeper). A full
+//! run writes `BENCH_fig15.json`, which CI holds to its committed bytes.
 
-use debar_bench::table::{f, TablePrinter};
+use debar_bench::table::{Cell, Table};
 use debar_core::{DebarCluster, DebarConfig};
 use debar_simio::models::GIB;
 use debar_simio::throughput::mibps;
 use debar_workload::{MultiStreamConfig, MultiStreamGen};
 
 fn main() {
-    let (denom, _) = debar_bench::args(2048, 16 * 2048);
+    let (denom, smoke) = debar_bench::args(2048, 16 * 2048);
     let rounds_per_mode = 2usize;
     let version_chunks = ((50u64 << 30) / 8192 / denom).max(64) as usize;
     // 64 clients throughout, matching the paper's testbed.
@@ -38,16 +39,16 @@ fn main() {
         "Figure 15: write throughput and capacity vs number of servers\n\
          (mode ladder via capacity/performance scaling; scale 1/{denom}; MiB/s)\n"
     );
-    let mut t = TablePrinter::new(&[
+    let mut t = Table::new(&[
         "servers",
-        "part",
-        "write MiB/s",
-        "capacity (TB)",
+        "part_gb",
+        "write_mibps",
+        "capacity_tb",
         "transition",
     ]);
     // Ladder: at y=32GB measure, scale capacity to 64GB, measure, then
     // split into twice the servers (parts halve back to 32GB).
-    let mut transition = String::from("fresh");
+    let mut transition = "fresh";
     loop {
         for part_gb in [32u64, 64] {
             let servers = cluster.server_count();
@@ -67,16 +68,16 @@ fn main() {
                 .sum();
             let capacity_tb = (max_fps as f64 * 0.8 * 8192.0 * denom as f64) / (1u64 << 40) as f64;
             t.row(vec![
-                servers.to_string(),
-                format!("{part_gb}GB"),
-                f(mibps(logical, wall), 0),
-                f(capacity_tb, 0),
-                std::mem::take(&mut transition),
+                Cell::U(servers as u64),
+                Cell::U(part_gb),
+                Cell::F(mibps(logical, wall), 0),
+                Cell::F(capacity_tb, 0),
+                Cell::S(transition),
             ]);
             if part_gb == 32 {
                 // (x,32) -> (x,64): capacity scaling on every part.
                 cluster.scale_up_indexes();
-                transition = "capacity-scale".into();
+                transition = "capacity-scale";
             }
         }
         if cluster.server_count() >= 16 {
@@ -85,7 +86,7 @@ fn main() {
         // (x,64) -> (2x,32): performance scaling (split on one prefix bit).
         cluster.force_siu().expect("siu");
         cluster.scale_out().expect("scale-out");
-        transition = "scale-out".into();
+        transition = "scale-out";
     }
     t.print();
     println!(
@@ -95,4 +96,12 @@ fn main() {
          All mode transitions reuse stored data via §4.1's scaling\n\
          properties — nothing is re-chunked or re-indexed from scratch."
     );
+
+    let json = format!(
+        "{{\n  \"bench\": \"fig15\",\n  \"denom\": {denom},\n  \"clients\": {clients},\n  \
+         \"rounds_per_mode\": {rounds_per_mode},\n  \"chunks\": {version_chunks},\n  \
+         \"modes\": {}\n}}\n",
+        t.json_rows()
+    );
+    debar_bench::write_bench_json("fig15", smoke, &json);
 }
