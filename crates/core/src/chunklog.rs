@@ -33,6 +33,23 @@
 //! sequential read, to the bit. Skipping moves disk time only. Every
 //! record still comes back in log order and the pack processes each one.
 //!
+//! # When a drain reads
+//!
+//! PSIL decides the log sub-batch by sub-batch, one index sweep each, and
+//! sweep `j` has decided every record of sub-batch `j` before sweep
+//! `j + 1` starts. So a drain is not one duration that waits for the last
+//! sweep: [`ChunkLog::drain_striped`] takes each record's decision time
+//! and returns each worker disk's pass as [`DrainLeg`]s in log order, an
+//! extent ready once every record of the share up to its end is decided
+//! (a skip needs a verdict as much as a read does), consecutive extents
+//! ready at one time making one leg. The caller runs each worker's legs on
+//! a `debar_simio::Lane` of its own, so the log streams sweep `j`'s span
+//! while sweep `j + 1` runs. The device sees none of this: each engaged
+//! worker disk is still charged one op for its whole pass, with the bytes
+//! and busy time of the uncut read, so no armed fault offset moves; and a
+//! pass whose records were decided at one time is one leg costing the
+//! uncut read to the bit.
+//!
 //! # A drain reads, a commit consumes
 //!
 //! A drain leaves the log as it found it: the read pointer moves only
@@ -76,7 +93,7 @@ use crate::dataset::StreamChunk;
 use crate::error::DebarError;
 use crate::ids::{Device, ServerId};
 use debar_hash::Fingerprint;
-use debar_simio::{FaultPlan, InjectedFault, PartDiskSet, Secs, Timed};
+use debar_simio::{FaultPlan, InjectedFault, PartDiskSet, Secs};
 use debar_store::{wanted_extents, Payload};
 use std::ops::Range;
 
@@ -103,6 +120,29 @@ impl From<&StreamChunk> for LogRecord {
             payload: c.payload.clone(),
         }
     }
+}
+
+/// One leg of a worker disk's drain pass: a run of consecutive extents
+/// that may be read from `ready` on, and what reading them costs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DrainLeg {
+    /// When the pass knows what to read and skip up to the leg's end: the
+    /// latest `decided` time among the records of the worker's share up
+    /// to the leg's last wanted byte.
+    pub ready: Secs,
+    /// The leg's disk time: its bytes streamed, plus a positioning for
+    /// every extent it starts (the pass's first excepted).
+    pub cost: Secs,
+}
+
+/// What a drain returns: the whole log, in log order, and each worker
+/// disk's pass as legs in log order.
+#[derive(Debug)]
+pub struct Drain<'a> {
+    /// Every logged record, wanted or not.
+    pub records: &'a [LogRecord],
+    /// `legs[w]`: worker disk `w`'s pass (empty when it reads nothing).
+    pub legs: Vec<Vec<DrainLeg>>,
 }
 
 /// A sequential chunk log on its own disks, drainable as a stripe across
@@ -204,31 +244,52 @@ impl ChunkLog {
 
     /// Drain the log (the phase-II replay) striped across `workers` store
     /// workers, reading only what the pass keeps: `wanted[i]` says whether
-    /// the pass packs the log's `i`-th record in log order (a record past
-    /// the mask's end is not wanted). Each worker disk reads the wanted
-    /// extents inside its own even byte share of the log concurrently, and
-    /// the drain completes at the slowest worker. With every record wanted
-    /// that is one large sequential read at `workers = 1` and exactly
-    /// `1/W` of it striped. The returned record sequence is the whole log,
-    /// wanted or not, byte-identical at any worker count.
+    /// the pass packs the log's `i`-th record in log order, and
+    /// `decided[i]` when the pass learned it (a record past either slice's
+    /// end is not wanted, and known from time 0). Each worker disk reads
+    /// the wanted extents inside its own even byte share of the log, as
+    /// one forward pass returned as [`DrainLeg`]s in log order: an extent
+    /// is ready once every record of the share up to its last byte is
+    /// decided — those it reads and those it seeks over — and consecutive
+    /// extents ready at the same time are one leg. The caller runs each
+    /// worker's legs on a lane of its own; with every record decided at
+    /// once a pass is one leg, costed exactly as the unsplit read: with
+    /// every record wanted, one large sequential read at `workers = 1` and
+    /// exactly `1/W` of it striped. The returned record sequence is the
+    /// whole log, wanted or not, byte-identical at any worker count.
     ///
     /// A drain is a read: it leaves every record in the log, and only
     /// [`ChunkLog::commit`] consumes them. Each engaged worker disk is
-    /// charged one op, even with nothing of its share wanted. A fault on
-    /// any single worker disk surfaces as [`DebarError::DeviceFault`]
-    /// naming it (lowest worker first; a sibling armed in the same window
-    /// surfaces at the next drain).
+    /// charged one op, however many legs its pass has and even with
+    /// nothing of its share wanted. A fault on any single worker disk
+    /// surfaces as [`DebarError::DeviceFault`] naming it (lowest worker
+    /// first; a sibling armed in the same window surfaces at the next
+    /// drain).
     pub fn drain_striped(
         &mut self,
         workers: usize,
         wanted: &[bool],
-    ) -> Result<Timed<&[LogRecord]>, DebarError> {
-        let extents = self.worker_extents(workers.max(1), wanted);
-        let cost = self.worker_disks.seq_read_extents_split(&extents);
+        decided: &[Secs],
+    ) -> Result<Drain<'_>, DebarError> {
+        let plan = self.worker_legs(workers.max(1), wanted, decided);
+        let (ready, extents): (Vec<Vec<Secs>>, Vec<Vec<Vec<u64>>>) = plan
+            .into_iter()
+            .map(|legs| legs.into_iter().unzip())
+            .unzip();
+        let costs = self.worker_disks.seq_read_legs(&extents);
         if let Some((worker, fault)) = self.worker_disks.take_fault() {
             return Err(self.fault(worker, fault));
         }
-        Ok(Timed::new(&self.records, cost))
+        let legs = (ready.into_iter().zip(costs))
+            .map(|(ready, costs)| {
+                let legs = ready.into_iter().zip(costs);
+                legs.map(|(ready, cost)| DrainLeg { ready, cost }).collect()
+            })
+            .collect();
+        Ok(Drain {
+            records: &self.records,
+            legs,
+        })
     }
 
     /// Commit the pass that drained the log: keep the records `keep`
@@ -249,35 +310,69 @@ impl ChunkLog {
         (records - self.len() as u64, bytes - self.bytes)
     }
 
-    /// What each of `workers` worker disks reads: the extents of the
-    /// wanted records inside its byte share `[b·i/W, b·(i+1)/W)` of the
-    /// log, a record straddling a share boundary split between the two.
-    fn worker_extents(&self, workers: usize, wanted: &[bool]) -> Vec<Vec<u64>> {
+    /// What each of `workers` worker disks reads, as legs: the extents of
+    /// the wanted records inside its byte share `[b·i/W, b·(i+1)/W)` of
+    /// the log (a record straddling a share boundary split between the
+    /// two), cut where the time they are ready rises: per worker, each
+    /// leg's ready time and extent lengths.
+    fn worker_legs(
+        &self,
+        workers: usize,
+        wanted: &[bool],
+        decided: &[Secs],
+    ) -> Vec<Vec<(Secs, Vec<u64>)>> {
         let (b, w) = (self.bytes, workers as u64);
         let share_end = |i: u64| b * (i + 1) / w;
-        let mut shares: Vec<Vec<Range<u64>>> = vec![Vec::new(); workers];
-        let (mut offset, mut share) = (0u64, 0u64);
-        for (rec, &keep) in self.records.iter().zip(wanted) {
+        // Per share, its wanted pieces, each with the latest decision
+        // among the share's records up to it (wanted or not: a pass must
+        // know a record is unwanted to seek over it).
+        let mut shares: Vec<Vec<(Range<u64>, Secs)>> = vec![Vec::new(); workers];
+        let (mut offset, mut share, mut known) = (0u64, 0u64, 0.0);
+        for (i, rec) in self.records.iter().enumerate() {
             let end = offset + rec.record_bytes();
-            let mut at = offset;
-            while keep && at < end {
-                while share_end(share) <= at {
-                    share += 1;
+            let keep = wanted.get(i).copied().unwrap_or(false);
+            let at = decided.get(i).copied().unwrap_or(0.0);
+            let mut from = offset;
+            loop {
+                while share_end(share) <= from && share + 1 < w {
+                    // A new share: its pass knows nothing of the last.
+                    (share, known) = (share + 1, 0.0);
                 }
+                known = f64::max(known, at);
                 let upto = end.min(share_end(share));
-                shares[share as usize].push(at..upto);
-                at = upto;
+                if keep && from < upto {
+                    shares[share as usize].push((from..upto, known));
+                }
+                if upto >= end || share + 1 == w {
+                    break;
+                }
+                from = upto;
             }
             offset = end;
         }
         // Only wanted pieces are listed, at their offsets in the log: the
-        // gaps between them are the unwanted runs the gap law weighs.
+        // gaps between them are the unwanted runs the gap law weighs. An
+        // extent is ready with its last piece.
         let model = self.worker_disks.model();
-        let lens = |pieces: Vec<Range<u64>>| {
-            let extents = wanted_extents(pieces, &model);
-            extents.iter().map(|e| e.end - e.start).collect()
-        };
-        shares.into_iter().map(lens).collect()
+        (shares.into_iter())
+            .map(|pieces| {
+                let ranges = pieces.iter().map(|(r, _)| r.clone());
+                let mut pieces = pieces.iter().peekable();
+                let mut legs: Vec<(Secs, Vec<u64>)> = Vec::new();
+                for extent in wanted_extents(ranges, &model) {
+                    let mut at = 0.0;
+                    while let Some((_, t)) = pieces.next_if(|(r, _)| r.end <= extent.end) {
+                        at = *t;
+                    }
+                    let len = extent.end - extent.start;
+                    match legs.last_mut() {
+                        Some((open, leg)) if *open == at => leg.push(len),
+                        _ => legs.push((at, vec![len])),
+                    }
+                }
+                legs
+            })
+            .collect()
     }
 
     /// Disk statistics, merged over the worker disks (`busy_s` in
@@ -302,6 +397,15 @@ mod tests {
             fp: Fingerprint::of_counter(n),
             payload: Payload::Zero(len),
         }
+    }
+
+    /// A drain's wall time: the slowest worker disk running its legs.
+    fn wall(drain: &Drain) -> Secs {
+        let pass = |legs: &Vec<DrainLeg>| {
+            let mut disk = debar_simio::Lane::new();
+            (legs.iter()).fold(0.0, |end: Secs, leg| end.max(disk.run(leg.ready, leg.cost)))
+        };
+        drain.legs.iter().map(pass).fold(0.0, f64::max)
     }
 
     /// The mask of a drain that keeps every record: the paper's drain.
@@ -339,9 +443,9 @@ mod tests {
         assert_eq!(log.len(), 2);
         let bytes = 25 + 1000 + 25 + 2000;
         assert_eq!(log.bytes(), bytes);
-        let t = log.drain_striped(1, &all(&log)).expect("drain");
-        assert_eq!(t.value.len(), 2);
-        assert!(t.cost > 0.0);
+        let t = log.drain_striped(1, &all(&log), &[]).expect("drain");
+        assert_eq!(t.records.len(), 2);
+        assert!(wall(&t) > 0.0);
         // A drain reads; the commit consumes.
         assert_eq!((log.len(), log.bytes()), (2, bytes), "drain keeps the log");
         assert_eq!(log.commit(|_| false), (2, bytes));
@@ -352,7 +456,7 @@ mod tests {
     #[test]
     fn a_commit_keeps_what_it_names_in_log_order() {
         let mut log = log_of(&[100, 200, 300, 400, 500]);
-        log.drain_striped(2, &all(&log)).expect("drain");
+        log.drain_striped(2, &all(&log), &[]).expect("drain");
         assert_eq!(log.commit(|i| i == 1 || i >= 3), (2, 100 + 300));
         let fps: Vec<Fingerprint> = log.records().iter().map(|r| r.fp).collect();
         let want: Vec<Fingerprint> = [1, 3, 4].map(Fingerprint::of_counter).to_vec();
@@ -366,7 +470,10 @@ mod tests {
         for i in 0..10u64 {
             log.append(rec(i, 100)).expect("append");
         }
-        let recs = log.drain_striped(1, &all(&log)).expect("drain").value;
+        let recs = log
+            .drain_striped(1, &all(&log), &[])
+            .expect("drain")
+            .records;
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r.fp, Fingerprint::of_counter(i as u64));
         }
@@ -401,7 +508,10 @@ mod tests {
         // Retry succeeds and the drained sequence is exactly the durable
         // appends.
         log.append(rec(2, 200)).expect("retry");
-        let recs = log.drain_striped(1, &all(&log)).expect("drain").value;
+        let recs = log
+            .drain_striped(1, &all(&log), &[])
+            .expect("drain")
+            .records;
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].fp, Fingerprint::of_counter(2));
     }
@@ -436,7 +546,9 @@ mod tests {
             log.append(rec(i, 100)).expect("append");
         }
         log.set_worker_fault_plan(0, FaultPlan::fail_at(log.worker_disk_ops(0)));
-        let err = log.drain_striped(1, &all(&log)).expect_err("drain fault");
+        let err = log
+            .drain_striped(1, &all(&log), &[])
+            .expect_err("drain fault");
         assert!(
             matches!(
                 err,
@@ -450,9 +562,9 @@ mod tests {
         assert_eq!(log.len(), 5, "read pointer never advanced");
         assert_eq!(log.bytes(), 5 * 125);
         let recs = log
-            .drain_striped(1, &all(&log))
+            .drain_striped(1, &all(&log), &[])
             .expect("retry drains")
-            .value;
+            .records;
         assert_eq!(recs.len(), 5);
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r.fp, Fingerprint::of_counter(i as u64), "order kept");
@@ -472,20 +584,20 @@ mod tests {
             log
         };
         let mut scalar = build();
-        let t1 = scalar.drain_striped(1, &all(&scalar)).expect("drain");
+        let t1 = scalar.drain_striped(1, &all(&scalar), &[]).expect("drain");
         for workers in [2usize, 4, 8] {
             let mut striped = build();
             let tw = striped
-                .drain_striped(workers, &all(&striped))
+                .drain_striped(workers, &all(&striped), &[])
                 .expect("striped drain");
             assert_eq!(
-                tw.cost,
-                t1.cost / workers as f64,
+                wall(&tw),
+                wall(&t1) / workers as f64,
                 "even-split drain must cost exactly 1/{workers}"
             );
             // The record sequence is byte-identical at any worker count.
-            assert_eq!(tw.value.len(), t1.value.len());
-            for (a, b) in tw.value.iter().zip(t1.value) {
+            assert_eq!(tw.records.len(), t1.records.len());
+            for (a, b) in tw.records.iter().zip(t1.records) {
                 assert_eq!(a.fp, b.fp);
                 assert_eq!(a.payload, b.payload);
             }
@@ -501,7 +613,7 @@ mod tests {
         // Arm exactly one worker disk of a 3-way drain stripe.
         log.set_worker_fault_plan(1, FaultPlan::fail_at(log.worker_disk_ops(1)));
         let err = log
-            .drain_striped(3, &all(&log))
+            .drain_striped(3, &all(&log), &[])
             .expect_err("worker fault fires");
         assert!(
             matches!(
@@ -520,9 +632,9 @@ mod tests {
         assert_eq!(log.len(), 6, "read pointer never advanced");
         assert_eq!(log.bytes(), 6 * 125);
         let recs = log
-            .drain_striped(3, &all(&log))
+            .drain_striped(3, &all(&log), &[])
             .expect("retry drains")
-            .value;
+            .records;
         assert_eq!(recs.len(), 6);
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r.fp, Fingerprint::of_counter(i as u64), "order kept");
@@ -544,7 +656,7 @@ mod tests {
         let model = debar_simio::models::paper::log_disk();
         for w in 1..=5usize {
             let mut log = log_of(&sizes);
-            let cost = log.drain_striped(w, &all(&log)).expect("drain").cost;
+            let cost = wall(&log.drain_striped(w, &all(&log), &[]).expect("drain"));
             let shares: Vec<u64> = (0..w as u64)
                 .map(|i| bytes * (i + 1) / w as u64 - bytes * i / w as u64)
                 .collect();
@@ -561,7 +673,7 @@ mod tests {
             }
         }
         let mut log = log_of(&sizes);
-        let cost = log.drain_striped(1, &all(&log)).expect("drain").cost;
+        let cost = wall(&log.drain_striped(1, &all(&log), &[]).expect("drain"));
         assert_eq!(cost, debar_simio::SimDisk::new(model).seq_read(bytes));
     }
 
@@ -578,7 +690,7 @@ mod tests {
         for gap in [edge - 1, edge, edge + 1] {
             let mut log = log_of(&[a, gap / 2, gap - gap / 2, b]);
             let mask = [true, false, false, true];
-            let cost = log.drain_striped(1, &mask).expect("drain").cost;
+            let cost = wall(&log.drain_striped(1, &mask, &[]).expect("drain"));
             let through = model.seq_read_cost(gap) <= seek;
             assert_eq!(through, gap <= edge, "the law is a byte count: {edge}");
             let (read, want) = if through {
@@ -593,14 +705,66 @@ mod tests {
     }
 
     #[test]
+    fn a_pass_is_cut_into_legs_where_its_records_are_decided_later() {
+        // One worker: a wanted record decided at 1, a duplicate run too
+        // long to read through, then two wanted records — the run and the
+        // first decided at 2, the last at 3. The first extent may be read
+        // from 1; the second from 3, when the pass knows its last record.
+        let model = debar_simio::models::paper::log_disk();
+        let gap = 2 * (model.rand_read_cost(0) * model.read_bw) as u64;
+        let (a, b, c) = (8192 + 25, 4096 + 25, 1000 + 25);
+        let sizes = [a, gap, b, c];
+        let (mask, decided) = ([true, false, true, true], [1.0, 2.0, 2.0, 3.0]);
+        let mut log = log_of(&sizes);
+        let mut whole = log_of(&sizes);
+        let d = log.drain_striped(1, &mask, &decided).expect("drain");
+        let seek = model.rand_read_cost(0);
+        let want = vec![
+            DrainLeg {
+                ready: 1.0,
+                cost: model.seq_read_cost(a),
+            },
+            DrainLeg {
+                ready: 3.0,
+                cost: model.seq_read_cost(b + c) + seek,
+            },
+        ];
+        assert_eq!(d.legs, vec![want]);
+        // The same op and statistics as the uncut pass.
+        whole.drain_striped(1, &mask, &[]).expect("drain");
+        assert_eq!(worker_reads(&log), worker_reads(&whole));
+        // One time for every record: one leg, the uncut pass's cost.
+        let d = log.drain_striped(1, &mask, &[2.0; 4]).expect("drain");
+        let cost = model.seq_read_cost(a + b + c) + seek;
+        assert_eq!(d.legs, vec![vec![DrainLeg { ready: 2.0, cost }]]);
+
+        // Two workers: each share's pass waits for its own records only
+        // (a record straddling the boundary is both shares').
+        let mut log = log_of(&[1000, 1000, 1000, 1000]);
+        let d = log.drain_striped(2, &all(&log), &[5.0, 5.0, 1.0, 1.0]);
+        let ready: Vec<Vec<Secs>> = (d.expect("drain").legs.iter())
+            .map(|legs| legs.iter().map(|l| l.ready).collect())
+            .collect();
+        assert_eq!(ready, vec![vec![5.0], vec![1.0]]);
+        let mut log = log_of(&[1000, 3000]);
+        let d = log
+            .drain_striped(2, &all(&log), &[1.0, 2.0])
+            .expect("drain");
+        let ready: Vec<Vec<Secs>> = (d.legs.iter())
+            .map(|legs| legs.iter().map(|l| l.ready).collect())
+            .collect();
+        assert_eq!(ready, vec![vec![2.0], vec![2.0]]);
+    }
+
+    #[test]
     fn a_drain_with_nothing_wanted_is_one_op_per_worker_reading_nothing() {
         for w in 1..=4usize {
             for mask in [Vec::new(), vec![false; 9]] {
                 let mut log = log_of(&[5000; 9]);
                 let before: Vec<u64> = (0..w).map(|i| log.worker_disk_ops(i)).collect();
-                let t = log.drain_striped(w, &mask).expect("drain");
-                assert_eq!(t.cost, 0.0, "W = {w}");
-                assert_eq!(t.value.len(), 9, "every record comes back");
+                let t = log.drain_striped(w, &mask, &[]).expect("drain");
+                assert_eq!(wall(&t), 0.0, "W = {w}");
+                assert_eq!(t.records.len(), 9, "every record comes back");
                 assert_eq!((log.len(), log.bytes()), (9, 9 * 5000), "and stays");
                 let reads = worker_reads(&log);
                 assert_eq!(reads.len(), w, "every worker is engaged");
@@ -628,7 +792,9 @@ mod tests {
                     let mut log = log_of(&sizes);
                     let armed = log.worker_disk_ops(worker);
                     log.set_worker_fault_plan(worker, FaultPlan::fail_at(armed));
-                    let err = log.drain_striped(w, mask).expect_err("armed op faults");
+                    let err = log
+                        .drain_striped(w, mask, &[])
+                        .expect_err("armed op faults");
                     let DebarError::DeviceFault {
                         device: Device::LogWorker { worker: named, .. },
                         fault,
@@ -638,7 +804,7 @@ mod tests {
                     };
                     assert_eq!((named as usize, fault.op), (worker, armed));
                     assert_eq!((log.len(), log.bytes()), (6, bytes), "nothing drained");
-                    let recs = log.drain_striped(w, mask).expect("replay").value;
+                    let recs = log.drain_striped(w, mask, &[]).expect("replay").records;
                     for (i, r) in recs.iter().enumerate() {
                         assert_eq!(r.fp, Fingerprint::of_counter(i as u64), "order kept");
                     }
@@ -661,14 +827,14 @@ mod tests {
             let sizes: Vec<u64> = log.iter().map(|&(b, _)| b).collect();
             let wanted: Vec<bool> = log.iter().map(|&(_, v)| v == 0).collect();
             let (mut ranged, mut whole) = (log_of(&sizes), log_of(&sizes));
-            let r = ranged.drain_striped(w, &wanted).expect("drain");
-            let t = whole.drain_striped(w, &all(&whole)).expect("drain");
-            proptest::prop_assert_eq!(r.value.len(), sizes.len());
-            for (i, (a, b)) in r.value.iter().zip(t.value).enumerate() {
+            let r = ranged.drain_striped(w, &wanted, &[]).expect("drain");
+            let t = whole.drain_striped(w, &all(&whole), &[]).expect("drain");
+            proptest::prop_assert_eq!(r.records.len(), sizes.len());
+            for (i, (a, b)) in r.records.iter().zip(t.records).enumerate() {
                 proptest::prop_assert_eq!(a.fp, Fingerprint::of_counter(i as u64));
                 proptest::prop_assert_eq!(&a.payload, &b.payload);
             }
-            proptest::prop_assert!(r.cost <= t.cost);
+            proptest::prop_assert!(wall(&r) <= wall(&t));
             // Worker by worker: never dearer than reading its whole share,
             // and exactly as dear iff it skipped nothing of it.
             let wanted_bytes: u64 = (sizes.iter().zip(&wanted))

@@ -18,8 +18,8 @@
 //! | phase | §, what happens | sync model |
 //! |---|---|---|
 //! | exchange | §5.2: undetermined fingerprints partitioned by first `w` bits and exchanged | barrier **after** (all-to-all: every owner needs every origin's batch) |
-//! | PSIL | each server sweeps its index part on its own clock; verdicts routed back to origins | no exit barrier — each server's clock runs ahead on its own |
-//! | chunk storing | §5.3: each origin **packs** its chunk log into containers on its own clock (`store_workers` worker disks striping each drain), then a canonical-order **commit** assigns container IDs | overlapped: server *i*'s pack starts at its own post-PSIL clock, while straggler servers are still sweeping |
+//! | PSIL | each server sweeps its index part on its own clock, one sweep per index-cache sub-batch; verdicts, each with its sweep's end time, routed back to origins | no exit barrier — each server's clock runs ahead on its own |
+//! | chunk storing | §5.3: each origin **packs** its chunk log into containers on its own clock (`store_workers` worker disks striping each drain), then a canonical-order **commit** assigns container IDs | overlapped twice: each worker disk streams its log span from the end of the sweep that decided it (on the owner's clock) while later sweeps run, and server *i*'s probes and container writes start at its own post-PSIL clock while straggler servers are still sweeping |
 //! | update routing | unregistered `(fp, container)` pairs exchanged to owner parts | barrier after (PSIU needs every origin's updates) |
 //! | PSIU | §5.4: owners merge updates on their own clocks; may be deferred (asynchronous SIU) | barrier after (round commit) |
 //!
@@ -480,7 +480,7 @@ impl DebarCluster {
         let packs: Vec<Result<PackOutput, DebarError>> = self
             .servers
             .iter_mut()
-            .map(BackupServer::pack_chunks)
+            .map(|srv| srv.pack_chunks(t1))
             .collect();
         // A drain fault interrupts the phase before any container commits.
         let mut store_fault = first_fault(&packs);
@@ -2433,5 +2433,146 @@ mod tests {
             assert_eq!((got.bytes, got.chunks), (want.bytes, want.chunks));
             assert_eq!((got.chunks, got.failures), (2000, 0));
         }
+    }
+
+    // ---- The drain behind PSIL: each sweep's log span as it is decided ----
+
+    /// PSIL of a round, by hand and without its exchanges' network time:
+    /// every owner sweeps what the servers submitted to it and its
+    /// verdicts reach their origins' decision maps. Returns the PSIL start
+    /// and each server's verdict times (the ends of its owners' sweeps),
+    /// distinct and ascending.
+    fn psil_by_hand(c: &mut DebarCluster) -> (Secs, Vec<Vec<Secs>>) {
+        let (s, w) = (c.servers.len(), c.cfg.w_bits);
+        let t1 = c.align_clocks();
+        let mut batches = vec![Vec::new(); s];
+        for (i, srv) in c.servers.iter().enumerate() {
+            for &fp in &srv.undetermined {
+                batches[fp.server_number(w) as usize].push((fp, i as ServerId));
+            }
+        }
+        let mut decided = vec![Vec::new(); s];
+        for (owner, batch) in batches.iter().enumerate() {
+            let out = c.servers[owner].sil_on_part(batch, s).expect("sil");
+            c.servers[owner].commit_checking(&out.newly_checking);
+            for (origin, list) in out.verdicts.iter().enumerate() {
+                c.servers[origin].decide(list);
+                decided[origin].extend(list.iter().map(|&(_, _, at)| at));
+            }
+        }
+        for (srv, times) in c.servers.iter_mut().zip(&mut decided) {
+            srv.undetermined = Vec::new();
+            times.sort_by(f64::total_cmp);
+            times.dedup();
+        }
+        (t1, decided)
+    }
+
+    /// A single server whose log holds `n1` new chunks, a run of 200
+    /// duplicates of chunks an earlier round registered — 1.6 MB, far past
+    /// the gap law's ~440 KiB, so the drain seeks over it — and 200 more
+    /// new chunks, each index sweep taking `sweep_fps` fingerprints.
+    /// Returns it with the byte sizes of the two new blocks.
+    fn new_dups_new(n1: u64, sweep_fps: u64) -> (DebarCluster, u64, u64) {
+        let mut c = DebarCluster::new(DebarConfig {
+            cache_bytes: sweep_fps * paper::CACHE_BYTES_PER_FP,
+            ..DebarConfig::tiny_test(0)
+        });
+        let a = c.define_job("a", ClientId(0));
+        let b = c.define_job("b", ClientId(1));
+        c.backup(a, &Dataset::from_records("s", records(5000..5200)))
+            .expect("backup");
+        c.run_dedup2().expect("dedup2");
+        let stream = [0..n1, 5000..5200, 9000..9200].map(records).concat();
+        c.backup(b, &Dataset::from_records("s", stream))
+            .expect("backup");
+        let log = c.servers[0].chunk_log.records();
+        let bytes = |recs: &[crate::chunklog::LogRecord]| -> u64 {
+            recs.iter().map(|r| r.record_bytes()).sum()
+        };
+        let n1 = n1 as usize;
+        assert_eq!(log.len(), n1 + 400, "every chunk of the stream is logged");
+        let (first, last) = (bytes(&log[..n1]), bytes(&log[n1 + 200..]));
+        (c, first, last)
+    }
+
+    /// Server 0's clock after `from`, then one probe per log record: the
+    /// pack's own arithmetic after its drain.
+    fn after_probes(c: &DebarCluster, from: Secs) -> Secs {
+        let probe = paper::cpu().probe_cost(1);
+        let records = c.servers[0].chunk_log.len();
+        (0..records).fold(from, |now, _| now + probe)
+    }
+
+    #[test]
+    fn a_one_sweep_round_drains_from_its_pack_start_as_behind_a_barrier() {
+        // One sweep decides every record at the pack's start, so each
+        // worker's pass is one leg ready then, costed as the unsplit read:
+        // by the lane law (one op on a fresh lane ends at its ready plus
+        // its cost) the drain ends at start + C, the barrier's schedule to
+        // the bit.
+        let (mut c, first, last) = new_dups_new(200, 10_000);
+        let (t1, decided) = psil_by_hand(&mut c);
+        let start = c.servers[0].clock.now();
+        assert_eq!(decided[0], vec![start], "one sweep, ending now");
+        c.servers[0].pack_chunks(t1).expect("pack");
+        let model = paper::log_disk();
+        let seek = model.rand_read_cost(0);
+        let whole = model.seq_read_cost(first + last) + seek;
+        assert_eq!(c.servers[0].clock.now(), after_probes(&c, start + whole));
+    }
+
+    #[test]
+    fn a_two_sweep_round_streams_sweep_one_while_sweep_two_runs() {
+        // 300 fingerprints a sweep: the first sweep decides the first new
+        // block and the head of the duplicate run, the second the rest.
+        // The first block's extent is read from the first sweep's end; the
+        // second block's, one seek further, once the second sweep decided
+        // the duplicates it skips. Reading the first block outlasts the
+        // second sweep, so the drain ends at sweep one's end plus both
+        // legs — ahead of the barrier's start + C.
+        let (mut c, first, last) = new_dups_new(200, 300);
+        let (t1, decided) = psil_by_hand(&mut c);
+        let start = c.servers[0].clock.now();
+        let &[s1, s2] = &decided[0][..] else {
+            panic!("two sweeps, got {:?}", decided[0]);
+        };
+        assert_eq!(s2, start, "the last sweep ends at the pack's start");
+        c.servers[0].pack_chunks(t1).expect("pack");
+        let model = paper::log_disk();
+        let seek = model.rand_read_cost(0);
+        let (leg1, leg2) = (model.seq_read_cost(first), model.seq_read_cost(last) + seek);
+        assert!(s1 + leg1 > s2, "the first leg outlasts the second sweep");
+        let drained = f64::max(s1 + leg1, s2) + leg2;
+        assert_eq!(c.servers[0].clock.now(), after_probes(&c, drained));
+        let barrier = start + model.seq_read_cost(first + last) + seek;
+        assert!(drained < barrier, "{drained} vs {barrier}");
+    }
+
+    #[test]
+    fn a_record_owned_by_a_remote_part_is_not_drained_before_its_owner_swept_it() {
+        // Every chunk server 0 logs belongs to server 1's part. Server 0
+        // sweeps nothing and would pack at the PSIL start; its drain waits
+        // for server 1's sweep, which decides every one of its records.
+        let mut c = cluster(1);
+        let job = c.define_job("j", ClientId(0));
+        let remote: Vec<ChunkRecord> = (records(0..4000).into_iter())
+            .filter(|r| r.fp.server_number(1) == 1)
+            .collect();
+        c.backup(job, &Dataset::from_records("s", remote))
+            .expect("backup");
+        assert!(c.server(0).log_bytes() > 0 && c.server(1).log_bytes() == 0);
+        let (t1, decided) = psil_by_hand(&mut c);
+        let swept = c.servers[1].clock.now();
+        assert_eq!(decided[0], vec![swept], "server 1 decided server 0's log");
+        assert_eq!(c.servers[0].clock.now(), t1, "server 0 swept nothing");
+        assert!(
+            after_probes(&c, t1) < swept,
+            "a barrier-free pack would be done"
+        );
+        let logged = c.server(0).log_bytes();
+        c.servers[0].pack_chunks(t1).expect("pack");
+        let read = paper::log_disk().seq_read_cost(logged);
+        assert_eq!(c.servers[0].clock.now(), after_probes(&c, swept + read));
     }
 }

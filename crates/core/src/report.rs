@@ -133,10 +133,16 @@ pub struct Dedup2Report {
     pub siu_updates: u64,
     /// Wall time of the undetermined-exchange phase.
     pub exchange_wall: Secs,
-    /// Wall time of the PSIL phase.
+    /// Wall time of the PSIL phase: from the exchange's end to the slowest
+    /// server's PSIL end, verdicts routed back to their origins.
     pub sil_wall: Secs,
-    /// Wall time of the chunk-storing phase (pack + commit, measured from
-    /// the slowest server's PSIL completion — overlap already deducted).
+    /// Wall time of the chunk-storing phase (pack + commit), measured from
+    /// the PSIL end. A server's log drain may start before it: each worker
+    /// disk streams the records a SIL sweep decided from that sweep's end
+    /// (`BackupServer::pack_chunks`), so drain time spent under PSIL is in
+    /// neither wall — the phase walls still add up to the round's end
+    /// minus its start ([`Dedup2Report::total_wall`]), and no field counts
+    /// the overlap.
     pub store_wall: Secs,
     /// Wall time of the PSIU phase (zero when deferred).
     pub siu_wall: Secs,

@@ -69,11 +69,15 @@ pub struct SilPartStats {
     pub parts: u32,
 }
 
+/// A verdict and the time it was reached: the end of the SIL sweep that
+/// decided it (or, staged by the backup path, the time it was staged).
+pub type Verdict = (Fingerprint, Decision, Secs);
+
 /// Output of one server's SIL pass: per-origin verdicts plus statistics.
 pub struct SilPartOutput {
     /// `verdicts[origin]` = decisions for the fingerprints `origin`
-    /// submitted to this part.
-    pub verdicts: Vec<Vec<(Fingerprint, Decision)>>,
+    /// submitted to this part, each with the end of the sweep that made it.
+    pub verdicts: Vec<Vec<Verdict>>,
     /// Pass statistics.
     pub stats: SilPartStats,
     /// Fingerprints this pass designated for storage, to be added to the
@@ -156,11 +160,11 @@ pub struct BackupServer {
     pending_updates: Vec<(Fingerprint, ContainerId)>,
     /// Every storage decision this server has been given and has not made
     /// durable: the verdicts of each committed PSIL pass and the `Store`
-    /// decisions inline/hybrid backups staged. The chunk log holds the
-    /// matching records; [`BackupServer::pack_chunks`] reads the map in
-    /// place and only a store commit ([`BackupServer::commit_packed`])
-    /// gives decisions up.
-    decisions: HashMap<Fingerprint, Decision>,
+    /// decisions inline/hybrid backups staged, each beside the time it was
+    /// reached. The chunk log holds the matching records;
+    /// [`BackupServer::pack_chunks`] reads the map in place and only a
+    /// store commit ([`BackupServer::commit_packed`]) gives decisions up.
+    decisions: HashMap<Fingerprint, (Decision, Secs)>,
     /// Store decisions staged by the *backup path* (inline/hybrid dedup)
     /// since the last completed dedup-2 round — the
     /// `Dedup2Report::predetermined_fps` source. Reset only after a round
@@ -328,7 +332,8 @@ impl BackupServer {
     /// just logged: the next chunk-storing pass reads it from the same
     /// decision map PSIL's verdicts land in.
     pub(crate) fn stage_inline_store(&mut self, fp: Fingerprint) {
-        merge_decision(&mut self.decisions, fp, Decision::Store);
+        let now = self.clock.now();
+        merge_decision(&mut self.decisions, fp, Decision::Store, now);
         self.inline_staged += 1;
     }
 
@@ -360,7 +365,9 @@ impl BackupServer {
     /// `(fingerprint, origin)` pairs (PSIL worker, §5.2).
     ///
     /// The batch is processed in index-cache-capacity sub-batches; each
-    /// sub-batch costs one sequential sweep of the index part. Verdicts are
+    /// sub-batch costs one sequential sweep of the index part, and its
+    /// verdicts carry the time that sweep ended on this server's clock —
+    /// when the origins' chunk storing may act on them. Verdicts are
     /// grouped by origin for the result exchange. The checking fingerprint
     /// file suppresses re-stores of chunks whose SIU is still pending, and
     /// the lowest origin is designated storer when several submit the same
@@ -375,7 +382,7 @@ impl BackupServer {
         batch: &[(Fingerprint, ServerId)],
         servers: usize,
     ) -> Result<SilPartOutput, DebarError> {
-        let mut verdicts: Vec<Vec<(Fingerprint, Decision)>> = vec![Vec::new(); servers];
+        let mut verdicts: Vec<Vec<Verdict>> = vec![Vec::new(); servers];
         let mut stats = SilPartStats::default();
         let cache_cap = self.cfg.cache_fps();
         let mut newly_checking: Vec<Fingerprint> = Vec::new();
@@ -393,11 +400,12 @@ impl BackupServer {
                 .try_sequential_lookup_sharded(&mut cache, self.cfg.sweep_parts)
                 .map_err(|e| DebarError::index_fault(self.id, e))?;
             let sil = self.clock.charge(t);
+            let swept = self.clock.now();
             stats.parts = stats.parts.max(sil.parts);
             for node in &sil.duplicates {
                 stats.dup_registered += node.origins.len() as u64;
                 for &origin in &node.origins {
-                    verdicts[origin as usize].push((node.fp, Decision::Skip));
+                    verdicts[origin as usize].push((node.fp, Decision::Skip, swept));
                 }
             }
             for node in cache.drain() {
@@ -406,7 +414,7 @@ impl BackupServer {
                     // is pending.
                     stats.dup_pending += node.origins.len() as u64;
                     for &origin in &node.origins {
-                        verdicts[origin as usize].push((node.fp, Decision::Skip));
+                        verdicts[origin as usize].push((node.fp, Decision::Skip, swept));
                     }
                     continue;
                 }
@@ -423,7 +431,7 @@ impl BackupServer {
                     if origin != storer {
                         stats.dup_pending += 1;
                     }
-                    verdicts[origin as usize].push((node.fp, d));
+                    verdicts[origin as usize].push((node.fp, d, swept));
                 }
             }
         }
@@ -446,9 +454,9 @@ impl BackupServer {
     /// the second a checking-file `Skip`), or already decided in a round
     /// whose store commit faulted — and a `Store` designation is binding:
     /// a later `Skip` never overwrites it.
-    pub(crate) fn decide(&mut self, verdicts: &[(Fingerprint, Decision)]) {
-        for &(fp, d) in verdicts {
-            merge_decision(&mut self.decisions, fp, d);
+    pub(crate) fn decide(&mut self, verdicts: &[Verdict]) {
+        for &(fp, d, at) in verdicts {
+            merge_decision(&mut self.decisions, fp, d, at);
         }
     }
 
@@ -456,32 +464,51 @@ impl BackupServer {
     /// records this pass packs — a `Store` decision on the first
     /// occurrence of its fingerprint — drain the chunk log reading only
     /// those (striped across [`DebarConfig::store_workers`] worker disks,
-    /// each seeking over the duplicate runs of its even share, wall time
-    /// the slowest worker; see `chunklog.rs`), and pack them into SISL
-    /// containers, each recorded with the log position it sealed at.
-    /// Every drained record is processed; those not packed are discarded.
-    /// The log and the decision map are read in place and the repository
-    /// is **not** touched — no container IDs are assigned and no shared
-    /// state is read — so the pack is charged to this server's clock alone
-    /// and, in virtual time, overlaps stragglers still sweeping PSIL.
+    /// each seeking over the duplicate runs of its even share; see
+    /// `chunklog.rs`), and pack them into SISL containers, each recorded
+    /// with the log position it sealed at. Every drained record is
+    /// processed; those not packed are discarded. The log and the decision
+    /// map are read in place and the repository is **not** touched — no
+    /// container IDs are assigned and no shared state is read — so the
+    /// pack is charged to this server's clock alone.
+    ///
+    /// The drain waits for no barrier: each worker disk runs its pass's
+    /// legs in log order on a lane of its own, a leg once the verdicts of
+    /// the records it reaches are in — the end of the SIL sweep that
+    /// decided them, on the owner's clock, or `psil_start` for a record
+    /// decided before the round — so the log streams sweep `j`'s records
+    /// while sweep `j + 1` runs, and no record is read before its owner
+    /// swept it. The clock then moves to the last leg's end (if later)
+    /// and the per-record probes follow. A round whose records one sweep
+    /// decided, ending at this clock's now, drains exactly as it did
+    /// behind a barrier.
     ///
     /// A drain fault (on any single worker disk) surfaces as `Err` with
     /// nothing moved, so the resumed round replays identically.
-    pub fn pack_chunks(&mut self) -> Result<PackOutput, DebarError> {
+    pub fn pack_chunks(&mut self, psil_start: Secs) -> Result<PackOutput, DebarError> {
         // The records this pass packs, decided once: a `Store` decision on
         // the first occurrence of its fingerprint in the log. The drain
         // reads only these, and the pack loop consults nothing else.
         let mut packed: HashSet<Fingerprint> = HashSet::new();
-        let store = |fp: &Fingerprint| matches!(self.decisions.get(fp), Some(Decision::Store));
-        let wanted: Vec<bool> = (self.chunk_log.records().iter())
-            .map(|rec| store(&rec.fp) && packed.insert(rec.fp))
-            .collect();
+        let (wanted, decided): (Vec<bool>, Vec<Secs>) = (self.chunk_log.records().iter())
+            .map(|rec| match self.decisions.get(&rec.fp) {
+                Some(&(d, at)) => {
+                    let keep = d == Decision::Store && packed.insert(rec.fp);
+                    (keep, at.max(psil_start))
+                }
+                None => (false, psil_start),
+            })
+            .unzip();
 
         let start = self.clock.now();
-        let t = self
-            .chunk_log
-            .drain_striped(self.cfg.store_workers, &wanted)?;
-        let records = self.clock.charge(t);
+        let drain = (self.chunk_log).drain_striped(self.cfg.store_workers, &wanted, &decided)?;
+        for legs in &drain.legs {
+            let mut disk = Lane::new();
+            for leg in legs {
+                self.clock.advance_to(disk.run(leg.ready, leg.cost));
+            }
+        }
+        let records = drain.records;
         let mut manager = ContainerManager::new(self.cfg.container_bytes);
         let mut containers: Vec<PackedContainer> = Vec::new();
         for (next, (rec, &keep)) in records.iter().zip(&wanted).enumerate() {
@@ -555,9 +582,9 @@ impl BackupServer {
         // drain read the whole log; ours skips duplicate runs); only
         // the excess stalls. Placement spreads the batch over the nodes,
         // which drain side by side: each write queues on its node's lane
-        // from the start of the drain, so the write path completes when
-        // the most-loaded node does, and adding repository nodes moves the
-        // wall for real.
+        // from the pack's start (this server's post-PSIL clock), so the
+        // write path completes when the most-loaded node does, and adding
+        // repository nodes moves the wall for real.
         let mut nodes = vec![Lane::new(); repo.node_count()];
         let store_path = (batch.writes.iter())
             .map(|&(node, cost)| nodes[node].run(0.0, cost))
@@ -682,14 +709,20 @@ impl BackupServer {
     }
 }
 
-/// Merge one storage decision into a decision map: a `Store` designation
-/// is binding and must never be overwritten by a later `Skip`.
-fn merge_decision(map: &mut HashMap<Fingerprint, Decision>, fp: Fingerprint, d: Decision) {
+/// Merge one storage decision, reached at `at`, into a decision map: a
+/// `Store` designation is binding and must never be overwritten by a
+/// later `Skip`. An entry keeps the time of the decision it holds.
+fn merge_decision(
+    map: &mut HashMap<Fingerprint, (Decision, Secs)>,
+    fp: Fingerprint,
+    d: Decision,
+    at: Secs,
+) {
     map.entry(fp)
         .and_modify(|existing| {
-            if d == Decision::Store {
-                *existing = Decision::Store;
+            if d == Decision::Store && existing.0 != Decision::Store {
+                *existing = (d, at);
             }
         })
-        .or_insert(d);
+        .or_insert((d, at));
 }

@@ -236,12 +236,44 @@ impl SimDisk {
     /// [`SimDisk::seq_read`] to the bit, and none reads nothing in one op.
     pub fn seq_read_extents(&mut self, extents: &[u64]) -> Secs {
         self.tick();
-        let bytes = extents.iter().sum();
-        let seeks = extents.len().saturating_sub(1) as f64;
-        let c = self.model.seq_read_cost(bytes) + seeks * self.model.seek_s;
+        self.pass(extents.iter().sum(), extents.len())
+    }
+
+    /// [`SimDisk::seq_read_extents`] cut into legs: **one** forward pass
+    /// over every leg's extents in order — one op, charged and counted
+    /// exactly as `seq_read_extents` of their concatenation — whose cost
+    /// is reported leg by leg, so a caller can start each leg once its
+    /// input is ready. A leg costs its bytes' sequential read plus one
+    /// positioning per extent in it, the pass's first extent excepted: a
+    /// pass in one leg costs what `seq_read_extents` charges, to the bit,
+    /// and the legs of a cut pass add up to it to within rounding.
+    pub fn seq_read_legs(&mut self, legs: &[Vec<u64>]) -> Vec<Secs> {
+        self.tick();
+        let (mut bytes, mut extents) = (0, 0);
+        let costs = (legs.iter())
+            .map(|leg| {
+                let b = leg.iter().sum();
+                let seeks = leg.len() - usize::from(extents == 0 && !leg.is_empty());
+                (bytes, extents) = (bytes + b, extents + leg.len());
+                self.pass_cost(b, seeks)
+            })
+            .collect();
+        self.pass(bytes, extents);
+        costs
+    }
+
+    /// Account one forward pass reading `bytes` in `extents` extents (its
+    /// op already ticked): one positioning per extent after the first.
+    fn pass(&mut self, bytes: u64, extents: usize) -> Secs {
+        let c = self.pass_cost(bytes, extents.saturating_sub(1));
         self.stats.seq_read_bytes += bytes;
         self.stats.busy_s += c;
         c
+    }
+
+    /// What streaming `bytes` with `seeks` positionings between costs.
+    fn pass_cost(&self, bytes: u64, seeks: usize) -> Secs {
+        self.model.seq_read_cost(bytes) + seeks as f64 * self.model.seek_s
     }
 
     /// Run one **fault-checked** operation: collect a pending fault first
@@ -338,6 +370,38 @@ mod tests {
         let mut idle = disk();
         assert_eq!(idle.seq_read_extents(&[]), 0.0);
         assert_eq!((idle.ops(), idle.stats().seq_read_bytes), (1, 0));
+    }
+
+    #[test]
+    fn a_pass_cut_into_legs_is_the_same_op_reported_leg_by_leg() {
+        let extents = [1000, 300_000, 0, 42, 77_777];
+        let mut whole = disk();
+        let cost = whole.seq_read_extents(&extents);
+        let m = whole.model();
+        // One leg: the pass's own cost, to the bit.
+        let mut one = disk();
+        assert_eq!(one.seq_read_legs(&[extents.to_vec()]), vec![cost]);
+        assert_eq!((one.ops(), one.stats()), (whole.ops(), whole.stats()));
+        // Cut anywhere: the same op and statistics, and each later leg
+        // pays a positioning for every extent it starts.
+        for cut in 0..=extents.len() {
+            let legs = [extents[..cut].to_vec(), extents[cut..].to_vec()];
+            let mut d = disk();
+            let got = d.seq_read_legs(&legs);
+            assert_eq!(
+                (d.ops(), d.stats()),
+                (whole.ops(), whole.stats()),
+                "cut {cut}"
+            );
+            let tail: u64 = extents[cut..].iter().sum();
+            let later_seeks = (extents.len() - cut) - usize::from(cut == 0);
+            let tail_cost = m.seq_read_cost(tail) + later_seeks as f64 * m.seek_s;
+            assert_eq!(got[1], tail_cost, "cut {cut}");
+            assert!((got[0] + got[1] - cost).abs() < 1e-15, "cut {cut}");
+        }
+        let mut idle = disk();
+        assert_eq!(idle.seq_read_legs(&[]), Vec::<Secs>::new());
+        assert_eq!((idle.ops(), idle.stats().busy_s), (1, 0.0));
     }
 
     #[test]

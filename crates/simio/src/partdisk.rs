@@ -140,19 +140,21 @@ impl PartDiskSet {
             .fold(0.0, f64::max)
     }
 
-    /// One striped **skipping** read: resize to `extents.len()` parts and
-    /// charge each part-disk one [`SimDisk::seq_read_extents`] over its own
-    /// extents (one op per engaged part, even with none to read); returns
-    /// the max over per-part completion times. A part whose extents are
-    /// its whole share costs what [`PartDiskSet::seq_read_split`] charges
-    /// it, to the bit.
-    pub fn seq_read_extents_split(&mut self, extents: &[Vec<u64>]) -> Secs {
-        self.resize(extents.len());
+    /// One striped **skipping** read, each part's pass cut into legs:
+    /// resize to `parts.len()` parts and charge each part-disk one
+    /// [`SimDisk::seq_read_legs`] over its own legs of extents (one op per
+    /// engaged part, even with none to read); returns each part's leg
+    /// costs in order. No wall time is folded here: the caller runs the
+    /// legs on a lane per part. A part read in one leg of one extent, its
+    /// whole share, costs what [`PartDiskSet::seq_read_split`] charges it,
+    /// to the bit.
+    pub fn seq_read_legs(&mut self, parts: &[Vec<Vec<u64>>]) -> Vec<Vec<Secs>> {
+        self.resize(parts.len());
         self.disks
             .iter_mut()
-            .zip(extents)
-            .map(|(d, e)| d.seq_read_extents(e))
-            .fold(0.0, f64::max)
+            .zip(parts)
+            .map(|(d, legs)| d.seq_read_legs(legs))
+            .collect()
     }
 
     /// One striped **write** sweep (see [`PartDiskSet::seq_read_split`]).
