@@ -279,16 +279,21 @@ impl DebarCluster {
     /// [`DebarCluster::scale_out`] — it requires every server to be
     /// quiesced and refuses with the typed [`DebarError::NotQuiesced`]
     /// otherwise (finish the round with `run_dedup2` + `force_siu`).
-    /// Maintenance I/O runs in the background: every leg goes on its
+    /// Maintenance I/O runs in the background: every read goes on its
     /// node's lane at the scrub's start — no read waits for another's data
-    /// — and the returned cost is when the last node falls idle, charged
-    /// to no backup server's clock.
+    /// — a recopy's write on its node's lane once its source read has
+    /// ended, and the returned cost is when the last node falls idle,
+    /// charged to no backup server's clock.
     pub fn scrub(&mut self) -> DebarResult<Timed<debar_store::ScrubReport>> {
         self.ensure_quiesced()?;
         let (report, legs) = self.repo.scrub_all();
         let mut nodes = vec![Lane::new(); self.repo.node_count()];
-        for (node, cost) in legs {
-            nodes[node].run(0.0, cost);
+        for leg in legs {
+            let (node, cost) = leg.read;
+            let read = nodes[node].run(0.0, cost);
+            if let Some((node, cost)) = leg.write {
+                nodes[node].run(read, cost);
+            }
         }
         Ok(Timed::new(report, last_idle(&nodes)))
     }
@@ -2574,5 +2579,44 @@ mod tests {
         c.servers[0].pack_chunks(t1).expect("pack");
         let read = paper::log_disk().seq_read_cost(logged);
         assert_eq!(c.servers[0].clock.now(), after_probes(&c, swept + read));
+    }
+
+    #[test]
+    fn a_recopy_writes_once_its_source_read_has_ended() {
+        // R = 2 on two nodes, one container, one copy damaged: the scrub
+        // verifies both copies, reads the clean one again as the recopy's
+        // source and writes the damaged one. The write waits for its
+        // source read, so the clean node's two reads and the write run
+        // back to back: the scrub's wall is read + read + write.
+        let mut c = DebarCluster::new(DebarConfig {
+            repo_nodes: 2,
+            replication: 2,
+            ..DebarConfig::tiny_test(0)
+        });
+        let job = c.define_job("j", ClientId(0));
+        c.backup(job, &Dataset::from_records("s", records(0..50)))
+            .expect("backup");
+        c.run_dedup2().expect("dedup2");
+        assert_eq!(c.repository().stats().containers, 1);
+        let stats = |c: &DebarCluster| -> Vec<debar_simio::DiskStats> {
+            (c.repository().nodes().iter())
+                .map(|n| n.disk_stats())
+                .collect()
+        };
+        let before = stats(&c);
+        c.set_damage(ContainerId::new(0), Some(Damage::BitFlip))
+            .expect("stored");
+        let scrub = c.scrub().expect("quiesced");
+        assert_eq!((scrub.value.corrupt_found, scrub.value.repaired), (1, 1));
+        let after = stats(&c);
+        let delta = |n: usize, f: fn(&debar_simio::DiskStats) -> u64| f(&after[n]) - f(&before[n]);
+        let written: Vec<u64> = (0..2).map(|n| delta(n, |s| s.seq_write_bytes)).collect();
+        let damaged = written.iter().position(|&w| w > 0).expect("a recopy wrote");
+        let image = delta(1 - damaged, |s| s.rand_read_bytes) / 2;
+        assert_eq!(delta(damaged, |s| s.rand_read_bytes), image);
+        let disk = paper::repo_disk();
+        let read = disk.rand_read_cost(image);
+        let write = disk.seq_write_cost(written[damaged]);
+        assert_eq!(scrub.cost, read + read + write);
     }
 }

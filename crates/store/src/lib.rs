@@ -42,5 +42,5 @@ pub use lpc::{LpcCache, LpcStats};
 pub use manager::ContainerManager;
 pub use repository::{
     wanted_extents, BatchAppend, ChunkRepository, Health, HealthPolicy, NodeRead, ReadLegs,
-    Reclaimed, RepairReport, RepoStats, ScrubReport, ServedLeg, StorageNode,
+    Reclaimed, RepairReport, RepoStats, ScrubLeg, ScrubReport, ServedLeg, StorageNode,
 };

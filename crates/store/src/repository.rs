@@ -39,10 +39,11 @@
 //! what** and never a duration: a read's legs ([`NodeRead::legs`]: failed
 //! attempts in failover order, the serving read, read-repair writes), a
 //! store's ([`BatchAppend::writes`]), a delete's
-//! ([`Reclaimed::node_costs`]), a scrub's ([`ChunkRepository::scrub_all`]).
-//! The caller puts each leg on its node's [`Lane`] — a read's one after
-//! the other ([`ReadLegs::run_on`]), independent writes side by side — so
-//! node time adds up in one place, and two nodes work at once.
+//! ([`Reclaimed::node_costs`]), a scrub's ([`ScrubLeg`]: a read, and for
+//! a recopy the write it feeds). The caller puts each leg on its node's
+//! [`Lane`] — a read's one after the other ([`ReadLegs::run_on`]), a
+//! recopy's write after its source read, independent I/O side by side —
+//! so node time adds up in one place, and two nodes work at once.
 //!
 //! **One failover core, three reads.** [`ChunkRepository::read`] (the
 //! paper's whole container in one I/O, verified against its checksum
@@ -114,8 +115,9 @@
 //!   cluster-wide background pass that reads every container copy on
 //!   every up node, verifies the v2 checksum trailer, and re-replicates
 //!   corrupt or missing copies from clean survivors ([`ScrubReport`]
-//!   accounts every copy; every read and recopy comes back as a
-//!   `(node, cost)` leg for the caller's lanes). Independently, any
+//!   accounts every copy; every read, and every recopy as its source
+//!   read and the write it feeds, comes back as a [`ScrubLeg`] for the
+//!   caller's lanes). Independently, any
 //!   failover read that detected a corrupt copy *read-repairs* it inline
 //!   from the clean copy it returns ([`RepoStats::read_repairs`]).
 //!
@@ -420,6 +422,17 @@ pub struct RepairReport {
     pub scanned: u64,
     /// Copies re-replicated onto the node from surviving healthy sources.
     pub recopied: u64,
+}
+
+/// One read a [`ChunkRepository::scrub_all`] pass charged, `(node, cost)`
+/// — and, when it is a recopy's source read, the write `(node, cost)` of
+/// the copy it feeds, which cannot start before the read has ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScrubLeg {
+    /// The read: a copy verified, or a recopy's clean source.
+    pub read: (usize, Secs),
+    /// The recopy's write onto the damaged or missing copy's node.
+    pub write: Option<(usize, Secs)>,
 }
 
 /// Outcome of a cluster-wide [`ChunkRepository::scrub_all`] pass.
@@ -1455,15 +1468,16 @@ impl ChunkRepository {
     /// The scrub is background maintenance like
     /// [`ChunkRepository::repair_node`]: it charges real read/write I/O
     /// per node but consumes no armed fault plans and does not change
-    /// node health. Beside the report it returns the `(node, cost)` of
-    /// every verifying read and every recopy's source read and write, in
-    /// charge order; none waits for another's data, so a caller that puts
-    /// them on per-node lanes at one start sees the nodes scrub side by
-    /// side. Down nodes are skipped entirely — their copies are
+    /// node health. Beside the report it returns a [`ScrubLeg`] for every
+    /// verifying read and every recopy, in charge order: the verifying
+    /// reads wait for no one's data, so a caller that puts them on
+    /// per-node lanes at one start sees the nodes scrub side by side,
+    /// while a recopy's write waits for its source read to end. Down nodes
+    /// are skipped entirely — their copies are
     /// [`ChunkRepository::repair_node`]'s job at revive time.
-    pub fn scrub_all(&mut self) -> (ScrubReport, Vec<(usize, Secs)>) {
+    pub fn scrub_all(&mut self) -> (ScrubReport, Vec<ScrubLeg>) {
         let mut report = ScrubReport::default();
-        let mut legs: Vec<(usize, Secs)> = Vec::new();
+        let mut legs: Vec<ScrubLeg> = Vec::new();
         for cid in self.container_ids() {
             let raw = cid.raw();
             // Verify every resident copy on every up node: one whole read
@@ -1479,7 +1493,8 @@ impl ChunkRepository {
                 .collect();
             let mut bad: Vec<usize> = Vec::new();
             for (node, image) in holders {
-                legs.push((node, self.nodes[node].disk.rand_read(image)));
+                let read = (node, self.nodes[node].disk.rand_read(image));
+                legs.push(ScrubLeg { read, write: None });
                 report.copies_checked += 1;
                 if self.check_copy(node, cid, Fetch::Whole).is_err() {
                     report.corrupt_found += 1;
@@ -1495,7 +1510,8 @@ impl ChunkRepository {
                     continue;
                 };
                 if let Some((read, write)) = self.recopy(raw, src, node) {
-                    legs.extend([(src, read), (node, write)]);
+                    let (read, write) = ((src, read), Some((node, write)));
+                    legs.push(ScrubLeg { read, write });
                     report.repaired += 1;
                 }
             }
@@ -1509,7 +1525,8 @@ impl ChunkRepository {
                     continue;
                 };
                 if let Some((read, write)) = self.recopy(raw, src, node) {
-                    legs.extend([(src, read), (node, write)]);
+                    let (read, write) = ((src, read), Some((node, write)));
+                    legs.push(ScrubLeg { read, write });
                     report.repaired += 1;
                 }
             }
@@ -1765,13 +1782,20 @@ mod tests {
         // both copies of the full one.
         let (small, slot) = (disk.rand_read_cost(image), disk.rand_read_cost(1 << 20));
         let write = disk.seq_write_cost(1 << 20);
+        let read = |node, cost| ScrubLeg {
+            read: (node, cost),
+            write: None,
+        };
+        let recopy = ScrubLeg {
+            read: (1, small),
+            write: Some((0, write)),
+        };
         let expected = [
-            (0, small),
-            (1, small),
-            (1, small),
-            (0, write),
-            (0, slot),
-            (1, slot),
+            read(0, small),
+            read(1, small),
+            recopy,
+            read(0, slot),
+            read(1, slot),
         ];
         assert_eq!(legs, expected);
 
@@ -2699,11 +2723,9 @@ mod tests {
         assert_eq!(report.corrupt_found, 2);
         assert_eq!(report.repaired, 2, "100% of corrupt copies repaired");
         assert_eq!(report.unrecoverable, 0);
-        assert_eq!(
-            legs.len(),
-            8 + 2 * 2,
-            "a read per copy, a read and a write per repair"
-        );
+        assert_eq!(legs.len(), 8 + 2, "a read per copy, a recopy per repair");
+        let recopies = legs.iter().filter(|leg| leg.write.is_some()).count();
+        assert_eq!(recopies, 2, "each repair's write follows its read");
         assert!(r.under_replicated().is_empty());
         for &id in &ids {
             assert!(r.read(id).value.expect("clean").is_some());
