@@ -333,18 +333,15 @@ impl ChunkLog {
             let keep = wanted.get(i).copied().unwrap_or(false);
             let at = decided.get(i).copied().unwrap_or(0.0);
             let mut from = offset;
-            loop {
-                while share_end(share) <= from && share + 1 < w {
+            while from < end {
+                while share_end(share) <= from {
                     // A new share: its pass knows nothing of the last.
                     (share, known) = (share + 1, 0.0);
                 }
                 known = f64::max(known, at);
                 let upto = end.min(share_end(share));
-                if keep && from < upto {
+                if keep {
                     shares[share as usize].push((from..upto, known));
-                }
-                if upto >= end || share + 1 == w {
-                    break;
                 }
                 from = upto;
             }

@@ -21,11 +21,12 @@
 //!   it is appended to the chunk log undetermined: paid a second time as
 //!   dedup-2 backlog. The paper's out-of-line dedup-1 is that loop at
 //!   budget 0, not a second implementation (see *Deduplication modes*).
-//!   Chunk storing then reads back only what it keeps: PSIL has decided
-//!   every logged record before the drain starts, so the drain reads the
-//!   records it will pack and seeks over the duplicate runs between them
-//!   by the same gap law a ranged container read uses ([`chunklog`]; a log
-//!   with nothing to skip is the paper's whole-log sequential drain);
+//!   Chunk storing then reads back only what it keeps: the drain reads
+//!   the records it will pack and seeks over the duplicate runs between
+//!   them by the same gap law a ranged container read uses ([`chunklog`];
+//!   a log with nothing to skip is the paper's whole-log sequential
+//!   drain), each extent once the PSIL sweeps that decided its records
+//!   have ended, while later sweeps still run;
 //! * the **chunk repository** (from `debar-store`) — the global container
 //!   pool (§3.4);
 //! * the **cluster** ([`cluster`]) — the two-phase de-duplication scheme

@@ -124,9 +124,9 @@ pub struct PackOutput {
     wanted: Vec<bool>,
     /// Containers in seal order (SISL stream order across the pass).
     containers: Vec<PackedContainer>,
-    /// Virtual seconds the pack charged to this server's clock (log
-    /// drain plus per-record probes) — the pipeline depth container
-    /// writes hide behind.
+    /// Virtual seconds the pack charged to this server's clock (what of
+    /// the log drain ran past the pack's start, plus per-record probes) —
+    /// the pipeline depth container writes hide behind.
     produced: Secs,
 }
 
