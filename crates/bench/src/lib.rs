@@ -18,7 +18,6 @@
 //! | `ablation_async_siu`, `ablation_bucket_size`, `ablation_sisl_lpc` | design-choice ablations |
 //! | `fig_multipart` | §5.2 multi-part index analysis: sweep time & throughput vs parts (`BENCH_multipart.json`) |
 //! | `ablation_prelim_filter` | §5.1 job chains on/off, and what the filter catches vs version ÷ capacity (`BENCH_filter.json`) |
-//! | `fig_modes` | out-of-line vs inline vs hybrid dedup-1 (`BENCH_modes.json`) |
 //! | `fig_restore` | restore decay over 30 generations of the paper's layout (`BENCH_restore.json`) |
 //! | `fig_gc` | retention expiry and garbage collection (`BENCH_gc.json`) |
 //! | `fig_chaos` | what retry/backoff and scrub-repair cost (`BENCH_chaos.json`) |
@@ -27,7 +26,7 @@
 //! `n` is its scale denominator (its runs per bucket size for `table2` and
 //! `ablation_bucket_size`; see the `ScaleModel` docs for why MB/s-shaped
 //! results are scale-invariant) and `--smoke` is the cheap scale at which
-//! CI runs all of them. The nine that name a `BENCH_*.json` declare those
+//! CI runs all of them. The eight that name a `BENCH_*.json` declare those
 //! rows once, in a [`table::Table`] that renders as the text on stdout and
 //! as the file's JSON, and write it through [`write_bench_json`]: CI holds
 //! the files to their committed bytes.

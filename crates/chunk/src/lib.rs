@@ -6,6 +6,8 @@
 //! on chunk sizes, exactly as the paper configures it (expected chunk size
 //! 8 KB).
 
+#![forbid(unsafe_code)]
+
 pub mod cdc;
 pub mod span;
 

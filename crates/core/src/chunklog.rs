@@ -4,14 +4,9 @@
 //! are "temporarily appended to a local on-disk chunk log" as
 //! `<F, D(F)>` groups; phase II drains it for chunk storing (§5.3).
 //!
-//! What the log carries depends on [`crate::DedupMode`]: under
-//! `OutOfLine` (the paper) every filter survivor is appended with its
-//! fingerprint still *undetermined* — duplicates included — and the
-//! sweep discards them at drain time; under `Inline` only chunks the
-//! backup path already determined **new** are appended (their storage
-//! decision is staged in the server's decision map, so nothing drained
-//! is discarded); under `Hybrid` the log holds both record kinds — the
-//! budget-resolved new chunks and the cold undetermined remainder.
+//! Every filter survivor is appended with its fingerprint still
+//! *undetermined* — duplicates included — and chunk storing discards the
+//! duplicates at drain time, once PSIL has decided them.
 //!
 //! # What a drain reads
 //!
@@ -28,9 +23,9 @@
 //! `debar_simio::SimDisk::seq_read_extents`.
 //!
 //! The paper's "its sustained read rate (224 MB/s) bounds chunk storing"
-//! is the case where every record is wanted — an inline-mode log, a first
-//! backup, a log with no duplicate in it: that drain costs the whole-log
-//! sequential read, to the bit. Skipping moves disk time only. Every
+//! is the case where every record is wanted — a first backup, a log with
+//! no duplicate in it: that drain costs the whole-log sequential read, to
+//! the bit. Skipping moves disk time only. Every
 //! record still comes back in log order and the pack processes each one.
 //!
 //! # When a drain reads

@@ -1,11 +1,9 @@
 //! The DEBAR cluster: TPDS orchestration across `2^w` backup servers
 //! (paper §2, §5).
 //!
-//! Dedup-1 is `backup.rs`: one loop for every [`crate::DedupMode`], run
-//! here rather than on a [`BackupServer`] because its inline rungs reach
-//! other servers' index parts and checking files; out-of-line is that loop
-//! with no probe budget. The rest of this file is dedup-2 and cluster
-//! administration.
+//! Dedup-1 is `backup.rs`: the cluster assigns a server and records the
+//! run, and the one filter → chunk-log loop runs on that server alone.
+//! The rest of this file is dedup-2 and cluster administration.
 //!
 //! Dedup-2 follows the paper's Fig. 5 phases, but the phases are a
 //! **pipeline**, not a lockstep of barriers. The cluster's parallelism is
@@ -380,9 +378,8 @@ impl DebarCluster {
     ///    durable (everything, on a clean batch), and its store totals
     ///    join the round's. No server commits after a drain fault or a
     ///    sibling's store fault.
-    /// 3. **The round**, after PSIU ran or was deferred: the round number,
-    ///    the inline-staged counters and the round's store totals, which
-    ///    the report takes.
+    /// 3. **The round**, after PSIU ran or was deferred: the round number
+    ///    and the round's store totals, which the report takes.
     ///
     /// An injected fault surfaces as [`DebarError::InterruptedDedup2`]
     /// (PSIL or chunk storing) or [`DebarError::PartialSiu`] (PSIU). What a
@@ -395,11 +392,6 @@ impl DebarCluster {
         let (round, run_siu) = self.director.peek_dedup2();
         let s = self.servers.len();
         let w = self.cfg.w_bits;
-        // Decisions the backup path already resolved (inline/hybrid dedup):
-        // they are staged in the decision maps, bypassing PSIL. Counted
-        // before the round so a faulted attempt reports them again on the
-        // resume; the counters reset only at the round's commit.
-        let predetermined_fps: u64 = self.servers.iter().map(BackupServer::inline_staged).sum();
         let t0 = self.align_clocks();
 
         // ---- Phase 1: partition undetermined fingerprints, exchange. ----
@@ -551,14 +543,10 @@ impl DebarCluster {
         let t4 = self.align_clocks();
         // The round's commit.
         self.director.commit_dedup2();
-        for srv in &mut self.servers {
-            srv.reset_inline_staged();
-        }
 
         Ok(Dedup2Report {
             round,
             submitted_fps,
-            predetermined_fps,
             dup_registered,
             dup_pending,
             new_fps,
@@ -777,29 +765,6 @@ fn first_fault<T>(results: &[DebarResult<T>]) -> Option<(ServerId, DebarError)> 
         .iter()
         .enumerate()
         .find_map(|(i, r)| r.as_ref().err().map(|e| (i as ServerId, e.clone())))
-}
-
-/// Random index lookup on `owner`'s part, as the requesting server `sid`
-/// waits for it: the returned cost is the owner's index-disk read plus,
-/// when the owner is remote, the request and the reply — one 64-byte
-/// message each way. The devices tick here (the owner's index disk; for
-/// a remote owner also both NICs and the owner's clock, busy serving);
-/// the caller charges the returned cost to its own timeline.
-fn lookup_with_owner(
-    servers: &mut [BackupServer],
-    sid: usize,
-    owner: usize,
-    fp: &Fingerprint,
-) -> Timed<Option<ContainerId>> {
-    if sid == owner {
-        return servers[sid].index_mut().lookup_random(fp);
-    }
-    let request = servers[sid].nic.message(64);
-    let srv = &mut servers[owner];
-    let found = srv.index_mut().lookup_random(fp);
-    let reply = srv.nic.message(64);
-    srv.clock.advance(found.cost + reply);
-    found.plus(request + reply)
 }
 
 #[cfg(test)]

@@ -1,5 +1,11 @@
 //! Cluster configuration.
 //!
+//! Every field sizes or places a device, a cache or a policy; none picks
+//! an algorithm. In particular *when* duplicates are detected is not
+//! configurable: dedup-1 is always the paper's out-of-line filter →
+//! chunk-log loop, and the inline baseline the paper compares against is
+//! the separate `debar-ddfs` crate.
+//!
 //! # The striped multi-part index (`sweep_parts`)
 //!
 //! Paper §5.2 sizes SIL so "the lookup time is only related to the disk
@@ -41,68 +47,6 @@ use debar_index::IndexParams;
 use debar_simio::{RetryPolicy, ScaleModel};
 use debar_store::HealthPolicy;
 use serde::{Deserialize, Serialize};
-
-/// *When* duplicate detection happens (the inline/out-of-line trade of
-/// Li et al., *Efficient Hybrid Inline and Out-of-line Deduplication for
-/// Backup Storage*).
-///
-/// DEBAR's two-phase design (paper §5) is pure **out-of-line**: the backup
-/// path only consults the in-memory preliminary filter, logs every
-/// undetermined chunk, and defers the authoritative disk-index lookup to
-/// the dedup-2 sweep. The DDFS baseline (`crates/ddfs`) is pure **inline**:
-/// every chunk is resolved against the on-disk index at ingest. Li et al.
-/// (PAPERS.md) show a *hybrid* — inline dedup against a bounded hot
-/// window, out-of-line sweep for the cold remainder — wins on both disk
-/// traffic and backup latency. This axis makes the choice first-class.
-///
-/// Restore bytes are identical across modes (content addressing doesn't
-/// care when a duplicate was detected); what moves is the backup clock,
-/// the backup-path random index reads, and the dedup-2 backlog (chunk-log
-/// bytes + undetermined fingerprints).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DedupMode {
-    /// The paper's behavior (default everywhere): the backup path never
-    /// touches the disk index; every filter-missed chunk is logged and its
-    /// fingerprint joins the undetermined set for the dedup-2 sweep.
-    OutOfLine,
-    /// DDFS-style: every filter-missed fingerprint is resolved at backup
-    /// time — LPC first, then a random disk-index probe with
-    /// container-fingerprint prefetch on hit. Nothing is left undetermined;
-    /// dedup-2 only stores the chunks already known new. Slowest backup
-    /// path (random reads on ingest), no backlog.
-    Inline,
-    /// Li-et-al-style bounded inline window: each backup run may spend at
-    /// most `window` random index probes on filter-missed fingerprints
-    /// (hits prefetch their container into the LPC, widening the hot
-    /// window for free); the cold remainder falls back to the out-of-line
-    /// path. `window = 0` is rejected by validation — that spelling is
-    /// [`DedupMode::OutOfLine`]. Like `store_workers`, the budget is not a
-    /// geometry: any positive value validates, no clamping rule.
-    Hybrid {
-        /// Random index-probe budget per backup run. Larger = closer to
-        /// inline (smaller backlog, slower ingest); smaller = closer to
-        /// out-of-line.
-        window: u32,
-    },
-}
-
-impl DedupMode {
-    /// True when the backup path resolves at least some fingerprints
-    /// against the disk index (inline or hybrid).
-    pub fn is_inline(&self) -> bool {
-        !matches!(self, DedupMode::OutOfLine)
-    }
-
-    /// The per-run random index-probe budget: `None` = unlimited (pure
-    /// inline), `Some(0)` = never probe (pure out-of-line).
-    pub fn probe_budget(&self) -> Option<u64> {
-        match self {
-            DedupMode::OutOfLine => Some(0),
-            DedupMode::Inline => None,
-            DedupMode::Hybrid { window } => Some(*window as u64),
-        }
-    }
-}
 
 /// Configuration of a DEBAR deployment.
 ///
@@ -173,13 +117,6 @@ pub struct DebarConfig {
     /// expiry (nothing auto-expires; explicit `delete_run` still works on
     /// any run) and is the default everywhere.
     pub retention: u32,
-    /// When duplicate detection happens: [`DedupMode::OutOfLine`] (the
-    /// paper's behavior, default everywhere), [`DedupMode::Inline`]
-    /// (DDFS-style resolve-at-ingest), or [`DedupMode::Hybrid`] (bounded
-    /// inline window, cold remainder out-of-line). Restore bytes are
-    /// identical across modes; backup latency and dedup-2 backlog trade
-    /// against each other.
-    pub dedup_mode: DedupMode,
     /// Retry policy for repository-node I/O: each fault-checked read or
     /// write may take up to `max_attempts` total tries, charging
     /// `backoff_cost` seconds of simulated time to the failing node's disk
@@ -221,7 +158,6 @@ impl DebarConfig {
             sweep_parts: 1,
             store_workers: 1,
             retention: 0,
-            dedup_mode: DedupMode::OutOfLine,
             retry: RetryPolicy::none(),
             health: HealthPolicy::default(),
             seed: 0xDEBA_0001,
@@ -306,14 +242,6 @@ impl DebarConfig {
     /// retention-driven expiry).
     pub fn with_retention(mut self, retention: u32) -> Self {
         self.retention = retention;
-        self
-    }
-
-    /// Builder: select when duplicate detection happens (see the
-    /// `dedup_mode` field; `validate` rejects a hybrid window of 0
-    /// probes — that spelling is [`DedupMode::OutOfLine`]).
-    pub fn with_dedup_mode(mut self, mode: DedupMode) -> Self {
-        self.dedup_mode = mode;
         self
     }
 
@@ -450,13 +378,6 @@ impl DebarConfig {
                 "chunk storing needs at least one store worker".into(),
             ));
         }
-        if let DedupMode::Hybrid { window: 0 } = self.dedup_mode {
-            return Err(geometry(
-                "hybrid dedup needs a positive inline probe window \
-                 (window >= 1); a zero window is spelled DedupMode::OutOfLine"
-                    .into(),
-            ));
-        }
         if self.retry.max_attempts == 0 {
             return Err(geometry(
                 "retry policy needs at least 1 attempt (1 = fail-fast)".into(),
@@ -589,8 +510,6 @@ mod tests {
         assert!(r.contains("replication"), "{r}");
         let r = geom(base.with_replication(3)); // tiny_test has 2 repo nodes
         assert!(r.contains("distinct nodes"), "{r}");
-        let r = geom(base.with_dedup_mode(DedupMode::Hybrid { window: 0 }));
-        assert!(r.contains("probe window"), "{r}");
         let r = geom(DebarConfig {
             filter_bytes: debar_filter::NODE_BYTES - 1,
             ..base
@@ -607,29 +526,6 @@ mod tests {
         assert!(r.contains("backoff"), "{r}");
         let r = geom(base.with_health(HealthPolicy::new(5, 2)));
         assert!(r.contains("out of order"), "{r}");
-    }
-
-    #[test]
-    fn dedup_mode_defaults_to_out_of_line_and_others_validate() {
-        for cfg in [
-            DebarConfig::single_server_scaled(1024),
-            DebarConfig::cluster_scaled(2, 32 << 30, 1024),
-            DebarConfig::tiny_test(0),
-        ] {
-            assert_eq!(cfg.dedup_mode, DedupMode::OutOfLine);
-            assert!(!cfg.dedup_mode.is_inline());
-            assert_eq!(cfg.dedup_mode.probe_budget(), Some(0));
-        }
-        let inline = DebarConfig::tiny_test(0).with_dedup_mode(DedupMode::Inline);
-        inline.validate().expect("valid");
-        assert!(inline.dedup_mode.is_inline());
-        assert_eq!(inline.dedup_mode.probe_budget(), None);
-        // Like store_workers: any positive window validates, no upper clamp.
-        for w in [1u32, 7, 100_000] {
-            let hybrid = DebarConfig::tiny_test(0).with_dedup_mode(DedupMode::Hybrid { window: w });
-            hybrid.validate().expect("valid");
-            assert_eq!(hybrid.dedup_mode.probe_budget(), Some(w as u64));
-        }
     }
 
     #[test]

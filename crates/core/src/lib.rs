@@ -10,17 +10,12 @@
 //! * **backup servers** ([`server`]) — the File Store (de-duplication
 //!   phase I: preliminary filtering + chunk log) and the Chunk Store
 //!   (phase II: SIL, chunk storing, SIU) (§3.3, §5). Dedup-1 is **one
-//!   loop** (in [`cluster`], because its inline rungs reach other
-//!   servers' index parts). It hands the preliminary filter the previous
-//!   run's fingerprints whole and in stream order: they are a file the
-//!   filter streams past the backup's position, so a job larger than the
-//!   filter's memory is filtered like one that fits
-//!   (`debar_filter::prelim`). What the filter misses walks down a ladder
-//!   — LPC, owner checking file, random index probe — as far as the
-//!   mode's probe budget ([`DedupMode::probe_budget`]) reaches, and past
-//!   it is appended to the chunk log undetermined: paid a second time as
-//!   dedup-2 backlog. The paper's out-of-line dedup-1 is that loop at
-//!   budget 0, not a second implementation (see *Deduplication modes*).
+//!   loop** on the assigned server. It hands the preliminary filter the
+//!   previous run's fingerprints whole and in stream order: they are a
+//!   file the filter streams past the backup's position, so a job larger
+//!   than the filter's memory is filtered like one that fits
+//!   (`debar_filter::prelim`). What the filter misses is appended to the
+//!   chunk log undetermined, for dedup-2 (see *Out-of-line dedup-1*).
 //!   Chunk storing then reads back only what it keeps: the drain reads
 //!   the records it will pack and seeks over the duplicate runs between
 //!   them by the same gap law a ranged container read uses ([`chunklog`];
@@ -58,8 +53,8 @@
 //!   whose part/worker 0 is its volume: no device is charged twice.
 //! * **Persisted corruption**: containers are serialized with a versioned
 //!   magic byte and a SHA-1 checksum trailer; torn writes and bit rot are
-//!   *detected* on every read path — restore, verify, LPC prefetch and
-//!   the §4.1 recovery rebuild — as [`DebarError::CorruptContainer`],
+//!   *detected* on every read path — restore, verify, scrub and the
+//!   §4.1 recovery rebuild — as [`DebarError::CorruptContainer`],
 //!   never silently read. A restore that reads *ranges* of a container
 //!   (below) verifies what it reads — header, metadata section, every
 //!   chunk it delivers against its fingerprint — and cannot see damage
@@ -116,8 +111,8 @@
 //! * **Failover reads.** A read whose preferred copy is on a downed node
 //!   ([`DebarCluster::set_repo_node_down`]), hits an injected `Fail`
 //!   fault, or fails its checksum trailer is transparently retried on the
-//!   surviving replicas — on every read path (restore, verify, LPC
-//!   prefetch, recovery rebuild). Degraded reads are counted in
+//!   surviving replicas — on every read path (restore, verify,
+//!   recovery rebuild). Degraded reads are counted in
 //!   `debar_store::RepoStats::failover_reads` and surfaced per restore in
 //!   [`RestoreReport::failover_reads`].
 //! * **Typed node errors.** A fault on a repository node's disk names the
@@ -268,12 +263,12 @@
 //! stream once it is full. Which entries a full cache gives up is the
 //! walk's own choice, because it holds the whole recipe: of the residents
 //! already sent, the one the rest of the recipe needs last (never again
-//! first; the paper's LRU is the same rule knowing nothing, and is what a
-//! backup's prefetch gets), again until the fetch fits. And *what* a miss
-//! reads is the walk's choice too, once a miss has found the cache full
-//! and it has started reading its recipe: the container's metadata
-//! section, then only the extents holding chunks the rest of the recipe
-//! still needs and no resident answers for
+//! first; the paper's LRU is the same rule knowing nothing, and is what
+//! `debar-ddfs`' backup prefetch gets), again until the fetch fits. And
+//! *what* a miss reads is the walk's choice too, once a miss has found
+//! the cache full and it has started reading its recipe: the container's
+//! metadata section, then only the extents holding chunks the rest of the
+//! recipe still needs and no resident answers for
 //! (`ChunkRepository::read_chunks`; a gap between two of them is read
 //! through when streaming it costs no more than a seek), not the whole
 //! container. A cache entry is therefore an *extent set* that
@@ -291,9 +286,8 @@
 //! [`RestoreReport`] carries each
 //! lane's busy time (`resolve_s`, `node_read_s`, `node_read_total_s`,
 //! `send_s`) beside `elapsed`; their sum, [`RestoreReport::serial_s`], is
-//! what one clock would charge for the same walk. GC compaction and the
-//! recovery rebuild run on the same node timelines; the inline-backup
-//! prefetch and the scrub still read serially.
+//! what one clock would charge for the same walk. GC compaction, the
+//! scrub and the recovery rebuild run on the same node timelines.
 //!
 //! **The layout is the paper's.** A duplicate keeps referencing the
 //! container that first stored it, however old, every copy of a container
@@ -311,46 +305,18 @@
 //! duplicates at backup time: one that bounded containers-per-MiB stored
 //! 2.7x the physical bytes and still restored slower, cold.
 //!
-//! ## Deduplication modes
+//! ## Out-of-line dedup-1
 //!
-//! [`DebarConfig::dedup_mode`] selects *when* a filter-missed
-//! fingerprint is resolved against the disk index — the axis the paper
-//! contrasts with DDFS's inline scheme (§1, §6). It parameterises the one
-//! dedup-1 loop with a per-run budget of random index probes
-//! ([`DedupMode::probe_budget`]), which is Li et al.'s hybrid scheme
-//! (PAPERS.md) read literally: out-of-line is the zero-budget case of the
-//! inline ladder, not a second algorithm.
-//!
-//! * [`DedupMode::OutOfLine`] (default, the paper's TPDS; budget 0):
-//!   dedup-1 only consults the in-memory preliminary filter; every miss
-//!   is appended to the chunk log with its fingerprint *undetermined*,
-//!   and the batched dedup-2 sweep (PSIL → chunk storing → PSIU) resolves
-//!   the whole backlog later with sequential index I/O. The ladder's free
-//!   LPC rung is inline-only: with no probe to back it, an out-of-line
-//!   backup must neither count an LPC hit as a duplicate nor perturb the
-//!   restore cache's LRU order.
-//! * [`DedupMode::Inline`] (the DDFS-style baseline; unlimited budget):
-//!   every filter miss is resolved *at backup time* —
-//!   locality-preserving-cache lookup,
-//!   then pending-set consult, then a random disk-index probe, with a
-//!   container prefetch on a probe hit. Known duplicates never enter
-//!   the chunk log; genuinely new chunks are logged with their storage
-//!   decision pre-staged, so dedup-2 has **no backlog**
-//!   ([`Dedup1Report::backlog_bytes`]` == 0`) and its sweep sees zero
-//!   submitted fingerprints — at the cost of random index reads on the
-//!   backup path ([`Dedup1Report::inline_index_reads`]).
-//! * [`DedupMode::Hybrid`]` { window }`: inline resolution against the
-//!   hot tier only, under a per-run budget of `window` random index
-//!   probes; once the budget is spent, the cold remainder falls back to
-//!   the out-of-line log. Backlog shrinks below `OutOfLine`'s while
-//!   backup-path index reads stay bounded below `Inline`'s.
-//!
-//! Restore bytes and dedup outcomes are mode-invariant — only *where*
-//! the index I/O is spent moves (proven across modes, sweep stripes and
-//! replication by `tests/dedup_modes.rs`; quantified by the `fig_modes`
-//! bench). Chunks resolved inline arrive at dedup-2 as decisions
-//! pre-staged in their server's decision map, surfaced in
-//! [`Dedup2Report::predetermined_fps`].
+//! Dedup-1 is out-of-line, as in the paper: the backup path consults only
+//! the in-memory preliminary filter, logs every miss with its fingerprint
+//! undetermined, and writes no storage decision and no checking-file
+//! entry — the PSIL commit of the batched dedup-2 sweep is their only
+//! writer. The inline baseline the paper compares against (DDFS) is the
+//! separate `debar-ddfs` crate. An inline/hybrid probe ladder on this
+//! loop stored the same bytes for a slower ingest, and was removed; the
+//! measurement is in the repository's change log (`CHANGES.md`).
+
+#![forbid(unsafe_code)]
 
 pub mod chunklog;
 pub mod client;
@@ -366,7 +332,7 @@ pub mod report;
 pub mod server;
 
 pub use cluster::{DebarCluster, GcReport};
-pub use config::{DebarConfig, DedupMode};
+pub use config::DebarConfig;
 pub use dataset::{ChunkedFile, Dataset, FileContent, FileEntry, StreamChunk};
 pub use debar_simio::RetryPolicy;
 pub use debar_store::{Health, HealthPolicy, ScrubReport};

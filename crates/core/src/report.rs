@@ -1,4 +1,9 @@
 //! Reports produced by backups, dedup-2 rounds and restores.
+//!
+//! A backup decides nothing but what the preliminary filter catches, so
+//! its [`Dedup1Report`] counts the stream, the filter's duplicates and
+//! what went to the chunk log undetermined; every storage decision is the
+//! dedup-2 round's and is counted in its [`Dedup2Report`].
 
 use crate::ids::{RunId, ServerId};
 use debar_index::SiuReport;
@@ -25,20 +30,6 @@ pub struct Dedup1Report {
     pub filtered_dups: u64,
     /// Undetermined fingerprints added for dedup-2.
     pub undetermined_added: u64,
-    /// Filter-missed chunks resolved as duplicates *inline* (LPC hit,
-    /// pending-set hit or disk-index probe hit at backup time). Always 0
-    /// under [`crate::DedupMode::OutOfLine`].
-    pub inline_hits: u64,
-    /// Random disk-index probes the backup path spent (inline/hybrid
-    /// only; bounded by the hybrid window). Always 0 under
-    /// [`crate::DedupMode::OutOfLine`].
-    pub inline_index_reads: u64,
-    /// Payload bytes this run left for the out-of-line sweep: bytes of
-    /// chunks logged with their fingerprint still undetermined. Equals
-    /// `transferred_bytes` under [`crate::DedupMode::OutOfLine`], 0 under
-    /// [`crate::DedupMode::Inline`], and the cold remainder under
-    /// [`crate::DedupMode::Hybrid`].
-    pub backlog_bytes: u64,
     /// Virtual seconds of server time consumed.
     pub elapsed: Secs,
 }
@@ -97,12 +88,6 @@ pub struct Dedup2Report {
     pub round: u32,
     /// Undetermined fingerprints submitted across servers.
     pub submitted_fps: u64,
-    /// Decisions that entered the round already resolved by the *backup
-    /// path* (inline/hybrid dedup staged them in the decision maps,
-    /// bypassing PSIL). Measures the backlog shrink: under
-    /// [`crate::DedupMode::Inline`] every stored chunk arrives this way
-    /// and `submitted_fps` is 0.
-    pub predetermined_fps: u64,
     /// Fingerprints found registered in the disk index (duplicates).
     pub dup_registered: u64,
     /// Fingerprints found pending (scheduled by an earlier SIL, awaiting
@@ -300,9 +285,6 @@ mod tests {
             transferred_chunks: 128,
             filtered_dups: 384,
             undetermined_added: 128,
-            inline_hits: 0,
-            inline_index_reads: 0,
-            backlog_bytes: 1 << 20,
             elapsed: 2.0,
         };
         assert_eq!(r.throughput_mibps(), 2.0);
@@ -314,7 +296,6 @@ mod tests {
         let r = Dedup2Report {
             round: 1,
             submitted_fps: 1000,
-            predetermined_fps: 0,
             dup_registered: 400,
             dup_pending: 100,
             new_fps: 500,

@@ -82,9 +82,9 @@
 //!   residents that are left and from the time the last victim frees,
 //!   until the fetch fits — never to the container being fetched, whose
 //!   resident entry the fetch merges into. The fetched chunks then enter
-//!   their LPC entry's value through the same `LpcCache::insert_extents`
-//!   as a backup's prefetch, whose LRU has nothing left to evict. What
-//!   the rule reads is a small index private to the walk (`RecipeIndex`):
+//!   their LPC entry's value through `LpcCache::insert_extents`, whose
+//!   LRU has nothing left to evict. What the rule reads is a small index
+//!   private to the walk (`RecipeIndex`):
 //!   fingerprint → the recipe positions of the entries this walk visits
 //!   (so a single-file restore and the audit index exactly what they walk), and
 //!   per resident container the ascending positions it supplies *as the
@@ -95,7 +95,7 @@
 //!   never evicts pays nothing, and the cache holds the same bytes either
 //!   way. A walk that knew no next use would take the coldest free entry
 //!   — the paper's LRU is the no-knowledge case of this rule, and is what
-//!   `debar-ddfs` and the backup prefetch still run.
+//!   `debar-ddfs`' backup prefetch still runs.
 //!
 //!   The clause about free slots is not a refinement. Measured on
 //!   `benchmark/`'s `lifecycle-churn` (restore of the latest generation,
@@ -211,14 +211,14 @@
 //! clock would have charged). Nothing runs concurrently — the overlap is
 //! arithmetic on the lanes' busy intervals.
 
-use super::{lookup_with_owner, DebarCluster};
+use super::DebarCluster;
 use crate::error::{DebarError, DebarResult};
 use crate::ids::RunId;
 use crate::metadata::{FileIndexEntry, RunRecord};
 use crate::report::{LayoutReport, RestoreReport};
 use crate::server::{BackupServer, CachedContainer};
 use debar_hash::{ContainerId, Fingerprint, Sha1};
-use debar_simio::{Lane, Secs};
+use debar_simio::{Lane, Secs, Timed};
 use debar_store::{ChunkRepository, CorruptKind, LpcCache, LpcStats, NodeRead, Payload, ReadLegs};
 use std::collections::{HashMap, HashSet};
 
@@ -730,6 +730,29 @@ impl RestoreWalk<'_> {
         }
         Ok(len)
     }
+}
+
+/// Random index lookup on `owner`'s part, as the requesting server `sid`
+/// waits for it: the returned cost is the owner's index-disk read plus,
+/// when the owner is remote, the request and the reply — one 64-byte
+/// message each way. The devices tick here (the owner's index disk; for
+/// a remote owner also both NICs and the owner's clock, busy serving);
+/// the caller charges the returned cost to its own timeline.
+fn lookup_with_owner(
+    servers: &mut [BackupServer],
+    sid: usize,
+    owner: usize,
+    fp: &Fingerprint,
+) -> Timed<Option<ContainerId>> {
+    if sid == owner {
+        return servers[sid].index_mut().lookup_random(fp);
+    }
+    let request = servers[sid].nic.message(64);
+    let srv = &mut servers[owner];
+    let found = srv.index_mut().lookup_random(fp);
+    let reply = srv.nic.message(64);
+    srv.clock.advance(found.cost + reply);
+    found.plus(request + reply)
 }
 
 /// Verify a restored payload against its fingerprint: real bytes must hash

@@ -1,15 +1,12 @@
 //! The backup server (paper §3.3): the state of its File Store (dedup-1)
 //! and the Chunk Store passes of dedup-2.
 //!
-//! Dedup-1 has one loop, and it lives on the cluster
-//! (`DebarCluster::run_backup` in `backup.rs`), because its inline rungs
-//! consult *other* servers' index parts and checking files. This server
-//! is where the loop's effects land: the stream is charged to its NIC,
-//! CPU and clock, survivors of the preliminary filter are appended to its
-//! on-disk chunk log, their fingerprints accumulate here as
-//! *undetermined*, backup-time `Store` verdicts are staged in its
-//! decision map (`stage_inline_store`) and prefetched containers enter its
-//! restore cache (`lpc`, whose entries carry the fetched chunks).
+//! Dedup-1 has one loop (`run_backup` in `backup.rs`), and this server is
+//! all it touches: the stream is charged to its NIC, CPU and clock,
+//! survivors of the preliminary filter are appended to its on-disk chunk
+//! log, and their fingerprints accumulate here as *undetermined*. It
+//! decides nothing; the decision map and the checking file are written by
+//! the PSIL commit alone.
 //!
 //! Dedup-2 pieces (driven phase by phase, in server-ID order, by
 //! [`crate::cluster::DebarCluster`]):
@@ -70,7 +67,7 @@ pub struct SilPartStats {
 }
 
 /// A verdict and the time it was reached: the end of the SIL sweep that
-/// decided it (or, staged by the backup path, the time it was staged).
+/// decided it.
 pub type Verdict = (Fingerprint, Decision, Secs);
 
 /// Output of one server's SIL pass: per-origin verdicts plus statistics.
@@ -141,8 +138,8 @@ pub struct BackupServer {
     /// while scheduling the transfer on its own lane).
     pub(crate) nic: SimLink,
     /// The server's CPU (crate-visible with the chunk log, the
-    /// undetermined list and the checking file: the cluster's dedup-1 loop
-    /// and dedup-2 exchange work on them directly).
+    /// undetermined list and the checking file: the dedup-1 loop and the
+    /// dedup-2 phases work on them directly).
     pub(crate) cpu: SimCpu,
     /// The on-disk chunk log.
     pub(crate) chunk_log: ChunkLog,
@@ -151,25 +148,18 @@ pub struct BackupServer {
     pub(crate) undetermined: Vec<Fingerprint>,
     index: DiskIndex,
     /// The checking fingerprint file (§5.4): fingerprints scheduled for
-    /// storage whose index registration (SIU) is still pending. Dedup-1's
-    /// inline rungs consult it (a pending store is a duplicate) and add
-    /// the stores they schedule.
+    /// storage whose index registration (SIU) is still pending. Only the
+    /// PSIL commit adds to it.
     pub(crate) checking: HashSet<Fingerprint>,
     /// The unregistered fingerprint file: fp → container mappings awaiting
     /// SIU on this part.
     pending_updates: Vec<(Fingerprint, ContainerId)>,
     /// Every storage decision this server has been given and has not made
-    /// durable: the verdicts of each committed PSIL pass and the `Store`
-    /// decisions inline/hybrid backups staged, each beside the time it was
-    /// reached. The chunk log holds the matching records;
+    /// durable: the verdicts of each committed PSIL pass, each beside the
+    /// time it was reached. The chunk log holds the matching records;
     /// [`BackupServer::pack_chunks`] reads the map in place and only a
     /// store commit ([`BackupServer::commit_packed`]) gives decisions up.
     decisions: HashMap<Fingerprint, (Decision, Secs)>,
-    /// Store decisions staged by the *backup path* (inline/hybrid dedup)
-    /// since the last completed dedup-2 round — the
-    /// `Dedup2Report::predetermined_fps` source. Reset only after a round
-    /// commits, so a faulted round's resume still reports them.
-    inline_staged: u64,
     /// The restore cache: the LPC, each resident carrying the chunks its
     /// fetches brought in.
     pub(crate) lpc: LpcCache<CachedContainer>,
@@ -236,6 +226,12 @@ impl BackupServer {
         }
         held
     }
+
+    /// Storage decisions the server holds (PSIL's verdicts not yet made
+    /// durable).
+    pub(crate) fn decided(&self) -> usize {
+        self.decisions.len()
+    }
 }
 
 /// An empty restore cache of the deployment's memory: the paper's LPC is
@@ -272,7 +268,6 @@ impl BackupServer {
             checking: HashSet::new(),
             pending_updates: Vec::new(),
             decisions: HashMap::new(),
-            inline_staged: 0,
             lpc: restore_cache(&cfg),
             cfg,
         }
@@ -321,40 +316,6 @@ impl BackupServer {
     pub(crate) fn charge_net(&mut self, bytes: u64) {
         let c = self.nic.stream(bytes);
         self.clock.advance(c);
-    }
-
-    // ------------------------------------------------------------------
-    // Backup-time verdicts (staged by the dedup-1 loop's probe rung; an
-    // out-of-line run has no probe budget and never reaches them)
-    // ------------------------------------------------------------------
-
-    /// Stage an inline-resolved `Store` decision for a chunk this server
-    /// just logged: the next chunk-storing pass reads it from the same
-    /// decision map PSIL's verdicts land in.
-    pub(crate) fn stage_inline_store(&mut self, fp: Fingerprint) {
-        let now = self.clock.now();
-        merge_decision(&mut self.decisions, fp, Decision::Store, now);
-        self.inline_staged += 1;
-    }
-
-    /// Roll one staged inline `Store` back (backup abort: the stray log
-    /// record must carry no verdict, exactly like an aborted out-of-line
-    /// run's records).
-    pub(crate) fn unstage_inline_store(&mut self, fp: &Fingerprint) {
-        self.decisions.remove(fp);
-        self.inline_staged = self.inline_staged.saturating_sub(1);
-    }
-
-    /// Store decisions the backup path staged since the last completed
-    /// dedup-2 round (`Dedup2Report::predetermined_fps`).
-    pub fn inline_staged(&self) -> u64 {
-        self.inline_staged
-    }
-
-    /// Clear the inline-staged counter (cluster-driven, after the round's
-    /// chunk-storing phase committed the staged decisions).
-    pub(crate) fn reset_inline_staged(&mut self) {
-        self.inline_staged = 0;
     }
 
     // ------------------------------------------------------------------

@@ -31,6 +31,8 @@
 //! random index I/O (two with overflow probing), and throughput collapses
 //! past `m/n ≈ 8`.
 
+#![forbid(unsafe_code)]
+
 pub mod server;
 
 pub use server::{DdfsBackupReport, DdfsConfig, DdfsServer, DdfsStats};

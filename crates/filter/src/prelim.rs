@@ -437,24 +437,6 @@ impl PrelimFilter {
         }
         out
     }
-
-    /// Downgrade a resident *new* node to *old*: its duplicate status has
-    /// been resolved out of band (inline dedup against the disk index), so
-    /// it must not join the undetermined set. Returns whether the
-    /// fingerprint was resident. The node keeps filtering duplicates for
-    /// the rest of the session; call immediately after [`PrelimFilter::check`]
-    /// returned [`FilterVerdict::Transfer`], before any further check can
-    /// evict (and spill) the entry.
-    pub fn mark_determined(&mut self, fp: &Fingerprint) -> bool {
-        match self.nodes.get_mut(fp) {
-            Some(Node::Stream { is_new, .. }) => {
-                *is_new = false;
-                true
-            }
-            Some(Node::Primed(_)) => true,
-            None => false,
-        }
-    }
 }
 #[cfg(test)]
 mod tests {
@@ -630,18 +612,6 @@ mod tests {
         f.prime([fp(0)]); // collision must not clear the reprieve
         f.check(fp(100)); // evicts fp(1), not the hot fp(0)
         assert_eq!(f.check(fp(0)), FilterVerdict::Duplicate, "reprieve lost");
-    }
-
-    #[test]
-    fn mark_determined_removes_from_undetermined() {
-        let mut f = PrelimFilter::new(100);
-        assert_eq!(f.check(fp(1)), FilterVerdict::Transfer);
-        assert_eq!(f.check(fp(2)), FilterVerdict::Transfer);
-        assert!(f.mark_determined(&fp(1)));
-        assert!(!f.mark_determined(&fp(99)), "non-resident");
-        assert_eq!(f.take_undetermined(), vec![fp(2)]);
-        // Determined nodes keep filtering duplicates.
-        assert_eq!(f.check(fp(1)), FilterVerdict::Duplicate);
     }
 
     #[test]

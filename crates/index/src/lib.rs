@@ -21,6 +21,8 @@
 //! overflow-probability analysis (formula (1) / Table 1) and the
 //! counter-array utilization experiment (Table 2).
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod disk_index;
 pub mod entry;

@@ -21,6 +21,8 @@
 //! all *rates* stay at paper values, so MB/s-shaped results are
 //! scale-invariant.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod cpu;
 pub mod disk;

@@ -30,6 +30,8 @@
 //!   injected failures surface as typed errors, never panics or silent
 //!   garbage.
 
+#![forbid(unsafe_code)]
+
 pub mod container;
 pub mod error;
 pub mod lpc;

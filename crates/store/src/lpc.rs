@@ -33,8 +33,8 @@
 //! same number, and a cache of whole entries holds exactly `capacity` of
 //! them either way.
 //!
-//! **LRU is the rule of a caller that does not know the future** — a
-//! backup's prefetch, `debar-ddfs`: an insert makes room by dropping the
+//! **LRU is the rule of a caller that does not know the future** — the
+//! backup prefetch of `debar-ddfs`: an insert makes room by dropping the
 //! coldest residents. A caller that does know it (the restore walk holds
 //! its whole recipe) names its own victims with [`LpcCache::evict`] before
 //! it inserts — as many as [`LpcCache::shortfall`] asks for — choosing

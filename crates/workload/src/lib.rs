@@ -25,6 +25,8 @@
 //!   the preliminary filter's position-tracking laws; and the two synthetic
 //!   streams everything else shares, [`drift::records`] and [`drift::churn`].
 
+#![forbid(unsafe_code)]
+
 pub mod drift;
 pub mod files;
 pub mod hust;

@@ -44,6 +44,8 @@
 //! assert_eq!(restored.failures, 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use debar_chunk as chunk;
 pub use debar_core as core;
 pub use debar_ddfs as ddfs;
@@ -56,8 +58,8 @@ pub use debar_workload as workload;
 
 pub use debar_core::{
     CapReport, ChunkedFile, ClientId, Dataset, DebarCluster, DebarConfig, DebarError, DebarResult,
-    Dedup1Report, Dedup2Phase, Dedup2Report, DedupMode, Device, FileContent, FileEntry, GcReport,
-    JobId, LayoutReport, RestoreReport, RunId, ServerId, StreamChunk,
+    Dedup1Report, Dedup2Phase, Dedup2Report, Device, FileContent, FileEntry, GcReport, JobId,
+    LayoutReport, RestoreReport, RunId, ServerId, StreamChunk,
 };
 pub use debar_hash::{ContainerId, Fingerprint};
 pub use debar_simio::{FaultKind, FaultPlan, FaultSpec, InjectedFault, RetryPolicy};

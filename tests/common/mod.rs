@@ -21,7 +21,7 @@ use debar::hash::Sha1;
 use debar::workload::files::{FileSpec, FileTreeConfig, FileTreeGen, MutationConfig};
 use debar::{
     ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, DebarResult, Dedup2Phase,
-    DedupMode, Device, FaultPlan, JobId, RestoreReport, RunId,
+    Device, FaultPlan, JobId, RestoreReport, RunId,
 };
 
 /// The failure kind a scenario injects (beyond plain index loss).
@@ -133,8 +133,8 @@ pub struct Scenario {
     /// The deployment. [`Scenario::tiny`] builds the default; a suite moves
     /// an axis with `DebarConfig`'s own builders ([`Scenario::with_cfg`]).
     /// What the harness makes of the axes: restore bytes must be identical
-    /// across `sweep_parts`, `store_workers`, `replication` and
-    /// `dedup_mode` for the same workload; `retention > 0` adds the
+    /// across `sweep_parts`, `store_workers` and `replication` for the
+    /// same workload; `retention > 0` adds the
     /// deletion phase — after all backups every run but the newest
     /// `retention` versions per job is expired and garbage-collected
     /// (reclaim exactness asserted), its restore must fail with the typed
@@ -312,27 +312,6 @@ pub fn replication_matrix() -> Vec<usize> {
     env_matrix("DEBAR_REPLICATION", &[1, 2])
 }
 
-/// The dedup-mode matrix the suites parameterize over: `{OutOfLine,
-/// Inline, Hybrid { window: 4 }}` by default, overridable as a
-/// comma-separated list of mode tokens through the `DEBAR_DEDUP_MODE`
-/// environment variable (the CI mode-matrix legs select values this
-/// way). Tokens: `outofline`, `inline`, or `hybrid` / `hybrid:N` for
-/// `Hybrid { window: N }` (default window 4).
-pub fn mode_matrix() -> Vec<DedupMode> {
-    let hybrid = |window| DedupMode::Hybrid { window };
-    env_tokens(
-        "DEBAR_DEDUP_MODE",
-        "outofline|inline|hybrid|hybrid:N",
-        vec![DedupMode::OutOfLine, DedupMode::Inline, hybrid(4)],
-        |name, n| match (name, n) {
-            ("outofline", None) => Some(DedupMode::OutOfLine),
-            ("inline", None) => Some(DedupMode::Inline),
-            ("hybrid", n) => Some(hybrid(n.unwrap_or(4))),
-            _ => None,
-        },
-    )
-}
-
 /// The retention-window matrix the GC suites parameterize over: `{1, 2}`
 /// by default (with the default 3-version scenario that expires 2 and 1
 /// generations per job respectively), overridable as a comma-separated
@@ -345,36 +324,21 @@ pub fn retention_matrix() -> Vec<u32> {
         .collect()
 }
 
+/// A matrix of axis values: `default`, or `var`'s comma-separated
+/// positive integers. A set-but-unparsable variable must fail loudly: a
+/// silent fallback would green-light a CI leg that never engaged the
+/// values its name claims.
 fn env_matrix(var: &str, default: &[usize]) -> Vec<usize> {
-    env_tokens(var, "positive integers", default.to_vec(), |tok, n| {
-        tok.parse().ok().filter(|&p| p >= 1 && n.is_none())
-    })
-}
-
-/// A matrix of axis values: `default`, or `var`'s comma-separated tokens,
-/// each a `name` or `name:N` (`N >= 1`) that `parse` maps to a value. A
-/// set-but-unparsable variable must fail loudly: a silent fallback would
-/// green-light a CI leg that never engaged the values its name claims.
-fn env_tokens<T>(
-    var: &str,
-    grammar: &str,
-    default: Vec<T>,
-    parse: impl Fn(&str, Option<u32>) -> Option<T>,
-) -> Vec<T> {
     let Ok(s) = std::env::var(var) else {
-        return default;
-    };
-    let token = |tok: &str| match tok.trim().split_once(':') {
-        Some((name, n)) => parse(name, Some(n.parse().ok().filter(|&n| n > 0)?)),
-        None => parse(tok.trim(), None),
+        return default.to_vec();
     };
     s.split(',')
-        .map(token)
-        .collect::<Option<Vec<T>>>()
+        .map(|tok| tok.trim().parse().ok().filter(|&p| p >= 1))
+        .collect::<Option<Vec<usize>>>()
         .unwrap_or_else(|| {
             panic!(
                 "{var} is set but unparsable: {s:?} \
-                 (expected a comma-separated list of {grammar})"
+                 (expected a comma-separated list of positive integers)"
             )
         })
 }
