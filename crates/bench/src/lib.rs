@@ -15,7 +15,8 @@
 //! | `fig13` | Fig. 13 (PSIL/PSIU speeds, 16 servers) |
 //! | `fig14` | Fig. 14 (16-server aggregate write/read throughput; `BENCH_fig14.json`) |
 //! | `fig15` | Fig. 15 (throughput/capacity vs number of servers; `BENCH_fig15.json`) |
-//! | `ablation_async_siu`, `ablation_bucket_size`, `ablation_sisl_lpc` | design-choice ablations |
+//! | `ablation_async_siu` | §5.4 asynchronous SIU riding on the next PSIL vs synchronous (`BENCH_async_siu.json`) |
+//! | `ablation_bucket_size`, `ablation_sisl_lpc` | design-choice ablations |
 //! | `fig_multipart` | §5.2 multi-part index analysis: sweep time & throughput vs parts (`BENCH_multipart.json`) |
 //! | `ablation_prelim_filter` | §5.1 job chains on/off, and what the filter catches vs version ÷ capacity (`BENCH_filter.json`) |
 //! | `fig_restore` | restore decay over 30 generations of the paper's layout (`BENCH_restore.json`) |
@@ -26,7 +27,7 @@
 //! `n` is its scale denominator (its runs per bucket size for `table2` and
 //! `ablation_bucket_size`; see the `ScaleModel` docs for why MB/s-shaped
 //! results are scale-invariant) and `--smoke` is the cheap scale at which
-//! CI runs all of them. The eight that name a `BENCH_*.json` declare those
+//! CI runs all of them. The nine that name a `BENCH_*.json` declare those
 //! rows once, in a [`table::Table`] that renders as the text on stdout and
 //! as the file's JSON, and write it through [`write_bench_json`]: CI holds
 //! the files to their committed bytes.

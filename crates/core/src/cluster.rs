@@ -19,7 +19,7 @@
 //! | PSIL | each server sweeps its index part on its own clock, one sweep per index-cache sub-batch; verdicts, each with its sweep's end time, routed back to origins | no exit barrier — each server's clock runs ahead on its own |
 //! | chunk storing | §5.3: each origin **packs** its chunk log into containers on its own clock (`store_workers` worker disks striping each drain), then a canonical-order **commit** assigns container IDs | overlapped twice: each worker disk streams its log span from the end of the sweep that decided it (on the owner's clock) while later sweeps run, and server *i*'s probes and container writes start at its own post-PSIL clock while straggler servers are still sweeping |
 //! | update routing | unregistered `(fp, container)` pairs exchanged to owner parts | barrier after (PSIU needs every origin's updates) |
-//! | PSIU | §5.4: owners merge updates on their own clocks; may be deferred (asynchronous SIU) | barrier after (round commit) |
+//! | PSIU | §5.4: owners merge updates on their own clocks. Synchronous (`siu_interval = 1`): a phase of its own here, read + write sweep per part. Asynchronous: the SIU due at the end of every `siu_interval`-th round rides on the next round's PSIL — each part's first sweep merges it in the same read pass and writes the part back, so its time is PSIL's — and the PSIL commit registers it | barrier after a phase of its own (round commit); none when riding |
 //!
 //! Two rules keep a round a pure function of its inputs and the armed
 //! fault plans:
@@ -43,7 +43,7 @@
 
 use crate::client::BackupClient;
 use crate::config::DebarConfig;
-use crate::director::Director;
+use crate::director::{Director, SiuPlan};
 use crate::error::{DebarError, DebarResult, Dedup2Phase};
 use crate::ids::{ClientId, Device, JobId, ServerId};
 use crate::job::{JobSpec, Schedule};
@@ -86,6 +86,13 @@ pub struct DebarCluster {
     /// at the round's commit, so crashed-plus-resumed totals match an
     /// uninterrupted history.
     carryover_store: StoreReport,
+    /// The SIU the current round's PSIL commit carried — per-server
+    /// reports and updates registered — across an interrupted attempt and
+    /// its resume: `Some` once the commit has run, so a resumed round does
+    /// not carry a second SIU (the updates its faulted store made durable
+    /// wait for the next one, as in an uninterrupted history), and the
+    /// round's report takes it at the round's commit.
+    carryover_siu: Option<(Vec<SiuReport>, u64)>,
     /// The deletable summary vector: a cuckoo filter holding one copy of
     /// every fingerprint referenced by a recorded run (or preloaded as
     /// ballast). Dedup-1 filter priming is gated on it, and garbage
@@ -116,6 +123,7 @@ impl DebarCluster {
                 .with_health_policy(cfg.health),
             clients: HashMap::new(),
             carryover_store: StoreReport::default(),
+            carryover_siu: None,
             summary: CuckooFilter::with_capacity(1024, cfg.seed ^ 0x6C1A_55E7),
             cfg,
         }
@@ -371,25 +379,32 @@ impl DebarCluster {
     /// 1. **PSIL**, once every server's pass succeeded: each owner's
     ///    staged checking entries enter its checking file, each origin's
     ///    verdicts enter its decision map, and the undetermined lists are
-    ///    released.
+    ///    released — and on a round the due SIU rides on
+    ///    ([`SiuPlan::Ride`]), each owner's carried updates leave its
+    ///    unregistered and checking files.
     /// 2. **Each server's store commit** ([`BackupServer::commit_packed`]),
     ///    in server order: the containers it made durable get their IDs
     ///    and route to SIU, its log and decision map give up what became
     ///    durable (everything, on a clean batch), and its store totals
     ///    join the round's. No server commits after a drain fault or a
     ///    sibling's store fault.
-    /// 3. **The round**, after PSIU ran or was deferred: the round number
-    ///    and the round's store totals, which the report takes.
+    /// 3. **The round**, after PSIU ran, rode on PSIL or was deferred: the
+    ///    round number and the round's store totals, which the report
+    ///    takes.
     ///
     /// An injected fault surfaces as [`DebarError::InterruptedDedup2`]
-    /// (PSIL or chunk storing) or [`DebarError::PartialSiu`] (PSIU). What a
+    /// (PSIL — a riding SIU's sweeps included — or chunk storing) or
+    /// [`DebarError::PartialSiu`] (a PSIU phase of its own). What a
     /// phase computed before its commit is dropped: nothing moved, so
     /// nothing is rolled back. Calling `run_dedup2` again (after clearing
     /// the fault) re-runs the same round from what the commits left and
     /// converges to the byte-identical index parts, restore bytes and store
     /// totals of an uninterrupted run.
     pub fn run_dedup2(&mut self) -> DebarResult<Dedup2Report> {
-        let (round, run_siu) = self.director.peek_dedup2();
+        let (round, siu) = self.director.peek_dedup2();
+        // A resumed round whose PSIL commit already carried the due SIU
+        // carries nothing more.
+        let carry = siu == SiuPlan::Ride && self.carryover_siu.is_none();
         let s = self.servers.len();
         let w = self.cfg.w_bits;
         let t0 = self.align_clocks();
@@ -421,7 +436,7 @@ impl DebarCluster {
             .servers
             .iter_mut()
             .zip(&batches)
-            .map(|(srv, batch)| srv.sil_on_part(batch, s))
+            .map(|(srv, batch)| srv.sil_on_part(batch, s, carry))
             .collect();
         if let Some((sid, cause)) = first_fault(&results) {
             let _ = self.align_clocks();
@@ -434,11 +449,15 @@ impl DebarCluster {
         }
         let outputs: Vec<SilPartOutput> = results.into_iter().flatten().collect();
         // The PSIL commit: checking entries, verdicts routed back to their
-        // origins (charging the result exchange), and the undetermined
-        // lists the batches were read from released.
+        // origins (charging the result exchange), the undetermined lists
+        // the batches were read from released, and a carried SIU's updates
+        // registered.
         let mut tx2 = vec![0u64; s];
         for (owner, out) in outputs.iter().enumerate() {
             self.servers[owner].commit_checking(&out.newly_checking);
+            if out.carried.is_some() {
+                self.servers[owner].release_updates();
+            }
             for (origin, list) in out.verdicts.iter().enumerate() {
                 if origin != owner {
                     tx2[owner] += 26 * list.len() as u64;
@@ -450,6 +469,11 @@ impl DebarCluster {
         for (srv, &t) in self.servers.iter_mut().zip(&tx2) {
             srv.undetermined = Vec::new();
             srv.charge_net(t);
+        }
+        if carry {
+            let carried = outputs.iter().filter_map(|o| o.carried.clone());
+            let (reports, updates): (Vec<SiuReport>, Vec<u64>) = carried.unzip();
+            self.carryover_siu = Some((reports, updates.iter().sum()));
         }
         let dup_registered: u64 = outputs.iter().map(|o| o.stats.dup_registered).sum();
         let dup_pending: u64 = outputs.iter().map(|o| o.stats.dup_pending).sum();
@@ -532,13 +556,14 @@ impl DebarCluster {
         }
         let t3 = self.align_clocks();
 
-        // ---- Phase 4: PSIU (possibly deferred: asynchronous SIU). ----
+        // ---- Phase 4: PSIU, on the synchronous schedule. ----
         // A faulted server keeps its pending updates; the round stays
-        // uncommitted and a re-run retries the SIU.
-        let (siu_reports, siu_updates) = if run_siu {
-            self.psiu()?
-        } else {
-            (Vec::new(), 0)
+        // uncommitted and a re-run retries the SIU. A riding SIU ran in
+        // PSIL; a deferred one waits.
+        let (siu_reports, siu_updates) = match siu {
+            SiuPlan::AfterStore => self.psiu()?,
+            SiuPlan::Ride => self.carryover_siu.take().unwrap_or_default(),
+            SiuPlan::Defer => (Vec::new(), 0),
         };
         let t4 = self.align_clocks();
         // The round's commit.
@@ -555,7 +580,7 @@ impl DebarCluster {
             store_workers: self.cfg.store_workers.min(u32::MAX as usize) as u32,
             store: std::mem::take(&mut self.carryover_store),
             cap: CapReport::default(),
-            siu_ran: run_siu,
+            siu_ran: siu != SiuPlan::Defer,
             siu_reports,
             siu_updates,
             exchange_wall: t1 - t0,
@@ -891,11 +916,12 @@ mod tests {
     #[test]
     fn async_siu_checking_file_prevents_double_store() {
         let mut c = DebarCluster::new(DebarConfig {
-            siu_interval: 2, // SIU deferred on odd rounds
+            siu_interval: 2, // an SIU falls due at the end of even rounds
             ..DebarConfig::tiny_test(0)
         });
         let a = c.define_job("a", ClientId(0));
         let b = c.define_job("b", ClientId(1));
+        let d = c.define_job("d", ClientId(2));
         c.backup(a, &Dataset::from_records("s", records(0..1000)))
             .expect("backup");
         let d1 = c.run_dedup2().expect("dedup2");
@@ -906,10 +932,23 @@ mod tests {
         c.backup(b, &Dataset::from_records("s", records(0..1000)))
             .expect("backup");
         let d2 = c.run_dedup2().expect("dedup2");
-        assert!(d2.siu_ran, "round 2 runs SIU");
+        assert!(!d2.siu_ran, "round 2's due SIU rides on round 3");
         assert_eq!(d2.dup_pending, 1000, "pending duplicates detected");
         assert_eq!(d2.store.stored_chunks, 0, "no double storage");
+        assert_eq!(c.index_entries(), 0);
+        // Round 3's PSIL carries it: its sweep merges the 1000 updates and
+        // finds a third job's copy registered.
+        c.backup(d, &Dataset::from_records("s", records(0..1000)))
+            .expect("backup");
+        let d3 = c.run_dedup2().expect("dedup2");
+        assert!(d3.siu_ran, "round 3 carries the due SIU");
+        assert_eq!(d3.siu_updates, 1000, "the updates it carried");
+        assert_eq!(d3.siu_reports[0].inserted, 1000);
+        assert_eq!(d3.dup_registered, 1000, "probed against the merge");
+        assert_eq!(d3.store.stored_chunks, 0, "no double storage");
+        assert_eq!(d3.siu_wall, 0.0, "the SIU's time is PSIL's");
         assert_eq!(c.index_entries(), 1000);
+        assert!(c.server(0).is_quiesced(), "checking file released");
     }
 
     #[test]
@@ -2423,7 +2462,7 @@ mod tests {
         }
         let mut decided = vec![Vec::new(); s];
         for (owner, batch) in batches.iter().enumerate() {
-            let out = c.servers[owner].sil_on_part(batch, s).expect("sil");
+            let out = c.servers[owner].sil_on_part(batch, s, false).expect("sil");
             c.servers[owner].commit_checking(&out.newly_checking);
             for (origin, list) in out.verdicts.iter().enumerate() {
                 c.servers[origin].decide(list);
@@ -2583,5 +2622,219 @@ mod tests {
         let read = disk.rand_read_cost(image);
         let write = disk.seq_write_cost(written[damaged]);
         assert_eq!(scrub.cost, read + read + write);
+    }
+
+    // ---- The due SIU rides on the next PSIL ----
+
+    #[test]
+    fn an_empty_siu_touches_no_device() {
+        // Round 1's synchronous SIU registered everything, so the forced
+        // SIU after it has nothing to merge: no part-disk op, no busy
+        // second, no clock movement.
+        let mut c = two_striped_servers(1);
+        c.run_dedup2().expect("dedup2");
+        let devices = |c: &DebarCluster| [index_devices(c, 0), index_devices(c, 1)];
+        let (before, now) = (devices(&c), c.now());
+        let (reports, wall) = c.force_siu().expect("siu");
+        assert_eq!(devices(&c), before);
+        assert_eq!((wall, c.now()), (0.0, now));
+        assert!(reports.iter().all(|r| (r.parts, r.inserted) == (0, 0)));
+    }
+
+    /// One round of the schedule-law history: every job backs up a window
+    /// of the counter space that overlaps its last one (the filter's
+    /// catch), the other jobs' (cross-job duplicates) and earlier rounds'
+    /// (registered or pending duplicates), then dedup-2 runs.
+    fn schedule_round(c: &mut DebarCluster, jobs: &[JobId], round: u64) -> Dedup2Report {
+        for (j, &job) in jobs.iter().enumerate() {
+            let from = round * 700 + j as u64 * 400;
+            c.backup(job, &Dataset::from_records("s", records(from..from + 1500)))
+                .expect("backup");
+        }
+        c.run_dedup2().expect("dedup2")
+    }
+
+    /// What a history ends at once its last SIU has run: index digests,
+    /// container IDs, stored bytes and every run's restored bytes.
+    fn schedule_end(
+        mut c: DebarCluster,
+        jobs: &[JobId],
+        rounds: u32,
+        stored: u64,
+    ) -> (Vec<[u8; 20]>, Vec<ContainerId>, u64, Vec<u64>) {
+        c.force_siu().expect("siu");
+        let mut restored = Vec::new();
+        for &job in jobs {
+            for version in 0..rounds {
+                let r = c.restore_run(RunId { job, version }).expect("restore");
+                assert_eq!(r.failures, 0);
+                restored.push(r.bytes);
+            }
+        }
+        let ids = c.repository().container_ids();
+        (index_digests(&c), ids, stored, restored)
+    }
+
+    #[test]
+    fn a_riding_siu_ends_where_a_forced_one_does() {
+        // The schedule law: a history whose due SIUs ride on the next
+        // round's PSIL ends, after the final force_siu, where the same
+        // history with force_siu after every due round ends — at every
+        // interval, stripe and server count — having read each index part
+        // once less per riding SIU.
+        const ROUNDS: u32 = 7;
+        for interval in [2u32, 3] {
+            for parts in [1usize, 2] {
+                for w in [0u32, 1] {
+                    let leg = format!("interval {interval}, {parts} parts, w = {w}");
+                    let cfg = DebarConfig {
+                        siu_interval: interval,
+                        ..DebarConfig::tiny_test(w).with_sweep_parts(parts)
+                    };
+                    let (mut riding, mut forced) = (DebarCluster::new(cfg), DebarCluster::new(cfg));
+                    let jobs = |c: &mut DebarCluster| -> Vec<JobId> {
+                        (0..3)
+                            .map(|i| c.define_job(format!("j{i}"), ClientId(i)))
+                            .collect()
+                    };
+                    let jobs = (jobs(&mut riding), jobs(&mut forced));
+                    let (mut stored, mut rides) = ([0u64; 2], 0);
+                    for round in 1..=ROUNDS {
+                        let r = schedule_round(&mut riding, &jobs.0, round.into());
+                        let f = schedule_round(&mut forced, &jobs.1, round.into());
+                        let rides_now = round > 1 && (round - 1) % interval == 0;
+                        assert_eq!(r.siu_ran, rides_now, "{leg}: round {round}");
+                        if r.siu_ran {
+                            rides += 1;
+                            assert!(r.siu_updates > 0, "{leg}: round {round} carried");
+                            assert_eq!(r.siu_wall, 0.0, "{leg}: inside PSIL");
+                        }
+                        // The same verdicts: what rode was registered by
+                        // the forced twin before this round's PSIL.
+                        let verdicts =
+                            |d: &Dedup2Report| (d.dup_registered, d.dup_pending, d.new_fps);
+                        assert_eq!(verdicts(&r), verdicts(&f), "{leg}: round {round}");
+                        stored[0] += r.store.stored_bytes;
+                        stored[1] += f.store.stored_bytes;
+                        if round % interval == 0 {
+                            forced.force_siu().expect("siu");
+                        }
+                    }
+                    assert!(rides > 0, "{leg}");
+                    let index_ops = |c: &DebarCluster| -> u64 {
+                        let servers = 0..c.server_count() as ServerId;
+                        (servers
+                            .flat_map(|server| (0..parts as u32).map(move |part| (server, part))))
+                        .map(|(server, part)| c.device_ops(Device::IndexPart { server, part }))
+                        .map(|ops| ops.expect("device"))
+                        .sum()
+                    };
+                    let disks = (riding.server_count() * parts) as u64;
+                    assert_eq!(
+                        index_ops(&forced) - index_ops(&riding),
+                        rides * disks,
+                        "{leg}: one read op less per part-disk and riding SIU"
+                    );
+                    let want = schedule_end(forced, &jobs.1, ROUNDS, stored[1]);
+                    let got = schedule_end(riding, &jobs.0, ROUNDS, stored[0]);
+                    assert_eq!(got, want, "{leg}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_riding_siu_costs_one_read_and_one_write_per_part_disk() {
+        // Two servers × four part-disks, an SIU due every second round:
+        // round 3 carries round 2's on its single PSIL sweep per server —
+        // two ops on every part-disk, where forcing the SIU and then
+        // sweeping takes three — and both end at the same index bytes.
+        let build = || {
+            let mut c = two_striped_servers(2);
+            for (round, base) in [(1u32, 100_000u64), (2, 200_000)] {
+                c.run_dedup2().expect("dedup2");
+                let job = c.define_job(format!("r{round}"), ClientId(round + 1));
+                c.backup(job, &Dataset::from_records("s", records(base..base + 3000)))
+                    .expect("backup");
+            }
+            c
+        };
+        let ops = |c: &DebarCluster| -> Vec<u64> {
+            (0..2u16)
+                .flat_map(|server| (0..4u32).map(move |part| Device::IndexPart { server, part }))
+                .map(|d| c.device_ops(d).expect("device"))
+                .collect()
+        };
+        let delta = |c: &DebarCluster, from: &[u64]| -> Vec<u64> {
+            ops(c).iter().zip(from).map(|(a, b)| a - b).collect()
+        };
+        let mut riding = build();
+        let before = ops(&riding);
+        let d3 = riding.run_dedup2().expect("round 3");
+        assert!(d3.siu_ran && d3.siu_updates > 0);
+        assert_eq!(d3.sil_sweeps, 2, "one PSIL sweep per server");
+        assert_eq!(delta(&riding, &before), [2; 8], "read + write");
+
+        let mut forced = build();
+        let before = ops(&forced);
+        forced.force_siu().expect("siu");
+        let d3 = forced.run_dedup2().expect("round 3");
+        assert_eq!(d3.siu_updates, 0, "nothing left to carry");
+        assert_eq!(
+            delta(&forced, &before),
+            [3; 8],
+            "SIU read + write, SIL read"
+        );
+        riding.force_siu().expect("siu");
+        forced.force_siu().expect("siu");
+        assert_eq!(index_digests(&riding), index_digests(&forced));
+    }
+
+    #[test]
+    fn a_round_resumed_after_its_store_faulted_carries_no_second_siu() {
+        // Round 3 carries round 2's due SIU, then its store faults after a
+        // durable prefix, whose updates queue for the next SIU. The resumed
+        // round must not carry them too: it reports the SIU its first
+        // attempt carried and leaves the index as an uninterrupted round 3
+        // does.
+        let drive = |fault: bool| {
+            let mut c = DebarCluster::new(DebarConfig {
+                siu_interval: 2,
+                ..DebarConfig::tiny_test(0)
+            });
+            let job = c.define_job("j", ClientId(0));
+            for round in 0..3u64 {
+                let from = round * 3000;
+                c.backup(job, &Dataset::from_records("s", records(from..from + 3000)))
+                    .expect("backup");
+                if round < 2 {
+                    c.run_dedup2().expect("dedup2");
+                }
+            }
+            if fault {
+                // Node 0's second write of the round: container 2 after
+                // the durable containers 0 and 1.
+                arm_in(&mut c, Device::RepoNode(0), 1, FaultPlan::fail_at);
+                let err = c.run_dedup2().expect_err("store fault");
+                assert!(
+                    matches!(
+                        err,
+                        DebarError::InterruptedDedup2 {
+                            phase: Dedup2Phase::ChunkStoring,
+                            ..
+                        }
+                    ),
+                    "{err}"
+                );
+                c.clear_fault_plans();
+            }
+            let d3 = c.run_dedup2().expect("round 3");
+            let entries = c.index_entries();
+            c.force_siu().expect("siu");
+            (d3.siu_ran, d3.siu_updates, entries, index_digests(&c))
+        };
+        let clean = drive(false);
+        assert!(clean.0 && clean.1 > 0, "round 3 carries an SIU");
+        assert_eq!(drive(true), clean);
     }
 }

@@ -86,8 +86,14 @@ pub struct DebarConfig {
     /// `1 <= replication <= repo_nodes`; `1` (no replicas) reproduces the
     /// paper's unreplicated container log and is the default everywhere.
     pub replication: usize,
-    /// Run PSIU once every `siu_interval` dedup-2 rounds (asynchronous SIU,
-    /// §5.4: "one PSIU servicing more than one PSIL"). `1` = synchronous.
+    /// An SIU falls due at the end of every `siu_interval`-th dedup-2 round
+    /// (asynchronous SIU, §5.4: "one PSIU servicing more than one PSIL").
+    /// `1` = synchronous: every round ends with a PSIU phase of its own.
+    /// Above 1 the due SIU rides on the next round's PSIL — each index
+    /// part's first sweep merges the pending updates in the read pass that
+    /// probes its batch, then writes the part back — so it costs a write
+    /// pass and no read pass of its own; updates stay pending (and
+    /// unresolvable by a restore) until then or a `force_siu`.
     pub siu_interval: u32,
     /// Director policy: trigger dedup-2 once any server's undetermined
     /// fingerprints reach this count (0 disables the automatic trigger).

@@ -14,14 +14,35 @@ pub struct DirectorPolicy {
     /// this count (0 = manual only). The paper sizes batches to "fully
     /// utilize the index cache" (§5.2).
     pub dedup2_trigger_fps: usize,
-    /// Run PSIU once every this many dedup-2 rounds (§5.4 asynchronous
-    /// SIU).
+    /// An SIU falls due once every this many dedup-2 rounds (§5.4
+    /// asynchronous SIU; see [`SiuPlan`]).
     pub siu_interval: u32,
     /// Index partitions each server's SIL/SIU sweeps stripe over (the
     /// multi-part index of §5.2; 1 = single index volume per server). The
     /// director records the deployment mode so operators and reports can
     /// see it in the control plane.
     pub sweep_parts: usize,
+}
+
+/// What one dedup-2 round does about the sequential index update (§5.4).
+/// A pure function of the round number and `siu_interval`
+/// ([`Director::peek_dedup2`]), so a redone round plans as its first
+/// attempt did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SiuPlan {
+    /// No SIU: the round's updates wait in the unregistered fingerprint
+    /// file, the checking file suppressing their re-store.
+    Defer,
+    /// The synchronous schedule (`siu_interval = 1`, the paper's degenerate
+    /// case): a PSIU phase of its own — read + write sweep of every index
+    /// part — after chunk storing.
+    AfterStore,
+    /// The SIU that fell due at the end of the previous round rides on this
+    /// round's PSIL: each part's first sweep merges the pending updates
+    /// and probes its sub-batch against the merged buckets in one read
+    /// pass, then writes the part back (a part with nothing to sweep runs
+    /// the update sweep alone). The PSIL commit registers them.
+    Ride,
 }
 
 /// The control centre of the deployment.
@@ -102,16 +123,28 @@ impl Director {
                 .any(|&u| u >= self.policy.dedup2_trigger_fps)
     }
 
-    /// Peek the next dedup-2 round without committing it: `(round,
-    /// run_siu_now)`. The cluster commits the round only when it
+    /// Peek the next dedup-2 round without committing it: its number and
+    /// its [`SiuPlan`]. An SIU falls due at the end of every
+    /// `siu_interval`-th round; at `siu_interval = 1` it runs there
+    /// ([`SiuPlan::AfterStore`]), otherwise it rides on the next round's
+    /// PSIL ([`SiuPlan::Ride`]) — what it registers is exactly what was
+    /// pending when it fell due, since a round queues its own updates only
+    /// after its PSIL. The cluster commits the round only when it
     /// *completes* ([`Director::commit_dedup2`]) — an interrupted round is
     /// re-run under the same round number, so the asynchronous-SIU
     /// schedule (and therefore the final index bytes) are identical to an
     /// uninterrupted history.
-    pub fn peek_dedup2(&self) -> (u32, bool) {
+    pub fn peek_dedup2(&self) -> (u32, SiuPlan) {
         let round = self.dedup2_rounds + 1;
-        let run_siu = round.is_multiple_of(self.policy.siu_interval);
-        (round, run_siu)
+        let interval = self.policy.siu_interval;
+        let plan = if interval == 1 {
+            SiuPlan::AfterStore
+        } else if round > 1 && (round - 1).is_multiple_of(interval) {
+            SiuPlan::Ride
+        } else {
+            SiuPlan::Defer
+        };
+        (round, plan)
     }
 
     /// Commit a completed dedup-2 round (see [`Director::peek_dedup2`]).
@@ -204,17 +237,27 @@ mod tests {
 
     #[test]
     fn siu_interval_schedule() {
-        let mut d = Director::new(&cfg(0));
-        let mut siu_flags = Vec::new();
-        for _ in 0..6 {
-            let (_, siu) = d.peek_dedup2();
-            d.commit_dedup2();
-            siu_flags.push(siu);
-        }
-        assert_eq!(siu_flags, vec![false, false, true, false, false, true]);
-        // An uncommitted (interrupted) round does not advance the
-        // schedule: peeking is idempotent.
-        assert_eq!(d.peek_dedup2(), d.peek_dedup2());
+        use SiuPlan::{AfterStore, Defer, Ride};
+        let plans = |interval: u32| {
+            let mut d = Director::new(&DebarConfig {
+                siu_interval: interval,
+                ..cfg(0)
+            });
+            let mut plans = Vec::new();
+            for _ in 0..7 {
+                let (_, plan) = d.peek_dedup2();
+                // An uncommitted (interrupted) round does not advance the
+                // schedule: peeking is idempotent.
+                assert_eq!(d.peek_dedup2(), d.peek_dedup2());
+                d.commit_dedup2();
+                plans.push(plan);
+            }
+            plans
+        };
+        // Rounds 3 and 6 fall due; their SIUs ride on rounds 4 and 7.
+        let every_third = [Defer, Defer, Defer, Ride, Defer, Defer, Ride];
+        assert_eq!(plans(3), every_third);
+        assert_eq!(plans(1), [AfterStore; 7], "the synchronous schedule");
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //!   fingerprinting of datasets (§3.2);
 //! * **backup servers** ([`server`]) — the File Store (de-duplication
 //!   phase I: preliminary filtering + chunk log) and the Chunk Store
-//!   (phase II: SIL, chunk storing, SIU) (§3.3, §5). Dedup-1 is **one
+//!   (phase II: SIL, chunk storing, SIU) (§3.3, §5). An asynchronous SIU
+//!   (`siu_interval > 1`) rides on the next round's first SIL sweep of
+//!   each index part: one read pass merges the pending updates and probes
+//!   the batch against the merged buckets, one write pass writes the part
+//!   back (`debar_index::DiskIndex::try_sequential_update_lookup_sharded`).
+//!   Dedup-1 is **one
 //!   loop** on the assigned server. It hands the preliminary filter the
 //!   previous run's fingerprints whole and in stream order: they are a
 //!   file the filter streams past the backup's position, so a job larger
@@ -85,8 +90,10 @@
 //!   runs only when all passes succeed); a fault in chunk storing leaves
 //!   each log and decision map holding what its server's store commit did
 //!   not make durable, while durable container assignments still flow to
-//!   SIU. The round number is only committed on success, so the
-//!   asynchronous-SIU schedule is unchanged. Container IDs are allocated
+//!   SIU. A riding SIU's sweep is a PSIL sweep: its fault interrupts PSIL
+//!   and its updates stay pending until the PSIL commit. The round number
+//!   is only committed on success, so the asynchronous-SIU schedule is
+//!   unchanged. Container IDs are allocated
 //!   as part of the durable commit (a failed write consumes no ID), so the
 //!   resumed round stores into the same containers an uninterrupted run
 //!   would have.

@@ -110,16 +110,22 @@ pub struct Dedup2Report {
     pub store: StoreReport,
     /// Always zero: see [`CapReport`].
     pub cap: CapReport,
-    /// Whether PSIU ran this round.
+    /// Whether PSIU ran this round: its own PSIU phase on the synchronous
+    /// schedule, or the SIU that fell due at the end of the previous round,
+    /// riding on this round's PSIL (`siu_interval > 1`). A round at whose
+    /// end an SIU falls due reports `false`: its SIU runs in the next.
     pub siu_ran: bool,
-    /// Per-server SIU reports when it ran.
+    /// Per-server SIU reports when it ran (`parts = 0` for a server that
+    /// had nothing pending and ran no sweep). A resumed round reports the
+    /// riding SIU its interrupted attempt's PSIL commit registered.
     pub siu_reports: Vec<SiuReport>,
-    /// Fingerprints registered by PSIU this round.
+    /// Fingerprints registered by PSIU this round, riding or not.
     pub siu_updates: u64,
     /// Wall time of the undetermined-exchange phase.
     pub exchange_wall: Secs,
     /// Wall time of the PSIL phase: from the exchange's end to the slowest
-    /// server's PSIL end, verdicts routed back to their origins.
+    /// server's PSIL end, verdicts routed back to their origins. A riding
+    /// SIU's merge and write pass are inside it.
     pub sil_wall: Secs,
     /// Wall time of the chunk-storing phase (pack + commit), measured from
     /// the PSIL end. A server's log drain may start before it: each worker
@@ -129,7 +135,9 @@ pub struct Dedup2Report {
     /// minus its start ([`Dedup2Report::total_wall`]), and no field counts
     /// the overlap.
     pub store_wall: Secs,
-    /// Wall time of the PSIU phase (zero when deferred).
+    /// Wall time of the PSIU phase of its own (synchronous schedule); zero
+    /// when the SIU was deferred or rode on PSIL (its time is in
+    /// [`Dedup2Report::sil_wall`]).
     pub siu_wall: Secs,
 }
 

@@ -11,16 +11,19 @@
 //! Dedup-2 pieces (driven phase by phase, in server-ID order, by
 //! [`crate::cluster::DebarCluster`]):
 //! [`BackupServer::sil_on_part`] (SIL over this server's index part with
-//! checking-fingerprint-file semantics for asynchronous SIU, §5.4),
+//! checking-fingerprint-file semantics for asynchronous SIU, §5.4, and
+//! carrying a due SIU on its first sweep),
 //! [`BackupServer::pack_chunks`] + [`BackupServer::commit_packed`] (drain
 //! the log, write new chunks to containers per the SIL verdicts, §5.3)
 //! and [`BackupServer::run_siu`] (merge the unregistered fingerprints into
-//! the index part). Each advances only this server's own clock.
+//! the index part, when no PSIL carries them). Each advances only this
+//! server's own clock.
 //!
 //! Every piece *reads* the server's dedup-2 state in place — the
 //! undetermined list, the chunk log, the decision map — and only a commit
 //! moves it: the cluster's PSIL commit (checking entries, verdicts into
-//! `BackupServer::decide`, the undetermined list released) and each
+//! `BackupServer::decide`, the undetermined list released, a carried
+//! SIU's updates released from the unregistered and checking files) and each
 //! server's store commit ([`BackupServer::commit_packed`]: the log and the
 //! decision map give up what became durable). A piece that faults before
 //! its commit has nothing to undo, and its output is simply dropped.
@@ -82,6 +85,10 @@ pub struct SilPartOutput {
     /// so an interrupted round leaves no stale checking entries that
     /// would suppress the re-run's stores).
     pub newly_checking: Vec<Fingerprint>,
+    /// The SIU this pass carried, when asked to: its report and the
+    /// pending updates it merged — all of them, which the PSIL commit
+    /// releases from the unregistered and checking files.
+    pub carried: Option<(SiuReport, u64)>,
 }
 
 /// Outcome of one server's chunk-storing pass (§5.3). `fault` is `Some`
@@ -333,21 +340,37 @@ impl BackupServer {
     /// file suppresses re-stores of chunks whose SIU is still pending, and
     /// the lowest origin is designated storer when several submit the same
     /// new fingerprint in one round (§5.4).
+    ///
+    /// With `carry_siu`, the pass also carries the SIU that fell due
+    /// ([`crate::director::SiuPlan::Ride`]): the first sweep merges every
+    /// pending update into the part and probes its sub-batch against the
+    /// merged buckets — one read op and one write op per part-disk, where
+    /// a standalone SIU and this sweep took two reads and a write — so
+    /// the updates' fingerprints come back registered. A part with nothing
+    /// to sweep runs the update sweep alone, and one with nothing pending
+    /// sweeps as usual.
+    ///
     /// Fault-aware: an injected fault on the index disk aborts the pass
-    /// with a typed error and **no state change** — the checking-file
-    /// additions are staged in the returned [`SilPartOutput`] and
+    /// with a typed error naming the part-disk and **no state change** —
+    /// the checking-file additions are staged in the returned
+    /// [`SilPartOutput`], and a carried SIU's updates stay pending, both
     /// committed by the cluster only once every server's PSIL succeeds,
-    /// so an interrupted round can be re-run verbatim.
+    /// so an interrupted round can be re-run verbatim (a merge that
+    /// landed, whole or torn, is re-applied idempotently).
     pub fn sil_on_part(
         &mut self,
         batch: &[(Fingerprint, ServerId)],
         servers: usize,
+        carry_siu: bool,
     ) -> Result<SilPartOutput, DebarError> {
         let mut verdicts: Vec<Vec<Verdict>> = vec![Vec::new(); servers];
         let mut stats = SilPartStats::default();
         let cache_cap = self.cfg.cache_fps();
+        let parts = self.cfg.sweep_parts;
         let mut newly_checking: Vec<Fingerprint> = Vec::new();
         let mut staged: HashSet<Fingerprint> = HashSet::new();
+        let carries = carry_siu && !self.pending_updates.is_empty();
+        let mut siu: Option<SiuReport> = None;
 
         for sub in batch.chunks(cache_cap.max(1)) {
             stats.sweeps += 1;
@@ -356,11 +379,19 @@ impl BackupServer {
                 stats.submitted += 1;
                 cache.insert(fp, origin);
             }
-            let t = self
-                .index
-                .try_sequential_lookup_sharded(&mut cache, self.cfg.sweep_parts)
-                .map_err(|e| DebarError::index_fault(self.id, e))?;
-            let sil = self.clock.charge(t);
+            let sil = if carries && siu.is_none() {
+                let t = (self.index)
+                    .try_sequential_update_lookup_sharded(&self.pending_updates, &mut cache, parts)
+                    .map_err(|e| DebarError::index_fault(self.id, e))?;
+                let (report, sil) = self.clock.charge(t);
+                siu = Some(report);
+                sil
+            } else {
+                let t = (self.index)
+                    .try_sequential_lookup_sharded(&mut cache, parts)
+                    .map_err(|e| DebarError::index_fault(self.id, e))?;
+                self.clock.charge(t)
+            };
             let swept = self.clock.now();
             stats.parts = stats.parts.max(sil.parts);
             for node in &sil.duplicates {
@@ -396,10 +427,23 @@ impl BackupServer {
                 }
             }
         }
+        if carries && siu.is_none() {
+            // Nothing to sweep on this part: the carried SIU is the
+            // standalone update sweep.
+            let t = (self.index)
+                .try_sequential_update_sharded(&self.pending_updates, parts)
+                .map_err(|e| DebarError::index_fault(self.id, e))?;
+            siu = Some(self.clock.charge(t));
+        }
+        let carried = carry_siu.then(|| {
+            let report = siu.unwrap_or_else(|| self.idle_siu());
+            (report, self.pending_updates.len() as u64)
+        });
         Ok(SilPartOutput {
             verdicts,
             stats,
             newly_checking,
+            carried,
         })
     }
 
@@ -595,7 +639,9 @@ impl BackupServer {
     }
 
     /// Sequential index update (§5.4): merge all pending `(fp, container)`
-    /// mappings into this part and clear them from the checking file.
+    /// mappings into this part and clear them from the checking file — the
+    /// standalone SIU of `force_siu` and the synchronous schedule. With
+    /// nothing pending it touches no device and costs nothing.
     ///
     /// Fault-aware and **redo-idempotent**: an injected index-disk fault
     /// surfaces as [`DebarError::PartialSiu`] (possibly with a durable
@@ -604,21 +650,13 @@ impl BackupServer {
     /// overwrites for the durable prefix, inserts for the rest — and
     /// converges to the byte-identical uninterrupted index.
     pub fn run_siu(&mut self) -> Result<(SiuReport, u64), DebarError> {
-        let updates = std::mem::take(&mut self.pending_updates);
-        match self
-            .index
-            .try_sequential_update_sharded(&updates, self.cfg.sweep_parts)
-        {
-            Ok(t) => {
-                let report = self.clock.charge(t);
-                for (fp, _) in &updates {
-                    self.checking.remove(fp);
-                }
-                let n = updates.len() as u64;
-                Ok((report, n))
-            }
-            Err(e) => {
-                let total = updates.len() as u64;
+        if self.pending_updates.is_empty() {
+            return Ok((self.idle_siu(), 0));
+        }
+        let total = self.pending_updates.len() as u64;
+        let t = (self.index)
+            .try_sequential_update_sharded(&self.pending_updates, self.cfg.sweep_parts)
+            .map_err(|e| {
                 // SIU interruptions surface uniformly as PartialSiu (the
                 // redo contract is identical whichever part-disk faulted,
                 // torn or outright), naming the failing part-disk.
@@ -626,8 +664,7 @@ impl BackupServer {
                     IndexError::PartialSweep { applied, .. } => applied,
                     _ => 0,
                 };
-                self.pending_updates = updates;
-                Err(DebarError::PartialSiu {
+                DebarError::PartialSiu {
                     device: Device::IndexPart {
                         server: self.id,
                         part: e.part(),
@@ -635,8 +672,28 @@ impl BackupServer {
                     applied,
                     total,
                     fault: e.fault(),
-                })
-            }
+                }
+            })?;
+        let report = self.clock.charge(t);
+        self.release_updates();
+        Ok((report, total))
+    }
+
+    /// The report of an SIU with nothing to merge: no sweep ran
+    /// (`parts = 0`).
+    fn idle_siu(&self) -> SiuReport {
+        SiuReport {
+            utilization_after: self.index.utilization(),
+            ..SiuReport::default()
+        }
+    }
+
+    /// Give up the pending updates an SIU registered, and their checking
+    /// entries: after a standalone SIU, or at the commit of a PSIL pass
+    /// that carried one (nothing is queued between a pass and its commit).
+    pub(crate) fn release_updates(&mut self) {
+        for (fp, _) in std::mem::take(&mut self.pending_updates) {
+            self.checking.remove(&fp);
         }
     }
 

@@ -93,6 +93,13 @@
 //!   scaling, which it performs exactly where a per-entry insert loop
 //!   would.
 //!
+//! An SIU can ride on a SIL sweep
+//! ([`DiskIndex::try_sequential_update_lookup_sharded`], the asynchronous
+//! PSIU of §5.4): the same kernel merges the updates in the read pass —
+//! the read is already paid — and the same probe then resolves the SIL
+//! batch against the merged buckets, so the pair costs one read and one
+//! write pass where a standalone SIU and a SIL took two reads and a write.
+//!
 //! Every SIU path canonicalises the batch by a stable sort on fingerprint
 //! first — the paper's SIU input arrives through the index cache, which
 //! already orders fingerprints by number, so canonical order *is* the
@@ -212,16 +219,20 @@ impl DiskIndex {
     }
 
     /// The shared SIU kernel: classify the whole canonical batch, then
-    /// apply its first `apply_limit` entries in canonical order.
-    /// `apply_limit < sorted.len()` models a torn write sweep (only a
-    /// prefix of the updates became durable); an unfaulted sweep passes
-    /// the full length.
+    /// apply its first `apply_limit` entries in canonical order and charge
+    /// the write sweep. The read sweep is already paid: the caller charged
+    /// it, `read` seconds — the SIU's own read, or the SIL read the update
+    /// rides on. `apply_limit < sorted.len()` models a torn write sweep
+    /// (only a prefix of the updates became durable); an unfaulted sweep
+    /// passes the full length. Returns the report, the I/O seconds (the
+    /// read, any capacity scaling, the write) and the merge CPU seconds.
     fn update_kernel(
         &mut self,
         sorted: &[(Fingerprint, ContainerId)],
         bounds: &[u64],
         apply_limit: usize,
-    ) -> Timed<SiuReport> {
+        read: Secs,
+    ) -> (SiuReport, Secs, Secs) {
         let parts = bounds.len() as u32;
         // ---- Classify against the pre-batch state (grouped merge-join
         //      probing). ----
@@ -231,7 +242,7 @@ impl DiskIndex {
             .probe_sorted_map(&fps, |i, r| exists[i] = r.is_some());
 
         // ---- Apply in canonical order. ----
-        let mut cost = self.charge_sweep_read(bounds);
+        let mut cost = read;
         let mut report = SiuReport {
             parts,
             ..SiuReport::default()
@@ -261,7 +272,37 @@ impl DiskIndex {
         cost += self.charge_sweep_write(&wbounds);
         let merge = self.cpu_mut().probe_fps_striped(sorted.len() as u64, parts);
         report.utilization_after = self.utilization();
-        Timed::new(report, cost.max(merge))
+        (report, cost, merge)
+    }
+
+    /// Resolve the cache's batch against the index as it stands, in one
+    /// pass of the merge-join cursor: hits leave the cache as duplicates
+    /// carrying their container IDs, in fingerprint order, and the new
+    /// fingerprints stay. Returns the duplicates and the probe CPU seconds
+    /// at the even `1/parts` share (probe work is in-memory and balances
+    /// across the parts' CPUs, not across bucket ranges).
+    fn probe_cache(&mut self, cache: &mut IndexCache, parts: u32) -> (Vec<CacheNode>, Secs) {
+        let submitted = cache.len();
+        let view = self.view();
+        let mut fps: Vec<Fingerprint> = cache.iter().map(|n| n.fp).collect();
+        // Sort by (bucket, 64-bit prefix): native-integer keys are far
+        // cheaper than 20-byte lexicographic compares, and leading with
+        // the bucket number keeps the order monotone in `bucket_of` even
+        // on an index *part* whose bucket bits start at `skip_bits > 0`
+        // (multi-server routing) — which the grouped probe relies on.
+        fps.sort_unstable_by_key(|fp| (view.bucket_of(fp), fp.prefix64()));
+        let mut duplicates = Vec::new();
+        view.probe_sorted_map(&fps, |i, r| {
+            if let Some(cid) = r {
+                let mut node = cache
+                    .remove(&fps[i])
+                    .expect("hit fingerprints come from the cache");
+                node.cid = cid;
+                duplicates.push(node);
+            }
+        });
+        let probe = self.cpu_mut().probe_fps_striped(submitted as u64, parts);
+        (duplicates, probe)
     }
 
     /// The pre-merge-join SIU reference: per-entry hash probing
@@ -336,29 +377,7 @@ impl DiskIndex {
         }
         let parts = bounds.len() as u32;
         let submitted = cache.len();
-        let view = self.view();
-        let mut fps: Vec<Fingerprint> = cache.iter().map(|n| n.fp).collect();
-        // Sort by (bucket, 64-bit prefix): native-integer keys are far
-        // cheaper than 20-byte lexicographic compares, and leading with
-        // the bucket number keeps the order monotone in `bucket_of` even
-        // on an index *part* whose bucket bits start at `skip_bits > 0`
-        // (multi-server routing) — which the grouped probe relies on.
-        fps.sort_unstable_by_key(|fp| (view.bucket_of(fp), fp.prefix64()));
-        let mut duplicates = Vec::new();
-        view.probe_sorted_map(&fps, |i, r| {
-            if let Some(cid) = r {
-                let mut node = cache
-                    .remove(&fps[i])
-                    .expect("hit fingerprints come from the cache");
-                node.cid = cid;
-                duplicates.push(node);
-            }
-        });
-
-        // CPU probing keeps the even-split pipelined model (probe work is
-        // in-memory and balances across the parts' CPUs, not across
-        // bucket ranges).
-        let probe = self.cpu_mut().probe_fps_striped(submitted as u64, parts);
+        let (duplicates, probe) = self.probe_cache(cache, parts);
         Ok(Timed::new(
             SilReport {
                 duplicates,
@@ -407,6 +426,46 @@ impl DiskIndex {
         updates: &[(Fingerprint, ContainerId)],
         parts: usize,
     ) -> Result<Timed<SiuReport>, IndexError> {
+        let t = self.update_sweep(updates, None, parts)?;
+        Ok(t.map(|(report, _)| report))
+    }
+
+    /// An SIU riding on a SIL sweep (§5.4, asynchronous PSIU): one read
+    /// pass merges `updates` into the buckets and resolves the cache's
+    /// batch against the *merged* buckets, and one write pass writes the
+    /// index back — where a standalone SIU followed by a SIL read the index
+    /// twice. The merge is [`DiskIndex::try_sequential_update_sharded`]'s
+    /// kernel, told that the read is already paid; the probe is
+    /// [`DiskIndex::try_sequential_lookup_sharded`]'s, so an update's
+    /// fingerprint in the batch comes back a duplicate carrying its new
+    /// container ID. I/O and CPU pipeline as in either sweep: the cost is
+    /// the larger of the read + write (+ any capacity scaling) and the
+    /// merge + probe CPU, and the [`SilReport`]'s `sweep_secs` is the read.
+    ///
+    /// Fault-checked like the SIU, two ops on every engaged part-disk: a
+    /// fault on either op leaves the cache untouched, and the index holds
+    /// nothing of the batch or, after a torn write, its canonical prefix
+    /// ([`IndexError::PartialSweep`]). Re-running the same updates and
+    /// batch converges to the uninterrupted result.
+    pub fn try_sequential_update_lookup_sharded(
+        &mut self,
+        updates: &[(Fingerprint, ContainerId)],
+        cache: &mut IndexCache,
+        parts: usize,
+    ) -> Result<Timed<(SiuReport, SilReport)>, IndexError> {
+        self.update_sweep(updates, Some(cache), parts)
+    }
+
+    /// The one SIU sweep: read, merge `updates`, write back — and, when a
+    /// `cache` rides on it, probe its batch against the merged buckets
+    /// (see [`DiskIndex::try_sequential_update_lookup_sharded`]; without
+    /// one, the [`SilReport`] submitted nothing and probed for free).
+    fn update_sweep(
+        &mut self,
+        updates: &[(Fingerprint, ContainerId)],
+        cache: Option<&mut IndexCache>,
+        parts: usize,
+    ) -> Result<Timed<(SiuReport, SilReport)>, IndexError> {
         // The "next checked boundary" rule (see the lookup counterpart).
         if let Some((part, fault)) = self.part_disks.take_fault() {
             return Err(IndexError::SweepFault { fault, part });
@@ -414,8 +473,25 @@ impl DiskIndex {
         let bounds = self.resolve_sweep_bounds(parts);
         let Some((armed_part, spec)) = self.part_disks.peek_fault(2) else {
             let sorted = self.canonical_updates(updates);
-            let limit = sorted.len();
-            return Ok(self.update_kernel(&sorted, &bounds, limit));
+            let read = self.charge_sweep_read(&bounds);
+            let (report, io, merge) = self.update_kernel(&sorted, &bounds, sorted.len(), read);
+            let parts = bounds.len() as u32;
+            let (duplicates, submitted, probe) = match cache {
+                Some(cache) => {
+                    let submitted = cache.len();
+                    let (duplicates, probe) = self.probe_cache(cache, parts);
+                    (duplicates, submitted, probe)
+                }
+                None => (Vec::new(), 0, 0.0),
+            };
+            let sil = SilReport {
+                duplicates,
+                submitted,
+                sweep_secs: read,
+                probe_secs: probe,
+                parts,
+            };
+            return Ok(Timed::new((report, sil), io.max(merge + probe)));
         };
         let total = updates.len() as u64;
         let on_read = spec.at_op == self.part_disks.ops(armed_part as usize);
@@ -424,14 +500,13 @@ impl DiskIndex {
         } else {
             0
         };
-        if on_read {
-            // The read sweep itself fails: charge it, nothing applied.
-            let _ = self.charge_sweep_read(&bounds);
-        } else {
-            // The write sweep fails (torn or outright): the kernel runs
-            // with a limited apply prefix and charges both sweeps.
+        // The read sweep is charged either way; a fault on it applies
+        // nothing. A fault on the write sweep (torn or outright) runs the
+        // kernel with a limited apply prefix, which charges the write.
+        let read = self.charge_sweep_read(&bounds);
+        if !on_read {
             let sorted = self.canonical_updates(updates);
-            let _ = self.update_kernel(&sorted, &bounds, apply_limit);
+            let _ = self.update_kernel(&sorted, &bounds, apply_limit, read);
         }
         // Attribute the error to the disk whose peeked spec drove the
         // on-read/torn decision above; faults armed on other disks in the
@@ -723,6 +798,113 @@ mod tests {
             .expect("clean after both collected")
             .value;
         assert_eq!(rep.duplicates.len(), 300);
+    }
+
+    /// Op counters of the part-disks `0..parts`.
+    fn part_ops(idx: &DiskIndex, parts: usize) -> Vec<u64> {
+        (0..parts).map(|p| idx.part_disk_ops(p)).collect()
+    }
+
+    #[test]
+    fn a_riding_update_is_siu_then_sil_in_one_read_pass() {
+        // The same updates and batch, merged by a standalone SIU and then
+        // looked up, or merged by the SIL sweep they ride on: the same
+        // index bytes, duplicates (an update's fingerprint among them, with
+        // its new container) and survivors — for one read op and one write
+        // op per part-disk where the pair took two reads and a write.
+        for parts in [1usize, 2, 4] {
+            let mut two = index(70);
+            siu(&mut two, &random_batch(0x5E1, 600, 4000), parts);
+            let mut one = two.clone();
+            let updates = random_batch(0x5E2, 500, 4000);
+            let (ops, read) = (part_ops(&two, parts), two.disk_stats().seq_read_bytes);
+
+            siu(&mut two, &updates, parts);
+            let mut a = cache_of(3000..4500);
+            let looked_up = sil(&mut two, &mut a, parts).value;
+            let mut b = cache_of(3000..4500);
+            let (merged, rode) = one
+                .try_sequential_update_lookup_sharded(&updates, &mut b, parts)
+                .expect("no fault is armed")
+                .value;
+
+            assert!(one.raw_data() == two.raw_data(), "parts={parts}");
+            assert_eq!(dup_set(&rode), dup_set(&looked_up), "parts={parts}");
+            assert_eq!(a.len(), b.len());
+            assert_eq!(merged.inserted + merged.updated, updates.len() as u64);
+            // Duplicates carry the merged container IDs, the updates' own
+            // among them.
+            for node in &rode.duplicates {
+                assert_eq!(Some(node.cid), one.lookup_uncharged(&node.fp));
+            }
+            let updated: std::collections::HashSet<Fingerprint> =
+                updates.iter().map(|(fp, _)| *fp).collect();
+            assert!(rode.duplicates.iter().any(|n| updated.contains(&n.fp)));
+            let after = |idx: &DiskIndex| -> Vec<u64> {
+                (part_ops(idx, parts).iter().zip(&ops))
+                    .map(|(a, b)| a - b)
+                    .collect()
+            };
+            assert_eq!(after(&two), vec![3; parts], "SIU read + write, SIL read");
+            assert_eq!(after(&one), vec![2; parts], "one read, one write");
+            let total = one.params().total_bytes();
+            assert_eq!(one.disk_stats().seq_read_bytes - read, total);
+            assert_eq!(two.disk_stats().seq_read_bytes - read, 2 * total);
+        }
+    }
+
+    #[test]
+    fn a_faulted_riding_sweep_leaves_the_cache_and_redo_converges() {
+        use debar_simio::{FaultKind, FaultPlan};
+        // Fail or tear the riding sweep's read op or write op on each
+        // part-disk of a 2-way stripe: the error names the part, the cache
+        // keeps its whole batch, and re-running the same updates and batch
+        // reaches the clean sweep's bytes and duplicates.
+        let updates = random_batch(0x5E3, 400, 3000);
+        let ballast = random_batch(0x5E4, 300, 3000);
+        let mut clean = index(71);
+        siu(&mut clean, &ballast, 2);
+        let faulted_base = clean.clone();
+        let mut c = cache_of(2000..3500);
+        let (_, want) = clean
+            .try_sequential_update_lookup_sharded(&updates, &mut c, 2)
+            .expect("clean")
+            .value;
+        for part in 0..2usize {
+            for (op, kind) in [
+                (0, FaultKind::Fail),
+                (1, FaultKind::Fail),
+                (0, FaultKind::TornWrite),
+                (1, FaultKind::TornWrite),
+            ] {
+                let leg = format!("part {part} op +{op} {kind:?}");
+                let mut idx = faulted_base.clone();
+                let at = idx.part_disk_ops(part) + op;
+                let plan = match kind {
+                    FaultKind::TornWrite => FaultPlan::torn_write_at(at),
+                    _ => FaultPlan::fail_at(at),
+                };
+                idx.set_part_fault_plan(part, plan);
+                let mut cache = cache_of(2000..3500);
+                let err = idx
+                    .try_sequential_update_lookup_sharded(&updates, &mut cache, 2)
+                    .expect_err(&leg);
+                assert_eq!(err.part(), part as u32, "{leg}: {err:?}");
+                let torn = op == 1 && kind == FaultKind::TornWrite;
+                assert_eq!(
+                    matches!(err, IndexError::PartialSweep { .. }),
+                    torn,
+                    "{leg}: {err:?}"
+                );
+                assert_eq!(cache.len(), 1500, "{leg}: the batch stays");
+                let (_, redo) = idx
+                    .try_sequential_update_lookup_sharded(&updates, &mut cache, 2)
+                    .expect("redo")
+                    .value;
+                assert!(idx.raw_data() == clean.raw_data(), "{leg}");
+                assert_eq!(dup_set(&redo), dup_set(&want), "{leg}");
+            }
+        }
     }
 
     /// SIU + SIL + one random lookup + capacity scaling + a GC sweep.

@@ -558,6 +558,93 @@ fn dedup2_crash_point_sweep_converges_at_every_device_op() {
     assert_eq!(aborted, enumerated.iter().sum::<u64>(), "every leg aborted");
 }
 
+/// A round that carries a due SIU: two servers, each index part striped
+/// over two part-disks, an SIU due every second round. Jobs `a` and `b`
+/// back up overlapping windows in rounds 1 and 2; round 2's SIU falls due
+/// and rides on round 3, whose backups are logged and whose dedup-2 has
+/// not run. Returns the cluster and round 3's runs.
+fn riding_round_cluster() -> (DebarCluster, [RunId; 2]) {
+    let mut c = DebarCluster::new(DebarConfig {
+        siu_interval: 2,
+        ..DebarConfig::tiny_test(1).with_sweep_parts(2)
+    });
+    let jobs = [
+        c.define_job("a", ClientId(0)),
+        c.define_job("b", ClientId(1)),
+    ];
+    for round in 0..3u64 {
+        for (k, &job) in jobs.iter().enumerate() {
+            let from = round * 1000 + k as u64 * 400;
+            let recs: Vec<ChunkRecord> = (from..from + 1200).map(ChunkRecord::of_counter).collect();
+            c.backup(job, &Dataset::from_records("s", recs))
+                .expect("backup");
+        }
+        if round < 2 {
+            c.run_dedup2().expect("dedup2");
+        }
+    }
+    (c, jobs.map(|job| RunId { job, version: 2 }))
+}
+
+#[test]
+fn riding_siu_crash_point_sweep_names_the_part_and_converges() {
+    // The riding pass is two ops on every part-disk: the read that merges
+    // the carried updates and probes the sweep's batch, and the write back.
+    // Fail or tear each of them on every part-disk: the round is
+    // interrupted in PSIL naming that part-disk, and the redo reaches the
+    // clean twin — index parts, containers, store totals, restore bytes —
+    // whichever server's merge had landed.
+    let (mut clean, runs) = riding_round_cluster();
+    let disks: Vec<Device> = (0..2u16)
+        .flat_map(|server| (0..2u32).map(move |part| Device::IndexPart { server, part }))
+        .collect();
+    let before: Vec<u64> = (disks.iter())
+        .map(|&d| clean.device_ops(d).expect("device"))
+        .collect();
+    let report = clean.run_dedup2().expect("clean round");
+    assert!(report.siu_ran && report.siu_updates > 0, "round 3 carries");
+    assert_eq!(report.sil_sweeps, 2, "one PSIL sweep per server");
+    for (&d, &from) in disks.iter().zip(&before) {
+        let ops = clean.device_ops(d).expect("device") - from;
+        assert_eq!(ops, 2, "{d:?}: one read op, one write op");
+    }
+    let carried = report.siu_updates;
+    let want = converged_round(&mut clean, report.store, runs);
+
+    for (&device, &from) in disks.iter().zip(&before) {
+        for (at, plan) in [
+            (from, FaultPlan::fail_at as fn(u64) -> FaultPlan),
+            (from + 1, FaultPlan::fail_at),
+            (from, FaultPlan::torn_write_at),
+            (from + 1, FaultPlan::torn_write_at),
+        ] {
+            let (mut c, _) = riding_round_cluster();
+            let plan = plan(at);
+            let leg = format!("{device:?} {plan:?}");
+            let undetermined = c.undetermined_counts();
+            c.arm(device, plan).expect("device");
+            let err = c.run_dedup2().expect_err(&leg);
+            assert!(
+                matches!(
+                    err,
+                    DebarError::InterruptedDedup2 {
+                        phase: Dedup2Phase::Sil,
+                        ..
+                    }
+                ),
+                "{leg}: {err}"
+            );
+            assert_eq!(named_device(&err), Some(device), "{leg}: {err}");
+            assert_eq!(c.undetermined_counts(), undetermined, "{leg}");
+            c.clear_fault_plans();
+            let report = c.run_dedup2().expect("redo");
+            assert_eq!(report.siu_updates, carried, "{leg}: the redo carries it");
+            let got = converged_round(&mut c, report.store, runs);
+            assert_eq!(got, want, "{leg}: redo diverged");
+        }
+    }
+}
+
 /// Two generations of a churning job on two nodes at R = 2, the second
 /// interleaving its chunks with the first's chunk by chunk, against a
 /// two-slot restore cache: the latest generation's walk outgrows the
