@@ -9,9 +9,10 @@
 //! scale-invariant; see the scale rule in `debar_simio::scale`).
 //!
 //! Run: `cargo run --release -p debar-bench --bin fig10_11 [n] [--smoke]`
-//! (`n`: scale denominator, default 1024; `--smoke`: 16x deeper).
+//! (`n`: scale denominator, default 1024; `--smoke`: 16x deeper). A full
+//! run writes `BENCH_fig10_11.json`, which CI holds to its committed bytes.
 
-use debar_bench::table::{f, TablePrinter};
+use debar_bench::table::{Cell, Table};
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache, IndexParams};
 use debar_simio::models::{paper, GIB};
@@ -31,14 +32,13 @@ fn cache_for(nominal_cache: u64, denom: u64) -> IndexCache {
 }
 
 fn main() {
-    let (denom, _) = debar_bench::args(1024, 16 * 1024);
+    let (denom, smoke) = debar_bench::args(1024, 16 * 1024);
     let sizes = [32 * GIB, 64 * GIB, 128 * GIB, 256 * GIB, 512 * GIB];
     let caches = [GIB, 2 * GIB, 3 * GIB];
     let fill = 0.35;
 
     println!("Figure 10: SIL and SIU time overheads vs disk index size\n");
-    let mut fig10 =
-        TablePrinter::new(&["index", "SIL (min)", "SIU (min)", "SIL paper", "SIU paper"]);
+    let mut fig10 = Table::new(&["index_gb", "sil_min", "siu_min", "paper_sil", "paper_siu"]);
     let paper_sil = [2.53, 5.1, 10.1, 19.9, 38.98];
     let paper_siu = [6.16, 12.3, 24.5, 48.9, 97.07];
     // Measured speeds for Figure 11: speeds[(cache, size)] = (sil, siu).
@@ -84,11 +84,11 @@ fn main() {
             }
         }
         fig10.row(vec![
-            format!("{}GB", size / GIB),
-            f(sil_minutes[si], 2),
-            f(siu_minutes[si], 2),
-            f(paper_sil[si], 2),
-            f(paper_siu[si], 2),
+            Cell::U(size / GIB),
+            Cell::F(sil_minutes[si], 2),
+            Cell::F(siu_minutes[si], 2),
+            Cell::F(paper_sil[si], 2),
+            Cell::F(paper_siu[si], 2),
         ]);
     }
     fig10.print();
@@ -115,28 +115,28 @@ fn main() {
     let rand_update = probes as f64 / update_cost;
 
     println!("\nFigure 11: lookup/update efficiencies (fingerprints per second)\n");
-    let mut fig11 = TablePrinter::new(&[
-        "index",
-        "SIL-1GB",
-        "SIL-2GB",
-        "SIL-3GB",
-        "SIU-1GB",
-        "SIU-2GB",
-        "SIU-3GB",
-        "rand-lookup",
-        "rand-update",
+    let mut fig11 = Table::new(&[
+        "index_gb",
+        "sil_1gb",
+        "sil_2gb",
+        "sil_3gb",
+        "siu_1gb",
+        "siu_2gb",
+        "siu_3gb",
+        "rand_lookup",
+        "rand_update",
     ]);
     for (si, &size) in sizes.iter().enumerate() {
         fig11.row(vec![
-            format!("{}GB", size / GIB),
-            f(sil_speed[0][si], 0),
-            f(sil_speed[1][si], 0),
-            f(sil_speed[2][si], 0),
-            f(siu_speed[0][si], 0),
-            f(siu_speed[1][si], 0),
-            f(siu_speed[2][si], 0),
-            f(rand_lookup, 0),
-            f(rand_update, 0),
+            Cell::U(size / GIB),
+            Cell::F(sil_speed[0][si], 0),
+            Cell::F(sil_speed[1][si], 0),
+            Cell::F(sil_speed[2][si], 0),
+            Cell::F(siu_speed[0][si], 0),
+            Cell::F(siu_speed[1][si], 0),
+            Cell::F(siu_speed[2][si], 0),
+            Cell::F(rand_lookup, 0),
+            Cell::F(rand_update, 0),
         ]);
     }
     fig11.print();
@@ -149,4 +149,12 @@ fn main() {
         sil_speed[2][0] / rand_lookup,
         siu_speed[2][0] / rand_update,
     );
+
+    let json = format!(
+        "{{\n  \"bench\": \"fig10_11\",\n  \"denom\": {denom},\n  \"fill\": {fill},\n  \
+         \"fig10\": {},\n  \"fig11\": {}\n}}\n",
+        fig10.json_rows(),
+        fig11.json_rows()
+    );
+    debar_bench::write_bench_json("fig10_11", smoke, &json);
 }

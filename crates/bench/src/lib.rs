@@ -10,7 +10,7 @@
 //! | `table2` | Table 2 — disk-index utilization experiment |
 //! | `fig6_7` | Fig. 6 (logical vs stored) and Fig. 7 (compression ratios) |
 //! | `fig8_9` | Fig. 8 (DEBAR throughput) and Fig. 9 (dedup-2 vs DDFS) |
-//! | `fig10_11` | Fig. 10 (SIL/SIU time) and Fig. 11 (lookup efficiencies) |
+//! | `fig10_11` | Fig. 10 (SIL/SIU time) and Fig. 11 (lookup efficiencies; `BENCH_fig10_11.json`) |
 //! | `fig12` | Fig. 12 (throughput vs system capacity, DEBAR vs DDFS; `BENCH_fig12.json`) |
 //! | `fig13` | Fig. 13 (PSIL/PSIU speeds, 16 servers) |
 //! | `fig14` | Fig. 14 (16-server aggregate write/read throughput; `BENCH_fig14.json`) |
@@ -27,7 +27,7 @@
 //! `n` is its scale denominator (its runs per bucket size for `table2` and
 //! `ablation_bucket_size`; see the `ScaleModel` docs for why MB/s-shaped
 //! results are scale-invariant) and `--smoke` is the cheap scale at which
-//! CI runs all of them. The nine that name a `BENCH_*.json` declare those
+//! CI runs all of them. The ten that name a `BENCH_*.json` declare those
 //! rows once, in a [`table::Table`] that renders as the text on stdout and
 //! as the file's JSON, and write it through [`write_bench_json`]: CI holds
 //! the files to their committed bytes.

@@ -119,8 +119,7 @@ impl DebarCluster {
             servers,
             repo: ChunkRepository::new(cfg.repo_nodes, paper::repo_disk(), cfg.container_bytes)
                 .with_replication(cfg.replication)
-                .with_retry(cfg.retry)
-                .with_health_policy(cfg.health),
+                .with_retry(cfg.retry),
             clients: HashMap::new(),
             carryover_store: StoreReport::default(),
             carryover_siu: None,
@@ -265,13 +264,6 @@ impl DebarCluster {
     /// container's every other replica is lost too.
     pub fn repair_repo_node(&mut self, node: usize) -> DebarResult<debar_store::RepairReport> {
         Ok(self.repo.repair_node(node)?)
-    }
-
-    /// One repository node's health as tracked by the configured
-    /// [`debar_store::HealthPolicy`] (always `Healthy` when tracking is
-    /// disabled). An out-of-range node is a typed error.
-    pub fn repo_node_health(&mut self, node: usize) -> DebarResult<debar_store::Health> {
-        Ok(self.repo.node_health(node)?)
     }
 
     /// Cluster-wide integrity scrub: walk every container copy on every

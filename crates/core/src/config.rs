@@ -45,7 +45,6 @@
 
 use debar_index::IndexParams;
 use debar_simio::{RetryPolicy, ScaleModel};
-use debar_store::HealthPolicy;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a DEBAR deployment.
@@ -132,13 +131,6 @@ pub struct DebarConfig {
     /// (`max_attempts` 1, no backoff) is fail-fast — the pre-retry
     /// behavior everywhere.
     pub retry: RetryPolicy,
-    /// Error thresholds driving each repository node's health state
-    /// machine (healthy → suspect → quarantined): reads prefer healthier
-    /// replicas, writes refuse quarantined targets while replication can
-    /// still be honored, and `repair_node` resets a node to healthy. The
-    /// default (both thresholds 0) disables health tracking — the
-    /// pre-health behavior everywhere.
-    pub health: HealthPolicy,
     /// Master seed.
     pub seed: u64,
 }
@@ -165,7 +157,6 @@ impl DebarConfig {
             store_workers: 1,
             retention: 0,
             retry: RetryPolicy::none(),
-            health: HealthPolicy::default(),
             seed: 0xDEBA_0001,
         }
     }
@@ -258,14 +249,6 @@ impl DebarConfig {
     /// backoff).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Builder: track repository-node health with the given error
-    /// thresholds (see the `health` field; `validate` rejects a
-    /// suspect threshold above the quarantine one when both are set).
-    pub fn with_health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
         self
     }
 
@@ -395,16 +378,6 @@ impl DebarConfig {
                 self.retry.backoff_cost
             )));
         }
-        if self.health.suspect_after > 0
-            && self.health.quarantine_after > 0
-            && self.health.suspect_after > self.health.quarantine_after
-        {
-            return Err(geometry(format!(
-                "health thresholds out of order: suspect_after {} exceeds quarantine_after {} \
-                 (a node would quarantine before it turns suspect)",
-                self.health.suspect_after, self.health.quarantine_after
-            )));
-        }
         if self.filter_bytes < debar_filter::NODE_BYTES {
             return Err(geometry(format!(
                 "preliminary-filter budget ({} B) below one {}-byte node",
@@ -530,12 +503,10 @@ mod tests {
         assert!(r.contains("backoff"), "{r}");
         let r = geom(base.with_retry(RetryPolicy::new(3, f64::NAN)));
         assert!(r.contains("backoff"), "{r}");
-        let r = geom(base.with_health(HealthPolicy::new(5, 2)));
-        assert!(r.contains("out of order"), "{r}");
     }
 
     #[test]
-    fn retry_and_health_default_off_and_builders_validate() {
+    fn retry_defaults_off_and_builder_validates() {
         for cfg in [
             DebarConfig::single_server_scaled(1024),
             DebarConfig::cluster_scaled(2, 32 << 30, 1024),
@@ -543,23 +514,10 @@ mod tests {
         ] {
             assert_eq!(cfg.retry, RetryPolicy::none(), "fail-fast by default");
             assert!(!cfg.retry.retries());
-            assert!(!cfg.health.is_enabled(), "health tracking off by default");
         }
-        let cfg = DebarConfig::tiny_test(0)
-            .with_retry(RetryPolicy::new(3, 0.004))
-            .with_health(HealthPolicy::new(2, 5));
+        let cfg = DebarConfig::tiny_test(0).with_retry(RetryPolicy::new(3, 0.004));
         cfg.validate().expect("valid");
         assert!(cfg.retry.retries());
-        assert!(cfg.health.is_enabled());
-        // One-sided health policies validate (0 disables that tier).
-        DebarConfig::tiny_test(0)
-            .with_health(HealthPolicy::new(0, 3))
-            .validate()
-            .expect("valid");
-        DebarConfig::tiny_test(0)
-            .with_health(HealthPolicy::new(3, 0))
-            .validate()
-            .expect("valid");
     }
 
     #[test]

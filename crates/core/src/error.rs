@@ -183,15 +183,6 @@ pub enum DebarError {
         /// Total attempts made before giving up.
         attempts: u32,
     },
-    /// A write targeted a repository node the health tracker has
-    /// quarantined (its error count crossed the configured threshold).
-    /// Writes refuse quarantined targets while enough healthy nodes
-    /// remain to honor the replication factor; `repair_node` clears the
-    /// quarantine.
-    NodeQuarantined {
-        /// The quarantined repository node.
-        node: usize,
-    },
 }
 
 impl fmt::Display for DebarError {
@@ -260,10 +251,6 @@ impl fmt::Display for DebarError {
                 "repository node {node} still failing after {attempts} attempts; \
                  repair the node or raise the retry budget"
             ),
-            DebarError::NodeQuarantined { node } => write!(
-                f,
-                "repository node {node} is quarantined; repair it before writing there"
-            ),
         }
     }
 }
@@ -300,7 +287,6 @@ impl From<StoreError> for DebarError {
             StoreError::RetriesExhausted { node, attempts } => {
                 DebarError::RetriesExhausted { node, attempts }
             }
-            StoreError::NodeQuarantined { node } => DebarError::NodeQuarantined { node },
             // StoreError is non_exhaustive: a future kind surfaces with its
             // own text rather than panicking or posing as a device fault.
             other => DebarError::IndexGeometry {
@@ -431,9 +417,6 @@ mod tests {
         );
         assert!(e.to_string().contains("node 4"), "{e}");
         assert!(e.to_string().contains("3 attempts"), "{e}");
-        let e: DebarError = StoreError::NodeQuarantined { node: 1 }.into();
-        assert_eq!(e, DebarError::NodeQuarantined { node: 1 });
-        assert!(e.to_string().contains("quarantined"), "{e}");
     }
 
     #[test]

@@ -137,7 +137,7 @@
 //!   while degraded, and a repair restores full replication (proven by the
 //!   node-down scenario legs in `tests/failure_kinds.rs`).
 //!
-//! ## Self-healing: transient faults, retry, health and scrub
+//! ## Self-healing: transient faults, retry and scrub
 //!
 //! Real device errors are mostly *transient* — a path flap or a sector
 //! retry, not a dead disk. The self-healing layer absorbs those without
@@ -169,17 +169,11 @@
 //!   nothing to retry; they are caught by the checksum trailer on the
 //!   next read (and by the scrub), which is where the retry loop and
 //!   failover apply.
-//! * **Health & quarantine.** [`DebarConfig::health`]
-//!   (`debar_store::HealthPolicy`) counts errors per repository node —
-//!   every failed fault-checked attempt and every corrupt copy detected —
-//!   and walks the node `Healthy → Suspect → Quarantined` as the
-//!   thresholds are crossed. Replica reads prefer healthier copies;
-//!   writes refuse a quarantined target with the typed
-//!   [`DebarError::NodeQuarantined`] *unless* honoring the refusal would
-//!   leave fewer usable nodes than [`DebarConfig::replication`]
-//!   (availability wins). [`DebarCluster::repair_repo_node`] resets the
-//!   repaired node to healthy. The default (thresholds 0) disables
-//!   tracking entirely.
+//!
+//!   A failed attempt leaves no mark on its node beyond the retries and
+//!   backoff it charged to that node's lane, so a reader with lanes
+//!   leaves a failing node for another copy on its own; a down or failing
+//!   node is found out only when it is read.
 //! * **Scrub with read-repair.** [`DebarCluster::scrub`] walks every
 //!   container copy on every up node under the same quiesce gate as GC
 //!   and scale-out, verifies each copy's checksummed image, rewrites
@@ -342,7 +336,7 @@ pub use cluster::{DebarCluster, GcReport};
 pub use config::DebarConfig;
 pub use dataset::{ChunkedFile, Dataset, FileContent, FileEntry, StreamChunk};
 pub use debar_simio::RetryPolicy;
-pub use debar_store::{Health, HealthPolicy, ScrubReport};
+pub use debar_store::ScrubReport;
 pub use error::{DebarError, DebarResult, Dedup2Phase};
 pub use ids::{ClientId, Device, JobId, RunId, ServerId};
 pub use report::{CapReport, Dedup1Report, Dedup2Report, LayoutReport, RestoreReport};

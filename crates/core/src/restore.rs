@@ -189,8 +189,8 @@
 //!   arrival to 157.5 and 168.1, 174.3 and 191.1.
 //!
 //! * **A fetch goes where the disk is free.** Of a container's copies the
-//!   repository reads the healthiest, then the one whose node lane can
-//!   start the read soonest — the walk tells it, per node, `max(lane
+//!   repository reads the one whose node lane can start the read
+//!   soonest — the walk tells it, per node, `max(lane
 //!   free, resolver)` — and only then the one whose disk has read least;
 //!   a fetch whose lanes all start alike takes the copy byte balance
 //!   names, as every reader without lanes does. Byte balance alone would
@@ -291,9 +291,8 @@ impl RestoreLanes {
 
     /// Put a container read's legs on their nodes' lanes, one after the
     /// other (a replica is only tried once the one before it has failed),
-    /// in the order the repository tried them: of the equally healthy
-    /// copies, the one whose lane [`Self::starts`] the soonest, ties to
-    /// the least-read. It starts once the resolver has got to it and no
+    /// in the order the repository tried them: the copy whose lane
+    /// [`Self::starts`] the soonest, ties to the least-read. It starts once the resolver has got to it and no
     /// sooner than `gate` (the cache entries it evicts have been streamed
     /// out) — the two things a fetch waits for. The resolver moves on
     /// once the serving read's metadata section is in — or, when no copy

@@ -196,11 +196,6 @@ impl FingerprintGenerator {
         self.next
     }
 
-    /// Counter value that will be consumed by the next call.
-    pub fn next_counter(&self) -> u64 {
-        self.base.wrapping_add(self.next % self.span)
-    }
-
     /// Produce the fingerprint of counter `base + offset` without advancing.
     pub fn at(&self, offset: u64) -> Fingerprint {
         Fingerprint::of_counter(self.base.wrapping_add(offset % self.span))

@@ -277,6 +277,10 @@ pub mod test_runner {
     /// `PROPTEST_CASE=k` set, `k` as a failing case prints itself (`case
     /// k/n of name`) — the `k`-th alone. Its values are drawn from the
     /// same seed as in a full run, so it fails the same way.
+    // The shim stands in for the external `proptest`, which reads its
+    // replay switch from the environment; the workspace rule against
+    // environment knobs is for the system.
+    #[allow(clippy::disallowed_methods)]
     pub fn cases_to_run(cases: u32) -> std::ops::Range<u32> {
         replayed(cases, std::env::var("PROPTEST_CASE").ok().as_deref())
     }

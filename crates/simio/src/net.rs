@@ -81,11 +81,6 @@ impl SimLink {
         self.stats
     }
 
-    /// Reset statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
-    }
-
     /// Stream `bytes` (bulk transfer); returns the cost.
     pub fn stream(&mut self, bytes: u64) -> Secs {
         let c = self.model.stream_cost(bytes);

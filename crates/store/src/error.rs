@@ -62,12 +62,6 @@ pub enum StoreError {
         /// Total attempts made before giving up.
         attempts: u32,
     },
-    /// The operation targeted a node the health tracker has quarantined
-    /// (error threshold crossed; refuse writes until repaired).
-    NodeQuarantined {
-        /// The quarantined node.
-        node: usize,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -99,9 +93,6 @@ impl fmt::Display for StoreError {
                     f,
                     "storage node {node} still failing after {attempts} attempts"
                 )
-            }
-            StoreError::NodeQuarantined { node } => {
-                write!(f, "storage node {node} is quarantined")
             }
         }
     }

@@ -11,13 +11,12 @@
 //! * [`repository`] — the chunk repository: a uniform container log across
 //!   a cluster of physical, replicated storage nodes, providing the global
 //!   de-duplication storage pool. Each container is written to
-//!   `replication` distinct node disks; reads pick the healthiest replica,
-//!   then the one the caller's lane can start soonest, then the
-//!   least-loaded, and fail over to surviving copies past downed
-//!   nodes, injected faults and corrupt copies (read-repairing corrupt
-//!   ones inline); transient faults are absorbed by a retry policy with
-//!   backoff; per-node error counts drive a health state machine
-//!   (healthy → suspect → quarantined); and repair/scrub passes
+//!   `replication` distinct node disks; reads pick the replica the
+//!   caller's lane can start soonest, then the least-loaded, and fail
+//!   over to surviving copies past downed nodes, injected faults and
+//!   corrupt copies (read-repairing corrupt ones inline); transient
+//!   faults are absorbed by a retry policy with backoff; and repair/scrub
+//!   passes
 //!   re-replicate what a lost node held or a scrub found damaged. Every
 //!   copy of a container lives on its replica ring.
 //! * [`lpc`] — locality-preserved caching (LPC): an LRU of containers'
@@ -43,6 +42,6 @@ pub use error::StoreError;
 pub use lpc::{LpcCache, LpcStats};
 pub use manager::ContainerManager;
 pub use repository::{
-    wanted_extents, BatchAppend, ChunkRepository, Health, HealthPolicy, NodeRead, ReadLegs,
-    Reclaimed, RepairReport, RepoStats, ScrubLeg, ScrubReport, ServedLeg, StorageNode,
+    wanted_extents, BatchAppend, ChunkRepository, NodeRead, ReadLegs, Reclaimed, RepairReport,
+    RepoStats, ScrubLeg, ScrubReport, ServedLeg, StorageNode,
 };

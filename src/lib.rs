@@ -63,4 +63,4 @@ pub use debar_core::{
 };
 pub use debar_hash::{ContainerId, Fingerprint};
 pub use debar_simio::{FaultKind, FaultPlan, FaultSpec, InjectedFault, RetryPolicy};
-pub use debar_store::{CorruptKind, Damage, Health, HealthPolicy, ScrubReport, StoreError};
+pub use debar_store::{CorruptKind, Damage, ScrubReport, StoreError};

@@ -1,9 +1,8 @@
 //! The self-healing scenario family (ROADMAP: robustness): seeded
 //! transient-fault chaos absorbed by the retry layer, typed retry
-//! exhaustion, node health walks with quarantine write refusal, and the
-//! cluster-wide scrub with read-repair.
+//! exhaustion, and the cluster-wide scrub with read-repair.
 //!
-//! Four properties are pinned:
+//! Three properties are pinned:
 //!
 //! 1. **Chaos convergence** — a seeded schedule of transient faults
 //!    across every repository node, each within the retry budget, never
@@ -17,13 +16,7 @@
 //!    attempt count, on both the read path (strict restore) and the
 //!    write path (`InterruptedDedup2` whose cause names the node);
 //!    clearing the fault and re-running converges.
-//! 3. **Health walk** — detected corruption drives a node `Healthy` →
-//!    `Suspect` → `Quarantined` at the configured thresholds; writes
-//!    placed on the quarantined node refuse typed
-//!    (`DebarError::NodeQuarantined`) while replication can be met
-//!    elsewhere; `repair_repo_node` resets the walk and the redo
-//!    converges.
-//! 4. **Scrub closes the loop** — `DebarCluster::scrub` detects and
+//! 3. **Scrub closes the loop** — `DebarCluster::scrub` detects and
 //!    repairs **every** injected corrupt copy at `R = 2` (byte-identical
 //!    restores afterwards), is idempotent, refuses typed while dedup-2
 //!    state is staged, and never resurrects a reclaimed container —
@@ -37,8 +30,8 @@ use common::{
 };
 use debar::workload::ChunkRecord;
 use debar::{
-    ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, Device, FaultPlan, Health,
-    HealthPolicy, JobId, RetryPolicy, RunId, ScrubReport,
+    ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, Device, FaultPlan, JobId,
+    RetryPolicy, RunId, ScrubReport,
 };
 
 /// The retry policy every chaos leg runs under: 4 attempts, so the
@@ -80,10 +73,6 @@ fn transient_chaos_converges_byte_identically_across_matrix() {
             let chaotic = run_scenario(
                 &Scenario::tiny("chaos", 0, parts)
                     .with_cfg(|c| c.with_replication(repl).with_retry(chaos_retry()))
-                    // Suspect-only health: errors re-rank replica reads
-                    // but never gate writes, so the outcome stays
-                    // comparable. (Quarantine refusal is test 3's job.)
-                    .with_cfg(|c| c.with_health(HealthPolicy::new(4, 0)))
                     .with_failure(Failure::TransientChaos { seed: 0xC4A0_0001 }),
             );
             assert!(
@@ -105,10 +94,7 @@ fn transient_chaos_converges_multi_server() {
         let clean = run_scenario(&Scenario::tiny("chaos-w1", 1, parts));
         let chaotic = run_scenario(
             &Scenario::tiny("chaos-w1", 1, parts)
-                .with_cfg(|c| {
-                    c.with_retry(chaos_retry())
-                        .with_health(HealthPolicy::new(4, 0))
-                })
+                .with_cfg(|c| c.with_retry(chaos_retry()))
                 .with_failure(Failure::TransientChaos { seed: 0xC4A0_0002 }),
         );
         assert!(chaotic.retried_ops > 0, "chaos-w1 parts={parts}: no retry");
@@ -212,77 +198,6 @@ fn retry_exhaustion_is_typed_on_the_write_path() {
         .expect("restore after redo");
     assert_eq!(r.failures, 0);
     assert_eq!(r.chunks, 1500);
-}
-
-#[test]
-fn read_failures_walk_health_to_quarantine_and_writes_refuse_typed() {
-    // suspect_after=1, quarantine_after=2: each armed single-shot read
-    // fault fires exactly once, so the first failed verify pass marks
-    // the node Suspect and the second quarantines it.
-    let (mut c, job) = loaded_cluster(
-        DebarConfig::tiny_test(0).with_health(HealthPolicy::new(1, 2)),
-        1500,
-    );
-    let run = RunId { job, version: 0 };
-    for node in 0..c.repository().node_count() {
-        assert_eq!(
-            c.repo_node_health(node).expect("node in range"),
-            Health::Healthy
-        );
-    }
-
-    arm_in(&mut c, Device::RepoNode(0), 0, FaultPlan::fail_at);
-    let v1 = c.verify_run(run).expect("verify is non-strict");
-    assert!(v1.failures > 0, "the faulted read must fail verification");
-    assert_eq!(
-        v1.failover_reads, 0,
-        "at R=1 there is no replica to fail over to"
-    );
-    assert_eq!(
-        c.repo_node_health(0).expect("node in range"),
-        Health::Suspect,
-        "first error must cross suspect_after=1"
-    );
-    arm_in(&mut c, Device::RepoNode(0), 0, FaultPlan::fail_at);
-    let v2 = c.verify_run(run).expect("verify");
-    assert!(v2.failures > 0);
-    assert_eq!(
-        c.repo_node_health(0).expect("node in range"),
-        Health::Quarantined,
-        "second error must cross quarantine_after=2"
-    );
-
-    // New containers placed on the quarantined node refuse typed while
-    // the healthy node alone can satisfy R=1.
-    let recs2: Vec<ChunkRecord> = (100_000..103_000).map(ChunkRecord::of_counter).collect();
-    c.backup(job, &Dataset::from_records("data", recs2))
-        .expect("backup");
-    let err = c
-        .run_dedup2()
-        .expect_err("a write placed on the quarantined node must refuse typed");
-    match err {
-        DebarError::InterruptedDedup2 { cause, .. } => match *cause {
-            DebarError::NodeQuarantined { node } => assert_eq!(node, 0),
-            other => panic!("expected NodeQuarantined cause, got {other:?}"),
-        },
-        other => panic!("expected InterruptedDedup2, got {other:?}"),
-    }
-
-    // Repair the node: health resets and the refused round resumes to a
-    // clean, restorable state.
-    c.repair_repo_node(0).expect("repair resets health");
-    assert_eq!(
-        c.repo_node_health(0).expect("node in range"),
-        Health::Healthy
-    );
-    c.run_dedup2().expect("redo after repair converges");
-    c.force_siu().expect("siu");
-    for version in 0..2 {
-        let r = c
-            .restore_run(RunId { job, version })
-            .expect("restore after repair");
-        assert_eq!(r.failures, 0, "version {version} after repair");
-    }
 }
 
 #[test]

@@ -329,6 +329,9 @@ pub fn retention_matrix() -> Vec<u32> {
 /// silent fallback would green-light a CI leg that never engaged the
 /// values its name claims.
 fn env_matrix(var: &str, default: &[usize]) -> Vec<usize> {
+    // The `DEBAR_*` matrices are how CI widens a test's legs; the
+    // workspace rule against environment knobs is for the system.
+    #[allow(clippy::disallowed_methods)]
     let Ok(s) = std::env::var(var) else {
         return default.to_vec();
     };

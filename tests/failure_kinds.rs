@@ -89,6 +89,9 @@ fn interrupted_dedup2_converges_multi_server() {
 /// The part-disk to fault for a `parts`-way stripe: the last part by
 /// default, or `DEBAR_FAULT_PART` (clamped into the stripe) — the CI
 /// `part-fault` leg selects different parts this way.
+// A CI leg's test selector, not a system knob: exempt from the workspace
+// rule against reading the environment.
+#[allow(clippy::disallowed_methods)]
 fn fault_part_for(parts: usize) -> usize {
     std::env::var("DEBAR_FAULT_PART")
         .ok()
@@ -226,6 +229,9 @@ fn chunk_log_drain_fault_converges_multi_server() {
 /// deployment: the last node by default, or `DEBAR_FAULT_NODE` (clamped
 /// into the cluster) — the CI `node-down` leg selects different nodes
 /// this way.
+// A CI leg's test selector, not a system knob: exempt from the workspace
+// rule against reading the environment.
+#[allow(clippy::disallowed_methods)]
 fn fault_node_for(nodes: usize) -> usize {
     std::env::var("DEBAR_FAULT_NODE")
         .ok()
