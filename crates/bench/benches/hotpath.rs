@@ -11,6 +11,10 @@
 //! | Bloom batch probe (64 MB filter) | classic `k`-line layout | blocked one-line layout |
 //! | CDC (8 MB stream, paper params) | `chunk_all_reference` (per-byte ring) | `chunk_all` (two-chain slice kernel) |
 //! | SHA-1 (the 8 MB stream's ~8 KB chunks) | `Sha1::portable` | `Sha1::new` (CPU-dispatched kernel) |
+//! | fingerprint table (64K inserts, 64K hits, 64K misses) | std `RandomState` (SipHash-1-3) | `FpBuild` (digest-keyed) |
+//!
+//! `prelim/check_64k` has no pair: it times the preliminary filter, which
+//! sits on an `FpMap`, priming one 64K generation and checking the next.
 //!
 //! The SHA-1 pair compares kernels only when the CPU has the SHA
 //! extensions; `sha1_kernel` in the summary names the one that ran.
@@ -28,9 +32,12 @@
 
 use criterion::Criterion;
 use debar_chunk::{CdcChunker, CdcParams};
-use debar_filter::BloomFilter;
-use debar_hash::{ContainerId, Fingerprint, Sha1, SplitMix64};
+use debar_filter::{BloomFilter, FilterVerdict, PrelimFilter};
+use debar_hash::{ContainerId, Fingerprint, FpBuild, Sha1, SplitMix64};
 use debar_index::{DiskIndex, IndexCache, IndexParams};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::hint::black_box;
 use std::io::Write;
 
@@ -263,6 +270,58 @@ fn sha1_benches(c: &mut Criterion) {
     });
 }
 
+/// Fingerprints per table kernel.
+const TABLE_FPS: u64 = 1 << 16;
+
+/// Insert `keys` into a fresh table hashed by `S`, then look every key up
+/// and every one of `misses`: the in-memory tables' whole life.
+fn table_life<S: BuildHasher + Default>(keys: &[Fingerprint], misses: &[Fingerprint]) -> usize {
+    let mut table: HashMap<Fingerprint, u32, S> = HashMap::default();
+    for (i, &k) in keys.iter().enumerate() {
+        table.insert(k, i as u32);
+    }
+    let hits = keys.iter().filter(|k| table.contains_key(k)).count();
+    let false_hits = misses.iter().filter(|k| table.contains_key(k)).count();
+    hits + false_hits
+}
+
+fn fpmap_benches(c: &mut Criterion) {
+    let keys: Vec<Fingerprint> = (0..TABLE_FPS).map(fp).collect();
+    let misses: Vec<Fingerprint> = (TABLE_FPS..2 * TABLE_FPS).map(fp).collect();
+    c.bench_function("fpmap/std_64k", |b| {
+        b.iter(|| black_box(table_life::<RandomState>(&keys, &misses)))
+    });
+    c.bench_function("fpmap/fp_64k", |b| {
+        b.iter(|| black_box(table_life::<FpBuild>(&keys, &misses)))
+    });
+}
+
+fn prelim_benches(c: &mut Criterion) {
+    // The next generation repeats three in four of the primed one's
+    // fingerprints, in order, and brings the rest new.
+    let primed: Vec<Fingerprint> = (0..TABLE_FPS).map(fp).collect();
+    let mut rng = SplitMix64::new(0x9E1);
+    let next: Vec<Fingerprint> = (0..TABLE_FPS)
+        .map(|i| {
+            if rng.below(4) == 0 {
+                fp(TABLE_FPS + i)
+            } else {
+                fp(i)
+            }
+        })
+        .collect();
+    c.bench_function("prelim/check_64k", |b| {
+        b.iter(|| {
+            let mut filter = PrelimFilter::new(2 * TABLE_FPS as usize);
+            filter.prime(primed.iter().copied());
+            let dups = (next.iter())
+                .filter(|&&f| filter.check(f) == FilterVerdict::Duplicate)
+                .count();
+            black_box(dups)
+        })
+    });
+}
+
 fn json_escape_free(name: &str) -> bool {
     name.chars()
         .all(|ch| ch.is_ascii_alphanumeric() || "/_-.".contains(ch))
@@ -299,6 +358,7 @@ fn write_summary(results: &[(String, criterion::Sample)]) {
             "sha1/portable_8k_chunks_8m",
             "sha1/dispatch_8k_chunks_8m",
         ),
+        ("fp_hasher", "fpmap/std_64k", "fpmap/fp_64k"),
     ];
 
     let mut out = String::from("{\n  \"benches\": {\n");
@@ -341,5 +401,7 @@ fn main() {
     bloom_benches(&mut c);
     cdc_benches(&mut c);
     sha1_benches(&mut c);
+    fpmap_benches(&mut c);
+    prelim_benches(&mut c);
     write_summary(&c.take_results());
 }

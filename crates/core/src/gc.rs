@@ -116,11 +116,11 @@
 use super::{last_idle, DebarCluster};
 use crate::error::{DebarError, DebarResult};
 use crate::ids::{JobId, RunId, ServerId};
-use debar_hash::{ContainerId, Fingerprint};
+use debar_hash::{ContainerId, Fingerprint, FpSet};
 use debar_simio::{Lane, Secs};
 use debar_store::{Container, ContainerManager};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// What one garbage collection did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -254,15 +254,16 @@ impl DebarCluster {
     /// The live set, the dead entries per owning server and the victim
     /// containers that hold them.
     fn gc_plan(&self, report: &mut GcReport) -> GcPlan {
-        let mut live: HashSet<Fingerprint> = HashSet::new();
+        let mut live = FpSet::default();
         for rec in self.director.metadata.retained_runs() {
             for f in &rec.files {
                 live.extend(f.fingerprints.iter().copied());
             }
         }
         report.live_fps = live.len() as u64;
-        let mut dead_per_server: Vec<HashSet<Fingerprint>> =
-            vec![HashSet::new(); self.servers.len()];
+        let mut dead_per_server: Vec<FpSet> = std::iter::repeat_with(FpSet::default)
+            .take(self.servers.len())
+            .collect();
         let mut victims: BTreeSet<ContainerId> = BTreeSet::new();
         for (sid, srv) in self.servers.iter().enumerate() {
             for e in srv.index().iter_entries() {
@@ -356,11 +357,7 @@ impl DebarCluster {
 
     /// Per-server index sweep; summary withdrawal rides on each server's
     /// *successful* sweep so a redo never double-removes.
-    fn gc_sweep(
-        &mut self,
-        dead_per_server: &[HashSet<Fingerprint>],
-        report: &mut GcReport,
-    ) -> DebarResult<()> {
+    fn gc_sweep(&mut self, dead_per_server: &[FpSet], report: &mut GcReport) -> DebarResult<()> {
         let parts = self.cfg.sweep_parts;
         // Each server sweeps its own index disks, so the sweeps run side
         // by side: the collection waits for the slowest.
@@ -453,9 +450,9 @@ impl DebarCluster {
 /// What a collection decides before it moves a byte.
 struct GcPlan {
     /// Fingerprints referenced by retained runs.
-    live: HashSet<Fingerprint>,
+    live: FpSet,
     /// Per owning server, its index entries no retained run references.
-    dead_per_server: Vec<HashSet<Fingerprint>>,
+    dead_per_server: Vec<FpSet>,
     /// Containers holding a dead entry, ascending.
     victims: BTreeSet<ContainerId>,
 }

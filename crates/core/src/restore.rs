@@ -217,7 +217,7 @@ use crate::ids::RunId;
 use crate::metadata::{FileIndexEntry, RunRecord};
 use crate::report::{LayoutReport, RestoreReport};
 use crate::server::{BackupServer, CachedContainer};
-use debar_hash::{ContainerId, Fingerprint, Sha1};
+use debar_hash::{ContainerId, Fingerprint, FpMap, Sha1};
 use debar_simio::{Lane, Secs, Timed};
 use debar_store::{ChunkRepository, CorruptKind, LpcCache, LpcStats, NodeRead, Payload, ReadLegs};
 use std::collections::{HashMap, HashSet};
@@ -507,10 +507,12 @@ fn choose_victim<T>(residents: impl Iterator<Item = Resident<T>>, start: Secs) -
 /// What a walk knows of the rest of its own recipe — built on the first
 /// miss that finds the cache full, so a walk that never evicts never pays
 /// for it. Only ever looked up by key: no `HashMap` order reaches a
-/// victim choice.
+/// victim choice. The maps' keys are drawn afresh for every build, so an
+/// order that did leak would make two reps of one seed choose apart: the
+/// key is what keeps this checked.
 struct RecipeIndex {
     /// Fingerprint → the first and the last recipe position that hold it.
-    spans: HashMap<Fingerprint, (usize, usize)>,
+    spans: FpMap<(usize, usize)>,
     /// Position → the next position holding the same fingerprint
     /// ([`Self::END`] after the last).
     next_same: Vec<usize>,
@@ -526,7 +528,7 @@ impl RecipeIndex {
     fn build(record: &RunRecord, only_path: Option<&str>) -> Self {
         let files = || walked_files(record, only_path);
         let len = files().map(|f| f.fingerprints.len()).sum();
-        let mut spans: HashMap<Fingerprint, (usize, usize)> = HashMap::with_capacity(len);
+        let mut spans = FpMap::with_capacity_and_hasher(len, Default::default());
         let mut next_same = vec![Self::END; len];
         let recipe = files().flat_map(|f| &f.fingerprints);
         for (pos, fp) in (0..len).rev().zip(recipe.rev()) {
@@ -1176,8 +1178,7 @@ mod tests {
         c.backup(job, &Dataset::from_records("base", records(0..n)))
             .expect("backup");
         c.run_dedup2().expect("dedup2");
-        let counter: HashMap<Fingerprint, u64> =
-            (0..n).map(|i| (Fingerprint::of_counter(i), i)).collect();
+        let counter: FpMap<u64> = (0..n).map(|i| (Fingerprint::of_counter(i), i)).collect();
         let layout = (c.repo.container_ids().into_iter())
             .map(|cid| {
                 let stored = c.repo.read(cid).value.expect("clean").expect("stored");

@@ -33,12 +33,11 @@ use crate::config::DebarConfig;
 use crate::error::DebarError;
 use crate::ids::{Device, ServerId};
 use crate::report::StoreReport;
-use debar_hash::{ContainerId, Fingerprint};
+use debar_hash::{ContainerId, Fingerprint, FpMap, FpSet};
 use debar_index::{DiskIndex, IndexCache, IndexError, SiuReport};
 use debar_simio::models::paper;
 use debar_simio::{Lane, Secs, SimCpu, SimLink, VirtualClock};
 use debar_store::{ChunkRepository, Container, ContainerManager, LpcCache, Payload};
-use std::collections::{HashMap, HashSet};
 
 /// Per-origin storage decision for a fingerprint this origin submitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,7 +156,7 @@ pub struct BackupServer {
     /// The checking fingerprint file (§5.4): fingerprints scheduled for
     /// storage whose index registration (SIU) is still pending. Only the
     /// PSIL commit adds to it.
-    pub(crate) checking: HashSet<Fingerprint>,
+    pub(crate) checking: FpSet,
     /// The unregistered fingerprint file: fp → container mappings awaiting
     /// SIU on this part.
     pending_updates: Vec<(Fingerprint, ContainerId)>,
@@ -166,7 +165,7 @@ pub struct BackupServer {
     /// time it was reached. The chunk log holds the matching records;
     /// [`BackupServer::pack_chunks`] reads the map in place and only a
     /// store commit ([`BackupServer::commit_packed`]) gives decisions up.
-    decisions: HashMap<Fingerprint, (Decision, Secs)>,
+    decisions: FpMap<(Decision, Secs)>,
     /// The restore cache: the LPC, each resident carrying the chunks its
     /// fetches brought in.
     pub(crate) lpc: LpcCache<CachedContainer>,
@@ -180,7 +179,7 @@ pub struct BackupServer {
 /// it holds exactly the chunks whose fingerprints the entry lists.
 #[derive(Default)]
 pub(crate) struct CachedContainer {
-    chunks: HashMap<Fingerprint, (Payload, Secs)>,
+    chunks: FpMap<(Payload, Secs)>,
     /// Server-clock time the last chunk served from it left the NIC (the
     /// completion of the last read into it until one has, or if later):
     /// the fetch that evicts this container may not start before.
@@ -272,9 +271,9 @@ impl BackupServer {
             chunk_log: ChunkLog::new(id),
             undetermined: Vec::new(),
             index,
-            checking: HashSet::new(),
+            checking: FpSet::default(),
             pending_updates: Vec::new(),
-            decisions: HashMap::new(),
+            decisions: FpMap::default(),
             lpc: restore_cache(&cfg),
             cfg,
         }
@@ -368,7 +367,7 @@ impl BackupServer {
         let cache_cap = self.cfg.cache_fps();
         let parts = self.cfg.sweep_parts;
         let mut newly_checking: Vec<Fingerprint> = Vec::new();
-        let mut staged: HashSet<Fingerprint> = HashSet::new();
+        let mut staged = FpSet::default();
         let carries = carry_siu && !self.pending_updates.is_empty();
         let mut siu: Option<SiuReport> = None;
 
@@ -494,7 +493,7 @@ impl BackupServer {
         // The records this pass packs, decided once: a `Store` decision on
         // the first occurrence of its fingerprint in the log. The drain
         // reads only these, and the pack loop consults nothing else.
-        let mut packed: HashSet<Fingerprint> = HashSet::new();
+        let mut packed = FpSet::default();
         let (wanted, decided): (Vec<bool>, Vec<Secs>) = (self.chunk_log.records().iter())
             .map(|rec| match self.decisions.get(&rec.fp) {
                 Some(&(d, at)) => {
@@ -605,7 +604,7 @@ impl BackupServer {
         }
         let consumed = match batch.fault {
             None => {
-                self.decisions = HashMap::new();
+                self.decisions = FpMap::default();
                 self.chunk_log.commit(|_| false)
             }
             Some(_) => {
@@ -730,12 +729,7 @@ impl BackupServer {
 /// Merge one storage decision, reached at `at`, into a decision map: a
 /// `Store` designation is binding and must never be overwritten by a
 /// later `Skip`. An entry keeps the time of the decision it holds.
-fn merge_decision(
-    map: &mut HashMap<Fingerprint, (Decision, Secs)>,
-    fp: Fingerprint,
-    d: Decision,
-    at: Secs,
-) {
+fn merge_decision(map: &mut FpMap<(Decision, Secs)>, fp: Fingerprint, d: Decision, at: Secs) {
     map.entry(fp)
         .and_modify(|existing| {
             if d == Decision::Store && existing.0 != Decision::Store {

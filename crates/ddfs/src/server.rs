@@ -1,7 +1,7 @@
 //! The DDFS backup server baseline.
 
 use debar_filter::BloomFilter;
-use debar_hash::{ContainerId, Fingerprint};
+use debar_hash::{ContainerId, Fingerprint, FpMap, FpSet};
 use debar_index::{DiskIndex, IndexParams};
 use debar_simio::models::paper;
 use debar_simio::{Lane, Secs, SimCpu, SimLink, VirtualClock};
@@ -112,12 +112,12 @@ pub struct DdfsServer {
     /// Membership view of `open_fps`: the in-memory fingerprint table for
     /// the current container (prevents re-storing repeats that arrive
     /// before the container seals).
-    open_set: std::collections::HashSet<Fingerprint>,
+    open_set: FpSet,
     write_buffer: Vec<(Fingerprint, ContainerId)>,
     /// Membership view of the write buffer: buffered fingerprints are part
     /// of DDFS's in-memory fingerprint cache and resolve duplicates without
     /// disk I/O until the flush lands them in the index.
-    buffer_set: std::collections::HashMap<Fingerprint, ContainerId>,
+    buffer_set: FpMap<ContainerId>,
     /// Accumulated asynchronous container-write cost awaiting overlap
     /// accounting at stream end.
     async_store_cost: Secs,
@@ -137,9 +137,9 @@ impl DdfsServer {
             repo: ChunkRepository::new(cfg.repo_nodes, paper::repo_disk(), cfg.container_bytes),
             manager: ContainerManager::new(cfg.container_bytes),
             open_fps: Vec::new(),
-            open_set: std::collections::HashSet::new(),
+            open_set: FpSet::default(),
             write_buffer: Vec::with_capacity(cfg.write_buffer_fps.min(1 << 22)),
-            buffer_set: std::collections::HashMap::new(),
+            buffer_set: FpMap::default(),
             async_store_cost: 0.0,
             clock: VirtualClock::new(),
             nic: SimLink::new(paper::server_nic()),
@@ -205,7 +205,7 @@ impl DdfsServer {
         // through the positive path exactly as the record-at-a-time code
         // did.
         const BLOOM_BATCH: usize = 4096;
-        let mut batch_inserted: std::collections::HashSet<Fingerprint> = Default::default();
+        let mut batch_inserted = FpSet::default();
         // The repository nodes as this stream's prefetches find them.
         let mut nodes = vec![Lane::new(); self.repo.node_count()];
         for batch in records.chunks(BLOOM_BATCH) {

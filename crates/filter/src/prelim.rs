@@ -91,9 +91,9 @@
 //! catch rate of such a filter falls as capacity ÷ version; `BENCH_filter.json`
 //! has both curves.
 
-use debar_hash::Fingerprint;
+use debar_hash::{Fingerprint, FpMap, FpSet};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Verdict for one incoming fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +138,7 @@ enum Node {
 /// fingerprints (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct PrelimFilter {
-    nodes: HashMap<Fingerprint, Node>,
+    nodes: FpMap<Node>,
     /// Insertion-order queue of the stream-inserted nodes, for
     /// FIFO/second-chance replacement.
     queue: VecDeque<Fingerprint>,
@@ -179,7 +179,7 @@ impl PrelimFilter {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "filter capacity must be positive");
         PrelimFilter {
-            nodes: HashMap::with_capacity(capacity.min(1 << 20)),
+            nodes: FpMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             queue: VecDeque::new(),
             capacity,
             file: Vec::new(),
@@ -428,7 +428,7 @@ impl PrelimFilter {
                 out.push(*fp);
             }
         }
-        let mut seen = std::collections::HashSet::with_capacity(out.len());
+        let mut seen = FpSet::with_capacity_and_hasher(out.len(), Default::default());
         out.retain(|fp| seen.insert(*fp));
         for node in self.nodes.values_mut() {
             if let Node::Stream { is_new, .. } = node {

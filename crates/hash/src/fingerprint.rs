@@ -6,9 +6,25 @@
 //! in a multi-server deployment the *first w bits* select the backup server
 //! that owns the fingerprint's index part while the following `n−w` bits
 //! select the bucket within that part (§5.2, Fig. 5).
+//!
+//! The same uniformity gives the digest a third addressing: it is its own
+//! key in the in-memory fingerprint tables (the preliminary filter, the
+//! server's decision and pack sets, GC's live and dead sets, the LPC, the
+//! restore recipe index). [`FpMap`] and [`FpSet`] are std's tables with
+//! [`FpBuild`] in place of SipHash: [`Hash for Fingerprint`](Fingerprint)
+//! writes one XOR-fold of the digest's 8 + 8 + 4 bytes, and [`FpHasher`]
+//! spreads it with one folded 64×64→128 multiply. Each table draws its
+//! multiply key from std's `RandomState` when it is built, so, exactly as
+//! with std's hasher, no two tables iterate in the same order and no run
+//! repeats another's: a map order that leaked into a result would show as
+//! reps or seeds that disagree, which the determinism tests and the
+//! benchmark's rep-agreement check catch.
 
 use crate::sha1::{sha1_u64, Sha1};
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// A 160-bit chunk fingerprint (SHA-1 digest of chunk contents).
 ///
@@ -17,8 +33,91 @@ use std::fmt;
 /// and therefore with disk-index bucket order. This is what makes the
 /// *number-ordered fingerprint distribution* (§4.1) and sequential index
 /// lookups possible.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Fingerprint(pub [u8; 20]);
+
+impl Hash for Fingerprint {
+    /// One `u64`: the XOR-fold of digest bytes 0–7, 8–15 and 16–19. A
+    /// SHA-1 digest is uniform, so the fold is too; the table's hasher
+    /// only has to key and spread it (see the [module docs](self)).
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let d = &self.0;
+        let word = |at: usize| u64::from_le_bytes(d[at..at + 8].try_into().expect("8 bytes"));
+        let tail = u32::from_le_bytes(d[16..20].try_into().expect("4 bytes"));
+        state.write_u64(word(0) ^ word(8) ^ u64::from(tail));
+    }
+}
+
+/// A std `HashMap` keyed by fingerprint, hashed by [`FpBuild`].
+pub type FpMap<V> = HashMap<Fingerprint, V, FpBuild>;
+
+/// A std `HashSet` of fingerprints, hashed by [`FpBuild`].
+pub type FpSet = HashSet<Fingerprint, FpBuild>;
+
+/// The [`BuildHasher`] of [`FpMap`] and [`FpSet`]: two keys drawn from
+/// std's `RandomState` when the table is built, so each table hashes
+/// (and iterates) differently.
+#[derive(Debug, Clone, Copy)]
+pub struct FpBuild {
+    seed: u64,
+    mul: u64,
+}
+
+impl Default for FpBuild {
+    fn default() -> Self {
+        let keys = RandomState::new();
+        FpBuild {
+            seed: keys.hash_one(0u64),
+            // Odd, so the multiply never collapses the key it is given.
+            mul: keys.hash_one(1u64) | 1,
+        }
+    }
+}
+
+impl BuildHasher for FpBuild {
+    type Hasher = FpHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FpHasher {
+        FpHasher {
+            state: self.seed,
+            mul: self.mul,
+        }
+    }
+}
+
+/// A fingerprint's table hasher: each `u64` written is XORed into the
+/// state, which one folded 64×64→128 multiply then spreads. A
+/// [`Fingerprint`] writes exactly one `u64`, so it costs one multiply.
+#[derive(Debug, Clone)]
+pub struct FpHasher {
+    state: u64,
+    mul: u64,
+}
+
+impl Hasher for FpHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let product = u128::from(self.state ^ x) * u128::from(self.mul);
+        self.state = product as u64 ^ (product >> 64) as u64;
+    }
+
+    /// Any other key: its bytes as little-endian `u64` words, the last
+    /// zero-padded.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
 
 impl Fingerprint {
     /// Digest width in bytes.
@@ -349,6 +448,59 @@ mod tests {
                 (c as f64 - expected).abs() < 6.0 * sd,
                 "bucket {i} count {c} far from expected {expected}"
             );
+        }
+    }
+
+    #[test]
+    fn fp_hasher_separates_every_single_byte_variant() {
+        let build = FpBuild::default();
+        let base = Fingerprint::of_counter(7);
+        for at in 0..Fingerprint::BYTES {
+            let hashes: HashSet<u64> = (0..=u8::MAX)
+                .map(|b| {
+                    let mut variant = base;
+                    variant.0[at] = b;
+                    build.hash_one(variant)
+                })
+                .collect();
+            assert_eq!(hashes.len(), 256, "byte {at}: variants collide");
+        }
+    }
+
+    #[test]
+    fn fp_hasher_spreads_counters_over_buckets_and_tags() {
+        // hashbrown takes a bucket from the low bits and a 7-bit control
+        // tag from the top ones: 2^16 keys over 2^16 buckets load each
+        // like Poisson(1), whose maximum over 2^16 draws stays near 8.
+        let build = FpBuild::default();
+        let mut load = vec![0u32; 1 << 16];
+        let mut tags = [false; 128];
+        for c in 0..1u64 << 16 {
+            let h = build.hash_one(Fingerprint::of_counter(c));
+            load[(h & 0xffff) as usize] += 1;
+            tags[(h >> 57) as usize] = true;
+        }
+        let max = load.iter().copied().max().unwrap_or(0);
+        assert!(max <= 12, "a bucket holds {max} of 2^16 keys");
+        assert!(tags.iter().all(|&hit| hit), "a control tag is never hit");
+    }
+
+    #[test]
+    fn fp_build_keys_each_table() {
+        let fp = Fingerprint::of_counter(1);
+        assert_ne!(
+            FpBuild::default().hash_one(fp),
+            FpBuild::default().hash_one(fp)
+        );
+    }
+
+    #[test]
+    fn equal_fingerprints_hash_equal() {
+        let build = FpBuild::default();
+        for c in 0..1000u64 {
+            let fp = Fingerprint::of_counter(c);
+            let copy = Fingerprint::from_hex(&fp.to_hex()).expect("hex roundtrip");
+            assert_eq!(build.hash_one(fp), build.hash_one(copy));
         }
     }
 

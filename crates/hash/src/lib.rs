@@ -14,7 +14,8 @@
 //!   extraction used for disk-index bucket mapping (paper §4.1) and
 //!   multi-server routing (paper §5.2), plus the counter→SHA-1 synthetic
 //!   fingerprint generator the paper uses for its index utilization and
-//!   scalability experiments (§4.2, §6.2).
+//!   scalability experiments (§4.2, §6.2), and [`FpMap`] / [`FpSet`], the
+//!   in-memory fingerprint tables keyed by the digest itself.
 //! * [`ids`] — small identifier types shared across the system, notably the
 //!   40-bit [`ContainerId`] (paper §3.4).
 
@@ -25,7 +26,7 @@ pub mod mix;
 pub mod rabin;
 pub mod sha1;
 
-pub use fingerprint::{Fingerprint, FingerprintGenerator};
+pub use fingerprint::{Fingerprint, FingerprintGenerator, FpBuild, FpHasher, FpMap, FpSet};
 pub use ids::ContainerId;
 pub use mix::SplitMix64;
 pub use rabin::{RabinParams, RabinTables, RollingHash, DEFAULT_POLY, DEFAULT_WINDOW};

@@ -20,7 +20,7 @@ use crate::entry::{
 };
 use crate::params::IndexParams;
 use debar_hash::SplitMix64;
-use debar_hash::{ContainerId, Fingerprint};
+use debar_hash::{ContainerId, Fingerprint, FpSet};
 use debar_simio::models::paper;
 use debar_simio::{DiskModel, PartDiskSet, Secs, SimCpu, Timed};
 
@@ -426,7 +426,7 @@ impl DiskIndex {
     /// dead set, never on `parts`: striped shapes stay byte-identical.
     pub fn gc_sweep(
         &mut self,
-        dead: &std::collections::HashSet<Fingerprint>,
+        dead: &FpSet,
         parts: usize,
     ) -> Result<Timed<u64>, crate::IndexError> {
         let bounds = self.resolve_sweep_bounds(parts);
@@ -841,8 +841,7 @@ mod tests {
         for i in 0..400u64 {
             idx.insert_random(fp(i), ContainerId::new(i));
         }
-        let dead: std::collections::HashSet<Fingerprint> =
-            (0..400u64).filter(|i| i % 3 == 0).map(fp).collect();
+        let dead: FpSet = (0..400u64).filter(|i| i % 3 == 0).map(fp).collect();
         let t = idx.gc_sweep(&dead, 4).expect("clean sweep");
         assert_eq!(t.value, dead.len() as u64);
         assert!(t.cost > 0.0);
@@ -864,7 +863,7 @@ mod tests {
             idx.insert_random(fp(i), ContainerId::new(i));
         }
         let before = Sha1::digest(idx.raw_data());
-        let absent: std::collections::HashSet<Fingerprint> = (1000..1010u64).map(fp).collect();
+        let absent: FpSet = (1000..1010u64).map(fp).collect();
         let t = idx.gc_sweep(&absent, 2).expect("clean sweep");
         assert_eq!(t.value, 0);
         assert!(t.cost > 0.0, "the sweep I/O is still charged");
@@ -884,8 +883,7 @@ mod tests {
             faulty.insert_random(fp(i), ContainerId::new(i));
             clean.insert_random(fp(i), ContainerId::new(i));
         }
-        let dead: std::collections::HashSet<Fingerprint> =
-            (0..300u64).filter(|i| i % 5 == 0).map(fp).collect();
+        let dead: FpSet = (0..300u64).filter(|i| i % 5 == 0).map(fp).collect();
         let before = Sha1::digest(faulty.raw_data());
         faulty.set_part_fault_plan(2, FaultPlan::fail_at(0));
         let err = faulty
@@ -928,8 +926,7 @@ mod tests {
             idx.insert_random(*f, ContainerId::new(7));
         }
         // Kill 10 of the colliding keys: the home bucket is no longer full.
-        let dead: std::collections::HashSet<Fingerprint> =
-            same_bucket.iter().take(10).copied().collect();
+        let dead: FpSet = same_bucket.iter().take(10).copied().collect();
         idx.gc_sweep(&dead, 1).expect("clean sweep");
         for f in same_bucket.iter().skip(10) {
             assert_eq!(

@@ -560,7 +560,7 @@ impl DiskIndex {
 mod tests {
     use super::*;
     use crate::params::IndexParams;
-    use debar_hash::SplitMix64;
+    use debar_hash::{FpSet, SplitMix64};
 
     fn index(seed: u64) -> DiskIndex {
         DiskIndex::with_paper_disk(IndexParams::new(8, 512), seed)
@@ -837,8 +837,7 @@ mod tests {
             for node in &rode.duplicates {
                 assert_eq!(Some(node.cid), one.lookup_uncharged(&node.fp));
             }
-            let updated: std::collections::HashSet<Fingerprint> =
-                updates.iter().map(|(fp, _)| *fp).collect();
+            let updated: FpSet = updates.iter().map(|(fp, _)| *fp).collect();
             assert!(rode.duplicates.iter().any(|n| updated.contains(&n.fp)));
             let after = |idx: &DiskIndex| -> Vec<u64> {
                 (part_ops(idx, parts).iter().zip(&ops))
@@ -916,8 +915,7 @@ mod tests {
         sil(&mut idx, &mut cache, parts);
         idx.lookup_random(&fp(1));
         idx.scale_up();
-        let dead: std::collections::HashSet<Fingerprint> =
-            (0..400u64).filter(|i| i % 3 == 0).map(fp).collect();
+        let dead: FpSet = (0..400u64).filter(|i| i % 3 == 0).map(fp).collect();
         idx.gc_sweep(&dead, parts).expect("clean sweep");
         idx
     }

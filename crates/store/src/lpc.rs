@@ -48,7 +48,7 @@
 //! containers therefore bounds the bytes in flight or waiting to be sent
 //! at `n` containers' worth; a budget of one serializes reads and sends.
 
-use debar_hash::{ContainerId, Fingerprint};
+use debar_hash::{ContainerId, Fingerprint, FpMap};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -101,7 +101,7 @@ pub struct LpcCache<V = ()> {
     /// What they do weigh together (a running sum of `Resident::weight`).
     held: u64,
     /// fingerprint → container holding it.
-    by_fp: HashMap<Fingerprint, ContainerId>,
+    by_fp: FpMap<ContainerId>,
     by_container: HashMap<ContainerId, Resident<V>>,
     /// The last recency stamp handed out, and the resident that holds it:
     /// a hit on that one — nearly every hit of a stream — changes no order
@@ -149,7 +149,7 @@ impl<V> LpcCache<V> {
             slot: container_bytes,
             budget: (bytes / container_bytes).max(1) * container_bytes,
             held: 0,
-            by_fp: HashMap::new(),
+            by_fp: FpMap::default(),
             by_container: HashMap::new(),
             clock: 0,
             hottest: None,

@@ -363,7 +363,7 @@ mod tests {
         let mut total = 0usize;
         for (i, stream) in day2.per_client.iter().enumerate() {
             let prev: HashSet<_> = day1.per_client[i].iter().map(|r| r.fp).collect();
-            let mut seen_today: HashSet<debar_hash::Fingerprint> = HashSet::new();
+            let mut seen_today = debar_hash::FpSet::default();
             for r in stream {
                 if prev.contains(&r.fp) || seen_today.contains(&r.fp) {
                     filterable += 1;

@@ -225,7 +225,7 @@ fn append_cross_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use debar_hash::Fingerprint;
+    use debar_hash::FpSet;
     use std::collections::HashSet;
 
     fn cfg() -> MultiStreamConfig {
@@ -260,9 +260,9 @@ mod tests {
     fn first_round_is_all_unique_and_disjoint_across_clients() {
         let mut g = MultiStreamGen::new(cfg());
         let round0 = g.next_round();
-        let mut all = HashSet::new();
+        let mut all = FpSet::default();
         for v in &round0 {
-            let distinct: HashSet<Fingerprint> = v.iter().map(|r| r.fp).collect();
+            let distinct: FpSet = v.iter().map(|r| r.fp).collect();
             assert_eq!(distinct.len(), v.len(), "internal dup in v0");
             for r in v {
                 assert!(all.insert(r.fp), "cross-client collision in round 0");

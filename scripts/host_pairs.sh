@@ -1,0 +1,82 @@
+#!/usr/bin/env bash
+# Paired host-clock comparison of the end-to-end benchmark: a parent
+# revision against the working tree, one workload, one seed.
+#
+#   scripts/host_pairs.sh <parent-rev> <workload> [pairs=10] [seed=1]
+#
+# Builds `benchmark/` twice in a temporary directory — once from
+# `git archive <parent-rev>`, once from the working tree (through a
+# target directory of its own) — then runs `run --workload W --seed S
+# --reps 7` as alternating pairs, the side that goes first swapping every
+# pair. Each run reports the fastest of its reps. For host_cpu_s and
+# host_wall_s the script prints each side's median and quartiles, how many
+# pairs the working tree won, and whether the gap between the medians is
+# wider than the parent's interquartile range.
+#
+# Nothing is written under benchmark/ or into .git; the temporary
+# directory goes when the script exits.
+set -euo pipefail
+
+if [ $# -lt 2 ] || [ $# -gt 4 ]; then
+    echo "usage: $0 <parent-rev> <workload> [pairs=10] [seed=1]" >&2
+    exit 2
+fi
+rev=$1
+workload=$2
+pairs=${3:-10}
+seed=${4:-1}
+
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir "$tmp/parent"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
+rev=$(git -C "$root" rev-parse --short "$rev")
+
+build() { # <checkout> <target-dir>
+    CARGO_TARGET_DIR=$2 cargo build --release --quiet \
+        --manifest-path "$1/benchmark/Cargo.toml"
+}
+echo "building $rev and the working tree ..." >&2
+build "$tmp/parent" "$tmp/parent-target"
+build "$root" "$tmp/change-target"
+
+run() { # <side>: appends "<cpu> <wall>" to $tmp/<side>.txt
+    "$tmp/$1-target/release/debar-benchmark" run --workload "$workload" \
+        --seed "$seed" --reps 7 --out "$tmp/$1.json" >"$tmp/$1.out"
+    awk -v w="$workload" '$1 == w && $2 == "host_cpu_s" { c = $3 }
+        $1 == w && $2 == "host_wall_s" { s = $3 }
+        END { if (c == "" || s == "") exit 1; print c, s }' \
+        "$tmp/$1.out" >>"$tmp/$1.txt"
+}
+for ((i = 0; i < pairs; i++)); do
+    if ((i % 2 == 0)); then run parent; run change; else run change; run parent; fi
+    echo "pair $((i + 1))/$pairs: parent $(tail -n1 "$tmp/parent.txt")" \
+        " change $(tail -n1 "$tmp/change.txt")  (cpu wall)" >&2
+done
+
+echo "$workload, seed $seed, $pairs pairs: $rev against the working tree"
+paste -d' ' "$tmp/parent.txt" "$tmp/change.txt" | awk '
+    # Quartile p of the sorted a[1..n], linear between order statistics.
+    function q(a, n, p,    h, lo) {
+        h = (n - 1) * p + 1; lo = int(h)
+        return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+    }
+    function sort(a, n,    i, j, t) {
+        for (i = 2; i <= n; i++)
+            for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+    }
+    { n++; pc[n] = $1; pw[n] = $2; cc[n] = $3; cw[n] = $4
+      if ($3 < $1) wc++
+      if ($4 < $2) ww++ }
+    function report(name, p, c, won,    pm, cm) {
+        sort(p, n); sort(c, n)
+        pm = q(p, n, 0.5); cm = q(c, n, 0.5)
+        printf "%-12s parent median %.3f (quartiles %.3f-%.3f)\n", name, pm, q(p, n, 0.25), q(p, n, 0.75)
+        printf "%-12s change median %.3f (quartiles %.3f-%.3f)\n", name, cm, q(c, n, 0.25), q(c, n, 0.75)
+        printf "%-12s change %+.1f %%, won %d/%d pairs, median gap %.3f %s parent IQR %.3f\n",
+            name, 100 * (cm - pm) / pm, won, n, pm - cm,
+            (pm - cm > q(p, n, 0.75) - q(p, n, 0.25)) ? ">" : "<=", q(p, n, 0.75) - q(p, n, 0.25)
+    }
+    END { report("host_cpu_s", pc, cc, wc + 0); report("host_wall_s", pw, cw, ww + 0) }'

@@ -5,10 +5,9 @@
 
 mod common;
 
-use debar::hash::SplitMix64;
+use debar::hash::{FpSet, SplitMix64};
 use debar::workload::ChunkRecord;
-use debar::{ClientId, Dataset, DebarCluster, DebarConfig, Fingerprint, JobId, RunId};
-use std::collections::HashSet;
+use debar::{ClientId, Dataset, DebarCluster, DebarConfig, JobId, RunId};
 
 /// A random-but-seeded workload: several jobs, several rounds, arbitrary
 /// overlap within and across jobs, dedup-2 at arbitrary points.
@@ -21,7 +20,7 @@ fn random_workload(seed: u64, w_bits: u32, sweep_parts: usize) {
         .map(|i| c.define_job(format!("j{i}"), ClientId(i as u32)))
         .collect();
 
-    let mut seen: HashSet<Fingerprint> = HashSet::new();
+    let mut seen = FpSet::default();
     let mut stored_total = 0u64;
     let mut runs: Vec<(JobId, u32, u64)> = Vec::new();
     for round in 0..4 {

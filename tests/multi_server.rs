@@ -5,10 +5,10 @@
 mod common;
 
 use common::{assert_equivalent, assert_same_dedup, run_scenario, Scenario};
+use debar::hash::FpSet;
 use debar::workload::drift::records;
 use debar::workload::{MultiStreamConfig, MultiStreamGen};
-use debar::{ClientId, Dataset, DebarCluster, DebarConfig, Fingerprint, JobId, RunId};
-use std::collections::HashSet;
+use debar::{ClientId, Dataset, DebarCluster, DebarConfig, JobId, RunId};
 
 fn cluster(w: u32) -> DebarCluster {
     DebarCluster::new(DebarConfig::tiny_test(w))
@@ -36,7 +36,7 @@ fn unique_chunk_invariant(sweep_parts: usize) {
         run_len: (64, 256),
         ..MultiStreamConfig::default()
     });
-    let mut all_fps: HashSet<Fingerprint> = HashSet::new();
+    let mut all_fps = FpSet::default();
     let mut stored_total = 0u64;
     for _round in 0..4 {
         for (i, v) in gen.next_round().into_iter().enumerate() {
