@@ -9,7 +9,7 @@
 //! | SIL sweep (1M-entry index, 64K batch) | `sequential_lookup_hashed` | `try_sequential_lookup_sharded` |
 //! | probe kernel | per-fp hash probing | merge-join cursor |
 //! | Bloom batch probe (64 MB filter) | classic `k`-line layout | blocked one-line layout |
-//! | CDC (8 MB stream, paper params) | `chunk_all_reference` (per-byte ring) | `chunk_all` (two-chain slice kernel) |
+//! | CDC (8 MB stream, paper params) | `chunk_all_reference` (per-byte ring) | `chunk_all` (four-lane scan) |
 //! | SHA-1 (the 8 MB stream's ~8 KB chunks) | `Sha1::portable` | `Sha1::new` (CPU-dispatched kernel) |
 //! | fingerprint table (64K inserts, 64K hits, 64K misses) | std `RandomState` (SipHash-1-3) | `FpBuild` (digest-keyed) |
 //!

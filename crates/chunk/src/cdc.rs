@@ -13,31 +13,55 @@
 //! which is precisely the property that lets CDC detect duplicates in
 //! shifted content.
 //!
-//! # The slice kernel
+//! # The lane scan
 //!
-//! [`CdcChunker::chunk_all`] scans the slice in place. A boundary can only
-//! fall `min_size` bytes or more into a chunk, and the window fingerprint
-//! there depends only on the trailing `window` bytes, so the first window
-//! is hashed directly from `data[s + min_size − window .. s + min_size]`
-//! and the bytes before it are never touched. From there the window
-//! slides: the byte leaving it is `data[i − window]`, read from the slice,
-//! so there is no ring buffer, no per-byte wrap and no window-full test.
+//! [`CdcChunker::chunk_all`] finds every anchor of the slice first
+//! ([`CdcChunker::anchors`]) and then walks them under the size bounds: a
+//! chunk that starts at `s` ends at the first anchor in
+//! `s + min_size ..= s + max_size`, else at `s + max_size`, else at the end
+//! of the data.
 //!
-//! The slide runs two chains, one over even and one over odd positions,
-//! each stepping two bytes at a time. With `W_i` the fingerprint of the
-//! window ending at byte `i` and `W = 48`,
+//! Resetting the hash at a boundary changes nothing the walk can see. An
+//! anchor is only taken `min_size` or more bytes into a chunk, and
+//! `min_size ≥ window` is validated, so the window that ends there lies
+//! inside the chunk, and its fingerprint depends on those `window` bytes
+//! alone. Every position's anchor test is therefore a property of the
+//! slice, not of where the chunks before it ended, and the scan may test
+//! the positions in any order and start a roll anywhere.
 //!
-//! `W_i = x¹⁶·W_{i−2} ⊕ (d_{i−1}·x⁸ ⊕ d_i) ⊕ d_{i−49}·x³⁹² ⊕ d_{i−48}·x³⁸⁴  (mod P)`
+//! So the scan splits the window ends `window ..= len` into [`LANES`]
+//! disjoint stretches of equal length, seeds each with the fingerprint of
+//! the window that ends at its first position, and rolls all of them one
+//! byte per step, side by side ([`RabinTables::roll_aligned`]). The byte
+//! leaving a window is read from the slice, so there is no ring buffer and
+//! no window-full test. The lanes do not depend on each other, so the CPU
+//! overlaps their dependency chains, and every position costs one roll.
+//! Interleaved chains do not scale the same way: a chain that tests every
+//! `K`-th position must still step over all `K` bytes between its tests,
+//! so `K` such chains pay `K` rolls per byte. The scan also tests the
+//! `min_size − window` bytes at the head of each chunk, where no chunk can
+//! end: rolling them on the lanes costs less than restarting the chains at
+//! every boundary.
 //!
-//! ([`RabinTables::roll2`]; its tables are `x⁸·shift8` and `x⁸·pop` beside
-//! the one-byte `shift8` and `pop`). The chains do not depend on each
-//! other, so the CPU overlaps them, and each has half the dependent steps
-//! of a one-byte roll. Positions are still tested in order, so the kernel
-//! cuts exactly where the per-byte reference
-//! ([`CdcChunker::chunk_all_reference`]) cuts.
+//! The scan takes the window ends [`BLOCK`] at a time and splits each
+//! block into the lanes' stretches. It marks a block's anchors in a bitset
+//! on the stack, and the walk takes them from there in order, so chunking
+//! allocates nothing but its output. The ends a block has left over after
+//! equal stretches, and a block too short to give every lane
+//! [`window`](debar_hash::RabinParams::window) ends, go on one chain.
+//!
+//! The per-byte reference, [`CdcChunker::chunk_all_reference`], cuts where
+//! the kernel cuts; the tests hold them together.
 
 use crate::span::ChunkSpan;
 use debar_hash::rabin::{RabinParams, RabinTables, RollingHash};
+
+/// Independent rolling chains of the lane scan (module docs).
+pub const LANES: usize = 4;
+
+/// Window ends the lane scan tests per block (module docs): its anchors
+/// wait in a bitset of this many bits on the stack.
+pub const BLOCK: usize = LANES * 8192;
 
 /// Parameters of the CDC chunker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +142,10 @@ pub struct CdcChunker {
     params: CdcParams,
     tables: RabinTables,
     mask: u64,
+    /// `mask` and `magic` shifted by [`RabinTables::align`]: the anchor
+    /// test of the lane scan, which rolls aligned fingerprints.
+    aligned_mask: u64,
+    aligned_magic: u64,
 }
 
 impl CdcChunker {
@@ -128,6 +156,8 @@ impl CdcChunker {
         let mask = (1u64 << params.mask_bits) - 1;
         CdcChunker {
             params,
+            aligned_mask: mask << tables.align(),
+            aligned_magic: params.magic << tables.align(),
             tables,
             mask,
         }
@@ -144,9 +174,9 @@ impl CdcChunker {
     }
 
     /// Begin a streaming session: every byte feeds a per-byte rolling
-    /// hash, as the chunker did before the slice kernel. Produces the
-    /// spans of [`CdcChunker::chunk_all`]; kept as the reference for
-    /// equivalence tests and the kernel micro-benchmark.
+    /// hash that resets at each boundary. Produces the spans of
+    /// [`CdcChunker::chunk_all`]; kept as the reference for equivalence
+    /// tests and the kernel micro-benchmark.
     pub fn stream_reference(&self) -> CdcStream<'_> {
         CdcStream {
             chunker: self,
@@ -168,65 +198,32 @@ impl CdcChunker {
     }
 
     /// Chunk an entire buffer; returned spans tile `[0, data.len())`.
+    /// Each chunk ends just past the first anchor at least `min_size`
+    /// bytes in, else `max_size` bytes in, else at the end of `data`.
     pub fn chunk_all(&self, data: &[u8]) -> Vec<ChunkSpan> {
-        let mut out = Vec::with_capacity(data.len() / self.params.expected_size() + 1);
+        let p = &self.params;
+        let (min, max) = (p.min_size as u64, p.max_size as u64);
+        let mut out = Vec::with_capacity(data.len() / p.expected_size() + 1);
         let mut start = 0;
-        while start < data.len() {
-            let end = self.cut(data, start);
-            out.push(ChunkSpan::new(start as u64, (end - start) as u32));
+        self.scan(data, |a| {
+            // Cap the chunks the anchor is out of reach of, then take it
+            // if it is far enough in.
+            while a > start + max {
+                out.push(ChunkSpan::new(start, max as u32));
+                start += max;
+            }
+            if a >= start + min {
+                out.push(ChunkSpan::new(start, (a - start) as u32));
+                start = a;
+            }
+        });
+        let len = data.len() as u64;
+        while start < len {
+            let end = len.min(start + max);
+            out.push(ChunkSpan::new(start, (end - start) as u32));
             start = end;
         }
         out
-    }
-
-    /// The end of the chunk that starts at `start`: just past the first
-    /// anchor at least `min_size` bytes in, else `max_size` bytes in, else
-    /// the end of `data`. See the module docs for the two-chain scan.
-    fn cut(&self, data: &[u8], start: usize) -> usize {
-        let p = &self.params;
-        let w = p.rabin.window;
-        let (t, mask, magic) = (&self.tables, self.mask, p.magic);
-        let lim = data.len().min(start + p.max_size);
-        // `e` is a candidate end, `fa` the fingerprint of `data[e − w..e]`;
-        // `fb` is one position ahead of it.
-        let mut e = start + p.min_size;
-        if e > lim {
-            return lim;
-        }
-        let mut fa = t.fingerprint(&data[e - w..e]);
-        if fa & mask == magic || e == lim {
-            return e;
-        }
-        let mut fb = t.roll(fa, data[e - w], data[e]);
-        if fb & mask == magic || e + 1 == lim {
-            return e + 1;
-        }
-        // Both chains step two bytes per round, to ends `e` and `e + 1`:
-        // chain `a` enters `data[e − 2..e]` and drops the bytes `w` before
-        // them, chain `b` one byte later. `ins` starts at the first byte
-        // chain `a` enters, `outs` `w` bytes earlier; pairs of both are
-        // read as exact 2-byte chunks, so the loop has no bounds checks
-        // and stops at the last round whose end `e + 1` is within `lim`.
-        let ins = &data[e..lim];
-        let outs = &data[e - w..lim - w];
-        let rounds = ins
-            .chunks_exact(2)
-            .zip(ins[1..].chunks_exact(2))
-            .zip(outs.chunks_exact(2).zip(outs[1..].chunks_exact(2)));
-        for ((ia, ib), (oa, ob)) in rounds {
-            e += 2;
-            fa = t.roll2(fa, [oa[0], oa[1]], [ia[0], ia[1]]);
-            fb = t.roll2(fb, [ob[0], ob[1]], [ib[0], ib[1]]);
-            if fa & mask == magic {
-                return e;
-            }
-            if fb & mask == magic {
-                return e + 1;
-            }
-        }
-        // An odd count of candidates leaves `lim` itself to chain `a`; its
-        // test does not matter, the chunk ends there either way.
-        lim
     }
 
     /// Split a buffer into chunk byte-slices.
@@ -234,19 +231,117 @@ impl CdcChunker {
         self.chunk_all(data).iter().map(|s| s.slice(data)).collect()
     }
 
-    /// Raw anchor positions (offsets whose trailing window fingerprint
-    /// matches), ignoring min/max constraints. Exposed for validation: every
-    /// emitted boundary that is not a max-size cut must be an anchor.
+    /// Every anchor of `data`, ascending: the window ends `q` (offsets
+    /// `window ..= data.len()`) whose window `data[q − window..q]` has a
+    /// matching fingerprint, ignoring the size bounds. Every boundary
+    /// [`CdcChunker::chunk_all`] emits that is not a max-size cut or the
+    /// end of the data is one.
     pub fn anchors(&self, data: &[u8]) -> Vec<u64> {
-        let mut roll = RollingHash::new(&self.tables);
         let mut out = Vec::new();
-        for (i, &b) in data.iter().enumerate() {
-            let fp = roll.push(b);
-            if roll.window_full() && fp & self.mask == self.params.magic {
-                out.push(i as u64 + 1); // boundary is *after* byte i
+        self.scan(data, |a| out.push(a));
+        out
+    }
+
+    /// The lane scan of the module docs: hand every anchor of `data` to
+    /// `emit`, in ascending order.
+    fn scan(&self, data: &[u8], mut emit: impl FnMut(u64)) {
+        let (w, t) = (self.params.rabin.window, &self.tables);
+        let mut found = [0u64; BLOCK / 64];
+        // `first` is the block's first window end, `ends` its count of them.
+        let mut first = w;
+        while first <= data.len() {
+            let ends = (data.len() + 1 - first).min(BLOCK);
+            let per_lane = ends / LANES;
+            let (mut end, mut g) = if per_lane >= w {
+                self.scan_lanes(data, first, per_lane, &mut found)
+            } else {
+                let g = t.fingerprint(&data[first - w..first]) << t.align();
+                self.test(g, 0, &mut found);
+                (first, g)
+            };
+            // One chain runs on through the ends the lanes left over (all
+            // of them in a block too short for lanes).
+            let last = first + ends - 1;
+            for (&old, &new) in data[end - w..last - w].iter().zip(&data[end..last]) {
+                end += 1;
+                g = t.roll_aligned(g, old, new);
+                self.test(g, end - first, &mut found);
+            }
+            for (i, word) in found[..ends.div_ceil(64)].iter_mut().enumerate() {
+                while *word != 0 {
+                    emit((first + 64 * i + word.trailing_zeros() as usize) as u64);
+                    *word &= *word - 1;
+                }
+            }
+            first += ends;
+        }
+    }
+
+    /// Whether a window of aligned fingerprint `g` is an anchor.
+    #[inline(always)]
+    fn is_anchor(&self, g: u64) -> bool {
+        g & self.aligned_mask == self.aligned_magic
+    }
+
+    /// Set bit `at` of `found` if the window of aligned fingerprint `g` is
+    /// an anchor.
+    #[inline(always)]
+    fn test(&self, g: u64, at: usize, found: &mut [u64; BLOCK / 64]) {
+        if self.is_anchor(g) {
+            found[at / 64] |= 1 << (at % 64);
+        }
+    }
+
+    /// Roll [`LANES`] chains side by side over the `LANES · per_lane`
+    /// window ends from `first` on, lane `k` over `first + k·per_lane` and
+    /// the `per_lane − 1` after it, and mark their anchors in `found`, bit
+    /// `end − first`. Returns the last end tested and its aligned
+    /// fingerprint, for the chain that goes on.
+    fn scan_lanes(
+        &self,
+        data: &[u8],
+        first: usize,
+        per_lane: usize,
+        found: &mut [u64; BLOCK / 64],
+    ) -> (usize, u64) {
+        let (w, t) = (self.params.rabin.window, &self.tables);
+        // Lane `k`'s stretch of window ends starts at `first + at[k]`.
+        let at: [usize; LANES] = std::array::from_fn(|k| k * per_lane);
+        let mut g = at.map(|a| t.fingerprint(&data[first + a - w..first + a]) << t.align());
+        for k in 0..LANES {
+            self.test(g[k], at[k], found);
+        }
+        // Step `i` moves lane `k` to the end `first + at[k] + i + 1`: it
+        // drops `outs[k][i]` and enters `ins[k][i]`. Every slice is exactly
+        // `steps` long, so the loop indexes them without bounds checks.
+        let steps = per_lane - 1;
+        let outs: [&[u8]; LANES] = at.map(|a| &data[first + a - w..][..steps]);
+        let ins: [&[u8]; LANES] = at.map(|a| &data[first + a..][..steps]);
+        for i in 0..steps {
+            for k in 0..LANES {
+                g[k] = t.roll_aligned(g[k], outs[k][i], ins[k][i]);
+            }
+            if g.iter().any(|&g| self.is_anchor(g)) {
+                self.mark_lanes(g, at, i + 1, found);
             }
         }
-        out
+        (first + at[LANES - 1] + steps, g[LANES - 1])
+    }
+
+    /// [`CdcChunker::test`] every lane after `step` steps. Anchors are
+    /// rare, so this stays out of the lane loop and its registers.
+    #[cold]
+    #[inline(never)]
+    fn mark_lanes(
+        &self,
+        g: [u64; LANES],
+        at: [usize; LANES],
+        step: usize,
+        found: &mut [u64; BLOCK / 64],
+    ) {
+        for k in 0..LANES {
+            self.test(g[k], at[k] + step, found);
+        }
     }
 }
 
@@ -399,9 +494,8 @@ mod tests {
                 // matches, by recomputing over the chunk's own bytes (the
                 // hash resets at each chunk start).
                 let chunk = s.slice(&data);
-                let anchors = c.anchors(chunk);
                 assert_eq!(
-                    anchors.last().copied(),
+                    reference_anchors(&c, chunk).last().copied(),
                     Some(s.len as u64),
                     "chunk {i} does not end on an anchor"
                 );
@@ -511,15 +605,53 @@ mod tests {
         [CdcChunker::paper(), CdcChunker::new(CdcParams::small())]
     }
 
-    /// `chunk_all` must cut exactly where the per-byte reference cuts.
+    /// Anchors on most positions: `mask_bits` 1–3 at the smallest
+    /// `min_size` a window allows, so chunks end on every lane joint.
+    fn dense_params() -> Vec<CdcChunker> {
+        let dense = |window, mask_bits| {
+            CdcChunker::new(CdcParams {
+                rabin: RabinParams {
+                    window,
+                    ..RabinParams::default()
+                },
+                mask_bits,
+                magic: 1,
+                min_size: window,
+                max_size: 4 * window,
+            })
+        };
+        [16, 48]
+            .into_iter()
+            .flat_map(|w| (1..=3).map(move |bits| dense(w, bits)))
+            .collect()
+    }
+
+    fn every_params() -> Vec<CdcChunker> {
+        let mut all = dense_params();
+        all.extend(both_params());
+        all
+    }
+
+    /// The anchors of `data` by the per-byte rolling hash, the reference
+    /// for [`CdcChunker::anchors`].
+    fn reference_anchors(c: &CdcChunker, data: &[u8]) -> Vec<u64> {
+        let mut roll = RollingHash::new(&c.tables);
+        let mut out = Vec::new();
+        for (i, &b) in data.iter().enumerate() {
+            let fp = roll.push(b);
+            if roll.window_full() && fp & c.mask == c.params.magic {
+                out.push(i as u64 + 1); // boundary is *after* byte i
+            }
+        }
+        out
+    }
+
+    /// `chunk_all` must cut exactly where the per-byte reference cuts, and
+    /// the lane scan must find the reference's anchors.
     fn assert_kernel_matches(c: &CdcChunker, data: &[u8], what: &str) {
-        assert_eq!(
-            c.chunk_all(data),
-            c.chunk_all_reference(data),
-            "{what} (len {}, min {})",
-            data.len(),
-            c.params.min_size
-        );
+        let at = format!("{what} (len {}, params {:?})", data.len(), c.params);
+        assert_eq!(c.anchors(data), reference_anchors(c, data), "{at}");
+        assert_eq!(c.chunk_all(data), c.chunk_all_reference(data), "{at}");
     }
 
     /// Overwrite the `window` bytes before `end` until the window ending at
@@ -531,11 +663,34 @@ mod tests {
             if c.tables.fingerprint(&data[end - w..end]) & c.mask != c.params.magic {
                 continue;
             }
-            // `anchors` reports only full windows: ends `from..=end` here.
-            if c.anchors(&data[from - w..end]) == [(end - from + w) as u64] {
+            // Only full windows are anchors: ends `from..=end` here.
+            if reference_anchors(c, &data[from - w..end]) == [(end - from + w) as u64] {
                 return;
             }
         }
+    }
+
+    /// The first and the last window end of every lane and of the chain
+    /// after them, block by block, for a slice of `len` bytes.
+    fn lane_joints(c: &CdcChunker, len: usize) -> Vec<usize> {
+        let w = c.params.rabin.window;
+        let mut joints = Vec::new();
+        let mut first = w;
+        while first <= len {
+            let ends = (len + 1 - first).min(BLOCK);
+            let per_lane = ends / LANES;
+            if per_lane >= w {
+                for k in 0..LANES {
+                    joints.extend([first + k * per_lane, first + (k + 1) * per_lane - 1]);
+                }
+            }
+            let chain = if per_lane >= w { LANES * per_lane } else { 0 };
+            if chain < ends {
+                joints.extend([first + chain, first + ends - 1]);
+            }
+            first += ends;
+        }
+        joints
     }
 
     #[test]
@@ -593,8 +748,9 @@ mod tests {
 
     #[test]
     fn kernel_matches_reference_on_odd_and_even_remainders() {
-        // The two chains test ends in pairs: a chunk with an odd or an even
-        // count of candidates before its limit ends the loop differently.
+        // The lanes take the window ends in `LANES` equal stretches and
+        // one chain the fewer than `LANES` left over: every remainder
+        // ends the scan differently.
         for c in both_params() {
             let p = *c.params();
             let data = test_data(2 * p.max_size + 9, 5);
@@ -606,15 +762,114 @@ mod tests {
         }
     }
 
+    #[test]
+    fn kernel_matches_reference_on_every_length_across_the_lane_threshold() {
+        // Below `(LANES + 1) · window − 1` bytes one chain scans the slice;
+        // from there on the lanes do.
+        for c in every_params() {
+            let p = *c.params();
+            let top = LANES * (p.rabin.window + p.min_size) + 8;
+            let data = test_data(top, 0x1A4E);
+            for len in 0..=top {
+                assert_kernel_matches(&c, &data[..len], "every length");
+            }
+        }
+    }
+
+    #[test]
+    fn dense_anchors_end_chunks_on_every_lane_joint() {
+        for c in dense_params() {
+            let p = *c.params();
+            for (seed, len) in [(3u64, 4096), (4, 4099), (5, 10 * p.max_size + 3)] {
+                let data = test_data(len, seed);
+                assert_kernel_matches(&c, &data, "dense anchors");
+                // Most chunks end on an anchor, not on the cap.
+                let spans = c.chunk_all(&data);
+                let capped = spans
+                    .iter()
+                    .filter(|s| s.len as usize == p.max_size)
+                    .count();
+                assert!(4 * capped < spans.len(), "{capped}/{} capped", spans.len());
+            }
+        }
+    }
+
+    #[test]
+    fn anchors_planted_at_each_lanes_first_and_last_end_are_found() {
+        for c in both_params() {
+            let w = c.params().rabin.window;
+            // The shortest slice the lanes take, one with a remainder, one
+            // full block, and a full block and a short one.
+            for len in [
+                (LANES + 1) * w - 1,
+                (LANES + 1) * w + 2,
+                BLOCK + w - 1,
+                BLOCK + (LANES + 2) * w + 1,
+            ] {
+                for end in lane_joints(&c, len) {
+                    // All-zero data has no anchor (the magic is not 0):
+                    // the planted one is the first.
+                    let mut data = vec![0u8; len];
+                    plant_anchor(&c, &mut data, end, end);
+                    assert_eq!(c.anchors(&data).first(), Some(&(end as u64)), "end {end}");
+                    assert_kernel_matches(&c, &data, "planted at a lane joint");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_across_block_edges() {
+        for c in every_params() {
+            let w = c.params().rabin.window;
+            let data = test_data(2 * BLOCK + 2 * w, 0xB10C);
+            for len in [
+                BLOCK + w - 2,
+                BLOCK + w - 1,
+                BLOCK + w,
+                BLOCK + (LANES + 1) * w - 2,
+                BLOCK + (LANES + 1) * w - 1,
+                2 * BLOCK + w - 1,
+                2 * BLOCK + w + 3,
+            ] {
+                assert_kernel_matches(&c, &data[..len], "block edge");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_on_zero_and_repeated_blocks() {
+        // A file tree assembles its files from a pool of 4 KiB blocks, so
+        // every window recurs at the same offset of each copy.
+        let block = test_data(4096, 0xB10C);
+        let repeated: Vec<u8> = block.iter().copied().cycle().take(9 * 4096 + 77).collect();
+        for c in every_params() {
+            for len in [0, 4095, 4096, 4097, 3 * 4096 + 5, repeated.len()] {
+                assert_kernel_matches(&c, &repeated[..len], "repeated block");
+                assert_kernel_matches(&c, &vec![0u8; len], "all zero");
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
         #[test]
         fn prop_skip_equals_reference(data: Vec<u8>) {
-            // The slice kernel, which never hashes a chunk's first
-            // `min_size − window` bytes, must cut where the reference does.
+            // The lane scan, which rolls every window end in `LANES`
+            // stretches, must cut where the reference does.
             let c = CdcChunker::new(CdcParams::small());
             proptest::prop_assert_eq!(c.chunk_all(&data), c.chunk_all_reference(&data));
+        }
+
+        #[test]
+        fn prop_lanes_equal_reference_up_to_16k(
+            data in proptest::collection::vec(0u8..=255, 0..16_384),
+        ) {
+            for c in both_params() {
+                proptest::prop_assert_eq!(c.anchors(&data), reference_anchors(&c, &data));
+                proptest::prop_assert_eq!(c.chunk_all(&data), c.chunk_all_reference(&data));
+            }
         }
 
         #[test]

@@ -68,6 +68,7 @@ impl DebarCluster {
         let est: u64 = files.iter().map(ChunkedFile::bytes).sum();
         let sid = self.director.assign_server(est);
         let srv = &mut self.servers[sid as usize];
+        let logged = srv.chunk_log.len();
         let (record, report) = match run_backup(srv, &self.cfg, run, client_id, filtering, files) {
             Ok(r) => r,
             Err(e) => {
@@ -81,11 +82,13 @@ impl DebarCluster {
         // Advertise the run's fingerprints in the summary vector — one
         // copy per fingerprint cluster-wide (the multiset stays a set
         // here), so a GC removal of a dead fingerprint fully withdraws it.
-        for file in &record.files {
-            for fp in &file.fingerprints {
-                if !self.summary.contains(fp) {
-                    self.summary.insert(fp);
-                }
+        // Only the transfers can be missing, and the run appended exactly
+        // those to the chunk log, in stream order: a filter duplicate is a
+        // primed entry, which passed the gate above, or a repeat of an
+        // earlier transfer of this run, advertised before it.
+        for rec in &self.servers[sid as usize].chunk_log.records()[logged..] {
+            if !self.summary.contains(&rec.fp) {
+                self.summary.insert(&rec.fp);
             }
         }
         self.director.metadata.record_run(record);

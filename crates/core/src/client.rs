@@ -7,7 +7,7 @@
 //! (they model already-traced streams, §6.2).
 //!
 //! Two clocks meet here. The chunks and digests are computed for real, by
-//! the host kernels of `debar-chunk` (the two-chain slice CDC) and
+//! the host kernels of `debar-chunk` (the four-lane CDC scan) and
 //! `debar-hash` (SHA-1 on the CPU's SHA extensions where it has them):
 //! they decide how long the simulator takes, and they cut and hash exactly
 //! as the portable per-byte references do. What the backup costs in

@@ -420,21 +420,21 @@ impl PrelimFilter {
     /// plus any new nodes that were evicted, de-duplicated (an evicted
     /// fingerprint can re-enter the filter and be spilled again). Residents
     /// are downgraded to *old* (they now act as filtering fingerprints for
-    /// the rest of the session).
+    /// the rest of the session). Every stream-inserted node is in the CLOCK
+    /// queue, so walking it reaches every *new* mark; primed nodes are
+    /// never new.
     pub fn take_undetermined(&mut self) -> Vec<Fingerprint> {
         let mut out = std::mem::take(&mut self.spilled);
         for fp in &self.queue {
-            if let Some(Node::Stream { is_new: true, .. }) = self.nodes.get(fp) {
-                out.push(*fp);
+            if let Some(Node::Stream { is_new, .. }) = self.nodes.get_mut(fp) {
+                if *is_new {
+                    *is_new = false;
+                    out.push(*fp);
+                }
             }
         }
         let mut seen = FpSet::with_capacity_and_hasher(out.len(), Default::default());
         out.retain(|fp| seen.insert(*fp));
-        for node in self.nodes.values_mut() {
-            if let Node::Stream { is_new, .. } = node {
-                *is_new = false;
-            }
-        }
         out
     }
 }

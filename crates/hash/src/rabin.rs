@@ -6,19 +6,29 @@
 //! predetermined constant become chunk boundaries ("anchors").
 //!
 //! A Rabin fingerprint interprets a byte string as a polynomial over GF(2)
-//! and reduces it modulo a fixed irreducible polynomial `P`. Appending a byte
-//! is `f' = (f·x^8 + b) mod P`; removing the oldest byte of a `W`-byte window
-//! additionally XORs out `b_old·x^(8W) mod P`. Both operations are table
-//! driven (two 256-entry tables), so the rolling hash costs a shift, two
-//! XORs and two table loads per byte.
+//! and reduces it modulo a fixed irreducible polynomial `P` of degree `d`.
+//! Appending a byte is `f' = (f·x^8 + b) mod P`; removing the oldest byte
+//! of a `W`-byte window additionally XORs out `b_old·x^(8W) mod P`.
 //!
-//! [`RabinTables::roll2`] advances a window by two bytes in one step,
-//! `f' = (f·x^16 + b₁·x^8 + b₂ − o₁·x^(8W+8) − o₂·x^(8W)) mod P`, with two
-//! more tables, `x^8·shift8` and `x^8·pop`: the two bytes that overflow the
-//! degree and the two that leave the window each take one load, and the
-//! four loads are independent of each other. A chunker that runs two such
-//! chains side by side (one for even, one for odd positions) has half the
-//! dependent steps per byte of [`RabinTables::roll`].
+//! The tables roll a fingerprint *aligned*: held in the top `d` bits of a
+//! word, `g = f << (64 − d)` ([`RabinTables::align`]). Multiplying by `x^8`
+//! is then `g << 8`, which drops the byte that overflows the degree by
+//! itself, and that byte is `g >> 56`, a constant shift. One step is
+//!
+//! `g' = (g << 8) ⊕ over[g >> 56] ⊕ push[b] ⊕ pop[b_old]`
+//!
+//! with three 256-entry tables holding the reduction of the overflow, the
+//! entering byte and the leaving byte's term, each pre-shifted by
+//! `64 − d`. No index can fall outside a table, and the step has no mask,
+//! no variable shift and no bounds check:
+//! [`RabinTables::roll_aligned`]. The plain-form [`RabinTables::append`],
+//! [`RabinTables::roll`] and [`RabinTables::fingerprint`] go through it.
+//!
+//! A window's fingerprint is a function of its own `W` bytes alone, so a
+//! roll may start at any position of a buffer, seeded with
+//! [`RabinTables::fingerprint`] of the window that ends there. The chunker
+//! in `debar-chunk` leans on this: it rolls several independent lanes over
+//! disjoint stretches of one buffer side by side.
 
 use crate::gf2;
 
@@ -56,20 +66,16 @@ impl Default for RabinParams {
 pub struct RabinTables {
     params: RabinParams,
     degree: u32,
-    /// Mask with the low `degree` bits set; fingerprints always fit it.
-    mask: u64,
-    /// `shift8[t] = (t · x^degree) mod P` for the top byte `t` produced when a
-    /// fingerprint is multiplied by `x^8`.
-    shift8: [u64; 256],
-    /// `pop[b] = (b · x^(8·window)) mod P`: the contribution of the byte that
-    /// slides out of the window.
+    /// `64 − degree`: the left shift that aligns a fingerprint.
+    align: u32,
+    /// `over[t] = ((t · x^degree) mod P) << align`: the reduction of the top
+    /// byte `t` that a step pushes past the degree.
+    over: [u64; 256],
+    /// `push[b] = b << align`: the byte that enters the window.
+    push: [u64; 256],
+    /// `pop[b] = ((b · x^(8·window)) mod P) << align`: the contribution of
+    /// the byte that slides out of the window.
     pop: [u64; 256],
-    /// `shift8_x8[t] = (t · x^(degree+8)) mod P`: the high one of the two
-    /// bytes a two-byte step pushes past the degree.
-    shift8_x8: [u64; 256],
-    /// `pop_x8[b] = (b · x^(8·window+8)) mod P`: the older one of the two
-    /// bytes a two-byte step slides out of the window.
-    pop_x8: [u64; 256],
 }
 
 impl RabinTables {
@@ -77,8 +83,7 @@ impl RabinTables {
     ///
     /// # Panics
     /// Panics if the polynomial is not irreducible, its degree is outside
-    /// `8..=56` (the append step shifts left by 8 bits and must not
-    /// overflow), or the window is zero.
+    /// `8..=56`, or the window is zero.
     pub fn new(params: RabinParams) -> Self {
         assert!(
             gf2::is_irreducible(params.poly),
@@ -87,23 +92,21 @@ impl RabinTables {
         let degree = gf2::degree(params.poly);
         assert!((8..=56).contains(&degree), "degree must be in 8..=56");
         assert!(params.window > 0, "window must be non-empty");
-        let mask = (1u64 << degree) - 1;
+        let align = 64 - degree;
 
-        // `table[b] = (b · x^exp) mod P` for every byte `b`.
+        // `table[b] = ((b · x^exp) mod P) << align` for every byte `b`.
         let times_xpow = |exp: u128| {
             let xpow = gf2::xpow_mod(exp, params.poly);
-            std::array::from_fn(|b| gf2::mulmod(b as u64, xpow, params.poly))
+            std::array::from_fn(|b| gf2::mulmod(b as u64, xpow, params.poly) << align)
         };
-        let window_bits = 8 * params.window as u128;
 
         RabinTables {
             params,
             degree,
-            mask,
-            shift8: times_xpow(degree as u128),
-            pop: times_xpow(window_bits),
-            shift8_x8: times_xpow(degree as u128 + 8),
-            pop_x8: times_xpow(window_bits + 8),
+            align,
+            over: times_xpow(degree as u128),
+            push: std::array::from_fn(|b| (b as u64) << align),
+            pop: times_xpow(8 * params.window as u128),
         }
     }
 
@@ -122,41 +125,45 @@ impl RabinTables {
         self.degree
     }
 
+    /// The left shift that aligns a fingerprint `f` for
+    /// [`RabinTables::roll_aligned`], `64 − degree`: `g = f << align()`.
+    pub fn align(&self) -> u32 {
+        self.align
+    }
+
+    /// Append one byte to an aligned fingerprint.
+    #[inline]
+    fn append_aligned(&self, g: u64, b: u8) -> u64 {
+        (g << 8) ^ self.over[(g >> 56) as usize] ^ self.push[b as usize]
+    }
+
+    /// Slide a full window one byte, on aligned fingerprints: append `b`,
+    /// drop `out`, the byte `window` positions before it. The anchor test
+    /// of an aligned fingerprint shifts its mask and constant by
+    /// [`RabinTables::align`] too.
+    #[inline]
+    pub fn roll_aligned(&self, g: u64, out: u8, b: u8) -> u64 {
+        self.append_aligned(g, b) ^ self.pop[out as usize]
+    }
+
     /// Append one byte: `f' = (f·x^8 + b) mod P`.
     #[inline]
     pub fn append(&self, f: u64, b: u8) -> u64 {
-        debug_assert!(f <= self.mask);
-        let raw = (f << 8) | b as u64;
-        (raw & self.mask) ^ self.shift8[(raw >> self.degree) as usize]
+        debug_assert!(f >> self.degree == 0);
+        self.append_aligned(f << self.align, b) >> self.align
     }
 
     /// Slide a full window one byte: append `b`, drop `out`, the byte
     /// `window` positions before it.
     #[inline]
     pub fn roll(&self, f: u64, out: u8, b: u8) -> u64 {
-        self.append(f, b) ^ self.pop[out as usize]
-    }
-
-    /// Slide a full window two bytes in one step: append `b1` then `b2`,
-    /// drop `out1` and `out2`, the bytes `window` positions before each.
-    /// Equals `roll(roll(f, out1, b1), out2, b2)`.
-    #[inline]
-    pub fn roll2(&self, f: u64, [out1, out2]: [u8; 2], [b1, b2]: [u8; 2]) -> u64 {
-        debug_assert!(f <= self.mask);
-        // `f·x^16 + b1·x^8 + b2` split at the degree: `raw` has at most
-        // `degree + 8 ≤ 64` bits, so `top` is the 16 bits that overflow.
-        let raw = (f << 8) | b1 as u64;
-        let top = raw >> (self.degree - 8);
-        let low = ((raw << 8) | b2 as u64) & self.mask;
-        // The loads indexed by `top` are the only ones on `f`'s chain;
-        // XOR the rest together first.
-        let rest = low ^ self.pop_x8[out1 as usize] ^ self.pop[out2 as usize];
-        rest ^ (self.shift8[top as u8 as usize] ^ self.shift8_x8[(top >> 8) as u8 as usize])
+        debug_assert!(f >> self.degree == 0);
+        self.roll_aligned(f << self.align, out, b) >> self.align
     }
 
     /// Fingerprint of an entire byte slice (no window).
     pub fn fingerprint(&self, data: &[u8]) -> u64 {
-        data.iter().fold(0u64, |f, &b| self.append(f, b))
+        data.iter().fold(0u64, |g, &b| self.append_aligned(g, b)) >> self.align
     }
 }
 
@@ -349,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn roll_and_roll2_match_the_rolling_hash() {
+    fn roll_matches_the_rolling_hash() {
         for (poly, window) in [(DEFAULT_POLY, 48), (DEFAULT_POLY, 16), (0x11B, 4)] {
             let t = RabinTables::new(RabinParams { poly, window });
             let data: Vec<u8> = (0..600u32)
@@ -358,11 +365,10 @@ mod tests {
             let mut r = RollingHash::new(&t);
             let fps: Vec<u64> = data.iter().map(|&b| r.push(b)).collect();
             for i in window..data.len() {
-                assert_eq!(t.roll(fps[i - 1], data[i - window], data[i]), fps[i]);
-            }
-            for i in window + 1..data.len() {
-                let out = [data[i - 1 - window], data[i - window]];
-                assert_eq!(t.roll2(fps[i - 2], out, [data[i - 1], data[i]]), fps[i]);
+                let (out, b) = (data[i - window], data[i]);
+                assert_eq!(t.roll(fps[i - 1], out, b), fps[i]);
+                let aligned = t.roll_aligned(fps[i - 1] << t.align(), out, b);
+                assert_eq!(aligned, fps[i] << t.align(), "nothing below the alignment");
             }
         }
     }
