@@ -28,20 +28,20 @@
 //! a tenth of the version long at 2×; and at full scale no cell is below
 //! the parent's.
 //!
-//! Writes `BENCH_filter.json` into the workspace root (`--smoke`: into the
-//! temp directory) and prints the tables.
+//! Writes both tables to `BENCH_filter.json` in the workspace root
+//! (`--smoke`: into the temp directory) and prints them.
 //!
 //! ```bash
 //! cargo run --release -p debar-bench --bin ablation_prelim_filter [n] [--smoke]
 //! ```
 
 use debar_bench::month::{run_month, MonthConfig, MonthReport};
-use debar_bench::table::{f, Cell, Table, TablePrinter};
+use debar_bench::table::{Cell, Table};
 use debar_core::client::BackupClient;
 use debar_core::{ChunkedFile, ClientId, Dataset, DebarCluster, DebarConfig};
 use debar_filter::{PrelimFilter, NODE_BYTES};
 use debar_hash::Fingerprint;
-use debar_simio::throughput::{human_bytes, mibps};
+use debar_simio::throughput::mibps;
 use debar_simio::ScaleModel;
 use debar_workload::drift::{base_version, with_popular, Drift};
 use debar_workload::files::{FileTreeConfig, FileTreeGen, MutationConfig};
@@ -249,7 +249,9 @@ fn drift_workloads(smoke: bool) -> Vec<Workload> {
     out
 }
 
-fn month_table(denom: u64, smoke: bool) {
+/// The month with job chains and without: what crossed the wire, how fast
+/// dedup-1 ran, what dedup-2 had to adjudicate, and the final compression.
+fn month_table(denom: u64, smoke: bool) -> Table {
     let base = MonthConfig {
         denom: if smoke { 16 * denom } else { denom },
         days: if smoke { 6 } else { 31 },
@@ -264,49 +266,44 @@ fn month_table(denom: u64, smoke: bool) {
         ..base
     });
 
-    let last = with.last();
-    let row = |label: &str, r: &MonthReport| {
-        let i = r.last();
-        vec![
-            label.to_string(),
-            human_bytes(r.rows[..=i].iter().map(|x| x.transferred).sum()),
-            f(r.d1_cum_tp(i), 1),
-            human_bytes(r.rows[..=i].iter().map(|x| x.d2_log_bytes).sum()),
-            f(r.debar_total_cum_tp(i), 1),
-            f(r.debar_cum_ratio(i), 2),
-        ]
-    };
-    let mut t = TablePrinter::new(&[
+    let mut t = Table::new(&[
         "config",
-        "transferred",
-        "d1 MiB/s",
-        "dedup-2 load",
-        "total MiB/s",
+        "logical_bytes",
+        "transferred_bytes",
+        "d1_mibps",
+        "dedup2_load_bytes",
+        "total_mibps",
         "compression",
     ]);
-    t.row(row("job chains", &with));
-    t.row(row("no chains", &without));
+    for (label, r) in [("job chains", &with), ("no chains", &without)] {
+        let i = r.last();
+        t.row(vec![
+            Cell::S(label),
+            Cell::U(r.cum_logical(i)),
+            Cell::U(r.cum(i, |x| x.transferred)),
+            Cell::F(r.d1_cum_tp(i), 1),
+            Cell::U(r.cum(i, |x| x.d2_log_bytes)),
+            Cell::F(r.debar_total_cum_tp(i), 1),
+            Cell::opt(r.debar_cum_ratio(i), 2),
+        ]);
+    }
     t.print();
     println!(
-        "\nLogical data: {} over {} days. Job chains should cut network\n\
-         transfer and dedup-2 load by more than a third (over the whole month:\n\
-         more than half) and raise dedup-1 throughput well past the NIC line;\n\
-         final compression is identical (dedup-2 removes whatever the filter\n\
-         missed).\n",
-        human_bytes(with.cum_logical(last)),
-        with.rows.len(),
+        "\nJob chains should cut network transfer and dedup-2 load by more\n\
+         than a third (over the whole month: more than half) and raise dedup-1\n\
+         throughput well past the NIC line; final compression is identical\n\
+         (dedup-2 removes whatever the filter missed).\n",
     );
-    let transferred = |r: &MonthReport| r.rows.iter().map(|x| x.transferred).sum::<u64>();
+    let transferred = |r: &MonthReport| r.cum(r.last(), |x| x.transferred);
     assert!(3 * transferred(&with) < 2 * transferred(&without));
-    assert_eq!(
-        with.rows[last].debar_stored_cum,
-        without.rows[last].debar_stored_cum
-    );
+    let stored = |r: &MonthReport| r.rows[r.last()].debar_stored_cum;
+    assert_eq!(stored(&with), stored(&without));
+    t
 }
 
 fn main() {
     let (denom, smoke) = debar_bench::args(DEFAULT_DENOM, DEFAULT_DENOM);
-    month_table(denom, smoke);
+    let month = month_table(denom, smoke);
 
     let mut workloads = generator_workloads(denom, smoke);
     workloads.extend(drift_workloads(smoke));
@@ -381,7 +378,8 @@ fn main() {
     );
     let json = format!(
         "{{\n  \"bench\": \"filter\",\n  \"denom\": {denom},\n  \"parent\": \"c4e4ceb\",\n  \
-         \"cells\": {}\n}}\n",
+         \"month\": {},\n  \"cells\": {}\n}}\n",
+        month.json_rows(),
         t.json_rows()
     );
     debar_bench::write_bench_json("filter", smoke, &json);

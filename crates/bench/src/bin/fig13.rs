@@ -8,9 +8,10 @@
 //! in `debar_simio::scale`).
 //!
 //! Run: `cargo run --release -p debar-bench --bin fig13 [n] [--smoke]`
-//! (`n`: scale denominator, default 4096; `--smoke`: 16x deeper).
+//! (`n`: scale denominator, default 4096; `--smoke`: 16x deeper). A full
+//! run writes `BENCH_fig13.json`, which CI holds to its committed bytes.
 
-use debar_bench::table::{f, tb, TablePrinter};
+use debar_bench::table::{paper_err, Cell, Table};
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache, IndexParams};
 use debar_simio::models::{paper, GIB, TIB};
@@ -18,8 +19,16 @@ use debar_simio::models::{paper, GIB, TIB};
 const SERVERS: usize = 16;
 
 fn main() {
-    let (denom, _) = debar_bench::args(4096, 16 * 4096);
-    let totals = [TIB / 2, TIB, 2 * TIB, 4 * TIB, 8 * TIB];
+    let (denom, smoke) = debar_bench::args(4096, 16 * 4096);
+    // Index totals, and the paper's PSIL and PSIU kilo-fingerprints per
+    // second at the two it quotes.
+    let totals = [
+        (TIB / 2, Some((3710.0, 1524.0))),
+        (TIB, None),
+        (2 * TIB, None),
+        (4 * TIB, None),
+        (8 * TIB, Some((338.0, 135.0))),
+    ];
     let cache_bytes = GIB / denom;
     let fill = 0.35;
 
@@ -27,8 +36,16 @@ fn main() {
         "Figure 13: PSIL/PSIU speeds, {SERVERS} servers, 1GB cache each\n\
          (kilo-fingerprints per second; scale 1/{denom})\n"
     );
-    let mut t = TablePrinter::new(&["index total", "PSIL (kfps)", "PSIU (kfps)", "sweeps"]);
-    for total in totals {
+    let mut t = Table::new(&[
+        "index_tb",
+        "psil_kfps",
+        "psiu_kfps",
+        "paper_psil_kfps",
+        "paper_psil_err",
+        "paper_psiu_kfps",
+        "paper_psiu_err",
+    ]);
+    for (total, paper_kfps) in totals {
         let part_bytes = total / SERVERS as u64 / denom;
         let params = IndexParams::from_total_size(part_bytes, paper::DEFAULT_BUCKET_BYTES);
         // Build the 16 parts, each pre-filled.
@@ -79,12 +96,27 @@ fn main() {
             .fold(0.0, f64::max);
         let psiu = (SERVERS * batch) as f64 / psiu_wall / 1e3;
 
-        t.row(vec![tb(total), f(psil, 0), f(psiu, 0), "1".into()]);
+        let index_tb = total as f64 / TIB as f64;
+        let (paper_psil, paper_psiu) = paper_kfps.unzip();
+        t.row(vec![
+            Cell::F(index_tb, usize::from(index_tb < 1.0)),
+            Cell::F(psil, 0),
+            Cell::F(psiu, 0),
+            Cell::opt(paper_psil, 0),
+            paper_err(psil, paper_psil),
+            Cell::opt(paper_psiu, 0),
+            paper_err(psiu, paper_psiu),
+        ]);
     }
     t.print();
     println!(
-        "\nPaper reference: 0.5TB -> PSIL ~3710k, PSIU ~1524k; 8TB -> PSIL\n\
-         ~338k, PSIU ~135k fingerprints/s (both decline ~1/size since sweep\n\
-         time grows with the index while the cached batch stays fixed)."
+        "\nBoth speeds decline ~1/size: sweep time grows with the index while\n\
+         the cached batch stays fixed."
     );
+    let json = format!(
+        "{{\n  \"bench\": \"fig13\",\n  \"denom\": {denom},\n  \"servers\": {SERVERS},\n  \
+         \"fill\": {fill},\n  \"rows\": {}\n}}\n",
+        t.json_rows()
+    );
+    debar_bench::write_bench_json("fig13", smoke, &json);
 }

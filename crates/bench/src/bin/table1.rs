@@ -5,33 +5,40 @@
 //!
 //! Run: `cargo run --release -p debar-bench --bin table1 [--smoke]` (a
 //! closed form: there is nothing to scale, and `--smoke` prints the same).
+//! A full run writes `BENCH_table1.json`, which CI holds to its committed
+//! bytes.
 
-use debar_bench::table::{f, TablePrinter};
+use debar_bench::table::{paper_err, Cell, Table};
 use debar_index::theory::{max_eta_for_bound, table1_rows};
 
+const INDEX_BYTES: u64 = 512 << 30;
+
 fn main() {
-    debar_bench::args(1, 1);
+    let (_, smoke) = debar_bench::args(1, 1);
     let paper_bounds = [1.71, 1.02, 1.24, 1.59, 1.91, 1.93, 2.16, 2.08];
     println!("Table 1: upper bound of Pr(D), 512GB disk index, formula (1)\n");
-    let mut t = TablePrinter::new(&[
-        "bucket",
-        "b (entries)",
-        "n (bits)",
+    let mut t = Table::new(&[
+        "bucket_kb",
+        "b",
+        "n_bits",
         "eta",
-        "bound % (ours)",
-        "bound % (paper)",
-        "eta @ 2% (ours)",
+        "bound_pct",
+        "paper_bound_pct",
+        "paper_err",
+        "eta_at_2pct",
     ]);
-    for (row, paper) in table1_rows(512u64 << 30).iter().zip(paper_bounds) {
-        let eta_at_2pct = max_eta_for_bound(row.n_bits, row.b, 0.02);
+    for (row, paper) in table1_rows(INDEX_BYTES).iter().zip(paper_bounds) {
+        let kb = row.bucket_bytes as f64 / 1024.0;
+        let bound_pct = row.bound * 100.0;
         t.row(vec![
-            format!("{}KB", row.bucket_bytes as f64 / 1024.0),
-            row.b.to_string(),
-            row.n_bits.to_string(),
-            f(row.eta, 2),
-            format!("{:.4}", row.bound * 100.0),
-            f(paper, 2),
-            f(eta_at_2pct, 3),
+            Cell::F(kb, usize::from(kb < 1.0)),
+            Cell::U(row.b.into()),
+            Cell::U(row.n_bits.into()),
+            Cell::F(row.eta, 2),
+            Cell::F(bound_pct, 4),
+            Cell::F(paper, 2),
+            paper_err(bound_pct, paper),
+            Cell::F(max_eta_for_bound(row.n_bits, row.b, 0.02), 3),
         ]);
     }
     t.print();
@@ -41,4 +48,9 @@ fn main() {
          last column shows the highest utilization our evaluation certifies at\n\
          the paper's ~2% risk level (monotone in bucket size, like Table 2)."
     );
+    let json = format!(
+        "{{\n  \"bench\": \"table1\",\n  \"index_bytes\": {INDEX_BYTES},\n  \"rows\": {}\n}}\n",
+        t.json_rows()
+    );
+    debar_bench::write_bench_json("table1", smoke, &json);
 }

@@ -2,35 +2,36 @@
 //!
 //! The benchmark harness that regenerates every table and figure of the
 //! DEBAR paper's evaluation (§4.2, §6). One binary per experiment; each
-//! prints the paper's reference points beside its measured table:
+//! prints its measured tables and writes them to a `BENCH_*.json` at the
+//! workspace root. A quoted paper value is a `paper_*` column beside its
+//! cell, with [`table::paper_err`] (`fig12`, `fig14` and `fig15` still quote
+//! theirs in prose):
 //!
-//! | binary | regenerates |
-//! |---|---|
-//! | `table1` | Table 1 — formula (1) overflow-probability bounds |
-//! | `table2` | Table 2 — disk-index utilization experiment |
-//! | `fig6_7` | Fig. 6 (logical vs stored) and Fig. 7 (compression ratios) |
-//! | `fig8_9` | Fig. 8 (DEBAR throughput) and Fig. 9 (dedup-2 vs DDFS) |
-//! | `fig10_11` | Fig. 10 (SIL/SIU time) and Fig. 11 (lookup efficiencies; `BENCH_fig10_11.json`) |
-//! | `fig12` | Fig. 12 (throughput vs system capacity, DEBAR vs DDFS; `BENCH_fig12.json`) |
-//! | `fig13` | Fig. 13 (PSIL/PSIU speeds, 16 servers) |
-//! | `fig14` | Fig. 14 (16-server aggregate write/read throughput; `BENCH_fig14.json`) |
-//! | `fig15` | Fig. 15 (throughput/capacity vs number of servers; `BENCH_fig15.json`) |
-//! | `ablation_async_siu` | §5.4 asynchronous SIU riding on the next PSIL vs synchronous (`BENCH_async_siu.json`) |
-//! | `ablation_bucket_size`, `ablation_sisl_lpc` | design-choice ablations |
-//! | `fig_multipart` | §5.2 multi-part index analysis: sweep time & throughput vs parts (`BENCH_multipart.json`) |
-//! | `ablation_prelim_filter` | §5.1 job chains on/off, and what the filter catches vs version ÷ capacity (`BENCH_filter.json`) |
-//! | `fig_restore` | restore decay over 30 generations of the paper's layout (`BENCH_restore.json`) |
-//! | `fig_gc` | retention expiry and garbage collection (`BENCH_gc.json`) |
-//! | `fig_chaos` | what retry/backoff and scrub-repair cost (`BENCH_chaos.json`) |
+//! | binary | regenerates | writes |
+//! |---|---|---|
+//! | `table1` | Table 1 — formula (1) overflow-probability bounds | `BENCH_table1.json` |
+//! | `table2` | Table 2 — disk-index utilization, and the random bucket-read cost per bucket size | `BENCH_table2.json` |
+//! | `fig_month` | Figs. 6–9 — the HUSt month: stored bytes, compression ratios, DEBAR and DDFS throughput | `BENCH_month.json` |
+//! | `fig10_11` | Fig. 10 (SIL/SIU time) and Fig. 11 (lookup efficiencies) | `BENCH_fig10_11.json` |
+//! | `fig12` | Fig. 12 — throughput vs system capacity, DEBAR vs DDFS | `BENCH_fig12.json` |
+//! | `fig13` | Fig. 13 — PSIL/PSIU speeds, 16 servers | `BENCH_fig13.json` |
+//! | `fig14` | Fig. 14 — 16-server aggregate write/read throughput | `BENCH_fig14.json` |
+//! | `fig15` | Fig. 15 — throughput/capacity vs number of servers | `BENCH_fig15.json` |
+//! | `ablation_async_siu` | §5.4 asynchronous SIU riding on the next PSIL vs synchronous | `BENCH_async_siu.json` |
+//! | `ablation_prelim_filter` | §5.1 job chains on/off over the month, and what the filter catches vs version ÷ capacity | `BENCH_filter.json` |
+//! | `fig_multipart` | §5.2 multi-part index: sweep time & throughput vs parts | `BENCH_multipart.json` |
+//! | `fig_restore` | restore decay over 30 generations of the paper's layout, and SISL vs a shuffled layout | `BENCH_restore.json` |
+//! | `fig_gc` | retention expiry and garbage collection | `BENCH_gc.json` |
+//! | `fig_chaos` | what retry/backoff and scrub-repair cost | `BENCH_chaos.json` |
 //!
 //! Every binary takes the same command line, `[n] [--smoke]` ([`args`]):
-//! `n` is its scale denominator (its runs per bucket size for `table2` and
-//! `ablation_bucket_size`; see the `ScaleModel` docs for why MB/s-shaped
-//! results are scale-invariant) and `--smoke` is the cheap scale at which
-//! CI runs all of them. The ten that name a `BENCH_*.json` declare those
-//! rows once, in a [`table::Table`] that renders as the text on stdout and
-//! as the file's JSON, and write it through [`write_bench_json`]: CI holds
-//! the files to their committed bytes.
+//! `n` is its scale denominator (its runs per bucket size for `table2`; see
+//! the `ScaleModel` docs for why MB/s-shaped results are scale-invariant)
+//! and `--smoke` is the cheap scale at which CI runs all of them. Each
+//! declares its rows once, in a [`table::Table`] that renders as the text
+//! on stdout and as the file's JSON, and writes them through
+//! [`write_bench_json`]: CI reruns every binary at full size and holds the
+//! files to their committed bytes.
 
 pub mod month;
 pub mod table;

@@ -7,7 +7,6 @@ use debar_ddfs::{DdfsConfig, DdfsServer};
 use debar_simio::throughput::mibps;
 use debar_simio::Secs;
 use debar_workload::{HustConfig, HustGen};
-use serde::{Deserialize, Serialize};
 
 /// Month-experiment configuration.
 #[derive(Debug, Clone, Copy)]
@@ -39,7 +38,7 @@ impl Default for MonthConfig {
 }
 
 /// Per-day measurements.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DayRow {
     /// 1-based day.
     pub day: usize,
@@ -68,7 +67,7 @@ pub struct DayRow {
 }
 
 /// The full month's rows plus cumulative accounting.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MonthReport {
     /// Per-day rows.
     pub rows: Vec<DayRow>,
@@ -77,50 +76,52 @@ pub struct MonthReport {
 }
 
 impl MonthReport {
+    /// `field` summed over day indices `0..=i`.
+    pub fn cum<T: std::iter::Sum>(&self, i: usize, field: impl Fn(&DayRow) -> T) -> T {
+        self.rows[..=i].iter().map(field).sum()
+    }
+
     /// Cumulative logical bytes through day index `i` (0-based).
     pub fn cum_logical(&self, i: usize) -> u64 {
-        self.rows[..=i].iter().map(|r| r.logical).sum()
+        self.cum(i, |r| r.logical)
     }
 
     /// DEBAR dedup-1 daily compression ratio.
-    pub fn d1_daily_ratio(&self, i: usize) -> f64 {
+    pub fn d1_daily_ratio(&self, i: usize) -> Option<f64> {
         ratio(self.rows[i].logical, self.rows[i].transferred)
     }
 
     /// DEBAR dedup-1 cumulative compression ratio.
-    pub fn d1_cum_ratio(&self, i: usize) -> f64 {
-        ratio(
-            self.cum_logical(i),
-            self.rows[..=i].iter().map(|r| r.transferred).sum(),
-        )
+    pub fn d1_cum_ratio(&self, i: usize) -> Option<f64> {
+        ratio(self.cum_logical(i), self.cum(i, |r| r.transferred))
     }
 
     /// DEBAR dedup-2 daily compression (only on days it ran).
     pub fn d2_daily_ratio(&self, i: usize) -> Option<f64> {
         let r = &self.rows[i];
-        r.d2_ran.then(|| ratio(r.d2_log_bytes, r.d2_stored))
+        ratio(r.d2_log_bytes, r.d2_stored).filter(|_| r.d2_ran)
     }
 
     /// DEBAR dedup-2 cumulative compression over processed log bytes.
-    pub fn d2_cum_ratio(&self, i: usize) -> f64 {
+    pub fn d2_cum_ratio(&self, i: usize) -> Option<f64> {
         ratio(
-            self.rows[..=i].iter().map(|r| r.d2_log_bytes).sum(),
-            self.rows[..=i].iter().map(|r| r.d2_stored).sum(),
+            self.cum(i, |r| r.d2_log_bytes),
+            self.cum(i, |r| r.d2_stored),
         )
     }
 
     /// DEBAR overall cumulative compression (logical / stored).
-    pub fn debar_cum_ratio(&self, i: usize) -> f64 {
+    pub fn debar_cum_ratio(&self, i: usize) -> Option<f64> {
         ratio(self.cum_logical(i), self.rows[i].debar_stored_cum)
     }
 
     /// DDFS daily compression ratio.
-    pub fn ddfs_daily_ratio(&self, i: usize) -> f64 {
+    pub fn ddfs_daily_ratio(&self, i: usize) -> Option<f64> {
         ratio(self.rows[i].logical, self.rows[i].ddfs_stored)
     }
 
     /// DDFS cumulative compression ratio.
-    pub fn ddfs_cum_ratio(&self, i: usize) -> f64 {
+    pub fn ddfs_cum_ratio(&self, i: usize) -> Option<f64> {
         ratio(self.cum_logical(i), self.rows[i].ddfs_stored_cum)
     }
 
@@ -131,10 +132,7 @@ impl MonthReport {
 
     /// DEBAR dedup-1 cumulative throughput.
     pub fn d1_cum_tp(&self, i: usize) -> f64 {
-        mibps(
-            self.cum_logical(i),
-            self.rows[..=i].iter().map(|r| r.d1_wall).sum(),
-        )
+        mibps(self.cum_logical(i), self.cum(i, |r| r.d1_wall))
     }
 
     /// DEBAR dedup-2 daily throughput over its processed log bytes.
@@ -145,17 +143,13 @@ impl MonthReport {
 
     /// DEBAR dedup-2 cumulative throughput.
     pub fn d2_cum_tp(&self, i: usize) -> f64 {
-        mibps(
-            self.rows[..=i].iter().map(|r| r.d2_log_bytes).sum(),
-            self.rows[..=i].iter().map(|r| r.d2_wall).sum(),
-        )
+        mibps(self.cum(i, |r| r.d2_log_bytes), self.cum(i, |r| r.d2_wall))
     }
 
     /// DEBAR total cumulative throughput: logical bytes over dedup-1 +
     /// dedup-2 time (the paper's "overall DEBAR cumulative throughput").
     pub fn debar_total_cum_tp(&self, i: usize) -> f64 {
-        let time: Secs = self.rows[..=i].iter().map(|r| r.d1_wall + r.d2_wall).sum();
-        mibps(self.cum_logical(i), time)
+        mibps(self.cum_logical(i), self.cum(i, |r| r.d1_wall + r.d2_wall))
     }
 
     /// DDFS daily throughput.
@@ -165,10 +159,7 @@ impl MonthReport {
 
     /// DDFS cumulative throughput.
     pub fn ddfs_cum_tp(&self, i: usize) -> f64 {
-        mibps(
-            self.cum_logical(i),
-            self.rows[..=i].iter().map(|r| r.ddfs_wall).sum(),
-        )
+        mibps(self.cum_logical(i), self.cum(i, |r| r.ddfs_wall))
     }
 
     /// Last day index.
@@ -177,26 +168,25 @@ impl MonthReport {
     }
 }
 
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        f64::INFINITY
-    } else {
-        num as f64 / den as f64
-    }
+/// `num / den`, or `None` when nothing was stored to divide by (a DDFS day
+/// whose every chunk was a duplicate, dedup-2 before its first run).
+fn ratio(num: u64, den: u64) -> Option<f64> {
+    (den > 0).then(|| num as f64 / den as f64)
 }
 
 /// The month Figures 6-9 are drawn from, DDFS baseline included, at the
 /// scale the command line asks for ([`crate::args`]: `n` is the scale
-/// denominator, 16x deeper in a smoke run). Returns the denominator too.
-pub fn run_month_from_args() -> (u64, MonthReport) {
+/// denominator, 16x deeper in a smoke run). Returns the denominator and
+/// whether this is a smoke run too.
+pub fn run_month_from_args() -> (u64, bool, MonthReport) {
     let full = MonthConfig::default().denom;
-    let (denom, _) = crate::args(full, 16 * full);
+    let (denom, smoke) = crate::args(full, 16 * full);
     eprintln!("running the HUSt month at scale 1/{denom} (DEBAR + DDFS)...");
     let cfg = MonthConfig {
         denom,
         ..MonthConfig::default()
     };
-    (denom, run_month(cfg))
+    (denom, smoke, run_month(cfg))
 }
 
 /// Run the month experiment.
@@ -303,10 +293,27 @@ mod tests {
         let r = run_month(tiny());
         let last = r.last();
         // Overall ≈ d1 × d2: overall must exceed either stage alone.
-        let overall = r.debar_cum_ratio(last);
-        let d1 = r.d1_cum_ratio(last);
+        let overall = r.debar_cum_ratio(last).expect("DEBAR stored bytes");
+        let d1 = r.d1_cum_ratio(last).expect("dedup-1 transferred bytes");
         assert!(overall >= d1, "overall {overall} < d1 {d1}");
         assert!(overall > 1.5, "no compression achieved: {overall}");
+    }
+
+    #[test]
+    fn a_ratio_over_nothing_stored_is_none() {
+        let day = DayRow {
+            day: 1,
+            logical: 1 << 20,
+            ..DayRow::default()
+        };
+        let r = MonthReport {
+            rows: vec![day],
+            dedup2_days: Vec::new(),
+        };
+        assert_eq!(r.ddfs_daily_ratio(0), None);
+        assert_eq!(r.d1_cum_ratio(0), None);
+        assert_eq!(r.d2_cum_ratio(0), None);
+        assert_eq!(r.d2_daily_ratio(0), None);
     }
 
     #[test]

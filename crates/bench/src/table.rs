@@ -1,69 +1,14 @@
-//! Table rendering for the bench binaries: aligned text ([`TablePrinter`])
-//! and, for the figures that write a `BENCH_*.json`, rows declared once
-//! that render as both ([`Table`]).
-
-/// A simple aligned-column table printer.
-pub struct TablePrinter {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl TablePrinter {
-    /// Start a table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
-        TablePrinter {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Add a row (cells will be right-aligned).
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Render to a string.
-    pub fn render(&self) -> String {
-        let cols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for c in 0..cols {
-                widths[c] = widths[c].max(row[c].len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}", w = w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
+//! The one table of the bench binaries: rows declared once that render as
+//! aligned text and, for the `BENCH_*.json` every binary writes, as JSON
+//! ([`Table`]).
 
 /// One value of a [`Table`]. Text and JSON spell it the same way, so a
 /// figure's stdout shows exactly what its `BENCH_*.json` holds.
 pub enum Cell {
     /// A count.
     U(u64),
-    /// A float at a fixed number of decimals.
+    /// A float at a fixed number of decimals (must be finite: JSON has no
+    /// `inf` or `NaN`).
     F(f64, usize),
     /// A flag.
     B(bool),
@@ -74,10 +19,18 @@ pub enum Cell {
 }
 
 impl Cell {
+    /// A float at `prec` decimals, or [`Cell::Null`] when there is none.
+    pub fn opt(v: Option<f64>, prec: usize) -> Cell {
+        v.map_or(Cell::Null, |v| Cell::F(v, prec))
+    }
+
     fn render(&self, json: bool) -> String {
         match self {
             Cell::U(v) => v.to_string(),
-            Cell::F(v, prec) => f(*v, *prec),
+            Cell::F(v, prec) => {
+                assert!(v.is_finite(), "float cell is not finite: {v}");
+                format!("{v:.prec$}")
+            }
             Cell::B(v) => v.to_string(),
             Cell::S(s) => {
                 assert!(!s.contains(['"', '\\']), "label needs escaping: {s}");
@@ -116,13 +69,34 @@ impl Table {
         self.rows.push(cells);
     }
 
+    /// The aligned text: the header, a rule, then one line per row, every
+    /// column right-aligned to its widest cell, two spaces apart.
+    fn render(&self) -> String {
+        let n = self.columns.len();
+        let header = self.columns.iter().map(|c| c.to_string());
+        let cells: Vec<String> = header
+            .chain(self.rows.iter().flatten().map(|c| c.render(false)))
+            .collect();
+        let width = |i: usize| cells.iter().skip(i).step_by(n).map(String::len).max();
+        let widths: Vec<usize> = (0..n).map(|i| width(i).unwrap_or(0)).collect();
+        let mut out = String::new();
+        for (i, line) in cells.chunks(n).enumerate() {
+            let fields: Vec<String> = (line.iter().zip(&widths))
+                .map(|(c, w)| format!("{c:>w$}"))
+                .collect();
+            out.push_str(&fields.join("  "));
+            out.push('\n');
+            if i == 0 {
+                out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (n - 1)));
+                out.push('\n');
+            }
+        }
+        out
+    }
+
     /// Print the aligned text to stdout.
     pub fn print(&self) {
-        let mut t = TablePrinter::new(&self.columns);
-        for row in &self.rows {
-            t.row(row.iter().map(|c| c.render(false)).collect());
-        }
-        t.print();
+        print!("{}", self.render());
     }
 
     /// `{ "column": value, .. }` of one row, from column `from` on.
@@ -158,24 +132,10 @@ impl Table {
     }
 }
 
-/// Format a float with the given precision.
-pub fn f(v: f64, prec: usize) -> String {
-    format!("{v:.prec$}")
-}
-
-/// A size as the paper's axes label it: `2TB`, and `0.5TB` below one.
-pub fn tb(bytes: u64) -> String {
-    use debar_simio::models::TIB;
-    if bytes >= TIB {
-        format!("{}TB", bytes / TIB)
-    } else {
-        format!("{:.1}TB", bytes as f64 / TIB as f64)
-    }
-}
-
-/// Format an optional float, "-" when absent.
-pub fn opt_f(v: Option<f64>, prec: usize) -> String {
-    v.map(|x| f(x, prec)).unwrap_or_else(|| "-".into())
+/// How far a simulated cell is from the paper's value, `sim / paper - 1`;
+/// [`Cell::Null`] where the paper quotes none.
+pub fn paper_err(sim: f64, paper: impl Into<Option<f64>>) -> Cell {
+    Cell::opt(paper.into().map(|paper| sim / paper - 1.0), 4)
 }
 
 #[cfg(test)]
@@ -184,21 +144,28 @@ mod tests {
 
     #[test]
     fn renders_aligned() {
-        let mut t = TablePrinter::new(&["a", "bbbb"]);
-        t.row(vec!["1".into(), "2".into()]);
-        t.row(vec!["100".into(), "2000000".into()]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains('a'));
-        assert!(lines[3].ends_with("2000000"));
+        let mut t = Table::new(&["a", "bbbb"]);
+        t.row(vec![Cell::U(1), Cell::Null]);
+        t.row(vec![Cell::U(100), Cell::U(2_000_000)]);
+        assert_eq!(
+            t.render(),
+            "  a     bbbb\n------------\n  1        -\n100  2000000\n"
+        );
     }
 
     #[test]
     #[should_panic]
     fn wrong_arity_rejected() {
-        let mut t = TablePrinter::new(&["a"]);
-        t.row(vec!["1".into(), "2".into()]);
+        let mut t = Table::new(&["a"]);
+        t.row(vec![Cell::U(1), Cell::U(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn a_non_finite_float_never_reaches_json() {
+        let mut t = Table::new(&["ratio"]);
+        t.row(vec![Cell::F(f64::INFINITY, 2)]);
+        t.json_rows();
     }
 
     #[test]
@@ -232,9 +199,10 @@ mod tests {
 
     #[test]
     fn float_formatting() {
-        assert_eq!(f(1.23456, 2), "1.23");
-        assert_eq!(opt_f(None, 2), "-");
-        assert_eq!(opt_f(Some(2.0), 1), "2.0");
-        assert_eq!((tb(1 << 39), tb(8 << 40)), ("0.5TB".into(), "8TB".into()));
+        assert_eq!(Cell::F(1.23456, 2).render(false), "1.23");
+        assert_eq!(Cell::opt(None, 2).render(false), "-");
+        assert_eq!(Cell::opt(Some(2.0), 1).render(true), "2.0");
+        assert_eq!(paper_err(3.0, 2.0).render(true), "0.5000");
+        assert_eq!(paper_err(3.0, None).render(true), "null");
     }
 }

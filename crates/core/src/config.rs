@@ -45,14 +45,13 @@
 
 use debar_index::IndexParams;
 use debar_simio::{RetryPolicy, ScaleModel};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a DEBAR deployment.
 ///
 /// Sizes are *actual* in-memory sizes; use the `*_scaled` constructors to
 /// derive them from the paper's nominal sizes via a [`ScaleModel`]
 /// denominator (the scale rule is the `debar_simio::scale` module doc).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DebarConfig {
     /// `2^w_bits` backup servers; the first `w` fingerprint bits route to a
     /// server's index part (paper §5.2).

@@ -5,10 +5,9 @@ use crate::config::DebarConfig;
 use crate::ids::{JobId, ServerId};
 use crate::job::JobSpec;
 use crate::metadata::MetadataManager;
-use serde::{Deserialize, Serialize};
 
 /// Scheduling/placement policy knobs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DirectorPolicy {
     /// Trigger dedup-2 when any server's undetermined fingerprints reach
     /// this count (0 = manual only). The paper sizes batches to "fully

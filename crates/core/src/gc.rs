@@ -119,11 +119,10 @@ use crate::ids::{JobId, RunId, ServerId};
 use debar_hash::{ContainerId, Fingerprint, FpSet};
 use debar_simio::{Lane, Secs};
 use debar_store::{Container, ContainerManager};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// What one garbage collection did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GcReport {
     /// Fingerprints referenced by retained runs (the live set).
     pub live_fps: u64,

@@ -1,6 +1,5 @@
 //! Identifier types for jobs, clients, servers, job runs and devices.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A backup server's index within the cluster; server `k` owns disk-index
@@ -8,16 +7,16 @@ use std::fmt;
 pub type ServerId = u16;
 
 /// A backup client (a machine with data to protect).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
 
 /// A job object registered with the director (paper §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u32);
 
 /// One run of a job: the `version`-th instance of the job chain
 /// `Job(t_0), Job(t_1), …` (paper §5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RunId {
     /// The job.
     pub job: JobId,

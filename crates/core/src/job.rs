@@ -7,10 +7,9 @@
 //! should be scheduled to run."
 
 use crate::ids::{ClientId, JobId, RunId};
-use serde::{Deserialize, Serialize};
 
 /// When a job runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// Run only when explicitly submitted.
     Manual,
@@ -24,7 +23,7 @@ pub enum Schedule {
 }
 
 /// A job definition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Human-readable name (doubles as the dataset attribute's label).
     pub name: String,
@@ -35,7 +34,7 @@ pub struct JobSpec {
 }
 
 /// A registered job and its chain of runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobObject {
     /// The job's ID.
     pub id: JobId,

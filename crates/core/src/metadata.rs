@@ -9,11 +9,10 @@
 use crate::ids::{ClientId, JobId, RunId, ServerId};
 use crate::job::{JobObject, JobSpec};
 use debar_hash::Fingerprint;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The stored index of one backed-up file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FileIndexEntry {
     /// File path within the dataset.
     pub path: String,
@@ -24,7 +23,7 @@ pub struct FileIndexEntry {
 }
 
 /// Metadata of one completed job run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunRecord {
     /// The run.
     pub run: RunId,
@@ -139,20 +138,6 @@ impl MetadataManager {
             rec.server = f(rec.server);
         }
     }
-
-    /// Approximate stored metadata volume (for the §6.3 metadata-throughput
-    /// experiment): fingerprints + paths.
-    pub fn metadata_bytes(&self) -> u64 {
-        self.runs
-            .values()
-            .map(|r| {
-                r.files
-                    .iter()
-                    .map(|f| 20 * f.fingerprints.len() as u64 + f.path.len() as u64 + 16)
-                    .sum::<u64>()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -257,13 +242,5 @@ mod tests {
         let mut m = MetadataManager::new();
         let a = m.register_job(spec("a"));
         m.record_run(record(a, 1, vec![fp(1)]));
-    }
-
-    #[test]
-    fn metadata_bytes_counts() {
-        let mut m = MetadataManager::new();
-        let a = m.register_job(spec("a"));
-        m.record_run(record(a, 0, vec![fp(1), fp(2), fp(3)]));
-        assert!(m.metadata_bytes() >= 60);
     }
 }

@@ -9,10 +9,9 @@ use crate::ids::{RunId, ServerId};
 use debar_index::SiuReport;
 use debar_simio::throughput::mibps;
 use debar_simio::Secs;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one de-duplication phase-I backup (§3.3 File Store).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Dedup1Report {
     /// The run this report describes.
     pub run: RunId,
@@ -51,7 +50,7 @@ impl Dedup1Report {
 }
 
 /// Per-server chunk-storing outcome within dedup-2 (§5.3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StoreReport {
     /// Log records processed: what the store commits consumed of the logs.
     pub log_records: u64,
@@ -75,14 +74,14 @@ pub struct StoreReport {
 /// always `0.0`. The end-to-end benchmark package (`benchmark/`, whose
 /// calls into this crate are frozen) still reads
 /// [`Dedup2Report::cap`]`.wall`, and this struct is kept only for it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CapReport {
     /// Always `0.0`.
     pub wall: Secs,
 }
 
 /// Outcome of one dedup-2 round (§5.2-§5.4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dedup2Report {
     /// Round number (1-based).
     pub round: u32,
@@ -163,7 +162,7 @@ impl Dedup2Report {
 }
 
 /// Container-fragmentation telemetry for one restore walk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LayoutReport {
     /// Distinct containers the walk touched.
     pub containers_touched: u64,
@@ -202,7 +201,7 @@ impl LayoutReport {
 }
 
 /// Outcome of restoring one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RestoreReport {
     /// The run restored.
     pub run: RunId,

@@ -7,7 +7,6 @@ use debar_simio::models::paper;
 use debar_simio::{Lane, Secs, SimCpu, SimLink, VirtualClock};
 use debar_store::{ChunkRepository, Container, ContainerManager, LpcCache, Payload, StoreError};
 use debar_workload::ChunkRecord;
-use serde::{Deserialize, Serialize};
 
 /// DDFS configuration (defaults follow the paper's §6.1 testbed, scaled
 /// sizes left to the caller).
@@ -50,7 +49,7 @@ impl DdfsConfig {
 }
 
 /// Cumulative DDFS statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DdfsStats {
     /// Logical bytes received.
     pub logical_bytes: u64,
@@ -74,7 +73,7 @@ pub struct DdfsStats {
 }
 
 /// Report for one backup stream.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DdfsBackupReport {
     /// Logical bytes in this stream.
     pub logical_bytes: u64,

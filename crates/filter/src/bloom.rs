@@ -39,14 +39,13 @@
 //! [`BloomFilter::try_with_memory`] to handle untrusted budgets).
 
 use debar_hash::Fingerprint;
-use serde::{Deserialize, Serialize};
 
 /// Bits per cache-line block.
 pub const BLOCK_BITS: u64 = 512;
 
 /// One 64-byte-aligned filter block: exactly one cache line, so a probe's
 /// `k` bit tests can never straddle two lines.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 #[repr(align(64))]
 struct Block([u64; 8]);
 
@@ -68,7 +67,7 @@ pub fn false_positive_rate(m_bits: u64, n_keys: u64, k: u32) -> f64 {
 }
 
 /// An in-memory blocked Bloom filter over chunk fingerprints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BloomFilter {
     bits: Vec<Block>,
     /// Requested size in bits (accounting); storage is `blocks × 512`.

@@ -300,14 +300,6 @@ impl CuckooFilter {
         let occupied: usize = self.segments.iter().map(Segment::occupied).sum();
         occupied as f64 / self.capacity_slots() as f64
     }
-
-    /// Table memory in bytes (tag arrays only).
-    pub fn memory_bytes(&self) -> u64 {
-        self.segments
-            .iter()
-            .map(|s| (s.tags.len() * std::mem::size_of::<u16>()) as u64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -388,14 +380,13 @@ mod tests {
     }
 
     #[test]
-    fn load_factor_and_memory_reported() {
+    fn load_factor_reported() {
         let mut f = CuckooFilter::with_capacity(64, 7);
         assert!(f.is_empty());
         for n in 0..50 {
             f.insert(&fp(n));
         }
         assert!(f.load_factor() > 0.0 && f.load_factor() <= 1.0);
-        assert!(f.memory_bytes() >= 2 * f.len());
     }
 
     proptest::proptest! {

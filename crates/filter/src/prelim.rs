@@ -92,7 +92,6 @@
 //! has both curves.
 
 use debar_hash::{Fingerprint, FpMap, FpSet};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Verdict for one incoming fingerprint.
@@ -107,7 +106,7 @@ pub enum FilterVerdict {
 }
 
 /// Counters describing filter behaviour during a backup.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrelimStats {
     /// Fingerprints checked.
     pub checks: u64,

@@ -9,9 +9,7 @@ use std::fmt;
 /// 8 exabytes." The all-ones value is reserved as the *null* sentinel used by
 /// index-cache nodes whose chunks have not yet been assigned a container
 /// (§5.3: "checks whether its corresponding container ID is null").
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContainerId(u64);
 
 impl ContainerId {

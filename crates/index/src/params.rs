@@ -1,12 +1,11 @@
 //! Disk index geometry.
 
 use crate::entry::{BLOCK_BYTES, ENTRIES_PER_BLOCK};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a DEBAR disk index: `2^n_bits` buckets of `bucket_bytes`
 /// each, where every bucket is a run of 512-byte blocks holding 20 entries
 /// apiece (paper §4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexParams {
     /// Bucket-number width: the index has `2^n_bits` buckets, addressed by
     /// the first `n_bits` of a fingerprint.

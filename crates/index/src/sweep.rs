@@ -111,7 +111,6 @@ use crate::entry::IndexEntry;
 use crate::error::IndexError;
 use debar_hash::{ContainerId, Fingerprint};
 use debar_simio::{Secs, Timed};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one SIL sweep.
 #[derive(Debug, Clone)]
@@ -131,7 +130,7 @@ pub struct SilReport {
 }
 
 /// Outcome of one SIU sweep.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SiuReport {
     /// Entries newly inserted.
     pub inserted: u64,

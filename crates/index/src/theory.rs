@@ -14,7 +14,6 @@
 
 use debar_hash::Fingerprint;
 use debar_hash::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// Natural log of `n!` (exact summation; `n` stays ≤ ~10^5 here).
 pub fn ln_factorial(n: u64) -> f64 {
@@ -109,7 +108,7 @@ pub fn predicted_exit_eta(n_bits: u32, b: u32) -> f64 {
 }
 
 /// One row of Table 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Bucket size in bytes.
     pub bucket_bytes: usize,
@@ -155,7 +154,7 @@ pub fn table1_rows(index_bytes: u64) -> Vec<Table1Row> {
 }
 
 /// The counter-array utilization experiment of §4.2 (Table 2).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UtilizationSim {
     /// Bucket-count exponent: `2^n_bits` buckets.
     pub n_bits: u32,
@@ -164,7 +163,7 @@ pub struct UtilizationSim {
 }
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UtilRun {
     /// Fingerprints inserted before exit.
     pub inserted: u64,

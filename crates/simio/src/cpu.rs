@@ -7,10 +7,9 @@
 //! hash structures, and hashing payload bytes (SHA-1 / Rabin at the client).
 
 use crate::clock::Secs;
-use serde::{Deserialize, Serialize};
 
 /// CPU rate parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     /// In-memory fingerprint probes (hash + compare chain) per second.
     pub fp_probes_per_s: f64,
@@ -33,7 +32,7 @@ impl CpuModel {
 }
 
 /// Cumulative CPU accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CpuStats {
     /// Fingerprint probes performed.
     pub fp_probes: u64,

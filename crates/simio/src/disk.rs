@@ -10,10 +10,9 @@
 
 use crate::clock::Secs;
 use crate::fault::{FaultPlan, FaultSpec, InjectedFault};
-use serde::{Deserialize, Serialize};
 
 /// Timing parameters of a disk (or RAID volume).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Average positioning time for a random access (seek + rotation),
     /// in seconds.
@@ -51,7 +50,7 @@ impl DiskModel {
 }
 
 /// Cumulative I/O statistics for one simulated disk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DiskStats {
     /// Bytes moved by sequential reads.
     pub seq_read_bytes: u64,
@@ -184,11 +183,6 @@ impl SimDisk {
         let secs = secs.max(0.0);
         self.stats.busy_s += secs;
         secs
-    }
-
-    /// Reset statistics (model unchanged).
-    pub fn reset_stats(&mut self) {
-        self.stats = DiskStats::default();
     }
 
     /// Perform a sequential read of `bytes`; returns the cost.
@@ -497,14 +491,5 @@ mod tests {
         d.seq_read(10); // fires, pending
         d.clear_fault_plan();
         assert!(d.take_fault().is_none(), "cleared plans drop fired faults");
-    }
-
-    #[test]
-    fn reset_clears_stats_keeps_model() {
-        let mut d = disk();
-        d.seq_read(10);
-        d.reset_stats();
-        assert_eq!(d.stats(), DiskStats::default());
-        assert_eq!(d.model().seek_s, 0.002);
     }
 }

@@ -36,11 +36,10 @@
 //! operation on the same disk (the documented "next checked boundary"
 //! rule).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of an injected disk fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The operation fails outright (device error): a failed write persists
     /// nothing, a failed read returns nothing.
@@ -84,7 +83,7 @@ impl fmt::Display for FaultKind {
 /// that failed, modelling the backoff wait plus the re-issued I/O setup.
 /// Exhausting the budget surfaces a typed retries-exhausted error naming
 /// the node instead of the raw device fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per fault-checked operation; at least 1.
     pub max_attempts: u32,
@@ -123,7 +122,7 @@ impl RetryPolicy {
 }
 
 /// One armed fault: fire `kind` when the disk's op counter reaches `at_op`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Zero-based disk-operation index the fault fires on.
     pub at_op: u64,
@@ -225,7 +224,7 @@ impl FaultPlan {
 }
 
 /// A fault that has fired: the op it fired on and its kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectedFault {
     /// The disk-operation index the fault fired on.
     pub op: u64,

@@ -1,10 +1,9 @@
 //! Network timing model.
 
 use crate::clock::Secs;
-use serde::{Deserialize, Serialize};
 
 /// Timing parameters of a network link (NIC or bonded NIC pair).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetModel {
     /// Sustained bandwidth in bytes/second.
     pub bandwidth: f64,
@@ -28,7 +27,7 @@ impl NetModel {
 }
 
 /// Cumulative transfer statistics for one link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NetStats {
     /// Bytes streamed.
     pub stream_bytes: u64,

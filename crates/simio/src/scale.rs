@@ -14,10 +14,8 @@
 //!
 //! Reports are labelled with *nominal* (paper-scale) sizes.
 
-use serde::{Deserialize, Serialize};
-
 /// Maps nominal (paper-scale) sizes to actual (in-memory) sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleModel {
     /// The denominator: nominal = actual × denom.
     pub denom: u64,

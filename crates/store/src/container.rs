@@ -21,7 +21,6 @@
 
 use bytes::Bytes;
 use debar_hash::{ContainerId, Fingerprint, Sha1};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default container size (paper §3.4).
@@ -44,7 +43,7 @@ const WIRE_TRAILER: usize = 20;
 
 /// Why a container's bytes failed validation.
 #[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptKind {
     /// The leading magic byte is wrong (not a container, or a pre-magic
     /// fixture from an old format).
@@ -155,7 +154,7 @@ impl Payload {
 }
 
 /// Metadata describing one chunk within a container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkMeta {
     /// The chunk fingerprint.
     pub fp: Fingerprint,

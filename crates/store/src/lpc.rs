@@ -49,12 +49,11 @@
 //! at `n` containers' worth; a budget of one serializes reads and sends.
 
 use debar_hash::{ContainerId, Fingerprint, FpMap};
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpcStats {
     /// Lookups answered from the cache.
     pub hits: u64,

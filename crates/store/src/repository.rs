@@ -138,7 +138,6 @@ use crate::container::{ChunkMeta, Container, CorruptKind, Damage, Payload};
 use crate::error::StoreError;
 use debar_hash::{ContainerId, Fingerprint, Sha1};
 use debar_simio::{DiskModel, FaultKind, FaultPlan, Lane, RetryPolicy, Secs, SimDisk};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -187,7 +186,7 @@ impl StorageNode {
 }
 
 /// Aggregate repository statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RepoStats {
     /// Containers stored (logical, not multiplied by replication).
     pub containers: u64,
@@ -342,7 +341,7 @@ impl<T> NodeRead<T> {
 }
 
 /// Outcome of a [`ChunkRepository::repair_node`] scrub pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairReport {
     /// Container copies the node must hold: one for every live container
     /// whose replica ring includes it.
@@ -363,7 +362,7 @@ pub struct ScrubLeg {
 }
 
 /// Outcome of a cluster-wide [`ChunkRepository::scrub_all`] pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Container copies read and checksum-verified (every copy on every
     /// up node).
@@ -1216,12 +1215,6 @@ impl ChunkRepository {
         self.stats.reclaimed_bytes += data_bytes;
         self.stats.reclaimed_physical_bytes += bytes;
         Ok(Reclaimed { bytes, node_costs })
-    }
-
-    /// Whether an id has been reclaimed (tombstoned) by
-    /// [`ChunkRepository::delete_container`].
-    pub fn is_reclaimed(&self, cid: ContainerId) -> bool {
-        self.reclaimed.contains(&cid.raw())
     }
 
     /// Locate a container's first copy in failover order (its replica
@@ -2284,7 +2277,6 @@ mod tests {
             "only the reachable node is charged"
         );
         // Tombstoned cluster-wide even while node 0 still has it on disk.
-        assert!(r.is_reclaimed(a));
         assert!(!r.contains(a));
         assert!(r.container_ids().is_empty());
         r.revive_node(0).expect("in range");

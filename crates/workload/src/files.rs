@@ -10,7 +10,6 @@
 
 use bytes::Bytes;
 use debar_hash::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// A file in a synthetic dataset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,7 +21,7 @@ pub struct FileSpec {
 }
 
 /// Parameters of the tree generator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FileTreeConfig {
     /// Number of files.
     pub files: usize,
@@ -50,7 +49,7 @@ impl Default for FileTreeConfig {
 }
 
 /// Mutation intensity between versions.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MutationConfig {
     /// Fraction of files receiving a byte-level edit.
     pub edit_fraction: f64,

@@ -25,10 +25,9 @@
 use crate::record::ChunkRecord;
 use debar_hash::SplitMix64;
 use debar_simio::ScaleModel;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the HUSt month model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HustConfig {
     /// Backup clients (the paper uses 8 HUSt storage nodes).
     pub clients: usize,

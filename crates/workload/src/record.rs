@@ -1,11 +1,10 @@
 //! Fingerprint-level chunk records.
 
 use debar_hash::Fingerprint;
-use serde::{Deserialize, Serialize};
 
 /// One chunk of a fingerprint-level backup stream: the fingerprint plus the
 /// (synthetic) chunk length it stands for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRecord {
     /// Chunk fingerprint.
     pub fp: Fingerprint,

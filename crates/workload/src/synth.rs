@@ -20,10 +20,9 @@
 use crate::record::ChunkRecord;
 use debar_hash::SplitMix64;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a multi-client version-chain workload.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MultiStreamConfig {
     /// Number of backup clients (streams).
     pub clients: usize,
