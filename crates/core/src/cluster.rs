@@ -1262,6 +1262,53 @@ mod tests {
     }
 
     #[test]
+    fn one_client_backs_up_a_file_tree_history_that_restores_byte_for_byte() {
+        use debar_workload::files::{FileTreeConfig, FileTreeGen, MutationConfig};
+        let mut c = cluster(0);
+        let job = c.define_job("tree", ClientId(0));
+        let mut gen = FileTreeGen::new(FileTreeConfig {
+            files: 12,
+            ..FileTreeConfig::default()
+        });
+        let mut versions = vec![gen.initial()];
+        for _ in 1..5 {
+            let next = gen.mutate(
+                versions.last().expect("a version"),
+                MutationConfig::default(),
+            );
+            versions.push(next);
+        }
+        for tree in &versions {
+            c.backup(job, &Dataset::from_file_specs(tree))
+                .expect("backup");
+            c.run_dedup2().expect("dedup2");
+        }
+        c.force_siu().expect("siu");
+        for (version, tree) in versions.iter().enumerate() {
+            let run = RunId {
+                job,
+                version: version as u32,
+            };
+            // The recipe is what a client that never saw the history cuts,
+            // and every chunk of it reads back and hashes to its
+            // fingerprint: the run restores these bytes.
+            let ds = Dataset::from_file_specs(tree);
+            let fresh = BackupClient::new(ClientId(9)).prepare(&ds).value;
+            let record = c.director.metadata.run(run).expect("recorded");
+            assert_eq!(record.files.len(), fresh.len());
+            for (entry, file) in record.files.iter().zip(&fresh) {
+                assert_eq!(entry.path, file.path);
+                let fps: Vec<Fingerprint> = file.chunks.iter().map(|ch| ch.fp).collect();
+                assert_eq!(entry.fingerprints, fps, "version {version}, {}", file.path);
+            }
+            let rep = c.restore_run(run).expect("restore");
+            assert_eq!(rep.failures, 0);
+            assert_eq!(rep.bytes, ds.logical_bytes(), "version {version}");
+            assert_eq!(rep.files, tree.len() as u64);
+        }
+    }
+
+    #[test]
     fn backup_on_unknown_job_is_typed_error() {
         let mut c = cluster(0);
         let err = c

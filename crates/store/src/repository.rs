@@ -407,8 +407,14 @@ enum Fetch<'a> {
     /// The metadata section alone.
     Metas,
     /// The metadata section, then the extents holding the chunks the
-    /// predicate wants ([`wanted_extents`]).
-    Chunks(&'a dyn Fn(&Fingerprint) -> bool),
+    /// predicate wants ([`wanted_extents`]). `mask[i]` is what it says of
+    /// slot `i`, asked once per read: every copy holds the same metadata
+    /// section. The predicate itself is asked again only of a damaged
+    /// copy's metadata as read.
+    Chunks {
+        wanted: &'a dyn Fn(&Fingerprint) -> bool,
+        mask: &'a [bool],
+    },
 }
 
 /// Whether `bytes`, as read from a copy's data section, are the chunk
@@ -761,17 +767,19 @@ impl ChunkRepository {
             Fetch::Whole | Fetch::Metas => {
                 Container::deserialize(&raw, sc.container.capacity()).map(|_| ())
             }
-            Fetch::Chunks(wanted) => Container::deserialize_chunks(&raw, wanted).and_then(|read| {
-                let mut read = read.into_iter();
-                let stored = sc.container.chunks().filter(|(fp, _)| wanted(fp));
-                for (fp, payload) in stored {
-                    let listed = read.find(|(m, _)| m.fp == fp);
-                    if !listed.is_some_and(|(_, bytes)| reads_back(&fp, &payload, &bytes)) {
-                        return Err(CorruptKind::PayloadMismatch);
+            Fetch::Chunks { wanted, mask } => {
+                Container::deserialize_chunks(&raw, wanted).and_then(|read| {
+                    let mut read = read.into_iter();
+                    let stored = (sc.container.chunks().zip(mask)).filter(|(_, &w)| w);
+                    for ((fp, payload), _) in stored {
+                        let listed = read.find(|(m, _)| m.fp == fp);
+                        if !listed.is_some_and(|(_, bytes)| reads_back(&fp, &payload, &bytes)) {
+                            return Err(CorruptKind::PayloadMismatch);
+                        }
                     }
-                }
-                Ok(())
-            }),
+                    Ok(())
+                })
+            }
         };
         match checked {
             Ok(()) => Ok(true),
@@ -877,10 +885,10 @@ impl ChunkRepository {
         match fetch {
             Fetch::Whole => (fetch, head(image).collect()),
             Fetch::Metas => (fetch, head(meta).collect()),
-            Fetch::Chunks(wanted) => {
+            Fetch::Chunks { mask, .. } => {
                 let disk = self.nodes[node].disk.model();
-                let chunks = (metas.iter().filter(|m| wanted(&m.fp)))
-                    .map(|m| meta + m.offset..meta + m.offset + m.len as u64);
+                let chunks = (metas.iter().zip(mask).filter(|(_, &w)| w))
+                    .map(|(m, _)| meta + m.offset..meta + m.offset + m.len as u64);
                 let ios = wanted_extents(head(meta).chain(chunks), &disk);
                 let ranged: Secs = ios
                     .iter()
@@ -1090,7 +1098,9 @@ impl ChunkRepository {
     /// The ranged read: fetch a container's metadata section and then only
     /// the chunks `wanted` names — for a reader that knows which chunks it
     /// will use (the restore walk, from its recipe; GC compaction, from
-    /// the live set). [`wanted_extents`] makes I/Os of the metadata
+    /// the live set). `wanted` is asked once per chunk the metadata
+    /// section lists, however many copies the read tries, and again only
+    /// of a copy found damaged. [`wanted_extents`] makes I/Os of the metadata
     /// section and the wanted chunks — a first chunk close behind the
     /// metadata section shares its I/O — all one op of the serving node's
     /// disk; same failover core, legs and counters as [`ChunkRepository::read`],
@@ -1121,11 +1131,22 @@ impl ChunkRepository {
         wanted: impl Fn(&Fingerprint) -> bool,
         starts: &[Secs],
     ) -> NodeRead<Vec<(Fingerprint, Payload)>> {
-        self.read_one(cid, Fetch::Chunks(&wanted), starts, |copy, arrived| {
+        let mask: Vec<bool> = match self.holders(cid).first() {
+            Some(&node) => (self.nodes[node].containers[&cid.raw()].container.metas())
+                .iter()
+                .map(|m| wanted(&m.fp))
+                .collect(),
+            None => Vec::new(),
+        };
+        let fetch = Fetch::Chunks {
+            wanted: &wanted,
+            mask: &mask,
+        };
+        self.read_one(cid, fetch, starts, |copy, arrived| {
             let mut tails = Vec::with_capacity(copy.len());
             let chunks = (0..copy.len())
+                .filter(|&i| mask[i])
                 .map(|i| copy.slot(i))
-                .filter(|(m, _)| wanted(&m.fp))
                 .map(|(m, payload)| {
                     tails.push(arrived(m));
                     (m.fp, payload.clone())

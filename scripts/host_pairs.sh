@@ -11,7 +11,11 @@
 # pair. Each run reports the fastest of its reps. For host_cpu_s and
 # host_wall_s the script prints each side's median and quartiles, how many
 # pairs the working tree won, and whether the gap between the medians is
-# wider than the parent's interquartile range.
+# wider than the parent's interquartile range. Every pair also compares
+# the two sides' simulated end-to-end cells (sim_*, stored_per_logical,
+# ok_ops_share), which a host-only change must leave bit for bit: the
+# script says "simulated cells identical", or names the first cell that
+# differs with both values. A difference is reported, not an error.
 #
 # Nothing is written under benchmark/ or into .git; the temporary
 # directory goes when the script exits.
@@ -50,13 +54,30 @@ run() { # <side>: appends "<cpu> <wall>" to $tmp/<side>.txt
         END { if (c == "" || s == "") exit 1; print c, s }' \
         "$tmp/$1.out" >>"$tmp/$1.txt"
 }
+sim_cells() { # <side>: "metric value" of every simulated end-to-end cell
+    awk -v w="$workload" '$1 == w && ($2 ~ /^sim_/ || $2 == "stored_per_logical" ||
+        $2 == "ok_ops_share") { print $2, $3 }' "$tmp/$1.out"
+}
+same_sim() { # the pair's verdict on its simulated cells, one line
+    paste -d' ' <(sim_cells parent) <(sim_cells change) | awk '
+        $1 != $3 || $2 != $4 { printf "simulated cell %s differs: parent %s, change %s\n",
+            $1 != "" ? $1 : $3, $2, $4; bad = 1; exit }
+        { n++ }
+        END { if (!bad) print n ? "simulated cells identical" : "no simulated cells found" }'
+}
+first_diff=""
 for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then run parent; run change; else run change; run parent; fi
+    verdict=$(same_sim)
+    if [ "$verdict" != "simulated cells identical" ] && [ -z "$first_diff" ]; then
+        first_diff="pair $((i + 1)): $verdict"
+    fi
     echo "pair $((i + 1))/$pairs: parent $(tail -n1 "$tmp/parent.txt")" \
-        " change $(tail -n1 "$tmp/change.txt")  (cpu wall)" >&2
+        " change $(tail -n1 "$tmp/change.txt")  (cpu wall); $verdict" >&2
 done
 
 echo "$workload, seed $seed, $pairs pairs: $rev against the working tree"
+echo "${first_diff:-simulated cells identical on every pair}"
 paste -d' ' "$tmp/parent.txt" "$tmp/change.txt" | awk '
     # Quartile p of the sorted a[1..n], linear between order statistics.
     function q(a, n, p,    h, lo) {
