@@ -12,6 +12,7 @@
 //! | CDC (8 MB stream, paper params) | `chunk_all_reference` (per-byte ring) | `chunk_all` (four-lane scan) |
 //! | SHA-1 (the 8 MB stream's ~8 KB chunks) | `Sha1::portable` | `Sha1::new` (CPU-dispatched kernel) |
 //! | fingerprint table (64K inserts, 64K hits, 64K misses) | std `RandomState` (SipHash-1-3) | `FpBuild` (digest-keyed) |
+//! | client prepare (one 32 KiB file, paper params) | cut whole (a path the last call did not have) | re-cut after a 64-byte overwrite |
 //!
 //! `prelim/check_64k` has no pair: it times the preliminary filter, which
 //! sits on an `FpMap`, priming one 64K generation and checking the next.
@@ -32,9 +33,12 @@
 
 use criterion::Criterion;
 use debar_chunk::{CdcChunker, CdcParams};
+use debar_core::client::BackupClient;
+use debar_core::{ClientId, Dataset};
 use debar_filter::{BloomFilter, FilterVerdict, PrelimFilter};
 use debar_hash::{ContainerId, Fingerprint, FpBuild, Sha1, SplitMix64};
 use debar_index::{DiskIndex, IndexCache, IndexParams};
+use debar_workload::files::FileSpec;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
@@ -270,6 +274,41 @@ fn sha1_benches(c: &mut Criterion) {
     });
 }
 
+/// A dataset of one byte file.
+fn one_file(path: &str, data: &[u8]) -> Dataset {
+    Dataset::from_file_specs(&[FileSpec {
+        path: path.to_string(),
+        data: data.to_vec().into(),
+    }])
+}
+
+fn client_benches(c: &mut Criterion) {
+    let data = test_data(32 << 10, 0x32C);
+    let mut edited = data.clone();
+    for b in &mut edited[16 << 10..][..64] {
+        *b ^= 0x5a;
+    }
+    // Each call prepares the other dataset of its pair. A path the last
+    // call did not have is cut whole; the same path with the other bytes
+    // is re-cut around the overwrite.
+    let whole = [one_file("a", &data), one_file("b", &data)];
+    let recut = [one_file("f", &data), one_file("f", &edited)];
+    for (name, pair) in [
+        ("client/cut_whole_32k", whole),
+        ("client/recut_64b_overwrite_32k", recut),
+    ] {
+        let mut client = BackupClient::new(ClientId(0));
+        client.prepare(&pair[1]);
+        let mut i = 0;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                i += 1;
+                black_box(client.prepare(&pair[i % 2]).value.len())
+            })
+        });
+    }
+}
+
 /// Fingerprints per table kernel.
 const TABLE_FPS: u64 = 1 << 16;
 
@@ -359,6 +398,11 @@ fn write_summary(results: &[(String, criterion::Sample)]) {
             "sha1/dispatch_8k_chunks_8m",
         ),
         ("fp_hasher", "fpmap/std_64k", "fpmap/fp_64k"),
+        (
+            "client_recut",
+            "client/cut_whole_32k",
+            "client/recut_64b_overwrite_32k",
+        ),
     ];
 
     let mut out = String::from("{\n  \"benches\": {\n");
@@ -403,5 +447,6 @@ fn main() {
     sha1_benches(&mut c);
     fpmap_benches(&mut c);
     prelim_benches(&mut c);
+    client_benches(&mut c);
     write_summary(&c.take_results());
 }

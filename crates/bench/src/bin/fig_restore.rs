@@ -64,8 +64,12 @@
 //! a stream-ordered reference of the content. One container fetch serves
 //! the next ~1000 stream-local lookups under SISL (LPC hit ratio 0.999
 //! against the paper's "99.3% of random lookups eliminated", near the
-//! network line); a shuffled layout defeats the prefetch (0.48) and
-//! restore throughput collapses (0.6 MiB/s against 210).
+//! network line); a shuffled layout defeats the prefetch (0.78) and
+//! restore throughput collapses (1.4 MiB/s against 210). At full size the
+//! walks take 65,536 chunks, 512 MiB at 8 KiB: enough that the shuffled
+//! layout's containers outgrow the cache many times over (64 containers
+//! against the 16 the cache holds), little enough that both walks take a
+//! few seconds.
 //!
 //! Writes `BENCH_restore.json` into the workspace root and prints the
 //! tables. Run:
@@ -193,7 +197,7 @@ const PAPER_SISL_HIT_RATIO: f64 = 0.993;
 /// order. Returns `n` and the restore.
 fn layout_walk(shuffled_layout: bool, denom: u64) -> (u64, RestoreReport) {
     let mut cluster = DebarCluster::new(DebarConfig::single_server_scaled(denom));
-    let n = ((2u64 << 30) / 8192 / denom * 1024).max(4096);
+    let n = ((512u64 << 20) / 8192 / denom * 1024).max(4096);
     let ordered = records(0..n);
 
     // Job 1 determines the physical container layout.

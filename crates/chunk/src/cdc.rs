@@ -52,6 +52,21 @@
 //!
 //! The per-byte reference, [`CdcChunker::chunk_all_reference`], cuts where
 //! the kernel cuts; the tests hold them together.
+//!
+//! # One chunk at a time
+//!
+//! [`CdcChunker::chunk_end`] finds where one chunk ends without cutting the
+//! rest of the slice: the chunk that starts at `start` ends at the first
+//! anchor in `from ..= start + max_size`, else at `start + max_size`, else
+//! at the end of the data, for a caller that knows no window ending in
+//! `start + min_size .. from` is an anchor. Since every anchor test is a
+//! property of the slice, it runs the same lane scan over a sub-slice that
+//! holds just the windows of the ends it tests: first `FIRST_STRETCH`
+//! ends, then twice as many after each stretch that held no anchor, so a
+//! chunk costs at most about twice the ends it spans, and never more than
+//! `max_size` of them. It allocates nothing and, from `from = start +
+//! min_size`, returns the end [`CdcChunker::chunk_all`] gives a chunk that
+//! starts at `start`.
 
 use crate::span::ChunkSpan;
 use debar_hash::rabin::{RabinParams, RabinTables, RollingHash};
@@ -62,6 +77,10 @@ pub const LANES: usize = 4;
 /// Window ends the lane scan tests per block (module docs): its anchors
 /// wait in a bitset of this many bits on the stack.
 pub const BLOCK: usize = LANES * 8192;
+
+/// Window ends [`CdcChunker::chunk_end`] tests in its first stretch; each
+/// stretch after one without an anchor is twice as long (module docs).
+const FIRST_STRETCH: usize = 4096;
 
 /// Parameters of the CDC chunker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,6 +243,38 @@ impl CdcChunker {
             start = end;
         }
         out
+    }
+
+    /// The end of the chunk of `data` that starts at `start`, testing the
+    /// window ends from `from` on (module docs, *One chunk at a time*): the
+    /// first anchor in `from ..= start + max_size`, else `start +
+    /// max_size`, else `data.len()`. The caller vouches that no window
+    /// ending in `start + min_size .. from` is an anchor; at `from = start +
+    /// min_size` this is the end [`CdcChunker::chunk_all`] gives the chunk.
+    ///
+    /// # Panics
+    /// Panics if `from < start + min_size`.
+    pub fn chunk_end(&self, data: &[u8], start: usize, from: usize) -> usize {
+        let p = &self.params;
+        assert!(from >= start + p.min_size, "window ends tested too early");
+        let w = p.rabin.window;
+        let last = data.len().min(start + p.max_size);
+        // Each stretch tests the window ends `lo ..= hi`: the ends `w ..=`
+        // of the sub-slice `data[lo − w..hi]`.
+        let (mut lo, mut stretch) = (from, FIRST_STRETCH);
+        while lo <= last {
+            let hi = last.min(lo + stretch - 1);
+            let mut anchor = None;
+            self.scan(&data[lo - w..hi], |a| {
+                anchor.get_or_insert(a as usize);
+            });
+            if let Some(a) = anchor {
+                return lo - w + a;
+            }
+            lo = hi + 1;
+            stretch *= 2;
+        }
+        last
     }
 
     /// Split a buffer into chunk byte-slices.
@@ -851,8 +902,69 @@ mod tests {
         }
     }
 
+    /// The end `chunk_all` gives the chunk of `data` that starts at `start`.
+    fn chunk_all_end(c: &CdcChunker, data: &[u8], start: usize) -> usize {
+        start + c.chunk_all(&data[start..])[0].len as usize
+    }
+
+    #[test]
+    fn chunk_end_grows_its_stretches_across_an_anchorless_run() {
+        // All-zero data has no anchor: the paper's chunk scans stretch
+        // after stretch up to its max-size cut.
+        let c = CdcChunker::paper();
+        let p = *c.params();
+        let mut data = test_data(p.max_size, 0x57E7);
+        data.extend(vec![0u8; 3 * p.max_size]);
+        let start = p.max_size + 5;
+        assert_eq!(
+            c.chunk_end(&data, start, start + p.min_size),
+            start + p.max_size
+        );
+        assert_eq!(chunk_all_end(&c, &data, start), start + p.max_size);
+        // Past the end of the data the chunk ends there.
+        let tail = data.len() - p.min_size / 2;
+        assert_eq!(c.chunk_end(&data, tail, tail + p.min_size), data.len());
+        // An anchor planted past the first stretch ends the chunk on it.
+        let end = start + p.min_size + 3 * FIRST_STRETCH + 17;
+        plant_anchor(&c, &mut data, start + p.min_size, end);
+        assert_eq!(c.chunk_end(&data, start, start + p.min_size), end);
+        assert_eq!(chunk_all_end(&c, &data, start), end);
+    }
+
+    #[test]
+    #[should_panic(expected = "too early")]
+    fn chunk_end_refuses_ends_inside_the_minimum() {
+        let c = CdcChunker::new(CdcParams::small());
+        c.chunk_end(&test_data(1000, 1), 10, 10 + c.params().min_size - 1);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn prop_chunk_end_is_chunk_alls_end_from_any_start(
+            head in proptest::collection::vec(0u8..=255, 0..6_000),
+            zeros in 0usize..80_000,
+            picks in proptest::collection::vec((0usize..1 << 20, 0usize..1 << 20), 1..6),
+        ) {
+            // Random bytes, a run with no anchor (the paper's chunks cross
+            // stretches and end on the cap), and random bytes again.
+            let mut data = head.clone();
+            data.extend(std::iter::repeat_n(0u8, zeros));
+            data.extend_from_slice(&head);
+            proptest::prop_assume!(!data.is_empty());
+            for c in every_params() {
+                let min = c.params().min_size;
+                for &(at, skew) in &picks {
+                    let start = at % data.len();
+                    let end = chunk_all_end(&c, &data, start);
+                    proptest::prop_assert_eq!(c.chunk_end(&data, start, start + min), end);
+                    // Any later first end the walk could vouch for cuts alike.
+                    let from = start + min + skew % (end.saturating_sub(start + min) + 1);
+                    proptest::prop_assert_eq!(c.chunk_end(&data, start, from), end);
+                }
+            }
+        }
 
         #[test]
         fn prop_skip_equals_reference(data: Vec<u8>) {

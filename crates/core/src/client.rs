@@ -22,6 +22,38 @@
 //! The virtual clock knows nothing of this: the paper's client chunks
 //! every byte of every backup, and `hash_bytes` charges every byte, reused
 //! or not.
+//!
+//! # Re-cutting an edited file
+//!
+//! A file whose path is known but whose bytes changed is cut again only
+//! around the edit. Say the old bytes and the new share a prefix of `p`
+//! bytes and, after it, a suffix that starts at `t` in the new bytes, and
+//! the new file is `d` bytes longer (`d` may be negative). Every chunk test
+//! of `debar-chunk` reads only the window ending where it tests, and a
+//! chunk's tests start `min_size ≥ window` bytes in, so a chunk's end
+//! depends only on the bytes from its start to its end, and on whether the
+//! data ends there. Three steps follow.
+//!
+//! 1. *Cuts inside the prefix are unchanged.* An old chunk that ends at or
+//!    before `p` ended on an anchor or on the size cap, both decided by
+//!    bytes before `p`, which the new file shares. The old last chunk is
+//!    the exception: it may have ended only because the data did, so it is
+//!    never reused this way.
+//! 2. *The straddling chunk is anchor-free before `e_old`.* The first old
+//!    chunk not reused starts at `s` and ends at `e_old`; no window ending
+//!    in `s + min_size .. e_old` was an anchor. Those ending at or before
+//!    `p` read only shared bytes, so the new file's first chunk from `s`
+//!    tests window ends from `max(s + min_size, min(p, e_old − 1) + 1)` on
+//!    ([`CdcChunker::chunk_end`]). Every later chunk tests from its own
+//!    `start + min_size`, and each new chunk is hashed.
+//! 3. *The chunking after a shared cut over equal suffix bytes is equal.*
+//!    Once a new cut `c ≥ t` lands where `c − d` is an old chunk's start,
+//!    the new bytes from `c` and the old from `c − d` are the same suffix
+//!    to their common end, so their chunks are the same: the old chunks
+//!    from there are spliced in with their fingerprints, as slices of the
+//!    new buffer.
+//!
+//! A file with no entry is cut whole ([`CdcChunker::chunk_all`]).
 
 use crate::dataset::{ChunkedFile, Dataset, FileContent, StreamChunk};
 use crate::ids::ClientId;
@@ -66,8 +98,10 @@ impl BackupClient {
     ///
     /// On the host, a byte file whose path and bytes equal those of a byte
     /// file of the previous call takes that call's chunk list (its payloads
-    /// slices of the buffer first cut); every other one is cut and hashed.
-    /// The result is the same chunk list either way.
+    /// slices of the buffer first cut); a byte file whose path was there
+    /// with other bytes is cut again around its edit (module docs), and any
+    /// other one is cut and hashed whole. The result is the same chunk list
+    /// every way.
     pub fn prepare(&mut self, dataset: &Dataset) -> Timed<Vec<ChunkedFile>> {
         let mut cost = 0.0;
         let mut out = Vec::with_capacity(dataset.files.len());
@@ -76,11 +110,11 @@ impl BackupClient {
             let chunks = match &file.content {
                 FileContent::Bytes(data) => {
                     cost += self.cpu.hash_bytes(data.len() as u64);
-                    let chunks = match self.last.remove(&file.path) {
-                        Some((seen, chunks)) if same_bytes(&seen, data) => chunks,
-                        _ => self.chunk_bytes(data),
+                    let (path, chunks) = match self.last.remove_entry(&file.path) {
+                        Some((path, (seen, chunks))) => (path, self.recut(&seen, chunks, data)),
+                        None => (file.path.clone(), self.chunk_bytes(data)),
                     };
-                    last.insert(file.path.clone(), (data.clone(), chunks.clone()));
+                    last.insert(path, (data.clone(), chunks.clone()));
                     chunks
                 }
                 FileContent::Records(records) => records
@@ -101,24 +135,118 @@ impl BackupClient {
     }
 
     fn chunk_bytes(&self, data: &Bytes) -> Vec<StreamChunk> {
-        self.chunker
-            .chunk_all(data)
-            .into_iter()
-            .map(|span| {
-                let body = data.slice(span.offset as usize..span.end() as usize);
-                StreamChunk {
-                    fp: Fingerprint::of_bytes(&body),
-                    payload: Payload::Real(body),
-                }
-            })
+        (self.chunker.chunk_all(data).into_iter())
+            .map(|span| hashed(data, span.offset as usize, span.end() as usize))
             .collect()
+    }
+
+    /// `data`'s chunk list, given the bytes `old` of the same path and
+    /// their chunk list `chunks`: `chunks` itself when the bytes are the
+    /// same, else the old chunks before and after the edit around the
+    /// chunks cut again in between (module docs, *Re-cutting an edited
+    /// file*).
+    fn recut(&self, old: &Bytes, chunks: Vec<StreamChunk>, data: &Bytes) -> Vec<StreamChunk> {
+        // The same slice of one buffer, or byte-equal buffers.
+        if old.as_ptr() == data.as_ptr() && old.len() == data.len() {
+            return chunks;
+        }
+        let p = common_prefix(old, data);
+        if p == old.len() && p == data.len() {
+            return chunks;
+        }
+        // The new bytes from `tail` on are the old ones from `tail − d`.
+        let tail = data.len() - common_suffix(&old[p..], &data[p..]);
+        let min = self.chunker.params().min_size;
+        let mut out = Vec::with_capacity(chunks.len() + 1);
+        // Step 1: the old chunks that end in the prefix, but the last.
+        // `k` is the first old chunk not taken, and it starts at `at` in
+        // both files.
+        let (mut at, mut k) = (0, 0);
+        while k + 1 < chunks.len() && at + chunks[k].len() as usize <= p {
+            out.push(reused(&chunks[k], data, at));
+            at += chunks[k].len() as usize;
+            k += 1;
+        }
+        // Step 2: the straddling chunk had no anchor before its old end.
+        let mut from = at + min;
+        if let Some(c) = chunks.get(k) {
+            from = from.max(p.min(at + c.len() as usize - 1) + 1);
+        }
+        // Step 3: cut until a cut in the suffix lands on an old start;
+        // `old_at` is where old chunk `k` starts in the old file.
+        let mut old_at = at;
+        loop {
+            if at >= tail {
+                let o = at + old.len() - data.len();
+                while old_at < o && k < chunks.len() {
+                    old_at += chunks[k].len() as usize;
+                    k += 1;
+                }
+                if old_at == o && k < chunks.len() {
+                    for c in &chunks[k..] {
+                        out.push(reused(c, data, at));
+                        at += c.len() as usize;
+                    }
+                    return out;
+                }
+            }
+            if at == data.len() {
+                return out;
+            }
+            let end = self.chunker.chunk_end(data, at, from);
+            out.push(hashed(data, at, end));
+            at = end;
+            from = at + min;
+        }
     }
 }
 
-/// Whether two buffers hold the same bytes: the same slice of one buffer,
-/// or equal byte for byte.
-fn same_bytes(a: &Bytes, b: &Bytes) -> bool {
-    (a.as_ptr() == b.as_ptr() && a.len() == b.len()) || a == b
+/// The chunk `data[start..end]`, hashed.
+fn hashed(data: &Bytes, start: usize, end: usize) -> StreamChunk {
+    let body = data.slice(start..end);
+    StreamChunk {
+        fp: Fingerprint::of_bytes(&body),
+        payload: Payload::Real(body),
+    }
+}
+
+/// Old chunk `c`, found again at `start` of `data`: its fingerprint, and
+/// its bytes as a slice of `data`.
+fn reused(c: &StreamChunk, data: &Bytes, start: usize) -> StreamChunk {
+    StreamChunk {
+        fp: c.fp,
+        payload: Payload::Real(data.slice(start..start + c.len() as usize)),
+    }
+}
+
+/// Bytes [`common_prefix`] and [`common_suffix`] compare at a time before
+/// they look for the first difference byte by byte.
+const CMP_BLOCK: usize = 256;
+
+/// The length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + CMP_BLOCK <= n && a[i..i + CMP_BLOCK] == b[i..i + CMP_BLOCK] {
+        i += CMP_BLOCK;
+    }
+    i + (a[i..n].iter().zip(&b[i..n]))
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// The length of the longest common suffix of `a` and `b`.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
+    let mut i = n;
+    while i >= CMP_BLOCK && a[i - CMP_BLOCK..i] == b[i - CMP_BLOCK..i] {
+        i -= CMP_BLOCK;
+    }
+    n - i
+        + (a[..i].iter().rev().zip(b[..i].iter().rev()))
+            .take_while(|(x, y)| x == y)
+            .count()
 }
 
 #[cfg(test)]
@@ -302,10 +430,131 @@ mod tests {
         let got = c.prepare(&ds).value;
         assert!(
             cut_from(&got[0], &flipped),
-            "same path and length: cut again"
+            "same path and length: every chunk a slice of the new bytes"
         );
         let fresh = BackupClient::with_params(ClientId(0), CdcParams::small()).prepare(&ds);
         assert_eq!(cut(&got[0]), cut(&fresh.value[0]));
+    }
+
+    /// Prepare `data` as file `f` on `long` and on a fresh client, and
+    /// check that both cut it alike and charge alike.
+    fn prepares_alike(long: &mut BackupClient, data: &Bytes) -> Vec<ChunkedFile> {
+        let ds = dataset(&[("f", data.clone())]);
+        let mut fresh = BackupClient::with_params(ClientId(0), *long.chunker.params());
+        let (a, b) = (long.prepare(&ds), fresh.prepare(&ds));
+        assert_eq!(a.cost, b.cost, "every byte is charged");
+        assert_eq!(cut(&a.value[0]), cut(&b.value[0]), "{} bytes", data.len());
+        assert!(a.value[0].chunks.iter().all(|c| !c.is_empty()));
+        a.value
+    }
+
+    #[test]
+    fn a_truncation_to_an_old_cut_ends_on_it_without_an_empty_chunk() {
+        let first = bytes(5_000, 8);
+        let mut c = BackupClient::with_params(ClientId(0), CdcParams::small());
+        let cuts: Vec<u64> = (prepares_alike(&mut c, &first)[0].chunks.iter())
+            .scan(0, |end, ch| {
+                *end += ch.len();
+                Some(*end)
+            })
+            .collect();
+        assert!(cuts.len() > 10);
+        // Each truncation ends on an old cut, which is no longer the last.
+        for &end in cuts[..cuts.len() - 1].iter().rev().step_by(4) {
+            let got = prepares_alike(&mut c, &first.slice(..end as usize));
+            let ends_at = |ch: &[StreamChunk]| ch.iter().map(|c| c.len()).sum::<u64>();
+            assert_eq!(ends_at(&got[0].chunks), end);
+        }
+    }
+
+    #[test]
+    fn a_file_that_was_empty_is_cut_whole_and_one_emptied_has_no_chunk() {
+        let mut c = BackupClient::with_params(ClientId(0), CdcParams::small());
+        assert!(prepares_alike(&mut c, &Bytes::new())[0].chunks.is_empty());
+        assert_eq!(c.last["f"].1.len(), 0, "an empty old chunk list");
+        assert!(prepares_alike(&mut c, &bytes(3_000, 9))[0].chunks.len() > 10);
+        assert!(prepares_alike(&mut c, &Bytes::new())[0].chunks.is_empty());
+        prepares_alike(&mut c, &bytes(10, 9));
+    }
+
+    #[test]
+    fn an_edit_rehashes_only_the_chunks_around_it() {
+        let first = bytes(40_000, 10);
+        let mut c = BackupClient::with_params(ClientId(0), CdcParams::small());
+        let n = prepares_alike(&mut c, &first)[0].chunks.len();
+        // Mark every remembered fingerprint: a chunk that comes back
+        // marked was spliced in, not hashed.
+        let marks: Vec<Fingerprint> = (0..n as u64).map(Fingerprint::of_counter).collect();
+        let entry = c.last.get_mut("f").expect("remembered");
+        for (ch, &mark) in entry.1.iter_mut().zip(&marks) {
+            ch.fp = mark;
+        }
+        let mut edited = first.to_vec();
+        edited.splice(20_000..20_040, [7u8; 100]);
+        let ds = dataset(&[("f", Bytes::from(edited))]);
+        let got = c.prepare(&ds).value;
+        // Before the edit and after it, the marks come back in order.
+        let spliced: Vec<usize> = (got[0].chunks.iter())
+            .filter_map(|ch| marks.iter().position(|m| *m == ch.fp))
+            .collect();
+        let hashed = got[0].chunks.len() - spliced.len();
+        assert!(
+            hashed <= 4,
+            "{hashed} of {} chunks hashed",
+            got[0].chunks.len()
+        );
+        assert!(spliced.windows(2).all(|w| w[0] < w[1]));
+        assert!(spliced.first() == Some(&0) && spliced.last() == Some(&(n - 1)));
+    }
+
+    /// xorshift bytes from `seed`.
+    fn noise(len: usize, seed: u64) -> impl Iterator<Item = u8> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len).map(move |_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u8
+        })
+    }
+
+    /// Apply one edit of a history: `kind` picks it, `at` (taken modulo
+    /// one past the length) says where, `n` how many bytes.
+    fn edit(data: &mut Vec<u8>, (kind, at, n): (u8, usize, usize), min_size: usize) {
+        let at = at % (data.len() + 1);
+        let upto = data.len().min(at + n);
+        let seed = (at * 1000 + n) as u64;
+        match kind {
+            0 => {
+                let fresh: Vec<u8> = noise(upto - at, seed).collect();
+                data[at..upto].copy_from_slice(&fresh);
+            }
+            1 => drop(data.splice(at..at, noise(n, seed))),
+            2 => drop(data.drain(at..upto)),
+            // A zero run has no anchor: the chunks over it end on the cap.
+            3 => data.extend(std::iter::repeat_n(0, n)),
+            4 => data.truncate(n % min_size),
+            _ => data.truncate(at),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_a_long_lived_client_cuts_every_history_as_a_fresh_one_does(
+            first in proptest::collection::vec(0u8..=255, 0..4_000),
+            edits in proptest::collection::vec((0u8..6, 0usize..1 << 20, 0usize..700), 1..12),
+        ) {
+            let params = CdcParams::small();
+            let mut long = BackupClient::with_params(ClientId(0), params);
+            let mut data = first;
+            prepares_alike(&mut long, &Bytes::from(data.clone()));
+            for &e in &edits {
+                edit(&mut data, e, params.min_size);
+                prepares_alike(&mut long, &Bytes::from(data.clone()));
+            }
+        }
     }
 
     #[test]
