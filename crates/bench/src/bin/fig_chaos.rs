@@ -74,7 +74,9 @@ fn arm_transients(c: &mut DebarCluster, round: u64) {
 /// transient schedule — and add what the retry layer absorbed as a row of
 /// `t`. Returns the restored bytes.
 fn chaos_point(t: &mut Table, replication: usize, chaos: bool, denom: u64) -> u64 {
-    let mut cfg = DebarConfig::striped_scaled(SWEEP_PARTS, denom).with_replication(replication);
+    let mut cfg = DebarConfig::single_server_scaled(denom)
+        .with_sweep_parts(SWEEP_PARTS)
+        .with_replication(replication);
     if chaos {
         cfg = cfg.with_retry(RetryPolicy::new(MAX_ATTEMPTS, BACKOFF_COST));
     }
@@ -141,7 +143,9 @@ fn chaos_point(t: &mut Table, replication: usize, chaos: bool, denom: u64) -> u6
 /// Corrupt one copy of every container at `R = 2` and price the scrub
 /// that heals them all: a one-row table.
 fn scrub_point(denom: u64) -> Table {
-    let cfg = DebarConfig::striped_scaled(SWEEP_PARTS, denom).with_replication(2);
+    let cfg = DebarConfig::single_server_scaled(denom)
+        .with_sweep_parts(SWEEP_PARTS)
+        .with_replication(2);
     cfg.validate().expect("a valid configuration");
     let n = cfg.cache_fps() as u64;
     let mut c = DebarCluster::new(cfg);

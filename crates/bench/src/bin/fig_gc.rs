@@ -124,7 +124,9 @@ fn collect(c: &mut DebarCluster, replication: usize, largest_chunk: u64) -> Coll
 
 /// The scaled deployment of one point.
 fn config(parts: usize, replication: usize, denom: u64) -> DebarConfig {
-    let cfg = DebarConfig::striped_scaled(parts, denom).with_replication(replication);
+    let cfg = DebarConfig::single_server_scaled(denom)
+        .with_sweep_parts(parts)
+        .with_replication(replication);
     cfg.validate().expect("a valid configuration");
     cfg
 }

@@ -17,7 +17,8 @@
 //!    could never show this; the physical part-disk queues do. (The index
 //!    itself always splits evenly.)
 //! 3. **System-level dedup-2** — the same multi-round, two-job backup
-//!    workload on a [`DebarConfig::striped_scaled`] deployment; PSIL/PSIU
+//!    workload on a single-server deployment striped by
+//!    [`DebarConfig::with_sweep_parts`]; PSIL/PSIU
 //!    walls shrink ≈ `1/P` while the chunk-storing phase is unchanged, so
 //!    dedup-2 throughput rises and **saturates on the chunk-storing
 //!    phase** — the paper's diminishing returns once sweeps stop
@@ -125,7 +126,9 @@ struct SystemWalls {
 /// workload, so the even columns reproduce unchanged.
 fn system_point(w_bits: u32, parts: usize, workers: usize, denom: u64, rounds: u64) -> SystemWalls {
     let cfg = if w_bits == 0 {
-        DebarConfig::striped_scaled(parts, denom).with_store_workers(workers)
+        DebarConfig::single_server_scaled(denom)
+            .with_sweep_parts(parts)
+            .with_store_workers(workers)
     } else {
         let c = DebarConfig::cluster_scaled(w_bits, 32 << 30, denom)
             .with_sweep_parts(parts)
@@ -230,7 +233,7 @@ fn repo_row(nodes: usize, replication: usize, run: &SystemRun) -> Vec<Cell> {
 fn main() {
     let (denom, smoke) = debar_bench::args(1024, 16 * 1024);
     let rounds: u64 = if smoke { 1 } else { 3 };
-    let law_cfg = DebarConfig::striped_scaled(1, denom);
+    let law_cfg = DebarConfig::single_server_scaled(denom);
 
     println!("Multi-part index analysis (§5.2): denom {denom}, {rounds} round(s)\n");
     let mut t = Table::new(&[
@@ -345,7 +348,7 @@ fn main() {
     // W = 1 already skips the half-overlapping stream's duplicate runs,
     // while W = 2's first worker holds the round's fresh stream — nothing
     // of its share to skip — and binds.
-    let log_disk_mibps = paper::log_disk().read_bw / MIB;
+    let log_disk_mibps = paper::log_disk().read_bw() / MIB;
     assert!(
         first.mibps > log_disk_mibps,
         "one worker reads less than the log: dedup-2 {:.1} MiB/s must beat the whole-log \
@@ -403,7 +406,9 @@ fn main() {
         "physical_write_bytes",
     ];
     let point = |nodes: usize, replication: usize| {
-        let mut cfg = DebarConfig::striped_scaled(sat_parts, denom).with_store_workers(sat_workers);
+        let mut cfg = DebarConfig::single_server_scaled(denom)
+            .with_sweep_parts(sat_parts)
+            .with_store_workers(sat_workers);
         cfg.repo_nodes = nodes;
         let cfg = cfg.with_replication(replication);
         cfg.validate().expect("a valid configuration");

@@ -7,6 +7,7 @@
 //! 8 KB).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod cdc;
 pub mod span;

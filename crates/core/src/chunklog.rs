@@ -14,7 +14,8 @@
 //! in it. So the drain reads only the records the pass will pack — a
 //! `Store` verdict on the first occurrence of its fingerprint, the mask
 //! [`ChunkLog::drain_striped`] takes — and seeks over the rest, with
-//! the gap law ranged container reads use (`debar_store::wanted_extents`):
+//! the gap law ranged container reads use
+//! ([`debar_simio::DiskModel::wanted_extents`]):
 //! a run of unwanted records is read through iff streaming it costs no
 //! more than the seek that skipping it costs. A record's offset is its
 //! place in the log's record table: the `record_bytes` of every record
@@ -89,7 +90,7 @@ use crate::error::DebarError;
 use crate::ids::{Device, ServerId};
 use debar_hash::Fingerprint;
 use debar_simio::{FaultPlan, InjectedFault, PartDiskSet, Secs};
-use debar_store::{wanted_extents, Payload};
+use debar_store::Payload;
 use std::ops::Range;
 
 /// One `<F, D(F)>` group.
@@ -351,7 +352,7 @@ impl ChunkLog {
                 let ranges = pieces.iter().map(|(r, _)| r.clone());
                 let mut pieces = pieces.iter().peekable();
                 let mut legs: Vec<(Secs, Vec<u64>)> = Vec::new();
-                for extent in wanted_extents(ranges, &model) {
+                for extent in model.wanted_extents(ranges) {
                     let mut at = 0.0;
                     while let Some((_, t)) = pieces.next_if(|(r, _)| r.end <= extent.end) {
                         at = *t;
@@ -677,7 +678,7 @@ mod tests {
         // skip is one positioning more in the same op.
         let model = debar_simio::models::paper::log_disk();
         let seek = model.rand_read_cost(0);
-        let edge = (seek * model.read_bw) as u64;
+        let edge = (seek * model.read_bw()) as u64;
         let (a, b) = (8192 + 25, 4096 + 25);
         for gap in [edge - 1, edge, edge + 1] {
             let mut log = log_of(&[a, gap / 2, gap - gap / 2, b]);
@@ -703,7 +704,7 @@ mod tests {
         // first decided at 2, the last at 3. The first extent may be read
         // from 1; the second from 3, when the pass knows its last record.
         let model = debar_simio::models::paper::log_disk();
-        let gap = 2 * (model.rand_read_cost(0) * model.read_bw) as u64;
+        let gap = 2 * (model.rand_read_cost(0) * model.read_bw()) as u64;
         let (a, b, c) = (8192 + 25, 4096 + 25, 1000 + 25);
         let sizes = [a, gap, b, c];
         let (mask, decided) = ([true, false, true, true], [1.0, 2.0, 2.0, 3.0]);

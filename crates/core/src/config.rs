@@ -11,12 +11,13 @@
 //! Paper §5.2 sizes SIL so "the lookup time is only related to the disk
 //! index size and the disk transfer rate" — and then observes that a
 //! *multi-part* index, each part on its own disk volume, divides that
-//! sweep time by the number of parts. [`DebarConfig::striped`] makes this
-//! a first-class deployment mode: each backup server's SIL/SIU sweeps run
-//! on `sweep_parts` contiguous bucket partitions concurrently (one
-//! part-disk each), virtual sweep time is charged as the even-split
-//! maximum (≈ `1/parts`), and dedup decisions, index bytes and restores
-//! are **byte-identical** to the single-volume configuration — only the
+//! sweep time by the number of parts.
+//! [`DebarConfig::with_sweep_parts`] makes this a first-class deployment
+//! mode: each backup server's SIL/SIU sweeps run on `sweep_parts`
+//! contiguous bucket partitions concurrently (one part-disk each),
+//! virtual sweep time is charged as the even-split maximum
+//! (≈ `1/parts`), and dedup decisions, index bytes and restores are
+//! **byte-identical** to the single-volume configuration — only the
 //! clock moves differently (`tests/common/` proves this over a scenario
 //! matrix).
 //!
@@ -189,22 +190,6 @@ impl DebarConfig {
             seed: 0xDEBA_7E57,
             ..Self::single_server_scaled(1)
         }
-    }
-
-    /// The paper's §5.2 **multi-part index** deployment: the single-server
-    /// geometry with every SIL/SIU sweep striped over `parts` part-disks
-    /// (scaled down by the default 1/1024 denominator). Dedup results are
-    /// byte-identical to [`DebarConfig::single_server_scaled`]; sweep
-    /// virtual time divides by ≈ `parts`. Like every builder it returns
-    /// the configuration unvalidated: [`DebarConfig::validate`] refuses a
-    /// `parts` of 0 or more than the index part's bucket count.
-    pub fn striped(parts: usize) -> Self {
-        Self::striped_scaled(parts, 1024)
-    }
-
-    /// [`DebarConfig::striped`] at an explicit scale denominator.
-    pub fn striped_scaled(parts: usize, denom: u64) -> Self {
-        Self::single_server_scaled(denom).with_sweep_parts(parts)
     }
 
     /// Builder: shard each server's SIL/SIU sweeps into `parts` bucket
@@ -428,8 +413,10 @@ mod tests {
 
     #[test]
     fn striped_preset_is_single_server_geometry_with_parts() {
+        // The §5.2 multi-part deployment is the single-server geometry
+        // with its sweeps striped: the builder changes nothing else.
         let plain = DebarConfig::single_server_scaled(1024);
-        let striped = DebarConfig::striped(4);
+        let striped = plain.with_sweep_parts(4);
         assert_eq!(striped.sweep_parts, 4);
         assert_eq!(striped.w_bits, plain.w_bits);
         assert_eq!(striped.index_part_bytes, plain.index_part_bytes);

@@ -318,6 +318,7 @@
 //! measurement is in the repository's change log (`CHANGES.md`).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod chunklog;
 pub mod client;

@@ -1220,10 +1220,7 @@ mod tests {
             end += ChunkRecord::of_counter(*i).len as u64;
             counters.contains(i).then_some(at..end)
         });
-        let ios = debar_store::wanted_extents(
-            std::iter::once(0..meta).chain(chunks),
-            &paper::repo_disk(),
-        );
+        let ios = paper::repo_disk().wanted_extents(std::iter::once(0..meta).chain(chunks));
         ios.iter().map(|io| io.end - io.start).sum()
     }
 

@@ -32,6 +32,7 @@
 //! past `m/n ≈ 8`.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod server;
 

@@ -18,6 +18,8 @@
 //!   from (a Bloom filter cannot forget). No false negatives, multiset
 //!   semantics, deterministic displacement, segmented growth.
 
+#![deny(clippy::unwrap_used)]
+
 pub mod bloom;
 pub mod cuckoo;
 pub mod prelim;

@@ -19,6 +19,8 @@
 //! * [`ids`] — small identifier types shared across the system, notably the
 //!   40-bit [`ContainerId`] (paper §3.4).
 
+#![deny(clippy::unwrap_used)]
+
 pub mod fingerprint;
 pub mod gf2;
 pub mod ids;

@@ -22,6 +22,7 @@
 //! counter-array utilization experiment (Table 2).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod cache;
 pub mod disk_index;

@@ -7,6 +7,14 @@
 //! `seek + bytes/bandwidth` for random operations and `bytes/bandwidth` for
 //! sequential ones; "the time overhead of a random small disk I/O stems
 //! mainly from the disk seek rather than data transfer" (§4.2).
+//!
+//! A [`DiskModel`]'s parameters are private to this crate: other crates
+//! price I/O through its cost methods, and the one rule that weighs a seek
+//! against streaming — whether a gap between wanted byte ranges is read
+//! through — is [`DiskModel::wanted_extents`], which ranged container reads
+//! and the chunk-log drain both call.
+
+use std::ops::Range;
 
 use crate::clock::Secs;
 use crate::fault::{FaultPlan, FaultSpec, InjectedFault};
@@ -16,14 +24,30 @@ use crate::fault::{FaultPlan, FaultSpec, InjectedFault};
 pub struct DiskModel {
     /// Average positioning time for a random access (seek + rotation),
     /// in seconds.
-    pub seek_s: Secs,
+    pub(crate) seek_s: Secs,
     /// Sequential read bandwidth, bytes/second.
-    pub read_bw: f64,
+    pub(crate) read_bw: f64,
     /// Sequential write bandwidth, bytes/second.
-    pub write_bw: f64,
+    pub(crate) write_bw: f64,
 }
 
 impl DiskModel {
+    /// A disk that positions in `seek_s` seconds (seek + rotation) and
+    /// streams `read_bw` / `write_bw` bytes per second.
+    pub const fn new(seek_s: Secs, read_bw: f64, write_bw: f64) -> Self {
+        DiskModel {
+            seek_s,
+            read_bw,
+            write_bw,
+        }
+    }
+
+    /// Sequential read bandwidth, bytes/second.
+    #[inline]
+    pub fn read_bw(&self) -> f64 {
+        self.read_bw
+    }
+
     /// Cost of a sequential read of `bytes`.
     #[inline]
     pub fn seq_read_cost(&self, bytes: u64) -> Secs {
@@ -46,6 +70,31 @@ impl DiskModel {
     #[inline]
     pub fn rand_write_cost(&self, bytes: u64) -> Secs {
         self.seek_s + self.seq_write_cost(bytes)
+    }
+
+    /// The reads that fetch the `wanted` byte ranges of one region of this
+    /// disk (ascending starts): the range of each extent, in offset order.
+    /// Adjacent wanted ranges share an extent, and the **gap law** decides
+    /// the rest: the bytes between two wanted ranges are read through
+    /// exactly when streaming them is no dearer than the seek that
+    /// skipping them costs — `gap / read_bw <= seek_s`. Nothing before the
+    /// first or after the last wanted range is read. A ranged container
+    /// read's first range is its metadata section, so the law that joins
+    /// two chunks also joins the metadata section to the first chunk:
+    /// there is no rule for the head.
+    pub fn wanted_extents(&self, wanted: impl IntoIterator<Item = Range<u64>>) -> Vec<Range<u64>> {
+        let mut extents: Vec<Range<u64>> = Vec::new();
+        for range in wanted {
+            match extents.last_mut() {
+                Some(open)
+                    if self.seq_read_cost(range.start.saturating_sub(open.end)) <= self.seek_s =>
+                {
+                    open.end = open.end.max(range.end);
+                }
+                _ => extents.push(range),
+            }
+        }
+        extents
     }
 }
 
@@ -396,6 +445,45 @@ mod tests {
         let mut idle = disk();
         assert_eq!(idle.seq_read_legs(&[]), Vec::<Secs>::new());
         assert_eq!((idle.ops(), idle.stats().busy_s), (1, 0.0));
+    }
+
+    #[test]
+    fn a_gap_is_read_through_exactly_when_streaming_it_is_no_dearer_than_a_seek() {
+        // Two wanted chunks `gap` bytes apart are one I/O iff
+        // `gap / read_bw <= seek_s`, and that is the cheaper plan: the
+        // extents cost the minimum of reading through and skipping.
+        let round = DiskModel::new(0.002, 100e6, 100e6);
+        for disk in [round, crate::models::paper::repo_disk()] {
+            let edge = (disk.seek_s * disk.read_bw) as u64;
+            for gap in [0, 1, edge - 1, edge, edge + 1, edge + 2, 8 << 20] {
+                let (a, b) = (1000u64, 500u64);
+                let end = a + gap + b;
+                let extents = disk.wanted_extents([0..a, end - b..end]);
+                let through = disk.seq_read_cost(gap) <= disk.seek_s;
+                if through {
+                    assert_eq!(extents.first().cloned(), Some(0..end), "gap {gap}");
+                    assert_eq!(extents.len(), 1, "gap {gap}");
+                } else {
+                    assert_eq!(extents, [0..a, end - b..end], "gap {gap}");
+                }
+                assert_eq!(through, gap <= edge, "the law is a byte count: {edge}");
+                let cost: Secs = (extents.iter())
+                    .map(|e| disk.rand_read_cost(e.end - e.start))
+                    .sum();
+                let one = disk.rand_read_cost(end);
+                let two = disk.rand_read_cost(a) + disk.rand_read_cost(b);
+                assert!((cost - one.min(two)).abs() < 1e-12, "gap {gap}");
+            }
+        }
+        // Nothing wanted, nothing read; nothing before the first or after
+        // the last wanted range either.
+        let disk = crate::models::paper::repo_disk();
+        assert!(disk.wanted_extents([]).is_empty());
+        let extents = disk.wanted_extents([4000..5000, 5000..6000]);
+        assert_eq!(
+            (extents.len(), extents.first().cloned()),
+            (1, Some(4000..6000))
+        );
     }
 
     #[test]

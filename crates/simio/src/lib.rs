@@ -22,6 +22,7 @@
 //! scale-invariant.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod clock;
 pub mod cpu;

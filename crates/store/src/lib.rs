@@ -30,6 +30,7 @@
 //!   garbage.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod container;
 pub mod error;
@@ -42,6 +43,6 @@ pub use error::StoreError;
 pub use lpc::{LpcCache, LpcStats};
 pub use manager::ContainerManager;
 pub use repository::{
-    wanted_extents, BatchAppend, ChunkRepository, NodeRead, ReadLegs, Reclaimed, RepairReport,
-    RepoStats, ScrubLeg, ScrubReport, ServedLeg, StorageNode,
+    BatchAppend, ChunkRepository, NodeRead, ReadLegs, Reclaimed, RepairReport, RepoStats, ScrubLeg,
+    ScrubReport, ServedLeg, StorageNode,
 };

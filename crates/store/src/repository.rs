@@ -48,7 +48,7 @@
 //! paper's whole container in one I/O, verified against its checksum
 //! trailer), [`ChunkRepository::read_metas`] (the metadata section alone)
 //! and [`ChunkRepository::read_chunks`] (the metadata section, then only
-//! the extents that hold the chunks the caller wants — [`wanted_extents`]
+//! the extents that hold the chunks the caller wants — [`DiskModel::wanted_extents`]
 //! coalesces them by the gap law) are the same balance → attempt → fail
 //! over → read-repair loop asked to fetch something else. An attempt is
 //! one fault-checked disk op whatever it fetches: a ranged read's I/Os are
@@ -407,7 +407,7 @@ enum Fetch<'a> {
     /// The metadata section alone.
     Metas,
     /// The metadata section, then the extents holding the chunks the
-    /// predicate wants ([`wanted_extents`]). `mask[i]` is what it says of
+    /// predicate wants ([`DiskModel::wanted_extents`]). `mask[i]` is what it says of
     /// slot `i`, asked once per read: every copy holds the same metadata
     /// section. The predicate itself is asked again only of a damaged
     /// copy's metadata as read.
@@ -433,34 +433,6 @@ fn reads_back(fp: &Fingerprint, stored: &Payload, bytes: &[u8]) -> bool {
 /// full read.
 fn meta_section_bytes(chunks: usize) -> u64 {
     6 + 32 * chunks as u64 + 20
-}
-
-/// The reads that fetch the `wanted` byte ranges of one device region
-/// (ascending starts): the range of each extent, in offset order.
-/// Adjacent wanted ranges share an extent, and the **gap law** decides
-/// the rest: the bytes between two wanted ranges are read through exactly
-/// when streaming them is no dearer than the seek that skipping them
-/// costs — `gap / read_bw <= seek_s`. Nothing before the first or after
-/// the last wanted range is read. A ranged container read's first range
-/// is its metadata section, so the law that joins two chunks also joins
-/// the metadata section to the first chunk: there is no rule for the
-/// head.
-pub fn wanted_extents(
-    wanted: impl IntoIterator<Item = Range<u64>>,
-    disk: &DiskModel,
-) -> Vec<Range<u64>> {
-    let mut extents: Vec<Range<u64>> = Vec::new();
-    for range in wanted {
-        match extents.last_mut() {
-            Some(open)
-                if disk.seq_read_cost(range.start.saturating_sub(open.end)) <= disk.seek_s =>
-            {
-                open.end = open.end.max(range.end);
-            }
-            _ => extents.push(range),
-        }
-    }
-    extents
 }
 
 /// Seconds between a container's image having streamed in up to byte
@@ -867,7 +839,7 @@ impl ChunkRepository {
     /// ranges of its image, in issue order — and the fetch they amount
     /// to. A ranged read wants the metadata section — the reader must
     /// parse it before it knows where the chunks lie — and then the
-    /// wanted chunks, and [`wanted_extents`] makes I/Os of all of them by
+    /// wanted chunks, and [`DiskModel::wanted_extents`] makes I/Os of all of them by
     /// the one gap law, each I/O paying its own seek; when that would
     /// cost no less than the image in one piece, it *is* the whole read.
     fn plan<'f>(
@@ -889,7 +861,7 @@ impl ChunkRepository {
                 let disk = self.nodes[node].disk.model();
                 let chunks = (metas.iter().zip(mask).filter(|(_, &w)| w))
                     .map(|(m, _)| meta + m.offset..meta + m.offset + m.len as u64);
-                let ios = wanted_extents(head(meta).chain(chunks), &disk);
+                let ios = disk.wanted_extents(head(meta).chain(chunks));
                 let ranged: Secs = ios
                     .iter()
                     .map(|io| disk.rand_read_cost(io.end - io.start))
@@ -1100,7 +1072,7 @@ impl ChunkRepository {
     /// will use (the restore walk, from its recipe; GC compaction, from
     /// the live set). `wanted` is asked once per chunk the metadata
     /// section lists, however many copies the read tries, and again only
-    /// of a copy found damaged. [`wanted_extents`] makes I/Os of the metadata
+    /// of a copy found damaged. [`DiskModel::wanted_extents`] makes I/Os of the metadata
     /// section and the wanted chunks — a first chunk close behind the
     /// metadata section shares its I/O — all one op of the serving node's
     /// disk; same failover core, legs and counters as [`ChunkRepository::read`],
@@ -1499,49 +1471,6 @@ mod tests {
         assert!(
             cost(metas.legs) < cost(full.legs),
             "meta read must be cheaper"
-        );
-    }
-
-    #[test]
-    fn a_gap_is_read_through_exactly_when_streaming_it_is_no_dearer_than_a_seek() {
-        // Two wanted chunks `gap` bytes apart are one I/O iff
-        // `gap / read_bw <= seek_s`, and that is the cheaper plan: the
-        // extents cost the minimum of reading through and skipping.
-        let round = DiskModel {
-            seek_s: 0.002,
-            read_bw: 100e6,
-            write_bw: 100e6,
-        };
-        for disk in [round, paper::repo_disk()] {
-            let edge = (disk.seek_s * disk.read_bw) as u64;
-            for gap in [0, 1, edge - 1, edge, edge + 1, edge + 2, 8 << 20] {
-                let (a, b) = (1000u64, 500u64);
-                let end = a + gap + b;
-                let extents = wanted_extents([0..a, end - b..end], &disk);
-                let through = disk.seq_read_cost(gap) <= disk.seek_s;
-                if through {
-                    assert_eq!(extents.first().cloned(), Some(0..end), "gap {gap}");
-                    assert_eq!(extents.len(), 1, "gap {gap}");
-                } else {
-                    assert_eq!(extents, [0..a, end - b..end], "gap {gap}");
-                }
-                assert_eq!(through, gap <= edge, "the law is a byte count: {edge}");
-                let cost: Secs = (extents.iter())
-                    .map(|e| disk.rand_read_cost(e.end - e.start))
-                    .sum();
-                let one = disk.rand_read_cost(end);
-                let two = disk.rand_read_cost(a) + disk.rand_read_cost(b);
-                assert!((cost - one.min(two)).abs() < 1e-12, "gap {gap}");
-            }
-        }
-        // Nothing wanted, nothing read; nothing before the first or after
-        // the last wanted range either.
-        let disk = paper::repo_disk();
-        assert!(wanted_extents([], &disk).is_empty());
-        let extents = wanted_extents([4000..5000, 5000..6000], &disk);
-        assert_eq!(
-            (extents.len(), extents.first().cloned()),
-            (1, Some(4000..6000))
         );
     }
 
@@ -2477,13 +2406,11 @@ mod tests {
         // the first wanted chunk `gap` bytes behind it are one I/O iff
         // `gap / read_bw <= seek_s` — exactly at `seek_s × read_bw` bytes
         // and not one byte past it.
-        let round = DiskModel {
-            seek_s: 0.002,
-            read_bw: 100e6,
-            write_bw: 100e6,
-        };
+        let round = DiskModel::new(0.002, 100e6, 100e6);
         for disk in [round, paper::repo_disk()] {
-            let edge = (disk.seek_s * disk.read_bw) as u64;
+            // A zero-byte random read is the seek alone.
+            let seek = disk.rand_read_cost(0);
+            let edge = (seek * disk.read_bw()) as u64;
             for gap in [0, 1, edge - 1, edge, edge + 1, edge + 2, 600_000] {
                 let mut r = ChunkRepository::new(1, disk, 1 << 20);
                 let mut c = Container::new(1 << 20);
@@ -2495,7 +2422,7 @@ mod tests {
                 let meta = 6 + 32 * (3 + u64::from(gap > 0)) + 20;
                 let read = r.read_chunks(id, |f| *f == fp(1), &[]);
                 let served = read.legs.served.expect("served");
-                let through = disk.seq_read_cost(gap) <= disk.seek_s;
+                let through = disk.seq_read_cost(gap) <= seek;
                 assert_eq!(through, gap <= edge, "the law is a byte count: {edge}");
                 // The resolver has the metadata section once what follows
                 // it in its I/O has streamed in, and every later I/O.

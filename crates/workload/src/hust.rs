@@ -21,6 +21,14 @@
 //! All sizes are *nominal* (paper-scale) and divided by
 //! [`ScaleModel::denom`]; see the `debar_simio::scale` module docs for why
 //! MB/s-shaped results are scale-invariant.
+//!
+//! The generated month is smaller than the paper's. Each day's size is
+//! `mean_daily_bytes` times a weight `0.25 + 1.2 · u/3` (`u` a sum of three
+//! uniforms), and those weights average 0.85, not 1. So the default month
+//! is about 496 GB/day (~15 TB over 31 days), not 583 GB/day and 17.09 TB.
+//! The `month-records` benchmark workload draws its inputs from this
+//! generator, so the weights stay as they are until that benchmark is
+//! re-baselined.
 
 use crate::record::ChunkRecord;
 use debar_hash::SplitMix64;
@@ -33,7 +41,10 @@ pub struct HustConfig {
     pub clients: usize,
     /// Days in the trace (the paper spans 31).
     pub days: usize,
-    /// Mean *nominal* logical bytes per day across all clients.
+    /// Nominal logical bytes per day across all clients, before the day's
+    /// size weight. The weights average 0.85, so the generated days average
+    /// 0.85 × this: about 496 GB at the default 583 GB (see the module
+    /// docs).
     pub mean_daily_bytes: u64,
     /// Size scaling applied to chunk counts.
     pub scale: ScaleModel,

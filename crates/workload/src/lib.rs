@@ -26,6 +26,7 @@
 //!   streams everything else shares, [`drift::records`] and [`drift::churn`].
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 
 pub mod drift;
 pub mod files;

@@ -25,8 +25,7 @@
 mod common;
 
 use common::{
-    arm_in, assert_equivalent, replication_matrix, run_scenario, sweep_parts_matrix, Failure,
-    Scenario,
+    arm_in, assert_equivalent, run_scenario, Failure, Scenario, REPLICATION, SWEEP_PARTS,
 };
 use debar::workload::ChunkRecord;
 use debar::{
@@ -61,8 +60,8 @@ fn transient_chaos_converges_byte_identically_across_matrix() {
     // actually retries, and lands on the byte-identical outcome of a
     // fault-free, retry-free run — at every partition count and
     // replication factor.
-    for repl in replication_matrix() {
-        for parts in sweep_parts_matrix() {
+    for repl in REPLICATION {
+        for parts in SWEEP_PARTS {
             let clean = run_scenario(
                 &Scenario::tiny("chaos", 0, parts).with_cfg(|c| c.with_replication(repl)),
             );
@@ -90,7 +89,7 @@ fn transient_chaos_converges_byte_identically_across_matrix() {
 
 #[test]
 fn transient_chaos_converges_multi_server() {
-    for parts in sweep_parts_matrix() {
+    for parts in SWEEP_PARTS {
         let clean = run_scenario(&Scenario::tiny("chaos-w1", 1, parts));
         let chaotic = run_scenario(
             &Scenario::tiny("chaos-w1", 1, parts)
@@ -111,8 +110,8 @@ fn node_loss_with_retry_enabled_still_converges_at_r2() {
     // Retries are for *transient* faults: a permanently-down node is
     // skipped by failover reads, not retried into. A retrying policy
     // must not perturb the degraded outcome.
-    for repl in replication_matrix().into_iter().filter(|&r| r >= 2) {
-        for parts in sweep_parts_matrix() {
+    for repl in REPLICATION.into_iter().filter(|&r| r >= 2) {
+        for parts in SWEEP_PARTS {
             let clean = run_scenario(
                 &Scenario::tiny("chaos-down", 0, parts).with_cfg(|c| c.with_replication(repl)),
             );

@@ -9,9 +9,9 @@
 //! `store_workers` must produce **byte-identical index state** (SHA-1
 //! digests of every part's bucket array), identical dedup decisions,
 //! and identical restore bytes — only virtual time may differ.
-//! [`assert_equivalent`] pins exactly that, and [`sweep_parts_matrix`] /
-//! [`store_workers_matrix`] let CI widen the matrices via the
-//! `DEBAR_SWEEP_PARTS` / `DEBAR_STORE_WORKERS` environment variables.
+//! [`assert_equivalent`] pins exactly that, and [`SWEEP_PARTS`],
+//! [`STORE_WORKERS`], [`REPLICATION`] and [`RETENTION`] are the one
+//! matrix every suite loops over: what `cargo test` runs is every case.
 
 // Each integration-test target compiles its own copy of this module and
 // uses a different subset of it.
@@ -287,64 +287,22 @@ impl Outcome {
     }
 }
 
-/// The sweep-partition matrix the suites parameterize over: `{1, 2, 4}`
-/// by default, overridable as a comma-separated list through the
-/// `DEBAR_SWEEP_PARTS` environment variable (the CI striped legs widen
-/// it, e.g. `DEBAR_SWEEP_PARTS=1,2,4,8`).
-pub fn sweep_parts_matrix() -> Vec<usize> {
-    env_matrix("DEBAR_SWEEP_PARTS", &[1, 2, 4])
-}
+/// The sweep-partition counts the suites loop over: the scalar index and
+/// stripes of 2 to 16 part-disks (the tiny geometry's 256 buckets per part
+/// take all of them unclamped).
+pub const SWEEP_PARTS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// The store-worker matrix the suites parameterize over: `{1, 2, 4}` by
-/// default, overridable as a comma-separated list through the
-/// `DEBAR_STORE_WORKERS` environment variable (the CI store-workers legs
-/// widen it, e.g. `DEBAR_STORE_WORKERS=2,4`).
-pub fn store_workers_matrix() -> Vec<usize> {
-    env_matrix("DEBAR_STORE_WORKERS", &[1, 2, 4])
-}
+/// The store-worker counts the suites loop over.
+pub const STORE_WORKERS: [usize; 3] = [1, 2, 4];
 
-/// The replication matrix the suites parameterize over: `{1, 2}` by
-/// default (so node-loss survivability at R=2 is proven in every default
-/// run), overridable as a comma-separated list through the
-/// `DEBAR_REPLICATION` environment variable. Values must not exceed the
-/// deployment's `repo_nodes`.
-pub fn replication_matrix() -> Vec<usize> {
-    env_matrix("DEBAR_REPLICATION", &[1, 2])
-}
+/// The replication factors the suites loop over: with R = 2 in every run,
+/// node-loss survivability is proven by `cargo test` itself. No factor may
+/// exceed the tiny deployment's two repository nodes.
+pub const REPLICATION: [usize; 2] = [1, 2];
 
-/// The retention-window matrix the GC suites parameterize over: `{1, 2}`
-/// by default (with the default 3-version scenario that expires 2 and 1
-/// generations per job respectively), overridable as a comma-separated
-/// list through the `DEBAR_RETENTION` environment variable (the CI GC
-/// matrix legs select values this way).
-pub fn retention_matrix() -> Vec<u32> {
-    env_matrix("DEBAR_RETENTION", &[1, 2])
-        .into_iter()
-        .map(|r| r as u32)
-        .collect()
-}
-
-/// A matrix of axis values: `default`, or `var`'s comma-separated
-/// positive integers. A set-but-unparsable variable must fail loudly: a
-/// silent fallback would green-light a CI leg that never engaged the
-/// values its name claims.
-fn env_matrix(var: &str, default: &[usize]) -> Vec<usize> {
-    // The `DEBAR_*` matrices are how CI widens a test's legs; the
-    // workspace rule against environment knobs is for the system.
-    #[allow(clippy::disallowed_methods)]
-    let Ok(s) = std::env::var(var) else {
-        return default.to_vec();
-    };
-    s.split(',')
-        .map(|tok| tok.trim().parse().ok().filter(|&p| p >= 1))
-        .collect::<Option<Vec<usize>>>()
-        .unwrap_or_else(|| {
-            panic!(
-                "{var} is set but unparsable: {s:?} \
-                 (expected a comma-separated list of positive integers)"
-            )
-        })
-}
+/// The retention windows the GC suites loop over: with the default
+/// 3-version scenario they expire 2 and 1 generations per job.
+pub const RETENTION: [u32; 2] = [1, 2];
 
 /// One step of the chaos schedule's LCG (PCG-style multiplier; the high
 /// bits are well mixed).

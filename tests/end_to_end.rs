@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{assert_equivalent, run_scenario, sweep_parts_matrix, Scenario};
+use common::{assert_equivalent, run_scenario, Scenario, SWEEP_PARTS};
 use debar::workload::files::{FileTreeConfig, FileTreeGen, MutationConfig};
 use debar::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
 
@@ -129,7 +129,7 @@ fn striped_pipeline_is_byte_exact_and_byte_identical() {
     }));
     assert_eq!(base.restored_bytes, base.logical_bytes);
     assert!(base.dedup_ratio() > 1.0, "versions must share storage");
-    for parts in sweep_parts_matrix().into_iter().filter(|&p| p != 1) {
+    for parts in SWEEP_PARTS.into_iter().filter(|&p| p != 1) {
         let striped = run_scenario(&Scenario::tiny("e2e", 0, parts).with_cfg(|c| DebarConfig {
             siu_interval: 1,
             ..c

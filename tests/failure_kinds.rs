@@ -3,7 +3,8 @@
 //! part-disk faults, chunk-log faults, repository-node faults and
 //! whole-node loss (with and without replicas), each driven through the
 //! shared scenario harness across the `sweep_parts` × `replication`
-//! matrices.
+//! matrices. Part-disk faults hit two part-disks of every stripe, node
+//! faults every repository node.
 //!
 //! Two properties are pinned:
 //!
@@ -13,14 +14,14 @@
 //! 2. **Crash-consistent convergence** — a crash-interrupted dedup-2 or
 //!    SIU, re-run after the fault clears, converges to **byte-identical
 //!    index parts and restore bytes** versus a never-interrupted run of
-//!    the same scenario, for every partition count in the matrix
-//!    (`{1, 2, 4}` by default; CI widens it via `DEBAR_SWEEP_PARTS`).
+//!    the same scenario, for every partition count of
+//!    `common::SWEEP_PARTS`.
 
 mod common;
 
 use common::{
-    assert_equivalent, replication_matrix, run_scenario, store_workers_matrix, sweep_parts_matrix,
-    Failure, Outcome, Scenario,
+    assert_equivalent, run_scenario, Failure, Outcome, Scenario, REPLICATION, STORE_WORKERS,
+    SWEEP_PARTS,
 };
 use debar::core::report::StoreReport;
 use debar::hash::Sha1;
@@ -34,7 +35,7 @@ use debar::{
 /// cross-partition equivalence, and return the outcomes by parts.
 fn matrix(name: &'static str, w_bits: u32, failure: Failure) -> Vec<(usize, Outcome)> {
     let mut outs: Vec<(usize, Outcome)> = Vec::new();
-    for parts in sweep_parts_matrix() {
+    for parts in SWEEP_PARTS {
         let out = run_scenario(&Scenario::tiny(name, w_bits, parts).with_failure(failure));
         if let Some((p0, base)) = outs.first() {
             assert_equivalent(
@@ -86,17 +87,13 @@ fn interrupted_dedup2_converges_multi_server() {
     }
 }
 
-/// The part-disk to fault for a `parts`-way stripe: the last part by
-/// default, or `DEBAR_FAULT_PART` (clamped into the stripe) — the CI
-/// `part-fault` leg selects different parts this way.
-// A CI leg's test selector, not a system knob: exempt from the workspace
-// rule against reading the environment.
-#[allow(clippy::disallowed_methods)]
-fn fault_part_for(parts: usize) -> usize {
-    std::env::var("DEBAR_FAULT_PART")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map_or(parts - 1, |p| p.min(parts - 1))
+/// The part-disks to fault in a `parts`-way stripe: part 2 (the last, in
+/// a stripe narrower than three) and the last part — an inner part-disk
+/// and the edge one.
+fn fault_parts(parts: usize) -> Vec<usize> {
+    let mut targets = vec![2.min(parts - 1), parts - 1];
+    targets.dedup();
+    targets
 }
 
 #[test]
@@ -106,43 +103,48 @@ fn single_part_disk_fault_names_part_and_converges() {
     // part (asserted inside the harness), and the interrupted round
     // converges on redo — byte-identical index parts and restore bytes
     // versus the never-interrupted scenario AND across partition counts.
-    let mut outs: Vec<(usize, Outcome)> = Vec::new();
-    for parts in sweep_parts_matrix() {
-        let part = fault_part_for(parts);
-        let faulted = run_scenario(
-            &Scenario::tiny("part-fault", 0, parts).with_failure(Failure::PartDiskFault { part }),
-        );
+    let mut first: Option<(usize, Outcome)> = None;
+    for parts in SWEEP_PARTS {
         let clean = run_scenario(&Scenario::tiny("part-fault", 0, parts));
-        assert_equivalent(
-            &clean,
-            &faulted,
-            &format!("part-fault: resumed run (parts={parts}, part={part}) vs uninterrupted"),
-        );
-        if let Some((p0, base)) = outs.first() {
-            assert_equivalent(
-                base,
-                &faulted,
-                &format!("part-fault: parts={parts} vs parts={p0} diverged"),
+        for part in fault_parts(parts) {
+            let faulted = run_scenario(
+                &Scenario::tiny("part-fault", 0, parts)
+                    .with_failure(Failure::PartDiskFault { part }),
             );
+            assert_equivalent(
+                &clean,
+                &faulted,
+                &format!("part-fault: resumed run (parts={parts}, part={part}) vs uninterrupted"),
+            );
+            match &first {
+                Some((p0, base)) => assert_equivalent(
+                    base,
+                    &faulted,
+                    &format!("part-fault: parts={parts}, part={part} vs parts={p0} diverged"),
+                ),
+                None => first = Some((parts, faulted)),
+            }
         }
-        outs.push((parts, faulted));
     }
 }
 
 #[test]
 fn single_part_disk_fault_converges_multi_server() {
-    for parts in sweep_parts_matrix() {
-        let part = fault_part_for(parts);
-        let faulted = run_scenario(
-            &Scenario::tiny("part-fault-w1", 1, parts)
-                .with_failure(Failure::PartDiskFault { part }),
-        );
+    for parts in SWEEP_PARTS {
         let clean = run_scenario(&Scenario::tiny("part-fault-w1", 1, parts));
-        assert_equivalent(
-            &clean,
-            &faulted,
-            &format!("part-fault-w1: resumed run (parts={parts}, part={part}) vs uninterrupted"),
-        );
+        for part in fault_parts(parts) {
+            let faulted = run_scenario(
+                &Scenario::tiny("part-fault-w1", 1, parts)
+                    .with_failure(Failure::PartDiskFault { part }),
+            );
+            assert_equivalent(
+                &clean,
+                &faulted,
+                &format!(
+                    "part-fault-w1: resumed run (parts={parts}, part={part}) vs uninterrupted"
+                ),
+            );
+        }
     }
 }
 
@@ -186,7 +188,7 @@ fn chunk_log_drain_fault_mid_pipeline_converges() {
     // asserts the typed interruption and that the log stays byte-for-byte
     // intact; here we additionally pin that the redo converges
     // byte-identically to a never-interrupted run at every worker count.
-    let mut worker_counts: Vec<usize> = store_workers_matrix()
+    let mut worker_counts: Vec<usize> = STORE_WORKERS
         .into_iter()
         .map(|w| w.max(2)) // a 1-way stripe has no worker to lose
         .collect();
@@ -225,21 +227,8 @@ fn chunk_log_drain_fault_converges_multi_server() {
     assert_equivalent(&clean, &faulted, "drain-fault-w1: resumed vs uninterrupted");
 }
 
-/// The repository node to fault or take down in a `nodes`-node
-/// deployment: the last node by default, or `DEBAR_FAULT_NODE` (clamped
-/// into the cluster) — the CI `node-down` leg selects different nodes
-/// this way.
-// A CI leg's test selector, not a system knob: exempt from the workspace
-// rule against reading the environment.
-#[allow(clippy::disallowed_methods)]
-fn fault_node_for(nodes: usize) -> usize {
-    std::env::var("DEBAR_FAULT_NODE")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map_or(nodes - 1, |n| n.min(nodes - 1))
-}
-
-/// Repository nodes in the tiny-geometry deployment (`tiny_test`).
+/// Repository nodes in the tiny-geometry deployment (`tiny_test`): the
+/// node tests fault or take down each of them in turn.
 const TINY_REPO_NODES: usize = 2;
 
 #[test]
@@ -250,49 +239,59 @@ fn repo_node_down_survivable_and_repaired_with_replicas() {
     // asserts degraded-read accounting and post-repair full replication
     // internally); here we additionally pin equivalence to the healthy
     // scenario and across the partition matrix.
-    let node = fault_node_for(TINY_REPO_NODES);
-    for r in replication_matrix() {
+    for r in REPLICATION {
         if r < 2 {
             continue; // the no-replica story is its own test below
         }
-        let mut outs: Vec<(usize, Outcome)> = Vec::new();
-        for parts in sweep_parts_matrix() {
-            let degraded = run_scenario(
-                &Scenario::tiny("node-down", 0, parts)
-                    .with_cfg(|c| c.with_replication(r))
-                    .with_failure(Failure::RepoNodeDown { node }),
-            );
+        let mut first: Option<(usize, Outcome)> = None;
+        for parts in SWEEP_PARTS {
             let healthy = run_scenario(
                 &Scenario::tiny("node-down", 0, parts).with_cfg(|c| c.with_replication(r)),
             );
-            assert_equivalent(
-                &healthy,
-                &degraded,
-                &format!("node-down: degraded run (parts={parts}, r={r}, node={node}) vs healthy"),
-            );
-            if let Some((p0, base)) = outs.first() {
-                assert_equivalent(
-                    base,
-                    &degraded,
-                    &format!("node-down: parts={parts} vs parts={p0} diverged (r={r})"),
+            for node in 0..TINY_REPO_NODES {
+                let degraded = run_scenario(
+                    &Scenario::tiny("node-down", 0, parts)
+                        .with_cfg(|c| c.with_replication(r))
+                        .with_failure(Failure::RepoNodeDown { node }),
                 );
+                assert_equivalent(
+                    &healthy,
+                    &degraded,
+                    &format!(
+                        "node-down: degraded run (parts={parts}, r={r}, node={node}) vs healthy"
+                    ),
+                );
+                match &first {
+                    Some((p0, base)) => assert_equivalent(
+                        base,
+                        &degraded,
+                        &format!(
+                            "node-down: parts={parts}, node={node} vs parts={p0} diverged (r={r})"
+                        ),
+                    ),
+                    None => first = Some((parts, degraded)),
+                }
             }
-            outs.push((parts, degraded));
         }
     }
 }
 
 #[test]
 fn repo_node_down_survivable_multi_server() {
-    let node = fault_node_for(TINY_REPO_NODES);
-    let degraded = run_scenario(
-        &Scenario::tiny("node-down-w1", 1, 2)
-            .with_cfg(|c| c.with_replication(2))
-            .with_failure(Failure::RepoNodeDown { node }),
-    );
     let healthy =
         run_scenario(&Scenario::tiny("node-down-w1", 1, 2).with_cfg(|c| c.with_replication(2)));
-    assert_equivalent(&healthy, &degraded, "node-down-w1: degraded vs healthy");
+    for node in 0..TINY_REPO_NODES {
+        let degraded = run_scenario(
+            &Scenario::tiny("node-down-w1", 1, 2)
+                .with_cfg(|c| c.with_replication(2))
+                .with_failure(Failure::RepoNodeDown { node }),
+        );
+        assert_equivalent(
+            &healthy,
+            &degraded,
+            &format!("node-down-w1: degraded (node={node}) vs healthy"),
+        );
+    }
 }
 
 #[test]
@@ -301,17 +300,19 @@ fn repo_node_down_without_replicas_is_typed_unrecoverable() {
     // `Unrecoverable` error naming the node — never a panic or silent
     // corruption (asserted inside the harness, which also pins the
     // repair refusal and the post-revive convergence).
-    let node = fault_node_for(TINY_REPO_NODES);
-    for parts in sweep_parts_matrix() {
-        let revived = run_scenario(
-            &Scenario::tiny("node-down-r1", 0, parts).with_failure(Failure::RepoNodeDown { node }),
-        );
+    for parts in SWEEP_PARTS {
         let healthy = run_scenario(&Scenario::tiny("node-down-r1", 0, parts));
-        assert_equivalent(
-            &healthy,
-            &revived,
-            &format!("node-down-r1: revived run (parts={parts}, node={node}) vs healthy"),
-        );
+        for node in 0..TINY_REPO_NODES {
+            let revived = run_scenario(
+                &Scenario::tiny("node-down-r1", 0, parts)
+                    .with_failure(Failure::RepoNodeDown { node }),
+            );
+            assert_equivalent(
+                &healthy,
+                &revived,
+                &format!("node-down-r1: revived run (parts={parts}, node={node}) vs healthy"),
+            );
+        }
     }
 }
 
@@ -321,37 +322,45 @@ fn repo_node_fault_names_node_and_converges() {
     // `InterruptedDedup2(ChunkStoring)` caused by a `DeviceFault` naming
     // that node (asserted inside the harness), and the redo converges
     // byte-identically — at every replication factor in the matrix.
-    let node = fault_node_for(TINY_REPO_NODES);
-    for r in replication_matrix() {
-        for parts in sweep_parts_matrix() {
-            let faulted = run_scenario(
-                &Scenario::tiny("node-fault", 0, parts)
-                    .with_cfg(|c| c.with_replication(r))
-                    .with_failure(Failure::RepoNodeFault { node }),
-            );
+    for r in REPLICATION {
+        for parts in SWEEP_PARTS {
             let clean = run_scenario(
                 &Scenario::tiny("node-fault", 0, parts).with_cfg(|c| c.with_replication(r)),
             );
-            assert_equivalent(
-                &clean,
-                &faulted,
-                &format!("node-fault: resumed run (parts={parts}, r={r}) vs uninterrupted"),
-            );
+            for node in 0..TINY_REPO_NODES {
+                let faulted = run_scenario(
+                    &Scenario::tiny("node-fault", 0, parts)
+                        .with_cfg(|c| c.with_replication(r))
+                        .with_failure(Failure::RepoNodeFault { node }),
+                );
+                assert_equivalent(
+                    &clean,
+                    &faulted,
+                    &format!(
+                        "node-fault: resumed run (parts={parts}, r={r}, node={node}) vs uninterrupted"
+                    ),
+                );
+            }
         }
     }
 }
 
 #[test]
 fn repo_node_fault_converges_multi_server() {
-    let node = fault_node_for(TINY_REPO_NODES);
-    let faulted = run_scenario(
-        &Scenario::tiny("node-fault-w1", 1, 2)
-            .with_cfg(|c| c.with_replication(2))
-            .with_failure(Failure::RepoNodeFault { node }),
-    );
     let clean =
         run_scenario(&Scenario::tiny("node-fault-w1", 1, 2).with_cfg(|c| c.with_replication(2)));
-    assert_equivalent(&clean, &faulted, "node-fault-w1: resumed vs uninterrupted");
+    for node in 0..TINY_REPO_NODES {
+        let faulted = run_scenario(
+            &Scenario::tiny("node-fault-w1", 1, 2)
+                .with_cfg(|c| c.with_replication(2))
+                .with_failure(Failure::RepoNodeFault { node }),
+        );
+        assert_equivalent(
+            &clean,
+            &faulted,
+            &format!("node-fault-w1: resumed (node={node}) vs uninterrupted"),
+        );
+    }
 }
 
 #[test]
@@ -362,7 +371,7 @@ fn gc_sweep_fault_aborts_pre_mutation_and_converges() {
     // redone collection converges byte-identically with an
     // uninterrupted one — index parts, repository bytes and every
     // retained restore.
-    for parts in sweep_parts_matrix() {
+    for parts in SWEEP_PARTS {
         let faulted = run_scenario(
             &Scenario::tiny("gc-fault", 0, parts)
                 .with_cfg(|c| c.with_retention(1))
@@ -397,8 +406,8 @@ fn gc_compaction_fault_loses_no_live_chunk_and_converges() {
     // redo skips what the interrupted attempt already reclaimed — the
     // converged state is byte-identical to a clean collection at every
     // replication factor.
-    for r in replication_matrix() {
-        for parts in sweep_parts_matrix() {
+    for r in REPLICATION {
+        for parts in SWEEP_PARTS {
             let faulted = run_scenario(
                 &Scenario::tiny("gc-compact-fault", 0, parts)
                     .with_cfg(|c| c.with_retention(1).with_replication(r))

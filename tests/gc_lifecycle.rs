@@ -25,8 +25,8 @@
 mod common;
 
 use common::{
-    assert_equivalent, replication_matrix, retention_matrix, run_scenario, sweep_parts_matrix,
-    Failure, Outcome, Scenario,
+    assert_equivalent, run_scenario, Failure, Outcome, Scenario, REPLICATION, RETENTION,
+    SWEEP_PARTS,
 };
 use debar::hash::Sha1;
 use debar::workload::ChunkRecord;
@@ -44,9 +44,9 @@ fn expire_then_restore_byte_identical_across_sweep_parts() {
     // retained restores); here we additionally pin that the post-GC
     // index parts and repository bytes are identical across partition
     // counts — the GC sweep rebuild is partition-independent.
-    for retention in retention_matrix() {
+    for retention in RETENTION {
         let mut outs: Vec<(usize, Outcome)> = Vec::new();
-        for parts in sweep_parts_matrix() {
+        for parts in SWEEP_PARTS {
             let out = run_scenario(
                 &Scenario::tiny("gc", 0, parts).with_cfg(|c| c.with_retention(retention)),
             );
@@ -64,7 +64,7 @@ fn expire_then_restore_byte_identical_across_sweep_parts() {
 
 #[test]
 fn expire_then_restore_multi_server() {
-    for parts in sweep_parts_matrix() {
+    for parts in SWEEP_PARTS {
         run_scenario(&Scenario::tiny("gc-w1", 1, parts).with_cfg(|c| c.with_retention(1)));
     }
 }
@@ -89,9 +89,9 @@ fn gc_reclaims_exactly_per_replication() {
         "gc-r: the dead set is a logical property, not a physical one"
     );
     // And within each replication factor, the partition matrix agrees.
-    for r in replication_matrix() {
+    for r in REPLICATION {
         let mut outs: Vec<(usize, Outcome)> = Vec::new();
-        for parts in sweep_parts_matrix() {
+        for parts in SWEEP_PARTS {
             let out = run_scenario(
                 &Scenario::tiny("gc-rm", 0, parts)
                     .with_cfg(|c| c.with_retention(1).with_replication(r)),
@@ -115,7 +115,7 @@ fn index_recovery_rebuild_converges_after_gc() {
     // rebuild must reproduce the swept entry count — and the whole
     // scenario stays partition-independent.
     let mut outs: Vec<(usize, Outcome)> = Vec::new();
-    for parts in sweep_parts_matrix() {
+    for parts in SWEEP_PARTS {
         let out = run_scenario(
             &Scenario::tiny("gc-recover", 0, parts)
                 .with_cfg(|c| c.with_retention(1))
@@ -197,8 +197,8 @@ fn gc_crash_point_sweep_converges_at_every_device_op() {
         Device::RepoNode(1),
         Device::IndexPart { server: 0, part: 0 },
     ];
-    for replication in replication_matrix() {
-        for parts in sweep_parts_matrix() {
+    for replication in REPLICATION {
+        for parts in SWEEP_PARTS {
             let cfg = DebarConfig::tiny_test(0)
                 .with_replication(replication)
                 .with_sweep_parts(parts);

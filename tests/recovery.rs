@@ -6,9 +6,7 @@
 
 mod common;
 
-use common::{
-    assert_equivalent, assert_same_dedup, run_scenario, sweep_parts_matrix, Failure, Scenario,
-};
+use common::{assert_equivalent, assert_same_dedup, run_scenario, Failure, Scenario, SWEEP_PARTS};
 use debar::workload::files::{FileTreeConfig, FileTreeGen};
 use debar::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
 
@@ -17,7 +15,7 @@ fn verify_jobs_and_partial_restores_across_striped_matrix() {
     // The §3.1 verify job (integrity walk, no client stream) and the
     // single-file restore path, exercised by the harness on every run of
     // a multi-client scenario, for every partition count.
-    for parts in sweep_parts_matrix() {
+    for parts in SWEEP_PARTS {
         let out = run_scenario(&Scenario::tiny("rec-verify", 0, parts));
         assert_eq!(out.verify_failures, 0, "parts={parts}: verify failures");
         assert_eq!(out.restore_failures, 0, "parts={parts}: restore failures");
@@ -40,7 +38,7 @@ fn index_loss_recoverable_across_striped_matrix() {
         run_scenario(&Scenario::tiny("rec-loss", 1, 1).with_failure(Failure::RecoverIndexes));
     assert_eq!(base.verify_failures, 0);
     assert_eq!(base.restore_failures, 0);
-    for parts in sweep_parts_matrix().into_iter().filter(|&p| p != 1) {
+    for parts in SWEEP_PARTS.into_iter().filter(|&p| p != 1) {
         let striped = run_scenario(
             &Scenario::tiny("rec-loss", 1, parts).with_failure(Failure::RecoverIndexes),
         );

@@ -97,7 +97,7 @@ fn striped_scaling_ladder_clamps_and_preserves_everything() {
     // The full ladder under every matrix partition count: capacity
     // scaling doubles buckets (more striping headroom), scale-out halves
     // each part (sweep_parts clamps); every era stays restorable.
-    for parts in common::sweep_parts_matrix() {
+    for parts in common::SWEEP_PARTS {
         let mut c = DebarCluster::new(DebarConfig::tiny_test(0).with_sweep_parts(parts));
         let job = c.define_job("ladder", ClientId(0));
         c.backup(job, &Dataset::from_records("s", records(0..1500)))

@@ -1,15 +1,14 @@
 //! The striped-index scenario matrix: the same deterministic multi-job,
-//! multi-client, multi-version workload run under `sweep_parts ∈ {1, 2, 4}`
-//! (env-overridable, see `common::sweep_parts_matrix`) and several server
-//! counts must produce **byte-identical index state** and identical
-//! restore bytes — while striped sweeps strictly reduce virtual PSIL/PSIU
-//! time.
+//! multi-client, multi-version workload run under every `sweep_parts` of
+//! `common::SWEEP_PARTS` and several server counts must produce
+//! **byte-identical index state** and identical restore bytes — while
+//! striped sweeps strictly reduce virtual PSIL/PSIU time.
 
 mod common;
 
 use common::{
-    assert_equivalent, assert_same_dedup, replication_matrix, run_scenario, store_workers_matrix,
-    sweep_parts_matrix, Scenario,
+    assert_equivalent, assert_same_dedup, run_scenario, Scenario, REPLICATION, STORE_WORKERS,
+    SWEEP_PARTS,
 };
 use debar::workload::files::FileSpec;
 use debar::{ClientId, Dataset, DebarConfig, RunId};
@@ -27,7 +26,7 @@ fn striped_parts_byte_identical_single_server() {
         base.dedup_ratio() > 1.5,
         "workload must actually deduplicate"
     );
-    for parts in sweep_parts_matrix().into_iter().filter(|&p| p != 1) {
+    for parts in SWEEP_PARTS.into_iter().filter(|&p| p != 1) {
         let striped = run_scenario(&Scenario::tiny("sm-w0", 0, parts));
         assert_equivalent(&base, &striped, &format!("w=0 parts={parts}"));
         assert_eq!(
@@ -54,7 +53,7 @@ fn striped_parts_byte_identical_single_server() {
 fn striped_parts_byte_identical_four_servers() {
     let base = run_scenario(&Scenario::tiny("sm-w2", 2, 1));
     assert_eq!(base.index_digests.len(), 4);
-    for parts in sweep_parts_matrix().into_iter().filter(|&p| p != 1) {
+    for parts in SWEEP_PARTS.into_iter().filter(|&p| p != 1) {
         let striped = run_scenario(&Scenario::tiny("sm-w2", 2, parts));
         assert_equivalent(&base, &striped, &format!("w=2 parts={parts}"));
     }
@@ -69,7 +68,7 @@ fn store_workers_cross_sweep_parts_byte_identical() {
     // time may move.
     let base = run_scenario(&Scenario::tiny("sm-sw", 0, 1));
     for parts in [1usize, 4] {
-        for workers in store_workers_matrix() {
+        for workers in STORE_WORKERS {
             if parts == 1 && workers == 1 {
                 continue; // the base point itself
             }
@@ -88,7 +87,7 @@ fn store_workers_cross_sweep_parts_byte_identical() {
 #[test]
 fn store_workers_byte_identical_multi_server() {
     let base = run_scenario(&Scenario::tiny("sm-sw2", 2, 1));
-    for workers in store_workers_matrix().into_iter().filter(|&w| w != 1) {
+    for workers in STORE_WORKERS.into_iter().filter(|&w| w != 1) {
         let out = run_scenario(
             &Scenario::tiny("sm-sw2", 2, 4).with_cfg(|c| c.with_store_workers(workers)),
         );
@@ -104,7 +103,7 @@ fn replication_factors_byte_identical() {
     // the node disks (and virtual time) may move. Crossed with sweep
     // striping to pin the interaction.
     let base = run_scenario(&Scenario::tiny("sm-r", 0, 1));
-    for r in replication_matrix().into_iter().filter(|&r| r != 1) {
+    for r in REPLICATION.into_iter().filter(|&r| r != 1) {
         for parts in [1usize, 4] {
             let replicated =
                 run_scenario(&Scenario::tiny("sm-r", 0, parts).with_cfg(|c| c.with_replication(r)));
@@ -120,7 +119,7 @@ fn replication_factors_byte_identical() {
 #[test]
 fn replication_byte_identical_multi_server() {
     let base = run_scenario(&Scenario::tiny("sm-r2", 2, 2));
-    for r in replication_matrix().into_iter().filter(|&r| r != 1) {
+    for r in REPLICATION.into_iter().filter(|&r| r != 1) {
         let replicated =
             run_scenario(&Scenario::tiny("sm-r2", 2, 2).with_cfg(|c| c.with_replication(r)));
         assert_equivalent(&base, &replicated, &format!("w=2 replication={r}"));
@@ -173,7 +172,7 @@ fn synchronous_and_async_siu_agree_under_striping() {
         ..c
     }));
     assert_same_dedup(&sync1, &lazy1, "siu_interval 1 vs 3");
-    for parts in sweep_parts_matrix().into_iter().filter(|&p| p != 1) {
+    for parts in SWEEP_PARTS.into_iter().filter(|&p| p != 1) {
         let lazy = run_scenario(
             &Scenario::tiny("sm-siu", 0, parts).with_cfg(|c| DebarConfig {
                 siu_interval: 3,
@@ -297,7 +296,7 @@ fn lpc_evictions_accounted_and_monotone_across_generations() {
 fn heavier_matrix_point_restores_clean() {
     // A larger configuration (5 clients × 4 versions) as a tail check
     // that the harness scales past the default shape.
-    for parts in sweep_parts_matrix() {
+    for parts in SWEEP_PARTS {
         let out = run_scenario(
             &Scenario::tiny("sm-big", 1, parts)
                 .with_clients(5)

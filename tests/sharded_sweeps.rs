@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::sweep_parts_matrix;
+use common::SWEEP_PARTS;
 use debar::workload::drift::records;
 use debar::{ClientId, Dataset, DebarCluster, DebarConfig, DebarError, RunId};
 
@@ -44,11 +44,7 @@ fn run_cluster(parts: usize) -> (u64, u64, u64, f64, u64) {
 #[test]
 fn sharded_cluster_matches_scalar_dedup_results() {
     let scalar = run_cluster(1);
-    for parts in sweep_parts_matrix()
-        .into_iter()
-        .chain([8])
-        .filter(|&p| p != 1)
-    {
+    for parts in SWEEP_PARTS.into_iter().filter(|&p| p != 1) {
         let sharded = run_cluster(parts);
         assert_eq!(scalar.0, sharded.0, "stored chunks differ at parts={parts}");
         assert_eq!(
@@ -101,7 +97,7 @@ fn sweep_parts_beyond_bucket_count_rejected() {
 fn striped_preset_runs_end_to_end() {
     // The §5.2 preset at a deep scale denominator: a full backup →
     // dedup-2 → restore cycle with the multi-part index engaged.
-    let mut c = DebarCluster::new(DebarConfig::striped_scaled(4, 64 * 1024));
+    let mut c = DebarCluster::new(DebarConfig::single_server_scaled(64 * 1024).with_sweep_parts(4));
     let job = c.define_job("striped", ClientId(0));
     c.backup(job, &Dataset::from_records("s", records(0..2000)))
         .expect("backup");
