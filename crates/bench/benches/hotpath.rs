@@ -142,6 +142,7 @@ fn sil_benches(c: &mut Criterion) {
             let mut cache = cache.clone();
             black_box(
                 idx.sequential_lookup_hashed(&mut cache)
+                    .expect("no fault is armed")
                     .value
                     .duplicates
                     .len(),
@@ -188,7 +189,8 @@ fn sil_benches(c: &mut Criterion) {
     c.bench_function("siu/scalar_64k_1m", |b| {
         b.iter(|| {
             let mut idx = idx.clone();
-            black_box(idx.sequential_update_scalar(&siu_batch).value.inserted)
+            let t = idx.sequential_update_scalar(&siu_batch);
+            black_box(t.expect("no fault is armed").value.inserted)
         })
     });
     c.bench_function("siu/sharded_64k_1m", |b| {

@@ -98,7 +98,8 @@ fn main() {
     let probes = 2000u64;
     let mut lookup_cost = 0.0;
     for i in 0..probes {
-        lookup_cost += idx.lookup_random(&Fingerprint::of_counter(i * 3)).cost;
+        let t = idx.lookup_random(&Fingerprint::of_counter(i * 3));
+        lookup_cost += t.expect("no fault is armed").cost;
     }
     let rand_lookup = probes as f64 / lookup_cost;
     let mut update_cost = 0.0;
@@ -108,6 +109,7 @@ fn main() {
                 Fingerprint::of_counter(3_000_000_000 + i),
                 ContainerId::new(2),
             )
+            .expect("no fault is armed")
             .cost;
         // An update is a read-modify-write: add the write-back of the
         // bucket (insert_random already charges it).

@@ -76,7 +76,7 @@ fn main() {
             ]);
             if part_gb == 32 {
                 // (x,32) -> (x,64): capacity scaling on every part.
-                cluster.scale_up_indexes();
+                cluster.scale_up_indexes().expect("no fault is armed");
                 transition = "capacity-scale";
             }
         }

@@ -107,7 +107,7 @@ fn skewed_sweep_secs(cfg: &DebarConfig, parts: usize) -> f64 {
         .zip(&bounds)
         .map(|(start, end)| (end - start) * params.bucket_bytes as u64)
         .collect();
-    PartDiskSet::new(paper::index_disk()).seq_read_split(&shares)
+    (PartDiskSet::new(paper::index_disk()).seq_read_split(&shares)).expect("no fault is armed")
 }
 
 /// System-level walls of one configuration: summed PSIL/PSIU/store walls,

@@ -75,11 +75,10 @@
 //!
 //! Every worker disk carries an armable [`debar_simio::FaultPlan`] like
 //! every other simulated device, and the log's only I/O entry points
-//! ([`ChunkLog::append`], [`ChunkLog::drain_striped`]) are
-//! fault-checked: they surface injected faults as
-//! [`DebarError::DeviceFault`] naming the [`Device::LogWorker`] that
-//! faulted — extending the typed failure story to de-duplication phase
-//! I. Log appends are synchronous (the backup run stalls on them), so
+//! ([`ChunkLog::append`], [`ChunkLog::drain_striped`]) fail with the
+//! fault their own op fired, as [`DebarError::DeviceFault`] naming the
+//! [`Device::LogWorker`] that faulted — extending the typed failure
+//! story to de-duplication phase I. Log appends are synchronous (the backup run stalls on them), so
 //! *every* fault kind — outright failure, torn write, bit flip — is
 //! detected at the faulted operation itself: a failed append persists
 //! nothing and the record is **not** logged. A failed drain, like every
@@ -89,7 +88,7 @@ use crate::dataset::StreamChunk;
 use crate::error::DebarError;
 use crate::ids::{Device, ServerId};
 use debar_hash::Fingerprint;
-use debar_simio::{FaultPlan, InjectedFault, PartDiskSet, Secs};
+use debar_simio::{InjectedFault, PartDiskSet, Secs};
 use debar_store::Payload;
 use std::ops::Range;
 
@@ -150,7 +149,7 @@ pub struct ChunkLog {
     /// The log's only devices: one disk per store worker, sized by
     /// [`ChunkLog::drain_striped`]; worker 0 doubles as the volume
     /// appends are charged to.
-    worker_disks: PartDiskSet,
+    pub(crate) worker_disks: PartDiskSet,
     records: Vec<LogRecord>,
     bytes: u64,
 }
@@ -181,31 +180,6 @@ impl ChunkLog {
         self.bytes
     }
 
-    /// Arm a deterministic fault schedule on **one worker disk**
-    /// (materializing it if no striped drain has engaged it yet; replaces
-    /// any previous plan). A fault on worker `w > 0` fires only when a
-    /// striped drain charges that worker's share, modelling the loss of a
-    /// single store worker's spindle set mid-pipeline; worker 0 also
-    /// carries every append. The stripe resizes to the drain's worker
-    /// count, so a plan armed on a worker the next drain does not engage
-    /// is dropped by the resize — [`crate::DebarCluster::arm`] validates
-    /// against the configured count.
-    pub fn set_worker_fault_plan(&mut self, worker: usize, plan: FaultPlan) {
-        self.worker_disks.set_fault_plan(worker, plan);
-    }
-
-    /// Disarm all worker-disk faults (armed and fired-but-uncollected).
-    pub fn clear_fault_plan(&mut self) {
-        self.worker_disks.clear_fault_plans();
-    }
-
-    /// One worker disk's operation counter, for arming `FaultPlan`s
-    /// relative to "the next op" (every drain that engages the worker is
-    /// one op on its disk; on worker 0 every append is one too).
-    pub fn worker_disk_ops(&self, worker: usize) -> u64 {
-        self.worker_disks.ops(worker)
-    }
-
     fn fault(&self, worker: u32, fault: InjectedFault) -> DebarError {
         DebarError::DeviceFault {
             device: Device::LogWorker {
@@ -223,11 +197,8 @@ impl ChunkLog {
     /// the caller aborts its backup run and may retry it whole.
     pub fn append(&mut self, rec: LogRecord) -> Result<Secs, DebarError> {
         let b = rec.record_bytes();
-        let cost = self
-            .worker_disks
-            .volume_mut()
-            .checked_op(|d| d.seq_write(b))
-            .map_err(|fault| self.fault(0, fault))?;
+        let cost =
+            (self.worker_disks.volume_mut().seq_write(b)).map_err(|f| self.fault(0, f.fault))?;
         self.bytes += b;
         self.records.push(rec);
         Ok(cost)
@@ -258,9 +229,9 @@ impl ChunkLog {
     /// [`ChunkLog::commit`] consumes them. Each engaged worker disk is
     /// charged one op, however many legs its pass has and even with
     /// nothing of its share wanted. A fault on any single worker disk
-    /// surfaces as [`DebarError::DeviceFault`] naming it (lowest worker
-    /// first; a sibling armed in the same window surfaces at the next
-    /// drain).
+    /// fails the drain as [`DebarError::DeviceFault`] naming it (the
+    /// lowest worker, when several fault on the drain: the others' faults
+    /// are spent with it).
     pub fn drain_striped(
         &mut self,
         workers: usize,
@@ -272,10 +243,8 @@ impl ChunkLog {
             .into_iter()
             .map(|legs| legs.into_iter().unzip())
             .unzip();
-        let costs = self.worker_disks.seq_read_legs(&extents);
-        if let Some((worker, fault)) = self.worker_disks.take_fault() {
-            return Err(self.fault(worker, fault));
-        }
+        let costs =
+            (self.worker_disks.seq_read_legs(&extents)).map_err(|f| self.fault(f.part, f.fault))?;
         let legs = (ready.into_iter().zip(costs))
             .map(|(ready, costs)| {
                 let legs = ready.into_iter().zip(costs);
@@ -378,12 +347,19 @@ impl ChunkLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use debar_simio::FaultPlan;
 
     /// The test log belongs to server 3.
     const WORKER_0: Device = Device::LogWorker {
         server: 3,
         worker: 0,
     };
+
+    /// Arm `plan` at the next op of worker disk `worker`.
+    fn arm(log: &mut ChunkLog, worker: usize, plan: fn(u64) -> FaultPlan) {
+        let at = log.worker_disks.ops(worker);
+        log.worker_disks.disk_mut(worker).set_fault_plan(plan(at));
+    }
 
     fn rec(n: u64, len: u32) -> LogRecord {
         LogRecord {
@@ -421,7 +397,7 @@ mod tests {
         (0..log.worker_disks.parts())
             .map(|w| {
                 let s = log.worker_disks.part_stats(w).expect("materialized");
-                (log.worker_disk_ops(w), s.seq_read_bytes, s.busy_s)
+                (log.worker_disks.ops(w), s.seq_read_bytes, s.busy_s)
             })
             .collect()
     }
@@ -486,7 +462,7 @@ mod tests {
         use debar_simio::FaultKind;
         let mut log = ChunkLog::new(3);
         log.append(rec(1, 100)).expect("clean append");
-        log.set_worker_fault_plan(0, FaultPlan::fail_at(log.worker_disk_ops(0)));
+        arm(&mut log, 0, FaultPlan::fail_at);
         let err = log.append(rec(2, 200)).expect_err("armed fault fires");
         let DebarError::DeviceFault {
             device: WORKER_0,
@@ -516,7 +492,7 @@ mod tests {
         // defer to).
         for plan in [FaultPlan::torn_write_at(0), FaultPlan::bit_flip_at(0)] {
             let mut log = ChunkLog::new(3);
-            log.set_worker_fault_plan(0, plan);
+            log.worker_disks.disk_mut(0).set_fault_plan(plan);
             let err = log.append(rec(7, 50)).expect_err("fault fires");
             assert!(
                 matches!(
@@ -538,7 +514,7 @@ mod tests {
         for i in 0..5u64 {
             log.append(rec(i, 100)).expect("append");
         }
-        log.set_worker_fault_plan(0, FaultPlan::fail_at(log.worker_disk_ops(0)));
+        arm(&mut log, 0, FaultPlan::fail_at);
         let err = log
             .drain_striped(1, &all(&log), &[])
             .expect_err("drain fault");
@@ -604,7 +580,7 @@ mod tests {
             log.append(rec(i, 100)).expect("append");
         }
         // Arm exactly one worker disk of a 3-way drain stripe.
-        log.set_worker_fault_plan(1, FaultPlan::fail_at(log.worker_disk_ops(1)));
+        arm(&mut log, 1, FaultPlan::fail_at);
         let err = log
             .drain_striped(3, &all(&log), &[])
             .expect_err("worker fault fires");
@@ -655,7 +631,9 @@ mod tests {
                 .collect();
             assert_eq!(
                 cost,
-                PartDiskSet::new(model).seq_read_split(&shares),
+                PartDiskSet::new(model)
+                    .seq_read_split(&shares)
+                    .expect("clean"),
                 "W = {w}"
             );
             let reads = worker_reads(&log);
@@ -667,7 +645,7 @@ mod tests {
         }
         let mut log = log_of(&sizes);
         let cost = wall(&log.drain_striped(1, &all(&log), &[]).expect("drain"));
-        assert_eq!(cost, debar_simio::SimDisk::new(model).seq_read(bytes));
+        assert_eq!(Ok(cost), debar_simio::SimDisk::new(model).seq_read(bytes));
     }
 
     #[test]
@@ -693,7 +671,7 @@ mod tests {
             };
             assert_eq!(cost, want, "gap {gap}");
             assert_eq!(worker_reads(&log)[0].1, read, "gap {gap}");
-            assert_eq!(log.worker_disk_ops(0), 5, "four appends and one drain");
+            assert_eq!(log.worker_disks.ops(0), 5, "four appends and one drain");
         }
     }
 
@@ -754,7 +732,7 @@ mod tests {
         for w in 1..=4usize {
             for mask in [Vec::new(), vec![false; 9]] {
                 let mut log = log_of(&[5000; 9]);
-                let before: Vec<u64> = (0..w).map(|i| log.worker_disk_ops(i)).collect();
+                let before: Vec<u64> = (0..w).map(|i| log.worker_disks.ops(i)).collect();
                 let t = log.drain_striped(w, &mask, &[]).expect("drain");
                 assert_eq!(wall(&t), 0.0, "W = {w}");
                 assert_eq!(t.records.len(), 9, "every record comes back");
@@ -783,8 +761,10 @@ mod tests {
             for mask in [&[true; 6][..], &[], &some] {
                 for worker in 0..w {
                     let mut log = log_of(&sizes);
-                    let armed = log.worker_disk_ops(worker);
-                    log.set_worker_fault_plan(worker, FaultPlan::fail_at(armed));
+                    let armed = log.worker_disks.ops(worker);
+                    log.worker_disks
+                        .disk_mut(worker)
+                        .set_fault_plan(FaultPlan::fail_at(armed));
                     let err = log
                         .drain_striped(w, mask, &[])
                         .expect_err("armed op faults");
@@ -801,7 +781,7 @@ mod tests {
                     for (i, r) in recs.iter().enumerate() {
                         assert_eq!(r.fp, Fingerprint::of_counter(i as u64), "order kept");
                     }
-                    assert_eq!(log.worker_disk_ops(worker), armed + 2);
+                    assert_eq!(log.worker_disks.ops(worker), armed + 2);
                 }
             }
         }

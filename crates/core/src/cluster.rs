@@ -53,12 +53,16 @@ use debar_filter::CuckooFilter;
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::SiuReport;
 use debar_simio::models::paper;
-use debar_simio::{FaultPlan, Lane, Secs, Timed};
+use debar_simio::{FaultPlan, Lane, Secs, SimDisk, Timed};
 use debar_store::{ChunkRepository, Damage};
 use std::collections::HashMap;
 
 #[path = "backup.rs"]
 mod backup;
+
+#[path = "fsck.rs"]
+mod fsck;
+pub use fsck::{Discrepancy, FsckReport};
 
 #[path = "gc.rs"]
 mod gc;
@@ -169,32 +173,31 @@ impl DebarCluster {
     /// index part past the stripe (`sweep_parts` clamped to the live
     /// bucket count) or a log worker past `store_workers`.
     pub fn arm(&mut self, device: Device, plan: FaultPlan) -> DebarResult<()> {
-        self.check_device(device)?;
-        match device {
-            Device::RepoNode(node) => self.repo.set_node_fault_plan(node, plan)?,
-            Device::IndexPart { server, part } => self.servers[server as usize]
-                .index_mut()
-                .set_part_fault_plan(part as usize, plan),
-            Device::LogWorker { server, worker } => self.servers[server as usize]
-                .chunk_log
-                .set_worker_fault_plan(worker as usize, plan),
-        }
+        self.disk(device)?.set_fault_plan(plan);
         Ok(())
     }
 
     /// A device's operation counter — the index its next op gets, for
     /// `arm(d, FaultPlan::fail_at(device_ops(d)? + k))`. Validates the
     /// address like [`DebarCluster::arm`].
-    pub fn device_ops(&self, device: Device) -> DebarResult<u64> {
+    pub fn device_ops(&mut self, device: Device) -> DebarResult<u64> {
+        Ok(self.disk(device)?.ops())
+    }
+
+    /// The one `Device` → disk resolver: validates the address and finds
+    /// its disk, materializing a part or worker disk no sweep or drain has
+    /// engaged yet (its first op will be op 0).
+    fn disk(&mut self, device: Device) -> DebarResult<&mut SimDisk> {
         self.check_device(device)?;
         Ok(match device {
-            Device::RepoNode(node) => self.repo.node_disk_ops(node)?,
+            Device::RepoNode(node) => self.repo.node_disk_mut(node)?,
             Device::IndexPart { server, part } => self.servers[server as usize]
-                .index()
-                .part_disk_ops(part as usize),
+                .index_mut()
+                .part_disk_mut(part as usize),
             Device::LogWorker { server, worker } => self.servers[server as usize]
                 .chunk_log
-                .worker_disk_ops(worker as usize),
+                .worker_disks
+                .disk_mut(worker as usize),
         })
     }
 
@@ -227,13 +230,20 @@ impl DebarCluster {
         }
     }
 
-    /// Disarm every device in the deployment (armed and
-    /// fired-but-uncollected faults).
+    /// Disarm every device in the deployment.
     pub fn clear_fault_plans(&mut self) {
-        self.repo.clear_fault_plans();
-        for s in &mut self.servers {
-            s.index_mut().clear_fault_plan();
-            s.chunk_log.clear_fault_plan();
+        let nodes = (0..self.repo.node_count()).map(Device::RepoNode);
+        let servers = (0..self.servers.len() as ServerId).flat_map(|server| {
+            let parts = (0..self.cfg.sweep_parts as u32)
+                .map(move |part| Device::IndexPart { server, part });
+            let workers = (0..self.cfg.store_workers as u32)
+                .map(move |worker| Device::LogWorker { server, worker });
+            parts.chain(workers)
+        });
+        let devices: Vec<Device> = nodes.chain(servers).collect();
+        for device in devices {
+            // An address the live geometry has clamped away holds no plan.
+            let _ = self.arm(device, FaultPlan::none());
         }
     }
 
@@ -622,14 +632,14 @@ impl DebarCluster {
     /// Capacity scaling at cluster level (§4.1): double every server's
     /// index part in place. Returns the wall-clock cost of the slowest
     /// server's rebuild.
-    pub fn scale_up_indexes(&mut self) -> Secs {
+    pub fn scale_up_indexes(&mut self) -> DebarResult<Secs> {
         let t0 = self.align_clocks();
         for srv in &mut self.servers {
-            let t = srv.index_mut().scale_up();
+            let t = (srv.index_mut().scale_up()).map_err(|e| DebarError::index_fault(srv.id, e))?;
             srv.clock.advance(t.cost);
         }
         let t1 = self.align_clocks();
-        t1 - t0
+        Ok(t1 - t0)
     }
 
     /// Performance scaling at cluster level (§4.1/§5.2): double the number
@@ -666,9 +676,16 @@ impl DebarCluster {
         new_cfg.clamp_replication();
         new_cfg.validate()?;
         let t0 = self.align_clocks();
+        // A fault on a split's read leaves every server as it was.
+        let mut halves = Vec::with_capacity(self.servers.len());
+        for srv in &mut self.servers {
+            let t = (srv.index_mut().split(1)).map_err(|e| DebarError::index_fault(srv.id, e))?;
+            srv.clock.advance(t.cost);
+            halves.push(t.value);
+        }
         let old = std::mem::take(&mut self.servers);
-        for srv in old {
-            let (a, b) = srv.split_for_scale_out(new_cfg);
+        for (srv, parts) in old.into_iter().zip(halves) {
+            let (a, b) = srv.split_for_scale_out(new_cfg, parts);
             self.servers.push(a);
             self.servers.push(b);
         }
@@ -1205,7 +1222,7 @@ mod tests {
             .expect("backup");
         c.run_dedup2().expect("dedup2");
         let u_before = c.index_utilization();
-        let cost = c.scale_up_indexes();
+        let cost = c.scale_up_indexes().expect("no fault is armed");
         assert!(cost > 0.0);
         assert_eq!(c.index_entries(), 2000);
         assert!((c.index_utilization() - u_before / 2.0).abs() < 1e-9);
@@ -2249,21 +2266,19 @@ mod tests {
     /// Op counters and busy-time statistics of one server's index devices
     /// (part-disks, probe CPU): every second a sweep charges to the
     /// server's clock is the max of a disk and a CPU time in here.
-    fn index_devices(c: &DebarCluster, server: ServerId) -> impl PartialEq + std::fmt::Debug {
+    fn index_devices(c: &mut DebarCluster, server: ServerId) -> impl PartialEq + std::fmt::Debug {
+        let ops: Vec<_> = (0..4)
+            .map(|part| c.device_ops(Device::IndexPart { server, part }))
+            .collect();
         let index = c.server(server).index();
-        let parts: Vec<_> = (0..4)
-            .map(|part| {
-                (
-                    c.device_ops(Device::IndexPart { server, part }),
-                    index.part_disk_stats(part as usize),
-                )
-            })
+        let parts: Vec<_> = (ops.into_iter().enumerate())
+            .map(|(part, ops)| (ops, index.part_disk_stats(part)))
             .collect();
         (index.cpu_stats(), parts)
     }
 
     /// Op counters of one server's chunk-log worker disks.
-    fn log_devices(c: &DebarCluster, server: ServerId) -> Vec<DebarResult<u64>> {
+    fn log_devices(c: &mut DebarCluster, server: ServerId) -> Vec<DebarResult<u64>> {
         (0..2)
             .map(|worker| c.device_ops(Device::LogWorker { server, worker }))
             .collect()
@@ -2355,7 +2370,7 @@ mod tests {
             interrupting_device(&err),
             Some(Device::IndexPart { server: 0, part: 2 })
         );
-        assert_eq!(index_devices(&c, 1), index_devices(&clean, 1));
+        assert_eq!(index_devices(&mut c, 1), index_devices(&mut clean, 1));
         // ...and the sweep is on the clock: later than when nobody swept.
         let mut nobody_swept = two_striped_servers(2);
         arm(&mut nobody_swept, 0);
@@ -2397,7 +2412,7 @@ mod tests {
         assert_eq!(interrupting_device(&err), Some(LOG0));
         // Server 1 drained (one op on each worker disk, as in the clean
         // round) and was charged for it; its pack was never committed.
-        assert_eq!(log_devices(&c, 1), log_devices(&clean, 1));
+        assert_eq!(log_devices(&mut c, 1), log_devices(&mut clean, 1));
         assert_eq!(c.server(1).log_bytes(), logged, "pack dropped whole");
         let mut nobody_packed = two_striped_servers(2);
         arm(&mut nobody_packed, 0);
@@ -2424,7 +2439,7 @@ mod tests {
             matches!(err, DebarError::PartialSiu { device, .. } if device == part2),
             "{err}"
         );
-        assert_eq!(index_devices(&c, 1), index_devices(&clean, 1));
+        assert_eq!(index_devices(&mut c, 1), index_devices(&mut clean, 1));
         assert!(c.server(1).is_quiesced(), "server 1 registered");
         assert_eq!(index_digests(&c)[1], index_digests(&clean)[1]);
         assert_eq!(c.now(), clean.now());
@@ -2672,10 +2687,10 @@ mod tests {
         // second, no clock movement.
         let mut c = two_striped_servers(1);
         c.run_dedup2().expect("dedup2");
-        let devices = |c: &DebarCluster| [index_devices(c, 0), index_devices(c, 1)];
-        let (before, now) = (devices(&c), c.now());
+        let devices = |c: &mut DebarCluster| [index_devices(c, 0), index_devices(c, 1)];
+        let (before, now) = (devices(&mut c), c.now());
         let (reports, wall) = c.force_siu().expect("siu");
-        assert_eq!(devices(&c), before);
+        assert_eq!(devices(&mut c), before);
         assert_eq!((wall, c.now()), (0.0, now));
         assert!(reports.iter().all(|r| (r.parts, r.inserted) == (0, 0)));
     }
@@ -2760,7 +2775,7 @@ mod tests {
                         }
                     }
                     assert!(rides > 0, "{leg}");
-                    let index_ops = |c: &DebarCluster| -> u64 {
+                    let index_ops = |c: &mut DebarCluster| -> u64 {
                         let servers = 0..c.server_count() as ServerId;
                         (servers
                             .flat_map(|server| (0..parts as u32).map(move |part| (server, part))))
@@ -2770,7 +2785,7 @@ mod tests {
                     };
                     let disks = (riding.server_count() * parts) as u64;
                     assert_eq!(
-                        index_ops(&forced) - index_ops(&riding),
+                        index_ops(&mut forced) - index_ops(&mut riding),
                         rides * disks,
                         "{leg}: one read op less per part-disk and riding SIU"
                     );
@@ -2798,29 +2813,29 @@ mod tests {
             }
             c
         };
-        let ops = |c: &DebarCluster| -> Vec<u64> {
+        let ops = |c: &mut DebarCluster| -> Vec<u64> {
             (0..2u16)
                 .flat_map(|server| (0..4u32).map(move |part| Device::IndexPart { server, part }))
                 .map(|d| c.device_ops(d).expect("device"))
                 .collect()
         };
-        let delta = |c: &DebarCluster, from: &[u64]| -> Vec<u64> {
+        let delta = |c: &mut DebarCluster, from: &[u64]| -> Vec<u64> {
             ops(c).iter().zip(from).map(|(a, b)| a - b).collect()
         };
         let mut riding = build();
-        let before = ops(&riding);
+        let before = ops(&mut riding);
         let d3 = riding.run_dedup2().expect("round 3");
         assert!(d3.siu_ran && d3.siu_updates > 0);
         assert_eq!(d3.sil_sweeps, 2, "one PSIL sweep per server");
-        assert_eq!(delta(&riding, &before), [2; 8], "read + write");
+        assert_eq!(delta(&mut riding, &before), [2; 8], "read + write");
 
         let mut forced = build();
-        let before = ops(&forced);
+        let before = ops(&mut forced);
         forced.force_siu().expect("siu");
         let d3 = forced.run_dedup2().expect("round 3");
         assert_eq!(d3.siu_updates, 0, "nothing left to carry");
         assert_eq!(
-            delta(&forced, &before),
+            delta(&mut forced, &before),
             [3; 8],
             "SIU read + write, SIL read"
         );

@@ -1,0 +1,176 @@
+//! `fsck`: the cluster checks its own metadata against its storage.
+//!
+//! [`DebarCluster::fsck`] is read-only and uncharged — it ticks no device
+//! and moves no clock — so it can run after any call without moving a
+//! bench number. It walks two edges of the durable state and names the
+//! culprit of every discrepancy it finds:
+//!
+//! 1. **Runs → index.** Every fingerprint of every retained run's recipe
+//!    resolves through its owner index part, or through that server's
+//!    pending updates (what the next SIU registers; a pending mapping is
+//!    the newer one).
+//! 2. **Index → repository.** The container it resolves to exists, with a
+//!    clean copy on every node of its replica ring — `R` distinct nodes —
+//!    and each copy's metadata section lists the fingerprint. A copy on a
+//!    down node is its own kind, [`Discrepancy::UnderReplicated`]: it is
+//!    there, but no read reaches it until the node is revived or repaired.
+
+use super::DebarCluster;
+use crate::ids::{RunId, ServerId};
+use debar_hash::{ContainerId, Fingerprint, FpMap, FpSet};
+use std::collections::BTreeMap;
+
+/// One discrepancy [`DebarCluster::fsck`] found, naming its culprit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Discrepancy {
+    /// A fingerprint of `run` resolves neither through its owner
+    /// `server`'s index part nor through that server's pending updates.
+    Unresolved {
+        /// The first retained run (in run order) whose recipe needs it.
+        run: RunId,
+        /// The fingerprint.
+        fp: Fingerprint,
+        /// The server owning the index part it routes to.
+        server: ServerId,
+    },
+    /// `fp` resolves to `container`, which the repository does not hold
+    /// (never stored, or reclaimed).
+    MissingContainer {
+        /// The container the index names.
+        container: ContainerId,
+        /// The first fingerprint (in fingerprint order) resolving to it.
+        fp: Fingerprint,
+    },
+    /// `node`, on the container's replica ring, is down: its copy may be
+    /// there, but no read reaches it.
+    UnderReplicated {
+        /// The container.
+        container: ContainerId,
+        /// The down ring node.
+        node: usize,
+    },
+    /// `node`, an up node of the container's replica ring, holds no copy.
+    MissingCopy {
+        /// The container.
+        container: ContainerId,
+        /// The ring node without a copy.
+        node: usize,
+    },
+    /// The copy on `node` carries damage: it fails its checksum.
+    CorruptCopy {
+        /// The container.
+        container: ContainerId,
+        /// The node holding the damaged copy.
+        node: usize,
+    },
+    /// The copy on `node` does not list `fp` in its metadata section,
+    /// though the index resolves `fp` to this container.
+    ChunkNotListed {
+        /// The container.
+        container: ContainerId,
+        /// The node whose copy lacks it.
+        node: usize,
+        /// The fingerprint.
+        fp: Fingerprint,
+    },
+}
+
+/// What [`DebarCluster::fsck`] checked and found.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FsckReport {
+    /// Distinct fingerprints the retained runs reference.
+    pub fingerprints: u64,
+    /// Distinct containers they resolve to.
+    pub containers: u64,
+    /// Every discrepancy: check 1's in fingerprint order, then check 2's
+    /// in container order, each container's by ring node.
+    pub discrepancies: Vec<Discrepancy>,
+}
+
+impl FsckReport {
+    /// Whether nothing was found.
+    pub fn is_clean(&self) -> bool {
+        self.discrepancies.is_empty()
+    }
+}
+
+impl DebarCluster {
+    /// Check the durable state against itself (see the module docs):
+    /// every retained run's fingerprints resolve, and every container
+    /// they resolve to has `R` clean copies on its ring listing them.
+    /// Read-only and uncharged: no device op, no clock move.
+    pub fn fsck(&self) -> FsckReport {
+        let mut report = FsckReport::default();
+        // Each fingerprint with the first retained run that needs it.
+        let mut runs: Vec<_> = self.director.metadata.retained_runs().collect();
+        runs.sort_by_key(|rec| rec.run);
+        let mut needed: BTreeMap<Fingerprint, RunId> = BTreeMap::new();
+        for rec in runs {
+            for fp in rec.files.iter().flat_map(|f| &f.fingerprints) {
+                needed.entry(*fp).or_insert(rec.run);
+            }
+        }
+        report.fingerprints = needed.len() as u64;
+        // Check 1: runs → index. The last pending mapping of a fingerprint
+        // is the one the next SIU leaves.
+        let pending: Vec<FpMap<ContainerId>> = (self.servers.iter())
+            .map(|srv| srv.pending_updates().iter().copied().collect())
+            .collect();
+        let mut held: BTreeMap<ContainerId, Vec<Fingerprint>> = BTreeMap::new();
+        for (fp, run) in needed {
+            let owner = fp.server_number(self.cfg.w_bits) as usize;
+            let resolved = (pending[owner].get(&fp).copied())
+                .or_else(|| self.servers[owner].index().lookup_uncharged(&fp));
+            match resolved {
+                Some(cid) => held.entry(cid).or_default().push(fp),
+                None => report.discrepancies.push(Discrepancy::Unresolved {
+                    run,
+                    fp,
+                    server: owner as ServerId,
+                }),
+            }
+        }
+        report.containers = held.len() as u64;
+        // Check 2: index → repository.
+        for (container, fps) in held {
+            self.check_copies(container, &fps, &mut report.discrepancies);
+        }
+        report
+    }
+
+    /// Check 2 for one container and the fingerprints resolving to it.
+    fn check_copies(
+        &self,
+        container: ContainerId,
+        fps: &[Fingerprint],
+        out: &mut Vec<Discrepancy>,
+    ) {
+        let repo = &self.repo;
+        if !repo.contains(container) {
+            let fp = fps[0];
+            out.push(Discrepancy::MissingContainer { container, fp });
+            return;
+        }
+        for node in repo.replica_nodes(container) {
+            if repo.is_node_down(node) == Ok(true) {
+                out.push(Discrepancy::UnderReplicated { container, node });
+                continue;
+            }
+            let Some((copy, damage)) = repo.nodes()[node].copy(container) else {
+                out.push(Discrepancy::MissingCopy { container, node });
+                continue;
+            };
+            if damage.is_some() {
+                out.push(Discrepancy::CorruptCopy { container, node });
+            }
+            let listed: FpSet = copy.fingerprints().collect();
+            out.extend((fps.iter().filter(|fp| !listed.contains(fp))).map(|&fp| {
+                Discrepancy::ChunkNotListed {
+                    container,
+                    node,
+                    fp,
+                }
+            }));
+        }
+    }
+}

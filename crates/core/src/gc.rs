@@ -99,16 +99,17 @@
 //!   the same sequence.
 //! * **What a redo finds.** Victims whose outputs all became durable are
 //!   gone ([`debar_store::ChunkRepository::locate`] is `None`: index
-//!   removal only). A victim that was waiting — for the output whose store
-//!   faulted, or for a second one — is still there, and the chunks an
+//!   removal only); one whose free faulted keeps a copy, read whole-dead
+//!   and freed again. A victim that was waiting — for the output whose
+//!   store faulted, or for a second one — is still there, and the chunks an
 //!   earlier output took from it no longer resolve to it: copy-aware
 //!   liveness skips them as dead copies, the redo refills the failed
 //!   output with exactly the chunks it held, and the IDs, index bytes and
 //!   physical bytes are those of an uninterrupted collection.
 //! * **Index sweeps abort before mutation.** Each server's GC sweep
-//!   charges its striped read+write I/O and checks fault plans *before*
-//!   touching a byte ([`debar_index::DiskIndex::gc_sweep`]); summary
-//!   removals are tied to each server's *successful* sweep, so a redo
+//!   charges its striped read+write I/O *before* touching a byte
+//!   ([`debar_index::DiskIndex::gc_sweep`]); summary removals are tied
+//!   to each server's *successful* sweep, so a redo
 //!   never double-removes (which could hurt a colliding live key).
 //! * **Read caches are invalidated** on every exit path that may have
 //!   deleted a container, so a stale LPC mapping never serves a read.

@@ -38,8 +38,9 @@ pub enum Device {
     /// One repository node's disk.
     RepoNode(usize),
     /// One part-disk of a server's striped index volume. Part 0 is the
-    /// volume: it also carries the un-striped index I/O (random lookups,
-    /// capacity scaling).
+    /// volume: it also carries the un-striped index I/O — a restore's
+    /// random lookups, capacity scaling, a scale-out's split — each op
+    /// failing with its own fault, naming this part.
     IndexPart {
         /// The server owning the index part.
         server: ServerId,

@@ -333,7 +333,7 @@ pub mod metadata;
 pub mod report;
 pub mod server;
 
-pub use cluster::{DebarCluster, GcReport};
+pub use cluster::{DebarCluster, Discrepancy, FsckReport, GcReport};
 pub use config::DebarConfig;
 pub use dataset::{ChunkedFile, Dataset, FileContent, FileEntry, StreamChunk};
 pub use debar_simio::RetryPolicy;

@@ -213,11 +213,12 @@
 
 use super::DebarCluster;
 use crate::error::{DebarError, DebarResult};
-use crate::ids::RunId;
+use crate::ids::{RunId, ServerId};
 use crate::metadata::{FileIndexEntry, RunRecord};
 use crate::report::{LayoutReport, RestoreReport};
 use crate::server::{BackupServer, CachedContainer};
 use debar_hash::{ContainerId, Fingerprint, FpMap, Sha1};
+use debar_index::IndexError;
 use debar_simio::{Lane, Secs, Timed};
 use debar_store::{ChunkRepository, CorruptKind, LpcCache, LpcStats, NodeRead, Payload, ReadLegs};
 use std::collections::{HashMap, HashSet};
@@ -634,7 +635,8 @@ impl RestoreWalk<'_> {
             Some(cid) => cid,
             None => {
                 let owner = fp.server_number(self.w_bits) as usize;
-                let found = lookup_with_owner(self.servers, sid, owner, fp);
+                let found = lookup_with_owner(self.servers, sid, owner, fp)
+                    .map_err(|e| DebarError::index_fault(owner as ServerId, e))?;
                 lanes.lookup(found.cost);
                 let cid = found.value.ok_or(DebarError::MissingChunk {
                     fp: *fp,
@@ -738,22 +740,23 @@ impl RestoreWalk<'_> {
 /// when the owner is remote, the request and the reply — one 64-byte
 /// message each way. The devices tick here (the owner's index disk; for
 /// a remote owner also both NICs and the owner's clock, busy serving);
-/// the caller charges the returned cost to its own timeline.
+/// the caller charges the returned cost to its own timeline, or the
+/// owner's index fault.
 fn lookup_with_owner(
     servers: &mut [BackupServer],
     sid: usize,
     owner: usize,
     fp: &Fingerprint,
-) -> Timed<Option<ContainerId>> {
+) -> Result<Timed<Option<ContainerId>>, IndexError> {
     if sid == owner {
         return servers[sid].index_mut().lookup_random(fp);
     }
     let request = servers[sid].nic.message(64);
     let srv = &mut servers[owner];
-    let found = srv.index_mut().lookup_random(fp);
+    let found = srv.index_mut().lookup_random(fp)?;
     let reply = srv.nic.message(64);
     srv.clock.advance(found.cost + reply);
-    found.plus(request + reply)
+    Ok(found.plus(request + reply))
 }
 
 /// Verify a restored payload against its fingerprint: real bytes must hash

@@ -696,6 +696,11 @@ impl BackupServer {
         }
     }
 
+    /// The `(fingerprint, container)` mappings the next SIU registers.
+    pub(crate) fn pending_updates(&self) -> &[(Fingerprint, ContainerId)] {
+        &self.pending_updates
+    }
+
     /// Whether the server is quiescent (no staged dedup-2 work) — the
     /// precondition for online scaling.
     pub fn is_quiesced(&self) -> bool {
@@ -707,17 +712,16 @@ impl BackupServer {
     }
 
     /// Performance scaling (§4.1): split this server into two servers with
-    /// ids `2·id` and `2·id + 1`, each owning half the index part (routing
-    /// gains one prefix bit). Requires quiescence.
+    /// ids `2·id` and `2·id + 1`, each owning one of `parts`, the halves
+    /// [`DiskIndex::split`] made (routing gains one prefix bit). Requires
+    /// quiescence.
     pub(crate) fn split_for_scale_out(
-        mut self,
+        self,
         new_cfg: DebarConfig,
+        mut parts: Vec<DiskIndex>,
     ) -> (BackupServer, BackupServer) {
         assert!(self.is_quiesced(), "scale-out requires a quiesced server");
         let old_id = self.id;
-        let t = self.index.split(1);
-        self.clock.advance(t.cost);
-        let mut parts = t.value;
         let part1 = parts.pop().expect("two parts");
         let part0 = parts.pop().expect("two parts");
         let a = Self::with_index(old_id * 2, new_cfg, part0, self.clock.clone());

@@ -243,7 +243,8 @@ impl DdfsServer {
                 }
                 // 4. Random index lookup.
                 self.stats.index_lookups += 1;
-                let t = self.index.lookup_random(&rec.fp);
+                let t = (self.index.lookup_random(&rec.fp))
+                    .expect("no fault plan is ever armed on the baseline's index");
                 let found = self.clock.charge(t);
                 match found {
                     Some(cid) => {

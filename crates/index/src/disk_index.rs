@@ -6,7 +6,8 @@
 //! the index reports that it needs capacity scaling (§4.1/§4.2).
 //!
 //! All I/O costs are charged through one owned device bank, a
-//! [`PartDiskSet`], and returned as [`Timed`] values. Striped sequential
+//! [`PartDiskSet`], and returned as [`Timed`] values — or as the
+//! [`IndexError`] of the fault the op fired. Striped sequential
 //! sweeps for SIL/SIU (implemented in [`crate::sweep`]) charge one real
 //! `SimDisk` per sweep partition — each with its own op counter, queue
 //! and armable fault plan — and complete at the slowest part. **Part-disk
@@ -18,11 +19,12 @@
 use crate::entry::{
     block_entries, block_find, block_full, block_push, block_set_cid, IndexEntry, BLOCK_BYTES,
 };
+use crate::error::IndexError;
 use crate::params::IndexParams;
 use debar_hash::SplitMix64;
 use debar_hash::{ContainerId, Fingerprint, FpSet};
 use debar_simio::models::paper;
-use debar_simio::{DiskModel, PartDiskSet, Secs, SimCpu, Timed};
+use debar_simio::{DiskModel, PartDiskSet, PartFault, Secs, SimCpu, SimDisk, Timed};
 
 /// Result of a random-path insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +37,9 @@ pub enum InsertOutcome {
     /// (capacity scaling) before this fingerprint can be inserted.
     NeedsScaling,
 }
+
+/// An un-striped op of `bytes` on a disk: what the volume is charged with.
+type VolumeOp = fn(&mut SimDisk, u64) -> debar_simio::Charge;
 
 /// The DEBAR disk index.
 #[derive(Debug, Clone)]
@@ -50,7 +55,7 @@ pub struct DiskIndex {
     /// with its own op counter, queue and armable fault plan (the
     /// per-spindle decomposition of §5.2); part 0 doubles as the volume
     /// for un-striped work. Sized lazily to each sweep's clamped
-    /// partition count; see [`DiskIndex::set_part_fault_plan`].
+    /// partition count; see [`DiskIndex::part_disk_mut`].
     pub(crate) part_disks: PartDiskSet,
     cpu: SimCpu,
     entries: u64,
@@ -130,28 +135,14 @@ impl DiskIndex {
         self.cpu.stats()
     }
 
-    /// Arm a deterministic fault schedule (see `debar_simio::fault`) on
-    /// **one part-disk** (materializing it if no sweep has engaged it
-    /// yet). A fault on part `p > 0` fires only when a sweep charges that
-    /// partition; part 0 also carries the un-striped ops. The sweeps
-    /// (`try_sequential_lookup_sharded`, `try_sequential_update_sharded`,
-    /// [`DiskIndex::try_bulk_load_striped`], [`DiskIndex::gc_sweep`])
-    /// surface it as an [`crate::IndexError`] whose `part` names the
-    /// failing part-disk.
-    pub fn set_part_fault_plan(&mut self, part: usize, plan: debar_simio::FaultPlan) {
-        self.part_disks.set_fault_plan(part, plan);
-    }
-
-    /// Disarm all faults on every part-disk.
-    pub fn clear_fault_plan(&mut self) {
-        self.part_disks.clear_fault_plans();
-    }
-
-    /// Operation counter of one part-disk, for arming `FaultPlan`s
-    /// relative to "the next op" (0 if no sweep has engaged it yet — its
-    /// first op will be op 0).
-    pub fn part_disk_ops(&self, part: usize) -> u64 {
-        self.part_disks.ops(part)
+    /// One part-disk, materialized if no sweep has engaged it yet — the
+    /// device a `debar_simio::FaultPlan` is armed on and whose op counter
+    /// says "the next op". A fault on part `p > 0` fires only when a sweep
+    /// charges that partition; part 0 also carries the un-striped ops.
+    /// Every op that charges the part fails with it, as an
+    /// [`IndexError`] whose `part` names the failing part-disk.
+    pub fn part_disk_mut(&mut self, part: usize) -> &mut SimDisk {
+        self.part_disks.disk_mut(part)
     }
 
     /// I/O statistics of one striped part-disk, if materialized.
@@ -187,16 +178,41 @@ impl DiskIndex {
     /// Charge one physical striped **read** sweep: each part-disk reads
     /// its own byte share, and the returned wall time is the max over
     /// per-part completion times.
-    pub(crate) fn charge_sweep_read(&mut self, bounds: &[u64]) -> Secs {
+    pub(crate) fn charge_sweep_read(&mut self, bounds: &[u64]) -> Result<Secs, PartFault> {
         let bytes = self.part_bytes(bounds);
         self.part_disks.seq_read_split(&bytes)
     }
 
     /// Charge one physical striped **write** sweep (see
     /// [`DiskIndex::charge_sweep_read`]).
-    pub(crate) fn charge_sweep_write(&mut self, bounds: &[u64]) -> Secs {
+    pub(crate) fn charge_sweep_write(&mut self, bounds: &[u64]) -> Result<Secs, PartFault> {
         let bytes = self.part_bytes(bounds);
         self.part_disks.seq_write_split(&bytes)
+    }
+
+    /// Charge `bytes` of un-striped I/O to the volume with `op`.
+    pub(crate) fn on_volume(&mut self, op: VolumeOp, bytes: u64) -> Result<Secs, IndexError> {
+        op(self.part_disks.volume_mut(), bytes).map_err(|f| f.on(0).into())
+    }
+
+    /// Run `op`, which charges this index's devices and may change its
+    /// contents: when it fails, the contents are what `durable` makes of
+    /// those it started from, the devices keep what `op` charged. Only an
+    /// index with a fault armed can fail, so only that one pays the copy.
+    pub(crate) fn or_durable<T>(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<T, IndexError>,
+        durable: impl FnOnce(&mut DiskIndex, &IndexError),
+    ) -> Result<T, IndexError> {
+        let before = self.part_disks.has_armed_faults().then(|| self.clone());
+        let result = op(self);
+        if let (Err(e), Some(mut before)) = (&result, before) {
+            durable(&mut before, e);
+            std::mem::swap(&mut before.part_disks, &mut self.part_disks);
+            std::mem::swap(&mut before.cpu, &mut self.cpu);
+            *self = before;
+        }
+        result
     }
 
     pub(crate) fn cpu_mut(&mut self) -> &mut SimCpu {
@@ -250,39 +266,48 @@ impl DiskIndex {
 
     /// Random-path insert (one bucket read + one bucket write, plus extra
     /// I/O when overflowing) — the conventional approach DEBAR's SIU
-    /// replaces; kept for the random-update baseline (Fig. 11).
-    pub fn insert_random(&mut self, fp: Fingerprint, cid: ContainerId) -> Timed<InsertOutcome> {
+    /// replaces; kept for the random-update baseline (Fig. 11). A fault
+    /// on any of its ops is [`IndexError::SweepFault`] on part 0, and the
+    /// entry is not placed.
+    pub fn insert_random(
+        &mut self,
+        fp: Fingerprint,
+        cid: ContainerId,
+    ) -> Result<Timed<InsertOutcome>, IndexError> {
         let bucket_bytes = self.params.bucket_bytes as u64;
-        let mut cost = self.part_disks.volume_mut().rand_read(bucket_bytes);
-        let outcome = self.place(&IndexEntry::new(fp, cid));
-        let disk = self.part_disks.volume_mut();
-        match outcome {
-            InsertOutcome::Home => cost += disk.rand_write(bucket_bytes),
-            InsertOutcome::Adjacent(_) => {
+        let insert = |idx: &mut Self| {
+            let mut cost = idx.on_volume(SimDisk::rand_read, bucket_bytes)?;
+            let outcome = idx.place(&IndexEntry::new(fp, cid));
+            let then: &[VolumeOp] = match outcome {
+                InsertOutcome::Home => &[SimDisk::rand_write],
                 // Read the neighbour(s) + write the one that accepted.
-                cost += disk.rand_read(bucket_bytes);
-                cost += disk.rand_write(bucket_bytes);
+                InsertOutcome::Adjacent(_) => &[SimDisk::rand_read, SimDisk::rand_write],
+                InsertOutcome::NeedsScaling => &[SimDisk::rand_read, SimDisk::rand_read],
+            };
+            for &op in then {
+                cost += idx.on_volume(op, bucket_bytes)?;
             }
-            InsertOutcome::NeedsScaling => {
-                cost += disk.rand_read(bucket_bytes);
-                cost += disk.rand_read(bucket_bytes);
-            }
-        }
-        Timed::new(outcome, cost)
+            Ok(Timed::new(outcome, cost))
+        };
+        self.or_durable(insert, |_, _| {})
     }
 
     /// Random-path lookup (the Venti regime: one random I/O per
-    /// fingerprint, two when the home bucket has overflowed, §4.2).
-    pub fn lookup_random(&mut self, fp: &Fingerprint) -> Timed<Option<ContainerId>> {
+    /// fingerprint, two when the home bucket has overflowed, §4.2). A
+    /// fault on a bucket read is [`IndexError::SweepFault`] on part 0.
+    pub fn lookup_random(
+        &mut self,
+        fp: &Fingerprint,
+    ) -> Result<Timed<Option<ContainerId>>, IndexError> {
         let bucket_bytes = self.params.bucket_bytes as u64;
         let view = self.view();
         let (found, buckets_read) = view.resolve(view.bucket_of(fp), fp, &mut None);
-        let mut cost = self.part_disks.volume_mut().rand_read(bucket_bytes);
+        let mut cost = self.on_volume(SimDisk::rand_read, bucket_bytes)?;
         cost += self.cpu.probe_fps(1);
         for _ in 1..buckets_read {
-            cost += self.part_disks.volume_mut().rand_read(bucket_bytes);
+            cost += self.on_volume(SimDisk::rand_read, bucket_bytes)?;
         }
-        Timed::new(found, cost)
+        Ok(Timed::new(found, cost))
     }
 
     /// In-memory lookup without I/O charges (test/verification helper).
@@ -344,13 +369,17 @@ impl DiskIndex {
 
     /// Place an entry, transparently enlarging the index (capacity scaling)
     /// whenever the home bucket and both neighbours are full. Returns the
-    /// scaling cost incurred (zero in the common case).
-    pub(crate) fn place_with_growth(&mut self, e: &IndexEntry) -> Timed<InsertOutcome> {
+    /// scaling cost incurred (zero in the common case), or the fault of a
+    /// scaling op.
+    pub(crate) fn place_with_growth(
+        &mut self,
+        e: &IndexEntry,
+    ) -> Result<Timed<InsertOutcome>, IndexError> {
         let mut cost = 0.0;
         loop {
             match self.place(e) {
-                InsertOutcome::NeedsScaling => cost += self.scale_up().cost,
-                out => return Timed::new(out, cost),
+                InsertOutcome::NeedsScaling => cost += self.scale_up()?.cost,
+                out => return Ok(Timed::new(out, cost)),
             }
         }
     }
@@ -376,31 +405,25 @@ impl DiskIndex {
     /// Callers must guarantee the fingerprints are distinct and absent;
     /// duplicates would be double-inserted.
     ///
-    /// Fault-checked: any fault fired during the load — by a
-    /// capacity-scaling op on part 0 or on a single part-disk of the
-    /// striped write sweep — surfaces as
-    /// [`crate::IndexError::SweepFault`] naming the failing part-disk
-    /// (lowest part first when several fired). The in-memory load has
-    /// already happened when the fault is detected; recovery callers treat
-    /// the rebuild as failed and re-run it from scratch (the rebuild
-    /// resets the part first, so a retry converges).
+    /// A fault on a capacity-scaling op on part 0 or on the striped write
+    /// sweep is [`IndexError::SweepFault`] naming the failing part-disk,
+    /// the load stopping there; recovery callers treat the rebuild as
+    /// failed and re-run it from scratch (the rebuild resets the part
+    /// first, so a retry converges).
     pub fn try_bulk_load_striped(
         &mut self,
         entries: impl IntoIterator<Item = (Fingerprint, ContainerId)>,
         parts: usize,
-    ) -> Result<Timed<u64>, crate::IndexError> {
+    ) -> Result<Timed<u64>, IndexError> {
         let mut loaded = 0u64;
         let mut extra = 0.0;
         for (fp, cid) in entries {
-            extra += self.place_with_growth(&IndexEntry::new(fp, cid)).cost;
+            extra += self.place_with_growth(&IndexEntry::new(fp, cid))?.cost;
             loaded += 1;
         }
         let bounds = self.resolve_sweep_bounds(parts);
-        let cost = self.charge_sweep_write(&bounds);
-        match self.part_disks.take_fault() {
-            Some((part, fault)) => Err(crate::IndexError::SweepFault { fault, part }),
-            None => Ok(Timed::new(loaded, cost + extra)),
-        }
+        let cost = self.charge_sweep_write(&bounds)?;
+        Ok(Timed::new(loaded, cost + extra))
     }
 
     /// Garbage-collection sweep: remove every entry whose fingerprint is
@@ -409,13 +432,13 @@ impl DiskIndex {
     /// way SIU does, sequentially). Returns the number of entries
     /// removed.
     ///
-    /// **Crash consistency:** both sweep charges are fault-checked
-    /// *before* any byte of the index changes — a faulted GC sweep
-    /// surfaces [`crate::IndexError::SweepFault`] (naming the faulted
-    /// part-disk) and leaves the part untouched, so
-    /// re-running the sweep after clearing the fault converges to the
-    /// byte-identical result of an uninterrupted sweep. The in-memory
-    /// mutation is modeled as the shadow-write swap of the write sweep.
+    /// **Crash consistency:** a faulted GC sweep — either sweep charge,
+    /// or a scaling op as the survivors are re-placed — surfaces
+    /// [`IndexError::SweepFault`] (naming the faulted part-disk) and
+    /// leaves the part untouched, so re-running the sweep after clearing
+    /// the fault converges to the byte-identical result of an
+    /// uninterrupted sweep. The in-memory mutation is modeled as the
+    /// shadow-write swap of the write sweep.
     ///
     /// **Determinism:** surviving entries are re-placed in bucket
     /// iteration order (home-then-adjacent, direction derived from the
@@ -424,20 +447,15 @@ impl DiskIndex {
     /// bucket is full — even when removals open holes in previously-full
     /// buckets. Placement depends only on the pre-sweep contents and the
     /// dead set, never on `parts`: striped shapes stay byte-identical.
-    pub fn gc_sweep(
-        &mut self,
-        dead: &FpSet,
-        parts: usize,
-    ) -> Result<Timed<u64>, crate::IndexError> {
+    pub fn gc_sweep(&mut self, dead: &FpSet, parts: usize) -> Result<Timed<u64>, IndexError> {
+        self.or_durable(|idx| idx.gc_pass(dead, parts), |_, _| {})
+    }
+
+    /// [`DiskIndex::gc_sweep`]'s charges and rebuild.
+    fn gc_pass(&mut self, dead: &FpSet, parts: usize) -> Result<Timed<u64>, IndexError> {
         let bounds = self.resolve_sweep_bounds(parts);
-        let mut cost = self.charge_sweep_read(&bounds);
-        if let Some((part, fault)) = self.part_disks.take_fault() {
-            return Err(crate::IndexError::SweepFault { fault, part });
-        }
-        cost += self.charge_sweep_write(&bounds);
-        if let Some((part, fault)) = self.part_disks.take_fault() {
-            return Err(crate::IndexError::SweepFault { fault, part });
-        }
+        let mut cost = self.charge_sweep_read(&bounds)?;
+        cost += self.charge_sweep_write(&bounds)?;
         cost += self.cpu.probe_fps(self.entries);
         let survivors: Vec<IndexEntry> = self
             .iter_entries()
@@ -451,7 +469,7 @@ impl DiskIndex {
         self.entries = 0;
         let mut extra = 0.0;
         for e in &survivors {
-            extra += self.place_with_growth(e).cost;
+            extra += self.place_with_growth(e)?.cost;
         }
         Ok(Timed::new(removed, cost + extra))
     }
@@ -461,35 +479,45 @@ impl DiskIndex {
     /// of its fingerprint (2k or 2k+1 for non-overflowed entries).
     ///
     /// Charged as one sequential read of the old index plus one sequential
-    /// write of the new, doubled index.
-    pub fn scale_up(&mut self) -> Timed<()> {
+    /// write of the new, doubled index, on the volume. A fault on either
+    /// (or on a nested scaling op) is [`IndexError::SweepFault`] on part 0,
+    /// and the index keeps its old geometry and entries.
+    pub fn scale_up(&mut self) -> Result<Timed<()>, IndexError> {
+        self.or_durable(Self::double, |_, _| {})
+    }
+
+    /// [`DiskIndex::scale_up`]'s rebuild and charges: the rebuilt index
+    /// replaces this one, devices and all, even when one of its ops
+    /// faults — [`DiskIndex::or_durable`] then puts the old contents back.
+    fn double(&mut self) -> Result<Timed<()>, IndexError> {
         let old_bytes = self.params.total_bytes();
         let new_params = self.params.scaled_up();
-        let mut fresh = DiskIndex {
+        let model = self.part_disks.model();
+        let fresh = DiskIndex {
             params: new_params,
             skip_bits: self.skip_bits,
             data: vec![0u8; new_params.total_bytes() as usize],
             // Part-disks survive scaling (their queues and fault plans
             // are device state).
-            part_disks: self.part_disks.clone(),
+            part_disks: std::mem::replace(&mut self.part_disks, PartDiskSet::new(model)),
             cpu: self.cpu.clone(),
             entries: 0,
             rng: self.rng.fork(),
         };
+        let old = std::mem::replace(self, fresh);
         let mut extra = 0.0;
-        for e in self.iter_entries() {
+        for e in old.iter_entries() {
             // Overflow during re-placement is essentially impossible at
             // realistic geometries (utilization halves), but tiny test
             // indexes can cluster; grow again rather than fail.
-            extra += fresh.place_with_growth(&e).cost;
+            extra += self.place_with_growth(&e)?.cost;
         }
-        let new_bytes = fresh.params.total_bytes();
-        let mut cost = fresh.part_disks.volume_mut().seq_read(old_bytes);
-        cost += fresh.part_disks.volume_mut().seq_write(new_bytes);
-        cost += fresh.cpu.probe_fps(fresh.entries);
-        debug_assert_eq!(fresh.entries, self.entries);
-        *self = fresh;
-        Timed::new((), cost + extra)
+        let new_bytes = self.params.total_bytes();
+        let mut cost = self.on_volume(SimDisk::seq_read, old_bytes)?;
+        cost += self.on_volume(SimDisk::seq_write, new_bytes)?;
+        cost += self.cpu.probe_fps(self.entries);
+        debug_assert_eq!(self.entries, old.entries);
+        Ok(Timed::new((), cost + extra))
     }
 
     /// Performance scaling (§4.1/§5.2): split into `2^w` equal parts; part
@@ -499,8 +527,10 @@ impl DiskIndex {
     /// hosted by backup server `p`).
     ///
     /// Charged as a sequential read of the whole index plus a sequential
-    /// write of each part (each charged to the new part's own volume).
-    pub fn split(mut self, w_bits: u32) -> Timed<Vec<DiskIndex>> {
+    /// write of each part (each charged to the new part's own volume). A
+    /// fault on the read is [`IndexError::SweepFault`] on part 0, and this
+    /// index is left whole.
+    pub fn split(&mut self, w_bits: u32) -> Result<Timed<Vec<DiskIndex>>, IndexError> {
         let part_params = self.params.split_part(w_bits);
         let model = self.part_disks.model();
         let new_skip = self.skip_bits + w_bits;
@@ -512,17 +542,17 @@ impl DiskIndex {
         for e in self.iter_entries() {
             // Selector: bits [skip_bits, skip_bits + w) of the fingerprint.
             let server = e.fp.route(self.skip_bits, new_skip).1;
-            extra += parts[server as usize].place_with_growth(&e).cost;
+            extra += parts[server as usize].place_with_growth(&e)?.cost;
             moved += 1;
         }
         debug_assert_eq!(moved, self.entries);
         let old_bytes = self.params.total_bytes();
-        let mut cost = self.part_disks.volume_mut().seq_read(old_bytes);
+        let mut cost = self.on_volume(SimDisk::seq_read, old_bytes)?;
         for part in &mut parts {
             let bytes = part.params.total_bytes();
-            cost += part.part_disks.volume_mut().seq_write(bytes);
+            cost += part.on_volume(SimDisk::seq_write, bytes)?;
         }
-        Timed::new(parts, cost + extra)
+        Ok(Timed::new(parts, cost + extra))
     }
 }
 
@@ -650,22 +680,75 @@ mod tests {
     fn insert_then_lookup() {
         let mut idx = small_index(1);
         for i in 0..100u64 {
-            idx.insert_random(fp(i), ContainerId::new(i));
+            idx.insert_random(fp(i), ContainerId::new(i))
+                .expect("no fault is armed");
         }
         assert_eq!(idx.entry_count(), 100);
         for i in 0..100u64 {
-            let got = idx.lookup_random(&fp(i));
+            let got = idx.lookup_random(&fp(i)).expect("no fault is armed");
             assert_eq!(got.value, Some(ContainerId::new(i)), "missing fp {i}");
             assert!(got.cost > 0.0);
         }
-        assert_eq!(idx.lookup_random(&fp(1000)).value, None);
+        assert_eq!(
+            idx.lookup_random(&fp(1000))
+                .expect("no fault is armed")
+                .value,
+            None
+        );
+    }
+
+    #[test]
+    fn random_ops_and_scaling_fail_with_their_own_fault() {
+        use debar_simio::{FaultKind, FaultPlan, InjectedFault};
+        let mut idx = small_index(9);
+        let part0 = |op| IndexError::SweepFault {
+            fault: InjectedFault {
+                op,
+                kind: FaultKind::Fail,
+            },
+            part: 0,
+        };
+        let arm = |idx: &mut DiskIndex, k: u64| {
+            let at = idx.part_disks.ops(0) + k;
+            idx.part_disk_mut(0).set_fault_plan(FaultPlan::fail_at(at));
+            at
+        };
+        // An insert's bucket read, then its write: nothing is placed.
+        for k in 0..2 {
+            let at = arm(&mut idx, k);
+            let got = idx.insert_random(fp(1), ContainerId::new(1));
+            assert_eq!(got.map(|t| t.value), Err(part0(at)));
+            assert_eq!(idx.entry_count(), 0, "op +{k}");
+        }
+        idx.insert_random(fp(1), ContainerId::new(1))
+            .expect("the retry places it");
+        // A lookup's bucket read.
+        let at = arm(&mut idx, 0);
+        assert_eq!(idx.lookup_random(&fp(1)).map(|t| t.value), Err(part0(at)));
+        let found = idx.lookup_random(&fp(1)).expect("clean").value;
+        assert_eq!(found, Some(ContainerId::new(1)));
+        // Capacity scaling's read, then its write, and a split's read: the
+        // index keeps its geometry and entries.
+        let before = idx.clone();
+        for k in 0..2 {
+            let at = arm(&mut idx, k);
+            assert_eq!(idx.scale_up().map(|t| t.value), Err(part0(at)));
+            assert_eq!(idx.params(), before.params(), "op +{k}");
+            assert!(idx.raw_data() == before.raw_data(), "op +{k}");
+        }
+        let at = arm(&mut idx, 0);
+        assert_eq!(idx.split(1).map(|t| t.value.len()), Err(part0(at)));
+        assert!(idx.raw_data() == before.raw_data());
+        idx.scale_up().expect("clean");
+        assert_eq!(idx.params().n_bits, before.params().n_bits + 1);
     }
 
     #[test]
     fn lookup_cost_matches_random_io_model() {
         let mut idx = small_index(2);
-        idx.insert_random(fp(1), ContainerId::new(1));
-        let t = idx.lookup_random(&fp(1));
+        idx.insert_random(fp(1), ContainerId::new(1))
+            .expect("no fault is armed");
+        let t = idx.lookup_random(&fp(1)).expect("no fault is armed");
         // ~1/522 s for the bucket read (+ negligible CPU probe).
         assert!(
             (t.cost - 1.0 / 522.0).abs() / t.cost < 0.05,
@@ -688,7 +771,11 @@ mod tests {
         assert!(same_bucket.len() == 25, "need 25 colliding fingerprints");
         let mut adjacent = 0;
         for f in &same_bucket {
-            match idx.insert_random(*f, ContainerId::new(7)).value {
+            match idx
+                .insert_random(*f, ContainerId::new(7))
+                .expect("no fault is armed")
+                .value
+            {
                 InsertOutcome::Home => {}
                 InsertOutcome::Adjacent(k) => {
                     adjacent += 1;
@@ -701,7 +788,10 @@ mod tests {
         assert_eq!(adjacent, 5, "bucket capacity is 20; 5 must overflow");
         // All entries still findable (second random I/O for overflowed).
         for f in &same_bucket {
-            assert_eq!(idx.lookup_random(f).value, Some(ContainerId::new(7)));
+            assert_eq!(
+                idx.lookup_random(f).expect("no fault is armed").value,
+                Some(ContainerId::new(7))
+            );
         }
     }
 
@@ -732,7 +822,9 @@ mod tests {
             .find(|f| f.bucket_number(6) == target && idx.lookup_uncharged(f).is_none())
             .unwrap();
         assert_eq!(
-            idx.insert_random(extra, ContainerId::new(2)).value,
+            idx.insert_random(extra, ContainerId::new(2))
+                .expect("no fault is armed")
+                .value,
             InsertOutcome::NeedsScaling
         );
     }
@@ -741,13 +833,18 @@ mod tests {
     fn scale_up_preserves_entries_and_rehomes() {
         let mut idx = small_index(5);
         for i in 0..800u64 {
-            if idx.insert_random(fp(i), ContainerId::new(i)).value == InsertOutcome::NeedsScaling {
+            if idx
+                .insert_random(fp(i), ContainerId::new(i))
+                .expect("no fault is armed")
+                .value
+                == InsertOutcome::NeedsScaling
+            {
                 panic!("unexpected scaling at {i}")
             }
         }
         let before: Vec<(Fingerprint, ContainerId)> =
             idx.iter_entries().map(|e| (e.fp, e.cid)).collect();
-        let t = idx.scale_up();
+        let t = idx.scale_up().expect("no fault is armed");
         assert!(t.cost > 0.0);
         assert_eq!(idx.params().n_bits, 7);
         assert_eq!(idx.entry_count(), 800);
@@ -770,10 +867,11 @@ mod tests {
     fn scale_up_doubles_capacity_and_halves_utilization() {
         let mut idx = small_index(6);
         for i in 0..640u64 {
-            idx.insert_random(fp(i), ContainerId::new(0));
+            idx.insert_random(fp(i), ContainerId::new(0))
+                .expect("no fault is armed");
         }
         let u_before = idx.utilization();
-        idx.scale_up();
+        idx.scale_up().expect("no fault is armed");
         let u_after = idx.utilization();
         assert!((u_after - u_before / 2.0).abs() < 1e-9);
     }
@@ -782,9 +880,10 @@ mod tests {
     fn split_partitions_by_prefix() {
         let mut idx = small_index(7);
         for i in 0..1000u64 {
-            idx.insert_random(fp(i), ContainerId::new(i));
+            idx.insert_random(fp(i), ContainerId::new(i))
+                .expect("no fault is armed");
         }
-        let parts = idx.split(2).value;
+        let parts = idx.split(2).expect("no fault is armed").value;
         assert_eq!(parts.len(), 4);
         let total: u64 = parts.iter().map(|p| p.entry_count()).sum();
         assert_eq!(total, 1000);
@@ -807,7 +906,8 @@ mod tests {
     #[test]
     fn set_cid_uncharged_updates_in_place() {
         let mut idx = small_index(8);
-        idx.insert_random(fp(1), ContainerId::NULL);
+        idx.insert_random(fp(1), ContainerId::NULL)
+            .expect("no fault is armed");
         assert!(idx.set_cid_uncharged(&fp(1), ContainerId::new(3)));
         assert_eq!(idx.lookup_uncharged(&fp(1)), Some(ContainerId::new(3)));
         assert_eq!(idx.entry_count(), 1, "update must not add entries");
@@ -819,7 +919,7 @@ mod tests {
         use debar_simio::FaultPlan;
         let mut idx = small_index(30);
         // Arm part 1 of a 4-way striped rebuild before any sweep exists.
-        idx.set_part_fault_plan(1, FaultPlan::fail_at(0));
+        idx.part_disk_mut(1).set_fault_plan(FaultPlan::fail_at(0));
         let entries: Vec<_> = (0..100u64).map(|i| (fp(i), ContainerId::new(i))).collect();
         let err = idx
             .try_bulk_load_striped(entries.clone(), 4)
@@ -839,7 +939,8 @@ mod tests {
     fn gc_sweep_removes_dead_and_keeps_live_reachable() {
         let mut idx = small_index(31);
         for i in 0..400u64 {
-            idx.insert_random(fp(i), ContainerId::new(i));
+            idx.insert_random(fp(i), ContainerId::new(i))
+                .expect("no fault is armed");
         }
         let dead: FpSet = (0..400u64).filter(|i| i % 3 == 0).map(fp).collect();
         let t = idx.gc_sweep(&dead, 4).expect("clean sweep");
@@ -847,7 +948,7 @@ mod tests {
         assert!(t.cost > 0.0);
         assert_eq!(idx.entry_count(), 400 - dead.len() as u64);
         for i in 0..400u64 {
-            let got = idx.lookup_random(&fp(i)).value;
+            let got = idx.lookup_random(&fp(i)).expect("no fault is armed").value;
             if i % 3 == 0 {
                 assert_eq!(got, None, "dead fp {i} survived the sweep");
             } else {
@@ -860,7 +961,8 @@ mod tests {
     fn gc_sweep_noop_when_nothing_dead() {
         let mut idx = small_index(32);
         for i in 0..50u64 {
-            idx.insert_random(fp(i), ContainerId::new(i));
+            idx.insert_random(fp(i), ContainerId::new(i))
+                .expect("no fault is armed");
         }
         let before = Sha1::digest(idx.raw_data());
         let absent: FpSet = (1000..1010u64).map(fp).collect();
@@ -880,12 +982,18 @@ mod tests {
         let mut faulty = small_index(33);
         let mut clean = small_index(33);
         for i in 0..300u64 {
-            faulty.insert_random(fp(i), ContainerId::new(i));
-            clean.insert_random(fp(i), ContainerId::new(i));
+            faulty
+                .insert_random(fp(i), ContainerId::new(i))
+                .expect("no fault is armed");
+            clean
+                .insert_random(fp(i), ContainerId::new(i))
+                .expect("no fault is armed");
         }
         let dead: FpSet = (0..300u64).filter(|i| i % 5 == 0).map(fp).collect();
         let before = Sha1::digest(faulty.raw_data());
-        faulty.set_part_fault_plan(2, FaultPlan::fail_at(0));
+        faulty
+            .part_disk_mut(2)
+            .set_fault_plan(FaultPlan::fail_at(0));
         let err = faulty
             .gc_sweep(&dead, 4)
             .expect_err("armed part must fault the sweep");
@@ -923,14 +1031,15 @@ mod tests {
             .take(25)
             .collect();
         for f in &same_bucket {
-            idx.insert_random(*f, ContainerId::new(7));
+            idx.insert_random(*f, ContainerId::new(7))
+                .expect("no fault is armed");
         }
         // Kill 10 of the colliding keys: the home bucket is no longer full.
         let dead: FpSet = same_bucket.iter().take(10).copied().collect();
         idx.gc_sweep(&dead, 1).expect("clean sweep");
         for f in same_bucket.iter().skip(10) {
             assert_eq!(
-                idx.lookup_random(f).value,
+                idx.lookup_random(f).expect("no fault is armed").value,
                 Some(ContainerId::new(7)),
                 "survivor unreachable after rebuild"
             );
@@ -942,7 +1051,8 @@ mod tests {
         let mut idx = small_index(9);
         assert_eq!(idx.utilization(), 0.0);
         for i in 0..128u64 {
-            idx.insert_random(fp(i), ContainerId::new(0));
+            idx.insert_random(fp(i), ContainerId::new(0))
+                .expect("no fault is armed");
         }
         assert!((idx.utilization() - 128.0 / 1280.0).abs() < 1e-12);
     }
@@ -954,7 +1064,7 @@ mod tests {
         fn prop_insert_lookup_roundtrip(seed: u64, count in 1u64..300) {
             let mut idx = small_index(seed);
             for i in 0..count {
-                idx.insert_random(fp(i.wrapping_mul(seed | 1)), ContainerId::new(i));
+                idx.insert_random(fp(i.wrapping_mul(seed | 1)), ContainerId::new(i)).expect("no fault is armed");
             }
             for i in 0..count {
                 let f = fp(i.wrapping_mul(seed | 1));
@@ -966,9 +1076,9 @@ mod tests {
         fn prop_scale_preserves_all(seed: u64, count in 1u64..400) {
             let mut idx = small_index(seed);
             for i in 0..count {
-                idx.insert_random(fp(i), ContainerId::new(i % 100));
+                idx.insert_random(fp(i), ContainerId::new(i % 100)).expect("no fault is armed");
             }
-            idx.scale_up();
+            idx.scale_up().expect("no fault is armed");
             for i in 0..count {
                 proptest::prop_assert_eq!(idx.lookup_uncharged(&fp(i)), Some(ContainerId::new(i % 100)));
             }

@@ -1,14 +1,14 @@
 //! Typed index errors — the index-layer half of the DEBAR error taxonomy
 //! (`debar_core::DebarError` wraps these).
 
-use debar_simio::InjectedFault;
+use debar_simio::{InjectedFault, PartFault};
 use std::fmt;
 
 /// A fallible disk-index sweep's error.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexError {
-    /// A sweep's disk operation failed; nothing of the batch was applied
+    /// An index disk operation failed; nothing of the batch was applied
     /// (SIL read sweeps and failed SIU write sweeps are all-or-nothing).
     SweepFault {
         /// The injected fault that fired.
@@ -43,6 +43,15 @@ impl IndexError {
     pub fn part(&self) -> u32 {
         match self {
             IndexError::SweepFault { part, .. } | IndexError::PartialSweep { part, .. } => *part,
+        }
+    }
+}
+
+impl From<PartFault> for IndexError {
+    fn from(f: PartFault) -> Self {
+        IndexError::SweepFault {
+            fault: f.fault,
+            part: f.part,
         }
     }
 }

@@ -47,8 +47,8 @@
 //! charged (below), while the in-memory work is the same single merge-join
 //! pass over the whole sorted batch at any `P`. Results, hit order and
 //! index bytes therefore cannot depend on `P`, and no OS thread is spawned.
-//! Both are fault-checked: a caller that arms no [`debar_simio::FaultPlan`]
-//! can never see the `Err` arm.
+//! Both fail with the fault their own ops fired: a caller that arms no
+//! [`debar_simio::FaultPlan`] can never see the `Err` arm.
 //!
 //! # Physical part-disks
 //!
@@ -70,13 +70,13 @@
 //!   part-disk bank — growth adds fresh disks, shrink drops the top disks
 //!   (never part 0) along with any faults still armed on them.
 //! * **Fault targeting**: a [`debar_simio::FaultPlan`] is armed on one
-//!   part-disk ([`DiskIndex::set_part_fault_plan`]; one op per part per
-//!   sweep direction, plus the un-striped ops on part 0) and takes out
-//!   that partition's share of the sweep; the sweeps surface it as an
-//!   [`IndexError`] whose `part` names the failing part-disk. Each
-//!   checked operation reports **one** fault — the lowest armed part —
-//!   and a sibling armed in the same window stays pending until the next
-//!   checked boundary.
+//!   part-disk ([`DiskIndex::part_disk_mut`]; one op per part per sweep
+//!   direction, plus the un-striped ops on part 0) and takes out that
+//!   partition's share of the sweep; the sweep fails with it, an
+//!   [`IndexError`] whose `part` names the failing part-disk. A sweep
+//!   reports **one** fault — the lowest faulted part — and a sibling that
+//!   faulted on the same sweep is spent with it: no fault outlives the
+//!   sweep that fired it.
 //!
 //! # One kernel per sweep
 //!
@@ -110,7 +110,7 @@ use crate::disk_index::{DiskIndex, InsertOutcome};
 use crate::entry::IndexEntry;
 use crate::error::IndexError;
 use debar_hash::{ContainerId, Fingerprint};
-use debar_simio::{Secs, Timed};
+use debar_simio::{FaultKind, Secs, SimDisk, Timed};
 
 /// Outcome of one SIL sweep.
 #[derive(Debug, Clone)]
@@ -186,11 +186,14 @@ impl DiskIndex {
     /// [`DiskIndex::lookup_uncharged`] (home bucket plus both neighbours on
     /// every miss, cache-node order). Kept for benchmarking and for the
     /// equivalence property tests; results are identical to
-    /// [`DiskIndex::try_sequential_lookup_sharded`].
-    pub fn sequential_lookup_hashed(&mut self, cache: &mut IndexCache) -> Timed<SilReport> {
+    /// [`DiskIndex::try_sequential_lookup_sharded`], faults included.
+    pub fn sequential_lookup_hashed(
+        &mut self,
+        cache: &mut IndexCache,
+    ) -> Result<Timed<SilReport>, IndexError> {
         let total = self.params().total_bytes();
         let submitted = cache.len();
-        let sweep = self.part_disks.volume_mut().seq_read(total);
+        let sweep = self.on_volume(SimDisk::seq_read, total)?;
         let mut duplicates = Vec::new();
         let mut hits = Vec::new();
         for node in cache.iter() {
@@ -205,7 +208,7 @@ impl DiskIndex {
             duplicates.push(node);
         }
         let probe = self.cpu_mut().probe_fps(submitted as u64);
-        Timed::new(
+        Ok(Timed::new(
             SilReport {
                 duplicates,
                 submitted,
@@ -214,7 +217,7 @@ impl DiskIndex {
                 parts: 1,
             },
             sweep.max(probe),
-        )
+        ))
     }
 
     /// The shared SIU kernel: classify the whole canonical batch, then
@@ -224,14 +227,16 @@ impl DiskIndex {
     /// rides on. `apply_limit < sorted.len()` models a torn write sweep
     /// (only a prefix of the updates became durable); an unfaulted sweep
     /// passes the full length. Returns the report, the I/O seconds (the
-    /// read, any capacity scaling, the write) and the merge CPU seconds.
+    /// read, any capacity scaling, the write) and the merge CPU seconds —
+    /// or an op's fault, a torn write sweep's as the first half's
+    /// [`IndexError::PartialSweep`].
     fn update_kernel(
         &mut self,
         sorted: &[(Fingerprint, ContainerId)],
         bounds: &[u64],
         apply_limit: usize,
         read: Secs,
-    ) -> (SiuReport, Secs, Secs) {
+    ) -> Result<(SiuReport, Secs, Secs), IndexError> {
         let parts = bounds.len() as u32;
         // ---- Classify against the pre-batch state (grouped merge-join
         //      probing). ----
@@ -262,16 +267,26 @@ impl DiskIndex {
                 debug_assert!(ok, "classified-existing fingerprint not found");
                 report.updated += 1;
             } else {
-                cost += self.place_counted(fp, cid, &mut report);
+                cost += self.place_counted(fp, cid, &mut report)?;
             }
         }
         // Capacity scaling mid-apply may have changed the bucket count;
         // the write sweep re-resolves the layout over the live geometry.
         let wbounds = self.resolve_sweep_bounds(parts as usize);
-        cost += self.charge_sweep_write(&wbounds);
+        cost += self
+            .charge_sweep_write(&wbounds)
+            .map_err(|f| match f.fault.kind {
+                FaultKind::TornWrite => IndexError::PartialSweep {
+                    applied: (sorted.len() / 2) as u64,
+                    total: sorted.len() as u64,
+                    fault: f.fault,
+                    part: f.part,
+                },
+                _ => f.into(),
+            })?;
         let merge = self.cpu_mut().probe_fps_striped(sorted.len() as u64, parts);
         report.utilization_after = self.utilization();
-        (report, cost, merge)
+        Ok((report, cost, merge))
     }
 
     /// Resolve the cache's batch against the index as it stands, in one
@@ -308,14 +323,15 @@ impl DiskIndex {
     /// ([`DiskIndex::lookup_uncharged`] + in-place overwrite) over the
     /// canonically sorted batch. Kept for benchmarking
     /// and equivalence tests; byte-identical to
-    /// [`DiskIndex::try_sequential_update_sharded`].
+    /// [`DiskIndex::try_sequential_update_sharded`] when no fault fires (a
+    /// fault is part 0's [`IndexError::SweepFault`], and no crash model).
     pub fn sequential_update_scalar(
         &mut self,
         updates: &[(Fingerprint, ContainerId)],
-    ) -> Timed<SiuReport> {
+    ) -> Result<Timed<SiuReport>, IndexError> {
         let sorted = self.canonical_updates(updates);
         let total_before = self.params().total_bytes();
-        let mut cost = self.part_disks.volume_mut().seq_read(total_before);
+        let mut cost = self.on_volume(SimDisk::seq_read, total_before)?;
         let mut report = SiuReport {
             parts: 1,
             ..SiuReport::default()
@@ -327,13 +343,13 @@ impl DiskIndex {
                 report.updated += 1;
                 continue;
             }
-            cost += self.place_counted(fp, cid, &mut report);
+            cost += self.place_counted(fp, cid, &mut report)?;
         }
         let total_after = self.params().total_bytes();
-        cost += self.part_disks.volume_mut().seq_write(total_after);
+        cost += self.on_volume(SimDisk::seq_write, total_after)?;
         let merge = self.cpu_mut().probe_fps(sorted.len() as u64);
         report.utilization_after = self.utilization();
-        Timed::new(report, cost.max(merge))
+        Ok(Timed::new(report, cost.max(merge)))
     }
 
     /// Sequential index lookup (§5.2, Fig. 4) with merge-join probing.
@@ -351,29 +367,19 @@ impl DiskIndex {
     /// Returns duplicates (with their container IDs) and leaves the new
     /// fingerprints in `cache`.
     ///
-    /// Fault-checked: if a [`debar_simio::FaultPlan`] on any part-disk of
-    /// the stripe arms a fault on this sweep's read op, the sweep charges
-    /// its disk time, consumes the fault and returns
-    /// [`IndexError::SweepFault`] (`part` naming the failing part-disk)
-    /// **without touching the cache** — the caller re-submits the same
-    /// batch after recovery and converges to the uninterrupted result.
+    /// If a [`debar_simio::FaultPlan`] on any part-disk of the stripe
+    /// arms a fault on this sweep's read op, the sweep charges its disk
+    /// time and returns [`IndexError::SweepFault`] (`part` naming the
+    /// lowest failing part-disk) **without touching the cache** — the
+    /// caller re-submits the same batch after recovery and converges to
+    /// the uninterrupted result.
     pub fn try_sequential_lookup_sharded(
         &mut self,
         cache: &mut IndexCache,
         parts: usize,
     ) -> Result<Timed<SilReport>, IndexError> {
-        // The "next checked boundary" rule: a fault fired by an unchecked
-        // operation (e.g. a capacity-scaling sweep) surfaces here.
-        if let Some((part, fault)) = self.part_disks.take_fault() {
-            return Err(IndexError::SweepFault { fault, part });
-        }
         let bounds = self.resolve_sweep_bounds(parts);
-        let sweep = self.charge_sweep_read(&bounds);
-        // One error per checked op: the lowest faulted part is reported,
-        // a sibling that fired on the same sweep stays pending.
-        if let Some((part, fault)) = self.part_disks.take_fault() {
-            return Err(IndexError::SweepFault { fault, part });
-        }
+        let sweep = self.charge_sweep_read(&bounds)?;
         let parts = bounds.len() as u32;
         let submitted = cache.len();
         let (duplicates, probe) = self.probe_cache(cache, parts);
@@ -401,10 +407,11 @@ impl DiskIndex {
     /// slowest) and the merge CPU at the even `1/parts` share; the index
     /// bytes are the same at any `parts`.
     ///
-    /// Fault-checked. An SIU sweep performs two disk ops on every engaged
-    /// part-disk — the read sweep, then the write sweep:
+    /// An SIU sweep performs two disk ops on every engaged part-disk — the
+    /// read sweep, then the write sweep — and on part 0 two more per
+    /// capacity scaling between them:
     ///
-    /// * a fault on the **read** op applies nothing
+    /// * a fault on the **read** op or a **scaling** op applies nothing
     ///   ([`IndexError::SweepFault`]);
     /// * an outright failure or bit flip on the **write** op loses the
     ///   whole in-place update ([`IndexError::SweepFault`], nothing
@@ -441,8 +448,8 @@ impl DiskIndex {
     /// the larger of the read + write (+ any capacity scaling) and the
     /// merge + probe CPU, and the [`SilReport`]'s `sweep_secs` is the read.
     ///
-    /// Fault-checked like the SIU, two ops on every engaged part-disk: a
-    /// fault on either op leaves the cache untouched, and the index holds
+    /// It fails like the SIU, two ops on every engaged part-disk: a fault
+    /// on either op leaves the cache untouched, and the index holds
     /// nothing of the batch or, after a torn write, its canonical prefix
     /// ([`IndexError::PartialSweep`]). Re-running the same updates and
     /// batch converges to the uninterrupted result.
@@ -465,89 +472,71 @@ impl DiskIndex {
         cache: Option<&mut IndexCache>,
         parts: usize,
     ) -> Result<Timed<(SiuReport, SilReport)>, IndexError> {
-        // The "next checked boundary" rule (see the lookup counterpart).
-        if let Some((part, fault)) = self.part_disks.take_fault() {
-            return Err(IndexError::SweepFault { fault, part });
-        }
         let bounds = self.resolve_sweep_bounds(parts);
-        let Some((armed_part, spec)) = self.part_disks.peek_fault(2) else {
-            let sorted = self.canonical_updates(updates);
-            let read = self.charge_sweep_read(&bounds);
-            let (report, io, merge) = self.update_kernel(&sorted, &bounds, sorted.len(), read);
-            let parts = bounds.len() as u32;
-            let (duplicates, submitted, probe) = match cache {
-                Some(cache) => {
-                    let submitted = cache.len();
-                    let (duplicates, probe) = self.probe_cache(cache, parts);
-                    (duplicates, submitted, probe)
-                }
-                None => (Vec::new(), 0, 0.0),
-            };
-            let sil = SilReport {
-                duplicates,
-                submitted,
-                sweep_secs: read,
-                probe_secs: probe,
-                parts,
-            };
-            return Ok(Timed::new((report, sil), io.max(merge + probe)));
+        let sorted = self.canonical_updates(updates);
+        // What a faulted sweep leaves durable: nothing of the batch, or
+        // after a torn write its canonical prefix, applied to the index
+        // the sweep started from (with no plan left to fire there).
+        let durable = |idx: &mut DiskIndex, e: &IndexError| {
+            if let IndexError::PartialSweep { applied, .. } = *e {
+                idx.part_disks.clear_fault_plans();
+                (idx.update_kernel(&sorted, &bounds, applied as usize, 0.0))
+                    .expect("no fault is armed on the prefix");
+            }
         };
-        let total = updates.len() as u64;
-        let on_read = spec.at_op == self.part_disks.ops(armed_part as usize);
-        let apply_limit = if !on_read && spec.kind == debar_simio::FaultKind::TornWrite {
-            updates.len() / 2
-        } else {
-            0
+        self.or_durable(|idx| idx.update_pass(&sorted, &bounds, cache), durable)
+    }
+
+    /// [`DiskIndex::update_sweep`]'s charges and merge: read, merge the
+    /// canonical batch `sorted`, write back, then probe the riding batch.
+    fn update_pass(
+        &mut self,
+        sorted: &[(Fingerprint, ContainerId)],
+        bounds: &[u64],
+        cache: Option<&mut IndexCache>,
+    ) -> Result<Timed<(SiuReport, SilReport)>, IndexError> {
+        let read = self.charge_sweep_read(bounds)?;
+        let (report, io, merge) = self.update_kernel(sorted, bounds, sorted.len(), read)?;
+        let parts = bounds.len() as u32;
+        let (duplicates, submitted, probe) = match cache {
+            Some(cache) => {
+                let submitted = cache.len();
+                let (duplicates, probe) = self.probe_cache(cache, parts);
+                (duplicates, submitted, probe)
+            }
+            None => (Vec::new(), 0, 0.0),
         };
-        // The read sweep is charged either way; a fault on it applies
-        // nothing. A fault on the write sweep (torn or outright) runs the
-        // kernel with a limited apply prefix, which charges the write.
-        let read = self.charge_sweep_read(&bounds);
-        if !on_read {
-            let sorted = self.canonical_updates(updates);
-            let _ = self.update_kernel(&sorted, &bounds, apply_limit, read);
-        }
-        // Attribute the error to the disk whose peeked spec drove the
-        // on-read/torn decision above; faults armed on other disks in the
-        // same window stay pending and surface at the next checked
-        // boundary (multiple simultaneously-armed disks are a harness
-        // construction — one error per checked operation keeps the
-        // decision and the report consistent).
-        let fault = self
-            .part_disks
-            .take_fault_on(armed_part as usize)
-            .expect("peeked fault fires within the sweep's ops");
-        if !on_read && spec.kind == debar_simio::FaultKind::TornWrite {
-            Err(IndexError::PartialSweep {
-                applied: apply_limit as u64,
-                total,
-                fault,
-                part: armed_part,
-            })
-        } else {
-            Err(IndexError::SweepFault {
-                fault,
-                part: armed_part,
-            })
-        }
+        let sil = SilReport {
+            duplicates,
+            submitted,
+            sweep_secs: read,
+            probe_secs: probe,
+            parts,
+        };
+        Ok(Timed::new((report, sil), io.max(merge + probe)))
     }
 
     /// Insert a new entry, counting outcomes and scaling as needed.
-    fn place_counted(&mut self, fp: Fingerprint, cid: ContainerId, report: &mut SiuReport) -> Secs {
+    fn place_counted(
+        &mut self,
+        fp: Fingerprint,
+        cid: ContainerId,
+        report: &mut SiuReport,
+    ) -> Result<Secs, IndexError> {
         let mut cost = 0.0;
         loop {
             match self.place(&IndexEntry::new(fp, cid)) {
                 InsertOutcome::Home => {
                     report.inserted += 1;
-                    return cost;
+                    return Ok(cost);
                 }
                 InsertOutcome::Adjacent(_) => {
                     report.inserted += 1;
                     report.overflowed += 1;
-                    return cost;
+                    return Ok(cost);
                 }
                 InsertOutcome::NeedsScaling => {
-                    cost += self.scale_up().cost;
+                    cost += self.scale_up()?.cost;
                     report.scale_events += 1;
                 }
             }
@@ -577,6 +566,13 @@ mod tests {
         c
     }
 
+    /// Arm `plan` at op `next + k` of part-disk `part`, `next` being the op
+    /// its next charge gets.
+    fn arm(idx: &mut DiskIndex, part: usize, k: u64, plan: fn(u64) -> debar_simio::FaultPlan) {
+        let at = idx.part_disks.ops(part) + k;
+        idx.part_disk_mut(part).set_fault_plan(plan(at));
+    }
+
     /// One unfaulted SIL sweep on `parts` partitions.
     fn sil(idx: &mut DiskIndex, cache: &mut IndexCache, parts: usize) -> Timed<SilReport> {
         idx.try_sequential_lookup_sharded(cache, parts)
@@ -601,7 +597,7 @@ mod tests {
         siu(&mut idx, &updates, 1);
         let mut cache = cache_of(200..600);
         let before = cache.len();
-        idx.set_part_fault_plan(0, FaultPlan::fail_at(idx.part_disk_ops(0)));
+        arm(&mut idx, 0, 0, FaultPlan::fail_at);
         let err = idx
             .try_sequential_lookup_sharded(&mut cache, 2)
             .expect_err("armed fault must fire");
@@ -628,7 +624,7 @@ mod tests {
 
         // Torn write sweep: only half the canonical batch lands.
         let mut torn = index(41);
-        torn.set_part_fault_plan(0, FaultPlan::torn_write_at(torn.part_disk_ops(0) + 1));
+        arm(&mut torn, 0, 1, FaultPlan::torn_write_at);
         let err = torn
             .try_sequential_update_sharded(&updates, 1)
             .expect_err("torn write must surface");
@@ -666,7 +662,7 @@ mod tests {
         siu(&mut clean, &updates, 1);
         for write_op in [0u64, 1] {
             let mut faulted = index(42);
-            faulted.set_part_fault_plan(0, FaultPlan::fail_at(faulted.part_disk_ops(0) + write_op));
+            arm(&mut faulted, 0, write_op, FaultPlan::fail_at);
             let err = faulted
                 .try_sequential_update_sharded(&updates, 4)
                 .expect_err("fault fires");
@@ -691,7 +687,7 @@ mod tests {
         let mut cache = cache_of(0..400);
         let before = cache.len();
         // Arm part-disk 2 only; its siblings stay clean.
-        idx.set_part_fault_plan(2, FaultPlan::fail_at(idx.part_disk_ops(2)));
+        arm(&mut idx, 2, 0, FaultPlan::fail_at);
         let err = idx
             .try_sequential_lookup_sharded(&mut cache, 4)
             .expect_err("single-part fault must fire");
@@ -720,7 +716,7 @@ mod tests {
         // Outright failure on part 1's write op: all-or-nothing.
         let mut faulted = index(51);
         siu(&mut faulted, &[], 4); // materialize part disks
-        faulted.set_part_fault_plan(1, FaultPlan::fail_at(faulted.part_disk_ops(1) + 1));
+        arm(&mut faulted, 1, 1, FaultPlan::fail_at);
         let err = faulted
             .try_sequential_update_sharded(&updates, 4)
             .expect_err("part write fault fires");
@@ -737,7 +733,7 @@ mod tests {
         // Torn write on part 3: canonical half-prefix durable, then redo.
         let mut torn = index(51);
         siu(&mut torn, &[], 4);
-        torn.set_part_fault_plan(3, FaultPlan::torn_write_at(torn.part_disk_ops(3) + 1));
+        arm(&mut torn, 3, 1, FaultPlan::torn_write_at);
         let err = torn
             .try_sequential_update_sharded(&updates, 4)
             .expect_err("torn part write fires");
@@ -760,48 +756,85 @@ mod tests {
     }
 
     #[test]
-    fn two_parts_armed_in_one_window_report_one_at_a_time() {
+    fn two_parts_armed_in_one_window_report_the_lowest_and_spend_the_other() {
         use debar_simio::FaultPlan;
-        // Faults armed on two part-disks in the same sweep window: the
-        // error is attributed to the peeked disk (lowest part first) and
-        // the sibling's fault stays pending, surfacing at the next checked
-        // boundary — decision and report always refer to the same disk.
+        // Faults armed on two part-disks for the same sweep: the error
+        // names the lowest, and the sibling's fault is spent with that
+        // failed sweep — the retry is clean, and nothing is left to surface
+        // at a later call.
         let mut idx = index(54);
         let updates: Vec<_> = (0..300u64).map(|i| (fp(i), ContainerId::new(i))).collect();
         siu(&mut idx, &updates, 4);
-        idx.set_part_fault_plan(0, FaultPlan::fail_at(idx.part_disk_ops(0)));
-        idx.set_part_fault_plan(3, FaultPlan::fail_at(idx.part_disk_ops(3)));
+        arm(&mut idx, 0, 0, FaultPlan::fail_at);
+        arm(&mut idx, 3, 0, FaultPlan::fail_at);
         let mut cache = cache_of(0..300);
         let err = idx
             .try_sequential_lookup_sharded(&mut cache, 4)
-            .expect_err("lowest armed part reported first");
+            .expect_err("both armed parts fire");
         assert!(
             matches!(err, IndexError::SweepFault { part: 0, .. }),
             "{err:?}"
         );
-        let ops = idx.part_disk_ops(3);
-        let err = idx
-            .try_sequential_lookup_sharded(&mut cache, 4)
-            .expect_err("sibling surfaces at the next boundary");
         assert!(
-            matches!(err, IndexError::SweepFault { part: 3, .. }),
-            "{err:?}"
+            !idx.part_disks.has_armed_faults(),
+            "part 3's fault is spent"
         );
-        assert_eq!(
-            idx.part_disk_ops(3),
-            ops,
-            "boundary collection charges no op"
-        );
+        let ops = part_ops(&idx, 4);
         let rep = idx
             .try_sequential_lookup_sharded(&mut cache, 4)
-            .expect("clean after both collected")
+            .expect("the retry is clean")
             .value;
         assert_eq!(rep.duplicates.len(), 300);
+        let after: Vec<u64> = part_ops(&idx, 4).iter().map(|o| o - 1).collect();
+        assert_eq!(after, ops, "one op per part");
+    }
+
+    #[test]
+    fn a_fault_on_the_last_op_of_a_scaling_siu_is_that_siu_s_error() {
+        use debar_simio::{FaultKind, FaultPlan, InjectedFault};
+        // Two buckets and 200 updates: the SIU scales its capacity between
+        // its read and its write sweep, so the write is op 7 of part 0. A
+        // `Fail` there is the SIU's own typed error naming part 0 — not
+        // the next sweep's — the index keeps nothing of the batch, the
+        // redo reaches the clean twin's bytes, and the next SIL is clean.
+        let probe = || DiskIndex::with_paper_disk(IndexParams::new(1, 512), 6);
+        let updates: Vec<_> = (0..200u64).map(|i| (fp(i), ContainerId::new(i))).collect();
+        let mut clean = probe();
+        let rep = siu(&mut clean, &updates, 1).value;
+        let last = clean.part_disks.ops(0) - 1;
+        assert!(rep.scale_events > 0, "{rep:?}");
+        assert_eq!(
+            last, 7,
+            "three doublings, two ops each, between read and write"
+        );
+
+        let mut idx = probe();
+        arm(&mut idx, 0, last, FaultPlan::fail_at);
+        let err = idx
+            .try_sequential_update_sharded(&updates, 1)
+            .expect_err("the write sweep fails");
+        let fault = InjectedFault {
+            op: last,
+            kind: FaultKind::Fail,
+        };
+        assert_eq!(err, IndexError::SweepFault { fault, part: 0 });
+        assert_eq!(idx.entry_count(), 0, "all-or-nothing");
+        assert_eq!(
+            idx.params(),
+            probe().params(),
+            "the scalings are undone too"
+        );
+        assert_eq!(idx.part_disks.ops(0), last + 1, "every op was charged");
+        siu(&mut idx, &updates, 1);
+        assert!(idx.raw_data() == clean.raw_data(), "the redo converges");
+        let mut cache = cache_of(0..300);
+        let rep = sil(&mut idx, &mut cache, 1).value;
+        assert_eq!((rep.duplicates.len(), cache.len()), (200, 100));
     }
 
     /// Op counters of the part-disks `0..parts`.
     fn part_ops(idx: &DiskIndex, parts: usize) -> Vec<u64> {
-        (0..parts).map(|p| idx.part_disk_ops(p)).collect()
+        (0..parts).map(|p| idx.part_disks.ops(p)).collect()
     }
 
     #[test]
@@ -877,12 +910,12 @@ mod tests {
             ] {
                 let leg = format!("part {part} op +{op} {kind:?}");
                 let mut idx = faulted_base.clone();
-                let at = idx.part_disk_ops(part) + op;
+                let at = idx.part_disks.ops(part) + op;
                 let plan = match kind {
                     FaultKind::TornWrite => FaultPlan::torn_write_at(at),
                     _ => FaultPlan::fail_at(at),
                 };
-                idx.set_part_fault_plan(part, plan);
+                idx.part_disk_mut(part).set_fault_plan(plan);
                 let mut cache = cache_of(2000..3500);
                 let err = idx
                     .try_sequential_update_lookup_sharded(&updates, &mut cache, 2)
@@ -912,8 +945,8 @@ mod tests {
         siu(&mut idx, &updates, parts);
         let mut cache = cache_of(200..600);
         sil(&mut idx, &mut cache, parts);
-        idx.lookup_random(&fp(1));
-        idx.scale_up();
+        idx.lookup_random(&fp(1)).expect("no fault is armed");
+        idx.scale_up().expect("no fault is armed");
         let dead: FpSet = (0..400u64).filter(|i| i % 3 == 0).map(fp).collect();
         idx.gc_sweep(&dead, parts).expect("clean sweep");
         idx
@@ -928,12 +961,12 @@ mod tests {
         let one = mixed_sequence(1);
         assert!(one.part_disk_stats(1).is_none(), "a one-part bank");
         assert_eq!(Some(one.disk_stats()), one.part_disk_stats(0));
-        assert_eq!(one.part_disk_ops(0), 8);
+        assert_eq!(one.part_disks.ops(0), 8);
         // Four partitions: un-striped ops still land on part 0 only, and
         // the merged statistics keep the whole-volume byte totals.
         let four = mixed_sequence(4);
-        assert_eq!(four.part_disk_ops(0), 8);
-        assert_eq!(four.part_disk_ops(3), 5, "sweeps only");
+        assert_eq!(four.part_disks.ops(0), 8);
+        assert_eq!(four.part_disks.ops(3), 5, "sweeps only");
         for stats in [one.disk_stats(), four.disk_stats()] {
             assert_eq!(stats.seq_read_bytes, 655_360);
             assert_eq!(stats.seq_write_bytes, 655_360);
@@ -950,7 +983,7 @@ mod tests {
         let mut idx = index(52);
         let updates: Vec<_> = (0..200u64).map(|i| (fp(i), ContainerId::new(i))).collect();
         siu(&mut idx, &updates, 4);
-        idx.set_part_fault_plan(3, FaultPlan::fail_at(idx.part_disk_ops(3)));
+        arm(&mut idx, 3, 0, FaultPlan::fail_at);
         let mut cache = cache_of(0..200);
         let rep = idx
             .try_sequential_lookup_sharded(&mut cache, 2)
@@ -1018,7 +1051,7 @@ mod tests {
         let t = sil(&mut idx, &mut cache, 1);
         let sil_fps_per_s = batch / t.cost;
 
-        let rand_cost = idx.lookup_random(&fp(1)).cost;
+        let rand_cost = idx.lookup_random(&fp(1)).expect("no fault is armed").cost;
         let rand_fps_per_s = 1.0 / rand_cost;
         assert!(
             sil_fps_per_s > 50.0 * rand_fps_per_s,
@@ -1206,7 +1239,10 @@ mod tests {
         siu(&mut idx, &random_batch(1, 3000, 5000), 1);
         let mut a = cache_of(0..2000);
         let mut b = cache_of(0..2000);
-        let hashed = idx.sequential_lookup_hashed(&mut a).value;
+        let hashed = idx
+            .sequential_lookup_hashed(&mut a)
+            .expect("no fault is armed")
+            .value;
         let merged = sil(&mut idx, &mut b, 1).value;
         assert_eq!(dup_set(&hashed), dup_set(&merged));
         assert_eq!(a.len(), b.len());
@@ -1240,7 +1276,7 @@ mod tests {
             let mut c_hashed = cache_of(0..probe as u64);
             let mut c_merge = cache_of(0..probe as u64);
             let mut c_shard = cache_of(0..probe as u64);
-            let hashed = idx.sequential_lookup_hashed(&mut c_hashed).value;
+            let hashed = idx.sequential_lookup_hashed(&mut c_hashed).expect("no fault is armed").value;
             let merged = sil(&mut idx, &mut c_merge, 1).value;
             let sharded = sil(&mut idx, &mut c_shard, parts).value;
 
@@ -1263,7 +1299,7 @@ mod tests {
             let mut merge = index(seed ^ 0xA);
             let mut shard = index(seed ^ 0xA);
 
-            let r_scalar = scalar.sequential_update_scalar(&batch).value;
+            let r_scalar = scalar.sequential_update_scalar(&batch).expect("no fault is armed").value;
             let r_merge = siu(&mut merge, &batch, 1).value;
             let r_shard = siu(&mut shard, &batch, parts).value;
 
@@ -1297,12 +1333,12 @@ mod tests {
             let mut merge = index(seed ^ 0x1F);
             let mut shard = index(seed ^ 0x1F);
             let pre = random_batch(seed ^ 0x77, 120, 150);
-            scalar.sequential_update_scalar(&pre);
+            scalar.sequential_update_scalar(&pre).expect("no fault is armed");
             siu(&mut merge, &pre, 1);
             siu(&mut shard, &pre, parts);
 
             let batch = random_batch(seed, count, 150);
-            let r_scalar = scalar.sequential_update_scalar(&batch).value;
+            let r_scalar = scalar.sequential_update_scalar(&batch).expect("no fault is armed").value;
             let r_merge = siu(&mut merge, &batch, 1).value;
             let r_shard = siu(&mut shard, &batch, parts).value;
 
@@ -1328,12 +1364,12 @@ mod tests {
             // skip_bits > 0; shard partitioning and canonical ordering must
             // stay bucket-monotone there too (regression: sorting by raw
             // 64-bit prefix is NOT bucket order once skip_bits > 0).
-            let whole = {
+            let mut whole = {
                 let mut idx = DiskIndex::with_paper_disk(IndexParams::new(8, 512), seed ^ 0x99);
                 siu(&mut idx, &random_batch(seed, 1500, 6000), 1);
                 idx
             };
-            let part0 = whole.split(2).value.remove(0);
+            let part0 = whole.split(2).expect("no fault is armed").value.remove(0);
             proptest::prop_assert_eq!(part0.skip_bits(), 2);
 
             // Fingerprints routed to part 0 (leading 2 bits == 0).
@@ -1351,7 +1387,7 @@ mod tests {
                 cache_a.insert(*fp, 0);
                 cache_b.insert(*fp, 0);
             }
-            let hashed = a.sequential_lookup_hashed(&mut cache_a).value;
+            let hashed = a.sequential_lookup_hashed(&mut cache_a).expect("no fault is armed").value;
             let sharded = sil(&mut b, &mut cache_b, parts).value;
             proptest::prop_assert_eq!(dup_set(&hashed), dup_set(&sharded));
 
@@ -1421,7 +1457,7 @@ mod tests {
             let batch = random_batch(seed, count, 2500);
             let mut scalar = index(seed ^ 0xE0);
             let mut physical = index(seed ^ 0xE0);
-            scalar.sequential_update_scalar(&batch);
+            scalar.sequential_update_scalar(&batch).expect("no fault is armed");
             let updated = siu(&mut physical, &batch, parts).value;
             proptest::prop_assert_eq!(updated.parts as usize, parts);
             proptest::prop_assert!(scalar.raw_data() == physical.raw_data());

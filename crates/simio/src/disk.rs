@@ -17,7 +17,7 @@
 use std::ops::Range;
 
 use crate::clock::Secs;
-use crate::fault::{FaultPlan, FaultSpec, InjectedFault};
+use crate::fault::{Charge, FaultPlan, Faulted, InjectedFault};
 
 /// Timing parameters of a disk (or RAID volume).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,10 +142,11 @@ impl DiskStats {
 
 /// A simulated disk: a [`DiskModel`] plus cumulative [`DiskStats`].
 ///
-/// Methods return the operation's virtual cost; the caller charges it to its
-/// clock. The disk itself holds no payload bytes — backing storage lives in
-/// the data structures that use the disk (disk index, chunk log, container
-/// store), keeping the timing model orthogonal to content.
+/// Every op returns a [`Charge`]: its virtual cost, which the caller
+/// charges to its clock, or the fault it fired. The disk itself holds no
+/// payload bytes — backing storage lives in the data structures that use
+/// the disk (disk index, chunk log, container store), keeping the timing
+/// model orthogonal to content.
 #[derive(Debug, Clone)]
 pub struct SimDisk {
     model: DiskModel,
@@ -154,9 +155,6 @@ pub struct SimDisk {
     /// as one op — the index the [`FaultPlan`] keys on).
     ops: u64,
     plan: FaultPlan,
-    /// A fired fault not yet collected by the storage layer (see the
-    /// [`crate::fault`] module docs for the "next checked boundary" rule).
-    pending: Option<InjectedFault>,
 }
 
 impl SimDisk {
@@ -167,7 +165,6 @@ impl SimDisk {
             stats: DiskStats::default(),
             ops: 0,
             plan: FaultPlan::none(),
-            pending: None,
         }
     }
 
@@ -176,10 +173,9 @@ impl SimDisk {
         self.plan = plan;
     }
 
-    /// Disarm all pending faults (armed and fired-but-uncollected).
+    /// Disarm every fault not yet fired.
     pub fn clear_fault_plan(&mut self) {
         self.plan = FaultPlan::none();
-        self.pending = None;
     }
 
     /// Whether any fault is still armed (not yet fired).
@@ -192,24 +188,17 @@ impl SimDisk {
         self.ops
     }
 
-    /// Collect a fired-but-uncollected fault, if any.
-    pub fn take_fault(&mut self) -> Option<InjectedFault> {
-        self.pending.take()
-    }
-
-    /// The first armed fault within the next `next_ops` operations, if any
-    /// (without consuming it). Lets fault-aware layers plan a partial
-    /// operation before charging the op that will fire the fault.
-    pub fn peek_fault(&self, next_ops: u64) -> Option<FaultSpec> {
-        self.plan.next_within(self.ops, self.ops + next_ops)
-    }
-
-    /// Advance the op counter by one and fire any armed fault for this op.
-    fn tick(&mut self) {
+    /// Count one op that cost `cost` and returned `value`: the op fails
+    /// with the fault armed for its index, if any, which fires here.
+    fn op<T>(&mut self, value: T, cost: Secs) -> Charge<T> {
         let op = self.ops;
         self.ops += 1;
-        if let Some(kind) = self.plan.take(op) {
-            self.pending = Some(InjectedFault { op, kind });
+        match self.plan.take(op) {
+            Some(kind) => Err(Faulted {
+                fault: InjectedFault { op, kind },
+                cost,
+            }),
+            None => Ok(value),
         }
     }
 
@@ -234,22 +223,21 @@ impl SimDisk {
         secs
     }
 
-    /// Perform a sequential read of `bytes`; returns the cost.
-    pub fn seq_read(&mut self, bytes: u64) -> Secs {
+    /// Perform a sequential read of `bytes`.
+    pub fn seq_read(&mut self, bytes: u64) -> Charge {
         self.seq_read_extents(&[bytes])
     }
 
-    /// Perform a sequential write of `bytes`; returns the cost.
-    pub fn seq_write(&mut self, bytes: u64) -> Secs {
-        self.tick();
+    /// Perform a sequential write of `bytes`.
+    pub fn seq_write(&mut self, bytes: u64) -> Charge {
         let c = self.model.seq_write_cost(bytes);
         self.stats.seq_write_bytes += bytes;
         self.stats.busy_s += c;
-        c
+        self.op(c, c)
     }
 
-    /// Perform a random read of `bytes`; returns the cost.
-    pub fn rand_read(&mut self, bytes: u64) -> Secs {
+    /// Perform a random read of `bytes`.
+    pub fn rand_read(&mut self, bytes: u64) -> Charge {
         self.rand_read_extents([bytes])
     }
 
@@ -258,8 +246,7 @@ impl SimDisk {
     /// [`FaultPlan`] sees one op, whatever the extent count), every extent
     /// pays its own positioning and is counted as its own random read in
     /// the statistics, and the cost is their sum.
-    pub fn rand_read_extents(&mut self, extents: impl IntoIterator<Item = u64>) -> Secs {
-        self.tick();
+    pub fn rand_read_extents(&mut self, extents: impl IntoIterator<Item = u64>) -> Charge {
         let mut cost = 0.0;
         for bytes in extents {
             let c = self.model.rand_read_cost(bytes);
@@ -268,7 +255,7 @@ impl SimDisk {
             self.stats.busy_s += c;
             cost += c;
         }
-        cost
+        self.op(cost, cost)
     }
 
     /// Perform **one** forward pass that reads `extents` in order and
@@ -277,9 +264,9 @@ impl SimDisk {
     /// sequential reads, and the cost is `seq_read_cost(Σ extents)` plus
     /// one positioning per extent after the first: one extent is
     /// [`SimDisk::seq_read`] to the bit, and none reads nothing in one op.
-    pub fn seq_read_extents(&mut self, extents: &[u64]) -> Secs {
-        self.tick();
-        self.pass(extents.iter().sum(), extents.len())
+    pub fn seq_read_extents(&mut self, extents: &[u64]) -> Charge {
+        let c = self.pass(extents.iter().sum(), extents.len());
+        self.op(c, c)
     }
 
     /// [`SimDisk::seq_read_extents`] cut into legs: **one** forward pass
@@ -290,8 +277,7 @@ impl SimDisk {
     /// positioning per extent in it, the pass's first extent excepted: a
     /// pass in one leg costs what `seq_read_extents` charges, to the bit,
     /// and the legs of a cut pass add up to it to within rounding.
-    pub fn seq_read_legs(&mut self, legs: &[Vec<u64>]) -> Vec<Secs> {
-        self.tick();
+    pub fn seq_read_legs(&mut self, legs: &[Vec<u64>]) -> Charge<Vec<Secs>> {
         let (mut bytes, mut extents) = (0, 0);
         let costs = (legs.iter())
             .map(|leg| {
@@ -301,12 +287,12 @@ impl SimDisk {
                 self.pass_cost(b, seeks)
             })
             .collect();
-        self.pass(bytes, extents);
-        costs
+        let c = self.pass(bytes, extents);
+        self.op(costs, c)
     }
 
-    /// Account one forward pass reading `bytes` in `extents` extents (its
-    /// op already ticked): one positioning per extent after the first.
+    /// Account one forward pass reading `bytes` in `extents` extents: one
+    /// positioning per extent after the first.
     fn pass(&mut self, bytes: u64, extents: usize) -> Secs {
         let c = self.pass_cost(bytes, extents.saturating_sub(1));
         self.stats.seq_read_bytes += bytes;
@@ -319,36 +305,13 @@ impl SimDisk {
         self.model.seq_read_cost(bytes) + seeks as f64 * self.model.seek_s
     }
 
-    /// Run one **fault-checked** operation: collect a pending fault first
-    /// (the "next checked boundary" rule — the charge does NOT run then),
-    /// otherwise charge the op via `charge`; if an armed fault fires on
-    /// it, consume and return it as the error — the op's time was still
-    /// charged (the device was busy failing), but the caller must treat
-    /// the operation as having had no effect. This is the one place the
-    /// collect→charge→consume protocol lives; storage layers build their
-    /// typed errors on top of it.
-    pub fn checked_op(
-        &mut self,
-        charge: impl FnOnce(&mut SimDisk) -> Secs,
-    ) -> Result<Secs, InjectedFault> {
-        if let Some(fault) = self.take_fault() {
-            return Err(fault);
-        }
-        let cost = charge(self);
-        match self.take_fault() {
-            Some(fault) => Err(fault),
-            None => Ok(cost),
-        }
-    }
-
-    /// Perform a random write of `bytes`; returns the cost.
-    pub fn rand_write(&mut self, bytes: u64) -> Secs {
-        self.tick();
+    /// Perform a random write of `bytes`.
+    pub fn rand_write(&mut self, bytes: u64) -> Charge {
         let c = self.model.rand_write_cost(bytes);
         self.stats.rand_writes += 1;
         self.stats.rand_write_bytes += bytes;
         self.stats.busy_s += c;
-        c
+        self.op(c, c)
     }
 }
 
@@ -367,8 +330,8 @@ mod tests {
     #[test]
     fn sequential_costs_scale_with_bytes() {
         let mut d = disk();
-        assert_eq!(d.seq_read(100_000_000), 1.0);
-        assert_eq!(d.seq_write(50_000_000), 1.0);
+        assert_eq!(d.seq_read(100_000_000), Ok(1.0));
+        assert_eq!(d.seq_write(50_000_000), Ok(1.0));
         assert_eq!(d.stats().seq_read_bytes, 100_000_000);
         assert_eq!(d.stats().seq_write_bytes, 50_000_000);
         assert_eq!(d.stats().busy_s, 2.0);
@@ -377,7 +340,7 @@ mod tests {
     #[test]
     fn random_costs_include_seek() {
         let mut d = disk();
-        let c = d.rand_read(512);
+        let c = d.rand_read(512).expect("no fault is armed");
         assert!((c - (0.002 + 512.0 / 100e6)).abs() < 1e-12);
         assert_eq!(d.stats().rand_reads, 1);
     }
@@ -385,8 +348,11 @@ mod tests {
     #[test]
     fn a_ranged_read_is_one_op_of_many_seeks() {
         let (mut ranged, mut apart) = (disk(), disk());
-        let cost = ranged.rand_read_extents([512, 4096, 100]);
-        let sum: Secs = [512, 4096, 100].map(|b| apart.rand_read(b)).iter().sum();
+        let cost = ranged.rand_read_extents([512, 4096, 100]).expect("clean");
+        let sum: Secs = [512, 4096, 100]
+            .map(|b| apart.rand_read(b).expect("clean"))
+            .iter()
+            .sum();
         assert!((cost - sum).abs() < 1e-15);
         // Every extent is a random read in the statistics; the fault plan
         // sees one operation.
@@ -400,7 +366,7 @@ mod tests {
     #[test]
     fn a_skipping_pass_is_one_op_paying_a_seek_per_extra_extent() {
         let mut d = disk();
-        let cost = d.seq_read_extents(&[1000, 300_000, 0, 42]);
+        let cost = d.seq_read_extents(&[1000, 300_000, 0, 42]).expect("clean");
         let m = d.model();
         assert_eq!(cost, m.seq_read_cost(301_042) + 3.0 * m.seek_s);
         assert_eq!(d.ops(), 1);
@@ -411,7 +377,7 @@ mod tests {
             assert_eq!(disk().seq_read_extents(&[bytes]), disk().seq_read(bytes));
         }
         let mut idle = disk();
-        assert_eq!(idle.seq_read_extents(&[]), 0.0);
+        assert_eq!(idle.seq_read_extents(&[]), Ok(0.0));
         assert_eq!((idle.ops(), idle.stats().seq_read_bytes), (1, 0));
     }
 
@@ -419,18 +385,18 @@ mod tests {
     fn a_pass_cut_into_legs_is_the_same_op_reported_leg_by_leg() {
         let extents = [1000, 300_000, 0, 42, 77_777];
         let mut whole = disk();
-        let cost = whole.seq_read_extents(&extents);
+        let cost = whole.seq_read_extents(&extents).expect("clean");
         let m = whole.model();
         // One leg: the pass's own cost, to the bit.
         let mut one = disk();
-        assert_eq!(one.seq_read_legs(&[extents.to_vec()]), vec![cost]);
+        assert_eq!(one.seq_read_legs(&[extents.to_vec()]), Ok(vec![cost]));
         assert_eq!((one.ops(), one.stats()), (whole.ops(), whole.stats()));
         // Cut anywhere: the same op and statistics, and each later leg
         // pays a positioning for every extent it starts.
         for cut in 0..=extents.len() {
             let legs = [extents[..cut].to_vec(), extents[cut..].to_vec()];
             let mut d = disk();
-            let got = d.seq_read_legs(&legs);
+            let got = d.seq_read_legs(&legs).expect("clean");
             assert_eq!(
                 (d.ops(), d.stats()),
                 (whole.ops(), whole.stats()),
@@ -443,7 +409,7 @@ mod tests {
             assert!((got[0] + got[1] - cost).abs() < 1e-15, "cut {cut}");
         }
         let mut idle = disk();
-        assert_eq!(idle.seq_read_legs(&[]), Vec::<Secs>::new());
+        assert_eq!(idle.seq_read_legs(&[]), Ok(Vec::<Secs>::new()));
         assert_eq!((idle.ops(), idle.stats().busy_s), (1, 0.0));
     }
 
@@ -521,8 +487,8 @@ mod tests {
     fn stats_merge() {
         let mut a = disk();
         let mut b = disk();
-        a.seq_read(1000);
-        b.rand_write(500);
+        a.seq_read(1000).expect("clean");
+        b.rand_write(500).expect("clean");
         let mut m = a.stats();
         m.merge(&b.stats());
         assert_eq!(m.seq_read_bytes, 1000);
@@ -534,50 +500,68 @@ mod tests {
     fn fault_plan_fires_on_exact_op_and_is_one_shot() {
         use crate::fault::{FaultKind, FaultPlan};
         let mut d = disk();
-        d.seq_read(10); // op 0
+        d.seq_read(10).expect("op 0 is clean");
         d.set_fault_plan(FaultPlan::fail_at(2));
         assert!(d.has_armed_faults());
         assert_eq!(d.ops(), 1);
-        d.seq_write(10); // op 1: no fault
-        assert!(d.take_fault().is_none());
-        assert_eq!(d.peek_fault(1).map(|s| s.kind), Some(FaultKind::Fail));
-        d.rand_read(10); // op 2: fault fires
-        let f = d.take_fault().expect("fault fired");
-        assert_eq!(f.op, 2);
-        assert_eq!(f.kind, FaultKind::Fail);
-        assert!(d.take_fault().is_none(), "one-shot");
-        assert!(!d.has_armed_faults());
-        d.rand_read(10);
-        assert!(d.take_fault().is_none());
+        d.seq_write(10).expect("op 1 is clean");
+        let f = d.rand_read(10).expect_err("op 2 fires");
+        assert_eq!(
+            f.fault,
+            InjectedFault {
+                op: 2,
+                kind: FaultKind::Fail
+            }
+        );
+        assert!(!d.has_armed_faults(), "one-shot");
+        d.rand_read(10).expect("op 3 is clean");
     }
 
     #[test]
-    fn checked_op_charges_fires_and_collects_pending() {
+    fn a_charge_returns_its_own_fault_with_its_cost() {
         use crate::fault::{FaultKind, FaultPlan};
-        let mut d = disk();
-        // Clean op passes the cost through.
-        assert_eq!(d.checked_op(|d| d.seq_read(100_000_000)), Ok(1.0));
-        // Armed op: charged, fault consumed and returned.
-        d.set_fault_plan(FaultPlan::fail_at(d.ops()));
-        let err = d.checked_op(|d| d.seq_write(10)).expect_err("fires");
-        assert_eq!(err.kind, FaultKind::Fail);
-        assert_eq!(d.ops(), 2, "the failing op was still charged");
-        // Pending fault from an unchecked op: collected WITHOUT charging.
-        d.set_fault_plan(FaultPlan::bit_flip_at(d.ops()));
-        d.seq_read(10); // unchecked: fault fires silently
-        let err = d.checked_op(|d| d.seq_read(10)).expect_err("pending");
-        assert_eq!(err.kind, FaultKind::BitFlip);
-        assert_eq!(d.ops(), 3, "boundary collection does not charge");
-        assert!(d.checked_op(|d| d.seq_read(10)).is_ok());
+        let (mut armed, mut clean) = (disk(), disk());
+        // Every kind of op: the fault comes back from the op it is armed
+        // on, with what the op cost, and the device is charged alike.
+        let ops: [fn(&mut SimDisk) -> Charge; 4] = [
+            |d| d.seq_read(100_000_000),
+            |d| d.seq_write(10),
+            |d| d.rand_read_extents([512, 4096]),
+            |d| d.rand_write(512),
+        ];
+        for (k, op) in ops.iter().enumerate() {
+            armed.set_fault_plan(FaultPlan::bit_flip_at(armed.ops()));
+            let cost = op(&mut clean).expect("clean");
+            let err = op(&mut armed).expect_err("fires");
+            let fault = InjectedFault {
+                op: k as u64,
+                kind: FaultKind::BitFlip,
+            };
+            assert_eq!(err, Faulted { fault, cost });
+            assert_eq!((armed.ops(), armed.stats()), (clean.ops(), clean.stats()));
+        }
+        // A pass cut into legs faults as one op costing the whole pass.
+        armed.set_fault_plan(FaultPlan::fail_at(armed.ops()));
+        let legs = [vec![1000, 2000], vec![3000]];
+        let costs = clean.seq_read_legs(&legs).expect("clean");
+        let err = armed.seq_read_legs(&legs).expect_err("fires");
+        assert_eq!(err.fault.op, 4);
+        assert!((err.cost - costs.iter().sum::<Secs>()).abs() < 1e-15);
+        // Nothing waits for a later op: the next one is clean.
+        assert_eq!(armed.seq_read(10), clean.seq_read(10));
     }
 
     #[test]
     fn clear_fault_plan_disarms_pending() {
         use crate::fault::FaultPlan;
         let mut d = disk();
-        d.set_fault_plan(FaultPlan::bit_flip_at(0));
-        d.seq_read(10); // fires, pending
+        d.set_fault_plan(FaultPlan::bit_flip_at(0).with(crate::fault::FaultSpec {
+            at_op: 1,
+            kind: crate::fault::FaultKind::Fail,
+        }));
+        assert!(d.seq_read(10).is_err(), "op 0 fires");
         d.clear_fault_plan();
-        assert!(d.take_fault().is_none(), "cleared plans drop fired faults");
+        assert!(!d.has_armed_faults());
+        assert!(d.seq_read(10).is_ok(), "op 1 was disarmed");
     }
 }

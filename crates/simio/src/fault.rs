@@ -9,12 +9,13 @@
 //! *same* fault every run — which is what lets crash-consistency tests
 //! assert byte-identical convergence after a re-run.
 //!
-//! The disk itself is a pure timing model and holds no payload bytes, so a
-//! fired fault does not damage data by itself: it is recorded on the disk
-//! as a pending [`InjectedFault`] and the *storage layer using the disk*
-//! (chunk repository, disk index, chunk log) polls
-//! [`crate::SimDisk::take_fault`] at its fault-checked operations and
-//! translates the fault into typed errors and/or data damage:
+//! **One checked charge.** Every op returns a [`Charge`]: its cost, or a
+//! [`Faulted`] — the fault and the time the device spent failing; a
+//! striped op fails with its lowest faulted part ([`PartFault`]), its
+//! siblings' faults spent with it. No fault outlives the op that fired
+//! it. The disk holds no payload bytes, so the *storage layer using the
+//! disk* (chunk repository, disk index, chunk log) translates a fault
+//! into its typed error and/or data damage:
 //!
 //! * [`FaultKind::Fail`] — the operation fails outright (device error).
 //!   Nothing is persisted by a failed write; a failed read returns no data.
@@ -30,12 +31,8 @@
 //!   that retries within that budget eventually succeeds. This models
 //!   transient device errors (bus resets, path flaps) that a
 //!   [`RetryPolicy`] is designed to absorb.
-//!
-//! A fault that fires on an operation whose caller does not poll
-//! `take_fault` stays pending and manifests at the next fault-checked
-//! operation on the same disk (the documented "next checked boundary"
-//! rule).
 
+use crate::clock::Secs;
 use std::fmt;
 
 /// The kind of an injected disk fault.
@@ -190,15 +187,6 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// The first armed fault with `at_op` in `[lo, hi)`, if any (without
-    /// consuming it).
-    pub fn next_within(&self, lo: u64, hi: u64) -> Option<FaultSpec> {
-        self.faults
-            .iter()
-            .find(|s| s.at_op >= lo && s.at_op < hi)
-            .copied()
-    }
-
     /// Consume (and return the kind of) the fault armed for `op`, if any.
     ///
     /// A [`FaultKind::Transient`] with more than one failure left re-arms
@@ -238,6 +226,37 @@ impl fmt::Display for InjectedFault {
     }
 }
 
+/// An op whose armed fault fired, and what the op cost: the device was
+/// busy failing all the same.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Faulted {
+    /// The fault that fired on the op.
+    pub fault: InjectedFault,
+    /// What the op cost the device.
+    pub cost: Secs,
+}
+
+impl Faulted {
+    /// This fault as part `part`'s of a striped op.
+    pub fn on(self, part: u32) -> PartFault {
+        let fault = self.fault;
+        PartFault { part, fault }
+    }
+}
+
+/// What one disk op returns: its cost (or per-leg costs), or the fault
+/// that fired on it.
+pub type Charge<T = Secs> = Result<T, Faulted>;
+
+/// A striped op's fault: the lowest part that faulted, and its fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PartFault {
+    /// The part-disk (part 0 is the volume).
+    pub part: u32,
+    /// The fault that fired on its op.
+    pub fault: InjectedFault,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,16 +272,6 @@ mod tests {
         assert!(p.take(3).is_none(), "one-shot: consumed");
         assert_eq!(p.take(5), Some(FaultKind::BitFlip));
         assert!(p.is_empty());
-    }
-
-    #[test]
-    fn next_within_window() {
-        let p = FaultPlan::torn_write_at(10);
-        assert!(p.next_within(0, 10).is_none());
-        let s = p.next_within(10, 12).expect("armed");
-        assert_eq!(s.at_op, 10);
-        assert_eq!(s.kind, FaultKind::TornWrite);
-        assert!(p.next_within(11, 20).is_none());
     }
 
     #[test]
@@ -284,10 +293,11 @@ mod tests {
         assert_eq!(p.take(2), Some(FaultKind::Transient { fails_for: 2 }));
         assert!(p.take(4).is_none());
         assert_eq!(
-            p.next_within(0, 10).map(|s| s.at_op),
-            Some(3),
+            p.take(3),
+            Some(FaultKind::Transient { fails_for: 1 }),
             "re-armed at the consecutive op"
         );
+        assert!(p.is_empty());
     }
 
     #[test]

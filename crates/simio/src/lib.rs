@@ -39,7 +39,9 @@ pub mod timed;
 pub use clock::{Secs, VirtualClock};
 pub use cpu::{CpuModel, CpuStats, SimCpu};
 pub use disk::{DiskModel, DiskStats, SimDisk};
-pub use fault::{FaultKind, FaultPlan, FaultSpec, InjectedFault, RetryPolicy};
+pub use fault::{
+    Charge, FaultKind, FaultPlan, FaultSpec, Faulted, InjectedFault, PartFault, RetryPolicy,
+};
 pub use lane::Lane;
 pub use net::{NetModel, NetStats, SimLink};
 pub use partdisk::PartDiskSet;

@@ -5,7 +5,7 @@
 //! spindle set, and the striped chunk-log drain does the same per store
 //! worker. A [`PartDiskSet`] is that bank of **real devices**: one
 //! [`SimDisk`] per partition, each with its own operation counter,
-//! busy-time accounting and armable [`FaultPlan`]. A striped sweep charges
+//! busy-time accounting and armable [`crate::FaultPlan`]. A striped sweep charges
 //! each part-disk the bytes its partition *actually* covers and completes
 //! at the **max over per-part completion times** — a skewed split shows a
 //! straggler, and a fault armed on one part-disk spares its siblings.
@@ -22,7 +22,10 @@
 //!   dropping any faults still armed on the removed disks. A plan armed on
 //!   part `p` survives as long as sweeps keep engaging `p + 1` partitions.
 //! * Each sweep ticks every engaged part-disk exactly once (per direction:
-//!   an SIU read-then-write sweep ticks each part twice).
+//!   an SIU read-then-write sweep ticks each part twice), and fails with
+//!   the lowest part whose op faulted ([`PartFault`]): a sibling that
+//!   faulted on the same sweep is spent with it, so every fault comes back
+//!   from the sweep that fired it.
 //! * An **even** split over a power-of-two partition count costs exactly
 //!   `DiskModel::seq_read_cost(total) / P` (`(bytes/P)/bw == (bytes/bw)/P`:
 //!   dividing an IEEE double by a power of two is exact) — the even-split
@@ -30,7 +33,7 @@
 
 use crate::clock::Secs;
 use crate::disk::{DiskModel, DiskStats, SimDisk};
-use crate::fault::{FaultPlan, FaultSpec, InjectedFault};
+use crate::fault::{Charge, PartFault};
 
 /// A bank of per-partition [`SimDisk`]s behind one striped volume.
 #[derive(Debug, Clone)]
@@ -65,6 +68,16 @@ impl PartDiskSet {
         &mut self.disks[0]
     }
 
+    /// Part-disk `part`, materializing it (and every part below it) if no
+    /// sweep has engaged it yet, so a part can be armed before its first
+    /// sweep.
+    pub fn disk_mut(&mut self, part: usize) -> &mut SimDisk {
+        if part >= self.disks.len() {
+            self.resize(part + 1);
+        }
+        &mut self.disks[part]
+    }
+
     /// Resize to exactly `parts.max(1)` disks: growth adds fresh disks with
     /// the base model, shrinking truncates from the top (dropping any armed
     /// faults on the removed disks — see the module docs).
@@ -79,16 +92,7 @@ impl PartDiskSet {
         self.disks.get(part).map_or(0, SimDisk::ops)
     }
 
-    /// Arm a deterministic fault schedule on one part-disk (materializing
-    /// it if needed, so a part can be armed before its first sweep).
-    pub fn set_fault_plan(&mut self, part: usize, plan: FaultPlan) {
-        if part >= self.disks.len() {
-            self.resize(part + 1);
-        }
-        self.disks[part].set_fault_plan(plan);
-    }
-
-    /// Disarm every part-disk's faults (armed and fired-but-uncollected).
+    /// Disarm every part-disk's faults.
     pub fn clear_fault_plans(&mut self) {
         for d in &mut self.disks {
             d.clear_fault_plan();
@@ -100,44 +104,30 @@ impl PartDiskSet {
         self.disks.iter().any(SimDisk::has_armed_faults)
     }
 
-    /// Collect the first fired-but-uncollected fault across parts (lowest
-    /// part first), with the part index it fired on. Siblings that fired
-    /// in the same window stay pending and surface at the next collection.
-    pub fn take_fault(&mut self) -> Option<(u32, InjectedFault)> {
-        self.disks
-            .iter_mut()
-            .enumerate()
-            .find_map(|(p, d)| d.take_fault().map(|f| (p as u32, f)))
-    }
-
-    /// Collect the fired-but-uncollected fault of one specific part-disk,
-    /// leaving every other part's pending fault in place (the caller
-    /// attributes an error to the disk it peeked; siblings surface at the
-    /// next checked boundary).
-    pub fn take_fault_on(&mut self, part: usize) -> Option<InjectedFault> {
-        self.disks.get_mut(part).and_then(SimDisk::take_fault)
-    }
-
-    /// The first armed fault (lowest part first) that would fire within
-    /// the next `ops_per_part` operations of any part-disk, without
-    /// consuming it.
-    pub fn peek_fault(&self, ops_per_part: u64) -> Option<(u32, FaultSpec)> {
-        self.disks
-            .iter()
-            .enumerate()
-            .find_map(|(p, d)| d.peek_fault(ops_per_part).map(|s| (p as u32, s)))
+    /// Charge `op` on each of the first `shares.len()` part-disks with its
+    /// own share, after resizing to that many parts: every engaged part
+    /// ticks once, and the result is each part's value, or the lowest
+    /// part that faulted.
+    fn striped<S, T>(
+        &mut self,
+        shares: &[S],
+        op: impl Fn(&mut SimDisk, &S) -> Charge<T>,
+    ) -> Result<Vec<T>, PartFault> {
+        self.resize(shares.len());
+        let charged: Vec<Charge<T>> = (self.disks.iter_mut().zip(shares))
+            .map(|(d, share)| op(d, share))
+            .collect();
+        (charged.into_iter().enumerate())
+            .map(|(part, c)| c.map_err(|f| f.on(part as u32)))
+            .collect()
     }
 
     /// One striped **read** sweep: resize to `bytes.len()` parts, charge
     /// each part-disk a sequential read of its own byte share, and return
     /// the parallel wall time — the max over per-part completion times.
-    pub fn seq_read_split(&mut self, bytes: &[u64]) -> Secs {
-        self.resize(bytes.len());
-        self.disks
-            .iter_mut()
-            .zip(bytes)
-            .map(|(d, &b)| d.seq_read(b))
-            .fold(0.0, f64::max)
+    pub fn seq_read_split(&mut self, bytes: &[u64]) -> Result<Secs, PartFault> {
+        let costs = self.striped(bytes, |d, &b| d.seq_read(b))?;
+        Ok(costs.into_iter().fold(0.0, f64::max))
     }
 
     /// One striped **skipping** read, each part's pass cut into legs:
@@ -148,23 +138,14 @@ impl PartDiskSet {
     /// legs on a lane per part. A part read in one leg of one extent, its
     /// whole share, costs what [`PartDiskSet::seq_read_split`] charges it,
     /// to the bit.
-    pub fn seq_read_legs(&mut self, parts: &[Vec<Vec<u64>>]) -> Vec<Vec<Secs>> {
-        self.resize(parts.len());
-        self.disks
-            .iter_mut()
-            .zip(parts)
-            .map(|(d, legs)| d.seq_read_legs(legs))
-            .collect()
+    pub fn seq_read_legs(&mut self, parts: &[Vec<Vec<u64>>]) -> Result<Vec<Vec<Secs>>, PartFault> {
+        self.striped(parts, |d, legs| d.seq_read_legs(legs))
     }
 
     /// One striped **write** sweep (see [`PartDiskSet::seq_read_split`]).
-    pub fn seq_write_split(&mut self, bytes: &[u64]) -> Secs {
-        self.resize(bytes.len());
-        self.disks
-            .iter_mut()
-            .zip(bytes)
-            .map(|(d, &b)| d.seq_write(b))
-            .fold(0.0, f64::max)
+    pub fn seq_write_split(&mut self, bytes: &[u64]) -> Result<Secs, PartFault> {
+        let costs = self.striped(bytes, |d, &b| d.seq_write(b))?;
+        Ok(costs.into_iter().fold(0.0, f64::max))
     }
 
     /// Statistics of one part-disk, if materialized.
@@ -187,7 +168,7 @@ impl PartDiskSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultKind;
+    use crate::fault::{FaultKind, FaultPlan};
 
     fn model() -> DiskModel {
         DiskModel {
@@ -201,7 +182,7 @@ mod tests {
     fn split_sweep_time_is_max_over_parts() {
         let mut set = PartDiskSet::new(model());
         // Uneven split: the 300 MB part is the straggler.
-        let t = set.seq_read_split(&[100_000_000, 300_000_000, 100_000_000]);
+        let t = (set.seq_read_split(&[100_000_000, 300_000_000, 100_000_000])).expect("clean");
         assert_eq!(t, 3.0, "wall time must be the slowest part");
         assert_eq!(set.parts(), 3);
         assert_eq!(
@@ -220,18 +201,18 @@ mod tests {
         // statistics still record the full byte volume moved.
         let mut scalar = PartDiskSet::new(model());
         let mut striped = PartDiskSet::new(model());
-        let scalar_r = scalar.seq_read_split(&[100_000_000]);
-        let striped_r = striped.seq_read_split(&[25_000_000; 4]);
+        let scalar_r = scalar.seq_read_split(&[100_000_000]).expect("clean");
+        let striped_r = striped.seq_read_split(&[25_000_000; 4]).expect("clean");
         assert_eq!(striped_r, scalar_r / 4.0);
-        let scalar_w = scalar.seq_write_split(&[50_000_000]);
-        let striped_w = striped.seq_write_split(&[10_000_000; 5]);
+        let scalar_w = scalar.seq_write_split(&[50_000_000]).expect("clean");
+        let striped_w = striped.seq_write_split(&[10_000_000; 5]).expect("clean");
         assert_eq!(striped_w, scalar_w / 5.0);
         assert_eq!(striped.stats().seq_read_bytes, 100_000_000);
         assert_eq!(striped.stats().seq_write_bytes, 50_000_000);
         // A one-part split is the scalar sweep on the volume.
         assert_eq!(
-            scalar.seq_read_split(&[1000]),
-            scalar.volume_mut().seq_read(1000)
+            scalar.seq_read_split(&[1000]).ok(),
+            scalar.volume_mut().seq_read(1000).ok()
         );
     }
 
@@ -250,11 +231,11 @@ mod tests {
             let mut set = PartDiskSet::new(model());
             proptest::prop_assert_eq!(
                 set.seq_read_split(&bytes),
-                model().seq_read_cost(total) / parts as f64
+                Ok(model().seq_read_cost(total) / parts as f64)
             );
             proptest::prop_assert_eq!(
                 set.seq_write_split(&bytes),
-                model().seq_write_cost(total) / parts as f64
+                Ok(model().seq_write_cost(total) / parts as f64)
             );
             proptest::prop_assert_eq!(set.stats().seq_read_bytes, total);
         }
@@ -266,8 +247,8 @@ mod tests {
         // resize, so a one-part set is the whole volume.
         let mut set = PartDiskSet::new(model());
         assert_eq!(set.parts(), 1);
-        set.volume_mut().rand_read(512);
-        set.seq_read_split(&[10, 10, 10]);
+        set.volume_mut().rand_read(512).expect("clean");
+        set.seq_read_split(&[10, 10, 10]).expect("clean");
         set.resize(0);
         assert_eq!(set.parts(), 1, "part 0 is never dropped");
         assert_eq!(set.ops(0), 2);
@@ -278,9 +259,9 @@ mod tests {
     #[test]
     fn resize_preserves_low_parts_and_drops_high() {
         let mut set = PartDiskSet::new(model());
-        set.seq_read_split(&[10, 10, 10, 10]);
+        set.seq_read_split(&[10, 10, 10, 10]).expect("clean");
         assert_eq!(set.ops(2), 1);
-        set.set_fault_plan(3, FaultPlan::fail_at(9));
+        set.disk_mut(3).set_fault_plan(FaultPlan::fail_at(9));
         set.resize(2);
         assert!(!set.has_armed_faults(), "shrink drops high-part plans");
         assert_eq!(set.ops(0), 1, "surviving counters keep ticking");
@@ -291,21 +272,44 @@ mod tests {
     #[test]
     fn single_part_fault_fires_on_that_part_only() {
         let mut set = PartDiskSet::new(model());
-        set.seq_write_split(&[10, 10, 10]); // op 0 on each part
-        set.set_fault_plan(1, FaultPlan::fail_at(set.ops(1)));
-        let (p, spec) = set.peek_fault(1).expect("armed");
-        assert_eq!((p, spec.kind), (1, FaultKind::Fail));
-        set.seq_write_split(&[10, 10, 10]); // op 1: part 1 faults
-        let (part, fault) = set.take_fault().expect("fired");
-        assert_eq!(part, 1);
-        assert_eq!(fault.op, 1);
-        assert!(set.take_fault().is_none(), "one-shot, one part");
+        set.seq_write_split(&[10, 10, 10])
+            .expect("op 0 on each part");
+        let armed = set.ops(1);
+        set.disk_mut(1).set_fault_plan(FaultPlan::fail_at(armed));
+        let err = set
+            .seq_write_split(&[10, 10, 10])
+            .expect_err("op 1 of part 1");
+        assert_eq!(
+            (err.part, err.fault.op, err.fault.kind),
+            (1, 1, FaultKind::Fail)
+        );
+        assert_eq!(
+            [0, 1, 2].map(|p| set.ops(p)),
+            [2, 2, 2],
+            "every part ticked"
+        );
+        set.seq_write_split(&[10, 10, 10])
+            .expect("one-shot, one part");
         // Arming pre-materializes a part before any sweep engages it.
         let mut fresh = PartDiskSet::new(model());
-        fresh.set_fault_plan(2, FaultPlan::bit_flip_at(0));
+        fresh.disk_mut(2).set_fault_plan(FaultPlan::bit_flip_at(0));
         assert_eq!(fresh.parts(), 3);
         assert!(fresh.has_armed_faults());
         fresh.clear_fault_plans();
         assert!(!fresh.has_armed_faults());
+    }
+
+    #[test]
+    fn two_faulted_parts_report_the_lowest_and_spend_the_other() {
+        let mut set = PartDiskSet::new(model());
+        for part in [2, 1] {
+            set.disk_mut(part).set_fault_plan(FaultPlan::fail_at(0));
+        }
+        let err = set
+            .seq_read_split(&[10, 10, 10])
+            .expect_err("two parts fire");
+        assert_eq!(err.part, 1, "the lowest failing part");
+        assert!(!set.has_armed_faults(), "part 2's fault was spent with it");
+        set.seq_read_split(&[10, 10, 10]).expect("nothing waits");
     }
 }

@@ -54,7 +54,7 @@
 //! one fault-checked disk op whatever it fetches: a ranged read's I/Os are
 //! summed into its cost and counted one by one in the node's
 //! [`debar_simio::DiskStats`], so its seeks stay visible, but an armed
-//! [`FaultPlan`] sees one op. A ranged read verifies what it uses —
+//! `FaultPlan` sees one op. A ranged read verifies what it uses —
 //! header, metadata section, every wanted chunk against its fingerprint —
 //! not the trailer it never read; once it has found a copy corrupt it
 //! reads the remaining replicas whole, so a read-repair always writes back
@@ -80,7 +80,7 @@
 //! before it mutates: if any copy the node must hold has no surviving
 //! healthy source, it refuses with [`StoreError::Unrecoverable`] and
 //! changes nothing. Repair is background maintenance: it charges real
-//! read/write I/O but does not consume armed fault plans.
+//! read/write I/O, each op failing with its own fault like any other.
 //!
 //! **Every copy sits on its ring.** A store writes the `R` ring nodes,
 //! and a recopy (repair, scrub) or a read-repair only ever rewrites a
@@ -117,8 +117,8 @@
 //!
 //! # Fault injection
 //!
-//! Every node disk carries a deterministic [`FaultPlan`]
-//! (`debar_simio::fault`); store and read paths are fault-checked:
+//! Every node disk carries a deterministic `FaultPlan`
+//! (`debar_simio::fault`); every op on it comes back with its own fault:
 //!
 //! * an outright [`FaultKind::Fail`] on any replica write persists
 //!   **nothing on any node** and does **not** consume the container ID
@@ -137,7 +137,7 @@
 use crate::container::{ChunkMeta, Container, CorruptKind, Damage, Payload};
 use crate::error::StoreError;
 use debar_hash::{ContainerId, Fingerprint, Sha1};
-use debar_simio::{DiskModel, FaultKind, FaultPlan, Lane, RetryPolicy, Secs, SimDisk};
+use debar_simio::{DiskModel, FaultKind, Lane, RetryPolicy, Secs, SimDisk};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -175,6 +175,12 @@ impl StorageNode {
     /// Disk statistics for this node.
     pub fn disk_stats(&self) -> debar_simio::DiskStats {
         self.disk.stats()
+    }
+
+    /// This node's copy of `cid` and the damage recorded against it, read
+    /// in place and uncharged: a consistency check's view, not a read.
+    pub fn copy(&self, cid: ContainerId) -> Option<(&Container, Option<Damage>)> {
+        (self.containers.get(&cid.raw())).map(|sc| (&sc.container, sc.damage))
     }
 
     /// Whether this node holds a copy free of recorded damage.
@@ -391,8 +397,8 @@ type StoreOutcome = (
 enum NodeOp<'a> {
     /// One read made of these random I/Os (byte ranges of the image).
     Read(&'a [Range<u64>]),
-    /// A sequential write of one container.
-    Write,
+    /// A sequential write of this many bytes.
+    Write(u64),
 }
 
 /// What one container read fetches from a copy — the argument of the one
@@ -549,25 +555,11 @@ impl ChunkRepository {
         }
     }
 
-    /// Arm a deterministic fault schedule on one node's disk.
-    pub fn set_node_fault_plan(&mut self, node: usize, plan: FaultPlan) -> Result<(), StoreError> {
+    /// One node's disk — the device a `FaultPlan` is armed on and whose
+    /// op counter says "the next op on this node".
+    pub fn node_disk_mut(&mut self, node: usize) -> Result<&mut SimDisk, StoreError> {
         self.check_node(node)?;
-        self.nodes[node].disk.set_fault_plan(plan);
-        Ok(())
-    }
-
-    /// Disarm every node's fault schedule.
-    pub fn clear_fault_plans(&mut self) {
-        for n in &mut self.nodes {
-            n.disk.clear_fault_plan();
-        }
-    }
-
-    /// A node disk's operation counter (for arming `FaultPlan`s at "the
-    /// next op on this node").
-    pub fn node_disk_ops(&self, node: usize) -> Result<u64, StoreError> {
-        self.check_node(node)?;
-        Ok(self.nodes[node].disk.ops())
+        Ok(&mut self.nodes[node].disk)
     }
 
     /// Take a node down: its copies stay on disk but every read and write
@@ -689,7 +681,7 @@ impl ChunkRepository {
         let mut writes: Vec<(usize, Secs)> = Vec::with_capacity(targets.len());
         let mut damages: Vec<(usize, Option<Damage>)> = Vec::with_capacity(targets.len());
         for &node in &targets {
-            let (cost, outcome) = self.io_attempts(node, NodeOp::Write);
+            let (cost, outcome) = self.io_attempts(node, NodeOp::Write(self.container_bytes));
             writes.push((node, cost));
             match outcome {
                 Ok(damage) => damages.push((node, damage)),
@@ -780,16 +772,20 @@ impl ChunkRepository {
         let mut attempt = 1u32;
         loop {
             let disk = &mut self.nodes[node].disk;
-            cost += match op {
+            let charged = match op {
                 NodeOp::Read(ios) => disk.rand_read_extents(ios.iter().map(|io| io.end - io.start)),
-                NodeOp::Write => disk.seq_write(self.container_bytes),
+                NodeOp::Write(bytes) => disk.seq_write(bytes),
             };
-            let Some(fault) = disk.take_fault() else {
-                return (cost, Ok(None));
+            let fault = match charged {
+                Ok(c) => return (cost + c, Ok(None)),
+                Err(f) => {
+                    cost += f.cost;
+                    f.fault
+                }
             };
             match (op, fault.kind) {
-                (NodeOp::Write, FaultKind::TornWrite) => return (cost, Ok(Some(Damage::Torn))),
-                (NodeOp::Write, FaultKind::BitFlip) => return (cost, Ok(Some(Damage::BitFlip))),
+                (NodeOp::Write(_), FaultKind::TornWrite) => return (cost, Ok(Some(Damage::Torn))),
+                (NodeOp::Write(_), FaultKind::BitFlip) => return (cost, Ok(Some(Damage::BitFlip))),
                 _ => {}
             }
             if attempt < max {
@@ -995,9 +991,8 @@ impl ChunkRepository {
 
     /// Inline read-repair: rewrite every corrupt copy a failover read
     /// detected from the clean image `source` just served whole. Each
-    /// repair write is charged to the corrupt node's disk as maintenance
-    /// I/O (like [`ChunkRepository::repair_node`], it does not consume
-    /// armed fault plans), reported as a `(node, cost)` leg and counted in
+    /// repair write is charged to the corrupt node's disk, reported as a
+    /// `(node, cost)` leg and, unless it failed, counted in
     /// [`RepoStats::read_repairs`].
     fn read_repair(
         &mut self,
@@ -1011,34 +1006,54 @@ impl ChunkRepository {
                 continue;
             }
             let clean = self.nodes[source].containers[&cid.raw()].container.clone();
-            writes.push((node, self.install_clean(node, cid.raw(), clean)));
-            self.stats.read_repairs += 1;
+            let (cost, installed) = self.install_clean(node, cid.raw(), clean);
+            writes.push((node, cost));
+            self.stats.read_repairs += u64::from(installed.is_ok());
         }
         writes
     }
 
-    /// Write `image` onto `node` as its clean copy of container `raw` (any
-    /// copy it held is replaced): one sequential container write, charged
-    /// to the node's disk as maintenance I/O — no armed fault plan is
-    /// consumed. Returns the write's cost.
-    fn install_clean(&mut self, node: usize, raw: u64, image: Container) -> Secs {
-        let stored = StoredContainer {
-            container: image,
-            damage: None,
-        };
-        self.nodes[node].containers.insert(raw, stored);
-        self.nodes[node].disk.seq_write(self.container_bytes)
+    /// Write `image` onto `node` as its copy of container `raw`, replacing
+    /// any copy it held: one container write under the retry policy, like
+    /// a store's (a failed one leaves the node's copy as it was).
+    fn install_clean(
+        &mut self,
+        node: usize,
+        raw: u64,
+        image: Container,
+    ) -> (Secs, Result<(), StoreError>) {
+        let (cost, written) = self.io_attempts(node, NodeOp::Write(self.container_bytes));
+        let installed = written.map(|damage| {
+            let stored = StoredContainer {
+                container: image,
+                damage,
+            };
+            self.nodes[node].containers.insert(raw, stored);
+        });
+        (cost, installed)
     }
 
     /// Re-replicate container `raw` from `src`'s image onto `node`: one
     /// whole read of the image on `src`, then [`Self::install_clean`] on
-    /// `node`. Returns the `(read, write)` costs, or `None` — nothing
-    /// charged — when `src` holds no copy.
-    fn recopy(&mut self, raw: u64, src: usize, node: usize) -> Option<(Secs, Secs)> {
+    /// `node`. Returns the legs charged and whether the copy landed, or
+    /// `None` — nothing charged — when `src` holds no copy.
+    fn recopy(
+        &mut self,
+        raw: u64,
+        src: usize,
+        node: usize,
+    ) -> Option<(ScrubLeg, Result<(), StoreError>)> {
         let image = self.nodes[src].containers.get(&raw)?.container.clone();
         let bytes = self.image_bytes(&image);
-        let read = self.nodes[src].disk.rand_read(bytes);
-        Some((read, self.install_clean(node, raw, image)))
+        let (cost, copied) = self.io_attempts(src, NodeOp::Read(std::slice::from_ref(&(0..bytes))));
+        let read = (src, cost);
+        let mut leg = ScrubLeg { read, write: None };
+        if let Err(e) = copied {
+            return Some((leg, Err(e)));
+        }
+        let (cost, installed) = self.install_clean(node, raw, image);
+        leg.write = Some((node, cost));
+        Some((leg, installed))
     }
 
     /// Read a container off its replica ring (one random I/O of the
@@ -1166,10 +1181,8 @@ impl ChunkRepository {
     /// the id so copies stranded on downed nodes are purged at
     /// revive/repair instead of resurrecting, and account the reclaimed
     /// bytes in [`RepoStats`]. Returns the physical bytes freed (logical
-    /// data bytes × copies). Reclamation is background maintenance like
-    /// [`ChunkRepository::repair_node`]: it charges I/O but consumes no
-    /// armed fault plans (the crash-consistency window of GC lives in the
-    /// compaction writes and index sweeps, which *are* fault-checked).
+    /// data bytes × copies). A failed free stops the reclaim typed, the
+    /// container not yet reclaimed, for a redo to free what is left.
     ///
     /// An unknown or already-reclaimed id is a typed
     /// [`StoreError::MissingContainer`] — double frees are never silent —
@@ -1197,16 +1210,20 @@ impl ChunkRepository {
                 // the copy is dead from this moment on.
                 continue;
             }
-            self.nodes[node].containers.remove(&raw);
             // Freeing a container is a metadata update on the node's
             // container log, not a full rewrite.
-            node_costs.push((node, self.nodes[node].disk.seq_write(4096)));
+            let (cost, freed) = self.io_attempts(node, NodeOp::Write(4096));
+            freed?;
+            self.nodes[node].containers.remove(&raw);
+            self.stats.reclaimed_physical_bytes += data_bytes;
+            node_costs.push((node, cost));
         }
         self.reclaimed.insert(raw);
         let bytes = data_bytes * copies.len() as u64;
         self.stats.reclaimed_containers += 1;
         self.stats.reclaimed_bytes += data_bytes;
-        self.stats.reclaimed_physical_bytes += bytes;
+        // The down copies are reclaimed now; the others as each was freed.
+        self.stats.reclaimed_physical_bytes += bytes - data_bytes * node_costs.len() as u64;
         Ok(Reclaimed { bytes, node_costs })
     }
 
@@ -1250,9 +1267,8 @@ impl ChunkRepository {
     /// clean copies are kept, missing or damaged ones recopied. Each
     /// recopy charges one whole read of the image on the source and one
     /// sequential slot write on the repaired node, seen in their
-    /// [`debar_simio::DiskStats`]; the pass is background maintenance and
-    /// consumes no armed fault plans, like
-    /// [`ChunkRepository::delete_container`].
+    /// [`debar_simio::DiskStats`]. A failed recopy stops the pass typed,
+    /// for a redo to recopy the rest.
     ///
     /// The pass plans before it mutates: if any needed copy has no
     /// surviving healthy source (the `R = 1` node-loss case), it returns
@@ -1298,9 +1314,13 @@ impl ChunkRepository {
                 .retain(|raw, _| !reclaimed.contains(raw));
         }
         self.nodes[node].down = false;
-        let recopied = (plan.into_iter())
-            .filter_map(|(raw, src)| self.recopy(raw, src, node))
-            .count() as u64;
+        let mut recopied = 0;
+        for (raw, src) in plan {
+            if let Some((_, copied)) = self.recopy(raw, src, node) {
+                copied?;
+                recopied += 1;
+            }
+        }
         Ok(RepairReport {
             scanned: want.len() as u64,
             recopied,
@@ -1314,9 +1334,9 @@ impl ChunkRepository {
     /// counted [`ScrubReport::unrecoverable`] and left in place for a
     /// later repair.
     ///
-    /// The scrub is background maintenance like
-    /// [`ChunkRepository::repair_node`]: it charges real read/write I/O
-    /// per node but consumes no armed fault plans. Beside the report it
+    /// A copy whose verifying read fails is counted and recopied like a
+    /// corrupt one (left as it was without a source), and a failed recopy
+    /// leaves its copy unrepaired. Beside the report it
     /// returns a [`ScrubLeg`] for every verifying read and every recopy,
     /// in charge order: the verifying reads wait for no one's data, so a
     /// caller that puts them on per-node lanes at one start sees the
@@ -1339,43 +1359,39 @@ impl ChunkRepository {
                     ))
                 })
                 .collect();
-            let mut bad: Vec<usize> = Vec::new();
+            // Copies to recopy, and whether each was found corrupt.
+            let mut redo: Vec<(usize, bool)> = Vec::new();
             for (node, image) in holders {
-                let read = (node, self.nodes[node].disk.rand_read(image));
+                let whole = 0..image;
+                let (cost, verified) =
+                    self.io_attempts(node, NodeOp::Read(std::slice::from_ref(&whole)));
+                let read = (node, cost);
                 legs.push(ScrubLeg { read, write: None });
                 report.copies_checked += 1;
-                if self.check_copy(node, cid, Fetch::Whole).is_err() {
+                if verified.is_err() {
+                    redo.push((node, false));
+                } else if self.check_copy(node, cid, Fetch::Whole).is_err() {
                     report.corrupt_found += 1;
-                    bad.push(node);
+                    redo.push((node, true));
                 }
             }
-            // Repair corrupt copies in place from a clean source; then
+            // Repair those copies in place from a clean source; then
             // recopy the ring copies that are missing (a node silently
             // lost one).
-            for node in bad {
-                let Some(src) = self.healthy_source(cid, node) else {
-                    report.unrecoverable += 1;
-                    continue;
-                };
-                if let Some((read, write)) = self.recopy(raw, src, node) {
-                    let (read, write) = ((src, read), Some((node, write)));
-                    legs.push(ScrubLeg { read, write });
-                    report.repaired += 1;
-                }
-            }
-            let missing: Vec<usize> = self
+            let missing = self
                 .replica_nodes(cid)
                 .into_iter()
                 .filter(|&n| !self.nodes[n].down && !self.nodes[n].containers.contains_key(&raw))
-                .collect();
-            for node in missing {
+                .map(|n| (n, false))
+                .collect::<Vec<_>>();
+            for (node, corrupt) in redo.into_iter().chain(missing) {
                 let Some(src) = self.healthy_source(cid, node) else {
+                    report.unrecoverable += u64::from(corrupt);
                     continue;
                 };
-                if let Some((read, write)) = self.recopy(raw, src, node) {
-                    let (read, write) = ((src, read), Some((node, write)));
-                    legs.push(ScrubLeg { read, write });
-                    report.repaired += 1;
+                if let Some((leg, copied)) = self.recopy(raw, src, node) {
+                    legs.push(leg);
+                    report.repaired += u64::from(copied.is_ok());
                 }
             }
         }
@@ -1389,6 +1405,7 @@ mod tests {
     use crate::container::Payload;
     use debar_hash::Fingerprint;
     use debar_simio::models::paper;
+    use debar_simio::FaultPlan;
 
     fn fp(n: u64) -> Fingerprint {
         Fingerprint::of_counter(n)
@@ -1430,7 +1447,9 @@ mod tests {
     }
 
     fn arm(r: &mut ChunkRepository, node: usize, plan: FaultPlan) {
-        r.set_node_fault_plan(node, plan).expect("node in range");
+        r.node_disk_mut(node)
+            .expect("node in range")
+            .set_fault_plan(plan);
     }
 
     #[test]
@@ -1492,7 +1511,7 @@ mod tests {
         let mut r = repo(1);
         let id = store_ok(&mut r, container_of(0..100, 10_000));
         let disk = paper::repo_disk();
-        let before = (r.nodes()[0].disk_stats(), r.node_disk_ops(0).expect("node"));
+        let before = (r.nodes()[0].disk_stats(), r.nodes[0].disk.ops());
         let tenth = |f: &Fingerprint| (30..40).any(|n| *f == fp(n));
         let read = r.read_chunks(id, tenth, &[]);
         let chunks = read.value.expect("clean").expect("stored");
@@ -1510,7 +1529,7 @@ mod tests {
             (served.node, served.data_tail),
             (0, disk.seq_read_cost(head))
         );
-        let after = (r.nodes()[0].disk_stats(), r.node_disk_ops(0).expect("node"));
+        let after = (r.nodes()[0].disk_stats(), r.nodes[0].disk.ops());
         assert_eq!(after.1, before.1 + 1, "one fault-checked op");
         assert_eq!(after.0.rand_reads, before.0.rand_reads + 1, "one seek");
         assert_eq!(
@@ -1657,7 +1676,7 @@ mod tests {
         // read of the replica that follows it.
         let load = |r: &ChunkRepository, n: usize| r.nodes()[n].disk_stats().rand_read_bytes;
         let preferred = usize::from(load(&r, 1) < load(&r, 0));
-        let next = r.node_disk_ops(preferred).expect("node");
+        let next = r.nodes[preferred].disk.ops();
         arm(&mut r, preferred, FaultPlan::fail_at(next));
         let read = r.read(id);
         assert_eq!(read.legs.failed.len(), 1);
@@ -1978,11 +1997,7 @@ mod tests {
                 "{e}"
             );
         };
-        expect_unknown(
-            r.set_node_fault_plan(7, FaultPlan::fail_at(0))
-                .expect_err("typed"),
-        );
-        expect_unknown(r.node_disk_ops(7).expect_err("typed"));
+        expect_unknown(r.node_disk_mut(7).expect_err("typed"));
         expect_unknown(r.set_node_down(7).expect_err("typed"));
         expect_unknown(r.revive_node(7).expect_err("typed"));
         expect_unknown(r.is_node_down(7).expect_err("typed"));
@@ -2385,7 +2400,7 @@ mod tests {
         // A failed attempt leaves no mark on the node: once node 1 has
         // failed one read, the next read whose lane for node 1 starts
         // first is served by node 1.
-        let next = r.node_disk_ops(1).expect("node");
+        let next = r.nodes[1].disk.ops();
         arm(&mut r, 1, FaultPlan::fail_at(next));
         let failed = r.read_chunks(id, |f| *f == fp(2), &[0.3, 0.1, 0.2]);
         assert_eq!(
@@ -2471,6 +2486,39 @@ mod tests {
         assert_eq!(again.corrupt_found, 0);
         assert_eq!(again.repaired, 0);
         assert_eq!(again.copies_checked, 8);
+    }
+
+    #[test]
+    fn a_failed_scrub_op_is_that_scrub_s_outcome() {
+        // R = 2 on 2 nodes. A `Fail` on node 0's verifying read: the copy
+        // is counted and recopied from node 1. A `Fail` on the write that
+        // would repair node 0's corrupt copy: the copy is counted and left
+        // as it was, for the next scrub. Either way the fault is spent
+        // with the scrub — the next store is not refused.
+        for (damaged, op, repaired) in [(false, 0, 1), (true, 1, 0)] {
+            let mut r = repo_r(2, 2);
+            let cid = store_ok(&mut r, container_with(0..10));
+            if damaged {
+                r.set_damage(cid, Some(Damage::BitFlip)).expect("stored");
+            }
+            let at = r.nodes[0].disk.ops() + op;
+            arm(&mut r, 0, FaultPlan::fail_at(at));
+            let (report, legs) = r.scrub_all();
+            let want = ScrubReport {
+                copies_checked: 2,
+                corrupt_found: u64::from(damaged),
+                repaired,
+                unrecoverable: 0,
+            };
+            assert_eq!(report, want, "damaged={damaged}");
+            let recopy =
+                (legs.last()).and_then(|leg| leg.write.map(|(node, _)| (leg.read.0, node)));
+            assert_eq!((legs.len(), recopy), (3, Some((1, 0))), "damaged={damaged}");
+            // The store, the verifying read and the recopy's write.
+            assert_eq!(r.nodes[0].disk.ops(), 3, "damaged={damaged}");
+            store_ok(&mut r, container_with(10..20));
+            assert_eq!(r.under_replicated().len(), usize::from(damaged));
+        }
     }
 
     #[test]

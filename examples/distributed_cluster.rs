@@ -55,7 +55,7 @@ fn main() {
 
     // The index is filling up: capacity-scale every part (2^n -> 2^{n+1}).
     let util_before = cluster.index_utilization();
-    let cost = cluster.scale_up_indexes();
+    let cost = cluster.scale_up_indexes().expect("capacity scaling");
     println!(
         "capacity scaling: utilization {:.1}% -> {:.1}%, rebuilt in {:.2}s virtual",
         util_before * 100.0,

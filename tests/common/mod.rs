@@ -21,7 +21,7 @@ use debar::hash::Sha1;
 use debar::workload::files::{FileSpec, FileTreeConfig, FileTreeGen, MutationConfig};
 use debar::{
     ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, DebarResult, Dedup2Phase,
-    Device, FaultPlan, JobId, RestoreReport, RunId,
+    Device, Discrepancy, FaultPlan, JobId, RestoreReport, RunId,
 };
 
 /// The failure kind a scenario injects (beyond plain index loss).
@@ -773,6 +773,14 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         let nodes = cluster.repository().node_count();
         sc.require_within("repository node", node, nodes);
         cluster.set_repo_node_down(node).expect("node in range");
+        // fsck names exactly the copies the down node holds back.
+        let repo = cluster.repository();
+        let behind: Vec<Discrepancy> = (repo.container_ids().into_iter())
+            .filter(|&cid| repo.replica_nodes(cid).contains(&node))
+            .map(|container| Discrepancy::UnderReplicated { container, node })
+            .collect();
+        assert!(!behind.is_empty(), "{}: node {node} holds nothing", sc.name);
+        assert_eq!(cluster.fsck().discrepancies, behind, "{}", sc.name);
         if sc.cfg.replication >= 2 {
             // Degraded but survivable: every run verifies and restores
             // byte-identically off the surviving replicas, and the
@@ -845,6 +853,13 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         cluster
             .set_damage(target, Some(Damage::BitFlip))
             .expect("container exists");
+        // fsck names exactly the damaged copy.
+        let node = cluster.repository().locate(target).expect("stored");
+        let corrupt = Discrepancy::CorruptCopy {
+            container: target,
+            node,
+        };
+        assert_eq!(cluster.fsck().discrepancies, [corrupt], "{}", sc.name);
         // Detected on restore and by the verify audit, naming the container.
         assert_loss_typed(
             &mut cluster,
@@ -937,6 +952,11 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         .collect();
     out.physical_bytes = cluster.repository().physical_data_bytes();
     out.retried_ops = cluster.repository().stats().retried_ops;
+    // Whatever the scenario injected, it ends consistent: every retained
+    // run resolves to containers with R clean copies listing its chunks.
+    let fsck = cluster.fsck();
+    assert!(fsck.is_clean(), "{}: {:?}", sc.name, fsck.discrepancies);
+    assert!(fsck.fingerprints > 0, "{}: fsck checked nothing", sc.name);
     if matches!(sc.failure, Failure::TransientChaos { .. }) {
         assert!(
             out.retried_ops > 0,

@@ -565,6 +565,7 @@ fn dedup2_crash_point_sweep_converges_at_every_device_op() {
             };
             let got = converged_round(&mut c, report.store, runs);
             assert_eq!(got, want, "{leg}: redo diverged");
+            assert_eq!(c.fsck().discrepancies, [], "{leg}");
         }
     }
     // With one copy of each container, no crash point is absorbed: the
@@ -656,6 +657,7 @@ fn riding_siu_crash_point_sweep_names_the_part_and_converges() {
             assert_eq!(report.siu_updates, carried, "{leg}: the redo carries it");
             let got = converged_round(&mut c, report.store, runs);
             assert_eq!(got, want, "{leg}: redo diverged");
+            assert_eq!(c.fsck().discrepancies, [], "{leg}");
         }
     }
 }
@@ -682,20 +684,20 @@ fn fragmented_r2_cluster() -> (DebarCluster, RunId) {
 fn restore_crash_point_sweep_at_r2_fails_over_or_names_the_device() {
     // Every device op a clean restore of the latest generation charges is
     // a crash point: a container read on either node, an index lookup.
-    // Arm `Fail` at each in turn. The restore returns the clean walk's
-    // bytes — the other copy serves a faulted read, whichever copy the
-    // node lanes sent it to first — or a typed error naming the armed
-    // device; never a panic, never other bytes.
+    // Arm `Fail` at each in turn. A faulted read returns the clean walk's
+    // bytes — the other copy serves it, whichever copy the node lanes
+    // sent it to first — and a faulted lookup is the restore's own typed
+    // error naming the index part; never a panic, never other bytes.
     let devices = [
         Device::RepoNode(0),
         Device::RepoNode(1),
         Device::IndexPart { server: 0, part: 0 },
     ];
-    let ops_of = |c: &DebarCluster| devices.map(|d| c.device_ops(d).expect("device"));
+    let ops_of = |c: &mut DebarCluster| devices.map(|d| c.device_ops(d).expect("device"));
     let (mut clean, run) = fragmented_r2_cluster();
-    let before = ops_of(&clean);
+    let before = ops_of(&mut clean);
     let want = clean.restore_run(run).expect("clean restore");
-    let touched: Vec<u64> = (ops_of(&clean).iter().zip(&before))
+    let touched: Vec<u64> = (ops_of(&mut clean).iter().zip(&before))
         .map(|(after, before)| after - before)
         .collect();
     assert!(touched.iter().all(|&n| n > 0), "crash points {touched:?}");
@@ -706,7 +708,7 @@ fn restore_crash_point_sweep_at_r2_fails_over_or_names_the_device() {
         want.layout
     );
 
-    let mut failed_over = 0;
+    let (mut failed_over, mut typed) = (0, 0);
     for (i, &device) in devices.iter().enumerate() {
         let node = matches!(device, Device::RepoNode(_));
         for at in before[i]..before[i] + touched[i] {
@@ -718,22 +720,25 @@ fn restore_crash_point_sweep_at_r2_fails_over_or_names_the_device() {
                     let got = (r.files, r.chunks, r.bytes, r.failures);
                     assert_eq!(got, (want.files, want.chunks, want.bytes, 0), "{leg}");
                     assert_eq!(r.layout, want.layout, "{leg}");
-                    // A node's fault fails over to the other copy. A
-                    // random index lookup charges its op but checks no
-                    // fault plan, so an armed lookup answers as the clean
-                    // one did and the plan waits for the part's next
-                    // checked op.
-                    assert_eq!(r.failover_reads, u64::from(node), "{leg}");
-                    failed_over += u64::from(node);
+                    // A node's fault fails over to the other copy.
+                    assert!(node, "{leg}: a faulted lookup restored");
+                    assert_eq!(r.failover_reads, 1, "{leg}");
+                    failed_over += 1;
                 }
                 Err(err) => {
                     assert!(!node, "{leg}: the other copy serves: {err}");
                     assert_eq!(named_device(&err), Some(device), "{leg}: {err}");
+                    typed += 1;
                 }
             }
+            // Nothing waits for a later op: the next restore is clean.
+            let again = c.restore_run(run).expect("the fault is spent");
+            assert_eq!(again.bytes, want.bytes, "{leg}");
+            assert_eq!(c.fsck().discrepancies, [], "{leg}");
         }
     }
     assert_eq!(failed_over, touched[0] + touched[1]);
+    assert_eq!(typed, touched[2], "every lookup leg fails typed");
 }
 
 /// Bytes waiting in each server's chunk log.

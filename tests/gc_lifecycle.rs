@@ -31,8 +31,8 @@ use common::{
 use debar::hash::Sha1;
 use debar::workload::ChunkRecord;
 use debar::{
-    ClientId, ContainerId, Dataset, DebarCluster, DebarConfig, DebarError, Device, FaultPlan,
-    JobId, RunId,
+    ClientId, ContainerId, Dataset, DebarCluster, DebarConfig, DebarError, Device, Discrepancy,
+    FaultPlan, JobId, RunId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -243,10 +243,10 @@ fn gc_crash_point_sweep_converges_at_every_device_op() {
                 assert!(to > from, "{tag}: {device:?} idle in the collection");
                 for at in from..to {
                     let leg = format!("{tag} {device:?} op {at} of {from}..{to}");
-                    // Fail: typed, naming the device — unless the other
-                    // replica of a victim absorbed it, or the armed op was
-                    // a free after the device's last checked op (frees
-                    // check no plan): then the collection was a clean one.
+                    // Fail: typed, naming the device — a free's fault too,
+                    // from the free itself — unless the other replica of a
+                    // victim absorbed it: then the collection was a clean
+                    // one.
                     let (mut c, ..) = half_live_cluster(cfg);
                     c.arm(device, FaultPlan::fail_at(at)).expect("device");
                     let faulted = c.run_gc();
@@ -268,6 +268,7 @@ fn gc_crash_point_sweep_converges_at_every_device_op() {
                     assert_eq!(mid.failures, 0, "{leg}: a live chunk was lost");
                     c.run_gc().expect("redo");
                     assert_eq!(converged(&mut c, retained), want, "{leg}: redo diverged");
+                    assert_eq!(c.fsck().discrepancies, [], "{leg}");
 
                     // TornWrite: silent on a replica write, a failed attempt
                     // on a read — either way the other copy serves.
@@ -279,6 +280,14 @@ fn gc_crash_point_sweep_converges_at_every_device_op() {
                     c.run_gc().expect("a torn replica write looks durable");
                     c.clear_fault_plans();
                     let torn = c.repository().under_replicated();
+                    // fsck names exactly the torn copies, on the armed node.
+                    let Device::RepoNode(node) = device else {
+                        unreachable!("only nodes tear")
+                    };
+                    let corrupt: Vec<Discrepancy> = (torn.iter())
+                        .map(|&container| Discrepancy::CorruptCopy { container, node })
+                        .collect();
+                    assert_eq!(c.fsck().discrepancies, corrupt, "{leg}");
                     let repairs = c.repository().stats().read_repairs;
                     assert_eq!(converged(&mut c, retained), want, "{leg}: torn copy leaked");
                     let scrub = c.scrub().expect("quiesced").value;
@@ -287,10 +296,18 @@ fn gc_crash_point_sweep_converges_at_every_device_op() {
                     torn_copies += torn.len();
                     assert_eq!(scrub.unrecoverable, 0, "{leg}");
                     assert!(c.repository().under_replicated().is_empty(), "{leg}");
+                    assert_eq!(c.fsck().discrepancies, [], "{leg}");
                 }
             }
-            // Every output's replica write was a crash point of its own.
+            // Every output's replica write was a crash point of its own;
+            // with one copy of each victim, nothing absorbs a fault — a
+            // free's included.
             assert!(aborted as u64 >= outputs, "{tag}: {aborted} legs aborted");
+            let legs: u64 = enumerated.iter().sum();
+            assert!(
+                replication > 1 || aborted as u64 == legs,
+                "{tag}: {aborted}/{legs}"
+            );
             assert!(replication < 2 || torn_copies as u64 >= outputs, "{tag}");
         }
     }

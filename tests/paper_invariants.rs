@@ -27,7 +27,8 @@ fn sil_beats_random_lookup_by_orders_of_magnitude() {
         .try_sequential_lookup_sharded(&mut cache, 1)
         .expect("no fault is armed");
     let sil_rate = batch / t.cost;
-    let rand_rate = 1.0 / idx.lookup_random(&Fingerprint::of_counter(1)).cost;
+    let lookup = idx.lookup_random(&Fingerprint::of_counter(1));
+    let rand_rate = 1.0 / lookup.expect("no fault is armed").cost;
     assert!(
         sil_rate > 100.0 * rand_rate,
         "SIL {sil_rate:.0} fps/s vs random {rand_rate:.0} fps/s"

@@ -29,7 +29,7 @@ fn full_scaling_ladder_preserves_everything() {
 
     backed_up.push(step(&mut c, &mut next));
     let entries = c.index_entries();
-    c.scale_up_indexes();
+    c.scale_up_indexes().expect("no fault is armed");
     assert_eq!(c.index_entries(), entries, "capacity scaling lost entries");
 
     backed_up.push(step(&mut c, &mut next));
@@ -37,7 +37,7 @@ fn full_scaling_ladder_preserves_everything() {
     assert_eq!(c.server_count(), 2);
 
     backed_up.push(step(&mut c, &mut next));
-    c.scale_up_indexes();
+    c.scale_up_indexes().expect("no fault is armed");
     c.scale_out().expect("scale-out");
     assert_eq!(c.server_count(), 4);
 
@@ -104,7 +104,7 @@ fn striped_scaling_ladder_clamps_and_preserves_everything() {
             .expect("backup");
         c.run_dedup2().expect("dedup2");
         c.force_siu().expect("siu");
-        c.scale_up_indexes(); // 256 -> 512 buckets per part
+        c.scale_up_indexes().expect("no fault is armed"); // 256 -> 512 buckets per part
         c.backup(job, &Dataset::from_records("s", records(1500..3000)))
             .expect("backup");
         c.run_dedup2().expect("dedup2");
