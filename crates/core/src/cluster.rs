@@ -592,8 +592,8 @@ impl DebarCluster {
         })
     }
 
-    /// Force PSIU now (register every pending fingerprint). Used before
-    /// restores and at experiment end.
+    /// Force PSIU now (register every pending fingerprint). Used at
+    /// experiment end.
     ///
     /// An injected index-disk fault surfaces as
     /// [`DebarError::PartialSiu`]; the faulted server keeps its pending

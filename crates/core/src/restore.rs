@@ -638,10 +638,16 @@ impl RestoreWalk<'_> {
                 let found = lookup_with_owner(self.servers, sid, owner, fp)
                     .map_err(|e| DebarError::index_fault(owner as ServerId, e))?;
                 lanes.lookup(found.cost);
-                let cid = found.value.ok_or(DebarError::MissingChunk {
+                // A miss may be a fingerprint the owner's next SIU
+                // registers: its last pending mapping, read in memory and
+                // uncharged, as fsck's check 1 reads it.
+                let pending = self.servers[owner].pending_updates();
+                let last_pending = || pending.iter().rev().find(|u| u.0 == *fp).map(|u| u.1);
+                let missing = DebarError::MissingChunk {
                     fp: *fp,
                     container: None,
-                })?;
+                };
+                let cid = found.value.or_else(last_pending).ok_or(missing)?;
                 // The walk reads its recipe — for the victims, and for what
                 // to fetch — from its first miss when the files it walks
                 // weigh more than the cache holds, else from the first miss

@@ -25,11 +25,12 @@
 mod common;
 
 use common::{
-    arm_in, assert_equivalent, run_scenario, Failure, Scenario, REPLICATION, SWEEP_PARTS,
+    assert_equivalent, fault, node_down, play, run_history, run_scenario, Call, Scenario,
+    REPLICATION, SWEEP_PARTS,
 };
 use debar::workload::ChunkRecord;
 use debar::{
-    ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, Device, FaultPlan, JobId,
+    ClientId, Damage, Dataset, DebarCluster, DebarConfig, DebarError, Device, FaultKind, JobId,
     RetryPolicy, RunId, ScrubReport,
 };
 
@@ -53,36 +54,72 @@ fn loaded_cluster(cfg: DebarConfig, n: u64) -> (DebarCluster, JobId) {
     (c, job)
 }
 
+/// One step of the chaos schedule's LCG (PCG-style multiplier; the high
+/// bits are well mixed).
+fn chaos_step(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
+/// Both repository nodes of the tiny deployment.
+const NODES: [Device; 2] = [Device::RepoNode(0), Device::RepoNode(1)];
+
+/// `sc`'s history under seeded transient chaos: ahead of every round's
+/// dedup-2 and of the verification walk, each of the tiny deployment's two
+/// repository nodes gets a `Transient` fault at one of its next three ops
+/// with a failure budget strictly inside the retry policy's attempts, so
+/// a retrying caller must absorb it. Deterministic in (seed, round, node).
+fn chaotic(sc: &Scenario, seed: u64) -> Vec<Call> {
+    let attempts = sc.cfg.retry.max_attempts;
+    assert!(attempts >= 2, "{}: chaos needs a retrying policy", sc.name);
+    let arms = |round: u64| {
+        NODES.into_iter().map(move |device| {
+            let mut rng = seed
+                ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ ((device == NODES[1]) as u64 * 0xD1B5_4A32_D192_ED03);
+            let fails_for = 1 + (chaos_step(&mut rng) % (attempts - 1) as u64) as u32;
+            let k = chaos_step(&mut rng) % 3;
+            let kind = FaultKind::Transient { fails_for };
+            Call::Arm { device, k, kind }
+        })
+    };
+    let (mut h, mut round, mut walking) = (Vec::new(), 0, false);
+    for call in sc.history() {
+        if call == Call::RunDedup2 {
+            h.extend(arms(round));
+            round += 1;
+        }
+        if matches!(call, Call::VerifyRun(_)) && !std::mem::replace(&mut walking, true) {
+            // Reads retry every fault kind.
+            h.extend(arms(0xFEED_FACE));
+        }
+        h.push(call);
+    }
+    h
+}
+
+/// The chaotic history of `sc` surfaces no error, retries, and lands on
+/// the fault-free, retry-free outcome.
+fn chaos_converges(sc: Scenario, seed: u64, label: &str) {
+    let clean = run_scenario(&sc);
+    assert_eq!(clean.retried_ops, 0, "{label}: a clean retry");
+    let sc = sc.with_cfg(|c| c.with_retry(chaos_retry()));
+    let (chaotic, trace) = run_history(&sc, &chaotic(&sc, seed));
+    assert_eq!(trace.errors(), [], "{label}: {trace:?}");
+    assert!(chaotic.retried_ops > 0, "{label}: never retried");
+    assert_equivalent(&clean, &chaotic, &format!("{label} diverged under chaos"));
+}
+
 #[test]
 fn transient_chaos_converges_byte_identically_across_matrix() {
-    // In-budget transients must be invisible to the public API: the
-    // chaotic run surfaces zero errors (asserted inside the harness),
-    // actually retries, and lands on the byte-identical outcome of a
-    // fault-free, retry-free run — at every partition count and
-    // replication factor.
+    // In-budget transients must be invisible to the public API — at every
+    // partition count and replication factor.
     for repl in REPLICATION {
         for parts in SWEEP_PARTS {
-            let clean = run_scenario(
-                &Scenario::tiny("chaos", 0, parts).with_cfg(|c| c.with_replication(repl)),
-            );
-            assert_eq!(
-                clean.retried_ops, 0,
-                "chaos: r={repl} parts={parts}: fault-free run must not retry"
-            );
-            let chaotic = run_scenario(
-                &Scenario::tiny("chaos", 0, parts)
-                    .with_cfg(|c| c.with_replication(repl).with_retry(chaos_retry()))
-                    .with_failure(Failure::TransientChaos { seed: 0xC4A0_0001 }),
-            );
-            assert!(
-                chaotic.retried_ops > 0,
-                "chaos: r={repl} parts={parts}: the schedule never engaged the retry layer"
-            );
-            assert_equivalent(
-                &clean,
-                &chaotic,
-                &format!("chaos: r={repl} parts={parts} diverged under transient chaos"),
-            );
+            let sc = Scenario::tiny("chaos", 0, parts).with_cfg(|c| c.with_replication(repl));
+            chaos_converges(sc, 0xC4A0_0001, &format!("chaos: r={repl} parts={parts}"));
         }
     }
 }
@@ -90,18 +127,8 @@ fn transient_chaos_converges_byte_identically_across_matrix() {
 #[test]
 fn transient_chaos_converges_multi_server() {
     for parts in SWEEP_PARTS {
-        let clean = run_scenario(&Scenario::tiny("chaos-w1", 1, parts));
-        let chaotic = run_scenario(
-            &Scenario::tiny("chaos-w1", 1, parts)
-                .with_cfg(|c| c.with_retry(chaos_retry()))
-                .with_failure(Failure::TransientChaos { seed: 0xC4A0_0002 }),
-        );
-        assert!(chaotic.retried_ops > 0, "chaos-w1 parts={parts}: no retry");
-        assert_equivalent(
-            &clean,
-            &chaotic,
-            &format!("chaos-w1: parts={parts} diverged under transient chaos"),
-        );
+        let sc = Scenario::tiny("chaos-w1", 1, parts);
+        chaos_converges(sc, 0xC4A0_0002, &format!("chaos-w1: parts={parts}"));
     }
 }
 
@@ -112,19 +139,11 @@ fn node_loss_with_retry_enabled_still_converges_at_r2() {
     // must not perturb the degraded outcome.
     for repl in REPLICATION.into_iter().filter(|&r| r >= 2) {
         for parts in SWEEP_PARTS {
-            let clean = run_scenario(
-                &Scenario::tiny("chaos-down", 0, parts).with_cfg(|c| c.with_replication(repl)),
-            );
-            let degraded = run_scenario(
-                &Scenario::tiny("chaos-down", 0, parts)
-                    .with_cfg(|c| c.with_replication(repl).with_retry(chaos_retry()))
-                    .with_failure(Failure::RepoNodeDown { node: 1 }),
-            );
-            assert_equivalent(
-                &clean,
-                &degraded,
-                &format!("chaos-down: r={repl} parts={parts} diverged after node loss"),
-            );
+            let sc = Scenario::tiny("chaos-down", 0, parts).with_cfg(|c| c.with_replication(repl));
+            let clean = run_scenario(&sc);
+            let degraded = node_down(&sc.with_cfg(|c| c.with_retry(chaos_retry())), 1);
+            let label = format!("chaos-down: r={repl} parts={parts}");
+            assert_equivalent(&clean, &degraded, &label);
         }
     }
 }
@@ -140,23 +159,16 @@ fn retry_exhaustion_is_typed_on_the_read_path() {
     );
     let run = RunId { job, version: 0 };
     let nodes = c.repository().node_count();
-    for node in 0..nodes {
-        arm_in(&mut c, Device::RepoNode(node), 0, |at| {
-            FaultPlan::transient_at(at, 5)
-        });
-    }
-    let err = c
-        .restore_run(run)
-        .expect_err("a 2-attempt budget cannot absorb 5 consecutive failures");
-    match err {
-        DebarError::RetriesExhausted { node, attempts } => {
+    let kind = FaultKind::Transient { fails_for: 5 };
+    let trace = play(&mut c, &fault(&NODES, 0, kind, Call::RestoreRun(run)));
+    match trace.errors()[..] {
+        [DebarError::RetriesExhausted { node, attempts }] => {
             assert!(node < nodes, "error must name a real node, got {node}");
             assert_eq!(attempts, 2, "error must report the exhausted budget");
         }
-        other => panic!("expected RetriesExhausted, got {other:?}"),
+        ref other => panic!("expected RetriesExhausted, got {other:?}"),
     }
-    // The fault was transient: clear it and the same restore converges.
-    c.clear_fault_plans();
+    // The fault was transient, and is cleared: the same restore converges.
     let r = c.restore_run(run).expect("restore after the fault clears");
     assert_eq!(r.failures, 0);
     assert_eq!(r.chunks, 1500);
@@ -170,15 +182,9 @@ fn retry_exhaustion_is_typed_on_the_write_path() {
     c.backup(job, &Dataset::from_records("data", recs))
         .expect("backup");
     let nodes = c.repository().node_count();
-    for node in 0..nodes {
-        arm_in(&mut c, Device::RepoNode(node), 0, |at| {
-            FaultPlan::transient_at(at, 9)
-        });
-    }
-    let err = c
-        .run_dedup2()
-        .expect_err("a 3-attempt budget cannot absorb 9 consecutive failures");
-    match err {
+    let kind = FaultKind::Transient { fails_for: 9 };
+    let trace = play(&mut c, &fault(&NODES, 0, kind, Call::RunDedup2));
+    match trace.errors().remove(0) {
         DebarError::InterruptedDedup2 { cause, .. } => match *cause {
             DebarError::RetriesExhausted { node, attempts } => {
                 assert!(node < nodes, "cause must name a real node, got {node}");
@@ -188,8 +194,7 @@ fn retry_exhaustion_is_typed_on_the_write_path() {
         },
         other => panic!("expected InterruptedDedup2, got {other:?}"),
     }
-    // Interrupted dedup-2 is resumable: clear the fault and converge.
-    c.clear_fault_plans();
+    // Interrupted dedup-2 is resumable: once the fault clears it converges.
     c.run_dedup2().expect("redo after the fault clears");
     c.force_siu().expect("siu");
     let r = c

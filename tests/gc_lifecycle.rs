@@ -25,14 +25,15 @@
 mod common;
 
 use common::{
-    assert_equivalent, run_scenario, Failure, Outcome, Scenario, REPLICATION, RETENTION,
-    SWEEP_PARTS,
+    assert_equivalent, backups, crash_sweep, play, recovered, run, run_scenario, Call, Data,
+    Outcome, Scenario, REPLICATION, RETENTION, SWEEP_PARTS,
 };
 use debar::hash::Sha1;
 use debar::workload::ChunkRecord;
 use debar::{
     ClientId, ContainerId, Dataset, DebarCluster, DebarConfig, DebarError, Device, Discrepancy,
-    FaultPlan, JobId, RunId,
+    FaultKind::{Fail, TornWrite},
+    FileContent, JobId, RunId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -116,11 +117,8 @@ fn index_recovery_rebuild_converges_after_gc() {
     // scenario stays partition-independent.
     let mut outs: Vec<(usize, Outcome)> = Vec::new();
     for parts in SWEEP_PARTS {
-        let out = run_scenario(
-            &Scenario::tiny("gc-recover", 0, parts)
-                .with_cfg(|c| c.with_retention(1))
-                .with_failure(Failure::RecoverIndexes),
-        );
+        let out =
+            recovered(&Scenario::tiny("gc-recover", 0, parts).with_cfg(|c| c.with_retention(1)));
         if let Some((p0, base)) = outs.first() {
             assert_equivalent(
                 base,
@@ -149,166 +147,109 @@ fn overlapping_cluster(cfg: DebarConfig) -> (DebarCluster, JobId, JobId) {
     (c, a, b)
 }
 
-/// Crash-point fixture: job `a` fills containers, job `b` keeps every
-/// other run of 24 chunks of them alive, `a` is deleted — so every
-/// container of `a` is a half-live victim and the survivors of about two
-/// victims fill one output. Returns the cluster, quiesced and ready to
-/// collect, with the retained run and its fingerprints.
-fn half_live_cluster(cfg: DebarConfig) -> (DebarCluster, RunId, Vec<ChunkRecord>) {
-    let mut c = DebarCluster::new(cfg);
-    let a = c.define_job("a", ClientId(0));
-    let b = c.define_job("b", ClientId(1));
-    let all: Vec<ChunkRecord> = (0..1000u64).map(ChunkRecord::of_counter).collect();
-    let kept: Vec<ChunkRecord> = (all.chunks(24).step_by(2).flatten().copied()).collect();
-    for (job, recs) in [(a, all), (b, kept.clone())] {
-        c.backup(job, &Dataset::from_records("s", recs))
-            .expect("backup");
-        c.run_dedup2().expect("dedup2");
-        c.force_siu().expect("siu");
-    }
-    c.delete_run(RunId { job: a, version: 0 }).expect("delete");
-    (c, RunId { job: b, version: 0 }, kept)
-}
-
-/// What a collection must converge to: index bytes, container set,
-/// physical bytes and the retained run's restored bytes.
-fn converged(c: &mut DebarCluster, retained: RunId) -> ([u8; 20], Vec<ContainerId>, u64, u64) {
-    let restored = c.restore_run(retained).expect("retained run restores");
-    assert_eq!(restored.failures, 0);
-    (
-        Sha1::digest(c.server(0).index().raw_data()),
-        c.repository().container_ids(),
-        c.repository().physical_data_bytes(),
-        restored.bytes,
-    )
-}
-
 #[test]
 fn gc_crash_point_sweep_converges_at_every_device_op() {
-    // Every device op of a packed collection is a crash point: a victim
-    // read, a replica write of an output that holds the survivors of
-    // several victims, the frees behind it, the index sweeps. Arm each in
-    // turn on each device; the collection ends typed (or, with a replica
-    // to fail over to, unharmed), and the redo reaches the clean twin —
-    // whichever outputs were durable, whichever victim was waiting for
-    // its second one.
-    let devices = [
-        Device::RepoNode(0),
-        Device::RepoNode(1),
-        Device::IndexPart { server: 0, part: 0 },
-    ];
+    // Job 0 fills containers, job 1 keeps every other run of 24 chunks of
+    // them alive, job 0's run is deleted — so every container of job 0 is
+    // a half-live victim and the survivors of about two victims fill one
+    // output. Every device op of the packed collection is a crash point:
+    // a victim read, a replica write of an output that holds the
+    // survivors of several victims, the frees behind it, the index
+    // sweeps. `Fail` ends the collection typed, naming the device — a
+    // free's fault too, from the free itself — unless the other replica
+    // of a victim absorbed it; either way no live chunk is unreadable
+    // between a store and the frees it enables, and the redo reaches the
+    // clean twin, whichever outputs were durable. At R = 2 a node's
+    // `TornWrite` is silent on a replica write and a failed attempt on a
+    // read: fsck names exactly the torn copies, on the armed node, the
+    // other copy serves, and read-repair plus one scrub heal them all.
+    let kept = Data::EveryOtherRun {
+        span: 0..1000,
+        run: 24,
+    };
+    let mut fixture = backups(2, []);
+    for job in [(0, Data::Counters(0..1000)), (1, kept.clone())] {
+        let round = [Call::RunDedup2, Call::ForceSiu];
+        fixture.extend(backups(0, [job]).into_iter().chain(round));
+    }
+    fixture.push(Call::DeleteRun(run(0, 0)));
+    let (retained, kept) = (run(1, 0), kept.dataset());
+    let FileContent::Records(kept_records) = &kept.files[0].content else {
+        unreachable!("a record stream")
+    };
     for replication in REPLICATION {
         for parts in SWEEP_PARTS {
             let cfg = DebarConfig::tiny_test(0)
                 .with_replication(replication)
                 .with_sweep_parts(parts);
             let tag = format!("R={replication} parts={parts}");
-            // The clean twin, and the shape the sweep is about.
-            let (mut clean, retained, kept) = half_live_cluster(cfg);
-            let was_in: Vec<ContainerId> =
-                (kept.iter().map(|r| clean.resolve(&r.fp).expect("live"))).collect();
-            let ops_before = devices.map(|d| clean.device_ops(d).expect("device"));
-            let written_before = clean.repository().stats().containers;
-            clean.run_gc().expect("clean collection");
-            let ops = devices.map(|d| clean.device_ops(d).expect("device"));
-            // Which op runs when moves with the node timelines; which ops
-            // there are, and in what order, does not: the sweep arms the
-            // same crash points it armed when every node ran its ops in
-            // submission order and two outputs were in flight.
-            let enumerated: Vec<u64> = (ops.iter().zip(&ops_before))
-                .map(|(to, from)| to - from)
-                .collect();
-            let pinned: &[u64] = match replication {
-                1 => &[10, 10, 2],
-                2 => &[16, 16, 2],
-                _ => &enumerated,
+            // The shape the sweep is about.
+            let mut c = DebarCluster::new(cfg);
+            play(&mut c, &fixture);
+            let resolve = |c: &DebarCluster| -> Vec<ContainerId> {
+                (kept_records.iter().map(|r| c.resolve(&r.fp).expect("live"))).collect()
             };
-            assert_eq!(enumerated, pinned, "{tag}: crash points");
+            let (was_in, written_before) = (resolve(&c), c.repository().stats().containers);
+            play(&mut c, &[Call::RunGc]);
             let mut outputs_of: BTreeMap<ContainerId, BTreeSet<ContainerId>> = BTreeMap::new();
-            for (r, victim) in kept.iter().zip(&was_in) {
-                let now_in = clean.resolve(&r.fp).expect("live");
-                outputs_of.entry(*victim).or_default().insert(now_in);
+            for (victim, now_in) in was_in.into_iter().zip(resolve(&c)) {
+                outputs_of.entry(victim).or_default().insert(now_in);
             }
             let straddling = outputs_of.values().filter(|o| o.len() > 1).count();
-            let outputs = clean.repository().stats().containers - written_before;
+            let outputs = c.repository().stats().containers - written_before;
             assert!(
                 outputs >= 3 && straddling >= 2,
                 "{tag}: {outputs} outputs, {straddling} straddling"
             );
-            let want = converged(&mut clean, retained);
-            // Legs that aborted typed, and torn copies the sweep left.
+
+            // Every part-disk past the volume takes the same two sweep ops
+            // as part 1: wider stripes sweep parts 0 and 1 alone.
+            let kinds = |d| match d {
+                Device::RepoNode(_) if replication > 1 => vec![Fail, TornWrite],
+                Device::IndexPart { part: 2.., .. } => vec![],
+                _ => vec![Fail],
+            };
             let (mut aborted, mut torn_copies) = (0, 0);
-
-            for (device, (from, to)) in devices.into_iter().zip(ops_before.into_iter().zip(ops)) {
-                assert!(to > from, "{tag}: {device:?} idle in the collection");
-                for at in from..to {
-                    let leg = format!("{tag} {device:?} op {at} of {from}..{to}");
-                    // Fail: typed, naming the device — a free's fault too,
-                    // from the free itself — unless the other replica of a
-                    // victim absorbed it: then the collection was a clean
-                    // one.
-                    let (mut c, ..) = half_live_cluster(cfg);
-                    c.arm(device, FaultPlan::fail_at(at)).expect("device");
-                    let faulted = c.run_gc();
-                    c.clear_fault_plans();
-                    aborted += usize::from(faulted.is_err());
-                    match faulted {
-                        Err(DebarError::DeviceFault { device: d, .. }) => {
-                            assert_eq!(d, device, "{leg}")
-                        }
-                        Err(DebarError::Unrecoverable { node, .. }) => {
-                            assert_eq!(Device::RepoNode(node), device, "{leg}")
-                        }
-                        Ok(_) => assert_eq!(converged(&mut c, retained), want, "{leg}"),
-                        Err(e) => panic!("{leg}: {e}"),
-                    }
-                    // No live chunk is unreadable between a store and the
-                    // frees it enables.
-                    let mid = c.verify_run(retained).expect("verify");
-                    assert_eq!(mid.failures, 0, "{leg}: a live chunk was lost");
-                    c.run_gc().expect("redo");
-                    assert_eq!(converged(&mut c, retained), want, "{leg}: redo diverged");
-                    assert_eq!(c.fsck().discrepancies, [], "{leg}");
-
-                    // TornWrite: silent on a replica write, a failed attempt
-                    // on a read — either way the other copy serves.
-                    if replication < 2 || !matches!(device, Device::RepoNode(_)) {
-                        continue;
-                    }
-                    let (mut c, ..) = half_live_cluster(cfg);
-                    c.arm(device, FaultPlan::torn_write_at(at)).expect("device");
-                    c.run_gc().expect("a torn replica write looks durable");
-                    c.clear_fault_plans();
-                    let torn = c.repository().under_replicated();
-                    // fsck names exactly the torn copies, on the armed node.
-                    let Device::RepoNode(node) = device else {
-                        unreachable!("only nodes tear")
-                    };
-                    let corrupt: Vec<Discrepancy> = (torn.iter())
-                        .map(|&container| Discrepancy::CorruptCopy { container, node })
-                        .collect();
-                    assert_eq!(c.fsck().discrepancies, corrupt, "{leg}");
-                    let repairs = c.repository().stats().read_repairs;
-                    assert_eq!(converged(&mut c, retained), want, "{leg}: torn copy leaked");
-                    let scrub = c.scrub().expect("quiesced").value;
-                    let repaired = c.repository().stats().read_repairs - repairs + scrub.repaired;
-                    assert_eq!(repaired, torn.len() as u64, "{leg}: {scrub:?}");
-                    torn_copies += torn.len();
-                    assert_eq!(scrub.unrecoverable, 0, "{leg}");
-                    assert!(c.repository().under_replicated().is_empty(), "{leg}");
-                    assert_eq!(c.fsck().discrepancies, [], "{leg}");
+            let (touched, _) = crash_sweep(cfg, &fixture, Call::RunGc, kinds, |leg| {
+                let (c, label) = (leg.cluster, format!("{tag} {:?}", leg.trace));
+                aborted += u64::from(leg.result.is_err());
+                let mid = c.verify_run(retained).expect("verify");
+                assert_eq!(mid.failures, 0, "{label}: a live chunk was lost");
+                let Device::RepoNode(node) = leg.device else {
+                    return;
+                };
+                if leg.kind != TornWrite {
+                    return;
                 }
-            }
+                assert!(leg.result.is_ok(), "{label}: a torn write looks durable");
+                let torn = c.repository().under_replicated();
+                let corrupt: Vec<Discrepancy> = (torn.iter())
+                    .map(|&container| Discrepancy::CorruptCopy { container, node })
+                    .collect();
+                assert_eq!(c.fsck().discrepancies, corrupt, "{label}");
+                let repairs = c.repository().stats().read_repairs;
+                let r = c.restore_run(retained).expect("the other copy serves");
+                assert_eq!((r.bytes, r.failures), (kept.logical_bytes(), 0), "{label}");
+                let scrub = c.scrub().expect("quiesced").value;
+                let repaired = c.repository().stats().read_repairs - repairs + scrub.repaired;
+                assert_eq!(repaired, torn.len() as u64, "{label}: {scrub:?}");
+                assert_eq!(scrub.unrecoverable, 0, "{label}");
+                torn_copies += torn.len() as u64;
+            });
+            // Which op runs when moves with the node timelines; which ops
+            // there are, and in what order, does not: repository nodes 0
+            // and 1, then the index volume.
+            let ops: Vec<u64> = touched.iter().map(|t| t.1).collect();
+            let pinned = [[10, 10, 2], [16, 16, 2]][replication - 1];
+            assert_eq!(ops[..3], pinned, "{tag}: crash points of {touched:?}");
             // Every output's replica write was a crash point of its own;
             // with one copy of each victim, nothing absorbs a fault — a
             // free's included.
-            assert!(aborted as u64 >= outputs, "{tag}: {aborted} legs aborted");
-            let legs: u64 = enumerated.iter().sum();
-            assert!(
-                replication > 1 || aborted as u64 == legs,
-                "{tag}: {aborted}/{legs}"
-            );
-            assert!(replication < 2 || torn_copies as u64 >= outputs, "{tag}");
+            assert!(aborted >= outputs, "{tag}: {aborted} legs aborted");
+            let legs: u64 = ops.iter().take(4).sum();
+            let all = replication > 1 || aborted == legs;
+            assert!(all, "{tag}: {aborted}/{legs}");
+            assert!(replication < 2 || torn_copies >= outputs, "{tag}");
         }
     }
 }

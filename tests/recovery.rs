@@ -6,7 +6,9 @@
 
 mod common;
 
-use common::{assert_equivalent, assert_same_dedup, run_scenario, Failure, Scenario, SWEEP_PARTS};
+use common::{
+    assert_equivalent, assert_same_dedup, recovered, run_scenario, Scenario, SWEEP_PARTS,
+};
 use debar::workload::files::{FileTreeConfig, FileTreeGen};
 use debar::{ClientId, Dataset, DebarCluster, DebarConfig, RunId};
 
@@ -34,14 +36,11 @@ fn index_loss_recoverable_across_striped_matrix() {
     // state must also be byte-identical across partition counts (the
     // striped rebuild writes the same bucket array, just over more
     // part-disks).
-    let base =
-        run_scenario(&Scenario::tiny("rec-loss", 1, 1).with_failure(Failure::RecoverIndexes));
+    let base = recovered(&Scenario::tiny("rec-loss", 1, 1));
     assert_eq!(base.verify_failures, 0);
     assert_eq!(base.restore_failures, 0);
     for parts in SWEEP_PARTS.into_iter().filter(|&p| p != 1) {
-        let striped = run_scenario(
-            &Scenario::tiny("rec-loss", 1, parts).with_failure(Failure::RecoverIndexes),
-        );
+        let striped = recovered(&Scenario::tiny("rec-loss", 1, parts));
         assert_equivalent(&base, &striped, &format!("recovery parts={parts}"));
     }
 }
@@ -56,11 +55,10 @@ fn recovery_outcome_matches_unfailed_run() {
     // resolvability, not layout, is the recovery contract.)
     for parts in [1usize, 2] {
         let healthy = run_scenario(&Scenario::tiny("rec-eq", 1, parts));
-        let recovered =
-            run_scenario(&Scenario::tiny("rec-eq", 1, parts).with_failure(Failure::RecoverIndexes));
+        let rebuilt = recovered(&Scenario::tiny("rec-eq", 1, parts));
         assert_same_dedup(
             &healthy,
-            &recovered,
+            &rebuilt,
             &format!("recovered-vs-healthy parts={parts}"),
         );
     }
