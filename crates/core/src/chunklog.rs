@@ -142,7 +142,7 @@ pub struct Drain<'a> {
 
 /// A sequential chunk log on its own disks, drainable as a stripe across
 /// per-worker disks (see the module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ChunkLog {
     /// The owning backup server (names this log's devices in errors).
     server: ServerId,

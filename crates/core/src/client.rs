@@ -66,6 +66,7 @@ use debar_store::Payload;
 use std::collections::HashMap;
 
 /// A backup client.
+#[derive(Clone)]
 pub struct BackupClient {
     /// This client's ID.
     pub id: ClientId,

@@ -78,6 +78,7 @@ fn last_idle(nodes: &[Lane]) -> Secs {
 }
 
 /// A DEBAR deployment: director + backup servers + chunk repository.
+#[derive(Clone)]
 pub struct DebarCluster {
     cfg: DebarConfig,
     /// The director (public for metadata inspection).
@@ -90,13 +91,15 @@ pub struct DebarCluster {
     /// at the round's commit, so crashed-plus-resumed totals match an
     /// uninterrupted history.
     carryover_store: StoreReport,
-    /// The SIU the current round's PSIL commit carried — per-server
-    /// reports and updates registered — across an interrupted attempt and
-    /// its resume: `Some` once the commit has run, so a resumed round does
-    /// not carry a second SIU (the updates its faulted store made durable
-    /// wait for the next one, as in an uninterrupted history), and the
-    /// round's report takes it at the round's commit.
-    carryover_siu: Option<(Vec<SiuReport>, u64)>,
+    /// The SIU the current round already ran on each server — its report
+    /// and the updates it registered — across an interrupted attempt and
+    /// its resume: set for every server at the PSIL commit of a round
+    /// the SIU rides on, and for each server whose PSIU phase completed
+    /// before a sibling's faulted. A resumed round runs no second SIU on
+    /// a server that has one (the updates its faulted store made durable
+    /// wait for the next, as in an uninterrupted history), and the
+    /// round's report takes them at the round's commit.
+    carryover_siu: Vec<Option<(SiuReport, u64)>>,
     /// The deletable summary vector: a cuckoo filter holding one copy of
     /// every fingerprint referenced by a recorded run (or preloaded as
     /// ballast). Dedup-1 filter priming is gated on it, and garbage
@@ -126,7 +129,7 @@ impl DebarCluster {
                 .with_retry(cfg.retry),
             clients: HashMap::new(),
             carryover_store: StoreReport::default(),
-            carryover_siu: None,
+            carryover_siu: Vec::new(),
             summary: CuckooFilter::with_capacity(1024, cfg.seed ^ 0x6C1A_55E7),
             cfg,
         }
@@ -406,7 +409,7 @@ impl DebarCluster {
         let (round, siu) = self.director.peek_dedup2();
         // A resumed round whose PSIL commit already carried the due SIU
         // carries nothing more.
-        let carry = siu == SiuPlan::Ride && self.carryover_siu.is_none();
+        let carry = siu == SiuPlan::Ride && self.carryover_siu.is_empty();
         let s = self.servers.len();
         let w = self.cfg.w_bits;
         let t0 = self.align_clocks();
@@ -473,9 +476,7 @@ impl DebarCluster {
             srv.charge_net(t);
         }
         if carry {
-            let carried = outputs.iter().filter_map(|o| o.carried.clone());
-            let (reports, updates): (Vec<SiuReport>, Vec<u64>) = carried.unzip();
-            self.carryover_siu = Some((reports, updates.iter().sum()));
+            self.carryover_siu = outputs.iter().map(|o| o.carried.clone()).collect();
         }
         let dup_registered: u64 = outputs.iter().map(|o| o.stats.dup_registered).sum();
         let dup_pending: u64 = outputs.iter().map(|o| o.stats.dup_pending).sum();
@@ -560,11 +561,17 @@ impl DebarCluster {
 
         // ---- Phase 4: PSIU, on the synchronous schedule. ----
         // A faulted server keeps its pending updates; the round stays
-        // uncommitted and a re-run retries the SIU. A riding SIU ran in
-        // PSIL; a deferred one waits.
+        // uncommitted and a re-run retries the SIU of every server whose
+        // SIU did not complete. A riding SIU ran in PSIL; a deferred one
+        // waits.
         let (siu_reports, siu_updates) = match siu {
-            SiuPlan::AfterStore => self.psiu()?,
-            SiuPlan::Ride => self.carryover_siu.take().unwrap_or_default(),
+            SiuPlan::AfterStore => {
+                let mut done = std::mem::take(&mut self.carryover_siu);
+                let ran = self.psiu(&mut done);
+                self.carryover_siu = done;
+                ran?
+            }
+            SiuPlan::Ride => take_siu(std::mem::take(&mut self.carryover_siu)),
             SiuPlan::Defer => (Vec::new(), 0),
         };
         let t4 = self.align_clocks();
@@ -601,25 +608,35 @@ impl DebarCluster {
     /// idempotently (see [`BackupServer::run_siu`]).
     pub fn force_siu(&mut self) -> DebarResult<(Vec<SiuReport>, Secs)> {
         let t0 = self.align_clocks();
-        let (reports, _) = self.psiu()?;
+        let (reports, _) = self.psiu(&mut Vec::new())?;
         Ok((reports, self.now() - t0))
     }
 
-    /// PSIU: every server merges its pending updates on its own clock,
-    /// then the clocks align. Every part runs its SIU before any result is
-    /// inspected; returns the per-server reports and the update count, or
-    /// the first fault (lowest server ID).
-    fn psiu(&mut self) -> DebarResult<(Vec<SiuReport>, u64)> {
-        let results: Vec<_> = self.servers.iter_mut().map(BackupServer::run_siu).collect();
-        let _ = self.align_clocks();
-        let mut reports = Vec::with_capacity(results.len());
-        let mut updates = 0;
-        for r in results {
-            let (report, n) = r?;
-            reports.push(report);
-            updates += n;
+    /// PSIU: every server without an SIU in `done` merges its pending
+    /// updates on its own clock and records what it ran there, then the
+    /// clocks align. Every part runs its SIU before any result is
+    /// inspected; returns the first fault (lowest server ID) — `done`
+    /// keeping the SIUs that completed — or every server's report and
+    /// the update count.
+    fn psiu(
+        &mut self,
+        done: &mut Vec<Option<(SiuReport, u64)>>,
+    ) -> DebarResult<(Vec<SiuReport>, u64)> {
+        done.resize(self.servers.len(), None);
+        let mut fault = None;
+        for (srv, slot) in self.servers.iter_mut().zip(done.iter_mut()) {
+            if slot.is_none() {
+                match srv.run_siu() {
+                    Ok(ran) => *slot = Some(ran),
+                    Err(e) => _ = fault.get_or_insert(e),
+                }
+            }
         }
-        Ok((reports, updates))
+        let _ = self.align_clocks();
+        match fault {
+            Some(e) => Err(e),
+            None => Ok(take_siu(std::mem::take(done))),
+        }
     }
 
     /// Resolve a fingerprint to its container via the owning index part
@@ -790,6 +807,13 @@ impl DebarCluster {
         let sum: f64 = self.servers.iter().map(|s| s.index().utilization()).sum();
         sum / self.servers.len() as f64
     }
+}
+
+/// The per-server reports, in server order, and the summed update count
+/// of the SIUs a round ran.
+fn take_siu(done: Vec<Option<(SiuReport, u64)>>) -> (Vec<SiuReport>, u64) {
+    let (reports, updates): (Vec<SiuReport>, Vec<u64>) = done.into_iter().flatten().unzip();
+    (reports, updates.iter().sum())
 }
 
 /// The first fault (lowest server ID) of a per-server phase every server

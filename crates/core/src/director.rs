@@ -45,7 +45,7 @@ pub enum SiuPlan {
 }
 
 /// The control centre of the deployment.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Director {
     /// Job and run metadata.
     pub metadata: MetadataManager,

@@ -134,6 +134,7 @@ pub struct PackOutput {
 }
 
 /// A DEBAR backup server.
+#[derive(Clone)]
 pub struct BackupServer {
     /// This server's ID (also its index-part number).
     pub id: ServerId,
@@ -177,7 +178,7 @@ pub struct BackupServer {
 /// server-clock time its bytes were in — and its place on the restore
 /// pipeline's timeline. It is the value of its container's LPC entry, so
 /// it holds exactly the chunks whose fingerprints the entry lists.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct CachedContainer {
     chunks: FpMap<(Payload, Secs)>,
     /// Server-clock time the last chunk served from it left the NIC (the

@@ -17,7 +17,8 @@
 //! volume and no device is ever charged twice.
 
 use crate::entry::{
-    block_entries, block_find, block_full, block_push, block_set_cid, IndexEntry, BLOCK_BYTES,
+    block_entries, block_find, block_full, block_len, block_push, block_set_cid, IndexEntry,
+    BLOCK_BYTES,
 };
 use crate::error::IndexError;
 use crate::params::IndexParams;
@@ -387,9 +388,25 @@ impl DiskIndex {
     /// Wipe all entries (simulates index loss/corruption; the geometry and
     /// routing prefix are kept). Recovery rebuilds from the chunk
     /// repository (§4.1: "such a high-cost reconstruction method is ...
-    /// used to recover a corrupted index").
+    /// used to recover a corrupted index"). Writes only the blocks that
+    /// held an entry (see `clear_entries`).
     pub fn reset_empty(&mut self) {
-        self.data.fill(0);
+        self.clear_entries();
+    }
+
+    /// Empty the index by zeroing every 512-byte block whose count header
+    /// is non-zero. Every other byte is already zero: a block is only ever
+    /// appended to behind its count, so the bytes past the count stay
+    /// zero, and a block that never held an entry is all zeros. The
+    /// result is byte-for-byte a zero-filled index, but the pages no entry
+    /// ever reached — at a sparse fill, the tail of every bucket — are
+    /// only read, never written.
+    fn clear_entries(&mut self) {
+        for block in self.data.chunks_exact_mut(BLOCK_BYTES) {
+            if block_len(block) != 0 {
+                block.fill(0);
+            }
+        }
         self.entries = 0;
     }
 
@@ -430,7 +447,10 @@ impl DiskIndex {
     /// in `dead`, charged as one striped read sweep plus one striped
     /// write sweep over `parts` partitions (the GC rewrites the part the
     /// way SIU does, sequentially). Returns the number of entries
-    /// removed.
+    /// removed. In memory it writes only the blocks that held an entry
+    /// before the sweep or hold a survivor after it
+    /// (`clear_entries`, then the survivors re-placed): a
+    /// block no entry ever reached is left as it is, all zeros.
     ///
     /// **Crash consistency:** a faulted GC sweep — either sweep charge,
     /// or a scaling op as the survivors are re-placed — surfaces
@@ -465,8 +485,7 @@ impl DiskIndex {
         if removed == 0 {
             return Ok(Timed::new(0, cost));
         }
-        self.data.fill(0);
-        self.entries = 0;
+        self.clear_entries();
         let mut extra = 0.0;
         for e in &survivors {
             extra += self.place_with_growth(e)?.cost;
@@ -1044,6 +1063,45 @@ mod tests {
                 "survivor unreachable after rebuild"
             );
         }
+    }
+
+    #[test]
+    fn gc_sweep_writes_the_bytes_a_zero_filled_rebuild_does() {
+        // Two-block buckets: one home bucket takes 45 entries, so 5 spill
+        // into its neighbours, and most buckets leave their second block
+        // empty. The dead set frees the home bucket. Whatever blocks the
+        // sweep skips, its image must be a fresh zero index with the
+        // survivors re-placed in bucket order, at any striping.
+        let params = IndexParams::new(6, 2 * BLOCK_BYTES);
+        let mut idx = DiskIndex::with_paper_disk(params, 35);
+        let home = fp(0).bucket_number(6);
+        let crowd = (0..100_000u64).filter(|&i| fp(i).bucket_number(6) == home);
+        let crowd: Vec<u64> = crowd.take(45).collect();
+        let others = (0..300u64).filter(|i| !crowd.contains(i));
+        let mut spilled = 0;
+        for i in crowd.iter().copied().chain(others) {
+            let placed = idx.insert_random(fp(i), ContainerId::new(i));
+            let outcome = placed.expect("no fault is armed").value;
+            spilled += u64::from(matches!(outcome, InsertOutcome::Adjacent(_)));
+        }
+        assert!(spilled >= 5, "the home bucket overflowed");
+        let dead: FpSet = (crowd.iter().take(10).copied())
+            .chain((0..300).filter(|i| i % 3 == 0))
+            .map(fp)
+            .collect();
+        let mut reference = DiskIndex::with_paper_disk(params, 0);
+        for e in idx.iter_entries().filter(|e| !dead.contains(&e.fp)) {
+            assert_ne!(reference.place(&e), InsertOutcome::NeedsScaling);
+        }
+        for parts in [1, 2] {
+            let mut swept = idx.clone();
+            let removed = swept.gc_sweep(&dead, parts).expect("clean sweep").value;
+            assert_eq!(removed, idx.entry_count() - reference.entry_count());
+            assert!(swept.raw_data() == reference.raw_data(), "parts {parts}");
+            assert!(!swept.view().bucket_is_full(home), "the home bucket freed");
+        }
+        idx.reset_empty();
+        assert!(idx.raw_data().iter().all(|&b| b == 0), "reset leaves zeros");
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! replica write is charged to its own node disk and reported as a
 //! `(node, cost)` leg ([`BatchAppend::writes`]). The replicas land on
 //! distinct disks, so a caller that puts each leg on its node's [`Lane`]
-//! sees the store end with its most-loaded node.
+//! sees the store end with its most-loaded node. In memory the replicas
+//! share one immutable image of the container — a store, a read-repair
+//! and a recopy charge every copy's write but hold the image once — and
+//! each copy keeps only its own [`Damage`].
 //!
 //! Reads **balance and fail over**: with `R >= 2` the read path picks —
 //! when the caller has lanes and says when each node's lane could start
@@ -140,13 +143,16 @@ use debar_hash::{ContainerId, Fingerprint, Sha1};
 use debar_simio::{DiskModel, FaultKind, Lane, RetryPolicy, Secs, SimDisk};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A container copy at rest on a node, with any injected damage it
-/// suffered (damage is per-copy: one replica tearing does not corrupt its
-/// siblings).
+/// suffered. A container's replicas share one immutable image — the
+/// store writes it once and every copy, read-repair and recopy points at
+/// it — while damage is per copy: one replica tearing does not corrupt
+/// its siblings.
 #[derive(Debug, Clone)]
 struct StoredContainer {
-    container: Container,
+    container: Arc<Container>,
     damage: Option<Damage>,
 }
 
@@ -180,7 +186,7 @@ impl StorageNode {
     /// This node's copy of `cid` and the damage recorded against it, read
     /// in place and uncharged: a consistency check's view, not a read.
     pub fn copy(&self, cid: ContainerId) -> Option<(&Container, Option<Damage>)> {
-        (self.containers.get(&cid.raw())).map(|sc| (&sc.container, sc.damage))
+        (self.containers.get(&cid.raw())).map(|sc| (&*sc.container, sc.damage))
     }
 
     /// Whether this node holds a copy free of recorded damage.
@@ -690,13 +696,17 @@ impl ChunkRepository {
         }
         self.next_id += 1;
         container.set_id(id);
+        // One image for every replica, cloned to its exact size: the
+        // packer's buffers, pre-sized for a full container, go back to
+        // the allocator for the next container it packs.
+        let container = Arc::new(container.clone());
         self.stats.containers += 1;
         self.stats.data_bytes += container.data_bytes();
         for (node, damage) in damages {
             self.nodes[node].containers.insert(
                 id.raw(),
                 StoredContainer {
-                    container: container.clone(),
+                    container: Arc::clone(&container),
                     damage,
                 },
             );
@@ -844,7 +854,7 @@ impl ChunkRepository {
         cid: ContainerId,
         fetch: Fetch<'f>,
     ) -> (Fetch<'f>, Vec<Range<u64>>) {
-        let copy = (self.nodes[node].containers.get(&cid.raw())).map(|sc| &sc.container);
+        let copy = (self.nodes[node].containers.get(&cid.raw())).map(|sc| &*sc.container);
         let metas = copy.map_or(&[][..], Container::metas);
         let meta = meta_section_bytes(metas.len());
         let image = copy.map_or(meta, |c| self.image_bytes(c));
@@ -1005,7 +1015,7 @@ impl ChunkRepository {
             if self.nodes[node].down {
                 continue;
             }
-            let clean = self.nodes[source].containers[&cid.raw()].container.clone();
+            let clean = Arc::clone(&self.nodes[source].containers[&cid.raw()].container);
             let (cost, installed) = self.install_clean(node, cid.raw(), clean);
             writes.push((node, cost));
             self.stats.read_repairs += u64::from(installed.is_ok());
@@ -1015,12 +1025,13 @@ impl ChunkRepository {
 
     /// Write `image` onto `node` as its copy of container `raw`, replacing
     /// any copy it held: one container write under the retry policy, like
-    /// a store's (a failed one leaves the node's copy as it was).
+    /// a store's (a failed one leaves the node's copy as it was). The new
+    /// copy shares the source's image; only its damage is its own.
     fn install_clean(
         &mut self,
         node: usize,
         raw: u64,
-        image: Container,
+        image: Arc<Container>,
     ) -> (Secs, Result<(), StoreError>) {
         let (cost, written) = self.io_attempts(node, NodeOp::Write(self.container_bytes));
         let installed = written.map(|damage| {
@@ -1043,7 +1054,7 @@ impl ChunkRepository {
         src: usize,
         node: usize,
     ) -> Option<(ScrubLeg, Result<(), StoreError>)> {
-        let image = self.nodes[src].containers.get(&raw)?.container.clone();
+        let image = Arc::clone(&self.nodes[src].containers.get(&raw)?.container);
         let bytes = self.image_bytes(&image);
         let (cost, copied) = self.io_attempts(src, NodeOp::Read(std::slice::from_ref(&(0..bytes))));
         let read = (src, cost);
@@ -2486,6 +2497,28 @@ mod tests {
         assert_eq!(again.corrupt_found, 0);
         assert_eq!(again.repaired, 0);
         assert_eq!(again.copies_checked, 8);
+    }
+
+    #[test]
+    fn replicas_share_one_image_and_keep_their_own_damage() {
+        let mut r = repo_r(2, 2);
+        let cid = store_ok(&mut r, container_with(0..10));
+        // Node `n`'s copy of the one container stored, container 0.
+        fn copy(r: &ChunkRepository, n: usize) -> (&Container, Option<Damage>) {
+            r.nodes[n].copy(ContainerId::new(0)).expect("held")
+        }
+        assert_eq!(cid, ContainerId::new(0));
+        assert!(std::ptr::eq(copy(&r, 0).0, copy(&r, 1).0), "one image");
+        r.set_damage(cid, Some(Damage::BitFlip)).expect("stored");
+        let damaged = r.locate(cid).expect("held");
+        let clean = 1 - damaged;
+        assert_eq!(copy(&r, damaged).1, Some(Damage::BitFlip));
+        assert_eq!(copy(&r, clean).1, None, "the sibling stays clean");
+        let report = r.scrub_all().0;
+        assert_eq!((report.corrupt_found, report.repaired), (1, 1));
+        let (healed, source) = (copy(&r, damaged), copy(&r, clean));
+        assert_eq!(healed.1, None, "the recopy heals");
+        assert!(std::ptr::eq(healed.0, source.0), "and shares the image");
     }
 
     #[test]

@@ -8,10 +8,11 @@
 # `git archive <parent-rev>`, once from the working tree (through a
 # target directory of its own) — then runs `run --workload W --seed S
 # --reps 7` as alternating pairs, the side that goes first swapping every
-# pair. Each run reports the fastest of its reps. For host_cpu_s and
-# host_wall_s the script prints each side's median and quartiles, how many
-# pairs the working tree won, and whether the gap between the medians is
-# wider than the parent's interquartile range. Every pair also compares
+# pair. Each run reports the fastest of its reps and the process's peak
+# resident memory. For host_cpu_s, host_wall_s and host_peak_rss_mib the
+# script prints each side's median and quartiles, how many pairs the
+# working tree won (lower is better for all three), and whether the gap
+# between the medians is wider than the parent's interquartile range. Every pair also compares
 # the two sides' simulated end-to-end cells (sim_*, stored_per_logical,
 # ok_ops_share), which a host-only change must leave bit for bit: the
 # script says "simulated cells identical", or names the first cell that
@@ -46,12 +47,13 @@ echo "building $rev and the working tree ..." >&2
 build "$tmp/parent" "$tmp/parent-target"
 build "$root" "$tmp/change-target"
 
-run() { # <side>: appends "<cpu> <wall>" to $tmp/<side>.txt
+run() { # <side>: appends "<cpu> <wall> <rss>" to $tmp/<side>.txt
     "$tmp/$1-target/release/debar-benchmark" run --workload "$workload" \
         --seed "$seed" --reps 7 --out "$tmp/$1.json" >"$tmp/$1.out"
     awk -v w="$workload" '$1 == w && $2 == "host_cpu_s" { c = $3 }
         $1 == w && $2 == "host_wall_s" { s = $3 }
-        END { if (c == "" || s == "") exit 1; print c, s }' \
+        $1 == w && $2 == "host_peak_rss_mib" { m = $3 }
+        END { if (c == "" || s == "" || m == "") exit 1; print c, s, m }' \
         "$tmp/$1.out" >>"$tmp/$1.txt"
 }
 sim_cells() { # <side>: "metric value" of every simulated end-to-end cell
@@ -73,7 +75,7 @@ for ((i = 0; i < pairs; i++)); do
         first_diff="pair $((i + 1)): $verdict"
     fi
     echo "pair $((i + 1))/$pairs: parent $(tail -n1 "$tmp/parent.txt")" \
-        " change $(tail -n1 "$tmp/change.txt")  (cpu wall); $verdict" >&2
+        " change $(tail -n1 "$tmp/change.txt")  (cpu wall rss); $verdict" >&2
 done
 
 echo "$workload, seed $seed, $pairs pairs: $rev against the working tree"
@@ -88,16 +90,18 @@ paste -d' ' "$tmp/parent.txt" "$tmp/change.txt" | awk '
         for (i = 2; i <= n; i++)
             for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
     }
-    { n++; pc[n] = $1; pw[n] = $2; cc[n] = $3; cw[n] = $4
-      if ($3 < $1) wc++
-      if ($4 < $2) ww++ }
+    { n++; pc[n] = $1; pw[n] = $2; pr[n] = $3; cc[n] = $4; cw[n] = $5; cr[n] = $6
+      if ($4 < $1) wc++
+      if ($5 < $2) ww++
+      if ($6 < $3) wm++ }
     function report(name, p, c, won,    pm, cm) {
         sort(p, n); sort(c, n)
         pm = q(p, n, 0.5); cm = q(c, n, 0.5)
-        printf "%-12s parent median %.3f (quartiles %.3f-%.3f)\n", name, pm, q(p, n, 0.25), q(p, n, 0.75)
-        printf "%-12s change median %.3f (quartiles %.3f-%.3f)\n", name, cm, q(c, n, 0.25), q(c, n, 0.75)
-        printf "%-12s change %+.1f %%, won %d/%d pairs, median gap %.3f %s parent IQR %.3f\n",
+        printf "%-17s parent median %.3f (quartiles %.3f-%.3f)\n", name, pm, q(p, n, 0.25), q(p, n, 0.75)
+        printf "%-17s change median %.3f (quartiles %.3f-%.3f)\n", name, cm, q(c, n, 0.25), q(c, n, 0.75)
+        printf "%-17s change %+.1f %%, won %d/%d pairs, median gap %.3f %s parent IQR %.3f\n",
             name, 100 * (cm - pm) / pm, won, n, pm - cm,
             (pm - cm > q(p, n, 0.75) - q(p, n, 0.25)) ? ">" : "<=", q(p, n, 0.75) - q(p, n, 0.25)
     }
-    END { report("host_cpu_s", pc, cc, wc + 0); report("host_wall_s", pw, cw, ww + 0) }'
+    END { report("host_cpu_s", pc, cc, wc + 0); report("host_wall_s", pw, cw, ww + 0)
+          report("host_peak_rss_mib", pr, cr, wm + 0) }'

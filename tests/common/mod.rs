@@ -26,6 +26,7 @@
 #![allow(dead_code)]
 
 use debar::hash::Sha1;
+use debar::index::SiuReport;
 use debar::store::RepairReport;
 use debar::workload::drift::churn;
 use debar::workload::files::{FileSpec, FileTreeConfig, FileTreeGen, MutationConfig};
@@ -153,7 +154,9 @@ pub enum Value {
     Gc(GcReport),
     Scrub(ScrubReport),
     Repair(RepairReport),
-    /// The virtual seconds an SIU, a rebuild or a scaling step charged.
+    /// A forced SIU's per-server reports and the virtual seconds it took.
+    Siu(Vec<SiuReport>, f64),
+    /// The virtual seconds a rebuild or a scaling step charged.
     Secs(f64),
     Done,
 }
@@ -250,7 +253,10 @@ fn apply(c: &mut DebarCluster, call: &Call) -> DebarResult<Value> {
         Call::DefineJob(client) => Value::Job(c.define_job(format!("{client:?}"), client)),
         Call::Backup(job, ref data) => Value::Backup(c.backup(job, &data.dataset())?),
         Call::RunDedup2 => Value::Dedup2(c.run_dedup2()?),
-        Call::ForceSiu => Value::Secs(c.force_siu()?.1),
+        Call::ForceSiu => {
+            let (reports, secs) = c.force_siu()?;
+            Value::Siu(reports, secs)
+        }
         Call::DeleteRun(run) => c.delete_run(run).map(done)?,
         Call::ExpireRuns => Value::Expired(c.expire_runs()),
         Call::RunGc => Value::Gc(c.run_gc()?),
@@ -632,6 +638,10 @@ pub fn finish(sc: &Scenario, c: &mut DebarCluster, trace: &Trace) -> Outcome {
     // The last walk of each kind (file, restore, verify) of each run.
     let mut walks: BTreeMap<(RunId, u8), RestoreReport> = BTreeMap::new();
     let (mut lpc_hits, mut later_versions, mut physical) = (0, false, 0);
+    let mut ledger = SiuLedger {
+        interval: cfg.siu_interval,
+        pending: Some(0),
+    };
     for (i, s) in trace.steps.iter().enumerate() {
         let tag = || format!("{}: step {i} of {trace:?}", sc.name);
         let (call, gc) = (&s.call, s.call == Call::RunGc);
@@ -641,6 +651,7 @@ pub fn finish(sc: &Scenario, c: &mut DebarCluster, trace: &Trace) -> Outcome {
         }
         let err = s.result.as_ref().err();
         assert!(err.is_none_or(|e| m.excuses(call, e)), "{}", tag());
+        ledger.step(s, tag);
         if gc {
             assert!(s.physical <= physical, "{}: GC grew", tag());
             out.gc_reclaimed += physical - s.physical;
@@ -664,7 +675,7 @@ pub fn finish(sc: &Scenario, c: &mut DebarCluster, trace: &Trace) -> Outcome {
                 out.sil_wall += d2.sil_wall;
                 out.siu_wall += d2.siu_wall;
             }
-            (Call::ForceSiu, Ok(Value::Secs(siu_wall))) => out.siu_wall += siu_wall,
+            (Call::ForceSiu, Ok(Value::Siu(_, siu_wall))) => out.siu_wall += siu_wall,
             (Call::ExpireRuns, Ok(Value::Expired(expired))) => {
                 let due = m.due(cfg.retention);
                 let got: BTreeSet<RunId> = expired.iter().copied().collect();
@@ -737,6 +748,52 @@ pub fn finish(sc: &Scenario, c: &mut DebarCluster, trace: &Trace) -> Outcome {
     assert!(fsck.is_clean(), "{}: {:?}", sc.name, fsck.discrepancies);
     assert!(fsck.fingerprints > 0, "{}: fsck checked nothing", sc.name);
     out
+}
+
+/// The SIU ledger of a played history: each SIU applies exactly the
+/// updates stored since the one before it, counted as its reports'
+/// inserts and overwrites. A round's own SIU (`siu_interval = 1`)
+/// applies those and the round's, a riding SIU those pending at its PSIL
+/// — the round's own wait for the next — and `force_siu` everything
+/// pending; so over the history the SIUs' updates and those still
+/// pending add up to the chunks stored. A failed round or forced SIU may
+/// leave updates applied that no report counts: the ledger stops there.
+struct SiuLedger {
+    interval: u32,
+    /// Updates stored since the last SIU; `None` once the ledger stopped.
+    pending: Option<u64>,
+}
+
+impl SiuLedger {
+    fn step(&mut self, s: &Step, tag: impl Fn() -> String) {
+        let Some(pending) = self.pending else { return };
+        let (got, due, left) = match (&s.call, &s.result) {
+            (Call::RunDedup2 | Call::ForceSiu, Err(_)) => {
+                self.pending = None;
+                return;
+            }
+            (Call::RunDedup2, Ok(Value::Dedup2(d2))) => {
+                let reported = applied(&d2.siu_reports);
+                assert_eq!(reported, d2.siu_updates, "{}: SIU reports", tag());
+                let stored = d2.store.stored_chunks;
+                let (due, left) = match (d2.siu_ran, self.interval) {
+                    (false, _) => (0, pending + stored),
+                    (true, 1) => (pending + stored, 0),
+                    (true, _) => (pending, stored),
+                };
+                (d2.siu_updates, due, left)
+            }
+            (Call::ForceSiu, Ok(Value::Siu(reports, _))) => (applied(reports), pending, 0),
+            _ => return,
+        };
+        assert_eq!(got, due, "{}: SIU updates against chunks stored", tag());
+        self.pending = Some(left);
+    }
+}
+
+/// The updates SIU reports say they applied: inserts and overwrites.
+fn applied<'a>(reports: impl IntoIterator<Item = &'a SiuReport>) -> u64 {
+    reports.into_iter().map(|r| r.inserted + r.updated).sum()
 }
 
 /// SHA-1 of every server's raw index-part bytes, in server order.
@@ -858,14 +915,17 @@ fn converged(c: &mut DebarCluster, trace: &Trace) -> State {
     (digests, repo.container_ids(), physical, restored)
 }
 
-/// Whether a call's result after `fault` (or its redo's) reports what the
-/// clean call did: a round's store and SIU — a round whose own SIU tore
-/// redoes only what stayed pending — and a walk's chunks.
-fn agrees(got: &Value, want: &Value, fault: &DebarResult<Value>) -> bool {
+/// Whether a call's result after a fault (or its redo's) reports what the
+/// clean call did: a round's store, and the updates each server's SIU
+/// applied — a round whose own PSIU tore included — and a walk's chunks.
+fn agrees(got: &Value, want: &Value) -> bool {
     match (got, want) {
         (Value::Dedup2(a), Value::Dedup2(b)) => {
-            let tore = matches!(fault, Err(DebarError::PartialSiu { .. }));
-            a.store == b.store && (tore || a.siu_updates == b.siu_updates)
+            let per_server = |d: &Dedup2Report| {
+                let each = d.siu_reports.iter().map(|r| applied([r]));
+                (d.siu_updates, each.collect::<Vec<_>>())
+            };
+            a.store == b.store && per_server(a) == per_server(b)
         }
         (Value::Restore(a), Value::Restore(b)) => {
             let walked = |r: &RestoreReport| (r.files, r.chunks, r.bytes, r.failures);
@@ -877,10 +937,10 @@ fn agrees(got: &Value, want: &Value, fault: &DebarResult<Value>) -> bool {
 
 /// Every crash point of `call` after the history `fixture` on `cfg`.
 ///
-/// Plays `call` clean on a fresh fixture; then, for every op the clean
-/// call charged on each device and each of `kinds(device)`, on a fresh
-/// fixture again, arms the fault at that op, plays the call and hands the
-/// leg to `leg_check`. The call must succeed or fail naming the armed
+/// Plays the fixture once and `call` clean on a clone of it; then, for
+/// every op the clean call charged on each device and each of
+/// `kinds(device)`, on another clone of the fixture, arms the fault at
+/// that op, plays the call and hands the leg to `leg_check`. The call must succeed or fail naming the armed
 /// device, and a failed call's redo must succeed; either way the leg
 /// reports what the clean call did ([`agrees`]), reaches its state
 /// ([`converged`]) and ends with a clean fsck. Returns the ops the clean
@@ -892,12 +952,10 @@ pub fn crash_sweep(
     kinds: impl Fn(Device) -> Vec<FaultKind>,
     mut leg_check: impl FnMut(Leg<'_>),
 ) -> (Vec<(Device, u64)>, Value) {
-    let fresh = || {
-        let mut c = DebarCluster::new(cfg);
-        let t = play(&mut c, fixture);
-        assert_eq!(t.errors(), [], "fixture {t:?}");
-        (c, t)
-    };
+    let mut played = DebarCluster::new(cfg);
+    let fixture = play(&mut played, fixture);
+    assert_eq!(fixture.errors(), [], "fixture {fixture:?}");
+    let fresh = || (played.clone(), fixture.clone());
     let (mut clean, mut t) = fresh();
     let step = t.play(&mut clean, std::slice::from_ref(&call))[0].clone();
     let want = step.result.unwrap_or_else(|e| panic!("clean {t:?}: {e}"));
@@ -928,7 +986,7 @@ pub fn crash_sweep(
                     .clone()
             };
             let got = result.clone().or_else(redo).expect("redo");
-            assert!(agrees(&got, &want, &result), "{t:?}: {got:?} vs {want:?}");
+            assert!(agrees(&got, &want), "{t:?}: {got:?} vs {want:?}");
             assert_eq!(converged(&mut c, &t), state, "{t:?}: not the clean twin");
             assert_eq!(c.fsck().discrepancies, [], "{t:?}");
         }
