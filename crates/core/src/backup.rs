@@ -65,20 +65,13 @@ impl DebarCluster {
             .into_iter()
             .filter(|fp| self.summary.contains(fp))
             .collect();
-        let est: u64 = files.iter().map(ChunkedFile::bytes).sum();
-        let sid = self.director.assign_server(est);
+        // The run's placement load is charged when it is recorded: an
+        // aborted run records nothing, so a faulted-then-retried history
+        // routes later jobs as a clean one does.
+        let sid = self.director.assign_server();
         let srv = &mut self.servers[sid as usize];
         let logged = srv.chunk_log.len();
-        let (record, report) = match run_backup(srv, &self.cfg, run, client_id, filtering, files) {
-            Ok(r) => r,
-            Err(e) => {
-                // An aborted run registers nothing, not even its placement
-                // load, or a faulted-then-retried history would route
-                // later jobs differently than a clean one.
-                self.director.unassign_server(sid, est);
-                return Err(e);
-            }
-        };
+        let (record, report) = run_backup(srv, &self.cfg, run, client_id, filtering, files)?;
         // Advertise the run's fingerprints in the summary vector — one
         // copy per fingerprint cluster-wide (the multiset stays a set
         // here), so a GC removal of a dead fingerprint fully withdraws it.
@@ -91,7 +84,7 @@ impl DebarCluster {
                 self.summary.insert(&rec.fp);
             }
         }
-        self.director.metadata.record_run(record);
+        self.director.record_run(record);
         Ok(report)
     }
 }

@@ -47,8 +47,8 @@ use crate::director::{Director, SiuPlan};
 use crate::error::{DebarError, DebarResult, Dedup2Phase};
 use crate::ids::{ClientId, Device, JobId, ServerId};
 use crate::job::{JobSpec, Schedule};
-use crate::report::{CapReport, Dedup2Report, StoreReport};
-use crate::server::{BackupServer, PackOutput, SilPartOutput};
+use crate::report::Dedup2Report;
+use crate::server::BackupServer;
 use debar_filter::CuckooFilter;
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::SiuReport;
@@ -77,6 +77,23 @@ fn last_idle(nodes: &[Lane]) -> Secs {
     nodes.iter().map(|n| n.free_at).fold(0.0, f64::max)
 }
 
+/// The dedup-2 round in flight (see [`DebarCluster::run_dedup2`]'s failure
+/// model): what its commit points have made durable so far.
+#[derive(Clone)]
+struct Round {
+    /// What the round does about the SIU that is due.
+    plan: SiuPlan,
+    /// The SIU the round has run on each server, in server order — its
+    /// report and the updates it registered: every server's at the PSIL
+    /// commit of a round the SIU rides on, each server's own PSIU as it
+    /// completes. Empty until then.
+    siu: Vec<Option<(SiuReport, u64)>>,
+    /// The round's report as far as its commits have come: the round
+    /// number, the exchange and PSIL figures and walls, the store totals
+    /// and the store wall.
+    report: Dedup2Report,
+}
+
 /// A DEBAR deployment: director + backup servers + chunk repository.
 #[derive(Clone)]
 pub struct DebarCluster {
@@ -86,20 +103,9 @@ pub struct DebarCluster {
     servers: Vec<BackupServer>,
     repo: ChunkRepository,
     clients: HashMap<ClientId, BackupClient>,
-    /// Storage statistics of the current round's store commits, across an
-    /// interrupted attempt and its resume: the round's report takes them
-    /// at the round's commit, so crashed-plus-resumed totals match an
-    /// uninterrupted history.
-    carryover_store: StoreReport,
-    /// The SIU the current round already ran on each server — its report
-    /// and the updates it registered — across an interrupted attempt and
-    /// its resume: set for every server at the PSIL commit of a round
-    /// the SIU rides on, and for each server whose PSIU phase completed
-    /// before a sibling's faulted. A resumed round runs no second SIU on
-    /// a server that has one (the updates its faulted store made durable
-    /// wait for the next, as in an uninterrupted history), and the
-    /// round's report takes them at the round's commit.
-    carryover_siu: Vec<Option<(SiuReport, u64)>>,
+    /// The dedup-2 round in flight: opened by a round's first attempt,
+    /// kept while it is interrupted, taken by its commit.
+    round: Option<Round>,
     /// The deletable summary vector: a cuckoo filter holding one copy of
     /// every fingerprint referenced by a recorded run (or preloaded as
     /// ballast). Dedup-1 filter priming is gated on it, and garbage
@@ -128,8 +134,7 @@ impl DebarCluster {
                 .with_replication(cfg.replication)
                 .with_retry(cfg.retry),
             clients: HashMap::new(),
-            carryover_store: StoreReport::default(),
-            carryover_siu: Vec::new(),
+            round: None,
             summary: CuckooFilter::with_capacity(1024, cfg.seed ^ 0x6C1A_55E7),
             cfg,
         }
@@ -389,214 +394,230 @@ impl DebarCluster {
     ///    unregistered and checking files.
     /// 2. **Each server's store commit** ([`BackupServer::commit_packed`]),
     ///    in server order: the containers it made durable get their IDs
-    ///    and route to SIU, its log and decision map give up what became
-    ///    durable (everything, on a clean batch), and its store totals
-    ///    join the round's. No server commits after a drain fault or a
-    ///    sibling's store fault.
+    ///    and route to SIU, and its log and decision map give up what
+    ///    became durable (everything, on a clean batch). No server commits
+    ///    after a drain fault or a sibling's store fault.
     /// 3. **The round**, after PSIU ran, rode on PSIL or was deferred: the
-    ///    round number and the round's store totals, which the report
-    ///    takes.
+    ///    director's round number moves on and the round's report is
+    ///    returned.
+    ///
+    /// The round in flight is one value. Its first attempt opens it with
+    /// the round's number and [`SiuPlan`]; each commit point adds to its
+    /// report what it made durable — the PSIL commit the exchange and PSIL
+    /// figures and walls, each store commit its store totals, the end of a
+    /// clean store phase its wall — and each server's SIU, riding or its
+    /// own PSIU, is kept as it completes. The round commit takes the
+    /// report, so an interrupted and redone round reports what an
+    /// uninterrupted one does: its counts, its store totals, each server's
+    /// SIU and, when the fault came after the PSIL commit, its exchange and
+    /// PSIL walls to the bit. Only the wall of a phase that faulted is the
+    /// redo's own.
     ///
     /// An injected fault surfaces as [`DebarError::InterruptedDedup2`]
     /// (PSIL — a riding SIU's sweeps included — or chunk storing) or
-    /// [`DebarError::PartialSiu`] (a PSIU phase of its own). What a
-    /// phase computed before its commit is dropped: nothing moved, so
-    /// nothing is rolled back. Calling `run_dedup2` again (after clearing
-    /// the fault) re-runs the same round from what the commits left and
-    /// converges to the byte-identical index parts, restore bytes and store
-    /// totals of an uninterrupted run.
+    /// [`DebarError::PartialSiu`] (a PSIU phase of its own). What a phase
+    /// computed before its commit is dropped: nothing moved, so nothing is
+    /// rolled back. Calling `run_dedup2` again (after clearing the fault)
+    /// re-runs the same round from what the commits left: it runs no
+    /// second SIU on a server that has one (the updates a faulted store
+    /// made durable wait for the next, as in an uninterrupted history), and
+    /// it converges to the byte-identical index parts, restore bytes and
+    /// report of an uninterrupted run.
     pub fn run_dedup2(&mut self) -> DebarResult<Dedup2Report> {
-        let (round, siu) = self.director.peek_dedup2();
-        // A resumed round whose PSIL commit already carried the due SIU
+        let mut round = self.round.take().unwrap_or_else(|| {
+            let (number, plan) = self.director.peek_dedup2();
+            let report = Dedup2Report {
+                round: number,
+                store_workers: self.cfg.store_workers.min(u32::MAX as usize) as u32,
+                siu_ran: plan != SiuPlan::Defer,
+                ..Dedup2Report::default()
+            };
+            Round {
+                plan,
+                siu: Vec::new(),
+                report,
+            }
+        });
+        let attempt = self.dedup2_attempt(&mut round);
+        let end = self.align_clocks();
+        let stored = match attempt {
+            Ok(stored) => stored,
+            Err(e) => {
+                self.round = Some(round);
+                return Err(e);
+            }
+        };
+        // The round's commit.
+        self.director.commit_dedup2();
+        let Round {
+            siu, mut report, ..
+        } = round;
+        let (reports, updates): (Vec<SiuReport>, Vec<u64>) = siu.into_iter().flatten().unzip();
+        (report.siu_reports, report.siu_updates) = (reports, updates.iter().sum());
+        report.siu_wall += end - stored;
+        // Partitions the striped sweeps engaged (the configured mode when
+        // no server swept this round).
+        if report.sweep_parts == 0 {
+            report.sweep_parts = self.cfg.sweep_parts.min(u32::MAX as usize) as u32;
+        }
+        Ok(report)
+    }
+
+    /// One attempt at the round in flight, from what its commits left:
+    /// every phase, each commit adding to `round`. Returns when the chunk
+    /// storing phase ended; a fault returns before the clocks align.
+    fn dedup2_attempt(&mut self, round: &mut Round) -> DebarResult<Secs> {
+        let number = round.report.round;
+        let interrupted = |phase| {
+            move |(server, cause): (ServerId, DebarError)| DebarError::InterruptedDedup2 {
+                round: number,
+                phase,
+                server,
+                cause: Box::new(cause),
+            }
+        };
+        // An attempt after the PSIL commit of a round the SIU rides on
         // carries nothing more.
-        let carry = siu == SiuPlan::Ride && self.carryover_siu.is_empty();
+        let carry = round.plan == SiuPlan::Ride && round.siu.iter().all(Option::is_none);
         let s = self.servers.len();
         let w = self.cfg.w_bits;
+        let owner_of = |fp: &Fingerprint| fp.server_number(w) as usize;
         let t0 = self.align_clocks();
 
         // ---- Phase 1: partition undetermined fingerprints, exchange. ----
         // Read in place, in arrival order: a redo after a PSIL fault
         // submits the identical batches (sub-batch boundaries reproduce).
         let mut batches: Vec<Vec<(Fingerprint, ServerId)>> = vec![Vec::new(); s];
-        let mut tx_bytes = vec![0u64; s];
-        let mut rx_bytes = vec![0u64; s];
-        for (i, srv) in self.servers.iter().enumerate() {
+        for srv in &self.servers {
             for &fp in &srv.undetermined {
-                let owner = fp.server_number(w) as usize;
-                if owner != i {
-                    tx_bytes[i] += 25;
-                    rx_bytes[owner] += 25;
-                }
-                batches[owner].push((fp, i as ServerId));
+                batches[owner_of(&fp)].push((fp, srv.id));
             }
         }
-        for i in 0..s {
-            self.servers[i].charge_net(tx_bytes[i] + rx_bytes[i]);
-        }
-        let submitted_fps: u64 = batches.iter().map(|b| b.len() as u64).sum();
+        let routes = batches.iter().enumerate();
+        self.exchange(
+            25,
+            routes.flat_map(|(to, b)| b.iter().map(move |&(_, from)| (from as usize, to))),
+        );
         let t1 = self.align_clocks();
 
         // ---- Phase 2: PSIL, every server on its own clock. ----
-        let results: Vec<Result<SilPartOutput, DebarError>> = self
-            .servers
-            .iter_mut()
-            .zip(&batches)
-            .map(|(srv, batch)| srv.sil_on_part(batch, s, carry))
-            .collect();
-        if let Some((sid, cause)) = first_fault(&results) {
-            let _ = self.align_clocks();
-            return Err(DebarError::InterruptedDedup2 {
-                round,
-                phase: Dedup2Phase::Sil,
-                server: sid,
-                cause: Box::new(cause),
-            });
-        }
-        let outputs: Vec<SilPartOutput> = results.into_iter().flatten().collect();
+        let outputs = each_server(&mut self.servers, |srv| {
+            srv.sil_on_part(&batches[srv.id as usize], s, carry)
+        })
+        .map_err(interrupted(Dedup2Phase::Sil))?;
         // The PSIL commit: checking entries, verdicts routed back to their
         // origins (charging the result exchange), the undetermined lists
         // the batches were read from released, and a carried SIU's updates
         // registered.
-        let mut tx2 = vec![0u64; s];
         for (owner, out) in outputs.iter().enumerate() {
             self.servers[owner].commit_checking(&out.newly_checking);
             if out.carried.is_some() {
                 self.servers[owner].release_updates();
             }
             for (origin, list) in out.verdicts.iter().enumerate() {
-                if origin != owner {
-                    tx2[owner] += 26 * list.len() as u64;
-                    tx2[origin] += 26 * list.len() as u64;
-                }
                 self.servers[origin].decide(list);
             }
         }
-        for (srv, &t) in self.servers.iter_mut().zip(&tx2) {
+        let routes = outputs.iter().enumerate().flat_map(|(from, out)| {
+            let each = out.verdicts.iter().enumerate();
+            each.flat_map(move |(to, list)| list.iter().map(move |_| (from, to)))
+        });
+        self.exchange(26, routes);
+        for srv in &mut self.servers {
             srv.undetermined = Vec::new();
-            srv.charge_net(t);
         }
-        if carry {
-            self.carryover_siu = outputs.iter().map(|o| o.carried.clone()).collect();
-        }
-        let dup_registered: u64 = outputs.iter().map(|o| o.stats.dup_registered).sum();
-        let dup_pending: u64 = outputs.iter().map(|o| o.stats.dup_pending).sum();
-        let new_fps: u64 = outputs.iter().map(|o| o.stats.new_fps).sum();
-        let sil_sweeps: u32 = outputs.iter().map(|o| o.stats.sweeps).sum();
-        // Partitions the striped sweeps actually engaged (0 when no server
-        // swept this round; report the configured mode then).
-        let sweep_parts = outputs
-            .iter()
-            .map(|o| o.stats.parts)
-            .max()
-            .filter(|&p| p > 0)
-            .unwrap_or(self.cfg.sweep_parts.min(u32::MAX as usize) as u32);
         // No barrier here: phase 3 is pipelined, each server's chunk
         // storing starts at its *own* post-PSIL clock while stragglers
         // are still sweeping. `t2` (the slowest server) still delimits
         // the reported PSIL wall.
         let t2 = self.now();
+        let report = &mut round.report;
+        report.submitted_fps += batches.iter().map(|b| b.len() as u64).sum::<u64>();
+        for out in &outputs {
+            report.dup_registered += out.stats.dup_registered;
+            report.dup_pending += out.stats.dup_pending;
+            report.new_fps += out.stats.new_fps;
+            report.sil_sweeps += out.stats.sweeps;
+            report.sweep_parts = report.sweep_parts.max(out.stats.parts);
+        }
+        report.exchange_wall += t1 - t0;
+        report.sil_wall += t2 - t1;
+        if carry {
+            round.siu = outputs.into_iter().map(|o| o.carried).collect();
+        }
 
         // ---- Phase 3: pipelined chunk storing. ----
         // Stage 1 — pack: every server drains its chunk log (striped
         // over `store_workers` worker disks) and packs SISL containers,
         // starting at its own post-PSIL clock. Packing reads only the
-        // server's own state and moves none of it.
-        let packs: Vec<Result<PackOutput, DebarError>> = self
-            .servers
-            .iter_mut()
-            .map(|srv| srv.pack_chunks(t1))
-            .collect();
-        // A drain fault interrupts the phase before any container commits.
-        let mut store_fault = first_fault(&packs);
+        // server's own state and moves none of it, so a drain fault
+        // interrupts the phase before any container commits.
+        let packs = each_server(&mut self.servers, |srv| srv.pack_chunks(t1))
+            .map_err(interrupted(Dedup2Phase::ChunkStoring))?;
         // Stage 2 — commit in canonical server order: container IDs are
         // assigned here, so the repository sees exactly the operation
         // sequence of the bulk-synchronous model and results stay
-        // byte-identical.
-        let mut routed_updates: Vec<Vec<(Fingerprint, ContainerId)>> = vec![Vec::new(); s];
-        let mut tx3 = vec![0u64; s];
-        for (i, pack) in packs.into_iter().enumerate() {
-            // Once the phase faulted, every remaining pack is dropped
-            // uncommitted: its server's log and decisions never moved.
-            let (Ok(pack), None) = (pack, &store_fault) else {
-                continue;
-            };
-            let outcome = self.servers[i].commit_packed(pack, &mut self.repo);
-            let (rep, total) = (outcome.report, &mut self.carryover_store);
-            total.log_records += rep.log_records;
-            total.log_bytes += rep.log_bytes;
-            total.stored_chunks += rep.stored_chunks;
-            total.stored_bytes += rep.stored_bytes;
-            total.discarded += rep.discarded;
-            total.containers += rep.containers;
-            // Durable assignments route to their owners even when the
-            // pass was interrupted — they are on disk and must register.
-            for (fp, cid) in outcome.assigned {
-                let owner = fp.server_number(w) as usize;
-                if owner != i {
-                    tx3[i] += 30;
-                    tx3[owner] += 30;
-                }
-                routed_updates[owner].push((fp, cid));
-            }
+        // byte-identical. Once a commit faults, every remaining pack is
+        // dropped uncommitted: its server's log and decisions never moved.
+        let mut assigned = Vec::with_capacity(s);
+        let mut fault = None;
+        for (srv, pack) in self.servers.iter_mut().zip(packs) {
+            let outcome = srv.commit_packed(pack, &mut self.repo, &mut round.report.store);
+            assigned.push(outcome.assigned);
             if let Some(e) = outcome.fault {
-                store_fault = Some((i as ServerId, e));
+                fault = Some((srv.id, e));
+                break;
             }
         }
-        for (srv, &t) in self.servers.iter_mut().zip(&tx3) {
-            srv.charge_net(t);
+        // Durable assignments route to their owners even when the pass
+        // was interrupted — they are on disk and must register.
+        let routes = assigned.iter().enumerate();
+        self.exchange(
+            30,
+            routes.flat_map(|(from, a)| a.iter().map(move |(fp, _)| (from, owner_of(fp)))),
+        );
+        for (fp, cid) in assigned.into_iter().flatten() {
+            self.servers[owner_of(&fp)].queue_updates([(fp, cid)]);
         }
-        for (i, updates) in routed_updates.into_iter().enumerate() {
-            self.servers[i].queue_updates(updates);
-        }
-        if let Some((sid, cause)) = store_fault {
-            let _ = self.align_clocks();
-            return Err(DebarError::InterruptedDedup2 {
-                round,
-                phase: Dedup2Phase::ChunkStoring,
-                server: sid,
-                cause: Box::new(cause),
-            });
+        if let Some(fault) = fault {
+            return Err(interrupted(Dedup2Phase::ChunkStoring)(fault));
         }
         let t3 = self.align_clocks();
+        round.report.store_wall += t3 - t2;
 
         // ---- Phase 4: PSIU, on the synchronous schedule. ----
-        // A faulted server keeps its pending updates; the round stays
-        // uncommitted and a re-run retries the SIU of every server whose
-        // SIU did not complete. A riding SIU ran in PSIL; a deferred one
-        // waits.
-        let (siu_reports, siu_updates) = match siu {
-            SiuPlan::AfterStore => {
-                let mut done = std::mem::take(&mut self.carryover_siu);
-                let ran = self.psiu(&mut done);
-                self.carryover_siu = done;
-                ran?
-            }
-            SiuPlan::Ride => take_siu(std::mem::take(&mut self.carryover_siu)),
-            SiuPlan::Defer => (Vec::new(), 0),
-        };
-        let t4 = self.align_clocks();
-        // The round's commit.
-        self.director.commit_dedup2();
+        // A faulted server keeps its pending updates, and the redo retries
+        // the SIU of every server whose SIU did not complete. A riding SIU
+        // ran in PSIL; a deferred one waits.
+        if round.plan == SiuPlan::AfterStore {
+            let slots = &mut round.siu;
+            slots.resize(s, None);
+            each_server(&mut self.servers, |srv| {
+                let slot = &mut slots[srv.id as usize];
+                if slot.is_none() {
+                    *slot = Some(srv.run_siu()?);
+                }
+                Ok(())
+            })
+            .map_err(|(_, e)| e)?;
+        }
+        Ok(t3)
+    }
 
-        Ok(Dedup2Report {
-            round,
-            submitted_fps,
-            dup_registered,
-            dup_pending,
-            new_fps,
-            sil_sweeps,
-            sweep_parts,
-            store_workers: self.cfg.store_workers.min(u32::MAX as usize) as u32,
-            store: std::mem::take(&mut self.carryover_store),
-            cap: CapReport::default(),
-            siu_ran: siu != SiuPlan::Defer,
-            siu_reports,
-            siu_updates,
-            exchange_wall: t1 - t0,
-            sil_wall: t2 - t1,
-            store_wall: t3 - t2,
-            siu_wall: t4 - t3,
-        })
+    /// One all-to-all exchange: every `(from, to)` route between two
+    /// servers sends `bytes`, and each server's NIC streams all it sent
+    /// and received as one transfer, in server order.
+    fn exchange(&mut self, bytes: u64, routes: impl IntoIterator<Item = (usize, usize)>) {
+        let mut load = vec![0u64; self.servers.len()];
+        for (from, to) in routes {
+            if from != to {
+                load[from] += bytes;
+                load[to] += bytes;
+            }
+        }
+        for (srv, bytes) in self.servers.iter_mut().zip(load) {
+            srv.charge_net(bytes);
+        }
     }
 
     /// Force PSIU now (register every pending fingerprint). Used at
@@ -608,35 +629,10 @@ impl DebarCluster {
     /// idempotently (see [`BackupServer::run_siu`]).
     pub fn force_siu(&mut self) -> DebarResult<(Vec<SiuReport>, Secs)> {
         let t0 = self.align_clocks();
-        let (reports, _) = self.psiu(&mut Vec::new())?;
-        Ok((reports, self.now() - t0))
-    }
-
-    /// PSIU: every server without an SIU in `done` merges its pending
-    /// updates on its own clock and records what it ran there, then the
-    /// clocks align. Every part runs its SIU before any result is
-    /// inspected; returns the first fault (lowest server ID) — `done`
-    /// keeping the SIUs that completed — or every server's report and
-    /// the update count.
-    fn psiu(
-        &mut self,
-        done: &mut Vec<Option<(SiuReport, u64)>>,
-    ) -> DebarResult<(Vec<SiuReport>, u64)> {
-        done.resize(self.servers.len(), None);
-        let mut fault = None;
-        for (srv, slot) in self.servers.iter_mut().zip(done.iter_mut()) {
-            if slot.is_none() {
-                match srv.run_siu() {
-                    Ok(ran) => *slot = Some(ran),
-                    Err(e) => _ = fault.get_or_insert(e),
-                }
-            }
-        }
-        let _ = self.align_clocks();
-        match fault {
-            Some(e) => Err(e),
-            None => Ok(take_siu(std::mem::take(done))),
-        }
+        let ran = each_server(&mut self.servers, BackupServer::run_siu);
+        let t1 = self.align_clocks();
+        let reports = ran.map_err(|(_, e)| e)?.into_iter().map(|(r, _)| r);
+        Ok((reports.collect(), t1 - t0))
     }
 
     /// Resolve a fingerprint to its container via the owning index part
@@ -809,20 +805,22 @@ impl DebarCluster {
     }
 }
 
-/// The per-server reports, in server order, and the summed update count
-/// of the SIUs a round ran.
-fn take_siu(done: Vec<Option<(SiuReport, u64)>>) -> (Vec<SiuReport>, u64) {
-    let (reports, updates): (Vec<SiuReport>, Vec<u64>) = done.into_iter().flatten().unzip();
-    (reports, updates.iter().sum())
-}
-
-/// The first fault (lowest server ID) of a per-server phase every server
-/// has finished.
-fn first_fault<T>(results: &[DebarResult<T>]) -> Option<(ServerId, DebarError)> {
-    results
-        .iter()
-        .enumerate()
-        .find_map(|(i, r)| r.as_ref().err().map(|e| (i as ServerId, e.clone())))
+/// Run one phase on every server in ID order, each on its own clock, then
+/// surface the lowest-ID fault — or every server's output.
+fn each_server<T>(
+    servers: &mut [BackupServer],
+    mut phase: impl FnMut(&mut BackupServer) -> DebarResult<T>,
+) -> Result<Vec<T>, (ServerId, DebarError)> {
+    let mut fault = None;
+    let outputs = (servers.iter_mut())
+        .filter_map(|srv| {
+            let id = srv.id;
+            phase(srv)
+                .map_err(|e| _ = fault.get_or_insert((id, e)))
+                .ok()
+        })
+        .collect();
+    fault.map_or(Ok(outputs), Err)
 }
 
 #[cfg(test)]

@@ -4,24 +4,7 @@
 use crate::config::DebarConfig;
 use crate::ids::{JobId, ServerId};
 use crate::job::JobSpec;
-use crate::metadata::MetadataManager;
-
-/// Scheduling/placement policy knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct DirectorPolicy {
-    /// Trigger dedup-2 when any server's undetermined fingerprints reach
-    /// this count (0 = manual only). The paper sizes batches to "fully
-    /// utilize the index cache" (§5.2).
-    pub dedup2_trigger_fps: usize,
-    /// An SIU falls due once every this many dedup-2 rounds (§5.4
-    /// asynchronous SIU; see [`SiuPlan`]).
-    pub siu_interval: u32,
-    /// Index partitions each server's SIL/SIU sweeps stripe over (the
-    /// multi-part index of §5.2; 1 = single index volume per server). The
-    /// director records the deployment mode so operators and reports can
-    /// see it in the control plane.
-    pub sweep_parts: usize,
-}
+use crate::metadata::{MetadataManager, RunRecord};
 
 /// What one dedup-2 round does about the sequential index update (§5.4).
 /// A pure function of the round number and `siu_interval`
@@ -45,25 +28,21 @@ pub enum SiuPlan {
 }
 
 /// The control centre of the deployment.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Director {
     /// Job and run metadata.
     pub metadata: MetadataManager,
-    policy: DirectorPolicy,
-    /// Bytes assigned to each server since its last dedup-2 (load
-    /// balancing state).
+    /// Trigger dedup-2 when any server's undetermined fingerprints reach
+    /// this count (0 = manual only). The paper sizes batches to "fully
+    /// utilize the index cache" (§5.2).
+    dedup2_trigger_fps: usize,
+    /// An SIU falls due once every this many dedup-2 rounds (§5.4
+    /// asynchronous SIU; see [`SiuPlan`]).
+    siu_interval: u32,
+    /// Bytes of the runs recorded on each server since its last dedup-2
+    /// (load balancing state).
     assigned_bytes: Vec<u64>,
     dedup2_rounds: u32,
-}
-
-impl Default for DirectorPolicy {
-    fn default() -> Self {
-        DirectorPolicy {
-            dedup2_trigger_fps: 0,
-            siu_interval: 1,
-            sweep_parts: 1,
-        }
-    }
 }
 
 impl Director {
@@ -71,19 +50,11 @@ impl Director {
     pub fn new(cfg: &DebarConfig) -> Self {
         Director {
             metadata: MetadataManager::new(),
-            policy: DirectorPolicy {
-                dedup2_trigger_fps: cfg.dedup2_trigger_fps,
-                siu_interval: cfg.siu_interval,
-                sweep_parts: cfg.sweep_parts,
-            },
+            dedup2_trigger_fps: cfg.dedup2_trigger_fps,
+            siu_interval: cfg.siu_interval,
             assigned_bytes: vec![0; cfg.servers()],
             dedup2_rounds: 0,
         }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> DirectorPolicy {
-        self.policy
     }
 
     /// Register a job object.
@@ -91,35 +62,29 @@ impl Director {
         self.metadata.register_job(spec)
     }
 
-    /// Pick the backup server for a job run: least-loaded by bytes assigned
-    /// since the last dedup-2, ties to the lowest ID.
-    pub fn assign_server(&mut self, estimated_bytes: u64) -> ServerId {
-        let (server, _) = self
-            .assigned_bytes
-            .iter()
-            .enumerate()
+    /// Pick the backup server for a job run: least-loaded by the bytes of
+    /// the runs recorded since the last dedup-2, ties to the lowest ID.
+    /// Picking charges nothing: a run is charged when it is recorded
+    /// (`record_run`, the backup's commit), so a run that aborts leaves the
+    /// placement as a clean history has it.
+    pub fn assign_server(&self) -> ServerId {
+        let (server, _) = (self.assigned_bytes.iter().enumerate())
             .min_by_key(|&(i, &b)| (b, i))
             .expect("at least one server");
-        self.assigned_bytes[server] += estimated_bytes.max(1);
         server as ServerId
     }
 
-    /// Roll back an [`Director::assign_server`] whose run never happened
-    /// (the backup aborted on a fault): an aborted run must register
-    /// nothing, including its placement load, or a faulted-then-retried
-    /// history would route later jobs differently than a clean one.
-    pub fn unassign_server(&mut self, server: ServerId, estimated_bytes: u64) {
-        let b = &mut self.assigned_bytes[server as usize];
-        *b = b.saturating_sub(estimated_bytes.max(1));
+    /// Record a completed run in the job chain and charge its bytes to the
+    /// server that ran it — the commit of a backup.
+    pub(crate) fn record_run(&mut self, record: RunRecord) {
+        self.assigned_bytes[record.server as usize] += record.logical_bytes.max(1);
+        self.metadata.record_run(record);
     }
 
     /// Whether the automatic dedup-2 trigger fires for the given per-server
     /// undetermined counts.
     pub fn should_run_dedup2(&self, undetermined: &[usize]) -> bool {
-        self.policy.dedup2_trigger_fps > 0
-            && undetermined
-                .iter()
-                .any(|&u| u >= self.policy.dedup2_trigger_fps)
+        self.dedup2_trigger_fps > 0 && undetermined.iter().any(|&u| u >= self.dedup2_trigger_fps)
     }
 
     /// Peek the next dedup-2 round without committing it: its number and
@@ -135,7 +100,7 @@ impl Director {
     /// uninterrupted history.
     pub fn peek_dedup2(&self) -> (u32, SiuPlan) {
         let round = self.dedup2_rounds + 1;
-        let interval = self.policy.siu_interval;
+        let interval = self.siu_interval;
         let plan = if interval == 1 {
             SiuPlan::AfterStore
         } else if round > 1 && (round - 1).is_multiple_of(interval) {
@@ -154,7 +119,8 @@ impl Director {
         }
     }
 
-    /// Dedup-2 rounds completed or in flight.
+    /// Dedup-2 rounds completed (a round in flight counts once it
+    /// commits).
     pub fn dedup2_rounds(&self) -> u32 {
         self.dedup2_rounds
     }
@@ -184,7 +150,7 @@ impl Director {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ClientId;
+    use crate::ids::{ClientId, RunId};
     use crate::job::Schedule;
 
     fn cfg(w: u32) -> DebarConfig {
@@ -195,33 +161,54 @@ mod tests {
         }
     }
 
+    /// Pick a server for a run of `bytes` (of a job of its own) and record
+    /// the run there.
+    fn run(d: &mut Director, bytes: u64) -> ServerId {
+        let job = d.define_job(JobSpec {
+            name: "j".into(),
+            client: ClientId(0),
+            schedule: Schedule::Manual,
+        });
+        let server = d.assign_server();
+        d.record_run(RunRecord {
+            run: RunId { job, version: 0 },
+            server,
+            client: ClientId(0),
+            files: Vec::new(),
+            logical_bytes: bytes,
+            logical_chunks: 0,
+        });
+        server
+    }
+
     #[test]
     fn least_loaded_assignment() {
         let mut d = Director::new(&cfg(2)); // 4 servers
-        assert_eq!(d.assign_server(100), 0);
-        assert_eq!(d.assign_server(10), 1);
-        assert_eq!(d.assign_server(10), 2);
-        assert_eq!(d.assign_server(10), 3);
+        assert_eq!(run(&mut d, 100), 0);
+        assert_eq!(run(&mut d, 10), 1);
+        assert_eq!(run(&mut d, 10), 2);
+        assert_eq!(run(&mut d, 10), 3);
         // Server 1 has the least bytes now (10 vs 100/10/10 → tie on 1..3
-        // broken by earlier additional assignment).
-        let next = d.assign_server(1000);
+        // broken by the lowest ID).
+        let next = run(&mut d, 1000);
         assert_ne!(next, 0, "most-loaded server must not win");
     }
 
     #[test]
-    fn unassign_rolls_back_aborted_placement() {
+    fn a_pick_charges_nothing_until_the_run_is_recorded() {
         let mut d = Director::new(&cfg(1)); // 2 servers
-        let s = d.assign_server(100);
-        assert_eq!(s, 0);
-        // The run aborted: rolling back must restore the clean-history
-        // routing, so the retry lands on the same server again.
-        d.unassign_server(s, 100);
-        assert_eq!(d.assign_server(100), 0, "retry routes like a clean run");
-        assert_eq!(d.assign_server(50), 1);
-        // Zero-byte estimates round-trip through the same .max(1) floor.
-        let s = d.assign_server(0);
-        d.unassign_server(s, 0);
-        assert_eq!(d.assign_server(50), s, "floor charge fully rolled back");
+                                            // A run that aborts after its pick records nothing, so its retry
+                                            // routes like a clean run.
+        assert_eq!(d.assign_server(), 0);
+        assert_eq!(d.assign_server(), 0, "a retry routes like a clean run");
+        // A recorded zero-byte run is charged the one-byte floor.
+        assert_eq!(run(&mut d, 0), 0);
+        assert_eq!(d.assign_server(), 1, "the floor charge counts");
+        assert_eq!(run(&mut d, 100), 1);
+        assert_eq!(run(&mut d, 50), 0);
+        // A completed round starts the balance afresh.
+        d.commit_dedup2();
+        assert_eq!(d.assign_server(), 0);
     }
 
     #[test]
@@ -257,13 +244,6 @@ mod tests {
         let every_third = [Defer, Defer, Defer, Ride, Defer, Defer, Ride];
         assert_eq!(plans(3), every_third);
         assert_eq!(plans(1), [AfterStore; 7], "the synchronous schedule");
-    }
-
-    #[test]
-    fn policy_records_striped_mode() {
-        let d = Director::new(&DebarConfig::tiny_test(0).with_sweep_parts(4));
-        assert_eq!(d.policy().sweep_parts, 4);
-        assert_eq!(DirectorPolicy::default().sweep_parts, 1);
     }
 
     #[test]

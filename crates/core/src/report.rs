@@ -81,7 +81,7 @@ pub struct CapReport {
 }
 
 /// Outcome of one dedup-2 round (§5.2-§5.4).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dedup2Report {
     /// Round number (1-based).
     pub round: u32,

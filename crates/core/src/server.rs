@@ -91,12 +91,10 @@ pub struct SilPartOutput {
 }
 
 /// Outcome of one server's chunk-storing pass (§5.3). `fault` is `Some`
-/// when the pass was interrupted: `report`/`assigned` then cover only the
-/// durably stored prefix, and the log and the decision map keep what it
-/// did not make durable for the resumed round.
+/// when the pass was interrupted: `assigned` then covers only the durably
+/// stored prefix, and the log and the decision map keep what it did not
+/// make durable for the resumed round.
 pub struct StoreOutcome {
-    /// Storage statistics for the durable part of the pass.
-    pub report: StoreReport,
     /// Durable `(fingerprint, container)` assignments awaiting SIU.
     pub assigned: Vec<(Fingerprint, ContainerId)>,
     /// The interruption, if the pass faulted.
@@ -556,18 +554,23 @@ impl BackupServer {
     /// the durable prefix did not store — container `k`'s own records
     /// (the wanted records of its log span) and every record from its
     /// seal position on — and the decision map gives up only the durable
-    /// fingerprints; [`StoreOutcome::fault`] reports the interruption. The
-    /// report counts what the log gave up, so the prefix and the resumed
-    /// round count each record once. The durable prefix's assignments
-    /// still flow to SIU; re-running the round stores the kept chunks
-    /// into the *same* container IDs an uninterrupted run would have used.
-    pub fn commit_packed(&mut self, pack: PackOutput, repo: &mut ChunkRepository) -> StoreOutcome {
+    /// fingerprints; [`StoreOutcome::fault`] reports the interruption.
+    /// `totals` gains the durable prefix's containers and chunks and what
+    /// the log gave up, so the prefix and the resumed round count each
+    /// record once. The durable prefix's assignments still flow to SIU;
+    /// re-running the round stores the kept chunks into the *same*
+    /// container IDs an uninterrupted run would have used.
+    pub fn commit_packed(
+        &mut self,
+        pack: PackOutput,
+        repo: &mut ChunkRepository,
+        totals: &mut StoreReport,
+    ) -> StoreOutcome {
         let PackOutput {
             wanted,
             containers,
             produced,
         } = pack;
-        let mut report = StoreReport::default();
         let mut assigned: Vec<(Fingerprint, ContainerId)> = Vec::new();
         // Stage each container's fingerprints (cheap: no payload clones)
         // before the batch consumes them.
@@ -595,15 +598,16 @@ impl BackupServer {
             .map(|&(node, cost)| nodes[node].run(0.0, cost))
             .fold(0.0, f64::max);
         let durable = batch.ids.len();
+        let mut stored_chunks = 0;
         for (k, &cid) in batch.ids.iter().enumerate() {
-            report.containers += 1;
-            report.stored_chunks += stored_sizes[k].0;
-            report.stored_bytes += stored_sizes[k].1;
+            totals.containers += 1;
+            stored_chunks += stored_sizes[k].0;
+            totals.stored_bytes += stored_sizes[k].1;
             for &fp in &staged_fps[k] {
                 assigned.push((fp, cid));
             }
         }
-        let consumed = match batch.fault {
+        let (log_records, log_bytes) = match batch.fault {
             None => {
                 self.decisions = FpMap::default();
                 self.chunk_log.commit(|_| false)
@@ -620,14 +624,15 @@ impl BackupServer {
                     .commit(|i| i >= to || (i >= from && wanted[i]))
             }
         };
-        (report.log_records, report.log_bytes) = consumed;
-        report.discarded = report.log_records - report.stored_chunks;
+        totals.log_records += log_records;
+        totals.log_bytes += log_bytes;
+        totals.stored_chunks += stored_chunks;
+        totals.discarded += log_records - stored_chunks;
 
         if store_path > produced {
             self.clock.advance(store_path - produced);
         }
         StoreOutcome {
-            report,
             assigned,
             fault: batch.fault.map(|(e, _)| e.into()),
         }

@@ -916,8 +916,9 @@ fn converged(c: &mut DebarCluster, trace: &Trace) -> State {
 }
 
 /// Whether a call's result after a fault (or its redo's) reports what the
-/// clean call did: a round's store, and the updates each server's SIU
-/// applied — a round whose own PSIU tore included — and a walk's chunks.
+/// clean call did: a round's exchange and PSIL counts, its store, and the
+/// updates each server's SIU applied — a round whose own PSIU tore
+/// included — and a walk's chunks.
 fn agrees(got: &Value, want: &Value) -> bool {
     match (got, want) {
         (Value::Dedup2(a), Value::Dedup2(b)) => {
@@ -925,7 +926,11 @@ fn agrees(got: &Value, want: &Value) -> bool {
                 let each = d.siu_reports.iter().map(|r| applied([r]));
                 (d.siu_updates, each.collect::<Vec<_>>())
             };
-            a.store == b.store && per_server(a) == per_server(b)
+            let counts = |d: &Dedup2Report| {
+                let verdicts = (d.submitted_fps, d.dup_registered, d.dup_pending);
+                (verdicts, d.new_fps, d.sil_sweeps)
+            };
+            a.store == b.store && per_server(a) == per_server(b) && counts(a) == counts(b)
         }
         (Value::Restore(a), Value::Restore(b)) => {
             let walked = |r: &RestoreReport| (r.files, r.chunks, r.bytes, r.failures);

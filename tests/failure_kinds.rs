@@ -17,8 +17,8 @@ use common::{
     REPLICATION, STORE_WORKERS, SWEEP_PARTS,
 };
 use debar::{
-    ContainerId, Damage, DebarCluster, DebarConfig, DebarError, Dedup2Phase, Device, Discrepancy,
-    FaultKind,
+    ContainerId, Damage, DebarCluster, DebarConfig, DebarError, Dedup2Phase, Dedup2Report, Device,
+    Discrepancy, FaultKind,
 };
 use DebarError::InterruptedDedup2;
 use Dedup2Phase::{ChunkStoring, Sil};
@@ -360,7 +360,7 @@ fn dedup2_crash_point_sweep_converges_at_every_device_op() {
     play(&mut c, &fixture);
     let (undetermined, logs) = (c.undetermined_counts(), log_bytes(&c));
     assert!(undetermined.iter().all(|&n| n > 0));
-    let mut aborted = 0;
+    let (mut aborted, mut after_psil) = (0, 0);
     let kinds = |_| vec![Fail];
     let (touched, clean) = crash_sweep(cfg, &fixture, Call::RunDedup2, kinds, |leg| {
         let (c, label) = (leg.cluster, format!("{:?}", leg.trace));
@@ -372,6 +372,18 @@ fn dedup2_crash_point_sweep_converges_at_every_device_op() {
         let kept = c.undetermined_counts() == undetermined;
         assert!(phase.is_none_or(|p| p.1 != Sil) || kept, "{label}");
         assert!(phase.is_none() || node || log_bytes(c) == logs, "{label}");
+        // A fault after the PSIL commit (chunk storing or the round's own
+        // PSIU): the redo reports the exchange and PSIL walls the
+        // interrupted attempt committed, to the bit.
+        if phase.is_none_or(|p| p.1 == ChunkStoring) {
+            after_psil += 1;
+            let redo = c.clone().run_dedup2().expect("redo");
+            let Value::Dedup2(want) = leg.clean else {
+                panic!()
+            };
+            let walls = |d: &Dedup2Report| (d.exchange_wall.to_bits(), d.sil_wall.to_bits());
+            assert_eq!(walls(&redo), walls(want), "{label}: {redo:?}");
+        }
     });
     let Value::Dedup2(d2) = clean else { panic!() };
     assert!(d2.store.discarded > 0, "cross-server duplicates");
@@ -380,6 +392,11 @@ fn dedup2_crash_point_sweep_converges_at_every_device_op() {
     let ops: Vec<u64> = touched.iter().map(|t| t.1).collect();
     assert_eq!(ops, [7, 7, 3, 1, 3, 1], "crash points of {touched:?}");
     assert_eq!(aborted, ops.iter().sum::<u64>(), "every leg aborted");
+    assert_eq!(
+        after_psil,
+        aborted - 2,
+        "every leg but each server's PSIL sweep"
+    );
 }
 
 #[test]

@@ -121,11 +121,11 @@ fn dedup2_report_surfaces_engaged_partitions() {
         .expect("backup");
     let d2 = c.run_dedup2().expect("dedup2");
     assert_eq!(d2.sweep_parts, 3);
-    // Every server's policy-visible mode matches.
+    // Every server's mode matches the deployment's.
     for s in 0..c.server_count() as u16 {
         assert_eq!(c.server(s).sweep_parts(), 3);
     }
-    assert_eq!(c.director.policy().sweep_parts, 3);
+    assert_eq!(c.config().sweep_parts, 3);
     // An empty round reports the configured mode.
     let d2_empty = c.run_dedup2().expect("dedup2");
     assert_eq!(d2_empty.submitted_fps, 0);
@@ -151,6 +151,13 @@ fn scale_out_clamps_striped_parts_and_keeps_working() {
         128,
         "scale-out must clamp sweep_parts to the halved bucket count"
     );
+    for s in 0..c.server_count() as u16 {
+        assert_eq!(
+            c.server(s).sweep_parts(),
+            128,
+            "server {s} keeps no stale copy"
+        );
+    }
     c.backup(job, &Dataset::from_records("s", records(2000..3000)))
         .expect("backup");
     let d2 = c.run_dedup2().expect("dedup2");
