@@ -62,7 +62,7 @@ use debar_hash::{ContainerId, Fingerprint};
 use debar_index::{DiskIndex, IndexCache};
 use debar_simio::models::{paper, MIB};
 use debar_simio::throughput::mibps;
-use debar_simio::PartDiskSet;
+use debar_simio::{Device, PartDiskSet};
 use debar_workload::drift::records;
 
 const PARTS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -107,7 +107,9 @@ fn skewed_sweep_secs(cfg: &DebarConfig, parts: usize) -> f64 {
         .zip(&bounds)
         .map(|(start, end)| (end - start) * params.bucket_bytes as u64)
         .collect();
-    (PartDiskSet::new(paper::index_disk()).seq_read_split(&shares)).expect("no fault is armed")
+    let volume = Device::IndexPart { server: 0, part: 0 };
+    (PartDiskSet::new(paper::index_disk(), volume).seq_read_split(&shares))
+        .expect("no fault is armed")
 }
 
 /// System-level walls of one configuration: summed PSIL/PSIU/store walls,

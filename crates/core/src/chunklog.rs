@@ -88,7 +88,7 @@ use crate::dataset::StreamChunk;
 use crate::error::DebarError;
 use crate::ids::{Device, ServerId};
 use debar_hash::Fingerprint;
-use debar_simio::{InjectedFault, PartDiskSet, Secs};
+use debar_simio::{PartDiskSet, Secs};
 use debar_store::Payload;
 use std::ops::Range;
 
@@ -144,11 +144,10 @@ pub struct Drain<'a> {
 /// per-worker disks (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ChunkLog {
-    /// The owning backup server (names this log's devices in errors).
-    server: ServerId,
     /// The log's only devices: one disk per store worker, sized by
-    /// [`ChunkLog::drain_striped`]; worker 0 doubles as the volume
-    /// appends are charged to.
+    /// [`ChunkLog::drain_striped`], each named its server's
+    /// [`Device::LogWorker`]; worker 0 doubles as the volume appends are
+    /// charged to.
     pub(crate) worker_disks: PartDiskSet,
     records: Vec<LogRecord>,
     bytes: u64,
@@ -157,9 +156,9 @@ pub struct ChunkLog {
 impl ChunkLog {
     /// Create `server`'s empty log with the paper's log-disk model.
     pub fn new(server: ServerId) -> Self {
+        let volume = Device::LogWorker { server, worker: 0 };
         ChunkLog {
-            server,
-            worker_disks: PartDiskSet::new(debar_simio::models::paper::log_disk()),
+            worker_disks: PartDiskSet::new(debar_simio::models::paper::log_disk(), volume),
             records: Vec::new(),
             bytes: 0,
         }
@@ -180,16 +179,6 @@ impl ChunkLog {
         self.bytes
     }
 
-    fn fault(&self, worker: u32, fault: InjectedFault) -> DebarError {
-        DebarError::DeviceFault {
-            device: Device::LogWorker {
-                server: self.server,
-                worker,
-            },
-            fault,
-        }
-    }
-
     /// Append one record (sequential write on worker disk 0); returns the
     /// cost. An injected fault on the append op surfaces as
     /// [`DebarError::DeviceFault`] and the record is
@@ -197,8 +186,7 @@ impl ChunkLog {
     /// the caller aborts its backup run and may retry it whole.
     pub fn append(&mut self, rec: LogRecord) -> Result<Secs, DebarError> {
         let b = rec.record_bytes();
-        let cost =
-            (self.worker_disks.volume_mut().seq_write(b)).map_err(|f| self.fault(0, f.fault))?;
+        let cost = self.worker_disks.volume_mut().seq_write(b)?;
         self.bytes += b;
         self.records.push(rec);
         Ok(cost)
@@ -243,8 +231,7 @@ impl ChunkLog {
             .into_iter()
             .map(|legs| legs.into_iter().unzip())
             .unzip();
-        let costs =
-            (self.worker_disks.seq_read_legs(&extents)).map_err(|f| self.fault(f.part, f.fault))?;
+        let costs = self.worker_disks.seq_read_legs(&extents)?;
         let legs = (ready.into_iter().zip(costs))
             .map(|(ready, costs)| {
                 let legs = ready.into_iter().zip(costs);
@@ -631,7 +618,7 @@ mod tests {
                 .collect();
             assert_eq!(
                 cost,
-                PartDiskSet::new(model)
+                PartDiskSet::new(model, WORKER_0)
                     .seq_read_split(&shares)
                     .expect("clean"),
                 "W = {w}"
@@ -645,7 +632,10 @@ mod tests {
         }
         let mut log = log_of(&sizes);
         let cost = wall(&log.drain_striped(1, &all(&log), &[]).expect("drain"));
-        assert_eq!(Ok(cost), debar_simio::SimDisk::new(model).seq_read(bytes));
+        assert_eq!(
+            Ok(cost),
+            debar_simio::SimDisk::new(model, WORKER_0).seq_read(bytes)
+        );
     }
 
     #[test]

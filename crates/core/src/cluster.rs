@@ -238,20 +238,13 @@ impl DebarCluster {
         }
     }
 
-    /// Disarm every device in the deployment.
+    /// Disarm every device in the deployment: each bank clears its own
+    /// disks.
     pub fn clear_fault_plans(&mut self) {
-        let nodes = (0..self.repo.node_count()).map(Device::RepoNode);
-        let servers = (0..self.servers.len() as ServerId).flat_map(|server| {
-            let parts = (0..self.cfg.sweep_parts as u32)
-                .map(move |part| Device::IndexPart { server, part });
-            let workers = (0..self.cfg.store_workers as u32)
-                .map(move |worker| Device::LogWorker { server, worker });
-            parts.chain(workers)
-        });
-        let devices: Vec<Device> = nodes.chain(servers).collect();
-        for device in devices {
-            // An address the live geometry has clamped away holds no plan.
-            let _ = self.arm(device, FaultPlan::none());
+        self.repo.clear_fault_plans();
+        for srv in &mut self.servers {
+            srv.index_mut().clear_fault_plans();
+            srv.chunk_log.worker_disks.clear_fault_plans();
         }
     }
 
@@ -410,8 +403,11 @@ impl DebarCluster {
     /// report, so an interrupted and redone round reports what an
     /// uninterrupted one does: its counts, its store totals, each server's
     /// SIU and, when the fault came after the PSIL commit, its exchange and
-    /// PSIL walls to the bit. Only the wall of a phase that faulted is the
-    /// redo's own.
+    /// PSIL walls to the bit. A phase's wall includes an interrupted
+    /// attempt's time whenever the report keeps what that attempt
+    /// committed — a faulted store phase's durable prefix, a faulted
+    /// PSIU's completed servers. PSIL and the drain commit nothing, and
+    /// the redo runs them whole: their walls are the redo's own.
     ///
     /// An injected fault surfaces as [`DebarError::InterruptedDedup2`]
     /// (PSIL — a riding SIU's sweeps included — or chunk storing) or
@@ -580,6 +576,9 @@ impl DebarCluster {
             self.servers[owner_of(&fp)].queue_updates([(fp, cid)]);
         }
         if let Some(fault) = fault {
+            // The report keeps what the commits before the fault made
+            // durable, so it keeps the time they took too.
+            round.report.store_wall += self.now() - t2;
             return Err(interrupted(Dedup2Phase::ChunkStoring)(fault));
         }
         let t3 = self.align_clocks();
@@ -592,14 +591,18 @@ impl DebarCluster {
         if round.plan == SiuPlan::AfterStore {
             let slots = &mut round.siu;
             slots.resize(s, None);
-            each_server(&mut self.servers, |srv| {
+            let ran = each_server(&mut self.servers, |srv| {
                 let slot = &mut slots[srv.id as usize];
                 if slot.is_none() {
                     *slot = Some(srv.run_siu()?);
                 }
                 Ok(())
-            })
-            .map_err(|(_, e)| e)?;
+            });
+            if let Err((_, e)) = ran {
+                // The SIUs that completed are kept, and so is their time.
+                round.report.siu_wall += self.now() - t3;
+                return Err(e);
+            }
         }
         Ok(t3)
     }
@@ -648,7 +651,7 @@ impl DebarCluster {
     pub fn scale_up_indexes(&mut self) -> DebarResult<Secs> {
         let t0 = self.align_clocks();
         for srv in &mut self.servers {
-            let t = (srv.index_mut().scale_up()).map_err(|e| DebarError::index_fault(srv.id, e))?;
+            let t = srv.index_mut().scale_up()?;
             srv.clock.advance(t.cost);
         }
         let t1 = self.align_clocks();
@@ -692,7 +695,7 @@ impl DebarCluster {
         // A fault on a split's read leaves every server as it was.
         let mut halves = Vec::with_capacity(self.servers.len());
         for srv in &mut self.servers {
-            let t = (srv.index_mut().split(1)).map_err(|e| DebarError::index_fault(srv.id, e))?;
+            let t = srv.index_mut().split(1)?;
             srv.clock.advance(t.cost);
             halves.push(t.value);
         }
@@ -758,8 +761,7 @@ impl DebarCluster {
         let parts = self.cfg.sweep_parts;
         let t = self.servers[sid]
             .index_mut()
-            .try_bulk_load_striped(entries, parts)
-            .map_err(|e| DebarError::index_fault(server, e))?;
+            .try_bulk_load_striped(entries, parts)?;
         let scan_cost = last_idle(&nodes);
         self.servers[sid].clock.advance(scan_cost + t.cost);
         Ok(scan_cost + t.cost)
@@ -787,8 +789,7 @@ impl DebarCluster {
         }
         let parts = self.cfg.sweep_parts;
         for (srv, batch) in self.servers.iter_mut().zip(per_server) {
-            (srv.index_mut().try_bulk_load_striped(batch, parts))
-                .map_err(|e| DebarError::index_fault(srv.id, e))?;
+            srv.index_mut().try_bulk_load_striped(batch, parts)?;
         }
         Ok(())
     }
@@ -2356,6 +2357,41 @@ mod tests {
             );
             assert_eq!(interrupting_device(&err), Some(device), "{err}");
             assert_redo_converges(c, &clean);
+        }
+        // After a scale-out: the split named the devices of the servers it
+        // made, so a fault armed on server 3 of 4 (server 1's second half)
+        // names server 3's part-disk or worker disk.
+        let grown = || {
+            let mut c = two_striped_servers(1);
+            c.run_dedup2().expect("dedup2");
+            c.scale_out().expect("scale-out");
+            for i in 0..4u32 {
+                let job = c.define_job(format!("after{i}"), ClientId(2 + i));
+                let base = 100_000 + 10_000 * i as u64;
+                let data = Dataset::from_records("s", records(base..base + 2000));
+                c.backup(job, &data).expect("backup");
+            }
+            assert!(c.server(3).log_bytes() > 0, "server 3 needs chunks to pack");
+            c
+        };
+        let mut clean = grown();
+        clean.run_dedup2().expect("dedup2");
+        for device in [
+            Device::IndexPart { server: 3, part: 1 },
+            Device::LogWorker {
+                server: 3,
+                worker: 1,
+            },
+        ] {
+            let mut c = grown();
+            arm_in(&mut c, device, 0, FaultPlan::fail_at);
+            let err = c
+                .run_dedup2()
+                .expect_err("armed device must fault the round");
+            assert_eq!(interrupting_device(&err), Some(device), "{err}");
+            c.clear_fault_plans();
+            c.run_dedup2().expect("redo");
+            assert_eq!(index_digests(&c), index_digests(&clean), "{device}");
         }
     }
 

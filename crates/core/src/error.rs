@@ -3,9 +3,10 @@
 //!
 //! Lower layers carry their own typed errors
 //! ([`debar_store::StoreError`], [`debar_index::IndexError`]) and convert
-//! into [`DebarError`] at the cluster boundary, so a fault injected on a
-//! simulated disk three crates down surfaces to the caller as one typed,
-//! matchable value naming the failed [`Device`] — never a panic. See the
+//! into [`DebarError`] with `?`, so a fault injected on a simulated disk
+//! three crates down surfaces to the caller as one typed, matchable value
+//! naming the failed [`Device`] — the address the disk was built with,
+//! passed up unchanged — never a panic. See the
 //! crate-level "Failure model & error taxonomy" section for the full
 //! contract, including which errors are *resumable* (re-running the
 //! failed operation converges to the uninterrupted result).
@@ -13,7 +14,7 @@
 use crate::ids::{Device, JobId, RunId, ServerId};
 use debar_hash::{ContainerId, Fingerprint};
 use debar_index::IndexError;
-use debar_simio::InjectedFault;
+use debar_simio::{Faulted, InjectedFault};
 use debar_store::{CorruptKind, StoreError};
 use std::fmt;
 
@@ -270,10 +271,7 @@ impl From<StoreError> for DebarError {
             StoreError::CorruptContainer { container, reason } => {
                 DebarError::CorruptContainer { container, reason }
             }
-            StoreError::DiskFault { node, fault } => DebarError::DeviceFault {
-                device: Device::RepoNode(node),
-                fault,
-            },
+            StoreError::DiskFault { device, fault } => DebarError::DeviceFault { device, fault },
             StoreError::MissingContainer { container } => {
                 DebarError::MissingContainer { container }
             }
@@ -296,18 +294,17 @@ impl From<StoreError> for DebarError {
     }
 }
 
-impl DebarError {
-    /// An index sweep fault on `server`'s index part. The index layer
-    /// cannot know which server owns it, so the conversion happens where
-    /// the server is known.
-    pub(crate) fn index_fault(server: ServerId, e: IndexError) -> Self {
-        DebarError::DeviceFault {
-            device: Device::IndexPart {
-                server,
-                part: e.part(),
-            },
-            fault: e.fault(),
-        }
+impl From<IndexError> for DebarError {
+    fn from(e: IndexError) -> Self {
+        let (device, fault) = (e.device(), e.fault());
+        DebarError::DeviceFault { device, fault }
+    }
+}
+
+impl From<Faulted> for DebarError {
+    fn from(f: Faulted) -> Self {
+        let (device, fault) = (f.device, f.fault);
+        DebarError::DeviceFault { device, fault }
     }
 }
 
@@ -363,14 +360,9 @@ mod tests {
             op: 9,
             kind: debar_simio::FaultKind::Fail,
         };
-        let e: DebarError = StoreError::DiskFault { node: 3, fault }.into();
-        assert_eq!(
-            e,
-            DebarError::DeviceFault {
-                device: Device::RepoNode(3),
-                fault
-            }
-        );
+        let device = Device::RepoNode(3);
+        let e: DebarError = StoreError::DiskFault { device, fault }.into();
+        assert_eq!(e, DebarError::DeviceFault { device, fault });
         assert_eq!(e.to_string(), format!("repository node 3 fault: {fault}"));
         let cid = ContainerId::new(11);
         let e: DebarError = StoreError::Unrecoverable {
@@ -390,15 +382,24 @@ mod tests {
     }
 
     #[test]
-    fn index_fault_conversion_names_server_and_part() {
+    fn index_error_conversion_keeps_its_device() {
         let fault = InjectedFault {
             op: 4,
             kind: debar_simio::FaultKind::Fail,
         };
-        let e = DebarError::index_fault(5, IndexError::SweepFault { fault, part: 2 });
         let device = Device::IndexPart { server: 5, part: 2 };
+        let e: DebarError = IndexError::SweepFault { device, fault }.into();
         assert_eq!(e, DebarError::DeviceFault { device, fault });
         assert!(e.to_string().contains("part-disk 2 of server 5"), "{e}");
+        // A torn update sweep outside an SIU of its own is a device fault
+        // too.
+        let torn = IndexError::PartialSweep {
+            applied: 1,
+            total: 2,
+            device,
+            fault,
+        };
+        assert_eq!(DebarError::from(torn), e);
     }
 
     #[test]

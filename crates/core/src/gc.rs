@@ -116,7 +116,7 @@
 
 use super::{last_idle, DebarCluster};
 use crate::error::{DebarError, DebarResult};
-use crate::ids::{JobId, RunId, ServerId};
+use crate::ids::{JobId, RunId};
 use debar_hash::{ContainerId, Fingerprint, FpSet};
 use debar_simio::{Lane, Secs};
 use debar_store::{Container, ContainerManager};
@@ -366,10 +366,7 @@ impl DebarCluster {
             if dead.is_empty() {
                 continue;
             }
-            let t = self.servers[sid]
-                .index_mut()
-                .gc_sweep(dead, parts)
-                .map_err(|e| DebarError::index_fault(sid as ServerId, e))?;
+            let t = self.servers[sid].index_mut().gc_sweep(dead, parts)?;
             self.servers[sid].clock.advance(t.cost);
             slowest = slowest.max(t.cost);
             report.index_removed += t.value;

@@ -2,6 +2,10 @@
 
 use std::fmt;
 
+// Every simulated disk is built with its address: the value passed to
+// `DebarCluster::arm` is the value a fired fault reports.
+pub use debar_simio::Device;
+
 /// A backup server's index within the cluster; server `k` owns disk-index
 /// part `k` (the fingerprints whose first `w` bits equal `k`, paper §5.2).
 pub type ServerId = u16;
@@ -27,48 +31,6 @@ pub struct RunId {
 impl fmt::Display for RunId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "job{}v{}", self.job.0, self.version)
-    }
-}
-
-/// The address of one fault-injectable simulated device. The value passed
-/// to [`crate::DebarCluster::arm`] is the value a fired fault reports in
-/// [`crate::DebarError::DeviceFault`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Device {
-    /// One repository node's disk.
-    RepoNode(usize),
-    /// One part-disk of a server's striped index volume. Part 0 is the
-    /// volume: it also carries the un-striped index I/O — a restore's
-    /// random lookups, capacity scaling, a scale-out's split — each op
-    /// failing with its own fault, naming this part.
-    IndexPart {
-        /// The server owning the index part.
-        server: ServerId,
-        /// The part-disk within the stripe (`< sweep_parts`, clamped to
-        /// the live bucket count).
-        part: u32,
-    },
-    /// One worker disk of a server's chunk-log drain stripe. Worker 0 is
-    /// the volume: it also carries every dedup-1 append.
-    LogWorker {
-        /// The server owning the chunk log.
-        server: ServerId,
-        /// The worker disk within the stripe (`< store_workers`).
-        worker: u32,
-    },
-}
-
-impl fmt::Display for Device {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Device::RepoNode(node) => write!(f, "repository node {node}"),
-            Device::IndexPart { server, part } => {
-                write!(f, "index part-disk {part} of server {server}")
-            }
-            Device::LogWorker { server, worker } => {
-                write!(f, "chunk-log worker disk {worker} of server {server}")
-            }
-        }
     }
 }
 

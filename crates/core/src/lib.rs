@@ -52,10 +52,14 @@
 //!   that clears after a budgeted number of attempts). One address names
 //!   them all — [`Device`]: a repository node, one part-disk of a server's
 //!   index stripe, one worker disk of its chunk-log stripe — with one
-//!   [`DebarCluster::arm`] and one [`DebarCluster::device_ops`]; a fired
-//!   fault reports the address it was armed with
-//!   ([`DebarError::DeviceFault`]). Each component owns one device bank
-//!   whose part/worker 0 is its volume: no device is charged twice.
+//!   [`DebarCluster::arm`] and one [`DebarCluster::device_ops`]. Every
+//!   disk is built with its address where its bank makes it, and a fired
+//!   fault carries it (`debar_simio::Faulted`) through the index and
+//!   store errors into [`DebarError::DeviceFault`] unchanged, so it
+//!   reports the address it was armed with; no layer names it on the way
+//!   up. Each component owns one device bank whose part/worker 0 is its
+//!   volume: no device is charged twice, and each bank clears its own
+//!   plans ([`DebarCluster::clear_fault_plans`]).
 //! * **Persisted corruption**: containers are serialized with a versioned
 //!   magic byte and a SHA-1 checksum trailer; torn writes and bit rot are
 //!   *detected* on every read path — restore, verify, scrub and the

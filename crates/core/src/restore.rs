@@ -213,7 +213,7 @@
 
 use super::DebarCluster;
 use crate::error::{DebarError, DebarResult};
-use crate::ids::{RunId, ServerId};
+use crate::ids::RunId;
 use crate::metadata::{FileIndexEntry, RunRecord};
 use crate::report::{LayoutReport, RestoreReport};
 use crate::server::{BackupServer, CachedContainer};
@@ -635,8 +635,7 @@ impl RestoreWalk<'_> {
             Some(cid) => cid,
             None => {
                 let owner = fp.server_number(self.w_bits) as usize;
-                let found = lookup_with_owner(self.servers, sid, owner, fp)
-                    .map_err(|e| DebarError::index_fault(owner as ServerId, e))?;
+                let found = lookup_with_owner(self.servers, sid, owner, fp)?;
                 lanes.lookup(found.cost);
                 // A miss may be a fingerprint the owner's next SIU
                 // registers: its last pending mapping, read in memory and

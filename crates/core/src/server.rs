@@ -31,7 +31,7 @@
 use crate::chunklog::ChunkLog;
 use crate::config::DebarConfig;
 use crate::error::DebarError;
-use crate::ids::{Device, ServerId};
+use crate::ids::ServerId;
 use crate::report::StoreReport;
 use debar_hash::{ContainerId, Fingerprint, FpMap, FpSet};
 use debar_index::{DiskIndex, IndexCache, IndexError, SiuReport};
@@ -252,6 +252,7 @@ impl BackupServer {
         // This server owns index part `id`: the first w fingerprint bits
         // route to it, the *next* n bits are its bucket number (§5.2).
         let index = DiskIndex::with_prefix(
+            id,
             cfg.index_part_params(),
             cfg.w_bits,
             paper::index_disk(),
@@ -378,16 +379,16 @@ impl BackupServer {
                 cache.insert(fp, origin);
             }
             let sil = if carries && siu.is_none() {
-                let t = (self.index)
-                    .try_sequential_update_lookup_sharded(&self.pending_updates, &mut cache, parts)
-                    .map_err(|e| DebarError::index_fault(self.id, e))?;
+                let t = (self.index).try_sequential_update_lookup_sharded(
+                    &self.pending_updates,
+                    &mut cache,
+                    parts,
+                )?;
                 let (report, sil) = self.clock.charge(t);
                 siu = Some(report);
                 sil
             } else {
-                let t = (self.index)
-                    .try_sequential_lookup_sharded(&mut cache, parts)
-                    .map_err(|e| DebarError::index_fault(self.id, e))?;
+                let t = (self.index).try_sequential_lookup_sharded(&mut cache, parts)?;
                 self.clock.charge(t)
             };
             let swept = self.clock.now();
@@ -428,9 +429,7 @@ impl BackupServer {
         if carries && siu.is_none() {
             // Nothing to sweep on this part: the carried SIU is the
             // standalone update sweep.
-            let t = (self.index)
-                .try_sequential_update_sharded(&self.pending_updates, parts)
-                .map_err(|e| DebarError::index_fault(self.id, e))?;
+            let t = (self.index).try_sequential_update_sharded(&self.pending_updates, parts)?;
             siu = Some(self.clock.charge(t));
         }
         let carried = carry_siu.then(|| {
@@ -669,14 +668,12 @@ impl BackupServer {
                     IndexError::PartialSweep { applied, .. } => applied,
                     _ => 0,
                 };
+                let (device, fault) = (e.device(), e.fault());
                 DebarError::PartialSiu {
-                    device: Device::IndexPart {
-                        server: self.id,
-                        part: e.part(),
-                    },
+                    device,
                     applied,
                     total,
-                    fault: e.fault(),
+                    fault,
                 }
             })?;
         let report = self.clock.charge(t);

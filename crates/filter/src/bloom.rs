@@ -38,6 +38,9 @@
 //! silently degrading to a useless 1-bit filter (use
 //! [`BloomFilter::try_with_memory`] to handle untrusted budgets).
 
+// The workspace denies unsafe code; the software prefetch is one of its two exceptions.
+#![allow(unsafe_code)]
+
 use debar_hash::Fingerprint;
 
 /// Bits per cache-line block.

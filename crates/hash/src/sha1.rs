@@ -27,6 +27,9 @@
 //! byte, is the same on any CPU. [`compress`] stays public as the reference
 //! the tests hold the hardware kernel to; [`kernel`] names the one that runs.
 
+// The workspace denies unsafe code; the SHA-NI kernel is one of its two exceptions.
+#![allow(unsafe_code)]
+
 const H0: [u32; 5] = [
     0x6745_2301,
     0xEFCD_AB89,

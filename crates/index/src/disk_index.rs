@@ -25,7 +25,7 @@ use crate::params::IndexParams;
 use debar_hash::SplitMix64;
 use debar_hash::{ContainerId, Fingerprint, FpSet};
 use debar_simio::models::paper;
-use debar_simio::{DiskModel, PartDiskSet, PartFault, Secs, SimCpu, SimDisk, Timed};
+use debar_simio::{Charge, Device, DiskModel, PartDiskSet, Secs, SimCpu, SimDisk, Timed};
 
 /// Result of a random-path insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +45,9 @@ type VolumeOp = fn(&mut SimDisk, u64) -> debar_simio::Charge;
 /// The DEBAR disk index.
 #[derive(Debug, Clone)]
 pub struct DiskIndex {
+    /// The backup server hosting this index: its part-disks are that
+    /// server's [`Device::IndexPart`]s.
+    server: u16,
     params: IndexParams,
     /// Fingerprint bits consumed by multi-server routing before this
     /// index's bucket number begins: an index part owned by one of `2^w`
@@ -64,15 +67,12 @@ pub struct DiskIndex {
 }
 
 impl DiskIndex {
-    /// Create an empty index on a disk with the given timing model.
-    pub fn new(params: IndexParams, disk_model: DiskModel, seed: u64) -> Self {
-        Self::with_prefix(params, 0, disk_model, seed)
-    }
-
-    /// Create an index *part*: bucket numbers use fingerprint bits
+    /// Create backup server `server`'s index *part*, on part-disks with the
+    /// given timing model: bucket numbers use fingerprint bits
     /// `[skip_bits, skip_bits + n)` — the addressing of one part of a
     /// `2^skip_bits`-way split index (§5.2, Fig. 5).
     pub fn with_prefix(
+        server: u16,
         params: IndexParams,
         skip_bits: u32,
         disk_model: DiskModel,
@@ -88,19 +88,21 @@ impl DiskIndex {
             "prefix + bucket bits exceed 64"
         );
         DiskIndex {
+            server,
             params,
             skip_bits,
             data: vec![0u8; bytes as usize],
-            part_disks: PartDiskSet::new(disk_model),
+            part_disks: PartDiskSet::new(disk_model, Device::IndexPart { server, part: 0 }),
             cpu: SimCpu::new(paper::cpu()),
             entries: 0,
             rng: SplitMix64::new(seed),
         }
     }
 
-    /// Create with the paper's index-disk model.
+    /// Create server 0's whole index (no routing prefix) with the paper's
+    /// index-disk model.
     pub fn with_paper_disk(params: IndexParams, seed: u64) -> Self {
-        Self::new(params, paper::index_disk(), seed)
+        Self::with_prefix(0, params, 0, paper::index_disk(), seed)
     }
 
     /// Index geometry.
@@ -141,9 +143,14 @@ impl DiskIndex {
     /// says "the next op". A fault on part `p > 0` fires only when a sweep
     /// charges that partition; part 0 also carries the un-striped ops.
     /// Every op that charges the part fails with it, as an
-    /// [`IndexError`] whose `part` names the failing part-disk.
+    /// [`IndexError`] naming the part-disk's [`Device`].
     pub fn part_disk_mut(&mut self, part: usize) -> &mut SimDisk {
         self.part_disks.disk_mut(part)
+    }
+
+    /// Disarm every part-disk's faults.
+    pub fn clear_fault_plans(&mut self) {
+        self.part_disks.clear_fault_plans();
     }
 
     /// I/O statistics of one striped part-disk, if materialized.
@@ -179,21 +186,21 @@ impl DiskIndex {
     /// Charge one physical striped **read** sweep: each part-disk reads
     /// its own byte share, and the returned wall time is the max over
     /// per-part completion times.
-    pub(crate) fn charge_sweep_read(&mut self, bounds: &[u64]) -> Result<Secs, PartFault> {
+    pub(crate) fn charge_sweep_read(&mut self, bounds: &[u64]) -> Charge {
         let bytes = self.part_bytes(bounds);
         self.part_disks.seq_read_split(&bytes)
     }
 
     /// Charge one physical striped **write** sweep (see
     /// [`DiskIndex::charge_sweep_read`]).
-    pub(crate) fn charge_sweep_write(&mut self, bounds: &[u64]) -> Result<Secs, PartFault> {
+    pub(crate) fn charge_sweep_write(&mut self, bounds: &[u64]) -> Charge {
         let bytes = self.part_bytes(bounds);
         self.part_disks.seq_write_split(&bytes)
     }
 
     /// Charge `bytes` of un-striped I/O to the volume with `op`.
     pub(crate) fn on_volume(&mut self, op: VolumeOp, bytes: u64) -> Result<Secs, IndexError> {
-        op(self.part_disks.volume_mut(), bytes).map_err(|f| f.on(0).into())
+        Ok(op(self.part_disks.volume_mut(), bytes)?)
     }
 
     /// Run `op`, which charges this index's devices and may change its
@@ -511,14 +518,14 @@ impl DiskIndex {
     fn double(&mut self) -> Result<Timed<()>, IndexError> {
         let old_bytes = self.params.total_bytes();
         let new_params = self.params.scaled_up();
-        let model = self.part_disks.model();
         let fresh = DiskIndex {
+            server: self.server,
             params: new_params,
             skip_bits: self.skip_bits,
             data: vec![0u8; new_params.total_bytes() as usize],
             // Part-disks survive scaling (their queues and fault plans
-            // are device state).
-            part_disks: std::mem::replace(&mut self.part_disks, PartDiskSet::new(model)),
+            // are device state): the rebuilt index takes them over.
+            part_disks: self.part_disks.clone(),
             cpu: self.cpu.clone(),
             entries: 0,
             rng: self.rng.fork(),
@@ -542,8 +549,8 @@ impl DiskIndex {
     /// Performance scaling (§4.1/§5.2): split into `2^w` equal parts; part
     /// `p` receives the entries whose `w` fingerprint bits *after this
     /// index's routing prefix* equal `p`, and becomes an independent index
-    /// of `2^(n−w)` buckets whose routing prefix is `skip_bits + w` (to be
-    /// hosted by backup server `p`).
+    /// of `2^(n−w)` buckets whose routing prefix is `skip_bits + w`, hosted
+    /// by backup server `(server << w) | p` on part-disks of its own.
     ///
     /// Charged as a sequential read of the whole index plus a sequential
     /// write of each part (each charged to the new part's own volume). A
@@ -553,8 +560,11 @@ impl DiskIndex {
         let part_params = self.params.split_part(w_bits);
         let model = self.part_disks.model();
         let new_skip = self.skip_bits + w_bits;
-        let mut parts: Vec<DiskIndex> = (0..(1u64 << w_bits))
-            .map(|p| DiskIndex::with_prefix(part_params, new_skip, model, self.rng.next_u64() ^ p))
+        let mut parts: Vec<DiskIndex> = (0..(1u16 << w_bits))
+            .map(|p| {
+                let (server, seed) = ((self.server << w_bits) | p, self.rng.next_u64() ^ p as u64);
+                DiskIndex::with_prefix(server, part_params, new_skip, model, seed)
+            })
             .collect();
         let mut moved = 0u64;
         let mut extra = 0.0;
@@ -695,6 +705,11 @@ mod tests {
         Fingerprint::of_counter(n)
     }
 
+    /// Part-disk `part` of server 0, the index every test builds.
+    fn part_disk(part: u32) -> Device {
+        Device::IndexPart { server: 0, part }
+    }
+
     #[test]
     fn insert_then_lookup() {
         let mut idx = small_index(1);
@@ -721,11 +736,11 @@ mod tests {
         use debar_simio::{FaultKind, FaultPlan, InjectedFault};
         let mut idx = small_index(9);
         let part0 = |op| IndexError::SweepFault {
+            device: part_disk(0),
             fault: InjectedFault {
                 op,
                 kind: FaultKind::Fail,
             },
-            part: 0,
         };
         let arm = |idx: &mut DiskIndex, k: u64| {
             let at = idx.part_disks.ops(0) + k;
@@ -920,6 +935,26 @@ mod tests {
                 assert_eq!(part.lookup_uncharged(&e.fp), Some(e.cid));
             }
         }
+        // Part `p` of server `s` split `w` ways is server `(s << w) | p`,
+        // and its part-disks are that server's.
+        let mut parts = parts;
+        for (p, part) in parts.iter_mut().enumerate() {
+            assert_eq!(
+                part.part_disk_mut(1).device(),
+                Device::IndexPart {
+                    server: p as u16,
+                    part: 1
+                }
+            );
+        }
+        let mut halves = parts[3].split(1).expect("no fault is armed").value;
+        for (p, half) in halves.iter_mut().enumerate() {
+            let volume = Device::IndexPart {
+                server: 6 + p as u16,
+                part: 0,
+            };
+            assert_eq!(half.part_disk_mut(0).device(), volume);
+        }
     }
 
     #[test]
@@ -944,7 +979,7 @@ mod tests {
             .try_bulk_load_striped(entries.clone(), 4)
             .expect_err("part fault fires on the write sweep");
         assert!(
-            matches!(err, crate::IndexError::SweepFault { part: 1, .. }),
+            matches!(err, crate::IndexError::SweepFault { device, .. } if device == part_disk(1)),
             "{err:?}"
         );
         // Retry from a reset part converges (the recovery contract).
@@ -1017,7 +1052,7 @@ mod tests {
             .gc_sweep(&dead, 4)
             .expect_err("armed part must fault the sweep");
         assert!(
-            matches!(err, crate::IndexError::SweepFault { part: 2, .. }),
+            matches!(err, crate::IndexError::SweepFault { device, .. } if device == part_disk(2)),
             "{err:?}"
         );
         assert_eq!(

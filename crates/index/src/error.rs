@@ -1,7 +1,7 @@
 //! Typed index errors — the index-layer half of the DEBAR error taxonomy
 //! (`debar_core::DebarError` wraps these).
 
-use debar_simio::{InjectedFault, PartFault};
+use debar_simio::{Device, Faulted, InjectedFault};
 use std::fmt;
 
 /// A fallible disk-index sweep's error.
@@ -11,10 +11,10 @@ pub enum IndexError {
     /// An index disk operation failed; nothing of the batch was applied
     /// (SIL read sweeps and failed SIU write sweeps are all-or-nothing).
     SweepFault {
+        /// The part-disk the fault fired on (part 0 is the volume).
+        device: Device,
         /// The injected fault that fired.
         fault: InjectedFault,
-        /// The part-disk the fault fired on (part 0 is the volume).
-        part: u32,
     },
     /// An SIU write sweep was torn: only the first `applied` updates of
     /// the canonically sorted batch are durable. Re-running the same
@@ -24,10 +24,10 @@ pub enum IndexError {
         applied: u64,
         /// Updates in the batch.
         total: u64,
+        /// The part-disk the tear fired on (part 0 is the volume).
+        device: Device,
         /// The injected fault that fired.
         fault: InjectedFault,
-        /// The part-disk the tear fired on (part 0 is the volume).
-        part: u32,
     },
 }
 
@@ -40,18 +40,20 @@ impl IndexError {
     }
 
     /// The part-disk the fault fired on.
-    pub fn part(&self) -> u32 {
+    pub fn device(&self) -> Device {
         match self {
-            IndexError::SweepFault { part, .. } | IndexError::PartialSweep { part, .. } => *part,
+            IndexError::SweepFault { device, .. } | IndexError::PartialSweep { device, .. } => {
+                *device
+            }
         }
     }
 }
 
-impl From<PartFault> for IndexError {
-    fn from(f: PartFault) -> Self {
+impl From<Faulted> for IndexError {
+    fn from(f: Faulted) -> Self {
         IndexError::SweepFault {
+            device: f.device,
             fault: f.fault,
-            part: f.part,
         }
     }
 }
@@ -59,17 +61,17 @@ impl From<PartFault> for IndexError {
 impl fmt::Display for IndexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IndexError::SweepFault { fault, part } => {
-                write!(f, "index sweep failed on part-disk {part}: {fault}")
+            IndexError::SweepFault { device, fault } => {
+                write!(f, "index sweep failed on {device}: {fault}")
             }
             IndexError::PartialSweep {
                 applied,
                 total,
+                device,
                 fault,
-                part,
             } => write!(
                 f,
-                "index update sweep torn after {applied}/{total} updates on part-disk {part}: {fault}"
+                "index update sweep torn after {applied}/{total} updates on {device}: {fault}"
             ),
         }
     }

@@ -279,8 +279,8 @@ impl DiskIndex {
                 FaultKind::TornWrite => IndexError::PartialSweep {
                     applied: (sorted.len() / 2) as u64,
                     total: sorted.len() as u64,
+                    device: f.device,
                     fault: f.fault,
-                    part: f.part,
                 },
                 _ => f.into(),
             })?;
@@ -549,6 +549,7 @@ mod tests {
     use super::*;
     use crate::params::IndexParams;
     use debar_hash::{FpSet, SplitMix64};
+    use debar_simio::Device;
 
     fn index(seed: u64) -> DiskIndex {
         DiskIndex::with_paper_disk(IndexParams::new(8, 512), seed)
@@ -556,6 +557,11 @@ mod tests {
 
     fn fp(n: u64) -> Fingerprint {
         Fingerprint::of_counter(n)
+    }
+
+    /// Part-disk `part` of server 0, the index every test builds.
+    fn part_disk(part: u32) -> Device {
+        Device::IndexPart { server: 0, part }
     }
 
     fn cache_of(range: std::ops::Range<u64>) -> IndexCache {
@@ -601,7 +607,7 @@ mod tests {
         let err = idx
             .try_sequential_lookup_sharded(&mut cache, 2)
             .expect_err("armed fault must fire");
-        assert!(matches!(err, IndexError::SweepFault { part: 0, .. }));
+        assert!(matches!(err, IndexError::SweepFault { device, .. } if device == part_disk(0)));
         assert_eq!(cache.len(), before, "failed sweep must not drain the cache");
         // Retry converges to the clean result.
         let rep = idx
@@ -631,12 +637,13 @@ mod tests {
         let IndexError::PartialSweep {
             applied,
             total,
+            device,
             fault,
-            part: 0,
         } = err
         else {
-            panic!("expected PartialSweep on part 0, got {err:?}");
+            panic!("expected PartialSweep, got {err:?}");
         };
+        assert_eq!(device, part_disk(0));
         assert_eq!(total, 500);
         assert_eq!(applied, 250);
         assert_eq!(fault.kind, debar_simio::FaultKind::TornWrite);
@@ -667,7 +674,7 @@ mod tests {
                 .try_sequential_update_sharded(&updates, 4)
                 .expect_err("fault fires");
             assert!(
-                matches!(err, IndexError::SweepFault { part: 0, .. }),
+                matches!(err, IndexError::SweepFault { device, .. } if device == part_disk(0)),
                 "{err:?}"
             );
             assert_eq!(faulted.entry_count(), 0, "all-or-nothing");
@@ -692,7 +699,7 @@ mod tests {
             .try_sequential_lookup_sharded(&mut cache, 4)
             .expect_err("single-part fault must fire");
         assert!(
-            matches!(err, IndexError::SweepFault { part: 2, .. }),
+            matches!(err, IndexError::SweepFault { device, .. } if device == part_disk(2)),
             "error must name the failing part-disk: {err:?}"
         );
         assert_eq!(cache.len(), before, "failed sweep must not drain the cache");
@@ -721,7 +728,7 @@ mod tests {
             .try_sequential_update_sharded(&updates, 4)
             .expect_err("part write fault fires");
         assert!(
-            matches!(err, IndexError::SweepFault { part: 1, .. }),
+            matches!(err, IndexError::SweepFault { device, .. } if device == part_disk(1)),
             "{err:?}"
         );
         assert_eq!(faulted.entry_count(), 0, "failed write applies nothing");
@@ -740,13 +747,13 @@ mod tests {
         let IndexError::PartialSweep {
             applied,
             total,
+            device,
             fault,
-            part,
         } = err
         else {
             panic!("expected PartialSweep, got {err:?}");
         };
-        assert_eq!(part, 3, "tear must name its part-disk");
+        assert_eq!(device, part_disk(3), "tear must name its part-disk");
         assert_eq!((applied, total), (250, 500));
         assert_eq!(fault.kind, FaultKind::TornWrite);
         assert_eq!(torn.entry_count(), 250);
@@ -772,7 +779,7 @@ mod tests {
             .try_sequential_lookup_sharded(&mut cache, 4)
             .expect_err("both armed parts fire");
         assert!(
-            matches!(err, IndexError::SweepFault { part: 0, .. }),
+            matches!(err, IndexError::SweepFault { device, .. } if device == part_disk(0)),
             "{err:?}"
         );
         assert!(
@@ -817,7 +824,13 @@ mod tests {
             op: last,
             kind: FaultKind::Fail,
         };
-        assert_eq!(err, IndexError::SweepFault { fault, part: 0 });
+        assert_eq!(
+            err,
+            IndexError::SweepFault {
+                device: part_disk(0),
+                fault
+            }
+        );
         assert_eq!(idx.entry_count(), 0, "all-or-nothing");
         assert_eq!(
             idx.params(),
@@ -920,7 +933,7 @@ mod tests {
                 let err = idx
                     .try_sequential_update_lookup_sharded(&updates, &mut cache, 2)
                     .expect_err(&leg);
-                assert_eq!(err.part(), part as u32, "{leg}: {err:?}");
+                assert_eq!(err.device(), part_disk(part as u32), "{leg}: {err:?}");
                 let torn = op == 1 && kind == FaultKind::TornWrite;
                 assert_eq!(
                     matches!(err, IndexError::PartialSweep { .. }),

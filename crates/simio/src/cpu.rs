@@ -42,15 +42,6 @@ pub struct CpuStats {
     pub busy_s: Secs,
 }
 
-impl CpuStats {
-    /// Fold another CPU's statistics into this one.
-    pub fn merge(&mut self, other: &CpuStats) {
-        self.fp_probes += other.fp_probes;
-        self.hashed_bytes += other.hashed_bytes;
-        self.busy_s += other.busy_s;
-    }
-}
-
 /// A simulated CPU with statistics.
 #[derive(Debug, Clone)]
 pub struct SimCpu {
@@ -126,21 +117,5 @@ mod tests {
             hash_bw: 1e8,
         });
         assert_eq!(c.hash_bytes(100_000_000), 1.0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = CpuStats {
-            fp_probes: 5,
-            hashed_bytes: 10,
-            busy_s: 0.25,
-        };
-        a.merge(&CpuStats {
-            fp_probes: 1,
-            hashed_bytes: 2,
-            busy_s: 0.75,
-        });
-        assert_eq!(a.fp_probes, 6);
-        assert_eq!(a.busy_s, 1.0);
     }
 }

@@ -17,6 +17,7 @@
 use std::ops::Range;
 
 use crate::clock::Secs;
+use crate::device::Device;
 use crate::fault::{Charge, FaultPlan, Faulted, InjectedFault};
 
 /// Timing parameters of a disk (or RAID volume).
@@ -133,22 +134,20 @@ impl DiskStats {
     pub fn read_bytes(&self) -> u64 {
         self.seq_read_bytes + self.rand_read_bytes
     }
-
-    /// Total bytes moved in either direction.
-    pub fn total_bytes(&self) -> u64 {
-        self.seq_read_bytes + self.seq_write_bytes + self.rand_read_bytes + self.rand_write_bytes
-    }
 }
 
-/// A simulated disk: a [`DiskModel`] plus cumulative [`DiskStats`].
+/// A simulated disk: a [`DiskModel`] plus cumulative [`DiskStats`], built
+/// with the [`Device`] address it answers to.
 ///
 /// Every op returns a [`Charge`]: its virtual cost, which the caller
-/// charges to its clock, or the fault it fired. The disk itself holds no
+/// charges to its clock, or the fault it fired, naming this disk's
+/// device. The disk itself holds no
 /// payload bytes — backing storage lives in the data structures that use
 /// the disk (disk index, chunk log, container store), keeping the timing
 /// model orthogonal to content.
 #[derive(Debug, Clone)]
 pub struct SimDisk {
+    device: Device,
     model: DiskModel,
     stats: DiskStats,
     /// Operations performed so far (every read/write, any flavour, counts
@@ -158,9 +157,10 @@ pub struct SimDisk {
 }
 
 impl SimDisk {
-    /// Create a disk with the given model.
-    pub fn new(model: DiskModel) -> Self {
+    /// Create the disk `device` names, with the given model.
+    pub fn new(model: DiskModel, device: Device) -> Self {
         SimDisk {
+            device,
             model,
             stats: DiskStats::default(),
             ops: 0,
@@ -195,11 +195,17 @@ impl SimDisk {
         self.ops += 1;
         match self.plan.take(op) {
             Some(kind) => Err(Faulted {
+                device: self.device,
                 fault: InjectedFault { op, kind },
                 cost,
             }),
             None => Ok(value),
         }
+    }
+
+    /// The device this disk is.
+    pub fn device(&self) -> Device {
+        self.device
     }
 
     /// The timing model.
@@ -320,11 +326,12 @@ mod tests {
     use super::*;
 
     fn disk() -> SimDisk {
-        SimDisk::new(DiskModel {
+        let model = DiskModel {
             seek_s: 0.002,
             read_bw: 100e6,
             write_bw: 50e6,
-        })
+        };
+        SimDisk::new(model, Device::RepoNode(0))
     }
 
     #[test]
@@ -492,8 +499,7 @@ mod tests {
         let mut m = a.stats();
         m.merge(&b.stats());
         assert_eq!(m.seq_read_bytes, 1000);
-        assert_eq!(m.rand_writes, 1);
-        assert_eq!(m.total_bytes(), 1500);
+        assert_eq!((m.rand_writes, m.rand_write_bytes), (1, 500));
     }
 
     #[test]
@@ -537,7 +543,15 @@ mod tests {
                 op: k as u64,
                 kind: FaultKind::BitFlip,
             };
-            assert_eq!(err, Faulted { fault, cost });
+            let device = Device::RepoNode(0);
+            assert_eq!(
+                err,
+                Faulted {
+                    device,
+                    fault,
+                    cost
+                }
+            );
             assert_eq!((armed.ops(), armed.stats()), (clean.ops(), clean.stats()));
         }
         // A pass cut into legs faults as one op costing the whole pass.

@@ -10,12 +10,13 @@
 //! assert byte-identical convergence after a re-run.
 //!
 //! **One checked charge.** Every op returns a [`Charge`]: its cost, or a
-//! [`Faulted`] — the fault and the time the device spent failing; a
-//! striped op fails with its lowest faulted part ([`PartFault`]), its
-//! siblings' faults spent with it. No fault outlives the op that fired
-//! it. The disk holds no payload bytes, so the *storage layer using the
-//! disk* (chunk repository, disk index, chunk log) translates a fault
-//! into its typed error and/or data damage:
+//! [`Faulted`] — the [`Device`] it fired on, the fault and the time the
+//! device spent failing; a striped op fails with the `Faulted` of its
+//! lowest faulted part, its siblings' faults spent with it. No fault
+//! outlives the op that fired it. The disk holds no payload bytes, so the
+//! *storage layer using the disk* (chunk repository, disk index, chunk
+//! log) translates a fault into its typed error and/or data damage, the
+//! device passed up as the disk named it:
 //!
 //! * [`FaultKind::Fail`] — the operation fails outright (device error).
 //!   Nothing is persisted by a failed write; a failed read returns no data.
@@ -33,6 +34,7 @@
 //!   [`RetryPolicy`] is designed to absorb.
 
 use crate::clock::Secs;
+use crate::device::Device;
 use std::fmt;
 
 /// The kind of an injected disk fault.
@@ -226,36 +228,21 @@ impl fmt::Display for InjectedFault {
     }
 }
 
-/// An op whose armed fault fired, and what the op cost: the device was
-/// busy failing all the same.
+/// An op whose armed fault fired, the device it fired on, and what the op
+/// cost: the device was busy failing all the same.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Faulted {
+    /// The device the fault fired on.
+    pub device: Device,
     /// The fault that fired on the op.
     pub fault: InjectedFault,
     /// What the op cost the device.
     pub cost: Secs,
 }
 
-impl Faulted {
-    /// This fault as part `part`'s of a striped op.
-    pub fn on(self, part: u32) -> PartFault {
-        let fault = self.fault;
-        PartFault { part, fault }
-    }
-}
-
 /// What one disk op returns: its cost (or per-leg costs), or the fault
 /// that fired on it.
 pub type Charge<T = Secs> = Result<T, Faulted>;
-
-/// A striped op's fault: the lowest part that faulted, and its fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartFault {
-    /// The part-disk (part 0 is the volume).
-    pub part: u32,
-    /// The fault that fired on its op.
-    pub fault: InjectedFault,
-}
 
 #[cfg(test)]
 mod tests {

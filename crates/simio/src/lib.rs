@@ -26,6 +26,7 @@
 
 pub mod clock;
 pub mod cpu;
+pub mod device;
 pub mod disk;
 pub mod fault;
 pub mod lane;
@@ -38,10 +39,9 @@ pub mod timed;
 
 pub use clock::{Secs, VirtualClock};
 pub use cpu::{CpuModel, CpuStats, SimCpu};
+pub use device::Device;
 pub use disk::{DiskModel, DiskStats, SimDisk};
-pub use fault::{
-    Charge, FaultKind, FaultPlan, FaultSpec, Faulted, InjectedFault, PartFault, RetryPolicy,
-};
+pub use fault::{Charge, FaultKind, FaultPlan, FaultSpec, Faulted, InjectedFault, RetryPolicy};
 pub use lane::Lane;
 pub use net::{NetModel, NetStats, SimLink};
 pub use partdisk::PartDiskSet;

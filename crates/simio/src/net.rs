@@ -39,21 +39,6 @@ pub struct NetStats {
     pub busy_s: Secs,
 }
 
-impl NetStats {
-    /// Fold another link's statistics into this one.
-    pub fn merge(&mut self, other: &NetStats) {
-        self.stream_bytes += other.stream_bytes;
-        self.messages += other.messages;
-        self.message_bytes += other.message_bytes;
-        self.busy_s += other.busy_s;
-    }
-
-    /// Total bytes over the link.
-    pub fn total_bytes(&self) -> u64 {
-        self.stream_bytes + self.message_bytes
-    }
-}
-
 /// A simulated network link with statistics.
 #[derive(Debug, Clone)]
 pub struct SimLink {
@@ -122,23 +107,5 @@ mod tests {
         let c = l.message(1000);
         assert!((c - 0.002).abs() < 1e-12);
         assert_eq!(l.stats().messages, 1);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = NetStats {
-            stream_bytes: 10,
-            messages: 1,
-            message_bytes: 5,
-            busy_s: 1.0,
-        };
-        a.merge(&NetStats {
-            stream_bytes: 20,
-            messages: 2,
-            message_bytes: 10,
-            busy_s: 0.5,
-        });
-        assert_eq!(a.total_bytes(), 45);
-        assert_eq!(a.busy_s, 1.5);
     }
 }

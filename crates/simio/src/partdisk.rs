@@ -23,17 +23,20 @@
 //!   part `p` survives as long as sweeps keep engaging `p + 1` partitions.
 //! * Each sweep ticks every engaged part-disk exactly once (per direction:
 //!   an SIU read-then-write sweep ticks each part twice), and fails with
-//!   the lowest part whose op faulted ([`PartFault`]): a sibling that
+//!   the [`crate::Faulted`] of the lowest part whose op faulted: a sibling that
 //!   faulted on the same sweep is spent with it, so every fault comes back
 //!   from the sweep that fired it.
+//! * Part `p` is the device [`Device::at`]`(p)` of the set's base address,
+//!   named when the disk is made, so a fault names its part itself.
 //! * An **even** split over a power-of-two partition count costs exactly
 //!   `DiskModel::seq_read_cost(total) / P` (`(bytes/P)/bw == (bytes/bw)/P`:
 //!   dividing an IEEE double by a power of two is exact) — the even-split
 //!   law the property test below pins against the closed form.
 
 use crate::clock::Secs;
+use crate::device::Device;
 use crate::disk::{DiskModel, DiskStats, SimDisk};
-use crate::fault::{Charge, PartFault};
+use crate::fault::Charge;
 
 /// A bank of per-partition [`SimDisk`]s behind one striped volume.
 #[derive(Debug, Clone)]
@@ -44,12 +47,13 @@ pub struct PartDiskSet {
 }
 
 impl PartDiskSet {
-    /// A one-part set (the un-striped volume); further part-disks
-    /// materialize on resize, charge or arming.
-    pub fn new(model: DiskModel) -> Self {
+    /// A one-part set (the un-striped volume) of the bank `base` belongs
+    /// to; further part-disks materialize on resize, charge or arming,
+    /// part `p` named `base.at(p)`.
+    pub fn new(model: DiskModel, base: Device) -> Self {
         PartDiskSet {
             model,
-            disks: vec![SimDisk::new(model)],
+            disks: vec![SimDisk::new(model, base.at(0))],
         }
     }
 
@@ -82,8 +86,10 @@ impl PartDiskSet {
     /// the base model, shrinking truncates from the top (dropping any armed
     /// faults on the removed disks — see the module docs).
     pub fn resize(&mut self, parts: usize) {
-        let model = self.model;
-        self.disks.resize_with(parts.max(1), || SimDisk::new(model));
+        let (model, base, parts) = (self.model, self.disks[0].device(), parts.max(1));
+        self.disks.truncate(parts);
+        let grown = (self.disks.len()..parts).map(|p| SimDisk::new(model, base.at(p as u32)));
+        self.disks.extend(grown);
     }
 
     /// Operation counter of part `part` (0 for a disk not yet materialized:
@@ -106,26 +112,24 @@ impl PartDiskSet {
 
     /// Charge `op` on each of the first `shares.len()` part-disks with its
     /// own share, after resizing to that many parts: every engaged part
-    /// ticks once, and the result is each part's value, or the lowest
-    /// part that faulted.
+    /// ticks once, and the result is each part's value, or the fault of
+    /// the lowest part that faulted.
     fn striped<S, T>(
         &mut self,
         shares: &[S],
         op: impl Fn(&mut SimDisk, &S) -> Charge<T>,
-    ) -> Result<Vec<T>, PartFault> {
+    ) -> Charge<Vec<T>> {
         self.resize(shares.len());
         let charged: Vec<Charge<T>> = (self.disks.iter_mut().zip(shares))
             .map(|(d, share)| op(d, share))
             .collect();
-        (charged.into_iter().enumerate())
-            .map(|(part, c)| c.map_err(|f| f.on(part as u32)))
-            .collect()
+        charged.into_iter().collect()
     }
 
     /// One striped **read** sweep: resize to `bytes.len()` parts, charge
     /// each part-disk a sequential read of its own byte share, and return
     /// the parallel wall time — the max over per-part completion times.
-    pub fn seq_read_split(&mut self, bytes: &[u64]) -> Result<Secs, PartFault> {
+    pub fn seq_read_split(&mut self, bytes: &[u64]) -> Charge {
         let costs = self.striped(bytes, |d, &b| d.seq_read(b))?;
         Ok(costs.into_iter().fold(0.0, f64::max))
     }
@@ -138,12 +142,12 @@ impl PartDiskSet {
     /// legs on a lane per part. A part read in one leg of one extent, its
     /// whole share, costs what [`PartDiskSet::seq_read_split`] charges it,
     /// to the bit.
-    pub fn seq_read_legs(&mut self, parts: &[Vec<Vec<u64>>]) -> Result<Vec<Vec<Secs>>, PartFault> {
+    pub fn seq_read_legs(&mut self, parts: &[Vec<Vec<u64>>]) -> Charge<Vec<Vec<Secs>>> {
         self.striped(parts, |d, legs| d.seq_read_legs(legs))
     }
 
     /// One striped **write** sweep (see [`PartDiskSet::seq_read_split`]).
-    pub fn seq_write_split(&mut self, bytes: &[u64]) -> Result<Secs, PartFault> {
+    pub fn seq_write_split(&mut self, bytes: &[u64]) -> Charge {
         let costs = self.striped(bytes, |d, &b| d.seq_write(b))?;
         Ok(costs.into_iter().fold(0.0, f64::max))
     }
@@ -178,9 +182,14 @@ mod tests {
         }
     }
 
+    /// Server 5's index volume: the set's parts are its part-disks.
+    fn bank() -> PartDiskSet {
+        PartDiskSet::new(model(), Device::IndexPart { server: 5, part: 0 })
+    }
+
     #[test]
     fn split_sweep_time_is_max_over_parts() {
-        let mut set = PartDiskSet::new(model());
+        let mut set = bank();
         // Uneven split: the 300 MB part is the straggler.
         let t = (set.seq_read_split(&[100_000_000, 300_000_000, 100_000_000])).expect("clean");
         assert_eq!(t, 3.0, "wall time must be the slowest part");
@@ -199,8 +208,8 @@ mod tests {
         // The multi-part index contract: P part-disks sweep concurrently,
         // wall time is the even-split maximum (exactly 1/P here), and the
         // statistics still record the full byte volume moved.
-        let mut scalar = PartDiskSet::new(model());
-        let mut striped = PartDiskSet::new(model());
+        let mut scalar = bank();
+        let mut striped = bank();
         let scalar_r = scalar.seq_read_split(&[100_000_000]).expect("clean");
         let striped_r = striped.seq_read_split(&[25_000_000; 4]).expect("clean");
         assert_eq!(striped_r, scalar_r / 4.0);
@@ -228,7 +237,7 @@ mod tests {
             let parts = 1u64 << pow;
             let total = total / parts * parts;
             let bytes = vec![total / parts; parts as usize];
-            let mut set = PartDiskSet::new(model());
+            let mut set = bank();
             proptest::prop_assert_eq!(
                 set.seq_read_split(&bytes),
                 Ok(model().seq_read_cost(total) / parts as f64)
@@ -245,7 +254,7 @@ mod tests {
     fn part_zero_is_the_volume() {
         // Never empty; un-striped work lands on part 0 and survives any
         // resize, so a one-part set is the whole volume.
-        let mut set = PartDiskSet::new(model());
+        let mut set = bank();
         assert_eq!(set.parts(), 1);
         set.volume_mut().rand_read(512).expect("clean");
         set.seq_read_split(&[10, 10, 10]).expect("clean");
@@ -258,7 +267,7 @@ mod tests {
 
     #[test]
     fn resize_preserves_low_parts_and_drops_high() {
-        let mut set = PartDiskSet::new(model());
+        let mut set = bank();
         set.seq_read_split(&[10, 10, 10, 10]).expect("clean");
         assert_eq!(set.ops(2), 1);
         set.disk_mut(3).set_fault_plan(FaultPlan::fail_at(9));
@@ -267,11 +276,16 @@ mod tests {
         assert_eq!(set.ops(0), 1, "surviving counters keep ticking");
         set.resize(4);
         assert_eq!(set.ops(3), 0, "regrown part is a fresh disk");
+        // Every part is named by its place in the bank, however it grew.
+        for part in 0..4 {
+            let device = Device::IndexPart { server: 5, part };
+            assert_eq!(set.disk_mut(part as usize).device(), device);
+        }
     }
 
     #[test]
     fn single_part_fault_fires_on_that_part_only() {
-        let mut set = PartDiskSet::new(model());
+        let mut set = bank();
         set.seq_write_split(&[10, 10, 10])
             .expect("op 0 on each part");
         let armed = set.ops(1);
@@ -279,9 +293,10 @@ mod tests {
         let err = set
             .seq_write_split(&[10, 10, 10])
             .expect_err("op 1 of part 1");
+        let part1 = Device::IndexPart { server: 5, part: 1 };
         assert_eq!(
-            (err.part, err.fault.op, err.fault.kind),
-            (1, 1, FaultKind::Fail)
+            (err.device, err.fault.op, err.fault.kind),
+            (part1, 1, FaultKind::Fail)
         );
         assert_eq!(
             [0, 1, 2].map(|p| set.ops(p)),
@@ -291,7 +306,7 @@ mod tests {
         set.seq_write_split(&[10, 10, 10])
             .expect("one-shot, one part");
         // Arming pre-materializes a part before any sweep engages it.
-        let mut fresh = PartDiskSet::new(model());
+        let mut fresh = bank();
         fresh.disk_mut(2).set_fault_plan(FaultPlan::bit_flip_at(0));
         assert_eq!(fresh.parts(), 3);
         assert!(fresh.has_armed_faults());
@@ -301,14 +316,15 @@ mod tests {
 
     #[test]
     fn two_faulted_parts_report_the_lowest_and_spend_the_other() {
-        let mut set = PartDiskSet::new(model());
+        let mut set = bank();
         for part in [2, 1] {
             set.disk_mut(part).set_fault_plan(FaultPlan::fail_at(0));
         }
         let err = set
             .seq_read_split(&[10, 10, 10])
             .expect_err("two parts fire");
-        assert_eq!(err.part, 1, "the lowest failing part");
+        let part1 = Device::IndexPart { server: 5, part: 1 };
+        assert_eq!(err.device, part1, "the lowest failing part");
         assert!(!set.has_armed_faults(), "part 2's fault was spent with it");
         set.seq_read_split(&[10, 10, 10]).expect("nothing waits");
     }

@@ -3,7 +3,7 @@
 
 use crate::container::CorruptKind;
 use debar_hash::ContainerId;
-use debar_simio::InjectedFault;
+use debar_simio::{Device, InjectedFault};
 use std::fmt;
 
 /// A fallible chunk-storage operation's error.
@@ -21,8 +21,8 @@ pub enum StoreError {
     },
     /// A storage-node disk operation failed outright.
     DiskFault {
-        /// The repository node whose disk faulted.
-        node: usize,
+        /// The repository node whose disk faulted ([`Device::RepoNode`]).
+        device: Device,
         /// The injected fault that fired.
         fault: InjectedFault,
     },
@@ -70,9 +70,7 @@ impl fmt::Display for StoreError {
             StoreError::CorruptContainer { container, reason } => {
                 write!(f, "container {container:?} is corrupt: {reason}")
             }
-            StoreError::DiskFault { node, fault } => {
-                write!(f, "storage node {node} disk fault: {fault}")
-            }
+            StoreError::DiskFault { device, fault } => write!(f, "{device} fault: {fault}"),
             StoreError::MissingContainer { container } => {
                 write!(f, "container {container:?} does not exist")
             }

@@ -140,7 +140,7 @@
 use crate::container::{ChunkMeta, Container, CorruptKind, Damage, Payload};
 use crate::error::StoreError;
 use debar_hash::{ContainerId, Fingerprint, Sha1};
-use debar_simio::{DiskModel, FaultKind, Lane, RetryPolicy, Secs, SimDisk};
+use debar_simio::{Device, DiskModel, FaultKind, Lane, RetryPolicy, Secs, SimDisk};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
@@ -165,9 +165,9 @@ pub struct StorageNode {
 }
 
 impl StorageNode {
-    fn new(model: DiskModel) -> Self {
+    fn new(model: DiskModel, node: usize) -> Self {
         StorageNode {
-            disk: SimDisk::new(model),
+            disk: SimDisk::new(model, Device::RepoNode(node)),
             containers: HashMap::new(),
             down: false,
         }
@@ -484,7 +484,8 @@ pub struct ChunkRepository {
 
 impl ChunkRepository {
     /// Create a repository of `num_nodes` storage nodes whose disks follow
-    /// `model`; `container_bytes` is the fixed on-disk slot a container is
+    /// `model`, node `i`'s disk named [`Device::RepoNode`]`(i)`;
+    /// `container_bytes` is the fixed on-disk slot a container is
     /// written to — what every write charges, and the most a whole read of
     /// one charges. Replication defaults to 1 (no replicas); see
     /// [`ChunkRepository::with_replication`].
@@ -492,7 +493,7 @@ impl ChunkRepository {
         assert!(num_nodes > 0, "repository needs at least one node");
         assert!(container_bytes > 0);
         ChunkRepository {
-            nodes: (0..num_nodes).map(|_| StorageNode::new(model)).collect(),
+            nodes: (0..num_nodes).map(|n| StorageNode::new(model, n)).collect(),
             container_bytes,
             next_id: 0,
             stats: RepoStats::default(),
@@ -566,6 +567,13 @@ impl ChunkRepository {
     pub fn node_disk_mut(&mut self, node: usize) -> Result<&mut SimDisk, StoreError> {
         self.check_node(node)?;
         Ok(&mut self.nodes[node].disk)
+    }
+
+    /// Disarm every node disk's faults.
+    pub fn clear_fault_plans(&mut self) {
+        for node in &mut self.nodes {
+            node.disk.clear_fault_plan();
+        }
     }
 
     /// Take a node down: its copies stay on disk but every read and write
@@ -786,14 +794,14 @@ impl ChunkRepository {
                 NodeOp::Read(ios) => disk.rand_read_extents(ios.iter().map(|io| io.end - io.start)),
                 NodeOp::Write(bytes) => disk.seq_write(bytes),
             };
-            let fault = match charged {
+            let faulted = match charged {
                 Ok(c) => return (cost + c, Ok(None)),
                 Err(f) => {
                     cost += f.cost;
-                    f.fault
+                    f
                 }
             };
-            match (op, fault.kind) {
+            match (op, faulted.fault.kind) {
                 (NodeOp::Write(_), FaultKind::TornWrite) => return (cost, Ok(Some(Damage::Torn))),
                 (NodeOp::Write(_), FaultKind::BitFlip) => return (cost, Ok(Some(Damage::BitFlip))),
                 _ => {}
@@ -810,7 +818,8 @@ impl ChunkRepository {
                     attempts: max,
                 }
             } else {
-                StoreError::DiskFault { node, fault }
+                let (device, fault) = (faulted.device, faulted.fault);
+                StoreError::DiskFault { device, fault }
             };
             return (cost, Err(err));
         }
@@ -1565,7 +1574,13 @@ mod tests {
         // read's.
         arm(&mut r, 0, FaultPlan::fail_at(after.1 + 1));
         let err = r.read_chunks(id, tenth, &[]).value.expect_err("faulted");
-        assert!(matches!(err, StoreError::DiskFault { node: 0, .. }));
+        assert!(matches!(
+            err,
+            StoreError::DiskFault {
+                device: Device::RepoNode(0),
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -1841,7 +1856,13 @@ mod tests {
         arm(&mut r, 0, FaultPlan::fail_at(0));
         let err =
             store_one(&mut r, container_with(0..3)).expect_err("injected failure must surface");
-        assert!(matches!(err, StoreError::DiskFault { node: 0, .. }));
+        assert!(matches!(
+            err,
+            StoreError::DiskFault {
+                device: Device::RepoNode(0),
+                ..
+            }
+        ));
         assert_eq!(r.stats().containers, 0, "nothing persisted");
         assert_eq!(r.container_ids().len(), 0);
         // Retrying converges to the same ID: allocation is part of commit.
@@ -1857,7 +1878,13 @@ mod tests {
         arm(&mut r, 1, FaultPlan::fail_at(0));
         let err =
             store_one(&mut r, container_with(0..3)).expect_err("replica write fault surfaces");
-        assert!(matches!(err, StoreError::DiskFault { node: 1, .. }));
+        assert!(matches!(
+            err,
+            StoreError::DiskFault {
+                device: Device::RepoNode(1),
+                ..
+            }
+        ));
         assert_eq!(r.stats().containers, 0, "no copy persisted on any node");
         assert_eq!(r.nodes()[0].container_count(), 0);
         assert_eq!(r.nodes()[1].container_count(), 0);
@@ -2021,7 +2048,13 @@ mod tests {
         let id = store_ok(&mut r, container_with(0..2)); // op 0: write
         arm(&mut r, 0, FaultPlan::fail_at(1));
         let err = r.read(id).value.expect_err("read fault");
-        assert!(matches!(err, StoreError::DiskFault { node: 0, .. }));
+        assert!(matches!(
+            err,
+            StoreError::DiskFault {
+                device: Device::RepoNode(0),
+                ..
+            }
+        ));
         // One-shot: the next read succeeds.
         assert!(r.read(id).value.expect("ok").is_some());
     }
@@ -2097,7 +2130,13 @@ mod tests {
             "the faulted write is not"
         );
         let (err, failed) = out.fault.expect("fault surfaced");
-        assert!(matches!(err, StoreError::DiskFault { node: 0, .. }));
+        assert!(matches!(
+            err,
+            StoreError::DiskFault {
+                device: Device::RepoNode(0),
+                ..
+            }
+        ));
         assert_eq!(failed.len(), 2, "failed container handed back");
         assert!(failed.id().is_null(), "unconsumed: no ID assigned");
         assert_eq!(r.stats().containers, 2, "rest of the batch dropped");

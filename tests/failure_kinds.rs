@@ -374,7 +374,10 @@ fn dedup2_crash_point_sweep_converges_at_every_device_op() {
         assert!(phase.is_none() || node || log_bytes(c) == logs, "{label}");
         // A fault after the PSIL commit (chunk storing or the round's own
         // PSIU): the redo reports the exchange and PSIL walls the
-        // interrupted attempt committed, to the bit.
+        // interrupted attempt committed, to the bit, and the time of what
+        // it made durable — a store's prefix, a PSIU's completed servers —
+        // on top of the redo's own: no store wall shorter than the clean
+        // round's, a longer PSIU wall, no faster round.
         if phase.is_none_or(|p| p.1 == ChunkStoring) {
             after_psil += 1;
             let redo = c.clone().run_dedup2().expect("redo");
@@ -383,6 +386,13 @@ fn dedup2_crash_point_sweep_converges_at_every_device_op() {
             };
             let walls = |d: &Dedup2Report| (d.exchange_wall.to_bits(), d.sil_wall.to_bits());
             assert_eq!(walls(&redo), walls(want), "{label}: {redo:?}");
+            assert!(redo.store_wall >= want.store_wall, "{label}: {redo:?}");
+            assert!(
+                phase.is_some() || redo.siu_wall > want.siu_wall,
+                "{label}: {redo:?}"
+            );
+            let speed = |d: &Dedup2Report| d.throughput_mibps();
+            assert!(speed(&redo) <= speed(want), "{label}: {redo:?}");
         }
     });
     let Value::Dedup2(d2) = clean else { panic!() };
