@@ -55,7 +55,7 @@
 //!
 //! A file with no entry is cut whole ([`CdcChunker::chunk_all`]).
 
-use crate::dataset::{ChunkedFile, Dataset, FileContent, StreamChunk};
+use crate::dataset::{ChunkList, ChunkedFile, Dataset, FileContent, StreamChunk};
 use crate::ids::ClientId;
 use bytes::Bytes;
 use debar_chunk::{CdcChunker, CdcParams};
@@ -73,8 +73,9 @@ pub struct BackupClient {
     chunker: CdcChunker,
     cpu: SimCpu,
     /// The byte files of the last [`BackupClient::prepare`], by path: the
-    /// bytes and the chunks they were cut into. Each call replaces it.
-    last: HashMap<String, (Bytes, Vec<StreamChunk>)>,
+    /// bytes and the chunks they were cut into, the list the call handed
+    /// out. Each call replaces it.
+    last: HashMap<String, (Bytes, ChunkList)>,
 }
 
 impl BackupClient {
@@ -135,7 +136,7 @@ impl BackupClient {
         Timed::new(out, cost)
     }
 
-    fn chunk_bytes(&self, data: &Bytes) -> Vec<StreamChunk> {
+    fn chunk_bytes(&self, data: &Bytes) -> ChunkList {
         (self.chunker.chunk_all(data).into_iter())
             .map(|span| hashed(data, span.offset as usize, span.end() as usize))
             .collect()
@@ -146,7 +147,7 @@ impl BackupClient {
     /// same, else the old chunks before and after the edit around the
     /// chunks cut again in between (module docs, *Re-cutting an edited
     /// file*).
-    fn recut(&self, old: &Bytes, chunks: Vec<StreamChunk>, data: &Bytes) -> Vec<StreamChunk> {
+    fn recut(&self, old: &Bytes, chunks: ChunkList, data: &Bytes) -> ChunkList {
         // The same slice of one buffer, or byte-equal buffers.
         if old.as_ptr() == data.as_ptr() && old.len() == data.len() {
             return chunks;
@@ -188,11 +189,11 @@ impl BackupClient {
                         out.push(reused(c, data, at));
                         at += c.len() as usize;
                     }
-                    return out;
+                    return out.into();
                 }
             }
             if at == data.len() {
-                return out;
+                return out.into();
             }
             let end = self.chunker.chunk_end(data, at, from);
             out.push(hashed(data, at, end));
@@ -487,9 +488,12 @@ mod tests {
         // marked was spliced in, not hashed.
         let marks: Vec<Fingerprint> = (0..n as u64).map(Fingerprint::of_counter).collect();
         let entry = c.last.get_mut("f").expect("remembered");
-        for (ch, &mark) in entry.1.iter_mut().zip(&marks) {
-            ch.fp = mark;
-        }
+        entry.1 = (entry.1.iter().zip(&marks))
+            .map(|(ch, &fp)| StreamChunk {
+                fp,
+                payload: ch.payload.clone(),
+            })
+            .collect();
         let mut edited = first.to_vec();
         edited.splice(20_000..20_040, [7u8; 100]);
         let ds = dataset(&[("f", Bytes::from(edited))]);

@@ -1638,8 +1638,8 @@ mod tests {
         let clean = drive(false);
         let mut resumed = drive(true);
         assert_eq!(
-            Sha1::digest(resumed.server(0).index().raw_data()),
-            Sha1::digest(clean.server(0).index().raw_data()),
+            Sha1::digest(&resumed.server(0).index().raw_data()),
+            Sha1::digest(&clean.server(0).index().raw_data()),
             "index parts must converge byte-identically"
         );
         assert_eq!(resumed.index_entries(), clean.index_entries());
@@ -1700,8 +1700,8 @@ mod tests {
             (6000, 2000)
         );
         assert_eq!(
-            Sha1::digest(resumed.server(0).index().raw_data()),
-            Sha1::digest(clean.server(0).index().raw_data())
+            Sha1::digest(&resumed.server(0).index().raw_data()),
+            Sha1::digest(&clean.server(0).index().raw_data())
         );
         for job in [JobId(0), JobId(1)] {
             let r = resumed
@@ -1748,8 +1748,8 @@ mod tests {
         let clean = drive(false);
         let resumed = drive(true);
         assert_eq!(
-            Sha1::digest(resumed.server(0).index().raw_data()),
-            Sha1::digest(clean.server(0).index().raw_data())
+            Sha1::digest(&resumed.server(0).index().raw_data()),
+            Sha1::digest(&clean.server(0).index().raw_data())
         );
         assert_eq!(
             resumed.repository().stats().containers,
@@ -1792,8 +1792,8 @@ mod tests {
         let clean = drive(false);
         let mut resumed = drive(true);
         assert_eq!(
-            Sha1::digest(resumed.server(0).index().raw_data()),
-            Sha1::digest(clean.server(0).index().raw_data()),
+            Sha1::digest(&resumed.server(0).index().raw_data()),
+            Sha1::digest(&clean.server(0).index().raw_data()),
             "partial SIU redo must converge byte-identically"
         );
         assert_eq!(resumed.index_entries(), 2000);
@@ -1839,8 +1839,8 @@ mod tests {
         // The aborted run's stray log records were discarded (no storage
         // verdict), so the index and containers converge byte-identically.
         assert_eq!(
-            Sha1::digest(resumed.server(0).index().raw_data()),
-            Sha1::digest(clean.server(0).index().raw_data())
+            Sha1::digest(&resumed.server(0).index().raw_data()),
+            Sha1::digest(&clean.server(0).index().raw_data())
         );
         assert_eq!(
             resumed.repository().stats().containers,
@@ -1893,8 +1893,8 @@ mod tests {
         let clean = drive(false);
         let mut resumed = drive(true);
         assert_eq!(
-            Sha1::digest(resumed.server(0).index().raw_data()),
-            Sha1::digest(clean.server(0).index().raw_data())
+            Sha1::digest(&resumed.server(0).index().raw_data()),
+            Sha1::digest(&clean.server(0).index().raw_data())
         );
         assert_eq!(resumed.index_entries(), clean.index_entries());
         let r = resumed
@@ -1973,8 +1973,8 @@ mod tests {
         let clean = drive(false);
         let resumed = drive(true);
         assert_eq!(
-            Sha1::digest(resumed.server(0).index().raw_data()),
-            Sha1::digest(clean.server(0).index().raw_data()),
+            Sha1::digest(&resumed.server(0).index().raw_data()),
+            Sha1::digest(&clean.server(0).index().raw_data()),
             "single-part fault + re-run must converge byte-identically"
         );
         assert_eq!(
@@ -1998,8 +1998,8 @@ mod tests {
         for workers in [2usize, 4] {
             let (c, dw) = drive(workers);
             assert_eq!(
-                Sha1::digest(c.server(0).index().raw_data()),
-                Sha1::digest(base.server(0).index().raw_data()),
+                Sha1::digest(&c.server(0).index().raw_data()),
+                Sha1::digest(&base.server(0).index().raw_data()),
                 "workers={workers}: index parts must be byte-identical"
             );
             assert_eq!(c.repository().stats(), base.repository().stats());
@@ -2055,8 +2055,8 @@ mod tests {
         let clean = drive(false);
         let mut resumed = drive(true);
         assert_eq!(
-            Sha1::digest(resumed.server(0).index().raw_data()),
-            Sha1::digest(clean.server(0).index().raw_data())
+            Sha1::digest(&resumed.server(0).index().raw_data()),
+            Sha1::digest(&clean.server(0).index().raw_data())
         );
         assert_eq!(
             resumed.repository().stats().containers,
@@ -2309,7 +2309,7 @@ mod tests {
 
     fn index_digests(c: &DebarCluster) -> Vec<[u8; 20]> {
         (0..c.server_count() as ServerId)
-            .map(|sid| Sha1::digest(c.server(sid).index().raw_data()))
+            .map(|sid| Sha1::digest(&c.server(sid).index().raw_data()))
             .collect()
     }
 

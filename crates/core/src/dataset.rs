@@ -9,6 +9,8 @@ use bytes::Bytes;
 use debar_hash::Fingerprint;
 use debar_store::Payload;
 use debar_workload::ChunkRecord;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// File content source.
 #[derive(Debug, Clone)]
@@ -98,7 +100,55 @@ pub struct ChunkedFile {
     /// Path relative to the dataset root.
     pub path: String,
     /// Chunks in file order.
-    pub chunks: Vec<StreamChunk>,
+    pub chunks: ChunkList,
+}
+
+/// A file's chunks in file order, shared: the client's memo of its last
+/// [`crate::client::BackupClient::prepare`] holds the same list it hands
+/// out, so a file whose bytes did not change costs no copy. Reads as a
+/// slice.
+#[derive(Debug, Clone)]
+pub struct ChunkList(Arc<[StreamChunk]>);
+
+impl Deref for ChunkList {
+    type Target = [StreamChunk];
+
+    fn deref(&self) -> &[StreamChunk] {
+        &self.0
+    }
+}
+
+impl FromIterator<StreamChunk> for ChunkList {
+    fn from_iter<I: IntoIterator<Item = StreamChunk>>(iter: I) -> Self {
+        ChunkList(iter.into_iter().collect())
+    }
+}
+
+impl From<Vec<StreamChunk>> for ChunkList {
+    fn from(chunks: Vec<StreamChunk>) -> Self {
+        ChunkList(chunks.into())
+    }
+}
+
+impl<'a> IntoIterator for &'a ChunkList {
+    type Item = &'a StreamChunk;
+    type IntoIter = std::slice::Iter<'a, StreamChunk>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// The chunks by value, for a caller that consumes a [`ChunkedFile`]:
+/// copied out of the shared list (a payload copy is a reference-count
+/// increment).
+impl IntoIterator for ChunkList {
+    type Item = StreamChunk;
+    type IntoIter = std::vec::IntoIter<StreamChunk>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Vec::from(&self.0[..]).into_iter()
+    }
 }
 
 impl ChunkedFile {

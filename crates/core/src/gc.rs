@@ -717,8 +717,8 @@ mod tests {
         let rep_clean = clean.run_gc().expect("uninterrupted");
         assert_eq!(rep.index_removed, rep_clean.index_removed);
         assert_eq!(
-            Sha1::digest(faulty.server(0).index().raw_data()),
-            Sha1::digest(clean.server(0).index().raw_data()),
+            Sha1::digest(&faulty.server(0).index().raw_data()),
+            Sha1::digest(&clean.server(0).index().raw_data()),
             "redo must converge to the clean index bytes"
         );
         assert_eq!(
@@ -777,8 +777,8 @@ mod tests {
             clean.repository().physical_data_bytes()
         );
         assert_eq!(
-            Sha1::digest(faulty.server(0).index().raw_data()),
-            Sha1::digest(clean.server(0).index().raw_data())
+            Sha1::digest(&faulty.server(0).index().raw_data()),
+            Sha1::digest(&clean.server(0).index().raw_data())
         );
         // No live chunk was lost at any point.
         for c in [&mut faulty, &mut clean] {

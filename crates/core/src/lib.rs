@@ -339,7 +339,7 @@ pub mod server;
 
 pub use cluster::{DebarCluster, Discrepancy, FsckReport, GcReport};
 pub use config::DebarConfig;
-pub use dataset::{ChunkedFile, Dataset, FileContent, FileEntry, StreamChunk};
+pub use dataset::{ChunkList, ChunkedFile, Dataset, FileContent, FileEntry, StreamChunk};
 pub use debar_simio::RetryPolicy;
 pub use debar_store::ScrubReport;
 pub use error::{DebarError, DebarResult, Dedup2Phase};

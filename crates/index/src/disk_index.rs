@@ -17,8 +17,7 @@
 //! volume and no device is ever charged twice.
 
 use crate::entry::{
-    block_entries, block_find, block_full, block_len, block_push, block_set_cid, IndexEntry,
-    BLOCK_BYTES,
+    block_entries, block_find, block_full, block_push, block_set_cid, IndexEntry, BLOCK_BYTES,
 };
 use crate::error::IndexError;
 use crate::params::IndexParams;
@@ -54,7 +53,13 @@ pub struct DiskIndex {
     /// servers skips the first `w` bits and buckets by the *next* `n` bits
     /// ("the remaining n−w bits will be used as the bucket number", §5.2).
     skip_bits: u32,
-    data: Vec<u8>,
+    /// Each bucket as the prefix of its blocks that hold entries: every
+    /// byte past `buckets[k].len()` (up to `bucket_bytes`) is zero. Blocks
+    /// fill front to back and entries leave only when the whole index is
+    /// emptied, so the prefix grows one block at a time and all but its
+    /// last block are full. The disk image this stands for is
+    /// [`DiskIndex::raw_data`].
+    buckets: Vec<Vec<u8>>,
     /// The index's only devices: one `SimDisk` per sweep partition, each
     /// with its own op counter, queue and armable fault plan (the
     /// per-spindle decomposition of §5.2); part 0 doubles as the volume
@@ -91,7 +96,7 @@ impl DiskIndex {
             server,
             params,
             skip_bits,
-            data: vec![0u8; bytes as usize],
+            buckets: vec![Vec::new(); params.buckets() as usize],
             part_disks: PartDiskSet::new(disk_model, Device::IndexPart { server, part: 0 }),
             cpu: SimCpu::new(paper::cpu()),
             entries: 0,
@@ -227,17 +232,19 @@ impl DiskIndex {
         &mut self.cpu
     }
 
-    fn bucket_mut(&mut self, k: u64) -> &mut [u8] {
-        let start = k as usize * self.params.bucket_bytes;
-        &mut self.data[start..start + self.params.bucket_bytes]
-    }
-
     /// In-memory append to a bucket; `false` when full. No I/O charge.
+    /// The entry goes into the bucket's last held block, or into a zeroed
+    /// block appended behind it when that one is full (or none is held)
+    /// and the bucket has room for another.
     pub(crate) fn push_to_bucket(&mut self, k: u64, e: &IndexEntry) -> bool {
-        let ok = self
-            .bucket_mut(k)
-            .chunks_exact_mut(BLOCK_BYTES)
-            .any(|blk| block_push(blk, e));
+        let bucket = &mut self.buckets[k as usize];
+        let held = bucket.len();
+        let ok = (held > 0 && block_push(&mut bucket[held - BLOCK_BYTES..], e))
+            || (held < self.params.bucket_bytes && {
+                bucket.reserve_exact(BLOCK_BYTES);
+                bucket.resize(held + BLOCK_BYTES, 0);
+                block_push(&mut bucket[held..], e)
+            });
         if ok {
             self.entries += 1;
         }
@@ -342,7 +349,7 @@ impl DiskIndex {
         let (left, right) = view.neighbours(home);
         let reach = if view.bucket_is_full(home) { 3 } else { 1 };
         [home, left, right][..reach].iter().any(|&k| {
-            self.bucket_mut(k)
+            self.buckets[k as usize]
                 .chunks_exact_mut(BLOCK_BYTES)
                 .any(|blk| block_set_cid(blk, fp, cid))
         })
@@ -351,28 +358,33 @@ impl DiskIndex {
     /// Read-only view of the bucket array; see [`BucketView`].
     pub(crate) fn view(&self) -> BucketView<'_> {
         BucketView {
-            data: &self.data,
+            buckets: &self.buckets,
             params: self.params,
             skip_bits: self.skip_bits,
         }
     }
 
-    /// Raw index bytes (verification support: equivalence tests compare
-    /// scalar and sharded sweep results byte-for-byte).
-    pub fn raw_data(&self) -> &[u8] {
-        &self.data
+    /// The index's disk image, `total_bytes` long: the buckets in order,
+    /// each its held blocks padded with zeros to `bucket_bytes`
+    /// (verification support: equivalence tests compare scalar and
+    /// sharded sweep results byte-for-byte, and digest it). Built on every
+    /// call.
+    pub fn raw_data(&self) -> Vec<u8> {
+        let bucket_bytes = self.params.bucket_bytes;
+        let mut image = Vec::with_capacity(self.params.total_bytes() as usize);
+        for bucket in &self.buckets {
+            image.extend_from_slice(bucket);
+            image.resize(image.len() + bucket_bytes - bucket.len(), 0);
+        }
+        image
     }
 
     /// Iterate every entry, in bucket order (no I/O charges; sweeps charge
     /// separately).
     pub fn iter_entries(&self) -> impl Iterator<Item = IndexEntry> + '_ {
-        let view = self.view();
-        (0..self.params.buckets()).flat_map(move |k| {
-            view.bucket(k)
-                .chunks_exact(BLOCK_BYTES)
-                .flat_map(block_entries)
-                .collect::<Vec<_>>()
-        })
+        (self.buckets.iter())
+            .flat_map(|bucket| bucket.chunks_exact(BLOCK_BYTES))
+            .flat_map(block_entries)
     }
 
     /// Place an entry, transparently enlarging the index (capacity scaling)
@@ -395,25 +407,17 @@ impl DiskIndex {
     /// Wipe all entries (simulates index loss/corruption; the geometry and
     /// routing prefix are kept). Recovery rebuilds from the chunk
     /// repository (§4.1: "such a high-cost reconstruction method is ...
-    /// used to recover a corrupted index"). Writes only the blocks that
-    /// held an entry (see `clear_entries`).
+    /// used to recover a corrupted index").
     pub fn reset_empty(&mut self) {
         self.clear_entries();
     }
 
-    /// Empty the index by zeroing every 512-byte block whose count header
-    /// is non-zero. Every other byte is already zero: a block is only ever
-    /// appended to behind its count, so the bytes past the count stay
-    /// zero, and a block that never held an entry is all zeros. The
-    /// result is byte-for-byte a zero-filled index, but the pages no entry
-    /// ever reached — at a sparse fill, the tail of every bucket — are
-    /// only read, never written.
+    /// Empty the index: every bucket holds no block, so its image is all
+    /// zeros. A bucket keeps its allocation, which the entries placed
+    /// next (GC's survivors, a rebuild) fill again without reallocating;
+    /// [`DiskIndex::push_to_bucket`] zeroes each block it takes back.
     fn clear_entries(&mut self) {
-        for block in self.data.chunks_exact_mut(BLOCK_BYTES) {
-            if block_len(block) != 0 {
-                block.fill(0);
-            }
-        }
+        self.buckets.iter_mut().for_each(Vec::clear);
         self.entries = 0;
     }
 
@@ -454,10 +458,9 @@ impl DiskIndex {
     /// in `dead`, charged as one striped read sweep plus one striped
     /// write sweep over `parts` partitions (the GC rewrites the part the
     /// way SIU does, sequentially). Returns the number of entries
-    /// removed. In memory it writes only the blocks that held an entry
-    /// before the sweep or hold a survivor after it
-    /// (`clear_entries`, then the survivors re-placed): a
-    /// block no entry ever reached is left as it is, all zeros.
+    /// removed. In memory it empties every bucket (`clear_entries`) and
+    /// re-places the survivors, so each bucket then holds only the blocks
+    /// its survivors fill.
     ///
     /// **Crash consistency:** a faulted GC sweep — either sweep charge,
     /// or a scaling op as the survivors are re-placed — surfaces
@@ -522,7 +525,7 @@ impl DiskIndex {
             server: self.server,
             params: new_params,
             skip_bits: self.skip_bits,
-            data: vec![0u8; new_params.total_bytes() as usize],
+            buckets: vec![Vec::new(); new_params.buckets() as usize],
             // Part-disks survive scaling (their queues and fault plans
             // are device state): the rebuilt index takes them over.
             part_disks: self.part_disks.clone(),
@@ -590,7 +593,7 @@ impl DiskIndex {
 /// scanning that random lookups, in-place updates and the SIL/SIU sweeps
 /// all read through.
 pub(crate) struct BucketView<'a> {
-    data: &'a [u8],
+    buckets: &'a [Vec<u8>],
     params: IndexParams,
     skip_bits: u32,
 }
@@ -604,11 +607,11 @@ impl<'a> BucketView<'a> {
             .1
     }
 
-    /// The bytes of bucket `k`.
+    /// The held blocks of bucket `k`: the prefix of its image that holds
+    /// entries (every byte past it is zero).
     #[inline]
     pub(crate) fn bucket(&self, k: u64) -> &'a [u8] {
-        let start = k as usize * self.params.bucket_bytes;
-        &self.data[start..start + self.params.bucket_bytes]
+        &self.buckets[k as usize]
     }
 
     /// Neighbours of bucket `k`, wrapping at the ends (the paper leaves edge
@@ -619,10 +622,14 @@ impl<'a> BucketView<'a> {
         ((k + n - 1) % n, (k + 1) % n)
     }
 
-    /// Whether bucket `k` is at capacity.
+    /// Whether bucket `k` is at capacity: it holds every block it has
+    /// room for, and each of them is full. (A bucket whose held blocks are
+    /// full but that has room for another is not: its next entry goes
+    /// into a new block.)
     #[inline]
     pub(crate) fn bucket_is_full(&self, k: u64) -> bool {
-        self.bucket(k).chunks_exact(BLOCK_BYTES).all(block_full)
+        let bucket = self.bucket(k);
+        bucket.len() == self.params.bucket_bytes && bucket.chunks_exact(BLOCK_BYTES).all(block_full)
     }
 
     /// Scan bucket `k` for `fp`.
@@ -662,7 +669,7 @@ impl<'a> BucketView<'a> {
     /// the bucket array once in fingerprint order, grouping batch entries
     /// by home bucket so each bucket is located (and its fullness checked)
     /// once per group, every entry compare is a native `u64` prefix
-    /// compare, and memory is touched in strictly ascending order. Calls
+    /// compare, and the buckets are visited in ascending order. Calls
     /// `emit(index, resolution)` exactly once per fingerprint, in batch
     /// order.
     pub(crate) fn probe_sorted_map(
@@ -694,6 +701,7 @@ impl<'a> BucketView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::{block_len, ENTRIES_PER_BLOCK};
     use debar_hash::Sha1;
 
     fn small_index(seed: u64) -> DiskIndex {
@@ -1018,13 +1026,13 @@ mod tests {
             idx.insert_random(fp(i), ContainerId::new(i))
                 .expect("no fault is armed");
         }
-        let before = Sha1::digest(idx.raw_data());
+        let before = Sha1::digest(&idx.raw_data());
         let absent: FpSet = (1000..1010u64).map(fp).collect();
         let t = idx.gc_sweep(&absent, 2).expect("clean sweep");
         assert_eq!(t.value, 0);
         assert!(t.cost > 0.0, "the sweep I/O is still charged");
         assert_eq!(
-            Sha1::digest(idx.raw_data()),
+            Sha1::digest(&idx.raw_data()),
             before,
             "no-op must not touch bytes"
         );
@@ -1044,7 +1052,7 @@ mod tests {
                 .expect("no fault is armed");
         }
         let dead: FpSet = (0..300u64).filter(|i| i % 5 == 0).map(fp).collect();
-        let before = Sha1::digest(faulty.raw_data());
+        let before = Sha1::digest(&faulty.raw_data());
         faulty
             .part_disk_mut(2)
             .set_fault_plan(FaultPlan::fail_at(0));
@@ -1056,7 +1064,7 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(
-            Sha1::digest(faulty.raw_data()),
+            Sha1::digest(&faulty.raw_data()),
             before,
             "faulted sweep must leave the part untouched"
         );
@@ -1066,8 +1074,8 @@ mod tests {
         let tc = clean.gc_sweep(&dead, 1).expect("uninterrupted");
         assert_eq!(t.value, tc.value);
         assert_eq!(
-            Sha1::digest(faulty.raw_data()),
-            Sha1::digest(clean.raw_data())
+            Sha1::digest(&faulty.raw_data()),
+            Sha1::digest(&clean.raw_data())
         );
     }
 
@@ -1137,6 +1145,57 @@ mod tests {
         }
         idx.reset_empty();
         assert!(idx.raw_data().iter().all(|&b| b == 0), "reset leaves zeros");
+    }
+
+    #[test]
+    fn a_bucket_with_room_for_another_block_is_not_full() {
+        // Two-block buckets: a home bucket whose one held block is full
+        // still has room for a second, so the overflow invariant says no
+        // entry homed there lives in a neighbour. An absent fingerprint is
+        // settled by the home bucket's read alone, and the next insert
+        // lands home.
+        let mut idx = DiskIndex::with_paper_disk(IndexParams::new(6, 2 * BLOCK_BYTES), 36);
+        let home = fp(0).bucket_number(6);
+        let mut homed = (0..).map(fp).filter(|f| f.bucket_number(6) == home);
+        for f in homed.by_ref().take(ENTRIES_PER_BLOCK) {
+            let placed = idx.place(&IndexEntry::new(f, ContainerId::new(1)));
+            assert_eq!(placed, InsertOutcome::Home);
+        }
+        let absent = homed.next().expect("another fingerprint homed there");
+        let reads = idx.disk_stats().rand_reads;
+        let found = idx.lookup_random(&absent).expect("no fault is armed");
+        assert_eq!(found.value, None);
+        assert_eq!(idx.disk_stats().rand_reads - reads, 1, "one bucket read");
+        let placed = idx.insert_random(absent, ContainerId::new(2));
+        assert_eq!(
+            placed.expect("no fault is armed").value,
+            InsertOutcome::Home
+        );
+    }
+
+    #[test]
+    fn the_buckets_hold_only_the_blocks_that_hold_entries() {
+        // A `cluster_scaled` index part: 32 MiB of 8 KiB buckets, filled
+        // uniformly to under a tenth of its capacity. The memory the
+        // buckets hold is exactly their used blocks, a quarter of the
+        // image at most.
+        let params = IndexParams::from_total_size(32 << 20, 8 << 10);
+        let mut idx = DiskIndex::with_paper_disk(params, 37);
+        for i in 0..112_031u64 {
+            let placed = idx.place(&IndexEntry::new(fp(i), ContainerId::new(i)));
+            assert_ne!(placed, InsertOutcome::NeedsScaling);
+        }
+        let image = idx.raw_data();
+        let used = (image.chunks_exact(BLOCK_BYTES))
+            .filter(|block| block_len(block) != 0)
+            .count();
+        let held: usize = idx.buckets.iter().map(Vec::capacity).sum();
+        assert_eq!(held, used * BLOCK_BYTES);
+        assert!(
+            held as u64 <= params.total_bytes() / 4,
+            "{held} bytes held of {}",
+            params.total_bytes()
+        );
     }
 
     #[test]

@@ -24,12 +24,13 @@
 //! is a cheap near-sorted sort), and a single cursor advances through the
 //! bucket array in fingerprint order. Each resident bucket is located once
 //! per batch *group* instead of once per fingerprint, there is no hashing
-//! and no pointer-chasing through cache nodes, and memory is touched in
-//! strictly ascending order — the access pattern the hardware prefetcher
-//! is built for. Overflow is resolved with the *overflow invariant*: an
-//! entry can live in an adjacent bucket only if its home bucket is full
-//! (entries are never removed), so the two neighbour scans are skipped for
-//! every non-full home bucket. The pre-merge-join path — one ungrouped
+//! and no pointer-chasing through cache nodes, and the buckets are visited
+//! in ascending order, each one's held blocks front to back (a bucket is
+//! its own allocation, so memory is not one ascending range). Overflow is
+//! resolved with the *overflow invariant*: an entry can live in an
+//! adjacent bucket only if its home bucket is full (entries are never
+//! removed), so the two neighbour scans are skipped for every non-full
+//! home bucket. The pre-merge-join path — one ungrouped
 //! three-bucket probe per fingerprint — is preserved as
 //! [`DiskIndex::sequential_lookup_hashed`] /
 //! [`DiskIndex::sequential_update_scalar`]: the references the equivalence
@@ -401,8 +402,8 @@ impl DiskIndex {
     /// full. The batch is canonicalised by a stable bucket-order sort,
     /// classified in one pass of the grouped merge-join cursor
     /// (`probe_sorted_map`: each home bucket located and fullness-checked
-    /// once per batch group, ascending memory, `u64`-prefix compares), and
-    /// applied in canonical order. Both sweeps are charged across `parts`
+    /// once per batch group, buckets in ascending order, `u64`-prefix
+    /// compares), and applied in canonical order. Both sweeps are charged across `parts`
     /// part-disks (each its own bucket-range byte share, completing at the
     /// slowest) and the merge CPU at the even `1/parts` share; the index
     /// bytes are the same at any `parts`.
@@ -1284,7 +1285,7 @@ mod tests {
             // sets and survivors on a randomized registered set.
             let mut idx = index(seed ^ 0x51);
             siu(&mut idx, &random_batch(seed, reg, 4000), 1);
-            let before = idx.raw_data().to_vec();
+            let before = idx.raw_data();
 
             let mut c_hashed = cache_of(0..probe as u64);
             let mut c_merge = cache_of(0..probe as u64);
@@ -1298,7 +1299,7 @@ mod tests {
             proptest::prop_assert_eq!(c_hashed.len(), c_merge.len());
             proptest::prop_assert_eq!(c_merge.len(), c_shard.len());
             // SIL is read-only: the index bytes must be untouched.
-            proptest::prop_assert!(idx.raw_data() == &before[..]);
+            proptest::prop_assert!(idx.raw_data() == before);
         }
 
         #[test]

@@ -57,9 +57,10 @@ pub use debar_store as store;
 pub use debar_workload as workload;
 
 pub use debar_core::{
-    CapReport, ChunkedFile, ClientId, Dataset, DebarCluster, DebarConfig, DebarError, DebarResult,
-    Dedup1Report, Dedup2Phase, Dedup2Report, Device, Discrepancy, FileContent, FileEntry,
-    FsckReport, GcReport, JobId, LayoutReport, RestoreReport, RunId, ServerId, StreamChunk,
+    CapReport, ChunkList, ChunkedFile, ClientId, Dataset, DebarCluster, DebarConfig, DebarError,
+    DebarResult, Dedup1Report, Dedup2Phase, Dedup2Report, Device, Discrepancy, FileContent,
+    FileEntry, FsckReport, GcReport, JobId, LayoutReport, RestoreReport, RunId, ServerId,
+    StreamChunk,
 };
 pub use debar_hash::{ContainerId, Fingerprint};
 pub use debar_simio::{FaultKind, FaultPlan, FaultSpec, InjectedFault, RetryPolicy};

@@ -798,7 +798,7 @@ fn applied<'a>(reports: impl IntoIterator<Item = &'a SiuReport>) -> u64 {
 
 /// SHA-1 of every server's raw index-part bytes, in server order.
 fn index_digests(c: &DebarCluster) -> Vec<[u8; 20]> {
-    let digest = |s| Sha1::digest(c.server(s).index().raw_data());
+    let digest = |s| Sha1::digest(&c.server(s).index().raw_data());
     (0..c.server_count() as u16).map(digest).collect()
 }
 

@@ -306,8 +306,8 @@ fn node_loss_mid_collection_aborts_typed_and_repair_redo_converges() {
         "redo after repair must reclaim the same physical bytes"
     );
     assert_eq!(
-        Sha1::digest(degraded.server(0).index().raw_data()),
-        Sha1::digest(clean.server(0).index().raw_data()),
+        Sha1::digest(&degraded.server(0).index().raw_data()),
+        Sha1::digest(&clean.server(0).index().raw_data()),
         "redo after repair must converge to byte-identical index parts"
     );
     assert!(
