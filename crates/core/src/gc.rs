@@ -11,14 +11,52 @@
 //!    in one pass. Retiring drops the run record but keeps the job-chain
 //!    slot, so version numbering and the filtering-fingerprint chain of
 //!    future backups are unaffected.
-//! 2. **Collect** — [`DebarCluster::run_gc`] computes the live set (the
-//!    union of every retained run's file fingerprints), finds dead index
-//!    entries, compacts partially-dead containers (their live chunks
-//!    packed, victim after victim, into full fresh containers; the old
-//!    ones deleted on **every replica**), deletes whole-dead containers,
-//!    rebuilds each server's index part without the dead entries, and
-//!    withdraws the dead fingerprints from the cluster's deletable summary
-//!    vector.
+//! 2. **Collect** — [`DebarCluster::run_gc`] marks the index entries
+//!    that retained runs reference (the live set: the union of every
+//!    retained run's file fingerprints), takes the unmarked ones as dead,
+//!    compacts partially-dead containers (their live chunks packed, victim
+//!    after victim, into full fresh containers; the old ones deleted on
+//!    **every replica**), deletes whole-dead containers, rebuilds each
+//!    server's index part with the marked entries alone, and withdraws the
+//!    dead fingerprints from the cluster's deletable summary vector.
+//!
+//! # Liveness: marks on the index slots, a range at a time
+//!
+//! The live set is never held whole. A sweep may hold as many fingerprints
+//! as the index cache (§5.2, [`crate::DebarConfig::cache_fps`]), and GC
+//! keeps to the same bound:
+//!
+//! * **Ranges.** Each server's index part is taken in consecutive
+//!   fingerprint ranges, each the home of at most `cache_fps` entries
+//!   ([`debar_index::DiskIndex::home_ranges`]: `ceil(entries /
+//!   cache_fps)` ranges, a few more where a bucket straddles a cut). Every
+//!   live fingerprint is an entry of its owner's part, so no range holds
+//!   more live fingerprints than the cache. The range count comes from
+//!   the cache and adds no knob.
+//! * **Marks.** For each range the retained recipes are streamed once,
+//!   keeping the fingerprints whose 64-bit prefix falls in it (one
+//!   compare), in a set of the range's size; one scan of the range's
+//!   buckets (and, for what overflowed, their neighbours) then marks the
+//!   entries in the set, one bit per index slot
+//!   ([`debar_index::SlotMarks`]: 160 KiB for a 32 MiB part). `live_fps`
+//!   is the sum of the range sets' sizes, exact: the ranges partition the
+//!   fingerprints.
+//! * **Dead and victims.** The unmarked entries, in bucket order — the
+//!   order the summary vector's removals have always followed — are the
+//!   dead fingerprints, and their containers the victims.
+//! * **Copy-aware liveness.** A chunk is live in a container when the
+//!   entry that resolves its fingerprint — one bucket probe, leaning on
+//!   the overflow invariant as SIL does — is marked and points there.
+//! * **The sweep keeps the marked slots**
+//!   ([`debar_index::DiskIndex::gc_sweep`]): compaction only repoints
+//!   entries in place, so the marks made before it still name them.
+//!
+//! So besides its per-part marks a collection holds one range's set, the
+//! dead fingerprints and the victims. Measured on `benchmark/` (seed 1),
+//! the live set built whole was a 5.25 MiB table at 182k fingerprints on
+//! `month-records`, taken on fresh pages while the live heap was below its
+//! earlier high, and it set the process's peak on all three record
+//! workloads.
 //!
 //! # Compaction: one packer, the node timelines
 //!
@@ -118,6 +156,7 @@ use super::{last_idle, DebarCluster};
 use crate::error::{DebarError, DebarResult};
 use crate::ids::{JobId, RunId};
 use debar_hash::{ContainerId, Fingerprint, FpSet};
+use debar_index::SlotMarks;
 use debar_simio::{Lane, Secs};
 use debar_store::{Container, ContainerManager};
 use std::collections::BTreeSet;
@@ -247,38 +286,53 @@ impl DebarCluster {
         let plan = self.gc_plan(&mut report);
         let pass = self.compact(&plan, &mut report)?;
         report.wall += pass.end();
-        self.gc_sweep(&plan.dead_per_server, &mut report)?;
+        self.gc_sweep(&plan, &mut report)?;
         Ok(report)
     }
 
-    /// The live set, the dead entries per owning server and the victim
-    /// containers that hold them.
+    /// Liveness as marks on each server's index slots, the dead entries per
+    /// owning server and the victim containers that hold them. See the
+    /// module docs' "Liveness".
     fn gc_plan(&self, report: &mut GcReport) -> GcPlan {
+        let servers = self.servers.len();
+        let mut plan = GcPlan {
+            marks: Vec::with_capacity(servers),
+            dead_per_server: Vec::with_capacity(servers),
+            victims: BTreeSet::new(),
+            #[cfg(test)]
+            range_sets: Vec::new(),
+        };
+        // One range's live fingerprints, emptied for the next range.
         let mut live = FpSet::default();
-        for rec in self.director.metadata.retained_runs() {
-            for f in &rec.files {
-                live.extend(f.fingerprints.iter().copied());
-            }
-        }
-        report.live_fps = live.len() as u64;
-        let mut dead_per_server: Vec<FpSet> = std::iter::repeat_with(FpSet::default)
-            .take(self.servers.len())
-            .collect();
-        let mut victims: BTreeSet<ContainerId> = BTreeSet::new();
-        for (sid, srv) in self.servers.iter().enumerate() {
-            for e in srv.index().iter_entries() {
-                if !live.contains(&e.fp) {
-                    dead_per_server[sid].insert(e.fp);
-                    victims.insert(e.cid);
+        for srv in &self.servers {
+            let index = srv.index();
+            let mut marks = index.slot_marks();
+            for keys in index.home_ranges(self.cfg.cache_fps()) {
+                live.clear();
+                for rec in self.director.metadata.retained_runs() {
+                    for fp in rec.files.iter().flat_map(|f| &f.fingerprints) {
+                        if keys.contains(&fp.prefix64()) {
+                            live.insert(*fp);
+                        }
+                    }
                 }
+                index.mark_live(&keys, |fp| live.contains(fp), &mut marks);
+                report.live_fps += live.len() as u64;
+                #[cfg(test)]
+                plan.range_sets.push(live.len());
             }
+            // In bucket order, as every collection has built it: the order
+            // the summary vector's removals follow.
+            let mut dead = FpSet::default();
+            for e in index.unmarked_entries(&marks) {
+                dead.insert(e.fp);
+                plan.victims.insert(e.cid);
+            }
+            report.dead_fps += dead.len() as u64;
+            plan.marks.push(marks);
+            plan.dead_per_server.push(dead);
         }
-        report.dead_fps = dead_per_server.iter().map(|d| d.len() as u64).sum();
-        GcPlan {
-            live,
-            dead_per_server,
-            victims,
-        }
+        plan
     }
 
     /// Compaction/deletion, ascending container ID (deterministic plan;
@@ -288,7 +342,6 @@ impl DebarCluster {
     fn compact(&mut self, plan: &GcPlan, report: &mut GcReport) -> DebarResult<Compaction> {
         let (nodes, cfg) = (self.repo.node_count(), &self.cfg);
         let mut pass = Compaction::new(cfg.container_bytes, nodes, cfg.lpc_containers);
-        let live = &plan.live;
         for &cid in &plan.victims {
             if self.repo.locate(cid).is_none() {
                 // Already reclaimed by an interrupted earlier attempt (or
@@ -298,20 +351,21 @@ impl DebarCluster {
             }
             report.containers_examined += 1;
             // Copy-aware liveness: a chunk is live *in this container*
-            // only if its fingerprint is live AND the owning index part
-            // still resolves it here. The redo needs the second clause: a
-            // collection that faulted after output k-1 became durable has
-            // already repointed the entries of the survivors that output
-            // took from a victim still waiting for output k, and on the
-            // redo those copies must read as dead, or they are copied
-            // twice. The read fetches the metadata section and the
-            // extents of what is live here, nothing else, from the
-            // least-read copy: compaction keeps its busiest node busy 95–98
-            // % of the makespan, so it balances bytes, not lane starts.
+            // only if the entry that resolves its fingerprint in the owning
+            // index part is marked live AND still points here. The redo
+            // needs the second clause: a collection that faulted after
+            // output k-1 became durable has already repointed the entries
+            // of the survivors that output took from a victim still
+            // waiting for output k, and on the redo those copies must read
+            // as dead, or they are copied twice. The read fetches the
+            // metadata section and the extents of what is live here,
+            // nothing else, from the least-read copy: compaction keeps its
+            // busiest node busy 95–98 % of the makespan, so it balances
+            // bytes, not lane starts.
             let (servers, w) = (&self.servers, self.cfg.w_bits);
             let live_here = |fp: &Fingerprint| {
                 let owner = fp.server_number(w) as usize;
-                live.contains(fp) && servers[owner].index().lookup_uncharged(fp) == Some(cid)
+                servers[owner].index().marked_cid(fp, &plan.marks[owner]) == Some(cid)
             };
             let read = self.repo.read_chunks(cid, live_here, &[]);
             let (survivors, listed_bytes) = match (read.value, &read.legs.served) {
@@ -355,18 +409,19 @@ impl DebarCluster {
         Ok(pass)
     }
 
-    /// Per-server index sweep; summary withdrawal rides on each server's
-    /// *successful* sweep so a redo never double-removes.
-    fn gc_sweep(&mut self, dead_per_server: &[FpSet], report: &mut GcReport) -> DebarResult<()> {
+    /// Per-server index sweep, keeping the marked entries; summary
+    /// withdrawal rides on each server's *successful* sweep so a redo
+    /// never double-removes.
+    fn gc_sweep(&mut self, plan: &GcPlan, report: &mut GcReport) -> DebarResult<()> {
         let parts = self.cfg.sweep_parts;
         // Each server sweeps its own index disks, so the sweeps run side
         // by side: the collection waits for the slowest.
         let mut slowest: Secs = 0.0;
-        for (sid, dead) in dead_per_server.iter().enumerate() {
+        for (sid, (live, dead)) in plan.marks.iter().zip(&plan.dead_per_server).enumerate() {
             if dead.is_empty() {
                 continue;
             }
-            let t = self.servers[sid].index_mut().gc_sweep(dead, parts)?;
+            let t = self.servers[sid].index_mut().gc_sweep(live, parts)?;
             self.servers[sid].clock.advance(t.cost);
             slowest = slowest.max(t.cost);
             report.index_removed += t.value;
@@ -446,12 +501,16 @@ impl DebarCluster {
 
 /// What a collection decides before it moves a byte.
 struct GcPlan {
-    /// Fingerprints referenced by retained runs.
-    live: FpSet,
+    /// Per server, the slots of its index entries that retained runs
+    /// reference.
+    marks: Vec<SlotMarks>,
     /// Per owning server, its index entries no retained run references.
     dead_per_server: Vec<FpSet>,
     /// Containers holding a dead entry, ascending.
     victims: BTreeSet<ContainerId>,
+    /// The live fingerprints of each fingerprint range, servers in order.
+    #[cfg(test)]
+    range_sets: Vec<usize>,
 }
 
 /// The compaction of one collection: the one open container survivors are
@@ -897,6 +956,49 @@ mod tests {
         }
     }
 
+    /// Liveness marked range by range is liveness marked at once: with an
+    /// index cache of a fifth of the smallest index part, each server's
+    /// part is taken in at least three fingerprint ranges, no range holds
+    /// more live fingerprints than the cache, and the collection reports,
+    /// indexes, restores and checks exactly as the one-range collection
+    /// of the same cluster — on one server and across a two-server split.
+    #[test]
+    fn ranged_marking_reaches_the_one_range_collection() {
+        for w_bits in [0, 1] {
+            let (mut whole, a, b) = half_live(DebarConfig::tiny_test(w_bits), 600);
+            whole
+                .delete_run(RunId { job: a, version: 0 })
+                .expect("delete");
+            let mut ranged = whole.clone();
+            let least = (ranged.servers.iter())
+                .map(|s| s.index().entry_count())
+                .min()
+                .expect("servers");
+            ranged.cfg.cache_bytes = least / 5 * debar_simio::models::paper::CACHE_BYTES_PER_FP;
+            let (cap, servers) = (ranged.cfg.cache_fps(), ranged.servers.len());
+            let tag = format!("{servers} servers, {cap} fingerprints a range");
+            let plan = ranged.gc_plan(&mut GcReport::default());
+            assert!(plan.range_sets.len() >= 3 * servers, "{tag}");
+            assert!(plan.range_sets.iter().all(|&n| 0 < n && n <= cap), "{tag}");
+            let plan = whole.gc_plan(&mut GcReport::default());
+            assert_eq!(plan.range_sets.len(), servers, "one range a part");
+            let report = ranged.run_gc().expect("gc");
+            assert_eq!(report, whole.run_gc().expect("gc"), "{tag}");
+            assert!(report.dead_fps > 0 && report.moved_chunks > 0, "{report:?}");
+            for (r, w) in ranged.servers.iter().zip(&whole.servers) {
+                let digest = |s: &crate::server::BackupServer| Sha1::digest(&s.index().raw_data());
+                assert_eq!(digest(r), digest(w), "{tag}");
+            }
+            for c in [&mut ranged, &mut whole] {
+                assert!(c.fsck().is_clean(), "{tag}: {:?}", c.fsck());
+            }
+            let run = RunId { job: b, version: 0 };
+            let restored = ranged.restore_run(run).expect("restore");
+            assert_eq!(restored.failures, 0);
+            assert_eq!(restored, whole.restore_run(run).expect("restore"), "{tag}");
+        }
+    }
+
     /// One collection of `c`, with what it kept each repository node's
     /// disk busy for and wrote to it, and the index sweeps' share of
     /// `wall` (server 0's clock advances by exactly that).
@@ -963,10 +1065,10 @@ mod tests {
         let plan = c.gc_plan(&mut report);
         let end = c.compact(&plan, &mut report).expect("compaction").end();
         // What each server's sweep costs, swept on a copy of its index.
-        let sweeps: Vec<Secs> = (c.servers.iter().zip(&plan.dead_per_server))
-            .map(|(srv, dead)| {
+        let sweeps: Vec<Secs> = (c.servers.iter().zip(&plan.marks))
+            .map(|(srv, live)| {
                 let mut index = srv.index().clone();
-                index.gc_sweep(dead, cfg.sweep_parts).expect("sweep").cost
+                index.gc_sweep(live, cfg.sweep_parts).expect("sweep").cost
             })
             .collect();
         assert!(sweeps.iter().all(|&s| s > 0.0), "{sweeps:?}");

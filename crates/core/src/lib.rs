@@ -209,15 +209,17 @@
 //!   numbering and the filtering-fingerprint chain of future backups are
 //!   unaffected.
 //! * **Collect.** [`DebarCluster::run_gc`] refuses to race staged
-//!   dedup-2 state ([`DebarError::NotQuiesced`]), then: computes the live set
-//!   from the retained runs, compacts partially-dead containers — each
+//!   dedup-2 state ([`DebarError::NotQuiesced`]), then: marks the index
+//!   entries the retained runs reference, one fingerprint range of at
+//!   most the index cache's size at a time, compacts partially-dead
+//!   containers — each
 //!   read for what is live in it, the survivors of successive victims
 //!   packed into full containers, every read, write and free on its
 //!   repository node's timeline (store-new-then-delete-old, on **every
 //!   replica**: a victim goes only once every container holding one of
 //!   its survivors is durable) — deletes
-//!   whole-dead ones, rebuilds each server's index part without the dead
-//!   entries ([`debar_index::DiskIndex::gc_sweep`] aborts before
+//!   whole-dead ones, rebuilds each server's index part with the marked
+//!   entries alone ([`debar_index::DiskIndex::gc_sweep`] aborts before
 //!   mutation on an armed fault), and withdraws the dead fingerprints
 //!   from the cluster's deletable **cuckoo summary vector** — so the
 //!   preliminary filter stops advertising dead chunks to dedup-1. The

@@ -9,7 +9,7 @@
 //!
 //! The same uniformity gives the digest a third addressing: it is its own
 //! key in the in-memory fingerprint tables (the preliminary filter, the
-//! server's decision and pack sets, GC's live and dead sets, the LPC, the
+//! server's decision and pack sets, GC's range and dead sets, the LPC, the
 //! restore recipe index). [`FpMap`] and [`FpSet`] are std's tables with
 //! [`FpBuild`] in place of SipHash: [`Hash for Fingerprint`](Fingerprint)
 //! writes one XOR-fold of the digest's 8 + 8 + 4 bytes, and [`FpHasher`]

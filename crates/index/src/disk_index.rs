@@ -17,14 +17,16 @@
 //! volume and no device is ever charged twice.
 
 use crate::entry::{
-    block_entries, block_find, block_full, block_push, block_set_cid, IndexEntry, BLOCK_BYTES,
+    block_entries, block_entry, block_find, block_find_slot, block_full, block_len, block_push,
+    block_set_cid, IndexEntry, BLOCK_BYTES,
 };
 use crate::error::IndexError;
 use crate::params::IndexParams;
 use debar_hash::SplitMix64;
-use debar_hash::{ContainerId, Fingerprint, FpSet};
+use debar_hash::{ContainerId, Fingerprint};
 use debar_simio::models::paper;
 use debar_simio::{Charge, Device, DiskModel, PartDiskSet, Secs, SimCpu, SimDisk, Timed};
+use std::ops::{Range, RangeInclusive};
 
 /// Result of a random-path insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -387,6 +389,132 @@ impl DiskIndex {
             .flat_map(block_entries)
     }
 
+    /// Marks of every entry whose fingerprint is not in `dead`.
+    #[cfg(test)]
+    pub(crate) fn marks_but(&self, dead: &debar_hash::FpSet) -> SlotMarks {
+        let mut marks = self.slot_marks();
+        self.mark_live(&(0..=u64::MAX), |fp| !dead.contains(fp), &mut marks);
+        marks
+    }
+
+    /// Marks for this index's slots, none set (no I/O charges).
+    pub fn slot_marks(&self) -> SlotMarks {
+        SlotMarks::new(self.params)
+    }
+
+    /// The slot of `fp`'s entry and its container: the home bucket, then —
+    /// only when home is full, the overflow invariant SIL leans on — the
+    /// left and right neighbours.
+    fn locate(&self, fp: &Fingerprint) -> Option<(u64, ContainerId)> {
+        let view = self.view();
+        let home = view.bucket_of(fp);
+        let in_bucket = |k: u64| {
+            (view.bucket(k).chunks_exact(BLOCK_BYTES).enumerate()).find_map(|(b, blk)| {
+                let (i, cid) = block_find_slot(blk, fp)?;
+                Some((self.params.slot(k, b, i), cid))
+            })
+        };
+        in_bucket(home).or_else(|| {
+            if !view.bucket_is_full(home) {
+                return None;
+            }
+            let (left, right) = view.neighbours(home);
+            in_bucket(left).or_else(|| in_bucket(right))
+        })
+    }
+
+    /// Mark every entry homed in `keys` (a range of
+    /// [`DiskIndex::home_ranges`]) whose fingerprint `live` holds: one scan
+    /// of the range's buckets and, for what overflowed, their two
+    /// neighbours. No I/O charges.
+    pub fn mark_live(
+        &self,
+        keys: &RangeInclusive<u64>,
+        live: impl Fn(&Fingerprint) -> bool,
+        marks: &mut SlotMarks,
+    ) {
+        debug_assert_eq!(marks.params, self.params, "marks of another geometry");
+        let n = self.params.buckets();
+        let shift = 64 - self.skip_bits - self.params.n_bits;
+        let bucket = |key: u64| (key >> shift) & (n - 1);
+        let (lo, hi) = (bucket(*keys.start()), bucket(*keys.end()));
+        let span = ((hi + n - lo) % n + 3).min(n);
+        for k in (0..span).map(|j| (lo + n - 1 + j) % n) {
+            let bucket = &self.buckets[k as usize];
+            for (b, blk) in bucket.chunks_exact(BLOCK_BYTES).enumerate() {
+                let first = self.params.slot(k, b, 0);
+                for i in 0..block_len(blk) {
+                    let e = block_entry(blk, i);
+                    if keys.contains(&e.fp.prefix64()) && live(&e.fp) {
+                        marks.set(first + i as u64);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The container of `fp`'s entry if that entry is marked in `marks`.
+    /// No I/O charges.
+    pub fn marked_cid(&self, fp: &Fingerprint, marks: &SlotMarks) -> Option<ContainerId> {
+        let (slot, cid) = self.locate(fp)?;
+        marks.get(slot).then_some(cid)
+    }
+
+    /// Every entry whose slot `marks` leaves unmarked, in bucket order (no
+    /// I/O charges). A marked entry is not decoded.
+    pub fn unmarked_entries<'a>(
+        &'a self,
+        marks: &'a SlotMarks,
+    ) -> impl Iterator<Item = IndexEntry> + 'a {
+        debug_assert_eq!(marks.params, self.params, "marks of another geometry");
+        (self.buckets.iter().enumerate()).flat_map(move |(k, bucket)| {
+            (bucket.chunks_exact(BLOCK_BYTES).enumerate()).flat_map(move |(b, blk)| {
+                let first = self.params.slot(k as u64, b, 0);
+                (0..block_len(blk))
+                    .filter(move |&i| !marks.get(first + i as u64))
+                    .map(move |i| block_entry(blk, i))
+            })
+        })
+    }
+
+    /// Cut the bucket array into consecutive ranges, each the home of at
+    /// most `homed` entries (a bucket that homes more is a range of its
+    /// own): the fewest consecutive ranges that do, `ceil(entries /
+    /// homed)` or a few more where a bucket straddles a cut. A range is
+    /// given as the fingerprints homed in it, an interval of
+    /// [`Fingerprint::prefix64`] values, so a fingerprint is tested with
+    /// one prefix compare; together the ranges cover every fingerprint
+    /// this part owns. No I/O charges.
+    pub fn home_ranges(&self, homed: usize) -> Vec<RangeInclusive<u64>> {
+        let view = self.view();
+        let mut count = vec![0u32; self.params.buckets() as usize];
+        for e in self.iter_entries() {
+            count[view.bucket_of(&e.fp) as usize] += 1;
+        }
+        let mut ranges = Vec::new();
+        let (mut lo, mut held) = (0u64, 0usize);
+        for (k, &n) in (0u64..).zip(&count) {
+            if held > 0 && held + n as usize > homed {
+                ranges.push(self.home_keys(lo..k));
+                (lo, held) = (k, 0);
+            }
+            held += n as usize;
+        }
+        ranges.push(self.home_keys(lo..self.params.buckets()));
+        ranges
+    }
+
+    /// The [`Fingerprint::prefix64`] values of the fingerprints homed in
+    /// `buckets`: this part's routing prefix (its server number, which is
+    /// how [`DiskIndex::split`] numbers the halves), then the bucket number.
+    fn home_keys(&self, buckets: Range<u64>) -> RangeInclusive<u64> {
+        let (skip, n) = (self.skip_bits, self.params.n_bits);
+        let prefix = u128::from(self.server) & ((1u128 << skip) - 1);
+        let key = |k: u64| ((prefix << n) + u128::from(k)) << (64 - skip - n);
+        let (start, end) = (key(buckets.start), key(buckets.end) - 1);
+        start as u64..=end as u64
+    }
+
     /// Place an entry, transparently enlarging the index (capacity scaling)
     /// whenever the home bucket and both neighbours are full. Returns the
     /// scaling cost incurred (zero in the common case), or the fault of a
@@ -407,16 +535,11 @@ impl DiskIndex {
     /// Wipe all entries (simulates index loss/corruption; the geometry and
     /// routing prefix are kept). Recovery rebuilds from the chunk
     /// repository (§4.1: "such a high-cost reconstruction method is ...
-    /// used to recover a corrupted index").
+    /// used to recover a corrupted index"). Every bucket then holds no
+    /// block, so the image is all zeros; a bucket keeps its allocation,
+    /// which the rebuild fills again without reallocating (placing an
+    /// entry zeroes each block it takes back).
     pub fn reset_empty(&mut self) {
-        self.clear_entries();
-    }
-
-    /// Empty the index: every bucket holds no block, so its image is all
-    /// zeros. A bucket keeps its allocation, which the entries placed
-    /// next (GC's survivors, a rebuild) fill again without reallocating;
-    /// [`DiskIndex::push_to_bucket`] zeroes each block it takes back.
-    fn clear_entries(&mut self) {
         self.buckets.iter_mut().for_each(Vec::clear);
         self.entries = 0;
     }
@@ -454,13 +577,20 @@ impl DiskIndex {
         Ok(Timed::new(loaded, cost + extra))
     }
 
-    /// Garbage-collection sweep: remove every entry whose fingerprint is
-    /// in `dead`, charged as one striped read sweep plus one striped
-    /// write sweep over `parts` partitions (the GC rewrites the part the
-    /// way SIU does, sequentially). Returns the number of entries
-    /// removed. In memory it empties every bucket (`clear_entries`) and
-    /// re-places the survivors, so each bucket then holds only the blocks
-    /// its survivors fill.
+    /// Garbage-collection sweep: keep the entries whose slots `live`
+    /// marks and remove the rest, charged as one striped read sweep plus
+    /// one striped write sweep over `parts` partitions (the GC rewrites
+    /// the part the way SIU does, sequentially). Returns the number of
+    /// entries removed. In memory it drains the bucket array in bucket
+    /// order into an empty one, re-placing each marked entry as it comes,
+    /// so each bucket then holds only the blocks its survivors fill and
+    /// no list of the survivors is ever built. Each new bucket takes over
+    /// the old one's allocation, which its survivors fill without
+    /// reallocating (the old blocks are copied out to be read).
+    ///
+    /// `live` must have been marked on this index as it is: repointing an
+    /// entry in place ([`DiskIndex::set_cid_uncharged`]) keeps its slot,
+    /// anything that re-places entries does not.
     ///
     /// **Crash consistency:** a faulted GC sweep — either sweep charge,
     /// or a scaling op as the survivors are re-placed — surfaces
@@ -476,29 +606,45 @@ impl DiskIndex {
     /// paths rely on — an entry lives in a neighbour only if its home
     /// bucket is full — even when removals open holes in previously-full
     /// buckets. Placement depends only on the pre-sweep contents and the
-    /// dead set, never on `parts`: striped shapes stay byte-identical.
-    pub fn gc_sweep(&mut self, dead: &FpSet, parts: usize) -> Result<Timed<u64>, IndexError> {
-        self.or_durable(|idx| idx.gc_pass(dead, parts), |_, _| {})
+    /// marks, never on `parts`: striped shapes stay byte-identical.
+    ///
+    /// # Panics
+    /// Panics if `live` was made for another geometry.
+    pub fn gc_sweep(&mut self, live: &SlotMarks, parts: usize) -> Result<Timed<u64>, IndexError> {
+        assert_eq!(live.params, self.params, "marks of another geometry");
+        self.or_durable(|idx| idx.gc_pass(live, parts), |_, _| {})
     }
 
     /// [`DiskIndex::gc_sweep`]'s charges and rebuild.
-    fn gc_pass(&mut self, dead: &FpSet, parts: usize) -> Result<Timed<u64>, IndexError> {
+    fn gc_pass(&mut self, live: &SlotMarks, parts: usize) -> Result<Timed<u64>, IndexError> {
         let bounds = self.resolve_sweep_bounds(parts);
         let mut cost = self.charge_sweep_read(&bounds)?;
         cost += self.charge_sweep_write(&bounds)?;
         cost += self.cpu.probe_fps(self.entries);
-        let survivors: Vec<IndexEntry> = self
-            .iter_entries()
-            .filter(|e| !dead.contains(&e.fp))
-            .collect();
-        let removed = self.entries - survivors.len() as u64;
+        let removed = self.entries - live.marked;
         if removed == 0 {
             return Ok(Timed::new(0, cost));
         }
-        self.clear_entries();
+        let fresh = vec![Vec::new(); self.buckets.len()];
+        let old = std::mem::replace(&mut self.buckets, fresh);
+        self.entries = 0;
+        let params = self.params;
         let mut extra = 0.0;
-        for e in &survivors {
-            extra += self.place_with_growth(e)?.cost;
+        // Each old bucket's blocks are read from here, so that its
+        // allocation goes to the new bucket before the survivors fill it.
+        let mut held = Vec::with_capacity(params.bucket_bytes);
+        for (k, mut bucket) in (0u64..).zip(old) {
+            held.clear();
+            held.append(&mut bucket);
+            if let Some(empty) = (self.buckets.get_mut(k as usize)).filter(|b| b.capacity() == 0) {
+                *empty = bucket;
+            }
+            for (b, blk) in held.chunks_exact(BLOCK_BYTES).enumerate() {
+                let first = params.slot(k, b, 0);
+                for i in (0..block_len(blk)).filter(|&i| live.get(first + i as u64)) {
+                    extra += self.place_with_growth(&block_entry(blk, i))?.cost;
+                }
+            }
         }
         Ok(Timed::new(removed, cost + extra))
     }
@@ -585,6 +731,41 @@ impl DiskIndex {
             cost += part.on_volume(SimDisk::seq_write, bytes)?;
         }
         Ok(Timed::new(parts, cost + extra))
+    }
+}
+
+/// Liveness marks over an index's entry slots, one bit each: entry `i` of
+/// block `b` of bucket `k` is slot `k × bucket_capacity + b × 20 + i`, so
+/// the marks of a 32 MiB part of 8 KiB buckets take 160 KiB.
+/// [`DiskIndex::mark_live`] sets the bits of the live entries,
+/// [`DiskIndex::marked_cid`] reads one and [`DiskIndex::gc_sweep`] keeps
+/// the marked entries. Made by [`DiskIndex::slot_marks`], for that index's
+/// geometry.
+#[derive(Debug, Clone)]
+pub struct SlotMarks {
+    params: IndexParams,
+    bits: Vec<u64>,
+    /// Slots marked.
+    marked: u64,
+}
+
+impl SlotMarks {
+    fn new(params: IndexParams) -> Self {
+        SlotMarks {
+            params,
+            bits: vec![0; params.max_entries().div_ceil(64) as usize],
+            marked: 0,
+        }
+    }
+
+    fn set(&mut self, slot: u64) {
+        let (word, bit) = ((slot / 64) as usize, 1u64 << (slot % 64));
+        self.marked += u64::from(self.bits[word] & bit == 0);
+        self.bits[word] |= bit;
+    }
+
+    fn get(&self, slot: u64) -> bool {
+        self.bits[(slot / 64) as usize] & (1 << (slot % 64)) != 0
     }
 }
 
@@ -701,8 +882,8 @@ impl<'a> BucketView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::{block_len, ENTRIES_PER_BLOCK};
-    use debar_hash::Sha1;
+    use crate::entry::ENTRIES_PER_BLOCK;
+    use debar_hash::{FpSet, Sha1};
 
     fn small_index(seed: u64) -> DiskIndex {
         // 2^6 buckets of 512 bytes: b = 20, capacity 1280.
@@ -1005,7 +1186,7 @@ mod tests {
                 .expect("no fault is armed");
         }
         let dead: FpSet = (0..400u64).filter(|i| i % 3 == 0).map(fp).collect();
-        let t = idx.gc_sweep(&dead, 4).expect("clean sweep");
+        let t = idx.gc_sweep(&idx.marks_but(&dead), 4).expect("clean sweep");
         assert_eq!(t.value, dead.len() as u64);
         assert!(t.cost > 0.0);
         assert_eq!(idx.entry_count(), 400 - dead.len() as u64);
@@ -1028,7 +1209,9 @@ mod tests {
         }
         let before = Sha1::digest(&idx.raw_data());
         let absent: FpSet = (1000..1010u64).map(fp).collect();
-        let t = idx.gc_sweep(&absent, 2).expect("clean sweep");
+        let t = idx
+            .gc_sweep(&idx.marks_but(&absent), 2)
+            .expect("clean sweep");
         assert_eq!(t.value, 0);
         assert!(t.cost > 0.0, "the sweep I/O is still charged");
         assert_eq!(
@@ -1052,12 +1235,13 @@ mod tests {
                 .expect("no fault is armed");
         }
         let dead: FpSet = (0..300u64).filter(|i| i % 5 == 0).map(fp).collect();
+        let live = clean.marks_but(&dead);
         let before = Sha1::digest(&faulty.raw_data());
         faulty
             .part_disk_mut(2)
             .set_fault_plan(FaultPlan::fail_at(0));
         let err = faulty
-            .gc_sweep(&dead, 4)
+            .gc_sweep(&live, 4)
             .expect_err("armed part must fault the sweep");
         assert!(
             matches!(err, crate::IndexError::SweepFault { device, .. } if device == part_disk(2)),
@@ -1070,8 +1254,8 @@ mod tests {
         );
         // Redo after clearing the fault converges byte-identically with an
         // uninterrupted sweep, independent of the striping shape.
-        let t = faulty.gc_sweep(&dead, 4).expect("redo");
-        let tc = clean.gc_sweep(&dead, 1).expect("uninterrupted");
+        let t = faulty.gc_sweep(&live, 4).expect("redo");
+        let tc = clean.gc_sweep(&live, 1).expect("uninterrupted");
         assert_eq!(t.value, tc.value);
         assert_eq!(
             Sha1::digest(&faulty.raw_data()),
@@ -1098,7 +1282,7 @@ mod tests {
         }
         // Kill 10 of the colliding keys: the home bucket is no longer full.
         let dead: FpSet = same_bucket.iter().take(10).copied().collect();
-        idx.gc_sweep(&dead, 1).expect("clean sweep");
+        idx.gc_sweep(&idx.marks_but(&dead), 1).expect("clean sweep");
         for f in same_bucket.iter().skip(10) {
             assert_eq!(
                 idx.lookup_random(f).expect("no fault is armed").value,
@@ -1138,7 +1322,8 @@ mod tests {
         }
         for parts in [1, 2] {
             let mut swept = idx.clone();
-            let removed = swept.gc_sweep(&dead, parts).expect("clean sweep").value;
+            let live = idx.marks_but(&dead);
+            let removed = swept.gc_sweep(&live, parts).expect("clean sweep").value;
             assert_eq!(removed, idx.entry_count() - reference.entry_count());
             assert!(swept.raw_data() == reference.raw_data(), "parts {parts}");
             assert!(!swept.view().bucket_is_full(home), "the home bucket freed");
@@ -1196,6 +1381,79 @@ mod tests {
             "{held} bytes held of {}",
             params.total_bytes()
         );
+    }
+
+    #[test]
+    fn marks_resolve_as_sil_does_and_leave_the_rest_unmarked() {
+        // One bucket overflows into its neighbours; every third entry is
+        // live, overflowed ones among them, and so marked.
+        let mut idx = small_index(38);
+        let home = fp(0).bucket_number(6);
+        let crowd = (0..100_000u64).filter(|&i| fp(i).bucket_number(6) == home);
+        let ids: Vec<u64> = crowd
+            .take(25)
+            .chain(1_000_000..1_300_000)
+            .take(325)
+            .collect();
+        for &i in &ids {
+            idx.insert_random(fp(i), ContainerId::new(i))
+                .expect("no fault is armed");
+        }
+        let live: FpSet = ids.iter().step_by(3).map(|&i| fp(i)).collect();
+        let mut marks = idx.slot_marks();
+        // Range by range, each scanned twice: a slot is marked once.
+        for keys in idx.home_ranges(40) {
+            for _ in 0..2 {
+                idx.mark_live(&keys, |f| live.contains(f), &mut marks);
+            }
+        }
+        assert_eq!(marks.marked, live.len() as u64);
+        for &i in &ids {
+            let want = live.contains(&fp(i)).then_some(ContainerId::new(i));
+            assert_eq!(idx.marked_cid(&fp(i), &marks), want, "fp {i}");
+        }
+        assert_eq!(idx.marked_cid(&fp(7), &marks), None, "absent");
+        let unmarked: Vec<IndexEntry> = idx.unmarked_entries(&marks).collect();
+        let others: Vec<IndexEntry> = (idx.iter_entries())
+            .filter(|e| !live.contains(&e.fp))
+            .collect();
+        assert_eq!(unmarked, others, "the rest, in bucket order");
+    }
+
+    #[test]
+    fn home_ranges_cover_the_part_and_bound_what_each_homes() {
+        let mut idx = small_index(39);
+        for i in 0..900u64 {
+            idx.insert_random(fp(i), ContainerId::new(i))
+                .expect("no fault is armed");
+        }
+        // The halves of a split: their keys carry the routing prefix.
+        for part in idx.split(1).expect("no fault is armed").value {
+            let entries = part.entry_count();
+            let bucket_keys = 1u64 << (64 - 1 - part.params().n_bits);
+            for cap in [1usize, 40, 150, 10_000] {
+                let ranges = part.home_ranges(cap);
+                let server = part.server as u64;
+                assert_eq!(*ranges[0].start(), server << 63, "cap {cap}");
+                assert_eq!(
+                    *ranges[ranges.len() - 1].end(),
+                    (server << 63) | (u64::MAX >> 1)
+                );
+                for pair in ranges.windows(2) {
+                    assert_eq!(*pair[1].start(), pair[0].end() + 1, "cap {cap}");
+                }
+                let fewest = entries.div_ceil(cap as u64).min(part.params().buckets());
+                assert!(ranges.len() as u64 >= fewest, "cap {cap}");
+                for keys in &ranges {
+                    let homed = (part.iter_entries())
+                        .filter(|e| keys.contains(&e.fp.prefix64()))
+                        .count();
+                    let one_bucket = keys.end() - keys.start() == bucket_keys - 1;
+                    assert!(homed <= cap || one_bucket, "cap {cap}: {homed} homed");
+                }
+            }
+            assert_eq!(part.home_ranges(10_000).len(), 1);
+        }
     }
 
     #[test]

@@ -109,11 +109,24 @@ fn block_position(block: &[u8], fp: &Fingerprint) -> Option<usize> {
 /// Scan a block for a fingerprint.
 #[inline]
 pub fn block_find(block: &[u8], fp: &Fingerprint) -> Option<ContainerId> {
+    block_find_slot(block, fp).map(|(_, cid)| cid)
+}
+
+/// Scan a block for a fingerprint: its entry's position in the block and
+/// its container.
+#[inline]
+pub fn block_find_slot(block: &[u8], fp: &Fingerprint) -> Option<(usize, ContainerId)> {
     block_position(block, fp).map(|i| {
         let mut cid = [0u8; 5];
         cid.copy_from_slice(&block[slot(i)][20..25]);
-        ContainerId::from_bytes(cid)
+        (i, ContainerId::from_bytes(cid))
     })
+}
+
+/// Entry `i` of a block (`i < block_len(block)`).
+#[inline]
+pub fn block_entry(block: &[u8], i: usize) -> IndexEntry {
+    IndexEntry::decode(&block[slot(i)])
 }
 
 /// Overwrite the container ID of an existing entry; returns `false` when the
@@ -130,7 +143,7 @@ pub fn block_set_cid(block: &mut [u8], fp: &Fingerprint, cid: ContainerId) -> bo
 
 /// Iterate the entries of a block.
 pub fn block_entries(block: &[u8]) -> impl Iterator<Item = IndexEntry> + '_ {
-    (0..block_len(block)).map(move |i| IndexEntry::decode(&block[slot(i)]))
+    (0..block_len(block)).map(move |i| block_entry(block, i))
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ pub mod sweep;
 pub mod theory;
 
 pub use cache::{CacheNode, IndexCache, OriginSet};
-pub use disk_index::{DiskIndex, InsertOutcome};
+pub use disk_index::{DiskIndex, InsertOutcome, SlotMarks};
 pub use entry::IndexEntry;
 pub use error::IndexError;
 pub use params::IndexParams;

@@ -67,6 +67,12 @@ impl IndexParams {
         self.blocks_per_bucket() * ENTRIES_PER_BLOCK
     }
 
+    /// The slot number of entry `i` of block `b` of bucket `k`: slots
+    /// count entries in image order, `bucket_capacity` per bucket.
+    pub fn slot(&self, k: u64, b: usize, i: usize) -> u64 {
+        k * self.bucket_capacity() as u64 + (b * ENTRIES_PER_BLOCK + i) as u64
+    }
+
     /// Total entry capacity of the index.
     pub fn max_entries(&self) -> u64 {
         self.buckets() * self.bucket_capacity() as u64

@@ -962,7 +962,8 @@ mod tests {
         idx.lookup_random(&fp(1)).expect("no fault is armed");
         idx.scale_up().expect("no fault is armed");
         let dead: FpSet = (0..400u64).filter(|i| i % 3 == 0).map(fp).collect();
-        idx.gc_sweep(&dead, parts).expect("clean sweep");
+        idx.gc_sweep(&idx.marks_but(&dead), parts)
+            .expect("clean sweep");
         idx
     }
 

