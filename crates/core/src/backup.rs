@@ -79,9 +79,13 @@ impl DebarCluster {
         // those to the chunk log, in stream order: a filter duplicate is a
         // primed entry, which passed the gate above, or a repeat of an
         // earlier transfer of this run, advertised before it.
-        for rec in &self.servers[sid as usize].chunk_log.records()[logged..] {
-            if !self.summary.contains(&rec.fp) {
-                self.summary.insert(&rec.fp);
+        for fp in &self.servers[sid as usize]
+            .chunk_log
+            .records()
+            .fingerprints()[logged..]
+        {
+            if !self.summary.contains(fp) {
+                self.summary.insert(fp);
             }
         }
         self.director.record_run(record);

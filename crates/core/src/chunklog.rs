@@ -71,6 +71,19 @@
 //! aggregate write path) are charged to it, so at one store worker the
 //! bank is the paper's single log disk.
 //!
+//! # Memory: a record is its fingerprint and its length
+//!
+//! The log holds its record table as columns: every record's fingerprint
+//! (20 bytes) and payload length (4 bytes), 24 bytes in memory for the 25
+//! a record writes. A payload column (another 32 bytes a record) appears
+//! with the first real-byte payload, back-filled with the zero-runs
+//! appended before it, as a container's does (`debar_store::Container`).
+//! So a log of fingerprint records holds no payload at all, and a record
+//! read back ([`Records::get`]) makes its [`Payload::Zero`] from its
+//! length; held as one [`LogRecord`] each, the same record weighs 56
+//! bytes. A commit builds the kept records' columns at their exact size
+//! and drops the payload column when it keeps no real payload.
+//!
 //! # Fault model
 //!
 //! Every worker disk carries an armable [`debar_simio::FaultPlan`] like
@@ -92,8 +105,8 @@ use debar_simio::{PartDiskSet, Secs};
 use debar_store::Payload;
 use std::ops::Range;
 
-/// One `<F, D(F)>` group.
-#[derive(Debug, Clone)]
+/// One `<F, D(F)>` group, as appended and as read back.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecord {
     /// The fingerprint.
     pub fp: Fingerprint,
@@ -104,7 +117,7 @@ pub struct LogRecord {
 impl LogRecord {
     /// On-disk footprint: fingerprint + length header + payload.
     pub fn record_bytes(&self) -> u64 {
-        25 + self.payload.len()
+        on_disk(self.payload.len())
     }
 }
 
@@ -114,6 +127,59 @@ impl From<&StreamChunk> for LogRecord {
             fp: c.fp,
             payload: c.payload.clone(),
         }
+    }
+}
+
+/// The on-disk footprint of a record whose payload is `len` bytes.
+fn on_disk(len: u64) -> u64 {
+    25 + len
+}
+
+/// The log's record table, read in place (see the module docs' "Memory"):
+/// record `i` of the log is `get(i)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Records<'a> {
+    fps: &'a [Fingerprint],
+    lens: &'a [u32],
+    /// Empty while every record is a zero-run.
+    payloads: &'a [Payload],
+}
+
+impl<'a> Records<'a> {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.fps.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.fps.is_empty()
+    }
+
+    /// Every record's fingerprint, in log order.
+    pub fn fingerprints(&self) -> &'a [Fingerprint] {
+        self.fps
+    }
+
+    /// Record `i` in log order.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> LogRecord {
+        let payload = match self.payloads.get(i) {
+            Some(payload) => payload.clone(),
+            None => Payload::Zero(self.lens[i]),
+        };
+        LogRecord {
+            fp: self.fps[i],
+            payload,
+        }
+    }
+
+    /// The records in log order.
+    pub fn iter(&self) -> impl Iterator<Item = LogRecord> + 'a {
+        let records = *self;
+        (0..records.len()).map(move |i| records.get(i))
     }
 }
 
@@ -135,7 +201,7 @@ pub struct DrainLeg {
 #[derive(Debug)]
 pub struct Drain<'a> {
     /// Every logged record, wanted or not.
-    pub records: &'a [LogRecord],
+    pub records: Records<'a>,
     /// `legs[w]`: worker disk `w`'s pass (empty when it reads nothing).
     pub legs: Vec<Vec<DrainLeg>>,
 }
@@ -149,7 +215,13 @@ pub struct ChunkLog {
     /// [`Device::LogWorker`]; worker 0 doubles as the volume appends are
     /// charged to.
     pub(crate) worker_disks: PartDiskSet,
-    records: Vec<LogRecord>,
+    /// Every record's fingerprint, in log order.
+    fps: Vec<Fingerprint>,
+    /// Every record's payload length, in log order.
+    lens: Vec<u32>,
+    /// Every record's payload, in log order — or empty while every record
+    /// is a zero-run, each `Payload::Zero(len)`.
+    payloads: Vec<Payload>,
     bytes: u64,
 }
 
@@ -159,19 +231,21 @@ impl ChunkLog {
         let volume = Device::LogWorker { server, worker: 0 };
         ChunkLog {
             worker_disks: PartDiskSet::new(debar_simio::models::paper::log_disk(), volume),
-            records: Vec::new(),
+            fps: Vec::new(),
+            lens: Vec::new(),
+            payloads: Vec::new(),
             bytes: 0,
         }
     }
 
     /// Records currently logged.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.fps.len()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.fps.is_empty()
     }
 
     /// Logged bytes (records + payloads).
@@ -188,13 +262,30 @@ impl ChunkLog {
         let b = rec.record_bytes();
         let cost = self.worker_disks.volume_mut().seq_write(b)?;
         self.bytes += b;
-        self.records.push(rec);
+        let len = rec.payload.len() as u32;
+        match rec.payload {
+            Payload::Zero(_) if self.payloads.is_empty() => {}
+            payload => {
+                if self.payloads.is_empty() {
+                    // The first real bytes: back-fill the zero-runs so far.
+                    self.payloads.reserve_exact(self.fps.capacity());
+                    (self.payloads).extend(self.lens.iter().map(|&n| Payload::Zero(n)));
+                }
+                self.payloads.push(payload);
+            }
+        }
+        self.fps.push(rec.fp);
+        self.lens.push(len);
         Ok(cost)
     }
 
     /// The record table: every logged record, in log order.
-    pub(crate) fn records(&self) -> &[LogRecord] {
-        &self.records
+    pub(crate) fn records(&self) -> Records<'_> {
+        Records {
+            fps: &self.fps,
+            lens: &self.lens,
+            payloads: &self.payloads,
+        }
     }
 
     /// Drain the log (the phase-II replay) striped across `workers` store
@@ -239,7 +330,7 @@ impl ChunkLog {
             })
             .collect();
         Ok(Drain {
-            records: &self.records,
+            records: self.records(),
             legs,
         })
     }
@@ -250,15 +341,20 @@ impl ChunkLog {
     /// the read pointer moves over bytes already read. Returns the records
     /// and bytes the log gave up.
     pub fn commit(&mut self, keep: impl Fn(usize) -> bool) -> (u64, u64) {
-        let (records, bytes) = (self.records.len() as u64, self.bytes);
-        // A fresh table: the one the pass read is released with its
-        // high-water capacity, not cleared in place.
-        let kept: Vec<LogRecord> = (self.records.iter().enumerate())
-            .filter(|&(i, _)| keep(i))
-            .map(|(_, rec)| rec.clone())
-            .collect();
-        self.bytes = kept.iter().map(LogRecord::record_bytes).sum();
-        self.records = kept;
+        let (records, bytes) = (self.len() as u64, self.bytes);
+        // Fresh columns at the kept size: the ones the pass read are
+        // released with their high-water capacity, not cleared in place.
+        // The payload column goes when no real payload is kept.
+        let kept: Vec<usize> = (0..self.len()).filter(|&i| keep(i)).collect();
+        let fps = kept.iter().map(|&i| self.fps[i]).collect();
+        let lens: Vec<u32> = kept.iter().map(|&i| self.lens[i]).collect();
+        let real = |&i: &usize| matches!(self.payloads.get(i), Some(Payload::Real(_)));
+        let payloads = match kept.iter().any(real) {
+            true => kept.iter().map(|&i| self.payloads[i].clone()).collect(),
+            false => Vec::new(),
+        };
+        self.bytes = lens.iter().map(|&n| on_disk(n as u64)).sum();
+        (self.fps, self.lens, self.payloads) = (fps, lens, payloads);
         (records - self.len() as u64, bytes - self.bytes)
     }
 
@@ -280,8 +376,8 @@ impl ChunkLog {
         // know a record is unwanted to seek over it).
         let mut shares: Vec<Vec<(Range<u64>, Secs)>> = vec![Vec::new(); workers];
         let (mut offset, mut share, mut known) = (0u64, 0u64, 0.0);
-        for (i, rec) in self.records.iter().enumerate() {
-            let end = offset + rec.record_bytes();
+        for (i, &len) in self.lens.iter().enumerate() {
+            let end = offset + on_disk(len as u64);
             let keep = wanted.get(i).copied().unwrap_or(false);
             let at = decided.get(i).copied().unwrap_or(0.0);
             let mut from = offset;
@@ -469,7 +565,7 @@ mod tests {
             .expect("drain")
             .records;
         assert_eq!(recs.len(), 2);
-        assert_eq!(recs[1].fp, Fingerprint::of_counter(2));
+        assert_eq!(recs.get(1).fp, Fingerprint::of_counter(2));
     }
 
     #[test]
@@ -553,7 +649,7 @@ mod tests {
             );
             // The record sequence is byte-identical at any worker count.
             assert_eq!(tw.records.len(), t1.records.len());
-            for (a, b) in tw.records.iter().zip(t1.records) {
+            for (a, b) in tw.records.iter().zip(t1.records.iter()) {
                 assert_eq!(a.fp, b.fp);
                 assert_eq!(a.payload, b.payload);
             }
@@ -777,6 +873,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_record_log_holds_no_payload_column() {
+        let mut log = ChunkLog::new(3);
+        for i in 0..40u64 {
+            log.append(rec(i, 100 + i as u32)).expect("append");
+        }
+        assert_eq!(log.payloads.capacity(), 0, "no column for zero-runs");
+        assert_eq!(log.clone().payloads.capacity(), 0);
+        assert_eq!(log.records().get(7).payload, Payload::Zero(107));
+        // The first real bytes bring the column, the zero-runs back-filled.
+        let real = Payload::Real(bytes::Bytes::from_static(b"real"));
+        let fp = Fingerprint::of_counter(40);
+        log.append(LogRecord {
+            fp,
+            payload: real.clone(),
+        })
+        .expect("append");
+        assert_eq!(log.payloads.len(), 41);
+        assert_eq!(log.records().get(7).payload, Payload::Zero(107));
+        assert_eq!(log.records().get(40), LogRecord { fp, payload: real });
+        // A commit that keeps no real bytes drops the column.
+        assert_eq!(log.commit(|i| i % 2 == 0 && i < 40).0, 21);
+        assert_eq!(log.bytes(), (0..40).step_by(2).map(|i| 125 + i).sum());
+        assert_eq!(log.payloads.capacity(), 0);
+        assert_eq!(log.records().get(3).payload, Payload::Zero(106));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -793,7 +916,7 @@ mod tests {
             let r = ranged.drain_striped(w, &wanted, &[]).expect("drain");
             let t = whole.drain_striped(w, &all(&whole), &[]).expect("drain");
             proptest::prop_assert_eq!(r.records.len(), sizes.len());
-            for (i, (a, b)) in r.records.iter().zip(t.records).enumerate() {
+            for (i, (a, b)) in r.records.iter().zip(t.records.iter()).enumerate() {
                 proptest::prop_assert_eq!(a.fp, Fingerprint::of_counter(i as u64));
                 proptest::prop_assert_eq!(&a.payload, &b.payload);
             }
@@ -812,6 +935,56 @@ mod tests {
                 read += got.1;
             }
             proptest::prop_assert!(read >= wanted_bytes, "every wanted byte is read");
+        }
+
+        /// Zero-runs and real bytes appended in any order come back as
+        /// appended — fingerprint, length, variant, bytes and on-disk
+        /// size — through a drain's per-record read, and what a commit
+        /// keeps, in order; a log of zero-runs alone has no payload
+        /// column.
+        #[test]
+        fn prop_records_come_back_as_appended(
+            kinds in proptest::collection::vec(0u64..4, 0..60),
+            seed: u64,
+            w in 1usize..4,
+        ) {
+            let mut log = ChunkLog::new(3);
+            let mut appended = Vec::new();
+            for (i, kind) in kinds.iter().enumerate() {
+                let n = seed.wrapping_add(i as u64);
+                let len = 1 + (n % 97) as usize;
+                let payload = if *kind == 0 {
+                    let bytes: Vec<u8> = (0..len).map(|j| (n + j as u64) as u8).collect();
+                    Payload::Real(bytes::Bytes::from(bytes))
+                } else {
+                    Payload::Zero(len as u32)
+                };
+                let rec = LogRecord { fp: Fingerprint::of_counter(n), payload };
+                log.append(rec.clone()).expect("append");
+                appended.push(rec);
+            }
+            let real = |recs: &[LogRecord]| recs.iter().any(|r| matches!(r.payload, Payload::Real(_)));
+            proptest::prop_assert_eq!(log.payloads.capacity() == 0, !real(&appended));
+            let drain = log.drain_striped(w, &all(&log), &[]).expect("drain");
+            proptest::prop_assert_eq!(drain.records.len(), appended.len());
+            for (i, want) in appended.iter().enumerate() {
+                let got = drain.records.get(i);
+                proptest::prop_assert_eq!(got.fp, want.fp);
+                proptest::prop_assert_eq!(got.payload.len(), want.payload.len());
+                proptest::prop_assert_eq!(&got.payload, &want.payload);
+                proptest::prop_assert_eq!(got.record_bytes(), want.record_bytes());
+            }
+            let keep = |i: usize| (i as u64).wrapping_add(seed).is_multiple_of(3);
+            let kept: Vec<LogRecord> = (appended.iter().enumerate())
+                .filter(|&(i, _)| keep(i))
+                .map(|(_, r)| r.clone())
+                .collect();
+            let given: u64 = appended.iter().map(LogRecord::record_bytes).sum::<u64>()
+                - kept.iter().map(LogRecord::record_bytes).sum::<u64>();
+            proptest::prop_assert_eq!(log.commit(keep), ((appended.len() - kept.len()) as u64, given));
+            proptest::prop_assert_eq!(log.records().iter().collect::<Vec<_>>(), kept.clone());
+            proptest::prop_assert_eq!(log.bytes(), kept.iter().map(LogRecord::record_bytes).sum::<u64>());
+            proptest::prop_assert_eq!(log.payloads.capacity() == 0, !real(&kept));
         }
     }
 }

@@ -377,12 +377,16 @@ impl DebarCluster {
     ///
     /// Every phase reads the servers' dedup-2 state in place — the
     /// undetermined lists, the chunk logs, the decision maps — and the
-    /// round has three commit points, the only places that state moves:
+    /// round has three commit points, the only places that state moves.
+    /// The undetermined lists are taken for the attempt, so that every
+    /// owner's PSIL reads them without a regrouped copy, and a PSIL fault
+    /// puts each back on its server as it was, in arrival order.
     ///
-    /// 1. **PSIL**, once every server's pass succeeded: each owner's
-    ///    staged checking entries enter its checking file, each origin's
-    ///    verdicts enter its decision map, and the undetermined lists are
-    ///    released — and on a round the due SIU rides on
+    /// 1. **PSIL**, once every server's pass succeeded: the undetermined
+    ///    lists are released, each owner's staged checking entries enter
+    ///    its checking file, each origin's verdicts enter its decision map
+    ///    (made room for once, each pass output dropped as it is taken
+    ///    in) — and on a round the due SIU rides on
     ///    ([`SiuPlan::Ride`]), each owner's carried updates leave its
     ///    unregistered and checking files.
     /// 2. **Each server's store commit** ([`BackupServer::commit_packed`]),
@@ -480,47 +484,51 @@ impl DebarCluster {
         let owner_of = |fp: &Fingerprint| fp.server_number(w) as usize;
         let t0 = self.align_clocks();
 
-        // ---- Phase 1: partition undetermined fingerprints, exchange. ----
-        // Read in place, in arrival order: a redo after a PSIL fault
-        // submits the identical batches (sub-batch boundaries reproduce).
-        let mut batches: Vec<Vec<(Fingerprint, ServerId)>> = vec![Vec::new(); s];
-        for srv in &self.servers {
-            for &fp in &srv.undetermined {
-                batches[owner_of(&fp)].push((fp, srv.id));
-            }
-        }
-        let routes = batches.iter().enumerate();
+        // ---- Phase 1: exchange the undetermined fingerprints. ----
+        // The lists are taken for the attempt and every owner reads them
+        // in place, in arrival order; a PSIL fault puts them back as they
+        // were, so a redo submits the identical batches (sub-batch
+        // boundaries reproduce).
+        let lists: Vec<Vec<Fingerprint>> = (self.servers.iter_mut())
+            .map(|srv| std::mem::take(&mut srv.undetermined))
+            .collect();
+        let routes = lists.iter().enumerate();
         self.exchange(
             25,
-            routes.flat_map(|(to, b)| b.iter().map(move |&(_, from)| (from as usize, to))),
+            routes.flat_map(|(from, list)| list.iter().map(move |fp| (from, owner_of(fp)))),
         );
         let t1 = self.align_clocks();
 
         // ---- Phase 2: PSIL, every server on its own clock. ----
-        let outputs = each_server(&mut self.servers, |srv| {
-            srv.sil_on_part(&batches[srv.id as usize], s, carry)
-        })
-        .map_err(interrupted(Dedup2Phase::Sil))?;
-        // The PSIL commit: checking entries, verdicts routed back to their
-        // origins (charging the result exchange), the undetermined lists
-        // the batches were read from released, and a carried SIU's updates
-        // registered.
-        for (owner, out) in outputs.iter().enumerate() {
-            self.servers[owner].commit_checking(&out.newly_checking);
-            if out.carried.is_some() {
-                self.servers[owner].release_updates();
+        let outputs = match each_server(&mut self.servers, |srv| srv.sil_on_part(&lists, carry)) {
+            Ok(outputs) => outputs,
+            Err(fault) => {
+                for (srv, list) in self.servers.iter_mut().zip(lists) {
+                    srv.undetermined = list;
+                }
+                return Err(interrupted(Dedup2Phase::Sil)(fault));
             }
-            for (origin, list) in out.verdicts.iter().enumerate() {
-                self.servers[origin].decide(list);
-            }
-        }
+        };
+        // The PSIL commit: the undetermined lists released, verdicts
+        // routed back to their origins (charging the result exchange),
+        // checking entries, and a carried SIU's updates registered. Each
+        // origin's decision map makes room for all its verdicts at once,
+        // and each pass output goes as it is taken in.
+        let submitted: usize = lists.iter().map(Vec::len).sum();
+        drop(lists);
         let routes = outputs.iter().enumerate().flat_map(|(from, out)| {
             let each = out.verdicts.iter().enumerate();
-            each.flat_map(move |(to, list)| list.iter().map(move |_| (from, to)))
+            each.flat_map(move |(to, list)| std::iter::repeat_n((from, to), list.len()))
         });
         self.exchange(26, routes);
-        for srv in &mut self.servers {
-            srv.undetermined = Vec::new();
+        let mut incoming = vec![0; s];
+        for out in &outputs {
+            for (origin, list) in out.verdicts.iter().enumerate() {
+                incoming[origin] += list.len();
+            }
+        }
+        for (srv, n) in self.servers.iter_mut().zip(incoming) {
+            srv.reserve_decisions(n);
         }
         // No barrier here: phase 3 is pipelined, each server's chunk
         // storing starts at its *own* post-PSIL clock while stragglers
@@ -528,18 +536,27 @@ impl DebarCluster {
         // the reported PSIL wall.
         let t2 = self.now();
         let report = &mut round.report;
-        report.submitted_fps += batches.iter().map(|b| b.len() as u64).sum::<u64>();
-        for out in &outputs {
+        report.submitted_fps += submitted as u64;
+        let mut carried = Vec::with_capacity(s);
+        for (owner, out) in outputs.into_iter().enumerate() {
             report.dup_registered += out.stats.dup_registered;
             report.dup_pending += out.stats.dup_pending;
             report.new_fps += out.stats.new_fps;
             report.sil_sweeps += out.stats.sweeps;
             report.sweep_parts = report.sweep_parts.max(out.stats.parts);
+            if out.carried.is_some() {
+                self.servers[owner].release_updates();
+            }
+            self.servers[owner].commit_checking(out.checking);
+            for (origin, list) in out.verdicts.into_iter().enumerate() {
+                self.servers[origin].decide(&list);
+            }
+            carried.push(out.carried);
         }
         report.exchange_wall += t1 - t0;
         report.sil_wall += t2 - t1;
         if carry {
-            round.siu = outputs.into_iter().map(|o| o.carried).collect();
+            round.siu = carried;
         }
 
         // ---- Phase 3: pipelined chunk storing. ----
@@ -572,6 +589,13 @@ impl DebarCluster {
             30,
             routes.flat_map(|(from, a)| a.iter().map(move |(fp, _)| (from, owner_of(fp)))),
         );
+        let mut routed = vec![0; s];
+        for (fp, _) in assigned.iter().flatten() {
+            routed[owner_of(fp)] += 1;
+        }
+        for (srv, n) in self.servers.iter_mut().zip(routed) {
+            srv.reserve_updates(n);
+        }
         for (fp, cid) in assigned.into_iter().flatten() {
             self.servers[owner_of(&fp)].queue_updates([(fp, cid)]);
         }
@@ -1715,46 +1739,57 @@ mod tests {
     #[test]
     fn interrupted_sil_restores_undetermined_and_resumes() {
         use debar_simio::FaultPlan;
-        let drive = |fault: bool| {
-            let mut c = cluster(0);
-            let job = c.define_job("j", ClientId(0));
-            c.backup(job, &Dataset::from_records("s", records(0..2000)))
-                .expect("backup");
-            if fault {
-                arm_in(&mut c, INDEX0, 0, FaultPlan::fail_at);
-                let before = c.undetermined_counts();
-                let err = c.run_dedup2().expect_err("SIL fault interrupts");
-                assert!(
-                    matches!(
-                        &err,
-                        DebarError::InterruptedDedup2 {
-                            phase: Dedup2Phase::Sil,
-                            ..
-                        }
-                    ),
-                    "{err}"
-                );
-                assert_eq!(interrupting_device(&err), Some(INDEX0));
-                assert_eq!(
-                    c.undetermined_counts(),
-                    before,
-                    "undetermined fingerprints restored for the re-run"
-                );
-                c.clear_fault_plans();
-            }
-            c.run_dedup2().expect("(re)run");
-            c
+        // Every server's list comes back element for element: arrival
+        // order sets the sub-batch boundaries the redo must reproduce.
+        let lists = |c: &DebarCluster| -> Vec<Vec<Fingerprint>> {
+            c.servers
+                .iter()
+                .map(|srv| srv.undetermined.clone())
+                .collect()
         };
-        let clean = drive(false);
-        let resumed = drive(true);
-        assert_eq!(
-            Sha1::digest(&resumed.server(0).index().raw_data()),
-            Sha1::digest(&clean.server(0).index().raw_data())
-        );
-        assert_eq!(
-            resumed.repository().stats().containers,
-            clean.repository().stats().containers
-        );
+        for w in [0, 1] {
+            let drive = |fault: bool| {
+                let mut c = cluster(w);
+                let a = c.define_job("a", ClientId(0));
+                let b = c.define_job("b", ClientId(1));
+                c.backup(a, &Dataset::from_records("s", records(0..2000)))
+                    .expect("backup");
+                c.backup(b, &Dataset::from_records("t", records(1000..2500)))
+                    .expect("backup");
+                if fault {
+                    arm_in(&mut c, INDEX0, 0, FaultPlan::fail_at);
+                    let before = lists(&c);
+                    assert!(before.iter().filter(|l| !l.is_empty()).count() == 1 << w);
+                    let err = c.run_dedup2().expect_err("SIL fault interrupts");
+                    assert!(
+                        matches!(
+                            &err,
+                            DebarError::InterruptedDedup2 {
+                                phase: Dedup2Phase::Sil,
+                                ..
+                            }
+                        ),
+                        "{err}"
+                    );
+                    assert_eq!(interrupting_device(&err), Some(INDEX0));
+                    assert_eq!(
+                        lists(&c),
+                        before,
+                        "undetermined fingerprints restored for the re-run"
+                    );
+                    c.clear_fault_plans();
+                }
+                c.run_dedup2().expect("(re)run");
+                c
+            };
+            let clean = drive(false);
+            let resumed = drive(true);
+            assert_eq!(index_digests(&resumed), index_digests(&clean), "w = {w}");
+            assert_eq!(
+                resumed.repository().stats().containers,
+                clean.repository().stats().containers
+            );
+        }
     }
 
     #[test]
@@ -2564,25 +2599,21 @@ mod tests {
     /// and each server's verdict times (the ends of its owners' sweeps),
     /// distinct and ascending.
     fn psil_by_hand(c: &mut DebarCluster) -> (Secs, Vec<Vec<Secs>>) {
-        let (s, w) = (c.servers.len(), c.cfg.w_bits);
+        let s = c.servers.len();
         let t1 = c.align_clocks();
-        let mut batches = vec![Vec::new(); s];
-        for (i, srv) in c.servers.iter().enumerate() {
-            for &fp in &srv.undetermined {
-                batches[fp.server_number(w) as usize].push((fp, i as ServerId));
-            }
-        }
+        let lists: Vec<Vec<Fingerprint>> = (c.servers.iter_mut())
+            .map(|srv| std::mem::take(&mut srv.undetermined))
+            .collect();
         let mut decided = vec![Vec::new(); s];
-        for (owner, batch) in batches.iter().enumerate() {
-            let out = c.servers[owner].sil_on_part(batch, s, false).expect("sil");
-            c.servers[owner].commit_checking(&out.newly_checking);
+        for owner in 0..s {
+            let out = c.servers[owner].sil_on_part(&lists, false).expect("sil");
+            c.servers[owner].commit_checking(out.checking);
             for (origin, list) in out.verdicts.iter().enumerate() {
                 c.servers[origin].decide(list);
                 decided[origin].extend(list.iter().map(|&(_, _, at)| at));
             }
         }
-        for (srv, times) in c.servers.iter_mut().zip(&mut decided) {
-            srv.undetermined = Vec::new();
+        for times in &mut decided {
             times.sort_by(f64::total_cmp);
             times.dedup();
         }
@@ -2608,12 +2639,11 @@ mod tests {
         c.backup(b, &Dataset::from_records("s", stream))
             .expect("backup");
         let log = c.servers[0].chunk_log.records();
-        let bytes = |recs: &[crate::chunklog::LogRecord]| -> u64 {
-            recs.iter().map(|r| r.record_bytes()).sum()
-        };
+        let bytes =
+            |recs: std::ops::Range<usize>| -> u64 { recs.map(|i| log.get(i).record_bytes()).sum() };
         let n1 = n1 as usize;
         assert_eq!(log.len(), n1 + 400, "every chunk of the stream is logged");
-        let (first, last) = (bytes(&log[..n1]), bytes(&log[n1 + 200..]));
+        let (first, last) = (bytes(0..n1), bytes(n1 + 200..log.len()));
         (c, first, last)
     }
 

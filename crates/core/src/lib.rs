@@ -89,8 +89,9 @@
 //! * [`DebarError::InterruptedDedup2`] — every dedup-2 phase reads the
 //!   servers' undetermined lists, chunk logs and decision maps in place,
 //!   and only its commit moves them, so a faulted phase has nothing to
-//!   roll back: a fault in PSIL leaves every origin's undetermined
-//!   fingerprints and every checking file as they were (the PSIL commit
+//!   roll back: a fault in PSIL puts every origin's undetermined list back
+//!   as it was (the attempt takes the lists to read them) and leaves
+//!   every checking file as it was (the PSIL commit
 //!   runs only when all passes succeed); a fault in chunk storing leaves
 //!   each log and decision map holding what its server's store commit did
 //!   not make durable, while durable container assignments still flow to

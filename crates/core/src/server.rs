@@ -20,9 +20,10 @@
 //! server's own clock.
 //!
 //! Every piece *reads* the server's dedup-2 state in place — the
-//! undetermined list, the chunk log, the decision map — and only a commit
-//! moves it: the cluster's PSIL commit (checking entries, verdicts into
-//! `BackupServer::decide`, the undetermined list released, a carried
+//! undetermined lists (every server's, which a dedup-2 attempt takes and a
+//! PSIL fault puts back), the chunk log, the decision map — and only a
+//! commit moves it: the cluster's PSIL commit (checking entries, verdicts
+//! into `BackupServer::decide`, the undetermined list released, a carried
 //! SIU's updates released from the unregistered and checking files) and each
 //! server's store commit ([`BackupServer::commit_packed`]: the log and the
 //! decision map give up what became durable). A piece that faults before
@@ -83,7 +84,7 @@ pub struct SilPartOutput {
     /// checking file **only after every server's PSIL succeeds** (staged
     /// so an interrupted round leaves no stale checking entries that
     /// would suppress the re-run's stores).
-    pub newly_checking: Vec<Fingerprint>,
+    pub checking: FpSet,
     /// The SIU this pass carried, when asked to: its report and the
     /// pending updates it merged — all of them, which the PSIL commit
     /// releases from the unregistered and checking files.
@@ -148,8 +149,9 @@ pub struct BackupServer {
     pub(crate) cpu: SimCpu,
     /// The on-disk chunk log.
     pub(crate) chunk_log: ChunkLog,
-    /// Fingerprints awaiting the next dedup-2 sweep, in arrival order. The
-    /// exchange reads them in place; the PSIL commit releases them.
+    /// Fingerprints awaiting the next dedup-2 sweep, in arrival order. A
+    /// dedup-2 attempt takes them and every owner's PSIL reads them in
+    /// place; the PSIL commit releases them, a PSIL fault puts them back.
     pub(crate) undetermined: Vec<Fingerprint>,
     index: DiskIndex,
     /// The checking fingerprint file (§5.4): fingerprints scheduled for
@@ -328,17 +330,21 @@ impl BackupServer {
     // Dedup-2: Chunk Store
     // ------------------------------------------------------------------
 
-    /// Sequential index lookups over this server's part for a batch of
-    /// `(fingerprint, origin)` pairs (PSIL worker, §5.2).
+    /// Sequential index lookups over this server's part (PSIL worker,
+    /// §5.2): the batch is every fingerprint of `lists` this part owns —
+    /// `lists[origin]` is what server `origin` submitted, in arrival
+    /// order — origin by origin, read in place.
     ///
-    /// The batch is processed in index-cache-capacity sub-batches; each
-    /// sub-batch costs one sequential sweep of the index part, and its
-    /// verdicts carry the time that sweep ended on this server's clock —
-    /// when the origins' chunk storing may act on them. Verdicts are
-    /// grouped by origin for the result exchange. The checking fingerprint
-    /// file suppresses re-stores of chunks whose SIU is still pending, and
-    /// the lowest origin is designated storer when several submit the same
-    /// new fingerprint in one round (§5.4).
+    /// The batch is processed in index-cache-capacity sub-batches through
+    /// one cache, emptied in place after each; each sub-batch costs one
+    /// sequential sweep of the index part, and its verdicts carry the time
+    /// that sweep ended on this server's clock — when the origins' chunk
+    /// storing may act on them. Verdicts are grouped by origin for the
+    /// result exchange, each origin's list allocated once: every
+    /// `(fingerprint, origin)` of a sub-batch gets one verdict. The
+    /// checking fingerprint file suppresses re-stores of chunks whose SIU
+    /// is still pending, and the lowest origin is designated storer when
+    /// several submit the same new fingerprint in one round (§5.4).
     ///
     /// With `carry_siu`, the pass also carries the SIU that fell due
     /// ([`crate::director::SiuPlan::Ride`]): the first sweep merges every
@@ -354,30 +360,40 @@ impl BackupServer {
     /// the checking-file additions are staged in the returned
     /// [`SilPartOutput`], and a carried SIU's updates stay pending, both
     /// committed by the cluster only once every server's PSIL succeeds,
-    /// so an interrupted round can be re-run verbatim (a merge that
+    /// and the lists are only read, so the cluster puts them back as they
+    /// were and an interrupted round can be re-run verbatim (a merge that
     /// landed, whole or torn, is re-applied idempotently).
     pub fn sil_on_part(
         &mut self,
-        batch: &[(Fingerprint, ServerId)],
-        servers: usize,
+        lists: &[Vec<Fingerprint>],
         carry_siu: bool,
     ) -> Result<SilPartOutput, DebarError> {
-        let mut verdicts: Vec<Vec<Verdict>> = vec![Vec::new(); servers];
+        let (id, w) = (self.id as u64, self.cfg.w_bits);
+        let owned = move |fp: &&Fingerprint| fp.server_number(w) == id;
+        let mut verdicts: Vec<Vec<Verdict>> = (lists.iter())
+            .map(|list| Vec::with_capacity(list.iter().filter(owned).count()))
+            .collect();
+        let mut batch = (lists.iter().enumerate()).flat_map(|(origin, list)| {
+            (list.iter().filter(owned)).map(move |&fp| (fp, origin as ServerId))
+        });
         let mut stats = SilPartStats::default();
-        let cache_cap = self.cfg.cache_fps();
+        let cache_cap = self.cfg.cache_fps().max(1);
         let parts = self.cfg.sweep_parts;
-        let mut newly_checking: Vec<Fingerprint> = Vec::new();
         let mut staged = FpSet::default();
         let carries = carry_siu && !self.pending_updates.is_empty();
         let mut siu: Option<SiuReport> = None;
+        let mut cache = IndexCache::with_memory(self.cfg.cache_bytes);
 
-        for sub in batch.chunks(cache_cap.max(1)) {
-            stats.sweeps += 1;
-            let mut cache = IndexCache::with_memory(self.cfg.cache_bytes);
-            for &(fp, origin) in sub {
+        loop {
+            let before = stats.submitted;
+            for (fp, origin) in batch.by_ref().take(cache_cap) {
                 stats.submitted += 1;
                 cache.insert(fp, origin);
             }
+            if stats.submitted == before {
+                break;
+            }
+            stats.sweeps += 1;
             let sil = if carries && siu.is_none() {
                 let t = (self.index).try_sequential_update_lookup_sharded(
                     &self.pending_updates,
@@ -399,7 +415,7 @@ impl BackupServer {
                     verdicts[origin as usize].push((node.fp, Decision::Skip, swept));
                 }
             }
-            for node in cache.drain() {
+            cache.drain_each(|node| {
                 if self.checking.contains(&node.fp) || staged.contains(&node.fp) {
                     // Scheduled by an earlier SIL (or sub-batch); its SIU
                     // is pending.
@@ -407,10 +423,9 @@ impl BackupServer {
                     for &origin in &node.origins {
                         verdicts[origin as usize].push((node.fp, Decision::Skip, swept));
                     }
-                    continue;
+                    return;
                 }
                 staged.insert(node.fp);
-                newly_checking.push(node.fp);
                 stats.new_fps += 1;
                 let storer = node.storer().expect("node has at least one origin");
                 for &origin in &node.origins {
@@ -424,7 +439,7 @@ impl BackupServer {
                     }
                     verdicts[origin as usize].push((node.fp, d, swept));
                 }
-            }
+            });
         }
         if carries && siu.is_none() {
             // Nothing to sweep on this part: the carried SIU is the
@@ -439,15 +454,27 @@ impl BackupServer {
         Ok(SilPartOutput {
             verdicts,
             stats,
-            newly_checking,
+            checking: staged,
             carried,
         })
     }
 
     /// Commit a successful PSIL pass's staged checking-file additions
-    /// (cluster-driven, after *all* servers' passes succeeded).
-    pub(crate) fn commit_checking(&mut self, fps: &[Fingerprint]) {
-        self.checking.extend(fps.iter().copied());
+    /// (cluster-driven, after *all* servers' passes succeeded). An empty
+    /// checking file takes the staged set as it is.
+    pub(crate) fn commit_checking(&mut self, staged: FpSet) {
+        if self.checking.is_empty() {
+            self.checking = staged;
+        } else {
+            self.checking.reserve(staged.len());
+            self.checking.extend(staged);
+        }
+    }
+
+    /// Make room in the decision map for `n` verdicts at once, before a
+    /// PSIL commit hands them over.
+    pub(crate) fn reserve_decisions(&mut self, n: usize) {
+        self.decisions.reserve(n);
     }
 
     /// Take in verdicts an owner's committed PSIL pass gave this origin.
@@ -492,10 +519,11 @@ impl BackupServer {
         // the first occurrence of its fingerprint in the log. The drain
         // reads only these, and the pack loop consults nothing else.
         let mut packed = FpSet::default();
-        let (wanted, decided): (Vec<bool>, Vec<Secs>) = (self.chunk_log.records().iter())
-            .map(|rec| match self.decisions.get(&rec.fp) {
+        let fps = self.chunk_log.records().fingerprints();
+        let (wanted, decided): (Vec<bool>, Vec<Secs>) = (fps.iter())
+            .map(|fp| match self.decisions.get(fp) {
                 Some(&(d, at)) => {
-                    let keep = d == Decision::Store && packed.insert(rec.fp);
+                    let keep = d == Decision::Store && packed.insert(*fp);
                     (keep, at.max(psil_start))
                 }
                 None => (false, psil_start),
@@ -513,13 +541,14 @@ impl BackupServer {
         let records = drain.records;
         let mut manager = ContainerManager::new(self.cfg.container_bytes);
         let mut containers: Vec<PackedContainer> = Vec::new();
-        for (next, (rec, &keep)) in records.iter().zip(&wanted).enumerate() {
+        for (next, &keep) in wanted.iter().enumerate() {
             let c = self.cpu.probe_fps(1);
             self.clock.advance(c);
             if !keep {
                 continue;
             }
-            if let Some(container) = manager.append(rec.fp, rec.payload.clone()) {
+            let rec = records.get(next);
+            if let Some(container) = manager.append(rec.fp, rec.payload) {
                 // `rec` did not fit: the sealed container ends just
                 // before it, and it opens the next one.
                 containers.push(PackedContainer {
@@ -635,6 +664,12 @@ impl BackupServer {
             assigned,
             fault: batch.fault.map(|(e, _)| e.into()),
         }
+    }
+
+    /// Make room in the unregistered file for `n` more mappings at once,
+    /// before the assignments of a round's store commits are routed here.
+    pub(crate) fn reserve_updates(&mut self, n: usize) {
+        self.pending_updates.reserve_exact(n);
     }
 
     /// Accept unregistered fingerprints routed to this index part.

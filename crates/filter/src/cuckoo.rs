@@ -131,16 +131,16 @@ impl Segment {
         if self.try_store(b0, tag) || self.try_store(b1, tag) {
             return true;
         }
-        // Both candidates full: displace. Remember the chain so a
-        // rejection can unwind it.
+        // Both candidates full: displace. Remember the chain, on the
+        // stack, so a rejection can unwind it.
         let mut bucket = if rng.bool() { b1 } else { b0 };
         let mut carry = tag;
-        let mut chain: Vec<(usize, u16)> = Vec::with_capacity(MAX_KICKS);
-        for _ in 0..MAX_KICKS {
+        let mut chain = [(0usize, EMPTY); MAX_KICKS];
+        for kick in &mut chain {
             let slot = bucket * SLOTS_PER_BUCKET + rng.below(SLOTS_PER_BUCKET as u64) as usize;
             let victim = self.tags[slot];
             self.tags[slot] = carry;
-            chain.push((slot, victim));
+            *kick = (slot, victim);
             carry = victim;
             bucket = self.partner(bucket, carry);
             if self.try_store(bucket, carry) {
@@ -148,7 +148,7 @@ impl Segment {
             }
         }
         // Saturated: unwind the displacement chain in reverse.
-        for (slot, victim) in chain.into_iter().rev() {
+        for &(slot, victim) in chain.iter().rev() {
             let restored = self.tags[slot];
             self.tags[slot] = victim;
             debug_assert_ne!(restored, EMPTY);
@@ -377,6 +377,26 @@ mod tests {
         for (sa, sb) in a.segments.iter().zip(&b.segments) {
             assert_eq!(sa.tags, sb.tags, "displacement must be deterministic");
         }
+    }
+
+    #[test]
+    fn a_rejected_insert_leaves_the_segment_as_it_was() {
+        // Fill a 16-slot segment until its displacement chains give up:
+        // each rejection must hand back exactly the tags it found.
+        let mut seg = Segment::new(4);
+        let mut rng = SplitMix64::new(7);
+        let mut rejected = 0;
+        for n in 0..64 {
+            let key = fp(n);
+            let before = seg.tags.clone();
+            let tag = CuckooFilter::tag_of(&key);
+            if !seg.insert(CuckooFilter::raw_bucket_of(&key), tag, &mut rng) {
+                assert_eq!(seg.tags, before, "rejected insert {n} moved tags");
+                rejected += 1;
+            }
+        }
+        assert!(seg.occupied() >= 12, "the segment saturated");
+        assert!(rejected > 0, "the segment rejected an insert");
     }
 
     #[test]

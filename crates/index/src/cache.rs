@@ -233,12 +233,19 @@ impl IndexCache {
 
     /// Drain the cache into a vector of nodes, in bucket order.
     pub fn drain(&mut self) -> Vec<CacheNode> {
-        self.len = 0;
-        let mut out = Vec::new();
-        for b in &mut self.buckets {
-            out.append(b);
-        }
+        let mut out = Vec::with_capacity(self.len);
+        self.drain_each(|node| out.push(node));
         out
+    }
+
+    /// Empty the cache in place: hand each node to `f` in bucket order (the
+    /// order of [`IndexCache::drain`]) and keep every bucket's allocation,
+    /// so one cache serves batch after batch without a drained copy.
+    pub fn drain_each(&mut self, mut f: impl FnMut(CacheNode)) {
+        self.len = 0;
+        for b in &mut self.buckets {
+            b.drain(..).for_each(&mut f);
+        }
     }
 }
 
@@ -300,6 +307,28 @@ mod tests {
         let mut sorted = prefixes.clone();
         sorted.sort();
         assert_eq!(prefixes, sorted);
+    }
+
+    #[test]
+    fn drain_each_empties_in_drain_order_and_the_cache_serves_again() {
+        let fill = |c: &mut IndexCache, from: u64| {
+            for i in from..from + 100 {
+                c.insert(fp(i), (i % 3) as u16);
+                c.insert(fp(i), 2);
+            }
+        };
+        let mut a = IndexCache::new(6, 100);
+        fill(&mut a, 0);
+        let want = a.clone().drain();
+        let mut got = Vec::new();
+        a.drain_each(|node| got.push(node));
+        assert_eq!(got, want);
+        assert!(a.is_empty() && a.iter().next().is_none());
+        // A second batch as full as the first fits the emptied cache.
+        fill(&mut a, 1000);
+        let mut fresh = IndexCache::new(6, 100);
+        fill(&mut fresh, 1000);
+        assert_eq!(a.drain(), fresh.drain());
     }
 
     #[test]

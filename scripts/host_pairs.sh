@@ -18,6 +18,13 @@
 # script says "simulated cells identical", or names the first cell that
 # differs with both values. A difference is reported, not an error.
 #
+# After the pairs, each side runs once more as `--reps 1 --trace`, and the
+# script prints the traced allocation counters (`allocs`, `alloc_mib`) of
+# `backup_prepared`, `run_dedup2`, `run_gc` and `restore_run` side by
+# side. They count what each call allocates, not how fast it runs, so one
+# rep a side says it: only the growth of the randomly keyed fingerprint
+# tables moves them between runs, by an allocation or two.
+#
 # Nothing is written under benchmark/ or into .git; the temporary
 # directory goes when the script exits.
 set -euo pipefail
@@ -105,3 +112,17 @@ paste -d' ' "$tmp/parent.txt" "$tmp/change.txt" | awk '
     }
     END { report("host_cpu_s", pc, cc, wc + 0); report("host_wall_s", pw, cw, ww + 0)
           report("host_peak_rss_mib", pr, cr, wm + 0) }'
+
+# One traced rep a side: the per-call allocation counters.
+traced() { # <side>: "<metric> <value>" of each traced allocation counter
+    "$tmp/$1-target/release/debar-benchmark" run --workload "$workload" \
+        --seed "$seed" --reps 1 --trace --out "$tmp/$1-traced.json" >"$tmp/$1-traced.out"
+    awk -v w="$workload" '$1 == w && $2 ~ /^core\.(cluster\.(backup_prepared|run_dedup2|restore_run)|gc\.run_gc)\.alloc/ {
+        print $2, $3 }' "$tmp/$1-traced.out"
+}
+traced parent >"$tmp/parent.allocs"
+traced change >"$tmp/change.allocs"
+echo "traced allocations, one --reps 1 --trace run a side:"
+paste -d' ' "$tmp/parent.allocs" "$tmp/change.allocs" | awk '
+    { printf "%-40s parent %12.1f  change %12.1f  %+6.1f %%\n", $1, $2, $4,
+        $2 ? 100 * ($4 - $2) / $2 : 0 }'
