@@ -9,8 +9,8 @@ use crate::client::BackupClient;
 use crate::config::DebarConfig;
 use crate::dataset::{ChunkedFile, Dataset};
 use crate::error::{DebarError, DebarResult};
-use crate::ids::{ClientId, JobId, RunId};
-use crate::metadata::{FileIndexEntry, RunRecord};
+use crate::ids::{JobId, RunId};
+use crate::metadata::{FileIndexEntry, RecipeBuilder, RunRecord};
 use crate::report::Dedup1Report;
 use crate::server::BackupServer;
 use debar_filter::{FilterVerdict, PrelimFilter};
@@ -48,37 +48,25 @@ impl DebarCluster {
             .metadata
             .job(job)
             .ok_or(DebarError::UnknownJob { job })?;
-        let client_id = job_obj.spec.client;
+        let client = job_obj.spec.client;
         let version = job_obj.next_version();
         let run = RunId { job, version };
-        // Gate the preliminary-filter priming on the deletable summary
-        // vector: a fingerprint the summary no longer advertises (GC
-        // removed it) must not prime the filter. Every retained run's
-        // fingerprints are in the summary (inserted at record time, only
-        // removed when dead), so for live chains this retains everything
-        // and dedup-1 results are byte-identical to the ungated model —
-        // the gate is the safety interlock that makes deletion sound.
-        let filtering: Vec<Fingerprint> = self
-            .director
-            .metadata
-            .filtering_fingerprints(job)
-            .into_iter()
-            .filter(|fp| self.summary.contains(fp))
-            .collect();
+        let (filtering, kept) = self.filtering_file(job);
         // The run's placement load is charged when it is recorded: an
         // aborted run records nothing, so a faulted-then-retried history
         // routes later jobs as a clean one does.
         let sid = self.director.assign_server();
         let srv = &mut self.servers[sid as usize];
         let logged = srv.chunk_log.len();
-        let (record, report) = run_backup(srv, &self.cfg, run, client_id, filtering, files)?;
+        let recipes = RecipeBuilder::new(self.director.metadata.last_run(job), kept);
+        let (files, report) = run_backup(srv, &self.cfg, run, filtering, recipes, files)?;
         // Advertise the run's fingerprints in the summary vector — one
         // copy per fingerprint cluster-wide (the multiset stays a set
         // here), so a GC removal of a dead fingerprint fully withdraws it.
         // Only the transfers can be missing, and the run appended exactly
         // those to the chunk log, in stream order: a filter duplicate is a
-        // primed entry, which passed the gate above, or a repeat of an
-        // earlier transfer of this run, advertised before it.
+        // primed entry, which passed the gate, or a repeat of an earlier
+        // transfer of this run, advertised before it.
         for fp in &self.servers[sid as usize]
             .chunk_log
             .records()
@@ -88,8 +76,46 @@ impl DebarCluster {
                 self.summary.insert(fp);
             }
         }
-        self.director.record_run(record);
+        self.director.record_run(RunRecord {
+            run,
+            server: sid,
+            client,
+            files,
+            logical_bytes: report.logical_bytes,
+            logical_chunks: report.logical_chunks,
+            summary_removals: self.summary.removals(),
+        });
         Ok(report)
+    }
+
+    /// The preliminary filter's file for `job`'s next run — its last run's
+    /// fingerprints in stream order — and, when the summary gate dropped
+    /// entries, the last run's position of each entry kept.
+    ///
+    /// The gate: a fingerprint the summary no longer advertises (GC
+    /// removed it) must not prime the filter. It is the safety interlock
+    /// that makes deletion sound, and it can only drop something after a
+    /// removal: a run recorded since the summary's last removal has every
+    /// fingerprint advertised (its primed hits passed the gate, its
+    /// transfers were inserted, and an insert never fails), so then the
+    /// file is the run whole and the gate is skipped.
+    fn filtering_file(&self, job: JobId) -> (Vec<Fingerprint>, Option<Vec<usize>>) {
+        let all = self.director.metadata.filtering_fingerprints(job);
+        if !self.gate_can_drop(job) || all.iter().all(|fp| self.summary.contains(fp)) {
+            return (all, None);
+        }
+        let kept: Vec<usize> = (0..all.len())
+            .filter(|&i| self.summary.contains(&all[i]))
+            .collect();
+        let file = kept.iter().map(|&i| all[i]).collect();
+        (file, Some(kept))
+    }
+
+    /// Whether the summary has removed anything since `job`'s last run was
+    /// recorded — the only way the gate can drop one of its fingerprints.
+    fn gate_can_drop(&self, job: JobId) -> bool {
+        (self.director.metadata.last_run(job))
+            .is_some_and(|rec| rec.summary_removals != self.summary.removals())
     }
 }
 
@@ -101,7 +127,8 @@ impl DebarCluster {
 /// left undetermined for the dedup-2 sweep. The loop decides nothing
 /// else: it writes no storage decision and no checking-file entry — the
 /// PSIL commit is their only writer — and it neither reads nor touches
-/// the restore cache.
+/// the restore cache. Every fingerprint goes to `recipes` with the
+/// filter's position hint, and the run's file indices come back.
 ///
 /// Fault-aware: a chunk-log fault aborts the run typed. Records appended
 /// before the fault stay in the log but, having no storage verdict, are
@@ -111,10 +138,10 @@ fn run_backup(
     srv: &mut BackupServer,
     cfg: &DebarConfig,
     run: RunId,
-    client: ClientId,
     filtering: Vec<Fingerprint>,
+    mut recipes: RecipeBuilder<'_>,
     files: &[ChunkedFile],
-) -> DebarResult<(RunRecord, Dedup1Report)> {
+) -> DebarResult<(Vec<FileIndexEntry>, Dedup1Report)> {
     let mut filter = PrelimFilter::with_memory(cfg.filter_bytes);
     filter.prime(filtering);
     let start = srv.clock.now();
@@ -130,22 +157,22 @@ fn run_backup(
         undetermined_added: 0,
         elapsed: 0.0,
     };
-    let mut file_indices = Vec::with_capacity(files.len());
+    let mut sizes = Vec::with_capacity(files.len());
     let mut log_cost: Secs = 0.0;
     for file in files {
-        let mut fps = Vec::with_capacity(file.chunks.len());
         let mut fbytes = 0u64;
         for chunk in &file.chunks {
             let (fp, len) = (chunk.fp, chunk.len());
             report.logical_bytes += len;
             report.logical_chunks += 1;
             fbytes += len;
-            fps.push(fp);
             // The fingerprint always crosses the wire (the negotiation of
             // §3.2 "content backup"), plus one in-memory probe.
             let c = srv.nic.stream(25) + srv.cpu.probe_fps(1);
             srv.clock.advance(c);
-            if filter.check(fp) == FilterVerdict::Duplicate {
+            let verdict = filter.check(fp);
+            recipes.push(fp, filter.last_primed_hit());
+            if verdict == FilterVerdict::Duplicate {
                 report.filtered_dups += 1;
                 continue;
             }
@@ -157,11 +184,8 @@ fn run_backup(
             report.transferred_bytes += len;
             report.transferred_chunks += 1;
         }
-        file_indices.push(FileIndexEntry {
-            path: file.path.clone(),
-            fingerprints: fps,
-            bytes: fbytes,
-        });
+        recipes.end_file();
+        sizes.push(fbytes);
     }
     let produced = srv.clock.since(start);
     if log_cost > produced {
@@ -171,20 +195,20 @@ fn run_backup(
     report.undetermined_added = und.len() as u64;
     srv.undetermined.extend(und);
     report.elapsed = srv.clock.since(start);
-    let record = RunRecord {
-        run,
-        server: srv.id,
-        client,
-        files: file_indices,
-        logical_bytes: report.logical_bytes,
-        logical_chunks: report.logical_chunks,
-    };
-    Ok((record, report))
+    let indices = (files.iter().zip(sizes).zip(recipes.finish()))
+        .map(|((file, bytes), recipe)| FileIndexEntry {
+            path: file.path.clone(),
+            recipe,
+            bytes,
+        })
+        .collect();
+    Ok((indices, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::ClientId;
     use debar_workload::drift::records;
 
     #[test]
@@ -228,5 +252,60 @@ mod tests {
         for srv in warm.servers.iter().chain(&cold.servers) {
             assert_eq!((srv.decided(), srv.checking.len()), (0, 0));
         }
+    }
+
+    #[test]
+    fn the_summary_gate_is_skipped_only_where_it_would_drop_nothing() {
+        // Two jobs of drifting streams; expiry and a collection on day 2
+        // remove the dead fingerprints from the summary.
+        let mut c = DebarCluster::new(DebarConfig::tiny_test(0).with_retention(1));
+        let jobs = [
+            c.define_job("a", ClientId(0)),
+            c.define_job("b", ClientId(1)),
+        ];
+        let (mut skipped, mut gated) = (0, 0);
+        for day in 0..6u64 {
+            for (j, &job) in jobs.iter().enumerate() {
+                let all = c.director.metadata.filtering_fingerprints(job);
+                let kept: Vec<Fingerprint> = (all.iter().copied())
+                    .filter(|fp| c.summary.contains(fp))
+                    .collect();
+                assert_eq!(c.filtering_file(job).0, kept, "day {day}, job {j}");
+                if c.gate_can_drop(job) {
+                    gated += 1;
+                } else {
+                    assert_eq!(kept, all, "day {day}, job {j}: skipped a gate that drops");
+                    skipped += 1;
+                }
+                let base = 1000 * j as u64 + 300 * day;
+                let ds = Dataset::from_records("s", records(base..base + 600));
+                c.backup(job, &ds).expect("backup");
+            }
+            c.run_dedup2().expect("dedup2");
+            if day == 2 {
+                c.force_siu().expect("siu");
+                c.expire_runs();
+                assert!(c.run_gc().expect("gc").summary_removed > 0);
+            }
+        }
+        // Day 3's backups follow runs recorded before the removals.
+        assert_eq!((skipped, gated), (10, 2));
+        // A live fingerprint withdrawn, as a removal of a colliding tag
+        // withdraws one: the gate runs and drops it, and the recipe built
+        // through the kept positions is still the stream.
+        let job = jobs[0];
+        let all = c.director.metadata.filtering_fingerprints(job);
+        assert!(c.summary.remove(&all[10]));
+        let (file, kept) = c.filtering_file(job);
+        let kept = kept.expect("the gate dropped an entry");
+        assert!(file.len() < all.len() && kept.len() == file.len());
+        assert!(kept.iter().zip(&file).all(|(&i, fp)| all[i] == *fp));
+        let stream = records(1500..2200);
+        let run = (c.backup(job, &Dataset::from_records("s", stream.clone())))
+            .expect("backup")
+            .run;
+        let rec = c.director.metadata.run(run).expect("recorded");
+        let recipe: Vec<Fingerprint> = rec.files[0].recipe.iter().copied().collect();
+        assert_eq!(recipe, stream.iter().map(|r| r.fp).collect::<Vec<_>>());
     }
 }

@@ -1363,7 +1363,8 @@ mod tests {
             for (entry, file) in record.files.iter().zip(&fresh) {
                 assert_eq!(entry.path, file.path);
                 let fps: Vec<Fingerprint> = file.chunks.iter().map(|ch| ch.fp).collect();
-                assert_eq!(entry.fingerprints, fps, "version {version}, {}", file.path);
+                let recipe: Vec<Fingerprint> = entry.recipe.iter().copied().collect();
+                assert_eq!(recipe, fps, "version {version}, {}", file.path);
             }
             let rep = c.restore_run(run).expect("restore");
             assert_eq!(rep.failures, 0);

@@ -177,6 +177,7 @@ mod tests {
             files: Vec::new(),
             logical_bytes: bytes,
             logical_chunks: 0,
+            summary_removals: 0,
         });
         server
     }

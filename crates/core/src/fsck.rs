@@ -2,9 +2,12 @@
 //!
 //! [`DebarCluster::fsck`] is read-only and uncharged — it ticks no device
 //! and moves no clock — so it can run after any call without moving a
-//! bench number. It walks two edges of the durable state and names the
-//! culprit of every discrepancy it finds:
+//! bench number. It checks every retained recipe, then walks two edges of
+//! the durable state, and names the culprit of every discrepancy it finds:
 //!
+//! 0. **Recipes.** Every piece of a retained run's recipes lies inside its
+//!    block, and the recipes count the run's `logical_chunks`
+//!    ([`Discrepancy::MalformedRecipe`]).
 //! 1. **Runs → index.** Every fingerprint of every retained run's recipe
 //!    resolves through its owner index part, or through that server's
 //!    pending updates (what the next SIU registers; a pending mapping is
@@ -23,6 +26,12 @@ use std::collections::BTreeMap;
 /// One discrepancy [`DebarCluster::fsck`] found, naming its culprit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Discrepancy {
+    /// A recipe of `run` has a piece outside its block, or its recipes do
+    /// not count the run's logical chunks.
+    MalformedRecipe {
+        /// The run.
+        run: RunId,
+    },
     /// A fingerprint of `run` resolves neither through its owner
     /// `server`'s index part nor through that server's pending updates.
     Unresolved {
@@ -82,8 +91,9 @@ pub struct FsckReport {
     pub fingerprints: u64,
     /// Distinct containers they resolve to.
     pub containers: u64,
-    /// Every discrepancy: check 1's in fingerprint order, then check 2's
-    /// in container order, each container's by ring node.
+    /// Every discrepancy: check 0's in run order, check 1's in fingerprint
+    /// order, then check 2's in container order, each container's by ring
+    /// node.
     pub discrepancies: Vec<Discrepancy>,
 }
 
@@ -96,17 +106,29 @@ impl FsckReport {
 
 impl DebarCluster {
     /// Check the durable state against itself (see the module docs):
-    /// every retained run's fingerprints resolve, and every container
-    /// they resolve to has `R` clean copies on its ring listing them.
+    /// every retained recipe is well formed, every retained run's
+    /// fingerprints resolve, and every container they resolve to has `R`
+    /// clean copies on its ring listing them.
     /// Read-only and uncharged: no device op, no clock move.
     pub fn fsck(&self) -> FsckReport {
         let mut report = FsckReport::default();
         // Each fingerprint with the first retained run that needs it.
         let mut runs: Vec<_> = self.director.metadata.retained_runs().collect();
         runs.sort_by_key(|rec| rec.run);
+        // Check 0: recipes.
+        for rec in &runs {
+            let chunks: usize = rec.files.iter().map(|f| f.recipe.len()).sum();
+            let sound = rec.files.iter().all(|f| f.recipe.is_sound());
+            if chunks as u64 != rec.logical_chunks || !sound {
+                let run = rec.run;
+                report
+                    .discrepancies
+                    .push(Discrepancy::MalformedRecipe { run });
+            }
+        }
         let mut needed: BTreeMap<Fingerprint, RunId> = BTreeMap::new();
         for rec in runs {
-            for fp in rec.files.iter().flat_map(|f| &f.fingerprints) {
+            for fp in rec.files.iter().flat_map(|f| f.recipe.iter()) {
                 needed.entry(*fp).or_insert(rec.run);
             }
         }
@@ -172,5 +194,35 @@ impl DebarCluster {
                 }
             }));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ClientId, Dataset, DebarConfig};
+    use debar_workload::drift::records;
+
+    #[test]
+    fn a_malformed_recipe_is_named_by_its_run() {
+        let mut c = DebarCluster::new(DebarConfig::tiny_test(0));
+        let job = c.define_job("j", ClientId(0));
+        let runs: Vec<RunId> = (0..3)
+            .map(|v| {
+                let ds = Dataset::from_records("s", records(v * 100..v * 100 + 500));
+                c.backup(job, &ds).expect("backup").run
+            })
+            .collect();
+        c.run_dedup2().expect("dedup2");
+        c.force_siu().expect("siu");
+        assert!(c.fsck().is_clean());
+        let meta = &mut c.director.metadata;
+        // A piece past its block's end, and a recipe a chunk short.
+        let rec = meta.run_mut(runs[2]).expect("retained");
+        rec.files[0].recipe.overrun();
+        meta.run_mut(runs[0]).expect("retained").logical_chunks += 1;
+        let found = c.fsck().discrepancies;
+        let malformed = |run| Discrepancy::MalformedRecipe { run };
+        assert_eq!(found[..2], [malformed(runs[0]), malformed(runs[2])]);
     }
 }

@@ -35,7 +35,11 @@
 //!   the cache and adds no knob.
 //! * **Marks.** For each range the retained recipes are streamed once,
 //!   keeping the fingerprints whose 64-bit prefix falls in it (one
-//!   compare), in a set of the range's size; one scan of the range's
+//!   compare), in a set of the range's size. The stream walks the blocks
+//!   the recipes share, not the runs: each block span a retained piece
+//!   covers is visited once however many runs copy it
+//!   ([`crate::metadata::MetadataManager::referenced_spans`]), and the set
+//!   is the same; one scan of the range's
 //!   buckets (and, for what overflowed, their neighbours) then marks the
 //!   entries in the set, one bit per index slot
 //!   ([`debar_index::SlotMarks`]: 160 KiB for a 32 MiB part). `live_fps`
@@ -240,9 +244,8 @@ impl DebarCluster {
     /// disables expiry — nothing is retired.
     pub fn expire_runs(&mut self) -> Vec<RunId> {
         let retention = self.cfg.retention as usize;
-        let mut expired = Vec::new();
         if retention == 0 {
-            return expired;
+            return Vec::new();
         }
         let cutoffs: Vec<(JobId, usize)> = self
             .director
@@ -251,15 +254,11 @@ impl DebarCluster {
             .iter()
             .map(|j| (j.id, j.chain.len().saturating_sub(retention)))
             .collect();
-        for (job, cutoff) in cutoffs {
-            for version in 0..cutoff as u32 {
-                let run = RunId { job, version };
-                if self.director.metadata.retire_run(run).is_some() {
-                    expired.push(run);
-                }
-            }
-        }
-        expired
+        let runs = (cutoffs.into_iter()).flat_map(|(job, cutoff)| {
+            (0..cutoff as u32).map(move |version| RunId { job, version })
+        });
+        let retired = self.director.metadata.retire_runs(runs);
+        retired.iter().map(|rec| rec.run).collect()
     }
 
     /// Collect garbage: reclaim every chunk no retained run references.
@@ -302,18 +301,18 @@ impl DebarCluster {
             #[cfg(test)]
             range_sets: Vec::new(),
         };
-        // One range's live fingerprints, emptied for the next range.
+        // What the retained recipes reference, each shared block span
+        // once; and one range's live fingerprints, emptied for the next.
+        let referenced = self.director.metadata.referenced_spans();
         let mut live = FpSet::default();
         for srv in &self.servers {
             let index = srv.index();
             let mut marks = index.slot_marks();
             for keys in index.home_ranges(self.cfg.cache_fps()) {
                 live.clear();
-                for rec in self.director.metadata.retained_runs() {
-                    for fp in rec.files.iter().flat_map(|f| &f.fingerprints) {
-                        if keys.contains(&fp.prefix64()) {
-                            live.insert(*fp);
-                        }
+                for fp in referenced.iter().flat_map(|span| span.iter()) {
+                    if keys.contains(&fp.prefix64()) {
+                        live.insert(*fp);
                     }
                 }
                 index.mark_live(&keys, |fp| live.contains(fp), &mut marks);

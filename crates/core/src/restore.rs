@@ -409,7 +409,7 @@ impl DebarCluster {
         let walked = 'walk: {
             for file in walked_files(record, only_path) {
                 files += 1;
-                for fp in &file.fingerprints {
+                for fp in file.recipe.iter() {
                     let pos = chunks as usize;
                     chunks += 1;
                     match walk.chunk(pos, fp) {
@@ -528,10 +528,10 @@ impl RecipeIndex {
 
     fn build(record: &RunRecord, only_path: Option<&str>) -> Self {
         let files = || walked_files(record, only_path);
-        let len = files().map(|f| f.fingerprints.len()).sum();
+        let len = files().map(|f| f.recipe.len()).sum();
         let mut spans = FpMap::with_capacity_and_hasher(len, Default::default());
         let mut next_same = vec![Self::END; len];
-        let recipe = files().flat_map(|f| &f.fingerprints);
+        let recipe = files().flat_map(|f| f.recipe.iter());
         for (pos, fp) in (0..len).rev().zip(recipe.rev()) {
             let (first, _last) = spans.entry(*fp).or_insert((Self::END, pos));
             next_same[pos] = std::mem::replace(first, pos);
@@ -1591,7 +1591,8 @@ mod tests {
         for version in 0..8 {
             let run = RunId { job, version };
             let record = c.director.metadata.run(run).expect("recorded");
-            let owner = record.files[0].fingerprints[0].server_number(1) as u16;
+            let first = record.files[0].recipe.iter().next().expect("a chunk");
+            let owner = first.server_number(1) as u16;
             let (sid, remote) = (record.server, owner != record.server);
             let messages = [sid, owner].map(|s| c.servers[s as usize].nic.stats().messages);
             let r = c.restore_run(run).expect("restore");

@@ -186,6 +186,7 @@ pub struct CuckooFilter {
     segments: Vec<Segment>,
     rng: SplitMix64,
     len: u64,
+    removals: u64,
 }
 
 impl CuckooFilter {
@@ -198,6 +199,7 @@ impl CuckooFilter {
             segments: vec![Segment::new(buckets)],
             rng: SplitMix64::new(seed),
             len: 0,
+            removals: 0,
         }
     }
 
@@ -269,6 +271,7 @@ impl CuckooFilter {
             let b1 = seg.partner(b0, tag);
             if seg.bucket_remove(b0, tag) || seg.bucket_remove(b1, tag) {
                 self.len -= 1;
+                self.removals += 1;
                 return true;
             }
         }
@@ -278,6 +281,12 @@ impl CuckooFilter {
     /// Stored tag copies (inserts minus successful removes).
     pub fn len(&self) -> u64 {
         self.len
+    }
+
+    /// Successful removes so far. While it has not moved, every key
+    /// inserted still tests present: only a remove can withdraw a tag.
+    pub fn removals(&self) -> u64 {
+        self.removals
     }
 
     /// Whether no tags are stored.
@@ -328,10 +337,11 @@ mod tests {
         let mut f = CuckooFilter::with_capacity(16, 7);
         f.insert(&fp(1));
         f.insert(&fp(2));
+        assert_eq!(f.removals(), 0);
         assert!(f.remove(&fp(1)));
         assert!(!f.remove(&fp(1)), "second remove finds nothing");
         assert!(f.contains(&fp(2)));
-        assert_eq!(f.len(), 1);
+        assert_eq!((f.len(), f.removals()), (1, 1));
     }
 
     #[test]

@@ -171,14 +171,16 @@ pub const NODE_BYTES: u64 = 28;
 const CONFIRM_HITS: usize = 4;
 
 impl PrelimFilter {
-    /// Create a filter holding at most `capacity` fingerprints.
+    /// Create a filter holding at most `capacity` fingerprints. Its table
+    /// starts empty: [`PrelimFilter::prime`] reserves room for what the
+    /// file can load, and the stream grows it from there.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "filter capacity must be positive");
         PrelimFilter {
-            nodes: FpMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
+            nodes: FpMap::default(),
             queue: VecDeque::new(),
             capacity,
             file: Vec::new(),
@@ -265,6 +267,10 @@ impl PrelimFilter {
         }
         self.file = filtering.into_iter().collect();
         (self.tail, self.head, self.estimate, self.run_len) = (0, 0, 0, 0);
+        // Room for what the file can load; the stream grows the table past
+        // it, up to the capacity.
+        let room = self.capacity.saturating_sub(self.nodes.len());
+        self.nodes.reserve(room.min(self.file.len()));
         while self.head < self.file.len() && self.nodes.len() < self.capacity {
             self.load_next();
         }
@@ -311,6 +317,13 @@ impl PrelimFilter {
         );
         self.queue.push_back(fp);
         FilterVerdict::Transfer
+    }
+
+    /// The file position of the primed entry the last [`PrelimFilter::check`]
+    /// hit, `None` if it hit none: a transfer, or a hit on a
+    /// stream-inserted node. The file holds the checked fingerprint there.
+    pub fn last_primed_hit(&self) -> Option<usize> {
+        (self.run_len > 0).then_some(self.run_end)
     }
 
     /// The look-behind, and the re-anchoring tolerance.
@@ -472,6 +485,27 @@ mod tests {
         // Primed fingerprints never enter the undetermined set.
         let und = f.take_undetermined();
         assert_eq!(und, vec![fp(100)]);
+    }
+
+    #[test]
+    fn last_primed_hit_names_the_file_position_a_check_hit() {
+        let mut f = PrelimFilter::new(100);
+        assert_eq!(f.last_primed_hit(), None);
+        f.prime([1, 2, 3, 1, 4].map(fp));
+        assert_eq!(f.check(fp(2)), FilterVerdict::Duplicate);
+        assert_eq!(f.last_primed_hit(), Some(1));
+        // A fingerprint the file holds twice names the later position.
+        f.check(fp(1));
+        assert_eq!(f.last_primed_hit(), Some(3));
+        // A transfer, and a hit on the node it inserted, name none.
+        assert_eq!(f.check(fp(9)), FilterVerdict::Transfer);
+        assert_eq!(f.last_primed_hit(), None);
+        assert_eq!(f.check(fp(9)), FilterVerdict::Duplicate);
+        assert_eq!(f.last_primed_hit(), None);
+        f.check(fp(4));
+        assert_eq!(f.last_primed_hit(), Some(4));
+        f.prime([4].map(fp));
+        assert_eq!(f.last_primed_hit(), None);
     }
 
     #[test]

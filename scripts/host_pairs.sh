@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Paired host-clock comparison of the end-to-end benchmark: a parent
-# revision against the working tree, one workload, one seed.
+# revision against the working tree, one seed, one workload or several.
 #
-#   scripts/host_pairs.sh <parent-rev> <workload> [pairs=10] [seed=1]
+#   scripts/host_pairs.sh <parent-rev> <workload[,workload...]> [pairs=10] [seed=1]
+#
+# A comma-separated list runs the pairs and the traced reps below for each
+# workload in turn, from the same two builds, and reports each workload
+# on its own: one invocation checks that no workload got worse.
 #
 # Builds `benchmark/` twice in a temporary directory — once from
 # `git archive <parent-rev>`, once from the working tree (through a
@@ -23,18 +27,20 @@
 # `backup_prepared`, `run_dedup2`, `run_gc` and `restore_run` side by
 # side. They count what each call allocates, not how fast it runs, so one
 # rep a side says it: only the growth of the randomly keyed fingerprint
-# tables moves them between runs, by an allocation or two.
+# tables moves them between runs, by an allocation or two. Beside them
+# stand the same calls' traced `host_s`, one rep's host time: a pointer to
+# where time went, not a measurement (the pairs are that).
 #
 # Nothing is written under benchmark/ or into .git; the temporary
 # directory goes when the script exits.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 <parent-rev> <workload> [pairs=10] [seed=1]" >&2
+    echo "usage: $0 <parent-rev> <workload[,workload...]> [pairs=10] [seed=1]" >&2
     exit 2
 fi
 rev=$1
-workload=$2
+workloads=$2
 pairs=${3:-10}
 seed=${4:-1}
 
@@ -74,55 +80,58 @@ same_sim() { # the pair's verdict on its simulated cells, one line
         { n++ }
         END { if (!bad) print n ? "simulated cells identical" : "no simulated cells found" }'
 }
-first_diff=""
-for ((i = 0; i < pairs; i++)); do
-    if ((i % 2 == 0)); then run parent; run change; else run change; run parent; fi
-    verdict=$(same_sim)
-    if [ "$verdict" != "simulated cells identical" ] && [ -z "$first_diff" ]; then
-        first_diff="pair $((i + 1)): $verdict"
-    fi
-    echo "pair $((i + 1))/$pairs: parent $(tail -n1 "$tmp/parent.txt")" \
-        " change $(tail -n1 "$tmp/change.txt")  (cpu wall rss); $verdict" >&2
-done
-
-echo "$workload, seed $seed, $pairs pairs: $rev against the working tree"
-echo "${first_diff:-simulated cells identical on every pair}"
-paste -d' ' "$tmp/parent.txt" "$tmp/change.txt" | awk '
-    # Quartile p of the sorted a[1..n], linear between order statistics.
-    function q(a, n, p,    h, lo) {
-        h = (n - 1) * p + 1; lo = int(h)
-        return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
-    }
-    function sort(a, n,    i, j, t) {
-        for (i = 2; i <= n; i++)
-            for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
-    }
-    { n++; pc[n] = $1; pw[n] = $2; pr[n] = $3; cc[n] = $4; cw[n] = $5; cr[n] = $6
-      if ($4 < $1) wc++
-      if ($5 < $2) ww++
-      if ($6 < $3) wm++ }
-    function report(name, p, c, won,    pm, cm) {
-        sort(p, n); sort(c, n)
-        pm = q(p, n, 0.5); cm = q(c, n, 0.5)
-        printf "%-17s parent median %.3f (quartiles %.3f-%.3f)\n", name, pm, q(p, n, 0.25), q(p, n, 0.75)
-        printf "%-17s change median %.3f (quartiles %.3f-%.3f)\n", name, cm, q(c, n, 0.25), q(c, n, 0.75)
-        printf "%-17s change %+.1f %%, won %d/%d pairs, median gap %.3f %s parent IQR %.3f\n",
-            name, 100 * (cm - pm) / pm, won, n, pm - cm,
-            (pm - cm > q(p, n, 0.75) - q(p, n, 0.25)) ? ">" : "<=", q(p, n, 0.75) - q(p, n, 0.25)
-    }
-    END { report("host_cpu_s", pc, cc, wc + 0); report("host_wall_s", pw, cw, ww + 0)
-          report("host_peak_rss_mib", pr, cr, wm + 0) }'
-
 # One traced rep a side: the per-call allocation counters.
 traced() { # <side>: "<metric> <value>" of each traced allocation counter
     "$tmp/$1-target/release/debar-benchmark" run --workload "$workload" \
         --seed "$seed" --reps 1 --trace --out "$tmp/$1-traced.json" >"$tmp/$1-traced.out"
-    awk -v w="$workload" '$1 == w && $2 ~ /^core\.(cluster\.(backup_prepared|run_dedup2|restore_run)|gc\.run_gc)\.alloc/ {
+    awk -v w="$workload" '$1 == w && $2 ~ /^core\.(cluster\.(backup_prepared|run_dedup2|restore_run)|gc\.run_gc)\.(alloc|host_s)/ {
         print $2, $3 }' "$tmp/$1-traced.out"
 }
-traced parent >"$tmp/parent.allocs"
-traced change >"$tmp/change.allocs"
-echo "traced allocations, one --reps 1 --trace run a side:"
-paste -d' ' "$tmp/parent.allocs" "$tmp/change.allocs" | awk '
-    { printf "%-40s parent %12.1f  change %12.1f  %+6.1f %%\n", $1, $2, $4,
-        $2 ? 100 * ($4 - $2) / $2 : 0 }'
+for workload in ${workloads//,/ }; do
+    rm -f "$tmp"/parent.txt "$tmp"/change.txt
+    first_diff=""
+    for ((i = 0; i < pairs; i++)); do
+        if ((i % 2 == 0)); then run parent; run change; else run change; run parent; fi
+        verdict=$(same_sim)
+        if [ "$verdict" != "simulated cells identical" ] && [ -z "$first_diff" ]; then
+            first_diff="pair $((i + 1)): $verdict"
+        fi
+        echo "pair $((i + 1))/$pairs: parent $(tail -n1 "$tmp/parent.txt")" \
+            " change $(tail -n1 "$tmp/change.txt")  (cpu wall rss); $verdict" >&2
+    done
+
+    echo "$workload, seed $seed, $pairs pairs: $rev against the working tree"
+    echo "${first_diff:-simulated cells identical on every pair}"
+    paste -d' ' "$tmp/parent.txt" "$tmp/change.txt" | awk '
+        # Quartile p of the sorted a[1..n], linear between order statistics.
+        function q(a, n, p,    h, lo) {
+            h = (n - 1) * p + 1; lo = int(h)
+            return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+        }
+        function sort(a, n,    i, j, t) {
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+        }
+        { n++; pc[n] = $1; pw[n] = $2; pr[n] = $3; cc[n] = $4; cw[n] = $5; cr[n] = $6
+          if ($4 < $1) wc++
+          if ($5 < $2) ww++
+          if ($6 < $3) wm++ }
+        function report(name, p, c, won,    pm, cm) {
+            sort(p, n); sort(c, n)
+            pm = q(p, n, 0.5); cm = q(c, n, 0.5)
+            printf "%-17s parent median %.3f (quartiles %.3f-%.3f)\n", name, pm, q(p, n, 0.25), q(p, n, 0.75)
+            printf "%-17s change median %.3f (quartiles %.3f-%.3f)\n", name, cm, q(c, n, 0.25), q(c, n, 0.75)
+            printf "%-17s change %+.1f %%, won %d/%d pairs, median gap %.3f %s parent IQR %.3f\n",
+                name, 100 * (cm - pm) / pm, won, n, pm - cm,
+                (pm - cm > q(p, n, 0.75) - q(p, n, 0.25)) ? ">" : "<=", q(p, n, 0.75) - q(p, n, 0.25)
+        }
+        END { report("host_cpu_s", pc, cc, wc + 0); report("host_wall_s", pw, cw, ww + 0)
+              report("host_peak_rss_mib", pr, cr, wm + 0) }'
+
+    traced parent >"$tmp/parent.allocs"
+    traced change >"$tmp/change.allocs"
+    echo "traced allocations and host time, one --reps 1 --trace run a side:"
+    paste -d' ' "$tmp/parent.allocs" "$tmp/change.allocs" | awk '
+        { printf "%-40s parent %12.3f  change %12.3f  %+6.1f %%\n", $1, $2, $4,
+            $2 ? 100 * ($4 - $2) / $2 : 0 }'
+done
