@@ -88,7 +88,8 @@
 //!   fingerprint → the recipe positions of the entries this walk visits
 //!   (so a single-file restore and the audit index exactly what they walk), and
 //!   per resident container the ascending positions it supplies *as the
-//!   LPC would answer them*, with a cursor. It is built on the walk's
+//!   LPC would answer them*, with a cursor, which grow by what each fetch
+//!   brings in. It is built on the walk's
 //!   first miss when the files it walks weigh more than the cache holds,
 //!   else on the first miss that finds the cache full — no room for one
 //!   more whole container (see *recipe-sized reads* below): a walk that
@@ -220,7 +221,9 @@ use crate::server::{BackupServer, CachedContainer};
 use debar_hash::{ContainerId, Fingerprint, FpMap, Sha1};
 use debar_index::IndexError;
 use debar_simio::{Lane, Secs, Timed};
-use debar_store::{ChunkRepository, CorruptKind, LpcCache, LpcStats, NodeRead, Payload, ReadLegs};
+use debar_store::{
+    ChunkRepository, CorruptKind, LpcCache, LpcPlace, LpcStats, NodeRead, Payload, ReadLegs,
+};
 use std::collections::{HashMap, HashSet};
 
 /// Accumulates [`LayoutReport`] facts chunk by chunk during a restore
@@ -233,10 +236,12 @@ struct LayoutTracker {
 }
 
 impl LayoutTracker {
-    /// Record that the next restored chunk came from `cid`.
+    /// Record that the next restored chunk came from `cid`. A run of
+    /// chunks from one container is one fragment, and its container is
+    /// noted once.
     fn observe(&mut self, cid: ContainerId) {
-        self.seen.insert(cid);
         if self.last != Some(cid) {
+            self.seen.insert(cid);
             self.fragments += 1;
             self.last = Some(cid);
         }
@@ -264,6 +269,8 @@ struct RestoreLanes {
     resolve: Lane,
     nodes: Vec<Lane>,
     send: Lane,
+    /// What [`Self::starts`] last said, one entry per node.
+    starts: Vec<Secs>,
 }
 
 impl RestoreLanes {
@@ -273,16 +280,18 @@ impl RestoreLanes {
             resolve: Lane::new(),
             nodes: vec![Lane::new(); nodes],
             send: Lane::new(),
+            starts: Vec::with_capacity(nodes),
         }
     }
 
     /// When each node's lane could start a fetch the resolver issues now:
     /// once the resolver has got to it and the lane is through with what
     /// it already holds.
-    fn starts(&self) -> Vec<Secs> {
-        (self.nodes.iter())
-            .map(|n| n.free_at.max(self.at))
-            .collect()
+    fn starts(&mut self) -> &[Secs] {
+        let at = self.at;
+        self.starts.clear();
+        (self.starts).extend(self.nodes.iter().map(|n| n.free_at.max(at)));
+        &self.starts
     }
 
     /// The resolver waits out an index lookup.
@@ -410,7 +419,7 @@ impl DebarCluster {
             for file in walked_files(record, only_path) {
                 files += 1;
                 for fp in file.recipe.iter() {
-                    let pos = chunks as usize;
+                    let pos = chunks as u32;
                     chunks += 1;
                     match walk.chunk(pos, fp) {
                         Ok(len) => bytes += len as u64,
@@ -510,68 +519,71 @@ fn choose_victim<T>(residents: impl Iterator<Item = Resident<T>>, start: Secs) -
 /// for it. Only ever looked up by key: no `HashMap` order reaches a
 /// victim choice. The maps' keys are drawn afresh for every build, so an
 /// order that did leak would make two reps of one seed choose apart: the
-/// key is what keeps this checked.
+/// key is what keeps this checked. A position is a `u32`: a walk of 2^32
+/// chunks would be 32 TiB at 8 KiB each.
 struct RecipeIndex {
-    /// Fingerprint → the first and the last recipe position that hold it.
-    spans: FpMap<(usize, usize)>,
-    /// Position → the next position holding the same fingerprint
-    /// ([`Self::END`] after the last).
-    next_same: Vec<usize>,
+    /// Fingerprint → the last recipe position that holds it.
+    last: FpMap<u32>,
+    /// Position → the position before it holding the same fingerprint
+    /// ([`Self::END`] before the first).
+    prev_same: Vec<u32>,
     /// Per resident container: the positions it supplies, ascending, and
     /// how many of them the walk has passed.
-    supplies: HashMap<ContainerId, (Vec<usize>, usize)>,
+    supplies: HashMap<ContainerId, (Vec<u32>, usize)>,
 }
 
 impl RecipeIndex {
-    /// No position: ends a fingerprint's chain through `next_same`.
-    const END: usize = usize::MAX;
+    /// No position: ends a fingerprint's chain through `prev_same`.
+    const END: u32 = u32::MAX;
 
     fn build(record: &RunRecord, only_path: Option<&str>) -> Self {
         let files = || walked_files(record, only_path);
         let len = files().map(|f| f.recipe.len()).sum();
-        let mut spans = FpMap::with_capacity_and_hasher(len, Default::default());
-        let mut next_same = vec![Self::END; len];
+        let end = u32::try_from(len).expect("a walk of fewer than 2^32 chunks");
+        let mut last = FpMap::with_capacity_and_hasher(len, Default::default());
         let recipe = files().flat_map(|f| f.recipe.iter());
-        for (pos, fp) in (0..len).rev().zip(recipe.rev()) {
-            let (first, _last) = spans.entry(*fp).or_insert((Self::END, pos));
-            next_same[pos] = std::mem::replace(first, pos);
-        }
+        let prev_same = (0..end)
+            .zip(recipe)
+            .map(|(pos, fp)| last.insert(*fp, pos).unwrap_or(Self::END))
+            .collect();
         RecipeIndex {
-            spans,
-            next_same,
+            last,
+            prev_same,
             supplies: HashMap::new(),
         }
     }
 
     /// Whether the walk, standing at recipe position `pos`, still needs
     /// this fingerprint's chunk — for `pos` itself or for a later entry.
-    fn needs(&self, fp: &Fingerprint, pos: usize) -> bool {
-        self.spans.get(fp).is_some_and(|&(_, last)| last >= pos)
+    fn needs(&self, fp: &Fingerprint, pos: u32) -> bool {
+        self.last.get(fp).is_some_and(|&last| last >= pos)
     }
 
-    /// Note what a resident container supplies: the positions of its
-    /// fingerprints the cache answers *with it* (a fingerprint two
-    /// residents hold is the younger one's).
-    fn admit(&mut self, cid: ContainerId, lpc: &LpcCache<CachedContainer>) {
-        let fps = lpc.fingerprints(cid).unwrap_or_default();
-        let mut positions = Vec::with_capacity(fps.len());
+    /// Note that the cache answers for `fps` with resident `cid`, the walk
+    /// standing at recipe position `pos`: what `cid` supplies grows by
+    /// their positions after `pos` (the victim rule asks for none
+    /// before). The index reads every resident so when it is built — a
+    /// fingerprint two residents hold is the younger one's — and from
+    /// then on each fetch's chunks: knowing its recipe, the walk fetches
+    /// only chunks no resident answers for, so the cache answers each with
+    /// the container fetched, and no later fetch takes over what a
+    /// resident answers for.
+    fn supply<'f>(
+        &mut self,
+        cid: ContainerId,
+        pos: u32,
+        fps: impl Iterator<Item = &'f Fingerprint>,
+    ) {
+        let (positions, passed) = self.supplies.entry(cid).or_default();
+        positions.drain(..*passed);
+        *passed = 0;
+        positions.reserve(fps.size_hint().0);
         for fp in fps {
-            // Most of a container is not in the recipe: ask the recipe
-            // first, the cache only about what it holds.
-            let Some(&(first, _)) = self.spans.get(fp) else {
-                continue;
-            };
-            if lpc.peek(fp) != Some(cid) {
-                continue;
-            }
-            let mut pos = first;
-            while pos != Self::END {
-                positions.push(pos);
-                pos = self.next_same[pos];
+            if let Some(&last) = self.last.get(fp) {
+                positions.extend(chain(&self.prev_same, last).take_while(|&p| p > pos));
             }
         }
         positions.sort_unstable();
-        self.supplies.insert(cid, (positions, 0));
     }
 
     /// The next resident to give up for the fetch of `keep` that the miss
@@ -579,25 +591,32 @@ impl RecipeIndex {
     /// never `keep` itself, which the fetch merges into when resident.
     fn victim(
         &mut self,
-        pos: usize,
+        pos: u32,
         lpc: &LpcCache<CachedContainer>,
         keep: ContainerId,
         start: Secs,
     ) -> Option<ContainerId> {
-        let residents = (lpc.residents().filter(|&id| id != keep)).map(|id| Resident {
+        let residents = (lpc.entries().filter(|&(id, _)| id != keep)).map(|(id, entry)| Resident {
             id,
             next_use: self.supplies.get_mut(&id).and_then(|(positions, passed)| {
                 while positions.get(*passed).is_some_and(|&p| p <= pos) {
                     *passed += 1;
                 }
-                positions.get(*passed).copied()
+                positions.get(*passed).map(|&p| p as usize)
             }),
-            free_at: lpc.value(id).map_or(0.0, |c| c.last_sent),
+            free_at: entry.last_sent,
         });
         let victim = choose_victim(residents, start)?;
         self.supplies.remove(&victim);
         Some(victim)
     }
+}
+
+/// Every recipe position of one fingerprint, descending from its `last`,
+/// through [`RecipeIndex::prev_same`].
+fn chain(prev_same: &[u32], last: u32) -> impl Iterator<Item = u32> + '_ {
+    let prev = |&pos: &u32| Some(prev_same[pos as usize]).filter(|&p| p != RecipeIndex::END);
+    std::iter::successors(Some(last), prev)
 }
 
 /// One restore walk in progress: the devices it touches, where it runs
@@ -629,114 +648,125 @@ impl RestoreWalk<'_> {
     /// container (LPC, else index lookup + container fetch), verify the
     /// payload and queue it for the client. Returns the chunk's length,
     /// or the typed error a strict restore aborts with.
-    fn chunk(&mut self, pos: usize, fp: &Fingerprint) -> DebarResult<u32> {
-        let (sid, lanes) = (self.sid, &mut self.lanes);
-        let cid = match self.servers[sid].lpc.lookup(fp) {
-            Some(cid) => cid,
-            None => {
-                let owner = fp.server_number(self.w_bits) as usize;
-                let found = lookup_with_owner(self.servers, sid, owner, fp)?;
-                lanes.lookup(found.cost);
-                // A miss may be a fingerprint the owner's next SIU
-                // registers: its last pending mapping, read in memory and
-                // uncharged, as fsck's check 1 reads it.
-                let pending = self.servers[owner].pending_updates();
-                let last_pending = || pending.iter().rev().find(|u| u.0 == *fp).map(|u| u.1);
-                let missing = DebarError::MissingChunk {
-                    fp: *fp,
-                    container: None,
-                };
-                let cid = found.value.or_else(last_pending).ok_or(missing)?;
-                // The walk reads its recipe — for the victims, and for what
-                // to fetch — from its first miss when the files it walks
-                // weigh more than the cache holds, else from the first miss
-                // that finds no room for a whole container.
-                let (srv, whole) = (&mut self.servers[sid], self.container_bytes);
-                if self.recipe.is_none()
-                    && (self.outgrows_cache || srv.lpc.shortfall(cid, whole) > 0)
-                {
-                    let mut index = RecipeIndex::build(self.record, self.only_path);
-                    (srv.lpc.residents()).for_each(|resident| index.admit(resident, &srv.lpc));
-                    self.recipe = Some(index);
-                }
-                // Knowing it, fetch what the rest of it needs from this
-                // container and no resident already answers for; knowing
-                // nothing, every chunk — which is the paper's whole
-                // container, one I/O of its image. Either from the copy
-                // whose node lane can start the read soonest.
-                let recipe = self.recipe.as_ref();
-                let starts = lanes.starts();
-                let wanted = |fp: &Fingerprint| {
-                    recipe.is_none_or(|recipe| recipe.needs(fp, pos) && srv.lpc.peek(fp).is_none())
-                };
-                let NodeRead { value, legs } = self.repo.read_chunks(cid, wanted, &starts);
-                // The chunks, and how long before the serving read
-                // completed each one's bytes were in.
-                let (chunks, tails) = match (value, &legs.served) {
-                    (Ok(Some(chunks)), Some(served)) => (chunks, served.tails.iter().copied()),
-                    (failed, _) => {
-                        lanes.fetch(lanes.at, &legs);
-                        failed?;
-                        return Err(DebarError::MissingContainer { container: cid });
-                    }
-                };
-                // The cache is the read-ahead window, counted in bytes:
-                // what is resident, in flight or waiting to be streamed,
-                // this fetch included, never weighs more than the budget.
-                // A whole container weighs one full slot of it, an extent
-                // set its payload. Whatever must go to make room is the
-                // residents the rest of the recipe needs last, among those
-                // already streamed out — and the fetch waits for the last
-                // of them to have been, and for nothing else.
-                let bytes = match &self.recipe {
-                    Some(_) => chunks.iter().map(|(_, p)| p.len()).sum(),
-                    None => whole,
-                };
-                // The fetch waits for the last chunk of the residents it
-                // evicts to have left the NIC, and merges into its own entry
-                // when resident.
-                let (at, lpc) = (lanes.at, &mut srv.lpc);
-                let mut sent: Secs = 0.0;
-                while lpc.shortfall(cid, bytes) > 0 {
-                    let named = (self.recipe.as_mut())
-                        .and_then(|recipe| recipe.victim(pos, lpc, cid, at.max(sent)));
-                    let Some(gone) = named.and_then(|victim| lpc.evict(victim)) else {
-                        break;
-                    };
-                    sent = sent.max(gone.last_sent);
-                }
-                let fps = chunks.iter().map(|(fp, _)| *fp).collect();
-                let (evicted, entry) = lpc.insert_extents(cid, fps, bytes);
-                let sent = (evicted.iter()).fold(sent, |sent, (_, gone)| sent.max(gone.last_sent));
-                entry.merge(chunks, tails, lanes.fetch(sent, &legs));
-                if let Some(recipe) = &mut self.recipe {
-                    recipe.admit(cid, &srv.lpc);
-                }
-                cid
-            }
+    fn chunk(&mut self, pos: u32, fp: &Fingerprint) -> DebarResult<u32> {
+        let place = match self.servers[self.sid].lpc.find(fp) {
+            Some(place) => place,
+            None => self.fetch(pos, fp)?,
         };
+        let srv = &mut self.servers[self.sid];
+        let (cid, cached) = srv.lpc.resident_mut(place);
         self.tracker.observe(cid);
         let missing = || DebarError::MissingChunk {
             fp: *fp,
             container: Some(cid),
         };
-        let srv = &mut self.servers[sid];
-        let cached = srv.lpc.value_mut(cid).ok_or_else(missing)?;
-        let (len, payload, arrived) = cached.chunk(fp).ok_or_else(missing)?;
-        if !verify_payload(fp, &payload) {
+        let &(ref payload, arrived) = cached.chunk(place.index()).ok_or_else(missing)?;
+        if !verify_payload(fp, payload) {
             return Err(DebarError::CorruptContainer {
                 container: cid,
                 reason: CorruptKind::PayloadMismatch,
             });
         }
+        let len = payload.len() as u32;
         if self.to_client {
             // A chunk goes out once its own bytes are in and the resolver
             // has got to it. Its entry may have been filled later than
             // this send ends: it stays until both.
-            let sent = lanes.send(arrived, srv.nic.stream(len as u64));
+            let sent = self.lanes.send(arrived, srv.nic.stream(len as u64));
             cached.last_sent = cached.last_sent.max(sent);
         }
         Ok(len)
+    }
+
+    /// The miss of recipe entry `pos`: an index lookup finds the chunk's
+    /// container, and its fetch comes into the cache. Returns where the
+    /// cache then answers for the chunk.
+    fn fetch(&mut self, pos: u32, fp: &Fingerprint) -> DebarResult<LpcPlace> {
+        let (sid, lanes) = (self.sid, &mut self.lanes);
+        let owner = fp.server_number(self.w_bits) as usize;
+        let found = lookup_with_owner(self.servers, sid, owner, fp)?;
+        lanes.lookup(found.cost);
+        // A miss may be a fingerprint the owner's next SIU registers: its
+        // last pending mapping, read in memory and uncharged, as fsck's
+        // check 1 reads it.
+        let pending = self.servers[owner].pending_updates();
+        let last_pending = || pending.iter().rev().find(|u| u.0 == *fp).map(|u| u.1);
+        let missing = |container| DebarError::MissingChunk { fp: *fp, container };
+        let cid = found
+            .value
+            .or_else(last_pending)
+            .ok_or_else(|| missing(None))?;
+        // The walk reads its recipe — for the victims, and for what to
+        // fetch — from its first miss when the files it walks weigh more
+        // than the cache holds, else from the first miss that finds no
+        // room for a whole container.
+        let (srv, whole) = (&mut self.servers[sid], self.container_bytes);
+        if self.recipe.is_none() && (self.outgrows_cache || srv.lpc.shortfall(cid, whole) > 0) {
+            let mut index = RecipeIndex::build(self.record, self.only_path);
+            for resident in srv.lpc.residents() {
+                let listed = srv.lpc.fingerprints(resident).unwrap_or_default();
+                let answered = |fp: &&Fingerprint| srv.lpc.peek(fp) == Some(resident);
+                index.supply(resident, pos, listed.iter().filter(answered));
+            }
+            self.recipe = Some(index);
+        }
+        // Knowing it, fetch what the rest of it needs from this container
+        // and no resident already answers for; knowing nothing, every
+        // chunk — which is the paper's whole container, one I/O of its
+        // image. Either from the copy whose node lane can start the read
+        // soonest.
+        let recipe = self.recipe.as_ref();
+        let wanted = |fp: &Fingerprint| {
+            recipe.is_none_or(|recipe| recipe.needs(fp, pos) && srv.lpc.peek(fp).is_none())
+        };
+        let NodeRead { value, legs } = self.repo.read_chunks(cid, wanted, lanes.starts());
+        // The chunks, and how long before the serving read completed
+        // each one's bytes were in.
+        let (chunks, tails) = match (value, &legs.served) {
+            (Ok(Some(chunks)), Some(served)) => (chunks, served.tails.iter().copied()),
+            (failed, _) => {
+                lanes.fetch(lanes.at, &legs);
+                failed?;
+                return Err(DebarError::MissingContainer { container: cid });
+            }
+        };
+        // The cache is the read-ahead window, counted in bytes: what is
+        // resident, in flight or waiting to be streamed, this fetch
+        // included, never weighs more than the budget. A whole container
+        // weighs one full slot of it, an extent set its payload. Whatever
+        // must go to make room is the residents the rest of the recipe
+        // needs last, among those already streamed out — and the fetch
+        // waits for the last of them to have been, and for nothing else.
+        let bytes = match &self.recipe {
+            Some(_) => chunks.iter().map(|(_, p)| p.len()).sum(),
+            None => whole,
+        };
+        // The fetch waits for the last chunk of the residents it evicts
+        // to have left the NIC, and merges into its own entry when
+        // resident.
+        let (at, lpc) = (lanes.at, &mut srv.lpc);
+        let mut sent: Secs = 0.0;
+        while lpc.shortfall(cid, bytes) > 0 {
+            let named = (self.recipe.as_mut())
+                .and_then(|recipe| recipe.victim(pos, lpc, cid, at.max(sent)));
+            let Some(gone) = named.and_then(|victim| lpc.evict(victim)) else {
+                break;
+            };
+            sent = sent.max(gone.last_sent);
+        }
+        if let Some(recipe) = &mut self.recipe {
+            debug_assert!(chunks.iter().all(|(fp, _)| lpc.peek(fp).is_none()));
+            recipe.supply(cid, pos, chunks.iter().map(|(fp, _)| fp));
+        }
+        let fps = chunks.iter().map(|(fp, _)| *fp);
+        let (evicted, entry, listed) = lpc.insert_extents(cid, fps, bytes);
+        debug_assert!(
+            evicted.is_empty() || self.recipe.is_none(),
+            "a walk that knows its recipe names its victims"
+        );
+        let sent = (evicted.iter()).fold(sent, |sent, (_, gone)| sent.max(gone.last_sent));
+        entry.merge(chunks, tails, listed, lanes.fetch(sent, &legs));
+        srv.lpc.place(fp).ok_or_else(|| missing(Some(cid)))
     }
 }
 
@@ -778,7 +808,7 @@ fn verify_payload(fp: &Fingerprint, payload: &Payload) -> bool {
 mod tests {
     use super::*;
     use crate::config::DebarConfig;
-    use crate::dataset::Dataset;
+    use crate::dataset::{Dataset, FileContent, FileEntry};
     use crate::ids::{ClientId, Device, JobId};
     use debar_simio::models::paper;
     use debar_simio::{FaultPlan, RetryPolicy};
@@ -1128,7 +1158,7 @@ mod tests {
         let budget = cfg.lpc_containers as u64 * cfg.container_bytes;
         assert_eq!(srv.lpc.budget(), budget, "{tag}");
         assert!(srv.lpc.weight() <= budget, "{tag}");
-        let held = srv.restore_cache_payload(tag);
+        let held = srv.restore_cache_payload(&c.repo, tag);
         assert!(
             held <= srv.lpc.weight(),
             "{tag}: {held} held, weighed {}",
@@ -2099,5 +2129,140 @@ mod tests {
             last.layout.mean_run_length() < first.layout.mean_run_length(),
             "scatter chunk runs must shorten with generation"
         );
+    }
+
+    /// Real bytes, one chunk a file: a file shorter than the chunker's
+    /// smallest chunk is cut as one, and each `id` gives other bytes.
+    fn one_chunk_file(id: u64) -> FileEntry {
+        let mut x = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let bytes: Vec<u8> = (0..1500)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        FileEntry {
+            path: format!("f{id}"),
+            content: FileContent::Bytes(bytes.into()),
+        }
+    }
+
+    #[test]
+    fn an_orphaned_fingerprint_goes_back_to_its_older_resident_on_real_bytes() {
+        // Two live copies of a chunk: a collection whose later output
+        // faulted in its store leaves the victim that straddles two
+        // outputs in place, the chunks the first output took from it
+        // resolving there and the others still to the victim. A walk that
+        // reads the output and then the victim whole gives the victim,
+        // the younger resident, the shared chunks' mappings; evicting it
+        // leaves them listed by the output and answered by nobody. The
+        // next miss on one resolves to the output, resident, and the
+        // fetch must give the mapping back to the place the output lists
+        // it at — appending it again would put every later chunk of the
+        // entry beside the wrong fingerprint.
+        let mut cfg = DebarConfig::tiny_test(0);
+        (cfg.container_bytes, cfg.lpc_containers) = (16 << 10, 2);
+        let fp = |id: u64| match one_chunk_file(id).content {
+            FileContent::Bytes(bytes) => Fingerprint(Sha1::digest(&bytes)),
+            FileContent::Records(_) => unreachable!("real bytes"),
+        };
+        let mut fixture = DebarCluster::new(cfg);
+        let live: Vec<u64> = (0..60).filter(|id| id / 3 % 2 == 0).collect();
+        let mut runs = Vec::new();
+        for (name, ids) in [("gone", (0..60).collect()), ("kept", live.clone())] {
+            let job = fixture.define_job(name, ClientId(runs.len() as u32));
+            let files = (ids.into_iter()).map(one_chunk_file).collect::<Vec<_>>();
+            runs.push(fixture.backup(job, &Dataset { files }).expect("backup").run);
+            fixture.run_dedup2().expect("dedup2");
+            fixture.force_siu().expect("siu");
+        }
+        fixture.delete_run(runs[0]).expect("delete");
+        let was_in: Vec<ContainerId> = (live.iter())
+            .map(|&id| fixture.resolve(&fp(id)).expect("live"))
+            .collect();
+        // The first crash point, node by node and op by op, that leaves a
+        // victim answering for some of its survivors and not for others,
+        // which went to an output that also took another victim's.
+        let mut crash_points = (0..2).flat_map(|node| (0..64).map(move |k| (node, k)));
+        let (mut c, victim, output) = crash_points
+            .find_map(|(node, k)| {
+                let mut c = fixture.clone();
+                let device = Device::RepoNode(node);
+                let at = c.device_ops(device).expect("a node");
+                c.arm(device, FaultPlan::fail_at(at + k)).expect("armed");
+                c.run_gc().err()?;
+                c.clear_fault_plans();
+                let now: Vec<ContainerId> = live
+                    .iter()
+                    .map(|&id| c.resolve(&fp(id)).expect("live"))
+                    .collect();
+                let moved = |i: usize| now[i] != was_in[i];
+                (0..live.len()).find_map(|i| {
+                    let (victim, output) = (was_in[i], now[i]);
+                    let stays = (0..live.len()).any(|j| was_in[j] == victim && !moved(j));
+                    let shared = (0..live.len()).any(|j| now[j] == output && was_in[j] != victim);
+                    (moved(i) && stays && shared && c.repo.contains(victim)).then_some((
+                        c.clone(),
+                        victim,
+                        output,
+                    ))
+                })
+            })
+            .expect("a collection faulted between two outputs");
+        let of = |container: ContainerId, moved: bool| {
+            let now = |&id: &u64| c.resolve(&fp(id)).expect("live");
+            let was = |&id: &u64| was_in[live.iter().position(|l| *l == id).expect("live")];
+            (live.iter().copied())
+                .find(|id| now(id) == container && (was(id) == victim) == moved)
+                .expect("such a chunk")
+        };
+        let (x, z, w) = (of(output, true), of(victim, true), of(output, false));
+        let n = *(live.iter())
+            .find(|&&id| ![victim, output].contains(&c.resolve(&fp(id)).expect("live")))
+            .expect("a chunk elsewhere");
+        let walk = |c: &mut DebarCluster, id: u64, tag: &str| {
+            let r = c.restore_file(runs[1], &format!("f{id}")).expect(tag);
+            assert_eq!((r.bytes, r.failures), (1500, 0), "{tag}");
+            c.servers[0].restore_cache_payload(&c.repo, tag);
+            (r.lpc.hits, r.lpc.misses, r.lpc.evictions)
+        };
+        // The output comes in whole and answers for `x`; the victim comes
+        // in whole beside it and takes `x` over.
+        assert_eq!(walk(&mut c, w, "w"), (0, 1, 0));
+        assert_eq!(walk(&mut c, z, "z"), (0, 1, 0));
+        let lpc = &c.servers[0].lpc;
+        assert_eq!(lpc.peek(&fp(x)), Some(victim));
+        assert!(lpc
+            .fingerprints(output)
+            .is_some_and(|fps| fps.contains(&fp(x))));
+        // A hit makes the output the hotter; the next miss finds the cache
+        // full and gives up the colder, the victim, and `x`'s mapping.
+        assert_eq!(walk(&mut c, w, "w again"), (1, 0, 0));
+        assert_eq!(walk(&mut c, n, "elsewhere"), (0, 1, 1));
+        let lpc = &c.servers[0].lpc;
+        assert_eq!((lpc.peek(&fp(x)), lpc.fingerprints(victim)), (None, None));
+        // `x` misses, resolves to the output, and the fetch gives it back:
+        // every later occurrence hits.
+        assert_eq!(walk(&mut c, x, "x"), (0, 1, 0));
+        assert_eq!(c.servers[0].lpc.peek(&fp(x)), Some(output));
+        assert_eq!(walk(&mut c, x, "x again"), (1, 0, 0));
+        // The whole run, strictly, on the cache this left; then the redone
+        // collection and the run again.
+        let expected = 1500 * live.len() as u64;
+        for (tag, counters) in [("run", (25, 5, 1)), ("run after the redo", (27, 3, 1))] {
+            if tag != "run" {
+                c.run_gc().expect("redo");
+            }
+            let r = c.restore_run(runs[1]).expect(tag);
+            assert_eq!((r.bytes, r.failures), (expected, 0), "{tag}");
+            assert_eq!(
+                (r.lpc.hits, r.lpc.misses, r.lpc.evictions),
+                counters,
+                "{tag}"
+            );
+            c.servers[0].restore_cache_payload(&c.repo, tag);
+        }
     }
 }

@@ -174,13 +174,14 @@ pub struct BackupServer {
 
 /// One entry of the restore cache — the chunks fetched from one container
 /// (all of them after a whole-container read, the extents its recipe
-/// wanted after a ranged one), keyed for O(1) extraction, each with the
-/// server-clock time its bytes were in — and its place on the restore
-/// pipeline's timeline. It is the value of its container's LPC entry, so
-/// it holds exactly the chunks whose fingerprints the entry lists.
+/// wanted after a ranged one), each with the server-clock time its bytes
+/// were in — and its place on the restore pipeline's timeline. It is the
+/// value of its container's LPC entry and holds exactly the chunks whose
+/// fingerprints the entry lists, in a column beside the listing: the
+/// place [`LpcCache::find`] gives a fingerprint is its chunk's place here.
 #[derive(Clone, Default)]
 pub(crate) struct CachedContainer {
-    chunks: FpMap<(Payload, Secs)>,
+    chunks: Vec<(Payload, Secs)>,
     /// Server-clock time the last chunk served from it left the NIC (the
     /// completion of the last read into it until one has, or if later):
     /// the fetch that evicts this container may not start before.
@@ -188,28 +189,37 @@ pub(crate) struct CachedContainer {
 }
 
 impl CachedContainer {
-    /// Chunk length, payload and arrival time for a fingerprint, if the
-    /// entry holds it.
-    pub(crate) fn chunk(&self, fp: &Fingerprint) -> Option<(u32, Payload, Secs)> {
-        (self.chunks.get(fp))
-            .map(|(payload, arrived)| (payload.len() as u32, payload.clone(), *arrived))
+    /// The payload and arrival time of the chunk at `index` of the
+    /// entry's listing, if it holds one there.
+    pub(crate) fn chunk(&self, index: usize) -> Option<&(Payload, Secs)> {
+        self.chunks.get(index)
     }
 
     /// Take in what a read fetched: its serving leg completed at `served`
     /// and the whole read — read-repair writes included — at `done`. Each
-    /// chunk is in its `tails` entry's seconds before `served`; chunks the
-    /// entry holds already keep their own arrival. The entry is not given
-    /// up before the read is done.
+    /// chunk is in its `tails` entry's seconds before `served`. Of the
+    /// chunks, those whose fingerprints the insert newly `listed` are
+    /// appended, in the order the listing took them; the others the entry
+    /// holds already, and they keep their own arrival. The entry is not
+    /// given up before the read is done.
     pub(crate) fn merge(
         &mut self,
         chunks: Vec<(Fingerprint, Payload)>,
         tails: impl Iterator<Item = Secs>,
+        listed: &[Fingerprint],
         (served, done): (Secs, Secs),
     ) {
-        self.chunks.reserve(chunks.len());
+        self.chunks.reserve(listed.len());
+        let mut listed = listed.iter().peekable();
         for ((fp, payload), tail) in chunks.into_iter().zip(tails) {
-            self.chunks.entry(fp).or_insert((payload, served - tail));
+            if listed.next_if_eq(&&fp).is_some() {
+                self.chunks.push((payload, served - tail));
+            }
         }
+        debug_assert!(
+            listed.peek().is_none(),
+            "a newly listed chunk was not fetched"
+        );
         self.last_sent = self.last_sent.max(done);
     }
 }
@@ -217,19 +227,36 @@ impl CachedContainer {
 #[cfg(test)]
 impl BackupServer {
     /// The one restore cache's invariant, checked: every resident holds
-    /// the chunks of exactly the fingerprints its LPC entry lists. Returns
-    /// the payload bytes the residents hold.
-    pub(crate) fn restore_cache_payload(&self, tag: &str) -> u64 {
+    /// one chunk per fingerprint its LPC entry lists, at the same place,
+    /// and each is that fingerprint's payload — real bytes hash back to
+    /// it, a zero-run is the one the container (while `repo` holds a copy)
+    /// lists for it. Returns the payload bytes the residents hold.
+    pub(crate) fn restore_cache_payload(&self, repo: &ChunkRepository, tag: &str) -> u64 {
         let mut held = 0;
         for cid in self.lpc.residents() {
             let fps = self.lpc.fingerprints(cid).expect("resident");
             let entry = self.lpc.value(cid).expect("resident");
             assert_eq!(entry.chunks.len(), fps.len(), "{tag}: {cid:?}");
-            assert!(
-                fps.iter().all(|fp| entry.chunks.contains_key(fp)),
-                "{tag}: {cid:?}"
-            );
-            held += entry.chunks.values().map(|(p, _)| p.len()).sum::<u64>();
+            let copy = (repo.nodes().iter()).find_map(|node| node.copy(cid).map(|(c, _)| c));
+            for (fp, (payload, _)) in fps.iter().zip(&entry.chunks) {
+                match payload {
+                    Payload::Real(bytes) => {
+                        assert_eq!(
+                            debar_hash::Sha1::digest(bytes),
+                            fp.0,
+                            "{tag}: {cid:?} slot of {fp:?}"
+                        );
+                    }
+                    Payload::Zero(_) => {
+                        let listed = copy.and_then(|c| c.find(fp)).map(|(_, p)| p);
+                        assert!(
+                            copy.is_none() || listed.as_ref() == Some(payload),
+                            "{tag}: {cid:?} slot of {fp:?}"
+                        );
+                    }
+                }
+            }
+            held += entry.chunks.iter().map(|(p, _)| p.len()).sum::<u64>();
         }
         held
     }

@@ -72,8 +72,14 @@ impl Lane {
     pub fn run(&mut self, ready: Secs, cost: Secs) -> Secs {
         debug_assert!(cost >= 0.0 && cost.is_finite(), "invalid cost {cost}");
         self.busy += cost;
-        // Gaps that end by `ready` can hold nothing that starts there.
-        let first = self.gaps.partition_point(|&(_, to)| to <= ready);
+        // Gaps that end by `ready` can hold nothing that starts there — and
+        // every gap ends by `free_at`, so an op ready no sooner (each op of
+        // a FIFO lane) looks at none.
+        let first = if ready < self.free_at {
+            self.gaps.partition_point(|&(_, to)| to <= ready)
+        } else {
+            self.gaps.len()
+        };
         for i in first..self.gaps.len() {
             let (from, to) = self.gaps[i];
             let start = from.max(ready);

@@ -40,7 +40,7 @@ pub mod repository;
 
 pub use container::{ChunkMeta, Container, CorruptKind, Damage, Payload};
 pub use error::StoreError;
-pub use lpc::{LpcCache, LpcStats};
+pub use lpc::{LpcCache, LpcPlace, LpcStats};
 pub use manager::ContainerManager;
 pub use repository::{
     BatchAppend, ChunkRepository, NodeRead, ReadLegs, Reclaimed, RepairReport, RepoStats, ScrubLeg,

@@ -47,6 +47,17 @@
 //! before the entries it evicts have been streamed out. A budget of `n`
 //! containers therefore bounds the bytes in flight or waiting to be sent
 //! at `n` containers' worth; a budget of one serializes reads and sends.
+//!
+//! **A hit names a place.** The fingerprint map answers with the
+//! resident *and* the fingerprint's place in its listing
+//! ([`LpcCache::find`] → [`LpcPlace`]), so a caller that keeps one value
+//! per listed fingerprint in a column beside the listing — the restore
+//! walk keeps its chunks so — reaches it with the probe the lookup made,
+//! and [`LpcCache::resident_mut`] hands the resident's value over without
+//! a second one. An insert says which fingerprints it newly listed, in
+//! order, which is what such a column appends. The residents stay in
+//! recency order as a list, so neither a hit nor a victim choice sorts
+//! or scans them.
 
 use debar_hash::{ContainerId, Fingerprint, FpMap};
 use std::collections::hash_map::Entry;
@@ -75,15 +86,43 @@ impl LpcStats {
     }
 }
 
+/// Where the cache answers for a fingerprint: the resident, and the
+/// fingerprint's place in that resident's listing
+/// ([`LpcCache::fingerprints`]). It holds until the next insert or
+/// eviction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LpcPlace {
+    /// The resident's place in `LpcCache::residents`.
+    resident: u32,
+    index: u32,
+}
+
+impl LpcPlace {
+    /// The fingerprint's place in its resident's listing.
+    pub fn index(self) -> usize {
+        self.index as usize
+    }
+}
+
+/// No resident: either end of the recency list.
+const NIL: u32 = u32::MAX;
+
 /// One resident container: what its fetches brought in.
 #[derive(Debug, Clone)]
 struct Resident<V> {
+    cid: ContainerId,
     fps: Vec<Fingerprint>,
+    /// The listed fingerprints the cache does not answer for with this
+    /// resident, each with its place in `fps`: a younger resident took the
+    /// mapping over, and may have been evicted since with it. An insert
+    /// asks this, not the listing, whether it lists a fingerprint already.
+    displaced: FpMap<u32>,
     /// What it weighs against the budget, at most one slot.
     weight: u64,
-    /// Recency stamp of its last insert or hit: the coldest entry holds
-    /// the smallest.
-    used: u64,
+    /// Its neighbours in recency order: the next colder and the next
+    /// hotter resident.
+    colder: u32,
+    hotter: u32,
     /// The caller's value, which leaves with the entry.
     value: V,
 }
@@ -99,14 +138,17 @@ pub struct LpcCache<V = ()> {
     budget: u64,
     /// What they do weigh together (a running sum of `Resident::weight`).
     held: u64,
-    /// fingerprint → container holding it.
-    by_fp: FpMap<ContainerId>,
-    by_container: HashMap<ContainerId, Resident<V>>,
-    /// The last recency stamp handed out, and the resident that holds it:
-    /// a hit on that one — nearly every hit of a stream — changes no order
-    /// and needs no stamp.
-    clock: u64,
-    hottest: Option<ContainerId>,
+    /// fingerprint → the resident answering for it and its place there.
+    by_fp: FpMap<LpcPlace>,
+    /// container → its resident's place in `residents`.
+    by_container: HashMap<ContainerId, u32>,
+    /// The residents by place; an evicted one's place is `None` until an
+    /// insert takes it back from `free`.
+    residents: Vec<Option<Resident<V>>>,
+    free: Vec<u32>,
+    /// The ends of the recency list.
+    coldest: u32,
+    hottest: u32,
     stats: LpcStats,
 }
 
@@ -150,8 +192,10 @@ impl<V> LpcCache<V> {
             held: 0,
             by_fp: FpMap::default(),
             by_container: HashMap::new(),
-            clock: 0,
-            hottest: None,
+            residents: Vec::new(),
+            free: Vec::new(),
+            coldest: NIL,
+            hottest: NIL,
             stats: LpcStats::default(),
         }
     }
@@ -191,13 +235,18 @@ impl<V> LpcCache<V> {
 
     /// Look up a fingerprint; a hit refreshes its container's recency.
     pub fn lookup(&mut self, fp: &Fingerprint) -> Option<ContainerId> {
+        let place = self.find(fp)?;
+        Some(self.resident(place.resident).cid)
+    }
+
+    /// [`LpcCache::lookup`] that answers with the fingerprint's place:
+    /// counted and refreshing alike.
+    pub fn find(&mut self, fp: &Fingerprint) -> Option<LpcPlace> {
         match self.by_fp.get(fp).copied() {
-            Some(cid) => {
+            Some(place) => {
                 self.stats.hits += 1;
-                if self.hottest != Some(cid) {
-                    self.touch(cid);
-                }
-                Some(cid)
+                self.touch(place.resident);
+                Some(place)
             }
             None => {
                 self.stats.misses += 1;
@@ -208,52 +257,107 @@ impl<V> LpcCache<V> {
 
     /// Peek without touching recency or counters (used by tests/metrics).
     pub fn peek(&self, fp: &Fingerprint) -> Option<ContainerId> {
+        (self.place(fp)).map(|place| self.resident(place.resident).cid)
+    }
+
+    /// [`LpcCache::peek`] that answers with the fingerprint's place.
+    pub fn place(&self, fp: &Fingerprint) -> Option<LpcPlace> {
         self.by_fp.get(fp).copied()
+    }
+
+    /// The container and the value of the resident at `place`; recency is
+    /// not touched. A place given before the last insert or eviction may
+    /// name another resident since.
+    ///
+    /// # Panics
+    /// Panics if the resident the `place` named was evicted and its place
+    /// not taken again.
+    pub fn resident_mut(&mut self, place: LpcPlace) -> (ContainerId, &mut V) {
+        let entry = self.resident_at(place.resident);
+        (entry.cid, &mut entry.value)
     }
 
     /// The cached containers in recency order, coldest first: the first is
     /// the one an insert that needs room would evict next.
-    pub fn residents(&self) -> impl Iterator<Item = ContainerId> {
-        let mut by_age: Vec<(u64, ContainerId)> = (self.by_container.iter())
-            .map(|(&cid, entry)| (entry.used, cid))
-            .collect();
-        by_age.sort_unstable();
-        by_age.into_iter().map(|(_, cid)| cid)
+    pub fn residents(&self) -> impl Iterator<Item = ContainerId> + '_ {
+        self.entries().map(|(cid, _)| cid)
+    }
+
+    /// The cached containers with their values, in recency order, coldest
+    /// first.
+    pub fn entries(&self) -> impl Iterator<Item = (ContainerId, &V)> {
+        let mut next = self.coldest;
+        std::iter::from_fn(move || {
+            let entry = self.residents.get(next as usize)?.as_ref()?;
+            next = entry.hotter;
+            Some((entry.cid, &entry.value))
+        })
     }
 
     /// A cached container's fingerprints, in the order its inserts brought
     /// them. Another resident may answer for some of them
     /// ([`LpcCache::peek`] says who).
     pub fn fingerprints(&self, cid: ContainerId) -> Option<&[Fingerprint]> {
-        self.by_container.get(&cid).map(|entry| &entry.fps[..])
+        let r = *self.by_container.get(&cid)?;
+        Some(&self.resident(r).fps[..])
     }
 
     /// A cached container's value.
     pub fn value(&self, cid: ContainerId) -> Option<&V> {
-        self.by_container.get(&cid).map(|entry| &entry.value)
+        let r = *self.by_container.get(&cid)?;
+        Some(&self.resident(r).value)
     }
 
-    /// A cached container's value, to update in place; recency is not
-    /// touched.
-    pub fn value_mut(&mut self, cid: ContainerId) -> Option<&mut V> {
-        self.by_container
-            .get_mut(&cid)
-            .map(|entry| &mut entry.value)
+    fn resident(&self, r: u32) -> &Resident<V> {
+        self.residents[r as usize]
+            .as_ref()
+            .expect("a resident's place")
+    }
+
+    fn resident_at(&mut self, r: u32) -> &mut Resident<V> {
+        self.residents[r as usize]
+            .as_mut()
+            .expect("a resident's place")
     }
 
     /// Make a resident the most recently used.
-    fn touch(&mut self, cid: ContainerId) {
-        if let Some(entry) = self.by_container.get_mut(&cid) {
-            self.clock += 1;
-            entry.used = self.clock;
-            self.hottest = Some(cid);
+    fn touch(&mut self, r: u32) {
+        if r != self.hottest {
+            self.unlink(r);
+            self.link_hottest(r);
         }
+    }
+
+    /// Take a resident out of the recency list.
+    fn unlink(&mut self, r: u32) {
+        let entry = self.resident(r);
+        let (colder, hotter) = (entry.colder, entry.hotter);
+        match colder {
+            NIL => self.coldest = hotter,
+            c => self.resident_at(c).hotter = hotter,
+        }
+        match hotter {
+            NIL => self.hottest = colder,
+            h => self.resident_at(h).colder = colder,
+        }
+    }
+
+    /// Put a resident at the hot end of the recency list.
+    fn link_hottest(&mut self, r: u32) {
+        let hottest = self.hottest;
+        let entry = self.resident_at(r);
+        (entry.colder, entry.hotter) = (hottest, NIL);
+        match hottest {
+            NIL => self.coldest = r,
+            h => self.resident_at(h).hotter = r,
+        }
+        self.hottest = r;
     }
 
     /// By how much `bytes` more of `cid` would grow the cache: an entry
     /// never outgrows its container.
     fn growth(&self, cid: ContainerId, bytes: u64) -> u64 {
-        let weighs = self.by_container.get(&cid).map_or(0, |e| e.weight);
+        let weighs = (self.by_container.get(&cid)).map_or(0, |&r| self.resident(r).weight);
         bytes.min(self.slot - weighs)
     }
 
@@ -266,88 +370,142 @@ impl<V> LpcCache<V> {
 
     /// Insert the fingerprints a fetch of `bytes` of payload brought in,
     /// evicting the least-recently-used other containers while they do not
-    /// fit. Returns the evicted containers with their values, and the
-    /// entry's own value for the caller to fill: a new entry's starts as
-    /// `V::default()`. A container that is already resident grows by the
-    /// fingerprints it did not list yet and by their weight, and keeps its
-    /// value.
+    /// fit. Returns the evicted containers with their values, the entry's
+    /// own value for the caller to fill — a new entry's starts as
+    /// `V::default()` — and the fingerprints the entry newly lists, in the
+    /// order they came: all of them for a new entry. A container that is
+    /// already resident grows by the fingerprints it did not list yet and
+    /// by their weight, and keeps its value.
     pub fn insert_extents(
         &mut self,
         cid: ContainerId,
-        fps: Vec<Fingerprint>,
+        fps: impl IntoIterator<Item = Fingerprint>,
         bytes: u64,
-    ) -> (Vec<(ContainerId, V)>, &mut V)
+    ) -> (Vec<(ContainerId, V)>, &mut V, &[Fingerprint])
     where
         V: Default,
     {
         let mut evicted = Vec::new();
         while self.shortfall(cid, bytes) > 0 {
-            let coldest = (self.by_container.iter())
-                .filter(|(&resident, _)| resident != cid)
-                .min_by_key(|(_, entry)| entry.used)
-                .map(|(&resident, _)| resident);
-            let Some(coldest) = coldest else {
+            let Some(coldest) = self.residents().find(|&resident| resident != cid) else {
                 break;
             };
             evicted.extend(self.evict(coldest).map(|gone| (coldest, gone)));
         }
         let grown = self.growth(cid, bytes);
         self.held += grown;
-        let entry = match self.by_container.entry(cid) {
-            Entry::Occupied(resident) => {
-                let entry = resident.into_mut();
-                // A resident container is fetched again for one of two
-                // reasons. A fingerprint of its missed because a younger
-                // resident that also held it took the mapping over and was
-                // evicted since: give every orphaned fingerprint back, or
-                // each later occurrence would miss and re-read this
-                // container to no effect. Or the entry is an extent set
-                // that just grew by a merge: the new fingerprints are
-                // recorded with the entry, so that evicting it takes their
-                // mappings along.
-                for fp in fps {
-                    if self.by_fp.get(&fp) != Some(&cid) && !entry.fps.contains(&fp) {
+        debug_assert!(self.held <= self.budget, "the LPC outgrew its budget");
+        let (r, listed) = match self.by_container.get(&cid) {
+            Some(&r) => {
+                // The insert makes it the most recently used.
+                self.touch(r);
+                (r, self.merge(r, fps))
+            }
+            None => (self.admit(cid, fps.into_iter().collect()), 0),
+        };
+        let Resident {
+            fps, weight, value, ..
+        } = self.resident_at(r);
+        *weight += grown;
+        (evicted, value, &fps[listed..])
+    }
+
+    /// Merge what a fetch brought in into resident `r`. Returns how many
+    /// fingerprints it listed before.
+    ///
+    /// A resident container is fetched again for one of two reasons. A
+    /// fingerprint of its missed because a younger resident that also held
+    /// it took the mapping over and was evicted since: give every orphaned
+    /// fingerprint back, or each later occurrence would miss and re-read
+    /// this container to no effect. Or the entry is an extent set that
+    /// just grew by a merge: the new fingerprints are listed with the
+    /// entry, so that evicting it takes their mappings along — also those
+    /// another resident answers for, whose mappings come back to this one
+    /// when that one goes and this is fetched again.
+    fn merge(&mut self, r: u32, fps: impl IntoIterator<Item = Fingerprint>) -> usize {
+        let entry = self.residents[r as usize]
+            .as_mut()
+            .expect("a resident's place");
+        let listed = entry.fps.len();
+        for fp in fps {
+            let index = entry.fps.len() as u32;
+            match self.by_fp.entry(fp) {
+                Entry::Occupied(answered) => {
+                    if answered.get().resident != r && !entry.displaced.contains_key(&fp) {
+                        entry.displaced.insert(fp, index);
                         entry.fps.push(fp);
                     }
-                    self.by_fp.entry(fp).or_insert(cid);
                 }
-                entry.weight += grown;
-                entry
-            }
-            Entry::Vacant(slot) => {
-                for fp in &fps {
-                    self.by_fp.insert(*fp, cid);
+                Entry::Vacant(unanswered) => {
+                    let index = entry.displaced.remove(&fp).unwrap_or_else(|| {
+                        entry.fps.push(fp);
+                        index
+                    });
+                    unanswered.insert(LpcPlace { resident: r, index });
                 }
-                slot.insert(Resident {
-                    fps,
-                    weight: grown,
-                    used: 0,
-                    value: V::default(),
-                })
             }
-        };
-        // The insert makes it the most recently used (`touch`).
-        self.clock += 1;
-        entry.used = self.clock;
-        self.hottest = Some(cid);
-        debug_assert!(self.held <= self.budget, "the LPC outgrew its budget");
-        (evicted, &mut entry.value)
+        }
+        listed
+    }
+
+    /// Make `cid`, not yet resident, the most recently used resident,
+    /// listing `fps` and answering for every one of them. Returns its
+    /// place.
+    fn admit(&mut self, cid: ContainerId, fps: Vec<Fingerprint>) -> u32
+    where
+        V: Default,
+    {
+        let r = self.free.pop().unwrap_or_else(|| {
+            self.residents.push(None);
+            (self.residents.len() - 1) as u32
+        });
+        for (index, fp) in fps.iter().enumerate() {
+            let place = LpcPlace {
+                resident: r,
+                index: index as u32,
+            };
+            match self.by_fp.insert(*fp, place) {
+                // An older resident lists it too and no longer answers.
+                Some(older) if older.resident != r => {
+                    self.resident_at(older.resident)
+                        .displaced
+                        .insert(*fp, older.index);
+                }
+                _ => {}
+            }
+        }
+        self.residents[r as usize] = Some(Resident {
+            cid,
+            fps,
+            displaced: FpMap::default(),
+            weight: 0,
+            colder: NIL,
+            hotter: NIL,
+            value: V::default(),
+        });
+        self.by_container.insert(cid, r);
+        self.link_hottest(r);
+        r
     }
 
     /// Evict one container, whatever its recency — for the caller that
     /// knows better than LRU which resident it needs last. Returns its
     /// value if it was cached (and counts an eviction only then).
     pub fn evict(&mut self, victim: ContainerId) -> Option<V> {
-        let entry = self.by_container.remove(&victim)?;
+        let r = self.by_container.remove(&victim)?;
+        self.unlink(r);
+        let entry = self.residents[r as usize]
+            .take()
+            .expect("a resident's place");
+        self.free.push(r);
         self.held -= entry.weight;
-        if self.hottest == Some(victim) {
-            self.hottest = None;
-        }
-        for fp in entry.fps {
+        for fp in &entry.fps {
             // Only remove mappings still pointing at the victim (a
-            // fingerprint can be re-cached under a newer container).
-            if self.by_fp.get(&fp) == Some(&victim) {
-                self.by_fp.remove(&fp);
+            // fingerprint can be re-cached under a newer container): the
+            // ones it does not list as displaced.
+            if entry.displaced.is_empty() || !entry.displaced.contains_key(fp) {
+                let _gone = self.by_fp.remove(fp);
+                debug_assert!(_gone.is_none_or(|place| place.resident == r));
             }
         }
         self.stats.evictions += 1;
@@ -596,7 +754,7 @@ mod tests {
     #[test]
     fn a_residents_value_lives_and_leaves_with_it() {
         let mut c = LpcCache::<Vec<u64>>::with_memory(200, 100);
-        let (evicted, value) = c.insert_extents(cid(0), vec![fp(0)], 100);
+        let (evicted, value, _) = c.insert_extents(cid(0), vec![fp(0)], 100);
         assert!(
             evicted.is_empty() && value.is_empty(),
             "a new entry starts at the default"
@@ -604,14 +762,17 @@ mod tests {
         value.push(0);
         c.insert_extents(cid(1), vec![fp(1)], 60).1.push(1);
         // A merge into a resident hands back that resident's value.
-        let (evicted, value) = c.insert_extents(cid(1), vec![fp(2)], 40);
+        let (evicted, value, _) = c.insert_extents(cid(1), vec![fp(2)], 40);
         assert_eq!((evicted, value.clone()), (vec![], vec![1]));
         value.push(2);
-        c.value_mut(cid(0)).expect("resident").push(10);
+        let place = c.place(&fp(0)).expect("resident");
+        assert_eq!(c.resident_mut(place).0, cid(0));
+        c.resident_mut(place).1.push(10);
         assert_eq!(c.value(cid(0)), Some(&vec![0, 10]));
         // An LRU insert returns exactly the evicted residents' values: the
-        // merge made container 1 the hotter, and `value_mut` touched nobody.
-        let (evicted, _) = c.insert_extents(cid(2), vec![fp(3)], 100);
+        // merge made container 1 the hotter, and `resident_mut` touched
+        // nobody.
+        let (evicted, ..) = c.insert_extents(cid(2), vec![fp(3)], 100);
         assert_eq!(evicted, [(cid(0), vec![0, 10])]);
         assert_eq!((c.value(cid(0)), c.peek(&fp(0))), (None, None));
         // `evict` returns it, once.
@@ -640,7 +801,7 @@ mod tests {
             let (container, fps) = (cid(step % 9), vec![fp(step % 9), fp(100 + step % 4)]);
             let bytes = 20 + step * 37 % 81;
             let victims = bare.insert_extents(container, fps.clone(), bytes).0;
-            let (evicted, count) = counted.insert_extents(container, fps, bytes);
+            let (evicted, count, _) = counted.insert_extents(container, fps, bytes);
             *count += 1;
             assert!(victims.iter().map(|v| v.0).eq(evicted.iter().map(|e| e.0)));
             handed_back += evicted.iter().map(|e| e.1).sum::<u32>();
@@ -655,5 +816,119 @@ mod tests {
             .map(|r| counted.value(r).copied().unwrap_or(0))
             .sum();
         assert_eq!(handed_back + resident, 60);
+    }
+
+    /// The listing rule of a cache that scanned its listings: an insert
+    /// into a resident appends each fingerprint the cache does not answer
+    /// with it and its listing does not hold yet, and takes the mapping
+    /// only of one nobody answers for; a new resident takes every mapping.
+    #[derive(Default)]
+    struct Scanning {
+        by_fp: FpMap<ContainerId>,
+        /// Resident → its listing and weight.
+        listed: std::collections::BTreeMap<ContainerId, (Vec<Fingerprint>, u64)>,
+    }
+
+    impl Scanning {
+        /// Returns the fingerprints the insert newly listed.
+        fn insert(
+            &mut self,
+            cid: ContainerId,
+            fps: &[Fingerprint],
+            grown: u64,
+        ) -> Vec<Fingerprint> {
+            let Some((listing, weight)) = self.listed.get_mut(&cid) else {
+                for fp in fps {
+                    self.by_fp.insert(*fp, cid);
+                }
+                self.listed.insert(cid, (fps.to_vec(), grown));
+                return fps.to_vec();
+            };
+            let before = listing.len();
+            for fp in fps {
+                if self.by_fp.get(fp) != Some(&cid) && !listing.contains(fp) {
+                    listing.push(*fp);
+                }
+                self.by_fp.entry(*fp).or_insert(cid);
+            }
+            *weight += grown;
+            listing[before..].to_vec()
+        }
+
+        fn evict(&mut self, cid: ContainerId) {
+            let (listing, _) = self.listed.remove(&cid).expect("resident");
+            for fp in listing {
+                if self.by_fp.get(&fp) == Some(&cid) {
+                    self.by_fp.remove(&fp);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Merges into one resident, interleaved with younger residents
+        /// that take its mappings over and with their evictions, which
+        /// orphan them: the listing order, the weight, every `peek` and
+        /// each insert's newly listed fingerprints are the scanning
+        /// rule's, and every place names its fingerprint.
+        #[test]
+        fn prop_places_list_as_the_scan_did(
+            ops in proptest::collection::vec((0u64..4, 0u64..1 << 40), 1..80),
+        ) {
+            // Sixteen fingerprints, so that residents share them; an
+            // insert brings up to six, repeats included.
+            let fps_of = |seed: u64| -> Vec<Fingerprint> {
+                (0..seed % 7).map(|i| fp(seed >> (3 + 4 * i) & 15)).collect()
+            };
+            let mut cache = LpcCache::<()>::with_memory(64 * 100, 100);
+            let mut model = Scanning::default();
+            let mut younger = 1;
+            for (step, &(kind, seed)) in ops.iter().enumerate() {
+                let (target, bytes) = match kind {
+                    // Evict a younger resident, if there is one.
+                    3 => {
+                        let others: Vec<ContainerId> = (model.listed.keys().copied())
+                            .filter(|&r| r != cid(0))
+                            .collect();
+                        if let Some(&gone) = others.get(seed as usize % others.len().max(1)) {
+                            proptest::prop_assert!(cache.evict(gone).is_some());
+                            model.evict(gone);
+                        }
+                        (None, 0)
+                    }
+                    // A younger resident comes in.
+                    2 => {
+                        younger += 1;
+                        (Some(cid(younger)), seed % 120)
+                    }
+                    // The one resident grows.
+                    _ => (Some(cid(0)), seed % 60),
+                };
+                if let Some(cid) = target {
+                    let fps = fps_of(seed);
+                    let weighs = model.listed.get(&cid).map_or(0, |e| e.1);
+                    let new = model.insert(cid, &fps, bytes.min(100 - weighs));
+                    let (evicted, (), listed) = cache.insert_extents(cid, fps, bytes);
+                    proptest::prop_assert!(evicted.is_empty(), "step {}", step);
+                    proptest::prop_assert_eq!(listed, &new[..], "step {}", step);
+                }
+                for (&resident, (listing, _)) in &model.listed {
+                    proptest::prop_assert_eq!(cache.fingerprints(resident), Some(&listing[..]));
+                }
+                let weight: u64 = model.listed.values().map(|e| e.1).sum();
+                proptest::prop_assert_eq!(cache.weight(), weight, "step {}", step);
+                proptest::prop_assert_eq!(cache.len(), model.listed.len());
+                for n in 0..16 {
+                    let answer = cache.peek(&fp(n));
+                    proptest::prop_assert_eq!(answer, model.by_fp.get(&fp(n)).copied(), "fp({}) at step {}", n, step);
+                    if let (Some(place), Some(resident)) = (cache.place(&fp(n)), answer) {
+                        let listing = cache.fingerprints(resident).expect("resident");
+                        proptest::prop_assert_eq!(listing[place.index()], fp(n));
+                    }
+                }
+            }
+        }
     }
 }

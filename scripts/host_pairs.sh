@@ -24,10 +24,11 @@
 #
 # After the pairs, each side runs once more as `--reps 1 --trace`, and the
 # script prints the traced allocation counters (`allocs`, `alloc_mib`) of
-# `backup_prepared`, `run_dedup2`, `run_gc` and `restore_run` side by
-# side. They count what each call allocates, not how fast it runs, so one
-# rep a side says it: only the growth of the randomly keyed fingerprint
-# tables moves them between runs, by an allocation or two. Beside them
+# `backup_prepared`, `run_dedup2`, `run_gc`, `restore_run` and
+# `verify_run` (the same walk, sending nothing) side by side. They count
+# what each call allocates, not how fast it runs, so one rep a side says
+# it: only the growth of the randomly keyed fingerprint tables moves them
+# between runs, by an allocation or two. Beside them
 # stand the same calls' traced `host_s`, one rep's host time: a pointer to
 # where time went, not a measurement (the pairs are that).
 #
@@ -84,7 +85,7 @@ same_sim() { # the pair's verdict on its simulated cells, one line
 traced() { # <side>: "<metric> <value>" of each traced allocation counter
     "$tmp/$1-target/release/debar-benchmark" run --workload "$workload" \
         --seed "$seed" --reps 1 --trace --out "$tmp/$1-traced.json" >"$tmp/$1-traced.out"
-    awk -v w="$workload" '$1 == w && $2 ~ /^core\.(cluster\.(backup_prepared|run_dedup2|restore_run)|gc\.run_gc)\.(alloc|host_s)/ {
+    awk -v w="$workload" '$1 == w && $2 ~ /^core\.(cluster\.(backup_prepared|run_dedup2|restore_run|verify_run)|gc\.run_gc)\.(alloc|host_s)/ {
         print $2, $3 }' "$tmp/$1-traced.out"
 }
 for workload in ${workloads//,/ }; do
